@@ -40,9 +40,22 @@ pub struct ClassStats {
     /// Live bytes (`live * class`).
     pub live_bytes: u64,
     /// Carved-but-free slots of this class across all node pools (slab
-    /// classes only; page-backed classes recycle through the striped
-    /// free list and report 0 here).
+    /// classes and node-bound page runs; blocks of the striped region
+    /// recycle through their own free list and are not counted here).
     pub free_slots: u64,
+}
+
+/// Which carving path an allocation came from — and so which free list
+/// takes it back. Recorded per allocation rather than derived from the
+/// address: under a blocked map the striped reserve at the top of the
+/// global space lies on the last node, so an address test would mistake
+/// that node's pool blocks for striped ones.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Region {
+    /// A node pool: slab slot or node-bound page run.
+    Node,
+    /// The globally contiguous striped reserve.
+    Striped,
 }
 
 /// Per-node page pool state.
@@ -52,7 +65,9 @@ struct NodePool {
     /// Node-local page limit (pages beyond it belong to the striped
     /// region).
     page_limit: u64,
-    /// Free lists: size class → addresses.
+    /// Free lists: rounded allocation size → addresses. Slab classes
+    /// (≤ `MAX_CLASS`) and node-bound page runs (whole pages, so always
+    /// larger) share the map without colliding.
     free: HashMap<u64, Vec<FarAddr>>,
 }
 
@@ -64,15 +79,28 @@ struct State {
     /// downward from the top of the address space in whole pages).
     striped_top: u64,
     striped_bottom: u64,
-    /// Free list for striped allocations: page count → addresses.
+    /// Free list for blocks of the striped region: page count →
+    /// addresses. Node-bound page runs never land here — they go back to
+    /// their node's pool.
     striped_free: HashMap<u64, Vec<FarAddr>>,
     /// Membership map of outstanding allocations: base address → rounded
-    /// length (size class or whole pages). A `free` that misses this map
+    /// length (size class or whole pages) and the region that carved it.
+    /// A `free` that misses this map
     /// — double free, never-allocated address, or wrong length — is
     /// rejected as [`AllocError::BadFree`] instead of silently corrupting
     /// the free lists and hiding a `live_bytes` underflow.
-    live: HashMap<u64, u64>,
+    live: HashMap<u64, (u64, Region)>,
     stats: AllocStats,
+}
+
+impl State {
+    /// Books `rounded` bytes at `addr` as handed out by `region`'s path.
+    fn book(&mut self, addr: FarAddr, rounded: u64, region: Region) -> FarAddr {
+        self.stats.live_bytes += rounded;
+        self.stats.allocated_bytes += rounded;
+        self.live.insert(addr.0, (rounded, region));
+        addr
+    }
 }
 
 /// A far-memory allocator with locality hints (§7.1).
@@ -174,7 +202,7 @@ impl FarAlloc {
     pub fn class_stats(&self) -> Vec<ClassStats> {
         let state = self.state.lock().unwrap();
         let mut by_class: HashMap<u64, ClassStats> = HashMap::new();
-        for &rounded in state.live.values() {
+        for &(rounded, _) in state.live.values() {
             let e = by_class.entry(rounded).or_insert(ClassStats {
                 class: rounded,
                 ..ClassStats::default()
@@ -243,10 +271,7 @@ impl FarAlloc {
             .and_then(|v| v.pop())
         {
             state.stats.reused += 1;
-            state.stats.live_bytes += class;
-            state.stats.allocated_bytes += class;
-            state.live.insert(addr.0, class);
-            return Ok(addr);
+            return Ok(state.book(addr, class, Region::Node));
         }
         // Carve a fresh page on the chosen node into slots of this class.
         let pool = &mut state.pools[node.0 as usize];
@@ -263,10 +288,7 @@ impl FarAlloc {
             free.push(base.offset(s * class));
         }
         state.stats.pages_carved += 1;
-        state.stats.live_bytes += class;
-        state.stats.allocated_bytes += class;
-        state.live.insert(base.0, class);
-        Ok(base)
+        Ok(state.book(base, class, Region::Node))
     }
 
     fn alloc_pages(&self, state: &mut State, len: u64, hint: AllocHint) -> Result<FarAddr> {
@@ -287,20 +309,14 @@ impl FarAlloc {
         {
             if let Some(addr) = state.striped_free.get_mut(&pages).and_then(|v| v.pop()) {
                 state.stats.reused += 1;
-                state.stats.live_bytes += pages * PAGE;
-                state.stats.allocated_bytes += pages * PAGE;
-                state.live.insert(addr.0, pages * PAGE);
-                return Ok(addr);
+                return Ok(state.book(addr, pages * PAGE, Region::Striped));
             }
             let need = pages * PAGE;
             if state.striped_top - state.striped_bottom < need {
                 return Err(AllocError::OutOfMemory { node: None });
             }
             state.striped_top -= need;
-            state.stats.live_bytes += need;
-            state.stats.allocated_bytes += need;
-            state.live.insert(state.striped_top, need);
-            return Ok(FarAddr(state.striped_top));
+            return Ok(state.book(FarAddr(state.striped_top), need, Region::Striped));
         }
         // Node-bound multi-page allocation: consecutive node-local pages.
         // Under a striped map the run must not cross a stripe boundary
@@ -311,6 +327,10 @@ impl FarAlloc {
             return Err(AllocError::OutOfMemory { node: Some(node) });
         }
         let pool = &mut state.pools[node.0 as usize];
+        if let Some(addr) = pool.free.get_mut(&(pages * PAGE)).and_then(|v| v.pop()) {
+            state.stats.reused += 1;
+            return Ok(state.book(addr, pages * PAGE, Region::Node));
+        }
         if let Some(st) = stripe {
             let pages_per_stripe = st / PAGE;
             let in_stripe = pool.next_page % pages_per_stripe;
@@ -324,11 +344,8 @@ impl FarAlloc {
         let page_offset = pool.next_page * PAGE;
         pool.next_page += pages;
         state.stats.pages_carved += pages;
-        state.stats.live_bytes += pages * PAGE;
-        state.stats.allocated_bytes += pages * PAGE;
         let base = self.fabric.map().global_of(node, page_offset);
-        state.live.insert(base.0, pages * PAGE);
-        Ok(base)
+        Ok(state.book(base, pages * PAGE, Region::Node))
     }
 
     /// Returns `len` bytes at `addr` (a pair previously returned by
@@ -342,9 +359,10 @@ impl FarAlloc {
     /// same address to two callers on reuse) while `saturating_sub` hid
     /// the `live_bytes` underflow.
     ///
-    /// Note: node-bound multi-page allocations are node-contiguous only in
-    /// *node-local* space; they are returned to the striped free list keyed
-    /// by page count, as are striped allocations.
+    /// Frees are routed by region: a block of the striped reserve returns
+    /// to the striped free list, anything else — slab slot or node-bound
+    /// page run — to the pool of the node that owns it, so each is handed
+    /// out again only by the path that carved it.
     pub fn free(&self, addr: FarAddr, len: u64) -> Result<()> {
         if len == 0 || addr.is_null() {
             return Err(AllocError::BadFree { addr });
@@ -355,28 +373,23 @@ impl FarAlloc {
         } else {
             size_class(len)
         };
-        match state.live.get(&addr.0) {
-            Some(&r) if r == rounded => {
-                state.live.remove(&addr.0);
-            }
+        let region = match state.live.get(&addr.0) {
+            Some(&(r, region)) if r == rounded => region,
             _ => return Err(AllocError::BadFree { addr }),
+        };
+        state.live.remove(&addr.0);
+        if region == Region::Striped {
+            state.striped_free.entry(rounded / PAGE).or_default().push(addr);
+        } else {
+            let node = self.fabric.map().node_of(addr);
+            let pool = state
+                .pools
+                .get_mut(node.0 as usize)
+                .ok_or(AllocError::BadFree { addr })?;
+            pool.free.entry(rounded).or_default().push(addr);
         }
-        if len > MAX_CLASS {
-            let pages = len.div_ceil(PAGE);
-            state.striped_free.entry(pages).or_default().push(addr);
-            state.stats.freed_bytes += pages * PAGE;
-            state.stats.live_bytes -= pages * PAGE;
-            return Ok(());
-        }
-        let class = size_class(len);
-        let node = self.fabric.map().node_of(addr);
-        let pool = state
-            .pools
-            .get_mut(node.0 as usize)
-            .ok_or(AllocError::BadFree { addr })?;
-        pool.free.entry(class).or_default().push(addr);
-        state.stats.freed_bytes += class;
-        state.stats.live_bytes -= class;
+        state.stats.freed_bytes += rounded;
+        state.stats.live_bytes -= rounded;
         Ok(())
     }
 
@@ -462,6 +475,55 @@ mod tests {
         let again = a.alloc(64, AllocHint::Localize(NodeId(0))).unwrap();
         assert_eq!(addr, again);
         assert_eq!(a.stats().reused, 1);
+    }
+
+    /// Regression: node-bound page runs were freed onto the striped free
+    /// list, which node-bound allocation never reads — every multi-page
+    /// record carved fresh pages for ever.
+    #[test]
+    fn multi_page_free_enables_reuse() {
+        let f = FabricConfig::single_node(64 * PAGE).build();
+        let a = FarAlloc::new(f);
+        let addr = a.alloc(2 * PAGE - 100, AllocHint::Spread).unwrap();
+        let carved = a.stats().pages_carved;
+        a.free(addr, 2 * PAGE - 100).unwrap();
+        assert_eq!(a.alloc(PAGE + 1, AllocHint::Spread).unwrap(), addr, "two-page run reused");
+        assert_eq!(a.stats().reused, 1);
+        assert_eq!(a.stats().pages_carved, carved, "nothing new carved");
+        // A different page count does not match the freed run.
+        a.free(addr, PAGE + 1).unwrap();
+        assert_ne!(a.alloc(3 * PAGE, AllocHint::Spread).unwrap(), addr);
+    }
+
+    /// Regression: the same misrouted free let a later `Striped` request
+    /// of that page count pop a node-local block.
+    #[test]
+    fn striped_alloc_never_returns_node_bound_block() {
+        let a = alloc4();
+        let local = a.alloc(PAGE, AllocHint::Localize(NodeId(1))).unwrap();
+        let striped = a.alloc(PAGE, AllocHint::Striped).unwrap();
+        a.free(local, PAGE).unwrap();
+        a.free(striped, PAGE).unwrap();
+        assert_eq!(a.alloc(PAGE, AllocHint::Striped).unwrap(), striped);
+        assert_ne!(a.alloc(PAGE, AllocHint::Striped).unwrap(), local);
+        assert_eq!(a.alloc(PAGE, AllocHint::Localize(NodeId(1))).unwrap(), local);
+    }
+
+    /// Under a blocked map the striped reserve's address range lies on
+    /// the last node; its pool blocks must still return to that pool.
+    #[test]
+    fn last_node_frees_are_reused_under_a_blocked_map() {
+        let f =
+            FabricConfig { nodes: 2, node_capacity: 1 << 20, ..FabricConfig::default() }.build();
+        let a = FarAlloc::new(f);
+        let last = NodeId(1);
+        for len in [64, 2 * PAGE] {
+            let addr = a.alloc(len, AllocHint::Localize(last)).unwrap();
+            let carved = a.stats().pages_carved;
+            a.free(addr, len).unwrap();
+            assert_eq!(a.alloc(len, AllocHint::Localize(last)).unwrap(), addr, "{len} B reused");
+            assert_eq!(a.stats().pages_carved, carved);
+        }
     }
 
     #[test]

@@ -520,6 +520,38 @@ fn late(client: &mut FabricClient, shared: &SharedReclaim, slot: FarAddr) -> Res
         assert_eq!(f[0].pass, "guard-escape");
     }
 
+    /// `read_into` fills a caller buffer instead of returning bytes; both
+    /// dataflow passes must still treat it as the read verb it is.
+    #[test]
+    fn read_into_is_seen_as_a_read_verb() {
+        let looped = r#"
+fn chase(client: &mut FabricClient, ptrs: &[u64]) {
+    let mut raw = [0u8; 32];
+    for p in ptrs {
+        client.read_into(FarAddr(*p), &mut raw).unwrap();
+    }
+}
+"#;
+        let f = run("crates/core/src/x.rs", looped);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].pass, "rt-in-loop");
+        assert!(f[0].suggestion.contains("read_ranges"), "{f:?}");
+
+        let late = r#"
+fn late(client: &mut FabricClient, shared: &SharedReclaim, slot: FarAddr) -> Result<()> {
+    let mut raw = [0u8; 32];
+    let guard = pin(shared, client)?;
+    let target = client.read_u64(slot)?;
+    drop(guard);
+    client.read_into(FarAddr(target), &mut raw)?;
+    Ok(())
+}
+"#;
+        let f = run("crates/core/src/x.rs", late);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].pass, "guard-escape");
+    }
+
     #[test]
     fn verb_in_drop_flags_only_drop_impls() {
         let src = r#"

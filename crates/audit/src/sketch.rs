@@ -25,6 +25,7 @@ use crate::lex::{Kind, Lexed, Token};
 /// round trip (posted writes are one message).
 pub const RAW_VERBS: &[&str] = &[
     "read",
+    "read_into",
     "write",
     "read_u64",
     "write_u64",
@@ -68,7 +69,9 @@ pub const ADOPTERS: &[&str] = &[
 /// `rt-in-loop` findings.
 pub fn batched_twin(verb: &str) -> &'static str {
     match verb {
-        "read" | "read_u64" | "load0" | "load2" => "FarVec::read_ranges or pipeline().read",
+        "read" | "read_into" | "read_u64" | "load0" | "load2" => {
+            "FarVec::read_ranges or pipeline().read"
+        }
         "write" | "write_u64" | "post_write_u64" | "store2" => {
             "write coalescing or pipeline().write"
         }

@@ -181,6 +181,9 @@ fn run_one(prep: PreparedRun, chooser: &mut dyn FnMut(usize) -> usize, max_steps
             }
             s2.finish(id);
         }));
+        // One body at a time up to its first gate: a Stuck start is left
+        // to the main loop's own watchdog.
+        let _ = sched.wait_parked(i + 1);
     }
     let mut decisions = Vec::new();
     let mut steps = 0u64;

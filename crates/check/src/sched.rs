@@ -91,15 +91,24 @@ impl Scheduler {
     /// Driver side: waits until every participant is parked at a gate or
     /// finished, then reports the parked ones.
     pub fn wait_quiescent(&self) -> Quiesce {
+        let all = self.m.lock().unwrap().participants.len();
+        self.wait_parked(all)
+    }
+
+    /// Driver side: waits until `n` participants are parked at a gate or
+    /// finished, then reports the parked ones. With `n` below the
+    /// participant count this lets the driver start bodies one at a time,
+    /// so whatever a body does before its first gate (stamping its first
+    /// invocation, say) happens in spawn order, not in the order the host
+    /// happens to schedule the new threads.
+    pub fn wait_parked(&self, n: usize) -> Quiesce {
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut g = self.m.lock().unwrap();
         loop {
             if g.poisoned {
                 return Quiesce::Stuck;
             }
-            if g.granted.is_none()
-                && g.at_gate.len() + g.finished.len() == g.participants.len()
-            {
+            if g.granted.is_none() && g.at_gate.len() + g.finished.len() == n {
                 return Quiesce::Runnable(g.at_gate.iter().copied().collect());
             }
             let (g2, _) = self.cv.wait_timeout(g, Duration::from_millis(50)).unwrap();

@@ -50,6 +50,7 @@ use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use crate::mutex::FarMutex;
+use crate::word_at;
 
 /// Anchor layout (the only fixed far location of an HT-tree).
 const A_DIR_PTR: u64 = 0;
@@ -64,6 +65,7 @@ const ANCHOR_LEN: u64 = 32;
 /// table's items out in, so a *later* splitter (any client) can retire
 /// that block; zero for tables whose items were published individually.
 const H_VERSION: u64 = 0;
+const H_N_BUCKETS: u64 = 16;
 const H_ITEMS: u64 = 24;
 const H_COLLISIONS: u64 = 32;
 const H_ITEMS_BASE: u64 = 40;
@@ -120,8 +122,12 @@ struct Item {
 
 impl Item {
     fn decode(bytes: &[u8]) -> Item {
-        let w = words(bytes);
-        Item { key: w[0], value: w[1], version: w[2], next: w[3] }
+        Item {
+            key: word_at(bytes, 0),
+            value: word_at(bytes, 8),
+            version: word_at(bytes, 16),
+            next: word_at(bytes, 24),
+        }
     }
 
     fn encode(&self) -> [u8; 32] {
@@ -581,7 +587,9 @@ impl HtTreeHandle {
             self.stats.chain_hops += 1;
             // audit: rt-in-loop-ok: pointer chase — each hop's address comes
             // from the item just read; inherently serial (§4 chain cost).
-            item = Item::decode(&client.read(FarAddr(item.next), ITEM_LEN)?);
+            let mut raw = [0u8; ITEM_LEN as usize];
+            client.read_into(FarAddr(item.next), &mut raw)?;
+            item = Item::decode(&raw);
         }
     }
 
@@ -805,9 +813,10 @@ impl HtTreeHandle {
         }
         self.puts_since_check = 0;
         let entry = self.entry_for(client, key);
-        let hdr = client.read(entry.table_hdr, HDR_LEN)?;
-        let w = words(&hdr);
-        let (version, n_buckets, items) = (w[0], w[2], w[3]);
+        let mut hdr = [0u8; HDR_LEN as usize];
+        client.read_into(entry.table_hdr, &mut hdr)?;
+        let (version, n_buckets, items) =
+            (word_at(&hdr, H_VERSION), word_at(&hdr, H_N_BUCKETS), word_at(&hdr, H_ITEMS));
         if version != entry.version {
             return Ok(()); // someone is already restructuring
         }
@@ -953,8 +962,9 @@ impl HtTreeHandle {
         // split laid this table's records out in, and the directory blob
         // the new one will supersede.
         let (old_items_base, old_items_len) = if self.reclaim.is_some() {
-            let hdr = words(&client.read(entry.table_hdr, HDR_LEN)?);
-            (hdr[(H_ITEMS_BASE / 8) as usize], hdr[(H_ITEMS_LEN / 8) as usize])
+            let mut hdr = [0u8; HDR_LEN as usize];
+            client.read_into(entry.table_hdr, &mut hdr)?;
+            (word_at(&hdr, H_ITEMS_BASE), word_at(&hdr, H_ITEMS_LEN))
         } else {
             (0, 0)
         };
@@ -1027,7 +1037,9 @@ impl HtTreeHandle {
                     drained.insert(cur);
                     // audit: rt-in-loop-ok: pointer chase over a racing
                     // insert's chain (rare; only after a lost poison CAS).
-                    let item = Item::decode(&client.read(FarAddr(cur), ITEM_LEN)?);
+                    let mut raw = [0u8; ITEM_LEN as usize];
+                    client.read_into(FarAddr(cur), &mut raw)?;
+                    let item = Item::decode(&raw);
                     chain.push(item);
                     cur = item.next;
                 }

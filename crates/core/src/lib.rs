@@ -48,3 +48,10 @@ pub use refvec::{ReaderStats, RefreshMode, RefreshPolicy, RefreshableVec, VecRea
 pub use rwlock::FarRwLock;
 pub use vector::{CacheMode, CachedFarVec, FarVec};
 pub use wcbuf::{WcStats, WriteCombiner};
+
+/// The little-endian word at byte offset `off` of `bytes` — how the
+/// structures decode fixed-size far headers read into stack arrays.
+pub(crate) fn word_at(bytes: &[u8], off: u64) -> u64 {
+    let off = off as usize;
+    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("word"))
+}

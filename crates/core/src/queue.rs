@@ -145,9 +145,9 @@ impl FarQueue {
             .fabric()
             .map()
             .segments(slots_base, (cfg.n_slots + slack_slots) * WORD)
-            .map(|segs| {
+            .map(|mut segs| {
                 let hdr_node = client.fabric().map().node_of(hdr);
-                segs.iter().all(|s| s.node == hdr_node)
+                segs.all(|s| s.node == hdr_node)
             })
             .unwrap_or(false);
         if !one_node {
@@ -213,12 +213,9 @@ impl FarQueue {
     /// access) and subscribing to the repair-epoch word so future epoch
     /// checks are local.
     pub fn attach(client: &mut FabricClient, hdr: FarAddr) -> Result<QueueHandle> {
-        let bytes = client.read(hdr, HDR_LEN)?;
-        let w = |i: u64| {
-            u64::from_le_bytes(
-                bytes[(i as usize)..(i as usize + 8)].try_into().expect("header word"),
-            )
-        };
+        let mut bytes = [0u8; HDR_LEN as usize];
+        client.read_into(hdr, &mut bytes)?;
+        let w = |off: u64| crate::word_at(&bytes, off);
         let q = FarQueue {
             hdr,
             slots_base: FarAddr(w(OFF_SLOTS)),

@@ -155,18 +155,16 @@ impl RefreshableVec {
     /// Attaches to an existing vector whose header is at `hdr`.
     /// One far access.
     pub fn attach(client: &mut FabricClient, hdr: FarAddr) -> Result<RefreshableVec> {
-        let bytes = client.read(hdr, RH_LEN)?;
-        let w: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("word")))
-            .collect();
+        let mut bytes = [0u8; RH_LEN as usize];
+        client.read_into(hdr, &mut bytes)?;
+        let w = |off: u64| crate::word_at(&bytes, off);
         let v = RefreshableVec {
             hdr,
-            data: FarAddr(w[(RH_DATA / 8) as usize]),
-            n: w[(RH_N / 8) as usize],
-            group_size: w[(RH_GROUP / 8) as usize],
-            n_groups: w[(RH_NGROUPS / 8) as usize],
-            versions: FarAddr(w[(RH_VERSIONS / 8) as usize]),
+            data: FarAddr(w(RH_DATA)),
+            n: w(RH_N),
+            group_size: w(RH_GROUP),
+            n_groups: w(RH_NGROUPS),
+            versions: FarAddr(w(RH_VERSIONS)),
         };
         if v.data.is_null() || v.n == 0 || v.group_size == 0 {
             return Err(CoreError::Corrupted("refreshable vector header uninitialized"));

@@ -201,24 +201,41 @@ impl AddressMap {
     }
 
     /// Splits `[addr, addr+len)` into per-node contiguous segments, in
-    /// address order.
-    pub fn segments(&self, addr: FarAddr, len: u64) -> Result<Vec<Segment>> {
+    /// address order. The range is checked here; the returned iterator
+    /// yields at least one segment for a non-empty range and owns a copy
+    /// of the map, so it borrows nothing.
+    pub fn segments(&self, addr: FarAddr, len: u64) -> Result<Segments> {
         self.check(addr, len)?;
-        let mut out = Vec::with_capacity(1);
-        let mut cur = addr.0;
-        let end = addr.0 + len;
-        while cur < end {
-            let (node, offset) = self.locate(FarAddr(cur));
-            // Length until the next mapping discontinuity.
-            let run = match self.striping {
-                Striping::Blocked => self.node_capacity - cur % self.node_capacity,
-                Striping::Striped { stripe } => stripe - cur % stripe,
-            };
-            let take = run.min(end - cur);
-            out.push(Segment { node, offset, len: take, addr: FarAddr(cur) });
-            cur += take;
+        Ok(Segments { map: self.clone(), cur: addr.0, end: addr.0 + len })
+    }
+}
+
+/// Iterator over the per-node [`Segment`]s of one checked address range
+/// (see [`AddressMap::segments`]).
+#[derive(Clone, Debug)]
+pub struct Segments {
+    map: AddressMap,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Segments {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        if self.cur >= self.end {
+            return None;
         }
-        Ok(out)
+        let cur = self.cur;
+        let (node, offset) = self.map.locate(FarAddr(cur));
+        // Length until the next mapping discontinuity.
+        let run = match self.map.striping {
+            Striping::Blocked => self.map.node_capacity - cur % self.map.node_capacity,
+            Striping::Striped { stripe } => stripe - cur % stripe,
+        };
+        let len = run.min(self.end - cur);
+        self.cur += len;
+        Some(Segment { node, offset, len, addr: FarAddr(cur) })
     }
 }
 
@@ -256,7 +273,7 @@ mod tests {
     #[test]
     fn segments_split_on_stripe_boundaries() {
         let m = AddressMap::new(2, 1 << 20, Striping::Striped { stripe: PAGE });
-        let segs = m.segments(FarAddr(PAGE - 16), 32).unwrap();
+        let segs: Vec<Segment> = m.segments(FarAddr(PAGE - 16), 32).unwrap().collect();
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].node, NodeId(0));
         assert_eq!(segs[0].len, 16);
@@ -268,8 +285,8 @@ mod tests {
     #[test]
     fn segments_blocked_stays_single() {
         let m = AddressMap::new(2, 1 << 20, Striping::Blocked);
-        let segs = m.segments(FarAddr(8), 4096).unwrap();
-        assert_eq!(segs.len(), 1);
+        assert_eq!(m.segments(FarAddr(8), 4096).unwrap().count(), 1);
+        assert_eq!(m.segments(FarAddr(8), 0).unwrap().count(), 0);
     }
 
     #[test]

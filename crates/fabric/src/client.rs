@@ -610,20 +610,22 @@ impl FabricClient {
         }
     }
 
-    /// Executes a read of `[addr, addr+len)` arriving at `arrival`,
-    /// returning `(bytes, node_finish)`. Counts messages/bytes, not RTs.
-    pub(crate) fn exec_read(
+    /// Executes a read of `[addr, addr + buf.len())` into `buf` arriving
+    /// at `arrival`, returning the node-side finish time. Counts
+    /// messages/bytes, not RTs. Every byte-range read of the client —
+    /// serial, batched, pipelined or gathered — is this one segment walk.
+    pub(crate) fn exec_read_into(
         &mut self,
         addr: FarAddr,
-        len: u64,
+        buf: &mut [u8],
         arrival: u64,
-    ) -> Result<(Vec<u8>, u64)> {
+    ) -> Result<u64> {
         let cost = *self.fabric.cost();
-        let segs = self.fabric.segments(addr, len)?;
-        let mut buf = vec![0u8; len as usize];
+        let len = buf.len() as u64;
         let mut finish = arrival;
         let mut done = 0usize;
-        for seg in &segs {
+        let mut messages = 0u64;
+        for seg in self.fabric.segments(addr, len)? {
             let phys = self.route_read(seg.node);
             let node = self.fabric.node(phys);
             node.check_alive_at(arrival)?;
@@ -631,11 +633,27 @@ impl FabricClient {
             let f = node.occupy(arrival, service);
             node.read_bytes(seg.offset, &mut buf[done..done + seg.len as usize])?;
             done += seg.len as usize;
+            messages += 1;
             finish = finish.max(f);
         }
-        self.stats.messages += segs.len() as u64;
+        self.stats.messages += messages;
         self.stats.bytes_read += len;
         self.observe(crate::check::AccessKind::Read, addr, len);
+        Ok(finish)
+    }
+
+    /// [`exec_read_into`](Self::exec_read_into) a fresh buffer; returns
+    /// `(bytes, node_finish)`. The range is checked before the buffer is
+    /// sized, so a bad length never drives an allocation.
+    pub(crate) fn exec_read(
+        &mut self,
+        addr: FarAddr,
+        len: u64,
+        arrival: u64,
+    ) -> Result<(Vec<u8>, u64)> {
+        self.fabric.map().check(addr, len)?;
+        let mut buf = vec![0u8; len as usize];
+        let finish = self.exec_read_into(addr, &mut buf, arrival)?;
         Ok((buf, finish))
     }
 
@@ -644,10 +662,10 @@ impl FabricClient {
     pub(crate) fn exec_write(&mut self, addr: FarAddr, data: &[u8], arrival: u64) -> Result<u64> {
         let cost = *self.fabric.cost();
         let len = data.len() as u64;
-        let segs = self.fabric.segments(addr, len)?;
         let mut finish = arrival;
         let mut done = 0usize;
-        for seg in &segs {
+        let mut messages = 0u64;
+        for seg in self.fabric.segments(addr, len)? {
             let phys = self.route(seg.node);
             let node = self.fabric.node(phys);
             node.check_alive_at(arrival)?;
@@ -656,9 +674,10 @@ impl FabricClient {
             node.write_bytes(seg.offset, &data[done..done + seg.len as usize])?;
             let f = self.fabric.fire(&mut self.stats, seg.node, seg.offset, seg.len, f);
             done += seg.len as usize;
+            messages += 1;
             finish = finish.max(f);
         }
-        self.stats.messages += segs.len() as u64;
+        self.stats.messages += messages;
         self.stats.bytes_written += len;
         self.observe(crate::check::AccessKind::Write, addr, len);
         Ok(finish)
@@ -773,6 +792,23 @@ impl FabricClient {
             let (buf, finish) = c.exec_read(addr, len, arrival)?;
             c.finish_rt(finish);
             Ok(buf)
+        })
+    }
+
+    /// One-sided read of `buf.len()` bytes at `addr` into a buffer the
+    /// caller owns. Charged exactly as [`read`](Self::read) of the same
+    /// range (one far access); the verb itself allocates nothing, so a
+    /// fixed-size header can land in a stack array and a large value
+    /// straight in its final buffer. On error `buf` may be partly filled.
+    pub fn read_into(&mut self, addr: FarAddr, buf: &mut [u8]) -> Result<()> {
+        self.traced(VerbKind::Read, |c| {
+            c.retrying(|c| {
+                c.begin_attempt()?;
+                let arrival = c.arrival();
+                let finish = c.exec_read_into(addr, buf, arrival)?;
+                c.finish_rt(finish);
+                Ok(())
+            })
         })
     }
 
@@ -1005,9 +1041,9 @@ impl FabricClient {
         crate::notify::SubscriptionTable::validate_range(addr, len)?;
         self.retrying(|c| {
             c.begin_attempt()?;
-            let segs = c.fabric.segments(addr, len)?;
-            debug_assert_eq!(segs.len(), 1, "a page never spans nodes");
-            let seg = segs[0];
+            let mut segs = c.fabric.segments(addr, len)?;
+            let seg = segs.next().expect("validated ranges are non-empty");
+            debug_assert!(segs.next().is_none(), "a page never spans nodes");
             // Subscriptions live on the current primary only; they do not
             // survive failover (best-effort, DESIGN.md §10).
             let phys = c.route(seg.node);

@@ -59,7 +59,7 @@ enum PtrRead {
 
 /// What the verb does at the dereferenced target.
 #[derive(Clone, Copy)]
-enum TargetAccess<'a> {
+pub(crate) enum TargetAccess<'a> {
     /// Read `len` bytes.
     Read(u64),
     /// Write the given bytes.
@@ -69,6 +69,17 @@ enum TargetAccess<'a> {
     /// Atomically swap the target word with a replacement (destructive
     /// read), returning the old contents.
     Swap(u64),
+}
+
+impl TargetAccess<'_> {
+    /// Bytes the access covers at the target.
+    pub(crate) fn len(&self) -> u64 {
+        match self {
+            TargetAccess::Read(l) => *l,
+            TargetAccess::Write(d) => d.len() as u64,
+            TargetAccess::Add(_) | TargetAccess::Swap(_) => WORD,
+        }
+    }
 }
 
 impl FabricClient {
@@ -124,11 +135,7 @@ impl FabricClient {
         let home = fabric.node(home_phys);
         home.check_alive_at(arrival)?;
 
-        let len = match &access {
-            TargetAccess::Read(l) => *l,
-            TargetAccess::Write(d) => d.len() as u64,
-            TargetAccess::Add(_) | TargetAccess::Swap(_) => WORD,
-        };
+        let len = access.len();
 
         // Pre-flight for destructive pointer reads: peek the pointer and
         // check the dereferenced target's nodes *before* the atomic bump,
@@ -142,7 +149,7 @@ impl FabricClient {
             let peek = home.read_u64(ptr_off)?;
             if peek != 0 {
                 if let Ok(segs) = fabric.segments(FarAddr(peek + index), len) {
-                    for seg in &segs {
+                    for seg in segs {
                         let phys = self.route(seg.node);
                         fabric.node(phys).check_alive_at(arrival)?;
                     }
@@ -175,20 +182,19 @@ impl FabricClient {
                     return Ok(Unit::Null);
                 }
                 let target = FarAddr(ptr + index);
-                let segs = fabric2.segments(target, len)?;
-                if segs.iter().any(|s| s.node != home_id) {
+                let mut segs = fabric2.segments(target, len)?;
+                if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
                     // Remote target: bump the pointer atomically; the
                     // target access happens outside the unit.
                     n.words_raw(ptr_off)?
                         .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
-                    let remote = segs.iter().find(|s| s.node != home_id).unwrap();
                     return Ok(Unit::Remote { ptr, target, node: remote.node });
                 }
                 // Local target: bump + access inside the unit.
                 n.words_raw(ptr_off)?
                     .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
-                let seg = segs[0];
-                debug_assert_eq!(segs.len(), 1, "single-node target is one segment");
+                let seg = segs.next().expect("checked ranges are non-empty");
+                debug_assert!(segs.next().is_none(), "single-node target is one segment");
                 let (out, fired) = match &access {
                     TargetAccess::Read(l) => {
                         let mut buf = vec![0u8; *l as usize];
@@ -283,7 +289,10 @@ impl FabricClient {
                         });
                     }
                     // Forwarded completion (weaker atomicity, documented).
-                    return self.finish_at_target(ptr, target, len, access, home_id, arrival, finish);
+                    let (out, finish) =
+                        self.exec_at_target(target, access, home_id, arrival, finish)?;
+                    self.finish_rt(finish);
+                    return Ok((ptr, out));
                 }
             }
         }
@@ -308,7 +317,7 @@ impl FabricClient {
             return Err(FabricError::NullDeref { pointer_at: ptr_addr });
         }
         let target = FarAddr(ptr + index);
-        let segs = match fabric.segments(target, len) {
+        let mut segs = match fabric.segments(target, len) {
             Ok(s) => s,
             Err(e) => {
                 self.finish_rt(home_finish);
@@ -317,35 +326,40 @@ impl FabricClient {
         };
 
         // §7.1: a dereferenced pointer may refer to data on a remote node.
-        let any_remote = segs.iter().any(|s| s.node != home_id);
-        if any_remote && mode == IndirectionMode::Error {
-            let remote = segs.iter().find(|s| s.node != home_id).unwrap();
-            self.finish_rt(home_finish);
-            return Err(FabricError::IndirectRemote {
-                target,
-                target_node: remote.node,
-            });
+        if mode == IndirectionMode::Error {
+            if let Some(remote) = segs.find(|s| s.node != home_id) {
+                self.finish_rt(home_finish);
+                return Err(FabricError::IndirectRemote {
+                    target,
+                    target_node: remote.node,
+                });
+            }
         }
-        self.finish_at_target(ptr, target, len, access, home_id, arrival, home_finish)
+        let (out, finish) = self.exec_at_target(target, access, home_id, arrival, home_finish)?;
+        self.finish_rt(finish);
+        Ok((ptr, out))
     }
 
-    /// Completes an indirect verb at its (possibly remote) target
-    /// segments. Segments on `home_id` (the pointer's node) extend the
-    /// home service chain; remote segments are forwarded with one
-    /// memory-side hop (§7.1).
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one verb's pre-computed state
-    fn finish_at_target(
+    /// Executes an indirect verb's access at its (possibly remote) target
+    /// segments, returning `(read data, node_finish)`. Segments on
+    /// `home_id` (the pointer's node) extend the home service chain;
+    /// remote segments are forwarded with one memory-side hop (§7.1).
+    /// The one target walk of the serial verbs and of the pipeline's
+    /// indirect descriptors; it books through `route` and the home chain,
+    /// which is what keeps it apart from the plain
+    /// [`exec_read_into`](FabricClient::exec_read_into) /
+    /// [`exec_write`](FabricClient::exec_write) walks.
+    pub(crate) fn exec_at_target(
         &mut self,
-        ptr: u64,
         target: FarAddr,
-        len: u64,
         access: TargetAccess<'_>,
         home_id: NodeId,
         arrival: u64,
         home_finish: u64,
-    ) -> Result<(u64, Option<Vec<u8>>)> {
+    ) -> Result<(Option<Vec<u8>>, u64)> {
         let cost = *self.fabric().cost();
         let fabric = self.fabric().clone();
+        let len = access.len();
         let segs = fabric.segments(target, len)?;
         let mut finish = home_finish;
         let mut out = match access {
@@ -354,7 +368,7 @@ impl FabricClient {
             _ => None,
         };
         let mut done = 0usize;
-        for seg in &segs {
+        for seg in segs {
             let phys = self.route(seg.node);
             let node = fabric.node(phys);
             node.check_alive_at(arrival)?;
@@ -419,8 +433,7 @@ impl FabricClient {
             target,
             len,
         );
-        self.finish_rt(finish);
-        Ok((ptr, out))
+        Ok((out, finish))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes

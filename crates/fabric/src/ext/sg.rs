@@ -55,6 +55,27 @@ fn check_iov(iov: &[FarIov]) -> Result<u64> {
 }
 
 impl FabricClient {
+    /// Reads the far buffers of `iov` (`total` bytes, from `check_iov`)
+    /// back to back into one local buffer, all arriving at `arrival`;
+    /// returns `(bytes, latest node_finish)`. Shared by
+    /// [`rgather`](Self::rgather) and the pipeline's gather descriptor.
+    pub(crate) fn exec_gather(
+        &mut self,
+        iov: &[FarIov],
+        total: u64,
+        arrival: u64,
+    ) -> Result<(Vec<u8>, u64)> {
+        let mut out = vec![0u8; total as usize];
+        let mut finish = arrival;
+        let mut rest = out.as_mut_slice();
+        for e in iov {
+            let (part, tail) = rest.split_at_mut(e.len as usize);
+            finish = finish.max(self.exec_read_into(e.addr, part, arrival)?);
+            rest = tail;
+        }
+        Ok((out, finish))
+    }
+
     /// `rscatter(ad, ℓ, iovec)`: read the far range `[ad, ad+ℓ)` and
     /// scatter it into the local buffers `into` (whose total length must
     /// equal `ℓ`). One far access.
@@ -89,13 +110,7 @@ impl FabricClient {
             c.retrying(|c| {
                 c.begin_attempt()?;
                 let arrival = c.arrival();
-                let mut out = Vec::with_capacity(total as usize);
-                let mut finish = arrival;
-                for e in iov {
-                    let (part, f) = c.exec_read(e.addr, e.len, arrival)?;
-                    out.extend_from_slice(&part);
-                    finish = finish.max(f);
-                }
+                let (out, finish) = c.exec_gather(iov, total, arrival)?;
                 c.finish_rt(finish);
                 Ok(out)
             })

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use std::collections::HashMap;
 
-use crate::addr::{AddressMap, FarAddr, NodeId, Segment, Striping};
+use crate::addr::{AddressMap, FarAddr, NodeId, Segments, Striping};
 use crate::check::CheckObserver;
 use crate::cost::CostModel;
 use crate::error::{FabricError, Result};
@@ -310,7 +310,7 @@ impl Fabric {
     }
 
     /// Splits a global range into per-node segments.
-    pub(crate) fn segments(&self, addr: FarAddr, len: u64) -> Result<Vec<Segment>> {
+    pub(crate) fn segments(&self, addr: FarAddr, len: u64) -> Result<Segments> {
         self.map.segments(addr, len)
     }
 

@@ -64,7 +64,7 @@ pub mod sample;
 pub mod stats;
 pub mod trace;
 
-pub use addr::{AddressMap, FarAddr, NodeId, Segment, Striping, PAGE, WORD};
+pub use addr::{AddressMap, FarAddr, NodeId, Segment, Segments, Striping, PAGE, WORD};
 pub use broker::{Broker, BrokerStats};
 pub use check::{Access, AccessKind, CheckObserver};
 pub use client::{BatchOp, BatchOut, FabricClient};

@@ -3,9 +3,17 @@
 //! Far memory has no explicit owner among application processors (§2):
 //! nodes execute loads, stores and fabric-level atomics without any local
 //! application CPU. Word-aligned 8-byte accesses are atomic; larger
-//! transfers copy word by word and may observe tearing, exactly as one-sided
-//! RDMA reads may. Data-structure code must therefore bring its own
-//! version/CAS discipline — the simulator does not paper over races.
+//! transfers copy word by word and may observe tearing *between* words
+//! (never inside one), exactly as one-sided RDMA reads may. Data-structure
+//! code must therefore bring its own version/CAS discipline — the simulator
+//! does not paper over races.
+//!
+//! Byte transfers ([`MemoryNode::read_bytes`] / [`MemoryNode::write_bytes`])
+//! bounds-check the range once and split it into a partially covered head
+//! word, a run of fully covered words and a partially covered tail word.
+//! The run is one `SeqCst` load (or store) and one 8-byte copy per word
+//! over a pre-sliced `&[AtomicU64]`; only the two edge words pay for a
+//! CAS merge that keeps their uncovered bytes intact.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -391,87 +399,97 @@ impl MemoryNode {
         Ok(&self.words[i])
     }
 
+    /// Splits the byte range `[offset, offset + len)` over the words that
+    /// cover it, bounds-checking the whole range once.
+    fn span(&self, offset: u64, len: usize) -> Result<Span<'_>> {
+        let end = offset
+            .checked_add(len as u64)
+            .filter(|&end| end <= self.capacity())
+            .ok_or(FabricError::OutOfBounds {
+                addr: crate::addr::FarAddr(offset),
+                len: len as u64,
+            })?;
+        let skip = (offset % WORD) as usize;
+        let head_len = if skip == 0 { 0 } else { (WORD as usize - skip).min(len) };
+        let words = &self.words[(offset / WORD) as usize..end.div_ceil(WORD) as usize];
+        let (head, words) = words.split_at(usize::from(head_len > 0));
+        let (body, tail) = words.split_at((len - head_len) / WORD as usize);
+        Ok(Span { skip, head_len, head: head.first(), body, tail: tail.first() })
+    }
+
     /// Copies `buf.len()` bytes starting at node-local `offset` into `buf`.
     ///
-    /// Word-by-word copy: each aligned word is read atomically, but the
-    /// range as a whole is *not* a single atomic snapshot.
+    /// Each covered word is loaded atomically (`SeqCst`), but the range
+    /// as a whole is *not* a single atomic snapshot.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let len = buf.len() as u64;
-        if len == 0 {
+        if buf.is_empty() {
             return Ok(());
         }
-        if offset + len > self.capacity() {
-            return Err(FabricError::OutOfBounds {
-                addr: crate::addr::FarAddr(offset),
-                len,
-            });
+        let span = self.span(offset, buf.len())?;
+        let (head, rest) = buf.split_at_mut(span.head_len);
+        let (body, tail) = rest.split_at_mut(span.body.len() * WORD as usize);
+        if let Some(word) = span.head {
+            let bytes = word.load(Ordering::SeqCst).to_le_bytes();
+            head.copy_from_slice(&bytes[span.skip..span.skip + head.len()]);
         }
-        let mut done = 0u64;
-        while done < len {
-            let at = offset + done;
-            let word_base = at / WORD * WORD;
-            let in_word = (at - word_base) as usize;
-            let take = ((WORD as usize - in_word) as u64).min(len - done) as usize;
-            let w = self.words[(word_base / WORD) as usize].load(Ordering::SeqCst);
-            let bytes = w.to_le_bytes();
-            buf[done as usize..done as usize + take]
-                .copy_from_slice(&bytes[in_word..in_word + take]);
-            done += take as u64;
+        for (chunk, word) in body.chunks_exact_mut(WORD as usize).zip(span.body) {
+            chunk.copy_from_slice(&word.load(Ordering::SeqCst).to_le_bytes());
+        }
+        if let Some(word) = span.tail {
+            let bytes = word.load(Ordering::SeqCst).to_le_bytes();
+            tail.copy_from_slice(&bytes[..tail.len()]);
         }
         Ok(())
     }
 
     /// Copies `data` into the node starting at node-local `offset`.
     ///
-    /// Fully covered words are stored atomically; partially covered edge
-    /// words merge via a CAS loop so that untouched neighbouring bytes are
-    /// preserved even under concurrent writers.
+    /// Fully covered words are stored atomically (`SeqCst`); the partially
+    /// covered head and tail words merge via a CAS loop so that untouched
+    /// neighbouring bytes are preserved even under concurrent writers.
     pub fn write_bytes(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let len = data.len() as u64;
-        if len == 0 {
+        if data.is_empty() {
             return Ok(());
         }
-        if offset + len > self.capacity() {
-            return Err(FabricError::OutOfBounds {
-                addr: crate::addr::FarAddr(offset),
-                len,
-            });
+        let span = self.span(offset, data.len())?;
+        let (head, rest) = data.split_at(span.head_len);
+        let (body, tail) = rest.split_at(span.body.len() * WORD as usize);
+        if let Some(word) = span.head {
+            merge_bytes(word, span.skip, head);
         }
-        let mut done = 0u64;
-        while done < len {
-            let at = offset + done;
-            let word_base = at / WORD * WORD;
-            let in_word = (at - word_base) as usize;
-            let take = ((WORD as usize - in_word) as u64).min(len - done) as usize;
-            let slot = &self.words[(word_base / WORD) as usize];
-            let src = &data[done as usize..done as usize + take];
-            if take == WORD as usize {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(src);
-                slot.store(u64::from_le_bytes(w), Ordering::SeqCst);
-            } else {
-                // Merge the covered bytes into the word without disturbing
-                // the rest; retry if a concurrent writer races the word.
-                let mut cur = slot.load(Ordering::SeqCst);
-                loop {
-                    let mut bytes = cur.to_le_bytes();
-                    bytes[in_word..in_word + take].copy_from_slice(src);
-                    let neww = u64::from_le_bytes(bytes);
-                    match slot.compare_exchange_weak(
-                        cur,
-                        neww,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-            done += take as u64;
+        for (chunk, word) in body.chunks_exact(WORD as usize).zip(span.body) {
+            let bytes: [u8; WORD as usize] = chunk.try_into().expect("exact chunk");
+            word.store(u64::from_le_bytes(bytes), Ordering::SeqCst);
+        }
+        if let Some(word) = span.tail {
+            merge_bytes(word, 0, tail);
         }
         Ok(())
     }
+}
+
+/// How a byte range lies over the node's words: an optional partially
+/// covered head word (the range starts `skip` bytes into it and covers
+/// `head_len` of its bytes), the fully covered body words, and an optional
+/// partially covered tail word (covered from its first byte).
+struct Span<'a> {
+    skip: usize,
+    head_len: usize,
+    head: Option<&'a AtomicU64>,
+    body: &'a [AtomicU64],
+    tail: Option<&'a AtomicU64>,
+}
+
+/// Merges `src` into `word` starting `skip` bytes in, leaving the word's
+/// other bytes as they are; retries if a concurrent writer races the word.
+fn merge_bytes(word: &AtomicU64, skip: usize, src: &[u8]) {
+    let merged = |cur: u64| {
+        let mut bytes = cur.to_le_bytes();
+        bytes[skip..skip + src.len()].copy_from_slice(src);
+        Some(u64::from_le_bytes(bytes))
+    };
+    word.fetch_update(Ordering::SeqCst, Ordering::SeqCst, merged)
+        .expect("the update closure never declines");
 }
 
 #[cfg(test)]
@@ -561,5 +579,15 @@ mod tests {
         let mut buf = [0u8; 16];
         assert!(n.read_bytes(n.capacity() - 8, &mut buf).is_err());
         assert!(n.write_bytes(n.capacity() - 8, &buf).is_err());
+        // `offset + len` overflowing u64 is out of bounds, not a wrap to 8.
+        assert!(n.read_bytes(u64::MAX - 7, &mut buf).is_err());
+        assert!(n.write_bytes(u64::MAX - 7, &buf).is_err());
+        // A range ending exactly at capacity is in bounds, aligned or not.
+        n.write_bytes(n.capacity() - 16, &[7u8; 16]).unwrap();
+        n.read_bytes(n.capacity() - 16, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 16]);
+        n.write_bytes(n.capacity() - 3, &[9u8; 3]).unwrap();
+        n.read_bytes(n.capacity() - 3, &mut buf[..3]).unwrap();
+        assert_eq!(buf[..3], [9u8; 3]);
     }
 }

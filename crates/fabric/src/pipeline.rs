@@ -52,6 +52,7 @@
 use crate::addr::FarAddr;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
+use crate::ext::indirect::TargetAccess;
 use crate::ext::sg::FarIov;
 use crate::fabric::IndirectionMode;
 use crate::trace::VerbKind;
@@ -537,13 +538,7 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
         }
         PipeOp::Gather { iov } => {
             let total = check_iov(iov)?;
-            let mut out = Vec::with_capacity(total as usize);
-            let mut finish = arrival;
-            for e in iov {
-                let (part, f) = c.exec_read(e.addr, e.len, arrival)?;
-                out.extend_from_slice(&part);
-                finish = finish.max(f);
-            }
+            let (out, finish) = c.exec_gather(iov, total, arrival)?;
             Ok((PipeOut::Bytes(out), finish))
         }
         PipeOp::Scatter { iov, data } => {
@@ -562,9 +557,11 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             }
             Ok((PipeOut::Done, finish))
         }
-        PipeOp::Load2 { ptr, index, len } => exec_indirect(c, *ptr, *index, None, *len, arrival),
+        PipeOp::Load2 { ptr, index, len } => {
+            exec_indirect(c, *ptr, *index, TargetAccess::Read(*len), arrival)
+        }
         PipeOp::Store2 { ptr, index, data } => {
-            exec_indirect(c, *ptr, *index, Some(data), data.len() as u64, arrival)
+            exec_indirect(c, *ptr, *index, TargetAccess::Write(data), arrival)
         }
         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
             exec_faai_swap_guarded(c, *ptr, *delta, *replacement, *guard, *expect, arrival)
@@ -615,16 +612,15 @@ fn exec_faai_swap_guarded(
             return Ok(Unit::Null);
         }
         let target = FarAddr(ptr);
-        let segs = fabric2.segments(target, WORD)?;
-        if segs.iter().any(|s| s.node != home_id) {
+        let mut segs = fabric2.segments(target, WORD)?;
+        if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
             // Remote target: bump the pointer atomically; the swap happens
             // outside the unit (forwarded, weaker atomicity — as serial).
             n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-            let remote = segs.iter().find(|s| s.node != home_id).unwrap();
             return Ok(Unit::Remote { ptr, target, node: remote.node });
         }
         n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-        let seg = segs[0];
+        let seg = segs.next().expect("a word is one segment");
         if !target.is_aligned(WORD) {
             return Err(FabricError::Unaligned { addr: target, required: WORD });
         }
@@ -654,7 +650,7 @@ fn exec_faai_swap_guarded(
                 return Err(FabricError::IndirectRemote { target, target_node: node });
             }
             // Forwarded completion at the remote target (§7.1).
-            let seg = fabric.segments(target, WORD)?[0];
+            let seg = fabric.segments(target, WORD)?.next().expect("a word is one segment");
             let rphys = c.route(seg.node);
             let rnode = fabric.node(rphys);
             rnode.check_alive_at(arrival)?;
@@ -674,15 +670,13 @@ fn exec_faai_swap_guarded(
 
 /// Pipelined plain-pointer indirect verb (`load0`/`load2`/`store0`/
 /// `store2`): mirrors the serial indirect verb's charges — pointer
-/// resolution at the home node, target segments extending the home service
-/// chain or forwarded with one memory-side hop (§7.1). `write` is `None`
-/// for a read of `len` bytes, `Some(data)` for a write.
+/// resolution at the home node, then the serial verb's own target walk
+/// ([`FabricClient::exec_at_target`]).
 fn exec_indirect(
     c: &mut FabricClient,
     ptr: FarAddr,
     index: u64,
-    write: Option<&[u8]>,
-    len: u64,
+    access: TargetAccess<'_>,
     arrival: u64,
 ) -> Result<(PipeOut, u64)> {
     let cost = *c.fabric().cost();
@@ -699,53 +693,17 @@ fn exec_indirect(
         return Err(FabricError::NullDeref { pointer_at: ptr });
     }
     let target = FarAddr(ptr_val + index);
-    let segs = fabric.segments(target, len)?;
     if mode == IndirectionMode::Error {
-        if let Some(remote) = segs.iter().find(|s| s.node != home_id) {
+        if let Some(remote) = fabric.segments(target, access.len())?.find(|s| s.node != home_id) {
             return Err(FabricError::IndirectRemote {
                 target,
                 target_node: remote.node,
             });
         }
     }
-    let mut buf = if write.is_none() { vec![0u8; len as usize] } else { Vec::new() };
-    let mut finish = home_finish;
-    let mut done = 0usize;
-    for seg in &segs {
-        let phys = c.route(seg.node);
-        let node = fabric.node(phys);
-        node.check_alive_at(arrival)?;
-        let service = cost.node_msg_ns + cost.bytes_ns(seg.len);
-        let mut f = if seg.node == home_id {
-            node.occupy(home_finish, service)
-        } else {
-            c.stats_mut().forward_hops += 1;
-            c.stats_mut().messages += 1;
-            node.occupy(arrival, service).max(home_finish) + cost.mem_hop_ns
-        };
-        match write {
-            None => node.read_bytes(seg.offset, &mut buf[done..done + seg.len as usize])?,
-            Some(data) => {
-                node.write_bytes(seg.offset, &data[done..done + seg.len as usize])?;
-                f = fabric.fire(c.stats_mut(), seg.node, seg.offset, seg.len, f);
-            }
-        }
-        done += seg.len as usize;
-        finish = finish.max(f);
-    }
     c.observe(crate::check::AccessKind::Read, ptr, crate::addr::WORD);
-    match write {
-        None => {
-            c.stats_mut().bytes_read += len;
-            c.observe(crate::check::AccessKind::Read, target, len);
-            Ok((PipeOut::Bytes(buf), finish))
-        }
-        Some(_) => {
-            c.stats_mut().bytes_written += len;
-            c.observe(crate::check::AccessKind::Write, target, len);
-            Ok((PipeOut::Done, finish))
-        }
-    }
+    let (out, finish) = c.exec_at_target(target, access, home_id, arrival, home_finish)?;
+    Ok((out.map_or(PipeOut::Done, PipeOut::Bytes), finish))
 }
 
 fn check_iov(iov: &[FarIov]) -> Result<u64> {

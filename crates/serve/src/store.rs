@@ -47,6 +47,14 @@ pub fn charged_bytes(len: u64) -> u64 {
     }
 }
 
+/// Decodes a record's prefetched prefix against `now_ns`: the payload
+/// length of a live record, or `None` once its TTL instant has passed.
+fn live_len(first: &[u8], now_ns: u64) -> Option<u64> {
+    let len = u64::from_le_bytes(first[0..8].try_into().expect("length word"));
+    let expiry = u64::from_le_bytes(first[8..16].try_into().expect("expiry word"));
+    (expiry == 0 || now_ns < expiry).then_some(len)
+}
+
 /// What a lookup found.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GetOutcome {
@@ -127,19 +135,20 @@ impl RecordStore {
             return Ok(GetOutcome::Miss);
         };
         let record = FarAddr(ptr);
-        let first = client.read(record, Self::PREFETCH)?;
-        let len = u64::from_le_bytes(first[0..8].try_into().expect("length word"));
-        let expiry = u64::from_le_bytes(first[8..16].try_into().expect("expiry word"));
-        if expiry != 0 && now_ns >= expiry {
+        let mut first = [0u8; Self::PREFETCH as usize];
+        client.read_into(record, &mut first)?;
+        let Some(len) = live_len(&first, now_ns) else {
             drop(guard);
             return Ok(GetOutcome::Expired);
-        }
-        let mut out = Vec::with_capacity(len as usize);
-        let have = (Self::PREFETCH - RECORD_HEADER).min(len);
-        out.extend_from_slice(&first[16..16 + have as usize]);
-        if len > have {
-            let tail = client.read(record.offset(RECORD_HEADER + have), len - have)?;
-            out.extend_from_slice(&tail);
+        };
+        // One buffer sized from the header: the prefetched part is copied
+        // in, the rest of a large value is read straight into place.
+        let mut out = vec![0u8; len as usize];
+        let have = (Self::PREFETCH - RECORD_HEADER).min(len) as usize;
+        let (head, tail) = out.split_at_mut(have);
+        head.copy_from_slice(&first[RECORD_HEADER as usize..][..have]);
+        if !tail.is_empty() {
+            client.read_into(record.offset(RECORD_HEADER + have as u64), tail)?;
         }
         drop(guard);
         Ok(GetOutcome::Hit(out))
@@ -186,18 +195,22 @@ impl RecordStore {
                 // batched every prefetch through one doorbell above.
                 _ => ac.with(|c| c.read(FarAddr(*p), Self::PREFETCH))?,
             };
-            let len = u64::from_le_bytes(first[0..8].try_into().expect("length word"));
-            let expiry = u64::from_le_bytes(first[8..16].try_into().expect("expiry word"));
-            if expiry != 0 && now_ns >= expiry {
+            let Some(len) = live_len(&first, now_ns) else {
                 out.push(GetOutcome::Expired);
                 continue;
-            }
-            let mut v = Vec::with_capacity(len as usize);
+            };
+            // The completion's own buffer becomes the value: drop the
+            // header and the bytes past a short value, then append the
+            // tail of a large one (no async read-into exists, so that
+            // tail still arrives in the doorbell's buffer).
             let have = (Self::PREFETCH - RECORD_HEADER).min(len);
-            v.extend_from_slice(&first[16..16 + have as usize]);
+            let mut v = first;
+            v.truncate((RECORD_HEADER + have) as usize);
+            v.drain(..RECORD_HEADER as usize);
             if len > have {
                 let tail =
                     ac.read(FarAddr(*p).offset(RECORD_HEADER + have), len - have).await?;
+                v.reserve_exact(tail.len());
                 v.extend_from_slice(&tail);
             }
             out.push(GetOutcome::Hit(v));
