@@ -163,7 +163,16 @@ impl FarAlloc {
                 free: HashMap::new(),
             })
             .collect();
-        let striped_bottom = total - reserve_per_node * map.node_count() as u64;
+        // The striped region is the contiguous top of the global space that
+        // lies outside every node pool. A striped map interleaves the top
+        // `reserve × nodes` bytes over all the nodes' reserves; a blocked
+        // map puts that whole range on the last node, where all but the
+        // top `reserve` bytes are that node's pool.
+        let reserve_nodes = match map.striping() {
+            farmem_fabric::Striping::Striped { .. } => map.node_count() as u64,
+            farmem_fabric::Striping::Blocked => 1,
+        };
+        let striped_bottom = total - reserve_per_node * reserve_nodes;
         Arc::new(FarAlloc {
             fabric,
             state: Mutex::new(State {
@@ -524,6 +533,33 @@ mod tests {
             assert_eq!(a.alloc(len, AllocHint::Localize(last)).unwrap(), addr, "{len} B reused");
             assert_eq!(a.stats().pages_carved, carved);
         }
+    }
+
+    /// Under a blocked map only the last node's reserve is both
+    /// contiguous with the top of the address space and outside every
+    /// pool: striped carving stops there instead of descending into the
+    /// last node's pool, where the same bytes would get two owners.
+    #[test]
+    fn striped_carving_never_enters_a_node_pool_under_a_blocked_map() {
+        let f =
+            FabricConfig { nodes: 2, node_capacity: 1 << 20, ..FabricConfig::default() }.build();
+        let a = FarAlloc::new(f);
+        let last = NodeId(1);
+        let mut pool = Vec::new();
+        while let Ok(addr) = a.alloc(PAGE, AllocHint::Localize(last)) {
+            pool.push(addr.0);
+        }
+        let pool_top = pool.iter().max().unwrap() + PAGE;
+        let mut striped = 0;
+        while let Ok(addr) = a.alloc(PAGE, AllocHint::Striped) {
+            assert!(addr.0 >= pool_top, "striped page {addr:?} lies in node 1's pool");
+            striped += 1;
+        }
+        assert_eq!(striped, (1 << 20) / 4 / PAGE, "the whole reserve is still usable");
+        assert_eq!(
+            a.alloc(PAGE, AllocHint::Striped),
+            Err(AllocError::OutOfMemory { node: None })
+        );
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub const RAW_VERBS: &[&str] = &[
 /// Structure-level verbs: one-plus round trips when a client-ish
 /// identifier is among the arguments.
 pub const STRUCT_VERBS: &[&str] = &[
-    "get", "insert", "remove", "push", "pop", "enqueue", "dequeue", "put", "delete", "lookup",
+    "get", "get_under", "insert", "remove", "push", "pop", "enqueue", "dequeue", "put", "delete",
+    "lookup",
 ];
 
 /// Batched twins and pipelining entry points: seeing one inside a loop
@@ -58,6 +59,7 @@ pub const ADOPTERS: &[&str] = &[
     "commit",
     "get_many",
     "get_many_async",
+    "get_many_async_under",
     "read_ranges",
     "read_ranges_async",
     "dequeue_batch",
@@ -75,7 +77,7 @@ pub fn batched_twin(verb: &str) -> &'static str {
         "write" | "write_u64" | "post_write_u64" | "store2" => {
             "write coalescing or pipeline().write"
         }
-        "get" | "lookup" => "HtTree::get_many",
+        "get" | "get_under" | "lookup" => "HtTree::get_many",
         "dequeue" | "pop" => "FarQueue::dequeue_batch",
         "cas" | "faa" | "post_faa_u64" | "faai_swap_guarded" => "pipeline() descriptors",
         _ => "a pipeline() batch behind one doorbell",

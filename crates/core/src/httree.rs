@@ -479,13 +479,26 @@ impl HtTreeHandle {
     /// table pointers may name retired — soon freed — memory). Free in
     /// the steady state; `None` for quarantine-mode handles.
     fn pin_epoch(&mut self, client: &mut FabricClient) -> Result<Option<Guard>> {
-        let Some(shared) = self.reclaim.clone() else { return Ok(None) };
-        let guard = pin(&shared, client)?;
+        let Some(shared) = &self.reclaim else { return Ok(None) };
+        let guard = pin(shared, client)?;
+        self.revalidate(client, &guard)?;
+        Ok(Some(guard))
+    }
+
+    /// Refreshes the cached tree if `guard` observed a newer epoch than
+    /// the one it was last validated at. `guard` must pin this handle's
+    /// own reclaim state — a guard of another registry holds none of
+    /// this tree's retired tables alive.
+    fn revalidate(&mut self, client: &mut FabricClient, guard: &Guard) -> Result<()> {
+        assert!(
+            self.reclaim.as_ref().is_some_and(|shared| guard.pins(shared)),
+            "guard does not pin this handle's reclaim state"
+        );
         if guard.epoch() != self.seen_epoch {
             self.refresh_directory(client)?;
             self.seen_epoch = guard.epoch();
         }
-        Ok(Some(guard))
+        Ok(())
     }
 
     /// In `notify_dir` mode: refreshes the directory if a change
@@ -524,6 +537,26 @@ impl HtTreeHandle {
     pub fn get(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
         let _span = client.span("httree.get");
         let _guard = self.pin_epoch(client)?;
+        self.lookup(client, key)
+    }
+
+    /// [`get`](Self::get) under an epoch [`Guard`] the caller already
+    /// holds on this handle's reclaim state (reclaim mode only): the same
+    /// lookup without pinning a second, nested guard. For callers that
+    /// go on to dereference the value under that guard.
+    pub fn get_under(
+        &mut self,
+        client: &mut FabricClient,
+        guard: &Guard,
+        key: u64,
+    ) -> Result<Option<u64>> {
+        let _span = client.span("httree.get");
+        self.revalidate(client, guard)?;
+        self.lookup(client, key)
+    }
+
+    /// The guarded lookup: the caller has pinned and validated the epoch.
+    fn lookup(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
         self.stats.gets += 1;
         self.sync_directory(client)?;
         self.get_inner(client, key)
@@ -670,6 +703,30 @@ impl HtTreeHandle {
         // lint: block-ok — epoch pin is control-plane (local check; rare
         // resync on epoch advance), identical to the sync path.
         let _guard = ac.with(|client| self.pin_epoch(client))?;
+        self.lookup_many_async(ac, keys).await
+    }
+
+    /// [`get_many_async`](Self::get_many_async) under an epoch [`Guard`]
+    /// the caller already holds (see [`get_under`](Self::get_under)); the
+    /// guard must stay pinned across the suspension, as the one
+    /// `get_many_async` pins itself does.
+    pub async fn get_many_async_under(
+        &mut self,
+        ac: &farmem_runtime::AsyncClient,
+        guard: &Guard,
+        keys: &[u64],
+    ) -> Result<Vec<Option<u64>>> {
+        let _span = ac.span("httree.get_many");
+        // lint: block-ok — local epoch compare; refresh only on advance.
+        ac.with(|client| self.revalidate(client, guard))?;
+        self.lookup_many_async(ac, keys).await
+    }
+
+    async fn lookup_many_async(
+        &mut self,
+        ac: &farmem_runtime::AsyncClient,
+        keys: &[u64],
+    ) -> Result<Vec<Option<u64>>> {
         self.stats.gets += keys.len() as u64;
         // lint: block-ok — local event drain; refresh only on notification.
         ac.with(|client| self.sync_directory(client))?;

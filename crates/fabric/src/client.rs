@@ -61,6 +61,9 @@ pub struct FabricClient {
     /// Sink-side coalesced count already folded into
     /// `stats.notifications_coalesced` (the sink counts cumulatively).
     seen_coalesced: u64,
+    /// The sink's delivery counter as read before the last drain: while
+    /// it has not moved, [`FabricClient::pump_events`] has nothing to do.
+    seen_deliveries: u64,
     /// Cached per-group replication views (empty when the fabric is
     /// unreplicated). Deliberately *not* kept coherent: a client keeps
     /// routing through its cached view until a
@@ -176,6 +179,7 @@ impl FabricClient {
             sampler: None,
             trace_depth: 0,
             seen_coalesced: 0,
+            seen_deliveries: 0,
             views,
             read_rr: 0,
             spread_override: None,
@@ -1097,8 +1101,16 @@ impl FabricClient {
     }
 
     /// Moves newly delivered events from the sink into the local pending
-    /// buffer, advancing the clock and the notification counters.
+    /// buffer, advancing the clock and the notification counters. When
+    /// the fabric fired nothing at this client since the last call — the
+    /// steady state of every epoch pin and directory check — it costs one
+    /// atomic load.
     fn pump_events(&mut self) {
+        let deliveries = self.sink.deliveries();
+        if deliveries == self.seen_deliveries {
+            return;
+        }
+        self.seen_deliveries = deliveries;
         let events = self.sink.drain();
         let one_way = self.fabric.cost().one_way_ns();
         let hook = self.fabric.check_hook();
@@ -1153,6 +1165,9 @@ impl FabricClient {
     /// loss (the first taker claims each warning).
     pub fn take_events(&mut self, filter: impl Fn(&Event) -> bool) -> Vec<Event> {
         self.pump_events();
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
         let mut taken = Vec::new();
         let mut kept = Vec::with_capacity(self.pending.len());
         for e in self.pending.drain(..) {

@@ -213,6 +213,12 @@ pub struct SinkStats {
 /// events from all of them are interleaved in delivery order.
 pub struct EventSink {
     inner: Mutex<SinkInner>,
+    /// Calls to [`deliver`](EventSink::deliver) so far, whatever became of
+    /// the event (queued, coalesced, spike- or silently dropped). A
+    /// subscriber that remembers the value it last drained at knows from
+    /// one load that nothing — no event, no coalesce count, no `Lost`
+    /// warning — is waiting for it.
+    deliveries: AtomicU64,
     cv: Condvar,
     policy: DeliveryPolicy,
 }
@@ -225,14 +231,28 @@ impl EventSink {
                 rng: seed | 1,
                 ..SinkInner::default()
             }),
+            deliveries: AtomicU64::new(0),
             cv: Condvar::new(),
             policy,
         })
     }
 
+    /// The delivery counter: moves on every event the fabric fires at
+    /// this sink. Equal to the value read before the last
+    /// [`drain`](EventSink::drain) means that drain left nothing behind.
+    pub fn deliveries(&self) -> u64 {
+        // Pairs with the `Release` bump in `deliver`. The events
+        // themselves are published by the mutex; the pairing only makes a
+        // poll that happens-after a delivery see the counter moved.
+        self.deliveries.load(Ordering::Acquire)
+    }
+
     /// Enqueues an event subject to the sink's delivery policy.
     pub(crate) fn deliver(&self, event: Event) {
         let mut g = self.inner.lock().unwrap();
+        // Bumped under the lock: a subscriber that sees the new value and
+        // then drains waits for this delivery to finish.
+        self.deliveries.fetch_add(1, Ordering::Release);
         if self.policy.drop_ppm > 0 {
             let roll = g.next_rng() % 1_000_000;
             if roll < self.policy.drop_ppm as u64 {

@@ -378,6 +378,13 @@ impl Guard {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
+
+    /// Whether this guard pins `shared` — for operations that run under
+    /// a guard their caller took and must not trust one of another
+    /// registry.
+    pub fn pins(&self, shared: &SharedReclaim) -> bool {
+        Arc::ptr_eq(&self.shared, shared)
+    }
 }
 
 impl Drop for Guard {

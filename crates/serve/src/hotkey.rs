@@ -6,6 +6,8 @@
 //! The sketch is purely compute-side — no far traffic — and ages by
 //! periodic halving so the notion of "hot" follows the workload.
 
+use crate::splitmix64;
+
 /// Count-min sketch rows. Four rows keep the overestimate bias small at
 /// a few KiB per worker.
 const ROWS: usize = 4;
@@ -31,11 +33,7 @@ pub struct HotKeyDetector {
 
 /// SplitMix64 — deterministic per-row hash mixing.
 fn mix(key: u64, row: u64) -> u64 {
-    let mut z = key ^ (row.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(key ^ (row.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
 impl HotKeyDetector {

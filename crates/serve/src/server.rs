@@ -14,7 +14,6 @@
 //! single-writer-per-key for free.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -25,9 +24,10 @@ use farmem_reclaim::ReclaimRegistry;
 use farmem_runtime::{AsyncClient, Runtime, TaskResult};
 
 use crate::hotkey::HotKeyDetector;
+use crate::recency::{KeyMeta, RecencyIndex};
 use crate::store::{charged_bytes, GetOutcome, RecordStore};
 use crate::tenant::{Reject, RemoveKind, TenantId, TenantSpec, TenantStats, TenantTable};
-use crate::{Result, ServeError, MAX_RAW_KEY};
+use crate::{splitmix64, Result, ServeError, MAX_RAW_KEY};
 
 /// Serving-layer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -174,13 +174,6 @@ pub struct WorkerStats {
     pub peak_charged_bytes: u64,
 }
 
-/// Client-side metadata for one owned key.
-struct Meta {
-    tick: u64,
-    charged: u64,
-    tenant: TenantId,
-}
-
 /// The shared serving state: one per cache deployment.
 ///
 /// Cheap to share (`Arc`); all far-memory handles inside are attach-on-
@@ -196,11 +189,8 @@ pub struct CacheServer {
 
 /// Deterministic owner shard of a namespaced key.
 fn owner_shard(nskey: u64, n_workers: usize) -> usize {
-    // SplitMix64 finalizer — decorrelates owner from tenant prefix bits.
-    let mut z = nskey.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((z ^ (z >> 31)) % n_workers.max(1) as u64) as usize
+    // Decorrelates owner from tenant prefix bits.
+    (splitmix64(nskey) % n_workers.max(1) as u64) as usize
 }
 
 impl CacheServer {
@@ -272,9 +262,7 @@ impl CacheServer {
                 self.cfg.hot_topk,
                 self.cfg.hot_decay_every,
             ),
-            meta: HashMap::new(),
-            lru: BTreeSet::new(),
-            tick: 0,
+            index: RecencyIndex::new(),
             replicated: self.fabric.replicated(),
             cfg: self.cfg,
             mutations_since_reclaim: 0,
@@ -323,12 +311,10 @@ pub struct ServeWorker {
     store: RecordStore,
     tenants: Arc<Mutex<TenantTable>>,
     hot: HotKeyDetector,
-    /// Owned-key metadata (exact, client-side — the worker sees every
-    /// access to its shard, so no far traffic is spent on recency).
-    meta: HashMap<u64, Meta>,
-    /// Recency order: `(tick, nskey)`, oldest first.
-    lru: BTreeSet<(u64, u64)>,
-    tick: u64,
+    /// Owned-key metadata in recency order (exact, client-side — the
+    /// worker sees every access to its shard, so no far traffic is spent
+    /// on recency).
+    index: RecencyIndex,
     replicated: bool,
     cfg: ServeConfig,
     mutations_since_reclaim: u64,
@@ -375,8 +361,9 @@ impl ServeWorker {
     /// Serves a get: admission, hot-key accounting, TTL enforcement.
     pub fn get(&mut self, client: &mut FabricClient, tenant: TenantId, key: u64) -> Result<Response> {
         self.stats.ops += 1;
-        let Some(nskey) = self.admit(client, tenant, key, 0, None)? else {
-            return Ok(Response::Rejected(self.last_reject(tenant, key)));
+        let nskey = match self.admit(client, tenant, key, 0, None)? {
+            Ok(nskey) => nskey,
+            Err(reject) => return Ok(Response::Rejected(reject)),
         };
         let _span = client.span(tenant.span_name());
         let spread = self.classify_hot(nskey);
@@ -389,25 +376,12 @@ impl ServeWorker {
         if spread {
             client.set_spread_reads(None);
         }
-        match out? {
-            GetOutcome::Hit(v) => {
-                self.touch(nskey);
-                self.tenants.lock().unwrap().hit(tenant);
-                self.stats.hits += 1;
-                Ok(Response::Value(v))
-            }
-            GetOutcome::Expired => {
-                self.expire(client, nskey, tenant)?;
-                self.tenants.lock().unwrap().miss(tenant);
-                self.stats.misses += 1;
-                Ok(Response::Miss)
-            }
-            GetOutcome::Miss => {
-                self.tenants.lock().unwrap().miss(tenant);
-                self.stats.misses += 1;
-                Ok(Response::Miss)
-            }
-        }
+        let out = out?;
+        self.finish_gets(client, &[(tenant, nskey)], std::slice::from_ref(&out))?;
+        Ok(match out {
+            GetOutcome::Hit(v) => Response::Value(v),
+            GetOutcome::Expired | GetOutcome::Miss => Response::Miss,
+        })
     }
 
     /// Serves a put: byte + op quotas at admission, slab-class storage,
@@ -422,10 +396,9 @@ impl ServeWorker {
     ) -> Result<Response> {
         self.stats.ops += 1;
         let charged = charged_bytes(value.len() as u64);
-        let Some(nskey) =
-            self.admit(client, tenant, key, value.len() as u64, Some(charged))?
-        else {
-            return Ok(Response::Rejected(self.last_reject_put(tenant, key, value.len() as u64, charged)));
+        let nskey = match self.admit(client, tenant, key, value.len() as u64, Some(charged))? {
+            Ok(nskey) => nskey,
+            Err(reject) => return Ok(Response::Rejected(reject)),
         };
         if !self.owns(nskey) {
             return Err(ServeError::NotOwner);
@@ -449,16 +422,16 @@ impl ServeWorker {
     /// Serves a delete.
     pub fn delete(&mut self, client: &mut FabricClient, tenant: TenantId, key: u64) -> Result<Response> {
         self.stats.ops += 1;
-        let Some(nskey) = self.admit(client, tenant, key, 0, None)? else {
-            return Ok(Response::Rejected(self.last_reject(tenant, key)));
+        let nskey = match self.admit(client, tenant, key, 0, None)? {
+            Ok(nskey) => nskey,
+            Err(reject) => return Ok(Response::Rejected(reject)),
         };
         if !self.owns(nskey) {
             return Err(ServeError::NotOwner);
         }
         let _span = client.span(tenant.span_name());
         let existed = self.store.remove(client, nskey)?;
-        if let Some(m) = self.meta.remove(&nskey) {
-            self.lru.remove(&(m.tick, nskey));
+        if let Some(m) = self.index.remove(nskey) {
             self.stats.charged_bytes -= m.charged;
             self.tenants.lock().unwrap().removed(m.tenant, m.charged, RemoveKind::Deleted);
         }
@@ -482,10 +455,9 @@ impl ServeWorker {
     // ----- internals -----
 
     /// Admission: tenant validity, key range, value size, op quota,
-    /// byte quota. Pure compute — no far access is issued before all
-    /// checks pass. Returns the namespaced key, or `None` on rejection
-    /// (the caller re-derives the reason for the response; counters are
-    /// charged here).
+    /// byte quota, in that order. Pure compute — no far access is issued
+    /// before all checks pass. Returns the namespaced key, or the first
+    /// check that failed — the one whose counter was charged here.
     fn admit(
         &mut self,
         client: &mut FabricClient,
@@ -493,58 +465,29 @@ impl ServeWorker {
         key: u64,
         value_len: u64,
         put_charged: Option<u64>,
-    ) -> Result<Option<u64>> {
+    ) -> Result<std::result::Result<u64, Reject>> {
         let mut tt = self.tenants.lock().unwrap();
         if !tt.contains(tenant) {
             return Err(ServeError::UnknownTenant);
         }
-        if key > MAX_RAW_KEY || value_len > self.cfg.max_value_len {
-            self.stats.rejected += 1;
-            return Ok(None);
-        }
-        if !tt.admit_op(tenant, client.now_ns()) {
-            self.stats.rejected += 1;
-            return Ok(None);
-        }
-        if let Some(charged) = put_charged {
+        let verdict = if key > MAX_RAW_KEY {
+            Err(Reject::KeyTooLarge)
+        } else if value_len > self.cfg.max_value_len {
+            Err(Reject::ValueTooLarge)
+        } else if !tt.admit_op(tenant, client.now_ns()) {
+            Err(Reject::OpQuota)
+        } else {
             let nskey = tenant.namespaced(key);
-            let old = self.meta.get(&nskey).map_or(0, |m| m.charged);
-            if !tt.admit_bytes(tenant, charged, old) {
-                self.stats.rejected += 1;
-                return Ok(None);
+            let replaced = || self.index.get(nskey).map_or(0, |m| m.charged);
+            match put_charged {
+                Some(charged) if !tt.admit_bytes(tenant, charged, replaced()) => {
+                    Err(Reject::ByteQuota)
+                }
+                _ => Ok(nskey),
             }
-        }
-        Ok(Some(tenant.namespaced(key)))
-    }
-
-    /// Re-derives the rejection reason for a non-put request (the
-    /// admission path already counted it).
-    fn last_reject(&self, _tenant: TenantId, key: u64) -> Reject {
-        if key > MAX_RAW_KEY {
-            Reject::KeyTooLarge
-        } else {
-            Reject::OpQuota
-        }
-    }
-
-    /// Re-derives the rejection reason for a put.
-    fn last_reject_put(&self, tenant: TenantId, key: u64, value_len: u64, charged: u64) -> Reject {
-        if key > MAX_RAW_KEY {
-            return Reject::KeyTooLarge;
-        }
-        if value_len > self.cfg.max_value_len {
-            return Reject::ValueTooLarge;
-        }
-        let nskey = tenant.namespaced(key);
-        let old = self.meta.get(&nskey).map_or(0, |m| m.charged);
-        let tt = self.tenants.lock().unwrap();
-        let st = tt.stats();
-        let (spec, stats) = st[tenant.0 as usize];
-        if stats.live_bytes - old + charged > spec.byte_quota {
-            Reject::ByteQuota
-        } else {
-            Reject::OpQuota
-        }
+        };
+        self.stats.rejected += u64::from(verdict.is_err());
+        Ok(verdict)
     }
 
     /// Records the access in the sketch; returns whether the read
@@ -560,56 +503,77 @@ impl ServeWorker {
         self.replicated
     }
 
-    /// Moves `nskey` to the LRU tail.
-    fn touch(&mut self, nskey: u64) {
-        if let Some(m) = self.meta.get_mut(&nskey) {
-            self.lru.remove(&(m.tick, nskey));
-            self.tick += 1;
-            m.tick = self.tick;
-            self.lru.insert((self.tick, nskey));
+    /// The one get epilogue, shared by the sync and the session path:
+    /// books each outcome — recency touch on a hit, tenant and worker
+    /// counters, the expired record's ledger — under one tenant-table
+    /// lock, then (lock released: no far access is issued under it)
+    /// unlinks and retires the expired records this worker owns; a
+    /// non-owner observation is counted but left for the owner to
+    /// collect. Returns the number of hits.
+    fn finish_gets(
+        &mut self,
+        client: &mut FabricClient,
+        keys: &[(TenantId, u64)],
+        outcomes: &[GetOutcome],
+    ) -> Result<u64> {
+        let mut hits = 0;
+        let mut unlink = Vec::new();
+        {
+            let mut tt = self.tenants.lock().unwrap();
+            for (&(tenant, nskey), out) in keys.iter().zip(outcomes) {
+                match out {
+                    GetOutcome::Hit(_) => {
+                        self.index.touch(nskey);
+                        tt.hit(tenant);
+                        hits += 1;
+                    }
+                    GetOutcome::Miss => tt.miss(tenant),
+                    GetOutcome::Expired => {
+                        let owned = if self.owns(nskey) { self.index.remove(nskey) } else { None };
+                        match owned {
+                            Some(m) => {
+                                self.stats.charged_bytes -= m.charged;
+                                tt.removed(m.tenant, m.charged, RemoveKind::Expired);
+                                unlink.push(nskey);
+                            }
+                            None => tt.expired_observed(tenant),
+                        }
+                        tt.miss(tenant);
+                    }
+                }
+            }
         }
+        self.stats.hits += hits;
+        self.stats.misses += keys.len() as u64 - hits;
+        for nskey in unlink {
+            // audit: rt-in-loop-ok: rare (a get that finds its record past
+            // the TTL), and each unlink is a tree remove plus a retire — a
+            // dependent chain per key, not one verb to batch.
+            self.store.remove(client, nskey)?;
+            self.stats.expired_unlinked += 1;
+            self.maybe_reclaim(client)?;
+        }
+        Ok(hits)
     }
 
     /// Indexes a stored record; returns the charged bytes of the record
     /// it replaced (for tenant accounting).
     fn index_put(&mut self, nskey: u64, tenant: TenantId, charged: u64) -> Option<u64> {
-        self.tick += 1;
-        let old = self.meta.insert(nskey, Meta { tick: self.tick, charged, tenant });
-        let old_charged = old.map(|m| {
-            self.lru.remove(&(m.tick, nskey));
+        let old_charged = self.index.insert(nskey, KeyMeta { tenant, charged }).map(|m| {
             self.stats.charged_bytes -= m.charged;
             m.charged
         });
-        self.lru.insert((self.tick, nskey));
         self.stats.charged_bytes += charged;
         self.stats.peak_charged_bytes = self.stats.peak_charged_bytes.max(self.stats.charged_bytes);
         old_charged
     }
 
-    /// Unlinks and retires an expired record (owner only; a non-owner
-    /// observation is counted but left for the owner to collect).
-    fn expire(&mut self, client: &mut FabricClient, nskey: u64, tenant: TenantId) -> Result<()> {
-        if self.owns(nskey) && self.meta.contains_key(&nskey) {
-            let m = self.meta.remove(&nskey).expect("checked above");
-            self.lru.remove(&(m.tick, nskey));
-            self.stats.charged_bytes -= m.charged;
-            self.store.remove(client, nskey)?;
-            self.tenants.lock().unwrap().removed(m.tenant, m.charged, RemoveKind::Expired);
-            self.stats.expired_unlinked += 1;
-            self.maybe_reclaim(client)?;
-        } else {
-            self.tenants.lock().unwrap().expired_observed(tenant);
-        }
-        Ok(())
-    }
-
     /// Evicts the least-recently-used record.
     fn evict_one(&mut self, client: &mut FabricClient) -> Result<bool> {
-        let Some(&(tick, nskey)) = self.lru.iter().next() else {
+        let Some(nskey) = self.index.oldest() else {
             return Ok(false);
         };
-        self.lru.remove(&(tick, nskey));
-        let m = self.meta.remove(&nskey).expect("lru entries are indexed");
+        let m = self.index.remove(nskey).expect("the oldest key is indexed");
         self.store.remove(client, nskey)?;
         self.stats.charged_bytes -= m.charged;
         self.tenants.lock().unwrap().removed(m.tenant, m.charged, RemoveKind::Evicted);
@@ -754,7 +718,7 @@ async fn serve_get_batch(
             w.stats.ops += 1;
             // lint: block-ok — admission is pure compute.
             let admitted = ac.with(|c| w.admit(c, tenant, key, 0, None)).expect("admit");
-            let Some(nskey) = admitted else {
+            let Ok(nskey) = admitted else {
                 sum.rejected += 1;
                 continue;
             };
@@ -778,30 +742,13 @@ async fn serve_get_batch(
         if spread {
             ac.with(|c| c.set_spread_reads(None));
         }
-        let mut w = worker.borrow_mut();
-        for ((tenant, nskey), out) in keys.into_iter().zip(outcomes) {
-            match out {
-                GetOutcome::Hit(_) => {
-                    w.touch(nskey);
-                    w.tenants.lock().unwrap().hit(tenant);
-                    w.stats.hits += 1;
-                    sum.hits += 1;
-                }
-                GetOutcome::Expired => {
-                    // lint: block-ok — expiry unlink is a worker-
-                    // serialized sync mutation.
-                    ac.with(|c| w.expire(c, nskey, tenant)).expect("expire");
-                    w.tenants.lock().unwrap().miss(tenant);
-                    w.stats.misses += 1;
-                    sum.misses += 1;
-                }
-                GetOutcome::Miss => {
-                    w.tenants.lock().unwrap().miss(tenant);
-                    w.stats.misses += 1;
-                    sum.misses += 1;
-                }
-            }
-        }
+        // lint: block-ok — outcome booking is pure compute; an expiry
+        // unlink is a worker-serialized sync mutation.
+        let hits = ac
+            .with(|c| worker.borrow_mut().finish_gets(c, &keys, &outcomes))
+            .expect("get epilogue");
+        sum.hits += hits;
+        sum.misses += keys.len() as u64 - hits;
     }
 }
 
@@ -889,6 +836,51 @@ mod tests {
         let (_, st) = server.tenant_stats()[t.0 as usize];
         assert_eq!(st.live_bytes, 256);
         assert_eq!(st.rejected_bytes, 1);
+    }
+
+    #[test]
+    fn a_rejection_names_the_counter_that_moved() {
+        let (f, _a, server) =
+            deploy(FabricConfig::count_only(256 << 20).build(), ServeConfig::default());
+        // One op per window and room for one 128-byte-class record: the
+        // second put below is over BOTH quotas. Admission checks ops
+        // first, so that is the counter charged and the reason returned.
+        let t = server
+            .add_tenant(TenantSpec { op_quota: 1, byte_quota: 128, ..TenantSpec::unlimited("both") })
+            .unwrap();
+        let mut c = f.client();
+        let mut w = server.worker(0, 1, &mut c).unwrap();
+        let ledger = |server: &CacheServer| {
+            let (_, st) = server.tenant_stats()[t.0 as usize];
+            (st.rejected_ops, st.rejected_bytes)
+        };
+        let requests: [(u64, usize); 4] = [(0, 100), (1, 100), (MAX_RAW_KEY + 1, 100), (2, 1 << 20)];
+        let mut responses = Vec::new();
+        for (key, len) in requests {
+            let before = ledger(&server);
+            let resp = w.put(&mut c, t, key, &vec![7u8; len], None).unwrap();
+            let after = ledger(&server);
+            let moved = (after.0 - before.0, after.1 - before.1);
+            match resp {
+                Response::Stored => assert_eq!(moved, (0, 0)),
+                Response::Rejected(Reject::OpQuota) => assert_eq!(moved, (1, 0)),
+                Response::Rejected(Reject::ByteQuota) => assert_eq!(moved, (0, 1)),
+                // Malformed requests are turned away before either quota.
+                Response::Rejected(_) => assert_eq!(moved, (0, 0)),
+                other => panic!("unexpected response {other:?}"),
+            }
+            responses.push(resp);
+        }
+        assert_eq!(
+            responses,
+            [
+                Response::Stored,
+                Response::Rejected(Reject::OpQuota),
+                Response::Rejected(Reject::KeyTooLarge),
+                Response::Rejected(Reject::ValueTooLarge),
+            ]
+        );
+        assert_eq!(w.stats().rejected, 3);
     }
 
     #[test]

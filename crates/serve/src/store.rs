@@ -130,7 +130,7 @@ impl RecordStore {
     /// stays readable until grace elapses.
     pub fn get(&mut self, client: &mut FabricClient, nskey: u64, now_ns: u64) -> Result<GetOutcome> {
         let guard = pin(&self.reclaim, client)?;
-        let Some(ptr) = self.inner.get(client, nskey)? else {
+        let Some(ptr) = self.inner.get_under(client, &guard, nskey)? else {
             drop(guard);
             return Ok(GetOutcome::Miss);
         };
@@ -168,7 +168,7 @@ impl RecordStore {
         // lint: block-ok — guard pin is control-plane (local unless the
         // epoch advanced), identical to the sync path.
         let guard = ac.with(|c| pin(&self.reclaim, c))?;
-        let ptrs = self.inner.get_many_async(ac, nskeys).await?;
+        let ptrs = self.inner.get_many_async_under(ac, &guard, nskeys).await?;
         let mut b = ac.batch();
         let mut slots = Vec::with_capacity(nskeys.len());
         for ptr in &ptrs {

@@ -217,6 +217,73 @@ fn no_free_while_a_guard_can_still_reach_the_memory() {
     }
 }
 
+/// One pin serves a whole operation: a lookup under a guard its caller
+/// already holds — `get`'s own nested pin, or `get_under` borrowing the
+/// caller's — sees that guard's epoch. It refreshes the cached directory
+/// exactly once when the epoch differs from the one the handle last
+/// validated at, never while the held guard keeps the epoch pinned
+/// across a seal, and again exactly once after the next depth-0 pin has
+/// observed the new epoch.
+#[test]
+fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_epoch() {
+    let f = fabric(0, 0);
+    let alloc = FarAlloc::new(f.clone());
+    let mut c1 = f.client();
+    let mut c2 = f.client();
+    let reg = ReclaimRegistry::create(&mut c1, &alloc, 4).unwrap();
+    let s1 = reg.attach(&mut c1, &alloc).unwrap();
+    let s2 = reg.attach(&mut c2, &alloc).unwrap();
+    let cfg = HtTreeConfig { split_check_interval: u64::MAX, ..HtTreeConfig::default() };
+    let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();
+    let mut h1 = tree.attach_reclaimed(&mut c1, &alloc, cfg, s1.clone()).unwrap();
+    // Two handles of one client share its reclaim state: `nested` pins
+    // its own guard inside the held one, `under` borrows the held one.
+    let mut nested = tree.attach_reclaimed(&mut c2, &alloc, cfg, s2.clone()).unwrap();
+    let mut under = tree.attach_reclaimed(&mut c2, &alloc, cfg, s2.clone()).unwrap();
+    h1.put(&mut c1, 7, 70).unwrap();
+
+    // Moves the global epoch without restructuring the tree.
+    let mut seal = || {
+        let junk = alloc.alloc(64, AllocHint::Spread).unwrap();
+        let mut r = s1.lock().unwrap();
+        r.retire(&mut c1, junk, 64).unwrap();
+        r.seal(&mut c1).unwrap();
+    };
+    /// Round trips of one lookup of key 7.
+    fn rts(c: &mut FabricClient, get: impl FnOnce(&mut FabricClient) -> Option<u64>) -> u64 {
+        let before = c.stats();
+        assert_eq!(get(c), Some(70));
+        c.stats().since(&before).round_trips
+    }
+    let plain = rts(&mut c2, |c| nested.get(c, 7).unwrap());
+    let before = c2.stats();
+    under.refresh_directory(&mut c2).unwrap();
+    let refresh = c2.stats().since(&before).round_trips;
+    assert!(refresh > 0);
+
+    seal();
+    let guard = pin(&s2, &mut c2).unwrap();
+    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain + refresh);
+    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain);
+    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain + refresh);
+    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain);
+
+    // A seal while the guard is held: the pinned epoch does not move.
+    seal();
+    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain);
+    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain);
+    drop(guard);
+
+    // The next depth-0 pin observes it (epoch read + slot CAS), and each
+    // handle refreshes once more.
+    let resync = 2;
+    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), resync + plain + refresh);
+    let guard = pin(&s2, &mut c2).unwrap();
+    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain + refresh);
+    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain);
+    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain);
+}
+
 /// A client that stops participating is evicted via the lease rule —
 /// under seeded fault injection, for several seeds — and reclamation then
 /// proceeds without it. Its own next pin detects the eviction and
