@@ -170,15 +170,6 @@ pub fn audit_source(path: &str, src: &str, cfg: &AuditConfig) -> Vec<Finding> {
     out
 }
 
-/// Only the migrated legacy lints over one source file — the
-/// `xtask lint` surface, for verdict parity with the old linter.
-pub fn lint_source(path: &str, src: &str, cfg: &AuditConfig) -> Vec<Finding> {
-    let lx = lex::lex(src);
-    let mut out = legacy::legacy_findings(path, &lx, cfg);
-    out.sort();
-    out
-}
-
 /// The result of running the analyzer over a tree: findings plus the
 /// coverage denominator, rendered as text or schema-versioned JSON.
 #[derive(Debug, Clone)]
@@ -364,30 +355,16 @@ fn forbid_unsafe_findings(root: &Path) -> Vec<Finding> {
     out
 }
 
-fn tree_report(
-    root: &Path,
-    cfg: &AuditConfig,
-    per_file: fn(&str, &str, &AuditConfig) -> Vec<Finding>,
-) -> io::Result<AuditReport> {
+/// All passes over the workspace tree.
+pub fn audit_tree(root: &Path, cfg: &AuditConfig) -> io::Result<AuditReport> {
     let files = source_files(root);
     let mut findings = forbid_unsafe_findings(root);
     for path in &files {
         let src = fs::read_to_string(path)?;
-        findings.extend(per_file(&rel(root, path), &src, cfg));
+        findings.extend(audit_source(&rel(root, path), &src, cfg));
     }
     findings.sort();
     Ok(AuditReport { findings, files_scanned: files.len() })
-}
-
-/// All passes over the workspace tree.
-pub fn audit_tree(root: &Path, cfg: &AuditConfig) -> io::Result<AuditReport> {
-    tree_report(root, cfg, audit_source)
-}
-
-/// Only the five legacy lints over the workspace tree (the
-/// `xtask lint` surface).
-pub fn lint_tree(root: &Path, cfg: &AuditConfig) -> io::Result<AuditReport> {
-    tree_report(root, cfg, lint_source)
 }
 
 /// One fixture file's contract, parsed from its header directives.
@@ -557,8 +534,5 @@ mod tests {
         let passes: Vec<&str> = f.iter().map(|x| x.pass.as_str()).collect();
         assert!(passes.contains(&"far-addr"), "{passes:?}");
         assert!(passes.contains(&"rt-in-loop"), "{passes:?}");
-        // lint_source sees only the legacy half.
-        let l = lint_source("crates/core/src/x.rs", src, &AuditConfig::default());
-        assert!(l.iter().all(|x| x.pass == "far-addr"));
     }
 }

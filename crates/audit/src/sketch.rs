@@ -57,6 +57,7 @@ pub const ADOPTERS: &[&str] = &[
     "pipeline",
     "batch",
     "commit",
+    "ring",
     "get_many",
     "get_many_async",
     "get_many_async_under",

@@ -44,8 +44,9 @@
 //! check rejects as [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
 
 use farmem_alloc::{AllocHint, Arena, FarAlloc};
-use farmem_fabric::{BatchOp, FabricClient, FarAddr, FarIov, WORD};
+use farmem_fabric::{BatchOp, DescList, FabricClient, FarAddr, FarIov, WORD};
 use farmem_reclaim::{pin, Guard, SharedReclaim};
+use farmem_runtime::{Doorbell, Inline};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -633,56 +634,26 @@ impl HtTreeHandle {
     /// and stale-cache retries then complete per key exactly as
     /// [`get`](Self::get) would; far accesses are identical to one `get`
     /// per key, only the round trips overlap.
+    ///
+    /// The blocking form of [`get_many_async`](Self::get_many_async): the
+    /// same body over an [`Inline`] doorbell, which never parks.
     pub fn get_many(
         &mut self,
         client: &mut FabricClient,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
-        let _span = client.span("httree.get_many");
-        let _guard = self.pin_epoch(client)?;
-        self.stats.gets += keys.len() as u64;
-        self.sync_directory(client)?;
-        let entries: Vec<Entry> = keys.iter().map(|&k| self.entry_for(client, k)).collect();
-        let mut q = client.pipeline();
-        for (i, &key) in keys.iter().enumerate() {
-            q.load0(Self::bucket_addr(&entries[i], key), ITEM_LEN);
-        }
-        let mut cq = q.commit();
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, &key) in keys.iter().enumerate() {
-            let prefetched = match cq.take(i) {
-                Some(Ok(res)) => {
-                    let first = Item::decode(&res.into_bytes());
-                    match self.walk_chain(client, &entries[i], key, first)? {
-                        Walk::Done(v) => Some(v),
-                        Walk::Stale => {
-                            self.stats.stale_refreshes += 1;
-                            self.refresh_directory(client)?;
-                            None
-                        }
-                    }
-                }
-                // An empty bucket fails its descriptor with `NullDeref`
-                // (aborting the doorbell's tail): the key is absent.
-                Some(Err(farmem_fabric::FabricError::NullDeref { .. })) => Some(None),
-                // Failed or aborted descriptor: complete this key serially.
-                _ => None,
-            };
-            match prefetched {
-                Some(v) => out.push(v),
-                None => out.push(self.get_inner(client, key)?),
-            }
-        }
-        Ok(out)
+        let bell = Inline::new(client);
+        Inline::run(self.get_many_async(&bell, keys))
     }
 
-    /// Async twin of [`get_many`](Self::get_many): the bucket-head
-    /// prefetch posts through one [`AsyncBatch`] doorbell and *suspends*,
-    /// so an executor can interleave thousands of concurrent lookups on
-    /// one OS thread. Accounting is byte-identical to the synchronous
-    /// path: the epoch pin, directory sync, and cached-tree traversal run
-    /// inline (control-plane, no steady-state far traffic), and chain
-    /// hops / stale-cache retries take the same serial fallbacks.
+    /// [`get_many`](Self::get_many) over any [`Doorbell`]: given an
+    /// [`AsyncClient`](farmem_runtime::AsyncClient) the bucket-head
+    /// prefetch *suspends* at its doorbell, so an executor can interleave
+    /// thousands of concurrent lookups on one OS thread. The epoch pin,
+    /// directory sync and cached-tree traversal run inline (control-plane,
+    /// no steady-state far traffic), and chain hops / stale-cache retries
+    /// take serial fallbacks — one body, so accounting cannot differ
+    /// between the blocking and the suspending caller.
     ///
     /// The epoch [`Guard`] is pinned *before* the doorbell and held
     /// across the suspension: the reactor's refresh-on-wake leaves
@@ -690,41 +661,41 @@ impl HtTreeHandle {
     /// time, a restructure sealing while this task is parked cannot
     /// retire the tables its descriptors name. The guard's epoch was
     /// validated against the cached directory at pin time, so no re-check
-    /// is needed on wake — staleness surfaces, as in the sync path, as a
-    /// version mismatch handled by refresh-and-retry.
-    ///
-    /// [`AsyncBatch`]: farmem_runtime::AsyncBatch
-    pub async fn get_many_async(
+    /// is needed on wake — staleness surfaces as a version mismatch
+    /// handled by refresh-and-retry.
+    pub async fn get_many_async<D: Doorbell>(
         &mut self,
-        ac: &farmem_runtime::AsyncClient,
+        ac: &D,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
         let _span = ac.span("httree.get_many");
         // lint: block-ok — epoch pin is control-plane (local check; rare
-        // resync on epoch advance), identical to the sync path.
+        // resync on epoch advance).
         let _guard = ac.with(|client| self.pin_epoch(client))?;
-        self.lookup_many_async(ac, keys).await
+        self.lookup_many(ac, keys).await
     }
 
     /// [`get_many_async`](Self::get_many_async) under an epoch [`Guard`]
     /// the caller already holds (see [`get_under`](Self::get_under)); the
     /// guard must stay pinned across the suspension, as the one
     /// `get_many_async` pins itself does.
-    pub async fn get_many_async_under(
+    pub async fn get_many_async_under<D: Doorbell>(
         &mut self,
-        ac: &farmem_runtime::AsyncClient,
+        ac: &D,
         guard: &Guard,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
         let _span = ac.span("httree.get_many");
         // lint: block-ok — local epoch compare; refresh only on advance.
         ac.with(|client| self.revalidate(client, guard))?;
-        self.lookup_many_async(ac, keys).await
+        self.lookup_many(ac, keys).await
     }
 
-    async fn lookup_many_async(
+    /// The guarded many-key lookup: the caller has pinned and validated
+    /// the epoch.
+    async fn lookup_many<D: Doorbell>(
         &mut self,
-        ac: &farmem_runtime::AsyncClient,
+        ac: &D,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
         self.stats.gets += keys.len() as u64;
@@ -732,16 +703,15 @@ impl HtTreeHandle {
         ac.with(|client| self.sync_directory(client))?;
         let entries: Vec<Entry> =
             ac.with(|client| keys.iter().map(|&k| self.entry_for(client, k)).collect());
-        let mut b = ac.batch();
+        let mut heads = DescList::new();
         for (i, &key) in keys.iter().enumerate() {
-            b.load0(Self::bucket_addr(&entries[i], key), ITEM_LEN);
+            heads.load0(Self::bucket_addr(&entries[i], key), ITEM_LEN);
         }
-        let mut cq = b.commit().await;
+        let mut cq = ac.ring(heads).await;
         let mut out = Vec::with_capacity(keys.len());
         for (i, &key) in keys.iter().enumerate() {
             // lint: block-ok — per-key completion (chain hops, stale
-            // refresh, serial retry) is the rare path, kept byte-identical
-            // to `get_many` by running the same synchronous code.
+            // refresh) is the rare path and inherently serial.
             let prefetched = ac.with(|client| -> Result<Option<Option<u64>>> {
                 Ok(match cq.take(i) {
                     Some(Ok(res)) => {
@@ -755,14 +725,17 @@ impl HtTreeHandle {
                             }
                         }
                     }
+                    // An empty bucket fails its descriptor with `NullDeref`
+                    // (aborting the doorbell's tail): the key is absent.
                     Some(Err(farmem_fabric::FabricError::NullDeref { .. })) => Some(None),
+                    // Failed or aborted descriptor: complete this key serially.
                     _ => None,
                 })
             })?;
             match prefetched {
                 Some(v) => out.push(v),
                 // lint: block-ok — serial fallback after a stale or missed
-                // prefetch, identical to the sync path.
+                // prefetch.
                 None => out.push(ac.with(|client| self.get_inner(client, key))?),
             }
         }

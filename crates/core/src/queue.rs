@@ -31,7 +31,8 @@
 //! the dependent-round-trip path.
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_fabric::{BatchOp, Event, FabricClient, FarAddr, SubId, WORD};
+use farmem_fabric::{BatchOp, DescList, Event, FabricClient, FarAddr, SubId, WORD};
+use farmem_runtime::{Doorbell, Inline};
 
 use crate::error::{CoreError, Result};
 use crate::mutex::FarMutex;
@@ -471,31 +472,57 @@ impl QueueHandle {
     /// available. Values already claimed are returned even when a later
     /// descriptor fails (they are consumed; dropping them would lose
     /// items) — the failure resurfaces on the next call.
+    ///
+    /// The blocking form of
+    /// [`dequeue_batch_async`](Self::dequeue_batch_async): the same body
+    /// over an [`Inline`] doorbell, which never parks.
     pub fn dequeue_batch(&mut self, client: &mut FabricClient, max: usize) -> Result<Vec<u64>> {
-        let _span = client.span("queue.dequeue_batch");
+        let bell = Inline::new(client);
+        Inline::run(self.dequeue_batch_async(&bell, max))
+    }
+
+    /// [`dequeue_batch`](Self::dequeue_batch) over any [`Doorbell`]: given
+    /// an [`AsyncClient`](farmem_runtime::AsyncClient) the guarded
+    /// `faai_swap` claims *suspend* at their doorbell, so an executor can
+    /// interleave thousands of consumers on one OS thread. One body, so
+    /// exactly-once delivery and the far accesses booked cannot differ
+    /// between the blocking and the suspending caller; contended retries
+    /// [`yield_now`](Doorbell::yield_now) (no fabric access, no clock
+    /// movement; a no-op inline), letting earlier-clocked peers fire
+    /// first.
+    pub async fn dequeue_batch_async<D: Doorbell>(
+        &mut self,
+        ac: &D,
+        max: usize,
+    ) -> Result<Vec<u64>> {
+        let _span = ac.span("queue.dequeue_batch");
         if max == 0 {
             return Ok(Vec::new());
         }
         for _ in 0..64 {
-            match self.dequeue_batch_once(client, max) {
-                Err(CoreError::Contended) => continue,
+            match self.dequeue_batch_once(ac, max).await {
+                Err(CoreError::Contended) => ac.yield_now().await,
                 other => return other,
             }
         }
         Err(CoreError::Contended)
     }
 
-    fn dequeue_batch_once(&mut self, client: &mut FabricClient, max: usize) -> Result<Vec<u64>> {
-        self.sync(client)?;
+    async fn dequeue_batch_once<D: Doorbell>(&mut self, ac: &D, max: usize) -> Result<Vec<u64>> {
+        // lint: block-ok — local event drain (epoch notifications).
+        ac.with(|client| self.sync(client))?;
         if self.head_est > self.tail_est {
-            self.wait_epoch_even_and_refresh(client)?;
+            // lint: block-ok — rare odd-epoch wait.
+            ac.with(|client| self.wait_epoch_even_and_refresh(client))?;
             return Err(CoreError::Contended);
         }
         // Refresh the tail estimate unless the locally confirmed gap
         // already covers the whole batch plus the 2n danger zone.
         let needed = max as u64 * WORD + 2 * self.q.max_clients * WORD;
         if self.tail_est < self.head_est + needed {
-            self.tail_est = client.read_u64(self.q.hdr.offset(OFF_TAIL))?;
+            // The one steady-state serial far access: a doorbell of its
+            // own, charged as the blocking `read_u64`.
+            self.tail_est = ac.read_u64(self.q.hdr.offset(OFF_TAIL)).await?;
             self.stats.est_refreshes += 1;
         }
         let avail = self.tail_est.saturating_sub(self.head_est) / WORD;
@@ -504,9 +531,9 @@ impl QueueHandle {
             return Err(CoreError::QueueEmpty);
         }
         let k = avail.min(max as u64) as usize;
-        let mut q = client.pipeline();
+        let mut claims = DescList::new();
         for _ in 0..k {
-            q.faai_swap_guarded(
+            claims.faai_swap_guarded(
                 self.q.hdr.offset(OFF_HEAD),
                 WORD,
                 EMPTY,
@@ -514,7 +541,7 @@ impl QueueHandle {
                 self.epoch_val,
             );
         }
-        let mut cq = q.commit();
+        let mut cq = ac.ring(claims).await;
         let mut values = Vec::with_capacity(k);
         let mut need_repair = false;
         let mut guard_bounced = false;
@@ -555,136 +582,7 @@ impl QueueHandle {
             }
         }
         if need_repair {
-            if let Err(e) = self.repair(client) {
-                if values.is_empty() {
-                    return Err(e);
-                }
-            }
-        }
-        if guard_bounced {
-            if let Err(e) = self.wait_epoch_even_and_refresh(client) {
-                if values.is_empty() {
-                    return Err(e);
-                }
-            }
-            if values.is_empty() {
-                return Err(CoreError::Contended);
-            }
-        }
-        if let Some(e) = hard_err {
-            if values.is_empty() {
-                return Err(e);
-            }
-        }
-        if values.is_empty() {
-            self.stats.empty_hits += 1;
-            return Err(CoreError::QueueEmpty);
-        }
-        Ok(values)
-    }
-
-    /// Async twin of [`dequeue_batch`](Self::dequeue_batch): the guarded
-    /// `faai_swap` claims post through one [`AsyncBatch`] doorbell and
-    /// *suspend*, so an executor can interleave thousands of consumers on
-    /// one OS thread. Exactly-once delivery and the far accesses booked
-    /// are byte-identical to the synchronous path; contended retries
-    /// [`yield_now`] (no fabric access, no clock movement) instead of
-    /// busy-looping, letting earlier-clocked peers fire first.
-    ///
-    /// [`AsyncBatch`]: farmem_runtime::AsyncBatch
-    /// [`yield_now`]: farmem_runtime::AsyncClient::yield_now
-    pub async fn dequeue_batch_async(
-        &mut self,
-        ac: &farmem_runtime::AsyncClient,
-        max: usize,
-    ) -> Result<Vec<u64>> {
-        let _span = ac.span("queue.dequeue_batch");
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        for _ in 0..64 {
-            match self.dequeue_batch_once_async(ac, max).await {
-                Err(CoreError::Contended) => ac.yield_now().await,
-                other => return other,
-            }
-        }
-        Err(CoreError::Contended)
-    }
-
-    async fn dequeue_batch_once_async(
-        &mut self,
-        ac: &farmem_runtime::AsyncClient,
-        max: usize,
-    ) -> Result<Vec<u64>> {
-        // lint: block-ok — local event drain (epoch notifications).
-        ac.with(|client| self.sync(client))?;
-        if self.head_est > self.tail_est {
-            // lint: block-ok — rare odd-epoch wait, identical to sync.
-            ac.with(|client| self.wait_epoch_even_and_refresh(client))?;
-            return Err(CoreError::Contended);
-        }
-        let needed = max as u64 * WORD + 2 * self.q.max_clients * WORD;
-        if self.tail_est < self.head_est + needed {
-            // The one steady-state serial far access: posted as its own
-            // doorbell, identical accounting to the blocking `read_u64`.
-            self.tail_est = ac.read_u64(self.q.hdr.offset(OFF_TAIL)).await?;
-            self.stats.est_refreshes += 1;
-        }
-        let avail = self.tail_est.saturating_sub(self.head_est) / WORD;
-        if avail == 0 {
-            self.stats.empty_hits += 1;
-            return Err(CoreError::QueueEmpty);
-        }
-        let k = avail.min(max as u64) as usize;
-        let mut b = ac.batch();
-        for _ in 0..k {
-            b.faai_swap_guarded(
-                self.q.hdr.offset(OFF_HEAD),
-                WORD,
-                EMPTY,
-                self.q.hdr.offset(OFF_EPOCH),
-                self.epoch_val,
-            );
-        }
-        let mut cq = b.commit().await;
-        let mut values = Vec::with_capacity(k);
-        let mut need_repair = false;
-        let mut guard_bounced = false;
-        let mut hard_err: Option<CoreError> = None;
-        for i in 0..k {
-            match cq.take(i) {
-                Some(Ok(out)) => {
-                    let (old_head, raw) = out.ptr_word();
-                    if old_head >= self.q.region_end() {
-                        hard_err =
-                            Some(CoreError::Corrupted("head pointer escaped the slack region"));
-                        break;
-                    }
-                    self.head_est = old_head + WORD;
-                    if raw == EMPTY {
-                        self.stats.empty_recoveries += 1;
-                        need_repair = true;
-                    } else {
-                        self.stats.deq_fast += 1;
-                        values.push(raw - 1);
-                        if old_head >= self.q.slack_base() {
-                            need_repair = true;
-                        }
-                    }
-                }
-                Some(Err(farmem_fabric::FabricError::GuardMismatch { .. })) => {
-                    guard_bounced = true;
-                    break;
-                }
-                Some(Err(e)) => {
-                    hard_err = Some(e.into());
-                    break;
-                }
-                None => break,
-            }
-        }
-        if need_repair {
-            // lint: block-ok — rare slack-region repair, identical to sync.
+            // lint: block-ok — rare slack-region repair.
             if let Err(e) = ac.with(|client| self.repair(client)) {
                 if values.is_empty() {
                     return Err(e);
@@ -692,7 +590,7 @@ impl QueueHandle {
             }
         }
         if guard_bounced {
-            // lint: block-ok — rare epoch bounce, identical to sync.
+            // lint: block-ok — rare epoch bounce.
             if let Err(e) = ac.with(|client| self.wait_epoch_even_and_refresh(client)) {
                 if values.is_empty() {
                     return Err(e);

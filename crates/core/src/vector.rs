@@ -13,7 +13,8 @@
 use std::collections::HashSet;
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_fabric::{Event, FabricClient, FarAddr, SubId, PAGE, WORD};
+use farmem_fabric::{DescList, Event, FabricClient, FarAddr, SubId, PAGE, WORD};
+use farmem_runtime::{Doorbell, Inline};
 
 use crate::error::{CoreError, Result};
 
@@ -154,58 +155,39 @@ impl FarVec {
     /// A range whose descriptor fails (e.g. `IndirectRemote` on an
     /// [`Error`](farmem_fabric::IndirectionMode::Error)-mode fabric, or a
     /// doorbell aborted mid-flight) is re-read serially.
+    ///
+    /// The blocking form of [`read_ranges_async`](Self::read_ranges_async):
+    /// the same body over an [`Inline`] doorbell, which never parks.
     pub fn read_ranges(
         &self,
         client: &mut FabricClient,
         ranges: &[(u64, u64)],
     ) -> Result<Vec<Vec<u64>>> {
-        for &(first, count) in ranges {
-            if count == 0 || first + count > self.len {
-                return Err(CoreError::BadConfig("vector range out of bounds"));
-            }
-        }
-        let mut q = client.pipeline();
-        for &(first, count) in ranges {
-            q.load2(self.hdr, first * WORD, count * WORD);
-        }
-        let mut cq = q.commit();
-        let mut out = Vec::with_capacity(ranges.len());
-        for (i, &(first, count)) in ranges.iter().enumerate() {
-            match cq.take(i) {
-                Some(Ok(res)) => out.push(
-                    res.into_bytes()
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk")))
-                        .collect(),
-                ),
-                _ => out.push(self.read_range(client, first, count)?),
-            }
-        }
-        Ok(out)
+        let bell = Inline::new(client);
+        Inline::run(self.read_ranges_async(&bell, ranges))
     }
 
-    /// Async twin of [`read_ranges`](Self::read_ranges): posts the same
-    /// `load2` descriptors through one [`AsyncBatch`] doorbell and
+    /// [`read_ranges`](Self::read_ranges) over any [`Doorbell`]: given an
+    /// [`AsyncClient`](farmem_runtime::AsyncClient) the `load2` doorbell
     /// *suspends* instead of blocking the OS thread, so an executor can
-    /// drive thousands of concurrent range readers. Far accesses, bytes,
-    /// and clock movement are byte-identical to the synchronous path; a
-    /// failed descriptor takes the same serial re-read fallback (a rare,
-    /// genuinely blocking step, marked `block-ok` for the async lint).
-    pub async fn read_ranges_async(
+    /// drive thousands of concurrent range readers. One body, so far
+    /// accesses, bytes and clock movement cannot differ between the
+    /// blocking and the suspending caller; a failed descriptor takes a
+    /// serial re-read (a rare, genuinely blocking step, marked `block-ok`
+    /// for the async lint).
+    pub async fn read_ranges_async<D: Doorbell>(
         &self,
-        ac: &farmem_runtime::AsyncClient,
+        ac: &D,
         ranges: &[(u64, u64)],
     ) -> Result<Vec<Vec<u64>>> {
+        let mut loads = DescList::new();
         for &(first, count) in ranges {
             if count == 0 || first + count > self.len {
                 return Err(CoreError::BadConfig("vector range out of bounds"));
             }
+            loads.load2(self.hdr, first * WORD, count * WORD);
         }
-        let mut b = ac.batch();
-        for &(first, count) in ranges {
-            b.load2(self.hdr, first * WORD, count * WORD);
-        }
-        let mut cq = b.commit().await;
+        let mut cq = ac.ring(loads).await;
         let mut out = Vec::with_capacity(ranges.len());
         for (i, &(first, count)) in ranges.iter().enumerate() {
             match cq.take(i) {
@@ -215,7 +197,7 @@ impl FarVec {
                         .map(|c| u64::from_le_bytes(c.try_into().expect("chunk")))
                         .collect(),
                 ),
-                // lint: block-ok — rare fallback, identical to the sync path.
+                // lint: block-ok — rare serial fallback.
                 _ => out.push(ac.with(|client| self.read_range(client, first, count))?),
             }
         }

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use crate::addr::{FarAddr, NodeId, WORD};
 use crate::cost::SimClock;
 use crate::error::{FabricError, Result};
+use crate::ext::indirect::ErrorCompletion;
 use crate::fabric::Fabric;
 use crate::fault::{FaultPlan, FaultRng, RetryPolicy};
 use crate::notify::{Event, EventSink, SubId, SubKind};
@@ -349,6 +350,50 @@ impl FabricClient {
         }
         self.sample_tick(end - start);
         out
+    }
+
+    /// One attempt-wise verb: traced once, retried under the client's
+    /// policy, each attempt rolled against the fault plan and handed its
+    /// arrival time at the nodes. Every blocking verb is this wrapper
+    /// around the `exec_*` function a posted descriptor runs.
+    #[inline]
+    pub(crate) fn attempt<T>(
+        &mut self,
+        kind: VerbKind,
+        mut body: impl FnMut(&mut FabricClient, u64) -> Result<T>,
+    ) -> Result<T> {
+        self.traced(kind, |c| {
+            c.retrying(|c| {
+                c.begin_attempt()?;
+                let arrival = c.arrival();
+                body(c, arrival)
+            })
+        })
+    }
+
+    /// [`attempt`](Self::attempt) for a signaled verb: `exec` returns its
+    /// output and the node-side finish time, and the client waits out the
+    /// dependent round trip. An error the node *answered* with (see
+    /// [`ErrorCompletion`]) was waited for too.
+    #[inline]
+    pub(crate) fn round_trip<T, E: Into<ErrorCompletion>>(
+        &mut self,
+        kind: VerbKind,
+        mut exec: impl FnMut(&mut FabricClient, u64) -> std::result::Result<(T, u64), E>,
+    ) -> Result<T> {
+        self.attempt(kind, |c, arrival| match exec(c, arrival) {
+            Ok((out, finish)) => {
+                c.finish_rt(finish);
+                Ok(out)
+            }
+            Err(e) => {
+                let e: ErrorCompletion = e.into();
+                if let Some(at) = e.answered_at {
+                    c.finish_rt(at);
+                }
+                Err(e.err)
+            }
+        })
     }
 
     // ----- internal timing helpers (shared with `crate::ext`) -----
@@ -786,17 +831,7 @@ impl FabricClient {
 
     /// One-sided read of `len` bytes at `addr`. One far access.
     pub fn read(&mut self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.traced(VerbKind::Read, |c| c.read_inner(addr, len))
-    }
-
-    fn read_inner(&mut self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (buf, finish) = c.exec_read(addr, len, arrival)?;
-            c.finish_rt(finish);
-            Ok(buf)
-        })
+        self.round_trip(VerbKind::Read, |c, at| c.exec_read(addr, len, at))
     }
 
     /// One-sided read of `buf.len()` bytes at `addr` into a buffer the
@@ -805,105 +840,41 @@ impl FabricClient {
     /// fixed-size header can land in a stack array and a large value
     /// straight in its final buffer. On error `buf` may be partly filled.
     pub fn read_into(&mut self, addr: FarAddr, buf: &mut [u8]) -> Result<()> {
-        self.traced(VerbKind::Read, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let finish = c.exec_read_into(addr, buf, arrival)?;
-                c.finish_rt(finish);
-                Ok(())
-            })
-        })
+        self.round_trip(VerbKind::Read, |c, at| c.exec_read_into(addr, buf, at).map(|f| ((), f)))
     }
 
     /// One-sided write of `data` at `addr`. One far access.
     pub fn write(&mut self, addr: FarAddr, data: &[u8]) -> Result<()> {
-        self.traced(VerbKind::Write, |c| c.write_inner(addr, data))
-    }
-
-    fn write_inner(&mut self, addr: FarAddr, data: &[u8]) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let finish = c.exec_write(addr, data, arrival)?;
-            c.finish_rt(finish);
-            Ok(())
-        })
+        self.round_trip(VerbKind::Write, |c, at| c.exec_write(addr, data, at).map(|f| ((), f)))
     }
 
     /// One-sided read of the aligned word at `addr`. One far access.
     pub fn read_u64(&mut self, addr: FarAddr) -> Result<u64> {
-        self.traced(VerbKind::Read, |c| c.read_u64_inner(addr))
-    }
-
-    fn read_u64_inner(&mut self, addr: FarAddr) -> Result<u64> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (v, finish) = c.exec_read_u64(addr, arrival)?;
-            c.finish_rt(finish);
-            Ok(v)
-        })
+        self.round_trip(VerbKind::Read, |c, at| c.exec_read_u64(addr, at))
     }
 
     /// One-sided write of the aligned word at `addr`. One far access.
     pub fn write_u64(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.traced(VerbKind::Write, |c| c.write_u64_inner(addr, value))
-    }
-
-    fn write_u64_inner(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let finish = c.exec_write_u64(addr, value, arrival)?;
-            c.finish_rt(finish);
-            Ok(())
-        })
+        self.round_trip(VerbKind::Write, |c, at| c.exec_write_u64(addr, value, at).map(|f| ((), f)))
     }
 
     /// Fabric-level compare-and-swap (§2); returns the previous value.
     /// One far access.
     pub fn cas(&mut self, addr: FarAddr, expected: u64, new: u64) -> Result<u64> {
-        self.traced(VerbKind::Atomic, |c| c.cas_inner(addr, expected, new))
-    }
-
-    fn cas_inner(&mut self, addr: FarAddr, expected: u64, new: u64) -> Result<u64> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (prev, finish) = c.exec_cas(addr, expected, new, arrival)?;
-            c.finish_rt(finish);
-            Ok(prev)
-        })
+        self.round_trip(VerbKind::Atomic, |c, at| c.exec_cas(addr, expected, new, at))
     }
 
     /// Fabric-level fetch-and-add (§2); returns the previous value.
     /// One far access.
     pub fn faa(&mut self, addr: FarAddr, delta: u64) -> Result<u64> {
-        self.traced(VerbKind::Atomic, |c| c.faa_inner(addr, delta))
-    }
-
-    fn faa_inner(&mut self, addr: FarAddr, delta: u64) -> Result<u64> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (prev, finish) = c.exec_faa(addr, delta, arrival)?;
-            c.finish_rt(finish);
-            Ok(prev)
-        })
+        self.round_trip(VerbKind::Atomic, |c, at| c.exec_faa(addr, delta, at))
     }
 
     /// Issues a fenced batch: the verbs are applied in order (the fabric's
     /// completion queue enforces the barrier, §2) and the whole batch costs
     /// one dependent round trip.
     pub fn batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOut>> {
-        self.traced(VerbKind::Batch, |c| c.batch_inner(ops))
-    }
-
-    fn batch_inner(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOut>> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
+        self.attempt(VerbKind::Batch, |c, arrival| {
             // Pre-flight every target node before executing any op: a batch
             // should fail atomically for blind retry to be safe. The timed
             // crash windows are evaluated against the same `arrival` here
@@ -980,29 +951,11 @@ impl FabricClient {
     /// returns, which over-approximates real visibility: a posted write is
     /// visible no later than the client's next fenced operation.
     pub fn post_write_u64(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.traced(VerbKind::Posted, |c| c.post_write_u64_inner(addr, value))
-    }
-
-    fn post_write_u64_inner(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let cost = *c.fabric.cost();
-            let arrival = c.arrival();
-            let (nid, off) = c.word_home(addr)?;
-            let phys = c.route(nid);
-            let node = c.fabric.node(phys);
-            node.check_alive_at(arrival)?;
-            let f = node.occupy(arrival, cost.node_msg_ns + cost.bytes_ns(WORD));
-            node.write_u64(off, value)?;
+        self.attempt(VerbKind::Posted, |c, arrival| {
             // Unsignaled: the mirror fan-out happens, but nothing waits on
             // its finish time (visible by the next fenced op, as posted).
-            let _ = c.fabric.fire(&mut c.stats, nid, off, WORD, f);
-            c.observe(crate::check::AccessKind::Write, addr, WORD);
-            c.stats.messages += 1;
-            c.stats.posted_messages += 1;
-            c.stats.bytes_written += WORD;
-            // Issue overhead only: the client does not wait for completion.
-            c.clock.advance(cost.near_ns);
+            c.exec_write_u64(addr, value, arrival)?;
+            c.posted();
             Ok(())
         })
     }
@@ -1011,28 +964,18 @@ impl FabricClient {
     /// background statistics counters (e.g. the HT-tree's collision and
     /// item counts, §5.2) that must not cost a dependent round trip.
     pub fn post_faa_u64(&mut self, addr: FarAddr, delta: u64) -> Result<()> {
-        self.traced(VerbKind::Posted, |c| c.post_faa_u64_inner(addr, delta))
-    }
-
-    fn post_faa_u64_inner(&mut self, addr: FarAddr, delta: u64) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let cost = *c.fabric.cost();
-            let arrival = c.arrival();
-            let (nid, off) = c.word_home(addr)?;
-            let phys = c.route(nid);
-            let node = c.fabric.node(phys);
-            node.check_alive_at(arrival)?;
-            let f = node.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
-            node.faa_u64(off, delta)?;
-            let _ = c.fabric.fire(&mut c.stats, nid, off, WORD, f);
-            c.observe(crate::check::AccessKind::AtomicRmw, addr, WORD);
-            c.stats.messages += 1;
-            c.stats.posted_messages += 1;
-            c.stats.atomics += 1;
-            c.clock.advance(cost.near_ns);
+        self.attempt(VerbKind::Posted, |c, arrival| {
+            c.exec_faa(addr, delta, arrival)?;
+            c.posted();
             Ok(())
         })
+    }
+
+    /// Books one unsignaled message: issue overhead only, the client does
+    /// not wait for a completion.
+    fn posted(&mut self) {
+        self.stats.posted_messages += 1;
+        self.clock.advance(self.fabric.cost().near_ns);
     }
 
     // ----- notification verbs (Fig. 1, §4.3) -----
@@ -1086,13 +1029,7 @@ impl FabricClient {
 
     /// Cancels a subscription created by this or any other client.
     pub fn unsubscribe(&mut self, id: SubId) -> Result<()> {
-        self.traced(VerbKind::Notify, |c| c.unsubscribe_inner(id))
-    }
-
-    fn unsubscribe_inner(&mut self, id: SubId) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
+        self.attempt(VerbKind::Notify, |c, arrival| {
             c.fabric.unregister_sub(id)?;
             c.stats.messages += 1;
             c.finish_rt(arrival);

@@ -34,11 +34,13 @@ use crate::check::AccessKind;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
 use crate::fabric::IndirectionMode;
+use crate::pipeline::PipeOut;
+use crate::stats::AccessStats;
 use crate::trace::VerbKind;
 
 /// How an indirect verb reads its pointer word.
 #[derive(Clone, Copy, Debug)]
-enum PtrRead {
+pub(crate) enum PtrRead {
     /// Plain load of the pointer.
     Plain,
     /// Atomic fetch-and-add of `delta` (for `faai` / `saai`).
@@ -80,53 +82,106 @@ impl TargetAccess<'_> {
             TargetAccess::Add(_) | TargetAccess::Swap(_) => WORD,
         }
     }
+
+    /// How the verification observer classifies the access.
+    fn kind(&self) -> AccessKind {
+        match self {
+            TargetAccess::Read(_) => AccessKind::Read,
+            TargetAccess::Write(_) => AccessKind::Write,
+            TargetAccess::Add(_) | TargetAccess::Swap(_) => AccessKind::AtomicRmw,
+        }
+    }
+
+    /// Books the payload bytes the completed access moved.
+    fn book_bytes(&self, stats: &mut AccessStats) {
+        match self {
+            TargetAccess::Read(l) => stats.bytes_read += *l,
+            TargetAccess::Swap(_) => stats.bytes_read += WORD,
+            TargetAccess::Write(d) => stats.bytes_written += d.len() as u64,
+            TargetAccess::Add(_) => {}
+        }
+    }
+}
+
+/// An indirect verb's error completion. `answered_at` is the node-side
+/// time at which the pointer's home node *answered* with the error (null
+/// pointer, guard mismatch, refused remote target): a blocking verb waited
+/// for that answer and charges its round trip, a pipelined descriptor
+/// books only its message (DESIGN.md §7). `None` when nothing answered —
+/// a dead node, a bad address.
+pub(crate) struct ErrorCompletion {
+    pub(crate) err: FabricError,
+    pub(crate) answered_at: Option<u64>,
+}
+
+impl ErrorCompletion {
+    fn answered(err: FabricError, at: u64) -> ErrorCompletion {
+        ErrorCompletion { err, answered_at: Some(at) }
+    }
+}
+
+impl From<FabricError> for ErrorCompletion {
+    fn from(err: FabricError) -> ErrorCompletion {
+        ErrorCompletion { err, answered_at: None }
+    }
+}
+
+impl From<ErrorCompletion> for FabricError {
+    fn from(e: ErrorCompletion) -> FabricError {
+        e.err
+    }
 }
 
 impl FabricClient {
-    /// Core of every indirect verb: one client round trip that reads the
-    /// pointer at `ptr_addr`, offsets it by `index`, and performs `access`
-    /// at the target — forwarding or erroring if the target is remote.
-    /// Returns `(pointer value, read data)`. The pointer value is exposed
+    /// The blocking form of every Fig. 1 indirect verb: one traced,
+    /// retried round trip of [`exec_deref`](Self::exec_deref).
+    /// Returns `(pointer value, completion)`. The pointer value is exposed
     /// because fabric completions for atomic verbs carry the old value
     /// anyway (RDMA fetch-and-add does); the §5.3 queue's background slack
-    /// check depends on learning where its `faai`/`saai` landed.
-    ///
-    /// Guarded verbs with a node-local target execute as ONE atomic unit
-    /// at the memory node (guard check, pointer bump, target access);
-    /// with a remote target only the guard+bump is atomic and the target
-    /// access follows via forwarding — structures needing full atomicity
-    /// must colocate their pointer and data (§7.1 localized placement).
+    /// check depends on learning where its `faai`/`saai` landed. `*_auto`
+    /// completions re-enter via the traced `read`/`write`/`cas` verbs and
+    /// record their own events.
     fn indirect(
         &mut self,
         ptr_addr: FarAddr,
         ptr_read: PtrRead,
         index: u64,
         access: TargetAccess<'_>,
-    ) -> Result<(u64, Option<Vec<u8>>)> {
-        // Every Fig. 1 indirect verb funnels through here, so one traced()
-        // wrapper covers the whole family; `*_auto` completions re-enter
-        // via the traced `read`/`write`/`cas` verbs and record their own
-        // events.
-        self.traced(VerbKind::Indirect, |cl| {
-            cl.retrying(|c| {
-                c.begin_attempt()?;
-                c.indirect_once(ptr_addr, ptr_read, index, access)
-            })
+    ) -> Result<(u64, PipeOut)> {
+        self.round_trip(VerbKind::Indirect, |c, at| {
+            c.exec_deref(ptr_addr, ptr_read, index, access, at)
         })
     }
 
-    /// One attempt of an indirect verb (see [`indirect`](Self::indirect)
-    /// for the retry wrapper).
-    fn indirect_once(
+    /// The one executor of every indirect verb, blocking or posted as a
+    /// descriptor: arriving at `arrival`, reads the pointer at `ptr_addr`,
+    /// offsets it by `index`, and performs `access` at the target —
+    /// forwarding or erroring if the target is remote. Returns `((pointer
+    /// value, completion), node-side finish time)`; books messages, bytes
+    /// and atomics, never round trips or the clock.
+    ///
+    /// Guarded verbs with a node-local target execute as ONE atomic unit
+    /// at the memory node (guard check, pointer bump, target access);
+    /// with a remote target only the guard+bump is atomic and the target
+    /// access follows via forwarding — structures needing full atomicity
+    /// must colocate their pointer and data (§7.1 localized placement).
+    ///
+    /// Inlined into its four callers (the blocking wrapper and the three
+    /// indirect descriptors), each of which fixes `ptr_read` and the kind
+    /// of `access`: the copies shed the flavours they cannot take. Left
+    /// out of line, a `Load2` descriptor costs ~12 ns more on the host and
+    /// `structures` loses 3.5 % `ops_per_s` (EXPERIMENTS.md, PR 14).
+    #[inline(always)]
+    pub(crate) fn exec_deref(
         &mut self,
         ptr_addr: FarAddr,
         ptr_read: PtrRead,
         index: u64,
         access: TargetAccess<'_>,
-    ) -> Result<(u64, Option<Vec<u8>>)> {
+        arrival: u64,
+    ) -> std::result::Result<((u64, PipeOut), u64), ErrorCompletion> {
         let cost = *self.fabric().cost();
         let mode = self.fabric().config().indirection;
-        let arrival = self.arrival();
 
         // Resolve the pointer at its home node.
         let (home_id, ptr_off) = self.word_home(ptr_addr)?;
@@ -164,15 +219,15 @@ impl FabricClient {
         if let PtrRead::GuardedFetchAdd { delta, guard, expect } = ptr_read {
             let (guard_node, guard_off) = self.word_home(guard)?;
             if guard_node != home_id {
-                self.finish_rt(home_finish);
-                return Err(FabricError::BadIovec {
-                    reason: "guard word must live on the pointer's node",
-                });
+                return Err(ErrorCompletion::answered(
+                    FabricError::BadIovec { reason: "guard word must live on the pointer's node" },
+                    home_finish,
+                ));
             }
             // Outcome of the atomic unit.
             enum Unit {
                 Null,
-                Local { ptr: u64, out: Option<Vec<u8>>, fired: Option<(u64, u64)> },
+                Local { ptr: u64, out: PipeOut, fired: Option<(u64, u64)> },
                 Remote { ptr: u64, target: FarAddr, node: NodeId },
             }
             let fabric2 = fabric.clone();
@@ -199,11 +254,11 @@ impl FabricClient {
                     TargetAccess::Read(l) => {
                         let mut buf = vec![0u8; *l as usize];
                         n.read_bytes(seg.offset, &mut buf)?;
-                        (Some(buf), None)
+                        (PipeOut::Bytes(buf), None)
                     }
                     TargetAccess::Write(data) => {
                         n.write_bytes(seg.offset, data)?;
-                        (None, Some((seg.offset, seg.len)))
+                        (PipeOut::Done, Some((seg.offset, seg.len)))
                     }
                     TargetAccess::Swap(replacement) => {
                         if !target.is_aligned(WORD) {
@@ -215,7 +270,7 @@ impl FabricClient {
                         let old = n
                             .words_raw(seg.offset)?
                             .swap(*replacement, std::sync::atomic::Ordering::SeqCst);
-                        (Some(old.to_le_bytes().to_vec()), Some((seg.offset, WORD)))
+                        (PipeOut::Value(old), Some((seg.offset, WORD)))
                     }
                     TargetAccess::Add(v) => {
                         if !target.is_aligned(WORD) {
@@ -226,7 +281,7 @@ impl FabricClient {
                         }
                         n.words_raw(seg.offset)?
                             .fetch_add(*v, std::sync::atomic::Ordering::SeqCst);
-                        (None, Some((seg.offset, WORD)))
+                        (PipeOut::Done, Some((seg.offset, WORD)))
                     }
                 };
                 Ok(Unit::Local { ptr, out, fired })
@@ -237,27 +292,17 @@ impl FabricClient {
             // The guard word was probed atomically whatever the outcome.
             self.observe(AccessKind::AtomicRead, guard, WORD);
             match unit {
-                Err(e) => {
-                    self.finish_rt(home_finish);
-                    return Err(e);
-                }
+                Err(e) => return Err(ErrorCompletion::answered(e, home_finish)),
                 Ok(Unit::Null) => {
                     self.observe(AccessKind::AtomicRead, ptr_addr, WORD);
-                    self.finish_rt(home_finish);
-                    return Err(FabricError::NullDeref { pointer_at: ptr_addr });
+                    return Err(ErrorCompletion::answered(
+                        FabricError::NullDeref { pointer_at: ptr_addr },
+                        home_finish,
+                    ));
                 }
                 Ok(Unit::Local { ptr, out, fired }) => {
                     self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
-                    let target = FarAddr(ptr + index);
-                    self.observe(
-                        match &access {
-                            TargetAccess::Read(_) => AccessKind::Read,
-                            TargetAccess::Write(_) => AccessKind::Write,
-                            TargetAccess::Add(_) | TargetAccess::Swap(_) => AccessKind::AtomicRmw,
-                        },
-                        target,
-                        len,
-                    );
+                    self.observe(access.kind(), FarAddr(ptr + index), len);
                     // Notifications and replica mirrors fire outside the
                     // atomic unit; both mirrors fan out in parallel and the
                     // ack folds in the slower one.
@@ -267,32 +312,22 @@ impl FabricClient {
                     } else {
                         mirrored
                     };
-                    match &access {
-                        TargetAccess::Read(l) => self.stats_mut().bytes_read += *l,
-                        TargetAccess::Swap(_) => self.stats_mut().bytes_read += WORD,
-                        TargetAccess::Write(d) => {
-                            self.stats_mut().bytes_written += d.len() as u64
-                        }
-                        TargetAccess::Add(_) => {}
-                    }
-                    self.finish_rt(finish);
-                    return Ok((ptr, out));
+                    access.book_bytes(self.stats_mut());
+                    return Ok(((ptr, out), finish));
                 }
                 Ok(Unit::Remote { ptr, target, node }) => {
                     self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
                     let finish = fabric.fire(self.stats_mut(), home_id, ptr_off, WORD, finish);
                     if mode == IndirectionMode::Error {
-                        self.finish_rt(finish);
-                        return Err(FabricError::IndirectRemote {
-                            target,
-                            target_node: node,
-                        });
+                        return Err(ErrorCompletion::answered(
+                            FabricError::IndirectRemote { target, target_node: node },
+                            finish,
+                        ));
                     }
                     // Forwarded completion (weaker atomicity, documented).
                     let (out, finish) =
                         self.exec_at_target(target, access, home_id, arrival, finish)?;
-                    self.finish_rt(finish);
-                    return Ok((ptr, out));
+                    return Ok(((ptr, out), finish));
                 }
             }
         }
@@ -313,60 +348,62 @@ impl FabricClient {
             PtrRead::GuardedFetchAdd { .. } => unreachable!("handled above"),
         };
         if ptr == 0 {
-            self.finish_rt(home_finish);
-            return Err(FabricError::NullDeref { pointer_at: ptr_addr });
+            return Err(ErrorCompletion::answered(
+                FabricError::NullDeref { pointer_at: ptr_addr },
+                home_finish,
+            ));
         }
         let target = FarAddr(ptr + index);
-        let mut segs = match fabric.segments(target, len) {
-            Ok(s) => s,
-            Err(e) => {
-                self.finish_rt(home_finish);
-                return Err(e);
-            }
-        };
 
         // §7.1: a dereferenced pointer may refer to data on a remote node.
         if mode == IndirectionMode::Error {
-            if let Some(remote) = segs.find(|s| s.node != home_id) {
-                self.finish_rt(home_finish);
-                return Err(FabricError::IndirectRemote {
-                    target,
-                    target_node: remote.node,
-                });
+            let remote = fabric
+                .segments(target, len)
+                .map_err(|e| ErrorCompletion::answered(e, home_finish))?
+                .find(|s| s.node != home_id);
+            if let Some(remote) = remote {
+                return Err(ErrorCompletion::answered(
+                    FabricError::IndirectRemote { target, target_node: remote.node },
+                    home_finish,
+                ));
             }
         }
         let (out, finish) = self.exec_at_target(target, access, home_id, arrival, home_finish)?;
-        self.finish_rt(finish);
-        Ok((ptr, out))
+        Ok(((ptr, out), finish))
     }
 
     /// Executes an indirect verb's access at its (possibly remote) target
-    /// segments, returning `(read data, node_finish)`. Segments on
+    /// segments, returning `(completion, node_finish)`. Segments on
     /// `home_id` (the pointer's node) extend the home service chain;
     /// remote segments are forwarded with one memory-side hop (§7.1).
-    /// The one target walk of the serial verbs and of the pipeline's
-    /// indirect descriptors; it books through `route` and the home chain,
-    /// which is what keeps it apart from the plain
+    /// It books through `route` and the home chain, which is what keeps
+    /// it apart from the plain
     /// [`exec_read_into`](FabricClient::exec_read_into) /
-    /// [`exec_write`](FabricClient::exec_write) walks.
-    pub(crate) fn exec_at_target(
+    /// [`exec_write`](FabricClient::exec_write) walks. A target the map
+    /// rejects is an error the home node answered with. Inlined for the
+    /// same reason as [`exec_deref`](Self::exec_deref).
+    #[inline(always)]
+    fn exec_at_target(
         &mut self,
         target: FarAddr,
         access: TargetAccess<'_>,
         home_id: NodeId,
         arrival: u64,
         home_finish: u64,
-    ) -> Result<(Option<Vec<u8>>, u64)> {
+    ) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
         let cost = *self.fabric().cost();
         let fabric = self.fabric().clone();
         let len = access.len();
-        let segs = fabric.segments(target, len)?;
+        let segs = fabric
+            .segments(target, len)
+            .map_err(|e| ErrorCompletion::answered(e, home_finish))?;
+        let atomic = matches!(access, TargetAccess::Add(_) | TargetAccess::Swap(_));
         let mut finish = home_finish;
-        let mut out = match access {
-            TargetAccess::Read(l) => Some(vec![0u8; l as usize]),
-            TargetAccess::Swap(_) => Some(vec![0u8; WORD as usize]),
-            _ => None,
+        let mut buf = match access {
+            TargetAccess::Read(l) => vec![0u8; l as usize],
+            _ => Vec::new(),
         };
+        let mut old = 0u64;
         let mut done = 0usize;
         for seg in segs {
             let phys = self.route(seg.node);
@@ -383,63 +420,43 @@ impl FabricClient {
                 self.stats_mut().messages += 1;
                 node.occupy(arrival, service).max(home_finish) + cost.mem_hop_ns
             };
-            match (&mut out, &access) {
-                (Some(buf), TargetAccess::Swap(replacement)) => {
-                    if !target.is_aligned(WORD) {
-                        return Err(FabricError::Unaligned { addr: target, required: WORD });
-                    }
+            let part = done..done + seg.len as usize;
+            if atomic && !target.is_aligned(WORD) {
+                return Err(FabricError::Unaligned { addr: target, required: WORD }.into());
+            }
+            match &access {
+                TargetAccess::Read(_) => node.read_bytes(seg.offset, &mut buf[part])?,
+                TargetAccess::Write(data) => node.write_bytes(seg.offset, &data[part])?,
+                TargetAccess::Swap(replacement) => {
                     self.stats_mut().atomics += 1;
-                    let old = node.swap_u64(seg.offset, *replacement)?;
-                    buf[done..done + 8].copy_from_slice(&old.to_le_bytes());
-                    f = fabric.fire(self.stats_mut(), seg.node, seg.offset, WORD, f);
+                    old = node.swap_u64(seg.offset, *replacement)?;
                 }
-                (Some(buf), _) => {
-                    node.read_bytes(seg.offset, &mut buf[done..done + seg.len as usize])?;
+                TargetAccess::Add(v) => {
+                    self.stats_mut().atomics += 1;
+                    node.faa_u64(seg.offset, *v)?;
                 }
-                (None, access) => match access {
-                    TargetAccess::Write(data) => {
-                        node.write_bytes(seg.offset, &data[done..done + seg.len as usize])?;
-                        f = fabric.fire(self.stats_mut(), seg.node, seg.offset, seg.len, f);
-                    }
-                    TargetAccess::Add(v) => {
-                        if !target.is_aligned(WORD) {
-                            return Err(FabricError::Unaligned {
-                                addr: target,
-                                required: WORD,
-                            });
-                        }
-                        self.stats_mut().atomics += 1;
-                        node.faa_u64(seg.offset, *v)?;
-                        f = fabric.fire(self.stats_mut(), seg.node, seg.offset, WORD, f);
-                    }
-                    TargetAccess::Read(_) | TargetAccess::Swap(_) => unreachable!(),
-                },
+            }
+            // Every mutation fires (an atomic's segment is its one word).
+            if !matches!(access, TargetAccess::Read(_)) {
+                f = fabric.fire(self.stats_mut(), seg.node, seg.offset, seg.len, f);
             }
             done += seg.len as usize;
             finish = finish.max(f);
         }
-        match &access {
-            TargetAccess::Read(l) => self.stats_mut().bytes_read += *l,
-            TargetAccess::Swap(_) => self.stats_mut().bytes_read += WORD,
-            TargetAccess::Write(d) => self.stats_mut().bytes_written += d.len() as u64,
-            TargetAccess::Add(_) => {}
-        }
-        self.observe(
-            match &access {
-                TargetAccess::Read(_) => AccessKind::Read,
-                TargetAccess::Write(_) => AccessKind::Write,
-                TargetAccess::Add(_) | TargetAccess::Swap(_) => AccessKind::AtomicRmw,
-            },
-            target,
-            len,
-        );
+        access.book_bytes(self.stats_mut());
+        self.observe(access.kind(), target, len);
+        let out = match access {
+            TargetAccess::Read(_) => PipeOut::Bytes(buf),
+            TargetAccess::Swap(_) => PipeOut::Value(old),
+            TargetAccess::Write(_) | TargetAccess::Add(_) => PipeOut::Done,
+        };
         Ok((out, finish))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes
     /// at the target. One far access.
     pub fn load0(&mut self, ad: FarAddr, len: u64) -> Result<Vec<u8>> {
-        Ok(self.indirect(ad, PtrRead::Plain, 0, TargetAccess::Read(len))?.1.unwrap())
+        Ok(self.indirect(ad, PtrRead::Plain, 0, TargetAccess::Read(len))?.1.into_bytes())
     }
 
     /// `store0(ad, v, ℓ)`: dereference the pointer at `ad` and write `v`
@@ -456,7 +473,7 @@ impl FabricClient {
         Ok(self
             .indirect(ad.offset(i), PtrRead::Plain, 0, TargetAccess::Read(len))?
             .1
-            .unwrap())
+            .into_bytes())
     }
 
     /// `store1(ad, i, v, ℓ)`: write through the pointer at `ad + i`.
@@ -469,7 +486,7 @@ impl FabricClient {
     /// `load2(ad, i, ℓ)`: read at `(*ad) + i` — the *target* is indexed,
     /// extracting a chosen field of the pointed-to struct. One far access.
     pub fn load2(&mut self, ad: FarAddr, i: u64, len: u64) -> Result<Vec<u8>> {
-        Ok(self.indirect(ad, PtrRead::Plain, i, TargetAccess::Read(len))?.1.unwrap())
+        Ok(self.indirect(ad, PtrRead::Plain, i, TargetAccess::Read(len))?.1.into_bytes())
     }
 
     /// `store2(ad, i, v, ℓ)`: write at `(*ad) + i`. One far access.
@@ -487,7 +504,7 @@ impl FabricClient {
     /// needs.
     pub fn faai(&mut self, ad: FarAddr, v: u64, len: u64) -> Result<(u64, Vec<u8>)> {
         let (ptr, data) = self.indirect(ad, PtrRead::FetchAdd(v), 0, TargetAccess::Read(len))?;
-        Ok((ptr, data.unwrap()))
+        Ok((ptr, data.into_bytes()))
     }
 
     /// `saai(ad, v, v', ℓ)`: atomically add `v` to the pointer at `ad` and
@@ -505,14 +522,9 @@ impl FabricClient {
     /// indirect atomics are among §4.1's "additional useful variants";
     /// Gen-Z ships atomic swap. One far access.
     pub fn faai_swap(&mut self, ad: FarAddr, v: u64, replacement: u64) -> Result<(u64, u64)> {
-        let (ptr, data) = self.indirect(
-            ad,
-            PtrRead::FetchAdd(v),
-            0,
-            TargetAccess::Swap(replacement),
-        )?;
-        let old = u64::from_le_bytes(data.unwrap().try_into().expect("word"));
-        Ok((ptr, old))
+        let (ptr, old) =
+            self.indirect(ad, PtrRead::FetchAdd(v), 0, TargetAccess::Swap(replacement))?;
+        Ok((ptr, old.value()))
     }
 
     /// Guarded [`faai_swap`](Self::faai_swap) (see
@@ -525,14 +537,13 @@ impl FabricClient {
         guard: FarAddr,
         expect: u64,
     ) -> Result<(u64, u64)> {
-        let (ptr, data) = self.indirect(
+        let (ptr, old) = self.indirect(
             ad,
             PtrRead::GuardedFetchAdd { delta: v, guard, expect },
             0,
             TargetAccess::Swap(replacement),
         )?;
-        let old = u64::from_le_bytes(data.unwrap().try_into().expect("word"));
-        Ok((ptr, old))
+        Ok((ptr, old.value()))
     }
 
     /// [`faai_swap_guarded`](Self::faai_swap_guarded) with client-side
@@ -579,7 +590,7 @@ impl FabricClient {
             0,
             TargetAccess::Read(len),
         )?;
-        Ok((ptr, data.unwrap()))
+        Ok((ptr, data.into_bytes()))
     }
 
     /// Guarded [`saai`](Self::saai) (see [`faai_guarded`](Self::faai_guarded)).

@@ -54,18 +54,23 @@ fn check_iov(iov: &[FarIov]) -> Result<u64> {
     Ok(total)
 }
 
+/// [`check_iov`] for a scatter: the iovec must cover `src` exactly.
+fn check_scatter(iov: &[FarIov], src: &[u8]) -> Result<()> {
+    if check_iov(iov)? != src.len() as u64 {
+        return Err(FabricError::BadIovec {
+            reason: "iovec total length must equal the source length",
+        });
+    }
+    Ok(())
+}
+
 impl FabricClient {
-    /// Reads the far buffers of `iov` (`total` bytes, from `check_iov`)
-    /// back to back into one local buffer, all arriving at `arrival`;
-    /// returns `(bytes, latest node_finish)`. Shared by
-    /// [`rgather`](Self::rgather) and the pipeline's gather descriptor.
-    pub(crate) fn exec_gather(
-        &mut self,
-        iov: &[FarIov],
-        total: u64,
-        arrival: u64,
-    ) -> Result<(Vec<u8>, u64)> {
-        let mut out = vec![0u8; total as usize];
+    /// Reads the far buffers of `iov` back to back into one local buffer,
+    /// all arriving at `arrival`; returns `(bytes, latest node_finish)`.
+    /// The one gather of [`rgather`](Self::rgather) and the pipeline's
+    /// gather descriptor.
+    pub(crate) fn exec_gather(&mut self, iov: &[FarIov], arrival: u64) -> Result<(Vec<u8>, u64)> {
+        let mut out = vec![0u8; check_iov(iov)? as usize];
         let mut finish = arrival;
         let mut rest = out.as_mut_slice();
         for e in iov {
@@ -76,6 +81,21 @@ impl FabricClient {
         Ok((out, finish))
     }
 
+    /// Writes `src` across the far buffers of `iov`, all arriving at
+    /// `arrival`; returns the latest node_finish. The one scatter of
+    /// [`wscatter`](Self::wscatter) and the pipeline's scatter descriptor.
+    pub(crate) fn exec_scatter(&mut self, iov: &[FarIov], src: &[u8], arrival: u64) -> Result<u64> {
+        check_scatter(iov, src)?;
+        let mut finish = arrival;
+        let mut rest = src;
+        for e in iov {
+            let (part, tail) = rest.split_at(e.len as usize);
+            finish = finish.max(self.exec_write(e.addr, part, arrival)?);
+            rest = tail;
+        }
+        Ok(finish)
+    }
+
     /// `rscatter(ad, ℓ, iovec)`: read the far range `[ad, ad+ℓ)` and
     /// scatter it into the local buffers `into` (whose total length must
     /// equal `ℓ`). One far access.
@@ -84,15 +104,8 @@ impl FabricClient {
             return Err(FabricError::BadIovec { reason: "iovec must be non-empty" });
         }
         let total: u64 = into.iter().map(|b| b.len() as u64).sum();
-        let data = self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let (data, finish) = c.exec_read(ad, total, arrival)?;
-                c.finish_rt(finish);
-                Ok(data)
-            })
-        })?;
+        let data =
+            self.round_trip(VerbKind::ScatterGather, |c, at| c.exec_read(ad, total, at))?;
         let mut done = 0usize;
         for buf in into.iter_mut() {
             buf.copy_from_slice(&data[done..done + buf.len()]);
@@ -103,44 +116,20 @@ impl FabricClient {
 
     /// `rgather(iovec, ad, ℓ)`: read the disjoint far buffers of `iov` and
     /// gather them into one local buffer, returned in iovec order. The
-    /// per-buffer messages are issued concurrently: one far access.
+    /// per-buffer messages are issued concurrently: one far access. A
+    /// malformed iovec is rejected before any attempt is charged.
     pub fn rgather(&mut self, iov: &[FarIov]) -> Result<Vec<u8>> {
-        let total = check_iov(iov)?;
-        self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let (out, finish) = c.exec_gather(iov, total, arrival)?;
-                c.finish_rt(finish);
-                Ok(out)
-            })
-        })
+        check_iov(iov)?;
+        self.round_trip(VerbKind::ScatterGather, |c, at| c.exec_gather(iov, at))
     }
 
     /// `wscatter(ad, ℓ, iovec)`: scatter one local range `src` across the
     /// disjoint far buffers of `iov` (total iovec length must equal
-    /// `src.len()`). One far access.
+    /// `src.len()`, checked before any attempt is charged). One far access.
     pub fn wscatter(&mut self, iov: &[FarIov], src: &[u8]) -> Result<()> {
-        let total = check_iov(iov)?;
-        if total != src.len() as u64 {
-            return Err(FabricError::BadIovec {
-                reason: "iovec total length must equal the source length",
-            });
-        }
-        self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let mut finish = arrival;
-                let mut done = 0usize;
-                for e in iov {
-                    let f = c.exec_write(e.addr, &src[done..done + e.len as usize], arrival)?;
-                    done += e.len as usize;
-                    finish = finish.max(f);
-                }
-                c.finish_rt(finish);
-                Ok(())
-            })
+        check_scatter(iov, src)?;
+        self.round_trip(VerbKind::ScatterGather, |c, at| {
+            c.exec_scatter(iov, src, at).map(|f| ((), f))
         })
     }
 
@@ -155,14 +144,8 @@ impl FabricClient {
         for b in from {
             data.extend_from_slice(b);
         }
-        self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let finish = c.exec_write(ad, &data, arrival)?;
-                c.finish_rt(finish);
-                Ok(())
-            })
+        self.round_trip(VerbKind::ScatterGather, |c, at| {
+            c.exec_write(ad, &data, at).map(|f| ((), f))
         })
     }
 }

@@ -75,7 +75,7 @@ pub use fabric::{Fabric, FabricConfig, IndirectionMode};
 pub use fault::{FaultPlan, RetryPolicy};
 pub use node::{MemoryNode, NodeOccupancy};
 pub use notify::{DeliveryPolicy, Event, EventSink, SinkStats, SubId, SubKind};
-pub use pipeline::{CompletionQueue, IssueQueue, PipeOp, PipeOut};
+pub use pipeline::{CompletionQueue, DescList, IssueQueue, PipeOp, PipeOut};
 pub use replica::{GroupView, ReplicaConfig, FAILOVER_LEASE_NS};
 pub use sample::MetricSampler;
 pub use stats::AccessStats;

@@ -8,11 +8,15 @@
 //! virtual time even when they target *different* memory nodes, so striping
 //! never shows the bandwidth parallelism it exists to provide.
 //!
-//! [`FabricClient::pipeline`] returns an [`IssueQueue`]. Descriptors are
-//! posted with the same semantics as the serial verbs (reads, writes, CAS,
-//! FAA, gathers/scatters and `load0`-style indirection), then
-//! [`IssueQueue::commit`] rings the doorbell and returns a
-//! [`CompletionQueue`] holding one result per descriptor, in issue order.
+//! Descriptors are posted onto a [`DescList`] with the same semantics as
+//! the serial verbs (reads, writes, CAS, FAA, gathers/scatters and
+//! `load0`-style indirection); [`FabricClient::ring`] rings the doorbell
+//! for a list and returns a [`CompletionQueue`] holding one result per
+//! descriptor, in issue order. [`FabricClient::pipeline`] is the borrowed
+//! form: an [`IssueQueue`] is a list plus the client it will ring, so
+//! `client.pipeline()…commit()` reads as one expression. Every descriptor
+//! runs the `exec_*` function its blocking verb runs — there is one
+//! implementation of each verb, blocking or posted.
 //!
 //! # Overlap-aware accounting
 //!
@@ -46,15 +50,20 @@
 //! duplicate those effects. Completed results remain drainable from the
 //! [`CompletionQueue`].
 //!
+//! One booking differs from the blocking verb, deliberately: an error the
+//! node *answered* with (null pointer, guard mismatch, refused remote
+//! target) costs the blocking verb its round trip, while a failed
+//! descriptor books its message but no round trip of its own — the
+//! doorbell's time is the max over *completed* descriptors (DESIGN.md §7).
+//!
 //! [`MemoryNode::occupy`]: crate::node::MemoryNode::occupy
 //! [`AccessStats::overlap_saved_ns`]: crate::stats::AccessStats
 
 use crate::addr::FarAddr;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
-use crate::ext::indirect::TargetAccess;
+use crate::ext::indirect::{PtrRead, TargetAccess};
 use crate::ext::sg::FarIov;
-use crate::fabric::IndirectionMode;
 use crate::trace::VerbKind;
 
 /// One posted descriptor (owned, so a queue can outlive its sources).
@@ -122,9 +131,10 @@ pub enum PipeOp {
     /// bytes, and read `len` bytes there (serial equivalents:
     /// [`FabricClient::load0`] with `index == 0`,
     /// [`FabricClient::load2`](FabricClient::load2) otherwise). A
-    /// cross-node target is forwarded under [`IndirectionMode::Forward`];
-    /// under [`IndirectionMode::Error`] the descriptor fails with
-    /// [`FabricError::IndirectRemote`].
+    /// cross-node target is forwarded under
+    /// [`IndirectionMode::Forward`](crate::fabric::IndirectionMode::Forward);
+    /// under [`Error`](crate::fabric::IndirectionMode::Error) the
+    /// descriptor fails with [`FabricError::IndirectRemote`].
     Load2 {
         /// Far address of the pointer word.
         ptr: FarAddr,
@@ -252,11 +262,20 @@ impl PipeOut {
     }
 }
 
-/// An issue queue: descriptors posted against one client, executed together
-/// by [`commit`](IssueQueue::commit) when the doorbell rings.
+/// A detached descriptor list: what one doorbell will carry. Posting
+/// touches no client; [`FabricClient::ring`] (or a runtime's doorbell)
+/// executes the list.
+#[derive(Clone, Debug, Default)]
+pub struct DescList {
+    ops: Vec<PipeOp>,
+}
+
+/// An issue queue: a [`DescList`] (which it dereferences to, so every
+/// posting helper applies) plus the borrowed client that
+/// [`commit`](IssueQueue::commit) rings.
 pub struct IssueQueue<'c> {
     client: &'c mut FabricClient,
-    ops: Vec<PipeOp>,
+    list: DescList,
 }
 
 /// The drained completion queue of one doorbell: per-descriptor results in
@@ -327,11 +346,50 @@ impl FabricClient {
     /// Opens an [`IssueQueue`] on this client. Post descriptors, then ring
     /// the doorbell with [`IssueQueue::commit`].
     pub fn pipeline(&mut self) -> IssueQueue<'_> {
-        IssueQueue { client: self, ops: Vec::new() }
+        IssueQueue { client: self, list: DescList::new() }
+    }
+
+    /// Rings the doorbell for `list`: executes every posted descriptor
+    /// with shared issue time and overlap-aware clock accounting (see the
+    /// module docs), and returns the drained [`CompletionQueue`].
+    pub fn ring(&mut self, list: &DescList) -> CompletionQueue {
+        if list.is_empty() {
+            return CompletionQueue { results: Vec::new(), status: Ok(()) };
+        }
+        self.traced(VerbKind::Pipeline, |c| -> Result<CompletionQueue> {
+            Ok(commit_inner(c, &list.ops))
+        })
+        .expect("pipeline commit itself is infallible")
     }
 }
 
-impl<'c> IssueQueue<'c> {
+impl std::ops::Deref for IssueQueue<'_> {
+    type Target = DescList;
+
+    fn deref(&self) -> &DescList {
+        &self.list
+    }
+}
+
+impl std::ops::DerefMut for IssueQueue<'_> {
+    fn deref_mut(&mut self) -> &mut DescList {
+        &mut self.list
+    }
+}
+
+impl IssueQueue<'_> {
+    /// Rings the doorbell ([`FabricClient::ring`]) for the posted list.
+    pub fn commit(self) -> CompletionQueue {
+        self.client.ring(&self.list)
+    }
+}
+
+impl DescList {
+    /// An empty list.
+    pub fn new() -> DescList {
+        DescList::default()
+    }
+
     /// Posts a descriptor; returns its index (completion slot).
     pub fn post(&mut self, op: PipeOp) -> usize {
         self.ops.push(op);
@@ -414,21 +472,6 @@ impl<'c> IssueQueue<'c> {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// Rings the doorbell: executes every posted descriptor with shared
-    /// issue time and overlap-aware clock accounting (see the module docs),
-    /// and returns the drained [`CompletionQueue`].
-    pub fn commit(self) -> CompletionQueue {
-        let IssueQueue { client, ops } = self;
-        if ops.is_empty() {
-            return CompletionQueue { results: Vec::new(), status: Ok(()) };
-        }
-        client
-            .traced(VerbKind::Pipeline, |c| -> Result<CompletionQueue> {
-                Ok(commit_inner(c, &ops))
-            })
-            .expect("pipeline commit itself is infallible")
-    }
 }
 
 /// Executes one doorbell's descriptors against `c`. Runs inside a single
@@ -507,9 +550,10 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
     CompletionQueue { results, status }
 }
 
-/// Executes one descriptor arriving at `arrival`, charging messages /
-/// bytes / atomics exactly as the serial verb would; returns the
-/// completion payload and the node-side finish time.
+/// Executes one descriptor arriving at `arrival` through the `exec_*`
+/// function its blocking verb runs, so messages / bytes / atomics are
+/// the serial verb's by construction; returns the completion payload and
+/// the node-side finish time.
 fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, u64)> {
     match op {
         PipeOp::Read { addr, len } => {
@@ -537,187 +581,27 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             Ok((PipeOut::Value(prev), f))
         }
         PipeOp::Gather { iov } => {
-            let total = check_iov(iov)?;
-            let (out, finish) = c.exec_gather(iov, total, arrival)?;
-            Ok((PipeOut::Bytes(out), finish))
+            let (out, f) = c.exec_gather(iov, arrival)?;
+            Ok((PipeOut::Bytes(out), f))
         }
-        PipeOp::Scatter { iov, data } => {
-            let total = check_iov(iov)?;
-            if total != data.len() as u64 {
-                return Err(FabricError::BadIovec {
-                    reason: "iovec total length must equal the source length",
-                });
-            }
-            let mut finish = arrival;
-            let mut done = 0usize;
-            for e in iov {
-                let f = c.exec_write(e.addr, &data[done..done + e.len as usize], arrival)?;
-                done += e.len as usize;
-                finish = finish.max(f);
-            }
-            Ok((PipeOut::Done, finish))
-        }
+        PipeOp::Scatter { iov, data } => Ok((PipeOut::Done, c.exec_scatter(iov, data, arrival)?)),
         PipeOp::Load2 { ptr, index, len } => {
-            exec_indirect(c, *ptr, *index, TargetAccess::Read(*len), arrival)
+            let access = TargetAccess::Read(*len);
+            let ((_, out), f) = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival)?;
+            Ok((out, f))
         }
         PipeOp::Store2 { ptr, index, data } => {
-            exec_indirect(c, *ptr, *index, TargetAccess::Write(data), arrival)
+            let access = TargetAccess::Write(data);
+            let ((_, out), f) = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival)?;
+            Ok((out, f))
         }
         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
-            exec_faai_swap_guarded(c, *ptr, *delta, *replacement, *guard, *expect, arrival)
+            let read = PtrRead::GuardedFetchAdd { delta: *delta, guard: *guard, expect: *expect };
+            let ((old_ptr, old), f) =
+                c.exec_deref(*ptr, read, 0, TargetAccess::Swap(*replacement), arrival)?;
+            Ok((PipeOut::PtrWord { ptr: old_ptr, word: old.value() }, f))
         }
     }
-}
-
-/// Pipelined guarded `faai_swap`: one atomic unit at the pointer's home
-/// node (guard check, pointer bump, target-word swap), mirroring the
-/// serial verb's charges. The descriptor retains the serial verb's
-/// atomicity, so pipelining dequeues never opens a read-then-clear window.
-fn exec_faai_swap_guarded(
-    c: &mut FabricClient,
-    ptr_addr: FarAddr,
-    delta: u64,
-    replacement: u64,
-    guard: FarAddr,
-    expect: u64,
-    arrival: u64,
-) -> Result<(PipeOut, u64)> {
-    use crate::addr::{NodeId, WORD};
-    use std::sync::atomic::Ordering;
-
-    let cost = *c.fabric().cost();
-    let mode = c.fabric().config().indirection;
-    let fabric = c.fabric().clone();
-    let (home_id, ptr_off) = c.word_home(ptr_addr)?;
-    let home_phys = c.route(home_id);
-    let home = fabric.node(home_phys);
-    home.check_alive_at(arrival)?;
-    let home_finish = home.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
-    c.stats_mut().messages += 1;
-    let (guard_node, guard_off) = c.word_home(guard)?;
-    if guard_node != home_id {
-        return Err(FabricError::BadIovec {
-            reason: "guard word must live on the pointer's node",
-        });
-    }
-    enum Unit {
-        Null,
-        Local { ptr: u64, old: u64, slot_off: u64 },
-        Remote { ptr: u64, target: FarAddr, node: NodeId },
-    }
-    let fabric2 = fabric.clone();
-    let unit = home.guarded_verb(guard_off, expect, |n| {
-        let ptr = n.words_raw(ptr_off)?.load(Ordering::SeqCst);
-        if ptr == 0 {
-            return Ok(Unit::Null);
-        }
-        let target = FarAddr(ptr);
-        let mut segs = fabric2.segments(target, WORD)?;
-        if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
-            // Remote target: bump the pointer atomically; the swap happens
-            // outside the unit (forwarded, weaker atomicity — as serial).
-            n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-            return Ok(Unit::Remote { ptr, target, node: remote.node });
-        }
-        n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-        let seg = segs.next().expect("a word is one segment");
-        if !target.is_aligned(WORD) {
-            return Err(FabricError::Unaligned { addr: target, required: WORD });
-        }
-        let old = n.words_raw(seg.offset)?.swap(replacement, Ordering::SeqCst);
-        Ok(Unit::Local { ptr, old, slot_off: seg.offset })
-    });
-    c.stats_mut().atomics += 1;
-    let service = cost.node_ext_ns + cost.bytes_ns(WORD);
-    let finish = home.occupy(home_finish, service);
-    c.observe(crate::check::AccessKind::AtomicRead, guard, WORD);
-    match unit? {
-        Unit::Null => Err(FabricError::NullDeref { pointer_at: ptr_addr }),
-        Unit::Local { ptr, old, slot_off } => {
-            // Both mirrors fan out in parallel; the ack folds in the slower.
-            let f1 = fabric.fire(c.stats_mut(), home_id, ptr_off, WORD, finish);
-            let f2 = fabric.fire(c.stats_mut(), home_id, slot_off, WORD, finish);
-            let finish = f1.max(f2);
-            c.observe(crate::check::AccessKind::AtomicRmw, ptr_addr, WORD);
-            c.observe(crate::check::AccessKind::AtomicRmw, FarAddr(ptr), WORD);
-            c.stats_mut().bytes_read += WORD;
-            Ok((PipeOut::PtrWord { ptr, word: old }, finish))
-        }
-        Unit::Remote { ptr, target, node } => {
-            c.observe(crate::check::AccessKind::AtomicRmw, ptr_addr, WORD);
-            let finish = fabric.fire(c.stats_mut(), home_id, ptr_off, WORD, finish);
-            if mode == IndirectionMode::Error {
-                return Err(FabricError::IndirectRemote { target, target_node: node });
-            }
-            // Forwarded completion at the remote target (§7.1).
-            let seg = fabric.segments(target, WORD)?.next().expect("a word is one segment");
-            let rphys = c.route(seg.node);
-            let rnode = fabric.node(rphys);
-            rnode.check_alive_at(arrival)?;
-            c.stats_mut().forward_hops += 1;
-            c.stats_mut().messages += 1;
-            let svc = cost.node_msg_ns + cost.bytes_ns(WORD);
-            let f = rnode.occupy(arrival, svc).max(finish) + cost.mem_hop_ns;
-            c.stats_mut().atomics += 1;
-            let old = rnode.swap_u64(seg.offset, replacement)?;
-            let f = fabric.fire(c.stats_mut(), seg.node, seg.offset, WORD, f);
-            c.observe(crate::check::AccessKind::AtomicRmw, target, WORD);
-            c.stats_mut().bytes_read += WORD;
-            Ok((PipeOut::PtrWord { ptr, word: old }, f))
-        }
-    }
-}
-
-/// Pipelined plain-pointer indirect verb (`load0`/`load2`/`store0`/
-/// `store2`): mirrors the serial indirect verb's charges — pointer
-/// resolution at the home node, then the serial verb's own target walk
-/// ([`FabricClient::exec_at_target`]).
-fn exec_indirect(
-    c: &mut FabricClient,
-    ptr: FarAddr,
-    index: u64,
-    access: TargetAccess<'_>,
-    arrival: u64,
-) -> Result<(PipeOut, u64)> {
-    let cost = *c.fabric().cost();
-    let mode = c.fabric().config().indirection;
-    let fabric = c.fabric().clone();
-    let (home_id, ptr_off) = c.word_home(ptr)?;
-    let home_phys = c.route(home_id);
-    let home = fabric.node(home_phys);
-    home.check_alive_at(arrival)?;
-    let home_finish = home.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
-    c.stats_mut().messages += 1;
-    let ptr_val = home.read_u64(ptr_off)?;
-    if ptr_val == 0 {
-        return Err(FabricError::NullDeref { pointer_at: ptr });
-    }
-    let target = FarAddr(ptr_val + index);
-    if mode == IndirectionMode::Error {
-        if let Some(remote) = fabric.segments(target, access.len())?.find(|s| s.node != home_id) {
-            return Err(FabricError::IndirectRemote {
-                target,
-                target_node: remote.node,
-            });
-        }
-    }
-    c.observe(crate::check::AccessKind::Read, ptr, crate::addr::WORD);
-    let (out, finish) = c.exec_at_target(target, access, home_id, arrival, home_finish)?;
-    Ok((out.map_or(PipeOut::Done, PipeOut::Bytes), finish))
-}
-
-fn check_iov(iov: &[FarIov]) -> Result<u64> {
-    if iov.is_empty() {
-        return Err(FabricError::BadIovec { reason: "iovec must be non-empty" });
-    }
-    let mut total = 0u64;
-    for e in iov {
-        if e.len == 0 {
-            return Err(FabricError::BadIovec { reason: "iovec entries must be non-empty" });
-        }
-        total += e.len;
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -1077,5 +961,108 @@ mod tests {
         let pback = pc.read(FarAddr(PAGE + 512), 64).unwrap();
         assert_eq!(back, vec![9u8; 64]);
         assert_eq!(pback, back);
+    }
+
+    /// Error completions of indirect descriptors against the serial verb,
+    /// field for field: a null pointer, a refused remote target
+    /// (`IndirectionMode::Error`) and a guard mismatch book the same
+    /// messages, bytes, atomics and observed accesses either way — the
+    /// pointer read is `observe`d even when the verb then fails. The one
+    /// asymmetry (DESIGN.md §7): the blocking verb waited for the node's
+    /// answer and charges that round trip on its clock; a failed
+    /// descriptor books its message but no round trip of its own.
+    #[test]
+    fn pipelined_error_completions_match_serial_bookings() {
+        use crate::check::{Access, AccessKind, CheckObserver};
+        use crate::fabric::IndirectionMode;
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Log(Mutex<Vec<(AccessKind, FarAddr, u64)>>);
+        impl CheckObserver for Log {
+            fn access(&self, a: &Access) {
+                self.0.lock().unwrap().push((a.kind, a.addr, a.len));
+            }
+        }
+
+        // Pointer and guard words on node 0; PAGE is node 1's first stripe.
+        let (ptr, guard) = (FarAddr(WORD), FarAddr(2 * WORD));
+        let plain = PipeOp::Load2 { ptr, index: 0, len: 64 };
+        let claim =
+            |expect| PipeOp::FaaiSwapGuarded { ptr, delta: WORD, replacement: 0, guard, expect };
+        type Expect = fn(&FabricError) -> bool;
+        let cases: [(&str, IndirectionMode, u64, PipeOp, Expect); 5] = [
+            ("null/plain", IndirectionMode::Forward, 0, plain.clone(), |e| {
+                matches!(e, FabricError::NullDeref { .. })
+            }),
+            ("null/guarded", IndirectionMode::Forward, 0, claim(0), |e| {
+                matches!(e, FabricError::NullDeref { .. })
+            }),
+            ("remote/plain", IndirectionMode::Error, PAGE, plain, |e| {
+                matches!(e, FabricError::IndirectRemote { .. })
+            }),
+            ("remote/guarded", IndirectionMode::Error, PAGE, claim(0), |e| {
+                matches!(e, FabricError::IndirectRemote { .. })
+            }),
+            ("guard mismatch", IndirectionMode::Forward, 2 * PAGE, claim(7), |e| {
+                matches!(e, FabricError::GuardMismatch { observed: 0 })
+            }),
+        ];
+        for (name, mode, ptr_val, op, expected) in cases {
+            let run = |piped: bool| {
+                let f = FabricConfig {
+                    nodes: 2,
+                    node_capacity: 1 << 20,
+                    striping: Striping::Striped { stripe: PAGE },
+                    indirection: mode,
+                    ..FabricConfig::default()
+                }
+                .build();
+                let mut c = f.client();
+                c.write_u64(ptr, ptr_val).unwrap();
+                let log = Arc::new(Log::default());
+                f.install_check_observer(log.clone());
+                let (before, t0) = (c.stats(), c.now_ns());
+                let err = if piped {
+                    let mut q = c.pipeline();
+                    q.post(op.clone());
+                    let cq = q.commit();
+                    assert_eq!(cq.failed(), 1, "{name}");
+                    cq.status().unwrap_err()
+                } else {
+                    match op.clone() {
+                        PipeOp::Load2 { ptr, index, len } => c.load2(ptr, index, len).unwrap_err(),
+                        PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => c
+                            .faai_swap_guarded(ptr, delta, replacement, guard, expect)
+                            .unwrap_err(),
+                        other => unreachable!("{other:?}"),
+                    }
+                };
+                assert!(expected(&err), "{name}: {err:?}");
+                let log = log.0.lock().unwrap().clone();
+                (err, c.stats().since(&before), c.now_ns() - t0, c.read_u64(ptr).unwrap(), log)
+            };
+            let (serr, serial, serial_ns, sptr, slog) = run(false);
+            let (perr, piped, piped_ns, pptr, plog) = run(true);
+            assert_eq!(perr, serr, "{name}");
+            assert_eq!(pptr, sptr, "{name}: pointer word after the failed verb");
+            assert_eq!(plog, slog, "{name}: observed accesses");
+            assert!(
+                slog.iter().any(|&(_, addr, _)| addr == ptr)
+                    || matches!(serr, FabricError::GuardMismatch { .. }),
+                "{name}: the pointer read is observed"
+            );
+            for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
+                let (s, p) = (serial.to_array()[i], piped.to_array()[i]);
+                match *field {
+                    "round_trips" => assert_eq!((s, p), (1, 0), "{name}: answered round trip"),
+                    "doorbells" => assert_eq!((s, p), (0, 1), "{name}"),
+                    _ => assert_eq!(p, s, "{name}: field `{field}`"),
+                }
+            }
+            assert_eq!(serial.messages, 1, "{name}: the failed verb books its message");
+            assert!(serial_ns > 0, "{name}: the blocking verb waited for the answer");
+            assert_eq!(piped_ns, 0, "{name}: a failed descriptor completes nothing");
+        }
     }
 }

@@ -1,5 +1,8 @@
 //! [`AsyncClient`]: the leaf fabric verbs as futures that park at a
-//! doorbell instead of blocking an OS thread.
+//! doorbell instead of blocking an OS thread — and [`Doorbell`], the
+//! interface a batched adopter is written against once, whether its
+//! doorbells suspend ([`AsyncClient`]) or complete on the spot
+//! ([`Inline`]).
 //!
 //! Every async verb posts one descriptor (the same [`PipeOp`] vocabulary
 //! the pipeline takes), pushes the doorbell onto the owning executor's
@@ -17,7 +20,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use farmem_fabric::pipeline::{CompletionQueue, PipeOp, PipeOut};
+use farmem_fabric::pipeline::{CompletionQueue, DescList, PipeOp, PipeOut};
 use farmem_fabric::trace::SpanGuard;
 use farmem_fabric::{AccessStats, FabricClient, FarAddr, FarIov, Result};
 use farmem_reclaim::{Guard, SharedReclaim};
@@ -26,13 +29,13 @@ use farmem_reclaim::{Guard, SharedReclaim};
 pub(crate) type ReactorQueue = Rc<RefCell<BinaryHeap<Reverse<(u64, usize)>>>>;
 
 /// What a parked task is waiting on.
-pub(crate) enum Doorbell {
+pub(crate) enum Bell {
     /// One descriptor, executed through the equivalent *serial* verb:
     /// accounting is byte-identical to calling the blocking verb.
     Serial(PipeOp),
-    /// A pipelined batch, executed through `pipeline()`/`commit()`:
+    /// A descriptor list, executed through [`FabricClient::ring`]:
     /// accounting is byte-identical to the synchronous pipelined path.
-    Batch(Vec<PipeOp>),
+    Batch(DescList),
     /// Cooperative yield: completes with no fabric access at the task's
     /// current virtual time, letting earlier-clocked peers run first.
     Yield,
@@ -54,7 +57,7 @@ pub(crate) enum Park {
     /// Running (or runnable): nothing posted.
     Idle,
     /// A doorbell is posted; the task suspends until the reactor fires it.
-    Posted(Doorbell),
+    Posted(Bell),
     /// The reactor fired the doorbell; the next poll returns this.
     Complete(Completion),
 }
@@ -123,7 +126,7 @@ impl Future for VerbFuture {
 impl AsyncClient {
     /// Posts `bell` at the client's current virtual time and returns the
     /// future that parks on it.
-    fn post(&self, bell: Doorbell) -> VerbFuture {
+    fn post(&self, bell: Bell) -> VerbFuture {
         {
             let mut cell = self.cell.borrow_mut();
             assert!(
@@ -139,7 +142,7 @@ impl AsyncClient {
     }
 
     async fn serial(&self, op: PipeOp) -> Result<PipeOut> {
-        match self.post(Doorbell::Serial(op)).await {
+        match self.post(Bell::Serial(op)).await {
             Completion::Serial(out) => out,
             _ => unreachable!("serial doorbell completed with a non-serial shape"),
         }
@@ -216,17 +219,22 @@ impl AsyncClient {
             .map(|o| o.ptr_word())
     }
 
-    /// Starts a pipelined batch: descriptors accumulate locally and
-    /// [`AsyncBatch::commit`] rings one doorbell for all of them.
-    pub fn batch(&self) -> AsyncBatch<'_> {
-        AsyncBatch { ac: self, ops: Vec::new() }
+    /// Rings one doorbell for `list`: parks until the reactor has
+    /// committed every descriptor (per-descriptor retries,
+    /// abort-on-failure and `PipelineTorn` semantics are exactly
+    /// [`FabricClient::ring`]'s).
+    pub async fn ring(&self, list: DescList) -> CompletionQueue {
+        match self.post(Bell::Batch(list)).await {
+            Completion::Batch(cq) => cq,
+            _ => unreachable!("batch doorbell completed with a non-batch shape"),
+        }
     }
 
     /// Cooperatively yields: parks at the client's current virtual time
     /// with no fabric access, letting tasks with earlier clocks fire
     /// first. Useful in host-side retry loops.
     pub async fn yield_now(&self) {
-        match self.post(Doorbell::Yield).await {
+        match self.post(Bell::Yield).await {
             Completion::Yield => {}
             _ => unreachable!("yield doorbell completed with a verb shape"),
         }
@@ -299,105 +307,91 @@ impl AsyncClient {
     }
 }
 
-/// A pipelined batch posted through an [`AsyncClient`]: the async twin of
-/// [`IssueQueue`](farmem_fabric::IssueQueue), committing every descriptor
-/// behind one doorbell with identical accounting.
-pub struct AsyncBatch<'a> {
-    ac: &'a AsyncClient,
-    ops: Vec<PipeOp>,
+/// What a batched adopter needs from its client, and nothing more: the
+/// adopter body is written once against this trait, and the caller picks
+/// whether a doorbell suspends the task ([`AsyncClient`]) or completes
+/// before its future is first polled ([`Inline`]).
+// Doorbells are thread-local by design (`AsyncClient` is `Rc`-based), so
+// the futures need no `Send` bound.
+#[allow(async_fn_in_trait)]
+pub trait Doorbell {
+    /// Runs `f` against the underlying [`FabricClient`] synchronously:
+    /// control-plane steps and rare serial fallbacks. Must not be held
+    /// across an `await`.
+    fn with<R>(&self, f: impl FnOnce(&mut FabricClient) -> R) -> R;
+
+    /// Rings one doorbell for every descriptor on `list`.
+    async fn ring(&self, list: DescList) -> CompletionQueue;
+
+    /// One word read as a doorbell of its own, charged as the blocking
+    /// [`FabricClient::read_u64`].
+    async fn read_u64(&self, addr: FarAddr) -> Result<u64>;
+
+    /// Lets peers with earlier clocks run first; no fabric access.
+    async fn yield_now(&self);
+
+    /// Opens a trace span on the underlying client.
+    fn span(&self, name: &'static str) -> SpanGuard {
+        self.with(|c| c.span(name))
+    }
 }
 
-impl AsyncBatch<'_> {
-    /// Posts a raw descriptor; returns its completion index.
-    pub fn post(&mut self, op: PipeOp) -> usize {
-        self.ops.push(op);
-        self.ops.len() - 1
+impl Doorbell for AsyncClient {
+    fn with<R>(&self, f: impl FnOnce(&mut FabricClient) -> R) -> R {
+        AsyncClient::with(self, f)
     }
 
-    /// Posts a read of `len` bytes at `addr`.
-    pub fn read(&mut self, addr: FarAddr, len: u64) -> usize {
-        self.post(PipeOp::Read { addr, len })
+    async fn ring(&self, list: DescList) -> CompletionQueue {
+        AsyncClient::ring(self, list).await
     }
 
-    /// Posts a write of `data` at `addr`.
-    pub fn write(&mut self, addr: FarAddr, data: &[u8]) -> usize {
-        self.post(PipeOp::Write { addr, data: data.to_vec() })
+    async fn read_u64(&self, addr: FarAddr) -> Result<u64> {
+        AsyncClient::read_u64(self, addr).await
     }
 
-    /// Posts an aligned word read.
-    pub fn read_u64(&mut self, addr: FarAddr) -> usize {
-        self.post(PipeOp::ReadU64 { addr })
+    async fn yield_now(&self) {
+        AsyncClient::yield_now(self).await
+    }
+}
+
+/// The inline doorbell: a borrowed blocking client. Every doorbell has
+/// completed by the time its future is first polled, so an adopter body
+/// over `Inline` never parks and [`Inline::run`] needs no executor.
+pub struct Inline<'c>(RefCell<&'c mut FabricClient>);
+
+impl<'c> Inline<'c> {
+    /// Wraps `client` for the duration of one blocking adopter call.
+    pub fn new(client: &'c mut FabricClient) -> Inline<'c> {
+        Inline(RefCell::new(client))
     }
 
-    /// Posts an aligned word write.
-    pub fn write_u64(&mut self, addr: FarAddr, value: u64) -> usize {
-        self.post(PipeOp::WriteU64 { addr, value })
-    }
-
-    /// Posts a compare-and-swap.
-    pub fn cas(&mut self, addr: FarAddr, expected: u64, new: u64) -> usize {
-        self.post(PipeOp::Cas { addr, expected, new })
-    }
-
-    /// Posts a fetch-and-add.
-    pub fn faa(&mut self, addr: FarAddr, delta: u64) -> usize {
-        self.post(PipeOp::Faa { addr, delta })
-    }
-
-    /// Posts a gather over `iov`.
-    pub fn gather(&mut self, iov: &[FarIov]) -> usize {
-        self.post(PipeOp::Gather { iov: iov.to_vec() })
-    }
-
-    /// Posts a scatter of `data` over `iov`.
-    pub fn scatter(&mut self, iov: &[FarIov], data: &[u8]) -> usize {
-        self.post(PipeOp::Scatter { iov: iov.to_vec(), data: data.to_vec() })
-    }
-
-    /// Posts a `load0`-style indirection read.
-    pub fn load0(&mut self, ptr: FarAddr, len: u64) -> usize {
-        self.post(PipeOp::Load2 { ptr, index: 0, len })
-    }
-
-    /// Posts a `load2`-style indexed indirection read.
-    pub fn load2(&mut self, ptr: FarAddr, index: u64, len: u64) -> usize {
-        self.post(PipeOp::Load2 { ptr, index, len })
-    }
-
-    /// Posts a `store2`-style indexed indirection write.
-    pub fn store2(&mut self, ptr: FarAddr, index: u64, data: &[u8]) -> usize {
-        self.post(PipeOp::Store2 { ptr, index, data: data.to_vec() })
-    }
-
-    /// Posts a guarded fetch-add-and-indirect-swap.
-    pub fn faai_swap_guarded(
-        &mut self,
-        ptr: FarAddr,
-        delta: u64,
-        replacement: u64,
-        guard: FarAddr,
-        expect: u64,
-    ) -> usize {
-        self.post(PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect })
-    }
-
-    /// Posted descriptor count.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing has been posted.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Rings the doorbell: parks until the reactor has committed every
-    /// descriptor (per-descriptor retries, abort-on-failure and
-    /// `PipelineTorn` semantics are exactly the synchronous pipeline's).
-    pub async fn commit(self) -> CompletionQueue {
-        match self.ac.post(Doorbell::Batch(self.ops)).await {
-            Completion::Batch(cq) => cq,
-            _ => unreachable!("batch doorbell completed with a non-batch shape"),
+    /// Runs an adopter body written over an `Inline` doorbell to
+    /// completion with a single poll.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body parks, i.e. awaited something that is not this
+    /// doorbell.
+    pub fn run<T>(body: impl Future<Output = T>) -> T {
+        match std::pin::pin!(body).poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(out) => out,
+            Poll::Pending => panic!("an inline doorbell never parks"),
         }
     }
+}
+
+impl Doorbell for Inline<'_> {
+    fn with<R>(&self, f: impl FnOnce(&mut FabricClient) -> R) -> R {
+        f(&mut self.0.borrow_mut())
+    }
+
+    async fn ring(&self, list: DescList) -> CompletionQueue {
+        self.with(|c| c.ring(&list))
+    }
+
+    async fn read_u64(&self, addr: FarAddr) -> Result<u64> {
+        self.with(|c| c.read_u64(addr))
+    }
+
+    async fn yield_now(&self) {}
 }

@@ -32,7 +32,7 @@ use std::task::{Context, Wake, Waker};
 
 use farmem_fabric::{AccessStats, Fabric, FabricClient};
 
-use crate::client::{AsyncClient, ClientCell, Completion, Doorbell, Park, ReactorQueue};
+use crate::client::{AsyncClient, Bell, ClientCell, Completion, Park, ReactorQueue};
 
 /// Wake = push the task id; a `Mutex` so wakers satisfy `std::task::Wake`'s
 /// `Send + Sync` bound even though the executor itself is single-threaded.
@@ -260,8 +260,8 @@ impl Executor {
     }
 
     /// Fires `tid`'s posted doorbell: executes the descriptors against
-    /// the task's own client (serial verb or pipeline commit — identical
-    /// accounting to the synchronous path), applies refresh-on-wake, and
+    /// the task's own client (serial verb or `FabricClient::ring` —
+    /// identical accounting to the synchronous path), applies refresh-on-wake, and
     /// wakes the task.
     fn fire(&mut self, tid: usize) {
         let cell = self
@@ -275,15 +275,9 @@ impl Executor {
             panic!("reactor entry without a posted doorbell");
         };
         let done = match bell {
-            Doorbell::Yield => Completion::Yield,
-            Doorbell::Serial(op) => Completion::Serial(serial_exec(&mut c.client, op)),
-            Doorbell::Batch(ops) => {
-                let mut q = c.client.pipeline();
-                for op in ops {
-                    q.post(op);
-                }
-                Completion::Batch(q.commit())
-            }
+            Bell::Yield => Completion::Yield,
+            Bell::Serial(op) => Completion::Serial(serial_exec(&mut c.client, op)),
+            Bell::Batch(list) => Completion::Batch(c.client.ring(&list)),
         };
         c.state = Park::Complete(done);
         c.doorbells_fired += 1;
@@ -406,7 +400,7 @@ mod tests {
     use super::*;
     use std::task::Poll;
 
-    use farmem_fabric::{CostModel, FabricConfig, FarAddr, Striping, PAGE};
+    use farmem_fabric::{CostModel, DescList, FabricConfig, FarAddr, Striping, PAGE};
 
     fn fabric(nodes: u32) -> Arc<Fabric> {
         FabricConfig {
@@ -463,11 +457,11 @@ mod tests {
 
         let mut ex = Executor::new();
         let h = ex.spawn(f.client(), |ac| async move {
-            let mut b = ac.batch();
+            let mut b = DescList::new();
             for i in 0..8u64 {
                 b.write_u64(FarAddr(PAGE * i + 64), i + 1);
             }
-            b.commit().await.status().unwrap();
+            ac.ring(b).await.status().unwrap();
         });
         ex.run();
         h.take().unwrap();

@@ -18,9 +18,16 @@
 //!   when the reactor has drained its completion. There is no spin
 //!   polling — a parked task is never re-polled until its completion is
 //!   ready (asserted by [`TaskReport::wasted_polls`]).
-//! * [`AsyncBatch`] is the pipelined form: it accumulates the same
-//!   [`PipeOp`] descriptors an [`IssueQueue`] takes and `commit().await`
-//!   rings one doorbell for all of them.
+//! * [`AsyncClient::ring`] is the pipelined form: it takes the same
+//!   detached [`DescList`](farmem_fabric::DescList) a blocking
+//!   `FabricClient::ring` takes and rings one doorbell for all of its
+//!   descriptors.
+//! * [`Doorbell`] is what a batched adopter is written against — `with`,
+//!   `span`, `read_u64`, `ring`, `yield_now` — so `HtTree::get_many`,
+//!   `FarVec::read_ranges` and `FarQueue::dequeue_batch` each have one
+//!   body: given an [`AsyncClient`] it suspends at every doorbell, given
+//!   an [`Inline`] (a borrowed blocking client) every doorbell completes
+//!   on the spot and [`Inline::run`] drives the body with a single poll.
 //! * The executor's **reactor** fires parked doorbells in virtual-time
 //!   order — always the posted doorbell with the smallest (issue time,
 //!   task id) — which generalises the discrete-event min-clock stepping
@@ -31,9 +38,9 @@
 //! A serial verb awaited through the runtime books *byte-identical*
 //! [`AccessStats`](farmem_fabric::AccessStats) and clock movement to the
 //! same verb called synchronously, because the reactor executes the
-//! descriptor through the very same verb implementation. A committed
-//! [`AsyncBatch`] books exactly what the equivalent `pipeline()`/
-//! `commit()` books (serial-identical counts, overlap-aware clock).
+//! descriptor through the very same verb implementation. A rung
+//! `DescList` books exactly what the blocking `FabricClient::ring`
+//! books (serial-identical counts, overlap-aware clock).
 //! Tracing, sampling and `TraceReport::reconcile` therefore stay exact
 //! under the executor — proven by the twin-run property test in
 //! `tests/runtime_props.rs`.
@@ -59,5 +66,5 @@
 pub mod client;
 pub mod exec;
 
-pub use client::{AsyncBatch, AsyncClient};
+pub use client::{AsyncClient, Doorbell, Inline};
 pub use exec::{Executor, Runtime, TaskHandle, TaskReport, TaskResult};

@@ -20,7 +20,7 @@
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::{HtTree, HtTreeConfig, HtTreeHandle};
-use farmem_fabric::{FabricClient, FarAddr, PAGE, WORD};
+use farmem_fabric::{DescList, FabricClient, FarAddr, PAGE, WORD};
 use farmem_reclaim::{pin, SharedReclaim};
 use farmem_runtime::AsyncClient;
 use std::sync::Arc;
@@ -169,7 +169,7 @@ impl RecordStore {
         // epoch advanced), identical to the sync path.
         let guard = ac.with(|c| pin(&self.reclaim, c))?;
         let ptrs = self.inner.get_many_async_under(ac, &guard, nskeys).await?;
-        let mut b = ac.batch();
+        let mut b = DescList::new();
         let mut slots = Vec::with_capacity(nskeys.len());
         for ptr in &ptrs {
             match ptr {
@@ -179,7 +179,7 @@ impl RecordStore {
                 None => slots.push(None),
             }
         }
-        let mut cq = b.commit().await;
+        let mut cq = ac.ring(b).await;
         let mut out = Vec::with_capacity(nskeys.len());
         for (i, ptr) in ptrs.iter().enumerate() {
             let Some(p) = ptr else {

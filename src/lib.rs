@@ -91,10 +91,10 @@ pub mod prelude {
         WriteCombiner,
     };
     pub use farmem_fabric::{
-        AccessStats, BatchOp, CompletionQueue, CostModel, DeliveryPolicy, Event, Fabric,
-        FabricClient, FabricConfig, FarAddr, FarIov, FaultPlan, GroupView, IndirectionMode,
-        IssueQueue, NodeId, PipeOp, PipeOut, ReplicaConfig, RetryPolicy, Striping, SubId,
-        TraceConfig, TraceReport, Tracer, FAILOVER_LEASE_NS,
+        AccessStats, BatchOp, CompletionQueue, CostModel, DeliveryPolicy, DescList, Event,
+        Fabric, FabricClient, FabricConfig, FarAddr, FarIov, FaultPlan, GroupView,
+        IndirectionMode, IssueQueue, NodeId, PipeOp, PipeOut, ReplicaConfig, RetryPolicy,
+        Striping, SubId, TraceConfig, TraceReport, Tracer, FAILOVER_LEASE_NS,
     };
     pub use farmem_metrics::{
         FlightBundle, MetricsConfig, MetricsHub, Signal, SloEngine, SloRule,
@@ -104,7 +104,7 @@ pub mod prelude {
         pin, Guard, ReclaimError, ReclaimHandle, ReclaimRegistry, ReclaimStats, SharedReclaim,
     };
     pub use farmem_rpc::{RpcClient, RpcServer, ServerCpu};
-    pub use farmem_runtime::{AsyncBatch, AsyncClient, Executor, Runtime};
+    pub use farmem_runtime::{AsyncClient, Doorbell, Executor, Inline, Runtime};
     pub use farmem_serve::{
         CacheServer, Request, Response, ServeConfig, ServeWorker, TenantId, TenantSpec,
     };

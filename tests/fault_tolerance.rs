@@ -450,6 +450,56 @@ fn group_death_charges_one_giveup_per_verb() {
 }
 
 #[test]
+fn pipelined_guarded_claims_bump_the_pointer_once_across_a_target_crash() {
+    // A head pointer (and its guard) on node 0 claims slots that live on
+    // node 1, forwarded (§7.1). Node 1 is inside a timed crash window when
+    // the doorbell rings. Each claim must check its target *before* the
+    // guarded unit bumps the pointer: `NodeFailed` is transient, so a
+    // descriptor that bumped first and failed at the target afterwards
+    // would bump again on every retry and skip slots.
+    let f = FabricConfig {
+        nodes: 2,
+        node_capacity: 16 << 20,
+        striping: Striping::Blocked,
+        indirection: IndirectionMode::Forward,
+        cost: CostModel::COUNT_ONLY,
+        ..FabricConfig::default()
+    }
+    .build();
+    let mut c = f.client();
+    let (head, guard) = (FarAddr(64), FarAddr(72));
+    let slots = FarAddr((16 << 20) + 4096);
+    c.write_u64(head, slots.0).unwrap();
+    for i in 0..8u64 {
+        c.write_u64(slots.offset(i * 8), 100 + i).unwrap();
+    }
+    let now = c.now_ns();
+    f.node(NodeId(1)).schedule_crash(now, now + 30_000);
+    let before = c.stats();
+    let mut q = c.pipeline();
+    for _ in 0..4 {
+        q.faai_swap_guarded(head, 8, 0, guard, 0);
+    }
+    let claimed: Vec<(u64, u64)> =
+        q.commit().into_outputs().unwrap().iter().map(|o| o.ptr_word()).collect();
+    assert!(c.stats().since(&before).retries > 0, "the crash window must have forced retries");
+    assert_eq!(
+        claimed,
+        (0..4u64).map(|i| (slots.0 + i * 8, 100 + i)).collect::<Vec<_>>(),
+        "one slot per claim, in order"
+    );
+    assert_eq!(
+        c.read_u64(head).unwrap(),
+        slots.0 + 4 * 8,
+        "pointer advanced exactly once per delivered value"
+    );
+    for i in 0..8u64 {
+        let want = if i < 4 { 0 } else { 100 + i };
+        assert_eq!(c.read_u64(slots.offset(i * 8)).unwrap(), want, "slot {i}");
+    }
+}
+
+#[test]
 fn pipelined_dequeue_batch_is_exactly_once_under_faults() {
     // Batched dequeues claim items with pipelined guarded `faai`+swap
     // descriptors; under 2% transient faults every item must still come

@@ -2,10 +2,15 @@
 //!
 //! The executor's contract is an *identity*: a program run through the
 //! async verbs and adopters must produce the same answers, the same far
-//! memory, and the same access counters as the blocking twin — latency
-//! hiding is never work skipping. These tests pin the identity down with
-//! an arbitrary mixed-verb program (proptest), the three structure
-//! adopters end to end, and the guard-across-suspension reclaim rules.
+//! memory, and the same access counters as the blocking run — latency
+//! hiding is never work skipping. Since PR 14 each batched adopter has
+//! one body, so the two runs no longer compare two copies of the code:
+//! they compare the two *doorbells* that body can be given — the inline
+//! one (a borrowed `FabricClient`, every ring completes on the spot) and
+//! the reactor's (park, fire in virtual-time order, wake). These tests
+//! pin the identity down with an arbitrary mixed-verb program (proptest),
+//! the three structure adopters end to end, and the
+//! guard-across-suspension reclaim rules.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -140,7 +145,7 @@ fn run_sync(c: &mut FabricClient, prog: &[Step]) -> Vec<Vec<u8>> {
 }
 
 /// The suspending twin: the same program through [`AsyncClient`] verbs
-/// and [`AsyncBatch`] doorbells.
+/// and [`AsyncClient::ring`] doorbells.
 async fn run_async(ac: AsyncClient, prog: Vec<Step>) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for step in &prog {
@@ -162,7 +167,7 @@ async fn run_async(ac: AsyncClient, prog: Vec<Step>) -> Vec<Vec<u8>> {
                 }
             },
             Step::Batch(ops) => {
-                let mut b = ac.batch();
+                let mut b = DescList::new();
                 for op in ops {
                     match op {
                         VerbOp::WriteWord(s, v) => {
@@ -185,7 +190,7 @@ async fn run_async(ac: AsyncClient, prog: Vec<Step>) -> Vec<Vec<u8>> {
                         }
                     }
                 }
-                let cq = b.commit().await;
+                let cq = ac.ring(b).await;
                 assert!(cq.status().is_ok());
                 for (op, o) in ops.iter().zip(cq.into_outputs().unwrap()) {
                     match op {
@@ -206,7 +211,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The runtime's core identity, as a property over arbitrary mixed
-    /// serial/batch programs on twin fabrics: same answers, same final
+    /// serial/batch programs on twin fabrics — blocking verbs and
+    /// `FabricClient::ring` on one side, the reactor firing the same
+    /// descriptors and lists on the other: same answers, same final
     /// far memory, every access counter identical (including
     /// `overlap_saved_ns` — the twins see identical node occupancy),
     /// identical virtual clocks, and a completion-driven poll discipline
@@ -249,8 +256,12 @@ proptest! {
 
 // --- structure adopters -------------------------------------------------
 
-/// The three `crates/core` adopters against their synchronous twins on
-/// identically prepared fabrics: same answers, same counters, same clock.
+/// The three `crates/core` adopters, each one body, run over an inline
+/// doorbell (the blocking public functions) and over the reactor's (the
+/// `_async` ones) on identically prepared fabrics: same answers, same
+/// counters, same clock. What this pins is inline-doorbell versus reactor
+/// accounting — serial doorbells, refresh-on-wake, firing order — not the
+/// agreement of two copies of the adopter.
 #[test]
 fn structure_adopters_match_blocking_twins() {
     let build = || {

@@ -5,23 +5,19 @@
 //! virtual-time tables against the committed baseline — see
 //! [`perf_gate`] for the band semantics.
 //!
-//! `cargo run -p xtask -- lint` enforces five repo-level disciplines
-//! that rustc cannot — `forbid-unsafe`, `far-addr`, `retire-guard`,
-//! `stats-mut`, `block-async`. The rules (and their annotation
-//! markers) are unchanged from the original grep-based linter, but
-//! the implementation now lives in `farmem-audit`, matched against a
-//! lexed token stream instead of raw lines, so multi-line `/* */`
-//! comments and raw strings no longer produce false positives. See
-//! the `farmem_audit` crate docs for the full pass catalog.
-//!
-//! `cargo run -p xtask -- audit` runs the complete static analyzer:
-//! the five lints above *plus* the dataflow passes (`rt-in-loop`,
-//! `lock-across-rt`, `guard-escape`, `verb-in-drop`) over per-function
-//! control-flow sketches, then replays the seeded-violation fixture
-//! corpus in `crates/audit/fixtures/` and fails unless every mutant is
-//! caught and every clean fixture stays clean — the same
-//! mutation-score discipline `farmem-check` applies to the dynamic
-//! checkers, pointed at the analyzer itself.
+//! `cargo run -p xtask -- audit` runs the static analyzer
+//! (`farmem-audit`): five repo-level disciplines that rustc cannot
+//! enforce — `forbid-unsafe`, `far-addr`, `retire-guard`, `stats-mut`,
+//! `block-async`, matched against a lexed token stream so multi-line
+//! `/* */` comments and raw strings produce no false positives — *plus*
+//! the dataflow passes (`rt-in-loop`, `lock-across-rt`, `guard-escape`,
+//! `verb-in-drop`) over per-function control-flow sketches. It then
+//! replays the seeded-violation fixture corpus in
+//! `crates/audit/fixtures/` and fails unless every mutant is caught and
+//! every clean fixture stays clean — the same mutation-score discipline
+//! `farmem-check` applies to the dynamic checkers, pointed at the
+//! analyzer itself. See the `farmem_audit` crate docs for the full pass
+//! catalog.
 
 #![forbid(unsafe_code)]
 
@@ -34,33 +30,12 @@ use farmem_audit::{workspace_root, AuditConfig};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(),
         Some("audit") => audit(),
         Some("perf-gate") => perf_gate::perf_gate(&args[1..], &workspace_root()),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint | audit | perf-gate>");
+            eprintln!("usage: cargo run -p xtask -- <audit | perf-gate>");
             ExitCode::from(2)
         }
-    }
-}
-
-fn lint() -> ExitCode {
-    let root = workspace_root();
-    let cfg = AuditConfig::default();
-    let report = farmem_audit::lint_tree(&root, &cfg).expect("read workspace sources");
-    if report.clean() {
-        println!(
-            "xtask lint: ok (forbid-unsafe, far-addr, retire-guard, stats-mut, block-async; \
-             {} files)",
-            report.files_scanned
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &report.findings {
-            eprintln!("lint error: {}:{}: [{}] {}", f.file, f.line, f.pass, f.message);
-        }
-        eprintln!("xtask lint: {} error(s)", report.findings.len());
-        ExitCode::FAILURE
     }
 }
 
