@@ -1,7 +1,7 @@
 //! A small Rust lexer — the foundation every pass sits on.
 //!
 //! The five original `xtask` lints were line-based greps with a
-//! [`LineFilter`]-style comment heuristic, which had two known
+//! `LineFilter`-style comment heuristic, which had two known
 //! blind-spot classes: multi-line `/* */` block comments (code inside
 //! them was still linted) and raw strings `r#"…"#` (their *contents*
 //! look like code to a grep). This lexer tokenizes the real thing —

@@ -195,7 +195,7 @@ fn a4_coalescing(args: &BenchArgs, report: &mut Report) {
         let mut p = m.producer(&mut pc);
         let mut cc = f.client();
         let mut cons = m.consumer(&mut cc, Severity::Warning).unwrap();
-        let n = args.scaled(20_000, 2_000);
+        let n = 20_000;
         for s in 0..n {
             p.record(&mut pc, 70 + (s % 30)).unwrap(); // every sample alarms
             if s % 1000 == 999 {

@@ -146,7 +146,6 @@ type StructureRunner = fn(u32, u64) -> Cell;
 fn main() {
     let args = BenchArgs::parse();
     let seed = args.seed_or(SEED);
-    let ppm_sweep: &[u32] = if args.smoke { &[0, 10_000, 50_000] } else { &PPM_SWEEP };
     let structures: [(&str, StructureRunner); 3] =
         [("httree", run_httree), ("queue", run_queue), ("refvec", run_refvec)];
 
@@ -167,7 +166,7 @@ fn main() {
         );
         let mut points = Vec::new();
         let mut baseline: Option<Cell> = None;
-        for &ppm in ppm_sweep {
+        for &ppm in &PPM_SWEEP {
             let cell = run(ppm, seed);
             let (base_rt, base_ns) = match &baseline {
                 Some(b) => (b.stats.round_trips as f64 / b.ops as f64, b.virtual_ns as f64 / b.ops as f64),
@@ -227,7 +226,7 @@ fn main() {
         RetryPolicy::DEFAULT.max_attempts,
         RetryPolicy::DEFAULT.base_backoff_ns,
         RetryPolicy::DEFAULT.max_backoff_ns,
-        ppm_sweep.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(","),
+        PPM_SWEEP.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(","),
         curves.join(",")
     );
     std::fs::create_dir_all("results").expect("create results dir");

@@ -21,7 +21,6 @@
 //! `results/e13_trace.jsonl` (one JSON object per traced verb).
 //!
 //! Run: `cargo run --release -p farmem-bench --bin e13_trace`
-//! (`--smoke` shrinks the workload for CI).
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_bench::{BenchArgs, Json, Table};
@@ -93,11 +92,10 @@ fn verb_table(rep: &TraceReport) -> Table {
 
 fn main() {
     let args = BenchArgs::parse();
-    let scale: u64 = args.scaled(10, 1);
-    let puts = 400 * scale;
-    let gets = 800 * scale;
-    let qops = 600 * scale;
-    let locks = 100 * scale;
+    let puts: u64 = 4_000;
+    let gets: u64 = 8_000;
+    let qops: u64 = 6_000;
+    let locks: u64 = 1_000;
 
     let fabric = FabricConfig {
         faults: FaultPlan::transient(FAULT_PPM).with_seed(args.seed_or(SEED)),
@@ -209,7 +207,11 @@ fn main() {
     report.save();
 
     let chrome = tracer.chrome_trace();
-    Json::parse(&chrome).expect("chrome trace must be valid JSON");
+    let doc = Json::parse(&chrome).expect("chrome trace must be valid JSON");
+    assert!(
+        doc.get("traceEvents").and_then(Json::as_arr).is_some_and(|ev| !ev.is_empty()),
+        "chrome trace carries no traceEvents"
+    );
     std::fs::write("results/e13_trace.perfetto.json", &chrome)
         .expect("write results/e13_trace.perfetto.json");
     eprintln!("wrote results/e13_trace.perfetto.json (load at https://ui.perfetto.dev)");

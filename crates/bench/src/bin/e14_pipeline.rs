@@ -8,7 +8,6 @@
 //! loop*. Latency is hidden, never work.
 //!
 //! Run: `cargo run --release -p farmem-bench --bin e14_pipeline`
-//! (`--smoke` shrinks the batch count; the sweep shape is unchanged.)
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_bench::{BenchArgs, Table};
@@ -23,7 +22,7 @@ fn main() {
     let args = BenchArgs::parse();
     let mut report = args.report("e14_pipeline");
     // Total ranges per cell; divisible by every depth in the sweep.
-    let ops = args.scaled(64, 16);
+    let ops = 64;
 
     let mut t = Table::new(
         "E14: striped 4 KiB range reads — serial loop vs pipelined doorbells (virtual ns/op)",

@@ -22,10 +22,9 @@
 //! `reclaimed_bytes`, `reclaim_rounds` fields — field-for-field.
 //!
 //! Deterministic: seeded key/op mixing, virtual time. Output lands in
-//! `results/e15_reclaim.json` and `results/e15_reclaim.txt`.
+//! `results/e15_reclaim.json`.
 //!
 //! Run: `cargo run --release -p farmem-bench --bin e15_reclaim`
-//! (`--smoke` shrinks the windows; every invariant is still asserted.)
 
 use farmem_alloc::FarAlloc;
 use farmem_bench::{BenchArgs, Table};
@@ -258,10 +257,9 @@ fn trace_phase(seed: u64) -> (u64, u64, u64) {
 fn main() {
     let args = BenchArgs::parse();
     let seed = args.seed_or(SEED);
-    let windows = args.scaled(12, 6);
-    let ops_per_window = args.scaled(320, 96);
+    let windows = 12;
+    let ops_per_window = 320;
     let mut report = args.report("e15_reclaim");
-    let mut txt = String::new();
 
     let on = churn(true, windows, ops_per_window, seed);
     let off = churn(false, windows, ops_per_window, seed);
@@ -286,10 +284,9 @@ fn main() {
             ),
         ]);
     }
-    txt.push_str(&t.render());
     report.add(t);
 
-    // The committed invariants (asserted under --smoke too):
+    // The committed invariants:
     // 1. Bounded with reclamation on: after the warmup window the
     //    footprint never exceeds 1.5× its post-warmup level.
     let warm = on.samples[1].live_bytes;
@@ -344,7 +341,6 @@ fn main() {
     t.row(vec!["queue retire: bytes returned".into(), format!("{queue_freed}")]);
     t.row(vec!["trace: retired/reclaimed/rounds".into(), format!("{tr_retired}/{tr_reclaimed}/{tr_rounds}")]);
     t.row(vec!["trace: reconcile".into(), "exact".into()]);
-    txt.push_str(&t.render());
     report.add(t);
 
     let closing = format!(
@@ -364,10 +360,5 @@ fn main() {
     if args.verbose() {
         println!("{closing}");
     }
-    txt.push_str(&closing);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/e15_reclaim.txt", &txt)
-        .expect("write results/e15_reclaim.txt");
     report.save();
-    eprintln!("wrote results/e15_reclaim.txt");
 }

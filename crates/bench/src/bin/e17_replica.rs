@@ -18,11 +18,10 @@
 //!   against the flat counters — mirrors, fence refreshes and the
 //!   promotion itself are all attributed, never leaked.
 //!
-//! Output: tables on stdout, `results/e17_replica.json` (schema-
-//! versioned) and `results/e17_replica.txt` (rendered tables).
+//! Output: tables on stdout and `results/e17_replica.json` (schema-
+//! versioned).
 //!
 //! Run: `cargo run --release -p farmem-bench --bin e17_replica`
-//! (`--smoke` shrinks the workload for CI; every assert still runs.)
 
 use std::collections::HashMap;
 
@@ -179,10 +178,9 @@ fn failover_drain(k: u32, items: u64) -> DrainRow {
 fn main() {
     let args = BenchArgs::parse();
     let mut report = args.report("e17_replica");
-    let mut txt = String::new();
 
     // ---- Phase A: write overhead, K × pipeline depth -------------------
-    let ops = args.scaled(128, 16); // divisible by every depth below
+    let ops = 128; // divisible by every depth below
     let mut ta = Table::new(
         "E17: acknowledged u64 writes, K mirrors — virtual ns/op (default cost model)",
         &["K", "depth", "serial ns/op", "pipe ns/op", "×K=0 (pipe)", "msgs/op", "mirror msgs/op"],
@@ -214,11 +212,10 @@ fn main() {
             ]);
         }
     }
-    txt.push_str(&ta.render());
     report.add(ta);
 
     // ---- Phase B: drain across permanent primary loss ------------------
-    let items = args.scaled(240, 60);
+    let items = 240;
     let mut tb = Table::new(
         "E17b: queue drain across permanent primary crash-stops",
         &[
@@ -264,12 +261,10 @@ fn main() {
             r.epoch.to_string(),
         ]);
     }
-    txt.push('\n');
-    txt.push_str(&tb.render());
     report.add(tb);
 
     // ---- Phase C: trace reconciliation across a failover ---------------
-    let n = args.scaled(300, 60);
+    let n = 300;
     let f = FabricConfig {
         faults: FaultPlan::transient(20_000).with_seed(args.seed_or(17)),
         replication: ReplicaConfig::mirrored(1),
@@ -320,11 +315,9 @@ fn main() {
     tc.row(vec!["fence refreshes".into(), s.fence_refreshes.to_string()]);
     tc.row(vec!["failovers".into(), s.failovers.to_string()]);
     tc.row(vec!["exact reconciliation".into(), "yes".into()]);
-    txt.push('\n');
-    txt.push_str(&tc.render());
     report.add(tc);
 
-    // ---- Summary (asserted by CI against the emitted JSON) -------------
+    // ---- Summary (every cell was asserted above) ----------------------
     let mut ts = Table::new(
         "E17: summary — zero data loss, bounded unavailability, ≤1.3× write overhead",
         &[
@@ -341,8 +334,6 @@ fn main() {
         us(lease),
         "yes".into(),
     ]);
-    txt.push('\n');
-    txt.push_str(&ts.render());
     report.add(ts);
 
     if args.verbose() {
@@ -359,6 +350,4 @@ fn main() {
         );
     }
     report.save();
-    std::fs::write("results/e17_replica.txt", &txt).expect("write results/e17_replica.txt");
-    eprintln!("wrote results/e17_replica.txt");
 }

@@ -23,7 +23,6 @@
 //!    E4/E8-style extrapolation to fleet scale (millions of users).
 //!
 //! Run: `cargo run --release -p farmem-bench --bin e20_serve`
-//! (`--smoke` shrinks op counts; every verdict still holds.)
 
 use std::sync::Arc;
 
@@ -84,7 +83,7 @@ fn replicated_deploy(
 /// Phase A: hot-key detection + replica-read spreading under skew.
 /// Returns (table, spread ratio at the highest skew).
 fn phase_a(args: &BenchArgs) -> (Table, f64, bool) {
-    let gets = args.scaled(30_000, 5_000);
+    let gets = 30_000;
     let seed = args.seed_or(0x20_5e);
     let mut t = Table::new(
         "E20a: zipf skew × hot-key replica spreading — busiest mirror of a 3-mirror group \
@@ -156,8 +155,8 @@ fn phase_a(args: &BenchArgs) -> (Table, f64, bool) {
 
 /// Phase B: tenant isolation + quotas on a count-only fabric, traced.
 /// Returns (table, cross-tenant hits, quota accounting closed, trace ok).
-fn phase_b(args: &BenchArgs) -> (Table, u64, bool, bool) {
-    let rounds = args.scaled(4_000, 800);
+fn phase_b() -> (Table, u64, bool, bool) {
+    let rounds = 4_000;
     let fabric = FabricConfig::count_only(512 << 20).build();
     let alloc = FarAlloc::new(fabric.clone());
     let mut c = fabric.client();
@@ -262,7 +261,7 @@ fn phase_b(args: &BenchArgs) -> (Table, u64, bool, bool) {
 /// Returns (twin table, ttl table, bounded ratio, unbounded ratio,
 /// expired-served count).
 fn phase_c(args: &BenchArgs) -> (Table, Table, f64, f64, u64) {
-    let churn = args.scaled(4_000, 800);
+    let churn = 4_000;
     let budget = 64u64 << 10; // 256 records of the 256-byte class
     let record_class = 256u64;
     // -- C1: identical insert stream, eviction on vs off --------------
@@ -346,7 +345,7 @@ fn phase_c(args: &BenchArgs) -> (Table, Table, f64, f64, u64) {
     // Expiry of the *last* put is the latest instant anything stays
     // servable; arrivals are an open-loop schedule that straddles it.
     let deadline = c.now_ns() + ttl_ns;
-    let n_gets = args.scaled(4_096, 1_024) as usize;
+    let n_gets: usize = 4_096;
     let span = (deadline - born) * 2;
     let rate = n_gets as f64 / (span as f64 / 1e9);
     let arrivals = OpenLoop::schedule(rate, args.seed_or(0x20_5e) + 1, n_gets);
@@ -401,7 +400,7 @@ fn phase_c(args: &BenchArgs) -> (Table, Table, f64, f64, u64) {
 /// Returns (crossover table, extrapolation table, serve/rpc Mops at the
 /// largest fleet, sessions deterministic).
 fn phase_d(args: &BenchArgs) -> (Table, Table, f64, f64, bool) {
-    let ops = args.scaled(1_500, 250);
+    let ops = 1_500;
     let seed = args.seed_or(0x20_5e) + 7;
     let theta = 0.99;
     let mut t = Table::new(
@@ -522,7 +521,7 @@ fn phase_d(args: &BenchArgs) -> (Table, Table, f64, f64, bool) {
     );
 
     // ---- session multiplexing determinism (runtime listener) ----
-    let sessions = args.scaled(512, 128) as usize;
+    let sessions: usize = 512;
     let run = || {
         let fabric = FabricConfig::single_node(512 << 20).build();
         let alloc = FarAlloc::new(fabric.clone());
@@ -586,22 +585,14 @@ fn main() {
     let args = BenchArgs::parse();
     let mut report = args.report("e20_serve");
 
-    let mut txt = String::new();
-
     let (ta, spread_ratio, spread_gain) = phase_a(&args);
-    txt.push_str(&ta.render());
     report.add(ta);
-    let (tb, confusions, quota_closed, trace_ok) = phase_b(&args);
-    txt.push_str(&tb.render());
+    let (tb, confusions, quota_closed, trace_ok) = phase_b();
     report.add(tb);
     let (tc1, tc2, bounded_ratio, growth_ratio, expired_served) = phase_c(&args);
-    txt.push_str(&tc1.render());
-    txt.push_str(&tc2.render());
     report.add(tc1);
     report.add(tc2);
     let (td, td2, serve_mops, rpc_mops, deterministic) = phase_d(&args);
-    txt.push_str(&td.render());
-    txt.push_str(&td2.render());
     report.add(td);
     report.add(td2);
 
@@ -641,11 +632,7 @@ fn main() {
         if deterministic { "yes" } else { "NO" }.into(),
     ]);
     assert!(spread_ratio >= 1.3, "spread relief ×{spread_ratio:.2} below the 1.3 floor");
-    txt.push_str(&v.render());
     report.add(v);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/e20_serve.txt", &txt).expect("write results/e20_serve.txt");
-    eprintln!("wrote results/e20_serve.txt");
 
     if args.verbose() {
         println!(

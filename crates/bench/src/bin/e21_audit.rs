@@ -15,9 +15,7 @@
 //! * both runs produce byte-identical findings JSON — the analyzer is
 //!   a pure function of the source tree.
 //!
-//! The analyzer reads source text, not timings, so `--smoke` runs the
-//! identical suite; the flag exists for driver-interface uniformity.
-//! Output: `results/e21_audit.json` + `results/e21_audit.txt`.
+//! Output: `results/e21_audit.json`.
 
 #![forbid(unsafe_code)]
 
@@ -176,29 +174,4 @@ fn main() {
     }
 
     report.save();
-    let mut txt = suite.tree.render_text();
-    txt.push('\n');
-    for r in &suite.fixtures {
-        let expects =
-            if r.spec.expect.is_empty() { "clean".to_string() } else { r.spec.expect.join("+") };
-        txt.push_str(&format!(
-            "{}: as {} expects {} fired [{}] caught={}\n",
-            r.name,
-            r.spec.pretend_path,
-            expects,
-            r.fired.join(", "),
-            r.caught
-        ));
-    }
-    txt.push_str(&format!(
-        "\nmutation score {}/{} = {}%, tree clean ({} files), deterministic reruns\n",
-        caught,
-        muts.len(),
-        100 * caught / muts.len().max(1),
-        suite.tree.files_scanned
-    ));
-    std::fs::write("results/e21_audit.txt", &txt).expect("write results/e21_audit.txt");
-    if args.verbose() {
-        println!("wrote results/e21_audit.txt");
-    }
 }

@@ -17,14 +17,13 @@ const PROBES: u64 = 200;
 
 fn main() {
     let args = BenchArgs::parse();
-    let probes = args.scaled(PROBES, 20);
     let seed = args.seed_or(0);
     let mut report = args.report("e2_access_complexity");
     let mut t = Table::new(
         "E2: average far accesses per lookup vs number of items",
         &["n", "linked list", "skip list", "B-tree", "HT-tree"],
     );
-    let exps: &[u32] = if args.smoke { &[2, 6, 10] } else { &[2, 4, 6, 8, 10, 12, 14] };
+    let exps: &[u32] = &[2, 4, 6, 8, 10, 12, 14];
     for &exp in exps {
         let n = 1u64 << exp;
         let fabric = FabricConfig::count_only(1 << 30).build();
@@ -39,10 +38,10 @@ fn main() {
             }
             let mut dist = KeyDist::uniform(n, seed + 1);
             let before = c.stats();
-            for _ in 0..probes {
+            for _ in 0..PROBES {
                 list.get(&mut c, dist.next_key()).unwrap();
             }
-            format!("{:.1}", (c.stats().since(&before).round_trips) as f64 / probes as f64)
+            format!("{:.1}", (c.stats().since(&before).round_trips) as f64 / PROBES as f64)
         } else {
             "(skipped)".to_string()
         };
@@ -53,19 +52,19 @@ fn main() {
         }
         let mut dist = KeyDist::uniform(n, seed + 2);
         let before = c.stats();
-        for _ in 0..probes {
+        for _ in 0..PROBES {
             skip.get(&mut c, dist.next_key()).unwrap();
         }
-        let skip_cost = (c.stats().since(&before).round_trips) as f64 / probes as f64;
+        let skip_cost = (c.stats().since(&before).round_trips) as f64 / PROBES as f64;
 
         let items: Vec<(u64, u64)> = (0..n).map(|k| (k, k)).collect();
         let btree = OneSidedBTree::build(&mut c, &alloc, &items, 0).unwrap();
         let mut dist = KeyDist::uniform(n, seed + 3);
         let before = c.stats();
-        for _ in 0..probes {
+        for _ in 0..PROBES {
             btree.get(&mut c, dist.next_key()).unwrap();
         }
-        let btree_cost = (c.stats().since(&before).round_trips) as f64 / probes as f64;
+        let btree_cost = (c.stats().since(&before).round_trips) as f64 / PROBES as f64;
 
         let cfg = HtTreeConfig {
             initial_buckets: 1024,
@@ -81,10 +80,10 @@ fn main() {
         let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
         let mut dist = KeyDist::uniform(n, seed + 4);
         let before = c.stats();
-        for _ in 0..probes {
+        for _ in 0..PROBES {
             h.get(&mut c, dist.next_key()).unwrap();
         }
-        let ht_cost = (c.stats().since(&before).round_trips) as f64 / probes as f64;
+        let ht_cost = (c.stats().since(&before).round_trips) as f64 / PROBES as f64;
 
         t.row(vec![
             n.to_string(),

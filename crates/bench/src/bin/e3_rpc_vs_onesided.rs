@@ -89,7 +89,6 @@ fn main() {
     let args = BenchArgs::parse();
     let mut report = args.report("e3_rpc_vs_onesided");
     let seed = args.seed_or(0);
-    let client_counts: &[usize] = if args.smoke { &CLIENT_COUNTS[..3] } else { &CLIENT_COUNTS };
     let mut table = Table::new(
         "E3: KV lookups, Zipf(0.99) keys — latency (virtual ns/op) and throughput (Mops/s) vs clients",
         &[
@@ -97,7 +96,7 @@ fn main() {
         ],
     );
 
-    for &k in client_counts {
+    for &k in &CLIENT_COUNTS {
         // ---- traditional one-sided chained hash (refs [24,25] strawman) ----
         {
             let f = fabric();

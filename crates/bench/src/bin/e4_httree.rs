@@ -40,7 +40,7 @@ fn main() {
     let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
 
     // Load 1M items, measuring amortized store cost as we go.
-    let n: u64 = args.scaled(1_000_000, 20_000);
+    let n: u64 = 1_000_000;
     let before = c.stats();
     for k in 0..n {
         h.put(&mut c, k.wrapping_mul(0x9e37_79b9_7f4a_7c15), k).unwrap();
@@ -50,7 +50,7 @@ fn main() {
 
     // Fresh handle: fresh cache, then measure per-op costs.
     let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
-    let probes = args.scaled(50_000, 2_000);
+    let probes = 50_000;
     let before = c.stats();
     for k in 0..probes {
         let key = (k * 17 % n).wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -119,7 +119,7 @@ fn main() {
         &["p", "far queue", "CAS queue", "lock queue"],
     );
     for p in [1usize, 2, 4, 8, 16] {
-        let ops_each = args.scaled(2000, 200);
+        let ops_each = 2000;
         // far queue
         let far_mops = {
             let f = fabric();
@@ -259,7 +259,7 @@ fn main() {
         let mut c = f.client();
         let q = FarQueue::create(&mut c, &alloc, QueueConfig::new(n_slots, 2)).unwrap();
         let mut h = FarQueue::attach(&mut c, q.hdr()).unwrap();
-        let ops = args.scaled(20_000, 2_000);
+        let ops = 20_000;
         let before = c.stats();
         for i in 0..ops / 2 {
             h.enqueue(&mut c, i).unwrap();

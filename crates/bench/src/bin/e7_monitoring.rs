@@ -23,7 +23,6 @@ const WINDOWS: u64 = 3;
 
 fn main() {
     let args = BenchArgs::parse();
-    let n_per_window = args.scaled(N_PER_WINDOW, 5_000);
     let seed = args.seed_or(7);
     let mut report = args.report("e7_monitoring");
     let mut t = Table::new(
@@ -61,7 +60,7 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut alarms = 0usize;
             for _ in 0..WINDOWS {
-                for s in 0..n_per_window {
+                for s in 0..N_PER_WINDOW {
                     let sample: u64 = if rng.gen_bool(alarm_pct / 100.0) {
                         70 + rng.gen_range(0..31)
                     } else {
@@ -93,11 +92,11 @@ fn main() {
 
             // --- naive design ---
             let mut npc = f.client();
-            let nm = NaiveMonitor::create(&mut npc, &alloc, WINDOWS * n_per_window).unwrap();
+            let nm = NaiveMonitor::create(&mut npc, &alloc, WINDOWS * N_PER_WINDOW).unwrap();
             let mut np = nm.producer();
             let np_before = npc.stats();
             let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..WINDOWS * n_per_window {
+            for _ in 0..WINDOWS * N_PER_WINDOW {
                 let sample: u64 = if rng.gen_bool(alarm_pct / 100.0) {
                     70 + rng.gen_range(0..31)
                 } else {
@@ -112,7 +111,7 @@ fn main() {
                 let mut cons = nm.consumer();
                 let before = cc.stats();
                 // Consumers poll on the same cadence as above.
-                for _ in 0..(WINDOWS * n_per_window / 1000) {
+                for _ in 0..(WINDOWS * N_PER_WINDOW / 1000) {
                     cons.poll(&mut cc).unwrap();
                 }
                 // Count sample words transferred, not poll messages: the

@@ -49,8 +49,8 @@ fn main() {
             "reissues/op", "ns/op",
         ],
     );
-    let ops = args.scaled(20_000, 2_000);
-    let node_counts: &[u32] = if args.smoke { &[2, 8] } else { &[2, 4, 8, 16] };
+    let ops = 20_000;
+    let node_counts: &[u32] = &[2, 4, 8, 16];
     for &nodes in node_counts {
         for &localize in &[false, true] {
             for &mode in &[IndirectionMode::Forward, IndirectionMode::Error] {

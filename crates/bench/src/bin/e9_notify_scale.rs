@@ -53,7 +53,7 @@ fn main() {
         // Uniform writes across the watched pages: 1/8 of them hit a
         // watched word (the others are false-positive bait).
         let mut rng = StdRng::seed_from_u64(seed);
-        let writes = args.scaled(20_000, 2_000);
+        let writes = 20_000;
         for _ in 0..writes {
             let page = rng.gen_range(0..soft / 8);
             let slot = rng.gen_range(0..512);

@@ -1,9 +1,8 @@
 //! Shared command-line parsing for the `e*` experiment drivers.
 //!
-//! Every driver accepts the same three flags:
+//! Every driver runs at one workload size — the size the committed
+//! `results/` tables were produced at — and accepts the same two flags:
 //!
-//! - `--smoke` — shrink the workload so the driver finishes in seconds
-//!   (CI runs the smoke variant; committed results use the full run).
 //! - `--seed <n>` — override the driver's default RNG seed. Committed
 //!   results are always generated with the default, so runs without the
 //!   flag stay byte-reproducible.
@@ -18,8 +17,7 @@
 //! let args = BenchArgs::parse();
 //! let mut report: Report = args.report("e0_example");
 //! let seed = args.seed_or(42);
-//! let ops = args.scaled(100_000, 1_000);
-//! # let _ = (seed, ops);
+//! # let _ = seed;
 //! report.save();
 //! ```
 
@@ -28,8 +26,6 @@ use crate::Report;
 /// Parsed flags common to all experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// `--smoke`: run a reduced workload.
-    pub smoke: bool,
     /// `--seed <n>`: RNG seed override (`None` = driver default).
     pub seed: Option<u64>,
     /// `--json`: machine-readable stdout (tables suppressed).
@@ -38,14 +34,13 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Parses `std::env::args()`, exiting with a usage message on
-    /// unknown flags so typos fail loudly instead of silently running
-    /// the full workload.
+    /// unknown flags so typos fail loudly instead of being ignored.
     pub fn parse() -> BenchArgs {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}");
-                eprintln!("usage: <driver> [--smoke] [--seed <n>] [--json]");
+                eprintln!("usage: <driver> [--seed <n>] [--json]");
                 std::process::exit(2);
             }
         }
@@ -56,11 +51,10 @@ impl BenchArgs {
     where
         I: IntoIterator<Item = String>,
     {
-        let mut out = BenchArgs { smoke: false, seed: None, json: false };
+        let mut out = BenchArgs { seed: None, json: false };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--smoke" => out.smoke = true,
                 "--json" => out.json = true,
                 "--seed" => {
                     let v = it.next().ok_or("--seed requires a value")?;
@@ -76,11 +70,6 @@ impl BenchArgs {
     /// The seed to use: the `--seed` override, else the driver default.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
-    }
-
-    /// Picks the workload size: `full` normally, `smoke` under `--smoke`.
-    pub fn scaled(&self, full: u64, smoke: u64) -> u64 {
-        if self.smoke { smoke } else { full }
     }
 
     /// A [`Report`] whose stdout honours `--json` (tables suppressed,
@@ -104,26 +93,26 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_full_run() {
+    fn defaults_are_the_committed_run() {
         let a = parse(&[]).unwrap();
-        assert!(!a.smoke && !a.json && a.seed.is_none());
+        assert!(!a.json && a.seed.is_none());
         assert_eq!(a.seed_or(17), 17);
-        assert_eq!(a.scaled(1000, 10), 1000);
         assert!(a.verbose());
     }
 
     #[test]
-    fn all_flags_parse_in_any_order() {
-        let a = parse(&["--json", "--seed", "99", "--smoke"]).unwrap();
-        assert!(a.smoke && a.json);
-        assert_eq!(a.seed_or(17), 99);
-        assert_eq!(a.scaled(1000, 10), 10);
-        assert!(!a.verbose());
+    fn both_flags_parse_in_any_order() {
+        for args in [["--json", "--seed", "99"], ["--seed", "99", "--json"]] {
+            let a = parse(&args).unwrap();
+            assert!(a.json);
+            assert_eq!(a.seed_or(17), 99);
+            assert!(!a.verbose());
+        }
     }
 
     #[test]
     fn bad_flags_are_rejected() {
-        assert!(parse(&["--sm0ke"]).is_err());
+        assert_eq!(parse(&["--jsno"]), Err("unknown flag \"--jsno\"".to_string()));
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "banana"]).is_err());
     }

@@ -167,6 +167,10 @@ struct Entry {
     version: u64,
 }
 
+/// Bound on an operation's retries after stale-cache refreshes or lost
+/// CAS races.
+const RETRY_BUDGET: u32 = 256;
+
 /// Construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct HtTreeConfig {
@@ -177,8 +181,6 @@ pub struct HtTreeConfig {
     /// Check far-side load statistics every this many of a handle's own
     /// inserts (amortizes the extra far access).
     pub split_check_interval: u64,
-    /// Bound on retries after stale-cache refreshes or lost CAS races.
-    pub retry_budget: u32,
     /// §5.2 offers two ways for clients to learn the tree changed:
     /// notifications on the tree, or letting caches go stale and catching
     /// it through the per-table versions. With `notify_dir` the handle
@@ -194,7 +196,6 @@ impl Default for HtTreeConfig {
             initial_buckets: 64,
             max_load_percent: 75,
             split_check_interval: 64,
-            retry_budget: 256,
             notify_dir: false,
         }
     }
@@ -564,7 +565,7 @@ impl HtTreeHandle {
     }
 
     fn get_inner(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
-        for attempt in 0..self.cfg.retry_budget {
+        for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
             let bucket = Self::bucket_addr(&entry, key);
             // One far access: dereference the bucket pointer and read the
@@ -770,7 +771,7 @@ impl HtTreeHandle {
         tombstone: bool,
     ) -> Result<()> {
         self.sync_directory(client)?;
-        for attempt in 0..self.cfg.retry_budget {
+        for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
             let bucket = Self::bucket_addr(&entry, key);
             // Far access 1: gather the bucket pointer and the table version
@@ -894,7 +895,7 @@ impl HtTreeHandle {
         if lo > hi {
             return Ok(Vec::new());
         }
-        'retry: for _ in 0..self.cfg.retry_budget {
+        'retry: for _ in 0..RETRY_BUDGET {
             let mut out: Vec<(u64, u64)> = Vec::new();
             let first = match self.entries.binary_search_by(|e| e.start_key.cmp(&lo)) {
                 Ok(i) => i,

@@ -33,7 +33,7 @@
 //! magnitude longer than the far accesses a critical section performs.
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_fabric::{FabricClient, FarAddr, WORD};
+use farmem_fabric::{FabricClient, FarAddr, SubId, WORD};
 
 use crate::error::{CoreError, Result};
 
@@ -64,6 +64,62 @@ const WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(1);
 /// slice never leaps a meaningful fraction of a lease.
 const WAIT_BASE_NS: u64 = 1_000;
 const WAIT_CAP_NS: u64 = 1_000_000;
+
+/// Lease accounting of one contended acquire, shared by [`FarMutex`]
+/// and [`crate::FarRwLock`]: the held word being out-waited, the
+/// waiting time accumulated against it, and the virtual backoff to
+/// charge on the next timed-out slice. All reset whenever the observed
+/// word changes — only an unchanging holder (a dead one) accumulates
+/// waited time against its lease. What to do once the lease is
+/// out-waited (the steal rule) stays with each lock.
+pub(crate) struct LeaseWait {
+    sub: SubId,
+    watched: u64,
+    waited: u64,
+    backoff: u64,
+}
+
+impl LeaseWait {
+    /// Accounting for a waiter parked on subscription `sub`. No lock
+    /// word is ever 0 while held, so 0 stands for "nothing watched".
+    pub(crate) fn new(sub: SubId) -> LeaseWait {
+        LeaseWait { sub, watched: 0, waited: 0, backoff: WAIT_BASE_NS }
+    }
+
+    /// Forgets the watched word: the lock changed hands (or was just
+    /// stolen), so the next held word starts a fresh lease.
+    pub(crate) fn reset(&mut self) {
+        *self = LeaseWait::new(self.sub);
+    }
+
+    /// Records that the lock word reads `seen` and returns this
+    /// client's own waiting time accumulated against exactly that word
+    /// (0 when it differs from the one watched so far).
+    pub(crate) fn observe(&mut self, seen: u64) -> u64 {
+        if seen != self.watched {
+            self.reset();
+            self.watched = seen;
+        }
+        self.waited
+    }
+
+    /// Waits for a notification on the subscription. In single-threaded
+    /// virtual time the event is already queued; in threaded use, park
+    /// until one is pending, then claim it. A timed-out slice charges
+    /// virtual waiting time toward the watched lease.
+    pub(crate) fn park(&mut self, client: &mut FabricClient) {
+        let sub = self.sub;
+        if client.take_events(|e| e.sub() == Some(sub)).is_empty()
+            && !client.sink().wait_pending(WAIT_SLICE)
+        {
+            client.advance_time(self.backoff);
+            self.waited = self.waited.saturating_add(self.backoff);
+            self.backoff = self.backoff.saturating_mul(2).min(WAIT_CAP_NS);
+        } else {
+            let _ = client.take_events(|e| e.sub() == Some(sub));
+        }
+    }
+}
 
 /// A mutual-exclusion lock in far memory.
 ///
@@ -173,14 +229,7 @@ impl FarMutex {
         // or when a wait slice times out (the holder may be dead).
         let sub = client.notifye(self.addr, FREE)?;
         let mut attempts = 1;
-        // Lease accounting: the held word we are out-waiting, the waiting
-        // time accumulated against it, and the virtual backoff to charge
-        // on the next timed-out slice. All reset whenever the observed
-        // word changes — only an unchanging holder (a dead one)
-        // accumulates waited time against its lease.
-        let mut watched = FREE;
-        let mut waited = 0u64;
-        let mut backoff = WAIT_BASE_NS;
+        let mut wait = LeaseWait::new(sub);
         let result = loop {
             if attempts >= max_attempts {
                 break Err(CoreError::LockTimeout);
@@ -194,27 +243,12 @@ impl FarMutex {
             if seen == FREE {
                 break Ok(());
             }
-            if seen != watched {
-                watched = seen;
-                waited = 0;
-                backoff = WAIT_BASE_NS;
-            } else if self.try_steal(client, watched, waited)? {
+            let waited = wait.observe(seen);
+            if self.try_steal(client, seen, waited)? {
                 break Ok(());
             }
             attempts += 1;
-            // Wait for a release notification. In single-threaded virtual
-            // time the event is already queued; in threaded use, park
-            // until one is pending, then claim it. A timed-out slice
-            // charges virtual waiting time toward the watched lease.
-            if client.take_events(|e| e.sub() == Some(sub)).is_empty()
-                && !client.sink().wait_pending(WAIT_SLICE)
-            {
-                client.advance_time(backoff);
-                waited = waited.saturating_add(backoff);
-                backoff = backoff.saturating_mul(2).min(WAIT_CAP_NS);
-            } else {
-                let _ = client.take_events(|e| e.sub() == Some(sub));
-            }
+            wait.park(client);
         };
         client.unsubscribe(sub)?;
         result

@@ -48,6 +48,12 @@ pub enum RefreshMode {
     NotifyData,
 }
 
+/// Dynamic-policy thresholds on the per-refresh changed-group count
+/// (EMA): Polling → Notify when it drops below the first, Notify →
+/// Polling when it rises above the second.
+const TO_NOTIFY_BELOW: f64 = 1.0;
+const TO_POLLING_ABOVE: f64 = 8.0;
+
 /// Dynamic-policy parameters for a [`VecReader`].
 #[derive(Clone, Copy, Debug)]
 pub struct RefreshPolicy {
@@ -55,11 +61,6 @@ pub struct RefreshPolicy {
     pub initial: RefreshMode,
     /// Disable automatic mode switching (for ablation experiments).
     pub dynamic: bool,
-    /// Switch Polling → Notify when the per-refresh changed-group count
-    /// (EMA) drops below this.
-    pub to_notify_below: f64,
-    /// Switch Notify → Polling when it rises above this.
-    pub to_polling_above: f64,
     /// In notify modes, force a full version poll every this many
     /// refreshes — the safety net against *silently* lossy delivery.
     pub safety_poll_every: u32,
@@ -70,8 +71,6 @@ impl Default for RefreshPolicy {
         RefreshPolicy {
             initial: RefreshMode::Polling,
             dynamic: true,
-            to_notify_below: 1.0,
-            to_polling_above: 8.0,
             safety_poll_every: 64,
         }
     }
@@ -493,12 +492,12 @@ impl VecReader {
         self.rate_ema = 0.8 * self.rate_ema + 0.2 * changed.len() as f64;
         if self.policy.dynamic {
             match self.mode {
-                RefreshMode::Polling if self.rate_ema < self.policy.to_notify_below => {
+                RefreshMode::Polling if self.rate_ema < TO_NOTIFY_BELOW => {
                     self.enter_mode(client, RefreshMode::Notify)?;
                     self.stats.mode_switches += 1;
                 }
                 RefreshMode::Notify | RefreshMode::NotifyData
-                    if self.rate_ema > self.policy.to_polling_above =>
+                    if self.rate_ema > TO_POLLING_ABOVE =>
                 {
                     self.enter_mode(client, RefreshMode::Polling)?;
                     self.stats.mode_switches += 1;

@@ -42,7 +42,7 @@ use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_fabric::{FabricClient, FarAddr, WORD};
 
 use crate::error::{CoreError, Result};
-use crate::mutex::LEASE_NS;
+use crate::mutex::{LeaseWait, LEASE_NS};
 
 /// Writer-held flag.
 const WRITER: u64 = 1 << 63;
@@ -68,14 +68,6 @@ const FREE: u64 = GUARD;
 
 /// Stamp granularity conversion (the stamp is stored in µs).
 const STAMP_NS_PER_UNIT: u64 = 1_000;
-
-/// Wall-clock granularity of one contended wait (see `FarMutex`).
-const WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// Virtual backoff charged per timed-out wait slice, exponential while
-/// the observed word is unchanged, capped (ns).
-const WAIT_BASE_NS: u64 = 1_000;
-const WAIT_CAP_NS: u64 = 1_000_000;
 
 /// A reader-writer lock in far memory.
 ///
@@ -171,9 +163,7 @@ impl FarRwLock {
         // Lease accounting as in `FarMutex::lock`: waited time counts
         // against the writer's lease only while the word stays
         // bit-identical (the stamp makes every acquisition unique).
-        let mut watched = 0u64;
-        let mut waited = 0u64;
-        let mut backoff = WAIT_BASE_NS;
+        let mut wait = LeaseWait::new(sub);
         let result = (|| {
             for _ in 1..max_attempts {
                 // Probe with a plain read while a writer is visible: the
@@ -189,35 +179,19 @@ impl FarRwLock {
                         return Ok(());
                     }
                     // A writer slipped in between the read and the FAA.
-                    watched = 0;
-                    waited = 0;
-                    backoff = WAIT_BASE_NS;
+                    wait.reset();
                     continue;
                 }
-                if seen != watched {
-                    watched = seen;
-                    waited = 0;
-                    backoff = WAIT_BASE_NS;
-                } else if waited >= LEASE_NS {
+                if wait.observe(seen) >= LEASE_NS {
                     // Dead writer: clear it on its behalf, keeping the
                     // transient reader bits (and the guard), then race
                     // for the read lock. The out-waited lease is gone
                     // either way — restart the accounting.
                     let _ = client.cas(self.addr, seen, (seen & COUNT_MASK) | GUARD)?;
-                    watched = 0;
-                    waited = 0;
-                    backoff = WAIT_BASE_NS;
+                    wait.reset();
                     continue;
                 }
-                if client.take_events(|e| e.sub() == Some(sub)).is_empty()
-                    && !client.sink().wait_pending(WAIT_SLICE)
-                {
-                    client.advance_time(backoff);
-                    waited = waited.saturating_add(backoff);
-                    backoff = backoff.saturating_mul(2).min(WAIT_CAP_NS);
-                } else {
-                    let _ = client.take_events(|e| e.sub() == Some(sub));
-                }
+                wait.park(client);
             }
             Err(CoreError::LockTimeout)
         })();
@@ -258,9 +232,7 @@ impl FarRwLock {
             return Ok(());
         }
         let sub = client.notifye(self.addr, FREE)?;
-        let mut watched = 0u64;
-        let mut waited = 0u64;
-        let mut backoff = WAIT_BASE_NS;
+        let mut wait = LeaseWait::new(sub);
         let result = (|| {
             for _ in 1..max_attempts {
                 if self.try_write_lock(client)? {
@@ -269,31 +241,17 @@ impl FarRwLock {
                 // audit: rt-in-loop-ok: lease acquire — one attempt per
                 // notification wakeup/backoff slice, bounded by max_attempts.
                 let seen = client.read_u64(self.addr)?;
-                if seen != watched {
-                    watched = seen;
-                    waited = 0;
-                    backoff = WAIT_BASE_NS;
-                } else if seen & WRITER != 0 && waited >= LEASE_NS {
+                if wait.observe(seen) >= LEASE_NS && seen & WRITER != 0 {
                     // Steal the dead writer's lease, preserving transient
                     // reader bits; the exact-word CAS fences live racers.
                     let next = Self::writer_word(client, seen & COUNT_MASK);
                     if client.cas(self.addr, seen, next)? == seen {
                         return Ok(());
                     }
-                    watched = 0;
-                    waited = 0;
-                    backoff = WAIT_BASE_NS;
+                    wait.reset();
                     continue;
                 }
-                if client.take_events(|e| e.sub() == Some(sub)).is_empty()
-                    && !client.sink().wait_pending(WAIT_SLICE)
-                {
-                    client.advance_time(backoff);
-                    waited = waited.saturating_add(backoff);
-                    backoff = backoff.saturating_mul(2).min(WAIT_CAP_NS);
-                } else {
-                    let _ = client.take_events(|e| e.sub() == Some(sub));
-                }
+                wait.park(client);
             }
             Err(CoreError::LockTimeout)
         })();

@@ -11,7 +11,7 @@
 //!
 //! ## Model
 //!
-//! * [`AsyncClient`] wraps a [`FabricClient`] and exposes the leaf verbs
+//! * [`AsyncClient`] wraps a [`farmem_fabric::FabricClient`] and exposes the leaf verbs
 //!   (`read`, `write`, `cas`, `faa`, …) as `async fn`s. Awaiting one
 //!   *posts a descriptor and parks at the doorbell* instead of blocking:
 //!   the future returns `Pending` exactly once and is woken exactly once,

@@ -29,6 +29,16 @@ use crate::store::{charged_bytes, GetOutcome, RecordStore};
 use crate::tenant::{Reject, RemoveKind, TenantId, TenantSpec, TenantStats, TenantTable};
 use crate::{splitmix64, Result, ServeError, MAX_RAW_KEY};
 
+/// Largest accepted value payload; a longer put is rejected with
+/// [`Reject::ValueTooLarge`] before either quota is charged.
+const MAX_VALUE_LEN: u64 = 64 << 10;
+
+/// Per-worker hot-key detector shape: count-min sketch width per row,
+/// top-k list size, and the sketch aging period in observations.
+const HOT_SKETCH_WIDTH: usize = 1024;
+const HOT_TOPK: usize = 16;
+const HOT_DECAY_EVERY: u64 = 1 << 16;
+
 /// Serving-layer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -44,24 +54,14 @@ pub struct ServeConfig {
     /// charged bytes above it evicts LRU records until back under.
     /// `u64::MAX` disables eviction.
     pub worker_byte_budget: u64,
-    /// Largest accepted value payload.
-    pub max_value_len: u64,
     /// Hot-key threshold in parts-per-million of a worker's observed
     /// traffic (e.g. `50_000` = keys drawing ≥ 5% of ops are hot).
     pub hot_ppm: u32,
     /// Observations before hotness can trigger (warmup).
     pub hot_min_ops: u64,
-    /// Count-min sketch width per row.
-    pub hot_sketch_width: usize,
-    /// Top-k list size.
-    pub hot_topk: usize,
-    /// Sketch aging period in observations.
-    pub hot_decay_every: u64,
     /// Spread reads of detected hot keys over the replica group (only
     /// effective on a replicated fabric).
     pub spread_hot_reads: bool,
-    /// Tenant op-quota window length in virtual ns.
-    pub quota_window_ns: u64,
     /// Run a seal + reclaim pass every this many mutations per worker
     /// (amortizes the epoch FAA over many retires).
     pub reclaim_every: u64,
@@ -74,14 +74,9 @@ impl Default for ServeConfig {
             reclaim_slots: 64,
             n_workers: 1,
             worker_byte_budget: u64::MAX,
-            max_value_len: 64 << 10,
             hot_ppm: 50_000,
             hot_min_ops: 256,
-            hot_sketch_width: 1024,
-            hot_topk: 16,
-            hot_decay_every: 1 << 16,
             spread_hot_reads: true,
-            quota_window_ns: 1_000_000, // 1 ms of virtual time
             reclaim_every: 64,
         }
     }
@@ -208,7 +203,7 @@ impl CacheServer {
             alloc: alloc.clone(),
             tree,
             registry,
-            tenants: Arc::new(Mutex::new(TenantTable::new(cfg.quota_window_ns))),
+            tenants: Arc::new(Mutex::new(TenantTable::new())),
             cfg,
         })
     }
@@ -257,11 +252,7 @@ impl CacheServer {
             n_workers: n_workers.max(1),
             store,
             tenants: self.tenants.clone(),
-            hot: HotKeyDetector::new(
-                self.cfg.hot_sketch_width,
-                self.cfg.hot_topk,
-                self.cfg.hot_decay_every,
-            ),
+            hot: HotKeyDetector::new(HOT_SKETCH_WIDTH, HOT_TOPK, HOT_DECAY_EVERY),
             index: RecencyIndex::new(),
             replicated: self.fabric.replicated(),
             cfg: self.cfg,
@@ -472,7 +463,7 @@ impl ServeWorker {
         }
         let verdict = if key > MAX_RAW_KEY {
             Err(Reject::KeyTooLarge)
-        } else if value_len > self.cfg.max_value_len {
+        } else if value_len > MAX_VALUE_LEN {
             Err(Reject::ValueTooLarge)
         } else if !tt.admit_op(tenant, client.now_ns()) {
             Err(Reject::OpQuota)

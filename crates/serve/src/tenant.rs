@@ -81,7 +81,7 @@ pub enum Reject {
     OpQuota,
     /// The raw key is above [`MAX_RAW_KEY`].
     KeyTooLarge,
-    /// The value is larger than the serving layer accepts.
+    /// The value is longer than the 64 KiB the serving layer accepts.
     ValueTooLarge,
 }
 
@@ -142,12 +142,14 @@ struct TenantState {
 /// The shared tenant registry (behind `Arc<Mutex<…>>` in the server).
 pub(crate) struct TenantTable {
     tenants: Vec<TenantState>,
-    window_ns: u64,
 }
 
+/// Tenant op-quota window length: 1 ms of virtual time.
+const QUOTA_WINDOW_NS: u64 = 1_000_000;
+
 impl TenantTable {
-    pub(crate) fn new(window_ns: u64) -> TenantTable {
-        TenantTable { tenants: Vec::new(), window_ns: window_ns.max(1) }
+    pub(crate) fn new() -> TenantTable {
+        TenantTable { tenants: Vec::new() }
     }
 
     pub(crate) fn add(&mut self, spec: TenantSpec) -> Option<TenantId> {
@@ -176,9 +178,8 @@ impl TenantTable {
     /// Deterministic: depends only on the virtual clock and the
     /// admission sequence, never on wall time.
     pub(crate) fn admit_op(&mut self, t: TenantId, now_ns: u64) -> bool {
-        let window_ns = self.window_ns;
         let s = &mut self.tenants[t.0 as usize];
-        let w = now_ns / window_ns;
+        let w = now_ns / QUOTA_WINDOW_NS;
         if w != s.window {
             s.window = w;
             s.window_ops = 0;

@@ -110,7 +110,6 @@ fn lossy_notifications_never_lose_data_only_freshness() {
         initial: RefreshMode::Notify,
         dynamic: false,
         safety_poll_every: 4,
-        ..RefreshPolicy::default()
     };
     let mut reader = VecReader::new(&mut r, v, policy).unwrap();
     for round in 0..40u64 {

@@ -1,9 +1,8 @@
 //! Workspace automation.
 //!
-//! `cargo run -p xtask -- perf-gate [--smoke] [--record]` runs the
-//! gated experiment drivers fresh and diffs their deterministic
-//! virtual-time tables against the committed baseline — see
-//! [`perf_gate`] for the band semantics.
+//! `cargo run -p xtask -- results [--record]` runs every experiment
+//! driver fresh and compares its deterministic virtual-time tables with
+//! the committed `results/` byte for byte — see [`results`].
 //!
 //! `cargo run -p xtask -- audit` runs the static analyzer
 //! (`farmem-audit`): five repo-level disciplines that rustc cannot
@@ -21,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-mod perf_gate;
+mod results;
 
 use std::process::ExitCode;
 
@@ -31,9 +30,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("audit") => audit(),
-        Some("perf-gate") => perf_gate::perf_gate(&args[1..], &workspace_root()),
+        Some("results") => results::results(&args[1..], &workspace_root()),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <audit | perf-gate>");
+            eprintln!("usage: cargo run -p xtask -- <audit | results [--record]>");
             ExitCode::from(2)
         }
     }
