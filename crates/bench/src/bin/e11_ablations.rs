@@ -41,7 +41,6 @@ fn a1_notify_dir(args: &BenchArgs, report: &mut Report) {
         let mut reader = f.client();
         let cfg = HtTreeConfig {
             initial_buckets: 16,
-            split_check_interval: 16,
             notify_dir,
             ..HtTreeConfig::default()
         };
@@ -280,11 +279,7 @@ fn a5_rpc_shards(args: &BenchArgs, report: &mut Report) {
         .build();
         let alloc = FarAlloc::new(f.clone());
         let mut loader = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 4096,
-            split_check_interval: 1024,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
         let tree = HtTree::create(&mut loader, &alloc, cfg).unwrap();
         let mut h = tree.attach(&mut loader, &alloc, cfg).unwrap();
         for key in 0..keys {

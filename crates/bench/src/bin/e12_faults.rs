@@ -57,7 +57,7 @@ fn run_httree(ppm: u32, seed: u64) -> Cell {
     let f = fabric(ppm, seed);
     let alloc = FarAlloc::new(f.clone());
     let mut c = f.client();
-    let cfg = HtTreeConfig { initial_buckets: 16, split_check_interval: 32, ..Default::default() };
+    let cfg = HtTreeConfig { initial_buckets: 16, ..Default::default() };
     let t = HtTree::create(&mut c, &alloc, cfg).unwrap();
     let mut h = t.attach(&mut c, &alloc, cfg).unwrap();
     let before = c.stats();

@@ -108,7 +108,7 @@ fn main() {
     let tracer = c.enable_tracing(TraceConfig::default());
 
     // Setup inside a span, so creation round trips are attributed too.
-    let cfg = HtTreeConfig { initial_buckets: 64, split_check_interval: 64, ..Default::default() };
+    let cfg = HtTreeConfig { initial_buckets: 64, ..Default::default() };
     let (mut tree, mut queue, mutex) = {
         let _span = c.span("e13.setup");
         let t = HtTree::create(&mut c, &alloc, cfg).unwrap();

@@ -50,7 +50,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 fn tree_cfg() -> HtTreeConfig {
-    HtTreeConfig { initial_buckets: 16, split_check_interval: 32, ..HtTreeConfig::default() }
+    HtTreeConfig { initial_buckets: 16, ..HtTreeConfig::default() }
 }
 
 /// One footprint sample, taken after a churn window (and, with reclaim

@@ -274,7 +274,7 @@ fn main() {
     let alloc = FarAlloc::new(f.clone());
     let mut c = f.client();
     let tracer = c.enable_tracing(TraceConfig::default());
-    let cfg = HtTreeConfig { initial_buckets: 16, split_check_interval: 32, ..Default::default() };
+    let cfg = HtTreeConfig { initial_buckets: 16, ..Default::default() };
     let mut h = {
         let _span = c.span("e17.setup");
         let t = HtTree::create(&mut c, &alloc, cfg).unwrap();

@@ -131,7 +131,7 @@ fn chaos_failover(n: u64, seed: u64) -> ChaosOutcome {
     let tracer = c.enable_tracing(TraceConfig::default());
     hub.register_tracer(c.id(), tracer);
 
-    let cfg = HtTreeConfig { initial_buckets: 16, split_check_interval: 32, ..Default::default() };
+    let cfg = HtTreeConfig { initial_buckets: 16, ..Default::default() };
     let mut map = {
         let _span = c.span("e18.setup");
         let t = HtTree::create(&mut c, &alloc, cfg).unwrap();
@@ -207,8 +207,7 @@ fn limbo_churn(overwrites: u64, seed: u64) -> LimboOutcome {
     hub.attach(&mut c0);
     hub.attach(&mut c1);
 
-    let tree_cfg =
-        HtTreeConfig { initial_buckets: 16, split_check_interval: 32, ..Default::default() };
+    let tree_cfg = HtTreeConfig { initial_buckets: 16, ..Default::default() };
     let reg = ReclaimRegistry::create(&mut c0, &alloc, 8).unwrap();
     let s0 = reg.attach(&mut c0, &alloc).unwrap();
     let s1 = reg.attach(&mut c1, &alloc).unwrap();

@@ -66,11 +66,7 @@ fn main() {
         }
         let btree_cost = (c.stats().since(&before).round_trips) as f64 / PROBES as f64;
 
-        let cfg = HtTreeConfig {
-            initial_buckets: 1024,
-            split_check_interval: 256,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 1024, ..HtTreeConfig::default() };
         let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
         let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
         for k in 0..n {

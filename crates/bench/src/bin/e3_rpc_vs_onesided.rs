@@ -170,11 +170,7 @@ fn main() {
             let f = fabric();
             let alloc = FarAlloc::new(f.clone());
             let mut loader = f.client();
-            let cfg = HtTreeConfig {
-                initial_buckets: 4096,
-                split_check_interval: 1024,
-                ..HtTreeConfig::default()
-            };
+            let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
             let tree = HtTree::create(&mut loader, &alloc, cfg).unwrap();
             let mut h = tree.attach(&mut loader, &alloc, cfg).unwrap();
             for key in 0..KEYS {

@@ -31,11 +31,7 @@ fn main() {
     .build();
     let alloc = FarAlloc::new(fabric.clone());
     let mut c = fabric.client();
-    let cfg = HtTreeConfig {
-        initial_buckets: 8192,
-        split_check_interval: 512,
-        ..HtTreeConfig::default()
-    };
+    let cfg = HtTreeConfig { initial_buckets: 8192, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
     let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
 

@@ -240,7 +240,6 @@ pub fn httree_split() -> Program {
             let cfg = HtTreeConfig {
                 initial_buckets: 2,
                 max_load_percent: 100,
-                split_check_interval: 1,
                 ..HtTreeConfig::default()
             };
             let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();

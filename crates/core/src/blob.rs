@@ -267,7 +267,7 @@ mod tests {
         let shared = reg.attach(&mut c, &a).unwrap();
         let cfg = HtTreeConfig {
             initial_buckets: 4096,
-            split_check_interval: u64::MAX,
+            max_load_percent: u64::MAX,
             ..HtTreeConfig::default()
         };
         let mut m = FarBlobMap::create_reclaimed(&mut c, &a, cfg, shared.clone()).unwrap();
@@ -294,11 +294,7 @@ mod tests {
     fn survives_splits() {
         let (f, a) = setup();
         let mut c = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 8,
-            split_check_interval: 16,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
         let mut m = FarBlobMap::create(&mut c, &a, cfg).unwrap();
         for k in 0..500u64 {
             m.put_bytes(&mut c, k, format!("value-{k}").as_bytes()).unwrap();

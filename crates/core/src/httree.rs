@@ -13,10 +13,12 @@
 //! A lookup traverses the cached tree locally, hashes into the leaf's
 //! table, and follows the bucket pointer with indirect addressing —
 //! **one far access**. A store checks the table's version and CASes the
-//! bucket — **two far accesses** (the version check rides a gather with
-//! the bucket read; the item publish rides a fenced batch with the CAS).
-//! When a table accumulates too many collisions it is *split* (or grown)
-//! without touching the other tables.
+//! bucket — **exactly two far accesses**: a gather of the bucket word and
+//! the first 32 header bytes (version through item count), then a fenced
+//! batch of item publish + bucket CAS. The gathered item count is also
+//! the split decision: the put that carries a table over
+//! `max_load_percent` *splits* (or grows) it, without touching the other
+//! tables and without a far access of its own to find out.
 //!
 //! ## Staleness and versioning
 //!
@@ -66,7 +68,6 @@ const ANCHOR_LEN: u64 = 32;
 /// table's items out in, so a *later* splitter (any client) can retire
 /// that block; zero for tables whose items were published individually.
 const H_VERSION: u64 = 0;
-const H_N_BUCKETS: u64 = 16;
 const H_ITEMS: u64 = 24;
 const H_COLLISIONS: u64 = 32;
 const H_ITEMS_BASE: u64 = 40;
@@ -171,16 +172,26 @@ struct Entry {
 /// CAS races.
 const RETRY_BUDGET: u32 = 256;
 
+/// Whether `records` chain records overload a table of `n_buckets`.
+/// Saturating, so `max_load_percent: u64::MAX` means "never".
+fn overloaded(records: u64, n_buckets: u64, max_load_percent: u64) -> bool {
+    records.saturating_mul(100) > n_buckets.saturating_mul(max_load_percent)
+}
+
+/// Whether a drained table's `live` keys fill it to at most half of
+/// `max_load_percent` — the rest of its records were superseded.
+fn mostly_superseded(live: u64, n_buckets: u64, max_load_percent: u64) -> bool {
+    live.saturating_mul(100) <= n_buckets.saturating_mul(max_load_percent) / 2
+}
+
 /// Construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct HtTreeConfig {
     /// Buckets in the initial (and each freshly split) hash table.
     pub initial_buckets: u64,
-    /// Split/grow when `item_count * 100 / n_buckets` exceeds this.
+    /// Split/grow when `item_count * 100 / n_buckets` exceeds this
+    /// (`u64::MAX`: never restructure on load).
     pub max_load_percent: u64,
-    /// Check far-side load statistics every this many of a handle's own
-    /// inserts (amortizes the extra far access).
-    pub split_check_interval: u64,
     /// §5.2 offers two ways for clients to learn the tree changed:
     /// notifications on the tree, or letting caches go stale and catching
     /// it through the per-table versions. With `notify_dir` the handle
@@ -195,7 +206,6 @@ impl Default for HtTreeConfig {
         HtTreeConfig {
             initial_buckets: 64,
             max_load_percent: 75,
-            split_check_interval: 64,
             notify_dir: false,
         }
     }
@@ -344,7 +354,6 @@ impl HtTree {
             reclaim,
             seen_epoch: 0,
             stats: HtTreeStats::default(),
-            puts_since_check: 0,
         };
         if let Some(r) = &h.reclaim {
             // Conservative: observed before the directory read, so a
@@ -419,7 +428,6 @@ pub struct HtTreeHandle {
     /// makes freeing retired tables after a grace period sound.
     seen_epoch: u64,
     stats: HtTreeStats,
-    puts_since_check: u64,
 }
 
 impl HtTreeHandle {
@@ -744,14 +752,18 @@ impl HtTreeHandle {
     }
 
     /// Inserts or updates `key → value`. **Two far accesses** when the
-    /// cache is fresh: a gather (bucket pointer + table version) and a
-    /// fenced batch (item publish + bucket CAS).
+    /// cache is fresh: a gather (bucket pointer + table header through the
+    /// item count) and a fenced batch (item publish + bucket CAS). The put
+    /// whose record carries the table over `max_load_percent` also
+    /// restructures it.
     pub fn put(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {
         let _span = client.span("httree.put");
         let _guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        self.put_record(client, key, value, false)?;
-        self.maybe_split(client, key)
+        if let Some((start_key, version)) = self.put_record(client, key, value, false)? {
+            self.split_if(client, start_key, Some(version))?;
+        }
+        Ok(())
     }
 
     /// Removes `key` by publishing a tombstone record (same cost as
@@ -760,28 +772,35 @@ impl HtTreeHandle {
         let _span = client.span("httree.remove");
         let _guard = self.pin_epoch(client)?;
         self.stats.removes += 1;
-        self.put_record(client, key, 0, true)
+        // A tombstone never triggers a restructure: the next put into the
+        // table sees the same count and decides.
+        self.put_record(client, key, 0, true).map(drop)
     }
 
+    /// Publishes one record. Returns the `(start_key, version)` of the
+    /// table it landed in when the item count gathered with the version
+    /// check says this record overloaded it.
     fn put_record(
         &mut self,
         client: &mut FabricClient,
         key: u64,
         value: u64,
         tombstone: bool,
-    ) -> Result<()> {
+    ) -> Result<Option<(u64, u64)>> {
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
             let bucket = Self::bucket_addr(&entry, key);
-            // Far access 1: gather the bucket pointer and the table version
-            // in one round trip (two messages).
+            // Far access 1: gather the bucket pointer and the table header
+            // from the version through the item count, in one round trip
+            // (two messages).
             let gathered = client.rgather(&[
                 FarIov::new(bucket, WORD),
-                FarIov::new(entry.table_hdr.offset(H_VERSION), WORD),
+                FarIov::new(entry.table_hdr.offset(H_VERSION), H_ITEMS + WORD),
             ])?;
-            let w = words(&gathered);
-            let (old_head, far_version) = (w[0], w[1]);
+            let old_head = word_at(&gathered, 0);
+            let far_version = word_at(&gathered, WORD + H_VERSION);
+            let far_items = word_at(&gathered, WORD + H_ITEMS);
             if far_version != entry.version {
                 // Splitting (0) or already retired: refresh and retry.
                 // The splitter needs real (host) time to finish before the
@@ -830,31 +849,12 @@ impl HtTreeHandle {
             if old_head != 0 {
                 let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
             }
-            self.puts_since_check += 1;
-            return Ok(());
+            // The count was gathered before this record joined the chain.
+            let records = far_items.saturating_add(1);
+            return Ok(overloaded(records, entry.n_buckets, self.cfg.max_load_percent)
+                .then_some((entry.start_key, entry.version)));
         }
         Err(CoreError::Contended)
-    }
-
-    /// Periodically checks far-side load statistics and splits the table
-    /// covering `key` when overloaded.
-    fn maybe_split(&mut self, client: &mut FabricClient, key: u64) -> Result<()> {
-        if self.puts_since_check < self.cfg.split_check_interval {
-            return Ok(());
-        }
-        self.puts_since_check = 0;
-        let entry = self.entry_for(client, key);
-        let mut hdr = [0u8; HDR_LEN as usize];
-        client.read_into(entry.table_hdr, &mut hdr)?;
-        let (version, n_buckets, items) =
-            (word_at(&hdr, H_VERSION), word_at(&hdr, H_N_BUCKETS), word_at(&hdr, H_ITEMS));
-        if version != entry.version {
-            return Ok(()); // someone is already restructuring
-        }
-        if items * 100 > n_buckets * self.cfg.max_load_percent {
-            self.split(client, entry.start_key)?;
-        }
-        Ok(())
     }
 
     /// Approximate number of live items, from the far-side per-table
@@ -965,16 +965,35 @@ impl HtTreeHandle {
     /// Splits (or grows) the table covering `start_key`. Serialized by the
     /// tree's far mutex; other tables are unaffected (§5.2).
     pub fn split(&mut self, client: &mut FabricClient, start_key: u64) -> Result<()> {
+        self.split_if(client, start_key, None)
+    }
+
+    /// [`split`](Self::split), restricted by `seen_version` to a table that
+    /// still carries that version under the tree mutex. Every client whose
+    /// put lands in an overloaded table notices on the same put; the first
+    /// through the mutex restructures, the rest find a newer version and
+    /// leave.
+    fn split_if(
+        &mut self,
+        client: &mut FabricClient,
+        start_key: u64,
+        seen_version: Option<u64>,
+    ) -> Result<()> {
         let _span = client.span("httree.split");
         let _guard = self.pin_epoch(client)?;
         let lock = FarMutex::attach(self.tree.anchor.offset(A_LOCK));
         lock.lock(client, 1_000_000)?;
-        let result = self.split_locked(client, start_key);
+        let result = self.split_locked(client, start_key, seen_version);
         lock.unlock(client)?;
         result
     }
 
-    fn split_locked(&mut self, client: &mut FabricClient, key: u64) -> Result<()> {
+    fn split_locked(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+        seen_version: Option<u64>,
+    ) -> Result<()> {
         // Re-read the directory under the lock; the range may have been
         // restructured while we waited.
         self.refresh_directory(client)?;
@@ -983,6 +1002,9 @@ impl HtTreeHandle {
             Err(i) => i - 1,
         };
         let entry = self.entries[idx];
+        if seen_version.is_some_and(|v| v != entry.version) {
+            return Ok(());
+        }
         let range_end = self
             .entries
             .get(idx + 1)
@@ -1107,7 +1129,8 @@ impl HtTreeHandle {
         // growing. Without this, steady churn over a fixed working set
         // multiplies tables without bound, and no amount of record
         // reclamation keeps the footprint flat.
-        let compact = live.len() as u64 * 100 <= entry.n_buckets * self.cfg.max_load_percent / 2;
+        let compact =
+            mostly_superseded(live.len() as u64, entry.n_buckets, self.cfg.max_load_percent);
         let new_version = entry.version + 1;
         let mut new_entries: Vec<Entry> = Vec::new();
         if compact {
@@ -1283,6 +1306,10 @@ mod tests {
         (f, a, t)
     }
 
+    fn restructures(h: &HtTreeHandle) -> u64 {
+        h.stats().splits + h.stats().grows + h.stats().compactions
+    }
+
     #[test]
     fn put_get_remove_round_trip() {
         let (f, a, t) = setup(64 << 20);
@@ -1324,6 +1351,120 @@ mod tests {
     }
 
     #[test]
+    fn puts_under_the_threshold_cost_exactly_two_far_accesses() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        // 1 000 records stay far below 75 % of 4096 buckets.
+        let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
+        let t = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut h = t.attach(&mut c, &a, cfg).unwrap();
+        let start = c.stats();
+        for k in 0..1000u64 {
+            let before = c.stats();
+            h.put(&mut c, k * 7919, k).unwrap();
+            let d = c.stats().since(&before);
+            // Posted bookkeeping: H_ITEMS, plus H_COLLISIONS on a chained insert.
+            let posted = d.posted_messages;
+            assert!(posted == 1 || posted == 2, "put {k}: {posted} posted");
+            let want = farmem_fabric::AccessStats {
+                round_trips: 2,
+                messages: 4 + posted,
+                posted_messages: posted,
+                // The gather: the bucket word + the header through H_ITEMS.
+                bytes_read: WORD + H_ITEMS + WORD,
+                bytes_written: ITEM_LEN,
+                atomics: 1 + posted,
+                near_accesses: 2,
+                ..Default::default()
+            };
+            assert_eq!(d, want, "put {k}");
+        }
+        assert_eq!(c.stats().since(&start).round_trips, 2000, "no amortised third access");
+        assert_eq!(restructures(&h), 0);
+    }
+
+    #[test]
+    fn load_checks_saturate_instead_of_overflowing() {
+        // `max_load_percent: u64::MAX` is "never restructure on load".
+        assert!(!overloaded(u64::MAX, 2, u64::MAX));
+        assert!(!overloaded(1_000_000, 8, u64::MAX));
+        assert!(mostly_superseded(1_000_000, 8, u64::MAX));
+        // A bucket count whose product with the percentage leaves u64.
+        let huge = u64::MAX / 64;
+        assert!(!overloaded(1, huge, 75));
+        assert!(!overloaded(huge / 2, huge, 75));
+        assert!(mostly_superseded(1, huge, 75));
+        assert!(!mostly_superseded(u64::MAX, huge, 75));
+        // The ordinary range is untouched: 75 % of 64 buckets is 48 records.
+        assert!(!overloaded(48, 64, 75));
+        assert!(overloaded(49, 64, 75));
+        assert!(mostly_superseded(24, 64, 75));
+        assert!(!mostly_superseded(25, 64, 75));
+    }
+
+    #[test]
+    fn two_clients_noticing_one_overload_restructure_once() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c1 = f.client();
+        let mut c2 = f.client();
+        // 75 % of 8 buckets: the seventh record overloads the table.
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+        let t = HtTree::create(&mut c1, &a, cfg).unwrap();
+        let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
+        let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
+        for k in 0..6u64 {
+            assert_eq!(h1.put_record(&mut c1, k, k, false).unwrap(), None, "put {k}");
+        }
+        // Both clients land a record before either restructures: both are
+        // told the table (start key 0, version 1) is overloaded.
+        assert_eq!(h1.put_record(&mut c1, 6, 6, false).unwrap(), Some((0, 1)));
+        assert_eq!(h2.put_record(&mut c2, 7, 7, false).unwrap(), Some((0, 1)));
+        h1.split_if(&mut c1, 0, Some(1)).unwrap();
+        assert_eq!(restructures(&h1), 1);
+        // The second finds a newer version under the tree mutex and leaves:
+        // it takes and drops the lock (atomics) and writes nothing.
+        let before = c2.stats();
+        h2.split_if(&mut c2, 0, Some(1)).unwrap();
+        assert_eq!(restructures(&h2), 0);
+        assert_eq!(c2.stats().since(&before).bytes_written, 0);
+        assert_eq!(h2.leaves(), h1.leaves());
+        for k in 0..8u64 {
+            assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k), "key {k}");
+        }
+        // The public form stays unconditional.
+        h2.split(&mut c2, 0).unwrap();
+        assert_eq!(restructures(&h2), 1);
+    }
+
+    #[test]
+    fn remove_never_restructures() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+        let t = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut h = t.attach(&mut c, &a, cfg).unwrap();
+        for k in 0..6u64 {
+            h.put(&mut c, k, k).unwrap();
+        }
+        // Tombstones are records too: these carry the table far past its
+        // threshold, two far accesses each, and none restructures it.
+        let before = c.stats();
+        for k in 0..40u64 {
+            h.remove(&mut c, k % 6).unwrap();
+        }
+        assert_eq!(c.stats().since(&before).round_trips, 80);
+        assert_eq!(restructures(&h), 0);
+        // The next put sees the count and does.
+        h.put(&mut c, 0, 1).unwrap();
+        assert_eq!(restructures(&h), 1);
+        assert_eq!(h.get(&mut c, 0).unwrap(), Some(1));
+        assert_eq!(h.get(&mut c, 1).unwrap(), None);
+    }
+
+    #[test]
     fn get_many_prefetches_through_one_doorbell() {
         let (f, a, t) = setup(64 << 20);
         let mut c = f.client();
@@ -1353,11 +1494,7 @@ mod tests {
     fn many_keys_survive_splits() {
         let (f, a, t) = setup(256 << 20);
         let mut c = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 16,
-            split_check_interval: 8,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 16, ..HtTreeConfig::default() };
         let mut h = t.attach(&mut c, &a, cfg).unwrap();
         let n = 2000u64;
         for k in 0..n {
@@ -1480,7 +1617,7 @@ mod tests {
         // Two buckets: plenty of collisions.
         let cfg = HtTreeConfig {
             initial_buckets: 2,
-            split_check_interval: u64::MAX,
+            max_load_percent: u64::MAX,
             ..HtTreeConfig::default()
         };
         let mut h = t.attach(&mut c, &a, cfg).unwrap();
@@ -1512,11 +1649,7 @@ mod tests {
     fn scan_returns_sorted_ranges_across_leaves() {
         let (f, a, t) = setup(256 << 20);
         let mut c = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 8,
-            split_check_interval: 8,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
         let mut h = t.attach(&mut c, &a, cfg).unwrap();
         for k in (0..1000u64).step_by(3) {
             h.put(&mut c, k, k * 2).unwrap();
@@ -1574,11 +1707,7 @@ mod tests {
         let mut c = f.client();
         let reg = farmem_reclaim::ReclaimRegistry::create(&mut c, &a, 4).unwrap();
         let shared = reg.attach(&mut c, &a).unwrap();
-        let cfg = HtTreeConfig {
-            initial_buckets: 16,
-            split_check_interval: 32,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 16, ..HtTreeConfig::default() };
         let t = HtTree::create(&mut c, &a, cfg).unwrap();
         let mut h = t.attach_reclaimed(&mut c, &a, cfg, shared.clone()).unwrap();
         // Sustained overwrite churn on a fixed key set: the live data
@@ -1618,7 +1747,7 @@ mod tests {
         // restructure, so the epoch arithmetic in the asserts is exact.
         let cfg = HtTreeConfig {
             initial_buckets: 8,
-            split_check_interval: u64::MAX,
+            max_load_percent: u64::MAX,
             ..HtTreeConfig::default()
         };
         let t = HtTree::create(&mut c1, &a, cfg).unwrap();
@@ -1653,11 +1782,7 @@ mod tests {
     fn cache_stays_tree_sized() {
         let (f, a, t) = setup(256 << 20);
         let mut c = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 32,
-            split_check_interval: 16,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 32, ..HtTreeConfig::default() };
         let mut h = t.attach(&mut c, &a, cfg).unwrap();
         for k in 0..4000u64 {
             h.put(&mut c, k.wrapping_mul(0x9e3779b97f4a7c15), k).unwrap();

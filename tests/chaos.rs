@@ -35,7 +35,7 @@ fn httree_workload(seed: u64) -> AccessStats {
     let alloc = FarAlloc::new(f.clone());
     let mut c = f.client();
     let before = c.stats();
-    let cfg = HtTreeConfig { initial_buckets: 8, split_check_interval: 16, ..Default::default() };
+    let cfg = HtTreeConfig { initial_buckets: 8, ..Default::default() };
     let t = HtTree::create(&mut c, &alloc, cfg).unwrap();
     let mut h = t.attach(&mut c, &alloc, cfg).unwrap();
     let mut model: HashMap<u64, u64> = HashMap::new();

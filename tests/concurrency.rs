@@ -71,11 +71,7 @@ fn httree_blob_and_counters_hammered_together() {
     let f = FabricConfig::single_node(512 << 20).build();
     let alloc = FarAlloc::new(f.clone());
     let mut c0 = f.client();
-    let cfg = HtTreeConfig {
-        initial_buckets: 8,
-        split_check_interval: 16,
-        ..HtTreeConfig::default()
-    };
+    let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
     let ops_done = FarCounter::create(&mut c0, &alloc, 0, AllocHint::Spread).unwrap();
     let threads = 4u64;

@@ -23,11 +23,7 @@ fn httree_agrees_with_hashmap_model_under_random_ops() {
     let f = fabric();
     let alloc = FarAlloc::new(f.clone());
     let mut c = f.client();
-    let cfg = HtTreeConfig {
-        initial_buckets: 16,
-        split_check_interval: 32,
-        ..HtTreeConfig::default()
-    };
+    let cfg = HtTreeConfig { initial_buckets: 16, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
     let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
     let mut model: HashMap<u64, u64> = HashMap::new();
@@ -137,11 +133,7 @@ fn stale_handles_recover_after_heavy_restructuring() {
     let alloc = FarAlloc::new(f.clone());
     let mut c1 = f.client();
     let mut c2 = f.client();
-    let cfg = HtTreeConfig {
-        initial_buckets: 8,
-        split_check_interval: 8,
-        ..HtTreeConfig::default()
-    };
+    let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();
     let mut h1 = tree.attach(&mut c1, &alloc, cfg).unwrap();
     let mut h2 = tree.attach(&mut c2, &alloc, cfg).unwrap();
@@ -157,4 +149,39 @@ fn stale_handles_recover_after_heavy_restructuring() {
         assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k), "key {k}");
     }
     assert!(h2.stats().stale_refreshes > 0);
+}
+
+/// Four tenants' key ranges loaded key by key: every table must split when
+/// *it* overloads, whatever table the loader's other puts land in — a
+/// decision sampled from the handle's put sequence aliases with this
+/// order, leaves three of the four ranges unsplit, and a get walks chains.
+#[test]
+fn key_interleaved_ranges_keep_lookups_near_one_far_access() {
+    const RANGES: u64 = 4;
+    const KEYS: u64 = 20_000;
+    let f = fabric();
+    let alloc = FarAlloc::new(f.clone());
+    let mut c = f.client();
+    let cfg = HtTreeConfig { initial_buckets: 1024, ..HtTreeConfig::default() };
+    let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
+    let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
+    for key in 0..KEYS {
+        for r in 0..RANGES {
+            h.put(&mut c, (r << 48) | key, key + r).unwrap();
+        }
+    }
+    let before = c.stats();
+    let mut gets = 0u64;
+    for r in 0..RANGES {
+        for key in (0..KEYS).step_by(7) {
+            assert_eq!(h.get(&mut c, (r << 48) | key).unwrap(), Some(key + r), "range {r} key {key}");
+            gets += 1;
+        }
+    }
+    let round_trips = c.stats().since(&before).round_trips;
+    assert!(
+        round_trips * 2 < gets * 3,
+        "{round_trips} far accesses for {gets} gets over {} leaves",
+        h.leaves()
+    );
 }

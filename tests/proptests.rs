@@ -49,11 +49,7 @@ proptest! {
         let f = striped_fabric();
         let alloc = FarAlloc::new(f.clone());
         let mut c = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 4,
-            split_check_interval: 4,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
         let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
         let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
         let mut model = HashMap::new();

@@ -27,7 +27,7 @@ proptest! {
         let f = fabric();
         let alloc = FarAlloc::new(f.clone());
         let mut c = f.client();
-        let cfg = HtTreeConfig { initial_buckets: 4, split_check_interval: 8, ..HtTreeConfig::default() };
+        let cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
         let mut m = FarBlobMap::create(&mut c, &alloc, cfg).unwrap();
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for (op, k, v) in ops {

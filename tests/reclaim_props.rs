@@ -61,11 +61,7 @@ fn run_program(
     let f = fabric(0, 0);
     let alloc = FarAlloc::new(f.clone());
     let mut c = [f.client(), f.client()];
-    let cfg = HtTreeConfig {
-        initial_buckets: 4,
-        split_check_interval: 8,
-        ..HtTreeConfig::default()
-    };
+    let cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
     let shared = if reclaim_on {
         let reg = ReclaimRegistry::create(&mut c[0], &alloc, 4).unwrap();
         Some([
@@ -169,7 +165,7 @@ fn no_free_while_a_guard_can_still_reach_the_memory() {
     let s2 = reg.attach(&mut c2, &alloc).unwrap();
     let cfg = HtTreeConfig {
         initial_buckets: 8,
-        split_check_interval: u64::MAX,
+        max_load_percent: u64::MAX,
         ..HtTreeConfig::default()
     };
     let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();
@@ -233,7 +229,7 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_epoch() {
     let reg = ReclaimRegistry::create(&mut c1, &alloc, 4).unwrap();
     let s1 = reg.attach(&mut c1, &alloc).unwrap();
     let s2 = reg.attach(&mut c2, &alloc).unwrap();
-    let cfg = HtTreeConfig { split_check_interval: u64::MAX, ..HtTreeConfig::default() };
+    let cfg = HtTreeConfig { max_load_percent: u64::MAX, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();
     let mut h1 = tree.attach_reclaimed(&mut c1, &alloc, cfg, s1.clone()).unwrap();
     // Two handles of one client share its reclaim state: `nested` pins
@@ -300,7 +296,7 @@ fn crashed_client_is_evicted_and_reclamation_resumes() {
         let s2 = reg.attach(&mut c2, &alloc).unwrap();
         let cfg = HtTreeConfig {
             initial_buckets: 8,
-            split_check_interval: u64::MAX,
+            max_load_percent: u64::MAX,
             ..HtTreeConfig::default()
         };
         let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();

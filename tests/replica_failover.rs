@@ -180,7 +180,7 @@ fn reclamation_limbo_survives_promotion() {
     let mut c = f.client();
     let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
     let shared = reg.attach(&mut c, &alloc).unwrap();
-    let cfg = HtTreeConfig { initial_buckets: 4, split_check_interval: 8, ..HtTreeConfig::default() };
+    let cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
     let mut h = tree.attach_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
     for k in 0..200u64 {

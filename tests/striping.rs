@@ -40,11 +40,7 @@ fn httree_works_on_every_topology() {
     for (name, f) in fabrics() {
         let alloc = FarAlloc::new(f.clone());
         let mut c = f.client();
-        let cfg = HtTreeConfig {
-            initial_buckets: 32,
-            split_check_interval: 32,
-            ..HtTreeConfig::default()
-        };
+        let cfg = HtTreeConfig { initial_buckets: 32, ..HtTreeConfig::default() };
         let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
         let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
         for k in 0..800u64 {
