@@ -29,7 +29,7 @@ mod arena;
 mod slab;
 
 pub use arena::Arena;
-pub use slab::{AllocStats, ClassStats, FarAlloc};
+pub use slab::{rounded_len, AllocStats, ClassStats, FarAlloc};
 
 use farmem_fabric::{FarAddr, NodeId};
 

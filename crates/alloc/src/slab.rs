@@ -137,8 +137,18 @@ pub struct FarAlloc {
     state: Mutex<State>,
 }
 
-fn size_class(len: u64) -> u64 {
-    len.max(MIN_CLASS).next_power_of_two()
+/// The bytes a node-bound allocation of `len` bytes occupies — the
+/// allocator's one rounding rule: a power-of-two size class (at least one
+/// word) up to the 2 KiB slab boundary, whole pages past it. It is what
+/// [`FarAlloc::alloc`] books, what [`FarAlloc::free`] matches a length
+/// against and what [`FarAlloc::size_of`] reports. ([`AllocHint::Striped`]
+/// requests always take whole pages.)
+pub fn rounded_len(len: u64) -> u64 {
+    if len > MAX_CLASS {
+        len.div_ceil(PAGE) * PAGE
+    } else {
+        len.max(MIN_CLASS).next_power_of_two()
+    }
 }
 
 impl FarAlloc {
@@ -269,7 +279,7 @@ impl FarAlloc {
         if matches!(hint, AllocHint::Striped) || len > MAX_CLASS {
             return self.alloc_pages(&mut state, len, hint);
         }
-        let class = size_class(len);
+        let class = rounded_len(len);
         let node = self.pick_node(&mut state, hint);
         if node.0 as usize >= state.pools.len() {
             return Err(AllocError::OutOfMemory { node: Some(node) });
@@ -377,11 +387,7 @@ impl FarAlloc {
             return Err(AllocError::BadFree { addr });
         }
         let mut state = self.state.lock().unwrap();
-        let rounded = if len > MAX_CLASS {
-            len.div_ceil(PAGE) * PAGE
-        } else {
-            size_class(len)
-        };
+        let rounded = rounded_len(len);
         let region = match state.live.get(&addr.0) {
             Some(&(r, region)) if r == rounded => region,
             _ => return Err(AllocError::BadFree { addr }),
@@ -400,6 +406,14 @@ impl FarAlloc {
         state.stats.freed_bytes += rounded;
         state.stats.live_bytes -= rounded;
         Ok(())
+    }
+
+    /// The [`rounded_len`] of the outstanding allocation based at `addr`,
+    /// from the membership map [`free`](Self::free) checks against; `None`
+    /// when no live allocation starts there. Client-side metadata: zero
+    /// far accesses.
+    pub fn size_of(&self, addr: FarAddr) -> Option<u64> {
+        self.state.lock().unwrap().live.get(&addr.0).map(|&(rounded, _)| rounded)
     }
 
     /// Node that owns `addr` under the fabric's mapping — used by callers
@@ -636,6 +650,22 @@ mod tests {
         // Lengths within the same size class are interchangeable.
         let b = a.alloc(100, AllocHint::Spread).unwrap();
         a.free(b, 120).unwrap();
+    }
+
+    #[test]
+    fn size_of_reports_the_booked_length_of_live_blocks_only() {
+        let a = alloc4();
+        for len in [1, 8, 9, 100, 2048, 2049, 3 * PAGE] {
+            let addr = a.alloc(len, AllocHint::Spread).unwrap();
+            assert_eq!(a.size_of(addr), Some(rounded_len(len)), "len {len}");
+            // Interior addresses are not allocations.
+            assert_eq!(a.size_of(addr.offset(8)), None);
+            a.free(addr, a.size_of(addr).unwrap()).unwrap();
+            assert_eq!(a.size_of(addr), None, "freed: len {len}");
+        }
+        // A striped request books whole pages whatever its length.
+        let s = a.alloc(64, AllocHint::Striped).unwrap();
+        assert_eq!(a.size_of(s), Some(PAGE));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * **reclaim off** — `live_bytes` grows monotonically, window after
 //!   window, with no bound;
 //! * the **price** is quantified as extra round trips per operation
-//!   (retire lookups + grace-detection rounds).
+//!   (the lookup ahead of each remove, the chain hops of an overwrite down
+//!   to the record it supersedes + grace-detection rounds; an overwrite of
+//!   a chain's head learns what it superseded from its own two accesses).
 //!
 //! Three more phases assert the subsystem end to end: a crashed client is
 //! evicted after its lease and reclamation resumes; a retired queue's
@@ -347,7 +349,8 @@ fn main() {
         "\nBounded vs unbounded: with reclamation on, the footprint plateaus at\n\
          {:.1} KiB (peak, post-warmup) across {windows} windows and {} epochs; with it\n\
          off, the same churn leaks to {:.1} KiB and every window grows. The price\n\
-         is {extra_rt:.3} extra round trips per operation (retire lookups plus\n\
+         is {extra_rt:.3} extra round trips per operation (the lookup ahead of each\n\
+         remove, an overwrite's chain hops down to the record it supersedes, plus\n\
          grace-detection rounds). A crashed client stalls reclamation only\n\
          until its {} ms lease expires ({crash_rounds} detection rounds), a retired\n\
          queue returns its memory exactly, and the traced run reconciles\n\

@@ -143,24 +143,27 @@ fn assert_gates(suite: &SuiteResult) {
         );
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
-    // the suite: the failover and serving-TTL mutants, and the serving
-    // program they break, are required by name.
+    // the suite: the failover, serving-TTL and record-publish mutants, and
+    // the programs they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
         "m11_ack_write_before_replica_durable",
         "m12_serve_read_after_expiry",
         "m13_evict_without_retire",
+        "m14_publish_record_after_cas",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
             "mutant {required} is missing from the suite"
         );
     }
-    assert!(
-        suite.programs.iter().any(|p| p.name == "serve_ttl_evict"),
-        "serve_ttl_evict is missing from the main suite"
-    );
+    for required in ["serve_ttl_evict", "httree_publish"] {
+        assert!(
+            suite.programs.iter().any(|p| p.name == required),
+            "{required} is missing from the main suite"
+        );
+    }
     for analysis in ["races", "linearizability", "invariant"] {
         assert!(
             suite.mutants.iter().any(|m| m.expect.contains(&analysis)),

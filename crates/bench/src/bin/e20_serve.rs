@@ -375,6 +375,11 @@ fn phase_c(args: &BenchArgs) -> (Table, Table, f64, f64, u64) {
     assert_eq!(expired_served, 0, "a record was served after its TTL instant");
     assert!(st.expired > 0, "no record ever expired — schedule too short");
     assert!(
+        hits > 0 && misses > 0,
+        "arrivals do not straddle the TTL: {hits} hits / {misses} misses (a preload that \
+         outlasts the TTL expires every record before the first get)"
+    );
+    assert!(
         freed >= st.expired * 256,
         "expired records not reclaimed: freed {freed} B for {} expiries",
         st.expired

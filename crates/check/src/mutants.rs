@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::FarRwLock;
-use farmem_fabric::FarAddr;
+use farmem_fabric::{BatchOp, FarAddr};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
 use crate::explore::{PreparedRun, Program};
@@ -824,6 +824,73 @@ fn evict_without_retire() -> Mutant {
     Mutant { program, expect: &[Expect::Races, Expect::Lin] }
 }
 
+/// M14 — record written after the CAS that publishes it: a miniature of
+/// the HT-tree's record store (`programs::httree_publish`) — bucket word
+/// → item word → record word — whose writer fences only the item write
+/// ahead of the bucket CAS and issues the record write as a separate,
+/// later verb. A reader chasing bucket → item → record in that window
+/// serves unwritten memory (linearizability), and its read of the record
+/// word is ordered with the late write by nothing (race detector).
+fn publish_record_after_cas() -> Mutant {
+    let program = Program {
+        name: "m14_publish_record_after_cas",
+        model: Some(Model::Register { init: 1 }),
+        check_races: true,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let bucket = word(&mut c0, &alloc);
+            let item = word(&mut c0, &alloc);
+            let record = word(&mut c0, &alloc);
+            c0.write_u64(record, 1).unwrap();
+            c0.write_u64(item, record.0).unwrap();
+            c0.write_u64(bucket, item.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![1] }, Ret::Unit);
+            let mut cw = f.client();
+            let wid = cw.id();
+            let hw = h.clone();
+            let alloc_w = alloc.clone();
+            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hw.invoke(wid, Op::RegWrite { part: 0, v: vec![2] });
+                let record2 = alloc_w.alloc(8, AllocHint::Spread).unwrap();
+                let item2 = alloc_w.alloc(8, AllocHint::Spread).unwrap();
+                // MUTANT: the record write is missing from the fenced
+                // batch — correct code leads with it, so the CAS orders
+                // it before any reader can find the item.
+                let out = cw
+                    .batch(&[
+                        BatchOp::Write { addr: item2, data: &record2.0.to_le_bytes() },
+                        BatchOp::Cas { addr: bucket, expected: item.0, new: item2.0 },
+                    ])
+                    .unwrap();
+                assert_eq!(out[1].value(), item.0, "sole publisher");
+                cw.write_u64(record2, 2).unwrap();
+                hw.complete(t, Ret::Unit);
+            });
+            let mut participants = vec![wid];
+            let mut bodies = vec![wbody];
+            for _ in 0..2 {
+                let mut cr = f.client();
+                let rid = cr.id();
+                participants.push(rid);
+                let hr = h.clone();
+                bodies.push(Box::new(move || {
+                    let t = hr.invoke(rid, Op::RegRead { part: 0 });
+                    let i = cr.read_u64(bucket).unwrap();
+                    let r = cr.read_u64(FarAddr(i)).unwrap();
+                    let v = cr.read_u64(FarAddr(r)).unwrap();
+                    hr.complete(t, Ret::Vals(vec![v]));
+                }) as Box<dyn FnOnce() + Send>);
+            }
+            PreparedRun { fabric: f, participants, bodies, history: h, finale: None }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Races, Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -840,5 +907,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         ack_write_before_replica_durable(),
         serve_read_after_expiry(),
         evict_without_retire(),
+        publish_record_after_cas(),
     ]
 }

@@ -18,6 +18,10 @@
 //!   reads that intentionally race bucket rewrites; the map history is
 //!   the contract.
 //!
+//! `httree_publish` keeps the detector *on* over the same tree: its
+//! readers run under epoch guards and nothing restructures, so every
+//! access it makes is ordered by a bucket CAS or the epoch registry.
+//!
 //! `reclaim_evict` covers the crashed-client path: a client pins an
 //! epoch and never resyncs again (a crash, as far as the registry can
 //! tell — guard drops are purely client-local), and the reclaimer must
@@ -296,6 +300,95 @@ pub fn httree_split() -> Program {
                 history: h,
                 finale: None,
             }
+        }),
+    }
+}
+
+/// Two writers storing far records through [`HtTreeHandle::publish`]
+/// (reclaim mode) under keys that share a bucket — key 1 from both — and
+/// one reader dereferencing what it finds under an epoch guard. Each
+/// writer retires the record its publish says it superseded, seals and
+/// reclaims, so freed record words are reused by later stores mid-run.
+/// Checked: race-freedom (the record write must be ordered before the
+/// bucket CAS that makes it reachable, and a freed record's reuse after
+/// every reader that could still reach it) and per-key map
+/// linearizability over the record *contents*.
+///
+/// [`HtTreeHandle::publish`]: farmem_core::HtTreeHandle::publish
+pub fn httree_publish() -> Program {
+    Program {
+        name: "httree_publish",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 700,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+            // Two buckets, never restructured: keys 1..=3 must collide.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: u64::MAX,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            let mut participants = Vec::new();
+            let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+            for (w, second_key) in [(1u64, 2u64), (2, 3)] {
+                let mut cl = f.client();
+                let id = cl.id();
+                participants.push(id);
+                let shared = reg.attach(&mut cl, &alloc).unwrap();
+                let mut ht = tree.attach_reclaimed(&mut cl, &alloc, cfg, shared.clone()).unwrap();
+                if w == 1 {
+                    // Key 1 starts out holding a record of content 1.
+                    let rec = alloc.alloc(8, AllocHint::Spread).unwrap();
+                    ht.publish(&mut cl, 1, rec, &1u64.to_le_bytes()).unwrap();
+                    h.seed(id, Op::Put { k: 1, v: 1 }, Ret::Unit);
+                }
+                let (h2, alloc2) = (h.clone(), alloc.clone());
+                bodies.push(Box::new(move || {
+                    for k in [1, second_key] {
+                        let v = w * 10 + k;
+                        let t = h2.invoke(id, Op::Put { k, v });
+                        let rec = alloc2.alloc(8, AllocHint::Spread).unwrap();
+                        let old = ht.publish(&mut cl, k, rec, &v.to_le_bytes()).unwrap();
+                        h2.complete(t, Ret::Unit);
+                        let Some(old) = old.map(FarAddr) else { continue };
+                        let mut r = shared.lock().unwrap();
+                        // lint: retire-ok: `publish` unlinked it (each superseded pointer comes back to exactly one store); the reader holds an epoch guard.
+                        r.retire(&mut cl, old, alloc2.size_of(old).unwrap()).unwrap();
+                        r.seal(&mut cl).unwrap();
+                        // Few rounds only (no lease eviction): the word is
+                        // freed — and reused by the next store — exactly
+                        // when every slot really advanced.
+                        for _ in 0..2 {
+                            if r.reclaim(&mut cl).unwrap() > 0 {
+                                break;
+                            }
+                        }
+                    }
+                }));
+            }
+            let mut cr = f.client();
+            let rid = cr.id();
+            participants.push(rid);
+            let sr = reg.attach(&mut cr, &alloc).unwrap();
+            let mut hr = tree.attach_reclaimed(&mut cr, &alloc, cfg, sr.clone()).unwrap();
+            let h3 = h.clone();
+            bodies.push(Box::new(move || {
+                for k in [1u64, 2, 1] {
+                    let t = h3.invoke(rid, Op::Get { k });
+                    let g = pin(&sr, &mut cr).unwrap();
+                    let ptr = hr.get_under(&mut cr, &g, k).unwrap();
+                    let v = ptr.map(|p| cr.read_u64(FarAddr(p)).unwrap());
+                    drop(g);
+                    h3.complete(t, Ret::OptVal(v));
+                }
+            }));
+            PreparedRun { fabric: f, participants, bodies, history: h, finale: None }
         }),
     }
 }
@@ -624,6 +717,7 @@ pub fn main_programs() -> Vec<Program> {
         rwlock_pair(false),
         queue_fifo(),
         httree_split(),
+        httree_publish(),
         reclaim_publish(),
         reclaim_evict(),
         replica_failover(),

@@ -6,21 +6,27 @@
 //! immutable far record `{len, bytes…}` written through a per-handle
 //! arena.
 //!
-//! Costs: a store is one record publish plus the map's two far accesses;
-//! a lookup is the map's one far access plus one record read — the record
-//! read prefetches [`FarBlobMap::PREFETCH`] bytes, so blobs up to
-//! `PREFETCH - 8` bytes need no second read.
+//! Costs: a store is the map's two far accesses — the record's bytes
+//! ride the put's own fenced batch ([`HtTreeHandle::publish`]), which in
+//! reclaim mode also returns the record the store superseded (one more
+//! access per chain hop down to it); a lookup is the map's one far access
+//! plus one record read — the record read prefetches
+//! [`FarBlobMap::PREFETCH`] bytes, so blobs up to `PREFETCH - 8` bytes
+//! need no second read.
 //!
 //! With [`FarBlobMap::attach_reclaimed`] the map participates in
 //! epoch-based reclamation: overwrites and removes retire the superseded
-//! record (slab-allocated in this mode) into the limbo list, at the cost
-//! of one extra lookup plus one length read per mutation of an existing
-//! key. Constraint: concurrent overwrites/removes of the **same key**
-//! from different clients can race to retire the same old record; the
-//! allocator rejects the loser's double free as `BadFree`. Keep each key
-//! single-writer (or externally serialized) in reclaim mode.
+//! record (slab-allocated in this mode) into the limbo list. An overwrite
+//! pays nothing for that — the superseded pointer comes back from the
+//! store and its length from the allocator's books; a remove pays one
+//! lookup ahead of its tombstone, and stops there when the key is absent.
+//! Constraint: a remove racing another mutation of the **same key** from
+//! a different client can retire the same old record twice (its lookup
+//! and its tombstone are separate accesses); the allocator rejects the
+//! loser's double free as `BadFree`. Keep each key single-writer (or
+//! externally serialized) in reclaim mode.
 
-use farmem_alloc::{AllocHint, Arena, FarAlloc};
+use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
 use farmem_fabric::{FabricClient, FarAddr, WORD};
 use farmem_reclaim::SharedReclaim;
 use std::sync::Arc;
@@ -121,27 +127,36 @@ impl FarBlobMap {
         *self.inner.tree()
     }
 
-    /// Stores `value` under `key`: one record publish + the map's two far
-    /// accesses (three total, the first two independent). Reclaim mode
-    /// adds one lookup plus one length read when the key already existed,
-    /// to retire the record this store supersedes.
+    /// Stores `value` under `key` in the map's two far accesses: alloc,
+    /// [`HtTreeHandle::publish`], retire what came back. Reclaim mode adds
+    /// the chain hops down to the key's previous item, if it had one below
+    /// the bucket head; quarantine mode strands that record with the arena
+    /// and never looks for it.
     pub fn put_bytes(&mut self, client: &mut FabricClient, key: u64, value: &[u8]) -> Result<()> {
         let _span = client.span("blob.put_bytes");
         if value.len() as u64 > u32::MAX as u64 {
             return Err(CoreError::BadConfig("blob too large"));
         }
-        let old = if self.reclaim.is_some() { self.inner.get(client, key)? } else { None };
+        let len = WORD + value.len() as u64;
         let record = if self.reclaim.is_some() {
-            self.alloc.alloc(WORD + value.len() as u64, AllocHint::Spread)?
+            self.alloc.alloc(len, AllocHint::Spread)?
         } else {
-            self.arena.alloc(WORD + value.len() as u64)?
+            self.arena.alloc(len)?
         };
-        let mut bytes = Vec::with_capacity(8 + value.len());
+        let mut bytes = Vec::with_capacity(len as usize);
         bytes.extend_from_slice(&(value.len() as u64).to_le_bytes());
         bytes.extend_from_slice(value);
-        client.write(record, &bytes)?;
-        self.inner.put(client, key, record.0)?;
-        self.retire_old(client, old)
+        match self.inner.publish(client, key, record, &bytes) {
+            Ok(old) => self.retire_old(client, old),
+            Err(e) => {
+                // `publish` fails only ahead of its CAS: never linked, so
+                // nobody can reach the record and no grace period is due.
+                if self.reclaim.is_some() {
+                    self.alloc.free(record, len)?;
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Fetches the blob under `key`: the map's one far access plus one
@@ -164,28 +179,34 @@ impl FarBlobMap {
         Ok(Some(out))
     }
 
-    /// Removes `key`. Quarantine mode strands the record with the arena;
-    /// reclaim mode retires it into the limbo list (one extra lookup plus
-    /// one length read).
+    /// Removes `key`. Quarantine mode publishes the tombstone and strands
+    /// the record with the arena (two far accesses); reclaim mode looks
+    /// the record up first (one), returns if there is none, and otherwise
+    /// publishes the tombstone and retires it (three in all).
     pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<()> {
         let _span = client.span("blob.remove");
-        let old = if self.reclaim.is_some() { self.inner.get(client, key)? } else { None };
+        if self.reclaim.is_none() {
+            return self.inner.remove(client, key);
+        }
+        let Some(old) = self.inner.get(client, key)? else {
+            return Ok(());
+        };
         self.inner.remove(client, key)?;
-        self.retire_old(client, old)
+        self.retire_old(client, Some(old))
     }
 
-    /// Retires the record a mutation just unlinked: reads its length word
-    /// to recover the allocation size, then hands it to the limbo list.
-    /// The record stays readable by concurrent guards until its grace
-    /// period elapses.
+    /// Retires the record a mutation just unlinked, at the length the
+    /// allocator booked for it (no far access). The record stays readable
+    /// by concurrent guards until its grace period elapses.
     fn retire_old(&mut self, client: &mut FabricClient, old: Option<u64>) -> Result<()> {
         let (Some(shared), Some(ptr)) = (self.reclaim.clone(), old) else {
             return Ok(());
         };
-        let len = client.read_u64(FarAddr(ptr))?;
+        let addr = FarAddr(ptr);
+        let len = self.alloc.size_of(addr).ok_or(AllocError::BadFree { addr })?;
         let mut r = shared.lock().unwrap();
         // lint: retire-ok: the record was unlinked by the map op; concurrent readers hold epoch guards until grace elapses.
-        r.retire(client, FarAddr(ptr), WORD + len).map_err(CoreError::from)
+        r.retire(client, addr, len).map_err(CoreError::from)
     }
 
     /// Statistics of the underlying map handle.
@@ -276,18 +297,86 @@ mod tests {
         // Overwrite: the 500-byte record is superseded and retired.
         m.put_bytes(&mut c, 1, b"short").unwrap();
         let retired_mid = shared.lock().unwrap().stats().retired_bytes;
-        assert_eq!(retired_mid - retired_before, 8 + 500, "old record retired");
+        // The limbo list counts allocator bytes — the block's size class
+        // (`FarAlloc::size_of`), which is what freeing it returns — not
+        // the 8 + 500 the record's own length word would say.
+        assert_eq!(retired_mid - retired_before, 512, "old record retired");
         assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"short");
         // Remove: the replacement record is retired too.
         m.remove(&mut c, 1).unwrap();
         let retired_after = shared.lock().unwrap().stats().retired_bytes;
-        assert_eq!(retired_after - retired_mid, 8 + 5);
+        assert_eq!(retired_after - retired_mid, 16, "8 + 5 bytes live in the 16-byte class");
         assert_eq!(m.get_bytes(&mut c, 1).unwrap(), None);
         // Sole client: a seal + one grace round frees it all.
         let mut r = shared.lock().unwrap();
         r.seal(&mut c).unwrap();
         let freed = r.reclaim(&mut c).unwrap();
-        assert!(freed >= 8 + 500 + 8 + 5, "records came back to the allocator");
+        assert!(freed >= 512 + 16, "records came back to the allocator");
+    }
+
+    /// The store-path price list, on a table that never restructures:
+    /// what `publish` and the allocator's books took off each mutation.
+    fn mutation_costs(reclaimed: bool) {
+        let (f, a) = setup();
+        let mut c = f.client();
+        let cfg = HtTreeConfig {
+            initial_buckets: 64,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let mut m = if reclaimed {
+            let reg = farmem_reclaim::ReclaimRegistry::create(&mut c, &a, 4).unwrap();
+            let shared = reg.attach(&mut c, &a).unwrap();
+            FarBlobMap::create_reclaimed(&mut c, &a, cfg, shared).unwrap()
+        } else {
+            FarBlobMap::create(&mut c, &a, cfg).unwrap()
+        };
+        let rt = |c: &mut FabricClient, op: &mut dyn FnMut(&mut FabricClient)| {
+            let before = c.stats();
+            op(c);
+            c.stats().since(&before).round_trips
+        };
+        assert_eq!(rt(&mut c, &mut |c| m.put_bytes(c, 1, b"fresh").unwrap()), 2, "fresh put");
+        assert_eq!(
+            rt(&mut c, &mut |c| m.put_bytes(c, 1, b"over the head").unwrap()),
+            2,
+            "overwrite, old item at the chain head"
+        );
+        // Chain another key on top of key 1: its lookup grows by one hop.
+        let above = (2u64..)
+            .find(|&k| {
+                m.put_bytes(&mut c, k, b"probe").unwrap();
+                rt(&mut c, &mut |c| drop(m.get_bytes(c, 1).unwrap())) == 3
+            })
+            .unwrap();
+        // Only a map that will retire the old record walks down to it.
+        assert_eq!(
+            rt(&mut c, &mut |c| m.put_bytes(c, 1, b"under a neighbour").unwrap()),
+            if reclaimed { 3 } else { 2 },
+            "overwrite, old item one hop below key {above}"
+        );
+        assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"under a neighbour");
+        if !reclaimed {
+            return; // quarantine removes are the tree's own two accesses
+        }
+        assert_eq!(rt(&mut c, &mut |c| m.remove(c, 1).unwrap()), 3, "remove: lookup + tombstone");
+        // A miss stops after the lookup: no tombstone joins the chain.
+        let mut probe = m.tree().attach(&mut c, &a, cfg).unwrap();
+        let (removes, items) = (m.stats().removes, probe.len_estimate(&mut c).unwrap());
+        assert_eq!(rt(&mut c, &mut |c| m.remove(c, 1).unwrap()), 1, "remove of a removed key");
+        assert_eq!(rt(&mut c, &mut |c| m.remove(c, 1 << 40).unwrap()), 1, "remove of a new key");
+        assert_eq!(m.stats().removes, removes);
+        assert_eq!(probe.len_estimate(&mut c).unwrap(), items);
+    }
+
+    #[test]
+    fn reclaimed_mutations_cost_two_accesses_plus_hops_and_a_lookup_per_remove() {
+        mutation_costs(true);
+    }
+
+    #[test]
+    fn quarantine_store_costs_two_far_accesses() {
+        mutation_costs(false);
     }
 
     #[test]

@@ -20,6 +20,16 @@
 //! `max_load_percent` *splits* (or grows) it, without touching the other
 //! tables and without a far access of its own to find out.
 //!
+//! A value that is itself a far record (a blob, a cache entry) is stored
+//! at the same price by [`HtTreeHandle::publish`]: the fenced batch leads
+//! with the record's bytes — so the CAS orders them before any reader can
+//! find the item — and, on a reclaim-mode handle whose bucket already has
+//! a chain, with a read of its head item, from which the value the store
+//! *superseded* is recovered (zero extra accesses if the key's previous
+//! item was the head, one per hop otherwise). The caller retires that
+//! record without a lookup of its own. Quarantine-mode handles retire
+//! nothing, so their batch carries only the record.
+//!
 //! ## Staleness and versioning
 //!
 //! Client caches may go stale. Every hash table has a version, kept in the
@@ -168,9 +178,16 @@ struct Entry {
     version: u64,
 }
 
+/// `(start_key, version)` of the table a put landed in, when the item
+/// count gathered with the version check says the put overloaded it.
+type Overloaded = Option<(u64, u64)>;
+
 /// Bound on an operation's retries after stale-cache refreshes or lost
 /// CAS races.
 const RETRY_BUDGET: u32 = 256;
+
+/// Attempts at the superseded-value walk of a store that has landed.
+const WALK_ATTEMPTS: u32 = 4;
 
 /// Whether `records` chain records overload a table of `n_buckets`.
 /// Saturating, so `max_load_percent: u64::MAX` means "never".
@@ -235,6 +252,10 @@ pub struct HtTreeStats {
     pub compactions: u64,
     /// Directory-change notifications consumed (`notify_dir` mode).
     pub dir_notifications: u64,
+    /// Landed [`publish`](HtTreeHandle::publish) calls that could not
+    /// report what they superseded (a fault on a chain hop, every attempt):
+    /// one value each that no caller was told to retire.
+    pub superseded_lost: u64,
 }
 
 /// The shared descriptor of an HT-tree: just the anchor address.
@@ -760,10 +781,51 @@ impl HtTreeHandle {
         let _span = client.span("httree.put");
         let _guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        if let Some((start_key, version)) = self.put_record(client, key, value, false)? {
+        let (overloaded, _) = self.put_record(client, key, value, false, None)?;
+        if let Some((start_key, version)) = overloaded {
             self.split_if(client, start_key, Some(version))?;
         }
         Ok(())
+    }
+
+    /// Stores `key → record` for a value that *is* a far record: `bytes`
+    /// are written at `record` inside the put's own fenced batch, ahead of
+    /// the item and the bucket CAS — still **two far accesses**. A
+    /// reclaim-mode handle also returns the value the key held before, so
+    /// the caller can retire it: the old head item is read in that same
+    /// batch (chains are immutable below a published head, so the CAS
+    /// landing proves those bytes are the chain the new item was linked
+    /// onto), which costs nothing more when the bucket was empty or the
+    /// key's previous item headed its chain, and one access per chain hop
+    /// down to it otherwise. A quarantine-mode handle never reclaims, so
+    /// it skips the read and the walk and returns `None`.
+    ///
+    /// `Err` means the record was **never linked** and is still the
+    /// caller's to free. Once the CAS has landed readers can reach the
+    /// record, so nothing after it turns the store into an error: a failed
+    /// restructure is left to the next put into the table (it gathers the
+    /// same count), and a superseded-value walk that a fault keeps
+    /// interrupting is given up as `Ok(None)` and counted in
+    /// [`HtTreeStats::superseded_lost`] — that one value is then never
+    /// reported. (Finishing the walk in a later call would be unsound: it
+    /// must run under the epoch guard this store pinned, or a split in
+    /// between could free the chain under it.)
+    pub fn publish(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+        record: FarAddr,
+        bytes: &[u8],
+    ) -> Result<Option<u64>> {
+        let _span = client.span("httree.put");
+        let _guard = self.pin_epoch(client)?;
+        self.stats.puts += 1;
+        let (overloaded, old) = self.put_record(client, key, record.0, false, Some(bytes))?;
+        if let Some((start_key, version)) = overloaded {
+            // Linked: see above for why this error goes no further.
+            let _ = self.split_if(client, start_key, Some(version));
+        }
+        Ok(old)
     }
 
     /// Removes `key` by publishing a tombstone record (same cost as
@@ -774,19 +836,21 @@ impl HtTreeHandle {
         self.stats.removes += 1;
         // A tombstone never triggers a restructure: the next put into the
         // table sees the same count and decides.
-        self.put_record(client, key, 0, true).map(drop)
+        self.put_record(client, key, 0, true, None).map(drop)
     }
 
-    /// Publishes one record. Returns the `(start_key, version)` of the
-    /// table it landed in when the item count gathered with the version
-    /// check says this record overloaded it.
+    /// Publishes one item; with `record`, also writes those bytes at
+    /// `FarAddr(value)` in the same fenced batch. Returns the overload
+    /// verdict and the value a reclaim-mode record store superseded. An
+    /// `Err` always means the item was not linked.
     fn put_record(
         &mut self,
         client: &mut FabricClient,
         key: u64,
         value: u64,
         tombstone: bool,
-    ) -> Result<Option<(u64, u64)>> {
+        record: Option<&[u8]>,
+    ) -> Result<(Overloaded, Option<u64>)> {
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
@@ -814,7 +878,7 @@ impl HtTreeHandle {
                 continue;
             }
             let version = if tombstone { entry.version | TOMB_BIT } else { entry.version };
-            let record = Item { key, value, version, next: old_head }.encode();
+            let item = Item { key, value, version, next: old_head }.encode();
             // Reclaim mode publishes records from the shared slab so a
             // later splitter can free each one individually; quarantine
             // mode bumps the per-client arena (its records are only ever
@@ -824,23 +888,39 @@ impl HtTreeHandle {
             } else {
                 self.arena.alloc(ITEM_LEN)?
             };
-            // Far access 2: publish the record and swing the bucket in one
-            // fenced batch (the fabric orders the write before the CAS).
-            let out = client.batch(&[
-                BatchOp::Write { addr: item_addr, data: &record },
-                BatchOp::Cas { addr: bucket, expected: old_head, new: item_addr.0 },
-            ])?;
-            if out[1].value() != old_head {
-                // Lost the bucket race; retry from the version check. The
-                // record was never published (the CAS that would have
-                // linked it failed), so reclaim mode frees it eagerly —
-                // no grace period needed for memory nobody can reach.
-                if self.reclaim.is_some() {
-                    self.alloc.free(item_addr, ITEM_LEN)?;
-                }
-                self.stats.cas_retries += 1;
-                continue;
+            // Far access 2: publish the item and swing the bucket in one
+            // fenced batch (the fabric applies the ops in order, so every
+            // write lands before the CAS). A record store puts the record's
+            // bytes ahead of them and, when somebody will retire what it
+            // supersedes and the bucket has a chain, a read of the chain's
+            // head item — the start of the superseded-value walk.
+            let head_read = record.is_some() && self.reclaim.is_some() && old_head != 0;
+            let mut ops = Vec::with_capacity(4);
+            if head_read {
+                ops.push(BatchOp::Read { addr: FarAddr(old_head), len: ITEM_LEN });
             }
+            if let Some(data) = record {
+                ops.push(BatchOp::Write { addr: FarAddr(value), data });
+            }
+            ops.push(BatchOp::Write { addr: item_addr, data: &item });
+            ops.push(BatchOp::Cas { addr: bucket, expected: old_head, new: item_addr.0 });
+            let out = match client.batch(&ops) {
+                Ok(out) if out[out.len() - 1].value() == old_head => out,
+                unlinked => {
+                    // The CAS lost the bucket race, or never ran (a failed
+                    // batch stops at the op that failed). Either way the
+                    // item was never published, so reclaim mode frees it
+                    // eagerly — no grace period needed for memory nobody
+                    // can reach — before the error propagates or the put
+                    // retries from the version check.
+                    if self.reclaim.is_some() {
+                        self.alloc.free(item_addr, ITEM_LEN)?;
+                    }
+                    unlinked?;
+                    self.stats.cas_retries += 1;
+                    continue;
+                }
+            };
             // Background bookkeeping, off the critical path. The counters
             // are advisory (they only steer split heuristics), so a failed
             // post after the committed CAS must not turn a successful put
@@ -849,12 +929,46 @@ impl HtTreeHandle {
             if old_head != 0 {
                 let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
             }
-            // The count was gathered before this record joined the chain.
+            // The CAS landed on `old_head`, so the head item read in the
+            // batch is the chain this item now shadows, and the first item
+            // for `key` on it is what the store superseded.
+            let old = if head_read {
+                self.superseded(client, &entry, key, Item::decode(out[0].bytes()))
+            } else {
+                None
+            };
+            // The count was gathered before this item joined the chain.
             let records = far_items.saturating_add(1);
-            return Ok(overloaded(records, entry.n_buckets, self.cfg.max_load_percent)
-                .then_some((entry.start_key, entry.version)));
+            let overloaded = overloaded(records, entry.n_buckets, self.cfg.max_load_percent)
+                .then_some((entry.start_key, entry.version));
+            return Ok((overloaded, old));
         }
         Err(CoreError::Contended)
+    }
+
+    /// [`walk_chain`](Self::walk_chain) for a store whose CAS has landed:
+    /// it can no longer fail the store, so a hop that errors restarts the
+    /// walk from the head item in hand — the chain below a published head
+    /// is immutable, so the walk is idempotent — and after
+    /// [`WALK_ATTEMPTS`] the value is counted as lost (see
+    /// [`publish`](Self::publish)).
+    fn superseded(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        key: u64,
+        head: Item,
+    ) -> Option<u64> {
+        for attempt in 0..WALK_ATTEMPTS {
+            match self.walk_chain(client, entry, key, head) {
+                Ok(Walk::Done(old)) => return old,
+                // Cannot be: the head carried the version the gather saw.
+                Ok(Walk::Stale) => break,
+                Err(_) => backoff(attempt),
+            }
+        }
+        self.stats.superseded_lost += 1;
+        None
     }
 
     /// Approximate number of live items, from the far-side per-table
@@ -1384,6 +1498,191 @@ mod tests {
         assert_eq!(restructures(&h), 0);
     }
 
+    /// A reclaim-mode handle (the mode in which `publish` reports what it
+    /// superseded) on a fresh tree, with its registry slot.
+    fn reclaimed(
+        c: &mut FabricClient,
+        a: &Arc<FarAlloc>,
+        cfg: HtTreeConfig,
+    ) -> (HtTree, HtTreeHandle, SharedReclaim) {
+        let reg = farmem_reclaim::ReclaimRegistry::create(c, a, 4).unwrap();
+        let shared = reg.attach(c, a).unwrap();
+        let t = HtTree::create(c, a, cfg).unwrap();
+        let h = t.attach_reclaimed(c, a, cfg, shared.clone()).unwrap();
+        (t, h, shared)
+    }
+
+    #[test]
+    fn publish_carries_the_record_and_the_superseded_value_in_the_same_two_accesses() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
+        let (_, mut h, _shared) = reclaimed(&mut c, &a, cfg);
+        let publish = |c: &mut FabricClient, h: &mut HtTreeHandle, bytes: &[u8]| {
+            let rec = a.alloc(bytes.len() as u64, AllocHint::Spread).unwrap();
+            let before = c.stats();
+            let old = h.publish(c, 7, rec, bytes).unwrap();
+            let d = c.stats().since(&before);
+            assert_eq!(c.read(rec, bytes.len() as u64).unwrap(), bytes, "record written");
+            assert_eq!(h.get(c, 7).unwrap(), Some(rec.0));
+            (rec.0, old, d)
+        };
+        // The gather is the plain put's; the batch gains the record write.
+        let want = |batch_msgs: u64, posted: u64, read: u64, written: u64| {
+            farmem_fabric::AccessStats {
+                round_trips: 2,
+                messages: 2 + batch_msgs + posted,
+                posted_messages: posted,
+                bytes_read: WORD + H_ITEMS + WORD + read,
+                bytes_written: ITEM_LEN + written,
+                atomics: 1 + posted,
+                near_accesses: 2,
+                ..Default::default()
+            }
+        };
+        let (first, old, d) = publish(&mut c, &mut h, b"sixteen bytes...");
+        assert_eq!(old, None, "fresh key");
+        assert_eq!(d, want(3, 1, 0, 16), "empty bucket: record + item + CAS");
+        let (second, old, d) = publish(&mut c, &mut h, b"twenty-four bytes.......");
+        assert_eq!(old, Some(first), "the value this store shadowed");
+        assert_eq!(d, want(4, 2, ITEM_LEN, 24), "chained: head read + record + item + CAS");
+        // A tombstone supersedes nothing, and never an older value under it.
+        h.remove(&mut c, 7).unwrap();
+        let (_, old, _) = publish(&mut c, &mut h, b"after the delete");
+        assert_eq!(old, None, "not {second} from below the tombstone");
+        assert_eq!(h.stats().chain_hops, 0, "every old item was the chain head");
+
+        // A quarantine-mode handle retires nothing, so it asks for nothing:
+        // no head read, no walk, however long the chain.
+        let t = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut q = t.attach(&mut c, &a, cfg).unwrap();
+        let (_, old, d) = publish(&mut c, &mut q, b"sixteen bytes...");
+        assert_eq!((old, d), (None, want(3, 1, 0, 16)));
+        let (_, old, d) = publish(&mut c, &mut q, b"twenty-four bytes.......");
+        assert_eq!((old, d), (None, want(3, 2, 0, 24)), "chained, nothing read");
+    }
+
+    /// Fails `victim` the moment the bucket word at `bucket` is swung: the
+    /// store has landed, and everything after it meets a dead node.
+    struct FailOnceLanded {
+        fabric: std::sync::Weak<farmem_fabric::Fabric>,
+        bucket: FarAddr,
+        victim: farmem_fabric::NodeId,
+    }
+
+    impl farmem_fabric::CheckObserver for FailOnceLanded {
+        fn access(&self, access: &farmem_fabric::Access) {
+            if access.addr == self.bucket && access.kind == farmem_fabric::AccessKind::AtomicRmw {
+                self.fabric.upgrade().expect("fabric outlives its verbs").node(self.victim).fail();
+            }
+        }
+    }
+
+    fn two_nodes() -> (Arc<farmem_fabric::Fabric>, Arc<FarAlloc>) {
+        let f = FabricConfig {
+            nodes: 2,
+            retry: farmem_fabric::RetryPolicy::NONE,
+            ..FabricConfig::count_only(64 << 20)
+        }
+        .build();
+        let a = FarAlloc::new(f.clone());
+        (f, a)
+    }
+
+    #[test]
+    fn a_publish_whose_restructure_fails_has_still_stored() {
+        let (f, a) = two_nodes();
+        let mut c = f.client();
+        // 8 buckets at 75 %: the seventh record overloads the table.
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+        let (t, mut h, shared) = reclaimed(&mut c, &a, cfg);
+        let mut recs = Vec::new();
+        for k in 0..6u64 {
+            let rec = a.alloc(16, AllocHint::Spread).unwrap();
+            assert_eq!(h.publish(&mut c, k, rec, &[k as u8; 16]).unwrap(), None);
+            recs.push(rec);
+        }
+        // The overloading store overwrites the newest key (its old item is
+        // the chain head: no hop), and the tree mutex's node dies under
+        // its CAS, so the restructure it owes cannot even take the lock.
+        let live = a.stats().live_bytes;
+        let rec = a.alloc(16, AllocHint::Spread).unwrap();
+        let entry = h.entry_for(&mut c, 5);
+        let victim = a.node_of(t.anchor);
+        f.install_check_observer(Arc::new(FailOnceLanded {
+            fabric: Arc::downgrade(&f),
+            bucket: HtTreeHandle::bucket_addr(&entry, 5),
+            victim,
+        }));
+        let old = h.publish(&mut c, 5, rec, b"linked, not lost").unwrap();
+        f.clear_check_observer();
+        assert!(h.split(&mut c, 0).is_err(), "the node is down: that restructure did fail");
+        f.node(victim).recover();
+        assert_eq!(old, Some(recs[5].0), "the caller is told what to retire");
+        assert_eq!(restructures(&h), 0);
+        // Linked and whole: nothing freed the record under its readers.
+        assert_eq!(h.get(&mut c, 5).unwrap(), Some(rec.0));
+        assert_eq!(c.read(rec, 16).unwrap(), b"linked, not lost");
+        assert_eq!(a.stats().live_bytes, live + 16 + ITEM_LEN, "record + item, nothing else");
+        // The next put into the table gathers the same verdict and pays it.
+        let rec6 = a.alloc(16, AllocHint::Spread).unwrap();
+        assert_eq!(h.publish(&mut c, 6, rec6, &[6; 16]).unwrap(), None);
+        assert_eq!(restructures(&h), 1);
+        recs[5] = rec;
+        recs.push(rec6);
+        for (k, rec) in recs.iter().enumerate() {
+            assert_eq!(h.get(&mut c, k as u64).unwrap(), Some(rec.0), "key {k}");
+        }
+        assert_eq!(h.stats().superseded_lost, 0);
+        drop(shared);
+    }
+
+    #[test]
+    fn a_superseded_walk_cut_by_a_fault_is_counted_not_misreported() {
+        let (f, a) = two_nodes();
+        let mut c = f.client();
+        let cfg = HtTreeConfig {
+            initial_buckets: 2,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let (_, mut h, _shared) = reclaimed(&mut c, &a, cfg);
+        // Two keys of one bucket: `below`'s item ends up one hop down.
+        let entry = h.entry_for(&mut c, 0);
+        let bucket = HtTreeHandle::bucket_addr(&entry, 0);
+        let above = (1u64..).find(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).unwrap();
+        let publish = |c: &mut FabricClient, h: &mut HtTreeHandle, key: u64, fill: u8| {
+            let rec = a.alloc(16, AllocHint::Spread).unwrap();
+            (rec, h.publish(c, key, rec, &[fill; 16]).unwrap())
+        };
+        let (below_rec, _) = publish(&mut c, &mut h, 0, 1);
+        publish(&mut c, &mut h, above, 2);
+        let head = FarAddr(c.read_u64(bucket).unwrap());
+        let head = Item::decode(&c.read(head, ITEM_LEN).unwrap());
+        assert_eq!((head.key, head.next != 0), (above, true));
+        // The hop's node dies under the CAS and stays down through every
+        // attempt at the walk: the store stands, the old value is unknown —
+        // and said to be, not passed off as a fresh key's `None`.
+        let victim = a.node_of(FarAddr(head.next));
+        f.install_check_observer(Arc::new(FailOnceLanded {
+            fabric: Arc::downgrade(&f),
+            bucket,
+            victim,
+        }));
+        let (rec, old) = publish(&mut c, &mut h, 0, 3);
+        f.clear_check_observer();
+        f.node(victim).recover();
+        assert_eq!((old, h.stats().superseded_lost), (None, 1));
+        assert_eq!(h.get(&mut c, 0).unwrap(), Some(rec.0));
+        assert_eq!(c.read(rec, 16).unwrap(), [3; 16]);
+        // With the node back the same shape of store walks the hop again.
+        publish(&mut c, &mut h, above, 4);
+        let (_, old) = publish(&mut c, &mut h, 0, 5);
+        assert_eq!((old, h.stats().superseded_lost), (Some(rec.0), 1));
+        assert_ne!(old, Some(below_rec.0));
+    }
+
     #[test]
     fn load_checks_saturate_instead_of_overflowing() {
         // `max_load_percent: u64::MAX` is "never restructure on load".
@@ -1415,12 +1714,12 @@ mod tests {
         let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
         let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
         for k in 0..6u64 {
-            assert_eq!(h1.put_record(&mut c1, k, k, false).unwrap(), None, "put {k}");
+            assert_eq!(h1.put_record(&mut c1, k, k, false, None).unwrap().0, None, "put {k}");
         }
         // Both clients land a record before either restructures: both are
         // told the table (start key 0, version 1) is overloaded.
-        assert_eq!(h1.put_record(&mut c1, 6, 6, false).unwrap(), Some((0, 1)));
-        assert_eq!(h2.put_record(&mut c2, 7, 7, false).unwrap(), Some((0, 1)));
+        assert_eq!(h1.put_record(&mut c1, 6, 6, false, None).unwrap().0, Some((0, 1)));
+        assert_eq!(h2.put_record(&mut c2, 7, 7, false, None).unwrap().0, Some((0, 1)));
         h1.split_if(&mut c1, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h1), 1);
         // The second finds a newer version under the tree mutex and leaves:

@@ -2,8 +2,8 @@
 //! epoch reclamation.
 //!
 //! Follows the `FarBlobMap` layout (a value is a pointer to an immutable
-//! far record) with one extra header word for the absolute expiry
-//! instant:
+//! far record, written inside the tree put's own fenced batch) with one
+//! extra header word for the absolute expiry instant:
 //!
 //! ```text
 //! record := { len: u64 | expiry_ns: u64 | payload bytes }
@@ -18,9 +18,9 @@
 //! allocator. Mutations of one key must stay single-writer (the server
 //! guarantees this by routing each key to one owning worker).
 
-use farmem_alloc::{AllocHint, FarAlloc};
+use farmem_alloc::{rounded_len, AllocError, AllocHint, FarAlloc};
 use farmem_core::{HtTree, HtTreeConfig, HtTreeHandle};
-use farmem_fabric::{DescList, FabricClient, FarAddr, PAGE, WORD};
+use farmem_fabric::{DescList, FabricClient, FarAddr, WORD};
 use farmem_reclaim::{pin, SharedReclaim};
 use farmem_runtime::AsyncClient;
 use std::sync::Arc;
@@ -30,21 +30,13 @@ use crate::Result;
 /// Record header: length word + expiry word.
 pub const RECORD_HEADER: u64 = 2 * WORD;
 
-/// Largest slab size class (mirrors the allocator's rounding boundary).
-const MAX_CLASS: u64 = 2048;
-
 /// The far-memory bytes a stored value of `len` payload bytes is
-/// charged: header plus payload, rounded up to the allocator's
-/// power-of-two size class (whole pages past the slab boundary). This
-/// is the quantity tenant byte quotas meter, so quota accounting and
-/// allocator occupancy reconcile exactly.
+/// charged: header plus payload at the allocator's own rounding
+/// ([`rounded_len`]: a power-of-two size class, whole pages past the slab
+/// boundary). This is the quantity tenant byte quotas meter, so quota
+/// accounting and allocator occupancy reconcile exactly.
 pub fn charged_bytes(len: u64) -> u64 {
-    let raw = RECORD_HEADER + len;
-    if raw > MAX_CLASS {
-        raw.div_ceil(PAGE) * PAGE
-    } else {
-        raw.max(WORD).next_power_of_two()
-    }
+    rounded_len(RECORD_HEADER + len)
 }
 
 /// Decodes a record's prefetched prefix against `now_ns`: the payload
@@ -98,8 +90,10 @@ impl RecordStore {
     }
 
     /// Stores `value` under the namespaced key with an absolute expiry
-    /// instant (`0` = never). Returns `true` when an existing record was
-    /// replaced (and retired).
+    /// instant (`0` = never) in the tree put's two far accesses (plus the
+    /// chain hops down to the key's previous item): alloc,
+    /// [`HtTreeHandle::publish`], retire what came back. Returns `true`
+    /// when an existing record was replaced (and retired).
     pub fn put(
         &mut self,
         client: &mut FabricClient,
@@ -107,14 +101,21 @@ impl RecordStore {
         value: &[u8],
         expiry_ns: u64,
     ) -> Result<bool> {
-        let old = self.inner.get(client, nskey)?;
-        let record = self.alloc.alloc(RECORD_HEADER + value.len() as u64, AllocHint::Spread)?;
-        let mut bytes = Vec::with_capacity(16 + value.len());
+        let len = RECORD_HEADER + value.len() as u64;
+        let record = self.alloc.alloc(len, AllocHint::Spread)?;
+        let mut bytes = Vec::with_capacity(len as usize);
         bytes.extend_from_slice(&(value.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&expiry_ns.to_le_bytes());
         bytes.extend_from_slice(value);
-        client.write(record, &bytes)?;
-        self.inner.put(client, nskey, record.0)?;
+        let old = match self.inner.publish(client, nskey, record, &bytes) {
+            Ok(old) => old,
+            Err(e) => {
+                // `publish` fails only ahead of its CAS: never linked, so
+                // nobody can reach the record and no grace period is due.
+                self.alloc.free(record, len)?;
+                return Err(e.into());
+            }
+        };
         if let Some(ptr) = old {
             // lint: retire-ok: the overwritten record was unlinked by the
             // tree put above; readers hold epoch guards until grace.
@@ -219,25 +220,27 @@ impl RecordStore {
         Ok(out)
     }
 
-    /// Unlinks the key and retires its record. Returns whether a record
+    /// Unlinks the key and retires its record: a lookup, then — only if
+    /// it found a record — the tombstone. Returns whether a record
     /// existed.
     pub fn remove(&mut self, client: &mut FabricClient, nskey: u64) -> Result<bool> {
-        let old = self.inner.get(client, nskey)?;
+        let Some(ptr) = self.inner.get(client, nskey)? else {
+            return Ok(false);
+        };
         self.inner.remove(client, nskey)?;
-        if let Some(ptr) = old {
-            self.retire(client, ptr)?;
-        }
-        Ok(old.is_some())
+        self.retire(client, ptr)?;
+        Ok(true)
     }
 
-    /// Retires an unlinked record: reads its length word to recover the
-    /// allocation size, then hands it to the limbo list. Readers holding
-    /// epoch guards keep it readable until grace elapses.
+    /// Retires an unlinked record into the limbo list at the length the
+    /// allocator booked for it (no far access). Readers holding epoch
+    /// guards keep it readable until grace elapses.
     fn retire(&mut self, client: &mut FabricClient, ptr: u64) -> Result<()> {
-        let len = client.read_u64(FarAddr(ptr))?;
+        let addr = FarAddr(ptr);
+        let len = self.alloc.size_of(addr).ok_or(AllocError::BadFree { addr })?;
         let mut r = self.reclaim.lock().unwrap();
         // lint: retire-ok: the record was unlinked from the tree by this (single-writer) worker; concurrent readers hold epoch guards until grace elapses.
-        r.retire(client, FarAddr(ptr), RECORD_HEADER + len)?;
+        r.retire(client, addr, len)?;
         Ok(())
     }
 
@@ -282,6 +285,134 @@ mod tests {
         assert_eq!(charged_bytes(48), 64);
         assert_eq!(charged_bytes(2032), 2048);
         assert_eq!(charged_bytes(2033), 4096); // past the slab boundary: pages
+    }
+
+    #[test]
+    fn charged_bytes_are_what_the_allocator_books() {
+        let (_f, a) = setup();
+        for len in 0..=3 * farmem_fabric::PAGE {
+            let rec = a.alloc(RECORD_HEADER + len, AllocHint::Spread).unwrap();
+            assert_eq!(Some(charged_bytes(len)), a.size_of(rec), "len {len}");
+            a.free(rec, charged_bytes(len)).unwrap();
+        }
+    }
+
+    #[test]
+    fn mutations_cost_two_accesses_plus_hops_and_a_lookup_per_remove() {
+        let (f, a) = setup();
+        let mut c = f.client();
+        let reg = ReclaimRegistry::create(&mut c, &a, 8).unwrap();
+        let shared = reg.attach(&mut c, &a).unwrap();
+        let cfg = HtTreeConfig {
+            initial_buckets: 64,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let tree = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut s = RecordStore::attach(&mut c, &a, tree, cfg, shared).unwrap();
+        let rt = |c: &mut FabricClient, op: &mut dyn FnMut(&mut FabricClient)| {
+            let before = c.stats();
+            op(c);
+            c.stats().since(&before).round_trips
+        };
+        assert_eq!(rt(&mut c, &mut |c| assert!(!s.put(c, 1, b"fresh", 0).unwrap())), 2, "fresh put");
+        assert_eq!(
+            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"over the head", 0).unwrap())),
+            2,
+            "overwrite, old item at the chain head"
+        );
+        // Chain another key on top of key 1: its lookup grows by one hop.
+        let above = (2u64..)
+            .find(|&k| {
+                s.put(&mut c, k, b"probe", 0).unwrap();
+                rt(&mut c, &mut |c| drop(s.get(c, 1, 0).unwrap())) == 3
+            })
+            .unwrap();
+        assert_eq!(
+            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"under a neighbour", 0).unwrap())),
+            3,
+            "overwrite, old item one hop below key {above}"
+        );
+        assert_eq!(s.get(&mut c, 1, 0).unwrap(), GetOutcome::Hit(b"under a neighbour".to_vec()));
+        assert_eq!(rt(&mut c, &mut |c| assert!(s.remove(c, 1).unwrap())), 3, "lookup + tombstone");
+        // A miss stops after the lookup: no tombstone joins the chain.
+        let mut probe = tree.attach(&mut c, &a, cfg).unwrap();
+        let (removes, items) = (s.tree_stats().removes, probe.len_estimate(&mut c).unwrap());
+        assert_eq!(rt(&mut c, &mut |c| assert!(!s.remove(c, 1).unwrap())), 1, "removed key");
+        assert_eq!(rt(&mut c, &mut |c| assert!(!s.remove(c, 1 << 40).unwrap())), 1, "new key");
+        assert_eq!(s.tree_stats().removes, removes);
+        assert_eq!(probe.len_estimate(&mut c).unwrap(), items);
+    }
+
+    /// Fails `victim` once the nodes have executed `after` more accesses:
+    /// the one way to land a failure *between* two ops of a fenced batch
+    /// (a fault plan's timed crashes are judged once per batch arrival).
+    struct FailAfter {
+        fabric: std::sync::Weak<farmem_fabric::Fabric>,
+        after: std::sync::atomic::AtomicU64,
+        victim: farmem_fabric::NodeId,
+    }
+
+    impl farmem_fabric::CheckObserver for FailAfter {
+        fn access(&self, _access: &farmem_fabric::Access) {
+            if self.after.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
+                self.fabric.upgrade().expect("fabric outlives its verbs").node(self.victim).fail();
+            }
+        }
+    }
+
+    #[test]
+    fn a_put_failing_inside_its_batch_links_nothing_and_frees_the_record() {
+        use farmem_core::CoreError;
+        use farmem_fabric::{FabricError, NodeId, RetryPolicy};
+        let f = FabricConfig {
+            nodes: 2,
+            retry: RetryPolicy::NONE,
+            ..FabricConfig::count_only(64 << 20)
+        }
+        .build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let mut s = store(&f, &a, &mut c);
+        s.put(&mut c, 5, b"survivor", 0).unwrap();
+        // An overwrite's accesses, in order: the gather's bucket word and
+        // header, then the batch's head-item read, record write, item
+        // write and bucket CAS. Spread placement alternates nodes, so the
+        // put's record and its tree item (consecutive allocations) sit on
+        // different nodes.
+        for torn in [false, true] {
+            let live = a.stats().live_bytes;
+            let next = a.alloc(8, AllocHint::Spread).unwrap();
+            a.free(next, 8).unwrap();
+            let record_node = NodeId(1 - a.node_of(next).0);
+            // Not torn: the record's node dies under the head read, so the
+            // record write fails before anything mutated. Torn: the item's
+            // node dies right after the record write.
+            let (after, victim) =
+                if torn { (4, NodeId(1 - record_node.0)) } else { (3, record_node) };
+            f.install_check_observer(Arc::new(FailAfter {
+                fabric: Arc::downgrade(&f),
+                after: after.into(),
+                victim,
+            }));
+            let err = s.put(&mut c, 5, b"never reachable", 0).unwrap_err();
+            f.clear_check_observer();
+            f.node(victim).recover();
+            match err {
+                crate::ServeError::Core(CoreError::Fabric(FabricError::NodeFailed(n))) if !torn => {
+                    assert_eq!(n, victim)
+                }
+                crate::ServeError::Core(CoreError::Fabric(FabricError::BatchTorn {
+                    node,
+                    executed,
+                })) if torn => assert_eq!((node, executed), (victim, 2), "head read + record"),
+                err => panic!("torn {torn}: unexpected {err:?}"),
+            }
+            // The CAS never ran: readers still reach the old record, and
+            // both unlinked blocks went straight back to the allocator.
+            assert_eq!(s.get(&mut c, 5, 0).unwrap(), GetOutcome::Hit(b"survivor".to_vec()));
+            assert_eq!(a.stats().live_bytes, live, "torn {torn}: record and item freed");
+        }
     }
 
     #[test]

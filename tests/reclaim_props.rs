@@ -5,6 +5,10 @@
 //!   program, run once with reclamation on and once with it off, yields
 //!   identical structure contents — and the reclaim run's limbo always
 //!   drains to empty once every client pins past the last seal.
+//! * **Publish conservation**: every `HtTreeHandle::publish` returns
+//!   exactly the model's previous value for its key — across long chains,
+//!   tombstones and forced restructures — so each record is retired once
+//!   and the allocator ends where the empty map began.
 //! * **Guard safety**: while any client holds an epoch guard pinned
 //!   before a restructure, no grace-detection round frees a single byte;
 //!   the pinned client's view stays exact throughout.
@@ -148,6 +152,106 @@ proptest! {
             on_live <= off_live,
             "reclamation must not grow the footprint: on={on_live} off={off_live}"
         );
+    }
+}
+
+#[derive(Debug, Clone)]
+enum RecordOp {
+    /// `(key, record length)` — store a fresh far record under the key.
+    Publish(u64, u64),
+    /// `(key)` — lookup, tombstone if found, retire what was found.
+    Remove(u64),
+    /// `(key)` — lookup, dereference, compare with the model.
+    Get(u64),
+    /// Restructure the (only) table.
+    Split,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// 64 keys in a 4-bucket table that only ever compacts: chains run
+    /// sixteen keys deep plus every superseded item and tombstone.
+    #[test]
+    fn publish_returns_the_model_value_and_every_record_retires_once(
+        ops in prop::collection::vec(
+            prop_oneof![
+                (0u64..64, 1u64..300).prop_map(|(k, len)| RecordOp::Publish(k, len)),
+                (0u64..64, 1u64..300).prop_map(|(k, len)| RecordOp::Publish(k, len)),
+                (0u64..64).prop_map(RecordOp::Remove),
+                (0u64..64).prop_map(RecordOp::Get),
+                Just(RecordOp::Split),
+            ],
+            1..200,
+        ),
+    ) {
+        let f = fabric(0, 0);
+        let alloc = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
+        let shared = reg.attach(&mut c, &alloc).unwrap();
+        // `u64::MAX`: no put restructures, and a forced split finds the
+        // table "mostly superseded" whatever it holds — it compacts at the
+        // same four buckets, so the tree's own footprint never grows.
+        let cfg = HtTreeConfig {
+            initial_buckets: 4,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
+        let mut h = tree.attach_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
+        let empty_map = alloc.stats().live_bytes;
+        let mut model: HashMap<u64, (u64, Vec<u8>)> = HashMap::new();
+        let retire = |c: &mut FabricClient, ptr: u64| {
+            let len = alloc.size_of(FarAddr(ptr)).expect("a superseded record is still allocated");
+            shared.lock().unwrap().retire(c, FarAddr(ptr), len).unwrap();
+        };
+        let remove = |c: &mut FabricClient, h: &mut farmem_core::HtTreeHandle, k: u64| {
+            let found = h.get(c, k).unwrap();
+            if let Some(ptr) = found {
+                h.remove(c, k).unwrap();
+                retire(c, ptr);
+            }
+            found
+        };
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                RecordOp::Publish(k, len) => {
+                    let bytes = vec![i as u8; len as usize];
+                    let rec = alloc.alloc(len, AllocHint::Spread).unwrap();
+                    let old = h.publish(&mut c, k, rec, &bytes).unwrap();
+                    let was = model.insert(k, (rec.0, bytes)).map(|(ptr, _)| ptr);
+                    prop_assert_eq!(old, was, "op {}: publish over key {}", i, k);
+                    if let Some(ptr) = old {
+                        retire(&mut c, ptr);
+                    }
+                }
+                RecordOp::Remove(k) => {
+                    let found = remove(&mut c, &mut h, k);
+                    prop_assert_eq!(found, model.remove(&k).map(|(ptr, _)| ptr));
+                }
+                RecordOp::Get(k) => {
+                    let found = h.get(&mut c, k).unwrap();
+                    prop_assert_eq!(found, model.get(&k).map(|(ptr, _)| *ptr));
+                    if let Some((ptr, bytes)) = model.get(&k) {
+                        prop_assert_eq!(&c.read(FarAddr(*ptr), bytes.len() as u64).unwrap(), bytes);
+                    }
+                }
+                RecordOp::Split => h.split(&mut c, 0).unwrap(),
+            }
+        }
+        // Empty the map; a last compaction drops every chain. One sealed
+        // grace round (sole client) then returns each retired block — a
+        // record retired twice would surface here as `BadFree`.
+        for k in 0..64 {
+            prop_assert_eq!(remove(&mut c, &mut h, k).is_some(), model.contains_key(&k));
+        }
+        h.split(&mut c, 0).unwrap();
+        let mut r = shared.lock().unwrap();
+        r.seal(&mut c).unwrap();
+        r.reclaim(&mut c).unwrap();
+        prop_assert_eq!(r.stats().limbo_entries(), 0);
+        prop_assert_eq!(alloc.stats().live_bytes, empty_map);
     }
 }
 
