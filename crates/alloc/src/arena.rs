@@ -14,18 +14,17 @@ use crate::{AllocError, AllocHint, FarAlloc, Result};
 /// bumps a local cursor — zero far accesses per item, with one chunk
 /// refill every `chunk_len / item` allocations.
 ///
-/// Arena memory is only reclaimed wholesale — eagerly via
-/// [`Arena::retire`], or deferred behind an epoch grace period by handing
-/// [`Arena::into_parts`] to `farmem-reclaim`'s `retire_arena`. This is
-/// the usual trade-off for publish-only records whose liveness is governed
-/// by the containing data structure's epochs.
+/// Arena memory is only reclaimed wholesale, by [`Arena::retire`]. This
+/// is the usual trade-off for publish-only records whose liveness is
+/// governed by the containing data structure's epochs; records that must
+/// come back one at a time are slab-allocated and retired through
+/// `farmem-reclaim` instead.
 ///
 /// Simply **dropping** an arena strands its chunks: `live_bytes` stays
 /// elevated forever (asserted by the `plain_drop_strands_chunks` test).
-/// Teardown paths must call `retire`/`into_parts` explicitly — an
-/// implicit `Drop` free would be unsound, because dropping happens at
-/// unwinding/scope exit where concurrent readers may still hold
-/// references that only an epoch grace period can wait out.
+/// Teardown paths must call `retire` explicitly — an implicit `Drop` free
+/// would be unsound, because dropping happens at unwinding/scope exit
+/// where concurrent readers may still hold references.
 ///
 /// # Examples
 ///
@@ -115,8 +114,7 @@ impl Arena {
 
     /// Returns every chunk (and oversized item) this arena ever drew to
     /// the underlying allocator. The caller asserts nothing references
-    /// the items anymore — when concurrent readers might, hand
-    /// [`Arena::into_parts`] to an epoch-based reclaimer instead.
+    /// the items anymore.
     pub fn retire(mut self) -> Result<()> {
         if !self.chunk.is_null() {
             self.retired.push(self.chunk);
@@ -131,21 +129,6 @@ impl Arena {
         Ok(())
     }
 
-    /// Consumes the arena and exposes everything it drew from the
-    /// allocator: `(chunks, chunk_len, oversized)`. Deferred-reclamation
-    /// layers use this to push the pieces into a limbo list instead of
-    /// freeing them eagerly.
-    pub fn into_parts(mut self) -> (Vec<FarAddr>, u64, Vec<(FarAddr, u64)>) {
-        if !self.chunk.is_null() {
-            self.retired.push(self.chunk);
-            self.chunk = FarAddr::NULL;
-        }
-        (
-            std::mem::take(&mut self.retired),
-            self.chunk_len,
-            std::mem::take(&mut self.oversized),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +205,7 @@ mod tests {
 
     /// Documented behavior: plain `drop` strands the chunks (an implicit
     /// free would be unsound under concurrent readers). Teardown must go
-    /// through `retire` or `into_parts`.
+    /// through `retire`.
     #[test]
     fn plain_drop_strands_chunks() {
         let f = FabricConfig::single_node(4 << 20).build();
@@ -237,29 +220,6 @@ mod tests {
             alloc.stats().live_bytes > baseline,
             "dropped arena chunks stay allocated (leak is deliberate)"
         );
-    }
-
-    #[test]
-    fn into_parts_exposes_all_allocations() {
-        let f = FabricConfig::single_node(4 << 20).build();
-        let alloc = FarAlloc::new(f);
-        let baseline = alloc.stats().live_bytes;
-        let mut a = Arena::new(alloc.clone(), 4096, AllocHint::Spread);
-        for _ in 0..200 {
-            a.alloc(64).unwrap();
-        }
-        a.alloc(10_000).unwrap();
-        let (chunks, chunk_len, oversized) = a.into_parts();
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunk_len, 4096);
-        assert_eq!(oversized.len(), 1);
-        for c in chunks {
-            alloc.free(c, chunk_len).unwrap();
-        }
-        for (addr, len) in oversized {
-            alloc.free(addr, len).unwrap();
-        }
-        assert_eq!(alloc.stats().live_bytes, baseline);
     }
 
     #[test]

@@ -16,19 +16,12 @@
 use std::collections::HashMap;
 
 use farmem_alloc::{AllocHint, Arena, FarAlloc};
-use farmem_fabric::{FabricClient, FarAddr, WORD};
+use farmem_fabric::{splitmix64, FabricClient, FarAddr, WORD};
 use std::sync::Arc;
 
 use crate::{BaselineError, Result};
 
 const ITEM_LEN: u64 = 24; // {key, value, next}
-
-fn hash_key(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Per-handle counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -113,7 +106,7 @@ impl ChainedHash {
     }
 
     fn bucket_addr(&self, key: u64) -> FarAddr {
-        self.buckets.offset((hash_key(key) % self.n_buckets) * WORD)
+        self.buckets.offset((splitmix64(key) % self.n_buckets) * WORD)
     }
 
     /// Inserts `key → value`: read bucket, publish record, CAS bucket —

@@ -8,7 +8,7 @@
 //! similar round trips, very different bytes.
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_fabric::{FabricClient, FarAddr, WORD};
+use farmem_fabric::{splitmix64, FabricClient, FarAddr, WORD};
 use std::sync::Arc;
 
 use crate::{BaselineError, Result};
@@ -18,13 +18,6 @@ pub const NEIGHBORHOOD: u64 = 8;
 
 /// Slot layout: {tag, key, value}; tag 0 = empty, 1 = occupied.
 const SLOT_LEN: u64 = 3 * WORD;
-
-fn hash_key(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A hopscotch-inlined open-addressing table accessed one-sidedly.
 ///
@@ -66,7 +59,7 @@ impl HopscotchHash {
     }
 
     fn home(&self, key: u64) -> u64 {
-        hash_key(key) % self.n_slots
+        splitmix64(key) % self.n_slots
     }
 
     fn slot_addr(&self, idx: u64) -> FarAddr {

@@ -121,7 +121,7 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> Chur
                         let byte = (r >> 16) as u8;
                         h[i].put_bytes(&mut c[i], key, &vec![byte; len as usize]).unwrap();
                     }
-                    6 => h[i].remove(&mut c[i], key).unwrap(),
+                    6 => drop(h[i].remove(&mut c[i], key).unwrap()),
                     _ => {
                         h[i].get_bytes(&mut c[i], key).unwrap();
                     }

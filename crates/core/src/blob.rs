@@ -1,40 +1,65 @@
-//! Variable-length values over the HT-tree: blob records behind pointers.
+//! Variable-length values over the HT-tree: immutable far records behind
+//! pointers. The one record layer: [`FarBlobMap`] is the byte-string map,
+//! and `farmem-serve`'s record store is `FarBlobMap<1>` plus a TTL rule.
 //!
 //! The core map stores `u64 → u64`; for "very large keys or values" the
-//! paper points at pointer indirection with placement control (§7.1).
-//! [`FarBlobMap`] layers that on the HT-tree: a value is a pointer to an
-//! immutable far record `{len, bytes…}` written through a per-handle
-//! arena.
+//! paper points at pointer indirection with placement control (§7.1). A
+//! value here is a pointer to a record that is never modified once
+//! linked:
+//!
+//! ```text
+//! record := { len: u64 | H header words | len payload bytes }
+//! ```
+//!
+//! `H` is a compile-time parameter: the blob map has none, serve keeps an
+//! expiry instant in one. The header words ride in front of the payload
+//! so that a lookup can judge them ([`FarBlobMap::get_if`]) from the
+//! prefetch alone, without reading a payload it will not return.
 //!
 //! Costs: a store is the map's two far accesses — the record's bytes
 //! ride the put's own fenced batch ([`HtTreeHandle::publish`]), which in
 //! reclaim mode also returns the record the store superseded (one more
 //! access per chain hop down to it); a lookup is the map's one far access
 //! plus one record read — the record read prefetches
-//! [`FarBlobMap::PREFETCH`] bytes, so blobs up to `PREFETCH - 8` bytes
-//! need no second read.
+//! [`FarBlobMap::PREFETCH`] bytes, so payloads up to
+//! [`FarBlobMap::PREFETCHED`] bytes need no second read.
 //!
 //! With [`FarBlobMap::attach_reclaimed`] the map participates in
-//! epoch-based reclamation: overwrites and removes retire the superseded
-//! record (slab-allocated in this mode) into the limbo list. An overwrite
-//! pays nothing for that — the superseded pointer comes back from the
-//! store and its length from the allocator's books; a remove pays one
-//! lookup ahead of its tombstone, and stops there when the key is absent.
-//! Constraint: a remove racing another mutation of the **same key** from
-//! a different client can retire the same old record twice (its lookup
-//! and its tombstone are separate accesses); the allocator rejects the
-//! loser's double free as `BadFree`. Keep each key single-writer (or
-//! externally serialized) in reclaim mode.
+//! epoch-based reclamation: records are slab-allocated, lookups hold the
+//! tree lookup's epoch guard to the last record byte, and
+//! overwrites and removes retire the superseded record into the limbo
+//! list. An overwrite pays nothing for that — the superseded pointer
+//! comes back from the store and its length from the allocator's books; a
+//! remove pays one lookup ahead of its tombstone, and stops there when
+//! the key is absent. Constraint: a remove racing another mutation of the
+//! **same key** from a different client can retire the same old record
+//! twice (its lookup and its tombstone are separate accesses); the
+//! allocator rejects the loser's double free as `BadFree`. Keep each key
+//! single-writer (or externally serialized) in reclaim mode.
 
 use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
-use farmem_fabric::{FabricClient, FarAddr, WORD};
+use farmem_fabric::{DescList, FabricClient, FarAddr, WORD};
 use farmem_reclaim::SharedReclaim;
+use farmem_runtime::Doorbell;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use crate::httree::{HtTree, HtTreeConfig, HtTreeHandle};
+use crate::word_at;
 
-/// A far-memory map from `u64` keys to byte strings.
+/// Bytes fetched with the first record read.
+const PREFETCH: u64 = 256;
+
+/// Where records come from and where superseded ones go.
+enum Records {
+    /// Bump-allocated; a superseded record is stranded with the arena.
+    Quarantine(Arena),
+    /// Slab-allocated; a superseded record is retired into the limbo list.
+    Reclaim(SharedReclaim),
+}
+
+/// A far-memory map from `u64` keys to byte strings, each behind `H`
+/// caller-defined header words (none by default).
 ///
 /// # Examples
 ///
@@ -50,27 +75,32 @@ use crate::httree::{HtTree, HtTreeConfig, HtTreeHandle};
 /// m.put_bytes(&mut c, 1, b"hello far memory").unwrap();
 /// assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"hello far memory");
 /// ```
-pub struct FarBlobMap {
+pub struct FarBlobMap<const H: usize = 0> {
     inner: HtTreeHandle,
-    arena: Arena,
     alloc: Arc<FarAlloc>,
-    /// Epoch-based reclamation: `Some` for `attach_reclaimed` handles.
-    reclaim: Option<SharedReclaim>,
+    records: Records,
 }
 
-impl FarBlobMap {
-    /// Bytes fetched with the first record read; blobs up to
-    /// `PREFETCH - 8` bytes complete in that one access.
-    pub const PREFETCH: u64 = 256;
+impl<const H: usize> FarBlobMap<H> {
+    /// Bytes fetched with the first record read.
+    pub const PREFETCH: u64 = PREFETCH;
+
+    /// Bytes ahead of a record's payload: the length word and `H` header
+    /// words.
+    pub const HEADER: u64 = (1 + H as u64) * WORD;
+
+    /// Payload bytes the first record read covers; a longer payload takes
+    /// one more read.
+    pub const PREFETCHED: u64 = PREFETCH - Self::HEADER;
 
     /// Creates a new blob map (an HT-tree plus a record arena).
     pub fn create(
         client: &mut FabricClient,
         alloc: &Arc<FarAlloc>,
         cfg: HtTreeConfig,
-    ) -> Result<FarBlobMap> {
+    ) -> Result<Self> {
         let tree = HtTree::create(client, alloc, cfg)?;
-        FarBlobMap::attach(client, alloc, tree, cfg)
+        Self::attach(client, alloc, tree, cfg)
     }
 
     /// Attaches to an existing HT-tree as a blob map.
@@ -79,13 +109,11 @@ impl FarBlobMap {
         alloc: &Arc<FarAlloc>,
         tree: HtTree,
         cfg: HtTreeConfig,
-    ) -> Result<FarBlobMap> {
-        let inner = tree.attach(client, alloc, cfg)?;
+    ) -> Result<Self> {
         Ok(FarBlobMap {
-            inner,
-            arena: Arena::new(alloc.clone(), 16 * 4096, AllocHint::Spread),
+            inner: tree.attach(client, alloc, cfg)?,
             alloc: alloc.clone(),
-            reclaim: None,
+            records: Records::Quarantine(Arena::new(alloc.clone(), 16 * 4096, AllocHint::Spread)),
         })
     }
 
@@ -97,9 +125,9 @@ impl FarBlobMap {
         alloc: &Arc<FarAlloc>,
         cfg: HtTreeConfig,
         reclaim: SharedReclaim,
-    ) -> Result<FarBlobMap> {
+    ) -> Result<Self> {
         let tree = HtTree::create(client, alloc, cfg)?;
-        FarBlobMap::attach_reclaimed(client, alloc, tree, cfg, reclaim)
+        Self::attach_reclaimed(client, alloc, tree, cfg, reclaim)
     }
 
     /// Attaches in reclaim mode: records are slab-allocated, and every
@@ -111,13 +139,11 @@ impl FarBlobMap {
         tree: HtTree,
         cfg: HtTreeConfig,
         reclaim: SharedReclaim,
-    ) -> Result<FarBlobMap> {
-        let inner = tree.attach_reclaimed(client, alloc, cfg, reclaim.clone())?;
+    ) -> Result<Self> {
         Ok(FarBlobMap {
-            inner,
-            arena: Arena::new(alloc.clone(), 16 * 4096, AllocHint::Spread),
+            inner: tree.attach_reclaimed(client, alloc, cfg, reclaim.clone())?,
             alloc: alloc.clone(),
-            reclaim: Some(reclaim),
+            records: Records::Reclaim(reclaim),
         })
     }
 
@@ -127,31 +153,47 @@ impl FarBlobMap {
         *self.inner.tree()
     }
 
-    /// Stores `value` under `key` in the map's two far accesses: alloc,
-    /// [`HtTreeHandle::publish`], retire what came back. Reclaim mode adds
-    /// the chain hops down to the key's previous item, if it had one below
-    /// the bucket head; quarantine mode strands that record with the arena
-    /// and never looks for it.
-    pub fn put_bytes(&mut self, client: &mut FabricClient, key: u64, value: &[u8]) -> Result<()> {
-        let _span = client.span("blob.put_bytes");
+    /// Statistics of the underlying map handle.
+    pub fn stats(&self) -> crate::httree::HtTreeStats {
+        self.inner.stats()
+    }
+
+    /// Stores `value` behind `header` under `key` in the map's two far
+    /// accesses: alloc, [`HtTreeHandle::publish`], retire what came back.
+    /// Reclaim mode adds the chain hops down to the key's previous item,
+    /// if it had one below the bucket head, and returns whether a record
+    /// was replaced (and retired); quarantine mode strands that record
+    /// with the arena, never looks for it and returns `false`.
+    pub fn put(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+        header: [u64; H],
+        value: &[u8],
+    ) -> Result<bool> {
         if value.len() as u64 > u32::MAX as u64 {
             return Err(CoreError::BadConfig("blob too large"));
         }
-        let len = WORD + value.len() as u64;
-        let record = if self.reclaim.is_some() {
-            self.alloc.alloc(len, AllocHint::Spread)?
-        } else {
-            self.arena.alloc(len)?
+        let len = Self::HEADER + value.len() as u64;
+        let record = match &mut self.records {
+            Records::Quarantine(arena) => arena.alloc(len)?,
+            Records::Reclaim(_) => self.alloc.alloc(len, AllocHint::Spread)?,
         };
         let mut bytes = Vec::with_capacity(len as usize);
         bytes.extend_from_slice(&(value.len() as u64).to_le_bytes());
+        for word in header {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
         bytes.extend_from_slice(value);
         match self.inner.publish(client, key, record, &bytes) {
-            Ok(old) => self.retire_old(client, old),
+            Ok(None) => Ok(false),
+            // lint: retire-ok: the overwritten record was unlinked by the
+            // publish above; readers hold epoch guards until grace.
+            Ok(Some(old)) => self.retire(client, old).map(|()| true),
             Err(e) => {
                 // `publish` fails only ahead of its CAS: never linked, so
                 // nobody can reach the record and no grace period is due.
-                if self.reclaim.is_some() {
+                if let Records::Reclaim(_) = self.records {
                     self.alloc.free(record, len)?;
                 }
                 Err(e)
@@ -159,59 +201,152 @@ impl FarBlobMap {
         }
     }
 
-    /// Fetches the blob under `key`: the map's one far access plus one
-    /// (sometimes two, for blobs past the prefetch) record reads.
-    pub fn get_bytes(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<Vec<u8>>> {
-        let _span = client.span("blob.get_bytes");
-        let Some(ptr) = self.inner.get(client, key)? else {
+    /// Splits a record's prefetched prefix into its payload length and
+    /// header words.
+    fn decode(first: &[u8]) -> (u64, [u64; H]) {
+        (word_at(first, 0), std::array::from_fn(|i| word_at(first, (1 + i as u64) * WORD)))
+    }
+
+    /// Fetches the record under `key` if `live` accepts its header words:
+    /// the map's one far access plus one (two, for a payload past the
+    /// prefetch) record reads. `None` is a key with no record;
+    /// `Some(None)` a record whose header `live` turned down — its payload
+    /// is never materialized.
+    pub fn get_if(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+        live: impl FnOnce(&[u64; H]) -> bool,
+    ) -> Result<Option<Option<Vec<u8>>>> {
+        // Reclaim mode: the lookup's epoch guard is held to the record's
+        // last byte, so a record another client is concurrently retiring
+        // stays readable until grace elapses.
+        let (ptr, _guard) = self.inner.get_guarded(client, key)?;
+        let Some(ptr) = ptr else {
             return Ok(None);
         };
         let record = FarAddr(ptr);
-        let first = client.read(record, Self::PREFETCH)?;
-        let len = u64::from_le_bytes(first[0..8].try_into().expect("length word"));
-        let mut out = Vec::with_capacity(len as usize);
-        let have = (Self::PREFETCH - WORD).min(len);
-        out.extend_from_slice(&first[8..8 + have as usize]);
-        if len > have {
-            let tail = client.read(record.offset(WORD + have), len - have)?;
-            out.extend_from_slice(&tail);
+        let mut first = [0u8; PREFETCH as usize];
+        client.read_into(record, &mut first)?;
+        let (len, header) = Self::decode(&first);
+        if !live(&header) {
+            return Ok(Some(None));
         }
-        Ok(Some(out))
+        // One buffer sized from the header: the prefetched part is copied
+        // in, the rest of a large value is read straight into place.
+        let mut out = vec![0u8; len as usize];
+        let have = Self::PREFETCHED.min(len) as usize;
+        let (head, tail) = out.split_at_mut(have);
+        head.copy_from_slice(&first[Self::HEADER as usize..][..have]);
+        if !tail.is_empty() {
+            client.read_into(record.offset(Self::HEADER + have as u64), tail)?;
+        }
+        Ok(Some(Some(out)))
     }
 
-    /// Removes `key`. Quarantine mode publishes the tombstone and strands
-    /// the record with the arena (two far accesses); reclaim mode looks
-    /// the record up first (one), returns if there is none, and otherwise
-    /// publishes the tombstone and retires it (three in all).
-    pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<()> {
-        let _span = client.span("blob.remove");
-        if self.reclaim.is_none() {
-            return self.inner.remove(client, key);
+    /// [`get_if`](Self::get_if) over a batch of keys and any
+    /// [`Doorbell`]: the tree lookups post through one doorbell
+    /// ([`HtTreeHandle::get_many_async`]), then every found record's
+    /// prefetch read posts through a second shared one — so an executor
+    /// interleaves whole sessions' batches on one OS thread. Results are
+    /// those of one `get_if` per key.
+    pub async fn get_many_async<D: Doorbell>(
+        &mut self,
+        ac: &D,
+        keys: &[u64],
+        live: impl Fn(&[u64; H]) -> bool,
+    ) -> Result<Vec<Option<Option<Vec<u8>>>>> {
+        let (ptrs, _guard) = self.inner.get_many_async_guarded(ac, keys).await?;
+        let mut heads = DescList::new();
+        let posted: Vec<Option<(FarAddr, usize)>> = ptrs
+            .into_iter()
+            .map(|ptr| ptr.map(|p| (FarAddr(p), heads.read(FarAddr(p), PREFETCH))))
+            .collect();
+        let mut cq = ac.ring(heads).await;
+        let mut out = Vec::with_capacity(keys.len());
+        for found in posted {
+            let Some((record, slot)) = found else {
+                out.push(None);
+                continue;
+            };
+            let first = match cq.take(slot) {
+                Some(Ok(res)) => res.into_bytes(),
+                // lint: block-ok — serial fallback after a failed
+                // prefetch, identical to the sync path.
+                // audit: rt-in-loop-ok: rare per-key fallback — the hot path
+                // batched every prefetch through one doorbell above.
+                _ => ac.with(|c| c.read(record, PREFETCH))?,
+            };
+            let (len, header) = Self::decode(&first);
+            if !live(&header) {
+                out.push(Some(None));
+                continue;
+            }
+            // The completion's own buffer becomes the value: drop the
+            // header and the bytes past a short value, then append the
+            // tail of a large one (no async read-into exists, so that
+            // tail still arrives in the doorbell's buffer).
+            let have = Self::PREFETCHED.min(len);
+            let mut v = first;
+            v.truncate((Self::HEADER + have) as usize);
+            v.drain(..Self::HEADER as usize);
+            if len > have {
+                let tail = ac.read(record.offset(Self::HEADER + have), len - have).await?;
+                v.reserve_exact(tail.len());
+                v.extend_from_slice(&tail);
+            }
+            out.push(Some(Some(v)));
         }
-        let Some(old) = self.inner.get(client, key)? else {
-            return Ok(());
-        };
-        self.inner.remove(client, key)?;
-        self.retire_old(client, Some(old))
+        Ok(out)
+    }
+
+    /// Removes `key` and returns whether a tombstone was published.
+    /// Quarantine mode always publishes one and strands the record with
+    /// the arena (two far accesses); reclaim mode looks the record up
+    /// first (one), returns `false` if there is none, and otherwise
+    /// publishes the tombstone and retires the record (three in all).
+    pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<bool> {
+        if let Records::Reclaim(_) = self.records {
+            let Some(old) = self.inner.get(client, key)? else {
+                return Ok(false);
+            };
+            self.inner.remove(client, key)?;
+            // lint: retire-ok: the tombstone above unlinked the record;
+            // readers hold epoch guards until grace.
+            self.retire(client, old)?;
+        } else {
+            self.inner.remove(client, key)?;
+        }
+        Ok(true)
     }
 
     /// Retires the record a mutation just unlinked, at the length the
     /// allocator booked for it (no far access). The record stays readable
     /// by concurrent guards until its grace period elapses.
-    fn retire_old(&mut self, client: &mut FabricClient, old: Option<u64>) -> Result<()> {
-        let (Some(shared), Some(ptr)) = (self.reclaim.clone(), old) else {
+    fn retire(&mut self, client: &mut FabricClient, old: u64) -> Result<()> {
+        let Records::Reclaim(shared) = &self.records else {
             return Ok(());
         };
-        let addr = FarAddr(ptr);
+        let addr = FarAddr(old);
         let len = self.alloc.size_of(addr).ok_or(AllocError::BadFree { addr })?;
         let mut r = shared.lock().unwrap();
         // lint: retire-ok: the record was unlinked by the map op; concurrent readers hold epoch guards until grace elapses.
         r.retire(client, addr, len).map_err(CoreError::from)
     }
+}
 
-    /// Statistics of the underlying map handle.
-    pub fn stats(&self) -> crate::httree::HtTreeStats {
-        self.inner.stats()
+impl FarBlobMap {
+    /// Stores `value` under `key` ([`put`](Self::put) with no header).
+    pub fn put_bytes(&mut self, client: &mut FabricClient, key: u64, value: &[u8]) -> Result<()> {
+        let _span = client.span("blob.put_bytes");
+        self.put(client, key, [], value).map(drop)
+    }
+
+    /// Fetches the blob under `key` ([`get_if`](Self::get_if) with
+    /// nothing to turn down).
+    pub fn get_bytes(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<Vec<u8>>> {
+        let _span = client.span("blob.get_bytes");
+        Ok(self.get_if(client, key, |[]| true)?.flatten())
     }
 }
 
@@ -219,6 +354,7 @@ impl FarBlobMap {
 mod tests {
     use super::*;
     use farmem_fabric::FabricConfig;
+    use farmem_runtime::Inline;
 
     fn setup() -> (Arc<farmem_fabric::Fabric>, Arc<FarAlloc>) {
         let f = FabricConfig::count_only(256 << 20).build();
@@ -359,12 +495,12 @@ mod tests {
         if !reclaimed {
             return; // quarantine removes are the tree's own two accesses
         }
-        assert_eq!(rt(&mut c, &mut |c| m.remove(c, 1).unwrap()), 3, "remove: lookup + tombstone");
+        assert_eq!(rt(&mut c, &mut |c| assert!(m.remove(c, 1).unwrap())), 3, "remove: lookup + tombstone");
         // A miss stops after the lookup: no tombstone joins the chain.
         let mut probe = m.tree().attach(&mut c, &a, cfg).unwrap();
         let (removes, items) = (m.stats().removes, probe.len_estimate(&mut c).unwrap());
-        assert_eq!(rt(&mut c, &mut |c| m.remove(c, 1).unwrap()), 1, "remove of a removed key");
-        assert_eq!(rt(&mut c, &mut |c| m.remove(c, 1 << 40).unwrap()), 1, "remove of a new key");
+        assert_eq!(rt(&mut c, &mut |c| assert!(!m.remove(c, 1).unwrap())), 1, "remove of a removed key");
+        assert_eq!(rt(&mut c, &mut |c| assert!(!m.remove(c, 1 << 40).unwrap())), 1, "remove of a new key");
         assert_eq!(m.stats().removes, removes);
         assert_eq!(probe.len_estimate(&mut c).unwrap(), items);
     }
@@ -377,6 +513,48 @@ mod tests {
     #[test]
     fn quarantine_store_costs_two_far_accesses() {
         mutation_costs(false);
+    }
+
+    /// `get_many_async` is one `get_if` per key, whatever the header
+    /// width, the mode or the doorbell: hits on either side of the
+    /// prefetch, misses, removed keys and records `live` turns down.
+    fn get_many_matches_get<const H: usize>(reclaimed: bool, header_of: fn(u64) -> [u64; H]) {
+        let (f, a) = setup();
+        let mut c = f.client();
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+        let tree = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut m: FarBlobMap<H> = if reclaimed {
+            let reg = farmem_reclaim::ReclaimRegistry::create(&mut c, &a, 4).unwrap();
+            let shared = reg.attach(&mut c, &a).unwrap();
+            FarBlobMap::attach_reclaimed(&mut c, &a, tree, cfg, shared).unwrap()
+        } else {
+            FarBlobMap::attach(&mut c, &a, tree, cfg).unwrap()
+        };
+        let sizes = [0, 1, 100, FarBlobMap::<H>::PREFETCHED, FarBlobMap::<H>::PREFETCHED + 1, 5000];
+        for k in 0..24u64 {
+            let v: Vec<u8> = (0..sizes[k as usize % sizes.len()]).map(|i| (i + k) as u8).collect();
+            m.put(&mut c, k, header_of(k), &v).unwrap();
+        }
+        m.remove(&mut c, 5).unwrap();
+        // Turn down every record whose last header word is odd (none when
+        // there is no header).
+        let live = |h: &[u64; H]| h.last().is_none_or(|w| w % 2 == 0);
+        let keys: Vec<u64> = (0..32).rev().collect();
+        let serial: Vec<_> = keys.iter().map(|&k| m.get_if(&mut c, k, live).unwrap()).collect();
+        let bell = Inline::new(&mut c);
+        let batched = Inline::run(m.get_many_async(&bell, &keys, live)).unwrap();
+        assert_eq!(batched, serial);
+        assert!(serial.iter().any(|r| r.is_none()), "misses");
+        assert!(serial.iter().flatten().flatten().any(|v| v.len() > 4096), "tails");
+        assert_eq!(serial.contains(&Some(None)), H > 0, "turned-down records");
+    }
+
+    #[test]
+    fn get_many_equals_per_key_gets() {
+        for reclaimed in [false, true] {
+            get_many_matches_get::<0>(reclaimed, |_| []);
+            get_many_matches_get::<1>(reclaimed, |k| [k % 5]);
+        }
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl FarCounter {
     pub fn watch_equal(&self, client: &mut FabricClient, value: u64) -> Result<SubId> {
         Ok(client.notifye(self.addr, value)?)
     }
-
-    /// Subscribes to any change of the counter (`notify0`).
-    pub fn watch_changes(&self, client: &mut FabricClient) -> Result<SubId> {
-        Ok(client.notify0(self.addr, WORD)?)
-    }
 }
 
 #[cfg(test)]

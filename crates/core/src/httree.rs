@@ -56,7 +56,7 @@
 //! check rejects as [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
 
 use farmem_alloc::{AllocHint, Arena, FarAlloc};
-use farmem_fabric::{BatchOp, DescList, FabricClient, FarAddr, FarIov, WORD};
+use farmem_fabric::{splitmix64, BatchOp, DescList, FabricClient, FarAddr, FarIov, WORD};
 use farmem_reclaim::{pin, Guard, SharedReclaim};
 use farmem_runtime::{Doorbell, Inline};
 use std::sync::Arc;
@@ -106,14 +106,6 @@ fn backoff(attempt: u32) {
     } else {
         std::thread::sleep(std::time::Duration::from_micros(50 * attempt.min(100) as u64));
     }
-}
-
-fn hash_key(key: u64) -> u64 {
-    // SplitMix64 finalizer: cheap, well-mixed.
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn words(bytes: &[u8]) -> Vec<u64> {
@@ -325,7 +317,8 @@ impl HtTree {
     }
 
     /// Attaches a client: reads the anchor and caches the entire directory
-    /// (the "tree", §5.2). Two far accesses.
+    /// (the "tree", §5.2). Three far accesses, as every
+    /// [`refresh_directory`](HtTreeHandle::refresh_directory).
     pub fn attach(
         &self,
         client: &mut FabricClient,
@@ -385,6 +378,35 @@ impl HtTree {
         h.refresh_directory(client)?;
         Ok(h)
     }
+}
+
+/// Walks every chain hanging off a table's bucket words level by level:
+/// one `rgather` per chain *depth*, not per item, every bucket's chain
+/// gathered together. Chains link newest to oldest and keys never span
+/// buckets, so per key the first item `visit` sees is the authoritative
+/// one. `visit` gets each item with its address; returning `false` stops
+/// the walk, which then reports `false` itself.
+fn drain_chains(
+    client: &mut FabricClient,
+    bucket_words: &[u64],
+    mut visit: impl FnMut(u64, &Item) -> bool,
+) -> Result<bool> {
+    let mut frontier: Vec<u64> = bucket_words.iter().copied().filter(|&p| p != 0).collect();
+    while !frontier.is_empty() {
+        let iov: Vec<FarIov> =
+            frontier.iter().map(|&p| FarIov::new(FarAddr(p), ITEM_LEN)).collect();
+        // audit: rt-in-loop-ok: level-order chain walk — one rgather per
+        // chain depth, every chain gathered at once.
+        let bytes = client.rgather(&iov)?;
+        let items: Vec<Item> = bytes.chunks_exact(ITEM_LEN as usize).map(Item::decode).collect();
+        for (&addr, item) in frontier.iter().zip(&items) {
+            if !visit(addr, item) {
+                return Ok(false);
+            }
+        }
+        frontier = items.iter().map(|it| it.next).filter(|&p| p != 0).collect();
+    }
+    Ok(true)
 }
 
 /// Writes a fresh, empty table; returns `(header, buckets)`.
@@ -473,7 +495,8 @@ impl HtTreeHandle {
         self.entries.len() as u64 * std::mem::size_of::<Entry>() as u64
     }
 
-    /// Re-reads the anchor and the directory blob (two far accesses).
+    /// Re-reads the anchor and the directory blob: three far accesses —
+    /// the anchor, the blob's entry count, then its entries.
     pub fn refresh_directory(&mut self, client: &mut FabricClient) -> Result<()> {
         let anchor = client.read(self.tree.anchor, ANCHOR_LEN)?;
         let w = words(&anchor);
@@ -559,16 +582,28 @@ impl HtTreeHandle {
     }
 
     fn bucket_addr(entry: &Entry, key: u64) -> FarAddr {
-        entry.buckets.offset((hash_key(key) % entry.n_buckets) * WORD)
+        entry.buckets.offset((splitmix64(key) % entry.n_buckets) * WORD)
     }
 
     /// Looks up `key`. **One far access** when the cache is fresh and the
     /// bucket is collision-free; each chain hop adds one access; a stale
     /// cache adds a directory refresh and a retry.
     pub fn get(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
+        self.get_guarded(client, key).map(|(value, _guard)| value)
+    }
+
+    /// [`get`](Self::get), handing back the epoch guard it pinned (`None`
+    /// on a quarantine-mode handle) to a caller that goes on to
+    /// dereference the value: while the guard lives, a record another
+    /// client retires meanwhile stays readable.
+    pub(crate) fn get_guarded(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+    ) -> Result<(Option<u64>, Option<Guard>)> {
         let _span = client.span("httree.get");
-        let _guard = self.pin_epoch(client)?;
-        self.lookup(client, key)
+        let guard = self.pin_epoch(client)?;
+        Ok((self.lookup(client, key)?, guard))
     }
 
     /// [`get`](Self::get) under an epoch [`Guard`] the caller already
@@ -698,27 +733,21 @@ impl HtTreeHandle {
         ac: &D,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
+        self.get_many_async_guarded(ac, keys).await.map(|(values, _guard)| values)
+    }
+
+    /// [`get_many_async`](Self::get_many_async), handing back the guard
+    /// it pinned (see [`get_guarded`](Self::get_guarded)).
+    pub(crate) async fn get_many_async_guarded<D: Doorbell>(
+        &mut self,
+        ac: &D,
+        keys: &[u64],
+    ) -> Result<(Vec<Option<u64>>, Option<Guard>)> {
         let _span = ac.span("httree.get_many");
         // lint: block-ok — epoch pin is control-plane (local check; rare
         // resync on epoch advance).
-        let _guard = ac.with(|client| self.pin_epoch(client))?;
-        self.lookup_many(ac, keys).await
-    }
-
-    /// [`get_many_async`](Self::get_many_async) under an epoch [`Guard`]
-    /// the caller already holds (see [`get_under`](Self::get_under)); the
-    /// guard must stay pinned across the suspension, as the one
-    /// `get_many_async` pins itself does.
-    pub async fn get_many_async_under<D: Doorbell>(
-        &mut self,
-        ac: &D,
-        guard: &Guard,
-        keys: &[u64],
-    ) -> Result<Vec<Option<u64>>> {
-        let _span = ac.span("httree.get_many");
-        // lint: block-ok — local epoch compare; refresh only on advance.
-        ac.with(|client| self.revalidate(client, guard))?;
-        self.lookup_many(ac, keys).await
+        let guard = ac.with(|client| self.pin_epoch(client))?;
+        Ok((self.lookup_many(ac, keys).await?, guard))
     }
 
     /// The guarded many-key lookup: the caller has pinned and validated
@@ -1041,33 +1070,25 @@ impl HtTreeHandle {
                     _ => words(&client.read(entry.buckets, entry.n_buckets * WORD)?),
                 };
                 let mut seen = std::collections::HashSet::new();
-                let mut frontier: Vec<u64> =
-                    bucket_words.iter().copied().filter(|&p| p != 0).collect();
-                while !frontier.is_empty() {
-                    let iov: Vec<FarIov> =
-                        frontier.iter().map(|&p| FarIov::new(FarAddr(p), ITEM_LEN)).collect();
-                    // audit: rt-in-loop-ok: level-order chain walk — one
-                    // rgather per chain *depth*, every chain gathered at once.
-                    let bytes = client.rgather(&iov)?;
-                    let items: Vec<Item> =
-                        bytes.chunks_exact(ITEM_LEN as usize).map(Item::decode).collect();
-                    for item in &items {
-                        if item.plain_version() != entry.version {
-                            // Stale leaf (split raced the scan): refresh
-                            // the tree and restart the whole scan.
-                            self.stats.stale_refreshes += 1;
-                            self.refresh_directory(client)?;
-                            continue 'retry;
-                        }
-                        if seen.insert(item.key)
-                            && !item.is_tombstone()
-                            && item.key >= lo
-                            && item.key <= hi
-                        {
-                            out.push((item.key, item.value));
-                        }
+                let fresh = drain_chains(client, &bucket_words, |_, item| {
+                    if item.plain_version() != entry.version {
+                        return false;
                     }
-                    frontier = items.iter().map(|it| it.next).filter(|&p| p != 0).collect();
+                    if seen.insert(item.key)
+                        && !item.is_tombstone()
+                        && item.key >= lo
+                        && item.key <= hi
+                    {
+                        out.push((item.key, item.value));
+                    }
+                    true
+                })?;
+                if !fresh {
+                    // Stale leaf (split raced the scan): refresh the tree
+                    // and restart the whole scan.
+                    self.stats.stale_refreshes += 1;
+                    self.refresh_directory(client)?;
+                    continue 'retry;
                 }
             }
             out.sort_unstable_by_key(|&(k, _)| k);
@@ -1156,28 +1177,14 @@ impl HtTreeHandle {
         // Every chain record the drain visits (reclaim mode frees each
         // one not covered by the bulk items block after the grace period).
         let mut drained: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut frontier: Vec<u64> =
-            bucket_words.iter().copied().filter(|&p| p != 0).collect();
-        while !frontier.is_empty() {
-            drained.extend(frontier.iter().copied());
-            let iov: Vec<FarIov> =
-                frontier.iter().map(|&p| FarIov::new(FarAddr(p), ITEM_LEN)).collect();
-            // audit: rt-in-loop-ok: level-order chain drain — one rgather
-            // per chain depth, every bucket's chain gathered together.
-            let bytes = client.rgather(&iov)?;
-            let items: Vec<Item> =
-                bytes.chunks_exact(ITEM_LEN as usize).map(Item::decode).collect();
-            // Level-by-level walk preserves per-chain order (keys never
-            // span buckets), so first-seen wins.
-            for item in &items {
-                if item.plain_version() == entry.version {
-                    live.entry(item.key).or_insert_with(|| {
-                        (!item.is_tombstone()).then_some(item.value)
-                    });
-                }
+        drain_chains(client, &bucket_words, |addr, item| {
+            drained.insert(addr);
+            if item.plain_version() == entry.version {
+                live.entry(item.key)
+                    .or_insert_with(|| (!item.is_tombstone()).then_some(item.value));
             }
-            frontier = items.iter().map(|it| it.next).filter(|&p| p != 0).collect();
-        }
+            true
+        })?;
         // Poison volley: one fenced batch of CASes over all buckets.
         let cas_ops: Vec<BatchOp<'_>> = bucket_words
             .iter()
@@ -1366,7 +1373,7 @@ impl HtTreeHandle {
         let mut collisions = 0u64;
         for (i, &(k, v)) in items.iter().enumerate() {
             let addr = items_addr.0 + i as u64 * ITEM_LEN;
-            let b = (hash_key(k) % n_buckets) as usize;
+            let b = (splitmix64(k) % n_buckets) as usize;
             let next = bucket_words[b];
             if next != 0 {
                 collisions += 1;
@@ -1843,19 +1850,25 @@ mod tests {
         let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
         let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
         let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
+        assert_eq!(c2.stats().round_trips, 3, "attach: anchor, entry count, directory blob");
         for k in 0..64u64 {
             h1.put(&mut c1, k, k + 1).unwrap();
         }
         // h2's cache is now stale; force a split through h1.
         h1.split(&mut c1, 0).unwrap();
-        let stale_before = h2.stats().stale_refreshes;
+        let (before, s0) = (c2.stats(), h2.stats());
         for k in 0..64u64 {
             assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k + 1), "key {k}");
         }
-        assert!(
-            h2.stats().stale_refreshes > stale_before,
-            "the stale cache was detected via versions/poison"
+        let (d, s1) = (c2.stats().since(&before), h2.stats());
+        assert_eq!(
+            s1.stale_refreshes - s0.stale_refreshes,
+            1,
+            "the stale cache was detected via versions/poison, and refreshed whole"
         );
+        // One access per lookup plus its chain hops; the stale one also
+        // paid the poisoned read and the refresh's three reads.
+        assert_eq!(d.round_trips, 64 + (s1.chain_hops - s0.chain_hops) + 1 + 3);
     }
 
     #[test]

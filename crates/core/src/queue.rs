@@ -27,8 +27,9 @@
 //! mutex serializes repairs, an epoch word — which every client watches
 //! via `notify0`, so checking it is a *local* operation — quiesces fast
 //! paths, and the repairer rebuilds the item run at the start of the
-//! array. Consumed slots are zeroed with *posted* (unsignaled) writes, off
-//! the dependent-round-trip path.
+//! array. A dequeue consumes its slot with the *swap* variant of `faai`:
+//! reading the item and zeroing the slot are one verb, so no separate
+//! write — posted or not — ever trails a dequeue.
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_fabric::{BatchOp, DescList, Event, FabricClient, FarAddr, SubId, WORD};
@@ -60,16 +61,12 @@ pub struct QueueConfig {
     /// Bound `n` on the number of concurrently operating clients; sizes
     /// the physical slack (`n + 1`) and the logical slack (`2n`).
     pub max_clients: u64,
-    /// Placement hint for the slots array. Superseded: slots are always
-    /// colocated with the header (see [`FarQueue::create`]); retained for
-    /// construction-site compatibility.
-    pub hint: AllocHint,
 }
 
 impl QueueConfig {
     /// A queue of `n_slots` slots for up to `max_clients` clients.
     pub fn new(n_slots: u64, max_clients: u64) -> QueueConfig {
-        QueueConfig { n_slots, max_clients, hint: AllocHint::Spread }
+        QueueConfig { n_slots, max_clients }
     }
 }
 

@@ -41,12 +41,6 @@ impl FarAddr {
         FarAddr(self.0 + delta)
     }
 
-    /// Returns the address advanced by a signed byte delta.
-    #[inline]
-    pub fn offset_signed(self, delta: i64) -> FarAddr {
-        FarAddr(self.0.wrapping_add(delta as u64))
-    }
-
     /// Returns `true` if the address is aligned to `align` bytes.
     #[inline]
     pub fn is_aligned(self, align: u64) -> bool {

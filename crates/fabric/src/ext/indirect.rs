@@ -612,25 +612,6 @@ impl FabricClient {
             .0)
     }
 
-    /// [`faai_guarded`](Self::faai_guarded) with client-side completion of
-    /// remote indirections.
-    pub fn faai_guarded_auto(
-        &mut self,
-        ad: FarAddr,
-        v: u64,
-        len: u64,
-        guard: FarAddr,
-        expect: u64,
-    ) -> Result<(u64, Vec<u8>)> {
-        match self.faai_guarded(ad, v, len, guard, expect) {
-            Err(FabricError::IndirectRemote { target, .. }) => {
-                let data = self.complete_read(target, len)?;
-                Ok((target.0, data))
-            }
-            other => other,
-        }
-    }
-
     /// [`saai_guarded`](Self::saai_guarded) with client-side completion of
     /// remote indirections.
     pub fn saai_guarded_auto(
@@ -701,14 +682,6 @@ impl FabricClient {
         }
     }
 
-    /// [`store0`](Self::store0) with client-side completion on remote targets.
-    pub fn store0_auto(&mut self, ad: FarAddr, data: &[u8]) -> Result<()> {
-        match self.store0(ad, data) {
-            Err(FabricError::IndirectRemote { target, .. }) => self.complete_write(target, data),
-            other => other,
-        }
-    }
-
     /// [`faai`](Self::faai) with client-side completion: the pointer bump
     /// already happened atomically at the home node, so the wrapper only
     /// finishes the dereference.
@@ -717,18 +690,6 @@ impl FabricClient {
             Err(FabricError::IndirectRemote { target, .. }) => {
                 let data = self.complete_read(target, len)?;
                 Ok((target.0, data))
-            }
-            other => other,
-        }
-    }
-
-    /// [`saai`](Self::saai) with client-side completion (see
-    /// [`faai_auto`](Self::faai_auto)).
-    pub fn saai_auto(&mut self, ad: FarAddr, v: u64, data: &[u8]) -> Result<u64> {
-        match self.saai(ad, v, data) {
-            Err(FabricError::IndirectRemote { target, .. }) => {
-                self.complete_write(target, data)?;
-                Ok(target.0)
             }
             other => other,
         }
@@ -746,16 +707,6 @@ impl FabricClient {
         }
     }
 
-    /// Resolves where an indirection through `ad` (+`i`) would land,
-    /// without touching the target: used by tests and placement audits.
-    pub fn peek_indirect(&mut self, ad: FarAddr, i: u64) -> Result<(FarAddr, NodeId)> {
-        let ptr = self.read_u64(ad)?;
-        if ptr == 0 {
-            return Err(FabricError::NullDeref { pointer_at: ad });
-        }
-        let target = FarAddr(ptr + i);
-        Ok((target, self.fabric().map().node_of(target)))
-    }
 }
 
 #[cfg(test)]

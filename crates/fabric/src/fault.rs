@@ -191,10 +191,7 @@ impl FaultRng {
         // Scramble the raw seed (splitmix64 finalizer): adjacent seeds —
         // plan seed ^ client id produces runs of them — must yield
         // unrelated streams, and xorshift needs a nonzero state.
-        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        FaultRng { state: (z ^ (z >> 31)) | 1 }
+        FaultRng { state: crate::splitmix64(seed) | 1 }
     }
 
     pub(crate) fn next(&mut self) -> u64 {

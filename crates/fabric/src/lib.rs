@@ -83,3 +83,16 @@ pub use trace::{
     LatencyHistogram, SpanAgg, SpanGuard, SpanSummary, TraceConfig, TraceEvent, TraceReport,
     Tracer, VerbKind, VerbSummary,
 };
+
+/// The SplitMix64 finalizer: the one integer mix of the workspace. Every
+/// hash-placed far table (HT-tree buckets, the baselines' tables, serve's
+/// owner sharding) goes through it, so its output is part of the far
+/// layout; the fault stream and farmem-check's schedule generator seed
+/// themselves with it.
+#[inline]
+pub fn splitmix64(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

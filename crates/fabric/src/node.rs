@@ -190,12 +190,6 @@ impl MemoryNode {
         self.fenced_epoch.load(Ordering::SeqCst) != u64::MAX
     }
 
-    /// Removes all scheduled crash windows.
-    pub fn clear_crash_schedule(&self) {
-        self.crash_windows.lock().unwrap().clear();
-        self.has_crash_windows.store(false, Ordering::SeqCst);
-    }
-
     /// Total service time ever booked on this node's interface.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed)

@@ -333,32 +333,6 @@ impl EventSink {
         out
     }
 
-    /// Blocks the calling OS thread until an event is available, up to
-    /// `timeout`. Intended for threaded tests and examples; experiment
-    /// drivers use [`EventSink::try_recv`] with virtual time instead.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Event> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(e) = self.try_recv() {
-                return Some(e);
-            }
-            let g = self.inner.lock().unwrap();
-            if !g.order.is_empty() || g.spike_dropped > 0 {
-                continue;
-            }
-            let Some(remaining) = deadline.checked_duration_since(std::time::Instant::now())
-            else {
-                drop(g);
-                return self.try_recv();
-            };
-            let (g, timed_out) = self.cv.wait_timeout(g, remaining).unwrap();
-            if timed_out.timed_out() {
-                drop(g);
-                return self.try_recv();
-            }
-        }
-    }
-
     /// Blocks the calling OS thread until at least one event is pending,
     /// without consuming it; returns `false` on timeout. Lets waiters park
     /// and then drain through their client (which keeps the notification

@@ -106,8 +106,8 @@ access_stats! {
     /// Individual fabric messages issued (≥ `round_trips`).
     messages,
     /// Unsignaled posted writes: issued without waiting for completion
-    /// (not a dependent round trip; e.g. the queue's background slot
-    /// zeroing, §5.3).
+    /// (not a dependent round trip; e.g. the HT-tree's statistics
+    /// counters).
     posted_messages,
     /// Payload bytes read from far memory.
     bytes_read,

@@ -223,15 +223,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Aggregate over all spans sharing one name.
@@ -528,19 +519,6 @@ impl Tracer {
             "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
             parts.join(",")
         )
-    }
-
-    /// Merges another tracer's per-name aggregates into a combined map —
-    /// used by multi-client drivers to report fleet-wide attribution.
-    pub fn merge_aggregates(&self, into: &mut BTreeMap<&'static str, SpanAgg>) {
-        let g = self.inner.lock().unwrap();
-        for (name, a) in &g.agg {
-            let t = into.entry(name).or_default();
-            t.count += a.count;
-            t.stats.merge(&a.stats);
-            t.latency.merge(&a.latency);
-            t.events += a.events;
-        }
     }
 }
 

@@ -58,7 +58,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use farmem_alloc::{AllocError, Arena, FarAlloc};
+use farmem_alloc::{AllocError, FarAlloc};
 use farmem_fabric::{FabricClient, FabricError, FarAddr, SubId, WORD};
 
 /// Registry far layout: global epoch word, slot count, then the slots.
@@ -545,21 +545,6 @@ impl ReclaimHandle {
         Ok(())
     }
 
-    /// Retires every chunk (and oversized item) an [`Arena`] ever drew,
-    /// consuming it. The caller asserts no new references to arena items
-    /// can be formed; concurrent guards from before the seal keep the
-    /// chunks readable until their grace period elapses.
-    pub fn retire_arena(&mut self, client: &mut FabricClient, arena: Arena) -> Result<()> {
-        let (chunks, chunk_len, oversized) = arena.into_parts();
-        for c in chunks {
-            self.retire(client, c, chunk_len)?;
-        }
-        for (addr, len) in oversized {
-            self.retire(client, addr, len)?;
-        }
-        Ok(())
-    }
-
     /// Seals all pending retires: one FAA bumps the global epoch, and the
     /// FAA's *pre-bump* value becomes their retire epoch. Any guard that
     /// could still reach a sealed address was pinned at or below that
@@ -871,24 +856,6 @@ mod tests {
         h.seal(&mut c).unwrap();
         let err = h.reclaim(&mut c).unwrap_err();
         assert!(matches!(err, ReclaimError::Alloc(AllocError::BadFree { .. })));
-    }
-
-    #[test]
-    fn retire_arena_returns_all_chunks() {
-        let (f, a, reg) = setup();
-        let mut c = f.client();
-        let shared = reg.attach(&mut c, &a).unwrap();
-        let baseline = a.stats().live_bytes;
-        let mut arena = Arena::new(a.clone(), 4096, AllocHint::Spread);
-        for _ in 0..200 {
-            arena.alloc(64).unwrap();
-        }
-        arena.alloc(10_000).unwrap(); // oversized: dedicated allocation
-        assert!(a.stats().live_bytes > baseline);
-        let mut h = shared.lock().unwrap();
-        h.retire_arena(&mut c, arena).unwrap();
-        h.reclaim(&mut c).unwrap();
-        assert_eq!(a.stats().live_bytes, baseline, "all chunks and oversized items freed");
     }
 
     #[test]

@@ -327,6 +327,10 @@ pub trait Doorbell {
     /// [`FabricClient::read_u64`].
     async fn read_u64(&self, addr: FarAddr) -> Result<u64>;
 
+    /// `len` bytes read as a doorbell of their own, charged as the
+    /// blocking [`FabricClient::read`].
+    async fn read(&self, addr: FarAddr, len: u64) -> Result<Vec<u8>>;
+
     /// Lets peers with earlier clocks run first; no fabric access.
     async fn yield_now(&self);
 
@@ -347,6 +351,10 @@ impl Doorbell for AsyncClient {
 
     async fn read_u64(&self, addr: FarAddr) -> Result<u64> {
         AsyncClient::read_u64(self, addr).await
+    }
+
+    async fn read(&self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
+        AsyncClient::read(self, addr, len).await
     }
 
     async fn yield_now(&self) {
@@ -391,6 +399,10 @@ impl Doorbell for Inline<'_> {
 
     async fn read_u64(&self, addr: FarAddr) -> Result<u64> {
         self.with(|c| c.read_u64(addr))
+    }
+
+    async fn read(&self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
+        self.with(|c| c.read(addr, len))
     }
 
     async fn yield_now(&self) {}

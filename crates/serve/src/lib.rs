@@ -107,14 +107,9 @@ impl core::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// The SplitMix64 finalizer: the one integer mix the compute side uses
-/// (owner sharding, the hot-key sketch rows, the recency index's hasher).
-pub(crate) fn splitmix64(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// The one integer mix the compute side uses (owner sharding, the hot-key
+/// sketch rows, the recency index's hasher).
+pub(crate) use farmem_fabric::splitmix64;
 
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -328,11 +328,6 @@ impl ServeWorker {
         self.stats
     }
 
-    /// The hot-key detector (for reports).
-    pub fn hot_keys(&self) -> Vec<(u64, u64)> {
-        self.hot.topk()
-    }
-
     /// The record store's tree-handle stats.
     pub fn tree_stats(&self) -> farmem_core::HtTreeStats {
         self.store.tree_stats()

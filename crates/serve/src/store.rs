@@ -1,34 +1,36 @@
 //! The record store: slab-class values with TTL words, freed through
 //! epoch reclamation.
 //!
-//! Follows the `FarBlobMap` layout (a value is a pointer to an immutable
-//! far record, written inside the tree put's own fenced batch) with one
-//! extra header word for the absolute expiry instant:
+//! This is [`FarBlobMap`] with one header word — the record format, the
+//! prefetch, the store / lookup / remove protocol and the retire are its —
+//! holding the absolute expiry instant:
 //!
 //! ```text
 //! record := { len: u64 | expiry_ns: u64 | payload bytes }
 //! ```
 //!
-//! Records are slab-allocated ([`FarAlloc`] size classes), so the bytes
-//! a tenant is charged for are the *rounded* class — exactly what
-//! [`charged_bytes`] reports and what `FarAlloc::class_stats` audits.
-//! Every unlink (overwrite, delete, expiry, eviction) retires the old
-//! record into the reclaim limbo list; it stays readable by concurrent
-//! epoch guards until grace elapses, and only then returns to the
-//! allocator. Mutations of one key must stay single-writer (the server
-//! guarantees this by routing each key to one owning worker).
+//! What is serve's own is what that word means (the TTL verdict) and what
+//! a record costs a tenant. Records are slab-allocated ([`rounded_len`]
+//! size classes), so the bytes a tenant is charged for are the *rounded*
+//! class — exactly what [`charged_bytes`] reports and what
+//! `FarAlloc::class_stats` audits. Every unlink (overwrite, delete,
+//! expiry, eviction) retires the old record into the reclaim limbo list;
+//! it stays readable by concurrent epoch guards until grace elapses, and
+//! only then returns to the allocator. Mutations of one key must stay
+//! single-writer (the server guarantees this by routing each key to one
+//! owning worker).
 
-use farmem_alloc::{rounded_len, AllocError, AllocHint, FarAlloc};
-use farmem_core::{HtTree, HtTreeConfig, HtTreeHandle};
-use farmem_fabric::{DescList, FabricClient, FarAddr, WORD};
-use farmem_reclaim::{pin, SharedReclaim};
+use farmem_alloc::{rounded_len, FarAlloc};
+use farmem_core::{FarBlobMap, HtTree, HtTreeConfig};
+use farmem_fabric::FabricClient;
+use farmem_reclaim::SharedReclaim;
 use farmem_runtime::AsyncClient;
 use std::sync::Arc;
 
 use crate::Result;
 
 /// Record header: length word + expiry word.
-pub const RECORD_HEADER: u64 = 2 * WORD;
+pub const RECORD_HEADER: u64 = FarBlobMap::<1>::HEADER;
 
 /// The far-memory bytes a stored value of `len` payload bytes is
 /// charged: header plus payload at the allocator's own rounding
@@ -37,14 +39,6 @@ pub const RECORD_HEADER: u64 = 2 * WORD;
 /// accounting and allocator occupancy reconcile exactly.
 pub fn charged_bytes(len: u64) -> u64 {
     rounded_len(RECORD_HEADER + len)
-}
-
-/// Decodes a record's prefetched prefix against `now_ns`: the payload
-/// length of a live record, or `None` once its TTL instant has passed.
-fn live_len(first: &[u8], now_ns: u64) -> Option<u64> {
-    let len = u64::from_le_bytes(first[0..8].try_into().expect("length word"));
-    let expiry = u64::from_le_bytes(first[8..16].try_into().expect("expiry word"));
-    (expiry == 0 || now_ns < expiry).then_some(len)
 }
 
 /// What a lookup found.
@@ -59,18 +53,34 @@ pub enum GetOutcome {
     Hit(Vec<u8>),
 }
 
+impl GetOutcome {
+    /// Names what [`FarBlobMap::get_if`] found under the TTL rule.
+    fn of(found: Option<Option<Vec<u8>>>) -> GetOutcome {
+        match found {
+            None => GetOutcome::Miss,
+            Some(None) => GetOutcome::Expired,
+            Some(Some(value)) => GetOutcome::Hit(value),
+        }
+    }
+}
+
+/// The TTL rule over a record's header word: `0` never expires, anything
+/// else is live strictly before that instant.
+fn live(expiry_ns: u64, now_ns: u64) -> bool {
+    expiry_ns == 0 || now_ns < expiry_ns
+}
+
 /// One handle onto the shared record tree (per worker or per session;
 /// cheap, client-side).
 pub struct RecordStore {
-    inner: HtTreeHandle,
-    alloc: Arc<FarAlloc>,
+    records: FarBlobMap<1>,
     reclaim: SharedReclaim,
 }
 
 impl RecordStore {
     /// Bytes fetched with the first record read; values up to
     /// `PREFETCH - RECORD_HEADER` bytes complete in that one access.
-    pub const PREFETCH: u64 = 256;
+    pub const PREFETCH: u64 = FarBlobMap::<1>::PREFETCH;
 
     /// Attaches a handle to the shared tree in reclaim mode.
     pub fn attach(
@@ -80,20 +90,19 @@ impl RecordStore {
         cfg: HtTreeConfig,
         reclaim: SharedReclaim,
     ) -> Result<RecordStore> {
-        let inner = tree.attach_reclaimed(client, alloc, cfg, reclaim.clone())?;
-        Ok(RecordStore { inner, alloc: alloc.clone(), reclaim: reclaim.clone() })
+        let records = FarBlobMap::attach_reclaimed(client, alloc, tree, cfg, reclaim.clone())?;
+        Ok(RecordStore { records, reclaim })
     }
 
     /// The underlying tree handle's stats.
     pub fn tree_stats(&self) -> farmem_core::HtTreeStats {
-        self.inner.stats()
+        self.records.stats()
     }
 
     /// Stores `value` under the namespaced key with an absolute expiry
     /// instant (`0` = never) in the tree put's two far accesses (plus the
-    /// chain hops down to the key's previous item): alloc,
-    /// [`HtTreeHandle::publish`], retire what came back. Returns `true`
-    /// when an existing record was replaced (and retired).
+    /// chain hops down to the key's previous item). Returns `true` when
+    /// an existing record was replaced (and retired).
     pub fn put(
         &mut self,
         client: &mut FabricClient,
@@ -101,27 +110,7 @@ impl RecordStore {
         value: &[u8],
         expiry_ns: u64,
     ) -> Result<bool> {
-        let len = RECORD_HEADER + value.len() as u64;
-        let record = self.alloc.alloc(len, AllocHint::Spread)?;
-        let mut bytes = Vec::with_capacity(len as usize);
-        bytes.extend_from_slice(&(value.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&expiry_ns.to_le_bytes());
-        bytes.extend_from_slice(value);
-        let old = match self.inner.publish(client, nskey, record, &bytes) {
-            Ok(old) => old,
-            Err(e) => {
-                // `publish` fails only ahead of its CAS: never linked, so
-                // nobody can reach the record and no grace period is due.
-                self.alloc.free(record, len)?;
-                return Err(e.into());
-            }
-        };
-        if let Some(ptr) = old {
-            // lint: retire-ok: the overwritten record was unlinked by the
-            // tree put above; readers hold epoch guards until grace.
-            self.retire(client, ptr)?;
-        }
-        Ok(old.is_some())
+        Ok(self.records.put(client, nskey, [expiry_ns], value)?)
     }
 
     /// Looks the key up and reads the record, enforcing the TTL against
@@ -130,118 +119,32 @@ impl RecordStore {
     /// epoch guard, so a record another worker is concurrently retiring
     /// stays readable until grace elapses.
     pub fn get(&mut self, client: &mut FabricClient, nskey: u64, now_ns: u64) -> Result<GetOutcome> {
-        let guard = pin(&self.reclaim, client)?;
-        let Some(ptr) = self.inner.get_under(client, &guard, nskey)? else {
-            drop(guard);
-            return Ok(GetOutcome::Miss);
-        };
-        let record = FarAddr(ptr);
-        let mut first = [0u8; Self::PREFETCH as usize];
-        client.read_into(record, &mut first)?;
-        let Some(len) = live_len(&first, now_ns) else {
-            drop(guard);
-            return Ok(GetOutcome::Expired);
-        };
-        // One buffer sized from the header: the prefetched part is copied
-        // in, the rest of a large value is read straight into place.
-        let mut out = vec![0u8; len as usize];
-        let have = (Self::PREFETCH - RECORD_HEADER).min(len) as usize;
-        let (head, tail) = out.split_at_mut(have);
-        head.copy_from_slice(&first[RECORD_HEADER as usize..][..have]);
-        if !tail.is_empty() {
-            client.read_into(record.offset(RECORD_HEADER + have as u64), tail)?;
-        }
-        drop(guard);
-        Ok(GetOutcome::Hit(out))
+        let found = self.records.get_if(client, nskey, |&[expiry_ns]| live(expiry_ns, now_ns))?;
+        Ok(GetOutcome::of(found))
     }
 
-    /// Async twin of [`get`](Self::get) over a batch of keys: the tree
-    /// lookups post through one doorbell (`HtTree::get_many_async`), then
-    /// every found record's prefetch read posts through a second shared
-    /// doorbell — so an executor interleaves whole sessions' batches on
-    /// one OS thread. TTL semantics are identical to the sync path.
+    /// Async twin of [`get`](Self::get) over a batch of keys: tree
+    /// lookups through one doorbell, record prefetches through a second
+    /// ([`FarBlobMap::get_many_async`]). TTL semantics are identical to
+    /// the sync path.
     pub async fn get_many_async(
         &mut self,
         ac: &AsyncClient,
         nskeys: &[u64],
         now_ns: u64,
     ) -> Result<Vec<GetOutcome>> {
-        // lint: block-ok — guard pin is control-plane (local unless the
-        // epoch advanced), identical to the sync path.
-        let guard = ac.with(|c| pin(&self.reclaim, c))?;
-        let ptrs = self.inner.get_many_async_under(ac, &guard, nskeys).await?;
-        let mut b = DescList::new();
-        let mut slots = Vec::with_capacity(nskeys.len());
-        for ptr in &ptrs {
-            match ptr {
-                Some(p) => {
-                    slots.push(Some(b.read(FarAddr(*p), Self::PREFETCH)));
-                }
-                None => slots.push(None),
-            }
-        }
-        let mut cq = ac.ring(b).await;
-        let mut out = Vec::with_capacity(nskeys.len());
-        for (i, ptr) in ptrs.iter().enumerate() {
-            let Some(p) = ptr else {
-                out.push(GetOutcome::Miss);
-                continue;
-            };
-            let slot = slots[i].expect("descriptor posted for found key");
-            let first = match cq.take(slot) {
-                Some(Ok(res)) => res.into_bytes(),
-                // lint: block-ok — serial fallback after a failed
-                // prefetch, identical to the sync path.
-                // audit: rt-in-loop-ok: rare per-key fallback — the hot path
-                // batched every prefetch through one doorbell above.
-                _ => ac.with(|c| c.read(FarAddr(*p), Self::PREFETCH))?,
-            };
-            let Some(len) = live_len(&first, now_ns) else {
-                out.push(GetOutcome::Expired);
-                continue;
-            };
-            // The completion's own buffer becomes the value: drop the
-            // header and the bytes past a short value, then append the
-            // tail of a large one (no async read-into exists, so that
-            // tail still arrives in the doorbell's buffer).
-            let have = (Self::PREFETCH - RECORD_HEADER).min(len);
-            let mut v = first;
-            v.truncate((RECORD_HEADER + have) as usize);
-            v.drain(..RECORD_HEADER as usize);
-            if len > have {
-                let tail =
-                    ac.read(FarAddr(*p).offset(RECORD_HEADER + have), len - have).await?;
-                v.reserve_exact(tail.len());
-                v.extend_from_slice(&tail);
-            }
-            out.push(GetOutcome::Hit(v));
-        }
-        drop(guard);
-        Ok(out)
+        let found = self
+            .records
+            .get_many_async(ac, nskeys, |&[expiry_ns]| live(expiry_ns, now_ns))
+            .await?;
+        Ok(found.into_iter().map(GetOutcome::of).collect())
     }
 
     /// Unlinks the key and retires its record: a lookup, then — only if
     /// it found a record — the tombstone. Returns whether a record
     /// existed.
     pub fn remove(&mut self, client: &mut FabricClient, nskey: u64) -> Result<bool> {
-        let Some(ptr) = self.inner.get(client, nskey)? else {
-            return Ok(false);
-        };
-        self.inner.remove(client, nskey)?;
-        self.retire(client, ptr)?;
-        Ok(true)
-    }
-
-    /// Retires an unlinked record into the limbo list at the length the
-    /// allocator booked for it (no far access). Readers holding epoch
-    /// guards keep it readable until grace elapses.
-    fn retire(&mut self, client: &mut FabricClient, ptr: u64) -> Result<()> {
-        let addr = FarAddr(ptr);
-        let len = self.alloc.size_of(addr).ok_or(AllocError::BadFree { addr })?;
-        let mut r = self.reclaim.lock().unwrap();
-        // lint: retire-ok: the record was unlinked from the tree by this (single-writer) worker; concurrent readers hold epoch guards until grace elapses.
-        r.retire(client, addr, len)?;
-        Ok(())
+        Ok(self.records.remove(client, nskey)?)
     }
 
     /// Seals the current epoch and runs one reclaim pass, returning the
@@ -257,6 +160,7 @@ impl RecordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use farmem_alloc::AllocHint;
     use farmem_fabric::FabricConfig;
     use farmem_reclaim::ReclaimRegistry;
 
@@ -342,6 +246,70 @@ mod tests {
         assert_eq!(rt(&mut c, &mut |c| assert!(!s.remove(c, 1 << 40).unwrap())), 1, "new key");
         assert_eq!(s.tree_stats().removes, removes);
         assert_eq!(probe.len_estimate(&mut c).unwrap(), items);
+    }
+
+    /// One record layer: the same sequence through the blob map and the
+    /// store books the same accesses, and the only bytes between them are
+    /// the expiry word — written with each record, read back with a
+    /// payload that runs past the prefetch.
+    #[test]
+    fn the_blob_map_books_the_same_accesses_less_the_expiry_word() {
+        use farmem_fabric::{AccessStats, WORD};
+        let cfg = HtTreeConfig {
+            initial_buckets: 64,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let (small, large) = ([7u8; 40], [9u8; 1000]);
+        // (step, op: 0 put / 1 get / 2 remove, value, expiry words written, read)
+        let script: [(&str, u8, &[u8], u64, u64); 7] = [
+            ("fresh put", 0, &small, 1, 0),
+            ("get inside the prefetch", 1, &small, 0, 0),
+            ("overwrite", 0, &large, 1, 0),
+            ("get past the prefetch", 1, &large, 0, 1),
+            ("remove", 2, &[], 0, 0),
+            ("remove of a removed key", 2, &[], 0, 0),
+            ("get of a removed key", 1, &[], 0, 0),
+        ];
+        let deployment = || {
+            let (f, a) = setup();
+            let mut c = f.client();
+            let reg = ReclaimRegistry::create(&mut c, &a, 8).unwrap();
+            let shared = reg.attach(&mut c, &a).unwrap();
+            let tree = HtTree::create(&mut c, &a, cfg).unwrap();
+            (c, a, tree, shared)
+        };
+        let costs = |c: &mut FabricClient, step: &mut dyn FnMut(&mut FabricClient, u8, &[u8])| {
+            let cost = |&(_, op, value, ..): &(&str, u8, &[u8], u64, u64)| -> AccessStats {
+                let before = c.stats();
+                step(c, op, value);
+                c.stats().since(&before)
+            };
+            script.iter().map(cost).collect::<Vec<_>>()
+        };
+        let (mut c, a, tree, shared) = deployment();
+        let mut m: FarBlobMap = FarBlobMap::attach_reclaimed(&mut c, &a, tree, cfg, shared).unwrap();
+        let blob_costs = costs(&mut c, &mut |c, op, value| match op {
+            0 => m.put_bytes(c, 1, value).unwrap(),
+            1 => assert_eq!(m.get_bytes(c, 1).unwrap().is_some(), !value.is_empty()),
+            _ => drop(m.remove(c, 1).unwrap()),
+        });
+        let (mut c, a, tree, shared) = deployment();
+        let mut s = RecordStore::attach(&mut c, &a, tree, cfg, shared).unwrap();
+        let store_costs = costs(&mut c, &mut |c, op, value| match op {
+            0 => drop(s.put(c, 1, value, 0).unwrap()),
+            1 => assert_eq!(s.get(c, 1, 0).unwrap() != GetOutcome::Miss, !value.is_empty()),
+            _ => drop(s.remove(c, 1).unwrap()),
+        });
+        for ((&(name, .., written, read), blob), store) in
+            script.iter().zip(blob_costs).zip(store_costs)
+        {
+            let mut want = blob;
+            want.bytes_written += written * WORD;
+            want.bytes_read += read * WORD;
+            assert_eq!(store, want, "{name}");
+            assert!(store.round_trips > 0, "{name}");
+        }
     }
 
     /// Fails `victim` once the nodes have executed `after` more accesses:

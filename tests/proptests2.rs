@@ -24,30 +24,60 @@ proptest! {
             1..60,
         ),
     ) {
-        let f = fabric();
-        let alloc = FarAlloc::new(f.clone());
-        let mut c = f.client();
-        let cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
-        let mut m = FarBlobMap::create(&mut c, &alloc, cfg).unwrap();
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        for (op, k, v) in ops {
-            match op {
-                0 => {
-                    m.put_bytes(&mut c, k, &v).unwrap();
-                    model.insert(k, v);
-                }
-                1 => {
-                    m.remove(&mut c, k).unwrap();
-                    model.remove(&k);
-                }
-                _ => {
-                    prop_assert_eq!(m.get_bytes(&mut c, k).unwrap(), model.get(&k).cloned());
+        // Quarantine mode over a table that splits as it fills; reclaim
+        // mode over one that never restructures on its own (`u64::MAX`),
+        // so a final forced compaction brings the tree back to its
+        // empty-map footprint and every byte above it is a leaked record.
+        for reclaimed in [false, true] {
+            let f = fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c = f.client();
+            let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
+            let shared = reg.attach(&mut c, &alloc).unwrap();
+            let mut cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
+            if reclaimed {
+                cfg.max_load_percent = u64::MAX;
+            }
+            let mut m = if reclaimed {
+                FarBlobMap::create_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap()
+            } else {
+                FarBlobMap::create(&mut c, &alloc, cfg).unwrap()
+            };
+            let empty_map = alloc.stats().live_bytes;
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            for (op, k, v) in ops.clone() {
+                match op {
+                    0 => {
+                        m.put_bytes(&mut c, k, &v).unwrap();
+                        model.insert(k, v);
+                    }
+                    1 => {
+                        let published = m.remove(&mut c, k).unwrap();
+                        prop_assert_eq!(published, model.remove(&k).is_some() || !reclaimed);
+                    }
+                    _ => {
+                        prop_assert_eq!(m.get_bytes(&mut c, k).unwrap(), model.get(&k).cloned());
+                    }
                 }
             }
-        }
-        for (k, v) in &model {
-            let got = m.get_bytes(&mut c, *k).unwrap();
-            prop_assert_eq!(got.as_ref(), Some(v));
+            for (k, v) in &model {
+                let got = m.get_bytes(&mut c, *k).unwrap();
+                prop_assert_eq!(got.as_ref(), Some(v));
+            }
+            if reclaimed {
+                // Drain, drop every chain, and let the one grace round a
+                // sole client needs return each retired record.
+                for k in 0..48 {
+                    prop_assert_eq!(m.remove(&mut c, k).unwrap(), model.contains_key(&k));
+                }
+                let mut h = m.tree().attach_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
+                h.split(&mut c, 0).unwrap();
+                let mut r = shared.lock().unwrap();
+                r.seal(&mut c).unwrap();
+                r.reclaim(&mut c).unwrap();
+                prop_assert_eq!(r.stats().limbo_entries(), 0);
+                prop_assert_eq!(alloc.stats().live_bytes, empty_map);
+            }
         }
     }
 
