@@ -143,8 +143,8 @@ fn assert_gates(suite: &SuiteResult) {
         );
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
-    // the suite: the failover, serving-TTL and record-publish mutants, and
-    // the programs they break, are required by name.
+    // the suite: the failover, serving-TTL, record-publish and record-hint
+    // mutants, and the programs they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -152,13 +152,14 @@ fn assert_gates(suite: &SuiteResult) {
         "m12_serve_read_after_expiry",
         "m13_evict_without_retire",
         "m14_publish_record_after_cas",
+        "m15_hint_trusted_without_tree",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
             "mutant {required} is missing from the suite"
         );
     }
-    for required in ["serve_ttl_evict", "httree_publish"] {
+    for required in ["serve_ttl_evict", "httree_publish", "reclaim_hinted_get"] {
         assert!(
             suite.programs.iter().any(|p| p.name == required),
             "{required} is missing from the main suite"

@@ -8,11 +8,14 @@
 //! $ echo "put 1 100\nget 1\nstats\nquit" | cargo run -p farmem-bench --bin fsh
 //! ```
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write as _};
 use std::sync::Arc;
 
 use farmem_alloc::FarAlloc;
-use farmem_core::{CoreError, FarBlobMap, FarQueue, HtTree, HtTreeConfig, QueueConfig};
+use farmem_core::{
+    CoreError, FarBlobMap, FarQueue, HtTree, HtTreeConfig, QueueConfig, RecordHint,
+};
 use farmem_fabric::{Fabric, FabricClient, FabricConfig, Striping};
 
 struct Shell {
@@ -20,6 +23,9 @@ struct Shell {
     client: FabricClient,
     map: farmem_core::HtTreeHandle,
     blobs: FarBlobMap,
+    /// Where each `bput` put its record: what makes the key's `bget` one
+    /// far access instead of two.
+    blob_hints: HashMap<u64, RecordHint>,
     queue: farmem_core::QueueHandle,
     last_stats: farmem_fabric::AccessStats,
 }
@@ -47,7 +53,7 @@ impl Shell {
         let q = FarQueue::create(&mut client, &alloc, QueueConfig::new(4096, 16))?;
         let queue = FarQueue::attach(&mut client, q.hdr())?;
         let last_stats = client.stats();
-        Ok(Shell { fabric, client, map, blobs, queue, last_stats })
+        Ok(Shell { fabric, client, map, blobs, blob_hints: HashMap::new(), queue, last_stats })
     }
 
     fn cost_line(&mut self) -> String {
@@ -73,8 +79,8 @@ impl Shell {
                 "  del <key>              remove\n",
                 "  scan <lo> <hi>         sorted range scan\n",
                 "  len                    far-side item-count estimate\n",
-                "  bput <key> <text...>   store a blob\n",
-                "  bget <key>             fetch a blob\n",
+                "  bput <key> <text...>   store a blob (the shell keeps its record hint)\n",
+                "  bget <key>             fetch a blob (ONE far access with the hint)\n",
                 "  enq <value> | deq      far queue ops\n",
                 "  stats                  cumulative client counters\n",
                 "  time                   virtual clock\n",
@@ -105,18 +111,23 @@ impl Shell {
                 format!("~{n} items {}", self.cost_line())
             }
             ["bput", k, rest @ ..] => {
-                let text = rest.join(" ");
-                self.blobs.put_bytes(&mut self.client, parse(k)?, text.as_bytes())?;
+                let (k, text) = (parse(k)?, rest.join(" "));
+                let (_, hint) = self.blobs.put(&mut self.client, k, [], text.as_bytes())?;
+                self.blob_hints.insert(k, hint);
                 format!("ok ({} bytes) {}", text.len(), self.cost_line())
             }
-            ["bget", k] => match self.blobs.get_bytes(&mut self.client, parse(k)?)? {
-                Some(bytes) => format!(
-                    "{:?} {}",
-                    String::from_utf8_lossy(&bytes),
-                    self.cost_line()
-                ),
-                None => format!("(none) {}", self.cost_line()),
-            },
+            ["bget", k] => {
+                let k = parse(k)?;
+                let hint = self.blob_hints.get(&k).copied();
+                match self.blobs.get_if(&mut self.client, k, hint, |[]| true)?.flatten() {
+                    Some(bytes) => format!(
+                        "{:?} {}",
+                        String::from_utf8_lossy(&bytes),
+                        self.cost_line()
+                    ),
+                    None => format!("(none) {}", self.cost_line()),
+                }
+            }
             ["enq", v] => {
                 self.queue.enqueue(&mut self.client, parse(v)?)?;
                 format!("ok {}", self.cost_line())

@@ -891,6 +891,84 @@ fn publish_record_after_cas() -> Mutant {
     Mutant { program, expect: &[Expect::Races, Expect::Lin] }
 }
 
+/// M15 — hint trusted without the tree: the hinted lookup of
+/// `programs::reclaim_hinted_get` in miniature — bucket word → item word
+/// → record word, a reader holding the first record's address as its
+/// hint — whose reader issues the real batch (lookup, then speculative
+/// read) and serves the speculated word *without comparing* the pointer
+/// the lookup returned with the hinted address. After an overwrite the
+/// hint names the superseded record, and a get invoked after the
+/// overwrite completed still returns its value. The race detector has
+/// nothing to say — a speculative read conflicts with nothing by
+/// construction (`race.rs`) — so the catch is the history checker's alone.
+fn hint_trusted_without_tree() -> Mutant {
+    let program = Program {
+        name: "m15_hint_trusted_without_tree",
+        model: Some(Model::Register { init: 1 }),
+        check_races: true,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let bucket = word(&mut c0, &alloc);
+            let item = word(&mut c0, &alloc);
+            let record = word(&mut c0, &alloc);
+            c0.write_u64(record, 1).unwrap();
+            c0.write_u64(item, record.0).unwrap();
+            c0.write_u64(bucket, item.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![1] }, Ret::Unit);
+            let mut cw = f.client();
+            let wid = cw.id();
+            let hw = h.clone();
+            let alloc_w = alloc.clone();
+            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hw.invoke(wid, Op::RegWrite { part: 0, v: vec![2] });
+                let record2 = alloc_w.alloc(8, AllocHint::Spread).unwrap();
+                let item2 = alloc_w.alloc(8, AllocHint::Spread).unwrap();
+                let out = cw
+                    .batch(&[
+                        BatchOp::Write { addr: record2, data: &2u64.to_le_bytes() },
+                        BatchOp::Write { addr: item2, data: &record2.0.to_le_bytes() },
+                        BatchOp::Cas { addr: bucket, expected: item.0, new: item2.0 },
+                    ])
+                    .unwrap();
+                assert_eq!(out[2].value(), item.0, "sole publisher");
+                hw.complete(t, Ret::Unit);
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for _ in 0..2 {
+                    let t = hr.invoke(rid, Op::RegRead { part: 0 });
+                    let out = cr
+                        .batch(&[
+                            BatchOp::Load0 { ptr: bucket, len: 8 },
+                            BatchOp::ReadSpeculative { addr: record, len: 8 },
+                        ])
+                        .unwrap();
+                    // MUTANT: `out[0]` — the record address the tree names
+                    // — is never compared with the hint; correct code
+                    // drops the speculated bytes on a mismatch and reads
+                    // the record the item points at.
+                    let v = u64::from_le_bytes(out[1].bytes().try_into().unwrap());
+                    hr.complete(t, Ret::Vals(vec![v]));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![wid, rid],
+                bodies: vec![wbody, rbody],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -908,5 +986,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         serve_read_after_expiry(),
         evict_without_retire(),
         publish_record_after_cas(),
+        hint_trusted_without_tree(),
     ]
 }

@@ -22,6 +22,13 @@
 //! readers run under epoch guards and nothing restructures, so every
 //! access it makes is ordered by a bucket CAS or the epoch registry.
 //!
+//! `reclaim_hinted_get` does the same over the record layer's hinted
+//! get, whose speculative reads overlap the writer's record writes on
+//! purpose ([`AccessKind::SpeculativeRead`] is not a conflict; serving
+//! the bytes it returned without asking the tree is a *history* bug).
+//!
+//! [`AccessKind::SpeculativeRead`]: farmem_fabric::AccessKind::SpeculativeRead
+//!
 //! `reclaim_evict` covers the crashed-client path: a client pins an
 //! epoch and never resyncs again (a crash, as far as the registry can
 //! tell — guard drops are purely client-local), and the reclaimer must
@@ -31,7 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_core::{FarMutex, FarQueue, FarRwLock, HtTree, HtTreeConfig, QueueConfig};
+use farmem_core::{
+    FarBlobMap, FarMutex, FarQueue, FarRwLock, HtTree, HtTreeConfig, QueueConfig,
+};
 use farmem_fabric::{FabricClient, FabricConfig, FarAddr, FaultPlan};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
@@ -393,6 +402,113 @@ pub fn httree_publish() -> Program {
     }
 }
 
+/// A reader serving key 1 through three [`RecordHint`]s it was handed
+/// earlier, against a writer that makes each stale in its own way. Setup
+/// stores key 1 three times and runs one grace period, so the run starts
+/// with hint `a` and hint `b` naming *freed* blocks and hint `c` naming
+/// the live record. The writer then overwrites key 1 — the allocator
+/// hands it `b`'s block, so `b`'s address holds key 1's *own* newer record
+/// and validates again, while `c`'s record is retired and, once the
+/// reader's slot has moved, freed — stores key 2 into `a`'s block
+/// (*another key's* record under a hint of key 1), and overwrites key 1
+/// once more, into `c`'s block when grace let go of it in time. Every
+/// reader get passes one of the hints to the real [`FarBlobMap::get_if`]
+/// in reclaim mode, concurrently with those stores. The explorer runs a
+/// fenced batch as one step, so what is exercised is staleness and reuse,
+/// not reordering inside the batch (DESIGN.md §8). Checked: race-freedom
+/// with the speculative reads in the stream — they overlap the writer's
+/// record writes into the very blocks they name — and per-key map
+/// linearizability over the record *contents*: a get may serve hinted
+/// bytes only when they are the live record's.
+///
+/// Values are padded to fill the record prefetch exactly: the plain
+/// record read fetches [`FarBlobMap::PREFETCH`] bytes whatever the
+/// record's length, and past a shorter record those are a neighbour's
+/// bytes — dropped unread, but a torn read to the detector.
+///
+/// [`RecordHint`]: farmem_core::RecordHint
+pub fn reclaim_hinted_get() -> Program {
+    Program {
+        name: "reclaim_hinted_get",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 900,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+            // Two buckets, never restructured: keys 1 and 2 share a chain
+            // or not, the hint is judged the same way.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: u64::MAX,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            let attach = || {
+                let mut cl = f.client();
+                let shared = reg.attach(&mut cl, &alloc).unwrap();
+                let map: FarBlobMap =
+                    FarBlobMap::attach_reclaimed(&mut cl, &alloc, tree, cfg, shared.clone()).unwrap();
+                (cl, shared, map)
+            };
+            let padded = |v: u64| {
+                let mut value = vec![0u8; FarBlobMap::<0>::PREFETCHED as usize];
+                value[..8].copy_from_slice(&v.to_le_bytes());
+                value
+            };
+            let (mut cw, sw, mut mw) = attach();
+            let (mut cr, _sr, mut mr) = attach();
+            let (wid, rid) = (cw.id(), cr.id());
+            let [a, b, c] = [1, 2, 3].map(|v| mw.put(&mut cw, 1, [], &padded(v)).unwrap().1);
+            h.seed(wid, Op::Put { k: 1, v: 3 }, Ret::Unit);
+            // One grace period: the writer seals, the reader's next pin
+            // moves its slot, and `a`'s and `b`'s blocks go back to the
+            // allocator — `b`'s last, so the next store takes it first.
+            sw.lock().unwrap().seal(&mut cw).unwrap();
+            mr.get_if(&mut cr, 1, None, |[]| true).unwrap();
+            let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
+            assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
+            let h2 = h.clone();
+            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
+                    let t = h2.invoke(wid, Op::Put { k, v });
+                    mw.put(&mut cw, k, [], &padded(v)).unwrap();
+                    h2.complete(t, Ret::Unit);
+                    // Few rounds only (no lease eviction): what the store
+                    // retired is freed exactly when the reader's slot
+                    // really advanced.
+                    let mut r = sw.lock().unwrap();
+                    r.seal(&mut cw).unwrap();
+                    for _ in 0..2 {
+                        if r.reclaim(&mut cw).unwrap() > 0 {
+                            break;
+                        }
+                    }
+                }
+            });
+            let h3 = h.clone();
+            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for hint in [c, b, a, c, b] {
+                    let t = h3.invoke(rid, Op::Get { k: 1 });
+                    let got = mr.get_if(&mut cr, 1, Some(hint), |[]| true).unwrap().flatten();
+                    let v = got.map(|b| u64::from_le_bytes(b[..8].try_into().expect("padded")));
+                    h3.complete(t, Ret::OptVal(v));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![wid, rid],
+                bodies: vec![wbody, rbody],
+                history: h,
+                finale: None,
+            }
+        }),
+    }
+}
+
 /// Poison value a reclaimer writes into memory it has freed, standing in
 /// for reuse by an unrelated allocation.
 pub(crate) const POISON: u64 = 0xDEAD_DEAD_DEAD_DEAD;
@@ -718,6 +834,7 @@ pub fn main_programs() -> Vec<Program> {
         queue_fifo(),
         httree_split(),
         httree_publish(),
+        reclaim_hinted_get(),
         reclaim_publish(),
         reclaim_evict(),
         replica_failover(),

@@ -41,7 +41,13 @@
 //!   its fencing-token check) corrupt the atomic protocol;
 //! * plain read vs atomic RMW is **allowed**: optimistic probe loops and
 //!   version-validated multi-word scans read words that are concurrently
-//!   CAS'd by design, and the node serialises each word access.
+//!   CAS'd by design, and the node serialises each word access;
+//! * a [`AccessKind::SpeculativeRead`] is **never** flagged and orders
+//!   nothing: its issuer promises to drop the bytes unless a pointer it
+//!   reads through the ordered path names the same address, so the read
+//!   may overlap any write by design. Whether the promise is kept is a
+//!   question about *values* — the linearizability checker's, not this
+//!   detector's (mutant `m15_hint_trusted_without_tree`).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
@@ -169,8 +175,11 @@ impl DetectorState {
         let ws = self.words.entry(word).or_default();
         let vc = self.clients.entry(client).or_default();
         // Acquire: every access that can observe a published value joins
-        // the word's release clock (see module docs, edges 1 and 2).
-        vc.join(&ws.sync);
+        // the word's release clock (see module docs, edges 1 and 2) — a
+        // speculative read observes nothing it is allowed to act on.
+        if kind != AccessKind::SpeculativeRead {
+            vc.join(&ws.sync);
+        }
         let ordered = |vc: &VectorClock, e: &Epoch| e.client == client || vc.covers(e.client, e.time);
         let mut hits: Vec<(RaceKind, u32)> = Vec::new();
         match kind {
@@ -205,6 +214,9 @@ impl DetectorState {
                 // unordered later write already races with us.
                 ws.reads.clear();
             }
+            // Conflicts with nothing, and leaves no trace a later write
+            // could conflict with.
+            AccessKind::SpeculativeRead => {}
             AccessKind::AtomicRead | AccessKind::AtomicRmw => {
                 if let Some(w) = ws.last_write {
                     if !ordered(vc, &w) {
@@ -291,6 +303,17 @@ mod tests {
         let r = d.races();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].kind, RaceKind::TornRead);
+    }
+
+    #[test]
+    fn speculative_read_of_a_concurrently_written_range_is_not_a_race() {
+        for (kind, flagged) in [(AccessKind::SpeculativeRead, false), (AccessKind::Read, true)] {
+            let d = RaceDetector::new();
+            d.on_access(&acc(1, AccessKind::Write, 0x100, 16));
+            d.on_access(&acc(2, kind, 0x100, 16));
+            d.on_access(&acc(1, AccessKind::Write, 0x100, 16));
+            assert_eq!(!d.races().is_empty(), flagged, "{kind:?}");
+        }
     }
 
     #[test]

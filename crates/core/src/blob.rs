@@ -24,6 +24,14 @@
 //! [`FarBlobMap::PREFETCH`] bytes, so payloads up to
 //! [`FarBlobMap::PREFETCHED`] bytes need no second read.
 //!
+//! A caller that remembers the [`RecordHint`] its store handed back gets
+//! the lookup down to the map's **one far access**, whatever the payload's
+//! size: the whole record is read speculatively at the hinted address in
+//! the tree lookup's own fenced batch, and used only if the tree then
+//! names that address ([`FarBlobMap::get_if`]). A stale hint wastes that
+//! one message and its bytes and the lookup proceeds as if unhinted — it
+//! never costs a round trip.
+//!
 //! With [`FarBlobMap::attach_reclaimed`] the map participates in
 //! epoch-based reclamation: records are slab-allocated, lookups hold the
 //! tree lookup's epoch guard to the last record byte, and
@@ -56,6 +64,19 @@ enum Records {
     Quarantine(Arena),
     /// Slab-allocated; a superseded record is retired into the limbo list.
     Reclaim(SharedReclaim),
+}
+
+/// Where [`FarBlobMap::put`] placed a record and how long its payload is:
+/// what a later [`FarBlobMap::get_if`] of the same key needs to fetch the
+/// record in the lookup's own far access. Opaque and minted only by `put`,
+/// so a hint can be *stale* (the key was since overwritten or removed, the
+/// block freed and reused) but never names memory that was not a record.
+/// Twelve bytes, so a per-key table pays 8 + 4 for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C, packed(4))]
+pub struct RecordHint {
+    record: u64,
+    payload_len: u32,
 }
 
 /// A far-memory map from `u64` keys to byte strings, each behind `H`
@@ -163,17 +184,19 @@ impl<const H: usize> FarBlobMap<H> {
     /// Reclaim mode adds the chain hops down to the key's previous item,
     /// if it had one below the bucket head, and returns whether a record
     /// was replaced (and retired); quarantine mode strands that record
-    /// with the arena, never looks for it and returns `false`.
+    /// with the arena, never looks for it and returns `false`. The
+    /// [`RecordHint`] makes a later [`get_if`](Self::get_if) of `key` one
+    /// far access for as long as this record is the key's.
     pub fn put(
         &mut self,
         client: &mut FabricClient,
         key: u64,
         header: [u64; H],
         value: &[u8],
-    ) -> Result<bool> {
-        if value.len() as u64 > u32::MAX as u64 {
+    ) -> Result<(bool, RecordHint)> {
+        let Ok(payload_len) = u32::try_from(value.len()) else {
             return Err(CoreError::BadConfig("blob too large"));
-        }
+        };
         let len = Self::HEADER + value.len() as u64;
         let record = match &mut self.records {
             Records::Quarantine(arena) => arena.alloc(len)?,
@@ -185,11 +208,12 @@ impl<const H: usize> FarBlobMap<H> {
             bytes.extend_from_slice(&word.to_le_bytes());
         }
         bytes.extend_from_slice(value);
+        let hint = RecordHint { record: record.0, payload_len };
         match self.inner.publish(client, key, record, &bytes) {
-            Ok(None) => Ok(false),
+            Ok(None) => Ok((false, hint)),
             // lint: retire-ok: the overwritten record was unlinked by the
             // publish above; readers hold epoch guards until grace.
-            Ok(Some(old)) => self.retire(client, old).map(|()| true),
+            Ok(Some(old)) => self.retire(client, old).map(|()| (true, hint)),
             Err(e) => {
                 // `publish` fails only ahead of its CAS: never linked, so
                 // nobody can reach the record and no grace period is due.
@@ -212,19 +236,44 @@ impl<const H: usize> FarBlobMap<H> {
     /// prefetch) record reads. `None` is a key with no record;
     /// `Some(None)` a record whose header `live` turned down — its payload
     /// is never materialized.
+    ///
+    /// With the `hint` the key's last [`put`](Self::put) returned, the
+    /// whole get is **one far access**: the record is read at the hinted
+    /// address inside the tree lookup's own fenced batch — lookup first —
+    /// and the bytes are used if the tree names that address. Any other hint — an older one of this key,
+    /// another key's, one whose block was freed and reused — wastes one
+    /// message and the hinted bytes, and the get then costs what it costs
+    /// with `None`; the result is the same either way.
     pub fn get_if(
         &mut self,
         client: &mut FabricClient,
         key: u64,
+        hint: Option<RecordHint>,
         live: impl FnOnce(&[u64; H]) -> bool,
     ) -> Result<Option<Option<Vec<u8>>>> {
         // Reclaim mode: the lookup's epoch guard is held to the record's
         // last byte, so a record another client is concurrently retiring
         // stays readable until grace elapses.
-        let (ptr, _guard) = self.inner.get_guarded(client, key)?;
-        let Some(ptr) = ptr else {
+        let speculate =
+            hint.map(|h| (FarAddr(h.record), Self::HEADER + u64::from(h.payload_len)));
+        let found = self.inner.get_guarded(client, key, speculate)?;
+        let Some(ptr) = found.value else {
             return Ok(None);
         };
+        // The tree named the hinted address, so these are the record's
+        // bytes as of the lookup. They are all of it unless the block was
+        // freed and took a longer record of this same key since the hint.
+        if let Some(mut bytes) = found.hinted {
+            let (len, header) = Self::decode(&bytes);
+            if Self::HEADER + len <= bytes.len() as u64 {
+                if !live(&header) {
+                    return Ok(Some(None));
+                }
+                bytes.truncate((Self::HEADER + len) as usize);
+                bytes.drain(..Self::HEADER as usize);
+                return Ok(Some(Some(bytes)));
+            }
+        }
         let record = FarAddr(ptr);
         let mut first = [0u8; PREFETCH as usize];
         client.read_into(record, &mut first)?;
@@ -342,11 +391,11 @@ impl FarBlobMap {
         self.put(client, key, [], value).map(drop)
     }
 
-    /// Fetches the blob under `key` ([`get_if`](Self::get_if) with
-    /// nothing to turn down).
+    /// Fetches the blob under `key` ([`get_if`](Self::get_if) with no
+    /// hint and nothing to turn down).
     pub fn get_bytes(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<Vec<u8>>> {
         let _span = client.span("blob.get_bytes");
-        Ok(self.get_if(client, key, |[]| true)?.flatten())
+        Ok(self.get_if(client, key, None, |[]| true)?.flatten())
     }
 }
 
@@ -402,6 +451,137 @@ mod tests {
         let before = c.stats();
         assert_eq!(m.get_bytes(&mut c, 7).unwrap().unwrap(), v);
         assert_eq!(c.stats().since(&before).round_trips, 3);
+    }
+
+    /// The hinted lookup's price list, both modes: what one `get_if` books
+    /// with the key's own hint, with a stale one, and one chain hop down —
+    /// whole `AccessStats` deltas, so the speculative message and its
+    /// bytes are on the books beside the round trips.
+    fn hinted_costs(reclaimed: bool) {
+        use farmem_fabric::AccessStats;
+        const ITEM: u64 = 32;
+        let (f, a) = setup();
+        let mut c = f.client();
+        let cfg = HtTreeConfig {
+            initial_buckets: 64,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let mut m = if reclaimed {
+            let reg = farmem_reclaim::ReclaimRegistry::create(&mut c, &a, 4).unwrap();
+            let shared = reg.attach(&mut c, &a).unwrap();
+            FarBlobMap::create_reclaimed(&mut c, &a, cfg, shared).unwrap()
+        } else {
+            FarBlobMap::create(&mut c, &a, cfg).unwrap()
+        };
+        let get = |c: &mut FabricClient, m: &mut FarBlobMap, key, hint| {
+            let before = c.stats();
+            let got = m.get_if(c, key, hint, |[]| true).unwrap().flatten();
+            let d = c.stats().since(&before);
+            // The cached tree's traversal is local and the same every time.
+            assert_eq!(d.near_accesses, 2);
+            (got, AccessStats { near_accesses: 0, ..d })
+        };
+        let books = |round_trips, messages, bytes_read| AccessStats {
+            round_trips,
+            messages,
+            bytes_read,
+            ..AccessStats::default()
+        };
+        let (small, large) = (vec![3u8; 64], vec![4u8; 4096]);
+        let (_, small_hint) = m.put(&mut c, 1, [], &small).unwrap();
+        let (_, large_hint) = m.put(&mut c, 2, [], &large).unwrap();
+
+        // Unhinted, as ever: lookup + prefetch (+ tail).
+        assert_eq!(get(&mut c, &mut m, 1, None), (Some(small.clone()), books(2, 2, ITEM + PREFETCH)));
+        assert_eq!(
+            get(&mut c, &mut m, 2, None),
+            (Some(large.clone()), books(3, 3, ITEM + 8 + 4096))
+        );
+        // Hinted hit: one far access of two messages, the record read
+        // whole and exactly — a large value loses its tail read too.
+        assert_eq!(
+            get(&mut c, &mut m, 1, Some(small_hint)),
+            (Some(small.clone()), books(1, 2, ITEM + 8 + 64))
+        );
+        assert_eq!(
+            get(&mut c, &mut m, 2, Some(large_hint)),
+            (Some(large.clone()), books(1, 2, ITEM + 8 + 4096))
+        );
+        // Stale hint (another key's): the hinted bytes are read and
+        // dropped, then the get is the unhinted one — not a round trip more.
+        assert_eq!(
+            get(&mut c, &mut m, 1, Some(large_hint)),
+            (Some(small.clone()), books(2, 3, ITEM + (8 + 4096) + PREFETCH))
+        );
+        assert_eq!(
+            get(&mut c, &mut m, 2, Some(small_hint)),
+            (Some(large.clone()), books(3, 4, ITEM + (8 + 64) + 8 + 4096))
+        );
+        // An absent key's empty bucket answers in the same one access.
+        assert_eq!(get(&mut c, &mut m, 1 << 40, Some(small_hint)), (None, books(1, 2, 8 + 64)));
+        // One chain hop down: the hop is the only extra access.
+        (3u64..).find(|&k| {
+            m.put(&mut c, k, [], b"probe").unwrap();
+            get(&mut c, &mut m, 1, None).1.round_trips == 3
+        });
+        assert_eq!(
+            get(&mut c, &mut m, 1, Some(small_hint)),
+            (Some(small.clone()), books(2, 3, 2 * ITEM + 8 + 64))
+        );
+        // An overwrite makes the old hint stale; a remove makes every hint
+        // of the key a miss found in the lookup's own access (the
+        // tombstone heads the chain).
+        let (_, newer) = m.put(&mut c, 1, [], &large).unwrap();
+        assert_eq!(
+            get(&mut c, &mut m, 1, Some(small_hint)),
+            (Some(large.clone()), books(3, 4, ITEM + (8 + 64) + 8 + 4096))
+        );
+        assert_eq!(get(&mut c, &mut m, 1, Some(newer)).1, books(1, 2, ITEM + 8 + 4096));
+        assert!(m.remove(&mut c, 1).unwrap());
+        assert_eq!(get(&mut c, &mut m, 1, Some(newer)), (None, books(1, 2, ITEM + 8 + 4096)));
+    }
+
+    #[test]
+    fn a_hinted_lookup_is_one_far_access_and_a_stale_hint_costs_no_round_trip() {
+        hinted_costs(false);
+        hinted_costs(true);
+    }
+
+    /// The ABA a pointer comparison cannot see: the hinted block is freed
+    /// and comes back holding a *new* record of the same key. The tree
+    /// names the address, so the bytes read after the lookup are the new
+    /// record's — served if the hinted length covers them, re-read through
+    /// the plain path if the new record is longer.
+    #[test]
+    fn a_hint_whose_block_now_holds_the_keys_next_record_serves_that_record() {
+        let (f, a) = setup();
+        let mut c = f.client();
+        let reg = farmem_reclaim::ReclaimRegistry::create(&mut c, &a, 4).unwrap();
+        let shared = reg.attach(&mut c, &a).unwrap();
+        let cfg = HtTreeConfig { initial_buckets: 64, ..HtTreeConfig::default() };
+        let mut m: FarBlobMap = FarBlobMap::create_reclaimed(&mut c, &a, cfg, shared.clone()).unwrap();
+        let reincarnate = |c: &mut FabricClient, m: &mut FarBlobMap, value: &[u8]| {
+            m.remove(c, 1).unwrap();
+            let mut r = shared.lock().unwrap();
+            r.seal(c).unwrap();
+            assert!(r.reclaim(c).unwrap() > 0, "sole client: freed at once");
+            drop(r);
+            m.put(c, 1, [], value).unwrap().1
+        };
+        let rt = |c: &mut FabricClient, m: &mut FarBlobMap, hint, want: &[u8]| {
+            let before = c.stats();
+            assert_eq!(m.get_if(c, 1, Some(hint), |[]| true).unwrap().flatten().unwrap(), want);
+            c.stats().since(&before).round_trips
+        };
+        let (_, first) = m.put(&mut c, 1, [], &[1u8; 40]).unwrap();
+        let second = reincarnate(&mut c, &mut m, &[2u8; 50]);
+        assert_eq!({ second.record }, { first.record }, "the 64-byte class reused the block");
+        assert_eq!(rt(&mut c, &mut m, first, &[2u8; 50]), 2, "10 bytes short: plain record read");
+        let third = reincarnate(&mut c, &mut m, &[3u8; 30]);
+        assert_eq!({ third.record }, { first.record });
+        assert_eq!(rt(&mut c, &mut m, second, &[3u8; 30]), 1, "50 hinted bytes cover 30");
+        assert_eq!(rt(&mut c, &mut m, third, &[3u8; 30]), 1);
     }
 
     #[test]
@@ -540,7 +720,8 @@ mod tests {
         // there is no header).
         let live = |h: &[u64; H]| h.last().is_none_or(|w| w % 2 == 0);
         let keys: Vec<u64> = (0..32).rev().collect();
-        let serial: Vec<_> = keys.iter().map(|&k| m.get_if(&mut c, k, live).unwrap()).collect();
+        let serial: Vec<_> =
+            keys.iter().map(|&k| m.get_if(&mut c, k, None, live).unwrap()).collect();
         let bell = Inline::new(&mut c);
         let batched = Inline::run(m.get_many_async(&bell, &keys, live)).unwrap();
         assert_eq!(batched, serial);

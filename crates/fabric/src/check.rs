@@ -37,6 +37,14 @@ pub enum AccessKind {
     Read,
     /// Plain write; same granularity caveat as [`AccessKind::Read`].
     Write,
+    /// Read at an address the issuer only *guesses* is live
+    /// ([`BatchOp::ReadSpeculative`](crate::BatchOp::ReadSpeculative)):
+    /// the bytes are dropped uninterpreted unless a pointer obtained
+    /// through the ordinary, ordered path turns out to name the same
+    /// address. It may overlap any concurrent write by design, so it
+    /// neither races nor synchronizes; what the issuer does with a
+    /// validated answer is the history checker's business.
+    SpeculativeRead,
     /// Atomic observation that did not mutate: a CAS that lost, or a
     /// guard-word probe of a guarded indirect verb.
     AtomicRead,

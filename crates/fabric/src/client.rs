@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use crate::addr::{FarAddr, NodeId, WORD};
+use crate::check::AccessKind;
 use crate::cost::SimClock;
 use crate::error::{FabricError, Result};
 use crate::ext::indirect::ErrorCompletion;
@@ -114,6 +115,39 @@ pub enum BatchOp<'a> {
         /// Added value (wrapping).
         delta: u64,
     },
+    /// `load0`: dereference the pointer at `ptr` and read `len` bytes at
+    /// its target ([`FabricClient::load0`]). A null pointer is an answer,
+    /// not a failure: the op completes with [`BatchOut::Null`] and the
+    /// rest of the batch still runs. A remote target the fabric refuses
+    /// ([`FabricError::IndirectRemote`]) fails the batch.
+    Load0 {
+        /// Far address of the pointer word.
+        ptr: FarAddr,
+        /// Bytes to read at the target.
+        len: u64,
+    },
+    /// [`Read`](BatchOp::Read) at an address the caller only guesses is
+    /// live. Booked like a read; reported to the verification observer as
+    /// [`AccessKind::SpeculativeRead`], whose contract is the caller's:
+    /// interpret the bytes only if an op *earlier in this batch* returned
+    /// a pointer naming `addr` (the batch applies its ops in order).
+    ReadSpeculative {
+        /// Guessed far address.
+        addr: FarAddr,
+        /// Bytes to read.
+        len: u64,
+    },
+}
+
+impl BatchOp<'_> {
+    /// Whether executing this op leaves far memory as it found it — a
+    /// batch of such ops can be blindly retried after a mid-batch failure.
+    fn is_read_only(&self) -> bool {
+        matches!(
+            self,
+            BatchOp::Read { .. } | BatchOp::Load0 { .. } | BatchOp::ReadSpeculative { .. }
+        )
+    }
 }
 
 /// Result of one verb inside a fenced batch.
@@ -125,6 +159,8 @@ pub enum BatchOut {
     Value(u64),
     /// A `Write` completed.
     Done,
+    /// A `Load0` found a null pointer.
+    Null,
 }
 
 impl BatchOut {
@@ -653,7 +689,7 @@ impl FabricClient {
     /// Reports an executed memory access to the verification observer,
     /// if one is installed (crate::check). Never touches clock or stats.
     #[inline]
-    pub(crate) fn observe(&self, kind: crate::check::AccessKind, addr: FarAddr, len: u64) {
+    pub(crate) fn observe(&self, kind: AccessKind, addr: FarAddr, len: u64) {
         if let Some(h) = self.fabric.check_hook() {
             h.access(&crate::check::Access { client: self.id, addr, len, kind });
         }
@@ -662,9 +698,12 @@ impl FabricClient {
     /// Executes a read of `[addr, addr + buf.len())` into `buf` arriving
     /// at `arrival`, returning the node-side finish time. Counts
     /// messages/bytes, not RTs. Every byte-range read of the client —
-    /// serial, batched, pipelined or gathered — is this one segment walk.
+    /// serial, batched, pipelined or gathered — is this one segment walk,
+    /// reported to the verification observer as `kind`
+    /// ([`AccessKind::Read`] for all but a batch's speculative read).
     pub(crate) fn exec_read_into(
         &mut self,
+        kind: AccessKind,
         addr: FarAddr,
         buf: &mut [u8],
         arrival: u64,
@@ -687,7 +726,7 @@ impl FabricClient {
         }
         self.stats.messages += messages;
         self.stats.bytes_read += len;
-        self.observe(crate::check::AccessKind::Read, addr, len);
+        self.observe(kind, addr, len);
         Ok(finish)
     }
 
@@ -696,13 +735,14 @@ impl FabricClient {
     /// sized, so a bad length never drives an allocation.
     pub(crate) fn exec_read(
         &mut self,
+        kind: AccessKind,
         addr: FarAddr,
         len: u64,
         arrival: u64,
     ) -> Result<(Vec<u8>, u64)> {
         self.fabric.map().check(addr, len)?;
         let mut buf = vec![0u8; len as usize];
-        let finish = self.exec_read_into(addr, &mut buf, arrival)?;
+        let finish = self.exec_read_into(kind, addr, &mut buf, arrival)?;
         Ok((buf, finish))
     }
 
@@ -728,7 +768,7 @@ impl FabricClient {
         }
         self.stats.messages += messages;
         self.stats.bytes_written += len;
-        self.observe(crate::check::AccessKind::Write, addr, len);
+        self.observe(AccessKind::Write, addr, len);
         Ok(finish)
     }
 
@@ -753,7 +793,7 @@ impl FabricClient {
         let v = node.read_u64(off)?;
         self.stats.messages += 1;
         self.stats.bytes_read += WORD;
-        self.observe(crate::check::AccessKind::Read, addr, WORD);
+        self.observe(AccessKind::Read, addr, WORD);
         Ok((v, f))
     }
 
@@ -769,7 +809,7 @@ impl FabricClient {
         let f = self.fabric.fire(&mut self.stats, nid, off, WORD, f);
         self.stats.messages += 1;
         self.stats.bytes_written += WORD;
-        self.observe(crate::check::AccessKind::Write, addr, WORD);
+        self.observe(AccessKind::Write, addr, WORD);
         Ok(f)
     }
 
@@ -795,9 +835,9 @@ impl FabricClient {
         self.stats.atomics += 1;
         self.observe(
             if prev == expected {
-                crate::check::AccessKind::AtomicRmw
+                AccessKind::AtomicRmw
             } else {
-                crate::check::AccessKind::AtomicRead
+                AccessKind::AtomicRead
             },
             addr,
             WORD,
@@ -823,7 +863,7 @@ impl FabricClient {
         let f = self.fabric.fire(&mut self.stats, nid, off, WORD, f);
         self.stats.messages += 1;
         self.stats.atomics += 1;
-        self.observe(crate::check::AccessKind::AtomicRmw, addr, WORD);
+        self.observe(AccessKind::AtomicRmw, addr, WORD);
         Ok((prev, f))
     }
 
@@ -831,7 +871,7 @@ impl FabricClient {
 
     /// One-sided read of `len` bytes at `addr`. One far access.
     pub fn read(&mut self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.round_trip(VerbKind::Read, |c, at| c.exec_read(addr, len, at))
+        self.round_trip(VerbKind::Read, |c, at| c.exec_read(AccessKind::Read, addr, len, at))
     }
 
     /// One-sided read of `buf.len()` bytes at `addr` into a buffer the
@@ -840,7 +880,9 @@ impl FabricClient {
     /// fixed-size header can land in a stack array and a large value
     /// straight in its final buffer. On error `buf` may be partly filled.
     pub fn read_into(&mut self, addr: FarAddr, buf: &mut [u8]) -> Result<()> {
-        self.round_trip(VerbKind::Read, |c, at| c.exec_read_into(addr, buf, at).map(|f| ((), f)))
+        self.round_trip(VerbKind::Read, |c, at| {
+            c.exec_read_into(AccessKind::Read, addr, buf, at).map(|f| ((), f))
+        })
     }
 
     /// One-sided write of `data` at `addr`. One far access.
@@ -884,9 +926,15 @@ impl FabricClient {
             // as the non-retryable `BatchTorn`.
             for op in ops {
                 let (addr, len) = match op {
-                    BatchOp::Read { addr, len } => (*addr, *len),
+                    BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
+                        (*addr, *len)
+                    }
                     BatchOp::Write { addr, data } => (*addr, data.len() as u64),
-                    BatchOp::Cas { addr, .. } | BatchOp::Faa { addr, .. } => (*addr, WORD),
+                    // A `Load0`'s target is known only once it executes;
+                    // its pointer word is what can be checked up front.
+                    BatchOp::Cas { addr, .. }
+                    | BatchOp::Faa { addr, .. }
+                    | BatchOp::Load0 { ptr: addr, .. } => (*addr, WORD),
                 };
                 for seg in c.fabric.segments(addr, len)? {
                     let phys = c.route(seg.node);
@@ -904,8 +952,12 @@ impl FabricClient {
             for op in ops {
                 let step = (|| -> Result<u64> {
                     Ok(match op {
-                        BatchOp::Read { addr, len } => {
-                            let (buf, f) = c.exec_read(*addr, *len, arrival)?;
+                        BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
+                            let kind = match op {
+                                BatchOp::Read { .. } => AccessKind::Read,
+                                _ => AccessKind::SpeculativeRead,
+                            };
+                            let (buf, f) = c.exec_read(kind, *addr, *len, arrival)?;
                             out.push(BatchOut::Bytes(buf));
                             f
                         }
@@ -924,6 +976,27 @@ impl FabricClient {
                             out.push(BatchOut::Value(prev));
                             f
                         }
+                        BatchOp::Load0 { ptr, len } => match c.exec_load0(*ptr, *len, arrival) {
+                            Ok((bytes, f)) => {
+                                out.push(BatchOut::Bytes(bytes));
+                                f
+                            }
+                            Err(ErrorCompletion {
+                                err: FabricError::NullDeref { .. },
+                                answered_at: Some(at),
+                            }) => {
+                                out.push(BatchOut::Null);
+                                at
+                            }
+                            Err(e) => {
+                                // The client waited for whatever the home
+                                // node answered, as the blocking verb does.
+                                if let Some(at) = e.answered_at {
+                                    c.finish_rt(finish.max(at));
+                                }
+                                return Err(e.err);
+                            }
+                        },
                     })
                 })();
                 let f = match step {
@@ -933,7 +1006,7 @@ impl FabricClient {
                     }
                     Err(e) => return Err(e),
                 };
-                mutated |= !matches!(op, BatchOp::Read { .. });
+                mutated |= !op.is_read_only();
                 finish = finish.max(f);
             }
             c.finish_rt(finish);
@@ -1184,6 +1257,85 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.round_trips, 1);
         assert_eq!(s.messages, 3);
+    }
+
+    /// `[Load0, ReadSpeculative]`, the hinted lookup's batch: one round
+    /// trip, two messages, and a null pointer is the first op's *answer* —
+    /// charged its round trip like the blocking verb's `NullDeref`, with
+    /// the second op still executed.
+    #[test]
+    fn batched_load0_answers_a_null_pointer_instead_of_failing() {
+        let mut c = client();
+        let (bucket, item) = (FarAddr(64), FarAddr(4096));
+        c.write(item, &[5u8; 32]).unwrap();
+        let ops = [
+            BatchOp::Load0 { ptr: bucket, len: 32 },
+            BatchOp::ReadSpeculative { addr: item, len: 16 },
+        ];
+        for (pointer, answer) in [(0, BatchOut::Null), (item.0, BatchOut::Bytes(vec![5u8; 32]))] {
+            c.write_u64(bucket, pointer).unwrap();
+            let before = c.stats();
+            let out = c.batch(&ops).unwrap();
+            assert_eq!(out, [answer, BatchOut::Bytes(vec![5u8; 16])]);
+            let d = c.stats().since(&before);
+            let target_bytes = if pointer == 0 { 0 } else { 32 };
+            assert_eq!((d.round_trips, d.messages, d.bytes_read), (1, 2, target_bytes + 16));
+        }
+        // The blocking verb books the same round trip for its `NullDeref`.
+        c.write_u64(bucket, 0).unwrap();
+        let before = c.stats();
+        assert!(matches!(c.load0(bucket, 32), Err(FabricError::NullDeref { .. })));
+        assert_eq!(c.stats().since(&before).round_trips, 1);
+    }
+
+    #[test]
+    fn batched_load0_fails_whole_and_retries_whole() {
+        use crate::addr::{NodeId, Striping, PAGE};
+        use crate::fabric::IndirectionMode;
+        // Pointer word on node 0, its target and the guessed address on
+        // node 1.
+        let two_nodes = |indirection, faults| {
+            FabricConfig {
+                nodes: 2,
+                striping: Striping::Striped { stripe: PAGE },
+                indirection,
+                faults,
+                ..FabricConfig::count_only(1 << 20)
+            }
+            .build()
+        };
+        let (bucket, item) = (FarAddr(64), FarAddr(PAGE));
+        let ops = [
+            BatchOp::Load0 { ptr: bucket, len: 32 },
+            BatchOp::ReadSpeculative { addr: item.offset(64), len: 16 },
+        ];
+        // A dead node under any op fails the batch before the first runs.
+        let f = two_nodes(IndirectionMode::Forward, crate::fault::FaultPlan::NONE);
+        let mut c = f.client();
+        c.write_u64(bucket, item.0).unwrap();
+        f.node(NodeId(1)).fail();
+        let before = c.stats();
+        assert!(matches!(c.batch(&ops), Err(FabricError::NodeFailed(NodeId(1)))));
+        let d = c.stats().since(&before);
+        assert_eq!((d.messages, d.bytes_read, d.round_trips), (0, 0, 0), "nothing executed");
+        // A refused cross-node dereference fails it too — after the home
+        // node's answer, which the client waited for.
+        let f = two_nodes(IndirectionMode::Error, crate::fault::FaultPlan::NONE);
+        let mut c = f.client();
+        c.write_u64(bucket, item.0).unwrap();
+        let before = c.stats();
+        assert!(matches!(c.batch(&ops), Err(FabricError::IndirectRemote { .. })));
+        let d = c.stats().since(&before);
+        assert_eq!((d.messages, d.round_trips), (1, 1), "the pointer's node answered");
+        // Read-only, so a transient fault re-issues the whole batch.
+        let f = two_nodes(IndirectionMode::Forward, crate::fault::FaultPlan::transient(300_000));
+        let mut c = f.client();
+        c.write_u64(bucket, item.0).unwrap();
+        c.write(item, &[9u8; 32]).unwrap();
+        for _ in 0..100 {
+            assert_eq!(c.batch(&ops).unwrap()[0], BatchOut::Bytes(vec![9u8; 32]));
+        }
+        assert!(c.stats().retries > 0 && c.stats().giveups == 0, "{:?}", c.stats());
     }
 
     #[test]

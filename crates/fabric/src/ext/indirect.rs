@@ -166,8 +166,9 @@ impl FabricClient {
     /// access follows via forwarding — structures needing full atomicity
     /// must colocate their pointer and data (§7.1 localized placement).
     ///
-    /// Inlined into its four callers (the blocking wrapper and the three
-    /// indirect descriptors), each of which fixes `ptr_read` and the kind
+    /// Inlined into its five callers (the blocking wrapper, the three
+    /// indirect descriptors and the batch's `exec_load0`), each of which
+    /// fixes `ptr_read` and the kind
     /// of `access`: the copies shed the flavours they cannot take. Left
     /// out of line, a `Load2` descriptor costs ~12 ns more on the host and
     /// `structures` loses 3.5 % `ops_per_s` (EXPERIMENTS.md, PR 14).
@@ -451,6 +452,24 @@ impl FabricClient {
             TargetAccess::Write(_) | TargetAccess::Add(_) => PipeOut::Done,
         };
         Ok((out, finish))
+    }
+
+    /// `load0` as one op of a fenced batch ([`BatchOp::Load0`]): returns
+    /// `(bytes, node-side finish time)`. Its own out-of-line copy of
+    /// [`exec_deref`](Self::exec_deref), so `batch` — the store path's hot
+    /// loop — does not grow by the executor's body.
+    ///
+    /// [`BatchOp::Load0`]: crate::BatchOp::Load0
+    #[inline(never)]
+    pub(crate) fn exec_load0(
+        &mut self,
+        ad: FarAddr,
+        len: u64,
+        arrival: u64,
+    ) -> std::result::Result<(Vec<u8>, u64), ErrorCompletion> {
+        let ((_, out), finish) =
+            self.exec_deref(ad, PtrRead::Plain, 0, TargetAccess::Read(len), arrival)?;
+        Ok((out.into_bytes(), finish))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes

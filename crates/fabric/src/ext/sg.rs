@@ -20,6 +20,7 @@
 //! fabric message, and all messages and bytes are accounted.
 
 use crate::addr::FarAddr;
+use crate::check::AccessKind;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
 use crate::trace::VerbKind;
@@ -75,7 +76,7 @@ impl FabricClient {
         let mut rest = out.as_mut_slice();
         for e in iov {
             let (part, tail) = rest.split_at_mut(e.len as usize);
-            finish = finish.max(self.exec_read_into(e.addr, part, arrival)?);
+            finish = finish.max(self.exec_read_into(AccessKind::Read, e.addr, part, arrival)?);
             rest = tail;
         }
         Ok((out, finish))
@@ -105,7 +106,7 @@ impl FabricClient {
         }
         let total: u64 = into.iter().map(|b| b.len() as u64).sum();
         let data =
-            self.round_trip(VerbKind::ScatterGather, |c, at| c.exec_read(ad, total, at))?;
+            self.round_trip(VerbKind::ScatterGather, |c, at| c.exec_read(AccessKind::Read, ad, total, at))?;
         let mut done = 0usize;
         for buf in into.iter_mut() {
             buf.copy_from_slice(&data[done..done + buf.len()]);

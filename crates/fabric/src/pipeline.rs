@@ -50,6 +50,12 @@
 //! duplicate those effects. Completed results remain drainable from the
 //! [`CompletionQueue`].
 //!
+//! One failure is an *answer*, not a transport error: a null pointer under
+//! a read-only indirect descriptor ([`PipeOp::Load2`]). Its slot completes
+//! with [`FabricError::NullDeref`] and the commit's status reports it, but
+//! the tail still executes — an absent key in a batch of lookups must not
+//! serialise the lookups behind it.
+//!
 //! One booking differs from the blocking verb, deliberately: an error the
 //! node *answered* with (null pointer, guard mismatch, refused remote
 //! target) costs the blocking verb its round trip, while a failed
@@ -60,6 +66,7 @@
 //! [`AccessStats::overlap_saved_ns`]: crate::stats::AccessStats
 
 use crate::addr::FarAddr;
+use crate::check::AccessKind;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
 use crate::ext::indirect::{PtrRead, TargetAccess};
@@ -485,9 +492,10 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
     let mut completed = 0usize;
     let mut completed_effects = 0usize;
     let mut first_err: Option<FabricError> = None;
+    let mut aborted = false;
 
     for op in ops {
-        if first_err.is_some() {
+        if aborted {
             // The queue is in error state: the tail is never executed.
             results.push(None);
             continue;
@@ -522,7 +530,11 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
                 results.push(Some(Ok(out)));
             }
             Err(e) => {
-                first_err = Some(e.clone());
+                // A null pointer answers a read-only descriptor (module
+                // docs); anything else puts the queue in its error state.
+                aborted =
+                    op.has_side_effect() || !matches!(e, FabricError::NullDeref { .. });
+                first_err.get_or_insert_with(|| e.clone());
                 results.push(Some(Err(e)));
             }
         }
@@ -557,7 +569,7 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
 fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, u64)> {
     match op {
         PipeOp::Read { addr, len } => {
-            let (buf, f) = c.exec_read(*addr, *len, arrival)?;
+            let (buf, f) = c.exec_read(AccessKind::Read, *addr, *len, arrival)?;
             Ok((PipeOut::Bytes(buf), f))
         }
         PipeOp::Write { addr, data } => {
@@ -805,6 +817,48 @@ mod tests {
             "reads-only failure surfaces the plain error: {:?}",
             cq.status()
         );
+    }
+
+    /// A null pointer answers a read-only indirect descriptor: its slot
+    /// holds the error, the tail still executes, and the doorbell books
+    /// what DESIGN.md §7 says — the failed descriptor's message, no round
+    /// trip of its own. Under a store the same null pointer is a failure
+    /// like any other and aborts the tail.
+    #[test]
+    fn a_null_pointer_under_a_read_aborts_nothing() {
+        let f = striped(1, CostModel::DEFAULT);
+        let mut c = f.client();
+        let (null_ptr, ptr) = (FarAddr(WORD), FarAddr(2 * WORD));
+        c.write_u64(ptr, PAGE).unwrap();
+        c.write_u64(FarAddr(PAGE), 7).unwrap();
+        let seven = PipeOut::Bytes(7u64.to_le_bytes().to_vec());
+        let elapsed = |c: &mut FabricClient, first: FarAddr| {
+            let (before, t0) = (c.stats(), c.now_ns());
+            let mut q = c.pipeline();
+            q.load0(first, WORD);
+            q.load0(ptr, WORD);
+            q.load0(ptr, WORD);
+            (q.commit(), c.stats().since(&before), c.now_ns() - t0)
+        };
+        let (mut cq, d, absent_ns) = elapsed(&mut c, null_ptr);
+        assert!(matches!(cq.status(), Err(FabricError::NullDeref { .. })));
+        assert!(matches!(cq.take(0), Some(Err(FabricError::NullDeref { .. }))));
+        assert_eq!(cq.take(1), Some(Ok(seven.clone())));
+        assert_eq!(cq.take(2), Some(Ok(seven)));
+        assert_eq!((d.pipelined_ops, d.round_trips, d.messages, d.doorbells), (2, 2, 3, 1));
+        let (cq, d, present_ns) = elapsed(&mut c, ptr);
+        cq.status().unwrap();
+        assert_eq!((d.pipelined_ops, d.round_trips, d.messages), (3, 3, 3));
+        // Same doorbell, one target read less at the node.
+        let cost = CostModel::DEFAULT;
+        assert_eq!(present_ns - absent_ns, cost.node_msg_ns + cost.bytes_ns(WORD));
+
+        let mut q = c.pipeline();
+        q.store2(null_ptr, 0, &[1u8; 8]);
+        q.load0(ptr, WORD);
+        let mut cq = q.commit();
+        assert!(matches!(cq.take(0), Some(Err(FabricError::NullDeref { .. }))));
+        assert!(cq.take(1).is_none(), "a failed store aborts the tail");
     }
 
     #[test]

@@ -14,6 +14,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use farmem_core::RecordHint;
+
 use crate::splitmix64;
 use crate::tenant::TenantId;
 
@@ -47,6 +49,10 @@ pub struct KeyMeta {
     pub tenant: TenantId,
     /// Charged (slab-rounded) bytes of the stored record.
     pub charged: u64,
+    /// Where the owner's put placed the record: what makes its get one
+    /// far access. Current by construction — every put replaces the entry
+    /// and every delete, eviction and expiry drops it.
+    pub hint: RecordHint,
 }
 
 struct Node {
@@ -194,12 +200,26 @@ impl RecencyIndex {
 mod tests {
     use super::*;
 
-    fn meta(charged: u64) -> KeyMeta {
-        KeyMeta { tenant: TenantId(0), charged }
+    /// Hints come from real puts only: one per payload length `0..n`.
+    fn hints(n: usize) -> Vec<RecordHint> {
+        use farmem_core::{FarBlobMap, HtTreeConfig};
+        let f = farmem_fabric::FabricConfig::count_only(1 << 20).build();
+        let a = farmem_alloc::FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let mut m: FarBlobMap = FarBlobMap::create(&mut c, &a, HtTreeConfig::default()).unwrap();
+        (0..n).map(|len| m.put(&mut c, len as u64, [], &vec![0; len]).unwrap().1).collect()
     }
 
     #[test]
     fn order_follows_last_access_and_slots_are_reused() {
+        let hints = hints(10);
+        // Distinct per `charged`, so a mixed-up hint shows as a wrong entry.
+        let meta = |charged: u64| KeyMeta {
+            tenant: TenantId(0),
+            charged,
+            hint: hints[charged as usize / 10],
+        };
+        assert_eq!(std::mem::size_of::<KeyMeta>(), 24, "the hint costs a key 8 bytes");
         let mut ix = RecencyIndex::new();
         for k in 1..=4u64 {
             assert_eq!(ix.insert(k, meta(k * 10)), None);

@@ -358,7 +358,8 @@ impl ServeWorker {
             self.stats.spread_gets += 1;
         }
         let now = client.now_ns();
-        let out = self.store.get(client, nskey, now);
+        let hint = self.index.get(nskey).map(|m| m.hint);
+        let out = self.store.get_hinted(client, nskey, hint, now);
         if spread {
             client.set_spread_reads(None);
         }
@@ -393,8 +394,8 @@ impl ServeWorker {
         let now = client.now_ns();
         let ttl = ttl_ns.unwrap_or_else(|| self.tenants.lock().unwrap().spec(tenant).default_ttl_ns);
         let expiry = if ttl == 0 { 0 } else { now + ttl };
-        self.store.put(client, nskey, value, expiry)?;
-        let old_charged = self.index_put(nskey, tenant, charged);
+        let (_, hint) = self.store.put_hinted(client, nskey, value, expiry)?;
+        let old_charged = self.index_put(nskey, KeyMeta { tenant, charged, hint });
         self.tenants.lock().unwrap().stored(tenant, charged, old_charged);
         while self.stats.charged_bytes > self.cfg.worker_byte_budget {
             if !self.evict_one(client)? {
@@ -544,12 +545,12 @@ impl ServeWorker {
 
     /// Indexes a stored record; returns the charged bytes of the record
     /// it replaced (for tenant accounting).
-    fn index_put(&mut self, nskey: u64, tenant: TenantId, charged: u64) -> Option<u64> {
-        let old_charged = self.index.insert(nskey, KeyMeta { tenant, charged }).map(|m| {
+    fn index_put(&mut self, nskey: u64, meta: KeyMeta) -> Option<u64> {
+        let old_charged = self.index.insert(nskey, meta).map(|m| {
             self.stats.charged_bytes -= m.charged;
             m.charged
         });
-        self.stats.charged_bytes += charged;
+        self.stats.charged_bytes += meta.charged;
         self.stats.peak_charged_bytes = self.stats.peak_charged_bytes.max(self.stats.charged_bytes);
         old_charged
     }
@@ -897,6 +898,58 @@ mod tests {
             a.stats().freed_bytes >= freed_before + RECORD_HEADER + 64,
             "expired record bytes not reclaimed"
         );
+    }
+
+    /// The owner's hint is the key's current record or nothing: a put
+    /// sets it, an overwrite replaces it, and a delete, an eviction and an
+    /// expiry take it away with the entry — so an owned key's get is one
+    /// far access (two messages) while the key lives and the plain
+    /// one-message miss afterwards, never a stale speculation.
+    #[test]
+    fn the_hint_lives_and_dies_with_the_index_entry() {
+        let cfg = ServeConfig { worker_byte_budget: 3 * 128, ..ServeConfig::default() };
+        let (f, _a, server) = deploy(FabricConfig::single_node(256 << 20).build(), cfg);
+        let t = server.add_tenant(TenantSpec::unlimited("hints")).unwrap();
+        let mut c = f.client();
+        let mut w = server.worker(0, 1, &mut c).unwrap();
+        let get = |c: &mut FabricClient, w: &mut ServeWorker, key| {
+            let before = c.stats();
+            let resp = w.get(c, t, key).unwrap();
+            let d = c.stats().since(&before);
+            (resp, d.round_trips, d.messages, d.bytes_read)
+        };
+        const ITEM: u64 = 32;
+        let hit = |v: &[u8]| (Response::Value(v.to_vec()), 1, 2, ITEM + RECORD_HEADER + v.len() as u64);
+        let miss = (Response::Miss, 1, 1, ITEM);
+
+        w.put(&mut c, t, 1, &[1u8; 100], None).unwrap();
+        assert_eq!(get(&mut c, &mut w, 1), hit(&[1u8; 100]));
+        // Overwrite: the new record's hint, not a wasted read of the old.
+        w.put(&mut c, t, 1, &[2u8; 90], None).unwrap();
+        assert_eq!(get(&mut c, &mut w, 1), hit(&[2u8; 90]));
+        // Delete: the tombstone heads the chain, nothing is speculated.
+        assert_eq!(w.delete(&mut c, t, 1).unwrap(), Response::Deleted(true));
+        assert_eq!(get(&mut c, &mut w, 1), miss);
+        // Eviction: a fourth 128-byte-class record pushes out the oldest.
+        for key in 2..=5 {
+            w.put(&mut c, t, key, &[key as u8; 100], None).unwrap();
+        }
+        assert_eq!(w.stats().evicted, 1);
+        assert_eq!(get(&mut c, &mut w, 2), miss);
+        assert_eq!(get(&mut c, &mut w, 5), hit(&[5u8; 100]));
+        // Expiry: found through the hint, judged on the speculated header,
+        // unlinked and retired as through the plain path (a lookup and a
+        // tombstone: 1 + 1 + 2 accesses) — and then it is a plain miss.
+        w.put(&mut c, t, 6, &[6u8; 100], Some(10_000)).unwrap();
+        let past_ttl = c.now_ns() + 20_000;
+        while c.now_ns() < past_ttl {
+            c.read_u64(farmem_fabric::FarAddr(4096)).unwrap();
+        }
+        let (resp, round_trips, ..) = get(&mut c, &mut w, 6);
+        assert_eq!((resp, round_trips), (Response::Miss, 4));
+        assert_eq!(w.stats().expired_unlinked, 1);
+        assert_eq!(server.tenant_stats()[t.0 as usize].1.expired, 1);
+        assert_eq!(get(&mut c, &mut w, 6), miss);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! owning worker).
 
 use farmem_alloc::{rounded_len, FarAlloc};
-use farmem_core::{FarBlobMap, HtTree, HtTreeConfig};
+use farmem_core::{FarBlobMap, HtTree, HtTreeConfig, RecordHint};
 use farmem_fabric::FabricClient;
 use farmem_reclaim::SharedReclaim;
 use farmem_runtime::AsyncClient;
@@ -110,6 +110,19 @@ impl RecordStore {
         value: &[u8],
         expiry_ns: u64,
     ) -> Result<bool> {
+        self.put_hinted(client, nskey, value, expiry_ns).map(|(replaced, _)| replaced)
+    }
+
+    /// [`put`](Self::put), also handing back where the record went: the
+    /// hint that makes [`get_hinted`](Self::get_hinted) of this key one
+    /// far access until the key's next mutation.
+    pub fn put_hinted(
+        &mut self,
+        client: &mut FabricClient,
+        nskey: u64,
+        value: &[u8],
+        expiry_ns: u64,
+    ) -> Result<(bool, RecordHint)> {
         Ok(self.records.put(client, nskey, [expiry_ns], value)?)
     }
 
@@ -117,9 +130,25 @@ impl RecordStore {
     /// `now_ns`: an expired record is reported as [`GetOutcome::Expired`]
     /// and its payload is never materialized. The read runs under an
     /// epoch guard, so a record another worker is concurrently retiring
-    /// stays readable until grace elapses.
+    /// stays readable until grace elapses. Two far accesses (three past
+    /// the prefetch): the path of a caller that holds no hint.
     pub fn get(&mut self, client: &mut FabricClient, nskey: u64, now_ns: u64) -> Result<GetOutcome> {
-        let found = self.records.get_if(client, nskey, |&[expiry_ns]| live(expiry_ns, now_ns))?;
+        self.get_hinted(client, nskey, None, now_ns)
+    }
+
+    /// [`get`](Self::get) in **one far access** when `hint` is the one the
+    /// key's latest [`put_hinted`](Self::put_hinted) returned
+    /// ([`FarBlobMap::get_if`]); the same outcome at `get`'s own price
+    /// with any other hint.
+    pub fn get_hinted(
+        &mut self,
+        client: &mut FabricClient,
+        nskey: u64,
+        hint: Option<RecordHint>,
+        now_ns: u64,
+    ) -> Result<GetOutcome> {
+        let found =
+            self.records.get_if(client, nskey, hint, |&[expiry_ns]| live(expiry_ns, now_ns))?;
         Ok(GetOutcome::of(found))
     }
 

@@ -87,8 +87,8 @@ pub mod prelude {
     pub use farmem_core::{
         CacheMode, CachedFarVec, CoreError, FarBarrier, FarBlobMap, FarCounter,
         FarEpochBarrier, FarMutex, FarQueue, FarRwLock, FarVec, HtTree, HtTreeConfig,
-        QueueConfig, RefreshMode, RefreshPolicy, RefreshableVec, VecReader, VecWriter,
-        WriteCombiner,
+        QueueConfig, RecordHint, RefreshMode, RefreshPolicy, RefreshableVec, VecReader,
+        VecWriter, WriteCombiner,
     };
     pub use farmem_fabric::{
         AccessStats, BatchOp, CompletionQueue, CostModel, DeliveryPolicy, DescList, Event,

@@ -9,6 +9,102 @@ fn fabric() -> std::sync::Arc<Fabric> {
     FabricConfig::count_only(128 << 20).build()
 }
 
+/// One `blob_map_matches_model` run: `ops` against a `FarBlobMap<H>` in
+/// one mode. Every record carries its payload length in each header word,
+/// and every get is handed a hint picked by its selector — none, the
+/// key's current one, any earlier one of the key, or any hint of any key
+/// — which must never change what it returns. In reclaim mode every
+/// mutation is followed by a grace round, so superseded hints name blocks
+/// that were freed and, soon, reused.
+fn blob_map_run<const H: usize>(
+    ops: &[(u8, u64, Vec<u8>, u16)],
+    reclaimed: bool,
+) -> Result<(), TestCaseError> {
+    // Quarantine mode over a table that splits as it fills; reclaim
+    // mode over one that never restructures on its own (`u64::MAX`),
+    // so a final forced compaction brings the tree back to its
+    // empty-map footprint and every byte above it is a leaked record.
+    let f = fabric();
+    let alloc = FarAlloc::new(f.clone());
+    let mut c = f.client();
+    let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
+    let shared = reg.attach(&mut c, &alloc).unwrap();
+    let mut cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
+    if reclaimed {
+        cfg.max_load_percent = u64::MAX;
+    }
+    let mut m: FarBlobMap<H> = if reclaimed {
+        FarBlobMap::create_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap()
+    } else {
+        FarBlobMap::create(&mut c, &alloc, cfg).unwrap()
+    };
+    let empty_map = alloc.stats().live_bytes;
+    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+    // Every hint each key was ever handed, oldest first.
+    let mut hints: HashMap<u64, Vec<RecordHint>> = HashMap::new();
+    let mut all_hints: Vec<RecordHint> = Vec::new();
+    let grace = |c: &mut FabricClient| {
+        let mut r = shared.lock().unwrap();
+        r.seal(c).unwrap();
+        r.reclaim(c).unwrap();
+    };
+    let get = |c: &mut FabricClient, m: &mut FarBlobMap<H>, k: u64, hint| {
+        let mut header = None;
+        let live = |h: &[u64; H]| {
+            header = Some(*h);
+            true
+        };
+        let got = m.get_if(c, k, hint, live).unwrap().flatten();
+        assert_eq!(header, got.as_ref().map(|v| [v.len() as u64; H]), "header of key {k}");
+        got
+    };
+    for (op, k, v, pick) in ops.iter().cloned() {
+        match op {
+            0 => {
+                let (_, hint) = m.put(&mut c, k, [v.len() as u64; H], &v).unwrap();
+                hints.entry(k).or_default().push(hint);
+                all_hints.push(hint);
+                model.insert(k, v);
+            }
+            1 => {
+                let published = m.remove(&mut c, k).unwrap();
+                prop_assert_eq!(published, model.remove(&k).is_some() || !reclaimed);
+            }
+            _ => {
+                let (kind, nth) = (pick % 4, pick as usize / 4);
+                let own = hints.get(&k).map_or(&[][..], |h| h);
+                let hint = match kind {
+                    0 => None,
+                    1 => own.last().copied(),
+                    2 => own.get(nth % own.len().max(1)).copied(),
+                    _ => all_hints.get(nth % all_hints.len().max(1)).copied(),
+                };
+                prop_assert_eq!(get(&mut c, &mut m, k, hint), model.get(&k).cloned());
+            }
+        }
+        if reclaimed && op != 2 {
+            grace(&mut c);
+        }
+    }
+    for (k, v) in &model {
+        let current = hints[k].last().copied();
+        prop_assert_eq!(get(&mut c, &mut m, *k, current).as_ref(), Some(v));
+    }
+    if reclaimed {
+        // Drain, drop every chain, and let the one grace round a
+        // sole client needs return each retired record.
+        for k in 0..48 {
+            prop_assert_eq!(m.remove(&mut c, k).unwrap(), model.contains_key(&k));
+        }
+        let mut h = m.tree().attach_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
+        h.split(&mut c, 0).unwrap();
+        grace(&mut c);
+        prop_assert_eq!(shared.lock().unwrap().stats().limbo_entries(), 0);
+        prop_assert_eq!(alloc.stats().live_bytes, empty_map);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -17,67 +113,16 @@ proptest! {
         ops in prop::collection::vec(
             prop_oneof![
                 (0u64..48, prop::collection::vec(any::<u8>(), 0..600))
-                    .prop_map(|(k, v)| (0u8, k, v)),
-                (0u64..48).prop_map(|k| (1u8, k, Vec::new())),
-                (0u64..48).prop_map(|k| (2u8, k, Vec::new())),
+                    .prop_map(|(k, v)| (0u8, k, v, 0u16)),
+                (0u64..48).prop_map(|k| (1u8, k, Vec::new(), 0u16)),
+                (0u64..48, any::<u16>()).prop_map(|(k, pick)| (2u8, k, Vec::new(), pick)),
             ],
             1..60,
         ),
     ) {
-        // Quarantine mode over a table that splits as it fills; reclaim
-        // mode over one that never restructures on its own (`u64::MAX`),
-        // so a final forced compaction brings the tree back to its
-        // empty-map footprint and every byte above it is a leaked record.
         for reclaimed in [false, true] {
-            let f = fabric();
-            let alloc = FarAlloc::new(f.clone());
-            let mut c = f.client();
-            let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
-            let shared = reg.attach(&mut c, &alloc).unwrap();
-            let mut cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
-            if reclaimed {
-                cfg.max_load_percent = u64::MAX;
-            }
-            let mut m = if reclaimed {
-                FarBlobMap::create_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap()
-            } else {
-                FarBlobMap::create(&mut c, &alloc, cfg).unwrap()
-            };
-            let empty_map = alloc.stats().live_bytes;
-            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-            for (op, k, v) in ops.clone() {
-                match op {
-                    0 => {
-                        m.put_bytes(&mut c, k, &v).unwrap();
-                        model.insert(k, v);
-                    }
-                    1 => {
-                        let published = m.remove(&mut c, k).unwrap();
-                        prop_assert_eq!(published, model.remove(&k).is_some() || !reclaimed);
-                    }
-                    _ => {
-                        prop_assert_eq!(m.get_bytes(&mut c, k).unwrap(), model.get(&k).cloned());
-                    }
-                }
-            }
-            for (k, v) in &model {
-                let got = m.get_bytes(&mut c, *k).unwrap();
-                prop_assert_eq!(got.as_ref(), Some(v));
-            }
-            if reclaimed {
-                // Drain, drop every chain, and let the one grace round a
-                // sole client needs return each retired record.
-                for k in 0..48 {
-                    prop_assert_eq!(m.remove(&mut c, k).unwrap(), model.contains_key(&k));
-                }
-                let mut h = m.tree().attach_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
-                h.split(&mut c, 0).unwrap();
-                let mut r = shared.lock().unwrap();
-                r.seal(&mut c).unwrap();
-                r.reclaim(&mut c).unwrap();
-                prop_assert_eq!(r.stats().limbo_entries(), 0);
-                prop_assert_eq!(alloc.stats().live_bytes, empty_map);
-            }
+            blob_map_run::<0>(&ops, reclaimed)?;
+            blob_map_run::<1>(&ops, reclaimed)?;
         }
     }
 

@@ -267,12 +267,23 @@ proptest! {
     /// after removals, when new keys land in reused slab slots.
     #[test]
     fn recency_index_matches_the_tick_ordered_set(ops in prop::collection::vec(ix_op(), 1..200)) {
+        // Hints are minted by puts only: a pool of distinct ones, so an
+        // entry handing back another entry's hint is a mismatch.
+        let hints: Vec<RecordHint> = {
+            let f = FabricConfig::count_only(1 << 20).build();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c = f.client();
+            let mut m: FarBlobMap =
+                FarBlobMap::create(&mut c, &alloc, HtTreeConfig::default()).unwrap();
+            (0..16).map(|len| m.put(&mut c, len, [], &vec![0; len as usize]).unwrap().1).collect()
+        };
         let mut ix = RecencyIndex::new();
         let mut model = TickLru::default();
         for op in &ops {
             match *op {
                 IxOp::Insert(k, t, charged) => {
-                    let meta = KeyMeta { tenant: TenantId(t), charged };
+                    let hint = hints[charged as usize % hints.len()];
+                    let meta = KeyMeta { tenant: TenantId(t), charged, hint };
                     prop_assert_eq!(ix.insert(k, meta), model.insert(k, meta));
                 }
                 IxOp::Touch(k) => prop_assert_eq!(ix.touch(k), model.touch(k)),
