@@ -48,7 +48,7 @@ pub const RAW_VERBS: &[&str] = &[
 /// identifier is among the arguments.
 pub const STRUCT_VERBS: &[&str] = &[
     "get", "get_under", "get_if", "get_hinted", "insert", "remove", "push", "pop", "enqueue",
-    "dequeue", "put", "put_hinted", "delete", "lookup",
+    "dequeue", "put", "put_hinted", "delete", "lookup", "take",
 ];
 
 /// Batched twins and pipelining entry points: seeing one inside a loop

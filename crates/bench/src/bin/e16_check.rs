@@ -143,7 +143,7 @@ fn assert_gates(suite: &SuiteResult) {
         );
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
-    // the suite: the failover, serving-TTL, record-publish and record-hint
+    // the suite: the failover, serving-TTL, record-publish, record-hint and take
     // mutants, and the programs they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
@@ -153,13 +153,14 @@ fn assert_gates(suite: &SuiteResult) {
         "m13_evict_without_retire",
         "m14_publish_record_after_cas",
         "m15_hint_trusted_without_tree",
+        "m16_take_relinks_stale_head",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
             "mutant {required} is missing from the suite"
         );
     }
-    for required in ["serve_ttl_evict", "httree_publish", "reclaim_hinted_get"] {
+    for required in ["serve_ttl_evict", "httree_publish", "reclaim_hinted_get", "reclaim_take"] {
         assert!(
             suite.programs.iter().any(|p| p.name == required),
             "{required} is missing from the main suite"

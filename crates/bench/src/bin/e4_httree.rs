@@ -17,6 +17,7 @@ use farmem_alloc::FarAlloc;
 use farmem_bench::{BenchArgs, Table};
 use farmem_core::{FarBlobMap, HtTree, HtTreeConfig, RecordHint};
 use farmem_fabric::{CostModel, FabricConfig, Striping};
+use farmem_reclaim::ReclaimRegistry;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -218,6 +219,71 @@ fn main() {
              address: one far access at any size. A stale hint wastes the hinted read —\n\
              a message per stripe it spans, and its bytes — never a round trip. The hint\n\
              is 8 + 4 B of client state per key."
+        );
+    }
+
+    // The mutation price list: the same record layer in reclaim mode (the
+    // mode every deployment runs), one clean chain per measurement.
+    let mut t = Table::new(
+        "E4e: record mutations (FarBlobMap::put / remove, reclaim mode), per op",
+        &["mutation", "far accesses", "messages", "bytes read", "bytes written", "items linked"],
+    );
+    let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
+    let shared = reg.attach(&mut c, &alloc).unwrap();
+    let mut m: FarBlobMap = FarBlobMap::create_reclaimed(&mut c, &alloc, cfg, shared).unwrap();
+    let mut probe = m.tree().attach(&mut c, &alloc, cfg).unwrap();
+    // Keys by bucket: `nth(b, i)` is the i-th key hashing to bucket `b`.
+    let nth = |b: u64, i: usize| (1u64..).filter(|&k| bucket(k) == b).nth(i).unwrap();
+    let (x, x_above) = (nth(0, 0), nth(0, 1));
+    let y = nth(1, 0);
+    let (z, z_above, z_absent) = (nth(2, 0), nth(2, 1), nth(2, 2));
+    let w = nth(3, 0);
+    // One mutation — a store of `small` under `key`, or its removal —
+    // booked as a table row when it has a name (setup stores have none).
+    // Returns its far accesses, the items it linked, and whether the key
+    // held a record before.
+    let mut op = |name: Option<&str>, key: u64, store: bool| {
+        let linked = probe.len_estimate(&mut c).unwrap();
+        let before = c.stats();
+        let held = if store {
+            m.put(&mut c, key, [], &small).unwrap().0
+        } else {
+            m.remove(&mut c, key).unwrap()
+        };
+        let d = c.stats().since(&before);
+        let linked = probe.len_estimate(&mut c).unwrap() - linked;
+        if let Some(name) = name {
+            t.row(vec![
+                name.into(),
+                d.round_trips.to_string(),
+                d.messages.to_string(),
+                d.bytes_read.to_string(),
+                d.bytes_written.to_string(),
+                linked.to_string(),
+            ]);
+        }
+        (d.round_trips, linked, held)
+    };
+    assert_eq!(op(Some("fresh store"), x, true), (2, 1, false));
+    assert_eq!(op(Some("overwrite, old item at the chain head"), x, true), (2, 1, true));
+    op(None, x_above, true);
+    assert_eq!(op(Some("overwrite, old item one hop down"), x, true), (3, 1, true));
+    for key in [y, z, z_above] {
+        op(None, key, true);
+    }
+    assert_eq!(op(Some("take, item at the chain head"), y, false), (2, 1, true));
+    assert_eq!(op(Some("take, item one hop down"), z, false), (3, 1, true));
+    assert_eq!(op(Some("take, absent: empty bucket"), w, false), (1, 0, false));
+    assert_eq!(op(Some("take, absent: under a chain of three"), z_absent, false), (3, 0, false));
+    assert_eq!(op(Some("take, of a removed key"), y, false), (1, 0, false));
+    report.add(t);
+    if args.verbose() {
+        println!(
+            "A remove is a store of a tombstone and costs what a store costs: its first\n\
+             access reads the chain head through the bucket word (with the word itself\n\
+             and the table's version), its second publishes the tombstone — and the\n\
+             walk in between is the lookup, so what it unlinked needs none. A key that\n\
+             is not there is found out in the first access and links nothing."
         );
     }
     report.save();

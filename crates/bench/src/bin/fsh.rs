@@ -76,7 +76,7 @@ impl Shell {
                 "commands:\n",
                 "  put <key> <value>      store into the HT-tree map\n",
                 "  get <key>              look up (ONE far access)\n",
-                "  del <key>              remove\n",
+                "  del <key>              remove; prints the value taken (TWO far accesses)\n",
                 "  scan <lo> <hi>         sorted range scan\n",
                 "  len                    far-side item-count estimate\n",
                 "  bput <key> <text...>   store a blob (the shell keeps its record hint)\n",
@@ -99,8 +99,8 @@ impl Shell {
             }
             ["del", k] => {
                 let k = parse(k)?;
-                self.map.remove(&mut self.client, k)?;
-                format!("ok {}", self.cost_line())
+                let r = self.map.take(&mut self.client, k)?;
+                format!("{r:?} {}", self.cost_line())
             }
             ["scan", lo, hi] => {
                 let r = self.map.scan(&mut self.client, parse(lo)?, parse(hi)?)?;

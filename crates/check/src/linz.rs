@@ -162,6 +162,10 @@ fn apply(state: &State, o: &OpRecord) -> Option<State> {
         (State::Cell(c), Op::Get { .. }, Ret::OptVal(v)) => {
             (v == c).then_some(State::Cell(*c))
         }
+        // A remove that reports whether the key was there.
+        (State::Cell(c), Op::Remove { .. }, Ret::Val(held)) => {
+            ((*held != 0) == c.is_some()).then_some(State::Cell(None))
+        }
         (State::Cell(_), Op::Remove { .. }, _) => Some(State::Cell(None)),
         _ => None,
     }

@@ -969,6 +969,111 @@ fn hint_trusted_without_tree() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// M16 — take relinks a stale head: the tree's removal protocol
+/// (`programs::reclaim_take`) in miniature — a bucket word over a chain
+/// of `{key, value, next}` items, value 0 marking a tombstone — whose
+/// taker, after losing the bucket CAS to a neighbour's put, retries *only
+/// the CAS* against the new head. Its tombstone still points at the head
+/// it read in its first access, so when the retry lands the neighbour's
+/// item is no longer on the chain: a put that was acknowledged vanishes,
+/// and a get invoked after it completed finds nothing. Correct code
+/// starts over from the first access — the tombstone's `next` and the
+/// CAS's expected value must be the same read of the bucket word.
+fn take_relinks_stale_head() -> Mutant {
+    const ITEM: u64 = 24;
+    fn item(key: u64, value: u64, next: u64) -> Vec<u8> {
+        [key, value, next].iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+    let program = Program {
+        name: "m16_take_relinks_stale_head",
+        model: Some(Model::Kv),
+        check_races: false,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let bucket = word(&mut c0, &alloc);
+            let first = alloc.alloc(ITEM, AllocHint::Spread).unwrap();
+            c0.write(first, &item(1, 10, 0)).unwrap();
+            c0.write_u64(bucket, first.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::Put { k: 1, v: 10 }, Ret::Unit);
+            let mut ct = f.client();
+            let tid = ct.id();
+            // The take's first access, taken before the run starts (key 1
+            // heads the chain: no walk to do), so that every schedule is
+            // about what lands between it and the second.
+            let mut head = ct.read_u64(bucket).unwrap();
+            let (ht, alloc_t) = (h.clone(), alloc.clone());
+            let taker: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = ht.invoke(tid, Op::Remove { k: 1 });
+                let tomb = alloc_t.alloc(ITEM, AllocHint::Spread).unwrap();
+                let out = ct
+                    .batch(&[
+                        BatchOp::Write { addr: tomb, data: &item(1, 0, head) },
+                        BatchOp::Cas { addr: bucket, expected: head, new: tomb.0 },
+                    ])
+                    .unwrap();
+                let mut seen = out[1].value();
+                // MUTANT: the lost CAS is retried on its own. Correct code
+                // re-reads the head, walks again and rewrites the
+                // tombstone's `next` before it tries the bucket again.
+                while seen != head {
+                    head = seen;
+                    seen = ct.cas(bucket, head, tomb.0).unwrap();
+                }
+                ht.complete(t, Ret::Val(1));
+            });
+            let mut cp = f.client();
+            let pid = cp.id();
+            let (hp, alloc_p) = (h.clone(), alloc.clone());
+            let putter: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hp.invoke(pid, Op::Put { k: 2, v: 20 });
+                let rec = alloc_p.alloc(ITEM, AllocHint::Spread).unwrap();
+                loop {
+                    let head = cp.read_u64(bucket).unwrap();
+                    let out = cp
+                        .batch(&[
+                            BatchOp::Write { addr: rec, data: &item(2, 20, head) },
+                            BatchOp::Cas { addr: bucket, expected: head, new: rec.0 },
+                        ])
+                        .unwrap();
+                    if out[1].value() == head {
+                        break;
+                    }
+                }
+                hp.complete(t, Ret::Unit);
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let reader: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for _ in 0..2 {
+                    let t = hr.invoke(rid, Op::Get { k: 2 });
+                    let mut at = cr.read_u64(bucket).unwrap();
+                    let mut found = None;
+                    while at != 0 && found.is_none() {
+                        let it = cr.read(FarAddr(at), ITEM).unwrap();
+                        let w = |i: usize| u64::from_le_bytes(it[i * 8..][..8].try_into().unwrap());
+                        found = (w(0) == 2).then(|| w(1));
+                        at = w(2);
+                    }
+                    hr.complete(t, Ret::OptVal(found.filter(|&v| v != 0)));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![pid, tid, rid],
+                bodies: vec![putter, taker, reader],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -987,5 +1092,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         evict_without_retire(),
         publish_record_after_cas(),
         hint_trusted_without_tree(),
+        take_relinks_stale_head(),
     ]
 }

@@ -29,6 +29,10 @@
 //!
 //! [`AccessKind::SpeculativeRead`]: farmem_fabric::AccessKind::SpeculativeRead
 //!
+//! `reclaim_take` puts the tree's removal protocol in the same setting:
+//! a take whose bucket CAS races a neighbour's put, under a hinted reader
+//! of the record being unlinked.
+//!
 //! `reclaim_evict` covers the crashed-client path: a client pins an
 //! epoch and never resyncs again (a crash, as far as the registry can
 //! tell — guard drops are purely client-local), and the reclaimer must
@@ -41,7 +45,7 @@ use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::{
     FarBlobMap, FarMutex, FarQueue, FarRwLock, HtTree, HtTreeConfig, QueueConfig,
 };
-use farmem_fabric::{FabricClient, FabricConfig, FarAddr, FaultPlan};
+use farmem_fabric::{splitmix64, FabricClient, FabricConfig, FarAddr, FaultPlan};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
 use crate::explore::{PreparedRun, Program};
@@ -509,6 +513,130 @@ pub fn reclaim_hinted_get() -> Program {
     }
 }
 
+/// The record layer's remove — [`HtTreeHandle::take`], then the retire —
+/// on a reclaim-mode [`FarBlobMap`] whose three keys share one bucket.
+/// Setup stores `k` and then `above`, so `k`'s item sits one hop below
+/// the chain head. Client A removes `k` and runs grace rounds; client B
+/// stores `neighbour` into the same bucket, so in some schedules its CAS
+/// lands between the take's two accesses and the take must start over;
+/// client C serves `k` through the hint of the record being unlinked,
+/// then looks `neighbour` up. Checked: race-freedom (the record A
+/// retires is freed, and its block reused by B's store, only after C's
+/// guard lets go of it), per-key map linearizability over record
+/// contents with the remove reporting whether the key was there, and
+/// two invariants over the final state: the take and the put both stand
+/// (a take that relinked a stale head would drop the neighbour after any
+/// get the reader made), and `k`'s record was retired exactly once,
+/// however often the take retried.
+///
+/// Values are padded to the record prefetch, as in
+/// [`reclaim_hinted_get`].
+///
+/// [`HtTreeHandle::take`]: farmem_core::HtTreeHandle::take
+pub fn reclaim_take() -> Program {
+    Program {
+        name: "reclaim_take",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 900,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+            // Two buckets, never restructured.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: u64::MAX,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            let attach = || {
+                let mut cl = f.client();
+                let shared = reg.attach(&mut cl, &alloc).unwrap();
+                let map: FarBlobMap =
+                    FarBlobMap::attach_reclaimed(&mut cl, &alloc, tree, cfg, shared.clone()).unwrap();
+                (cl, shared, map)
+            };
+            let padded = |v: u64| {
+                let mut value = vec![0u8; FarBlobMap::<0>::PREFETCHED as usize];
+                value[..8].copy_from_slice(&v.to_le_bytes());
+                value
+            };
+            let unpad = |b: Vec<u8>| u64::from_le_bytes(b[..8].try_into().expect("padded"));
+            // Three keys of one bucket (the tree hashes with `splitmix64`).
+            let mut same_bucket = (1u64..).filter(|&k| splitmix64(k) % 2 == splitmix64(1) % 2);
+            let [k, above, neighbour] = std::array::from_fn(|_| same_bucket.next().unwrap());
+            let (mut ca, sa, mut ma) = attach();
+            let (mut cb, _sb, mut mb) = attach();
+            let (mut cc, _sc, mut mc) = attach();
+            let (aid, bid, cid) = (ca.id(), cb.id(), cc.id());
+            let (_, hint) = ma.put(&mut ca, k, [], &padded(1)).unwrap();
+            ma.put(&mut ca, above, [], &padded(2)).unwrap();
+            h.seed(aid, Op::Put { k, v: 1 }, Ret::Unit);
+            h.seed(aid, Op::Put { k: above, v: 2 }, Ret::Unit);
+            // Bytes the remover retired.
+            let retired = Arc::new(AtomicU64::new(0));
+            let (ha, ra) = (h.clone(), retired.clone());
+            let abody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = ha.invoke(aid, Op::Remove { k });
+                let held = ma.remove(&mut ca, k).unwrap();
+                ha.complete(t, Ret::Val(u64::from(held)));
+                // Few rounds only (no lease eviction): the record is freed
+                // exactly when the other slots really advanced.
+                let mut r = sa.lock().unwrap();
+                r.seal(&mut ca).unwrap();
+                for _ in 0..2 {
+                    if r.reclaim(&mut ca).unwrap() > 0 {
+                        break;
+                    }
+                }
+                ra.store(r.stats().retired_bytes, Ordering::SeqCst);
+            });
+            let hb = h.clone();
+            let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hb.invoke(bid, Op::Put { k: neighbour, v: 3 });
+                mb.put(&mut cb, neighbour, [], &padded(3)).unwrap();
+                hb.complete(t, Ret::Unit);
+            });
+            let hc = h.clone();
+            let cbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for (key, hint) in [(k, Some(hint)), (neighbour, None)] {
+                    let t = hc.invoke(cid, Op::Get { k: key });
+                    let got = mc.get_if(&mut cc, key, hint, |[]| true).unwrap().flatten();
+                    hc.complete(t, Ret::OptVal(got.map(unpad)));
+                }
+            });
+            // After the run: the take and the put it raced both stand —
+            // whenever the reader happened to look — and the record was
+            // retired once.
+            let (mut cz, _sz, mut mz) = attach();
+            let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
+                let left: Vec<Option<u64>> = [k, above, neighbour]
+                    .iter()
+                    .map(|&key| mz.get_bytes(&mut cz, key).unwrap().map(unpad))
+                    .collect();
+                let retired = retired.load(Ordering::SeqCst);
+                if left != [None, Some(2), Some(3)] {
+                    Some(format!("keys [k, above, neighbour] ended as {left:?}"))
+                } else if retired != FarBlobMap::<0>::PREFETCH {
+                    Some(format!("the key's one record: {retired} bytes retired"))
+                } else {
+                    None
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![aid, bid, cid],
+                bodies: vec![abody, bbody, cbody],
+                history: h,
+                finale: Some(finale),
+            }
+        }),
+    }
+}
+
 /// Poison value a reclaimer writes into memory it has freed, standing in
 /// for reuse by an unrelated allocation.
 pub(crate) const POISON: u64 = 0xDEAD_DEAD_DEAD_DEAD;
@@ -835,6 +963,7 @@ pub fn main_programs() -> Vec<Program> {
         httree_split(),
         httree_publish(),
         reclaim_hinted_get(),
+        reclaim_take(),
         reclaim_publish(),
         reclaim_evict(),
         replica_failover(),

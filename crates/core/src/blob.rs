@@ -38,12 +38,14 @@
 //! overwrites and removes retire the superseded record into the limbo
 //! list. An overwrite pays nothing for that — the superseded pointer
 //! comes back from the store and its length from the allocator's books; a
-//! remove pays one lookup ahead of its tombstone, and stops there when
-//! the key is absent. Constraint: a remove racing another mutation of the
-//! **same key** from a different client can retire the same old record
-//! twice (its lookup and its tombstone are separate accesses); the
-//! allocator rejects the loser's double free as `BadFree`. Keep each key
-//! single-writer (or externally serialized) in reclaim mode.
+//! remove is the tree's [`take`](HtTreeHandle::take), whose chain walk
+//! hands back the record its tombstone unlinks — two far accesses, one
+//! when the key is absent. Each unlinked record comes back from exactly
+//! one mutation, the store or remove whose bucket CAS shadowed its item:
+//! two removes racing on one key can both walk to the same item, but the
+//! one that loses the bucket starts over and finds the winner's
+//! tombstone — so keys need not be single-writer for a record to be
+//! retired once.
 
 use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
 use farmem_fabric::{DescList, FabricClient, FarAddr, WORD};
@@ -139,8 +141,7 @@ impl<const H: usize> FarBlobMap<H> {
     }
 
     /// Creates a new blob map whose handles reclaim superseded records
-    /// through `reclaim` (see the module docs for the costs and the
-    /// single-writer-per-key constraint).
+    /// through `reclaim` (see the module docs for the costs).
     pub fn create_reclaimed(
         client: &mut FabricClient,
         alloc: &Arc<FarAlloc>,
@@ -349,23 +350,18 @@ impl<const H: usize> FarBlobMap<H> {
         Ok(out)
     }
 
-    /// Removes `key` and returns whether a tombstone was published.
-    /// Quarantine mode always publishes one and strands the record with
-    /// the arena (two far accesses); reclaim mode looks the record up
-    /// first (one), returns `false` if there is none, and otherwise
-    /// publishes the tombstone and retires the record (three in all).
+    /// Removes `key` and returns whether it held a record — the tree's
+    /// [`take`](HtTreeHandle::take): two far accesses (plus chain hops)
+    /// when it did, one (plus hops) and nothing linked when it did not.
+    /// The record taken is retired in reclaim mode and stranded with the
+    /// arena in quarantine mode.
     pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<bool> {
-        if let Records::Reclaim(_) = self.records {
-            let Some(old) = self.inner.get(client, key)? else {
-                return Ok(false);
-            };
-            self.inner.remove(client, key)?;
-            // lint: retire-ok: the tombstone above unlinked the record;
-            // readers hold epoch guards until grace.
-            self.retire(client, old)?;
-        } else {
-            self.inner.remove(client, key)?;
-        }
+        let Some(old) = self.inner.take(client, key)? else {
+            return Ok(false);
+        };
+        // lint: retire-ok: the tombstone `take` published unlinked the
+        // record; readers hold epoch guards until grace.
+        self.retire(client, old)?;
         Ok(true)
     }
 
@@ -672,11 +668,8 @@ mod tests {
             "overwrite, old item one hop below key {above}"
         );
         assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"under a neighbour");
-        if !reclaimed {
-            return; // quarantine removes are the tree's own two accesses
-        }
-        assert_eq!(rt(&mut c, &mut |c| assert!(m.remove(c, 1).unwrap())), 3, "remove: lookup + tombstone");
-        // A miss stops after the lookup: no tombstone joins the chain.
+        assert_eq!(rt(&mut c, &mut |c| assert!(m.remove(c, 1).unwrap())), 2, "remove: the tree's take");
+        // A miss stops after one access: no tombstone joins the chain.
         let mut probe = m.tree().attach(&mut c, &a, cfg).unwrap();
         let (removes, items) = (m.stats().removes, probe.len_estimate(&mut c).unwrap());
         assert_eq!(rt(&mut c, &mut |c| assert!(!m.remove(c, 1).unwrap())), 1, "remove of a removed key");
@@ -686,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaimed_mutations_cost_two_accesses_plus_hops_and_a_lookup_per_remove() {
+    fn reclaimed_mutations_cost_two_accesses_plus_hops() {
         mutation_costs(true);
     }
 

@@ -30,6 +30,12 @@
 //! record without a lookup of its own. Quarantine-mode handles retire
 //! nothing, so their batch carries only the record.
 //!
+//! A remove is a store of a tombstone at a store's price
+//! ([`HtTreeHandle::take`]): its first access reads the chain's head item
+//! through the bucket word, so the walk that finds the key — and the value
+//! the caller may want to retire — needs no lookup ahead of it, and a key
+//! that is not there costs that one access and links nothing.
+//!
 //! ## Staleness and versioning
 //!
 //! Client caches may go stale. Every hash table has a version, kept in the
@@ -865,7 +871,7 @@ impl HtTreeHandle {
         let _span = client.span("httree.put");
         let _guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        let (overloaded, _) = self.put_record(client, key, value, false, None)?;
+        let (overloaded, _) = self.put_record(client, key, value, None)?;
         if let Some((start_key, version)) = overloaded {
             self.split_if(client, start_key, Some(version))?;
         }
@@ -904,7 +910,7 @@ impl HtTreeHandle {
         let _span = client.span("httree.put");
         let _guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        let (overloaded, old) = self.put_record(client, key, record.0, false, Some(bytes))?;
+        let (overloaded, old) = self.put_record(client, key, record.0, Some(bytes))?;
         if let Some((start_key, version)) = overloaded {
             // Linked: see above for why this error goes no further.
             let _ = self.split_if(client, start_key, Some(version));
@@ -912,15 +918,170 @@ impl HtTreeHandle {
         Ok(old)
     }
 
-    /// Removes `key` by publishing a tombstone record (same cost as
-    /// [`put`](Self::put)).
+    /// Removes `key` ([`take`](Self::take), the value dropped).
     pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<()> {
+        self.take(client, key).map(drop)
+    }
+
+    /// Removes `key` and returns the value it held — the tree's one
+    /// removal protocol. **Two far accesses** for a key at its chain's
+    /// head, one more per hop down to it; **one** (plus hops) for a key
+    /// that is not there — an empty bucket, a chain without it, or its own
+    /// tombstone — which links nothing and leaves the table's counters
+    /// alone.
+    ///
+    /// Far access 1 is one fenced batch: the bucket word, a `load0`
+    /// through it to the chain's head item, and the table's version word
+    /// (a stale version refreshes and retries, as a put's does). The walk
+    /// from that head item finds the value. Far access 2 publishes a
+    /// tombstone whose `next` is the bucket word just read and CASes the
+    /// bucket from that word to it; a lost CAS starts over from access 1.
+    ///
+    /// Why the walk's value is the one the tombstone shadows: under the
+    /// epoch guard pinned here a bucket word never returns to a value it
+    /// has left — an item is linked once and its block is reused only
+    /// after a grace period, a restructure leaves the word on the poison
+    /// record for good — so a CAS that lands on the word read in access 1
+    /// proves the bucket held it the whole time between, the `load0`
+    /// included: the item walked *is* the head the tombstone was linked
+    /// onto, and the chain below a published head is immutable (the
+    /// argument [`publish`](Self::publish) rests on for its head read).
+    /// Until that CAS every other client still finds the key.
+    ///
+    /// On a fabric that refuses the batch's cross-node dereference
+    /// ([`IndirectionMode::Error`](farmem_fabric::IndirectionMode)) the
+    /// refusal names the pointer the home node dereferenced; the head item
+    /// and the version are then gathered at one access more.
+    ///
+    /// `Err` means no tombstone was linked. A tombstone is a record like
+    /// any other, but no remove restructures: the next put into the table
+    /// gathers the same count and decides.
+    pub fn take(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
         let _span = client.span("httree.remove");
         let _guard = self.pin_epoch(client)?;
-        self.stats.removes += 1;
-        // A tombstone never triggers a restructure: the next put into the
-        // table sees the same count and decides.
-        self.put_record(client, key, 0, true, None).map(drop)
+        self.sync_directory(client)?;
+        for attempt in 0..RETRY_BUDGET {
+            let entry = self.entry_for(client, key);
+            let bucket = Self::bucket_addr(&entry, key);
+            let version_at = entry.table_hdr.offset(H_VERSION);
+            let (old_head, first, far_version) = match client.batch(&[
+                BatchOp::Read { addr: bucket, len: WORD },
+                BatchOp::Load0 { ptr: bucket, len: ITEM_LEN },
+                BatchOp::Read { addr: version_at, len: WORD },
+            ]) {
+                Ok(out) => {
+                    let first = match &out[1] {
+                        BatchOut::Bytes(head) => Some(Item::decode(head)),
+                        _ => None, // an empty bucket
+                    };
+                    (word_at(out[0].bytes(), 0), first, word_at(out[2].bytes(), 0))
+                }
+                Err(farmem_fabric::FabricError::IndirectRemote { target, .. }) => {
+                    let gathered = client.rgather(&[
+                        FarIov::new(target, ITEM_LEN),
+                        FarIov::new(version_at, WORD),
+                    ])?;
+                    (target.0, Some(Item::decode(&gathered)), word_at(&gathered, ITEM_LEN))
+                }
+                Err(e) => return Err(e.into()),
+            };
+            if far_version != entry.version {
+                self.refresh_stale(client, far_version, attempt)?;
+                continue;
+            }
+            let Some(first) = first else { return Ok(None) };
+            let value = match self.walk_chain(client, &entry, key, first)? {
+                Walk::Done(Some(value)) => value,
+                Walk::Done(None) => return Ok(None),
+                Walk::Stale => {
+                    self.refresh_stale(client, far_version, attempt)?;
+                    continue;
+                }
+            };
+            let tombstone =
+                Item { key, value: 0, version: entry.version | TOMB_BIT, next: old_head };
+            if self.link(client, &entry, bucket, tombstone, Vec::with_capacity(2))?.is_some() {
+                self.stats.removes += 1;
+                return Ok(Some(value));
+            }
+        }
+        Err(CoreError::Contended)
+    }
+
+    /// A far version word that is not the cached entry's — splitting (0)
+    /// or already retired: refresh the tree before the retry. The splitter
+    /// needs real (host) time to finish before the directory changes, so
+    /// back off in host time too.
+    fn refresh_stale(
+        &mut self,
+        client: &mut FabricClient,
+        far_version: u64,
+        attempt: u32,
+    ) -> Result<()> {
+        self.stats.stale_refreshes += 1;
+        self.refresh_directory(client)?;
+        if far_version == SPLITTING {
+            client.advance_time(1_000);
+        }
+        backoff(attempt);
+        Ok(())
+    }
+
+    /// The second far access of every mutation: one fenced batch that runs
+    /// `ops`, writes `item` into a fresh record and swings `bucket` from
+    /// `item.next` to it (the fabric applies the ops in order, so every
+    /// write lands before the CAS). Returns the batch's outputs once the
+    /// CAS has landed, `None` when it lost the bucket race; an `Err` also
+    /// means the item was not linked.
+    fn link(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        bucket: FarAddr,
+        item: Item,
+        ops: Vec<BatchOp<'_>>,
+    ) -> Result<Option<Vec<BatchOut>>> {
+        let old_head = item.next;
+        let item = item.encode();
+        // Rebound so the ops may borrow `item`, which the caller's cannot.
+        let mut ops: Vec<BatchOp<'_>> = ops;
+        // Reclaim mode publishes records from the shared slab so a later
+        // splitter can free each one individually; quarantine mode bumps
+        // the per-client arena (its records are only ever reclaimed
+        // wholesale, which quarantine never does).
+        let item_addr = if self.reclaim.is_some() {
+            self.alloc.alloc(ITEM_LEN, AllocHint::Spread)?
+        } else {
+            self.arena.alloc(ITEM_LEN)?
+        };
+        ops.push(BatchOp::Write { addr: item_addr, data: &item });
+        ops.push(BatchOp::Cas { addr: bucket, expected: old_head, new: item_addr.0 });
+        let out = match client.batch(&ops) {
+            Ok(out) if out[out.len() - 1].value() == old_head => out,
+            unlinked => {
+                // The CAS lost the bucket race, or never ran (a failed
+                // batch stops at the op that failed). Either way the item
+                // was never published, so reclaim mode frees it eagerly —
+                // no grace period needed for memory nobody can reach —
+                // before the error propagates or the caller retries from
+                // its first access.
+                if self.reclaim.is_some() {
+                    self.alloc.free(item_addr, ITEM_LEN)?;
+                }
+                unlinked?;
+                self.stats.cas_retries += 1;
+                return Ok(None);
+            }
+        };
+        // Background bookkeeping, off the critical path. The counters are
+        // advisory (they only steer split heuristics), so a failed post
+        // after the committed CAS must not turn a landed mutation into an
+        // error.
+        let _ = client.post_faa_u64(entry.table_hdr.offset(H_ITEMS), 1);
+        if old_head != 0 {
+            let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
+        }
+        Ok(Some(out))
     }
 
     /// Publishes one item; with `record`, also writes those bytes at
@@ -932,7 +1093,6 @@ impl HtTreeHandle {
         client: &mut FabricClient,
         key: u64,
         value: u64,
-        tombstone: bool,
         record: Option<&[u8]>,
     ) -> Result<(Overloaded, Option<u64>)> {
         self.sync_directory(client)?;
@@ -942,6 +1102,9 @@ impl HtTreeHandle {
             // Far access 1: gather the bucket pointer and the table header
             // from the version through the item count, in one round trip
             // (two messages).
+            // audit: rt-in-loop-ok: retry loop — every pass is one whole
+            // put (this gather, then `link`'s fenced batch), re-run only
+            // after a stale cache or a lost bucket CAS.
             let gathered = client.rgather(&[
                 FarIov::new(bucket, WORD),
                 FarIov::new(entry.table_hdr.offset(H_VERSION), H_ITEMS + WORD),
@@ -950,34 +1113,14 @@ impl HtTreeHandle {
             let far_version = word_at(&gathered, WORD + H_VERSION);
             let far_items = word_at(&gathered, WORD + H_ITEMS);
             if far_version != entry.version {
-                // Splitting (0) or already retired: refresh and retry.
-                // The splitter needs real (host) time to finish before the
-                // directory changes, so back off in host time too.
-                self.stats.stale_refreshes += 1;
-                self.refresh_directory(client)?;
-                if far_version == SPLITTING {
-                    client.advance_time(1_000);
-                }
-                backoff(attempt);
+                self.refresh_stale(client, far_version, attempt)?;
                 continue;
             }
-            let version = if tombstone { entry.version | TOMB_BIT } else { entry.version };
-            let item = Item { key, value, version, next: old_head }.encode();
-            // Reclaim mode publishes records from the shared slab so a
-            // later splitter can free each one individually; quarantine
-            // mode bumps the per-client arena (its records are only ever
-            // reclaimed wholesale, which quarantine never does).
-            let item_addr = if self.reclaim.is_some() {
-                self.alloc.alloc(ITEM_LEN, AllocHint::Spread)?
-            } else {
-                self.arena.alloc(ITEM_LEN)?
-            };
-            // Far access 2: publish the item and swing the bucket in one
-            // fenced batch (the fabric applies the ops in order, so every
-            // write lands before the CAS). A record store puts the record's
-            // bytes ahead of them and, when somebody will retire what it
-            // supersedes and the bucket has a chain, a read of the chain's
-            // head item — the start of the superseded-value walk.
+            // Far access 2: publish the item and swing the bucket. A
+            // record store puts the record's bytes ahead of them and, when
+            // somebody will retire what it supersedes and the bucket has a
+            // chain, a read of the chain's head item — the start of the
+            // superseded-value walk.
             let head_read = record.is_some() && self.reclaim.is_some() && old_head != 0;
             let mut ops = Vec::with_capacity(4);
             if head_read {
@@ -986,33 +1129,10 @@ impl HtTreeHandle {
             if let Some(data) = record {
                 ops.push(BatchOp::Write { addr: FarAddr(value), data });
             }
-            ops.push(BatchOp::Write { addr: item_addr, data: &item });
-            ops.push(BatchOp::Cas { addr: bucket, expected: old_head, new: item_addr.0 });
-            let out = match client.batch(&ops) {
-                Ok(out) if out[out.len() - 1].value() == old_head => out,
-                unlinked => {
-                    // The CAS lost the bucket race, or never ran (a failed
-                    // batch stops at the op that failed). Either way the
-                    // item was never published, so reclaim mode frees it
-                    // eagerly — no grace period needed for memory nobody
-                    // can reach — before the error propagates or the put
-                    // retries from the version check.
-                    if self.reclaim.is_some() {
-                        self.alloc.free(item_addr, ITEM_LEN)?;
-                    }
-                    unlinked?;
-                    self.stats.cas_retries += 1;
-                    continue;
-                }
+            let item = Item { key, value, version: entry.version, next: old_head };
+            let Some(out) = self.link(client, &entry, bucket, item, ops)? else {
+                continue;
             };
-            // Background bookkeeping, off the critical path. The counters
-            // are advisory (they only steer split heuristics), so a failed
-            // post after the committed CAS must not turn a successful put
-            // into an error.
-            let _ = client.post_faa_u64(entry.table_hdr.offset(H_ITEMS), 1);
-            if old_head != 0 {
-                let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
-            }
             // The CAS landed on `old_head`, so the head item read in the
             // batch is the chain this item now shadows, and the first item
             // for `key` on it is what the store superseded.
@@ -1776,12 +1896,12 @@ mod tests {
         let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
         let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
         for k in 0..6u64 {
-            assert_eq!(h1.put_record(&mut c1, k, k, false, None).unwrap().0, None, "put {k}");
+            assert_eq!(h1.put_record(&mut c1, k, k, None).unwrap().0, None, "put {k}");
         }
         // Both clients land a record before either restructures: both are
         // told the table (start key 0, version 1) is overloaded.
-        assert_eq!(h1.put_record(&mut c1, 6, 6, false, None).unwrap().0, Some((0, 1)));
-        assert_eq!(h2.put_record(&mut c2, 7, 7, false, None).unwrap().0, Some((0, 1)));
+        assert_eq!(h1.put_record(&mut c1, 6, 6, None).unwrap().0, Some((0, 1)));
+        assert_eq!(h2.put_record(&mut c2, 7, 7, None).unwrap().0, Some((0, 1)));
         h1.split_if(&mut c1, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h1), 1);
         // The second finds a newer version under the tree mutex and leaves:
@@ -1810,19 +1930,246 @@ mod tests {
         for k in 0..6u64 {
             h.put(&mut c, k, k).unwrap();
         }
-        // Tombstones are records too: these carry the table far past its
-        // threshold, two far accesses each, and none restructures it.
-        let before = c.stats();
+        // Tombstones are records too: the six that land carry the table
+        // past its threshold, two far accesses (plus hops) each, and none
+        // restructures it; the other 34 removes find their key's own
+        // tombstone in one (plus hops) and link nothing.
+        let (before, hops) = (c.stats(), h.stats().chain_hops);
         for k in 0..40u64 {
             h.remove(&mut c, k % 6).unwrap();
         }
-        assert_eq!(c.stats().since(&before).round_trips, 80);
+        let hops = h.stats().chain_hops - hops;
+        assert_eq!(c.stats().since(&before).round_trips, 6 * 2 + 34 + hops);
+        assert_eq!((h.stats().removes, h.len_estimate(&mut c).unwrap()), (6, 12));
         assert_eq!(restructures(&h), 0);
         // The next put sees the count and does.
         h.put(&mut c, 0, 1).unwrap();
         assert_eq!(restructures(&h), 1);
         assert_eq!(h.get(&mut c, 0).unwrap(), Some(1));
         assert_eq!(h.get(&mut c, 1).unwrap(), None);
+    }
+
+    /// `take`'s price list, both modes: what each shape of removal books —
+    /// whole `AccessStats` deltas, so messages and bytes are pinned beside
+    /// the round trips — and what it links.
+    #[test]
+    fn take_costs_two_far_accesses_plus_hops_and_one_when_the_key_is_absent() {
+        use farmem_fabric::AccessStats;
+        for reclaim in [false, true] {
+            let f = FabricConfig::count_only(64 << 20).build();
+            let a = FarAlloc::new(f.clone());
+            let mut c = f.client();
+            let cfg = HtTreeConfig {
+                initial_buckets: 64,
+                max_load_percent: u64::MAX,
+                ..HtTreeConfig::default()
+            };
+            let (mut h, _shared) = if reclaim {
+                let (_, h, shared) = reclaimed(&mut c, &a, cfg);
+                (h, Some(shared))
+            } else {
+                (HtTree::create(&mut c, &a, cfg).unwrap().attach(&mut c, &a, cfg).unwrap(), None)
+            };
+            // Three keys of one bucket, two of another, one of a third.
+            let entry = h.entry_for(&mut c, 0);
+            let sharing = |with: u64, n: usize| -> Vec<u64> {
+                let bucket = HtTreeHandle::bucket_addr(&entry, with);
+                (with..).filter(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).take(n).collect()
+            };
+            let [below, head, foreign] = sharing(0, 3)[..] else { unreachable!() };
+            let bucket = |k| HtTreeHandle::bucket_addr(&entry, k);
+            let other = (1u64..).find(|&k| bucket(k) != bucket(0)).unwrap();
+            let [under, over] = sharing(other, 2)[..] else { unreachable!() };
+            let empty =
+                (1u64..).find(|&k| bucket(k) != bucket(0) && bucket(k) != bucket(other)).unwrap();
+            for (k, v) in [(below, 10), (head, 20), (under, 30), (over, 40)] {
+                h.put(&mut c, k, v).unwrap();
+            }
+            let mut take = |c: &mut FabricClient, key| {
+                let (live, linked) = (a.stats().live_bytes, h.len_estimate(c).unwrap());
+                let before = c.stats();
+                let got = h.take(c, key).unwrap();
+                let d = c.stats().since(&before);
+                let linked = h.len_estimate(c).unwrap() - linked;
+                if got.is_none() {
+                    assert_eq!(a.stats().live_bytes, live, "key {key}: nothing allocated");
+                }
+                // The cached tree's traversal is local and the same every time.
+                assert_eq!(d.near_accesses, 2);
+                (got, linked, AccessStats { near_accesses: 0, ..d })
+            };
+            // Access 1 is three messages — bucket word, head item through
+            // it, version word; a hop is one item read; a landed tombstone
+            // is the item write, the CAS and the two posted counter bumps.
+            let books = |hops: u64, landed: bool| {
+                let tombstone = u64::from(landed);
+                AccessStats {
+                    round_trips: 1 + hops + tombstone,
+                    messages: 3 + hops + 4 * tombstone,
+                    posted_messages: 2 * tombstone,
+                    bytes_read: WORD + ITEM_LEN + WORD + hops * ITEM_LEN,
+                    bytes_written: ITEM_LEN * tombstone,
+                    atomics: 3 * tombstone,
+                    ..AccessStats::default()
+                }
+            };
+            assert_eq!(take(&mut c, foreign), (None, 0, books(1, false)), "absent under a chain");
+            assert_eq!(take(&mut c, head), (Some(20), 1, books(0, true)), "at the chain head");
+            assert_eq!(take(&mut c, head), (None, 0, books(0, false)), "its own tombstone");
+            assert_eq!(take(&mut c, under), (Some(30), 1, books(1, true)), "one hop down");
+            let nothing_there = AccessStats { bytes_read: 2 * WORD, ..books(0, false) };
+            assert_eq!(take(&mut c, empty), (None, 0, nothing_there), "an empty bucket");
+            assert_eq!(h.stats().removes, 2, "landed tombstones only");
+            assert_eq!(h.get(&mut c, below).unwrap(), Some(10));
+            assert_eq!(h.get(&mut c, over).unwrap(), Some(40));
+        }
+    }
+
+    /// Parks one client at the top of its `nth` verb until the test has
+    /// run another client's operation in the gap.
+    struct HoldAt {
+        client: u32,
+        nth: u32,
+        seen: std::sync::atomic::AtomicU32,
+        gap: std::sync::Barrier,
+    }
+
+    impl farmem_fabric::CheckObserver for HoldAt {
+        fn gate(&self, client: u32) {
+            let seen = &self.seen;
+            if client == self.client
+                && seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 == self.nth
+            {
+                self.gap.wait(); // parked
+                self.gap.wait(); // released
+            }
+        }
+    }
+
+    #[test]
+    fn a_take_whose_cas_loses_to_a_neighbours_put_retries_and_loses_neither() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let (mut ca, mut cb) = (f.client(), f.client());
+        let cfg = HtTreeConfig {
+            initial_buckets: 2,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let t = HtTree::create(&mut ca, &a, cfg).unwrap();
+        let mut ha = t.attach(&mut ca, &a, cfg).unwrap();
+        let mut hb = t.attach(&mut cb, &a, cfg).unwrap();
+        let entry = ha.entry_for(&mut ca, 0);
+        let bucket = HtTreeHandle::bucket_addr(&entry, 0);
+        let neighbour = (1u64..).find(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).unwrap();
+        ha.put(&mut ca, 0, 70).unwrap();
+        // The taker has read the chain head and is about to publish its
+        // tombstone (its second verb) when the neighbour's put lands.
+        let hold = Arc::new(HoldAt {
+            client: ca.id(),
+            nth: 2,
+            seen: Default::default(),
+            gap: std::sync::Barrier::new(2),
+        });
+        f.install_check_observer(hold.clone());
+        let before = ca.stats();
+        let taken = std::thread::scope(|s| {
+            let taker = s.spawn(|| ha.take(&mut ca, 0));
+            hold.gap.wait();
+            hb.put(&mut cb, neighbour, 71).unwrap();
+            hold.gap.wait();
+            taker.join().unwrap()
+        });
+        f.clear_check_observer();
+        assert_eq!(taken.unwrap(), Some(70));
+        assert_eq!((ha.stats().cas_retries, ha.stats().removes), (1, 1));
+        // Two accesses lost, then two more and the hop past the neighbour.
+        assert_eq!(ca.stats().since(&before).round_trips, 2 + 3);
+        assert_eq!(hb.get(&mut cb, neighbour).unwrap(), Some(71), "the put survived the retry");
+        assert_eq!(hb.get(&mut cb, 0).unwrap(), None, "and so did the take");
+        assert_eq!(hb.take(&mut cb, neighbour).unwrap(), Some(71));
+    }
+
+    /// Two takes of one key both walk to the same item, and the bucket CAS
+    /// hands its value to exactly one of them: the loser starts over and
+    /// finds the winner's tombstone. (What lets the record layer retire
+    /// what `take` returns without asking who else is removing the key.)
+    #[test]
+    fn racing_takes_of_one_key_hand_its_value_to_one_of_them() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let (mut ca, mut cb) = (f.client(), f.client());
+        let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
+        let t = HtTree::create(&mut ca, &a, cfg).unwrap();
+        let mut ha = t.attach(&mut ca, &a, cfg).unwrap();
+        let mut hb = t.attach(&mut cb, &a, cfg).unwrap();
+        ha.put(&mut ca, 7, 70).unwrap();
+        let hold = Arc::new(HoldAt {
+            client: ca.id(),
+            nth: 2,
+            seen: Default::default(),
+            gap: std::sync::Barrier::new(2),
+        });
+        f.install_check_observer(hold.clone());
+        let (first, second) = std::thread::scope(|s| {
+            let parked = s.spawn(|| ha.take(&mut ca, 7));
+            hold.gap.wait();
+            let second = hb.take(&mut cb, 7);
+            hold.gap.wait();
+            (parked.join().unwrap(), second)
+        });
+        f.clear_check_observer();
+        assert_eq!((first.unwrap(), second.unwrap()), (None, Some(70)));
+        assert_eq!((ha.stats().cas_retries, ha.stats().removes), (1, 0));
+        assert_eq!(hb.len_estimate(&mut cb).unwrap(), 2, "one item, one tombstone");
+    }
+
+    /// A fabric that refuses cross-node dereferences names the pointer it
+    /// read; `take` gathers the head item and the version itself — the
+    /// same answers at one access more, only where the chain head lives
+    /// off the bucket's node.
+    #[test]
+    fn take_on_an_indirection_error_fabric_pays_one_access_for_a_remote_head() {
+        let f = FabricConfig {
+            nodes: 2,
+            indirection: farmem_fabric::IndirectionMode::Error,
+            ..FabricConfig::count_only(64 << 20)
+        }
+        .build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let cfg = HtTreeConfig {
+            initial_buckets: 4096,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        // Reclaim mode: item records come from the slab, spread over both nodes.
+        let (_, mut h, _shared) = reclaimed(&mut c, &a, cfg);
+        let keys: Vec<u64> = (0..32u64).map(|k| k * 7919).collect();
+        for &k in &keys {
+            h.put(&mut c, k, k + 1).unwrap();
+        }
+        let entry = h.entry_for(&mut c, 0);
+        let mut seen = [0u32; 2];
+        for &k in &keys {
+            for want in [Some(k + 1), None] {
+                let bucket = HtTreeHandle::bucket_addr(&entry, k);
+                let head = FarAddr(c.read_u64(bucket).unwrap());
+                let remote = a.node_of(bucket) != a.node_of(head);
+                seen[usize::from(remote)] += 1;
+                let before = c.stats();
+                assert_eq!(h.take(&mut c, k).unwrap(), want, "key {k}");
+                let landed = u64::from(want.is_some());
+                let rt = c.stats().since(&before).round_trips;
+                assert_eq!(rt, 1 + u64::from(remote) + landed, "key {k}, {want:?}");
+            }
+            assert_eq!(h.get(&mut c, k).unwrap(), None);
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "local and remote heads: {seen:?}");
+        assert_eq!(h.stats().chain_hops, 0, "unique buckets");
+        let before = c.stats();
+        assert_eq!(h.take(&mut c, 1).unwrap(), None);
+        assert_eq!(c.stats().since(&before).round_trips, 1, "an empty bucket refuses nothing");
     }
 
     #[test]

@@ -938,15 +938,15 @@ mod tests {
         assert_eq!(get(&mut c, &mut w, 2), miss);
         assert_eq!(get(&mut c, &mut w, 5), hit(&[5u8; 100]));
         // Expiry: found through the hint, judged on the speculated header,
-        // unlinked and retired as through the plain path (a lookup and a
-        // tombstone: 1 + 1 + 2 accesses) — and then it is a plain miss.
+        // unlinked and retired as through the plain path (the tree's take:
+        // 1 + 2 accesses) — and then it is a plain miss.
         w.put(&mut c, t, 6, &[6u8; 100], Some(10_000)).unwrap();
         let past_ttl = c.now_ns() + 20_000;
         while c.now_ns() < past_ttl {
             c.read_u64(farmem_fabric::FarAddr(4096)).unwrap();
         }
         let (resp, round_trips, ..) = get(&mut c, &mut w, 6);
-        assert_eq!((resp, round_trips), (Response::Miss, 4));
+        assert_eq!((resp, round_trips), (Response::Miss, 3));
         assert_eq!(w.stats().expired_unlinked, 1);
         assert_eq!(server.tenant_stats()[t.0 as usize].1.expired, 1);
         assert_eq!(get(&mut c, &mut w, 6), miss);

@@ -16,9 +16,10 @@
 //! `FarAlloc::class_stats` audits. Every unlink (overwrite, delete,
 //! expiry, eviction) retires the old record into the reclaim limbo list;
 //! it stays readable by concurrent epoch guards until grace elapses, and
-//! only then returns to the allocator. Mutations of one key must stay
-//! single-writer (the server guarantees this by routing each key to one
-//! owning worker).
+//! only then returns to the allocator. The server routes each key to one
+//! owning worker: not so that a record is retired once (the tree's `take`
+//! and `publish` settle that in the bucket CAS), but because the worker's
+//! index and hint describe a key only while nobody else mutates it.
 
 use farmem_alloc::{rounded_len, FarAlloc};
 use farmem_core::{FarBlobMap, HtTree, HtTreeConfig, RecordHint};
@@ -169,9 +170,9 @@ impl RecordStore {
         Ok(found.into_iter().map(GetOutcome::of).collect())
     }
 
-    /// Unlinks the key and retires its record: a lookup, then — only if
-    /// it found a record — the tombstone. Returns whether a record
-    /// existed.
+    /// Unlinks the key and retires its record ([`FarBlobMap::remove`], the
+    /// tree's `take`): two far accesses plus chain hops — one, and nothing
+    /// linked, when there is no record. Returns whether a record existed.
     pub fn remove(&mut self, client: &mut FabricClient, nskey: u64) -> Result<bool> {
         Ok(self.records.remove(client, nskey)?)
     }
@@ -231,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn mutations_cost_two_accesses_plus_hops_and_a_lookup_per_remove() {
+    fn mutations_cost_two_accesses_plus_hops() {
         let (f, a) = setup();
         let mut c = f.client();
         let reg = ReclaimRegistry::create(&mut c, &a, 8).unwrap();
@@ -267,8 +268,8 @@ mod tests {
             "overwrite, old item one hop below key {above}"
         );
         assert_eq!(s.get(&mut c, 1, 0).unwrap(), GetOutcome::Hit(b"under a neighbour".to_vec()));
-        assert_eq!(rt(&mut c, &mut |c| assert!(s.remove(c, 1).unwrap())), 3, "lookup + tombstone");
-        // A miss stops after the lookup: no tombstone joins the chain.
+        assert_eq!(rt(&mut c, &mut |c| assert!(s.remove(c, 1).unwrap())), 2, "the tree's take");
+        // A miss stops after one access: no tombstone joins the chain.
         let mut probe = tree.attach(&mut c, &a, cfg).unwrap();
         let (removes, items) = (s.tree_stats().removes, probe.len_estimate(&mut c).unwrap());
         assert_eq!(rt(&mut c, &mut |c| assert!(!s.remove(c, 1).unwrap())), 1, "removed key");

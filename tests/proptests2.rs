@@ -67,8 +67,8 @@ fn blob_map_run<const H: usize>(
                 model.insert(k, v);
             }
             1 => {
-                let published = m.remove(&mut c, k).unwrap();
-                prop_assert_eq!(published, model.remove(&k).is_some() || !reclaimed);
+                let held = m.remove(&mut c, k).unwrap();
+                prop_assert_eq!(held, model.remove(&k).is_some());
             }
             _ => {
                 let (kind, nth) = (pick % 4, pick as usize / 4);
