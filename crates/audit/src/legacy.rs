@@ -156,16 +156,21 @@ fn far_addr(path: &str, v: &LintView, out: &mut Vec<Finding>) {
     }
 }
 
-/// Every `retire(x)` call sits in a guard scope: a `pin(`/`Guard`
-/// within the preceding 80 *code* lines, or an explicit
-/// `lint: retire-ok` justification within 10 lines.
+/// Every `retire(x)` / `retire_restructure(x)` call sits in a guard
+/// scope: a `pin(`/`Guard` within the preceding 80 *code* lines, or an
+/// explicit `lint: retire-ok` justification within 10 lines.
 fn retire_guard(path: &str, v: &LintView, out: &mut Vec<Finding>) {
     for i in 0..v.len() {
         let line = v.code(i);
         // `.retire(x` with an argument; `.retire()` is Arena's
         // unrelated whole-arena teardown.
-        let Some(pos) = line.find(".retire(") else { continue };
-        if line[pos + ".retire(".len()..].starts_with(')') {
+        let Some(args) = [".retire(", ".retire_restructure("]
+            .iter()
+            .find_map(|call| line.find(call).map(|pos| &line[pos + call.len()..]))
+        else {
+            continue;
+        };
+        if args.starts_with(')') {
             continue;
         }
         let marker = (i.saturating_sub(10)..=i).any(|j| v.raw(j).contains("lint: retire-ok"));
@@ -367,6 +372,12 @@ let ok = FarAddr(stored);
 
         let marked = "// lint: retire-ok: teardown after quiesce\nh.retire(client, addr, len)?;\n";
         assert!(run("crates/core/src/x.rs", marked).is_empty());
+
+        // The restructure retire is held to the same rule.
+        let restructure = "h.retire_restructure(client, addr, len)?;\n";
+        assert_eq!(run("crates/core/src/x.rs", restructure).len(), 1);
+        let guarded = "let guard = pin(&shared, client)?;\nh.retire_restructure(client, a, n)?;\n";
+        assert!(run("crates/core/src/x.rs", guarded).is_empty());
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * **reclaim off** — `live_bytes` grows monotonically, window after
 //!   window, with no bound;
 //! * the **price** is quantified as extra round trips per operation
-//!   (the re-pin and directory refresh each client pays after a sealed
-//!   epoch, the chain hops of an overwrite down to the record it
-//!   supersedes, seals and grace-detection rounds; an overwrite of a
-//!   chain's head and a remove learn what they unlinked from their own
-//!   two accesses).
+//!   (the slot CAS each client pays after a sealed epoch and the
+//!   directory refresh it adds after a sealed *restructure*, the chain
+//!   hops of an overwrite down to the record it supersedes, seals and
+//!   grace-detection rounds; an overwrite of a chain's head and a remove
+//!   learn what they unlinked from their own two accesses).
 //!
 //! Three more phases assert the subsystem end to end: a crashed client is
 //! evicted after its lease and reclamation resumes; a retired queue's
@@ -70,6 +70,8 @@ struct ChurnRun {
     stats: AccessStats,
     retired_bytes: u64,
     reclaimed_bytes: u64,
+    /// Seals that also moved the restructure generation (a split's).
+    restructures: u64,
     /// Removes and gets issued, and how many of each found their key.
     removes: (u64, u64),
     gets: (u64, u64),
@@ -158,12 +160,13 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> Chur
     for i in 0..CLIENTS {
         stats.merge(&c[i].stats().since(&before[i]));
     }
-    let (mut retired, mut reclaimed) = (0u64, 0u64);
+    let (mut retired, mut reclaimed, mut restructures) = (0u64, 0u64, 0u64);
     if let Some(s) = &shared {
         for sh in s {
             let st = sh.lock().unwrap().stats();
             retired += st.retired_bytes;
             reclaimed += st.reclaimed_bytes;
+            restructures += st.restructures;
         }
     }
     ChurnRun {
@@ -172,6 +175,7 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> Chur
         stats,
         retired_bytes: retired,
         reclaimed_bytes: reclaimed,
+        restructures,
         removes,
         gets,
     }
@@ -363,6 +367,7 @@ fn main() {
     t.row(vec!["retired bytes (on)".into(), format!("{}", on.retired_bytes)]);
     t.row(vec!["reclaimed bytes (on)".into(), format!("{}", on.reclaimed_bytes)]);
     t.row(vec!["final epoch (on)".into(), format!("{final_epoch}")]);
+    t.row(vec!["restructure generations (on)".into(), format!("{}", on.restructures)]);
     t.row(vec!["crash: rounds to evict+free".into(), format!("{crash_rounds}")]);
     t.row(vec!["crash: evictions".into(), format!("{evictions}")]);
     t.row(vec!["crash: bytes freed after eviction".into(), format!("{crash_freed}")]);
@@ -376,20 +381,25 @@ fn main() {
         "\nBounded vs unbounded: with reclamation on, the footprint plateaus at\n\
          {:.1} KiB (peak, post-warmup) across {windows} windows and {} epochs; with it\n\
          off, the same churn leaks to {:.1} KiB and every window grows. The price\n\
-         is {extra_rt:.3} extra round trips per operation, nearly all of it the re-pin\n\
-         and directory refresh (five far accesses) each client pays at its first\n\
-         operation after a sealed epoch — 16-bucket tables restructure every ten\n\
-         operations or so; the rest is an overwrite's chain hops down to the\n\
-         record it supersedes, one FAA per seal and the grace-detection rounds.\n\
-         A remove is the same two far accesses in both modes, one when its key\n\
-         is absent ({} of {} removes and {} of {} gets found theirs). A crashed\n\
-         client stalls reclamation only until its {} ms lease expires\n\
+         is {extra_rt:.3} extra round trips per operation, most of it what a\n\
+         sealed split costs: {} of the {} seals retired a table (16-bucket\n\
+         tables restructure every ten operations or so), and each costs every\n\
+         client the slot CAS at its next pin plus a three-access directory\n\
+         refresh. A seal of retired records alone costs the CAS only, and no\n\
+         pin reads the epoch word: the notification carries it. The rest is an\n\
+         overwrite's chain hops down to the record it supersedes, one FAA per\n\
+         seal and the grace-detection rounds. A remove is the same two far\n\
+         accesses in both modes, one when its key is absent\n\
+         ({} of {} removes and {} of {} gets found theirs). A crashed client\n\
+         stalls reclamation only until its {} ms lease expires\n\
          ({crash_rounds} detection rounds), a retired queue returns its memory exactly,\n\
          and the traced run reconciles field-for-field including the reclaim\n\
          counters.\n",
         peak as f64 / 1024.0,
         final_epoch,
         off_final as f64 / 1024.0,
+        on.restructures,
+        final_epoch - 1,
         on.removes.1,
         on.removes.0,
         on.gets.1,

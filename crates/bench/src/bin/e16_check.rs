@@ -143,8 +143,8 @@ fn assert_gates(suite: &SuiteResult) {
         );
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
-    // the suite: the failover, serving-TTL, record-publish, record-hint and take
-    // mutants, and the programs they break, are required by name.
+    // the suite: the failover, serving-TTL, record-publish, record-hint, take
+    // and split-retire mutants, and the programs they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -154,13 +154,16 @@ fn assert_gates(suite: &SuiteResult) {
         "m14_publish_record_after_cas",
         "m15_hint_trusted_without_tree",
         "m16_take_relinks_stale_head",
+        "m17_restructure_sealed_as_record",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
             "mutant {required} is missing from the suite"
         );
     }
-    for required in ["serve_ttl_evict", "httree_publish", "reclaim_hinted_get", "reclaim_take"] {
+    for required in
+        ["serve_ttl_evict", "httree_publish", "reclaim_hinted_get", "reclaim_take", "reclaim_split"]
+    {
         assert!(
             suite.programs.iter().any(|p| p.name == required),
             "{required} is missing from the main suite"

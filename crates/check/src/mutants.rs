@@ -1074,6 +1074,89 @@ fn take_relinks_stale_head() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// M17 — a restructure sealed as a record retire: the split of
+/// `programs::reclaim_split` in miniature — a directory word naming a
+/// one-word table, a reader that caches the table pointer and re-reads
+/// the directory only when its pin reports a new restructure generation.
+/// The splitter copies the table, swings the directory and retires the
+/// old table through the *plain* `retire`, so the seal moves the epoch
+/// but not the generation: the reader's pin publishes the new epoch —
+/// which lets grace free the old table — without refreshing, and its
+/// next get reads the block after the splitter reused it. Correct code
+/// retires the table with `retire_restructure`, whose seal bumps the
+/// generation and makes that same pin refresh first.
+fn restructure_sealed_as_record() -> Mutant {
+    let program = Program {
+        name: "m17_restructure_sealed_as_record",
+        model: Some(Model::Register { init: 1 }),
+        check_races: false,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+            let dir = word(&mut c0, &alloc);
+            let old = word(&mut c0, &alloc);
+            c0.write_u64(old, 1).unwrap();
+            c0.write_u64(dir, old.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![1] }, Ret::Unit);
+            // The reader attaches and caches the table before the split.
+            let mut cr = f.client();
+            let rid = cr.id();
+            let sr = reg.attach(&mut cr, &alloc).unwrap();
+            let mut seen = pin(&sr, &mut cr).unwrap().generation();
+            let mut table = FarAddr(cr.read_u64(dir).unwrap());
+            // The split, before the run starts: copy, swing, retire, seal.
+            let mut cs = f.client();
+            let sid = cs.id();
+            let ss = reg.attach(&mut cs, &alloc).unwrap();
+            let new = alloc.alloc(8, AllocHint::Spread).unwrap();
+            cs.write_u64(new, 1).unwrap();
+            assert_eq!(cs.cas(dir, old.0, new.0).unwrap(), old.0);
+            {
+                let mut r = ss.lock().unwrap();
+                // MUTANT: the old table goes through the record retire.
+                // lint: retire-ok: mutation under test — the directory CAS above unlinked it
+                r.retire(&mut cs, old, 8).unwrap();
+                r.seal(&mut cs).unwrap();
+            }
+            let splitter: Box<dyn FnOnce() + Send> = Box::new(move || {
+                // A few grace rounds (no lease eviction), then reuse.
+                for _ in 0..3 {
+                    if ss.lock().unwrap().reclaim(&mut cs).unwrap() > 0 {
+                        cs.write_u64(old, crate::programs::POISON).unwrap();
+                        return;
+                    }
+                }
+            });
+            let hr = h.clone();
+            let reader: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for _ in 0..2 {
+                    let t = hr.invoke(rid, Op::RegRead { part: 0 });
+                    let g = pin(&sr, &mut cr).unwrap();
+                    if g.generation() != seen {
+                        table = FarAddr(cr.read_u64(dir).unwrap());
+                        seen = g.generation();
+                    }
+                    let v = cr.read_u64(table).unwrap();
+                    drop(g);
+                    hr.complete(t, Ret::Vals(vec![v]));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![sid, rid],
+                bodies: vec![splitter, reader],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1093,5 +1176,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         publish_record_after_cas(),
         hint_trusted_without_tree(),
         take_relinks_stale_head(),
+        restructure_sealed_as_record(),
     ]
 }

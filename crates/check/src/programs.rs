@@ -33,6 +33,11 @@
 //! a take whose bucket CAS races a neighbour's put, under a hinted reader
 //! of the record being unlinked.
 //!
+//! `reclaim_split` restructures a tree under a client that cached it
+//! before the split: the old table may be freed and reused only after
+//! that client's pin reported the split's restructure generation and it
+//! refreshed its directory.
+//!
 //! `reclaim_evict` covers the crashed-client path: a client pins an
 //! epoch and never resyncs again (a crash, as far as the registry can
 //! tell — guard drops are purely client-local), and the reclaimer must
@@ -637,6 +642,103 @@ pub fn reclaim_take() -> Program {
     }
 }
 
+/// A reclaim-mode tree restructured under a client that cached it. In
+/// setup, client B attaches and reads (its slot and its cached directory
+/// predate everything below), then client A's puts split the two-bucket
+/// table — the split retires the old table, its chain items and the old
+/// directory as a restructure and seals them. The run starts there, so
+/// every schedule is about what B's first pin after the split learns and
+/// what A may free meanwhile: A runs grace rounds until the old blocks
+/// are freed, then reuses them (allocates blocks of every size the split
+/// retired and fills them with `POISON`); B gets and puts keys on both
+/// sides of the split. Checked: race-freedom — A can free only after B's
+/// slot moved past the seal, and B's pin that moved it reported the new
+/// generation, so B refreshed its directory before it could touch an old
+/// block A is rewriting — and per-key map linearizability. A split that
+/// sealed its retires as records (`m17_restructure_sealed_as_record`)
+/// moves B's epoch but not its generation, and B reads the reused
+/// blocks.
+pub fn reclaim_split() -> Program {
+    Program {
+        name: "reclaim_split",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 700,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+            // Splits past three items a table: A's fourth put, and no put
+            // of the run.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: 150,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            let attach = || {
+                let mut cl = f.client();
+                let shared = reg.attach(&mut cl, &alloc).unwrap();
+                let ht = tree.attach_reclaimed(&mut cl, &alloc, cfg, shared.clone()).unwrap();
+                (cl, shared, ht)
+            };
+            let (mut cb, _sb, mut hb) = attach();
+            let (mut ca, sa, mut ha) = attach();
+            let (aid, bid) = (ca.id(), cb.id());
+            assert_eq!(hb.get(&mut cb, 1).unwrap(), None);
+            for k in 1..=4u64 {
+                ha.put(&mut ca, k, k + 100).unwrap();
+                h.seed(aid, Op::Put { k, v: k + 100 }, Ret::Unit);
+            }
+            assert_eq!(ha.stats().splits, 1, "setup splits the table once");
+            let alloc_a = alloc.clone();
+            let abody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                // Few rounds only (no lease eviction): the old blocks are
+                // freed exactly when B's slot really advanced.
+                let mut freed = 0;
+                for _ in 0..3 {
+                    freed = sa.lock().unwrap().reclaim(&mut ca).unwrap();
+                    if freed > 0 {
+                        break;
+                    }
+                }
+                if freed == 0 {
+                    return;
+                }
+                // Reuse: the allocator hands freed blocks out again first.
+                for len in [16u64, 32, 32, 32, 32, 64, 64] {
+                    let block = alloc_a.alloc(len, AllocHint::Spread).unwrap();
+                    let poison: Vec<u8> =
+                        (0..len / 8).flat_map(|_| POISON.to_le_bytes()).collect();
+                    ca.write(block, &poison).unwrap();
+                }
+            });
+            let hb2 = h.clone();
+            let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let ops = [Op::Get { k: 1 }, Op::Put { k: 9, v: 90 }, Op::Get { k: 4 }, Op::Get { k: 9 }];
+                for op in ops {
+                    let t = hb2.invoke(bid, op.clone());
+                    let ret = match op {
+                        Op::Get { k } => Ret::OptVal(hb.get(&mut cb, k).unwrap()),
+                        Op::Put { k, v } => hb.put(&mut cb, k, v).map(|()| Ret::Unit).unwrap(),
+                        _ => unreachable!(),
+                    };
+                    hb2.complete(t, ret);
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![aid, bid],
+                bodies: vec![abody, bbody],
+                history: h,
+                finale: None,
+            }
+        }),
+    }
+}
+
 /// Poison value a reclaimer writes into memory it has freed, standing in
 /// for reuse by an unrelated allocation.
 pub(crate) const POISON: u64 = 0xDEAD_DEAD_DEAD_DEAD;
@@ -964,6 +1066,7 @@ pub fn main_programs() -> Vec<Program> {
         httree_publish(),
         reclaim_hinted_get(),
         reclaim_take(),
+        reclaim_split(),
         reclaim_publish(),
         reclaim_evict(),
         replica_failover(),

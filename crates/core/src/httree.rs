@@ -49,17 +49,22 @@
 //! A handle attached with [`HtTree::attach_reclaimed`] participates in
 //! epoch-based grace-period reclamation (`farmem-reclaim`, DESIGN.md §8):
 //! every operation pins an epoch [`Guard`], refreshing the cached tree
-//! whenever the pin observes an epoch advance; item records come from the
-//! shared slab allocator instead of a bump arena; and a split *retires*
-//! the replaced table — header, bucket array, bulk items block, every
-//! drained chain record, and the superseded directory blob — into the
-//! client's limbo list, sealing an epoch so a grace period can return the
-//! bytes to [`FarAlloc::free`]. Plain [`HtTree::attach`] handles keep the
-//! original quarantine behavior (retired tables leak; safe but unbounded
-//! under churn). **Do not mix** the two modes on one tree: quarantine-mode
-//! handles publish arena-carved records whose addresses a reclaim-mode
-//! splitter would retire individually, which the allocator's membership
-//! check rejects as [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
+//! whenever the pin reports a new restructure
+//! [`generation`](Guard::generation); item records come from the shared
+//! slab allocator instead of a bump arena; and a split *retires* the
+//! replaced table — header, bucket array, bulk items block, every drained
+//! chain record, and the superseded directory blob — into the client's
+//! limbo list as a restructure, sealing an epoch *and* a generation so a
+//! grace period can return the bytes to [`FarAlloc::free`]. Epochs that
+//! other clients seal over retired records alone cost a handle no
+//! refresh: the cached tree points into no record, and a record hint is
+//! validated against the tree before its bytes are served. Plain
+//! [`HtTree::attach`] handles keep the original quarantine behavior
+//! (retired tables leak; safe but unbounded under churn). **Do not mix**
+//! the two modes on one tree: quarantine-mode handles publish
+//! arena-carved records whose addresses a reclaim-mode splitter would
+//! retire individually, which the allocator's membership check rejects
+//! as [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
 
 use farmem_alloc::{AllocHint, Arena, FarAlloc};
 use farmem_fabric::{
@@ -384,14 +389,14 @@ impl HtTree {
             poison: FarAddr::NULL,
             dir_sub,
             reclaim,
-            seen_epoch: 0,
+            seen_generation: 0,
             stats: HtTreeStats::default(),
         };
         if let Some(r) = &h.reclaim {
             // Conservative: observed before the directory read, so a
-            // concurrent seal in between just causes one redundant
+            // restructure sealed in between just causes one redundant
             // refresh at the first pin.
-            h.seen_epoch = r.lock().unwrap().observed_epoch();
+            h.seen_generation = r.lock().unwrap().generation();
         }
         h.refresh_directory(client)?;
         Ok(h)
@@ -484,10 +489,11 @@ pub struct HtTreeHandle {
     dir_sub: Option<farmem_fabric::SubId>,
     /// Epoch-based reclamation: `Some` for `attach_reclaimed` handles.
     reclaim: Option<SharedReclaim>,
-    /// Epoch the cached directory was last validated at (reclaim mode):
-    /// a pin observing a newer epoch forces a refresh, which is what
-    /// makes freeing retired tables after a grace period sound.
-    seen_epoch: u64,
+    /// Restructure generation the cached directory was last validated at
+    /// (reclaim mode): a pin reporting another generation forces a
+    /// refresh, which is what makes freeing retired tables after a grace
+    /// period sound.
+    seen_generation: u64,
     stats: HtTreeStats,
 }
 
@@ -546,10 +552,12 @@ impl HtTreeHandle {
     }
 
     /// Reclaim mode: pins an epoch guard for the duration of one
-    /// operation, refreshing the cached tree if the epoch advanced since
-    /// it was last validated (a restructure sealed in between, so cached
-    /// table pointers may name retired — soon freed — memory). Free in
-    /// the steady state; `None` for quarantine-mode handles.
+    /// operation, refreshing the cached tree if the restructure
+    /// generation moved since it was last validated (a split or
+    /// compaction sealed in between, so cached table pointers may name
+    /// retired — soon freed — memory). An epoch advance that retired only
+    /// records costs no refresh: nothing cached points into them. Free
+    /// in the steady state; `None` for quarantine-mode handles.
     fn pin_epoch(&mut self, client: &mut FabricClient) -> Result<Option<Guard>> {
         let Some(shared) = &self.reclaim else { return Ok(None) };
         let guard = pin(shared, client)?;
@@ -557,18 +565,18 @@ impl HtTreeHandle {
         Ok(Some(guard))
     }
 
-    /// Refreshes the cached tree if `guard` observed a newer epoch than
-    /// the one it was last validated at. `guard` must pin this handle's
-    /// own reclaim state — a guard of another registry holds none of
-    /// this tree's retired tables alive.
+    /// Refreshes the cached tree if `guard` reports another restructure
+    /// generation than the one it was last validated at. `guard` must pin
+    /// this handle's own reclaim state — a guard of another registry
+    /// holds none of this tree's retired tables alive.
     fn revalidate(&mut self, client: &mut FabricClient, guard: &Guard) -> Result<()> {
         assert!(
             self.reclaim.as_ref().is_some_and(|shared| guard.pins(shared)),
             "guard does not pin this handle's reclaim state"
         );
-        if guard.epoch() != self.seen_epoch {
+        if guard.generation() != self.seen_generation {
             self.refresh_directory(client)?;
-            self.seen_epoch = guard.epoch();
+            self.seen_generation = guard.generation();
         }
         Ok(())
     }
@@ -1484,17 +1492,19 @@ impl HtTreeHandle {
             // Retire everything the new directory just unlinked: the old
             // table (header, buckets, bulk items block, every chain
             // record outside that block) and the superseded directory
-            // blob. The seal stamps them with a fresh epoch; a grace
-            // period later they return to the allocator. Stale readers
-            // stay safe in between: their first far access hits poison,
-            // and their next epoch pin refreshes past the retired blocks
-            // before those can be freed.
+            // blob. Clients cache pointers into all of it, so these are
+            // restructure retires: the seal stamps them with a fresh
+            // epoch *and* generation; a grace period later they return
+            // to the allocator. Stale readers stay safe in between: their
+            // first far access hits poison, and their next epoch pin
+            // reports the new generation and refreshes past the retired
+            // blocks before those can be freed.
             let mut r = shared.lock().unwrap();
             // lint: retire-ok: everything below was unlinked by the directory CAS; readers run under epoch guards and poison + grace fences stragglers.
-            r.retire(client, entry.table_hdr, HDR_LEN)?;
-            r.retire(client, entry.buckets, entry.n_buckets * WORD)?;
+            r.retire_restructure(client, entry.table_hdr, HDR_LEN)?;
+            r.retire_restructure(client, entry.buckets, entry.n_buckets * WORD)?;
             if old_items_base != 0 {
-                r.retire(client, FarAddr(old_items_base), old_items_len)?;
+                r.retire_restructure(client, FarAddr(old_items_base), old_items_len)?;
             }
             let in_bulk = |a: u64| {
                 old_items_base != 0 && a >= old_items_base && a < old_items_base + old_items_len
@@ -1506,9 +1516,9 @@ impl HtTreeHandle {
                 .collect();
             chain_records.sort_unstable();
             for a in chain_records {
-                r.retire(client, FarAddr(a), ITEM_LEN)?;
+                r.retire_restructure(client, FarAddr(a), ITEM_LEN)?;
             }
-            r.retire(client, old_dir, old_dir_len)?;
+            r.retire_restructure(client, old_dir, old_dir_len)?;
             r.seal(client)?;
         }
         // Quarantine mode: the retired table leaks (see module docs).
@@ -2519,7 +2529,7 @@ mod tests {
             let mut r = s1.lock().unwrap();
             assert_eq!(r.reclaim(&mut c1).unwrap(), 0, "h2's epoch blocks the free");
         }
-        // h2's next operation pins, observes the epoch advance, and
+        // h2's next operation pins, observes the new generation, and
         // refreshes its cached tree — after which the grace period can
         // elapse and the retired table is freed.
         assert_eq!(h2.get(&mut c2, 3).unwrap(), Some(4));

@@ -188,7 +188,8 @@ impl FarQueue {
 
     /// Retires the queue's far memory — the slot array (including the
     /// physical slack region) and the header — into `reclaim`'s limbo
-    /// list, and seals an epoch so a grace period can free it. The caller
+    /// list as a restructure (every handle caches pointers into both),
+    /// and seals an epoch so a grace period can free it. The caller
     /// asserts no *new* operations will start (all handles detached or
     /// abandoned). The queue's own verbs do not pin epochs; clients that
     /// may race a retire must wrap their queue operations in
@@ -201,8 +202,8 @@ impl FarQueue {
     ) -> Result<()> {
         let mut r = reclaim.lock().unwrap();
         // lint: retire-ok: structure teardown; the doc contract above requires concurrent clients to hold pin guards.
-        r.retire(client, self.slots_base, (self.n_slots + self.slack_slots) * WORD)?;
-        r.retire(client, self.hdr, HDR_LEN)?;
+        r.retire_restructure(client, self.slots_base, (self.n_slots + self.slack_slots) * WORD)?;
+        r.retire_restructure(client, self.hdr, HDR_LEN)?;
         r.seal(client)?;
         Ok(())
     }

@@ -3,11 +3,15 @@
 //! The paper punts on reclamation: retired HT-tree tables are quarantined
 //! because freeing them safely "needs client epochs". This crate supplies
 //! those epochs, built from nothing but the fabric's existing one-sided
-//! verbs (`read` / `cas` / `faa` plus a `notify0` subscription):
+//! verbs (`read` / `cas` / `faa` plus a `notify0d` subscription):
 //!
 //! * a **far-memory epoch registry**: one global epoch word and an array
 //!   of per-client epoch slots, all in far memory so any client (and any
-//!   *surviving* client, after a crash) can run grace detection;
+//!   *surviving* client, after a crash) can run grace detection. The
+//!   epoch word packs two counters: the **seal count** the grace rule
+//!   compares (low 48 bits) and a **restructure generation** (high 16
+//!   bits) that moves only when a sealed batch held memory clients cache
+//!   pointers into ([`ReclaimHandle::retire_restructure`]);
 //! * per-client **limbo lists** of `(addr, len, retire_epoch)` deferred
 //!   frees, held in client-local memory (retiring costs zero far
 //!   accesses; only *sealing* a batch bumps the global epoch — one FAA);
@@ -25,25 +29,39 @@
 //! # The protocol
 //!
 //! Every structure operation pins a [`Guard`]. Pinning is **free** in the
-//! common case: the client subscribes `notify0` on the global epoch word,
-//! so "has the epoch moved?" is a local event-queue check. Only when the
-//! epoch actually advanced does a pin cost two far accesses (read the
-//! epoch word, CAS the client's slot forward). The pin returns the epoch
-//! the client now stands at; integrating structures compare it against
-//! the epoch they last validated their caches at and refresh any cached
-//! far pointers when it moved. That yields the grace rule:
+//! common case: the client subscribes `notify0d` on the global epoch
+//! word, so "has the epoch moved?" is a local event-queue check, and the
+//! event carries the word it moved to. An advance costs **one** far
+//! access — the CAS that moves the client's slot to the carried value;
+//! only a [`Lost`](farmem_fabric::Event::Lost) warning (or a resync that
+//! failed mid-way) makes the pin read the epoch word first. The guard
+//! reports the epoch the client now stands at and the restructure
+//! [`generation`](Guard::generation) it has seen; integrating structures
+//! compare the *generation* against the one they last validated their
+//! caches at and refresh cached far pointers only when it moved. That
+//! yields the grace rule:
 //!
 //! > An object unlinked before the epoch bump that sealed it (retire
-//! > epoch `e` = the FAA's pre-bump value) can be freed once every
-//! > registered slot shows an epoch `> e` — every client has pinned
-//! > after the bump, refreshed its caches past the unlinked object, and
-//! > no guard from before the unlink is still running.
+//! > epoch `e` = the FAA's pre-bump seal count) can be freed once every
+//! > registered slot shows a seal count `> e` — every client has pinned
+//! > after the bump, refreshed its caches past the unlinked object if it
+//! > was part of a restructure, and no guard from before the unlink is
+//! > still running.
+//!
+//! A slot may publish a seal count that *lags* the word (events can be
+//! coalesced, or dropped silently on a best-effort fabric): a lagging
+//! slot only holds grace back, because everything sealed after the value
+//! it publishes has a retire epoch at or above it.
 //!
 //! # What the caller must uphold
 //!
 //! * Every operation that may dereference a retired object runs under a
-//!   pinned [`Guard`], and cached far pointers are refreshed when the
-//!   pin reports an epoch change.
+//!   pinned [`Guard`], and cached pointers into memory retired with
+//!   [`ReclaimHandle::retire_restructure`] are refreshed when the pin
+//!   reports a new generation. Pointers into memory retired with
+//!   [`ReclaimHandle::retire`] are never cached past the guard that found
+//!   them, or are validated on use (a record hint is checked against the
+//!   tree before its bytes are served).
 //! * Addresses are retired exactly once, with the same length they were
 //!   allocated with (the allocator's membership check turns violations
 //!   into [`AllocError::BadFree`] instead of silent corruption).
@@ -51,6 +69,9 @@
 //!   waiting — the same liveness assumption the lease-fenced locks make.
 //!   A wrongly evicted (slow, not dead) client is *safe*: its next pin
 //!   CAS fails, it re-registers and refreshes every cache.
+//! * A client that is done gives its slot back with
+//!   [`ReclaimHandle::release`]; a slot nobody releases blocks grace
+//!   until the lease evicts it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +80,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use farmem_alloc::{AllocError, FarAlloc};
-use farmem_fabric::{FabricClient, FabricError, FarAddr, SubId, WORD};
+use farmem_fabric::{Event, FabricClient, FabricError, FarAddr, SubId, WORD};
 
 /// Registry far layout: global epoch word, slot count, then the slots.
 const R_EPOCH: u64 = 0;
@@ -69,8 +90,18 @@ const R_SLOTS: u64 = 16;
 /// the registrant's tag (`client.id() + 1`, truncated — same scheme as
 /// the lease-fenced locks). A slot word of 0 means "free".
 const TAG_SHIFT: u32 = 48;
-/// Mask selecting the epoch half of a slot word.
+/// Mask selecting the epoch half of a slot word — and the seal count of
+/// the global epoch word, whose high 16 bits hold the restructure
+/// generation instead of a tag. 2⁴⁸ seals never overflow in practice; the
+/// generation wraps, which is harmless: it is only compared for
+/// inequality, and a seal count that moved by 2¹⁶ or more counts as a
+/// new generation whatever the bits say.
 pub const EPOCH_MASK: u64 = (1 << TAG_SHIFT) - 1;
+/// One restructure generation, as added to the global epoch word.
+const GEN_ONE: u64 = 1 << TAG_SHIFT;
+/// Seals after which the 16-bit generation may have wrapped to its old
+/// value (each seal bumps it at most once).
+const GEN_PERIOD: u64 = 1 << (64 - TAG_SHIFT);
 
 /// Virtual-time lease on a lagging epoch slot, mirroring the lock lease:
 /// a detector that accumulates this much of its *own* waiting time over a
@@ -105,6 +136,12 @@ pub enum ReclaimError {
     Corrupted(&'static str),
     /// Invalid argument (zero-length or null retire, zero slots).
     BadConfig(&'static str),
+    /// [`ReclaimHandle::release`] refused: the handle still pins or
+    /// still owes frees.
+    InUse(&'static str),
+    /// The handle gave its slot back ([`ReclaimHandle::release`]); attach
+    /// again to pin or retire.
+    Released,
 }
 
 impl From<FabricError> for ReclaimError {
@@ -127,6 +164,8 @@ impl std::fmt::Display for ReclaimError {
             ReclaimError::RegistryFull => write!(f, "epoch registry full"),
             ReclaimError::Corrupted(m) => write!(f, "registry corrupted: {m}"),
             ReclaimError::BadConfig(m) => write!(f, "bad config: {m}"),
+            ReclaimError::InUse(m) => write!(f, "release refused: {m}"),
+            ReclaimError::Released => write!(f, "reclaim handle was released"),
         }
     }
 }
@@ -229,18 +268,22 @@ impl ReclaimRegistry {
         client: &mut FabricClient,
         alloc: &Arc<FarAlloc>,
     ) -> Result<SharedReclaim> {
-        let (slot_idx, slot_word, observed) = claim_slot(client, self)?;
-        let epoch_sub = client.notify0(self.epoch_addr(), WORD)?;
+        let (slot_idx, slot_word, epoch_word) = claim_slot(client, self)?;
+        let epoch_sub = client.notify0d(self.epoch_addr(), WORD)?;
         Ok(Arc::new(Mutex::new(ReclaimHandle {
             registry: *self,
             alloc: alloc.clone(),
             epoch_sub,
             slot_idx,
             slot_word,
-            observed,
+            observed: epoch_word & EPOCH_MASK,
+            word_gen: epoch_word >> TAG_SHIFT,
+            generation: 0,
+            released: false,
             depth: 0,
             force_resync: false,
             pending: Vec::new(),
+            pending_restructure: false,
             limbo: VecDeque::new(),
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             watch: HashMap::new(),
@@ -251,7 +294,8 @@ impl ReclaimRegistry {
 }
 
 /// Claims a free slot: read the registry, CAS a zero slot to
-/// `tag | epoch`. Retries scans lost to racing registrants; errors with
+/// `tag | epoch`. Returns `(slot index, slot word, global epoch word)`.
+/// Retries scans lost to racing registrants; errors with
 /// [`ReclaimError::RegistryFull`] when a scan finds no free slot.
 fn claim_slot(
     client: &mut FabricClient,
@@ -266,17 +310,16 @@ fn claim_slot(
         if w[1] != registry.n_slots {
             return Err(ReclaimError::Corrupted("slot count mismatch"));
         }
-        let epoch = w[0] & EPOCH_MASK;
         let mut saw_free = false;
         for i in 0..registry.n_slots {
             if w[(2 + i) as usize] == 0 {
                 saw_free = true;
-                let word = tag | epoch;
+                let word = tag | (w[0] & EPOCH_MASK);
                 // audit: rt-in-loop-ok: one CAS per free slot until one
                 // lands; a loss means a racing registrant claimed it.
                 let prev = client.cas(registry.slot_addr(i), 0, word)?;
                 if prev == 0 {
-                    return Ok((i, word, epoch));
+                    return Ok((i, word, w[0]));
                 }
             }
         }
@@ -312,6 +355,9 @@ pub struct ReclaimStats {
     pub reclaimed_bytes: u64,
     /// Epoch bumps ([`ReclaimHandle::seal`]) this handle performed.
     pub seals: u64,
+    /// Of those, the seals that also bumped the restructure generation
+    /// (their batch held a [`ReclaimHandle::retire_restructure`]).
+    pub restructures: u64,
     /// Grace-detection rounds ([`ReclaimHandle::reclaim`] registry scans).
     pub rounds: u64,
     /// Lagging slots this handle evicted as crashed.
@@ -344,13 +390,23 @@ pub struct ReclaimHandle {
     slot_word: u64,
     /// The epoch our slot publishes (low 48 bits of `slot_word`).
     observed: u64,
+    /// Restructure-generation bits of the epoch word `observed` came from.
+    word_gen: u64,
+    /// This client's restructure generation: moves whenever the slot
+    /// moves past a restructure seal (or re-registers), never otherwise.
+    generation: u64,
+    /// The slot was given back ([`ReclaimHandle::release`]).
+    released: bool,
     /// Guard nesting depth; epoch observation happens at depth 0 only.
     depth: u32,
-    /// A resync failed mid-way (e.g. injected fault gave up); retry at
-    /// the next pin even without a fresh notification.
+    /// A resync failed mid-way (e.g. injected fault gave up); read the
+    /// epoch word at the next pin even without a fresh notification.
     force_resync: bool,
     /// Retired but not yet sealed (no retire epoch assigned yet).
     pending: Vec<(FarAddr, u64)>,
+    /// `pending` holds a [`retire_restructure`](Self::retire_restructure):
+    /// the seal that covers it bumps the generation.
+    pending_restructure: bool,
     /// Sealed deferred frees, in nondecreasing retire-epoch order.
     limbo: VecDeque<LimboEntry>,
     /// Pending retires that trigger an automatic seal.
@@ -368,15 +424,23 @@ pub struct ReclaimHandle {
 pub struct Guard {
     shared: SharedReclaim,
     epoch: u64,
+    generation: u64,
 }
 
 impl Guard {
-    /// The epoch this guard is pinned at. Structures compare it against
-    /// the epoch they last validated their caches at: a difference means
-    /// a restructure sealed since, and cached far pointers must be
-    /// refreshed before the next far access.
+    /// The epoch (seal count) this guard is pinned at.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The restructure generation this guard's client has seen.
+    /// Structures compare it against the generation they last validated
+    /// their caches at: a difference means a restructure sealed since
+    /// (or the client re-registered), and cached far pointers must be
+    /// refreshed before the next far access. An epoch advance with the
+    /// same generation retired nothing a cache points into.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Whether this guard pins `shared` — for operations that run under
@@ -398,14 +462,16 @@ impl Drop for Guard {
 
 /// Pins an epoch [`Guard`] for one structure operation. Zero far accesses
 /// while the global epoch is unchanged (the check drains the local
-/// `notify0` event queue); an epoch advance costs one read plus one CAS
-/// to move the client's slot forward. If the CAS reveals this client was
-/// evicted (a detector presumed it crashed), the client transparently
-/// re-registers; the returned guard's epoch then forces every integrated
-/// structure to refresh its caches.
+/// `notify0d` event queue); an epoch advance costs one CAS to move the
+/// client's slot to the value the notification carried — two far
+/// accesses, the epoch word read first, after a
+/// [`Lost`](farmem_fabric::Event::Lost) warning. If the CAS reveals this
+/// client was evicted (a detector presumed it crashed), the client
+/// transparently re-registers; the returned guard's generation then
+/// forces every integrated structure to refresh its caches.
 pub fn pin(shared: &SharedReclaim, client: &mut FabricClient) -> Result<Guard> {
-    let epoch = shared.lock().unwrap().pin_inner(client)?;
-    Ok(Guard { shared: shared.clone(), epoch })
+    let (epoch, generation) = shared.lock().unwrap().pin_inner(client)?;
+    Ok(Guard { shared: shared.clone(), epoch, generation })
 }
 
 impl ReclaimHandle {
@@ -424,25 +490,25 @@ impl ReclaimHandle {
         self.observed
     }
 
+    /// This client's restructure generation (see [`Guard::generation`]).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Overrides the automatic-seal threshold (pending retires per FAA).
     pub fn set_seal_threshold(&mut self, pending: usize) {
         self.seal_threshold = pending.max(1);
     }
 
-    fn pin_inner(&mut self, client: &mut FabricClient) -> Result<u64> {
+    fn pin_inner(&mut self, client: &mut FabricClient) -> Result<(u64, u64)> {
+        if self.released {
+            return Err(ReclaimError::Released);
+        }
         if self.depth == 0 {
-            let sub = self.epoch_sub;
-            let fired = !client
-                .take_events(|e| {
-                    e.sub() == Some(sub) || matches!(e, farmem_fabric::Event::Lost { .. })
-                })
-                .is_empty();
-            if fired || self.force_resync {
-                self.resync(client)?;
-            }
+            self.catch_up(client)?;
         }
         self.depth += 1;
-        Ok(self.observed)
+        Ok((self.observed, self.generation))
     }
 
     /// Wake-boundary epoch refresh for suspended tasks (the async
@@ -457,11 +523,12 @@ impl ReclaimHandle {
     ///
     /// * **No guard held** (`depth == 0`): behaves exactly like the
     ///   depth-0 entry of [`pin`] — drains the epoch notification and, if
-    ///   it fired (or a previous resync failed mid-way), re-reads the
-    ///   global epoch and CASes the slot forward. Returns `Ok(true)` iff
-    ///   the published epoch advanced; callers must then revalidate any
-    ///   cached far pointers before the next dereference (the same
-    ///   contract [`Guard::epoch`] documents).
+    ///   it fired, CASes the slot forward to the epoch it carried (the
+    ///   epoch word is read first only after a `Lost` warning or a resync
+    ///   that failed mid-way). Returns `Ok(true)` iff the published epoch
+    ///   advanced. Cached far pointers need revalidating only if the
+    ///   [`generation`](Self::generation) moved too — which the next
+    ///   [`pin`]'s [`Guard::generation`] reports to every structure.
     /// * **Guard held** (`depth > 0`): does nothing and returns
     ///   `Ok(false)`. Safety comes first — the pinned epoch must not
     ///   advance while a guard-protected traversal may hold unvalidated
@@ -471,54 +538,82 @@ impl ReclaimHandle {
     ///   from a crashed client and is evicted after `LEASE_NS`, which is
     ///   safe by the re-registration protocol in [`publish`](ReclaimHandle).
     pub fn refresh_on_wake(&mut self, client: &mut FabricClient) -> Result<bool> {
-        if self.depth > 0 {
-            return Ok(false);
-        }
-        let sub = self.epoch_sub;
-        let fired = !client
-            .take_events(|e| {
-                e.sub() == Some(sub) || matches!(e, farmem_fabric::Event::Lost { .. })
-            })
-            .is_empty();
-        if !(fired || self.force_resync) {
+        if self.depth > 0 || self.released {
             return Ok(false);
         }
         let before = self.observed;
-        self.resync(client)?;
+        self.catch_up(client)?;
         Ok(self.observed != before)
     }
 
-    /// Re-reads the global epoch and publishes it in our slot (CAS, so an
-    /// eviction is detected rather than clobbered).
-    fn resync(&mut self, client: &mut FabricClient) -> Result<()> {
+    /// The depth-0 epoch observation of [`pin`] and
+    /// [`refresh_on_wake`](Self::refresh_on_wake): drains the epoch
+    /// subscription and publishes the newest word its events carried —
+    /// one CAS. A `Lost` warning, or a resync that failed mid-way, means
+    /// the events may not carry the newest word, so it is read first.
+    /// Either way the published value may lag the word by the time the
+    /// CAS lands; a lagging slot only holds grace back.
+    fn catch_up(&mut self, client: &mut FabricClient) -> Result<()> {
+        let sub = self.epoch_sub;
+        let mut lost = self.force_resync;
+        let mut carried: Option<u64> = None;
+        for e in client.take_events(|e| e.sub() == Some(sub) || matches!(e, Event::Lost { .. })) {
+            match e {
+                Event::ChangedData { data, .. } => {
+                    let word = u64::from_le_bytes(data[..8].try_into().expect("one word"));
+                    if carried.is_none_or(|c| word & EPOCH_MASK > c & EPOCH_MASK) {
+                        carried = Some(word);
+                    }
+                }
+                _ => lost = true,
+            }
+        }
+        // Set until the slot is current: a failure below retries at the
+        // next pin, with a read, even without a fresh event.
         self.force_resync = true;
-        let latest = client.read_u64(self.registry.epoch_addr())? & EPOCH_MASK;
-        if latest != self.observed {
-            self.publish(client, latest)?;
+        let newest = if lost { Some(client.read_u64(self.registry.epoch_addr())?) } else { carried };
+        if let Some(word) = newest.filter(|w| w & EPOCH_MASK > self.observed) {
+            self.publish(client, word)?;
         }
         self.force_resync = false;
         Ok(())
     }
 
-    /// CASes our slot from its last known word to `tag | epoch`,
-    /// re-registering if the slot was stolen by an eviction.
-    fn publish(&mut self, client: &mut FabricClient, epoch: u64) -> Result<()> {
+    /// CASes our slot from its last known word to `tag | word`'s seal
+    /// count and adopts `word`, re-registering if the slot was stolen by
+    /// an eviction.
+    fn publish(&mut self, client: &mut FabricClient, word: u64) -> Result<()> {
         let tag = ((client.id() as u64 + 1) & 0xffff) << TAG_SHIFT;
-        let new_word = tag | (epoch & EPOCH_MASK);
+        let new_word = tag | (word & EPOCH_MASK);
         let prev = client.cas(self.registry.slot_addr(self.slot_idx), self.slot_word, new_word)?;
         if prev == self.slot_word {
             self.slot_word = new_word;
-            self.observed = epoch;
+            self.adopt(word);
         } else {
-            // Evicted (presumed crashed). Claim a fresh slot; the epoch
-            // jump makes every integrated structure refresh its caches.
+            // Evicted (presumed crashed): grace ran without us, so every
+            // integrated structure refreshes its caches, restructure or not.
             self.stats.evicted += 1;
-            let (idx, word, observed) = claim_slot(client, &self.registry)?;
+            let (idx, slot_word, word) = claim_slot(client, &self.registry)?;
             self.slot_idx = idx;
-            self.slot_word = word;
-            self.observed = observed;
+            self.slot_word = slot_word;
+            self.adopt(word);
+            self.generation += 1;
         }
         Ok(())
+    }
+
+    /// Moves `observed` to `word`'s seal count. The generation moves with
+    /// it iff a restructure may have sealed in between: the word's
+    /// generation bits differ, or enough seals passed for them to have
+    /// wrapped back.
+    fn adopt(&mut self, word: u64) {
+        let seals = word & EPOCH_MASK;
+        let word_gen = word >> TAG_SHIFT;
+        if word_gen != self.word_gen || seals.wrapping_sub(self.observed) >= GEN_PERIOD {
+            self.generation += 1;
+        }
+        self.observed = seals;
+        self.word_gen = word_gen;
     }
 
     /// Hands `[addr, addr + len)` to the limbo list. Zero far accesses:
@@ -528,13 +623,50 @@ impl ReclaimHandle {
     /// unlinked — no *new* reference can be formed — before this call,
     /// and must be retired exactly once with its allocation length.
     ///
+    /// Nothing here makes other clients drop cached pointers: retire
+    /// this way only what a reader finds afresh under its guard (a
+    /// record named by a tree item) or validates before use (a record
+    /// hint). Memory clients *cache* pointers into goes through
+    /// [`retire_restructure`](Self::retire_restructure).
+    ///
     /// [`seal`]: ReclaimHandle::seal
     /// [`set_seal_threshold`]: ReclaimHandle::set_seal_threshold
     pub fn retire(&mut self, client: &mut FabricClient, addr: FarAddr, len: u64) -> Result<()> {
+        self.retire_inner(client, addr, len, false)
+    }
+
+    /// [`retire`](Self::retire) for memory that clients cache pointers
+    /// into — a structure's tables, bucket arrays, directory. The seal
+    /// that covers it also bumps the restructure generation, so every
+    /// client's next pin reports a new [`Guard::generation`] and its
+    /// structures refresh those caches before the memory can be freed.
+    /// The mark rides on the retire, not on the seal: an automatic seal
+    /// halfway through a restructure covers what was retired so far, and
+    /// the next seal the rest — both bump the generation.
+    pub fn retire_restructure(
+        &mut self,
+        client: &mut FabricClient,
+        addr: FarAddr,
+        len: u64,
+    ) -> Result<()> {
+        self.retire_inner(client, addr, len, true)
+    }
+
+    fn retire_inner(
+        &mut self,
+        client: &mut FabricClient,
+        addr: FarAddr,
+        len: u64,
+        restructure: bool,
+    ) -> Result<()> {
+        if self.released {
+            return Err(ReclaimError::Released);
+        }
         if addr.is_null() || len == 0 {
             return Err(ReclaimError::BadConfig("null or empty retire"));
         }
         self.pending.push((addr, len));
+        self.pending_restructure |= restructure;
         self.stats.retired_entries += 1;
         // lint: stats-ok: ReclaimStats bookkeeping; AccessStats moves via book_reclaim below
         self.stats.retired_bytes += len;
@@ -545,22 +677,53 @@ impl ReclaimHandle {
         Ok(())
     }
 
-    /// Seals all pending retires: one FAA bumps the global epoch, and the
-    /// FAA's *pre-bump* value becomes their retire epoch. Any guard that
-    /// could still reach a sealed address was pinned at or below that
-    /// value (a pin observing the bumped epoch starts after the bump,
-    /// which starts after every sealed address was unlinked — and the
-    /// epoch change makes that pin refresh its structure caches first).
-    /// No-op when nothing is pending.
+    /// Seals all pending retires: one FAA bumps the global epoch's seal
+    /// count — and, if the batch holds a
+    /// [`retire_restructure`](Self::retire_restructure), its restructure
+    /// generation, in the same FAA — and the FAA's *pre-bump* seal count
+    /// becomes their retire epoch. Any guard that could still reach a
+    /// sealed address was pinned at or below that value (a pin observing
+    /// the bumped epoch starts after the bump, which starts after every
+    /// sealed address was unlinked — and a generation change makes that
+    /// pin refresh its structure caches first). No-op when nothing is
+    /// pending.
     pub fn seal(&mut self, client: &mut FabricClient) -> Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let prev = client.faa(self.registry.epoch_addr(), 1)? & EPOCH_MASK;
+        let bump = if self.pending_restructure { 1 + GEN_ONE } else { 1 };
+        let prev = client.faa(self.registry.epoch_addr(), bump)? & EPOCH_MASK;
         for (addr, len) in self.pending.drain(..) {
             self.limbo.push_back(LimboEntry { addr, len, epoch: prev });
         }
         self.stats.seals += 1;
+        if std::mem::take(&mut self.pending_restructure) {
+            self.stats.restructures += 1;
+        }
+        Ok(())
+    }
+
+    /// Gives this client's slot back to the registry — one CAS to 0,
+    /// then the epoch subscription is dropped — so a client that is done
+    /// stops holding grace back without waiting out its lease. Refused
+    /// ([`ReclaimError::InUse`]) while a guard is held or retires still
+    /// await their free, pending or in limbo: nothing would free them
+    /// afterwards (seal and [`reclaim`](Self::reclaim) first). A slot an
+    /// evictor already took is left to its new owner. Afterwards the
+    /// handle pins and retires nothing ([`ReclaimError::Released`]).
+    pub fn release(&mut self, client: &mut FabricClient) -> Result<()> {
+        if self.released {
+            return Ok(());
+        }
+        if self.depth > 0 {
+            return Err(ReclaimError::InUse("a guard is held"));
+        }
+        if !self.pending.is_empty() || !self.limbo.is_empty() {
+            return Err(ReclaimError::InUse("retires still await their free"));
+        }
+        client.cas(self.registry.slot_addr(self.slot_idx), self.slot_word, 0)?;
+        self.released = true;
+        client.unsubscribe(self.epoch_sub)?;
         Ok(())
     }
 
@@ -587,8 +750,8 @@ impl ReclaimHandle {
         // Keep our own slot current: outside any guard we hold no far
         // references, so advancing our published epoch is exactly what a
         // pin would do (and lets a sole client reclaim immediately).
-        if self.depth == 0 && global != self.observed {
-            self.publish(client, global)?;
+        if self.depth == 0 && global > self.observed {
+            self.publish(client, w[0])?;
         }
         let mut slot_epochs: Vec<(u64, u64, u64)> = Vec::new(); // (idx, word, epoch)
         for i in 0..self.registry.n_slots {
@@ -668,7 +831,7 @@ impl ReclaimHandle {
 mod tests {
     use super::*;
     use farmem_alloc::AllocHint;
-    use farmem_fabric::FabricConfig;
+    use farmem_fabric::{AccessStats, FabricConfig};
 
     fn setup() -> (Arc<farmem_fabric::Fabric>, Arc<FarAlloc>, ReclaimRegistry) {
         let f = FabricConfig::count_only(16 << 20).build();
@@ -688,6 +851,143 @@ mod tests {
             let _g = pin(&shared, &mut c).unwrap();
         }
         assert_eq!(c.stats().since(&before).round_trips, 0, "steady-state pin is free");
+    }
+
+    /// Retires one fresh block through `s` and seals it.
+    fn seal_one(s: &SharedReclaim, c: &mut FabricClient, a: &FarAlloc, restructure: bool) {
+        let block = a.alloc(64, AllocHint::Spread).unwrap();
+        let mut h = s.lock().unwrap();
+        if restructure {
+            h.retire_restructure(c, block, 64).unwrap();
+        } else {
+            h.retire(c, block, 64).unwrap();
+        }
+        h.seal(c).unwrap();
+    }
+
+    /// What one depth-0 pin books, whole.
+    fn pin_books(s: &SharedReclaim, c: &mut FabricClient) -> AccessStats {
+        let before = c.stats();
+        drop(pin(s, c).unwrap());
+        c.stats().since(&before)
+    }
+
+    /// The pin's price list: nothing in the steady state; after another
+    /// client's seal, the slot CAS to the epoch the notification carried
+    /// (one far access, no read); after a `Lost` warning, a read of the
+    /// epoch word first.
+    #[test]
+    fn a_pin_costs_nothing_then_one_cas_then_a_read_and_a_cas_after_a_lost_event() {
+        // One pending event per subscriber, uncoalesced: a second seal
+        // before the drain overflows into a `Lost` warning.
+        let f = FabricConfig {
+            delivery: farmem_fabric::DeliveryPolicy { drop_ppm: 0, coalesce: false, max_queue: 1 },
+            ..FabricConfig::count_only(16 << 20)
+        }
+        .build();
+        let a = FarAlloc::new(f.clone());
+        let (mut c1, mut c2) = (f.client(), f.client());
+        let reg = ReclaimRegistry::create(&mut c1, &a, 4).unwrap();
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        let s2 = reg.attach(&mut c2, &a).unwrap();
+        let cas = AccessStats { round_trips: 1, messages: 1, atomics: 1, ..AccessStats::new() };
+
+        assert_eq!(pin_books(&s2, &mut c2), AccessStats::new(), "steady state");
+        seal_one(&s1, &mut c1, &a, false);
+        assert_eq!(pin_books(&s2, &mut c2), AccessStats { notifications: 1, ..cas }, "one seal");
+        assert_eq!(s2.lock().unwrap().observed_epoch(), 2);
+        assert_eq!(pin_books(&s2, &mut c2), AccessStats::new(), "caught up");
+
+        seal_one(&s1, &mut c1, &a, false);
+        seal_one(&s1, &mut c1, &a, false);
+        let read = AccessStats { round_trips: 1, messages: 1, bytes_read: WORD, ..AccessStats::new() };
+        let mut both = cas;
+        both.merge(&read);
+        let lost = AccessStats { notifications: 1, notifications_lost: 1, ..both };
+        assert_eq!(pin_books(&s2, &mut c2), lost, "after a Lost warning");
+        assert_eq!(s2.lock().unwrap().observed_epoch(), 4, "the read found the newest epoch");
+    }
+
+    /// The generation moves exactly when a seal covered a restructure
+    /// retire — also when the automatic seal fired halfway through the
+    /// restructure's retires — and never on a seal of plain retires.
+    #[test]
+    fn the_generation_moves_only_past_a_restructure_seal() {
+        let (f, a, reg) = setup();
+        let (mut c1, mut c2) = (f.client(), f.client());
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        let s2 = reg.attach(&mut c2, &a).unwrap();
+        let generation = |c: &mut FabricClient| pin(&s2, c).unwrap().generation();
+        let g0 = generation(&mut c2);
+
+        seal_one(&s1, &mut c1, &a, false);
+        assert_eq!(generation(&mut c2), g0, "a plain seal");
+
+        // A restructure retiring three blocks under an automatic seal
+        // every two: the auto seal covers the first two, the explicit one
+        // the third, and both bump the generation.
+        s1.lock().unwrap().set_seal_threshold(2);
+        let blocks: Vec<FarAddr> = (0..3).map(|_| a.alloc(64, AllocHint::Spread).unwrap()).collect();
+        let mut h1 = s1.lock().unwrap();
+        h1.retire_restructure(&mut c1, blocks[0], 64).unwrap();
+        h1.retire_restructure(&mut c1, blocks[1], 64).unwrap();
+        assert_eq!(h1.stats().restructures, 1, "the automatic seal mid-restructure");
+        drop(h1);
+        let g1 = generation(&mut c2);
+        assert_ne!(g1, g0, "seen past the automatic seal");
+        let mut h1 = s1.lock().unwrap();
+        h1.retire_restructure(&mut c1, blocks[2], 64).unwrap();
+        h1.seal(&mut c1).unwrap();
+        assert_eq!((h1.stats().seals, h1.stats().restructures), (3, 2));
+        drop(h1);
+        let g2 = generation(&mut c2);
+        assert_ne!(g2, g1, "the rest of the restructure");
+
+        seal_one(&s1, &mut c1, &a, false);
+        assert_eq!(generation(&mut c2), g2, "a plain seal again");
+        assert_eq!(s2.lock().unwrap().observed_epoch(), 5, "the epoch counts every seal");
+    }
+
+    /// An evicted client re-registers at its next pin and reports a new
+    /// generation, restructure or not: grace ran without it.
+    #[test]
+    fn re_registration_moves_the_generation() {
+        let (f, a, reg) = setup();
+        let (mut c1, mut c2) = (f.client(), f.client());
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        let s2 = reg.attach(&mut c2, &a).unwrap();
+        let g0 = pin(&s2, &mut c2).unwrap().generation();
+        seal_one(&s1, &mut c1, &a, false);
+        while s1.lock().unwrap().reclaim(&mut c1).unwrap() == 0 {}
+        assert_eq!(s1.lock().unwrap().stats().evictions, 1);
+        let g = pin(&s2, &mut c2).unwrap();
+        assert_eq!(s2.lock().unwrap().stats().evicted, 1);
+        assert_ne!(g.generation(), g0);
+    }
+
+    /// `release` gives the slot back — a later registrant reuses it — and
+    /// refuses while the handle still pins or owes frees.
+    #[test]
+    fn release_frees_the_slot_and_refuses_while_in_use() {
+        let f = FabricConfig::count_only(16 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let reg = ReclaimRegistry::create(&mut c, &a, 1).unwrap();
+        let s = reg.attach(&mut c, &a).unwrap();
+        let g = pin(&s, &mut c).unwrap();
+        assert!(matches!(s.lock().unwrap().release(&mut c), Err(ReclaimError::InUse(_))));
+        drop(g);
+        let block = a.alloc(64, AllocHint::Spread).unwrap();
+        s.lock().unwrap().retire(&mut c, block, 64).unwrap();
+        assert!(matches!(s.lock().unwrap().release(&mut c), Err(ReclaimError::InUse(_))));
+        assert_eq!(s.lock().unwrap().reclaim(&mut c).unwrap(), 64);
+
+        let before = c.stats();
+        s.lock().unwrap().release(&mut c).unwrap();
+        assert_eq!(c.stats().since(&before).round_trips, 2, "slot CAS + unsubscribe");
+        assert!(matches!(pin(&s, &mut c), Err(ReclaimError::Released)));
+        let again = reg.attach(&mut c, &a).expect("the one slot is free again");
+        drop(pin(&again, &mut c).unwrap());
     }
 
     #[test]

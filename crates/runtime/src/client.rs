@@ -292,9 +292,10 @@ impl AsyncClient {
     /// Pins an epoch guard for the registered reclamation handle.
     ///
     /// Control-plane: the common path is free (a local event-queue
-    /// check); the rare resync after an epoch advance costs one read
-    /// plus one CAS, executed inline at poll time rather than through a
-    /// doorbell — it is off the steady-state path by design.
+    /// check); the rare resync after an epoch advance costs one CAS (a
+    /// read first after a lost notification), executed inline at poll
+    /// time rather than through a doorbell — it is off the steady-state
+    /// path by design.
     ///
     /// # Panics
     ///

@@ -53,12 +53,13 @@
 //! periods, the reactor calls
 //! [`ReclaimHandle::refresh_on_wake`](farmem_reclaim::ReclaimHandle::refresh_on_wake)
 //! at every wake boundary: a task waking with **no** guard held
-//! republishes the latest epoch immediately (instead of waiting for its
-//! next `pin`), while a task waking *inside* a guard keeps its pinned
-//! epoch (safety first — its published epoch advances at the next
-//! depth-0 boundary). A task that never wakes again is indistinguishable
-//! from a crashed client and is lease-evicted after `LEASE_NS`, which is
-//! safe by the existing re-registration protocol. See DESIGN.md §12.
+//! republishes the epoch its notification carried immediately (one CAS,
+//! instead of waiting for its next `pin`), while a task waking *inside* a
+//! guard keeps its pinned epoch (safety first — its published epoch
+//! advances at the next depth-0 boundary). A task that never wakes again
+//! is indistinguishable from a crashed client and is lease-evicted after
+//! `LEASE_NS`, which is safe by the existing re-registration protocol.
+//! See DESIGN.md §12.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -678,6 +678,12 @@ async fn session_body(
             }
         }
     }
+    // The session's slot goes back to the registry: left registered it
+    // would hold grace back until the lease evicted it, and fill the
+    // registry over consecutive runs. A failed release leaves exactly
+    // that to the lease.
+    // lint: block-ok — one-time session detach (control plane).
+    let _ = ac.with(|c| store.release(c));
     // Collect this worker's retires before the thread winds down.
     // lint: block-ok — final seal + reclaim pass (control plane).
     let _ = ac.with(|c| worker.borrow_mut().reclaim_pass(c));
@@ -1068,5 +1074,34 @@ mod tests {
             results.iter().map(|r| (r.index, r.output.hits, r.clock_ns)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run(), "session runs must be deterministic");
+    }
+
+    /// A session gives its epoch slot back when it ends, so consecutive
+    /// `run_sessions` calls through one server reuse the sessions' slots:
+    /// four runs of `n` sessions fit in `n + 4·workers + 2` slots (each run
+    /// still attaches fresh worker shards, and the preloading worker
+    /// keeps one).
+    #[test]
+    fn consecutive_session_runs_reuse_the_sessions_slots() {
+        let (n, workers) = (8usize, 2usize);
+        let cfg = ServeConfig {
+            reclaim_slots: (n + 4 * workers + 2) as u64,
+            n_workers: workers,
+            ..ServeConfig::default()
+        };
+        let (f, _a, server) = deploy(FabricConfig::count_only(256 << 20).build(), cfg);
+        let t = server.add_tenant(TenantSpec::unlimited("runs")).unwrap();
+        let mut c = f.client();
+        let mut w = server.worker(0, 1, &mut c).unwrap();
+        for k in 0..16u64 {
+            w.put(&mut c, t, k, &[k as u8; 16], None).unwrap();
+        }
+        for run in 0..4 {
+            let results = server.run_sessions(n, move |s| {
+                (0..16u64).map(|i| Request::Get { tenant: t, key: (s as u64 + i) % 16 }).collect()
+            });
+            let hits: u64 = results.iter().map(|r| r.output.hits).sum();
+            assert_eq!(hits, (n * 16) as u64, "run {run}");
+        }
     }
 }

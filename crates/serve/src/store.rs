@@ -185,6 +185,13 @@ impl RecordStore {
         let freed = r.reclaim(client)?;
         Ok(freed)
     }
+
+    /// Gives this handle's epoch slot back to the registry
+    /// ([`ReclaimHandle::release`](farmem_reclaim::ReclaimHandle::release)):
+    /// for a per-session handle that only read, at the session's end.
+    pub fn release(self, client: &mut FabricClient) -> Result<()> {
+        Ok(self.reclaim.lock().unwrap().release(client)?)
+    }
 }
 
 #[cfg(test)]

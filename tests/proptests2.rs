@@ -10,40 +10,53 @@ fn fabric() -> std::sync::Arc<Fabric> {
 }
 
 /// One `blob_map_matches_model` run: `ops` against a `FarBlobMap<H>` in
-/// one mode. Every record carries its payload length in each header word,
-/// and every get is handed a hint picked by its selector — none, the
-/// key's current one, any earlier one of the key, or any hint of any key
-/// — which must never change what it returns. In reclaim mode every
-/// mutation is followed by a grace round, so superseded hints name blocks
-/// that were freed and, soon, reused.
+/// one mode, over a table that splits as it fills. Every record carries
+/// its payload length in each header word, and every get is handed a
+/// hint picked by its selector — none, the key's current one, any earlier
+/// one of the key, or any hint of any key — which must never change what
+/// it returns; the selector's top bit sends the get to a second handle,
+/// attached before the first store, whose cached tree every later split
+/// makes stale. In reclaim mode every mutation is followed by a grace
+/// round, so superseded hints name blocks that were freed and, soon,
+/// reused — retired tables included, once the second handle's pin has
+/// moved past them.
 fn blob_map_run<const H: usize>(
     ops: &[(u8, u64, Vec<u8>, u16)],
     reclaimed: bool,
 ) -> Result<(), TestCaseError> {
-    // Quarantine mode over a table that splits as it fills; reclaim
-    // mode over one that never restructures on its own (`u64::MAX`),
-    // so a final forced compaction brings the tree back to its
-    // empty-map footprint and every byte above it is a leaked record.
     let f = fabric();
     let alloc = FarAlloc::new(f.clone());
-    let mut c = f.client();
+    let (mut c, mut c2) = (f.client(), f.client());
     let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
     let shared = reg.attach(&mut c, &alloc).unwrap();
-    let mut cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
-    if reclaimed {
-        cfg.max_load_percent = u64::MAX;
-    }
-    let mut m: FarBlobMap<H> = if reclaimed {
-        FarBlobMap::create_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap()
+    let reader_shared = reg.attach(&mut c2, &alloc).unwrap();
+    let cfg = HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() };
+    let (mut m, mut reader): (FarBlobMap<H>, FarBlobMap<H>) = if reclaimed {
+        let m = FarBlobMap::create_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
+        let r = FarBlobMap::attach_reclaimed(&mut c2, &alloc, m.tree(), cfg, reader_shared.clone());
+        (m, r.unwrap())
     } else {
-        FarBlobMap::create(&mut c, &alloc, cfg).unwrap()
+        let m = FarBlobMap::create(&mut c, &alloc, cfg).unwrap();
+        let r = FarBlobMap::attach(&mut c2, &alloc, m.tree(), cfg).unwrap();
+        (m, r)
     };
-    let empty_map = alloc.stats().live_bytes;
+    // The same mutations on a bare reclaim-mode tree of another fabric:
+    // it splits exactly where the map's tree does, so once every record
+    // is gone the two footprints above their empty starts must agree —
+    // any byte of difference is a leaked record.
+    let twin_f = fabric();
+    let twin_alloc = FarAlloc::new(twin_f.clone());
+    let mut tc = twin_f.client();
+    let twin_reg = ReclaimRegistry::create(&mut tc, &twin_alloc, 4).unwrap();
+    let twin_shared = twin_reg.attach(&mut tc, &twin_alloc).unwrap();
+    let twin_tree = HtTree::create(&mut tc, &twin_alloc, cfg).unwrap();
+    let mut twin = twin_tree.attach_reclaimed(&mut tc, &twin_alloc, cfg, twin_shared.clone()).unwrap();
+    let (empty_map, empty_twin) = (alloc.stats().live_bytes, twin_alloc.stats().live_bytes);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     // Every hint each key was ever handed, oldest first.
     let mut hints: HashMap<u64, Vec<RecordHint>> = HashMap::new();
     let mut all_hints: Vec<RecordHint> = Vec::new();
-    let grace = |c: &mut FabricClient| {
+    let grace = |c: &mut FabricClient, shared: &SharedReclaim| {
         let mut r = shared.lock().unwrap();
         r.seal(c).unwrap();
         r.reclaim(c).unwrap();
@@ -62,16 +75,18 @@ fn blob_map_run<const H: usize>(
         match op {
             0 => {
                 let (_, hint) = m.put(&mut c, k, [v.len() as u64; H], &v).unwrap();
+                twin.put(&mut tc, k, 1).unwrap();
                 hints.entry(k).or_default().push(hint);
                 all_hints.push(hint);
                 model.insert(k, v);
             }
             1 => {
                 let held = m.remove(&mut c, k).unwrap();
+                twin.remove(&mut tc, k).unwrap();
                 prop_assert_eq!(held, model.remove(&k).is_some());
             }
             _ => {
-                let (kind, nth) = (pick % 4, pick as usize / 4);
+                let (kind, nth) = (pick % 4, (pick & 0x7fff) as usize / 4);
                 let own = hints.get(&k).map_or(&[][..], |h| h);
                 let hint = match kind {
                     0 => None,
@@ -79,28 +94,40 @@ fn blob_map_run<const H: usize>(
                     2 => own.get(nth % own.len().max(1)).copied(),
                     _ => all_hints.get(nth % all_hints.len().max(1)).copied(),
                 };
-                prop_assert_eq!(get(&mut c, &mut m, k, hint), model.get(&k).cloned());
+                let got = if pick & 0x8000 == 0 {
+                    get(&mut c, &mut m, k, hint)
+                } else {
+                    get(&mut c2, &mut reader, k, hint)
+                };
+                prop_assert_eq!(got, model.get(&k).cloned());
             }
         }
         if reclaimed && op != 2 {
-            grace(&mut c);
+            grace(&mut c, &shared);
+            grace(&mut tc, &twin_shared);
         }
     }
     for (k, v) in &model {
         let current = hints[k].last().copied();
         prop_assert_eq!(get(&mut c, &mut m, *k, current).as_ref(), Some(v));
+        prop_assert_eq!(get(&mut c2, &mut reader, *k, current).as_ref(), Some(v));
     }
     if reclaimed {
-        // Drain, drop every chain, and let the one grace round a
-        // sole client needs return each retired record.
+        // Drain; the reader gives its slot back, so the one grace round
+        // a sole client needs returns each retired record and table.
         for k in 0..48 {
             prop_assert_eq!(m.remove(&mut c, k).unwrap(), model.contains_key(&k));
+            twin.remove(&mut tc, k).unwrap();
         }
-        let mut h = m.tree().attach_reclaimed(&mut c, &alloc, cfg, shared.clone()).unwrap();
-        h.split(&mut c, 0).unwrap();
-        grace(&mut c);
+        reader_shared.lock().unwrap().release(&mut c2).unwrap();
+        grace(&mut c, &shared);
+        grace(&mut tc, &twin_shared);
         prop_assert_eq!(shared.lock().unwrap().stats().limbo_entries(), 0);
-        prop_assert_eq!(alloc.stats().live_bytes, empty_map);
+        prop_assert_eq!(m.stats().splits + m.stats().grows, twin.stats().splits + twin.stats().grows);
+        prop_assert_eq!(
+            alloc.stats().live_bytes - empty_map,
+            twin_alloc.stats().live_bytes - empty_twin
+        );
     }
     Ok(())
 }

@@ -319,13 +319,14 @@ fn no_free_while_a_guard_can_still_reach_the_memory() {
 
 /// One pin serves a whole operation: a lookup under a guard its caller
 /// already holds — `get`'s own nested pin, or `get_under` borrowing the
-/// caller's — sees that guard's epoch. It refreshes the cached directory
-/// exactly once when the epoch differs from the one the handle last
-/// validated at, never while the held guard keeps the epoch pinned
-/// across a seal, and again exactly once after the next depth-0 pin has
-/// observed the new epoch.
+/// caller's — sees that guard's restructure generation. An epoch advance
+/// that retired records only costs a lookup no refresh at all — just the
+/// next depth-0 pin's slot CAS — whether it lands before the guard is
+/// pinned or while it is held. Another client's split costs each handle
+/// exactly one directory refresh, at its first lookup after the next
+/// depth-0 pin has observed the new generation.
 #[test]
-fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_epoch() {
+fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_restructure() {
     let f = fabric(0, 0);
     let alloc = FarAlloc::new(f.clone());
     let mut c1 = f.client();
@@ -333,6 +334,7 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_epoch() {
     let reg = ReclaimRegistry::create(&mut c1, &alloc, 4).unwrap();
     let s1 = reg.attach(&mut c1, &alloc).unwrap();
     let s2 = reg.attach(&mut c2, &alloc).unwrap();
+    // Splits happen only when asked for.
     let cfg = HtTreeConfig { max_load_percent: u64::MAX, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();
     let mut h1 = tree.attach_reclaimed(&mut c1, &alloc, cfg, s1.clone()).unwrap();
@@ -342,46 +344,61 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_epoch() {
     let mut under = tree.attach_reclaimed(&mut c2, &alloc, cfg, s2.clone()).unwrap();
     h1.put(&mut c1, 7, 70).unwrap();
 
-    // Moves the global epoch without restructuring the tree.
-    let mut seal = || {
+    // Moves the global epoch over a retired record: no restructure.
+    let seal = |c1: &mut FabricClient| {
         let junk = alloc.alloc(64, AllocHint::Spread).unwrap();
         let mut r = s1.lock().unwrap();
-        r.retire(&mut c1, junk, 64).unwrap();
-        r.seal(&mut c1).unwrap();
+        r.retire(c1, junk, 64).unwrap();
+        r.seal(c1).unwrap();
     };
-    /// Round trips of one lookup of key 7.
-    fn rts(c: &mut FabricClient, get: impl FnOnce(&mut FabricClient) -> Option<u64>) -> u64 {
+    /// Round trips of `op`.
+    fn rts<T>(c: &mut FabricClient, op: impl FnOnce(&mut FabricClient) -> T) -> (T, u64) {
         let before = c.stats();
-        assert_eq!(get(c), Some(70));
-        c.stats().since(&before).round_trips
+        let out = op(c);
+        (out, c.stats().since(&before).round_trips)
     }
-    let plain = rts(&mut c2, |c| nested.get(c, 7).unwrap());
-    let before = c2.stats();
-    under.refresh_directory(&mut c2).unwrap();
-    let refresh = c2.stats().since(&before).round_trips;
-    assert!(refresh > 0);
+    let get7 = |h: &mut farmem::core::HtTreeHandle, c: &mut FabricClient| {
+        let (v, rt) = rts(c, |c| h.get(c, 7).unwrap());
+        assert_eq!(v, Some(70));
+        rt
+    };
+    let under7 = |h: &mut farmem::core::HtTreeHandle, c: &mut FabricClient, g: &Guard| {
+        let (v, rt) = rts(c, |c| h.get_under(c, g, 7).unwrap());
+        assert_eq!(v, Some(70));
+        rt
+    };
+    let plain = get7(&mut nested, &mut c2);
+    let ((), refresh) = rts(&mut c2, |c| under.refresh_directory(c).unwrap());
+    assert_eq!(refresh, 3, "anchor, entry count, entries");
+    let slot_cas = 1;
 
-    seal();
-    let guard = pin(&s2, &mut c2).unwrap();
-    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain + refresh);
-    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain);
-    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain + refresh);
-    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain);
+    // A seal before the pin: the pin moves the slot, nobody refreshes.
+    seal(&mut c1);
+    let (guard, rt) = rts(&mut c2, |c| pin(&s2, c).unwrap());
+    assert_eq!(rt, slot_cas);
+    assert_eq!(get7(&mut nested, &mut c2), plain);
+    assert_eq!(under7(&mut under, &mut c2, &guard), plain);
 
-    // A seal while the guard is held: the pinned epoch does not move.
-    seal();
-    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain);
-    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain);
+    // A seal while the guard is held: nothing moves until it drops, and
+    // then the next depth-0 pin pays the CAS alone.
+    seal(&mut c1);
+    assert_eq!(get7(&mut nested, &mut c2), plain);
+    assert_eq!(under7(&mut under, &mut c2, &guard), plain);
     drop(guard);
+    assert_eq!(get7(&mut nested, &mut c2), slot_cas + plain);
+    assert_eq!(nested.stats().stale_refreshes + under.stats().stale_refreshes, 0);
 
-    // The next depth-0 pin observes it (epoch read + slot CAS), and each
-    // handle refreshes once more.
-    let resync = 2;
-    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), resync + plain + refresh);
+    // Another client's split: one refresh per handle, at the first lookup
+    // after a depth-0 pin saw the new generation — and only then.
+    let before = s2.lock().unwrap().generation();
+    h1.split(&mut c1, 0).unwrap();
+    assert_eq!(get7(&mut nested, &mut c2), slot_cas + refresh + plain);
+    assert_ne!(s2.lock().unwrap().generation(), before);
     let guard = pin(&s2, &mut c2).unwrap();
-    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain + refresh);
-    assert_eq!(rts(&mut c2, |c| under.get_under(c, &guard, 7).unwrap()), plain);
-    assert_eq!(rts(&mut c2, |c| nested.get(c, 7).unwrap()), plain);
+    assert_eq!(under7(&mut under, &mut c2, &guard), refresh + plain);
+    assert_eq!(under7(&mut under, &mut c2, &guard), plain);
+    assert_eq!(get7(&mut nested, &mut c2), plain);
+    assert_eq!(nested.stats().stale_refreshes + under.stats().stale_refreshes, 0);
 }
 
 /// A client that stops participating is evicted via the lease rule —
