@@ -908,6 +908,37 @@ mod tests {
         assert_eq!(s2.lock().unwrap().observed_epoch(), 4, "the read found the newest epoch");
     }
 
+    /// A handle's epoch subscription lives on the client that attached
+    /// it. Pinned through another client — as a serve worker shard is by
+    /// every session but the one that attached it — a pin finds no event:
+    /// it costs nothing and the slot stays behind, which only holds grace
+    /// back. The slot then moves only in the handle's own `reclaim`, and
+    /// only with limbo to free; an eviction meanwhile goes unnoticed by
+    /// such pins, since eviction is found by the publish CAS.
+    #[test]
+    fn a_pin_through_another_client_sees_no_epoch_event() {
+        let (f, a, reg) = setup();
+        let (mut c0, mut c1, mut c2) = (f.client(), f.client(), f.client());
+        let s0 = reg.attach(&mut c0, &a).unwrap();
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        seal_one(&s0, &mut c0, &a, false);
+        assert_eq!(pin_books(&s1, &mut c2), AccessStats::new(), "no event on c2");
+        assert_eq!(s1.lock().unwrap().observed_epoch(), 1);
+        assert_eq!(s1.lock().unwrap().reclaim(&mut c2).unwrap(), 0);
+        assert_eq!(s1.lock().unwrap().observed_epoch(), 1, "empty limbo: no registry read");
+        seal_one(&s1, &mut c2, &a, false);
+        s1.lock().unwrap().reclaim(&mut c2).unwrap();
+        assert_eq!(s1.lock().unwrap().observed_epoch(), 3, "its own pass publishes");
+
+        // c0 out-waits the lagging slot and evicts it; c2's pins miss that.
+        seal_one(&s0, &mut c0, &a, false);
+        while s0.lock().unwrap().stats().evictions == 0 {
+            s0.lock().unwrap().reclaim(&mut c0).unwrap();
+        }
+        assert_eq!(pin_books(&s1, &mut c2), AccessStats::new());
+        assert_eq!(s1.lock().unwrap().stats().evicted, 0, "the eviction went unnoticed");
+    }
+
     /// The generation moves exactly when a seal covered a restructure
     /// retire — also when the automatic seal fired halfway through the
     /// restructure's retires — and never on a seal of plain retires.

@@ -8,14 +8,12 @@
 //! has. Far-memory state (the record tree, the reclaim registry) is
 //! shared by construction; cross-worker *reads* are safe under epoch
 //! guards. The listener role is [`CacheServer::run_sessions`]: it lays
-//! logical sessions onto [`Runtime`] workers (session `s` lands on
-//! worker `s % workers`, the runtime's own sharding), so a request
-//! generator that routes by [`CacheServer::owner_of`] gets
-//! single-writer-per-key for free.
+//! logical sessions onto [`Runtime`] workers and lends session `s` the
+//! server's own shard `s % n_workers`, on worker `s % n_workers` (the
+//! runtime's sharding), so a request generator that routes by
+//! [`CacheServer::owner_of`] gets single-writer-per-key for free.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use farmem_alloc::FarAlloc;
 use farmem_core::{HtTree, HtTreeConfig};
@@ -44,11 +42,11 @@ const HOT_DECAY_EVERY: u64 = 1 << 16;
 pub struct ServeConfig {
     /// Configuration of the shared record tree.
     pub ht: HtTreeConfig,
-    /// Epoch slots in the reclaim registry: one per worker plus one per
-    /// concurrent session (each attaches its own guard slot).
+    /// Epoch slots in the reclaim registry: one per worker shard and per
+    /// [`CacheServer::worker`] (held for good) and per concurrent session.
     pub reclaim_slots: u64,
-    /// Requested worker count for [`CacheServer::run_sessions`] (the
-    /// effective count is capped by the session count).
+    /// Worker shards the server owns: the OS threads of
+    /// [`CacheServer::run_sessions`] and the count keys are owned by.
     pub n_workers: usize,
     /// Per-worker live-byte watermark: a put that leaves the worker's
     /// charged bytes above it evicts LRU records until back under.
@@ -180,6 +178,8 @@ pub struct CacheServer {
     registry: ReclaimRegistry,
     tenants: Arc<Mutex<TenantTable>>,
     cfg: ServeConfig,
+    /// The `n_workers` shards, each attached by its first session.
+    shards: Vec<OnceLock<Mutex<ServeWorker>>>,
 }
 
 /// Deterministic owner shard of a namespaced key.
@@ -205,6 +205,7 @@ impl CacheServer {
             registry,
             tenants: Arc::new(Mutex::new(TenantTable::new())),
             cfg,
+            shards: (0..cfg.n_workers.max(1)).map(|_| OnceLock::new()).collect(),
         })
     }
 
@@ -229,11 +230,10 @@ impl CacheServer {
         &self.alloc
     }
 
-    /// The worker count [`run_sessions`](Self::run_sessions) will use
-    /// for `n_sessions` sessions (the runtime caps workers at the task
-    /// count). Request generators route with this.
-    pub fn effective_workers(&self, n_sessions: usize) -> usize {
-        self.cfg.n_workers.max(1).min(n_sessions.max(1))
+    /// The worker count keys are owned by: `n_workers` (at least one) in
+    /// every call, whatever its session count. Generators route with it.
+    pub fn effective_workers(&self, _n_sessions: usize) -> usize {
+        self.shards.len()
     }
 
     /// The worker that owns `nskey` among `n_workers` shards.
@@ -266,14 +266,14 @@ impl CacheServer {
         self.tenants.lock().unwrap().stats()
     }
 
-    /// The listener: runs `n_sessions` logical sessions over a
-    /// [`Runtime`] of `cfg.n_workers` OS threads. Session `s` executes
-    /// on worker `s % workers` and shares that worker's shard (LRU,
-    /// sketch, accounting) with its thread-mates; its far accesses run
-    /// on its own client, and batched gets overlap through the async
-    /// doorbell. The generator is called once per session and must
-    /// route mutations to sessions of the owning worker
-    /// ([`owner_of`](Self::owner_of) with
+    /// The listener, callable any number of times: runs `n_sessions` (at
+    /// least `n_workers`) logical sessions over a [`Runtime`] of
+    /// `n_workers` OS threads. Session `s` runs on worker `s % n_workers`
+    /// and is lent the server's shard of that index (LRU, sketch,
+    /// accounting, kept across calls); its far accesses run on its own
+    /// client, and batched gets overlap through the async doorbell. The
+    /// generator is called once per session and must route mutations to
+    /// sessions of the owning worker ([`owner_of`](Self::owner_of) with
     /// [`effective_workers`](Self::effective_workers)); gets may go
     /// anywhere.
     pub fn run_sessions<G>(
@@ -284,18 +284,26 @@ impl CacheServer {
     where
         G: Fn(usize) -> Vec<Request> + Send + Sync + 'static,
     {
-        let runtime = Runtime::new(self.cfg.n_workers);
-        let workers = self.effective_workers(n_sessions);
+        let workers = self.shards.len();
+        assert!(n_sessions >= workers, "{n_sessions} sessions cannot drive {workers} worker shards");
         let server = self.clone();
-        runtime.run(&self.fabric.clone(), n_sessions, move |index, ac| {
+        Runtime::new(workers).run(&self.fabric, n_sessions, move |index, ac| {
             let server = server.clone();
             let reqs = gen(index);
-            Box::pin(session_body(server, index, workers, ac, reqs))
+            Box::pin(session_body(server, index, ac, reqs))
         })
+    }
+
+    /// Runs `f` on shard `wid`, lent for one synchronous section.
+    /// `try_lock`: a shard held across a suspension point panics, where
+    /// `lock` would deadlock the thread's executor.
+    fn with_shard<R>(&self, wid: usize, f: impl FnOnce(&mut ServeWorker) -> R) -> R {
+        let shard = self.shards[wid].get().expect("attached by its first session");
+        f(&mut shard.try_lock().expect("a shard held across a suspension point"))
     }
 }
 
-/// One shard of the serving layer: owned by exactly one worker thread.
+/// One shard of the serving layer: used by one worker thread at a time.
 pub struct ServeWorker {
     wid: usize,
     n_workers: usize,
@@ -346,16 +354,13 @@ impl ServeWorker {
 
     /// Serves a get: admission, hot-key accounting, TTL enforcement.
     pub fn get(&mut self, client: &mut FabricClient, tenant: TenantId, key: u64) -> Result<Response> {
-        self.stats.ops += 1;
-        let nskey = match self.admit(client, tenant, key, 0, None)? {
-            Ok(nskey) => nskey,
+        let (nskey, spread) = match self.admit_get(client, tenant, key)? {
+            Ok(admitted) => admitted,
             Err(reject) => return Ok(Response::Rejected(reject)),
         };
         let _span = client.span(tenant.span_name());
-        let spread = self.classify_hot(nskey);
         if spread {
             client.set_spread_reads(Some(true));
-            self.stats.spread_gets += 1;
         }
         let now = client.now_ns();
         let hint = self.index.get(nskey).map(|m| m.hint);
@@ -381,7 +386,6 @@ impl ServeWorker {
         value: &[u8],
         ttl_ns: Option<u64>,
     ) -> Result<Response> {
-        self.stats.ops += 1;
         let charged = charged_bytes(value.len() as u64);
         let nskey = match self.admit(client, tenant, key, value.len() as u64, Some(charged))? {
             Ok(nskey) => nskey,
@@ -408,7 +412,6 @@ impl ServeWorker {
 
     /// Serves a delete.
     pub fn delete(&mut self, client: &mut FabricClient, tenant: TenantId, key: u64) -> Result<Response> {
-        self.stats.ops += 1;
         let nskey = match self.admit(client, tenant, key, 0, None)? {
             Ok(nskey) => nskey,
             Err(reject) => return Ok(Response::Rejected(reject)),
@@ -441,10 +444,10 @@ impl ServeWorker {
 
     // ----- internals -----
 
-    /// Admission: tenant validity, key range, value size, op quota,
-    /// byte quota, in that order. Pure compute — no far access is issued
-    /// before all checks pass. Returns the namespaced key, or the first
-    /// check that failed — the one whose counter was charged here.
+    /// Admission: counts the op, then checks tenant validity, key range,
+    /// value size, op quota, byte quota, in that order. Pure compute — no
+    /// far access is issued before all checks pass. Returns the namespaced
+    /// key, or the first check that failed — the one whose counter moved.
     fn admit(
         &mut self,
         client: &mut FabricClient,
@@ -453,6 +456,7 @@ impl ServeWorker {
         value_len: u64,
         put_charged: Option<u64>,
     ) -> Result<std::result::Result<u64, Reject>> {
+        self.stats.ops += 1;
         let mut tt = self.tenants.lock().unwrap();
         if !tt.contains(tenant) {
             return Err(ServeError::UnknownTenant);
@@ -475,6 +479,22 @@ impl ServeWorker {
         };
         self.stats.rejected += u64::from(verdict.is_err());
         Ok(verdict)
+    }
+
+    /// A get's admission, shared by the sync and the session path:
+    /// [`admit`](Self::admit), then the sketch. Returns the namespaced
+    /// key and whether its read spreads over the replica group.
+    fn admit_get(
+        &mut self,
+        client: &mut FabricClient,
+        tenant: TenantId,
+        key: u64,
+    ) -> Result<std::result::Result<(u64, bool), Reject>> {
+        Ok(self.admit(client, tenant, key, 0, None)?.map(|nskey| {
+            let spread = self.classify_hot(nskey);
+            self.stats.spread_gets += u64::from(spread);
+            (nskey, spread)
+        }))
     }
 
     /// Records the access in the sketch; returns whether the read
@@ -593,42 +613,28 @@ pub struct SessionSummary {
     pub misses: u64,
     /// Admission rejections.
     pub rejected: u64,
-    /// Shard counters at session end (cumulative across thread-mates;
-    /// per worker, take the snapshot with the most ops).
+    /// Shard counters at session end, cumulative across thread-mates and
+    /// earlier calls (per worker, take the snapshot with the most ops).
     pub worker: WorkerStats,
-}
-
-thread_local! {
-    /// The shard shared by all sessions of one runtime worker thread.
-    /// Runtime worker threads are scoped per `run_sessions` call, so
-    /// the slot starts empty on every run.
-    static TL_WORKER: RefCell<Option<Rc<RefCell<ServeWorker>>>> = const { RefCell::new(None) };
 }
 
 /// Consecutive gets batched through one async doorbell.
 const GET_BATCH: usize = 8;
 
-/// One logical session: admission and metadata go through the shared
-/// worker shard (brief synchronous borrows — never held across a
+/// One logical session: admission and metadata go through the lent
+/// worker shard (brief synchronous sections — never held across a
 /// suspension point); far accesses run on the session's own client,
 /// with runs of gets overlapped through the async batch path.
 async fn session_body(
     server: Arc<CacheServer>,
     index: usize,
-    workers: usize,
     ac: AsyncClient,
     reqs: Vec<Request>,
 ) -> SessionSummary {
-    let wid = index % workers;
-    let worker: Rc<RefCell<ServeWorker>> = TL_WORKER.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if slot.is_none() {
-            // lint: block-ok — one-time shard attach (control plane).
-            let w = ac.with(|c| server.worker(wid, workers, c)).expect("worker attach");
-            *slot = Some(Rc::new(RefCell::new(w)));
-        }
-        slot.as_ref().expect("just filled").clone()
-    });
+    let wid = index % server.shards.len();
+    // lint: block-ok — a shard's first session attaches it (control plane).
+    let attach = || ac.with(|c| server.worker(wid, server.shards.len(), c)).expect("worker attach");
+    server.shards[wid].get_or_init(|| Mutex::new(attach()));
     // Per-session store handle: own reclaim slot (guard pins must not be
     // shared between interleaved sessions), own tree directory cache.
     // lint: block-ok — one-time session attach (control plane).
@@ -662,13 +668,13 @@ async fn session_body(
                     }
                 }
                 sum.ops += batch.len() as u64;
-                serve_get_batch(&worker, &mut store, &ac, &batch, &mut sum).await;
+                serve_get_batch(&server, wid, &mut store, &ac, &batch, &mut sum).await;
             }
             req => {
                 sum.ops += 1;
                 // lint: block-ok — mutations are worker-serialized sync
                 // sections (single-writer-per-key).
-                let resp = ac.with(|c| worker.borrow_mut().execute(c, req));
+                let resp = ac.with(|c| server.with_shard(wid, |w| w.execute(c, req)));
                 match resp {
                     Ok(Response::Rejected(_)) => sum.rejected += 1,
                     Ok(_) => {}
@@ -684,10 +690,9 @@ async fn session_body(
     // that to the lease.
     // lint: block-ok — one-time session detach (control plane).
     let _ = ac.with(|c| store.release(c));
-    // Collect this worker's retires before the thread winds down.
-    // lint: block-ok — final seal + reclaim pass (control plane).
-    let _ = ac.with(|c| worker.borrow_mut().reclaim_pass(c));
-    sum.worker = worker.borrow().stats();
+    // lint: block-ok — the shard's seal + reclaim pass (control plane).
+    let _ = ac.with(|c| server.with_shard(wid, |w| w.reclaim_pass(c)));
+    sum.worker = server.with_shard(wid, |w| w.stats());
     sum
 }
 
@@ -695,34 +700,27 @@ async fn session_body(
 /// group, cold keys keep primary reads; both halves overlap through the
 /// async store path.
 async fn serve_get_batch(
-    worker: &Rc<RefCell<ServeWorker>>,
+    server: &CacheServer,
+    wid: usize,
     store: &mut RecordStore,
     ac: &AsyncClient,
     batch: &[(TenantId, u64)],
     sum: &mut SessionSummary,
 ) {
-    // Admission + hot classification: one brief sync borrow.
+    // Admission + hot classification: one brief sync section.
     let now = ac.with(|c| c.now_ns());
     let mut cold: Vec<(TenantId, u64)> = Vec::new();
     let mut hot: Vec<(TenantId, u64)> = Vec::new();
-    {
-        let mut w = worker.borrow_mut();
+    // lint: block-ok — admission is pure compute.
+    ac.with(|c| server.with_shard(wid, |w| {
         for &(tenant, key) in batch {
-            w.stats.ops += 1;
-            // lint: block-ok — admission is pure compute.
-            let admitted = ac.with(|c| w.admit(c, tenant, key, 0, None)).expect("admit");
-            let Ok(nskey) = admitted else {
-                sum.rejected += 1;
-                continue;
-            };
-            if w.classify_hot(nskey) {
-                w.stats.spread_gets += 1;
-                hot.push((tenant, nskey));
-            } else {
-                cold.push((tenant, nskey));
+            match w.admit_get(c, tenant, key).expect("admit") {
+                Ok((nskey, true)) => hot.push((tenant, nskey)),
+                Ok((nskey, false)) => cold.push((tenant, nskey)),
+                Err(_) => sum.rejected += 1,
             }
         }
-    }
+    }));
     for (keys, spread) in [(cold, false), (hot, true)] {
         if keys.is_empty() {
             continue;
@@ -738,7 +736,7 @@ async fn serve_get_batch(
         // lint: block-ok — outcome booking is pure compute; an expiry
         // unlink is a worker-serialized sync mutation.
         let hits = ac
-            .with(|c| worker.borrow_mut().finish_gets(c, &keys, &outcomes))
+            .with(|c| server.with_shard(wid, |w| w.finish_gets(c, &keys, &outcomes)))
             .expect("get epilogue");
         sum.hits += hits;
         sum.misses += keys.len() as u64 - hits;
@@ -1076,16 +1074,17 @@ mod tests {
         assert_eq!(run(), run(), "session runs must be deterministic");
     }
 
-    /// A session gives its epoch slot back when it ends, so consecutive
-    /// `run_sessions` calls through one server reuse the sessions' slots:
-    /// four runs of `n` sessions fit in `n + 4·workers + 2` slots (each run
-    /// still attaches fresh worker shards, and the preloading worker
-    /// keeps one).
+    /// A session gives its epoch slot back when it ends and the server's
+    /// shards attach once, so any number of `run_sessions` calls through
+    /// one server fit in `n + workers + 1` slots: one per session of a
+    /// call, one per shard, and the preloading worker's. Six calls of `n`
+    /// run more than four times that many sessions.
     #[test]
     fn consecutive_session_runs_reuse_the_sessions_slots() {
         let (n, workers) = (8usize, 2usize);
+        let slots = n + workers + 1;
         let cfg = ServeConfig {
-            reclaim_slots: (n + 4 * workers + 2) as u64,
+            reclaim_slots: slots as u64,
             n_workers: workers,
             ..ServeConfig::default()
         };
@@ -1096,12 +1095,60 @@ mod tests {
         for k in 0..16u64 {
             w.put(&mut c, t, k, &[k as u8; 16], None).unwrap();
         }
-        for run in 0..4 {
+        let calls = (4 * slots).div_ceil(n);
+        assert!(calls >= 4);
+        for run in 0..calls {
             let results = server.run_sessions(n, move |s| {
                 (0..16u64).map(|i| Request::Get { tenant: t, key: (s as u64 + i) % 16 }).collect()
             });
             let hits: u64 = results.iter().map(|r| r.output.hits).sum();
             assert_eq!(hits, (n * 16) as u64, "run {run}");
         }
+    }
+
+    /// The shards outlive a call, so the byte budget holds across calls:
+    /// the second call's puts evict what the first call stored, and the
+    /// record class ends at one budget per shard, not one per call.
+    #[test]
+    fn the_byte_budget_holds_across_calls() {
+        const RECORD: u64 = 256; // 16-B header + 240-B value
+        let (workers, budget) = (2usize, 32 * RECORD);
+        let cfg = ServeConfig {
+            worker_byte_budget: budget,
+            n_workers: workers,
+            ..ServeConfig::default()
+        };
+        let (_f, a, server) = deploy(FabricConfig::count_only(256 << 20).build(), cfg);
+        let t = server.add_tenant(TenantSpec::unlimited("budget")).unwrap();
+        // Each call stores 32 keys per shard on average — about a budget
+        // — each through a session of its owning shard.
+        let call = |keys: std::ops::Range<u64>| {
+            server.run_sessions(workers, move |s| {
+                keys.clone()
+                    .filter(|&k| owner_shard(t.namespaced(k), workers) == s)
+                    .map(|k| Request::Put { tenant: t, key: k, value: vec![k as u8; 240], ttl_ns: None })
+                    .collect()
+            })
+        };
+        call(0..64);
+        let (mut indexed, mut evicted) = (0, 0);
+        for r in call(64..128) {
+            let w = r.output.worker;
+            assert!(w.charged_bytes <= budget, "shard {}: {} B charged", w.wid, w.charged_bytes);
+            indexed += w.charged_bytes / RECORD;
+            evicted += w.evicted;
+        }
+        // The evicted records wait in the shards' limbo: a shard's slot
+        // moves only in its own reclaim pass (DESIGN §8), so the one that
+        // finished last waits for the other's next pass. Two calls of
+        // empty sessions run two more passes per shard, enough in either
+        // order.
+        for _ in 0..2 {
+            call(0..0);
+        }
+        let records = a.class_stats().into_iter().find(|cs| cs.class == RECORD).unwrap();
+        let bound = workers as u64 * (budget + RECORD);
+        assert!(records.live_bytes <= bound, "{} B of records live, bound {bound}", records.live_bytes);
+        assert_eq!(indexed + evicted, 128, "every record stored is indexed or evicted");
     }
 }
