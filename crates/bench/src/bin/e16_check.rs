@@ -143,8 +143,9 @@ fn assert_gates(suite: &SuiteResult) {
         );
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
-    // the suite: the failover, serving-TTL, record-publish, record-hint, take
-    // and split-retire mutants, and the programs they break, are required by name.
+    // the suite: the failover, serving-TTL, record-publish, record-hint, take,
+    // split-retire and batched-hint mutants, and the programs they break, are
+    // required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -155,15 +156,21 @@ fn assert_gates(suite: &SuiteResult) {
         "m15_hint_trusted_without_tree",
         "m16_take_relinks_stale_head",
         "m17_restructure_sealed_as_record",
+        "m18_batched_hint_trusted_without_compare",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
             "mutant {required} is missing from the suite"
         );
     }
-    for required in
-        ["serve_ttl_evict", "httree_publish", "reclaim_hinted_get", "reclaim_take", "reclaim_split"]
-    {
+    for required in [
+        "serve_ttl_evict",
+        "httree_publish",
+        "reclaim_hinted_get",
+        "reclaim_hinted_get_many",
+        "reclaim_take",
+        "reclaim_split",
+    ] {
         assert!(
             suite.programs.iter().any(|p| p.name == required),
             "{required} is missing from the main suite"

@@ -118,8 +118,8 @@ impl Shell {
             }
             ["bget", k] => {
                 let k = parse(k)?;
-                let hint = self.blob_hints.get(&k).copied();
-                match self.blobs.get_if(&mut self.client, k, hint, |[]| true)?.flatten() {
+                let mut hint = self.blob_hints.get(&k).copied();
+                match self.blobs.get_if(&mut self.client, k, &mut hint, |[]| true)?.flatten() {
                     Some(bytes) => format!(
                         "{:?} {}",
                         String::from_utf8_lossy(&bytes),

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::FarRwLock;
-use farmem_fabric::{BatchOp, FarAddr};
+use farmem_fabric::{BatchOp, DescList, FarAddr, PipeOp, PipeOut};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
 use crate::explore::{PreparedRun, Program};
@@ -1157,6 +1157,91 @@ fn restructure_sealed_as_record() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// M18 — a batched hint trusted without the compare: the lookup doorbell
+/// of `programs::reclaim_hinted_get_many` in miniature — two keys, each a
+/// bucket word → item word → record word, and a reader holding each
+/// key's first record address as its hint — whose reader rings one
+/// doorbell of two fenced descriptors (lookup, then speculative read) and
+/// serves each speculated word *without comparing* the record address
+/// the lookup returned with the hint, where `HtTreeHandle::lookup_many`
+/// drops the bytes on a mismatch. After the writer overwrites key 0, its
+/// hint names the superseded record, and a batch invoked after the
+/// overwrite completed still returns the old value. As for M15 the race
+/// detector has nothing to say; the catch is the history checker's.
+fn batched_hint_trusted_without_compare() -> Mutant {
+    let program = Program {
+        name: "m18_batched_hint_trusted_without_compare",
+        model: Some(Model::Register { init: 1 }),
+        check_races: true,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let h = Arc::new(History::new());
+            // Per key: (bucket, item, record), the record holding 1.
+            let keys: [(FarAddr, FarAddr, FarAddr); 2] = std::array::from_fn(|part| {
+                let [bucket, item, record] = [(); 3].map(|()| word(&mut c0, &alloc));
+                c0.write_u64(record, 1).unwrap();
+                c0.write_u64(item, record.0).unwrap();
+                c0.write_u64(bucket, item.0).unwrap();
+                h.seed(c0.id(), Op::RegWrite { part: part as u64, v: vec![1] }, Ret::Unit);
+                (bucket, item, record)
+            });
+            let (bucket, item, _) = keys[0];
+            let mut cw = f.client();
+            let wid = cw.id();
+            let hw = h.clone();
+            let alloc_w = alloc.clone();
+            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hw.invoke(wid, Op::RegWrite { part: 0, v: vec![2] });
+                let record2 = alloc_w.alloc(8, AllocHint::Spread).unwrap();
+                let item2 = alloc_w.alloc(8, AllocHint::Spread).unwrap();
+                let out = cw
+                    .batch(&[
+                        BatchOp::Write { addr: record2, data: &2u64.to_le_bytes() },
+                        BatchOp::Write { addr: item2, data: &record2.0.to_le_bytes() },
+                        BatchOp::Cas { addr: bucket, expected: item.0, new: item2.0 },
+                    ])
+                    .unwrap();
+                assert_eq!(out[2].value(), item.0, "sole publisher");
+                hw.complete(t, Ret::Unit);
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for _ in 0..2 {
+                    let ts = [0u64, 1].map(|part| hr.invoke(rid, Op::RegRead { part }));
+                    let mut doorbell = DescList::new();
+                    for (bucket, _, record) in keys {
+                        doorbell.post(PipeOp::Fenced(vec![
+                            BatchOp::Load0 { ptr: bucket, len: 8 },
+                            BatchOp::ReadSpeculative { addr: record, len: 8 },
+                        ]));
+                    }
+                    let outs = cr.ring(&doorbell).into_outputs().unwrap();
+                    for (t, out) in ts.into_iter().zip(outs) {
+                        let PipeOut::Batch(out) = out else { unreachable!("a fenced completion") };
+                        // MUTANT: `out[0]` — the record address the tree
+                        // names — is never compared with the hint.
+                        let v = u64::from_le_bytes(out[1].bytes().try_into().unwrap());
+                        hr.complete(t, Ret::Vals(vec![v]));
+                    }
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![wid, rid],
+                bodies: vec![wbody, rbody],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1177,5 +1262,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         hint_trusted_without_tree(),
         take_relinks_stale_head(),
         restructure_sealed_as_record(),
+        batched_hint_trusted_without_compare(),
     ]
 }

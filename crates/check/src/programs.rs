@@ -29,6 +29,9 @@
 //!
 //! [`AccessKind::SpeculativeRead`]: farmem_fabric::AccessKind::SpeculativeRead
 //!
+//! `reclaim_hinted_get_many` is its batched twin: the same hints, the
+//! same racing stores, through the lookup doorbell's fenced descriptors.
+//!
 //! `reclaim_take` puts the tree's removal protocol in the same setting:
 //! a take whose bucket CAS races a neighbour's put, under a hinted reader
 //! of the record being unlinked.
@@ -477,7 +480,7 @@ pub fn reclaim_hinted_get() -> Program {
             // moves its slot, and `a`'s and `b`'s blocks go back to the
             // allocator — `b`'s last, so the next store takes it first.
             sw.lock().unwrap().seal(&mut cw).unwrap();
-            mr.get_if(&mut cr, 1, None, |[]| true).unwrap();
+            mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
             let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
             assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
             let h2 = h.clone();
@@ -502,9 +505,106 @@ pub fn reclaim_hinted_get() -> Program {
             let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for hint in [c, b, a, c, b] {
                     let t = h3.invoke(rid, Op::Get { k: 1 });
-                    let got = mr.get_if(&mut cr, 1, Some(hint), |[]| true).unwrap().flatten();
+                    let got = mr.get_if(&mut cr, 1, &mut Some(hint), |[]| true).unwrap().flatten();
                     let v = got.map(|b| u64::from_le_bytes(b[..8].try_into().expect("padded")));
                     h3.complete(t, Ret::OptVal(v));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![wid, rid],
+                bodies: vec![wbody, rbody],
+                history: h,
+                finale: None,
+            }
+        }),
+    }
+}
+
+/// The batched twin of [`reclaim_hinted_get`]: the reader serves keys 1
+/// and 2 through [`FarBlobMap::get_many`] — `get_many_async` over an
+/// `Inline` doorbell — each hinted key's lookup one fenced descriptor of the
+/// lookup doorbell and each stale or unhinted one's record read in a
+/// second. Setup stores key 1 three times and key 2 once and runs one
+/// grace period, so hints `a` and `b` name freed blocks, `c` key 1's live
+/// record and `d` key 2's. The writer overwrites key 1 (into `b`'s
+/// block), stores key 2 (into `a`'s) and overwrites key 1 again, running
+/// a grace round after each store. The reader's three batches hand in the
+/// live records' hints `[c, d]`, the freed-and-reused blocks' `[b, a]`,
+/// and each key the other's record, `[d, c]`. Checked: race-freedom and
+/// per-key map linearizability over record contents, as in the serial
+/// program; the hints a batch hands back are not reused, so every batch
+/// starts from the staleness it was built with.
+pub fn reclaim_hinted_get_many() -> Program {
+    Program {
+        name: "reclaim_hinted_get_many",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 900,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+            // Two buckets, never restructured.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: u64::MAX,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            let attach = || {
+                let mut cl = f.client();
+                let shared = reg.attach(&mut cl, &alloc).unwrap();
+                let map: FarBlobMap =
+                    FarBlobMap::attach_reclaimed(&mut cl, &alloc, tree, cfg, shared.clone()).unwrap();
+                (cl, shared, map)
+            };
+            let padded = |v: u64| {
+                let mut value = vec![0u8; FarBlobMap::<0>::PREFETCHED as usize];
+                value[..8].copy_from_slice(&v.to_le_bytes());
+                value
+            };
+            let (mut cw, sw, mut mw) = attach();
+            let (mut cr, _sr, mut mr) = attach();
+            let (wid, rid) = (cw.id(), cr.id());
+            let [a, b, c] = [1, 2, 3].map(|v| mw.put(&mut cw, 1, [], &padded(v)).unwrap().1);
+            let d = mw.put(&mut cw, 2, [], &padded(21)).unwrap().1;
+            h.seed(wid, Op::Put { k: 1, v: 3 }, Ret::Unit);
+            h.seed(wid, Op::Put { k: 2, v: 21 }, Ret::Unit);
+            // One grace period frees `a`'s and `b`'s blocks, `b`'s last.
+            sw.lock().unwrap().seal(&mut cw).unwrap();
+            mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
+            let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
+            assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
+            let h2 = h.clone();
+            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
+                    let t = h2.invoke(wid, Op::Put { k, v });
+                    mw.put(&mut cw, k, [], &padded(v)).unwrap();
+                    h2.complete(t, Ret::Unit);
+                    // Few rounds only (no lease eviction).
+                    let mut r = sw.lock().unwrap();
+                    r.seal(&mut cw).unwrap();
+                    for _ in 0..2 {
+                        if r.reclaim(&mut cw).unwrap() > 0 {
+                            break;
+                        }
+                    }
+                }
+            });
+            let h3 = h.clone();
+            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for mut hints in [[c, d], [b, a], [d, c]].map(|pair| pair.map(Some)) {
+                    let ts = [1u64, 2].map(|k| h3.invoke(rid, Op::Get { k }));
+                    let got = mr.get_many(&mut cr, &[1, 2], &mut hints, |[]| true).unwrap();
+                    for (t, got) in ts.into_iter().zip(got) {
+                        let v = got.flatten().map(|b| {
+                            u64::from_le_bytes(b[..8].try_into().expect("padded"))
+                        });
+                        h3.complete(t, Ret::OptVal(v));
+                    }
                 }
             });
             PreparedRun {
@@ -607,9 +707,9 @@ pub fn reclaim_take() -> Program {
             });
             let hc = h.clone();
             let cbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for (key, hint) in [(k, Some(hint)), (neighbour, None)] {
+                for (key, mut hint) in [(k, Some(hint)), (neighbour, None)] {
                     let t = hc.invoke(cid, Op::Get { k: key });
-                    let got = mc.get_if(&mut cc, key, hint, |[]| true).unwrap().flatten();
+                    let got = mc.get_if(&mut cc, key, &mut hint, |[]| true).unwrap().flatten();
                     hc.complete(t, Ret::OptVal(got.map(unpad)));
                 }
             });
@@ -1065,6 +1165,7 @@ pub fn main_programs() -> Vec<Program> {
         httree_split(),
         httree_publish(),
         reclaim_hinted_get(),
+        reclaim_hinted_get_many(),
         reclaim_take(),
         reclaim_split(),
         reclaim_publish(),

@@ -24,13 +24,15 @@
 //! [`FarBlobMap::PREFETCH`] bytes, so payloads up to
 //! [`FarBlobMap::PREFETCHED`] bytes need no second read.
 //!
-//! A caller that remembers the [`RecordHint`] its store handed back gets
-//! the lookup down to the map's **one far access**, whatever the payload's
-//! size: the whole record is read speculatively at the hinted address in
-//! the tree lookup's own fenced batch, and used only if the tree then
-//! names that address ([`FarBlobMap::get_if`]). A stale hint wastes that
-//! one message and its bytes and the lookup proceeds as if unhinted — it
-//! never costs a round trip.
+//! A caller that remembers the [`RecordHint`] its store or an earlier
+//! lookup handed back gets the lookup down to the map's **one far
+//! access**, whatever the payload's size: the whole record is read
+//! speculatively at the hinted address in the tree lookup's own fenced
+//! batch, and used only if the tree then names that address
+//! ([`FarBlobMap::get_if`]; [`FarBlobMap::get_many_async`] posts each such
+//! batch as one descriptor of its lookup doorbell). A stale hint wastes
+//! that one message and its bytes and the lookup proceeds as if unhinted
+//! — it never costs a round trip.
 //!
 //! With [`FarBlobMap::attach_reclaimed`] the map participates in
 //! epoch-based reclamation: records are slab-allocated, lookups hold the
@@ -50,7 +52,7 @@
 use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
 use farmem_fabric::{DescList, FabricClient, FarAddr, WORD};
 use farmem_reclaim::SharedReclaim;
-use farmem_runtime::Doorbell;
+use farmem_runtime::{Doorbell, Inline};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -68,12 +70,13 @@ enum Records {
     Reclaim(SharedReclaim),
 }
 
-/// Where [`FarBlobMap::put`] placed a record and how long its payload is:
-/// what a later [`FarBlobMap::get_if`] of the same key needs to fetch the
-/// record in the lookup's own far access. Opaque and minted only by `put`,
-/// so a hint can be *stale* (the key was since overwritten or removed, the
-/// block freed and reused) but never names memory that was not a record.
-/// Twelve bytes, so a per-key table pays 8 + 4 for it.
+/// Where a record sits and how long its payload is: what a later
+/// [`FarBlobMap::get_if`] of the same key needs to fetch the record in the
+/// lookup's own far access. Opaque and minted only by this record layer —
+/// by [`FarBlobMap::put`], and by a lookup from the record the tree named
+/// — so a hint can be *stale* (the key was since overwritten or removed,
+/// the block freed and reused) but never names memory that was not a
+/// record. Twelve bytes, so a per-key table pays 8 + 4 for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(C, packed(4))]
 pub struct RecordHint {
@@ -232,6 +235,36 @@ impl<const H: usize> FarBlobMap<H> {
         (word_at(first, 0), std::array::from_fn(|i| word_at(first, (1 + i as u64) * WORD)))
     }
 
+    /// The hint of the record at `record` with a `len`-byte payload.
+    fn hint(record: u64, len: u64) -> Option<RecordHint> {
+        u32::try_from(len).ok().map(|payload_len| RecordHint { record, payload_len })
+    }
+
+    /// The speculative read a hint asks for: the whole record.
+    fn speculation(hint: RecordHint) -> (FarAddr, u64) {
+        (FarAddr(hint.record), Self::HEADER + u64::from(hint.payload_len))
+    }
+
+    /// What a hinted read that the tree confirmed holds: the payload length
+    /// and `Some(None)` when `live` turns the header down, else the
+    /// payload. `None` when the bytes stop short of the payload — the block
+    /// was freed and took a longer record of this same key since the hint.
+    fn hinted_payload(
+        mut bytes: Vec<u8>,
+        live: impl FnOnce(&[u64; H]) -> bool,
+    ) -> Option<(u64, Option<Vec<u8>>)> {
+        let (len, header) = Self::decode(&bytes);
+        if Self::HEADER + len > bytes.len() as u64 {
+            return None;
+        }
+        if !live(&header) {
+            return Some((len, None));
+        }
+        bytes.truncate((Self::HEADER + len) as usize);
+        bytes.drain(..Self::HEADER as usize);
+        Some((len, Some(bytes)))
+    }
+
     /// Fetches the record under `key` if `live` accepts its header words:
     /// the map's one far access plus one (two, for a payload past the
     /// prefetch) record reads. `None` is a key with no record;
@@ -241,44 +274,39 @@ impl<const H: usize> FarBlobMap<H> {
     /// With the `hint` the key's last [`put`](Self::put) returned, the
     /// whole get is **one far access**: the record is read at the hinted
     /// address inside the tree lookup's own fenced batch — lookup first —
-    /// and the bytes are used if the tree names that address. Any other hint — an older one of this key,
-    /// another key's, one whose block was freed and reused — wastes one
-    /// message and the hinted bytes, and the get then costs what it costs
-    /// with `None`; the result is the same either way.
+    /// and the bytes are used if the tree names that address. Any other
+    /// hint — an older one of this key, another key's, one whose block was
+    /// freed and reused — wastes one message and the hinted bytes, and the
+    /// get then costs what it costs with `None`; the result is the same
+    /// either way. On return `hint` holds the hint of the record the tree
+    /// named — minted here, from the address the tree gave and the length
+    /// the record carries — or `None` when the key has no record.
     pub fn get_if(
         &mut self,
         client: &mut FabricClient,
         key: u64,
-        hint: Option<RecordHint>,
-        live: impl FnOnce(&[u64; H]) -> bool,
+        hint: &mut Option<RecordHint>,
+        live: impl Fn(&[u64; H]) -> bool,
     ) -> Result<Option<Option<Vec<u8>>>> {
         // Reclaim mode: the lookup's epoch guard is held to the record's
         // last byte, so a record another client is concurrently retiring
         // stays readable until grace elapses.
-        let speculate =
-            hint.map(|h| (FarAddr(h.record), Self::HEADER + u64::from(h.payload_len)));
-        let found = self.inner.get_guarded(client, key, speculate)?;
+        let found = self.inner.get_guarded(client, key, hint.map(Self::speculation))?;
         let Some(ptr) = found.value else {
+            *hint = None;
             return Ok(None);
         };
         // The tree named the hinted address, so these are the record's
-        // bytes as of the lookup. They are all of it unless the block was
-        // freed and took a longer record of this same key since the hint.
-        if let Some(mut bytes) = found.hinted {
-            let (len, header) = Self::decode(&bytes);
-            if Self::HEADER + len <= bytes.len() as u64 {
-                if !live(&header) {
-                    return Ok(Some(None));
-                }
-                bytes.truncate((Self::HEADER + len) as usize);
-                bytes.drain(..Self::HEADER as usize);
-                return Ok(Some(Some(bytes)));
-            }
+        // bytes as of the lookup.
+        if let Some((len, payload)) = found.hinted.and_then(|b| Self::hinted_payload(b, &live)) {
+            *hint = Self::hint(ptr, len);
+            return Ok(Some(payload));
         }
         let record = FarAddr(ptr);
         let mut first = [0u8; PREFETCH as usize];
         client.read_into(record, &mut first)?;
         let (len, header) = Self::decode(&first);
+        *hint = Self::hint(ptr, len);
         if !live(&header) {
             return Ok(Some(None));
         }
@@ -294,31 +322,65 @@ impl<const H: usize> FarBlobMap<H> {
         Ok(Some(Some(out)))
     }
 
+    /// The blocking form of [`get_many_async`](Self::get_many_async): the
+    /// same body over an [`Inline`] doorbell, which never parks.
+    pub fn get_many(
+        &mut self,
+        client: &mut FabricClient,
+        keys: &[u64],
+        hints: &mut [Option<RecordHint>],
+        live: impl Fn(&[u64; H]) -> bool,
+    ) -> Result<Vec<Option<Option<Vec<u8>>>>> {
+        let bell = Inline::new(client);
+        Inline::run(self.get_many_async(&bell, keys, hints, live))
+    }
+
     /// [`get_if`](Self::get_if) over a batch of keys and any
-    /// [`Doorbell`]: the tree lookups post through one doorbell
-    /// ([`HtTreeHandle::get_many_async`]), then every found record's
-    /// prefetch read posts through a second shared one — so an executor
-    /// interleaves whole sessions' batches on one OS thread. Results are
-    /// those of one `get_if` per key.
+    /// [`Doorbell`], `hints[i]` in and out for `keys[i]` as `get_if`'s
+    /// `hint`: the tree lookups post through one doorbell — a hinted key's
+    /// as one fenced descriptor with its speculative read, so a fresh hint
+    /// completes its get there — then the prefetch read of every record
+    /// found unhinted or through a stale hint posts through a second
+    /// shared one, rung only if there is one. An executor interleaves
+    /// whole sessions' batches on one OS thread. Results are those of one
+    /// `get_if` per key.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one hint slot per key.
     pub async fn get_many_async<D: Doorbell>(
         &mut self,
         ac: &D,
         keys: &[u64],
+        hints: &mut [Option<RecordHint>],
         live: impl Fn(&[u64; H]) -> bool,
     ) -> Result<Vec<Option<Option<Vec<u8>>>>> {
-        let (ptrs, _guard) = self.inner.get_many_async_guarded(ac, keys).await?;
-        let mut heads = DescList::new();
-        let posted: Vec<Option<(FarAddr, usize)>> = ptrs
-            .into_iter()
-            .map(|ptr| ptr.map(|p| (FarAddr(p), heads.read(FarAddr(p), PREFETCH))))
-            .collect();
-        let mut cq = ac.ring(heads).await;
+        assert_eq!(hints.len(), keys.len(), "one hint slot per key");
+        let speculate: Vec<_> = hints.iter().map(|h| h.map(Self::speculation)).collect();
+        let (found, _guard) = self.inner.get_many_async_guarded(ac, keys, &speculate).await?;
         let mut out = Vec::with_capacity(keys.len());
-        for found in posted {
-            let Some((record, slot)) = found else {
+        let mut reads = DescList::new();
+        let mut posted = Vec::new();
+        for (i, (value, hinted)) in found.into_iter().enumerate() {
+            let Some(ptr) = value else {
+                hints[i] = None;
                 out.push(None);
                 continue;
             };
+            // As in `get_if`: bytes the tree confirmed.
+            if let Some((len, payload)) = hinted.and_then(|b| Self::hinted_payload(b, &live)) {
+                hints[i] = Self::hint(ptr, len);
+                out.push(Some(payload));
+                continue;
+            }
+            posted.push((i, FarAddr(ptr), reads.read(FarAddr(ptr), PREFETCH)));
+            out.push(None);
+        }
+        if posted.is_empty() {
+            return Ok(out);
+        }
+        let mut cq = ac.ring(reads).await;
+        for (i, record, slot) in posted {
             let first = match cq.take(slot) {
                 Some(Ok(res)) => res.into_bytes(),
                 // lint: block-ok — serial fallback after a failed
@@ -328,8 +390,9 @@ impl<const H: usize> FarBlobMap<H> {
                 _ => ac.with(|c| c.read(record, PREFETCH))?,
             };
             let (len, header) = Self::decode(&first);
+            hints[i] = Self::hint(record.0, len);
             if !live(&header) {
-                out.push(Some(None));
+                out[i] = Some(None);
                 continue;
             }
             // The completion's own buffer becomes the value: drop the
@@ -345,7 +408,7 @@ impl<const H: usize> FarBlobMap<H> {
                 v.reserve_exact(tail.len());
                 v.extend_from_slice(&tail);
             }
-            out.push(Some(Some(v)));
+            out[i] = Some(Some(v));
         }
         Ok(out)
     }
@@ -391,7 +454,7 @@ impl FarBlobMap {
     /// hint and nothing to turn down).
     pub fn get_bytes(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<Vec<u8>>> {
         let _span = client.span("blob.get_bytes");
-        Ok(self.get_if(client, key, None, |[]| true)?.flatten())
+        Ok(self.get_if(client, key, &mut None, |[]| true)?.flatten())
     }
 }
 
@@ -399,7 +462,6 @@ impl FarBlobMap {
 mod tests {
     use super::*;
     use farmem_fabric::FabricConfig;
-    use farmem_runtime::Inline;
 
     fn setup() -> (Arc<farmem_fabric::Fabric>, Arc<FarAlloc>) {
         let f = FabricConfig::count_only(256 << 20).build();
@@ -470,9 +532,9 @@ mod tests {
         } else {
             FarBlobMap::create(&mut c, &a, cfg).unwrap()
         };
-        let get = |c: &mut FabricClient, m: &mut FarBlobMap, key, hint| {
+        let get = |c: &mut FabricClient, m: &mut FarBlobMap, key, mut hint| {
             let before = c.stats();
-            let got = m.get_if(c, key, hint, |[]| true).unwrap().flatten();
+            let got = m.get_if(c, key, &mut hint, |[]| true).unwrap().flatten();
             let d = c.stats().since(&before);
             // The cached tree's traversal is local and the same every time.
             assert_eq!(d.near_accesses, 2);
@@ -567,7 +629,8 @@ mod tests {
         };
         let rt = |c: &mut FabricClient, m: &mut FarBlobMap, hint, want: &[u8]| {
             let before = c.stats();
-            assert_eq!(m.get_if(c, 1, Some(hint), |[]| true).unwrap().flatten().unwrap(), want);
+            let got = m.get_if(c, 1, &mut Some(hint), |[]| true).unwrap().flatten();
+            assert_eq!(got.unwrap(), want);
             c.stats().since(&before).round_trips
         };
         let (_, first) = m.put(&mut c, 1, [], &[1u8; 40]).unwrap();
@@ -690,7 +753,9 @@ mod tests {
 
     /// `get_many_async` is one `get_if` per key, whatever the header
     /// width, the mode or the doorbell: hits on either side of the
-    /// prefetch, misses, removed keys and records `live` turns down.
+    /// prefetch, misses, removed keys and records `live` turns down, each
+    /// unhinted, through its own hint and through another key's — the
+    /// hints handed back included.
     fn get_many_matches_get<const H: usize>(reclaimed: bool, header_of: fn(u64) -> [u64; H]) {
         let (f, a) = setup();
         let mut c = f.client();
@@ -704,23 +769,46 @@ mod tests {
             FarBlobMap::attach(&mut c, &a, tree, cfg).unwrap()
         };
         let sizes = [0, 1, 100, FarBlobMap::<H>::PREFETCHED, FarBlobMap::<H>::PREFETCHED + 1, 5000];
-        for k in 0..24u64 {
-            let v: Vec<u8> = (0..sizes[k as usize % sizes.len()]).map(|i| (i + k) as u8).collect();
-            m.put(&mut c, k, header_of(k), &v).unwrap();
-        }
+        let put_hints: Vec<RecordHint> = (0..24u64)
+            .map(|k| {
+                let size = sizes[k as usize % sizes.len()];
+                let v: Vec<u8> = (0..size).map(|i| (i + k) as u8).collect();
+                m.put(&mut c, k, header_of(k), &v).unwrap().1
+            })
+            .collect();
         m.remove(&mut c, 5).unwrap();
         // Turn down every record whose last header word is odd (none when
         // there is no header).
         let live = |h: &[u64; H]| h.last().is_none_or(|w| w % 2 == 0);
         let keys: Vec<u64> = (0..32).rev().collect();
-        let serial: Vec<_> =
-            keys.iter().map(|&k| m.get_if(&mut c, k, None, live).unwrap()).collect();
+        let hints: Vec<Option<RecordHint>> = keys
+            .iter()
+            .map(|&k| match k % 3 {
+                0 => None,
+                1 => put_hints.get(k as usize).copied(),
+                _ => Some(put_hints[(k as usize + 7) % 24]),
+            })
+            .collect();
+        let serial: Vec<_> = keys
+            .iter()
+            .zip(&hints)
+            .map(|(&k, &hint)| {
+                let mut hint = hint;
+                (m.get_if(&mut c, k, &mut hint, live).unwrap(), hint)
+            })
+            .collect();
+        let mut learned = hints.clone();
         let bell = Inline::new(&mut c);
-        let batched = Inline::run(m.get_many_async(&bell, &keys, live)).unwrap();
-        assert_eq!(batched, serial);
-        assert!(serial.iter().any(|r| r.is_none()), "misses");
-        assert!(serial.iter().flatten().flatten().any(|v| v.len() > 4096), "tails");
-        assert_eq!(serial.contains(&Some(None)), H > 0, "turned-down records");
+        let batched = Inline::run(m.get_many_async(&bell, &keys, &mut learned, live)).unwrap();
+        assert_eq!(batched.into_iter().zip(learned).collect::<Vec<_>>(), serial);
+        assert!(serial.iter().any(|(r, _)| r.is_none()), "misses");
+        let values = serial.iter().filter_map(|(r, _)| r.clone().flatten());
+        assert!(values.clone().any(|v| v.len() > 4096), "tails");
+        assert_eq!(serial.iter().any(|(r, _)| *r == Some(None)), H > 0, "turned-down records");
+        for (&k, (found, hint)) in keys.iter().zip(&serial) {
+            let current = put_hints.get(k as usize).filter(|_| found.is_some());
+            assert_eq!(hint.as_ref(), current, "key {k}: the hint handed back");
+        }
     }
 
     #[test]

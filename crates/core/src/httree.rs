@@ -68,7 +68,7 @@
 
 use farmem_alloc::{AllocHint, Arena, FarAlloc};
 use farmem_fabric::{
-    splitmix64, BatchOp, BatchOut, DescList, FabricClient, FarAddr, FarIov, WORD,
+    splitmix64, BatchOp, BatchOut, DescList, FabricClient, FarAddr, FarIov, PipeOp, PipeOut, WORD,
 };
 use farmem_reclaim::{pin, Guard, SharedReclaim};
 use farmem_runtime::{Doorbell, Inline};
@@ -193,6 +193,10 @@ pub(crate) struct Guarded {
     pub(crate) _guard: Option<Guard>,
 }
 
+/// What a batched lookup found for one key: its value and, when the tree
+/// named the hinted address, the hinted bytes.
+pub(crate) type Found = (Option<u64>, Option<Vec<u8>>);
+
 /// `(start_key, version)` of the table a put landed in, when the item
 /// count gathered with the version check says the put overloaded it.
 type Overloaded = Option<(u64, u64)>;
@@ -271,6 +275,13 @@ pub struct HtTreeStats {
     /// report what they superseded (a fault on a chain hop, every attempt):
     /// one value each that no caller was told to retire.
     pub superseded_lost: u64,
+    /// Lookups that carried a hint: a speculative read in the lookup's
+    /// own fenced batch.
+    pub hinted_gets: u64,
+    /// Hinted lookups whose speculated bytes were dropped: the tree named
+    /// another address or none, or the batch failed and the lookup ran
+    /// unhinted.
+    pub stale_hints: u64,
 }
 
 /// The shared descriptor of an HT-tree: just the anchor address.
@@ -645,34 +656,66 @@ impl HtTreeHandle {
         let guard = self.pin_epoch(client)?;
         self.stats.gets += 1;
         self.sync_directory(client)?;
-        if let Some((addr, len)) = hint {
+        if let Some(hint) = hint {
+            self.stats.hinted_gets += 1;
             let entry = self.entry_for(client, key);
-            let ops = [
-                BatchOp::Load0 { ptr: Self::bucket_addr(&entry, key), len: ITEM_LEN },
-                BatchOp::ReadSpeculative { addr, len },
-            ];
-            if let Ok(Ok([head, speculated])) = client.batch(&ops).map(<[BatchOut; 2]>::try_from) {
-                let BatchOut::Bytes(first) = head else {
-                    // An empty bucket: the key is absent.
-                    return Ok(Guarded { value: None, hinted: None, _guard: guard });
-                };
-                match self.walk_chain(client, &entry, key, Item::decode(&first))? {
-                    Walk::Done(value) => {
-                        let hinted = match speculated {
-                            BatchOut::Bytes(bytes) if value == Some(addr.0) => Some(bytes),
-                            _ => None,
-                        };
+            match client.batch(&Self::hinted_ops(&entry, key, hint)) {
+                Ok(outs) => {
+                    let found = self.resolve_hinted(client, &entry, key, hint.0, outs)?;
+                    if let Some((value, hinted)) = found {
                         return Ok(Guarded { value, hinted, _guard: guard });
                     }
-                    Walk::Stale => {
-                        self.stats.stale_refreshes += 1;
-                        self.refresh_directory(client)?;
-                    }
                 }
+                Err(_) => self.stats.stale_hints += 1,
             }
             // A failed batch or a stale cache: the plain lookup, from the top.
         }
         Ok(Guarded { value: self.get_inner(client, key)?, hinted: None, _guard: guard })
+    }
+
+    /// A hinted lookup's fenced batch: the bucket's head item, then the
+    /// speculative read of `len` bytes at the hinted `addr`.
+    fn hinted_ops(entry: &Entry, key: u64, (addr, len): (FarAddr, u64)) -> [BatchOp<'static>; 2] {
+        [
+            BatchOp::Load0 { ptr: Self::bucket_addr(entry, key), len: ITEM_LEN },
+            BatchOp::ReadSpeculative { addr, len },
+        ]
+    }
+
+    /// Completes a hinted lookup from its batch's outputs: walks the chain
+    /// from the head item and keeps the speculated bytes only if the value
+    /// found is `addr`. `None` after a stale cache, refreshed: the caller
+    /// looks the key up again, unhinted.
+    fn resolve_hinted(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        key: u64,
+        addr: FarAddr,
+        outs: Vec<BatchOut>,
+    ) -> Result<Option<Found>> {
+        let [head, speculated] =
+            <[BatchOut; 2]>::try_from(outs).expect("a hinted batch has two ops");
+        // An empty bucket: the key is absent.
+        let BatchOut::Bytes(first) = head else {
+            self.stats.stale_hints += 1;
+            return Ok(Some((None, None)));
+        };
+        let value = match self.walk_chain(client, entry, key, Item::decode(&first))? {
+            Walk::Done(value) => value,
+            Walk::Stale => {
+                self.stats.stale_refreshes += 1;
+                self.stats.stale_hints += 1;
+                self.refresh_directory(client)?;
+                return Ok(None);
+            }
+        };
+        let hinted = match speculated {
+            BatchOut::Bytes(bytes) if value == Some(addr.0) => Some(bytes),
+            _ => None,
+        };
+        self.stats.stale_hints += u64::from(hinted.is_none());
+        Ok(Some((value, hinted)))
     }
 
     /// [`get`](Self::get) under an epoch [`Guard`] the caller already
@@ -802,21 +845,29 @@ impl HtTreeHandle {
         ac: &D,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
-        self.get_many_async_guarded(ac, keys).await.map(|(values, _guard)| values)
+        let (found, _guard) = self.get_many_async_guarded(ac, keys, &[]).await?;
+        Ok(found.into_iter().map(|(value, _)| value).collect())
     }
 
-    /// [`get_many_async`](Self::get_many_async), handing back the guard
-    /// it pinned (see [`get_guarded`](Self::get_guarded)).
+    /// [`get_many_async`](Self::get_many_async) with a hint per key
+    /// (`hints[i]` for `keys[i]`; keys past the end of `hints` are
+    /// unhinted), handing back the guard it pinned and, per key, the
+    /// value and the hinted bytes (see [`get_guarded`](Self::get_guarded)).
+    /// A hinted key's lookup is one fenced descriptor in the doorbell —
+    /// bucket head, then the speculative read — so a batch of fresh hints
+    /// costs one round trip per key in one doorbell; an unhinted key's is
+    /// the plain `load0` descriptor.
     pub(crate) async fn get_many_async_guarded<D: Doorbell>(
         &mut self,
         ac: &D,
         keys: &[u64],
-    ) -> Result<(Vec<Option<u64>>, Option<Guard>)> {
+        hints: &[Option<(FarAddr, u64)>],
+    ) -> Result<(Vec<Found>, Option<Guard>)> {
         let _span = ac.span("httree.get_many");
         // lint: block-ok — epoch pin is control-plane (local check; rare
         // resync on epoch advance).
         let guard = ac.with(|client| self.pin_epoch(client))?;
-        Ok((self.lookup_many(ac, keys).await?, guard))
+        Ok((self.lookup_many(ac, keys, hints).await?, guard))
     }
 
     /// The guarded many-key lookup: the caller has pinned and validated
@@ -825,27 +876,38 @@ impl HtTreeHandle {
         &mut self,
         ac: &D,
         keys: &[u64],
-    ) -> Result<Vec<Option<u64>>> {
+        hints: &[Option<(FarAddr, u64)>],
+    ) -> Result<Vec<Found>> {
         self.stats.gets += keys.len() as u64;
         // lint: block-ok — local event drain; refresh only on notification.
         ac.with(|client| self.sync_directory(client))?;
         let entries: Vec<Entry> =
             ac.with(|client| keys.iter().map(|&k| self.entry_for(client, k)).collect());
+        let hint = |i: usize| hints.get(i).copied().flatten();
         let mut heads = DescList::new();
         for (i, &key) in keys.iter().enumerate() {
-            heads.load0(Self::bucket_addr(&entries[i], key), ITEM_LEN);
+            match hint(i) {
+                Some(h) => {
+                    self.stats.hinted_gets += 1;
+                    heads.post(PipeOp::Fenced(Self::hinted_ops(&entries[i], key, h).into()))
+                }
+                None => heads.load0(Self::bucket_addr(&entries[i], key), ITEM_LEN),
+            };
         }
         let mut cq = ac.ring(heads).await;
         let mut out = Vec::with_capacity(keys.len());
         for (i, &key) in keys.iter().enumerate() {
             // lint: block-ok — per-key completion (chain hops, stale
             // refresh) is the rare path and inherently serial.
-            let prefetched = ac.with(|client| -> Result<Option<Option<u64>>> {
-                Ok(match cq.take(i) {
-                    Some(Ok(res)) => {
+            let prefetched = ac.with(|client| -> Result<Option<Found>> {
+                Ok(match (cq.take(i), hint(i)) {
+                    (Some(Ok(PipeOut::Batch(outs))), Some((addr, _))) => {
+                        self.resolve_hinted(client, &entries[i], key, addr, outs)?
+                    }
+                    (Some(Ok(res)), None) => {
                         let first = Item::decode(&res.into_bytes());
                         match self.walk_chain(client, &entries[i], key, first)? {
-                            Walk::Done(v) => Some(v),
+                            Walk::Done(v) => Some((v, None)),
                             Walk::Stale => {
                                 self.stats.stale_refreshes += 1;
                                 self.refresh_directory(client)?;
@@ -855,16 +917,21 @@ impl HtTreeHandle {
                     }
                     // An empty bucket answers its descriptor with
                     // `NullDeref` (the tail still runs): the key is absent.
-                    Some(Err(farmem_fabric::FabricError::NullDeref { .. })) => Some(None),
+                    (Some(Err(farmem_fabric::FabricError::NullDeref { .. })), None) => {
+                        Some((None, None))
+                    }
                     // Failed or aborted descriptor: complete this key serially.
-                    _ => None,
+                    (_, h) => {
+                        self.stats.stale_hints += u64::from(h.is_some());
+                        None
+                    }
                 })
             })?;
             match prefetched {
-                Some(v) => out.push(v),
+                Some(found) => out.push(found),
                 // lint: block-ok — serial fallback after a stale or missed
                 // prefetch.
-                None => out.push(ac.with(|client| self.get_inner(client, key))?),
+                None => out.push((ac.with(|client| self.get_inner(client, key))?, None)),
             }
         }
         Ok(out)

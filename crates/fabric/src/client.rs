@@ -142,7 +142,7 @@ pub enum BatchOp<'a> {
 impl BatchOp<'_> {
     /// Whether executing this op leaves far memory as it found it — a
     /// batch of such ops can be blindly retried after a mid-batch failure.
-    fn is_read_only(&self) -> bool {
+    pub(crate) fn is_read_only(&self) -> bool {
         matches!(
             self,
             BatchOp::Read { .. } | BatchOp::Load0 { .. } | BatchOp::ReadSpeculative { .. }
@@ -916,102 +916,103 @@ impl FabricClient {
     /// completion queue enforces the barrier, §2) and the whole batch costs
     /// one dependent round trip.
     pub fn batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOut>> {
-        self.attempt(VerbKind::Batch, |c, arrival| {
-            // Pre-flight every target node before executing any op: a batch
-            // should fail atomically for blind retry to be safe. The timed
-            // crash windows are evaluated against the same `arrival` here
-            // and during execution, so they can never tear a batch; only a
-            // concurrent `MemoryNode::fail` landing between this pre-flight
-            // and a later op can — that case is caught below and surfaced
-            // as the non-retryable `BatchTorn`.
-            for op in ops {
-                let (addr, len) = match op {
-                    BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
-                        (*addr, *len)
-                    }
-                    BatchOp::Write { addr, data } => (*addr, data.len() as u64),
-                    // A `Load0`'s target is known only once it executes;
-                    // its pointer word is what can be checked up front.
-                    BatchOp::Cas { addr, .. }
-                    | BatchOp::Faa { addr, .. }
-                    | BatchOp::Load0 { ptr: addr, .. } => (*addr, WORD),
-                };
-                for seg in c.fabric.segments(addr, len)? {
-                    let phys = c.route(seg.node);
-                    c.fabric.node(phys).check_alive_at(arrival)?;
+        self.round_trip(VerbKind::Batch, |c, arrival| c.exec_batch(ops, arrival))
+    }
+
+    /// The one executor of a fenced batch, blocking ([`batch`](Self::batch))
+    /// or posted as one [`PipeOp::Fenced`](crate::PipeOp::Fenced)
+    /// descriptor: arriving at `arrival`, pre-flights every target, then
+    /// applies the ops in order. Returns the outputs and the node-side
+    /// finish time; books messages, bytes and atomics, never round trips
+    /// or the clock.
+    pub(crate) fn exec_batch(
+        &mut self,
+        ops: &[BatchOp<'_>],
+        arrival: u64,
+    ) -> std::result::Result<(Vec<BatchOut>, u64), ErrorCompletion> {
+        // Pre-flight every target node before executing any op: a batch
+        // should fail atomically for blind retry to be safe. The timed
+        // crash windows are evaluated against the same `arrival` here
+        // and during execution, so they can never tear a batch; only a
+        // concurrent `MemoryNode::fail` landing between this pre-flight
+        // and a later op can — that case is caught below and surfaced
+        // as the non-retryable `BatchTorn`.
+        for op in ops {
+            let (addr, len) = match op {
+                BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
+                    (*addr, *len)
                 }
+                BatchOp::Write { addr, data } => (*addr, data.len() as u64),
+                // A `Load0`'s target is known only once it executes;
+                // its pointer word is what can be checked up front.
+                BatchOp::Cas { addr, .. }
+                | BatchOp::Faa { addr, .. }
+                | BatchOp::Load0 { ptr: addr, .. } => (*addr, WORD),
+            };
+            for seg in self.fabric.segments(addr, len)? {
+                let phys = self.route(seg.node);
+                self.fabric.node(phys).check_alive_at(arrival)?;
             }
-            let mut out = Vec::with_capacity(ops.len());
-            let mut finish = arrival;
-            // Whether any side-effecting verb has executed in *this*
-            // attempt. Once it has, a mid-batch node failure must not be
-            // blindly retried: the retry would duplicate the FAA / flip an
-            // already-won CAS to "failed". Reads and not-yet-applied writes
-            // leave the batch safely retryable.
-            let mut mutated = false;
-            for op in ops {
-                let step = (|| -> Result<u64> {
-                    Ok(match op {
-                        BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
-                            let kind = match op {
-                                BatchOp::Read { .. } => AccessKind::Read,
-                                _ => AccessKind::SpeculativeRead,
-                            };
-                            let (buf, f) = c.exec_read(kind, *addr, *len, arrival)?;
-                            out.push(BatchOut::Bytes(buf));
-                            f
-                        }
-                        BatchOp::Write { addr, data } => {
-                            let f = c.exec_write(*addr, data, arrival)?;
-                            out.push(BatchOut::Done);
-                            f
-                        }
-                        BatchOp::Cas { addr, expected, new } => {
-                            let (prev, f) = c.exec_cas(*addr, *expected, *new, arrival)?;
-                            out.push(BatchOut::Value(prev));
-                            f
-                        }
-                        BatchOp::Faa { addr, delta } => {
-                            let (prev, f) = c.exec_faa(*addr, *delta, arrival)?;
-                            out.push(BatchOut::Value(prev));
-                            f
-                        }
-                        BatchOp::Load0 { ptr, len } => match c.exec_load0(*ptr, *len, arrival) {
-                            Ok((bytes, f)) => {
-                                out.push(BatchOut::Bytes(bytes));
-                                f
-                            }
-                            Err(ErrorCompletion {
-                                err: FabricError::NullDeref { .. },
-                                answered_at: Some(at),
-                            }) => {
-                                out.push(BatchOut::Null);
-                                at
-                            }
-                            Err(e) => {
-                                // The client waited for whatever the home
-                                // node answered, as the blocking verb does.
-                                if let Some(at) = e.answered_at {
-                                    c.finish_rt(finish.max(at));
-                                }
-                                return Err(e.err);
-                            }
-                        },
-                    })
-                })();
-                let f = match step {
-                    Ok(f) => f,
-                    Err(FabricError::NodeFailed(node)) if mutated => {
-                        return Err(FabricError::BatchTorn { node, executed: out.len() });
-                    }
-                    Err(e) => return Err(e),
-                };
-                mutated |= !op.is_read_only();
-                finish = finish.max(f);
-            }
-            c.finish_rt(finish);
-            Ok(out)
-        })
+        }
+        let mut out = Vec::with_capacity(ops.len());
+        let mut finish = arrival;
+        // Whether any side-effecting verb has executed in *this*
+        // attempt. Once it has, a mid-batch node failure must not be
+        // blindly retried: the retry would duplicate the FAA / flip an
+        // already-won CAS to "failed". Reads and not-yet-applied writes
+        // leave the batch safely retryable.
+        let mut mutated = false;
+        for op in ops {
+            let step = match op {
+                BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
+                    let kind = match op {
+                        BatchOp::Read { .. } => AccessKind::Read,
+                        _ => AccessKind::SpeculativeRead,
+                    };
+                    self.exec_read(kind, *addr, *len, arrival)
+                        .map(|(buf, f)| (BatchOut::Bytes(buf), f))
+                        .map_err(ErrorCompletion::from)
+                }
+                BatchOp::Write { addr, data } => self
+                    .exec_write(*addr, data, arrival)
+                    .map(|f| (BatchOut::Done, f))
+                    .map_err(ErrorCompletion::from),
+                BatchOp::Cas { addr, expected, new } => self
+                    .exec_cas(*addr, *expected, *new, arrival)
+                    .map(|(prev, f)| (BatchOut::Value(prev), f))
+                    .map_err(ErrorCompletion::from),
+                BatchOp::Faa { addr, delta } => self
+                    .exec_faa(*addr, *delta, arrival)
+                    .map(|(prev, f)| (BatchOut::Value(prev), f))
+                    .map_err(ErrorCompletion::from),
+                BatchOp::Load0 { ptr, len } => match self.exec_load0(*ptr, *len, arrival) {
+                    Ok((bytes, f)) => Ok((BatchOut::Bytes(bytes), f)),
+                    Err(ErrorCompletion {
+                        err: FabricError::NullDeref { .. },
+                        answered_at: Some(at),
+                    }) => Ok((BatchOut::Null, at)),
+                    // The client waited for whatever the home node
+                    // answered, as the blocking verb does.
+                    Err(e) => Err(ErrorCompletion {
+                        answered_at: e.answered_at.map(|at| finish.max(at)),
+                        ..e
+                    }),
+                },
+            };
+            let f = match step {
+                Ok((o, f)) => {
+                    out.push(o);
+                    f
+                }
+                Err(ErrorCompletion { err: FabricError::NodeFailed(node), .. }) if mutated => {
+                    return Err(FabricError::BatchTorn { node, executed: out.len() }.into());
+                }
+                Err(e) => return Err(e),
+            };
+            mutated |= !op.is_read_only();
+            finish = finish.max(f);
+        }
+        Ok((out, finish))
     }
 
     /// Posts an *unsignaled* word write: the message is issued and the

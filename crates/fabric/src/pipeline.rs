@@ -9,14 +9,15 @@
 //! never shows the bandwidth parallelism it exists to provide.
 //!
 //! Descriptors are posted onto a [`DescList`] with the same semantics as
-//! the serial verbs (reads, writes, CAS, FAA, gathers/scatters and
-//! `load0`-style indirection); [`FabricClient::ring`] rings the doorbell
-//! for a list and returns a [`CompletionQueue`] holding one result per
-//! descriptor, in issue order. [`FabricClient::pipeline`] is the borrowed
-//! form: an [`IssueQueue`] is a list plus the client it will ring, so
-//! `client.pipeline()…commit()` reads as one expression. Every descriptor
-//! runs the `exec_*` function its blocking verb runs — there is one
-//! implementation of each verb, blocking or posted.
+//! the serial verbs (reads, writes, CAS, FAA, gathers/scatters,
+//! `load0`-style indirection and whole fenced batches);
+//! [`FabricClient::ring`] rings the doorbell for a list and returns a
+//! [`CompletionQueue`] holding one result per descriptor, in issue order.
+//! [`FabricClient::pipeline`] is the borrowed form: an [`IssueQueue`] is a
+//! list plus the client it will ring, so `client.pipeline()…commit()`
+//! reads as one expression. Every descriptor runs the `exec_*` function
+//! its blocking verb runs — there is one implementation of each verb,
+//! blocking or posted, the fenced batch's `exec_batch` included.
 //!
 //! # Overlap-aware accounting
 //!
@@ -61,13 +62,16 @@
 //! target) costs the blocking verb its round trip, while a failed
 //! descriptor books its message but no round trip of its own — the
 //! doorbell's time is the max over *completed* descriptors (DESIGN.md §7).
+//! That holds for a [`PipeOp::Fenced`] descriptor too; a null pointer
+//! under its `Load0` is not a failure but the op's
+//! [`BatchOut::Null`] answer, as in the blocking batch.
 //!
 //! [`MemoryNode::occupy`]: crate::node::MemoryNode::occupy
 //! [`AccessStats::overlap_saved_ns`]: crate::stats::AccessStats
 
 use crate::addr::FarAddr;
 use crate::check::AccessKind;
-use crate::client::FabricClient;
+use crate::client::{BatchOp, BatchOut, FabricClient};
 use crate::error::{FabricError, Result};
 use crate::ext::indirect::{PtrRead, TargetAccess};
 use crate::ext::sg::FarIov;
@@ -180,6 +184,12 @@ pub enum PipeOp {
         /// Required guard value.
         expect: u64,
     },
+    /// A fenced batch as one descriptor (serial equivalent:
+    /// [`FabricClient::batch`]): its ops apply in order and it books what
+    /// the blocking batch books — one round trip, each op's messages and
+    /// bytes, one fault roll, a whole-batch retry. Completes with
+    /// [`PipeOut::Batch`].
+    Fenced(Vec<BatchOp<'static>>),
 }
 
 impl PipeOp {
@@ -189,13 +199,14 @@ impl PipeOp {
     /// re-reported as lost — so such failures surface as
     /// [`FabricError::PipelineTorn`] instead of being retried).
     fn has_side_effect(&self) -> bool {
-        !matches!(
-            self,
+        match self {
             PipeOp::Read { .. }
-                | PipeOp::ReadU64 { .. }
-                | PipeOp::Gather { .. }
-                | PipeOp::Load2 { .. }
-        )
+            | PipeOp::ReadU64 { .. }
+            | PipeOp::Gather { .. }
+            | PipeOp::Load2 { .. } => false,
+            PipeOp::Fenced(ops) => ops.iter().any(|op| !op.is_read_only()),
+            _ => true,
+        }
     }
 }
 
@@ -215,6 +226,8 @@ pub enum PipeOut {
         /// The target word's value before the swap.
         word: u64,
     },
+    /// The op outputs of a [`PipeOp::Fenced`] descriptor, in op order.
+    Batch(Vec<BatchOut>),
 }
 
 impl PipeOut {
@@ -612,6 +625,10 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             let ((old_ptr, old), f) =
                 c.exec_deref(*ptr, read, 0, TargetAccess::Swap(*replacement), arrival)?;
             Ok((PipeOut::PtrWord { ptr: old_ptr, word: old.value() }, f))
+        }
+        PipeOp::Fenced(ops) => {
+            let (outs, f) = c.exec_batch(ops, arrival)?;
+            Ok((PipeOut::Batch(outs), f))
         }
     }
 }
@@ -1117,6 +1134,90 @@ mod tests {
             assert_eq!(serial.messages, 1, "{name}: the failed verb books its message");
             assert!(serial_ns > 0, "{name}: the blocking verb waited for the answer");
             assert_eq!(piped_ns, 0, "{name}: a failed descriptor completes nothing");
+        }
+    }
+
+    /// A lone [`PipeOp::Fenced`] descriptor is [`FabricClient::batch`]:
+    /// the same outputs, the same `AccessStats` but for the doorbell's own
+    /// two counters, and the same clock — for a null `Load0` (an answer,
+    /// round trip charged) and under transient faults (one roll per
+    /// attempt, the whole batch retried). The one asymmetry is DESIGN.md
+    /// §7's: a remote target refused under `IndirectionMode::Error` fails
+    /// the descriptor, which books its message and no round trip, where
+    /// the blocking batch waited for the answer.
+    #[test]
+    fn a_fenced_descriptor_books_what_the_blocking_batch_books() {
+        use crate::fabric::IndirectionMode;
+        // The bucket word on node 0, the item it names on node 1.
+        let (bucket, item) = (FarAddr(WORD), FarAddr(PAGE));
+        let ops = || {
+            vec![
+                BatchOp::Load0 { ptr: bucket, len: 32 },
+                BatchOp::ReadSpeculative { addr: item, len: 16 },
+            ]
+        };
+        let cases = [
+            ("null load0", IndirectionMode::Forward, FaultPlan::NONE, 0),
+            ("transient faults", IndirectionMode::Forward, FaultPlan::transient(400_000), item.0),
+            ("refused remote target", IndirectionMode::Error, FaultPlan::NONE, item.0),
+        ];
+        for (name, indirection, faults, pointer) in cases {
+            let run = |fenced: bool| {
+                let f = FabricConfig {
+                    nodes: 2,
+                    node_capacity: 1 << 20,
+                    striping: Striping::Striped { stripe: PAGE },
+                    indirection,
+                    faults,
+                    ..FabricConfig::default()
+                }
+                .build();
+                let mut c = f.client();
+                c.write_u64(bucket, pointer).unwrap();
+                c.write(item, &[5u8; 32]).unwrap();
+                let (before, t0) = (c.stats(), c.now_ns());
+                let outs: Vec<Result<Vec<BatchOut>>> = (0..16)
+                    .map(|_| {
+                        if !fenced {
+                            return c.batch(&ops());
+                        }
+                        let mut q = c.pipeline();
+                        q.post(PipeOp::Fenced(ops()));
+                        match q.commit().take(0) {
+                            Some(Ok(PipeOut::Batch(outs))) => Ok(outs),
+                            Some(Err(e)) => Err(e),
+                            other => panic!("{name}: {other:?}"),
+                        }
+                    })
+                    .collect();
+                (outs, c.stats().since(&before), c.now_ns() - t0)
+            };
+            let (souts, serial, serial_ns) = run(false);
+            let (pouts, piped, piped_ns) = run(true);
+            assert_eq!(pouts, souts, "{name}");
+            let refused = indirection == IndirectionMode::Error;
+            for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
+                let (s, p) = (serial.to_array()[i], piped.to_array()[i]);
+                match *field {
+                    "doorbells" | "pipelined_ops" => {}
+                    "round_trips" if refused => assert_eq!((s, p), (16, 0), "{name}"),
+                    _ => assert_eq!(p, s, "{name}: field `{field}`"),
+                }
+            }
+            match name {
+                "null load0" => {
+                    assert_eq!(souts[0], Ok(vec![BatchOut::Null, BatchOut::Bytes(vec![5; 16])]))
+                }
+                "transient faults" => assert!(serial.retries > 0, "{name}: {serial:?}"),
+                _ => assert!(souts
+                    .iter()
+                    .all(|o| matches!(o, Err(FabricError::IndirectRemote { .. })))),
+            }
+            if refused {
+                assert!(serial_ns > 0 && piped_ns == 0, "{name}: {serial_ns} / {piped_ns} ns");
+            } else {
+                assert_eq!(piped_ns, serial_ns, "{name}: clock");
+            }
         }
     }
 }

@@ -318,6 +318,7 @@ fn serial_exec(c: &mut FabricClient, op: farmem_fabric::PipeOp) -> farmem_fabric
         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => c
             .faai_swap_guarded(ptr, delta, replacement, guard, expect)
             .map(|(p, w)| PipeOut::PtrWord { ptr: p, word: w }),
+        PipeOp::Fenced(ops) => c.batch(&ops).map(PipeOut::Batch),
     }
 }
 

@@ -16,7 +16,7 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use farmem_alloc::FarAlloc;
-use farmem_core::{HtTree, HtTreeConfig};
+use farmem_core::{HtTree, HtTreeConfig, RecordHint};
 use farmem_fabric::{Fabric, FabricClient};
 use farmem_reclaim::ReclaimRegistry;
 use farmem_runtime::{AsyncClient, Runtime, TaskResult};
@@ -36,6 +36,10 @@ const MAX_VALUE_LEN: u64 = 64 << 10;
 const HOT_SKETCH_WIDTH: usize = 1024;
 const HOT_TOPK: usize = 16;
 const HOT_DECAY_EVERY: u64 = 1 << 16;
+
+/// Slots of a shard's learned-hint table, as a power of two: 2^14 slots
+/// of 24 B, 384 KiB per shard, allocated by the first hint it learns.
+const LEARNED_HINT_BITS: u32 = 14;
 
 /// Serving-layer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -254,6 +258,7 @@ impl CacheServer {
             tenants: self.tenants.clone(),
             hot: HotKeyDetector::new(HOT_SKETCH_WIDTH, HOT_TOPK, HOT_DECAY_EVERY),
             index: RecencyIndex::new(),
+            learned: LearnedHints::default(),
             replicated: self.fabric.replicated(),
             cfg: self.cfg,
             mutations_since_reclaim: 0,
@@ -314,6 +319,8 @@ pub struct ServeWorker {
     /// worker sees every access to its shard, so no far traffic is spent
     /// on recency).
     index: RecencyIndex,
+    /// Hints learned from this shard's gets of keys `index` does not hold.
+    learned: LearnedHints,
     replicated: bool,
     cfg: ServeConfig,
     mutations_since_reclaim: u64,
@@ -363,13 +370,13 @@ impl ServeWorker {
             client.set_spread_reads(Some(true));
         }
         let now = client.now_ns();
-        let hint = self.index.get(nskey).map(|m| m.hint);
-        let out = self.store.get_hinted(client, nskey, hint, now);
+        let mut hint = self.hint_of(nskey);
+        let out = self.store.get_hinted(client, nskey, &mut hint, now);
         if spread {
             client.set_spread_reads(None);
         }
         let out = out?;
-        self.finish_gets(client, &[(tenant, nskey)], std::slice::from_ref(&out))?;
+        self.finish_gets(client, &[(tenant, nskey)], std::slice::from_ref(&out), &[hint])?;
         Ok(match out {
             GetOutcome::Hit(v) => Response::Value(v),
             GetOutcome::Expired | GetOutcome::Miss => Response::Miss,
@@ -497,6 +504,12 @@ impl ServeWorker {
         }))
     }
 
+    /// Where a get of `nskey` speculates: the index's hint of a key this
+    /// shard stored, else one it learned.
+    fn hint_of(&self, nskey: u64) -> Option<RecordHint> {
+        self.index.get(nskey).map(|m| m.hint).or_else(|| self.learned.get(nskey))
+    }
+
     /// Records the access in the sketch; returns whether the read
     /// should spread over the replica group.
     fn classify_hot(&mut self, nskey: u64) -> bool {
@@ -516,26 +529,35 @@ impl ServeWorker {
     /// lock, then (lock released: no far access is issued under it)
     /// unlinks and retires the expired records this worker owns; a
     /// non-owner observation is counted but left for the owner to
-    /// collect. Returns the number of hits.
+    /// collect. A hit on a key the index does not hold teaches the
+    /// learned table the hint the lookup handed back (`hints`, one per
+    /// key); a miss makes it forget the key. Returns the number of hits.
     fn finish_gets(
         &mut self,
         client: &mut FabricClient,
         keys: &[(TenantId, u64)],
         outcomes: &[GetOutcome],
+        hints: &[Option<RecordHint>],
     ) -> Result<u64> {
         let mut hits = 0;
         let mut unlink = Vec::new();
         {
             let mut tt = self.tenants.lock().unwrap();
-            for (&(tenant, nskey), out) in keys.iter().zip(outcomes) {
+            for ((&(tenant, nskey), out), &hint) in keys.iter().zip(outcomes).zip(hints) {
                 match out {
                     GetOutcome::Hit(_) => {
-                        self.index.touch(nskey);
+                        if !self.index.touch(nskey) {
+                            self.learned.learn(nskey, hint);
+                        }
                         tt.hit(tenant);
                         hits += 1;
                     }
-                    GetOutcome::Miss => tt.miss(tenant),
+                    GetOutcome::Miss => {
+                        self.learned.learn(nskey, None);
+                        tt.miss(tenant);
+                    }
                     GetOutcome::Expired => {
+                        self.learned.learn(nskey, None);
                         let owned = if self.owns(nskey) { self.index.remove(nskey) } else { None };
                         match owned {
                             Some(m) => {
@@ -595,6 +617,48 @@ impl ServeWorker {
             self.reclaim_pass(client)?;
         }
         Ok(())
+    }
+}
+
+/// Hints a shard learned from its own gets of keys its [`RecencyIndex`]
+/// does not hold — keys other shards own, and keys it owns but another
+/// client stored. A bounded, direct-mapped table indexed by the top bits
+/// of the key's SplitMix64 mix (`owner_shard` takes its residue modulo the
+/// shard count, so a shard's own keys spread over every slot); a
+/// colliding key takes the slot over. Unlike the index's hint a learned
+/// hint is not *current or absent* — another shard's put or remove makes
+/// it stale unseen — so it is only a guess the tree validates on use: a
+/// stale one costs a message and its bytes, never a wrong answer.
+#[derive(Default)]
+struct LearnedHints {
+    /// `(nskey, hint)` per slot; empty until the first hint is learned.
+    slots: Vec<(u64, Option<RecordHint>)>,
+}
+
+impl LearnedHints {
+    fn slot(nskey: u64) -> usize {
+        (splitmix64(nskey) >> (64 - LEARNED_HINT_BITS)) as usize
+    }
+
+    fn get(&self, nskey: u64) -> Option<RecordHint> {
+        match self.slots.get(Self::slot(nskey)) {
+            Some(&(key, hint)) if key == nskey => hint,
+            _ => None,
+        }
+    }
+
+    /// Remembers `hint` as `nskey`'s; `None` forgets the key's hint.
+    fn learn(&mut self, nskey: u64, hint: Option<RecordHint>) {
+        if self.slots.is_empty() {
+            if hint.is_none() {
+                return;
+            }
+            self.slots = vec![(0, None); 1 << LEARNED_HINT_BITS];
+        }
+        let slot = &mut self.slots[Self::slot(nskey)];
+        if hint.is_some() || slot.0 == nskey {
+            *slot = (nskey, hint);
+        }
     }
 }
 
@@ -707,21 +771,29 @@ async fn serve_get_batch(
     batch: &[(TenantId, u64)],
     sum: &mut SessionSummary,
 ) {
-    // Admission + hot classification: one brief sync section.
+    // Admission, hot classification and each key's hint: one brief sync
+    // section.
     let now = ac.with(|c| c.now_ns());
     let mut cold: Vec<(TenantId, u64)> = Vec::new();
     let mut hot: Vec<(TenantId, u64)> = Vec::new();
+    let (mut cold_hints, mut hot_hints) = (Vec::new(), Vec::new());
     // lint: block-ok — admission is pure compute.
     ac.with(|c| server.with_shard(wid, |w| {
         for &(tenant, key) in batch {
             match w.admit_get(c, tenant, key).expect("admit") {
-                Ok((nskey, true)) => hot.push((tenant, nskey)),
-                Ok((nskey, false)) => cold.push((tenant, nskey)),
+                Ok((nskey, true)) => {
+                    hot.push((tenant, nskey));
+                    hot_hints.push(w.hint_of(nskey));
+                }
+                Ok((nskey, false)) => {
+                    cold.push((tenant, nskey));
+                    cold_hints.push(w.hint_of(nskey));
+                }
                 Err(_) => sum.rejected += 1,
             }
         }
     }));
-    for (keys, spread) in [(cold, false), (hot, true)] {
+    for (keys, mut hints, spread) in [(cold, cold_hints, false), (hot, hot_hints, true)] {
         if keys.is_empty() {
             continue;
         }
@@ -729,14 +801,15 @@ async fn serve_get_batch(
             ac.with(|c| c.set_spread_reads(Some(true)));
         }
         let nskeys: Vec<u64> = keys.iter().map(|&(_, k)| k).collect();
-        let outcomes = store.get_many_async(ac, &nskeys, now).await.expect("get batch");
+        let outcomes =
+            store.get_many_async(ac, &nskeys, &mut hints, now).await.expect("get batch");
         if spread {
             ac.with(|c| c.set_spread_reads(None));
         }
         // lint: block-ok — outcome booking is pure compute; an expiry
         // unlink is a worker-serialized sync mutation.
         let hits = ac
-            .with(|c| server.with_shard(wid, |w| w.finish_gets(c, &keys, &outcomes)))
+            .with(|c| server.with_shard(wid, |w| w.finish_gets(c, &keys, &outcomes, &hints)))
             .expect("get epilogue");
         sum.hits += hits;
         sum.misses += keys.len() as u64 - hits;
@@ -954,6 +1027,69 @@ mod tests {
         assert_eq!(w.stats().expired_unlinked, 1);
         assert_eq!(server.tenant_stats()[t.0 as usize].1.expired, 1);
         assert_eq!(get(&mut c, &mut w, 6), miss);
+    }
+
+    /// A shard learns hints from its own gets of keys it does not index —
+    /// here another shard's — and the tree validates each on use: the
+    /// first get is the unhinted two far accesses, the next one; the
+    /// owner's overwrite makes the learned hint stale (a wasted message,
+    /// the unhinted price) and the get learns the new record; the owner's
+    /// delete turns it into a miss that forgets the key.
+    #[test]
+    fn a_shard_learns_hints_for_keys_it_does_not_index() {
+        let (f, _a, server) =
+            deploy(FabricConfig::single_node(256 << 20).build(), ServeConfig::default());
+        let t = server.add_tenant(TenantSpec::unlimited("learned")).unwrap();
+        let mut c = f.client();
+        let mut owner = server.worker(0, 2, &mut c).unwrap();
+        let mut other = server.worker(1, 2, &mut c).unwrap();
+        let key = (0u64..).find(|&k| owner.owns(t.namespaced(k))).unwrap();
+        let mut get = |c: &mut FabricClient| {
+            let before = c.stats();
+            let resp = other.get(c, t, key).unwrap();
+            let d = c.stats().since(&before);
+            (resp, d.round_trips, d.messages, d.bytes_read)
+        };
+        const ITEM: u64 = 32;
+        let prefetch = RecordStore::PREFETCH;
+        let value = |v: &[u8]| Response::Value(v.to_vec());
+        owner.put(&mut c, t, key, &[1u8; 100], None).unwrap();
+        assert_eq!(get(&mut c), (value(&[1u8; 100]), 2, 2, ITEM + prefetch), "unhinted");
+        let hinted = ITEM + RECORD_HEADER + 100;
+        assert_eq!(get(&mut c), (value(&[1u8; 100]), 1, 2, hinted), "learned");
+        owner.put(&mut c, t, key, &[2u8; 90], None).unwrap();
+        assert_eq!(get(&mut c), (value(&[2u8; 90]), 2, 3, hinted + prefetch), "stale");
+        assert_eq!(get(&mut c), (value(&[2u8; 90]), 1, 2, ITEM + RECORD_HEADER + 90), "relearned");
+        owner.delete(&mut c, t, key).unwrap();
+        let spec = RECORD_HEADER + 90;
+        assert_eq!(get(&mut c), (Response::Miss, 1, 2, ITEM + spec), "deleted");
+        assert_eq!(get(&mut c), (Response::Miss, 1, 1, ITEM), "forgotten");
+    }
+
+    /// The session path reads the same table: one session getting sixteen
+    /// keys its worker shard never stored, then the same sixteen again,
+    /// pays one far access less for each get of the second pass (chain
+    /// hops cost both passes alike).
+    #[test]
+    fn a_session_gets_a_learned_key_in_one_far_access() {
+        let run = |passes: u64| {
+            let (f, _a, server) =
+                deploy(FabricConfig::single_node(256 << 20).build(), ServeConfig::default());
+            let t = server.add_tenant(TenantSpec::unlimited("sessions")).unwrap();
+            let mut c = f.client();
+            let mut w = server.worker(0, 1, &mut c).unwrap();
+            for k in 0..16u64 {
+                w.put(&mut c, t, k, &[k as u8; 32], None).unwrap();
+            }
+            drop(w);
+            let results = server.run_sessions(1, move |_| {
+                (0..passes * 16).map(|i| Request::Get { tenant: t, key: i % 16 }).collect()
+            });
+            assert_eq!(results[0].output.hits, passes * 16);
+            results[0].stats.round_trips
+        };
+        let (none, first, second) = (run(0), run(1), run(2));
+        assert_eq!((first - none) - (second - first), 16, "one far access saved per get");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use farmem_alloc::{rounded_len, FarAlloc};
 use farmem_core::{FarBlobMap, HtTree, HtTreeConfig, RecordHint};
 use farmem_fabric::FabricClient;
 use farmem_reclaim::SharedReclaim;
-use farmem_runtime::AsyncClient;
+use farmem_runtime::Doorbell;
 use std::sync::Arc;
 
 use crate::Result;
@@ -134,18 +134,18 @@ impl RecordStore {
     /// stays readable until grace elapses. Two far accesses (three past
     /// the prefetch): the path of a caller that holds no hint.
     pub fn get(&mut self, client: &mut FabricClient, nskey: u64, now_ns: u64) -> Result<GetOutcome> {
-        self.get_hinted(client, nskey, None, now_ns)
+        self.get_hinted(client, nskey, &mut None, now_ns)
     }
 
-    /// [`get`](Self::get) in **one far access** when `hint` is the one the
-    /// key's latest [`put_hinted`](Self::put_hinted) returned
-    /// ([`FarBlobMap::get_if`]); the same outcome at `get`'s own price
-    /// with any other hint.
+    /// [`get`](Self::get) in **one far access** when `hint` names the
+    /// key's current record ([`FarBlobMap::get_if`]); the same outcome at
+    /// `get`'s own price with any other hint. On return `hint` holds the
+    /// hint of the record the tree named, or `None` when there was none.
     pub fn get_hinted(
         &mut self,
         client: &mut FabricClient,
         nskey: u64,
-        hint: Option<RecordHint>,
+        hint: &mut Option<RecordHint>,
         now_ns: u64,
     ) -> Result<GetOutcome> {
         let found =
@@ -153,19 +153,22 @@ impl RecordStore {
         Ok(GetOutcome::of(found))
     }
 
-    /// Async twin of [`get`](Self::get) over a batch of keys: tree
-    /// lookups through one doorbell, record prefetches through a second
+    /// [`get_hinted`](Self::get_hinted) over a batch of keys and any
+    /// [`Doorbell`], `hints[i]` in and out for `nskeys[i]`: tree lookups
+    /// through one doorbell — a fresh hint completes its get there — and
+    /// the record prefetches of the rest through a second
     /// ([`FarBlobMap::get_many_async`]). TTL semantics are identical to
     /// the sync path.
-    pub async fn get_many_async(
+    pub async fn get_many_async<D: Doorbell>(
         &mut self,
-        ac: &AsyncClient,
+        ac: &D,
         nskeys: &[u64],
+        hints: &mut [Option<RecordHint>],
         now_ns: u64,
     ) -> Result<Vec<GetOutcome>> {
         let found = self
             .records
-            .get_many_async(ac, nskeys, |&[expiry_ns]| live(expiry_ns, now_ns))
+            .get_many_async(ac, nskeys, hints, |&[expiry_ns]| live(expiry_ns, now_ns))
             .await?;
         Ok(found.into_iter().map(GetOutcome::of).collect())
     }
@@ -347,6 +350,87 @@ mod tests {
             assert_eq!(store, want, "{name}");
             assert!(store.round_trips > 0, "{name}");
         }
+    }
+
+    /// The session path's batch over any doorbell: eight gets through
+    /// `get_many_async` over `Inline` with fresh, stale, absent and
+    /// removed-key hints come back as one `get_hinted` per key would —
+    /// outcomes and handed-back hints. Their price, whole `AccessStats`:
+    /// eight fresh hints are eight round trips in one doorbell, each key
+    /// found unhinted or through a stale hint adds one round trip to a
+    /// second, shared doorbell, and no batch costs more than the unhinted
+    /// one's sixteen.
+    #[test]
+    fn a_batch_of_fresh_hints_is_one_doorbell_and_the_rest_share_a_second() {
+        use farmem_fabric::{splitmix64, AccessStats};
+        use farmem_runtime::Inline;
+        const ITEM: u64 = 32;
+        const LEN: u64 = 40;
+        let (f, a) = setup();
+        let mut c = f.client();
+        let reg = ReclaimRegistry::create(&mut c, &a, 8).unwrap();
+        let shared = reg.attach(&mut c, &a).unwrap();
+        let cfg = HtTreeConfig {
+            initial_buckets: 64,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let tree = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut s = RecordStore::attach(&mut c, &a, tree, cfg, shared).unwrap();
+        // Nine keys in nine buckets: no chain hops anywhere.
+        let mut buckets = std::collections::HashSet::new();
+        let k: Vec<u64> =
+            (1u64..).filter(|&k| buckets.insert(splitmix64(k) % 64)).take(9).collect();
+        let value = [7u8; LEN as usize];
+        let mut h: Vec<RecordHint> =
+            k[..8].iter().map(|&key| s.put_hinted(&mut c, key, &value, 0).unwrap().1).collect();
+        type Hints<'a> = &'a [Option<RecordHint>];
+        let batch = |s: &mut RecordStore, c: &mut FabricClient, keys: &[u64], hints: Hints| {
+            let before = c.stats();
+            let mut learned = hints.to_vec();
+            let bell = Inline::new(c);
+            let got = Inline::run(s.get_many_async(&bell, keys, &mut learned, 0)).unwrap();
+            (got, learned, c.stats().since(&before))
+        };
+        let books = |round_trips, messages, bytes_read, doorbells| AccessStats {
+            round_trips,
+            messages,
+            bytes_read,
+            doorbells,
+            pipelined_ops: round_trips,
+            near_accesses: 16,
+            ..AccessStats::default()
+        };
+        let fresh: Vec<_> = h.iter().copied().map(Some).collect();
+        let (_, _, d) = batch(&mut s, &mut c, &k[..8], &fresh);
+        assert_eq!(d, books(8, 16, 8 * (ITEM + RECORD_HEADER + LEN), 1), "all fresh");
+        let (_, _, d) = batch(&mut s, &mut c, &k[..8], &[None; 8]);
+        assert_eq!(d, books(16, 16, 8 * (ITEM + RecordStore::PREFETCH), 2), "unhinted");
+
+        // Key 2 overwritten (its first hint goes stale), key 5 removed.
+        let stale = h[2];
+        h[2] = s.put_hinted(&mut c, k[2], &value, 0).unwrap().1;
+        assert!(s.remove(&mut c, k[5]).unwrap());
+        let keys = [k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[8]];
+        // Fresh, fresh, its own stale, none, another key's, a removed
+        // key's, fresh, and a never-stored key's (another key's hint).
+        let hints =
+            [Some(h[0]), Some(h[1]), Some(stale), None, Some(h[0]), Some(h[5]), Some(h[6]), Some(h[1])];
+        let (got, learned, d) = batch(&mut s, &mut c, &keys, &hints);
+        let serial: Vec<_> = keys
+            .iter()
+            .zip(hints)
+            .map(|(&key, mut hint)| (s.get_hinted(&mut c, key, &mut hint, 0).unwrap(), hint))
+            .collect();
+        assert_eq!(got.into_iter().zip(learned).collect::<Vec<_>>(), serial);
+        let hits = serial.iter().filter(|(o, _)| matches!(o, GetOutcome::Hit(_))).count();
+        assert_eq!(hits, 6, "keys 5 (removed) and 8 (never stored) miss");
+        // Doorbell 1: seven hinted lookups of two messages, one unhinted of
+        // one; seven items read (key 8's bucket is empty), seven hinted
+        // records. Doorbell 2: keys 2 and 4 (stale) and 3 (unhinted).
+        let spec = RECORD_HEADER + LEN;
+        let bytes = 7 * ITEM + 7 * spec + 3 * RecordStore::PREFETCH;
+        assert_eq!(d, books(11, 15 + 3, bytes, 2), "mixed");
     }
 
     /// Fails `victim` once the nodes have executed `after` more accesses:

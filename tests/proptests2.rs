@@ -61,15 +61,17 @@ fn blob_map_run<const H: usize>(
         r.seal(c).unwrap();
         r.reclaim(c).unwrap();
     };
-    let get = |c: &mut FabricClient, m: &mut FarBlobMap<H>, k: u64, hint| {
-        let mut header = None;
+    // A get, and the hint it hands back: the one the key's last put
+    // returned while the key holds a record, whatever hint went in.
+    let get = |c: &mut FabricClient, m: &mut FarBlobMap<H>, k: u64, mut hint| {
+        let header = std::cell::Cell::new(None);
         let live = |h: &[u64; H]| {
-            header = Some(*h);
+            header.set(Some(*h));
             true
         };
-        let got = m.get_if(c, k, hint, live).unwrap().flatten();
-        assert_eq!(header, got.as_ref().map(|v| [v.len() as u64; H]), "header of key {k}");
-        got
+        let got = m.get_if(c, k, &mut hint, live).unwrap().flatten();
+        assert_eq!(header.get(), got.as_ref().map(|v| [v.len() as u64; H]), "header of key {k}");
+        (got, hint)
     };
     for (op, k, v, pick) in ops.iter().cloned() {
         match op {
@@ -94,12 +96,15 @@ fn blob_map_run<const H: usize>(
                     2 => own.get(nth % own.len().max(1)).copied(),
                     _ => all_hints.get(nth % all_hints.len().max(1)).copied(),
                 };
-                let got = if pick & 0x8000 == 0 {
+                let (got, learned) = if pick & 0x8000 == 0 {
                     get(&mut c, &mut m, k, hint)
                 } else {
                     get(&mut c2, &mut reader, k, hint)
                 };
                 prop_assert_eq!(got, model.get(&k).cloned());
+                let current =
+                    hints.get(&k).and_then(|h| h.last()).filter(|_| model.contains_key(&k));
+                prop_assert_eq!(learned.as_ref(), current);
             }
         }
         if reclaimed && op != 2 {
@@ -109,8 +114,8 @@ fn blob_map_run<const H: usize>(
     }
     for (k, v) in &model {
         let current = hints[k].last().copied();
-        prop_assert_eq!(get(&mut c, &mut m, *k, current).as_ref(), Some(v));
-        prop_assert_eq!(get(&mut c2, &mut reader, *k, current).as_ref(), Some(v));
+        prop_assert_eq!(get(&mut c, &mut m, *k, current).0.as_ref(), Some(v));
+        prop_assert_eq!(get(&mut c2, &mut reader, *k, current).0.as_ref(), Some(v));
     }
     if reclaimed {
         // Drain; the reader gives its slot back, so the one grace round
