@@ -163,18 +163,6 @@ impl OneSidedSkipList {
         }
         Ok(None)
     }
-
-    /// Bulk-loads sorted `(key, value)` pairs (convenience for benches).
-    pub fn bulk_load(
-        &mut self,
-        client: &mut FabricClient,
-        items: &[(u64, u64)],
-    ) -> Result<()> {
-        for &(k, v) in items {
-            self.insert(client, k, v)?;
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for OneSidedSkipList {

@@ -69,11 +69,6 @@ impl SuiteResult {
         self.programs.iter().all(|p| p.clean())
     }
 
-    /// True when every mutant was caught by every expected analysis.
-    pub fn all_mutants_caught(&self) -> bool {
-        self.mutants.iter().all(|m| m.caught)
-    }
-
     /// Deterministic JSON rendering (see module docs).
     pub fn to_json(&self) -> String {
         let mut o = String::from("{\n  \"schema_version\": 1,\n  \"suite\": \"e16_check\",\n");

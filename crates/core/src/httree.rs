@@ -833,13 +833,13 @@ impl HtTreeHandle {
     /// between the blocking and the suspending caller.
     ///
     /// The epoch [`Guard`] is pinned *before* the doorbell and held
-    /// across the suspension: the reactor's refresh-on-wake leaves
-    /// pinned tasks alone (safety), and because the pin happened at post
-    /// time, a restructure sealing while this task is parked cannot
-    /// retire the tables its descriptors name. The guard's epoch was
-    /// validated against the cached directory at pin time, so no re-check
-    /// is needed on wake — staleness surfaces as a version mismatch
-    /// handled by refresh-and-retry.
+    /// across the suspension: the runtime never moves a slot, and
+    /// because the pin happened at post time, a restructure sealing
+    /// while this task is parked cannot free the tables its descriptors
+    /// name. The guard's epoch was validated against the cached
+    /// directory at pin time, so no re-check is needed on wake —
+    /// staleness surfaces as a version mismatch handled by
+    /// refresh-and-retry.
     pub async fn get_many_async<D: Doorbell>(
         &mut self,
         ac: &D,

@@ -701,19 +701,6 @@ impl FabricClient {
         }
     }
 
-    /// [`faai`](Self::faai) with client-side completion: the pointer bump
-    /// already happened atomically at the home node, so the wrapper only
-    /// finishes the dereference.
-    pub fn faai_auto(&mut self, ad: FarAddr, v: u64, len: u64) -> Result<(u64, Vec<u8>)> {
-        match self.faai(ad, v, len) {
-            Err(FabricError::IndirectRemote { target, .. }) => {
-                let data = self.complete_read(target, len)?;
-                Ok((target.0, data))
-            }
-            other => other,
-        }
-    }
-
     /// [`add2`](Self::add2) with client-side completion via a far
     /// fetch-and-add at the resolved target.
     pub fn add2_auto(&mut self, ad: FarAddr, v: u64, i: u64) -> Result<()> {

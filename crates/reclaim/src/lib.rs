@@ -511,48 +511,16 @@ impl ReclaimHandle {
         Ok((self.observed, self.generation))
     }
 
-    /// Wake-boundary epoch refresh for suspended tasks (the async
-    /// runtime's *refresh-on-wake* rule; DESIGN.md §12).
-    ///
-    /// A client that blocks between structure operations republishes its
-    /// epoch only at the next [`pin`] — fine when operations are frequent,
-    /// but a *parked* logical client under an executor may not pin again
-    /// for a long virtual time, and its stale published epoch would hold
-    /// every retire at a newer epoch out of reclamation. Calling this at
-    /// each wake boundary closes that gap:
-    ///
-    /// * **No guard held** (`depth == 0`): behaves exactly like the
-    ///   depth-0 entry of [`pin`] — drains the epoch notification and, if
-    ///   it fired, CASes the slot forward to the epoch it carried (the
-    ///   epoch word is read first only after a `Lost` warning or a resync
-    ///   that failed mid-way). Returns `Ok(true)` iff the published epoch
-    ///   advanced. Cached far pointers need revalidating only if the
-    ///   [`generation`](Self::generation) moved too — which the next
-    ///   [`pin`]'s [`Guard::generation`] reports to every structure.
-    /// * **Guard held** (`depth > 0`): does nothing and returns
-    ///   `Ok(false)`. Safety comes first — the pinned epoch must not
-    ///   advance while a guard-protected traversal may hold unvalidated
-    ///   far pointers. The slot stays bit-identical while parked, so the
-    ///   lease detector charges no progress against a *live* task within
-    ///   its lease; a task that never wakes again is indistinguishable
-    ///   from a crashed client and is evicted after `LEASE_NS`, which is
-    ///   safe by the re-registration protocol in [`publish`](ReclaimHandle).
-    pub fn refresh_on_wake(&mut self, client: &mut FabricClient) -> Result<bool> {
-        if self.depth > 0 || self.released {
-            return Ok(false);
-        }
-        let before = self.observed;
-        self.catch_up(client)?;
-        Ok(self.observed != before)
-    }
-
-    /// The depth-0 epoch observation of [`pin`] and
-    /// [`refresh_on_wake`](Self::refresh_on_wake): drains the epoch
+    /// The depth-0 epoch observation of [`pin`]: drains the epoch
     /// subscription and publishes the newest word its events carried —
     /// one CAS. A `Lost` warning, or a resync that failed mid-way, means
     /// the events may not carry the newest word, so it is read first.
     /// Either way the published value may lag the word by the time the
-    /// CAS lands; a lagging slot only holds grace back.
+    /// CAS lands; a lagging slot only holds grace back. Besides a pin,
+    /// only the client's own non-empty [`reclaim`](Self::reclaim) moves
+    /// its slot: a client that stops pinning, blocked or parked at a
+    /// doorbell alike, lags until its next pin, its lease, or its
+    /// [`release`](Self::release).
     fn catch_up(&mut self, client: &mut FabricClient) -> Result<()> {
         let sub = self.epoch_sub;
         let mut lost = self.force_resync;
@@ -1062,52 +1030,6 @@ mod tests {
         let _g2 = pin(&s2, &mut c2).unwrap();
         let mut h1 = s1.lock().unwrap();
         assert_eq!(h1.reclaim(&mut c1).unwrap(), 256);
-    }
-
-    #[test]
-    fn refresh_on_wake_unblocks_grace_without_a_pin() {
-        let (f, a, reg) = setup();
-        let mut c1 = f.client();
-        let mut c2 = f.client();
-        let s1 = reg.attach(&mut c1, &a).unwrap();
-        let s2 = reg.attach(&mut c2, &a).unwrap();
-        // c2 is a parked logical client: no guard held, not pinning.
-        let block = a.alloc(256, AllocHint::Spread).unwrap();
-        {
-            let mut h1 = s1.lock().unwrap();
-            h1.retire(&mut c1, block, 256).unwrap();
-            h1.seal(&mut c1).unwrap();
-            assert_eq!(h1.reclaim(&mut c1).unwrap(), 0, "c2's stale slot blocks the free");
-        }
-        // A wake boundary republishes c2's epoch without any pin.
-        let advanced = s2.lock().unwrap().refresh_on_wake(&mut c2).unwrap();
-        assert!(advanced, "the seal's epoch notification fired while parked");
-        assert_eq!(s1.lock().unwrap().reclaim(&mut c1).unwrap(), 256);
-    }
-
-    #[test]
-    fn refresh_on_wake_is_inert_while_a_guard_is_held() {
-        let (f, a, reg) = setup();
-        let mut c1 = f.client();
-        let mut c2 = f.client();
-        let s1 = reg.attach(&mut c1, &a).unwrap();
-        let s2 = reg.attach(&mut c2, &a).unwrap();
-        // c2 pins *before* the retire and then suspends with the guard
-        // held across the park.
-        let g2 = pin(&s2, &mut c2).unwrap();
-        let block = a.alloc(256, AllocHint::Spread).unwrap();
-        {
-            let mut h1 = s1.lock().unwrap();
-            h1.retire(&mut c1, block, 256).unwrap();
-            h1.seal(&mut c1).unwrap();
-        }
-        // Wake boundaries inside the guard must not advance the epoch.
-        assert!(!s2.lock().unwrap().refresh_on_wake(&mut c2).unwrap());
-        assert_eq!(s1.lock().unwrap().reclaim(&mut c1).unwrap(), 0, "guard still pins");
-        drop(g2);
-        // The first wake boundary after the drop releases the pin.
-        assert!(s2.lock().unwrap().refresh_on_wake(&mut c2).unwrap());
-        assert_eq!(s1.lock().unwrap().reclaim(&mut c1).unwrap(), 256);
     }
 
     #[test]

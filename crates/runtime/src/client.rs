@@ -22,8 +22,7 @@ use std::task::{Context, Poll, Waker};
 
 use farmem_fabric::pipeline::{CompletionQueue, DescList, PipeOp, PipeOut};
 use farmem_fabric::trace::SpanGuard;
-use farmem_fabric::{AccessStats, FabricClient, FarAddr, FarIov, Result};
-use farmem_reclaim::{Guard, SharedReclaim};
+use farmem_fabric::{AccessStats, FabricClient, FarAddr, Result};
 
 /// The reactor's pending-doorbell queue, ordered by (issue time, task id).
 pub(crate) type ReactorQueue = Rc<RefCell<BinaryHeap<Reverse<(u64, usize)>>>>;
@@ -68,8 +67,6 @@ pub(crate) struct ClientCell {
     pub(crate) client: FabricClient,
     pub(crate) state: Park,
     pub(crate) waker: Option<Waker>,
-    /// Reclamation handle for refresh-on-wake (see crate docs).
-    pub(crate) reclaim: Option<SharedReclaim>,
     pub(crate) tid: usize,
     pub(crate) reactor: ReactorQueue,
     /// Doorbells the reactor fired for this task.
@@ -178,47 +175,6 @@ impl AsyncClient {
         self.serial(PipeOp::Faa { addr, delta }).await.map(|o| o.value())
     }
 
-    /// Async [`FabricClient::rgather`].
-    pub async fn rgather(&self, iov: Vec<FarIov>) -> Result<Vec<u8>> {
-        self.serial(PipeOp::Gather { iov }).await.map(PipeOut::into_bytes)
-    }
-
-    /// Async [`FabricClient::wscatter`].
-    pub async fn wscatter(&self, iov: Vec<FarIov>, data: Vec<u8>) -> Result<()> {
-        self.serial(PipeOp::Scatter { iov, data }).await.map(|_| ())
-    }
-
-    /// Async [`FabricClient::load0`]: dereference the pointer at `ptr`
-    /// and read `len` bytes at the target.
-    pub async fn load0(&self, ptr: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.load2(ptr, 0, len).await
-    }
-
-    /// Async [`FabricClient::load2`]: read `len` bytes at `(*ptr) + index`.
-    pub async fn load2(&self, ptr: FarAddr, index: u64, len: u64) -> Result<Vec<u8>> {
-        self.serial(PipeOp::Load2 { ptr, index, len }).await.map(PipeOut::into_bytes)
-    }
-
-    /// Async [`FabricClient::store2`]: write `data` at `(*ptr) + index`.
-    pub async fn store2(&self, ptr: FarAddr, index: u64, data: Vec<u8>) -> Result<()> {
-        self.serial(PipeOp::Store2 { ptr, index, data }).await.map(|_| ())
-    }
-
-    /// Async [`FabricClient::faai_swap_guarded`]; completes with the old
-    /// `(pointer, target word)` pair.
-    pub async fn faai_swap_guarded(
-        &self,
-        ptr: FarAddr,
-        delta: u64,
-        replacement: u64,
-        guard: FarAddr,
-        expect: u64,
-    ) -> Result<(u64, u64)> {
-        self.serial(PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect })
-            .await
-            .map(|o| o.ptr_word())
-    }
-
     /// Rings one doorbell for `list`: parks until the reactor has
     /// committed every descriptor (per-descriptor retries,
     /// abort-on-failure and `PipelineTorn` semantics are exactly
@@ -242,9 +198,10 @@ impl AsyncClient {
 
     /// Runs `f` against the wrapped [`FabricClient`] synchronously —
     /// the escape hatch for near accesses, span management, event
-    /// drains, and control-plane calls that issue no steady-state far
-    /// traffic. Must not be held across an `await` (the borrow is
-    /// released when `f` returns).
+    /// drains, epoch pins, and control-plane calls that issue no
+    /// steady-state far traffic. Must not be held across an `await` (the
+    /// borrow is released when `f` returns); what `f` returns, an epoch
+    /// guard included, may be.
     pub fn with<R>(&self, f: impl FnOnce(&mut FabricClient) -> R) -> R {
         f(&mut self.cell.borrow_mut().client)
     }
@@ -279,32 +236,6 @@ impl AsyncClient {
     /// The wrapped client's access counters.
     pub fn stats(&self) -> AccessStats {
         self.cell.borrow().client.stats()
-    }
-
-    /// Registers the task's reclamation handle. From then on the reactor
-    /// applies *refresh-on-wake*: each time this task wakes from a
-    /// doorbell with no guard held, its published epoch is resynced, so
-    /// long parks do not stall grace periods (crate docs, DESIGN.md §12).
-    pub fn attach_reclaim(&self, shared: SharedReclaim) {
-        self.cell.borrow_mut().reclaim = Some(shared.clone());
-    }
-
-    /// Pins an epoch guard for the registered reclamation handle.
-    ///
-    /// Control-plane: the common path is free (a local event-queue
-    /// check); the rare resync after an epoch advance costs one CAS (a
-    /// read first after a lost notification), executed inline at poll
-    /// time rather than through a doorbell — it is off the steady-state
-    /// path by design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no handle was registered with
-    /// [`attach_reclaim`](AsyncClient::attach_reclaim).
-    pub fn pin(&self) -> farmem_reclaim::Result<Guard> {
-        let mut cell = self.cell.borrow_mut();
-        let shared = cell.reclaim.clone().expect("attach_reclaim before pin");
-        farmem_reclaim::pin(&shared, &mut cell.client)
     }
 }
 

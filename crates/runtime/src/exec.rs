@@ -199,7 +199,6 @@ impl Executor {
             client,
             state: Park::Idle,
             waker: None,
-            reclaim: None,
             tid,
             reactor: self.reactor.clone(),
             doorbells_fired: 0,
@@ -261,8 +260,7 @@ impl Executor {
 
     /// Fires `tid`'s posted doorbell: executes the descriptors against
     /// the task's own client (serial verb or `FabricClient::ring` —
-    /// identical accounting to the synchronous path), applies refresh-on-wake, and
-    /// wakes the task.
+    /// identical accounting to the synchronous path) and wakes the task.
     fn fire(&mut self, tid: usize) {
         let cell = self
             .tasks
@@ -281,13 +279,6 @@ impl Executor {
         };
         c.state = Park::Complete(done);
         c.doorbells_fired += 1;
-        // Refresh-on-wake: a task waking with no guard held republishes
-        // the latest epoch so long parks never stall grace periods. A
-        // resync failure leaves `force_resync` set in the handle; the
-        // next pin (or wake) retries it.
-        if let Some(shared) = c.reclaim.clone() {
-            let _ = shared.lock().unwrap().refresh_on_wake(&mut c.client);
-        }
         let waker = c.waker.take();
         drop(c);
         if let Some(w) = waker {
@@ -311,14 +302,7 @@ fn serial_exec(c: &mut FabricClient, op: farmem_fabric::PipeOp) -> farmem_fabric
         PipeOp::WriteU64 { addr, value } => c.write_u64(addr, value).map(|_| PipeOut::Done),
         PipeOp::Cas { addr, expected, new } => c.cas(addr, expected, new).map(PipeOut::Value),
         PipeOp::Faa { addr, delta } => c.faa(addr, delta).map(PipeOut::Value),
-        PipeOp::Gather { iov } => c.rgather(&iov).map(PipeOut::Bytes),
-        PipeOp::Scatter { iov, data } => c.wscatter(&iov, &data).map(|_| PipeOut::Done),
-        PipeOp::Load2 { ptr, index, len } => c.load2(ptr, index, len).map(PipeOut::Bytes),
-        PipeOp::Store2 { ptr, index, data } => c.store2(ptr, index, &data).map(|_| PipeOut::Done),
-        PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => c
-            .faai_swap_guarded(ptr, delta, replacement, guard, expect)
-            .map(|(p, w)| PipeOut::PtrWord { ptr: p, word: w }),
-        PipeOp::Fenced(ops) => c.batch(&ops).map(PipeOut::Batch),
+        _ => unreachable!("AsyncClient posts only its word and byte verbs serially"),
     }
 }
 

@@ -12,7 +12,7 @@
 //! ## Model
 //!
 //! * [`AsyncClient`] wraps a [`farmem_fabric::FabricClient`] and exposes the leaf verbs
-//!   (`read`, `write`, `cas`, `faa`, …) as `async fn`s. Awaiting one
+//!   (`read`, `write`, `read_u64`, `write_u64`, `cas`, `faa`) as `async fn`s. Awaiting one
 //!   *posts a descriptor and parks at the doorbell* instead of blocking:
 //!   the future returns `Pending` exactly once and is woken exactly once,
 //!   when the reactor has drained its completion. There is no spin
@@ -47,19 +47,10 @@
 //!
 //! ## Guards across `await`
 //!
-//! A [`Guard`](farmem_reclaim::Guard) held across a suspension point
-//! stays pinned: parking never touches the client's reclamation slot, so
-//! safety is unaffected. To keep a *parked* task from stalling grace
-//! periods, the reactor calls
-//! [`ReclaimHandle::refresh_on_wake`](farmem_reclaim::ReclaimHandle::refresh_on_wake)
-//! at every wake boundary: a task waking with **no** guard held
-//! republishes the epoch its notification carried immediately (one CAS,
-//! instead of waiting for its next `pin`), while a task waking *inside* a
-//! guard keeps its pinned epoch (safety first — its published epoch
-//! advances at the next depth-0 boundary). A task that never wakes again
-//! is indistinguishable from a crashed client and is lease-evicted after
-//! `LEASE_NS`, which is safe by the existing re-registration protocol.
-//! See DESIGN.md §12.
+//! The runtime knows nothing of reclamation. A task pins an epoch guard
+//! through [`AsyncClient::with`] like any control-plane call, may hold
+//! it across `.await`, and its reclamation slot moves at its own pins
+//! exactly as a blocking client's does (DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,8 +9,8 @@
 //! one (a borrowed `FabricClient`, every ring completes on the spot) and
 //! the reactor's (park, fire in virtual-time order, wake). These tests
 //! pin the identity down with an arbitrary mixed-verb program (proptest),
-//! the three structure adopters end to end, and the
-//! guard-across-suspension reclaim rules.
+//! the three structure adopters end to end, the record layer's batched
+//! gets under reclamation, and the guard-across-suspension reclaim rules.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -260,8 +260,8 @@ proptest! {
 /// doorbell (the blocking public functions) and over the reactor's (the
 /// `_async` ones) on identically prepared fabrics: same answers, same
 /// counters, same clock. What this pins is inline-doorbell versus reactor
-/// accounting — serial doorbells, refresh-on-wake, firing order — not the
-/// agreement of two copies of the adopter.
+/// accounting — serial doorbells, firing order — not the agreement of two
+/// copies of the adopter.
 #[test]
 fn structure_adopters_match_blocking_twins() {
     let build = || {
@@ -332,17 +332,174 @@ fn structure_adopters_match_blocking_twins() {
     assert_eq!(handle.report().wasted_polls, 0);
 }
 
+/// `key`'s value once written in `round`: every fourth key's is longer
+/// than the record prefetch, so its get reads a tail.
+fn record_value(key: u64, round: u64) -> Vec<u8> {
+    vec![(key + 7 * round) as u8; if key.is_multiple_of(4) { 600 } else { 64 }]
+}
+
+/// The writer's move after the reader's `round`-th batch, identical on
+/// both twins: round 1 overwrites every third key (retiring the records
+/// it supersedes) and seals — a plain seal; round 2 retires a block as a
+/// restructure and seals. Every round ends in one grace round, whose
+/// freed bytes the twins compare.
+fn writer_step(
+    round: u64,
+    w: &mut FabricClient,
+    map: &mut FarBlobMap,
+    shared: &SharedReclaim,
+    alloc: &Arc<FarAlloc>,
+) -> u64 {
+    match round {
+        1 => {
+            for k in (0..24).step_by(3) {
+                map.put(w, k, [], &record_value(k, 1)).unwrap();
+            }
+            shared.lock().unwrap().seal(w).unwrap();
+        }
+        2 => {
+            let block = alloc.alloc(64, AllocHint::Spread).unwrap();
+            let mut h = shared.lock().unwrap();
+            h.retire_restructure(w, block, 64).unwrap();
+            h.seal(w).unwrap();
+        }
+        _ => {}
+    }
+    shared.lock().unwrap().reclaim(w).unwrap()
+}
+
+/// A reclaim handle's (published epoch, restructure generation).
+fn epoch_and_generation(shared: &SharedReclaim) -> (u64, u64) {
+    let h = shared.lock().unwrap();
+    (h.observed_epoch(), h.generation())
+}
+
+/// The product's async shape with reclamation on: serve's batched record
+/// get (`FarBlobMap::get_many_async`, reclaim mode, hints in and out) run
+/// by the reactor on one fabric and as the blocking `get_many` on a twin,
+/// while a second client retires and seals between batches. Each batch
+/// pins its guard and holds it across the lookup doorbell, the record
+/// doorbell and the long values' tail reads. After the plain seal the
+/// next pin costs one CAS; after the restructure seal it also re-reads
+/// the directory. Answers, hints, the whole counter array and the clock
+/// match: the reactor moves no slot at a wake.
+#[test]
+fn reclaimed_record_gets_match_blocking_twins_across_seals() {
+    // Per batch: answers, hints after it, (epoch, generation) its pin saw,
+    // bytes the writer's next grace round freed, and the batch's cost.
+    type Round =
+        (Vec<Option<Option<Vec<u8>>>>, Vec<Option<RecordHint>>, (u64, u64), u64, AccessStats);
+    let build = || {
+        let f = FabricConfig {
+            nodes: 4,
+            node_capacity: 64 << 20,
+            striping: Striping::Striped { stripe: 4096 },
+            cost: CostModel::DEFAULT,
+            ..FabricConfig::default()
+        }
+        .build();
+        let alloc = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
+        // Roomy enough that no put splits or compacts: the one
+        // restructure is the writer's.
+        let cfg = HtTreeConfig { initial_buckets: 128, ..Default::default() };
+        let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
+        let mut w = f.client();
+        let ws = reg.attach(&mut w, &alloc).unwrap();
+        let mut wm = FarBlobMap::<0>::attach_reclaimed(&mut w, &alloc, tree, cfg, ws.clone()).unwrap();
+        for k in 0..24u64 {
+            wm.put(&mut w, k, [], &record_value(k, 0)).unwrap();
+        }
+        (f, alloc, reg, tree, cfg, (w, wm, ws))
+    };
+    // Every stored key, and one never stored.
+    let keys: Vec<u64> = (0..24u64).chain([1000]).collect();
+
+    // Blocking twin.
+    let (f, alloc, reg, tree, cfg, (mut w, mut wm, ws)) = build();
+    let mut r = f.client();
+    let rs = reg.attach(&mut r, &alloc).unwrap();
+    let mut rm = FarBlobMap::<0>::attach_reclaimed(&mut r, &alloc, tree, cfg, rs.clone()).unwrap();
+    let at_attach = epoch_and_generation(&rs);
+    let mut hints = vec![None; keys.len()];
+    let mut sync_rounds: Vec<Round> = Vec::new();
+    for round in 1..=3 {
+        let before = r.stats();
+        let got = rm.get_many(&mut r, &keys, &mut hints, |_| true).unwrap();
+        let cost = r.stats().since(&before);
+        let seen = epoch_and_generation(&rs);
+        let freed = writer_step(round, &mut w, &mut wm, &ws, &alloc);
+        sync_rounds.push((got, hints.clone(), seen, freed, cost));
+    }
+    let sync_stats = r.stats();
+    let sync_ns = r.now_ns();
+
+    // Suspending twin.
+    let (f, alloc, reg, tree, cfg, (mut w, mut wm, ws)) = build();
+    let mut ex = Executor::new();
+    let k2 = keys.clone();
+    let handle = ex.spawn(f.client(), move |ac| async move {
+        let rs = ac.with(|c| reg.attach(c, &alloc)).unwrap();
+        let mut rm = ac
+            .with(|c| FarBlobMap::<0>::attach_reclaimed(c, &alloc, tree, cfg, rs.clone()))
+            .unwrap();
+        let mut hints = vec![None; k2.len()];
+        let mut rounds: Vec<Round> = Vec::new();
+        for round in 1..=3 {
+            let before = ac.stats();
+            let got = rm.get_many_async(&ac, &k2, &mut hints, |_| true).await.unwrap();
+            let cost = ac.stats().since(&before);
+            let seen = epoch_and_generation(&rs);
+            let freed = writer_step(round, &mut w, &mut wm, &ws, &alloc);
+            rounds.push((got, hints.clone(), seen, freed, cost));
+        }
+        rounds
+    });
+    ex.run();
+    let async_rounds = handle.take().unwrap();
+
+    assert_eq!(async_rounds, sync_rounds, "answers, hints, epochs and frees per batch");
+    assert_eq!(handle.stats().to_array(), sync_stats.to_array(), "every counter identical");
+    assert_eq!(handle.now_ns(), sync_ns, "clocks identical on twin fabrics");
+    assert_eq!(handle.report().wasted_polls, 0);
+
+    // The run is the one described: values as written, one seal seen per
+    // batch, one restructure, and grace moved by the reader's pins alone.
+    for (round, (got, ..)) in sync_rounds.iter().enumerate() {
+        let written = |k: u64| u64::from(round > 0 && k.is_multiple_of(3));
+        let want: Vec<_> = (0..24u64).map(|k| Some(Some(record_value(k, written(k))))).collect();
+        assert_eq!(got[..24], want[..], "batch {}", round + 1);
+        assert_eq!(got[24], None, "the never-stored key");
+    }
+    let seen: Vec<_> =
+        sync_rounds.iter().map(|&(_, _, (e, g), ..)| (e - at_attach.0, g - at_attach.1)).collect();
+    assert_eq!(seen, [(0, 0), (1, 0), (2, 1)], "(seals, restructures) seen by each batch's pin");
+    let pins: Vec<_> = sync_rounds.iter().map(|(.., cost)| cost.atomics).collect();
+    assert_eq!(pins, [0, 1, 1], "a pin past a seal is the batch's one atomic");
+    // 25 lookups each; batch 1 reads 24 records and 6 tails, batch 2 its
+    // 8 stale records and 2 tails plus the CAS, batch 3 only the CAS and
+    // the directory re-read (anchor, entry count, entries).
+    let far: Vec<_> = sync_rounds.iter().map(|(.., cost)| cost.round_trips).collect();
+    assert_eq!(far, [25 + 24 + 6, 25 + 8 + 2 + 1, 25 + 1 + 3]);
+    let freed: Vec<_> = sync_rounds.iter().map(|&(.., freed, _)| freed).collect();
+    assert_eq!(freed[0], 0, "the reader's slot still covers the overwritten records");
+    assert!(freed[1] > 0, "the reader's next pin let their grace complete");
+    assert_eq!(freed[2], 64, "and the restructure's block after the next");
+}
+
 // --- guards across suspension -------------------------------------------
 
-/// The reclaim contract for parked tasks (ISSUE regression test):
+/// The reclaim contract for a parked task is the blocking one:
 ///
-/// * a [`Guard`] held across suspensions *pins* — wake boundaries while
-///   it is held never republish the epoch, so a concurrent reclaimer
-///   frees nothing (and, within the lease, never evicts the parked
-///   client's slot to force the free);
-/// * dropping the guard does not *leak* — the next wake boundary
-///   republishes the epoch and the reclaimer's grace period completes,
-///   with no lease eviction needed.
+/// * a [`Guard`] pinned through `ac.with` and held across doorbells
+///   *pins* — a concurrent reclaimer frees nothing and, within the lease,
+///   evicts nothing;
+/// * the runtime touches no slot — across the wakes where the task takes
+///   no pin, guard held or dropped, its published epoch stays where its
+///   last pin put it;
+/// * dropping the guard does not *leak* — the task's next pin moves its
+///   slot in one CAS and the reclaimer's grace period completes.
 #[test]
 fn guard_across_suspension_neither_leaks_nor_evicts() {
     let f = FabricConfig::count_only(16 << 20).build();
@@ -352,69 +509,67 @@ fn guard_across_suspension_neither_leaks_nor_evicts() {
     let block = a.alloc(256, AllocHint::Spread).unwrap();
     let addr = a.alloc(8, AllocHint::Spread).unwrap();
 
-    let pinned = Rc::new(Cell::new(false));
-    let dropped = Rc::new(Cell::new(false));
+    let sealed = Rc::new(Cell::new(false));
+    let repinned = Rc::new(Cell::new(false));
     let guarded_zero_rounds = Rc::new(Cell::new(0u32));
 
     let mut ex = Executor::new();
 
-    // Task P: pins a guard, suspends at several doorbells while holding
-    // it, drops it, then suspends some more (each post-drop wake runs
-    // refresh-on-wake and republishes the epoch).
+    // Task P: pins, parks at three doorbells holding the guard, drops it,
+    // parks at three more, then pins again. It runs first, so it pins
+    // before the reclaimer retires.
     let (reg_p, a_p) = (reg, a.clone());
-    let (pinned_p, dropped_p) = (pinned.clone(), dropped.clone());
+    let (sealed_p, repinned_p) = (sealed.clone(), repinned.clone());
     let parked: TaskHandle<()> = ex.spawn(f.client(), move |ac| async move {
         let shared = ac.with(|c| reg_p.attach(c, &a_p)).unwrap();
-        ac.attach_reclaim(shared);
-        let g = ac.pin().unwrap();
-        pinned_p.set(true);
+        let g = ac.with(|c| pin(&shared, c)).unwrap();
+        let epoch = || shared.lock().unwrap().observed_epoch();
+        let pinned_at = epoch();
         for _ in 0..3 {
-            // Suspended with the guard held: refresh-on-wake must be inert.
             ac.read_u64(addr).await.unwrap();
+            assert_eq!(epoch(), pinned_at, "a wake inside the guard moved the slot");
         }
+        assert!(sealed_p.get(), "the reclaimer sealed while the guard was held");
         drop(g);
-        dropped_p.set(true);
         for _ in 0..3 {
-            // Suspended with no guard: refresh-on-wake republishes.
             ac.read_u64(addr).await.unwrap();
+            assert_eq!(epoch(), pinned_at, "a wake with no pin moved the slot");
         }
+        let before = ac.stats();
+        drop(ac.with(|c| pin(&shared, c)).unwrap());
+        let cost = ac.stats().since(&before);
+        assert_eq!((cost.round_trips, cost.atomics), (1, 1), "the next pin is one CAS");
+        assert_eq!(epoch(), pinned_at + 1);
+        repinned_p.set(true);
     });
 
-    // Task R: retires a block once P has pinned, then tries to reclaim.
+    // Task R: retires a block, then runs grace rounds until P re-pins.
     let (reg_r, a_r) = (reg, a.clone());
-    let (pinned_r, dropped_r, zeros) = (pinned.clone(), dropped.clone(), guarded_zero_rounds.clone());
+    let (sealed_r, repinned_r, zeros) = (sealed.clone(), repinned.clone(), guarded_zero_rounds.clone());
     let reclaimer = ex.spawn(f.client(), move |ac| async move {
         let shared = ac.with(|c| reg_r.attach(c, &a_r)).unwrap();
-        while !pinned_r.get() {
-            ac.yield_now().await;
-        }
         ac.with(|c| {
             let mut h = shared.lock().unwrap();
             h.retire(c, block, 256).unwrap();
             h.seal(c).unwrap();
         });
-        // While the guard is held, every round must free nothing — and
-        // must NOT lease-evict the parked (but live) client to force it.
-        while !dropped_r.get() {
+        sealed_r.set(true);
+        // Until P pins again every round frees nothing — and does NOT
+        // lease-evict the parked (but live) client to force the free.
+        while !repinned_r.get() {
             let freed = ac.with(|c| shared.lock().unwrap().reclaim(c)).unwrap();
-            assert_eq!(freed, 0, "freed far memory while a parked task held a guard");
+            assert_eq!(freed, 0, "freed far memory a parked task's slot still covers");
             zeros.set(zeros.get() + 1);
             ac.yield_now().await;
         }
-        // After the drop, P's wake boundaries republish; grace completes.
-        for _ in 0..16 {
-            let freed = ac.with(|c| shared.lock().unwrap().reclaim(c)).unwrap();
-            if freed > 0 {
-                return freed;
-            }
-            ac.yield_now().await;
-        }
-        0
+        let freed = ac.with(|c| shared.lock().unwrap().reclaim(c)).unwrap();
+        let evictions = shared.lock().unwrap().stats().evictions;
+        (freed, evictions)
     });
 
     ex.run();
     parked.take().unwrap();
-    assert_eq!(reclaimer.take().unwrap(), 256, "grace completed after the guard dropped");
+    assert_eq!(reclaimer.take().unwrap(), (256, 0), "grace completed at the pin, no eviction");
     assert!(
         guarded_zero_rounds.get() >= 1,
         "the reclaimer must have observed the guard blocking at least once"
