@@ -144,8 +144,8 @@ fn assert_gates(suite: &SuiteResult) {
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
     // the suite: the failover, serving-TTL, record-publish, record-hint, take,
-    // split-retire and batched-hint mutants, and the programs they break, are
-    // required by name.
+    // split-retire, batched-hint and queue-repair mutants, and the programs
+    // they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -157,6 +157,8 @@ fn assert_gates(suite: &SuiteResult) {
         "m16_take_relinks_stale_head",
         "m17_restructure_sealed_as_record",
         "m18_batched_hint_trusted_without_compare",
+        "m19_empty_claim_leaves_guard_open",
+        "m20_attach_adopts_odd_epoch",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
@@ -170,6 +172,8 @@ fn assert_gates(suite: &SuiteResult) {
         "reclaim_hinted_get_many",
         "reclaim_take",
         "reclaim_split",
+        "queue_wrap",
+        "queue_wrap_chaos",
     ] {
         assert!(
             suite.programs.iter().any(|p| p.name == required),

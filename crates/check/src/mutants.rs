@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::FarRwLock;
-use farmem_fabric::{BatchOp, DescList, FarAddr, PipeOp, PipeOut};
+use farmem_fabric::{BatchOp, DescList, FabricClient, FabricError, FarAddr, PipeOp, PipeOut};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
 use crate::explore::{PreparedRun, Program};
@@ -1242,6 +1242,266 @@ fn batched_hint_trusted_without_compare() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// The §5.3 queue in miniature, for M19 and M20: words `[head, tail,
+/// epoch]` and four slots after them. Head and tail hold slot addresses,
+/// every claim and enqueue is guarded on the epoch, and the repair — by
+/// whoever moves the epoch to odd — packs the live slots to the front and
+/// publishes the next even epoch, as `FarQueue`'s does. Each client tries
+/// each verb once (an op the guard refused had no effect and is recorded
+/// failed), which keeps the choice trees small enough for the explorer.
+struct MiniQueue {
+    hdr: FarAddr,
+}
+
+impl MiniQueue {
+    /// A queue holding `slots` (0 = empty), head at slot `head`, tail at
+    /// slot `tail`, epoch 0.
+    fn create(
+        c0: &mut FabricClient,
+        alloc: &FarAlloc,
+        slots: [u64; 4],
+        head: u64,
+        tail: u64,
+    ) -> MiniQueue {
+        let q = MiniQueue { hdr: alloc.alloc(8 * 7, AllocHint::Spread).unwrap() };
+        let words = [q.slot(head).0, q.slot(tail).0, 0].into_iter().chain(slots);
+        c0.write(q.hdr, &words.flat_map(u64::to_le_bytes).collect::<Vec<_>>()).unwrap();
+        q
+    }
+
+    fn head(&self) -> FarAddr {
+        self.hdr
+    }
+
+    fn tail(&self) -> FarAddr {
+        self.hdr.offset(8)
+    }
+
+    fn epoch(&self) -> FarAddr {
+        self.hdr.offset(16)
+    }
+
+    fn slot(&self, i: u64) -> FarAddr {
+        self.hdr.offset(24 + 8 * i)
+    }
+
+    /// `(epoch, head, tail)`, the epoch read first.
+    fn state(&self, c: &mut FabricClient) -> (u64, u64, u64) {
+        let out = c
+            .batch(&[
+                BatchOp::Read { addr: self.epoch(), len: 8 },
+                BatchOp::Read { addr: self.head(), len: 16 },
+            ])
+            .unwrap();
+        let word = |i: usize, at: usize| {
+            u64::from_le_bytes(out[i].bytes()[at..at + 8].try_into().unwrap())
+        };
+        (word(0, 0), word(1, 0), word(1, 8))
+    }
+
+    /// Enqueues `v` guarded on `epoch`; false when the guard refused it.
+    fn enqueue(&self, c: &mut FabricClient, v: u64, epoch: u64) -> bool {
+        match c.saai_guarded(self.tail(), 8, &v.to_le_bytes(), self.epoch(), epoch) {
+            Ok(_) => true,
+            Err(FabricError::GuardMismatch { .. }) => false,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// A dequeue from a fresh state read, claiming with a swap of
+    /// `replacement`: `None` when it had no effect (a repair in progress,
+    /// or the guard refused the claim), else what it returns.
+    fn dequeue(&self, c: &mut FabricClient, replacement: u64) -> Option<Option<u64>> {
+        let (epoch, head, tail) = self.state(c);
+        if epoch % 2 == 1 {
+            return None;
+        }
+        if head >= tail {
+            return Some(None);
+        }
+        let (_, got) = c.faai_swap_guarded(self.head(), 8, replacement, self.epoch(), epoch).ok()?;
+        Some(Some(got))
+    }
+
+    /// Moves the epoch from `even` to odd with a CAS (fenced with the
+    /// region read) and, if that won, packs every live slot (`taken`
+    /// marks a consumed one) to the front and reopens.
+    fn repair(&self, c: &mut FabricClient, even: u64, taken: u64) {
+        let out = c
+            .batch(&[
+                BatchOp::Cas { addr: self.epoch(), expected: even, new: even + 1 },
+                BatchOp::Read { addr: self.slot(0), len: 32 },
+            ])
+            .unwrap();
+        if out[0].value() != even {
+            return;
+        }
+        let mut slots: Vec<u64> = out[1]
+            .bytes()
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .filter(|&w| w != 0 && w != taken)
+            .collect();
+        let pointers = [self.slot(0).0, self.slot(slots.len() as u64).0];
+        slots.resize(4, 0);
+        let bytes = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        c.batch(&[
+            BatchOp::Write { addr: self.slot(0), data: &bytes(&slots) },
+            BatchOp::Write { addr: self.head(), data: &bytes(&pointers) },
+            BatchOp::Write { addr: self.epoch(), data: &(even + 2).to_le_bytes() },
+        ])
+        .unwrap();
+    }
+}
+
+/// M19 — a claim that finds its slot empty leaves the guard open. The
+/// queue's claim (a guarded `faai_swap`) swaps a `TAKEN` marker into the
+/// slot instead of the empty value, so a claim of an empty slot takes
+/// "something" and the fabric does not close the guard; the consumer then
+/// takes the repair the way a wrap does, with a CAS of the epoch — after
+/// the claim instead of in it. Consumer B's stale head estimate sends its
+/// claim onto the empty slot at the tail; the producer enqueues 22 into
+/// that slot (behind the head) and 33 after it; consumer A claims 33
+/// before B's repair packs 22 to the front. Correct code swaps in the
+/// empty value, so B's claim closes the guard in its own atomic unit and
+/// the enqueue of 22 is refused until the rebuild.
+fn empty_claim_leaves_guard_open() -> Mutant {
+    // MUTANT: claims swap this in, not the empty value.
+    const TAKEN: u64 = u64::MAX;
+    /// A claim that took nothing repairs, then reports empty.
+    fn taken_or_repair(q: &MiniQueue, c: &mut FabricClient, got: u64, epoch: u64) -> Option<u64> {
+        if got != 0 {
+            return Some(got);
+        }
+        q.repair(c, epoch, TAKEN);
+        None
+    }
+    let program = Program {
+        name: "m19_empty_claim_leaves_guard_open",
+        model: Some(Model::Fifo),
+        check_races: false,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let q = Arc::new(MiniQueue::create(&mut c0, &alloc, [0; 4], 0, 0));
+            let h = Arc::new(History::new());
+            // B believes an item is there (the estimates a handle that
+            // watched an earlier enqueue would hold): it claims at once.
+            let mut cb = f.client();
+            let bid = cb.id();
+            let (hb, qb) = (h.clone(), q.clone());
+            let b: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hb.invoke(bid, Op::Deq);
+                match cb.faai_swap_guarded(qb.head(), 8, TAKEN, qb.epoch(), 0) {
+                    Ok((_, got)) => {
+                        hb.complete(t, Ret::OptVal(taken_or_repair(&qb, &mut cb, got, 0)));
+                    }
+                    Err(_) => hb.fail(t),
+                }
+            });
+            let mut cp = f.client();
+            let pid = cp.id();
+            let (hp, qp) = (h.clone(), q.clone());
+            let p: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for v in [22, 33] {
+                    let t = hp.invoke(pid, Op::Enq { v });
+                    if qp.enqueue(&mut cp, v, 0) {
+                        hp.complete(t, Ret::Unit);
+                    } else {
+                        hp.fail(t);
+                    }
+                }
+            });
+            let mut ca = f.client();
+            let aid = ca.id();
+            let (ha, qa) = (h.clone(), q.clone());
+            let a: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = ha.invoke(aid, Op::Deq);
+                match qa.dequeue(&mut ca, TAKEN) {
+                    Some(Some(got)) => {
+                        ha.complete(t, Ret::OptVal(taken_or_repair(&qa, &mut ca, got, 0)));
+                    }
+                    Some(None) => ha.complete(t, Ret::OptVal(None)),
+                    None => ha.fail(t),
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![bid, pid, aid],
+                bodies: vec![b, p, a],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
+/// M20 — a handle attached mid-repair adopts the odd epoch. The repairer
+/// has moved the epoch to odd and read the slot region when the producer
+/// attaches, reading the header and trusting the epoch it finds there.
+/// Its enqueue is guarded on that odd value, so it lands while the repair
+/// runs; the rebuild, computed from the region read before the enqueue
+/// landed, overwrites the item and the tail. The producer's two dequeues
+/// then return 11 and nothing. Correct code treats an odd epoch at attach
+/// as pending: the first op waits for the even one.
+fn attach_adopts_odd_epoch() -> Mutant {
+    let program = Program {
+        name: "m20_attach_adopts_odd_epoch",
+        model: Some(Model::Fifo),
+        check_races: false,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            // Slot 0 already consumed, item 11 in slot 1.
+            let q = Arc::new(MiniQueue::create(&mut c0, &alloc, [0, 11, 0, 0], 1, 2));
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::Enq { v: 11 }, Ret::Unit);
+            let mut cr = f.client();
+            let rid = cr.id();
+            let qr = q.clone();
+            let repairer: Box<dyn FnOnce() + Send> = Box::new(move || qr.repair(&mut cr, 0, 0));
+            let mut cp = f.client();
+            let pid = cp.id();
+            let hp = h.clone();
+            let producer: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hp.invoke(pid, Op::Enq { v: 22 });
+                let hdr = cp.read(q.head(), 24).unwrap();
+                // MUTANT: the epoch is adopted as read, odd or not.
+                let epoch = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
+                let landed = q.enqueue(&mut cp, 22, epoch) || {
+                    let now = q.state(&mut cp).0;
+                    q.enqueue(&mut cp, 22, now)
+                };
+                if landed {
+                    hp.complete(t, Ret::Unit);
+                } else {
+                    hp.fail(t);
+                }
+                for _ in 0..2 {
+                    let t = hp.invoke(pid, Op::Deq);
+                    match q.dequeue(&mut cp, 0) {
+                        Some(got) => hp.complete(t, Ret::OptVal(got)),
+                        None => hp.fail(t),
+                    }
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![rid, pid],
+                bodies: vec![repairer, producer],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1263,5 +1523,9 @@ pub fn all_mutants() -> Vec<Mutant> {
         take_relinks_stale_head(),
         restructure_sealed_as_record(),
         batched_hint_trusted_without_compare(),
+        empty_claim_leaves_guard_open(),
+        attach_adopts_odd_epoch(),
     ]
 }
+
+

@@ -9,11 +9,12 @@
 //! client *before* the observer is installed, so initialisation accesses
 //! are invisible to the detector by construction.
 //!
-//! Two programs run with the race detector off, deliberately:
+//! Three programs run with the race detector off, deliberately:
 //!
-//! * `queue_fifo` — the queue's `saai` slot publish is a plain write the
-//!   consumer's guarded `faai_swap` races by design (the epoch guard and
-//!   slot sentinel make it safe); the FIFO *history* is the contract.
+//! * `queue_fifo` and `queue_wrap` — the queue's `saai` slot publish is a
+//!   plain write the consumer's guarded `faai_swap` races by design (the
+//!   epoch guard and slot sentinel make it safe); the FIFO *history* is
+//!   the contract, and `queue_wrap`'s drain finale checks exactly-once.
 //! * `httree_split` — gets are optimistic version-validated multi-word
 //!   reads that intentionally race bucket rewrites; the map history is
 //!   the contract.
@@ -47,7 +48,7 @@
 //! still make progress by evicting the stale slot after its lease.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::{
@@ -244,6 +245,105 @@ pub fn queue_fifo() -> Program {
                 history: h,
                 finale: None,
             }
+        }),
+    }
+}
+
+/// Two producers and two consumers over a [`FarQueue`] at the legal
+/// minimum capacity: `4·4 + 4` = 20 slots for four clients. Setup moves
+/// head and tail to slot 16 with enqueue/dequeue pairs of its own, so the
+/// fifth enqueue of the run lands in the slack. With 26 enqueues (13 per
+/// producer) and 28 dequeue attempts (14 per consumer) every run wraps,
+/// most twice, and each consumer's head estimate goes stale whenever the
+/// other dequeues, so claims pass the tail (empty recoveries). Checked: FIFO linearizability, and the finale invariant
+/// that every acknowledged enqueue is dequeued exactly once, by the run's
+/// consumers or by a drain after it. Race detection off, as for
+/// [`queue_fifo`].
+pub fn queue_wrap(chaos: bool) -> Program {
+    queue_wrap_tallied(chaos, Arc::default())
+}
+
+/// [`queue_wrap`], pushing each completed run's `[wrap repairs, empty
+/// recoveries]` (summed over the four handles) onto `tally`.
+fn queue_wrap_tallied(chaos: bool, tally: Arc<Mutex<Vec<[u64; 2]>>>) -> Program {
+    Program {
+        name: if chaos { "queue_wrap_chaos" } else { "queue_wrap" },
+        model: Some(Model::Fifo),
+        check_races: false,
+        max_steps: 600,
+        build: Box::new(move || {
+            let f = fabric(chaos);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let q = FarQueue::create(&mut c0, &alloc, QueueConfig::new(20, 4)).unwrap();
+            let mut h0 = FarQueue::attach(&mut c0, q.hdr()).unwrap();
+            for v in 0..16 {
+                h0.enqueue(&mut c0, v).unwrap();
+                h0.dequeue(&mut c0).unwrap();
+            }
+            let h = Arc::new(History::new());
+            let acked = Arc::new(Mutex::new(Vec::new()));
+            let taken = Arc::new(Mutex::new(Vec::new()));
+            let stats = Arc::new(Mutex::new(Vec::new()));
+            let mut participants = Vec::new();
+            let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+            for p in 1..=2u64 {
+                let mut cp = f.client();
+                let pid = cp.id();
+                let mut qp = FarQueue::attach(&mut cp, q.hdr()).unwrap();
+                let (hp, acked, stats_p) = (h.clone(), acked.clone(), stats.clone());
+                participants.push(pid);
+                bodies.push(Box::new(move || {
+                    for v in (0..13).map(|i| p * 100 + i) {
+                        let t = hp.invoke(pid, Op::Enq { v });
+                        match qp.enqueue(&mut cp, v) {
+                            Ok(()) => {
+                                acked.lock().unwrap().push(v);
+                                hp.complete(t, Ret::Unit);
+                            }
+                            Err(_) => hp.fail(t),
+                        }
+                    }
+                    stats_p.lock().unwrap().push(qp.stats());
+                }));
+                let mut cc = f.client();
+                let cid = cc.id();
+                let mut qc = FarQueue::attach(&mut cc, q.hdr()).unwrap();
+                let (hc, taken, stats_c) = (h.clone(), taken.clone(), stats.clone());
+                participants.push(cid);
+                bodies.push(Box::new(move || {
+                    for _ in 0..14 {
+                        let t = hc.invoke(cid, Op::Deq);
+                        match qc.dequeue(&mut cc) {
+                            Ok(v) => {
+                                taken.lock().unwrap().push(v);
+                                hc.complete(t, Ret::OptVal(Some(v)));
+                            }
+                            Err(farmem_core::CoreError::QueueEmpty) => {
+                                hc.complete(t, Ret::OptVal(None));
+                            }
+                            Err(_) => hc.fail(t),
+                        }
+                    }
+                    stats_c.lock().unwrap().push(qc.stats());
+                }));
+            }
+            let (f2, tally) = (f.clone(), tally.clone());
+            let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
+                let stats = stats.lock().unwrap();
+                let recoveries: u64 = stats.iter().map(|s| s.empty_recoveries).sum();
+                let repairs: u64 = stats.iter().map(|s| s.repairs).sum();
+                tally.lock().unwrap().push([repairs - recoveries, recoveries]);
+                let mut cz = f2.client();
+                let mut qz = FarQueue::attach(&mut cz, q.hdr()).unwrap();
+                let mut got = taken.lock().unwrap().clone();
+                got.extend(std::iter::from_fn(|| qz.dequeue(&mut cz).ok()));
+                got.sort_unstable();
+                let mut want = acked.lock().unwrap().clone();
+                want.sort_unstable();
+                (got != want).then(|| format!("acknowledged {want:?}, dequeued {got:?}"))
+            });
+            PreparedRun { fabric: f, participants, bodies, history: h, finale: Some(finale) }
         }),
     }
 }
@@ -1174,6 +1274,8 @@ pub fn main_programs() -> Vec<Program> {
         serve_ttl_evict(),
         mutex_counter(true),
         rwlock_pair(true),
+        queue_wrap(false),
+        queue_wrap(true),
     ]
 }
 
@@ -1194,5 +1296,30 @@ pub(crate) mod helpers {
         let a = alloc.alloc(8, AllocHint::Spread).unwrap();
         c0.write_u64(a, 0).unwrap();
         a
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::{explore, ExploreBounds};
+
+    /// The shape `queue_wrap` promises: every run wraps, and the explored
+    /// runs include ones that wrap twice around an empty recovery.
+    #[test]
+    fn queue_wrap_runs_wrap_twice_around_an_empty_recovery() {
+        for chaos in [false, true] {
+            let tally = Arc::new(Mutex::new(Vec::new()));
+            let bounds = ExploreBounds { max_schedules: 8, random_schedules: 8, seed: 0xe16 };
+            let x = explore(&queue_wrap_tallied(chaos, tally.clone()), &bounds);
+            assert!(x.clean(), "{x:?}");
+            let runs = tally.lock().unwrap();
+            assert_eq!(runs.len(), 16, "every run completed");
+            assert!(runs.iter().all(|&[wraps, _]| wraps >= 1), "{runs:?}");
+            let wrapped_twice_and_recovered = |&[wraps, recoveries]: &[u64; 2]| {
+                wraps >= 2 && recoveries >= 1
+            };
+            assert!(runs.iter().any(wrapped_twice_and_recovered), "{runs:?}");
+        }
     }
 }

@@ -32,6 +32,7 @@ fn bounds_for(name: &str, cfg: &SuiteConfig) -> ExploreBounds {
         "reclaim_evict" => ((80, 30), (12, 4)),
         "replica_failover" => ((120, 40), (24, 8)),
         "mutex_counter_chaos" | "rwlock_pair_chaos" => ((60, 20), (24, 8)),
+        "queue_wrap" | "queue_wrap_chaos" => ((60, 20), (24, 8)),
         // Mutants: enough DFS to exhaust (or deeply cover) their small
         // choice trees deterministically.
         _ => ((160, 80), (24, 12)),

@@ -23,29 +23,33 @@
 //!   enters the danger zone.
 //!
 //! The paper omits the slow-path details "due to space constraints"; the
-//! design here is our completion of it (documented in DESIGN.md): a far
-//! mutex serializes repairs, an epoch word — which every client watches
-//! via `notify0`, so checking it is a *local* operation — quiesces fast
-//! paths, and the repairer rebuilds the item run at the start of the
-//! array. A dequeue consumes its slot with the *swap* variant of `faai`:
-//! reading the item and zeroing the slot are one verb, so no separate
-//! write — posted or not — ever trails a dequeue.
+//! design here is our completion of it (documented in DESIGN.md). Every
+//! fast-path atomic is *guarded* on an epoch word, which every client
+//! watches via `notify0`, so checking it is a *local* operation. A dequeue
+//! consumes its slot with the *swap* variant of `faai`: reading the item
+//! and zeroing the slot are one verb, so a non-empty slot is always an
+//! item nobody took. The repair has one rule: the client that moves the
+//! epoch from even to odd owns it, and no fast path lands until it is even
+//! again. An op that landed in the slack takes it with a checked CAS; a
+//! claim that found its slot empty takes it in its own atomic unit, so no
+//! enqueue fills the slot the claim passed. The owner reads the slot
+//! region and, in one fenced batch, packs every non-empty slot at the
+//! start of the array, rebases head and tail, and publishes the next even
+//! epoch.
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_fabric::{BatchOp, DescList, Event, FabricClient, FarAddr, SubId, WORD};
 use farmem_runtime::{Doorbell, Inline};
 
 use crate::error::{CoreError, Result};
-use crate::mutex::FarMutex;
 
-/// Header word offsets.
+/// Header word offsets. Word 48 is reserved and stays zero.
 const OFF_HEAD: u64 = 0;
 const OFF_TAIL: u64 = 8;
 const OFF_SLOTS: u64 = 16;
 const OFF_NSLOTS: u64 = 24;
 const OFF_SLACK: u64 = 32;
 const OFF_NCLIENTS: u64 = 40;
-const OFF_LOCK: u64 = 48;
 const OFF_EPOCH: u64 = 56;
 const HDR_LEN: u64 = 64;
 
@@ -79,9 +83,11 @@ pub struct QueueStats {
     pub deq_fast: u64,
     /// Opposing-pointer refreshes (one extra far access, near-full/empty).
     pub est_refreshes: u64,
-    /// Wrap repairs performed by this handle.
+    /// Repairs (wrap or empty recovery) this handle rebuilt the queue
+    /// for.
     pub repairs: u64,
-    /// Empty-queue recoveries performed by this handle.
+    /// Claims of this handle that found their slot empty; each one took
+    /// and ran a repair.
     pub empty_recoveries: u64,
     /// Operations rejected as full.
     pub full_hits: u64,
@@ -163,7 +169,7 @@ impl FarQueue {
             cfg.n_slots,      // n_slots
             slack_slots,      // slack
             cfg.max_clients,  // n
-            0,                // lock
+            0,                // reserved
             0,                // epoch (even: normal)
         ] {
             hdr_bytes.extend_from_slice(&w.to_le_bytes());
@@ -210,7 +216,9 @@ impl FarQueue {
 
     /// Attaches a client, reading the descriptor from far memory (one far
     /// access) and subscribing to the repair-epoch word so future epoch
-    /// checks are local.
+    /// checks are local. Attached during a repair (an odd epoch), the
+    /// handle's first operation waits for the even epoch: an op guarded on
+    /// the odd one would pass while the repair rewrites the slots.
     pub fn attach(client: &mut FabricClient, hdr: FarAddr) -> Result<QueueHandle> {
         let mut bytes = [0u8; HDR_LEN as usize];
         client.read_into(hdr, &mut bytes)?;
@@ -232,7 +240,7 @@ impl FarQueue {
             tail_est: w(OFF_TAIL),
             epoch_sub,
             epoch_val: w(OFF_EPOCH),
-            epoch_pending: false,
+            epoch_pending: w(OFF_EPOCH) % 2 == 1,
             stats: QueueStats::default(),
         })
     }
@@ -282,37 +290,33 @@ impl QueueHandle {
     /// Drains notifications; if a repair epoch change is pending, waits for
     /// the repair to finish and refreshes the pointer estimates.
     fn sync(&mut self, client: &mut FabricClient) -> Result<()> {
-        let mine = self.epoch_sub;
-        for e in client.take_events(|e| e.sub() == Some(mine) || matches!(e, Event::Lost { .. })) {
-            match e {
-                Event::Changed { sub, .. } if sub == self.epoch_sub => {
-                    self.epoch_pending = true;
-                }
-                Event::Lost { .. } => self.epoch_pending = true,
-                _ => {}
-            }
-        }
-        if self.epoch_pending {
+        if self.epoch_moved(client) {
             self.epoch_pending = false;
             self.wait_epoch_even_and_refresh(client)?;
         }
         Ok(())
     }
 
+    /// Drains this handle's epoch events (a local operation): true when a
+    /// repair may have moved the pointers since the estimates were read. A
+    /// repair's epoch event is delivered before anything it rewrites can
+    /// be read, so an estimate read after a `false` here is of the
+    /// estimates' own epoch.
+    fn epoch_moved(&mut self, client: &mut FabricClient) -> bool {
+        let mine = self.epoch_sub;
+        let events =
+            client.take_events(|e| e.sub() == Some(mine) || matches!(e, Event::Lost { .. }));
+        self.epoch_pending |= !events.is_empty();
+        self.epoch_pending
+    }
+
     /// Waits until the epoch is even (no repair in progress), then reloads
     /// head/tail estimates.
     fn wait_epoch_even_and_refresh(&mut self, client: &mut FabricClient) -> Result<()> {
         for _ in 0..1_000_000u32 {
-            let out = client.batch(&[
-                BatchOp::Read { addr: self.q.hdr.offset(OFF_EPOCH), len: WORD },
-                BatchOp::Read { addr: self.q.hdr.offset(OFF_HEAD), len: 2 * WORD },
-            ])?;
-            let epoch = u64::from_le_bytes(out[0].bytes().try_into().expect("word"));
+            let (epoch, head, tail) = self.read_state(client)?;
             if epoch % 2 == 0 {
-                let ht = out[1].bytes();
-                self.head_est = u64::from_le_bytes(ht[0..8].try_into().expect("head"));
-                self.tail_est = u64::from_le_bytes(ht[8..16].try_into().expect("tail"));
-                self.epoch_val = epoch;
+                self.adopt(epoch, head, tail);
                 return Ok(());
             }
             // Repair in progress: park briefly on the notification queue
@@ -322,6 +326,25 @@ impl QueueHandle {
             let _ = client.take_events(|e| e.sub() == Some(mine));
         }
         Err(CoreError::Contended)
+    }
+
+    /// One fenced batch reading the epoch, then head and tail: `(epoch,
+    /// head, tail)`. The epoch is read first, so the pointers are never
+    /// older than it: an op guarded on that epoch bounces if a repair
+    /// moved them since.
+    fn read_state(&self, client: &mut FabricClient) -> Result<(u64, u64, u64)> {
+        let out = client.batch(&[
+            BatchOp::Read { addr: self.q.hdr.offset(OFF_EPOCH), len: WORD },
+            BatchOp::Read { addr: self.q.hdr.offset(OFF_HEAD), len: 2 * WORD },
+        ])?;
+        let ht = out[1].bytes();
+        Ok((crate::word_at(out[0].bytes(), 0), crate::word_at(ht, 0), crate::word_at(ht, WORD)))
+    }
+
+    fn adopt(&mut self, epoch: u64, head: u64, tail: u64) {
+        self.epoch_val = epoch;
+        self.head_est = head;
+        self.tail_est = tail;
     }
 
     /// Enqueues `value`. Fast path: **one far access** (`saai`).
@@ -386,8 +409,11 @@ impl QueueHandle {
         self.tail_est = old_tail + WORD;
         self.stats.enq_fast += 1;
         // Background slack check from the completion's old pointer value.
+        // The item has landed, so a failed repair is not this op's error
+        // (a producer retrying it would enqueue the item twice); the next
+        // op that lands in the slack repairs again.
         if old_tail >= self.q.slack_base() {
-            self.repair(client)?;
+            let _ = self.repair(client);
         }
         Ok(())
     }
@@ -419,6 +445,10 @@ impl QueueHandle {
             self.tail_est = client.read_u64(self.q.hdr.offset(OFF_TAIL))?;
             self.stats.est_refreshes += 1;
             if self.head_est >= self.tail_est {
+                // Empty, unless a repair rebased the tail since `sync`.
+                if self.epoch_moved(client) {
+                    return Err(CoreError::Contended);
+                }
                 self.stats.empty_hits += 1;
                 return Err(CoreError::QueueEmpty);
             }
@@ -445,14 +475,17 @@ impl QueueHandle {
         }
         self.head_est = old_head + WORD;
         if raw == EMPTY {
-            // Overshot the tail on stale estimates: recover under the lock.
+            // Overshot the tail on stale estimates: the claim closed the
+            // epoch, so this handle owns the repair.
             self.stats.empty_recoveries += 1;
-            self.repair(client)?;
+            self.rebuild(client)?;
             return Err(CoreError::QueueEmpty);
         }
         self.stats.deq_fast += 1;
+        // The item is claimed: returning a repair error instead would
+        // lose it.
         if old_head >= self.q.slack_base() {
-            self.repair(client)?;
+            let _ = self.repair(client);
         }
         Ok(raw - 1)
     }
@@ -525,6 +558,11 @@ impl QueueHandle {
         }
         let avail = self.tail_est.saturating_sub(self.head_est) / WORD;
         if avail == 0 {
+            // lint: block-ok — local event drain: empty, unless a repair
+            // rebased the tail since `sync`.
+            if ac.with(|client| self.epoch_moved(client)) {
+                return Err(CoreError::Contended);
+            }
             self.stats.empty_hits += 1;
             return Err(CoreError::QueueEmpty);
         }
@@ -541,7 +579,8 @@ impl QueueHandle {
         }
         let mut cq = ac.ring(claims).await;
         let mut values = Vec::with_capacity(k);
-        let mut need_repair = false;
+        let mut in_slack = false;
+        let mut closed = false;
         let mut guard_bounced = false;
         let mut hard_err: Option<CoreError> = None;
         for i in 0..k {
@@ -556,15 +595,14 @@ impl QueueHandle {
                     self.head_est = old_head + WORD;
                     if raw == EMPTY {
                         // Claimed past the tail on stale estimates: the
-                        // repair below rebases head and tail.
+                        // claim closed the epoch (the later claims bounce)
+                        // and the rebuild below reopens it.
                         self.stats.empty_recoveries += 1;
-                        need_repair = true;
+                        closed = true;
                     } else {
                         self.stats.deq_fast += 1;
                         values.push(raw - 1);
-                        if old_head >= self.q.slack_base() {
-                            need_repair = true;
-                        }
+                        in_slack |= old_head >= self.q.slack_base();
                     }
                 }
                 Some(Err(farmem_fabric::FabricError::GuardMismatch { .. })) => {
@@ -579,9 +617,11 @@ impl QueueHandle {
                 None => break,
             }
         }
-        if need_repair {
-            // lint: block-ok — rare slack-region repair.
-            if let Err(e) = ac.with(|client| self.repair(client)) {
+        if closed || in_slack {
+            // lint: block-ok — rare slow-path repair.
+            let repaired =
+                ac.with(|client| if closed { self.rebuild(client) } else { self.repair(client) });
+            if let Err(e) = repaired {
                 if values.is_empty() {
                     return Err(e);
                 }
@@ -672,123 +712,81 @@ impl QueueHandle {
         result
     }
 
-    /// The slow path: wrap repair and empty recovery, serialized by the
-    /// queue's far mutex and quiesced by the epoch word.
+    /// The wrap repair, run by an op that landed in the slack:
     ///
-    /// Under the (odd) epoch the repairer waits for the pointers to
-    /// stabilize, reads the whole slot region, relocates the single
-    /// contiguous run of live items to the start of the array, zeroes the
-    /// remainder, rewrites head/tail, and publishes the (even) epoch.
+    /// 1. **Check.** One fenced read of the epoch, then head and tail. If
+    ///    the epoch is even, `head <= tail` and tail is below the slack,
+    ///    adopt what was read and return.
+    /// 2. **Take the repair.** CAS the epoch from the even value just read
+    ///    to odd. Every repair moves the epoch by two, so a won CAS also
+    ///    proves the check is still current; a lost one means another
+    ///    client repaired, so check again.
+    /// 3. and 4. [`rebuild`](Self::rebuild).
     fn repair(&mut self, client: &mut FabricClient) -> Result<()> {
-        let lock = FarMutex::attach(self.q.hdr.offset(OFF_LOCK));
-        lock.lock(client, 1_000_000)?;
-        let result = self.repair_locked(client);
-        // Release even if the repair failed; the repair error is the one
-        // worth surfacing (an unlock failure on top of a successful
-        // repair — e.g. a lost lease — still propagates).
-        let rel = lock.unlock(client);
+        let epoch_word = self.q.hdr.offset(OFF_EPOCH);
+        for _ in 0..64 {
+            let (epoch, head, tail) = self.read_state(client)?;
+            if epoch % 2 == 1 {
+                self.wait_epoch_even_and_refresh(client)?;
+                continue;
+            }
+            if head <= tail && tail < self.q.slack_base() {
+                self.adopt(epoch, head, tail);
+                return Ok(());
+            }
+            // audit: rt-in-loop-ok: a lost CAS means another client's
+            // repair moved the epoch, so every pass makes progress.
+            if client.cas(epoch_word, epoch, epoch + 1)? == epoch {
+                self.epoch_val = epoch;
+                return self.rebuild(client);
+            }
+        }
+        Err(CoreError::Contended)
+    }
+
+    /// The rest of a repair, run by the client that moved the epoch from
+    /// `epoch_val` to odd: with [`repair`](Self::repair)'s CAS, or with a
+    /// claim that found its slot empty (a guarded `faai_swap` that takes
+    /// nothing closes the guard in its own atomic unit, so no enqueue
+    /// lands in the slot the claim passed):
+    ///
+    /// 3. **Read** the slot region.
+    /// 4. **Rebuild**, in one fenced batch: every non-empty slot, in slot
+    ///    order, at the start of the array (zeros after it); head and tail;
+    ///    the next even epoch.
+    ///
+    /// The node checks a guarded op's epoch under the same lock as the
+    /// move to odd: no fast-path op lands after it, and every op that
+    /// landed before it landed whole. A dequeue empties its slot in its own
+    /// swap, so every non-empty slot is an item nobody took, and slot order
+    /// is enqueue order. A repairer that dies before step 4, or whose
+    /// verbs fail there, leaves the epoch odd and wedges the queue.
+    fn rebuild(&mut self, client: &mut FabricClient) -> Result<()> {
         self.stats.repairs += 1;
-        result?;
-        rel
-    }
-
-    fn repair_locked(&mut self, client: &mut FabricClient) -> Result<()> {
-        // Re-check: a concurrent repairer may have fixed things already.
-        let head = client.read_u64(self.q.hdr.offset(OFF_HEAD))?;
-        let tail = client.read_u64(self.q.hdr.offset(OFF_TAIL))?;
-        let needs_wrap = tail >= self.q.slack_base() || head >= self.q.slack_base();
-        let needs_empty_fix = head > tail;
-        if !needs_wrap && !needs_empty_fix {
-            self.head_est = head;
-            self.tail_est = tail;
-            self.epoch_val = client.read_u64(self.q.hdr.offset(OFF_EPOCH))?;
-            return Ok(());
-        }
-        // Quiesce: odd epoch tells every attached client (via its local
-        // notification queue) to hold off and re-sync.
-        client.faa(self.q.hdr.offset(OFF_EPOCH), 1)?;
-        let rebuilt = self.rebuild_under_odd_epoch(client, (head, tail));
-        // Publish the even epoch no matter how the rebuild went — an
-        // error path that leaves the epoch odd wedges every attached
-        // client, which is worse than whatever the rebuild hit.
-        let reeven = client.faa(self.q.hdr.offset(OFF_EPOCH), 1);
-        let (new_head, new_tail) = rebuilt?;
-        self.epoch_val = reeven? + 1;
-        self.head_est = new_head;
-        self.tail_est = new_tail;
-        // Drop our own epoch events.
-        self.epoch_pending = false;
-        let mine = self.epoch_sub;
-        let _ = client.take_events(|e| e.sub() == Some(mine));
-        Ok(())
-    }
-
-    /// The fallible middle of a wrap repair, run while the epoch is odd:
-    /// waits for in-flight fast-path ops to drain, relocates the single
-    /// live item run to the start of the slot array, and rewrites the
-    /// pointers. Returns the rebuilt `(head, tail)`; the caller re-evens
-    /// the epoch whether this succeeds or not.
-    fn rebuild_under_odd_epoch(
-        &self,
-        client: &mut FabricClient,
-        mut prev: (u64, u64),
-    ) -> Result<(u64, u64)> {
-        // We will receive our own epoch notifications; ignore them.
-        // Wait for stragglers: pointers must be stable across two reads.
-        loop {
-            // audit: rt-in-loop-ok: straggler quiesce — re-reads until the
-            // pointers stabilize; the odd epoch keeps new ops out, so the
-            // loop ends as soon as in-flight fast-path ops drain.
-            let h = client.read_u64(self.q.hdr.offset(OFF_HEAD))?;
-            let t = client.read_u64(self.q.hdr.offset(OFF_TAIL))?;
-            if (h, t) == prev {
-                break;
+        let region_len = (self.q.n_slots + self.q.slack_slots) * WORD;
+        let region = client.read(self.q.slots_base, region_len)?;
+        let mut packed = Vec::with_capacity(region.len());
+        for slot in region.chunks_exact(WORD as usize) {
+            if crate::word_at(slot, 0) != EMPTY {
+                packed.extend_from_slice(slot);
             }
-            prev = (h, t);
         }
-        // Read the whole region and find the contiguous run of live items.
-        let region_slots = self.q.n_slots + self.q.slack_slots;
-        let raw = client.read(self.q.slots_base, region_slots * WORD)?;
-        let words: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("slot")))
-            .collect();
-        let first = words.iter().position(|&w| w != EMPTY);
-        let (run_start, run_len) = match first {
-            None => (0, 0),
-            Some(f) => {
-                let mut l = f;
-                while l < words.len() && words[l] != EMPTY {
-                    l += 1;
-                }
-                // All live items must form a single run.
-                if words[l..].iter().any(|&w| w != EMPTY) {
-                    return Err(CoreError::Corrupted(
-                        "queue slots hold more than one item run",
-                    ));
-                }
-                (f, l - f)
-            }
-        };
-        // Rebuild: run at the start of the array, zeros elsewhere, fresh
-        // pointers — one fenced batch.
-        let mut rebuilt = vec![0u8; (region_slots * WORD) as usize];
-        rebuilt[..run_len * 8]
-            .copy_from_slice(&raw[run_start * 8..(run_start + run_len) * 8]);
-        let new_head = self.q.slots_base.0;
-        let new_tail = self.q.slots_base.0 + (run_len as u64) * WORD;
+        let head = self.q.slots_base.0;
+        let tail = head + packed.len() as u64;
+        packed.resize(region.len(), 0);
+        let pointers: Vec<u8> = [head, tail].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let epoch = self.epoch_val + 2;
         client.batch(&[
-            BatchOp::Write { addr: self.q.slots_base, data: &rebuilt },
-            BatchOp::Write {
-                addr: self.q.hdr.offset(OFF_HEAD),
-                data: &new_head.to_le_bytes(),
-            },
-            BatchOp::Write {
-                addr: self.q.hdr.offset(OFF_TAIL),
-                data: &new_tail.to_le_bytes(),
-            },
+            BatchOp::Write { addr: self.q.slots_base, data: &packed },
+            BatchOp::Write { addr: self.q.hdr.offset(OFF_HEAD), data: &pointers },
+            BatchOp::Write { addr: self.q.hdr.offset(OFF_EPOCH), data: &epoch.to_le_bytes() },
         ])?;
-        Ok((new_head, new_tail))
+        // The epoch events of this repair stay queued: dropping them could
+        // drop those of a repair that ran since the write, and an estimate
+        // no epoch event vouches for must not decide "full" or "empty". The
+        // next op pays one state read for them.
+        self.adopt(epoch, head, tail);
+        Ok(())
     }
 
     /// Detaches, cancelling the epoch subscription.
@@ -1159,5 +1157,252 @@ mod tests {
             FarQueue::create(&mut c, &a, QueueConfig::new(64, 0)),
             Err(CoreError::BadConfig(_))
         ));
+    }
+
+    /// Issues a producer's enqueue verb (the guarded `saai` of item 3)
+    /// from inside the first guarded claim of the head word: the claim has
+    /// already passed the tail onto an empty slot, and the verb aims at
+    /// that slot before the claiming consumer learns it was empty.
+    struct FillOnClaim {
+        head_word: FarAddr,
+        producer: std::sync::Mutex<Option<(FabricClient, QueueHandle)>>,
+        landed: std::sync::Mutex<Option<bool>>,
+    }
+
+    impl farmem_fabric::CheckObserver for FillOnClaim {
+        fn access(&self, a: &farmem_fabric::Access) {
+            // The producer's own accesses come back through this hook and
+            // return here.
+            if a.addr != self.head_word || a.kind != farmem_fabric::AccessKind::AtomicRmw {
+                return;
+            }
+            let mut landed = self.landed.lock().unwrap();
+            if landed.is_some() {
+                return;
+            }
+            let mut producer = self.producer.lock().unwrap();
+            let (c, h) = producer.as_mut().expect("the producer");
+            let saai = c.saai_guarded_auto(
+                h.q.hdr.offset(OFF_TAIL),
+                WORD,
+                &4u64.to_le_bytes(),
+                h.q.hdr.offset(OFF_EPOCH),
+                h.epoch_val,
+            );
+            *landed = Some(saai.is_ok());
+        }
+    }
+
+    /// Consumer A's claim overshoots onto an empty slot while a producer's
+    /// enqueue of item 3 aims at that slot; then `fresh` (a newly attached
+    /// consumer) or A itself must get the item, and the queue must stay
+    /// healthy through the next wrap.
+    fn overshoot_then_fill(fresh: bool) {
+        let (f, q) = setup(20, 2);
+        let [mut p, mut a, mut b] = [f.client(), f.client(), f.client()];
+        let mut hp = FarQueue::attach(&mut p, q.hdr()).unwrap();
+        let mut ha = FarQueue::attach(&mut a, q.hdr()).unwrap();
+        let mut hb = FarQueue::attach(&mut b, q.hdr()).unwrap();
+        hp.enqueue(&mut p, 1).unwrap();
+        hp.enqueue(&mut p, 2).unwrap();
+        assert_eq!(ha.dequeue(&mut a).unwrap(), 1);
+        // B takes item 2 behind A's back: A's head estimate is now stale,
+        // so A's next claim lands on the empty slot at the tail.
+        assert_eq!(hb.dequeue(&mut b).unwrap(), 2);
+        let hpp = FarQueue::attach(&mut p, q.hdr()).unwrap();
+        let hook = Arc::new(FillOnClaim {
+            head_word: q.hdr().offset(OFF_HEAD),
+            producer: std::sync::Mutex::new(Some((p, hpp))),
+            landed: std::sync::Mutex::new(None),
+        });
+        f.install_check_observer(hook.clone());
+        assert_eq!(ha.dequeue(&mut a), Err(CoreError::QueueEmpty));
+        f.clear_check_observer();
+        assert_eq!(ha.stats().empty_recoveries, 1, "the claim overshot");
+        let (mut p, _) = hook.producer.lock().unwrap().take().unwrap();
+        assert_eq!(
+            *hook.landed.lock().unwrap(),
+            Some(false),
+            "no enqueue lands in the slot an overshooting claim passed"
+        );
+        // The producer retries the refused verb, as `enqueue` does.
+        hp.enqueue(&mut p, 3).unwrap();
+        let (mut c, mut h) = if fresh {
+            let mut c = f.client();
+            let h = FarQueue::attach(&mut c, q.hdr()).unwrap();
+            (c, h)
+        } else {
+            (a, ha)
+        };
+        assert_eq!(h.dequeue(&mut c).unwrap(), 3);
+        for v in 0..40u64 {
+            hp.enqueue(&mut p, v).unwrap();
+            assert_eq!(h.dequeue(&mut c).unwrap(), v);
+        }
+        assert!(hp.stats().repairs > 0, "the pairs crossed a wrap");
+    }
+
+    #[test]
+    fn an_item_filled_behind_an_overshooting_claim_reaches_the_same_consumer() {
+        overshoot_then_fill(false);
+    }
+
+    #[test]
+    fn an_item_filled_behind_an_overshooting_claim_reaches_a_fresh_consumer() {
+        overshoot_then_fill(true);
+    }
+
+    #[test]
+    fn a_handle_attached_mid_repair_waits_for_the_even_epoch() {
+        let (f, q) = setup(64, 2);
+        let mut c0 = f.client();
+        let epoch = q.hdr().offset(OFF_EPOCH);
+        // A repair is in progress.
+        c0.write_u64(epoch, 1).unwrap();
+        let mut c = f.client();
+        let mut h = FarQueue::attach(&mut c, q.hdr()).unwrap();
+        let t = std::thread::spawn(move || {
+            let r = h.enqueue(&mut c, 7);
+            (r, h, c)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let head = c0.read_u64(q.hdr().offset(OFF_HEAD)).unwrap();
+        let tail = c0.read_u64(q.hdr().offset(OFF_TAIL)).unwrap();
+        assert_eq!(head, tail, "nothing lands while the epoch is odd");
+        c0.write_u64(epoch, 2).unwrap();
+        let (r, mut h, mut c) = t.join().unwrap();
+        r.unwrap();
+        assert_eq!(h.dequeue(&mut c).unwrap(), 7);
+    }
+
+    /// Fails the node for one verb: the first one that starts after a
+    /// guarded op lands in the slack region, for the first `budget` such
+    /// landings. That verb is the landed op's repair's first.
+    struct FailRepairAfterSlackLanding {
+        fabric: Arc<farmem_fabric::Fabric>,
+        slack: std::ops::Range<u64>,
+        budget: std::sync::atomic::AtomicU32,
+        fail_next: std::sync::atomic::AtomicBool,
+        down: std::sync::atomic::AtomicBool,
+    }
+
+    impl farmem_fabric::CheckObserver for FailRepairAfterSlackLanding {
+        fn gate(&self, _client: u32) {
+            use std::sync::atomic::Ordering::SeqCst;
+            let node = &self.fabric.nodes()[0];
+            if self.down.swap(false, SeqCst) {
+                node.recover();
+            }
+            if self.fail_next.swap(false, SeqCst) {
+                node.fail();
+                self.down.store(true, SeqCst);
+            }
+        }
+
+        fn access(&self, a: &farmem_fabric::Access) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if a.kind != farmem_fabric::AccessKind::Read
+                && self.slack.contains(&a.addr.0)
+                && self.budget.fetch_update(SeqCst, SeqCst, |b| b.checked_sub(1)).is_ok()
+            {
+                self.fail_next.store(true, SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn a_landed_op_is_not_reported_failed_when_its_repair_fails() {
+        let mut cfg = FabricConfig::count_only(16 << 20);
+        cfg.retry = farmem_fabric::RetryPolicy::NONE;
+        let f = cfg.build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let q = FarQueue::create(&mut c, &a, QueueConfig::new(12, 2)).unwrap();
+        let mut h = FarQueue::attach(&mut c, q.hdr()).unwrap();
+        // The first enqueue and the first dequeue to land in the slack
+        // each see their repair's first verb fail.
+        let hook = Arc::new(FailRepairAfterSlackLanding {
+            fabric: f.clone(),
+            slack: q.slack_base()..q.region_end(),
+            budget: 2.into(),
+            fail_next: false.into(),
+            down: false.into(),
+        });
+        f.install_check_observer(hook.clone());
+        // A caller retries a call that failed: a landed enqueue reported
+        // as failed is enqueued twice, a claimed item reported as failed
+        // is lost.
+        let mut got = Vec::new();
+        for v in 0..40u64 {
+            while h.enqueue(&mut c, v).is_err() {}
+            got.extend((0..10).find_map(|_| h.dequeue(&mut c).ok()));
+        }
+        f.clear_check_observer();
+        got.extend(std::iter::from_fn(|| h.dequeue(&mut c).ok()));
+        assert_eq!(got, (0..40).collect::<Vec<_>>(), "every item exactly once, in order");
+        let failed = hook.budget.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(failed, 0, "an enqueue's and a dequeue's repair both failed");
+    }
+
+    /// Drains the queue through two consumers from inside a repairer's
+    /// rebuild, right after its batch wrote the even epoch: one consumer
+    /// takes an item, the other takes the rest, and the first, whose head
+    /// estimate is now stale, claims the empty slot at the tail and runs a
+    /// repair of its own.
+    struct RepairAfterRebuild {
+        epoch_word: FarAddr,
+        repairer: u32,
+        consumers: std::sync::Mutex<Option<[(FabricClient, QueueHandle); 2]>>,
+    }
+
+    impl farmem_fabric::CheckObserver for RepairAfterRebuild {
+        fn access(&self, a: &farmem_fabric::Access) {
+            let write = farmem_fabric::AccessKind::Write;
+            if a.addr != self.epoch_word || a.kind != write || a.client != self.repairer {
+                return;
+            }
+            let Some([(mut c1, mut h1), (mut c2, mut h2)]) = self.consumers.lock().unwrap().take()
+            else {
+                return;
+            };
+            h1.dequeue(&mut c1).unwrap();
+            while h2.dequeue(&mut c2).is_ok() {}
+            assert_eq!(h1.dequeue(&mut c1), Err(CoreError::QueueEmpty));
+            assert_eq!(h1.stats().empty_recoveries, 1, "the stale claim repaired");
+        }
+    }
+
+    #[test]
+    fn a_repairer_keeps_the_epoch_events_of_a_repair_that_ran_after_it() {
+        let (f, q) = setup(20, 2);
+        let [mut p, mut c] = [f.client(), f.client()];
+        let mut hp = FarQueue::attach(&mut p, q.hdr()).unwrap();
+        let mut hc = FarQueue::attach(&mut c, q.hdr()).unwrap();
+        // Tail at the slack with 15 items queued: the next enqueue lands
+        // in the slack, and its repair packs 16 items.
+        for v in 0..20u64 {
+            hp.enqueue(&mut p, v).unwrap();
+            if v < 5 {
+                hc.dequeue(&mut c).unwrap();
+            }
+        }
+        let consumers = [f.client(), f.client()].map(|mut c| {
+            let h = FarQueue::attach(&mut c, q.hdr()).unwrap();
+            (c, h)
+        });
+        let hook = Arc::new(RepairAfterRebuild {
+            epoch_word: q.hdr().offset(OFF_EPOCH),
+            repairer: p.id(),
+            consumers: std::sync::Mutex::new(Some(consumers)),
+        });
+        f.install_check_observer(hook.clone());
+        hp.enqueue(&mut p, 20).unwrap();
+        f.clear_check_observer();
+        assert!(hook.consumers.lock().unwrap().is_none(), "the consumers ran");
+        // The producer's estimates describe its own rebuild, 16 items; the
+        // queue is empty under a newer epoch. Only that repair's events
+        // tell it so: its next enqueue must not see the queue full.
+        hp.enqueue(&mut p, 21).unwrap();
+        assert_eq!(hc.dequeue(&mut c).unwrap(), 21);
     }
 }

@@ -228,7 +228,7 @@ impl FabricClient {
             // Outcome of the atomic unit.
             enum Unit {
                 Null,
-                Local { ptr: u64, out: PipeOut, fired: Option<(u64, u64)> },
+                Local { ptr: u64, out: PipeOut, fired: Option<(u64, u64)>, closed: bool },
                 Remote { ptr: u64, target: FarAddr, node: NodeId },
             }
             let fabric2 = fabric.clone();
@@ -285,7 +285,15 @@ impl FabricClient {
                         (PipeOut::Done, Some((seg.offset, WORD)))
                     }
                 };
-                Ok(Unit::Local { ptr, out, fired })
+                // A swap that found its replacement already in place took
+                // nothing: it closes the guard inside the same unit, so no
+                // op expecting the old guard value lands behind it.
+                let closed = matches!((&access, &out),
+                    (TargetAccess::Swap(r), PipeOut::Value(old)) if old == r);
+                if closed {
+                    n.words_raw(guard_off)?.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                }
+                Ok(Unit::Local { ptr, out, fired, closed })
             });
             self.stats_mut().atomics += 1;
             let service = cost.node_ext_ns + cost.bytes_ns(len);
@@ -301,13 +309,20 @@ impl FabricClient {
                         home_finish,
                     ));
                 }
-                Ok(Unit::Local { ptr, out, fired }) => {
+                Ok(Unit::Local { ptr, out, fired, closed }) => {
                     self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
                     self.observe(access.kind(), FarAddr(ptr + index), len);
                     // Notifications and replica mirrors fire outside the
-                    // atomic unit; both mirrors fan out in parallel and the
-                    // ack folds in the slower one.
+                    // atomic unit; the mirrors fan out in parallel and the
+                    // ack folds in the slowest one.
                     let mirrored = fabric.fire(self.stats_mut(), home_id, ptr_off, WORD, finish);
+                    let mirrored = if closed {
+                        self.observe(AccessKind::AtomicRmw, guard, WORD);
+                        let at = fabric.fire(self.stats_mut(), home_id, guard_off, WORD, finish);
+                        mirrored.max(at)
+                    } else {
+                        mirrored
+                    };
                     let finish = if let Some((off, l)) = fired {
                         mirrored.max(fabric.fire(self.stats_mut(), home_id, off, l, finish))
                     } else {
@@ -547,7 +562,12 @@ impl FabricClient {
     }
 
     /// Guarded [`faai_swap`](Self::faai_swap) (see
-    /// [`faai_guarded`](Self::faai_guarded) for the guard semantics).
+    /// [`faai_guarded`](Self::faai_guarded) for the guard semantics). A
+    /// node-local swap that finds its target already holding
+    /// `replacement` took nothing; it also adds one to the guard word in
+    /// the same atomic unit, *closing* the guard to every op that expects
+    /// the old value. The §5.3 queue's claim of an empty slot thereby
+    /// takes the queue's repair before any enqueue can fill that slot.
     pub fn faai_swap_guarded(
         &mut self,
         ad: FarAddr,
@@ -836,6 +856,37 @@ mod tests {
         c.write_u64(guard, 1).unwrap();
         assert!(c.saai_guarded(tail, 8, &10u64.to_le_bytes(), guard, 0).is_err());
         assert_eq!(c.read_u64(FarAddr(4104)).unwrap(), 0, "store suppressed");
+    }
+
+    #[test]
+    fn a_guarded_swap_that_takes_nothing_closes_the_guard() {
+        for piped in [false, true] {
+            let f = FabricConfig::count_only(1 << 20).build();
+            let (mut c, mut watcher) = (f.client(), f.client());
+            let (head, guard) = (FarAddr(64), FarAddr(72));
+            c.write_u64(head, 4096).unwrap();
+            c.write_u64(FarAddr(4096), 41).unwrap();
+            watcher.notify0(guard, 8).unwrap();
+            let claim = |c: &mut FabricClient| {
+                if piped {
+                    let mut q = c.pipeline();
+                    q.faai_swap_guarded(head, 8, 0, guard, 0);
+                    q.commit().into_outputs().map(|o| o[0].ptr_word())
+                } else {
+                    c.faai_swap_guarded(head, 8, 0, guard, 0)
+                }
+            };
+            assert_eq!(claim(&mut c).unwrap(), (4096, 41), "an item: the guard stays");
+            assert_eq!(c.read_u64(guard).unwrap(), 0);
+            assert_eq!(claim(&mut c).unwrap(), (4104, 0), "nothing to take");
+            assert_eq!(c.read_u64(guard).unwrap(), 1, "closed in the same unit");
+            assert_eq!(watcher.take_events(|_| true).len(), 1, "and notified");
+            c.write_u64(FarAddr(80), 8192).unwrap();
+            assert!(matches!(
+                c.saai_guarded(FarAddr(80), 8, &7u64.to_le_bytes(), guard, 0),
+                Err(FabricError::GuardMismatch { observed: 1 })
+            ));
+        }
     }
 
     #[test]

@@ -170,8 +170,9 @@ pub enum PipeOp {
     /// [`FabricClient::faai_swap_guarded`]): atomically bump the pointer
     /// at `ptr` by `delta` and swap the old target word with
     /// `replacement`, provided `guard` (same node as `ptr`) holds
-    /// `expect` — the §5.3 queue's dequeue verb. Completes with
-    /// [`PipeOut::PtrWord`].
+    /// `expect` — the §5.3 queue's dequeue verb; a swap that finds
+    /// `replacement` already there closes the guard, as the serial verb
+    /// does. Completes with [`PipeOut::PtrWord`].
     FaaiSwapGuarded {
         /// Far address of the pointer word.
         ptr: FarAddr,

@@ -10,7 +10,9 @@ use std::sync::Arc;
 fn queue_under_tiny_capacity_and_many_threads_loses_nothing() {
     // A brutally small queue: wraps, full-hits and empty-overshoots fire
     // constantly; the guarded fast path plus the repair protocol must
-    // neither lose nor duplicate an item.
+    // neither lose nor duplicate an item. `Contended` ("retry") bounds how
+    // many repairs one call waits out; nothing landed, so both sides
+    // retry it.
     let f = FabricConfig::single_node(16 << 20).build();
     let alloc = FarAlloc::new(f.clone());
     let mut c0 = f.client();
@@ -32,7 +34,13 @@ fn queue_under_tiny_capacity_and_many_threads_loses_nothing() {
             let mut c = f.client();
             let mut h = FarQueue::attach(&mut c, q.hdr()).unwrap();
             for i in 0..per_producer {
-                h.enqueue_wait(&mut c, pid * 10_000 + i, 1_000_000).unwrap();
+                loop {
+                    match h.enqueue_wait(&mut c, pid * 10_000 + i, 1_000_000) {
+                        Ok(()) => break,
+                        Err(CoreError::Contended) => std::thread::yield_now(),
+                        Err(e) => panic!("{e}"),
+                    }
+                }
             }
             Vec::new()
         }));
@@ -50,7 +58,7 @@ fn queue_under_tiny_capacity_and_many_threads_loses_nothing() {
                         taken.fetch_add(1, Ordering::Relaxed);
                         got.push(v);
                     }
-                    Err(CoreError::QueueEmpty) => std::thread::yield_now(),
+                    Err(CoreError::QueueEmpty | CoreError::Contended) => std::thread::yield_now(),
                     Err(e) => panic!("{e}"),
                 }
             }
