@@ -47,8 +47,8 @@ pub const RAW_VERBS: &[&str] = &[
 /// Structure-level verbs: one-plus round trips when a client-ish
 /// identifier is among the arguments.
 pub const STRUCT_VERBS: &[&str] = &[
-    "get", "get_under", "get_if", "get_hinted", "insert", "remove", "push", "pop", "enqueue",
-    "dequeue", "put", "put_hinted", "delete", "lookup", "take",
+    "get", "get_if", "get_hinted", "insert", "remove", "push", "pop", "enqueue",
+    "dequeue", "put", "delete", "lookup", "take",
 ];
 
 /// Batched twins and pipelining entry points: seeing one inside a loop
@@ -78,7 +78,7 @@ pub fn batched_twin(verb: &str) -> &'static str {
         "write" | "write_u64" | "post_write_u64" | "store2" => {
             "write coalescing or pipeline().write"
         }
-        "get" | "get_under" | "get_if" | "get_hinted" | "lookup" => "HtTree::get_many",
+        "get" | "get_if" | "get_hinted" | "lookup" => "HtTree::get_many",
         "dequeue" | "pop" => "FarQueue::dequeue_batch",
         "cas" | "faa" | "post_faa_u64" | "faai_swap_guarded" => "pipeline() descriptors",
         _ => "a pipeline() batch behind one doorbell",

@@ -144,8 +144,8 @@ fn assert_gates(suite: &SuiteResult) {
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
     // the suite: the failover, serving-TTL, record-publish, record-hint, take,
-    // split-retire, batched-hint and queue-repair mutants, and the programs
-    // they break, are required by name.
+    // split-retire, batched-hint, queue-repair and restructure mutants, and
+    // the programs they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -159,6 +159,8 @@ fn assert_gates(suite: &SuiteResult) {
         "m18_batched_hint_trusted_without_compare",
         "m19_empty_claim_leaves_guard_open",
         "m20_attach_adopts_odd_epoch",
+        "m21_directory_published_by_blind_write",
+        "m22_table_taken_by_plain_write",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
@@ -174,6 +176,7 @@ fn assert_gates(suite: &SuiteResult) {
         "reclaim_split",
         "queue_wrap",
         "queue_wrap_chaos",
+        "httree_split_race",
     ] {
         assert!(
             suite.programs.iter().any(|p| p.name == required),

@@ -1502,6 +1502,107 @@ fn attach_adopts_odd_epoch() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// The HT-tree's restructure (`programs::httree_split_race`) in
+/// miniature, for M21 and M22. Key `k` lives in table `k / 2`, a slot
+/// `[version, value of key 2t, value of key 2t + 1]`; the anchor word is
+/// the directory, one slot number per table byte. A put restructures as
+/// `HtTreeHandle::split` does: take the table with a CAS of its version
+/// 1 → 0 (fenced with a read of its values), write the new table into a
+/// slot of its own, and publish with a CAS of the anchor from the
+/// directory read; a lost publish splices into the directory it lost to.
+/// The mutation breaks the publish if `blind_publish`, else the take.
+/// Each client puts one of `puts` (three attempts), then gets the other's.
+fn mini_tree_run(blind_publish: bool, puts: [(u64, u64); 2]) -> PreparedRun {
+    let f = plain_fabric();
+    let mut c0 = f.client();
+    // The anchor, then eight slots: the first two tables, three per client.
+    let anchor = FarAlloc::new(f.clone()).alloc(8 + 8 * 24, AllocHint::Spread).unwrap();
+    let slot = move |s: u64| anchor.offset(8 + 24 * s);
+    let init = [1 << 8, 1, 100, 101, 1, 102, 103u64].map(u64::to_le_bytes).concat();
+    c0.write(anchor, &init).unwrap();
+    let h = Arc::new(History::new());
+    for k in 0..4 {
+        h.seed(c0.id(), Op::Put { k, v: 100 + k }, Ret::Unit);
+    }
+    let (mut participants, mut bodies) = (Vec::new(), Vec::<Box<dyn FnOnce() + Send>>::new());
+    for (me, (k, v)) in puts.into_iter().enumerate() {
+        let other = puts[1 - me].0;
+        let mut c = f.client();
+        let id = c.id();
+        participants.push(id);
+        let h = h.clone();
+        bodies.push(Box::new(move || {
+            let t = h.invoke(id, Op::Put { k, v });
+            let stored = (0..3).any(|attempt| {
+                let mut dir = c.read_u64(anchor).unwrap();
+                let old = slot(dir >> (8 * (k / 2)) & 0xff);
+                let take = if blind_publish {
+                    BatchOp::Cas { addr: old, expected: 1, new: 0 }
+                } else {
+                    // MUTANT: a plain write takes the table, and never loses.
+                    BatchOp::Write { addr: old, data: &[0; 8] }
+                };
+                let out = c.batch(&[take, BatchOp::Read { addr: old.offset(8), len: 16 }]).unwrap();
+                if blind_publish && out[0].value() != 1 {
+                    return false;
+                }
+                let mut table = [&1u64.to_le_bytes()[..], out[1].bytes()].concat();
+                table[8 + 8 * (k % 2) as usize..][..8].copy_from_slice(&v.to_le_bytes());
+                let new = 2 + 3 * me as u64 + attempt;
+                c.write(slot(new), &table).unwrap();
+                loop {
+                    let next = dir & !(0xff << (8 * (k / 2))) | new << (8 * (k / 2));
+                    if blind_publish {
+                        // MUTANT: the anchor is written, not CASed from `dir`.
+                        c.write_u64(anchor, next).unwrap();
+                        return true;
+                    }
+                    match c.cas(anchor, dir, next).unwrap() {
+                        won if won == dir => return true,
+                        lost => dir = lost,
+                    }
+                }
+            });
+            if stored {
+                h.complete(t, Ret::Unit);
+            } else {
+                h.fail(t);
+            }
+            let t = h.invoke(id, Op::Get { k: other });
+            let table = slot(c.read_u64(anchor).unwrap() >> (8 * (other / 2)) & 0xff);
+            let got = c.read_u64(table.offset(8 + 8 * (other % 2))).unwrap();
+            h.complete(t, Ret::OptVal(Some(got)));
+        }));
+    }
+    PreparedRun { fabric: f, participants, bodies, history: h, finale: None }
+}
+
+/// A [`mini_tree_run`] mutant: each breaks one CAS of the restructure.
+fn tree_mutant(name: &'static str, blind_publish: bool, puts: [(u64, u64); 2]) -> Mutant {
+    let build = Box::new(move || mini_tree_run(blind_publish, puts));
+    let model = Some(Model::Kv);
+    let program = Program { name, model, check_races: false, max_steps: 250, build };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
+/// M21 — the directory published by a plain write of the anchor. Two
+/// clients restructure *different* tables from the same directory, so
+/// the second write erases the first's table: a get invoked after the
+/// first put completed returns the value it replaced. Correct code's
+/// second CAS loses and splices into the first's directory.
+fn directory_published_by_blind_write() -> Mutant {
+    tree_mutant("m21_directory_published_by_blind_write", true, [(0, 10), (2, 12)])
+}
+
+/// M22 — the table taken by a plain write of its version word. Two
+/// clients restructure *one* table (keys 0 and 1), both build from its
+/// old values, and the loser of the publish re-splices over the winner's
+/// table: the winner's put vanishes. Correct code's second take loses
+/// and starts over from the first's table.
+fn table_taken_by_plain_write() -> Mutant {
+    tree_mutant("m22_table_taken_by_plain_write", false, [(0, 10), (1, 11)])
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1525,7 +1626,7 @@ pub fn all_mutants() -> Vec<Mutant> {
         batched_hint_trusted_without_compare(),
         empty_claim_leaves_guard_open(),
         attach_adopts_odd_epoch(),
+        directory_published_by_blind_write(),
+        table_taken_by_plain_write(),
     ]
 }
-
-

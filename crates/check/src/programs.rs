@@ -9,15 +9,15 @@
 //! client *before* the observer is installed, so initialisation accesses
 //! are invisible to the detector by construction.
 //!
-//! Three programs run with the race detector off, deliberately:
+//! Four programs run with the race detector off, deliberately:
 //!
 //! * `queue_fifo` and `queue_wrap` — the queue's `saai` slot publish is a
 //!   plain write the consumer's guarded `faai_swap` races by design (the
 //!   epoch guard and slot sentinel make it safe); the FIFO *history* is
 //!   the contract, and `queue_wrap`'s drain finale checks exactly-once.
-//! * `httree_split` — gets are optimistic version-validated multi-word
-//!   reads that intentionally race bucket rewrites; the map history is
-//!   the contract.
+//! * `httree_split` and `httree_split_race` — gets are optimistic
+//!   version-validated multi-word reads that intentionally race bucket
+//!   rewrites; the map history is the contract.
 //!
 //! `httree_publish` keeps the detector *on* over the same tree: its
 //! readers run under epoch guards and nothing restructures, so every
@@ -425,6 +425,82 @@ pub fn httree_split() -> Program {
     }
 }
 
+/// Two splitters of different tables of one [`HtTree`]. Setup splits a
+/// two-bucket tree, so the run starts with two tables of one key each;
+/// each client overloads its own table with three puts, and the third
+/// restructures it, taking no lock. The two publishes race for the
+/// directory pointer; the loser splices its tables into the winner's
+/// directory. Checked: per-key map linearizability, and a finale in which
+/// a fresh handle scans the whole key space and finds exactly the
+/// acknowledged keys — a publish that erased the other's tables would
+/// lose their keys or leave a retired table in the directory. (A client
+/// reading the *other* table would wait out its restructure one refresh
+/// per step under a schedule that never runs the splitter.) Race detection
+/// off, as for [`httree_split`].
+pub fn httree_split_race() -> Program {
+    Program {
+        name: "httree_split_race",
+        model: Some(Model::Kv),
+        check_races: false,
+        max_steps: 700,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            // A table restructures past three records.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: 150,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let mut h0 = tree.attach(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            for k in [10u64, 20] {
+                h0.put(&mut c0, k, k + 100).unwrap();
+                h.seed(c0.id(), Op::Put { k, v: k + 100 }, Ret::Unit);
+            }
+            let acked = Arc::new(Mutex::new(vec![(10, 110), (20, 120)]));
+            // Tables [0, 20) and [20, MAX].
+            h0.split(&mut c0, 0).unwrap();
+            assert_eq!(h0.leaves(), 2, "setup splits the table once");
+            let mut participants = Vec::new();
+            let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+            for first in [11u64, 21] {
+                let mut cl = f.client();
+                let id = cl.id();
+                participants.push(id);
+                let mut ht = tree.attach(&mut cl, &alloc, cfg).unwrap();
+                let (hc, acked) = (h.clone(), acked.clone());
+                bodies.push(Box::new(move || {
+                    for k in first..first + 3 {
+                        let t = hc.invoke(id, Op::Put { k, v: k + 100 });
+                        match ht.put(&mut cl, k, k + 100) {
+                            Ok(()) => {
+                                acked.lock().unwrap().push((k, k + 100));
+                                hc.complete(t, Ret::Unit);
+                            }
+                            Err(_) => hc.fail(t),
+                        }
+                    }
+                }));
+            }
+            let (f2, alloc2) = (f.clone(), alloc.clone());
+            let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
+                let mut cz = f2.client();
+                let mut want = acked.lock().unwrap().clone();
+                want.sort_unstable();
+                let fresh = tree.attach(&mut cz, &alloc2, cfg);
+                match fresh.and_then(|mut hz| hz.scan(&mut cz, 0, u64::MAX)) {
+                    Ok(got) => (got != want).then(|| format!("acknowledged {want:?}, got {got:?}")),
+                    Err(e) => Some(format!("a fresh handle cannot scan the tree: {e}")),
+                }
+            });
+            PreparedRun { fabric: f, participants, bodies, history: h, finale: Some(finale) }
+        }),
+    }
+}
+
 /// Two writers storing far records through [`HtTreeHandle::publish`]
 /// (reclaim mode) under keys that share a bucket — key 1 from both — and
 /// one reader dereferencing what it finds under an epoch guard. Each
@@ -503,7 +579,7 @@ pub fn httree_publish() -> Program {
                 for k in [1u64, 2, 1] {
                     let t = h3.invoke(rid, Op::Get { k });
                     let g = pin(&sr, &mut cr).unwrap();
-                    let ptr = hr.get_under(&mut cr, &g, k).unwrap();
+                    let ptr = hr.get(&mut cr, k).unwrap();
                     let v = ptr.map(|p| cr.read_u64(FarAddr(p)).unwrap());
                     drop(g);
                     h3.complete(t, Ret::OptVal(v));
@@ -1263,6 +1339,7 @@ pub fn main_programs() -> Vec<Program> {
         rwlock_pair(false),
         queue_fifo(),
         httree_split(),
+        httree_split_race(),
         httree_publish(),
         reclaim_hinted_get(),
         reclaim_hinted_get_many(),

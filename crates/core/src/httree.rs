@@ -44,6 +44,19 @@
 //! (every bucket is pointed at a version-`u64::MAX` tombstone record), so
 //! a stale client's very first far access tells it to refresh its tree.
 //!
+//! ## Restructures
+//!
+//! A split, grow or compaction takes no lock and leaves the other tables
+//! alone. A CAS of the table's version word to `SPLITTING` takes the
+//! table: puts and takes then refresh and wait, and a second splitter's
+//! CAS loses. The splitter drains and poisons the table, builds its
+//! replacements, and publishes in one fenced batch: the new directory
+//! blob, then a CAS of the anchor's directory pointer from the blob its
+//! cache was read from. The pointer is the directory's only version. A
+//! publish that loses to another table's restructure refreshes, splices
+//! its tables into the newer directory and tries again; nobody else can
+//! have replaced a table at `SPLITTING`.
+//!
 //! ## Reclamation
 //!
 //! A handle attached with [`HtTree::attach_reclaimed`] participates in
@@ -75,13 +88,11 @@ use farmem_runtime::{Doorbell, Inline};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::mutex::FarMutex;
 use crate::word_at;
 
-/// Anchor layout (the only fixed far location of an HT-tree).
+/// Anchor layout (the only fixed far location of an HT-tree): the
+/// directory pointer, two reserved words, the poison record.
 const A_DIR_PTR: u64 = 0;
-const A_DIR_VERSION: u64 = 8;
-const A_LOCK: u64 = 16;
 const A_POISON: u64 = 24;
 const ANCHOR_LEN: u64 = 32;
 
@@ -231,7 +242,7 @@ pub struct HtTreeConfig {
     /// §5.2 offers two ways for clients to learn the tree changed:
     /// notifications on the tree, or letting caches go stale and catching
     /// it through the per-table versions. With `notify_dir` the handle
-    /// subscribes to the directory version word and refreshes proactively
+    /// subscribes to the anchor's directory pointer and refreshes proactively
     /// when notified, avoiding the one wasted far access a stale first
     /// touch otherwise costs.
     pub notify_dir: bool,
@@ -323,19 +334,14 @@ impl HtTree {
         let poison = alloc.alloc(ITEM_LEN, AllocHint::Colocate(anchor))?;
         let poison_item =
             Item { key: 0, value: 0, version: POISON_VERSION, next: 0 }.encode();
-        // Initial table, version 1, covering [0, MAX].
-        let (hdr, buckets) = write_table(client, alloc, cfg.initial_buckets, 1)?;
-        // Initial directory blob with one entry.
-        let entry = Entry {
-            start_key: 0,
-            table_hdr: hdr,
-            buckets,
-            n_buckets: cfg.initial_buckets,
-            version: 1,
-        };
-        let dir = write_directory(client, alloc, &[entry])?;
+        // Initial table, version 1, covering [0, MAX], and a directory
+        // blob with its one entry.
+        let entry = build_table(client, alloc, 0, &[], 1, cfg.initial_buckets)?;
+        let dir_bytes = encode_directory(&[entry]);
+        let dir = alloc.alloc(dir_bytes.len() as u64, AllocHint::Spread)?;
+        client.write(dir, &dir_bytes)?;
         let mut anchor_bytes = Vec::with_capacity(ANCHOR_LEN as usize);
-        for w in [dir.0, 1u64, 0, poison.0] {
+        for w in [dir.0, 0, 0, poison.0] {
             anchor_bytes.extend_from_slice(&w.to_le_bytes());
         }
         client.batch(&[
@@ -385,7 +391,7 @@ impl HtTree {
         reclaim: Option<SharedReclaim>,
     ) -> Result<HtTreeHandle> {
         let dir_sub = if cfg.notify_dir {
-            Some(client.notify0(self.anchor.offset(A_DIR_VERSION), farmem_fabric::WORD)?)
+            Some(client.notify0(self.anchor.offset(A_DIR_PTR), WORD)?)
         } else {
             None
         };
@@ -396,7 +402,6 @@ impl HtTree {
             arena: Arena::new(alloc.clone(), 4096, AllocHint::Spread),
             entries: Vec::new(),
             dir_ptr: FarAddr::NULL,
-            dir_version: 0,
             poison: FarAddr::NULL,
             dir_sub,
             reclaim,
@@ -443,44 +448,66 @@ fn drain_chains(
     Ok(true)
 }
 
-/// Writes a fresh, empty table; returns `(header, buckets)`.
-fn write_table(
+/// Builds a fully populated table in bulk: item records laid out
+/// contiguously, bucket words chained locally, all written in one fenced
+/// batch. Without items it is an empty table, the first one of
+/// [`HtTree::create`].
+fn build_table(
     client: &mut FabricClient,
-    alloc: &Arc<FarAlloc>,
-    n_buckets: u64,
+    alloc: &FarAlloc,
+    start_key: u64,
+    items: &[(u64, u64)],
     version: u64,
-) -> Result<(FarAddr, FarAddr)> {
-    let buckets = alloc.alloc(n_buckets * WORD, AllocHint::Spread)?;
-    let hdr = alloc.alloc(HDR_LEN, AllocHint::Colocate(buckets))?;
-    let zeros = vec![0u8; (n_buckets * WORD) as usize];
+    n_buckets: u64,
+) -> Result<Entry> {
+    let buckets_addr = alloc.alloc(n_buckets * WORD, AllocHint::Spread)?;
+    let hdr = alloc.alloc(HDR_LEN, AllocHint::Colocate(buckets_addr))?;
+    let items_addr = if items.is_empty() {
+        FarAddr::NULL
+    } else {
+        alloc.alloc(items.len() as u64 * ITEM_LEN, AllocHint::Spread)?
+    };
+    let mut bucket_words = vec![0u64; n_buckets as usize];
+    let mut item_bytes = Vec::with_capacity(items.len() * ITEM_LEN as usize);
+    let mut collisions = 0u64;
+    for (i, &(k, v)) in items.iter().enumerate() {
+        let addr = items_addr.0 + i as u64 * ITEM_LEN;
+        let b = (splitmix64(k) % n_buckets) as usize;
+        let next = bucket_words[b];
+        if next != 0 {
+            collisions += 1;
+        }
+        bucket_words[b] = addr;
+        item_bytes.extend_from_slice(&Item { key: k, value: v, version, next }.encode());
+    }
+    let bucket_bytes: Vec<u8> = bucket_words.iter().flat_map(|w| w.to_le_bytes()).collect();
     let mut hdr_bytes = Vec::with_capacity(HDR_LEN as usize);
-    for w in [version, buckets.0, n_buckets, 0, 0, 0, 0] {
+    let items_len = items.len() as u64 * ITEM_LEN;
+    let n_items = items.len() as u64;
+    for w in [version, buckets_addr.0, n_buckets, n_items, collisions, items_addr.0, items_len] {
         hdr_bytes.extend_from_slice(&w.to_le_bytes());
     }
-    client.batch(&[
-        BatchOp::Write { addr: buckets, data: &zeros },
+    let mut ops = vec![
+        BatchOp::Write { addr: buckets_addr, data: &bucket_bytes },
         BatchOp::Write { addr: hdr, data: &hdr_bytes },
-    ])?;
-    Ok((hdr, buckets))
+    ];
+    if !items.is_empty() {
+        ops.push(BatchOp::Write { addr: items_addr, data: &item_bytes });
+    }
+    client.batch(&ops)?;
+    Ok(Entry { start_key, table_hdr: hdr, buckets: buckets_addr, n_buckets, version })
 }
 
-/// Serializes and writes a directory blob; returns its address.
-fn write_directory(
-    client: &mut FabricClient,
-    alloc: &Arc<FarAlloc>,
-    entries: &[Entry],
-) -> Result<FarAddr> {
-    let len = WORD + entries.len() as u64 * ENTRY_LEN;
-    let blob = alloc.alloc(len, AllocHint::Spread)?;
-    let mut bytes = Vec::with_capacity(len as usize);
+/// A directory blob's bytes: the entry count, then five words per entry.
+fn encode_directory(entries: &[Entry]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity((WORD + entries.len() as u64 * ENTRY_LEN) as usize);
     bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
         for w in [e.start_key, e.table_hdr.0, e.buckets.0, e.n_buckets, e.version] {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
     }
-    client.write(blob, &bytes)?;
-    Ok(blob)
+    bytes
 }
 
 /// A client's handle on an [`HtTree`]: the cached tree, an item arena, and
@@ -491,10 +518,10 @@ pub struct HtTreeHandle {
     alloc: Arc<FarAlloc>,
     arena: Arena,
     entries: Vec<Entry>,
-    /// The directory blob the cached entries were read from; the splitter
-    /// that replaces it retires it (reclaim mode).
+    /// The directory blob the cached entries were read from: what a
+    /// restructure's publish CASes the anchor from, and retires (reclaim
+    /// mode) once that CAS has replaced it.
     dir_ptr: FarAddr,
-    dir_version: u64,
     poison: FarAddr,
     /// Directory-change subscription (`notify_dir` mode).
     dir_sub: Option<farmem_fabric::SubId>,
@@ -536,7 +563,6 @@ impl HtTreeHandle {
         let anchor = client.read(self.tree.anchor, ANCHOR_LEN)?;
         let w = words(&anchor);
         let dir_ptr = FarAddr(w[(A_DIR_PTR / 8) as usize]);
-        self.dir_version = w[(A_DIR_VERSION / 8) as usize];
         self.poison = FarAddr(w[(A_POISON / 8) as usize]);
         if dir_ptr.is_null() {
             return Err(CoreError::Corrupted("HT-tree anchor has no directory"));
@@ -572,24 +598,11 @@ impl HtTreeHandle {
     fn pin_epoch(&mut self, client: &mut FabricClient) -> Result<Option<Guard>> {
         let Some(shared) = &self.reclaim else { return Ok(None) };
         let guard = pin(shared, client)?;
-        self.revalidate(client, &guard)?;
-        Ok(Some(guard))
-    }
-
-    /// Refreshes the cached tree if `guard` reports another restructure
-    /// generation than the one it was last validated at. `guard` must pin
-    /// this handle's own reclaim state — a guard of another registry
-    /// holds none of this tree's retired tables alive.
-    fn revalidate(&mut self, client: &mut FabricClient, guard: &Guard) -> Result<()> {
-        assert!(
-            self.reclaim.as_ref().is_some_and(|shared| guard.pins(shared)),
-            "guard does not pin this handle's reclaim state"
-        );
         if guard.generation() != self.seen_generation {
             self.refresh_directory(client)?;
             self.seen_generation = guard.generation();
         }
-        Ok(())
+        Ok(Some(guard))
     }
 
     /// In `notify_dir` mode: refreshes the directory if a change
@@ -611,11 +624,15 @@ impl HtTreeHandle {
     fn entry_for(&self, client: &mut FabricClient, key: u64) -> Entry {
         // Binary search over start keys; charge the local traversal.
         client.near_accesses((self.entries.len().max(2) as u64).ilog2() as u64 + 1);
-        let idx = match self.entries.binary_search_by(|e| e.start_key.cmp(&key)) {
+        self.entries[self.index_of(key)]
+    }
+
+    /// Index of the cached entry covering `key`.
+    fn index_of(&self, key: u64) -> usize {
+        match self.entries.binary_search_by(|e| e.start_key.cmp(&key)) {
             Ok(i) => i,
             Err(i) => i - 1,
-        };
-        self.entries[idx]
+        }
     }
 
     fn bucket_addr(entry: &Entry, key: u64) -> FarAddr {
@@ -716,28 +733,6 @@ impl HtTreeHandle {
         };
         self.stats.stale_hints += u64::from(hinted.is_none());
         Ok(Some((value, hinted)))
-    }
-
-    /// [`get`](Self::get) under an epoch [`Guard`] the caller already
-    /// holds on this handle's reclaim state (reclaim mode only): the same
-    /// lookup without pinning a second, nested guard. For callers that
-    /// go on to dereference the value under that guard.
-    pub fn get_under(
-        &mut self,
-        client: &mut FabricClient,
-        guard: &Guard,
-        key: u64,
-    ) -> Result<Option<u64>> {
-        let _span = client.span("httree.get");
-        self.revalidate(client, guard)?;
-        self.lookup(client, key)
-    }
-
-    /// The guarded lookup: the caller has pinned and validated the epoch.
-    fn lookup(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
-        self.stats.gets += 1;
-        self.sync_directory(client)?;
-        self.get_inner(client, key)
     }
 
     fn get_inner(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
@@ -942,13 +937,18 @@ impl HtTreeHandle {
     /// item count) and a fenced batch (item publish + bucket CAS). The put
     /// whose record carries the table over `max_load_percent` also
     /// restructures it.
+    ///
+    /// `Err` means the value was not stored. A restructure that fails
+    /// after the bucket CAS landed is no error of the put's: the next put
+    /// into the table gathers the same count and pays it (as for
+    /// [`publish`](Self::publish)).
     pub fn put(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {
         let _span = client.span("httree.put");
         let _guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
         let (overloaded, _) = self.put_record(client, key, value, None)?;
         if let Some((start_key, version)) = overloaded {
-            self.split_if(client, start_key, Some(version))?;
+            let _ = self.split_if(client, start_key, Some(version));
         }
         Ok(())
     }
@@ -1260,13 +1260,9 @@ impl HtTreeHandle {
         let iov: Vec<FarIov> = self
             .entries
             .iter()
-            .map(|e| FarIov::new(e.table_hdr.offset(H_ITEMS), farmem_fabric::WORD))
+            .map(|e| FarIov::new(e.table_hdr.offset(H_ITEMS), WORD))
             .collect();
-        let bytes = client.rgather(&iov)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("word")))
-            .sum())
+        Ok(words(&client.rgather(&iov)?).iter().sum())
     }
 
     /// Scans keys in `[lo, hi]`, returning sorted `(key, value)` pairs.
@@ -1290,10 +1286,7 @@ impl HtTreeHandle {
         }
         'retry: for _ in 0..RETRY_BUDGET {
             let mut out: Vec<(u64, u64)> = Vec::new();
-            let first = match self.entries.binary_search_by(|e| e.start_key.cmp(&lo)) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
+            let first = self.index_of(lo);
             // Structure-level prefetch: the covered leaves' bucket arrays
             // are fetched through one pipeline doorbell, so leaves on
             // different nodes arrive overlapped instead of serialized.
@@ -1347,71 +1340,80 @@ impl HtTreeHandle {
         Err(CoreError::Contended)
     }
 
-    /// Splits (or grows) the table covering `start_key`. Serialized by the
-    /// tree's far mutex; other tables are unaffected (§5.2).
-    pub fn split(&mut self, client: &mut FabricClient, start_key: u64) -> Result<()> {
-        self.split_if(client, start_key, None)
+    /// Splits (or grows, or compacts) the table covering `key`, without a
+    /// lock and without touching the other tables (§5.2; see the module
+    /// docs). A cached table that another client took or replaced first
+    /// is looked up again in a refreshed directory. A table whose
+    /// splitter failed after taking it stays taken: this, and every put
+    /// into its range, then ends in [`CoreError::Contended`].
+    pub fn split(&mut self, client: &mut FabricClient, key: u64) -> Result<()> {
+        self.split_if(client, key, None)
     }
 
-    /// [`split`](Self::split), restricted by `seen_version` to a table that
-    /// still carries that version under the tree mutex. Every client whose
-    /// put lands in an overloaded table notices on the same put; the first
-    /// through the mutex restructures, the rest find a newer version and
-    /// leave.
+    /// [`split`](Self::split), restricted by `seen_version` to the cached
+    /// table of that version. Every client whose put lands in an
+    /// overloaded table notices on the same put; the one whose version
+    /// CAS wins restructures, the others leave at their lost CAS.
     fn split_if(
-        &mut self,
-        client: &mut FabricClient,
-        start_key: u64,
-        seen_version: Option<u64>,
-    ) -> Result<()> {
-        let _span = client.span("httree.split");
-        let _guard = self.pin_epoch(client)?;
-        let lock = FarMutex::attach(self.tree.anchor.offset(A_LOCK));
-        lock.lock(client, 1_000_000)?;
-        let result = self.split_locked(client, start_key, seen_version);
-        lock.unlock(client)?;
-        result
-    }
-
-    fn split_locked(
         &mut self,
         client: &mut FabricClient,
         key: u64,
         seen_version: Option<u64>,
     ) -> Result<()> {
-        // Re-read the directory under the lock; the range may have been
-        // restructured while we waited.
-        self.refresh_directory(client)?;
-        let idx = match self.entries.binary_search_by(|e| e.start_key.cmp(&key)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let entry = self.entries[idx];
-        if seen_version.is_some_and(|v| v != entry.version) {
-            return Ok(());
+        let _span = client.span("httree.split");
+        let _guard = self.pin_epoch(client)?;
+        for attempt in 0..RETRY_BUDGET {
+            let entry = self.entries[self.index_of(key)];
+            if seen_version.is_some_and(|v| v != entry.version) {
+                return Ok(());
+            }
+            // The take: one CAS of the version word, which also turns the
+            // table's puts and takes away. The batch also reads the
+            // directory pointer the publish will CAS: the fabric refuses
+            // the whole batch up front while the anchor's node is down, so
+            // no table is taken that could not be published. Reclaim mode
+            // reads the header behind it for what only the far side
+            // knows: the bulk items block a previous split laid the
+            // table's records out in.
+            let mut ops = vec![
+                BatchOp::Read { addr: self.tree.anchor.offset(A_DIR_PTR), len: WORD },
+                BatchOp::Cas {
+                    addr: entry.table_hdr.offset(H_VERSION),
+                    expected: entry.version,
+                    new: SPLITTING,
+                },
+            ];
+            if self.reclaim.is_some() {
+                ops.push(BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN });
+            }
+            // audit: rt-in-loop-ok: retry loop — re-run only after another
+            // client took or replaced the cached table.
+            let out = client.batch(&ops)?;
+            let far_version = out[1].value();
+            if far_version == entry.version {
+                let bulk = out.get(2).map_or((0, 0), |hdr| {
+                    (word_at(hdr.bytes(), H_ITEMS_BASE), word_at(hdr.bytes(), H_ITEMS_LEN))
+                });
+                return self.restructure(client, entry, bulk);
+            }
+            if seen_version.is_some() {
+                return Ok(());
+            }
+            self.refresh_stale(client, far_version, attempt)?;
         }
-        let range_end = self
-            .entries
-            .get(idx + 1)
-            .map(|e| e.start_key)
-            .unwrap_or(u64::MAX);
-        // Reclaim mode retires the replaced table wholesale; remember the
-        // pieces only the far side knows: the bulk items block a previous
-        // split laid this table's records out in, and the directory blob
-        // the new one will supersede.
-        let (old_items_base, old_items_len) = if self.reclaim.is_some() {
-            let mut hdr = [0u8; HDR_LEN as usize];
-            client.read_into(entry.table_hdr, &mut hdr)?;
-            (word_at(&hdr, H_ITEMS_BASE), word_at(&hdr, H_ITEMS_LEN))
-        } else {
-            (0, 0)
-        };
-        let old_dir = self.dir_ptr;
-        let old_dir_len = WORD + self.entries.len() as u64 * ENTRY_LEN;
+        Err(CoreError::Contended)
+    }
 
-        // Block writers: mark the table as splitting.
-        client.write_u64(entry.table_hdr.offset(H_VERSION), SPLITTING)?;
-
+    /// Restructures the table `entry`, which the caller has taken: drains
+    /// and poisons it, builds its replacements and publishes them. Reclaim
+    /// mode then retires the old table, with its bulk items block `(base,
+    /// len)`, and the directory blob the publish replaced.
+    fn restructure(
+        &mut self,
+        client: &mut FabricClient,
+        entry: Entry,
+        (old_items_base, old_items_len): (u64, u64),
+    ) -> Result<()> {
         // Drain the table with batched transfers: read the bucket array
         // (one access), walk all chains level by level with gathers (one
         // access per chain *depth*, not per item), then poison every
@@ -1502,65 +1504,36 @@ impl HtTreeHandle {
         // reclamation keeps the footprint flat.
         let compact =
             mostly_superseded(live.len() as u64, entry.n_buckets, self.cfg.max_load_percent);
-        let new_version = entry.version + 1;
-        let mut new_entries: Vec<Entry> = Vec::new();
-        if compact {
-            let same = self.build_table_sized(
-                client,
-                entry.start_key,
-                &live,
-                new_version,
-                entry.n_buckets,
-            )?;
-            new_entries.push(same);
+        // Each replacement table: its start key, items and bucket count.
+        let init = self.cfg.initial_buckets;
+        let tables = if compact {
             self.stats.compactions += 1;
+            vec![(entry.start_key, &live[..], entry.n_buckets)]
         } else if can_split {
             let mid_key = live[live.len() / 2].0;
             // All keys strictly below mid go left; mid and above go right.
             let split_at = live.partition_point(|&(k, _)| k < mid_key);
             let (left, right) = live.split_at(split_at);
             debug_assert!(!left.is_empty() && !right.is_empty());
-            new_entries.push(self.build_table(client, entry.start_key, left, new_version)?);
-            new_entries.push(self.build_table(client, mid_key, right, new_version)?);
-            let _ = range_end;
             self.stats.splits += 1;
+            vec![(entry.start_key, left, init), (mid_key, right, init)]
         } else {
             // Grow: same range, twice the buckets.
-            let grown = self.build_table_sized(
-                client,
-                entry.start_key,
-                &live,
-                new_version,
-                (entry.n_buckets * 2).max(self.cfg.initial_buckets),
-            )?;
-            new_entries.push(grown);
             self.stats.grows += 1;
-        }
-
-        // Publish the new directory and bump the version, in one batch.
-        let mut entries = self.entries.clone();
-        entries.splice(idx..=idx, new_entries);
-        let blob = write_directory(client, &self.alloc, &entries)?;
-        let new_dir_version = self.dir_version + 1;
-        client.batch(&[
-            BatchOp::Write {
-                addr: self.tree.anchor.offset(A_DIR_PTR),
-                data: &blob.0.to_le_bytes(),
-            },
-            BatchOp::Write {
-                addr: self.tree.anchor.offset(A_DIR_VERSION),
-                data: &new_dir_version.to_le_bytes(),
-            },
-        ])?;
-        self.entries = entries;
-        self.dir_version = new_dir_version;
-        self.dir_ptr = blob;
+            vec![(entry.start_key, &live[..], (entry.n_buckets * 2).max(init))]
+        };
+        let version = entry.version + 1;
+        let new_entries = tables
+            .into_iter()
+            .map(|(start, items, n)| build_table(client, &self.alloc, start, items, version, n))
+            .collect::<Result<Vec<Entry>>>()?;
+        let (old_dir, old_dir_len) = self.publish_directory(client, &entry, &new_entries)?;
         if let Some(shared) = self.reclaim.clone() {
             // Retire everything the new directory just unlinked: the old
             // table (header, buckets, bulk items block, every chain
-            // record outside that block) and the superseded directory
-            // blob. Clients cache pointers into all of it, so these are
-            // restructure retires: the seal stamps them with a fresh
+            // record outside that block) and the directory blob the
+            // publish replaced. Clients cache pointers into all of it, so
+            // these are restructure retires: the seal stamps them with a fresh
             // epoch *and* generation; a grace period later they return
             // to the allocator. Stale readers stay safe in between: their
             // first far access hits poison, and their next epoch pin
@@ -1592,77 +1565,57 @@ impl HtTreeHandle {
         Ok(())
     }
 
-    fn build_table(
+    /// Publishes the cached directory with the taken table `taken`
+    /// replaced by `new_entries`, in one fenced batch — a put's
+    /// publish-then-link: the new blob, then a CAS of the anchor's
+    /// directory pointer from the blob the cache was read from. A lost CAS
+    /// means another table's restructure published first. The blob was
+    /// never reachable and is freed; the refreshed directory still holds
+    /// `taken`, since only its taker replaces a table at `SPLITTING`; the
+    /// new tables are spliced in again. Returns the blob the winning CAS
+    /// replaced, and its length.
+    fn publish_directory(
         &mut self,
         client: &mut FabricClient,
-        start_key: u64,
-        items: &[(u64, u64)],
-        version: u64,
-    ) -> Result<Entry> {
-        self.build_table_sized(client, start_key, items, version, self.cfg.initial_buckets)
-    }
-
-    /// Builds a fully populated table in bulk: item records laid out
-    /// contiguously, bucket words chained locally, all written with a few
-    /// large transfers.
-    fn build_table_sized(
-        &mut self,
-        client: &mut FabricClient,
-        start_key: u64,
-        items: &[(u64, u64)],
-        version: u64,
-        n_buckets: u64,
-    ) -> Result<Entry> {
-        let buckets_addr = self.alloc.alloc(n_buckets * WORD, AllocHint::Spread)?;
-        let hdr = self.alloc.alloc(HDR_LEN, AllocHint::Colocate(buckets_addr))?;
-        let items_addr = if items.is_empty() {
-            FarAddr::NULL
-        } else {
-            self.alloc.alloc(items.len() as u64 * ITEM_LEN, AllocHint::Spread)?
-        };
-        let mut bucket_words = vec![0u64; n_buckets as usize];
-        let mut item_bytes = Vec::with_capacity(items.len() * ITEM_LEN as usize);
-        let mut collisions = 0u64;
-        for (i, &(k, v)) in items.iter().enumerate() {
-            let addr = items_addr.0 + i as u64 * ITEM_LEN;
-            let b = (splitmix64(k) % n_buckets) as usize;
-            let next = bucket_words[b];
-            if next != 0 {
-                collisions += 1;
+        taken: &Entry,
+        new_entries: &[Entry],
+    ) -> Result<(FarAddr, u64)> {
+        for _ in 0..RETRY_BUDGET {
+            let idx = self
+                .entries
+                .iter()
+                .position(|e| e.table_hdr == taken.table_hdr)
+                .ok_or(CoreError::Corrupted("a taken table left the directory"))?;
+            let mut entries = self.entries.clone();
+            entries.splice(idx..=idx, new_entries.iter().copied());
+            let bytes = encode_directory(&entries);
+            let blob = self.alloc.alloc(bytes.len() as u64, AllocHint::Spread)?;
+            let old = self.dir_ptr;
+            // audit: rt-in-loop-ok: retry loop — re-run only after another
+            // table's restructure won the directory pointer.
+            match client.batch(&[
+                BatchOp::Write { addr: blob, data: &bytes },
+                BatchOp::Cas {
+                    addr: self.tree.anchor.offset(A_DIR_PTR),
+                    expected: old.0,
+                    new: blob.0,
+                },
+            ]) {
+                Ok(out) if out[1].value() == old.0 => {
+                    let old_len = WORD + self.entries.len() as u64 * ENTRY_LEN;
+                    (self.entries, self.dir_ptr) = (entries, blob);
+                    return Ok((old, old_len));
+                }
+                unpublished => {
+                    // Lost, or never ran (a failed batch stops at the op
+                    // that failed): nobody can reach the blob.
+                    self.alloc.free(blob, bytes.len() as u64)?;
+                    unpublished?;
+                }
             }
-            bucket_words[b] = addr;
-            item_bytes.extend_from_slice(&Item { key: k, value: v, version, next }.encode());
+            self.refresh_directory(client)?;
         }
-        let bucket_bytes: Vec<u8> =
-            bucket_words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut hdr_bytes = Vec::with_capacity(HDR_LEN as usize);
-        let items_len = items.len() as u64 * ITEM_LEN;
-        for w in [
-            version,
-            buckets_addr.0,
-            n_buckets,
-            items.len() as u64,
-            collisions,
-            items_addr.0,
-            items_len,
-        ] {
-            hdr_bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let mut ops = vec![
-            BatchOp::Write { addr: buckets_addr, data: &bucket_bytes },
-            BatchOp::Write { addr: hdr, data: &hdr_bytes },
-        ];
-        if !items.is_empty() {
-            ops.push(BatchOp::Write { addr: items_addr, data: &item_bytes });
-        }
-        client.batch(&ops)?;
-        Ok(Entry {
-            start_key,
-            table_hdr: hdr,
-            buckets: buckets_addr,
-            n_buckets,
-            version,
-        })
+        Err(CoreError::Contended)
     }
 }
 
@@ -1851,50 +1804,212 @@ mod tests {
 
     #[test]
     fn a_publish_whose_restructure_fails_has_still_stored() {
+        // The node that dies holds the anchor, whose directory pointer the
+        // publish would CAS, or the table the take would CAS.
+        for fail_anchor in [true, false] {
+            let (f, a) = two_nodes();
+            let mut c = f.client();
+            // 8 buckets at 75 %: the seventh record overloads the table.
+            let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+            let (t, mut h, shared) = reclaimed(&mut c, &a, cfg);
+            let mut recs = Vec::new();
+            for k in 0..6u64 {
+                let rec = a.alloc(16, AllocHint::Spread).unwrap();
+                assert_eq!(h.publish(&mut c, k, rec, &[k as u8; 16]).unwrap(), None);
+                recs.push(rec);
+            }
+            // The overloading store overwrites the newest key (its old item
+            // is the chain head: no hop), and the node dies under its CAS,
+            // so the restructure it owes cannot even take the table.
+            let live = a.stats().live_bytes;
+            let rec = a.alloc(16, AllocHint::Spread).unwrap();
+            let entry = h.entry_for(&mut c, 5);
+            let victim = a.node_of(if fail_anchor { t.anchor } else { entry.table_hdr });
+            f.install_check_observer(Arc::new(FailOnceLanded {
+                fabric: Arc::downgrade(&f),
+                bucket: HtTreeHandle::bucket_addr(&entry, 5),
+                victim,
+            }));
+            let old = h.publish(&mut c, 5, rec, b"linked, not lost").unwrap();
+            f.clear_check_observer();
+            assert!(h.split(&mut c, 0).is_err(), "the node is down: that restructure did fail");
+            f.node(victim).recover();
+            assert_eq!(old, Some(recs[5].0), "the caller is told what to retire");
+            assert_eq!(restructures(&h), 0);
+            // Linked and whole: nothing freed the record under its readers.
+            assert_eq!(h.get(&mut c, 5).unwrap(), Some(rec.0));
+            assert_eq!(c.read(rec, 16).unwrap(), b"linked, not lost");
+            assert_eq!(a.stats().live_bytes, live + 16 + ITEM_LEN, "record + item, nothing else");
+            // The next put into the table gathers the same verdict and pays it.
+            let rec6 = a.alloc(16, AllocHint::Spread).unwrap();
+            assert_eq!(h.publish(&mut c, 6, rec6, &[6; 16]).unwrap(), None);
+            assert_eq!(restructures(&h), 1, "anchor failed: {fail_anchor}");
+            recs[5] = rec;
+            recs.push(rec6);
+            for (k, rec) in recs.iter().enumerate() {
+                assert_eq!(h.get(&mut c, k as u64).unwrap(), Some(rec.0), "key {k}");
+            }
+            assert_eq!(h.stats().superseded_lost, 0);
+            drop(shared);
+        }
+    }
+
+    /// `put`'s twin of the test above: a landed put is never reported as
+    /// failed, although the restructure it owes fails.
+    #[test]
+    fn a_put_whose_restructure_fails_has_still_stored() {
         let (f, a) = two_nodes();
         let mut c = f.client();
         // 8 buckets at 75 %: the seventh record overloads the table.
         let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
-        let (t, mut h, shared) = reclaimed(&mut c, &a, cfg);
-        let mut recs = Vec::new();
+        let mut h = HtTree::create(&mut c, &a, cfg).unwrap().attach(&mut c, &a, cfg).unwrap();
         for k in 0..6u64 {
-            let rec = a.alloc(16, AllocHint::Spread).unwrap();
-            assert_eq!(h.publish(&mut c, k, rec, &[k as u8; 16]).unwrap(), None);
-            recs.push(rec);
+            h.put(&mut c, k, k + 10).unwrap();
         }
-        // The overloading store overwrites the newest key (its old item is
-        // the chain head: no hop), and the tree mutex's node dies under
-        // its CAS, so the restructure it owes cannot even take the lock.
-        let live = a.stats().live_bytes;
-        let rec = a.alloc(16, AllocHint::Spread).unwrap();
-        let entry = h.entry_for(&mut c, 5);
-        let victim = a.node_of(t.anchor);
+        // The table header's node dies right after the seventh put's CAS.
+        let entry = h.entry_for(&mut c, 6);
+        let victim = a.node_of(entry.table_hdr);
         f.install_check_observer(Arc::new(FailOnceLanded {
             fabric: Arc::downgrade(&f),
-            bucket: HtTreeHandle::bucket_addr(&entry, 5),
+            bucket: HtTreeHandle::bucket_addr(&entry, 6),
             victim,
         }));
-        let old = h.publish(&mut c, 5, rec, b"linked, not lost").unwrap();
+        let stored = h.put(&mut c, 6, 16);
         f.clear_check_observer();
         assert!(h.split(&mut c, 0).is_err(), "the node is down: that restructure did fail");
         f.node(victim).recover();
-        assert_eq!(old, Some(recs[5].0), "the caller is told what to retire");
+        stored.unwrap();
         assert_eq!(restructures(&h), 0);
-        // Linked and whole: nothing freed the record under its readers.
-        assert_eq!(h.get(&mut c, 5).unwrap(), Some(rec.0));
-        assert_eq!(c.read(rec, 16).unwrap(), b"linked, not lost");
-        assert_eq!(a.stats().live_bytes, live + 16 + ITEM_LEN, "record + item, nothing else");
-        // The next put into the table gathers the same verdict and pays it.
-        let rec6 = a.alloc(16, AllocHint::Spread).unwrap();
-        assert_eq!(h.publish(&mut c, 6, rec6, &[6; 16]).unwrap(), None);
+        // The next put into the table pays the restructure.
+        h.put(&mut c, 7, 17).unwrap();
         assert_eq!(restructures(&h), 1);
-        recs[5] = rec;
-        recs.push(rec6);
-        for (k, rec) in recs.iter().enumerate() {
-            assert_eq!(h.get(&mut c, k as u64).unwrap(), Some(rec.0), "key {k}");
+        for k in 0..8u64 {
+            assert_eq!(h.get(&mut c, k).unwrap(), Some(k + 10), "key {k}");
         }
-        assert_eq!(h.stats().superseded_lost, 0);
-        drop(shared);
+    }
+
+    /// Parks `client` at the top of its first verb after it swung a word
+    /// in `[lo, hi)`, until the test has run another client in the gap.
+    struct HoldAfterSwing {
+        client: u32,
+        lo: FarAddr,
+        hi: FarAddr,
+        swung: std::sync::atomic::AtomicBool,
+        held: std::sync::atomic::AtomicBool,
+        gap: std::sync::Barrier,
+    }
+
+    impl farmem_fabric::CheckObserver for HoldAfterSwing {
+        fn access(&self, access: &farmem_fabric::Access) {
+            if access.client == self.client
+                && access.kind == farmem_fabric::AccessKind::AtomicRmw
+                && (self.lo.0..self.hi.0).contains(&access.addr.0)
+            {
+                self.swung.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+
+        fn gate(&self, client: u32) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if client == self.client && self.swung.load(SeqCst) && !self.held.swap(true, SeqCst) {
+                self.gap.wait(); // parked
+                self.gap.wait(); // released
+            }
+        }
+    }
+
+    /// Two splitters of different tables. A has taken table T1 and
+    /// poisoned its buckets when B overloads T2 and restructures it; then
+    /// A builds and publishes. B never waits for A, and A's publish, which
+    /// loses the directory pointer to B's, splices its table into B's
+    /// directory: a publish built from the directory A cached would erase
+    /// B's tables, and T2's keys would end `Contended`.
+    #[test]
+    fn two_splitters_of_different_tables_both_publish() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let (mut c0, mut ca, mut cb) = (f.client(), f.client(), f.client());
+        // 75 % of 8 buckets: the seventh record overloads a table.
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+        let t = HtTree::create(&mut c0, &a, cfg).unwrap();
+        let mut h0 = t.attach(&mut c0, &a, cfg).unwrap();
+        let mut stored: Vec<(u64, u64)> = (0..6u64).map(|k| (k * 1000, k)).collect();
+        for &(k, v) in &stored {
+            h0.put(&mut c0, k, v).unwrap();
+        }
+        // T1 covers [0, 3000) and T2 the rest, three keys each.
+        h0.split(&mut c0, 0).unwrap();
+        let mut ha = t.attach(&mut ca, &a, cfg).unwrap();
+        let mut hb = t.attach(&mut cb, &a, cfg).unwrap();
+        let t1 = ha.entry_for(&mut ca, 0);
+        assert_eq!((ha.leaves(), ha.entry_for(&mut ca, 3000).start_key), (2, 3000));
+        let hold = Arc::new(HoldAfterSwing {
+            client: ca.id(),
+            lo: t1.buckets,
+            hi: t1.buckets.offset(t1.n_buckets * WORD),
+            swung: Default::default(),
+            held: Default::default(),
+            gap: std::sync::Barrier::new(2),
+        });
+        f.install_check_observer(hold.clone());
+        let b_keys: Vec<(u64, u64)> = (0..4u64).map(|i| (10_000 + i, 100 + i)).collect();
+        let (a_split, b_puts) = std::thread::scope(|s| {
+            let splitter = s.spawn(|| ha.split(&mut ca, 0));
+            hold.gap.wait();
+            let puts: Vec<Result<()>> =
+                b_keys.iter().map(|&(k, v)| hb.put(&mut cb, k, v)).collect();
+            hold.gap.wait();
+            (splitter.join().unwrap(), puts)
+        });
+        f.clear_check_observer();
+        a_split.unwrap();
+        b_puts.into_iter().collect::<Result<Vec<()>>>().unwrap();
+        assert_eq!((restructures(&ha), restructures(&hb)), (1, 1));
+        stored.extend(b_keys);
+        let mut fresh = t.attach(&mut c0, &a, cfg).unwrap();
+        for (k, v) in stored {
+            assert_eq!(fresh.get(&mut c0, k).unwrap(), Some(v), "key {k}");
+        }
+        assert_eq!(fresh.stats().stale_refreshes, 0, "the directory covers only live tables");
+        assert_eq!(fresh.leaves(), 3, "T1 compacted, T2 split");
+    }
+
+    /// What an uncontended restructure costs, whole: the version CAS with
+    /// its read of the directory pointer, the bucket array, one gather per chain level, the poison volley, one
+    /// batch per table built and the publish batch — no lock, and no
+    /// directory re-read ahead of the take.
+    #[test]
+    fn an_uncontended_split_is_a_version_cas_the_drain_the_builds_and_one_publish() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        // Six keys stay under 75 % of 8 buckets, and too many to compact.
+        let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+        let t = HtTree::create(&mut c, &a, cfg).unwrap();
+        let mut h0 = t.attach(&mut c, &a, cfg).unwrap();
+        for k in 0..6u64 {
+            h0.put(&mut c, k * 1000, k).unwrap();
+        }
+        let mut h = t.attach(&mut c, &a, cfg).unwrap();
+        let before = c.stats();
+        h.split(&mut c, 0).unwrap();
+        let d = c.stats().since(&before);
+        // Two levels of chains hold the six items; each new table is its
+        // bucket array, header and three items.
+        let built = 2 * (8 * WORD + HDR_LEN + 3 * ITEM_LEN);
+        let want = farmem_fabric::AccessStats {
+            round_trips: 1 + 1 + 2 + 1 + 2 + 1,
+            messages: 2 + 1 + 6 + 8 + 2 * 3 + 2,
+            bytes_read: WORD + 8 * WORD + 6 * ITEM_LEN,
+            bytes_written: built + WORD + 2 * ENTRY_LEN,
+            atomics: 1 + 8 + 1,
+            ..Default::default()
+        };
+        assert_eq!(d, want);
+        assert_eq!((h.stats().splits, h.leaves()), (1, 2));
+        for k in 0..6u64 {
+            assert_eq!(h.get(&mut c, k * 1000).unwrap(), Some(k));
+        }
     }
 
     #[test]
@@ -1981,16 +2096,17 @@ mod tests {
         assert_eq!(h2.put_record(&mut c2, 7, 7, None).unwrap().0, Some((0, 1)));
         h1.split_if(&mut c1, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h1), 1);
-        // The second finds a newer version under the tree mutex and leaves:
-        // it takes and drops the lock (atomics) and writes nothing.
+        // The second's version CAS loses and it leaves: one atomic, and
+        // nothing written.
         let before = c2.stats();
         h2.split_if(&mut c2, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h2), 0);
-        assert_eq!(c2.stats().since(&before).bytes_written, 0);
-        assert_eq!(h2.leaves(), h1.leaves());
+        let d = c2.stats().since(&before);
+        assert_eq!((d.round_trips, d.atomics, d.bytes_written), (1, 1, 0));
         for k in 0..8u64 {
             assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k), "key {k}");
         }
+        assert_eq!(h2.leaves(), h1.leaves());
         // The public form stays unconditional.
         h2.split(&mut c2, 0).unwrap();
         assert_eq!(restructures(&h2), 1);

@@ -442,13 +442,6 @@ impl Guard {
     pub fn generation(&self) -> u64 {
         self.generation
     }
-
-    /// Whether this guard pins `shared` — for operations that run under
-    /// a guard their caller took and must not trust one of another
-    /// registry.
-    pub fn pins(&self, shared: &SharedReclaim) -> bool {
-        Arc::ptr_eq(&self.shared, shared)
-    }
 }
 
 impl Drop for Guard {

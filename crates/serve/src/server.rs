@@ -405,7 +405,7 @@ impl ServeWorker {
         let now = client.now_ns();
         let ttl = ttl_ns.unwrap_or_else(|| self.tenants.lock().unwrap().spec(tenant).default_ttl_ns);
         let expiry = if ttl == 0 { 0 } else { now + ttl };
-        let (_, hint) = self.store.put_hinted(client, nskey, value, expiry)?;
+        let (_, hint) = self.store.put(client, nskey, value, expiry)?;
         let old_charged = self.index_put(nskey, KeyMeta { tenant, charged, hint });
         self.tenants.lock().unwrap().stored(tenant, charged, old_charged);
         while self.stats.charged_bytes > self.cfg.worker_byte_budget {

@@ -102,22 +102,11 @@ impl RecordStore {
 
     /// Stores `value` under the namespaced key with an absolute expiry
     /// instant (`0` = never) in the tree put's two far accesses (plus the
-    /// chain hops down to the key's previous item). Returns `true` when
-    /// an existing record was replaced (and retired).
+    /// chain hops down to the key's previous item). Returns whether an
+    /// existing record was replaced (and retired), and where the record
+    /// went: the hint that makes [`get_hinted`](Self::get_hinted) of this
+    /// key one far access until the key's next mutation.
     pub fn put(
-        &mut self,
-        client: &mut FabricClient,
-        nskey: u64,
-        value: &[u8],
-        expiry_ns: u64,
-    ) -> Result<bool> {
-        self.put_hinted(client, nskey, value, expiry_ns).map(|(replaced, _)| replaced)
-    }
-
-    /// [`put`](Self::put), also handing back where the record went: the
-    /// hint that makes [`get_hinted`](Self::get_hinted) of this key one
-    /// far access until the key's next mutation.
-    pub fn put_hinted(
         &mut self,
         client: &mut FabricClient,
         nskey: u64,
@@ -259,9 +248,9 @@ mod tests {
             op(c);
             c.stats().since(&before).round_trips
         };
-        assert_eq!(rt(&mut c, &mut |c| assert!(!s.put(c, 1, b"fresh", 0).unwrap())), 2, "fresh put");
+        assert_eq!(rt(&mut c, &mut |c| assert!(!s.put(c, 1, b"fresh", 0).unwrap().0)), 2, "fresh put");
         assert_eq!(
-            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"over the head", 0).unwrap())),
+            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"over the head", 0).unwrap().0)),
             2,
             "overwrite, old item at the chain head"
         );
@@ -273,7 +262,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(
-            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"under a neighbour", 0).unwrap())),
+            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"under a neighbour", 0).unwrap().0)),
             3,
             "overwrite, old item one hop below key {above}"
         );
@@ -383,7 +372,7 @@ mod tests {
             (1u64..).filter(|&k| buckets.insert(splitmix64(k) % 64)).take(9).collect();
         let value = [7u8; LEN as usize];
         let mut h: Vec<RecordHint> =
-            k[..8].iter().map(|&key| s.put_hinted(&mut c, key, &value, 0).unwrap().1).collect();
+            k[..8].iter().map(|&key| s.put(&mut c, key, &value, 0).unwrap().1).collect();
         type Hints<'a> = &'a [Option<RecordHint>];
         let batch = |s: &mut RecordStore, c: &mut FabricClient, keys: &[u64], hints: Hints| {
             let before = c.stats();
@@ -409,7 +398,7 @@ mod tests {
 
         // Key 2 overwritten (its first hint goes stale), key 5 removed.
         let stale = h[2];
-        h[2] = s.put_hinted(&mut c, k[2], &value, 0).unwrap().1;
+        h[2] = s.put(&mut c, k[2], &value, 0).unwrap().1;
         assert!(s.remove(&mut c, k[5]).unwrap());
         let keys = [k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[8]];
         // Fresh, fresh, its own stale, none, another key's, a removed
@@ -539,7 +528,7 @@ mod tests {
         let mut s = store(&f, &a, &mut c);
         s.put(&mut c, 5, &[1u8; 100], 0).unwrap();
         let live0 = a.stats().live_bytes;
-        assert!(s.put(&mut c, 5, &[2u8; 100], 0).unwrap(), "replacement detected");
+        assert!(s.put(&mut c, 5, &[2u8; 100], 0).unwrap().0, "replacement detected");
         assert!(s.remove(&mut c, 5).unwrap());
         assert!(!s.remove(&mut c, 5).unwrap(), "second remove is a no-op");
         // A seal + reclaim pass returns both records to the allocator.

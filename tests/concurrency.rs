@@ -120,6 +120,58 @@ fn httree_blob_and_counters_hammered_together() {
     }
 }
 
+/// The reclaim-mode twin of the test above: each thread has its own epoch
+/// slot and runs grace rounds as it goes, so retired tables, chain items
+/// and directory blobs are freed while the other threads restructure. A
+/// directory retired by two publishes, or an unpublished blob freed and
+/// then retired, would be freed twice and fail as `BadFree`.
+#[test]
+fn httree_blob_hammered_in_reclaim_mode_frees_each_retired_block_once() {
+    let f = FabricConfig::single_node(512 << 20).build();
+    let alloc = FarAlloc::new(f.clone());
+    let mut c0 = f.client();
+    let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
+    let reg = ReclaimRegistry::create(&mut c0, &alloc, 8).unwrap();
+    let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+    let threads = 4u64;
+    let per = 200u64;
+    let mut handles = Vec::new();
+    for tid in 0..threads {
+        let (f, alloc) = (f.clone(), alloc.clone());
+        handles.push(std::thread::spawn(move || {
+            let mut c = f.client();
+            let shared = reg.attach(&mut c, &alloc).unwrap();
+            let mut blobs =
+                FarBlobMap::attach_reclaimed(&mut c, &alloc, tree, cfg, shared.clone()).unwrap();
+            for i in 0..per {
+                let key = tid * 1_000_000 + i;
+                blobs.put_bytes(&mut c, key, format!("t{tid}-i{i}").as_bytes()).unwrap();
+                let other = ((tid + 1) % threads) * 1_000_000 + i / 2;
+                let _ = blobs.get_bytes(&mut c, other).unwrap();
+                if i % 16 == 15 {
+                    shared.lock().unwrap().reclaim(&mut c).unwrap();
+                }
+            }
+            let reclaimed = shared.lock().unwrap().stats().reclaimed_bytes;
+            reclaimed
+        }));
+    }
+    let reclaimed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(reclaimed > 0, "grace rounds freed retired blocks mid-run");
+    let shared = reg.attach(&mut c0, &alloc).unwrap();
+    let mut blobs = FarBlobMap::attach_reclaimed(&mut c0, &alloc, tree, cfg, shared).unwrap();
+    for tid in 0..threads {
+        for i in 0..per {
+            let key = tid * 1_000_000 + i;
+            assert_eq!(
+                blobs.get_bytes(&mut c0, key).unwrap().unwrap(),
+                format!("t{tid}-i{i}").as_bytes(),
+                "key {key}"
+            );
+        }
+    }
+}
+
 #[test]
 fn rwlock_protects_a_multiword_invariant() {
     let f = FabricConfig::single_node(16 << 20).build();

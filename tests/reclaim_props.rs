@@ -318,8 +318,8 @@ fn no_free_while_a_guard_can_still_reach_the_memory() {
 }
 
 /// One pin serves a whole operation: a lookup under a guard its caller
-/// already holds — `get`'s own nested pin, or `get_under` borrowing the
-/// caller's — sees that guard's restructure generation. An epoch advance
+/// already holds — `get`'s own pin, nested in the held one — sees that
+/// guard's restructure generation. An epoch advance
 /// that retired records only costs a lookup no refresh at all — just the
 /// next depth-0 pin's slot CAS — whether it lands before the guard is
 /// pinned or while it is held. Another client's split costs each handle
@@ -338,8 +338,8 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_restructur
     let cfg = HtTreeConfig { max_load_percent: u64::MAX, ..HtTreeConfig::default() };
     let tree = HtTree::create(&mut c1, &alloc, cfg).unwrap();
     let mut h1 = tree.attach_reclaimed(&mut c1, &alloc, cfg, s1.clone()).unwrap();
-    // Two handles of one client share its reclaim state: `nested` pins
-    // its own guard inside the held one, `under` borrows the held one.
+    // Two handles of one client share its reclaim state; `under` looks up
+    // only while the test holds a guard, `nested` also without one.
     let mut nested = tree.attach_reclaimed(&mut c2, &alloc, cfg, s2.clone()).unwrap();
     let mut under = tree.attach_reclaimed(&mut c2, &alloc, cfg, s2.clone()).unwrap();
     h1.put(&mut c1, 7, 70).unwrap();
@@ -362,11 +362,6 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_restructur
         assert_eq!(v, Some(70));
         rt
     };
-    let under7 = |h: &mut farmem::core::HtTreeHandle, c: &mut FabricClient, g: &Guard| {
-        let (v, rt) = rts(c, |c| h.get_under(c, g, 7).unwrap());
-        assert_eq!(v, Some(70));
-        rt
-    };
     let plain = get7(&mut nested, &mut c2);
     let ((), refresh) = rts(&mut c2, |c| under.refresh_directory(c).unwrap());
     assert_eq!(refresh, 3, "anchor, entry count, entries");
@@ -377,13 +372,13 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_restructur
     let (guard, rt) = rts(&mut c2, |c| pin(&s2, c).unwrap());
     assert_eq!(rt, slot_cas);
     assert_eq!(get7(&mut nested, &mut c2), plain);
-    assert_eq!(under7(&mut under, &mut c2, &guard), plain);
+    assert_eq!(get7(&mut under, &mut c2), plain);
 
     // A seal while the guard is held: nothing moves until it drops, and
     // then the next depth-0 pin pays the CAS alone.
     seal(&mut c1);
     assert_eq!(get7(&mut nested, &mut c2), plain);
-    assert_eq!(under7(&mut under, &mut c2, &guard), plain);
+    assert_eq!(get7(&mut under, &mut c2), plain);
     drop(guard);
     assert_eq!(get7(&mut nested, &mut c2), slot_cas + plain);
     assert_eq!(nested.stats().stale_refreshes + under.stats().stale_refreshes, 0);
@@ -394,9 +389,9 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_restructur
     h1.split(&mut c1, 0).unwrap();
     assert_eq!(get7(&mut nested, &mut c2), slot_cas + refresh + plain);
     assert_ne!(s2.lock().unwrap().generation(), before);
-    let guard = pin(&s2, &mut c2).unwrap();
-    assert_eq!(under7(&mut under, &mut c2, &guard), refresh + plain);
-    assert_eq!(under7(&mut under, &mut c2, &guard), plain);
+    let _held = pin(&s2, &mut c2).unwrap();
+    assert_eq!(get7(&mut under, &mut c2), refresh + plain);
+    assert_eq!(get7(&mut under, &mut c2), plain);
     assert_eq!(get7(&mut nested, &mut c2), plain);
     assert_eq!(nested.stats().stale_refreshes + under.stats().stale_refreshes, 0);
 }
