@@ -144,8 +144,8 @@ fn assert_gates(suite: &SuiteResult) {
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
     // the suite: the failover, serving-TTL, record-publish, record-hint, take,
-    // split-retire, batched-hint, queue-repair and restructure mutants, and
-    // the programs they break, are required by name.
+    // split-retire, batched-hint, queue-repair, restructure and table-hint
+    // mutants, and the programs they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -161,6 +161,7 @@ fn assert_gates(suite: &SuiteResult) {
         "m20_attach_adopts_odd_epoch",
         "m21_directory_published_by_blind_write",
         "m22_table_taken_by_plain_write",
+        "m23_table_hint_trusted_without_compare",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
@@ -172,6 +173,7 @@ fn assert_gates(suite: &SuiteResult) {
         "httree_publish",
         "reclaim_hinted_get",
         "reclaim_hinted_get_many",
+        "reclaim_hinted_table",
         "reclaim_take",
         "reclaim_split",
         "queue_wrap",

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::FarRwLock;
-use farmem_fabric::{BatchOp, DescList, FabricClient, FabricError, FarAddr, PipeOp, PipeOut};
+use farmem_fabric::{
+    BatchOp, BatchOut, DescList, FabricClient, FabricError, FarAddr, PipeOp, PipeOut,
+};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
 use crate::explore::{PreparedRun, Program};
@@ -1603,6 +1605,98 @@ fn table_taken_by_plain_write() -> Mutant {
     tree_mutant("m22_table_taken_by_plain_write", false, [(0, 10), (1, 11)])
 }
 
+/// M23 — a tag-matched table hint trusted without the tree's pointer
+/// compare: `programs::reclaim_hinted_table` in miniature — one key's
+/// bucket word → item word → record word, and a one-word hint table
+/// holding `[tag | record]` — whose reader serves a tag-matched hint's
+/// speculated word without comparing it with the record the lookup
+/// returned, on the belief that every put and remove keeps the table
+/// current. They do not: an unhinted get learns what its lookup found
+/// with a CAS from the word it read, and when the writer's remove — a
+/// bucket CAS to null, then a tag-checked clear that finds no tag of the
+/// key — lands between that lookup and the learn, the removed record's
+/// hint enters the table after the remove completed. The reader's next
+/// get, invoked after it, then returns the removed value. Correct code
+/// drops the bytes on the mismatch and misses.
+fn table_hint_trusted_without_compare() -> Mutant {
+    // The table word: a tag in the top 16 bits, the record below.
+    const TAG: u64 = 0x5eed << 48;
+    const RECORD: u64 = (1 << 48) - 1;
+    let program = Program {
+        name: "m23_table_hint_trusted_without_compare",
+        model: Some(Model::Register { init: 1 }),
+        check_races: true,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let [bucket, item, record] = [(); 3].map(|()| word(&mut c0, &alloc));
+            c0.write_u64(record, 1).unwrap();
+            c0.write_u64(item, record.0).unwrap();
+            c0.write_u64(bucket, item.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![1] }, Ret::Unit);
+            let table = Arc::new(AtomicU64::new(0));
+            let mut cw = f.client();
+            let wid = cw.id();
+            let (hw, tw) = (h.clone(), table.clone());
+            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                // The remove: a miss reads 0.
+                let t = hw.invoke(wid, Op::RegWrite { part: 0, v: vec![0] });
+                assert_eq!(cw.cas(bucket, item.0, 0).unwrap(), item.0, "sole writer");
+                let seen = tw.load(Ordering::Relaxed);
+                if seen & !RECORD == TAG {
+                    let _ = tw.compare_exchange(seen, 0, Ordering::Relaxed, Ordering::Relaxed);
+                }
+                hw.complete(t, Ret::Unit);
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let named = |out: &BatchOut| match out {
+                    BatchOut::Bytes(b) => u64::from_le_bytes(b[..].try_into().unwrap()),
+                    _ => 0,
+                };
+                for _ in 0..2 {
+                    let t = hr.invoke(rid, Op::RegRead { part: 0 });
+                    let seen = table.load(Ordering::Relaxed);
+                    let v = if seen & !RECORD == TAG {
+                        let hinted = seen & RECORD;
+                        let out = cr
+                            .batch(&[
+                                BatchOp::Load0 { ptr: bucket, len: 8 },
+                                BatchOp::ReadSpeculative { addr: FarAddr(hinted), len: 8 },
+                            ])
+                            .unwrap();
+                        // MUTANT: `named(&out[0])` — the record the tree
+                        // names — is never compared with `hinted`.
+                        u64::from_le_bytes(out[1].bytes().try_into().unwrap())
+                    } else {
+                        let ptr = named(&cr.batch(&[BatchOp::Load0 { ptr: bucket, len: 8 }]).unwrap()[0]);
+                        let v = if ptr == 0 { 0 } else { cr.read_u64(FarAddr(ptr)).unwrap() };
+                        let learned = if ptr == 0 { 0 } else { TAG | ptr };
+                        if learned != seen {
+                            let _ = table.compare_exchange(seen, learned, Ordering::Relaxed, Ordering::Relaxed);
+                        }
+                        v
+                    };
+                    hr.complete(t, Ret::Vals(vec![v]));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![wid, rid],
+                bodies: vec![wbody, rbody],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1628,5 +1722,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         attach_adopts_odd_epoch(),
         directory_published_by_blind_write(),
         table_taken_by_plain_write(),
+        table_hint_trusted_without_compare(),
     ]
 }

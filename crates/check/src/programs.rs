@@ -32,6 +32,10 @@
 //!
 //! `reclaim_hinted_get_many` is its batched twin: the same hints, the
 //! same racing stores, through the lookup doorbell's fenced descriptors.
+//! `reclaim_hinted_table` takes that reader's hints from a one-slot
+//! [`HintTable`] the writer's stores fill and the reader learns back into.
+//!
+//! [`HintTable`]: farmem_core::HintTable
 //!
 //! `reclaim_take` puts the tree's removal protocol in the same setting:
 //! a take whose bucket CAS races a neighbour's put, under a hinted reader
@@ -52,7 +56,8 @@ use std::sync::{Arc, Mutex};
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_core::{
-    FarBlobMap, FarMutex, FarQueue, FarRwLock, HtTree, HtTreeConfig, QueueConfig,
+    FarBlobMap, FarMutex, FarQueue, FarRwLock, HintTable, HtTree, HtTreeConfig, QueueConfig,
+    RecordHint,
 };
 use farmem_fabric::{splitmix64, FabricClient, FabricConfig, FarAddr, FaultPlan};
 use farmem_reclaim::{pin, ReclaimRegistry};
@@ -705,12 +710,13 @@ pub fn reclaim_hinted_get() -> Program {
 /// grace period, so hints `a` and `b` name freed blocks, `c` key 1's live
 /// record and `d` key 2's. The writer overwrites key 1 (into `b`'s
 /// block), stores key 2 (into `a`'s) and overwrites key 1 again, running
-/// a grace round after each store. The reader's three batches hand in the
-/// live records' hints `[c, d]`, the freed-and-reused blocks' `[b, a]`,
-/// and each key the other's record, `[d, c]`. Checked: race-freedom and
-/// per-key map linearizability over record contents, as in the serial
-/// program; the hints a batch hands back are not reused, so every batch
-/// starts from the staleness it was built with.
+/// a grace round after each store. The reader's three
+/// batches hand in the live records' hints `[c, d]`, the
+/// freed-and-reused blocks' `[b, a]`, and each key the other's record,
+/// `[d, c]`. Checked: race-freedom and per-key map linearizability over
+/// record contents, as in the serial program; the hints a batch hands
+/// back are not reused, so every batch starts from the staleness it was
+/// built with.
 pub fn reclaim_hinted_get_many() -> Program {
     Program {
         name: "reclaim_hinted_get_many",
@@ -718,79 +724,148 @@ pub fn reclaim_hinted_get_many() -> Program {
         check_races: true,
         max_steps: 900,
         build: Box::new(|| {
-            let f = fabric(false);
-            let alloc = FarAlloc::new(f.clone());
-            let mut c0 = f.client();
-            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
-            // Two buckets, never restructured.
-            let cfg = HtTreeConfig {
-                initial_buckets: 2,
-                max_load_percent: u64::MAX,
-                ..HtTreeConfig::default()
-            };
-            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
-            let h = Arc::new(History::new());
-            let attach = || {
-                let mut cl = f.client();
-                let shared = reg.attach(&mut cl, &alloc).unwrap();
-                let map: FarBlobMap =
-                    FarBlobMap::attach_reclaimed(&mut cl, &alloc, tree, cfg, shared.clone()).unwrap();
-                (cl, shared, map)
-            };
-            let padded = |v: u64| {
-                let mut value = vec![0u8; FarBlobMap::<0>::PREFETCHED as usize];
-                value[..8].copy_from_slice(&v.to_le_bytes());
-                value
-            };
-            let (mut cw, sw, mut mw) = attach();
-            let (mut cr, _sr, mut mr) = attach();
-            let (wid, rid) = (cw.id(), cr.id());
-            let [a, b, c] = [1, 2, 3].map(|v| mw.put(&mut cw, 1, [], &padded(v)).unwrap().1);
-            let d = mw.put(&mut cw, 2, [], &padded(21)).unwrap().1;
-            h.seed(wid, Op::Put { k: 1, v: 3 }, Ret::Unit);
-            h.seed(wid, Op::Put { k: 2, v: 21 }, Ret::Unit);
-            // One grace period frees `a`'s and `b`'s blocks, `b`'s last.
-            sw.lock().unwrap().seal(&mut cw).unwrap();
-            mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
-            let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
-            assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
-            let h2 = h.clone();
-            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
-                    let t = h2.invoke(wid, Op::Put { k, v });
-                    mw.put(&mut cw, k, [], &padded(v)).unwrap();
-                    h2.complete(t, Ret::Unit);
-                    // Few rounds only (no lease eviction).
-                    let mut r = sw.lock().unwrap();
-                    r.seal(&mut cw).unwrap();
-                    for _ in 0..2 {
-                        if r.reclaim(&mut cw).unwrap() > 0 {
-                            break;
+            hinted_batches(
+                |_, _| {},
+                |mut cr, mut mr, h, [a, b, c, d]| {
+                    Box::new(move || {
+                        for mut hints in [[c, d], [b, a], [d, c]].map(|pair| pair.map(Some)) {
+                            hinted_batch(&mut cr, &mut mr, &h, &mut hints);
                         }
-                    }
-                }
-            });
-            let h3 = h.clone();
-            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for mut hints in [[c, d], [b, a], [d, c]].map(|pair| pair.map(Some)) {
-                    let ts = [1u64, 2].map(|k| h3.invoke(rid, Op::Get { k }));
-                    let got = mr.get_many(&mut cr, &[1, 2], &mut hints, |[]| true).unwrap();
-                    for (t, got) in ts.into_iter().zip(got) {
-                        let v = got.flatten().map(|b| {
-                            u64::from_le_bytes(b[..8].try_into().expect("padded"))
-                        });
-                        h3.complete(t, Ret::OptVal(v));
-                    }
-                }
-            });
-            PreparedRun {
-                fabric: f,
-                participants: vec![wid, rid],
-                bodies: vec![wbody, rbody],
-                history: h,
-                finale: None,
-            }
+                    })
+                },
+            )
         }),
+    }
+}
+
+/// [`reclaim_hinted_get_many`] with its hints from a shared table, as a
+/// serve deployment's gets take them: a [`HintTable`] of one slot, so
+/// keys 1 and 2 collide and a key's hint is often the other's or none.
+/// Setup leaves key 1's freed `a` in the slot, and the writer puts each
+/// new record's hint into it. The reader's three batches each read the
+/// slot for both keys, serve them and learn each handed-back hint with
+/// the table's CAS from the word read, so a batch that finishes late
+/// races the writer's puts for the slot. Checked: race-freedom and
+/// per-key map linearizability over record contents, as in the other
+/// hinted programs: whatever the slot held, the tree decided.
+///
+/// [`HintTable`]: farmem_core::HintTable
+pub fn reclaim_hinted_table() -> Program {
+    Program {
+        name: "reclaim_hinted_table",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 900,
+        build: Box::new(|| {
+            let table = Arc::new(HintTable::with_slot_bits(0));
+            let tw = table.clone();
+            hinted_batches(
+                move |k, hint| tw.put(k, hint),
+                |mut cr, mut mr, h, [a, ..]| {
+                    table.put(1, a);
+                    Box::new(move || {
+                        for _ in 0..3 {
+                            let read = [1u64, 2].map(|k| table.get(k));
+                            let mut hints = read.map(|(hint, _)| hint);
+                            hinted_batch(&mut cr, &mut mr, &h, &mut hints);
+                            for ((k, (_, seen)), hint) in [1u64, 2].into_iter().zip(read).zip(hints) {
+                                table.learn(k, seen, hint);
+                            }
+                        }
+                    })
+                },
+            )
+        }),
+    }
+}
+
+/// The run [`reclaim_hinted_get_many`] and [`reclaim_hinted_table`]
+/// share: a reclaim-mode map of two buckets, never restructured. Setup
+/// stores key 1 three times (hints `a`, `b`, `c`) and key 2 once (`d`)
+/// and runs one grace period, which frees `a`'s and `b`'s blocks, `b`'s
+/// last. The writer overwrites key 1 (into `b`'s block), stores key 2
+/// (into `a`'s) and overwrites key 1 again, running a grace round after
+/// each store and handing each new record's hint to `stored`. `reader`
+/// takes the reader's client and map, the history and `[a, b, c, d]`,
+/// and returns the reader's body.
+fn hinted_batches(
+    stored: impl Fn(u64, RecordHint) + Send + 'static,
+    reader: impl FnOnce(FabricClient, FarBlobMap, Arc<History>, [RecordHint; 4]) -> Box<dyn FnOnce() + Send>,
+) -> PreparedRun {
+    let f = fabric(false);
+    let alloc = FarAlloc::new(f.clone());
+    let mut c0 = f.client();
+    let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+    let cfg = HtTreeConfig {
+        initial_buckets: 2,
+        max_load_percent: u64::MAX,
+        ..HtTreeConfig::default()
+    };
+    let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+    let h = Arc::new(History::new());
+    let attach = || {
+        let mut cl = f.client();
+        let shared = reg.attach(&mut cl, &alloc).unwrap();
+        let map: FarBlobMap =
+            FarBlobMap::attach_reclaimed(&mut cl, &alloc, tree, cfg, shared.clone()).unwrap();
+        (cl, shared, map)
+    };
+    let padded = |v: u64| {
+        let mut value = vec![0u8; FarBlobMap::<0>::PREFETCHED as usize];
+        value[..8].copy_from_slice(&v.to_le_bytes());
+        value
+    };
+    let (mut cw, sw, mut mw) = attach();
+    let (mut cr, _sr, mut mr) = attach();
+    let (wid, rid) = (cw.id(), cr.id());
+    let [a, b, c] = [1, 2, 3].map(|v| mw.put(&mut cw, 1, [], &padded(v)).unwrap().1);
+    let d = mw.put(&mut cw, 2, [], &padded(21)).unwrap().1;
+    h.seed(wid, Op::Put { k: 1, v: 3 }, Ret::Unit);
+    h.seed(wid, Op::Put { k: 2, v: 21 }, Ret::Unit);
+    sw.lock().unwrap().seal(&mut cw).unwrap();
+    mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
+    let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
+    assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
+    let h2 = h.clone();
+    let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+        for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
+            let t = h2.invoke(wid, Op::Put { k, v });
+            let (_, hint) = mw.put(&mut cw, k, [], &padded(v)).unwrap();
+            stored(k, hint);
+            h2.complete(t, Ret::Unit);
+            // Few rounds only (no lease eviction).
+            let mut r = sw.lock().unwrap();
+            r.seal(&mut cw).unwrap();
+            for _ in 0..2 {
+                if r.reclaim(&mut cw).unwrap() > 0 {
+                    break;
+                }
+            }
+        }
+    });
+    let rbody = reader(cr, mr, h.clone(), [a, b, c, d]);
+    PreparedRun {
+        fabric: f,
+        participants: vec![wid, rid],
+        bodies: vec![wbody, rbody],
+        history: h,
+        finale: None,
+    }
+}
+
+/// One reader batch of keys 1 and 2 through [`FarBlobMap::get_many`],
+/// recorded in `h`; `hints` comes back as the lookups handed it back.
+fn hinted_batch(
+    cr: &mut FabricClient,
+    mr: &mut FarBlobMap,
+    h: &History,
+    hints: &mut [Option<RecordHint>; 2],
+) {
+    let ts = [1u64, 2].map(|k| h.invoke(cr.id(), Op::Get { k }));
+    let got = mr.get_many(cr, &[1, 2], hints, |[]| true).unwrap();
+    for (t, got) in ts.into_iter().zip(got) {
+        let v = got.flatten().map(|b| u64::from_le_bytes(b[..8].try_into().expect("padded")));
+        h.complete(t, Ret::OptVal(v));
     }
 }
 
@@ -1343,6 +1418,7 @@ pub fn main_programs() -> Vec<Program> {
         httree_publish(),
         reclaim_hinted_get(),
         reclaim_hinted_get_many(),
+        reclaim_hinted_table(),
         reclaim_take(),
         reclaim_split(),
         reclaim_publish(),

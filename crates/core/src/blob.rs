@@ -32,7 +32,8 @@
 //! ([`FarBlobMap::get_if`]; [`FarBlobMap::get_many_async`] posts each such
 //! batch as one descriptor of its lookup doorbell). A stale hint wastes
 //! that one message and its bytes and the lookup proceeds as if unhinted
-//! — it never costs a round trip.
+//! — it never costs a round trip. Callers that share hints across
+//! handles keep them in one lock-free [`HintTable`].
 //!
 //! With [`FarBlobMap::attach_reclaimed`] the map participates in
 //! epoch-based reclamation: records are slab-allocated, lookups hold the
@@ -50,9 +51,10 @@
 //! retired once.
 
 use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
-use farmem_fabric::{DescList, FabricClient, FarAddr, WORD};
+use farmem_fabric::{splitmix64, DescList, FabricClient, FarAddr, WORD};
 use farmem_reclaim::SharedReclaim;
 use farmem_runtime::{Doorbell, Inline};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -76,12 +78,150 @@ enum Records {
 /// by [`FarBlobMap::put`], and by a lookup from the record the tree named
 /// — so a hint can be *stale* (the key was since overwritten or removed,
 /// the block freed and reused) but never names memory that was not a
-/// record. Twelve bytes, so a per-key table pays 8 + 4 for it.
+/// record. Twelve bytes, so a per-key table pays 8 + 4 for it; a
+/// [`HintTable`] packs one into a word with its key's tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(C, packed(4))]
 pub struct RecordHint {
     record: u64,
     payload_len: u32,
+}
+
+/// Slots of a [`HintTable::new`] table, as a power of two: 2^18 words,
+/// 2 MiB.
+const HINT_SLOT_BITS: u32 = 18;
+/// A hint word's fields, high to low: key tag, record address in
+/// [`RECORD_UNIT`]s, payload length.
+const TAG_BITS: u32 = 16;
+const UNIT_BITS: u32 = 64 - TAG_BITS - LEN_BITS;
+const LEN_BITS: u32 = 17;
+/// Records are at least 16 B (a length word and a header word or
+/// payload), so their slab blocks are 16-B aligned; a record that is not
+/// does not pack.
+const RECORD_UNIT: u64 = 16;
+
+/// Record hints shared by every handle of a deployment, one word per
+/// slot and no lock: direct-mapped by the top bits of the key's
+/// SplitMix64 mix, tagged with its low 16 bits, so the slot and the
+/// tag come from disjoint bits.
+///
+/// A word is one hint, whole — `[tag | record / 16 | payload_len]` — so a
+/// racing read returns another key's hint, a stale one or nothing, but
+/// never a record address paired with another record's length (which
+/// could speculate past a block). None of that is a wrong answer: the
+/// tree validates every hint on use. Hence `Relaxed` everywhere: nothing
+/// relies on happens-before, the tree's pointer compare decides.
+///
+/// Writes follow three rules. A put [stores](Self::put) its record's hint
+/// (only if the word changes). A remove [clears](Self::clear) the slot
+/// only if it holds this key's tag. A get [learns](Self::learn) what it
+/// found with a CAS from the word it read before its lookup, so a get
+/// that finishes late cannot overwrite a newer put's hint.
+pub struct HintTable {
+    slots: Box<[AtomicU64]>,
+    /// `64 - slot bits`: the slot index is the mix shifted right by it.
+    shift: u32,
+}
+
+/// A slot's word as a get read it ([`HintTable::get`]): what its
+/// [`learn`](HintTable::learn) compares against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HintWord(u64);
+
+impl Default for HintTable {
+    fn default() -> HintTable {
+        HintTable::new()
+    }
+}
+
+impl HintTable {
+    /// A table of 2^18 slots (2 MiB): what a deployment shares.
+    pub fn new() -> HintTable {
+        HintTable::with_slot_bits(HINT_SLOT_BITS)
+    }
+
+    /// A table of `2^bits` slots; `0` is one slot every key collides in
+    /// (what the protocol checker runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot bits would overlap the tag's.
+    pub fn with_slot_bits(bits: u32) -> HintTable {
+        assert!(bits <= 64 - TAG_BITS, "slot and tag bits overlap");
+        HintTable { slots: (0..1u64 << bits).map(|_| AtomicU64::new(0)).collect(), shift: 64 - bits }
+    }
+
+    fn slot(&self, key: u64) -> &AtomicU64 {
+        &self.slots[splitmix64(key).checked_shr(self.shift).unwrap_or(0) as usize]
+    }
+
+    fn tag(key: u64) -> u64 {
+        splitmix64(key) & ((1 << TAG_BITS) - 1)
+    }
+
+    /// The word `hint` is under `key`, if its fields fit.
+    fn pack(key: u64, hint: RecordHint) -> Option<u64> {
+        let unit = hint.record / RECORD_UNIT;
+        let fits = hint.record.is_multiple_of(RECORD_UNIT)
+            && unit < 1 << UNIT_BITS
+            && u64::from(hint.payload_len) < 1 << LEN_BITS;
+        fits.then(|| Self::tag(key) << (64 - TAG_BITS) | unit << LEN_BITS | u64::from(hint.payload_len))
+    }
+
+    /// The hint `word` holds for `key`: none when empty or another key's
+    /// tag. (A packed word is never 0: no record sits at address 0.)
+    fn unpack(key: u64, word: u64) -> Option<RecordHint> {
+        (word != 0 && word >> (64 - TAG_BITS) == Self::tag(key)).then(|| RecordHint {
+            record: (word >> LEN_BITS & ((1 << UNIT_BITS) - 1)) * RECORD_UNIT,
+            payload_len: (word & ((1 << LEN_BITS) - 1)) as u32,
+        })
+    }
+
+    /// `key`'s hint, if its slot holds one, and the word read.
+    pub fn get(&self, key: u64) -> (Option<RecordHint>, HintWord) {
+        let word = self.slot(key).load(Relaxed);
+        (Self::unpack(key, word), HintWord(word))
+    }
+
+    /// A put's hint: stored over whatever the slot holds (a fresh store
+    /// of the same word writes nothing). A hint that does not pack clears
+    /// the key's older one instead.
+    pub fn put(&self, key: u64, hint: RecordHint) {
+        let Some(word) = Self::pack(key, hint) else {
+            return self.clear(key);
+        };
+        let slot = self.slot(key);
+        if slot.load(Relaxed) != word {
+            slot.store(word, Relaxed);
+        }
+    }
+
+    /// A remove's clear: empties the slot if it holds `key`'s tag, so a
+    /// remove never erases a colliding key's hint.
+    pub fn clear(&self, key: u64) {
+        let slot = self.slot(key);
+        let word = slot.load(Relaxed);
+        if Self::unpack(key, word).is_some() {
+            let _ = slot.compare_exchange(word, 0, Relaxed, Relaxed);
+        }
+    }
+
+    /// What a get of `key` that read `seen` before its lookup learned:
+    /// `found` is the hint the lookup handed back (`None`: no record).
+    /// One CAS from `seen`, and only if the word changes — a fresh hit
+    /// writes nothing, and a get that finished after a newer put (or
+    /// another get's learn) loses its CAS. A miss empties the slot only if
+    /// `seen` was this key's.
+    pub fn learn(&self, key: u64, seen: HintWord, found: Option<RecordHint>) {
+        let word = match found.and_then(|hint| Self::pack(key, hint)) {
+            Some(word) => word,
+            None if Self::unpack(key, seen.0).is_some() => 0,
+            None => return,
+        };
+        if word != seen.0 {
+            let _ = self.slot(key).compare_exchange(seen.0, word, Relaxed, Relaxed);
+        }
+    }
 }
 
 /// A far-memory map from `u64` keys to byte strings, each behind `H`
@@ -817,6 +957,140 @@ mod tests {
             get_many_matches_get::<0>(reclaimed, |_| []);
             get_many_matches_get::<1>(reclaimed, |k| [k % 5]);
         }
+    }
+
+    fn hint(record: u64, payload_len: u32) -> RecordHint {
+        RecordHint { record, payload_len }
+    }
+
+    #[test]
+    fn a_hint_word_unpacks_to_the_hint_packed() {
+        let t = HintTable::new();
+        let widest = hint(((1 << UNIT_BITS) - 1) * RECORD_UNIT, (1 << LEN_BITS) - 1);
+        for h in [hint(16, 0), hint(4096, 64), widest] {
+            t.put(7, h);
+            assert_eq!(t.get(7).0, Some(h));
+        }
+        // Every record of a reclaim-mode map with a header word packs: at
+        // 16 B and more its slab block is 16-B aligned.
+        let (f, a) = setup();
+        let mut c = f.client();
+        let reg = farmem_reclaim::ReclaimRegistry::create(&mut c, &a, 4).unwrap();
+        let shared = reg.attach(&mut c, &a).unwrap();
+        let mut m: FarBlobMap<1> =
+            FarBlobMap::create_reclaimed(&mut c, &a, HtTreeConfig::default(), shared).unwrap();
+        for len in (0..300).chain([4096, 64 << 10]) {
+            let (_, h) = m.put(&mut c, len, [0], &vec![1; len as usize]).unwrap();
+            assert!(HintTable::pack(len, h).is_some(), "a {len}-byte payload's record");
+        }
+    }
+
+    #[test]
+    fn a_hint_that_does_not_pack_is_not_stored() {
+        let t = HintTable::new();
+        let unpackable = [
+            hint(4096 + 8, 10),               // not 16-B aligned
+            hint(RECORD_UNIT << UNIT_BITS, 10), // past the address field
+            hint(4096, 1 << LEN_BITS),        // past the length field
+        ];
+        for h in unpackable {
+            assert_eq!(HintTable::pack(7, h), None);
+            t.put(7, hint(4096, 10));
+            t.put(7, h);
+            assert_eq!(t.get(7), (None, HintWord(0)), "the older hint cleared, {h:?} not stored");
+        }
+    }
+
+    /// Two keys of one slot with different tags.
+    fn colliding() -> (HintTable, u64, u64) {
+        assert_ne!(HintTable::tag(1), HintTable::tag(2));
+        (HintTable::with_slot_bits(0), 1, 2)
+    }
+
+    #[test]
+    fn a_tag_mismatch_reads_none() {
+        let (t, a, b) = colliding();
+        t.put(a, hint(16, 1));
+        assert_eq!(t.get(b).0, None);
+        t.put(b, hint(32, 2));
+        assert_eq!((t.get(a).0, t.get(b).0), (None, Some(hint(32, 2))), "the last put owns the slot");
+    }
+
+    #[test]
+    fn a_tag_checked_clear_leaves_a_colliding_keys_hint() {
+        let (t, a, b) = colliding();
+        t.put(a, hint(16, 1));
+        t.clear(b);
+        // A miss of `b` learns nothing over `a`'s word either.
+        let (_, seen) = t.get(b);
+        t.learn(b, seen, None);
+        assert_eq!(t.get(a).0, Some(hint(16, 1)));
+        t.clear(a);
+        assert_eq!(t.get(a), (None, HintWord(0)));
+    }
+
+    #[test]
+    fn a_late_learn_does_not_overwrite_a_newer_put() {
+        let t = HintTable::new();
+        let (older, old, new) = (hint(16, 1), hint(32, 2), hint(48, 3));
+        // The get reads the slot, the owner's put lands, then the get's
+        // lookup (which ran before the put) learns what it found.
+        for before in [None, Some(older)] {
+            t.clear(1);
+            if let Some(h) = before {
+                t.put(1, h);
+            }
+            let (_, seen) = t.get(1);
+            t.put(1, new);
+            t.learn(1, seen, Some(old));
+            assert_eq!(t.get(1).0, Some(new), "read {before:?}");
+        }
+        // A late miss does not clear it either; an on-time learn lands.
+        let (_, seen) = t.get(1);
+        t.put(1, older);
+        t.learn(1, seen, None);
+        assert_eq!(t.get(1).0, Some(older));
+        let (_, seen) = t.get(1);
+        t.learn(1, seen, Some(old));
+        assert_eq!(t.get(1).0, Some(old));
+    }
+
+    /// Two writers put, learn and clear their own key's hints in one slot
+    /// while a reader decodes both keys: every hint read is one a writer
+    /// minted, record and length together.
+    #[test]
+    fn a_hammered_slot_holds_only_whole_hints() {
+        const ROUNDS: u64 = 20_000;
+        let (t, a, b) = colliding();
+        let minted = |key: u64, i: u64| hint(RECORD_UNIT * (1 + key * ROUNDS + i), (3 * i + key) as u32);
+        let whole = |key: u64, h: RecordHint| {
+            let i = (h.record / RECORD_UNIT).wrapping_sub(1 + key * ROUNDS);
+            i < ROUNDS && h == minted(key, i)
+        };
+        std::thread::scope(|s| {
+            for key in [a, b] {
+                let t = &t;
+                s.spawn(move || {
+                    for i in 0..ROUNDS {
+                        let (_, seen) = t.get(key);
+                        match i % 4 {
+                            0 => t.learn(key, seen, Some(minted(key, i))),
+                            1 => t.clear(key),
+                            _ => t.put(key, minted(key, i)),
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                for _ in 0..2 * ROUNDS {
+                    for key in [a, b] {
+                        if let Some(h) = t.get(key).0 {
+                            assert!(whole(key, h), "key {key}: {h:?} was never minted");
+                        }
+                    }
+                }
+            });
+        });
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod vector;
 pub mod wcbuf;
 
 pub use barrier::{FarBarrier, FarEpochBarrier};
-pub use blob::{FarBlobMap, RecordHint};
+pub use blob::{FarBlobMap, HintTable, HintWord, RecordHint};
 pub use counter::FarCounter;
 pub use error::{CoreError, Result};
 pub use httree::{HtTree, HtTreeConfig, HtTreeHandle, HtTreeStats};

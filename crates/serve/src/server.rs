@@ -7,7 +7,12 @@
 //! exists anywhere — a key's owning worker is the only mutator it ever
 //! has. Far-memory state (the record tree, the reclaim registry) is
 //! shared by construction; cross-worker *reads* are safe under epoch
-//! guards. The listener role is [`CacheServer::run_sessions`]: it lays
+//! guards. One piece of compute-side state is shared too, without a
+//! lock: the server's [`HintTable`], one atomic word per slot, which
+//! every worker's puts and removes write and every get reads after its
+//! owner's index — a racy or stale hint costs a message, never an
+//! answer, because the tree validates it. The listener role is
+//! [`CacheServer::run_sessions`]: it lays
 //! logical sessions onto [`Runtime`] workers and lends session `s` the
 //! server's own shard `s % n_workers`, on worker `s % n_workers` (the
 //! runtime's sharding), so a request generator that routes by
@@ -16,7 +21,7 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use farmem_alloc::FarAlloc;
-use farmem_core::{HtTree, HtTreeConfig, RecordHint};
+use farmem_core::{HintTable, HintWord, HtTree, HtTreeConfig, RecordHint};
 use farmem_fabric::{Fabric, FabricClient};
 use farmem_reclaim::ReclaimRegistry;
 use farmem_runtime::{AsyncClient, Runtime, TaskResult};
@@ -36,10 +41,6 @@ const MAX_VALUE_LEN: u64 = 64 << 10;
 const HOT_SKETCH_WIDTH: usize = 1024;
 const HOT_TOPK: usize = 16;
 const HOT_DECAY_EVERY: u64 = 1 << 16;
-
-/// Slots of a shard's learned-hint table, as a power of two: 2^14 slots
-/// of 24 B, 384 KiB per shard, allocated by the first hint it learns.
-const LEARNED_HINT_BITS: u32 = 14;
 
 /// Serving-layer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -181,6 +182,9 @@ pub struct CacheServer {
     tree: HtTree,
     registry: ReclaimRegistry,
     tenants: Arc<Mutex<TenantTable>>,
+    /// Every record's hint, written by every worker's puts and removes
+    /// and read by every get.
+    hints: Arc<HintTable>,
     cfg: ServeConfig,
     /// The `n_workers` shards, each attached by its first session.
     shards: Vec<OnceLock<Mutex<ServeWorker>>>,
@@ -208,6 +212,7 @@ impl CacheServer {
             tree,
             registry,
             tenants: Arc::new(Mutex::new(TenantTable::new())),
+            hints: Arc::new(HintTable::new()),
             cfg,
             shards: (0..cfg.n_workers.max(1)).map(|_| OnceLock::new()).collect(),
         })
@@ -246,8 +251,8 @@ impl CacheServer {
     }
 
     /// Attaches a worker shard: its own tree handle, reclaim slot,
-    /// hot-key sketch, and LRU metadata. `wid` must be below the worker
-    /// count the deployment shards by.
+    /// hot-key sketch, and LRU metadata, and the server's hint table.
+    /// `wid` must be below the worker count the deployment shards by.
     pub fn worker(&self, wid: usize, n_workers: usize, client: &mut FabricClient) -> Result<ServeWorker> {
         let shared = self.registry.attach(client, &self.alloc)?;
         let store = RecordStore::attach(client, &self.alloc, self.tree, self.cfg.ht, shared)?;
@@ -258,7 +263,7 @@ impl CacheServer {
             tenants: self.tenants.clone(),
             hot: HotKeyDetector::new(HOT_SKETCH_WIDTH, HOT_TOPK, HOT_DECAY_EVERY),
             index: RecencyIndex::new(),
-            learned: LearnedHints::default(),
+            hints: self.hints.clone(),
             replicated: self.fabric.replicated(),
             cfg: self.cfg,
             mutations_since_reclaim: 0,
@@ -319,8 +324,8 @@ pub struct ServeWorker {
     /// worker sees every access to its shard, so no far traffic is spent
     /// on recency).
     index: RecencyIndex,
-    /// Hints learned from this shard's gets of keys `index` does not hold.
-    learned: LearnedHints,
+    /// The server's hint table, for keys `index` does not hold.
+    hints: Arc<HintTable>,
     replicated: bool,
     cfg: ServeConfig,
     mutations_since_reclaim: u64,
@@ -370,13 +375,13 @@ impl ServeWorker {
             client.set_spread_reads(Some(true));
         }
         let now = client.now_ns();
-        let mut hint = self.hint_of(nskey);
+        let (mut hint, seen) = self.hint_of(nskey);
         let out = self.store.get_hinted(client, nskey, &mut hint, now);
         if spread {
             client.set_spread_reads(None);
         }
         let out = out?;
-        self.finish_gets(client, &[(tenant, nskey)], std::slice::from_ref(&out), &[hint])?;
+        self.finish_gets(client, &[(tenant, nskey)], std::slice::from_ref(&out), &[hint], &[seen])?;
         Ok(match out {
             GetOutcome::Hit(v) => Response::Value(v),
             GetOutcome::Expired | GetOutcome::Miss => Response::Miss,
@@ -406,6 +411,7 @@ impl ServeWorker {
         let ttl = ttl_ns.unwrap_or_else(|| self.tenants.lock().unwrap().spec(tenant).default_ttl_ns);
         let expiry = if ttl == 0 { 0 } else { now + ttl };
         let (_, hint) = self.store.put(client, nskey, value, expiry)?;
+        self.hints.put(nskey, hint);
         let old_charged = self.index_put(nskey, KeyMeta { tenant, charged, hint });
         self.tenants.lock().unwrap().stored(tenant, charged, old_charged);
         while self.stats.charged_bytes > self.cfg.worker_byte_budget {
@@ -427,7 +433,7 @@ impl ServeWorker {
             return Err(ServeError::NotOwner);
         }
         let _span = client.span(tenant.span_name());
-        let existed = self.store.remove(client, nskey)?;
+        let existed = self.unlink(client, nskey)?;
         if let Some(m) = self.index.remove(nskey) {
             self.stats.charged_bytes -= m.charged;
             self.tenants.lock().unwrap().removed(m.tenant, m.charged, RemoveKind::Deleted);
@@ -505,9 +511,16 @@ impl ServeWorker {
     }
 
     /// Where a get of `nskey` speculates: the index's hint of a key this
-    /// shard stored, else one it learned.
-    fn hint_of(&self, nskey: u64) -> Option<RecordHint> {
-        self.index.get(nskey).map(|m| m.hint).or_else(|| self.learned.get(nskey))
+    /// shard stored, else the server table's, with the word read there for
+    /// the get to [learn](HintTable::learn) against.
+    fn hint_of(&self, nskey: u64) -> (Option<RecordHint>, Option<HintWord>) {
+        match self.index.get(nskey) {
+            Some(m) => (Some(m.hint), None),
+            None => {
+                let (hint, seen) = self.hints.get(nskey);
+                (hint, Some(seen))
+            }
+        }
     }
 
     /// Records the access in the sketch; returns whether the read
@@ -529,35 +542,35 @@ impl ServeWorker {
     /// lock, then (lock released: no far access is issued under it)
     /// unlinks and retires the expired records this worker owns; a
     /// non-owner observation is counted but left for the owner to
-    /// collect. A hit on a key the index does not hold teaches the
-    /// learned table the hint the lookup handed back (`hints`, one per
-    /// key); a miss makes it forget the key. Returns the number of hits.
+    /// collect. A get whose hint came from the server's table (`seen`, one
+    /// per key, the word it read) teaches the table the hint its lookup
+    /// handed back (`hints`). Returns the number of hits.
     fn finish_gets(
         &mut self,
         client: &mut FabricClient,
         keys: &[(TenantId, u64)],
         outcomes: &[GetOutcome],
         hints: &[Option<RecordHint>],
+        seen: &[Option<HintWord>],
     ) -> Result<u64> {
         let mut hits = 0;
         let mut unlink = Vec::new();
         {
             let mut tt = self.tenants.lock().unwrap();
-            for ((&(tenant, nskey), out), &hint) in keys.iter().zip(outcomes).zip(hints) {
+            for (((&(tenant, nskey), out), &hint), &seen) in
+                keys.iter().zip(outcomes).zip(hints).zip(seen)
+            {
+                if let Some(seen) = seen {
+                    self.hints.learn(nskey, seen, hint);
+                }
                 match out {
                     GetOutcome::Hit(_) => {
-                        if !self.index.touch(nskey) {
-                            self.learned.learn(nskey, hint);
-                        }
+                        self.index.touch(nskey);
                         tt.hit(tenant);
                         hits += 1;
                     }
-                    GetOutcome::Miss => {
-                        self.learned.learn(nskey, None);
-                        tt.miss(tenant);
-                    }
+                    GetOutcome::Miss => tt.miss(tenant),
                     GetOutcome::Expired => {
-                        self.learned.learn(nskey, None);
                         let owned = if self.owns(nskey) { self.index.remove(nskey) } else { None };
                         match owned {
                             Some(m) => {
@@ -578,7 +591,7 @@ impl ServeWorker {
             // audit: rt-in-loop-ok: rare (a get that finds its record past
             // the TTL), and each unlink is a tree remove plus a retire — a
             // dependent chain per key, not one verb to batch.
-            self.store.remove(client, nskey)?;
+            self.unlink(client, nskey)?;
             self.stats.expired_unlinked += 1;
             self.maybe_reclaim(client)?;
         }
@@ -603,11 +616,19 @@ impl ServeWorker {
             return Ok(false);
         };
         let m = self.index.remove(nskey).expect("the oldest key is indexed");
-        self.store.remove(client, nskey)?;
+        self.unlink(client, nskey)?;
         self.stats.charged_bytes -= m.charged;
         self.tenants.lock().unwrap().removed(m.tenant, m.charged, RemoveKind::Evicted);
         self.stats.evicted += 1;
         Ok(true)
+    }
+
+    /// Unlinks `nskey`'s record — delete, eviction, expiry — and clears
+    /// its hint; returns whether a record existed.
+    fn unlink(&mut self, client: &mut FabricClient, nskey: u64) -> Result<bool> {
+        let existed = self.store.remove(client, nskey)?;
+        self.hints.clear(nskey);
+        Ok(existed)
     }
 
     fn maybe_reclaim(&mut self, client: &mut FabricClient) -> Result<()> {
@@ -617,48 +638,6 @@ impl ServeWorker {
             self.reclaim_pass(client)?;
         }
         Ok(())
-    }
-}
-
-/// Hints a shard learned from its own gets of keys its [`RecencyIndex`]
-/// does not hold — keys other shards own, and keys it owns but another
-/// client stored. A bounded, direct-mapped table indexed by the top bits
-/// of the key's SplitMix64 mix (`owner_shard` takes its residue modulo the
-/// shard count, so a shard's own keys spread over every slot); a
-/// colliding key takes the slot over. Unlike the index's hint a learned
-/// hint is not *current or absent* — another shard's put or remove makes
-/// it stale unseen — so it is only a guess the tree validates on use: a
-/// stale one costs a message and its bytes, never a wrong answer.
-#[derive(Default)]
-struct LearnedHints {
-    /// `(nskey, hint)` per slot; empty until the first hint is learned.
-    slots: Vec<(u64, Option<RecordHint>)>,
-}
-
-impl LearnedHints {
-    fn slot(nskey: u64) -> usize {
-        (splitmix64(nskey) >> (64 - LEARNED_HINT_BITS)) as usize
-    }
-
-    fn get(&self, nskey: u64) -> Option<RecordHint> {
-        match self.slots.get(Self::slot(nskey)) {
-            Some(&(key, hint)) if key == nskey => hint,
-            _ => None,
-        }
-    }
-
-    /// Remembers `hint` as `nskey`'s; `None` forgets the key's hint.
-    fn learn(&mut self, nskey: u64, hint: Option<RecordHint>) {
-        if self.slots.is_empty() {
-            if hint.is_none() {
-                return;
-            }
-            self.slots = vec![(0, None); 1 << LEARNED_HINT_BITS];
-        }
-        let slot = &mut self.slots[Self::slot(nskey)];
-        if hint.is_some() || slot.0 == nskey {
-            *slot = (nskey, hint);
-        }
     }
 }
 
@@ -677,6 +656,12 @@ pub struct SessionSummary {
     pub misses: u64,
     /// Admission rejections.
     pub rejected: u64,
+    /// Gets whose lookup speculated a hinted record (the session's tree
+    /// handle's [`HtTreeStats::hinted_gets`](farmem_core::HtTreeStats)).
+    pub hinted_gets: u64,
+    /// Of those, the ones whose hint the tree did not confirm: each paid
+    /// the unhinted price.
+    pub stale_hints: u64,
     /// Shard counters at session end, cumulative across thread-mates and
     /// earlier calls (per worker, take the snapshot with the most ops).
     pub worker: WorkerStats,
@@ -714,6 +699,8 @@ async fn session_body(
         hits: 0,
         misses: 0,
         rejected: 0,
+        hinted_gets: 0,
+        stale_hints: 0,
         worker: WorkerStats::default(),
     };
     let mut i = 0usize;
@@ -752,6 +739,8 @@ async fn session_body(
     // would hold grace back until the lease evicted it, and fill the
     // registry over consecutive runs. A failed release leaves exactly
     // that to the lease.
+    let tree = store.tree_stats();
+    (sum.hinted_gets, sum.stale_hints) = (tree.hinted_gets, tree.stale_hints);
     // lint: block-ok — one-time session detach (control plane).
     let _ = ac.with(|c| store.release(c));
     // lint: block-ok — the shard's seal + reclaim pass (control plane).
@@ -793,7 +782,7 @@ async fn serve_get_batch(
             }
         }
     }));
-    for (keys, mut hints, spread) in [(cold, cold_hints, false), (hot, hot_hints, true)] {
+    for (keys, hints, spread) in [(cold, cold_hints, false), (hot, hot_hints, true)] {
         if keys.is_empty() {
             continue;
         }
@@ -801,6 +790,7 @@ async fn serve_get_batch(
             ac.with(|c| c.set_spread_reads(Some(true)));
         }
         let nskeys: Vec<u64> = keys.iter().map(|&(_, k)| k).collect();
+        let (mut hints, seen): (Vec<_>, Vec<_>) = hints.into_iter().unzip();
         let outcomes =
             store.get_many_async(ac, &nskeys, &mut hints, now).await.expect("get batch");
         if spread {
@@ -809,7 +799,7 @@ async fn serve_get_batch(
         // lint: block-ok — outcome booking is pure compute; an expiry
         // unlink is a worker-serialized sync mutation.
         let hits = ac
-            .with(|c| server.with_shard(wid, |w| w.finish_gets(c, &keys, &outcomes, &hints)))
+            .with(|c| server.with_shard(wid, |w| w.finish_gets(c, &keys, &outcomes, &hints, &seen)))
             .expect("get epilogue");
         sum.hits += hits;
         sum.misses += keys.len() as u64 - hits;
@@ -981,14 +971,18 @@ mod tests {
     /// sets it, an overwrite replaces it, and a delete, an eviction and an
     /// expiry take it away with the entry — so an owned key's get is one
     /// far access (two messages) while the key lives and the plain
-    /// one-message miss afterwards, never a stale speculation.
+    /// one-message miss afterwards, never a stale speculation. The same
+    /// holds on another shard, which reads the server's table: the unlink
+    /// clears the key's slot with the entry.
     #[test]
     fn the_hint_lives_and_dies_with_the_index_entry() {
         let cfg = ServeConfig { worker_byte_budget: 3 * 128, ..ServeConfig::default() };
         let (f, _a, server) = deploy(FabricConfig::single_node(256 << 20).build(), cfg);
         let t = server.add_tenant(TenantSpec::unlimited("hints")).unwrap();
         let mut c = f.client();
-        let mut w = server.worker(0, 1, &mut c).unwrap();
+        let mut w = server.worker(0, 2, &mut c).unwrap();
+        let mut other = server.worker(1, 2, &mut c).unwrap();
+        let k: Vec<u64> = (0u64..).filter(|&k| w.owns(t.namespaced(k))).take(6).collect();
         let get = |c: &mut FabricClient, w: &mut ServeWorker, key| {
             let before = c.stats();
             let resp = w.get(c, t, key).unwrap();
@@ -999,47 +993,53 @@ mod tests {
         let hit = |v: &[u8]| (Response::Value(v.to_vec()), 1, 2, ITEM + RECORD_HEADER + v.len() as u64);
         let miss = (Response::Miss, 1, 1, ITEM);
 
-        w.put(&mut c, t, 1, &[1u8; 100], None).unwrap();
-        assert_eq!(get(&mut c, &mut w, 1), hit(&[1u8; 100]));
+        w.put(&mut c, t, k[0], &[1u8; 100], None).unwrap();
+        assert_eq!(get(&mut c, &mut w, k[0]), hit(&[1u8; 100]));
         // Overwrite: the new record's hint, not a wasted read of the old.
-        w.put(&mut c, t, 1, &[2u8; 90], None).unwrap();
-        assert_eq!(get(&mut c, &mut w, 1), hit(&[2u8; 90]));
+        w.put(&mut c, t, k[0], &[2u8; 90], None).unwrap();
+        assert_eq!(get(&mut c, &mut w, k[0]), hit(&[2u8; 90]));
+        assert_eq!(get(&mut c, &mut other, k[0]), hit(&[2u8; 90]), "the other shard");
         // Delete: the tombstone heads the chain, nothing is speculated.
-        assert_eq!(w.delete(&mut c, t, 1).unwrap(), Response::Deleted(true));
-        assert_eq!(get(&mut c, &mut w, 1), miss);
+        assert_eq!(w.delete(&mut c, t, k[0]).unwrap(), Response::Deleted(true));
+        assert_eq!(get(&mut c, &mut w, k[0]), miss);
+        assert_eq!(get(&mut c, &mut other, k[0]), miss, "the other shard");
         // Eviction: a fourth 128-byte-class record pushes out the oldest.
-        for key in 2..=5 {
+        for &key in &k[1..5] {
             w.put(&mut c, t, key, &[key as u8; 100], None).unwrap();
         }
         assert_eq!(w.stats().evicted, 1);
-        assert_eq!(get(&mut c, &mut w, 2), miss);
-        assert_eq!(get(&mut c, &mut w, 5), hit(&[5u8; 100]));
+        assert_eq!(get(&mut c, &mut other, k[1]), miss, "the other shard");
+        assert_eq!(get(&mut c, &mut w, k[1]), miss);
+        assert_eq!(get(&mut c, &mut w, k[4]), hit(&[k[4] as u8; 100]));
         // Expiry: found through the hint, judged on the speculated header,
         // unlinked and retired as through the plain path (the tree's take:
         // 1 + 2 accesses) — and then it is a plain miss.
-        w.put(&mut c, t, 6, &[6u8; 100], Some(10_000)).unwrap();
+        w.put(&mut c, t, k[5], &[6u8; 100], Some(10_000)).unwrap();
         let past_ttl = c.now_ns() + 20_000;
         while c.now_ns() < past_ttl {
             c.read_u64(farmem_fabric::FarAddr(4096)).unwrap();
         }
-        let (resp, round_trips, ..) = get(&mut c, &mut w, 6);
+        let (resp, round_trips, ..) = get(&mut c, &mut w, k[5]);
         assert_eq!((resp, round_trips), (Response::Miss, 3));
         assert_eq!(w.stats().expired_unlinked, 1);
         assert_eq!(server.tenant_stats()[t.0 as usize].1.expired, 1);
-        assert_eq!(get(&mut c, &mut w, 6), miss);
+        assert_eq!(get(&mut c, &mut w, k[5]), miss);
+        assert_eq!(get(&mut c, &mut other, k[5]), miss, "the other shard");
     }
 
-    /// A shard learns hints from its own gets of keys it does not index —
-    /// here another shard's — and the tree validates each on use: the
-    /// first get is the unhinted two far accesses, the next one; the
-    /// owner's overwrite makes the learned hint stale (a wasted message,
-    /// the unhinted price) and the get learns the new record; the owner's
-    /// delete turns it into a miss that forgets the key.
+    /// Every shard's put fills the server's table and every shard's get
+    /// reads it, so another shard's put makes this shard's first get of
+    /// the key one far access (two messages), and so does the get after
+    /// the owner's overwrite. A record stored past the table — what a put
+    /// landing between a get's read of the slot and its lookup looks like
+    /// — leaves the slot stale: one wasted message, the unhinted price,
+    /// and the get learns the new record back. The owner's delete clears
+    /// the slot: a plain one-message miss.
     #[test]
-    fn a_shard_learns_hints_for_keys_it_does_not_index() {
+    fn another_shards_put_hints_this_shards_first_get() {
         let (f, _a, server) =
             deploy(FabricConfig::single_node(256 << 20).build(), ServeConfig::default());
-        let t = server.add_tenant(TenantSpec::unlimited("learned")).unwrap();
+        let t = server.add_tenant(TenantSpec::unlimited("shared")).unwrap();
         let mut c = f.client();
         let mut owner = server.worker(0, 2, &mut c).unwrap();
         let mut other = server.worker(1, 2, &mut c).unwrap();
@@ -1051,45 +1051,56 @@ mod tests {
             (resp, d.round_trips, d.messages, d.bytes_read)
         };
         const ITEM: u64 = 32;
-        let prefetch = RecordStore::PREFETCH;
+        let hinted = |len: u64| ITEM + RECORD_HEADER + len;
         let value = |v: &[u8]| Response::Value(v.to_vec());
         owner.put(&mut c, t, key, &[1u8; 100], None).unwrap();
-        assert_eq!(get(&mut c), (value(&[1u8; 100]), 2, 2, ITEM + prefetch), "unhinted");
-        let hinted = ITEM + RECORD_HEADER + 100;
-        assert_eq!(get(&mut c), (value(&[1u8; 100]), 1, 2, hinted), "learned");
+        assert_eq!(get(&mut c), (value(&[1u8; 100]), 1, 2, hinted(100)), "first get");
         owner.put(&mut c, t, key, &[2u8; 90], None).unwrap();
-        assert_eq!(get(&mut c), (value(&[2u8; 90]), 2, 3, hinted + prefetch), "stale");
-        assert_eq!(get(&mut c), (value(&[2u8; 90]), 1, 2, ITEM + RECORD_HEADER + 90), "relearned");
+        assert_eq!(get(&mut c), (value(&[2u8; 90]), 1, 2, hinted(90)), "overwritten");
+        let shared = server.registry.attach(&mut c, &server.alloc).unwrap();
+        let mut past = RecordStore::attach(&mut c, &server.alloc, server.tree, server.cfg.ht, shared).unwrap();
+        past.put(&mut c, t.namespaced(key), &[3u8; 80], 0).unwrap();
+        let stale = hinted(90) + RecordStore::PREFETCH;
+        assert_eq!(get(&mut c), (value(&[3u8; 80]), 2, 3, stale), "stale");
+        assert_eq!(get(&mut c), (value(&[3u8; 80]), 1, 2, hinted(80)), "learned");
         owner.delete(&mut c, t, key).unwrap();
-        let spec = RECORD_HEADER + 90;
-        assert_eq!(get(&mut c), (Response::Miss, 1, 2, ITEM + spec), "deleted");
-        assert_eq!(get(&mut c), (Response::Miss, 1, 1, ITEM), "forgotten");
+        assert_eq!(get(&mut c), (Response::Miss, 1, 1, ITEM), "deleted");
     }
 
-    /// The session path reads the same table: one session getting sixteen
-    /// keys its worker shard never stored, then the same sixteen again,
-    /// pays one far access less for each get of the second pass (chain
-    /// hops cost both passes alike).
+    /// The session path reads the same table, and the preload fills it:
+    /// a session's first get of each of sixteen keys preloaded through a
+    /// dropped `worker()` is one far access fewer than when the same
+    /// records were stored past the table (chain hops cost both alike).
     #[test]
-    fn a_session_gets_a_learned_key_in_one_far_access() {
-        let run = |passes: u64| {
+    fn a_sessions_first_get_of_a_preloaded_key_is_one_far_access() {
+        let run = |through_worker: bool| {
             let (f, _a, server) =
                 deploy(FabricConfig::single_node(256 << 20).build(), ServeConfig::default());
             let t = server.add_tenant(TenantSpec::unlimited("sessions")).unwrap();
             let mut c = f.client();
-            let mut w = server.worker(0, 1, &mut c).unwrap();
-            for k in 0..16u64 {
-                w.put(&mut c, t, k, &[k as u8; 32], None).unwrap();
+            if through_worker {
+                let mut w = server.worker(0, 1, &mut c).unwrap();
+                for k in 0..16u64 {
+                    w.put(&mut c, t, k, &[k as u8; 32], None).unwrap();
+                }
+            } else {
+                let shared = server.registry.attach(&mut c, &server.alloc).unwrap();
+                let mut s =
+                    RecordStore::attach(&mut c, &server.alloc, server.tree, server.cfg.ht, shared).unwrap();
+                for k in 0..16u64 {
+                    s.put(&mut c, t.namespaced(k), &[k as u8; 32], 0).unwrap();
+                }
             }
-            drop(w);
             let results = server.run_sessions(1, move |_| {
-                (0..passes * 16).map(|i| Request::Get { tenant: t, key: i % 16 }).collect()
+                (0..16).map(|key| Request::Get { tenant: t, key }).collect()
             });
-            assert_eq!(results[0].output.hits, passes * 16);
-            results[0].stats.round_trips
+            let out = &results[0].output;
+            assert_eq!(out.hits, 16);
+            (results[0].stats.round_trips, out.hinted_gets, out.stale_hints)
         };
-        let (none, first, second) = (run(0), run(1), run(2));
-        assert_eq!((first - none) - (second - first), 16, "one far access saved per get");
+        let ((hinted, gets, stale), (unhinted, no_gets, _)) = (run(true), run(false));
+        assert_eq!(unhinted - hinted, 16, "one far access saved per get");
+        assert_eq!((gets, stale, no_gets), (16, 0, 0), "every get hinted and fresh");
     }
 
     #[test]
