@@ -1,9 +1,10 @@
 //! The size-class slab allocator over the global far address space.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use farmem_fabric::{Fabric, FarAddr, NodeId, PAGE};
+use farmem_fabric::{splitmix64, Fabric, FarAddr, NodeId, PAGE};
 
 use std::sync::Mutex;
 
@@ -58,6 +59,29 @@ enum Region {
     Striped,
 }
 
+/// Hashes a word key with [`splitmix64`]. The allocator's maps are keyed
+/// by far addresses and sizes, which need no flood-resistant hash, and a
+/// reclaim pass frees every retired block through them.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = splitmix64(self.0 ^ word);
+    }
+}
+
+/// A map keyed by a word, hashed with [`WordHasher`].
+type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+
 /// Per-node page pool state.
 struct NodePool {
     /// Next node-local page index to carve.
@@ -68,7 +92,7 @@ struct NodePool {
     /// Free lists: rounded allocation size → addresses. Slab classes
     /// (≤ `MAX_CLASS`) and node-bound page runs (whole pages, so always
     /// larger) share the map without colliding.
-    free: HashMap<u64, Vec<FarAddr>>,
+    free: WordMap<Vec<FarAddr>>,
 }
 
 struct State {
@@ -82,14 +106,14 @@ struct State {
     /// Free list for blocks of the striped region: page count →
     /// addresses. Node-bound page runs never land here — they go back to
     /// their node's pool.
-    striped_free: HashMap<u64, Vec<FarAddr>>,
+    striped_free: WordMap<Vec<FarAddr>>,
     /// Membership map of outstanding allocations: base address → rounded
     /// length (size class or whole pages) and the region that carved it.
     /// A `free` that misses this map
     /// — double free, never-allocated address, or wrong length — is
     /// rejected as [`AllocError::BadFree`] instead of silently corrupting
     /// the free lists and hiding a `live_bytes` underflow.
-    live: HashMap<u64, (u64, Region)>,
+    live: WordMap<(u64, Region)>,
     stats: AllocStats,
 }
 
@@ -170,7 +194,7 @@ impl FarAlloc {
                 // Page 0 of node 0 holds the reserved null word.
                 next_page: u64::from(i == 0),
                 page_limit,
-                free: HashMap::new(),
+                free: WordMap::default(),
             })
             .collect();
         // The striped region is the contiguous top of the global space that
@@ -190,8 +214,8 @@ impl FarAlloc {
                 rr: 0,
                 striped_top: total,
                 striped_bottom,
-                striped_free: HashMap::new(),
-                live: HashMap::new(),
+                striped_free: WordMap::default(),
+                live: WordMap::default(),
                 stats: AllocStats::default(),
             }),
         })
@@ -388,11 +412,14 @@ impl FarAlloc {
         }
         let mut state = self.state.lock().unwrap();
         let rounded = rounded_len(len);
-        let region = match state.live.get(&addr.0) {
-            Some(&(r, region)) if r == rounded => region,
-            _ => return Err(AllocError::BadFree { addr }),
+        let region = match state.live.remove(&addr.0) {
+            Some((r, region)) if r == rounded => region,
+            Some(kept) => {
+                state.live.insert(addr.0, kept);
+                return Err(AllocError::BadFree { addr });
+            }
+            None => return Err(AllocError::BadFree { addr }),
         };
-        state.live.remove(&addr.0);
         if region == Region::Striped {
             state.striped_free.entry(rounded / PAGE).or_default().push(addr);
         } else {

@@ -14,10 +14,13 @@
 //!   window, with no bound;
 //! * the **price** is quantified as extra round trips per operation
 //!   (the slot CAS each client pays after a sealed epoch and the
-//!   directory refresh it adds after a sealed *restructure*, the chain
-//!   hops of an overwrite down to the record it supersedes, seals and
-//!   grace-detection rounds; an overwrite of a chain's head and a remove
-//!   learn what they unlinked from their own two accesses).
+//!   directory refresh it adds after a sealed *restructure*, seals and
+//!   grace-detection rounds) — against what reclaim mode saves: its
+//!   chains hold one item per key, while a quarantine chain keeps every
+//!   superseded record and tombstone for its walks and compactions;
+//! * the **tail** is the churn op's virtual-time p50 / p99 / p99.9 in
+//!   each mode, from a run of the same churn under the default cost
+//!   model (11 520 ops leave 11 samples beyond the p99.9).
 //!
 //! Three more phases assert the subsystem end to end: a crashed client is
 //! evicted after its lease and reclamation resumes; a retired queue's
@@ -33,7 +36,7 @@
 use farmem_alloc::FarAlloc;
 use farmem_bench::{BenchArgs, Table};
 use farmem_core::{FarBlobMap, FarQueue, HtTreeConfig, QueueConfig};
-use farmem_fabric::{AccessStats, FabricConfig, TraceConfig};
+use farmem_fabric::{AccessStats, CostModel, FabricConfig, TraceConfig};
 use farmem_reclaim::{pin, ReclaimRegistry, SharedReclaim, LEASE_NS};
 
 /// Committed default seed (determinism over novelty).
@@ -75,12 +78,14 @@ struct ChurnRun {
     /// Removes and gets issued, and how many of each found their key.
     removes: (u64, u64),
     gets: (u64, u64),
+    /// Virtual nanoseconds of each churn op, in the order they ran.
+    op_ns: Vec<u64>,
 }
 
-/// Runs `windows × ops_per_window` churn operations per client, sampling
-/// the footprint after every window.
-fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> ChurnRun {
-    let f = FabricConfig::count_only(512 << 20).build();
+/// Runs `windows × ops_per_window` churn operations per client under
+/// `cost`, sampling the footprint after every window.
+fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64, cost: CostModel) -> ChurnRun {
+    let f = FabricConfig { cost, ..FabricConfig::count_only(512 << 20) }.build();
     let alloc = FarAlloc::new(f.clone());
     let mut c: Vec<_> = (0..CLIENTS).map(|_| f.client()).collect();
     let shared: Option<Vec<SharedReclaim>> = if reclaim_on {
@@ -116,11 +121,13 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> Chur
     let mut samples = Vec::with_capacity(windows as usize);
     let mut ops = 0u64;
     let (mut removes, mut gets) = ((0u64, 0u64), (0u64, 0u64));
+    let mut op_ns = Vec::new();
     for w in 0..windows {
         for j in 0..ops_per_window {
             for i in 0..CLIENTS {
                 let r = mix(seed ^ (w << 40) ^ (j << 8) ^ i as u64);
                 let key = (r % KEYS_PER_CLIENT) * CLIENTS as u64 + i as u64;
+                let t0 = c[i].now_ns();
                 // The op must come from bits the key does not use: `r % 8`
                 // is the key's residue mod 8 (8 divides `KEYS_PER_CLIENT`),
                 // and a remove or get drawn from it never meets a key a put
@@ -141,6 +148,7 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> Chur
                         gets.1 += u64::from(h[i].get_bytes(&mut c[i], key).unwrap().is_some());
                     }
                 }
+                op_ns.push(c[i].now_ns() - t0);
                 ops += 1;
             }
         }
@@ -178,7 +186,16 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64) -> Chur
         restructures,
         removes,
         gets,
+        op_ns,
     }
+}
+
+/// The `q`-quantile of `samples` (nearest rank), in microseconds.
+fn quantile_us(samples: &[u64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1] as f64 / 1000.0
 }
 
 /// Crash phase: one client participates once and never pins again; the
@@ -288,8 +305,14 @@ fn main() {
     let ops_per_window = 320;
     let mut report = args.report("e15_reclaim");
 
-    let on = churn(true, windows, ops_per_window, seed);
-    let off = churn(false, windows, ops_per_window, seed);
+    let on = churn(true, windows, ops_per_window, seed, CostModel::COUNT_ONLY);
+    let off = churn(false, windows, ops_per_window, seed, CostModel::COUNT_ONLY);
+    // The same churn under the default cost model, for the tail: a clock
+    // changes no count.
+    let timed = [true, false].map(|on| churn(on, windows, ops_per_window, seed, CostModel::DEFAULT));
+    for (run, count_only) in timed.iter().zip([&on, &off]) {
+        assert_eq!(run.stats.round_trips, count_only.stats.round_trips, "a clock changes no count");
+    }
 
     let mut t = Table::new(
         &format!(
@@ -364,6 +387,13 @@ fn main() {
     t.row(vec!["RT/op, reclaim off".into(), format!("{:.3}", off.stats.round_trips as f64 / off.ops as f64)]);
     t.row(vec!["RT/op, reclaim on".into(), format!("{:.3}", on.stats.round_trips as f64 / on.ops as f64)]);
     t.row(vec!["extra RT/op (the price)".into(), format!("{extra_rt:.3}")]);
+    for (name, run) in [("on", &timed[0]), ("off", &timed[1])] {
+        let [p50, p99, p999] = [0.5, 0.99, 0.999].map(|q| quantile_us(&run.op_ns, q));
+        t.row(vec![
+            format!("churn op p50 / p99 / p99.9, virtual µs ({name})"),
+            format!("{p50:.2} / {p99:.2} / {p999:.2}"),
+        ]);
+    }
     t.row(vec!["retired bytes (on)".into(), format!("{}", on.retired_bytes)]);
     t.row(vec!["reclaimed bytes (on)".into(), format!("{}", on.reclaimed_bytes)]);
     t.row(vec!["final epoch (on)".into(), format!("{final_epoch}")]);
@@ -377,21 +407,38 @@ fn main() {
     t.row(vec!["trace: reconcile".into(), "exact".into()]);
     report.add(t);
 
+    let seals = final_epoch - 1;
+    let price = if extra_rt >= 0.0 {
+        format!(
+            "The price is {extra_rt:.3} extra round trips per operation: the\n\
+             slot CAS each client pays at its next pin after a seal, a three-access\n\
+             directory refresh after a seal that retired a table, one FAA per seal\n\
+             and the grace-detection rounds."
+        )
+    } else {
+        format!(
+            "Reclamation costs no round trips: the reclaim-on run books {:.3}\n\
+             round trips per operation fewer than the leaking one. A reclaim-mode\n\
+             put or remove splices its bucket under its own CAS, so a chain holds\n\
+             one item per key and the header counts live keys; a quarantine chain\n\
+             keeps every superseded record and tombstone, which its walks pay for\n\
+             and its compactions drain. What reclamation adds is the slot CAS each\n\
+             client pays at its next pin after a seal, a three-access directory\n\
+             refresh after a seal that retired a table, one FAA per seal and the\n\
+             grace-detection rounds.",
+            -extra_rt
+        )
+    };
     let closing = format!(
         "\nBounded vs unbounded: with reclamation on, the footprint plateaus at\n\
          {:.1} KiB (peak, post-warmup) across {windows} windows and {} epochs; with it\n\
-         off, the same churn leaks to {:.1} KiB and every window grows. The price\n\
-         is {extra_rt:.3} extra round trips per operation, most of it what a\n\
-         sealed split costs: {} of the {} seals retired a table (16-bucket\n\
-         tables restructure every ten operations or so), and each costs every\n\
-         client the slot CAS at its next pin plus a three-access directory\n\
-         refresh. A seal of retired records alone costs the CAS only, and no\n\
-         pin reads the epoch word: the notification carries it. The rest is an\n\
-         overwrite's chain hops down to the record it supersedes, one FAA per\n\
-         seal and the grace-detection rounds. A remove is the same two far\n\
-         accesses in both modes, one when its key is absent\n\
-         ({} of {} removes and {} of {} gets found theirs). A crashed client\n\
-         stalls reclamation only until its {} ms lease expires\n\
+         off, the same churn leaks to {:.1} KiB and every window grows.\n\
+         {price} {} of the {seals} seals retired a table (one per {:.0}\n\
+         operations); the other {} retired records and items alone.\n\
+         A remove is two far accesses in both modes, one when its key is absent\n\
+         ({} of {} removes and {} of {} gets found theirs). The churn op's\n\
+         virtual-time p99.9 is {:.2} µs with reclamation on and {:.2} µs off. A\n\
+         crashed client stalls reclamation only until its {} ms lease expires\n\
          ({crash_rounds} detection rounds), a retired queue returns its memory exactly,\n\
          and the traced run reconciles field-for-field including the reclaim\n\
          counters.\n",
@@ -399,11 +446,14 @@ fn main() {
         final_epoch,
         off_final as f64 / 1024.0,
         on.restructures,
-        final_epoch - 1,
+        on.ops as f64 / on.restructures.max(1) as f64,
+        seals - on.restructures,
         on.removes.1,
         on.removes.0,
         on.gets.1,
         on.gets.0,
+        quantile_us(&timed[0].op_ns, 0.999),
+        quantile_us(&timed[1].op_ns, 0.999),
         LEASE_NS / 1_000_000,
     );
     if args.verbose() {

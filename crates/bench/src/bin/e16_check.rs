@@ -162,6 +162,8 @@ fn assert_gates(suite: &SuiteResult) {
         "m21_directory_published_by_blind_write",
         "m22_table_taken_by_plain_write",
         "m23_table_hint_trusted_without_compare",
+        "m24_trim_without_walk",
+        "m25_poison_loss_keeps_stale_harvest",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
@@ -176,6 +178,7 @@ fn assert_gates(suite: &SuiteResult) {
         "reclaim_hinted_table",
         "reclaim_take",
         "reclaim_split",
+        "reclaim_trim",
         "queue_wrap",
         "queue_wrap_chaos",
         "httree_split_race",

@@ -288,7 +288,15 @@ fn main() {
     // mode every deployment runs), one clean chain per measurement.
     let mut t = Table::new(
         "E4e: record mutations (FarBlobMap::put / remove, reclaim mode), per op",
-        &["mutation", "far accesses", "messages", "bytes read", "bytes written", "items linked"],
+        &[
+            "mutation",
+            "far accesses",
+            "messages",
+            "bytes read",
+            "bytes written",
+            "items written",
+            "live keys",
+        ],
     );
     let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
     let shared = reg.attach(&mut c, &alloc).unwrap();
@@ -298,14 +306,18 @@ fn main() {
     let nth = |b: u64, i: usize| (1u64..).filter(|&k| bucket(k) == b).nth(i).unwrap();
     let (x, x_above) = (nth(0, 0), nth(0, 1));
     let y = nth(1, 0);
-    let (z, z_above, z_absent) = (nth(2, 0), nth(2, 1), nth(2, 2));
+    let [z_below, z, z_above, z_absent] = [0, 1, 2, 3].map(|i| nth(2, i));
     let w = nth(3, 0);
+    let record = FarBlobMap::<0>::HEADER + small.len() as u64;
+    // A tree item: key, value, version, next.
+    const ITEM_LEN: u64 = 32;
     // One mutation — a store of `small` under `key`, or its removal —
     // booked as a table row when it has a name (setup stores have none).
-    // Returns its far accesses, the items it linked, and whether the key
-    // held a record before.
+    // Returns its far accesses, the tree items it wrote (the key's new
+    // item and the copies of the items above its old one), and whether
+    // the key held a record before.
     let mut op = |name: Option<&str>, key: u64, store: bool| {
-        let linked = probe.len_estimate(&mut c).unwrap();
+        let keys = probe.len_estimate(&mut c).unwrap();
         let before = c.stats();
         let held = if store {
             m.put(&mut c, key, [], &small).unwrap().0
@@ -313,7 +325,8 @@ fn main() {
             m.remove(&mut c, key).unwrap()
         };
         let d = c.stats().since(&before);
-        let linked = probe.len_estimate(&mut c).unwrap() - linked;
+        let items = (d.bytes_written - if store { record } else { 0 }) / ITEM_LEN;
+        let keys = probe.len_estimate(&mut c).unwrap() as i64 - keys as i64;
         if let Some(name) = name {
             t.row(vec![
                 name.into(),
@@ -321,31 +334,34 @@ fn main() {
                 d.messages.to_string(),
                 d.bytes_read.to_string(),
                 d.bytes_written.to_string(),
-                linked.to_string(),
+                items.to_string(),
+                format!("{keys:+}"),
             ]);
         }
-        (d.round_trips, linked, held)
+        (d.round_trips, items, held)
     };
     assert_eq!(op(Some("fresh store"), x, true), (2, 1, false));
     assert_eq!(op(Some("overwrite, old item at the chain head"), x, true), (2, 1, true));
     op(None, x_above, true);
-    assert_eq!(op(Some("overwrite, old item one hop down"), x, true), (3, 1, true));
-    for key in [y, z, z_above] {
+    assert_eq!(op(Some("overwrite, old item one hop down"), x, true), (3, 2, true));
+    for key in [y, z_below, z, z_above] {
         op(None, key, true);
     }
-    assert_eq!(op(Some("take, item at the chain head"), y, false), (2, 1, true));
+    assert_eq!(op(Some("take, item at the chain head"), y, false), (2, 0, true));
     assert_eq!(op(Some("take, item one hop down"), z, false), (3, 1, true));
     assert_eq!(op(Some("take, absent: empty bucket"), w, false), (1, 0, false));
-    assert_eq!(op(Some("take, absent: under a chain of three"), z_absent, false), (3, 0, false));
+    assert_eq!(op(Some("take, absent: under a chain of two"), z_absent, false), (2, 0, false));
     assert_eq!(op(Some("take, of a removed key"), y, false), (1, 0, false));
     report.add(t);
     if args.verbose() {
         println!(
-            "A remove is a store of a tombstone and costs what a store costs: its first\n\
-             access reads the chain head through the bucket word (with the word itself\n\
-             and the table's version), its second publishes the tombstone — and the\n\
-             walk in between is the lookup, so what it unlinked needs none. A key that\n\
-             is not there is found out in the first access and links nothing."
+            "A mutation is a splice of its key's chain and costs what a store costs: its\n\
+             first access reads the chain head through the bucket word, with the table\n\
+             header; the walk from it finds the key's item; the second access replaces\n\
+             or unlinks that item in the bucket CAS, writing a copy of each item above\n\
+             it. A take at the head is the CAS alone, and no mutation links a\n\
+             tombstone, so the header counts live keys. A key that is not there is\n\
+             found out in the first access (plus hops) and links nothing."
         );
     }
     report.save();

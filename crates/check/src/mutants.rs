@@ -971,6 +971,32 @@ fn hint_trusted_without_tree() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// A miniature chain item for M16, M24 and M25: `{key, value, next}`.
+const MINI_ITEM: u64 = 24;
+
+fn mini_item(key: u64, value: u64, next: u64) -> Vec<u8> {
+    [key, value, next].iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// Reads the miniature item at `at`: `(key, value, next)`.
+fn read_mini_item(c: &mut FabricClient, at: u64) -> (u64, u64, u64) {
+    let it = c.read(FarAddr(at), MINI_ITEM).unwrap();
+    let w = |i: usize| u64::from_le_bytes(it[i * 8..][..8].try_into().unwrap());
+    (w(0), w(1), w(2))
+}
+
+/// The first item for `key` on the chain from `at`: its value.
+fn mini_lookup(c: &mut FabricClient, mut at: u64, key: u64) -> Option<u64> {
+    while at != 0 {
+        let (k, v, next) = read_mini_item(c, at);
+        if k == key {
+            return Some(v);
+        }
+        at = next;
+    }
+    None
+}
+
 /// M16 — take relinks a stale head: the tree's removal protocol
 /// (`programs::reclaim_take`) in miniature — a bucket word over a chain
 /// of `{key, value, next}` items, value 0 marking a tombstone — whose
@@ -982,10 +1008,6 @@ fn hint_trusted_without_tree() -> Mutant {
 /// starts over from the first access — the tombstone's `next` and the
 /// CAS's expected value must be the same read of the bucket word.
 fn take_relinks_stale_head() -> Mutant {
-    const ITEM: u64 = 24;
-    fn item(key: u64, value: u64, next: u64) -> Vec<u8> {
-        [key, value, next].iter().flat_map(|w| w.to_le_bytes()).collect()
-    }
     let program = Program {
         name: "m16_take_relinks_stale_head",
         model: Some(Model::Kv),
@@ -996,8 +1018,8 @@ fn take_relinks_stale_head() -> Mutant {
             let alloc = FarAlloc::new(f.clone());
             let mut c0 = f.client();
             let bucket = word(&mut c0, &alloc);
-            let first = alloc.alloc(ITEM, AllocHint::Spread).unwrap();
-            c0.write(first, &item(1, 10, 0)).unwrap();
+            let first = alloc.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+            c0.write(first, &mini_item(1, 10, 0)).unwrap();
             c0.write_u64(bucket, first.0).unwrap();
             let h = Arc::new(History::new());
             h.seed(c0.id(), Op::Put { k: 1, v: 10 }, Ret::Unit);
@@ -1010,10 +1032,10 @@ fn take_relinks_stale_head() -> Mutant {
             let (ht, alloc_t) = (h.clone(), alloc.clone());
             let taker: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let t = ht.invoke(tid, Op::Remove { k: 1 });
-                let tomb = alloc_t.alloc(ITEM, AllocHint::Spread).unwrap();
+                let tomb = alloc_t.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
                 let out = ct
                     .batch(&[
-                        BatchOp::Write { addr: tomb, data: &item(1, 0, head) },
+                        BatchOp::Write { addr: tomb, data: &mini_item(1, 0, head) },
                         BatchOp::Cas { addr: bucket, expected: head, new: tomb.0 },
                     ])
                     .unwrap();
@@ -1032,12 +1054,12 @@ fn take_relinks_stale_head() -> Mutant {
             let (hp, alloc_p) = (h.clone(), alloc.clone());
             let putter: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let t = hp.invoke(pid, Op::Put { k: 2, v: 20 });
-                let rec = alloc_p.alloc(ITEM, AllocHint::Spread).unwrap();
+                let rec = alloc_p.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
                 loop {
                     let head = cp.read_u64(bucket).unwrap();
                     let out = cp
                         .batch(&[
-                            BatchOp::Write { addr: rec, data: &item(2, 20, head) },
+                            BatchOp::Write { addr: rec, data: &mini_item(2, 20, head) },
                             BatchOp::Cas { addr: bucket, expected: head, new: rec.0 },
                         ])
                         .unwrap();
@@ -1053,14 +1075,8 @@ fn take_relinks_stale_head() -> Mutant {
             let reader: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for _ in 0..2 {
                     let t = hr.invoke(rid, Op::Get { k: 2 });
-                    let mut at = cr.read_u64(bucket).unwrap();
-                    let mut found = None;
-                    while at != 0 && found.is_none() {
-                        let it = cr.read(FarAddr(at), ITEM).unwrap();
-                        let w = |i: usize| u64::from_le_bytes(it[i * 8..][..8].try_into().unwrap());
-                        found = (w(0) == 2).then(|| w(1));
-                        at = w(2);
-                    }
+                    let head = cr.read_u64(bucket).unwrap();
+                    let found = mini_lookup(&mut cr, head, 2);
                     hr.complete(t, Ret::OptVal(found.filter(|&v| v != 0)));
                 }
             });
@@ -1656,7 +1672,7 @@ fn table_hint_trusted_without_compare() -> Mutant {
             let hr = h.clone();
             let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let named = |out: &BatchOut| match out {
-                    BatchOut::Bytes(b) => u64::from_le_bytes(b[..].try_into().unwrap()),
+                    BatchOut::Loaded { bytes, .. } => u64::from_le_bytes(bytes[..].try_into().unwrap()),
                     _ => 0,
                 };
                 for _ in 0..2 {
@@ -1697,6 +1713,231 @@ fn table_hint_trusted_without_compare() -> Mutant {
     Mutant { program, expect: &[Expect::Lin] }
 }
 
+/// M24 — a splice that trims only a same-key head, with no walk before
+/// the link: the reclaim-mode put and take of `programs::reclaim_trim` in
+/// miniature — a bucket word over a chain of `{key, value, next}` items.
+/// The mutant's put replaces its key's item only when it heads the chain
+/// and otherwise links on top, so an older item of the key stays below;
+/// its take unlinks a same-key head. Setup chains key 2 over key 1; the
+/// writer overwrites key 1 (linked on top: key 1's old item is now
+/// shadowed) and removes it (the head unlinked: the shadowed item is
+/// exposed), and a get after the remove completed finds the old value.
+/// Correct code walks to the key's item before it links, and replaces or
+/// unlinks *that* item, so a chain never holds two items of one key.
+fn trim_without_walk() -> Mutant {
+    let program = Program {
+        name: "m24_trim_without_walk",
+        model: Some(Model::Kv),
+        check_races: false,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let bucket = word(&mut c0, &alloc);
+            let below = alloc.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+            let head = alloc.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+            c0.write(below, &mini_item(1, 10, 0)).unwrap();
+            c0.write(head, &mini_item(2, 20, below.0)).unwrap();
+            c0.write_u64(bucket, head.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::Put { k: 1, v: 10 }, Ret::Unit);
+            h.seed(c0.id(), Op::Put { k: 2, v: 20 }, Ret::Unit);
+            let mut cw = f.client();
+            let wid = cw.id();
+            let (hw, alloc_w) = (h.clone(), alloc.clone());
+            let writer: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hw.invoke(wid, Op::Put { k: 1, v: 11 });
+                let fresh = alloc_w.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+                loop {
+                    let head = cw.read_u64(bucket).unwrap();
+                    let (key, _, next) = read_mini_item(&mut cw, head);
+                    // MUTANT: no walk — a same-key head is replaced, any
+                    // other head is linked under the new item.
+                    let under = if key == 1 { next } else { head };
+                    let out = cw
+                        .batch(&[
+                            BatchOp::Write { addr: fresh, data: &mini_item(1, 11, under) },
+                            BatchOp::Cas { addr: bucket, expected: head, new: fresh.0 },
+                        ])
+                        .unwrap();
+                    if out[1].value() == head {
+                        break;
+                    }
+                }
+                hw.complete(t, Ret::Unit);
+                let t = hw.invoke(wid, Op::Remove { k: 1 });
+                let held = loop {
+                    let head = cw.read_u64(bucket).unwrap();
+                    let (key, _, next) = read_mini_item(&mut cw, head);
+                    // MUTANT: only a same-key head is unlinked.
+                    if key != 1 {
+                        break false;
+                    }
+                    if cw.cas(bucket, head, next).unwrap() == head {
+                        break true;
+                    }
+                };
+                hw.complete(t, Ret::Val(u64::from(held)));
+                let t = hw.invoke(wid, Op::Get { k: 1 });
+                let head = cw.read_u64(bucket).unwrap();
+                hw.complete(t, Ret::OptVal(mini_lookup(&mut cw, head, 1)));
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let reader: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for k in [1, 2] {
+                    let t = hr.invoke(rid, Op::Get { k });
+                    let head = cr.read_u64(bucket).unwrap();
+                    hr.complete(t, Ret::OptVal(mini_lookup(&mut cr, head, k)));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![wid, rid],
+                bodies: vec![writer, reader],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
+/// M25 — a restructure whose poison CAS lost keeps the bucket's stale
+/// harvest: the drain and poison volley of `programs::reclaim_trim` in
+/// miniature — a bucket word over `{key, value, next}` items, a `dir`
+/// word naming the rebuilt table once published (two value words, 0 for
+/// absent), and a list of what each client retired. Setup chains key 1
+/// over key 2, and both the restructurer's drain and the taker's walk to
+/// key 2 have run. The taker's splice copies key 1's item onto key 2's
+/// successor, CASes the bucket and retires both originals; the
+/// restructurer's poison CAS, landing after it, loses. MUTANT: it merges
+/// the chain it then finds into its first harvest — the old rule, sound
+/// only while chains just grow — so key 2 comes back in the rebuilt
+/// table, and the two originals are retired again with the rest of the
+/// drain. Correct code drops the bucket's harvest and harvests the new
+/// chain from scratch.
+fn poison_loss_keeps_stale_harvest() -> Mutant {
+    const POISON: u64 = 1;
+    let program = Program {
+        name: "m25_poison_loss_keeps_stale_harvest",
+        model: Some(Model::Kv),
+        check_races: false,
+        max_steps: 300,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let bucket = word(&mut c0, &alloc);
+            let dir = word(&mut c0, &alloc);
+            let below = alloc.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+            let head = alloc.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+            c0.write(below, &mini_item(2, 20, 0)).unwrap();
+            c0.write(head, &mini_item(1, 10, below.0)).unwrap();
+            c0.write_u64(bucket, head.0).unwrap();
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::Put { k: 1, v: 10 }, Ret::Unit);
+            h.seed(c0.id(), Op::Put { k: 2, v: 20 }, Ret::Unit);
+            let retired = Arc::new(std::sync::Mutex::new(Vec::<u64>::new()));
+            // The taker: its walk found key 2 one hop under `head`.
+            let mut ct = f.client();
+            let tid = ct.id();
+            let (ht, alloc_t, rt) = (h.clone(), alloc.clone(), retired.clone());
+            let taker: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = ht.invoke(tid, Op::Remove { k: 2 });
+                let copy = alloc_t.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
+                let out = ct
+                    .batch(&[
+                        BatchOp::Write { addr: copy, data: &mini_item(1, 10, 0) },
+                        BatchOp::Cas { addr: bucket, expected: head.0, new: copy.0 },
+                    ])
+                    .unwrap();
+                if out[1].value() == head.0 {
+                    rt.lock().unwrap().extend([below.0, head.0]);
+                    ht.complete(t, Ret::Val(1));
+                } else {
+                    // Poisoned first: this take never happened.
+                    ht.fail(t);
+                }
+            });
+            // The restructurer: its drain harvested both keys.
+            let mut cs = f.client();
+            let sid = cs.id();
+            let (alloc_s, rs) = (alloc.clone(), retired.clone());
+            let restructurer: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let mut live = vec![(1u64, 10u64), (2, 20)];
+                let mut drained = vec![head.0, below.0];
+                let mut seen = head.0;
+                loop {
+                    let prev = cs.cas(bucket, seen, POISON).unwrap();
+                    if prev == seen {
+                        break;
+                    }
+                    // MUTANT: the chain found is merged into the harvest,
+                    // newest first — nothing harvested before is dropped.
+                    let mut at = prev;
+                    while at != 0 {
+                        let (k, v, next) = read_mini_item(&mut cs, at);
+                        live.retain(|&(key, _)| key != k);
+                        live.push((k, v));
+                        drained.push(at);
+                        at = next;
+                    }
+                    seen = prev;
+                }
+                let mut table = [0u64; 2];
+                for (k, v) in live {
+                    table[k as usize - 1] = v;
+                }
+                let rebuilt = alloc_s.alloc(16, AllocHint::Spread).unwrap();
+                cs.write(rebuilt, &table.map(u64::to_le_bytes).concat()).unwrap();
+                cs.write_u64(dir, rebuilt.0).unwrap();
+                rs.lock().unwrap().extend(drained);
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let reader: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for _ in 0..2 {
+                    let t = hr.invoke(rid, Op::Get { k: 2 });
+                    let table = cr.read_u64(dir).unwrap();
+                    let found = if table != 0 {
+                        let v = cr.read_u64(FarAddr(table).offset(8)).unwrap();
+                        Some((v != 0).then_some(v))
+                    } else {
+                        match cr.read_u64(bucket).unwrap() {
+                            // Mid-restructure: no answer this time.
+                            POISON => None,
+                            at => Some(mini_lookup(&mut cr, at, 2)),
+                        }
+                    };
+                    match found {
+                        Some(v) => hr.complete(t, Ret::OptVal(v)),
+                        None => hr.fail(t),
+                    }
+                }
+            });
+            let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
+                let mut all = retired.lock().unwrap().clone();
+                all.sort_unstable();
+                let n = all.len();
+                all.dedup();
+                (all.len() != n).then(|| format!("{} blocks retired twice", n - all.len()))
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![tid, sid, rid],
+                bodies: vec![taker, restructurer, reader],
+                history: h,
+                finale: Some(finale),
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin, Expect::Invariant] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1723,5 +1964,7 @@ pub fn all_mutants() -> Vec<Mutant> {
         directory_published_by_blind_write(),
         table_taken_by_plain_write(),
         table_hint_trusted_without_compare(),
+        trim_without_walk(),
+        poison_loss_keeps_stale_harvest(),
     ]
 }

@@ -41,6 +41,10 @@
 //! a take whose bucket CAS races a neighbour's put, under a hinted reader
 //! of the record being unlinked.
 //!
+//! `reclaim_trim` races the reclaim-mode splices of a put and a take —
+//! each replaces or unlinks an item below its chain's head — against a
+//! restructure's drain and poison volley, beside gets.
+//!
 //! `reclaim_split` restructures a tree under a client that cached it
 //! before the split: the old table may be freed and reused only after
 //! that client's pin reported the split's restructure generation and it
@@ -51,7 +55,7 @@
 //! tell — guard drops are purely client-local), and the reclaimer must
 //! still make progress by evicting the stale slot after its lease.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use farmem_alloc::{AllocHint, FarAlloc};
@@ -60,7 +64,7 @@ use farmem_core::{
     RecordHint,
 };
 use farmem_fabric::{splitmix64, FabricClient, FabricConfig, FarAddr, FaultPlan};
-use farmem_reclaim::{pin, ReclaimRegistry};
+use farmem_reclaim::{pin, ReclaimRegistry, SharedReclaim};
 
 use crate::explore::{PreparedRun, Program};
 use crate::history::{History, Op, Ret};
@@ -663,7 +667,9 @@ pub fn reclaim_hinted_get() -> Program {
             sw.lock().unwrap().seal(&mut cw).unwrap();
             mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
             let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
-            assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
+            // Both superseded records, and the two tree items that named
+            // them: each overwrite unlinked its key's old item and retired it.
+            assert_eq!(freed, 2 * (FarBlobMap::<0>::PREFETCH + 32), "both superseded records");
             let h2 = h.clone();
             let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
@@ -825,7 +831,8 @@ fn hinted_batches(
     sw.lock().unwrap().seal(&mut cw).unwrap();
     mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
     let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
-    assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH, "both superseded records");
+    // Both superseded records and the two tree items that named them.
+    assert_eq!(freed, 2 * (FarBlobMap::<0>::PREFETCH + 32), "both superseded records");
     let h2 = h.clone();
     let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
         for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
@@ -882,8 +889,12 @@ fn hinted_batch(
 /// contents with the remove reporting whether the key was there, and
 /// two invariants over the final state: the take and the put both stand
 /// (a take that relinked a stale head would drop the neighbour after any
-/// get the reader made), and `k`'s record was retired exactly once,
-/// however often the take retried.
+/// get the reader made), and the remover retired `k`'s record, its item
+/// and the originals of the items above it that the landed splice copied
+/// — `above`, and `neighbour` too exactly when B's put landed first, as
+/// B's own walk shows — however often the take retried. Once every client
+/// has sealed and pinned past the seals, a reclaim round per client frees
+/// every retired block without a `BadFree`.
 ///
 /// Values are padded to the record prefetch, as in
 /// [`reclaim_hinted_get`].
@@ -925,9 +936,10 @@ pub fn reclaim_take() -> Program {
             let mut same_bucket = (1u64..).filter(|&k| splitmix64(k) % 2 == splitmix64(1) % 2);
             let [k, above, neighbour] = std::array::from_fn(|_| same_bucket.next().unwrap());
             let (mut ca, sa, mut ma) = attach();
-            let (mut cb, _sb, mut mb) = attach();
-            let (mut cc, _sc, mut mc) = attach();
+            let (mut cb, sb, mut mb) = attach();
+            let (mut cc, sc, mut mc) = attach();
             let (aid, bid, cid) = (ca.id(), cb.id(), cc.id());
+            let slots = [sa.clone(), sb, sc];
             let (_, hint) = ma.put(&mut ca, k, [], &padded(1)).unwrap();
             ma.put(&mut ca, above, [], &padded(2)).unwrap();
             h.seed(aid, Op::Put { k, v: 1 }, Ret::Unit);
@@ -950,10 +962,21 @@ pub fn reclaim_take() -> Program {
                 }
                 ra.store(r.stats().retired_bytes, Ordering::SeqCst);
             });
-            let hb = h.clone();
+            // Whether B's put landed while `k` was still linked: its walk
+            // then passed `k`'s item (one hop), and a put that lost the
+            // bucket to the take walks again over the take's chain.
+            let landed_first = Arc::new(AtomicBool::new(false));
+            let (hb, lb) = (h.clone(), landed_first.clone());
             let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let t = hb.invoke(bid, Op::Put { k: neighbour, v: 3 });
+                let before = mb.stats();
                 mb.put(&mut cb, neighbour, [], &padded(3)).unwrap();
+                let after = mb.stats();
+                lb.store(
+                    after.cas_retries == before.cas_retries
+                        && after.chain_hops - before.chain_hops == 1,
+                    Ordering::SeqCst,
+                );
                 hb.complete(t, Ret::Unit);
             });
             let hc = h.clone();
@@ -966,20 +989,28 @@ pub fn reclaim_take() -> Program {
             });
             // After the run: the take and the put it raced both stand —
             // whenever the reader happened to look — and the record was
-            // retired once.
-            let (mut cz, _sz, mut mz) = attach();
+            // retired once, with exactly the items the landed splice
+            // unlinked.
+            let (mut cz, sz, mut mz) = attach();
             let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
                 let left: Vec<Option<u64>> = [k, above, neighbour]
                     .iter()
                     .map(|&key| mz.get_bytes(&mut cz, key).unwrap().map(unpad))
                     .collect();
+                // The key's one record, its item and the originals of the
+                // items above it the take copied: `above`, and `neighbour`
+                // too when its put landed first.
                 let retired = retired.load(Ordering::SeqCst);
+                let items = 2 + u64::from(landed_first.load(Ordering::SeqCst));
                 if left != [None, Some(2), Some(3)] {
                     Some(format!("keys [k, above, neighbour] ended as {left:?}"))
-                } else if retired != FarBlobMap::<0>::PREFETCH {
-                    Some(format!("the key's one record: {retired} bytes retired"))
+                } else if retired != FarBlobMap::<0>::PREFETCH + items * 32 {
+                    Some(format!(
+                        "the key's one record and {items} items: {retired} bytes retired"
+                    ))
                 } else {
-                    None
+                    let [sa, sb, sc] = &slots;
+                    free_every_retired(&[sa, sb, sc, &sz], &mut cz)
                 }
             });
             PreparedRun {
@@ -1088,6 +1119,146 @@ pub fn reclaim_split() -> Program {
             }
         }),
     }
+}
+
+/// The reclaim-mode splice against a restructure. Setup stores keys `k1`,
+/// `k2`, `k3` of one bucket, so the chain reads `k3, k2, k1`. Client A
+/// overwrites `k1` — a splice two hops down, copying `k3` and `k2` — and
+/// then gets `k2`; client B takes `k2` — a splice one hop down — and then
+/// gets `k1`; client C restructures the table (an explicit split, which
+/// compacts a table this sparse) and then gets `k3`. In some schedules a
+/// splice's CAS lands between the drain and the poison volley, so the
+/// volley loses that bucket and harvests it again; in others the splice
+/// finds the table taken or poisoned and starts over in the new one.
+/// Checked: race-freedom, per-key map linearizability (a harvest that kept
+/// what a splice unlinked would bring `k2` back after its take), and two
+/// invariants over the final state: the map reads `k1 = 11`, no `k2`,
+/// `k3 = 3`, and once every client has sealed and pinned past the seals,
+/// one reclaim round per client frees every retired block without a
+/// `BadFree` — nothing was retired twice.
+pub fn reclaim_trim() -> Program {
+    Program {
+        name: "reclaim_trim",
+        model: Some(Model::Kv),
+        check_races: true,
+        max_steps: 1200,
+        build: Box::new(|| {
+            let f = fabric(false);
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let reg = ReclaimRegistry::create(&mut c0, &alloc, 5).unwrap();
+            // Two buckets, never restructured by a put.
+            let cfg = HtTreeConfig {
+                initial_buckets: 2,
+                max_load_percent: u64::MAX,
+                ..HtTreeConfig::default()
+            };
+            let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+            let h = Arc::new(History::new());
+            let attach = || {
+                let mut cl = f.client();
+                let shared = reg.attach(&mut cl, &alloc).unwrap();
+                let ht = tree.attach_reclaimed(&mut cl, &alloc, cfg, shared.clone()).unwrap();
+                (cl, shared, ht)
+            };
+            let mut same_bucket = (1u64..).filter(|&k| splitmix64(k) % 2 == splitmix64(1) % 2);
+            let [k1, k2, k3] = std::array::from_fn(|_| same_bucket.next().unwrap());
+            // The restructurer attaches first: the explorer's default
+            // choice is the lowest id, so a schedule runs the client that
+            // holds a taken table on, rather than one spinning on it.
+            let (mut cc, sc, mut hc) = attach();
+            let (mut ca, sa, mut ha) = attach();
+            let (mut cb, sb, mut hb) = attach();
+            let (aid, bid, cid) = (ca.id(), cb.id(), cc.id());
+            for (k, v) in [(k1, 1), (k2, 2), (k3, 3)] {
+                ha.put(&mut ca, k, v).unwrap();
+                h.seed(aid, Op::Put { k, v }, Ret::Unit);
+            }
+            // An operation the explorer starves past its retry budget
+            // (`Contended`: a table taken by a restructurer that is not
+            // scheduled) ends with no effect.
+            let get = |h: &History, id: u32, ht: &mut farmem_core::HtTreeHandle, c: &mut FabricClient, k| {
+                let t = h.invoke(id, Op::Get { k });
+                match ht.get(c, k) {
+                    Ok(v) => h.complete(t, Ret::OptVal(v)),
+                    Err(_) => h.fail(t),
+                }
+            };
+            // Whether the put and the take landed.
+            let (put, took) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+            let (ha2, put2) = (h.clone(), put.clone());
+            let abody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = ha2.invoke(aid, Op::Put { k: k1, v: 11 });
+                match ha.put(&mut ca, k1, 11) {
+                    Ok(()) => {
+                        put2.store(true, Ordering::SeqCst);
+                        ha2.complete(t, Ret::Unit);
+                    }
+                    Err(_) => ha2.fail(t),
+                }
+                get(&ha2, aid, &mut ha, &mut ca, k2);
+            });
+            let (hb2, took2) = (h.clone(), took.clone());
+            let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let t = hb2.invoke(bid, Op::Remove { k: k2 });
+                match hb.take(&mut cb, k2) {
+                    Ok(held) => {
+                        took2.store(held.is_some(), Ordering::SeqCst);
+                        hb2.complete(t, Ret::Val(u64::from(held.is_some())));
+                    }
+                    Err(_) => hb2.fail(t),
+                }
+                get(&hb2, bid, &mut hb, &mut cb, k1);
+            });
+            let hc2 = h.clone();
+            let cbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                // A split that fails leaves the table to the next put.
+                let _ = hc.split(&mut cc, k1);
+                get(&hc2, cid, &mut hc, &mut cc, k3);
+            });
+            let (mut cz, sz, mut hz) = attach();
+            let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
+                let left: Vec<Option<u64>> =
+                    [k1, k2, k3].iter().map(|&k| hz.get(&mut cz, k).unwrap()).collect();
+                let k1_now = if put.load(Ordering::SeqCst) { 11 } else { 1 };
+                let k2_now = (!took.load(Ordering::SeqCst)).then_some(2);
+                if left != [Some(k1_now), k2_now, Some(3)] {
+                    return Some(format!("keys [k1, k2, k3] ended as {left:?}"));
+                }
+                free_every_retired(&[&sa, &sb, &sc, &sz], &mut cz)
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![aid, bid, cid],
+                bodies: vec![abody, bbody, cbody],
+                history: h,
+                finale: Some(finale),
+            }
+        }),
+    }
+}
+
+/// A finale's last check: frees every block the `slots` retired, through
+/// `client`. A slot with retires left runs a reclaim round, which also
+/// moves it past every seal; one with none gives its slot back. `None`
+/// once the limbo lists are empty; a block retired twice surfaces as a
+/// `BadFree`.
+fn free_every_retired(slots: &[&SharedReclaim], client: &mut FabricClient) -> Option<String> {
+    for _ in 0..3 {
+        for s in slots {
+            let mut r = s.lock().unwrap();
+            r.seal(client).unwrap();
+            if r.stats().limbo_entries() == 0 {
+                // Only the epoch unsubscribe can fail, after the slot is
+                // already free.
+                let _ = r.release(client);
+            } else if let Err(e) = r.reclaim(client) {
+                return Some(format!("a retired block did not free: {e:?}"));
+            }
+        }
+    }
+    let left: u64 = slots.iter().map(|s| s.lock().unwrap().stats().limbo_entries()).sum();
+    (left != 0).then(|| format!("{left} blocks still in limbo"))
 }
 
 /// Poison value a reclaimer writes into memory it has freed, standing in
@@ -1421,6 +1592,7 @@ pub fn main_programs() -> Vec<Program> {
         reclaim_hinted_table(),
         reclaim_take(),
         reclaim_split(),
+        reclaim_trim(),
         reclaim_publish(),
         reclaim_evict(),
         replica_failover(),

@@ -28,7 +28,8 @@ fn bounds_for(name: &str, cfg: &SuiteConfig) -> ExploreBounds {
         "mutex_counter" | "rwlock_pair" => ((150, 50), (24, 8)),
         "queue_fifo" | "reclaim_publish" => ((120, 40), (24, 8)),
         "httree_split" | "httree_split_race" | "httree_publish" | "reclaim_hinted_get"
-        | "reclaim_hinted_get_many" | "reclaim_hinted_table" | "reclaim_take" | "reclaim_split" => {
+        | "reclaim_hinted_get_many" | "reclaim_hinted_table" | "reclaim_take" | "reclaim_split"
+        | "reclaim_trim" => {
             ((60, 20), (12, 4))
         }
         "reclaim_evict" => ((80, 30), (12, 4)),

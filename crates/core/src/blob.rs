@@ -42,13 +42,12 @@
 //! list. An overwrite pays nothing for that — the superseded pointer
 //! comes back from the store and its length from the allocator's books; a
 //! remove is the tree's [`take`](HtTreeHandle::take), whose chain walk
-//! hands back the record its tombstone unlinks — two far accesses, one
-//! when the key is absent. Each unlinked record comes back from exactly
-//! one mutation, the store or remove whose bucket CAS shadowed its item:
-//! two removes racing on one key can both walk to the same item, but the
-//! one that loses the bucket starts over and finds the winner's
-//! tombstone — so keys need not be single-writer for a record to be
-//! retired once.
+//! hands back the record its splice unlinks — two far accesses, one when
+//! the key is absent. Each unlinked record comes back from exactly one
+//! mutation, the store or remove whose bucket CAS unlinked its item: two
+//! removes racing on one key can both walk to the same item, but the one
+//! that loses the bucket starts over and finds no item of the key — so
+//! keys need not be single-writer for a record to be retired once.
 
 use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
 use farmem_fabric::{splitmix64, DescList, FabricClient, FarAddr, WORD};
@@ -562,7 +561,7 @@ impl<const H: usize> FarBlobMap<H> {
         let Some(old) = self.inner.take(client, key)? else {
             return Ok(false);
         };
-        // lint: retire-ok: the tombstone `take` published unlinked the
+        // lint: retire-ok: the splice `take` published unlinked the
         // record; readers hold epoch guards until grace.
         self.retire(client, old)?;
         Ok(true)
@@ -728,8 +727,8 @@ mod tests {
             (Some(small.clone()), books(2, 3, 2 * ITEM + 8 + 64))
         );
         // An overwrite makes the old hint stale; a remove makes every hint
-        // of the key a miss found in the lookup's own access (the
-        // tombstone heads the chain).
+        // of the key a miss found in the lookup's own access (a tombstone
+        // heads the chain, or the key's item left it).
         let (_, newer) = m.put(&mut c, 1, [], &large).unwrap();
         assert_eq!(
             get(&mut c, &mut m, 1, Some(small_hint)),
@@ -809,18 +808,19 @@ mod tests {
         let mut m = FarBlobMap::create_reclaimed(&mut c, &a, cfg, shared.clone()).unwrap();
         m.put_bytes(&mut c, 1, &[7u8; 500]).unwrap();
         let retired_before = shared.lock().unwrap().stats().retired_bytes;
-        // Overwrite: the 500-byte record is superseded and retired.
+        // Overwrite: the 500-byte record is superseded and retired, with
+        // the tree item that named it (32 bytes).
         m.put_bytes(&mut c, 1, b"short").unwrap();
         let retired_mid = shared.lock().unwrap().stats().retired_bytes;
         // The limbo list counts allocator bytes — the block's size class
         // (`FarAlloc::size_of`), which is what freeing it returns — not
         // the 8 + 500 the record's own length word would say.
-        assert_eq!(retired_mid - retired_before, 512, "old record retired");
+        assert_eq!(retired_mid - retired_before, 512 + 32, "old record and item retired");
         assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"short");
-        // Remove: the replacement record is retired too.
+        // Remove: the replacement record and its item are retired too.
         m.remove(&mut c, 1).unwrap();
         let retired_after = shared.lock().unwrap().stats().retired_bytes;
-        assert_eq!(retired_after - retired_mid, 16, "8 + 5 bytes live in the 16-byte class");
+        assert_eq!(retired_after - retired_mid, 16 + 32, "8 + 5 bytes live in the 16-byte class");
         assert_eq!(m.get_bytes(&mut c, 1).unwrap(), None);
         // Sole client: a seal + one grace round frees it all.
         let mut r = shared.lock().unwrap();

@@ -22,19 +22,20 @@
 //!
 //! A value that is itself a far record (a blob, a cache entry) is stored
 //! at the same price by [`HtTreeHandle::publish`]: the fenced batch leads
-//! with the record's bytes — so the CAS orders them before any reader can
-//! find the item — and, on a reclaim-mode handle whose bucket already has
-//! a chain, with a read of its head item, from which the value the store
-//! *superseded* is recovered (zero extra accesses if the key's previous
-//! item was the head, one per hop otherwise). The caller retires that
-//! record without a lookup of its own. Quarantine-mode handles retire
-//! nothing, so their batch carries only the record.
+//! with the record's bytes, so the CAS orders them before any reader can
+//! find the item. On a reclaim-mode handle every put and every remove is
+//! a *splice* of its bucket's chain: the first access reads the chain's
+//! head item through the bucket word (with the table header), the walk
+//! from it finds the key's item, and the fenced batch replaces or unlinks
+//! that item in the bucket CAS — copying the items above it, usually none.
+//! A chain therefore holds at most one item per key and no tombstone, the
+//! header's item count is the table's live keys, and the value a store
+//! superseded or a remove took comes back for the caller to retire.
+//! Quarantine-mode handles retire nothing: a store links on top without a
+//! walk, and a remove links a tombstone.
 //!
-//! A remove is a store of a tombstone at a store's price
-//! ([`HtTreeHandle::take`]): its first access reads the chain's head item
-//! through the bucket word, so the walk that finds the key — and the value
-//! the caller may want to retire — needs no lookup ahead of it, and a key
-//! that is not there costs that one access and links nothing.
+//! A key that is not there costs a remove ([`HtTreeHandle::take`]) that
+//! one access (plus hops) and links nothing.
 //!
 //! ## Staleness and versioning
 //!
@@ -68,7 +69,10 @@
 //! replaced table — header, bucket array, bulk items block, every drained
 //! chain record, and the superseded directory blob — into the client's
 //! limbo list as a restructure, sealing an epoch *and* a generation so a
-//! grace period can return the bytes to [`FarAlloc::free`]. Epochs that
+//! grace period can return the bytes to [`FarAlloc::free`]. The items a
+//! splice unlinks are plain retires, sealed as records: no client caches
+//! a pointer to a chain item. Items of a table's bulk block are skipped
+//! and go with the block at the table's next restructure. Epochs that
 //! other clients seal over retired records alone cost a handle no
 //! refresh: the cached tree points into no record, and a record hint is
 //! validated against the tree before its bytes are served. Plain
@@ -216,19 +220,50 @@ type Overloaded = Option<(u64, u64)>;
 /// CAS races.
 const RETRY_BUDGET: u32 = 256;
 
-/// Attempts at the superseded-value walk of a store that has landed.
-const WALK_ATTEMPTS: u32 = 4;
-
-/// Whether `records` chain records overload a table of `n_buckets`.
-/// Saturating, so `max_load_percent: u64::MAX` means "never".
-fn overloaded(records: u64, n_buckets: u64, max_load_percent: u64) -> bool {
-    records.saturating_mul(100) > n_buckets.saturating_mul(max_load_percent)
+/// Whether `count` items overload a table of `n_buckets`. Saturating, so
+/// `max_load_percent: u64::MAX` means "never".
+fn overloaded(count: u64, n_buckets: u64, max_load_percent: u64) -> bool {
+    count.saturating_mul(100) > n_buckets.saturating_mul(max_load_percent)
 }
 
 /// Whether a drained table's `live` keys fill it to at most half of
-/// `max_load_percent` — the rest of its records were superseded.
+/// `max_load_percent` — the rest of its records were superseded. A
+/// reclaim-mode put's count is of live keys already, so there only an
+/// explicit [`split`](HtTreeHandle::split) finds a table this sparse.
 fn mostly_superseded(live: u64, n_buckets: u64, max_load_percent: u64) -> bool {
     live.saturating_mul(100) <= n_buckets.saturating_mul(max_load_percent) / 2
+}
+
+/// A header's item-count word as a count. Reclaim mode counts live keys
+/// with posted adds of `+1` and `-1` (`u64::MAX`, which wraps), and a
+/// take's `-1` can land before the `+1` of the put that linked its key:
+/// a count that wrapped below zero reads as 0.
+fn item_count(word: u64) -> u64 {
+    if word > i64::MAX as u64 {
+        0
+    } else {
+        word
+    }
+}
+
+/// A reclaim-mode put's or take's view of one bucket: its first far
+/// access and the walk from the head item down to the key.
+struct Chain {
+    /// The bucket's address.
+    bucket: FarAddr,
+    /// The bucket word the head item was read through: what the splice
+    /// CASes from.
+    head: u64,
+    /// `(address, item)` of every item above the key's, head first: what
+    /// a splice copies.
+    above: Vec<(u64, Item)>,
+    /// The key's item and its address; `None` when the chain lacks the key.
+    found: Option<(u64, Item)>,
+    /// The table's live keys, from the header ([`item_count`]).
+    keys: u64,
+    /// The table's bulk items block, `[base, base + len)`: its items are
+    /// retired with the table, never one by one.
+    bulk: (u64, u64),
 }
 
 /// Construction parameters.
@@ -279,13 +314,11 @@ pub struct HtTreeStats {
     pub grows: u64,
     /// Compactions (same range, same buckets — the drained table was
     /// mostly superseded records, not live growth) this handle performed.
+    /// A reclaim-mode chain holds no superseded record, so there only an
+    /// explicit [`split`](HtTreeHandle::split) of a sparse table compacts.
     pub compactions: u64,
     /// Directory-change notifications consumed (`notify_dir` mode).
     pub dir_notifications: u64,
-    /// Landed [`publish`](HtTreeHandle::publish) calls that could not
-    /// report what they superseded (a fault on a chain hop, every attempt):
-    /// one value each that no caller was told to retire.
-    pub superseded_lost: u64,
     /// Lookups that carried a hint: a speculative read in the lookup's
     /// own fenced batch.
     pub hinted_gets: u64,
@@ -714,7 +747,7 @@ impl HtTreeHandle {
         let [head, speculated] =
             <[BatchOut; 2]>::try_from(outs).expect("a hinted batch has two ops");
         // An empty bucket: the key is absent.
-        let BatchOut::Bytes(first) = head else {
+        let BatchOut::Loaded { bytes: first, .. } = head else {
             self.stats.stale_hints += 1;
             return Ok(Some((None, None)));
         };
@@ -933,10 +966,17 @@ impl HtTreeHandle {
     }
 
     /// Inserts or updates `key → value`. **Two far accesses** when the
-    /// cache is fresh: a gather (bucket pointer + table header through the
-    /// item count) and a fenced batch (item publish + bucket CAS). The put
-    /// whose record carries the table over `max_load_percent` also
+    /// cache is fresh: the read of the bucket and the table header, then
+    /// a fenced batch that links the item with the bucket CAS. The put
+    /// whose item carries the table over `max_load_percent` also
     /// restructures it.
+    ///
+    /// A quarantine-mode put reads the bucket word and the header through
+    /// the item count, and links its item on top of the chain. A
+    /// reclaim-mode put is a *splice* ([`take`](Self::take)'s first
+    /// access, then a walk to the key's item): it replaces the key's old
+    /// item in the same CAS, so the chain keeps one item per key and the
+    /// header counts live keys. See [`publish`](Self::publish).
     ///
     /// `Err` means the value was not stored. A restructure that fails
     /// after the bucket CAS landed is no error of the put's: the next put
@@ -944,9 +984,9 @@ impl HtTreeHandle {
     /// [`publish`](Self::publish)).
     pub fn put(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {
         let _span = client.span("httree.put");
-        let _guard = self.pin_epoch(client)?;
+        let guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        let (overloaded, _) = self.put_record(client, key, value, None)?;
+        let (overloaded, _) = self.put_record(client, key, value, None, guard.as_ref())?;
         if let Some((start_key, version)) = overloaded {
             let _ = self.split_if(client, start_key, Some(version));
         }
@@ -955,26 +995,30 @@ impl HtTreeHandle {
 
     /// Stores `key → record` for a value that *is* a far record: `bytes`
     /// are written at `record` inside the put's own fenced batch, ahead of
-    /// the item and the bucket CAS — still **two far accesses**. A
-    /// reclaim-mode handle also returns the value the key held before, so
-    /// the caller can retire it: the old head item is read in that same
-    /// batch (chains are immutable below a published head, so the CAS
-    /// landing proves those bytes are the chain the new item was linked
-    /// onto), which costs nothing more when the bucket was empty or the
-    /// key's previous item headed its chain, and one access per chain hop
-    /// down to it otherwise. A quarantine-mode handle never reclaims, so
-    /// it skips the read and the walk and returns `None`.
+    /// the item and the bucket CAS — still **two far accesses**.
+    ///
+    /// A reclaim-mode handle also returns the value the key held before,
+    /// so the caller can retire it. Its first access is a fenced batch of
+    /// a `load0` through the bucket word to the chain's head item and a
+    /// read of the table header; from that head it walks to the key's
+    /// item, one access per hop, *before* linking anything. The second
+    /// access writes the record, the new item and fresh copies of the
+    /// items above the key's old one, and CASes the bucket from the word
+    /// the head was read through to the new item: the old item and the
+    /// originals of the copies leave the chain in that CAS and are
+    /// retired. A key the chain lacks is linked on top. Under the epoch
+    /// guard a bucket word names an immutable chain whose items cannot be
+    /// freed and reused, so a CAS that lands on that word proves the
+    /// bucket held exactly the chain walked — even if the word left it
+    /// and came back. A quarantine-mode handle never reclaims: it skips
+    /// the walk, links on top and returns `None`.
     ///
     /// `Err` means the record was **never linked** and is still the
-    /// caller's to free. Once the CAS has landed readers can reach the
-    /// record, so nothing after it turns the store into an error: a failed
-    /// restructure is left to the next put into the table (it gathers the
-    /// same count), and a superseded-value walk that a fault keeps
-    /// interrupting is given up as `Ok(None)` and counted in
-    /// [`HtTreeStats::superseded_lost`] — that one value is then never
-    /// reported. (Finishing the walk in a later call would be unsound: it
-    /// must run under the epoch guard this store pinned, or a split in
-    /// between could free the chain under it.)
+    /// caller's to free — a fault on a hop of the walk included, since
+    /// the walk runs before the CAS. Once the CAS has landed readers can
+    /// reach the record, so nothing after it turns the store into an
+    /// error: a failed restructure is left to the next put into the table
+    /// (it gathers the same count).
     pub fn publish(
         &mut self,
         client: &mut FabricClient,
@@ -983,9 +1027,10 @@ impl HtTreeHandle {
         bytes: &[u8],
     ) -> Result<Option<u64>> {
         let _span = client.span("httree.put");
-        let _guard = self.pin_epoch(client)?;
+        let guard = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        let (overloaded, old) = self.put_record(client, key, record.0, Some(bytes))?;
+        let (overloaded, old) =
+            self.put_record(client, key, record.0, Some(bytes), guard.as_ref())?;
         if let Some((start_key, version)) = overloaded {
             // Linked: see above for why this error goes no further.
             let _ = self.split_if(client, start_key, Some(version));
@@ -1001,42 +1046,54 @@ impl HtTreeHandle {
     /// Removes `key` and returns the value it held — the tree's one
     /// removal protocol. **Two far accesses** for a key at its chain's
     /// head, one more per hop down to it; **one** (plus hops) for a key
-    /// that is not there — an empty bucket, a chain without it, or its own
-    /// tombstone — which links nothing and leaves the table's counters
-    /// alone.
+    /// that is not there, which links nothing and leaves the table's
+    /// counters alone. No remove restructures.
     ///
-    /// Far access 1 is one fenced batch: the bucket word, a `load0`
-    /// through it to the chain's head item, and the table's version word
-    /// (a stale version refreshes and retries, as a put's does). The walk
-    /// from that head item finds the value. Far access 2 publishes a
-    /// tombstone whose `next` is the bucket word just read and CASes the
-    /// bucket from that word to it; a lost CAS starts over from access 1.
+    /// A reclaim-mode take unlinks the key's item. Far access 1 is one
+    /// fenced batch: a `load0` through the bucket word to the chain's
+    /// head item, which also names the word it read, and the table
+    /// header (a stale version refreshes and retries, as a put's does).
+    /// The walk from that head item finds the value. Far access 2 is the
+    /// splice: for an item at the head, one CAS of the bucket from that
+    /// word to the item's successor; for one `d` hops down, fresh copies
+    /// of the `d` items above it, chained onto its successor, and the CAS
+    /// to the first copy. The item and the originals of the copies are
+    /// retired; the header's live-key count drops by one. A lost CAS
+    /// starts over from access 1. The CAS landing proves the walk for the
+    /// reason [`publish`](Self::publish) gives: under the guard the word
+    /// names an immutable chain, however often it left and came back.
+    /// Until that CAS every other client still finds the key, so racing
+    /// takes of one key hand its value to exactly one of them.
     ///
-    /// Why the walk's value is the one the tombstone shadows: under the
-    /// epoch guard pinned here a bucket word never returns to a value it
-    /// has left — an item is linked once and its block is reused only
-    /// after a grace period, a restructure leaves the word on the poison
-    /// record for good — so a CAS that lands on the word read in access 1
-    /// proves the bucket held it the whole time between, the `load0`
-    /// included: the item walked *is* the head the tombstone was linked
-    /// onto, and the chain below a published head is immutable (the
-    /// argument [`publish`](Self::publish) rests on for its head read).
-    /// Until that CAS every other client still finds the key.
+    /// A quarantine-mode take links a *tombstone* instead: access 1 reads
+    /// the bucket word, the head item through it and the version word,
+    /// and access 2 publishes a tombstone whose `next` is that word. There
+    /// the word never returns to a value it has left (an item is linked
+    /// once and never freed), so the CAS landing proves the head read.
     ///
     /// On a fabric that refuses the batch's cross-node dereference
     /// ([`IndirectionMode::Error`](farmem_fabric::IndirectionMode)) the
     /// refusal names the pointer the home node dereferenced; the head item
-    /// and the version are then gathered at one access more.
+    /// and the header are then gathered at one access more.
     ///
-    /// `Err` means no tombstone was linked. A tombstone is a record like
-    /// any other, but no remove restructures: the next put into the table
-    /// gathers the same count and decides.
+    /// `Err` means nothing was unlinked.
     pub fn take(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
         let _span = client.span("httree.remove");
-        let _guard = self.pin_epoch(client)?;
+        let guard = self.pin_epoch(client)?;
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
+            if let Some(guard) = &guard {
+                let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
+                    continue;
+                };
+                let Some((_, victim)) = chain.found else { return Ok(None) };
+                if self.splice(client, &entry, &chain, None, Vec::new(), guard)? {
+                    self.stats.removes += 1;
+                    return Ok(Some(victim.value));
+                }
+                continue;
+            }
             let bucket = Self::bucket_addr(&entry, key);
             let version_at = entry.table_hdr.offset(H_VERSION);
             let (old_head, first, far_version) = match client.batch(&[
@@ -1046,7 +1103,7 @@ impl HtTreeHandle {
             ]) {
                 Ok(out) => {
                     let first = match &out[1] {
-                        BatchOut::Bytes(head) => Some(Item::decode(head)),
+                        BatchOut::Loaded { bytes, .. } => Some(Item::decode(bytes)),
                         _ => None, // an empty bucket
                     };
                     (word_at(out[0].bytes(), 0), first, word_at(out[2].bytes(), 0))
@@ -1075,7 +1132,7 @@ impl HtTreeHandle {
             };
             let tombstone =
                 Item { key, value: 0, version: entry.version | TOMB_BIT, next: old_head };
-            if self.link(client, &entry, bucket, tombstone, Vec::with_capacity(2))?.is_some() {
+            if self.link(client, &entry, bucket, tombstone, Vec::with_capacity(2))? {
                 self.stats.removes += 1;
                 return Ok(Some(value));
             }
@@ -1102,12 +1159,12 @@ impl HtTreeHandle {
         Ok(())
     }
 
-    /// The second far access of every mutation: one fenced batch that runs
-    /// `ops`, writes `item` into a fresh record and swings `bucket` from
-    /// `item.next` to it (the fabric applies the ops in order, so every
-    /// write lands before the CAS). Returns the batch's outputs once the
-    /// CAS has landed, `None` when it lost the bucket race; an `Err` also
-    /// means the item was not linked.
+    /// Quarantine mode's second far access: one fenced batch that runs
+    /// `ops`, writes `item` into a fresh arena record and swings `bucket`
+    /// from `item.next` to it (the fabric applies the ops in order, so
+    /// every write lands before the CAS). Returns whether the CAS landed
+    /// (`false`: it lost the bucket race); an `Err` also means the item
+    /// was not linked.
     fn link(
         &mut self,
         client: &mut FabricClient,
@@ -1115,39 +1172,20 @@ impl HtTreeHandle {
         bucket: FarAddr,
         item: Item,
         ops: Vec<BatchOp<'_>>,
-    ) -> Result<Option<Vec<BatchOut>>> {
+    ) -> Result<bool> {
         let old_head = item.next;
         let item = item.encode();
         // Rebound so the ops may borrow `item`, which the caller's cannot.
         let mut ops: Vec<BatchOp<'_>> = ops;
-        // Reclaim mode publishes records from the shared slab so a later
-        // splitter can free each one individually; quarantine mode bumps
-        // the per-client arena (its records are only ever reclaimed
-        // wholesale, which quarantine never does).
-        let item_addr = if self.reclaim.is_some() {
-            self.alloc.alloc(ITEM_LEN, AllocHint::Spread)?
-        } else {
-            self.arena.alloc(ITEM_LEN)?
-        };
+        let item_addr = self.arena.alloc(ITEM_LEN)?;
         ops.push(BatchOp::Write { addr: item_addr, data: &item });
         ops.push(BatchOp::Cas { addr: bucket, expected: old_head, new: item_addr.0 });
-        let out = match client.batch(&ops) {
-            Ok(out) if out[out.len() - 1].value() == old_head => out,
-            unlinked => {
-                // The CAS lost the bucket race, or never ran (a failed
-                // batch stops at the op that failed). Either way the item
-                // was never published, so reclaim mode frees it eagerly —
-                // no grace period needed for memory nobody can reach —
-                // before the error propagates or the caller retries from
-                // its first access.
-                if self.reclaim.is_some() {
-                    self.alloc.free(item_addr, ITEM_LEN)?;
-                }
-                unlinked?;
-                self.stats.cas_retries += 1;
-                return Ok(None);
-            }
-        };
+        // A failed batch stops at the op that failed: the item was never
+        // published (the arena reclaims nothing, so there is nothing to free).
+        if client.batch(&ops)?[ops.len() - 1].value() != old_head {
+            self.stats.cas_retries += 1;
+            return Ok(false);
+        }
         // Background bookkeeping, off the critical path. The counters are
         // advisory (they only steer split heuristics), so a failed post
         // after the committed CAS must not turn a landed mutation into an
@@ -1156,104 +1194,261 @@ impl HtTreeHandle {
         if old_head != 0 {
             let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
         }
-        Ok(Some(out))
+        Ok(true)
+    }
+
+    /// Far access 1 of a reclaim-mode put or take, and the walk: one
+    /// fenced batch of a `load0` through the bucket word to the head item
+    /// and a read of the table header, then one read per hop down to
+    /// `key`'s item. `None` after a stale version, refreshed: the caller
+    /// starts over.
+    fn read_chain(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        key: u64,
+        attempt: u32,
+    ) -> Result<Option<Chain>> {
+        let bucket = Self::bucket_addr(entry, key);
+        // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
+        // after a stale cache or a lost bucket CAS.
+        let (head, first, hdr) = match client.batch(&[
+            BatchOp::Load0 { ptr: bucket, len: ITEM_LEN },
+            BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN },
+        ]) {
+            Ok(mut out) => {
+                let hdr = out.pop().expect("two ops").bytes().to_vec();
+                let (head, first) = match out.pop() {
+                    // The pointer the `load0` read, not a `Read` of the
+                    // word beside it: the ops of a batch are not atomic.
+                    Some(BatchOut::Loaded { ptr, bytes }) => (ptr, Some(Item::decode(&bytes))),
+                    _ => (0, None), // an empty bucket
+                };
+                (head, first, hdr)
+            }
+            Err(farmem_fabric::FabricError::IndirectRemote { target, .. }) => {
+                let gathered = client.rgather(&[
+                    FarIov::new(target, ITEM_LEN),
+                    FarIov::new(entry.table_hdr, HDR_LEN),
+                ])?;
+                let hdr = gathered[ITEM_LEN as usize..].to_vec();
+                (target.0, Some(Item::decode(&gathered)), hdr)
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let far_version = word_at(&hdr, H_VERSION);
+        if far_version != entry.version {
+            self.refresh_stale(client, far_version, attempt)?;
+            return Ok(None);
+        }
+        let mut above = Vec::new();
+        let mut at = first.map(|item| (head, item));
+        let found = loop {
+            let Some((addr, item)) = at else { break None };
+            if item.version != entry.version {
+                self.refresh_stale(client, far_version, attempt)?;
+                return Ok(None);
+            }
+            if item.key == key {
+                break Some((addr, item));
+            }
+            above.push((addr, item));
+            if item.next == 0 {
+                break None;
+            }
+            self.stats.chain_hops += 1;
+            // audit: rt-in-loop-ok: pointer chase — each hop's address comes
+            // from the item just read; inherently serial (§4 chain cost).
+            let mut raw = [0u8; ITEM_LEN as usize];
+            client.read_into(FarAddr(item.next), &mut raw)?;
+            at = Some((item.next, Item::decode(&raw)));
+        };
+        Ok(Some(Chain {
+            bucket,
+            head,
+            above,
+            found,
+            keys: item_count(word_at(&hdr, H_ITEMS)),
+            bulk: (word_at(&hdr, H_ITEMS_BASE), word_at(&hdr, H_ITEMS_LEN)),
+        }))
+    }
+
+    /// Far access 2 of a reclaim-mode put (`top`: the key's new item) or
+    /// take (`top: None`): one fenced batch that runs `ops`, writes `top`
+    /// and fresh copies of the items above the key's old one, and CASes
+    /// the bucket from `chain.head` to the new chain — `top`, the copies,
+    /// then the old item's successor; `top` on the old chain when the key
+    /// is new. Returns whether the CAS landed (`false`: it lost, nothing
+    /// was linked, and the caller starts over); an `Err` also means
+    /// nothing was linked. Landed, the old item and the originals of the
+    /// copies are retired under `_guard`, and the header's live-key count
+    /// moves by the key the splice added or removed.
+    fn splice(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        chain: &Chain,
+        top: Option<Item>,
+        ops: Vec<BatchOp<'_>>,
+        _guard: &Guard,
+    ) -> Result<bool> {
+        debug_assert!(top.is_some() || chain.found.is_some(), "a take of an absent key");
+        let (copied, tail): (&[(u64, Item)], u64) = match chain.found {
+            Some((_, old)) => (&chain.above, old.next),
+            None => (&[], chain.head),
+        };
+        // The new chain, top down: `top`, then the copies.
+        let mut fresh: Vec<Item> = top.into_iter().collect();
+        fresh.extend(copied.iter().map(|&(_, item)| item));
+        let mut addrs = Vec::with_capacity(fresh.len());
+        for _ in &fresh {
+            match self.alloc.alloc(ITEM_LEN, AllocHint::Spread) {
+                Ok(addr) => addrs.push(addr),
+                Err(e) => {
+                    self.free_unlinked(&addrs)?;
+                    return Err(e.into());
+                }
+            }
+        }
+        let mut next = tail;
+        for (item, addr) in fresh.iter_mut().zip(&addrs).rev() {
+            item.next = next;
+            next = addr.0;
+        }
+        let encoded: Vec<[u8; ITEM_LEN as usize]> = fresh.iter().map(Item::encode).collect();
+        // Rebound so the ops may borrow `encoded`, which the caller's cannot.
+        let mut ops: Vec<BatchOp<'_>> = ops;
+        for (&addr, data) in addrs.iter().zip(&encoded) {
+            ops.push(BatchOp::Write { addr, data });
+        }
+        ops.push(BatchOp::Cas { addr: chain.bucket, expected: chain.head, new: next });
+        match client.batch(&ops) {
+            Ok(out) if out[out.len() - 1].value() == chain.head => {}
+            unlinked => {
+                // The CAS lost the bucket race, or never ran (a failed
+                // batch stops at the op that failed). Nobody can reach the
+                // fresh items, so they are freed eagerly — no grace period
+                // for memory nobody can reach.
+                self.free_unlinked(&addrs)?;
+                unlinked?;
+                self.stats.cas_retries += 1;
+                return Ok(false);
+            }
+        }
+        // Advisory counters, posted after the committed CAS: a failed post
+        // must not turn a landed mutation into an error.
+        let items = entry.table_hdr.offset(H_ITEMS);
+        match (top.is_some(), chain.found.is_some()) {
+            (true, false) => {
+                let _ = client.post_faa_u64(items, 1);
+                if chain.head != 0 {
+                    let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
+                }
+            }
+            (false, _) => {
+                let _ = client.post_faa_u64(items, u64::MAX);
+            }
+            (true, true) => {}
+        }
+        let Some((old, _)) = chain.found else { return Ok(true) };
+        // The CAS unlinked the old item and the originals of the copies.
+        // An item of the table's bulk block is left to the restructure
+        // that retires the block whole.
+        let (base, len) = chain.bulk;
+        let unlinked = std::iter::once(old)
+            .chain(copied.iter().map(|&(addr, _)| addr))
+            .filter(|&a| !(base <= a && a < base + len));
+        let shared = self.reclaim.clone().expect("a guard is pinned only in reclaim mode");
+        let mut r = shared.lock().unwrap();
+        for addr in unlinked {
+            // A retire that fails queues its entry all the same (only its
+            // seal failed); the mutation has landed either way.
+            let _ = r.retire(client, FarAddr(addr), ITEM_LEN);
+        }
+        Ok(true)
+    }
+
+    /// Frees items a splice allocated and never linked.
+    fn free_unlinked(&self, addrs: &[FarAddr]) -> Result<()> {
+        for &addr in addrs {
+            self.alloc.free(addr, ITEM_LEN)?;
+        }
+        Ok(())
     }
 
     /// Publishes one item; with `record`, also writes those bytes at
-    /// `FarAddr(value)` in the same fenced batch. Returns the overload
-    /// verdict and the value a reclaim-mode record store superseded. An
-    /// `Err` always means the item was not linked.
+    /// `FarAddr(value)` in the same fenced batch. `guard` is the epoch
+    /// guard a reclaim-mode handle pinned, and makes the put a splice
+    /// ([`publish`](Self::publish)). Returns the overload verdict and the
+    /// value a reclaim-mode put replaced. An `Err` always means the item
+    /// was not linked.
     fn put_record(
         &mut self,
         client: &mut FabricClient,
         key: u64,
         value: u64,
         record: Option<&[u8]>,
+        guard: Option<&Guard>,
     ) -> Result<(Overloaded, Option<u64>)> {
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
-            let bucket = Self::bucket_addr(&entry, key);
-            // Far access 1: gather the bucket pointer and the table header
-            // from the version through the item count, in one round trip
-            // (two messages).
-            // audit: rt-in-loop-ok: retry loop — every pass is one whole
-            // put (this gather, then `link`'s fenced batch), re-run only
-            // after a stale cache or a lost bucket CAS.
-            let gathered = client.rgather(&[
-                FarIov::new(bucket, WORD),
-                FarIov::new(entry.table_hdr.offset(H_VERSION), H_ITEMS + WORD),
-            ])?;
-            let old_head = word_at(&gathered, 0);
-            let far_version = word_at(&gathered, WORD + H_VERSION);
-            let far_items = word_at(&gathered, WORD + H_ITEMS);
-            if far_version != entry.version {
-                self.refresh_stale(client, far_version, attempt)?;
-                continue;
-            }
-            // Far access 2: publish the item and swing the bucket. A
-            // record store puts the record's bytes ahead of them and, when
-            // somebody will retire what it supersedes and the bucket has a
-            // chain, a read of the chain's head item — the start of the
-            // superseded-value walk.
-            let head_read = record.is_some() && self.reclaim.is_some() && old_head != 0;
-            let mut ops = Vec::with_capacity(4);
-            if head_read {
-                ops.push(BatchOp::Read { addr: FarAddr(old_head), len: ITEM_LEN });
-            }
+            let mut ops = Vec::with_capacity(3);
             if let Some(data) = record {
                 ops.push(BatchOp::Write { addr: FarAddr(value), data });
             }
-            let item = Item { key, value, version: entry.version, next: old_head };
-            let Some(out) = self.link(client, &entry, bucket, item, ops)? else {
-                continue;
-            };
-            // The CAS landed on `old_head`, so the head item read in the
-            // batch is the chain this item now shadows, and the first item
-            // for `key` on it is what the store superseded.
-            let old = if head_read {
-                self.superseded(client, &entry, key, Item::decode(out[0].bytes()))
+            let item = Item { key, value, version: entry.version, next: 0 };
+            // The table's item count once this item is in: live keys in
+            // reclaim mode, records in quarantine mode.
+            let (count, old) = if let Some(guard) = guard {
+                // audit: rt-in-loop-ok: retry loop — every pass is one whole
+                // put (the read and the splice), re-run only after a stale
+                // cache or a lost bucket CAS.
+                let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
+                    continue;
+                };
+                if !self.splice(client, &entry, &chain, Some(item), ops, guard)? {
+                    continue;
+                }
+                let old = chain.found.map(|(_, old)| old.value);
+                (chain.keys.saturating_add(u64::from(old.is_none())), old)
             } else {
-                None
+                // Far access 1: gather the bucket pointer and the table
+                // header from the version through the item count, in one
+                // round trip (two messages).
+                let bucket = Self::bucket_addr(&entry, key);
+                // audit: rt-in-loop-ok: retry loop — every pass is one whole
+                // put (this gather, then `link`'s fenced batch), re-run only
+                // after a stale cache or a lost bucket CAS.
+                let gathered = client.rgather(&[
+                    FarIov::new(bucket, WORD),
+                    FarIov::new(entry.table_hdr.offset(H_VERSION), H_ITEMS + WORD),
+                ])?;
+                let old_head = word_at(&gathered, 0);
+                let far_version = word_at(&gathered, WORD + H_VERSION);
+                if far_version != entry.version {
+                    self.refresh_stale(client, far_version, attempt)?;
+                    continue;
+                }
+                // Far access 2: the record's bytes, the item, the CAS.
+                if !self.link(client, &entry, bucket, Item { next: old_head, ..item }, ops)? {
+                    continue;
+                }
+                // The count was gathered before this item joined the chain.
+                (item_count(word_at(&gathered, WORD + H_ITEMS)).saturating_add(1), None)
             };
-            // The count was gathered before this item joined the chain.
-            let records = far_items.saturating_add(1);
-            let overloaded = overloaded(records, entry.n_buckets, self.cfg.max_load_percent)
+            let overloaded = overloaded(count, entry.n_buckets, self.cfg.max_load_percent)
                 .then_some((entry.start_key, entry.version));
             return Ok((overloaded, old));
         }
         Err(CoreError::Contended)
     }
 
-    /// [`walk_chain`](Self::walk_chain) for a store whose CAS has landed:
-    /// it can no longer fail the store, so a hop that errors restarts the
-    /// walk from the head item in hand — the chain below a published head
-    /// is immutable, so the walk is idempotent — and after
-    /// [`WALK_ATTEMPTS`] the value is counted as lost (see
-    /// [`publish`](Self::publish)).
-    fn superseded(
-        &mut self,
-        client: &mut FabricClient,
-        entry: &Entry,
-        key: u64,
-        head: Item,
-    ) -> Option<u64> {
-        for attempt in 0..WALK_ATTEMPTS {
-            match self.walk_chain(client, entry, key, head) {
-                Ok(Walk::Done(old)) => return old,
-                // Cannot be: the head carried the version the gather saw.
-                Ok(Walk::Stale) => break,
-                Err(_) => backoff(attempt),
-            }
-        }
-        self.stats.superseded_lost += 1;
-        None
-    }
-
-    /// Approximate number of live items, from the far-side per-table
-    /// counters (one gather over all leaf headers). The counters are
-    /// maintained with posted (unsignaled) atomics, so the estimate can
-    /// trail in-flight operations slightly.
+    /// Approximate number of items, from the far-side per-table counters
+    /// (one gather over all leaf headers): live keys on a reclaim-mode
+    /// tree, chain records (tombstones included) on a quarantine-mode
+    /// one. The counters are maintained with posted (unsignaled) atomics,
+    /// so the estimate can trail in-flight operations slightly.
     pub fn len_estimate(&mut self, client: &mut FabricClient) -> Result<u64> {
         let _span = client.span("httree.len_estimate");
         let _guard = self.pin_epoch(client)?;
@@ -1262,7 +1457,7 @@ impl HtTreeHandle {
             .iter()
             .map(|e| FarIov::new(e.table_hdr.offset(H_ITEMS), WORD))
             .collect();
-        Ok(words(&client.rgather(&iov)?).iter().sum())
+        Ok(words(&client.rgather(&iov)?).into_iter().map(item_count).sum())
     }
 
     /// Scans keys in `[lo, hi]`, returning sorted `(key, value)` pairs.
@@ -1418,19 +1613,20 @@ impl HtTreeHandle {
         // (one access), walk all chains level by level with gathers (one
         // access per chain *depth*, not per item), then poison every
         // bucket in one fenced CAS volley. Buckets whose CAS loses to a
-        // racing insert are re-drained individually — the version marker
-        // makes such races rare.
+        // racing put or take are harvested again, one by one — the
+        // version marker makes such races rare.
         let bucket_words = words(&client.read(entry.buckets, entry.n_buckets * WORD)?);
         // Newest value per key: `None` marks a tombstone. Chains link
         // newest to oldest, so within one chain the *first* occurrence of
         // a key is authoritative.
         let mut live: std::collections::HashMap<u64, Option<u64>> =
             std::collections::HashMap::new();
-        // Every chain record the drain visits (reclaim mode frees each
-        // one not covered by the bulk items block after the grace period).
-        let mut drained: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        // Every chain record the drain visits, with its key (reclaim mode
+        // frees each one not covered by the bulk items block after the
+        // grace period).
+        let mut drained: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         drain_chains(client, &bucket_words, |addr, item| {
-            drained.insert(addr);
+            drained.insert(addr, item.key);
             if item.plain_version() == entry.version {
                 live.entry(item.key)
                     .or_insert_with(|| (!item.is_tombstone()).then_some(item.value));
@@ -1453,34 +1649,33 @@ impl HtTreeHandle {
             if head == bucket_words[i] {
                 continue; // poison landed
             }
-            // A racing insert won. Its chain holds items NEWER than
-            // anything harvested above for the same keys, so the chain's
-            // first occurrence per key *overrides* the earlier harvest.
+            // A racing put or take won the bucket, and the chain it left
+            // is the bucket's whole truth. A splice may have unlinked
+            // items harvested above — and their unlinker retired them —
+            // so this bucket's harvest is dropped, not merged: merged, a
+            // key a take removed would come back, and its item would be
+            // retired twice.
+            let bucket_addr = entry.buckets.offset(i as u64 * WORD);
+            let in_bucket = |key: u64| Self::bucket_addr(&entry, key) == bucket_addr;
             loop {
-                let mut chain = Vec::new();
+                live.retain(|&key, _| !in_bucket(key));
+                drained.retain(|_, &mut key| !in_bucket(key));
+                let mut seen_chain = std::collections::HashSet::new();
                 let mut cur = head;
                 while cur != 0 {
-                    drained.insert(cur);
                     // audit: rt-in-loop-ok: pointer chase over a racing
-                    // insert's chain (rare; only after a lost poison CAS).
+                    // mutation's chain (rare; only after a lost poison CAS).
                     let mut raw = [0u8; ITEM_LEN as usize];
                     client.read_into(FarAddr(cur), &mut raw)?;
                     let item = Item::decode(&raw);
-                    chain.push(item);
+                    drained.insert(cur, item.key);
+                    if item.plain_version() == entry.version && seen_chain.insert(item.key) {
+                        live.insert(item.key, (!item.is_tombstone()).then_some(item.value));
+                    }
                     cur = item.next;
                 }
-                let mut seen_chain = std::collections::HashSet::new();
-                for item in &chain {
-                    if item.plain_version() == entry.version && seen_chain.insert(item.key) {
-                        live.insert(
-                            item.key,
-                            (!item.is_tombstone()).then_some(item.value),
-                        );
-                    }
-                }
-                let bucket_addr = entry.buckets.offset(i as u64 * WORD);
                 // audit: rt-in-loop-ok: bounded re-poison CAS — loses only
-                // to a racing insert, whose chain the loop then absorbs.
+                // to a racing mutation, whose chain the loop then harvests.
                 let prev = client.cas(bucket_addr, head, self.poison.0)?;
                 if prev == head {
                     break;
@@ -1495,13 +1690,16 @@ impl HtTreeHandle {
         // cannot be partitioned.
         live.sort_unstable_by_key(|&(k, _)| k);
         let can_split = live.len() >= 2 && live.first().unwrap().0 != live.last().unwrap().0;
-        // The restructure trigger counts *records* (every put appends one
-        // to a chain), not live keys. When the drain shows the table was
-        // mostly superseded records — overwrite/delete churn, not growth —
-        // compact it in place at the same size instead of splitting or
-        // growing. Without this, steady churn over a fixed working set
-        // multiplies tables without bound, and no amount of record
-        // reclamation keeps the footprint flat.
+        // A quarantine-mode trigger counts *records* (every put appends
+        // one to a chain), not live keys. When the drain shows the table
+        // was mostly superseded records — overwrite/delete churn, not
+        // growth — compact it in place at the same size instead of
+        // splitting or growing. Without this, steady churn over a fixed
+        // working set multiplies tables without bound. A reclaim-mode
+        // chain holds one item per key, so its put's trigger counts live
+        // keys and never finds the table this sparse; only an explicit
+        // `split` of a sparse table compacts it, where growing would
+        // double an empty table's buckets on every call.
         let compact =
             mostly_superseded(live.len() as u64, entry.n_buckets, self.cfg.max_load_percent);
         // Each replacement table: its start key, items and bucket count.
@@ -1551,7 +1749,7 @@ impl HtTreeHandle {
             };
             // lint: retire-ok: same unlink as above — chain records and the old directory.
             let mut chain_records: Vec<u64> = drained
-                .into_iter()
+                .into_keys()
                 .filter(|&a| a != self.poison.0 && !in_bulk(a))
                 .collect();
             chain_records.sort_unstable();
@@ -1730,7 +1928,7 @@ mod tests {
         let a = FarAlloc::new(f.clone());
         let mut c = f.client();
         let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
-        let (_, mut h, _shared) = reclaimed(&mut c, &a, cfg);
+        let (_, mut h, shared) = reclaimed(&mut c, &a, cfg);
         let publish = |c: &mut FabricClient, h: &mut HtTreeHandle, bytes: &[u8]| {
             let rec = a.alloc(bytes.len() as u64, AllocHint::Spread).unwrap();
             let before = c.stats();
@@ -1740,52 +1938,137 @@ mod tests {
             assert_eq!(h.get(c, 7).unwrap(), Some(rec.0));
             (rec.0, old, d)
         };
-        // The gather is the plain put's; the batch gains the record write.
-        let want = |batch_msgs: u64, posted: u64, read: u64, written: u64| {
-            farmem_fabric::AccessStats {
-                round_trips: 2,
-                messages: 2 + batch_msgs + posted,
-                posted_messages: posted,
-                bytes_read: WORD + H_ITEMS + WORD + read,
-                bytes_written: ITEM_LEN + written,
-                atomics: 1 + posted,
-                near_accesses: 2,
-                ..Default::default()
-            }
+        // Access 1 is the `load0` of the head item (nothing to read in an
+        // empty bucket) and the header; access 2 the record, the item and
+        // the CAS. Only an insert bumps the count.
+        let splice = |head: u64, posted: u64, written: u64| farmem_fabric::AccessStats {
+            round_trips: 2,
+            messages: 2 + 3 + posted,
+            posted_messages: posted,
+            bytes_read: head + HDR_LEN,
+            bytes_written: ITEM_LEN + written,
+            atomics: 1 + posted,
+            near_accesses: 2,
+            // The replaced item, retired.
+            retired_bytes: head,
+            ..Default::default()
         };
+        let retired = || shared.lock().unwrap().stats().retired_entries;
         let (first, old, d) = publish(&mut c, &mut h, b"sixteen bytes...");
         assert_eq!(old, None, "fresh key");
-        assert_eq!(d, want(3, 1, 0, 16), "empty bucket: record + item + CAS");
+        assert_eq!(d, splice(0, 1, 16), "empty bucket: record + item + CAS");
+        let before = retired();
         let (second, old, d) = publish(&mut c, &mut h, b"twenty-four bytes.......");
-        assert_eq!(old, Some(first), "the value this store shadowed");
-        assert_eq!(d, want(4, 2, ITEM_LEN, 24), "chained: head read + record + item + CAS");
-        // A tombstone supersedes nothing, and never an older value under it.
-        h.remove(&mut c, 7).unwrap();
+        assert_eq!(old, Some(first), "the value this store replaced");
+        assert_eq!(d, splice(ITEM_LEN, 0, 24), "at the head: the item replaced in the CAS");
+        assert_eq!(retired() - before, 1, "the replaced item, retired");
+        assert_eq!(h.len_estimate(&mut c).unwrap(), 1, "one live key");
+        // A removed key supersedes nothing: the take left no item of it.
+        assert_eq!(h.take(&mut c, 7).unwrap(), Some(second));
         let (_, old, _) = publish(&mut c, &mut h, b"after the delete");
-        assert_eq!(old, None, "not {second} from below the tombstone");
+        assert_eq!(old, None, "not {second}");
         assert_eq!(h.stats().chain_hops, 0, "every old item was the chain head");
 
         // A quarantine-mode handle retires nothing, so it asks for nothing:
-        // no head read, no walk, however long the chain.
+        // a gather of the bucket word and the header through the count, no
+        // head read, no walk, however long the chain.
         let t = HtTree::create(&mut c, &a, cfg).unwrap();
         let mut q = t.attach(&mut c, &a, cfg).unwrap();
+        let gathered = |posted: u64, written: u64| farmem_fabric::AccessStats {
+            bytes_read: WORD + H_ITEMS + WORD,
+            ..splice(0, posted, written)
+        };
         let (_, old, d) = publish(&mut c, &mut q, b"sixteen bytes...");
-        assert_eq!((old, d), (None, want(3, 1, 0, 16)));
+        assert_eq!((old, d), (None, gathered(1, 16)));
         let (_, old, d) = publish(&mut c, &mut q, b"twenty-four bytes.......");
-        assert_eq!((old, d), (None, want(3, 2, 0, 24)), "chained, nothing read");
+        assert_eq!((old, d), (None, gathered(2, 24)), "chained, nothing read");
     }
 
-    /// Fails `victim` the moment the bucket word at `bucket` is swung: the
-    /// store has landed, and everything after it meets a dead node.
-    struct FailOnceLanded {
+    /// A splice at depth `d` is `2 + d` far accesses: the walk's hops come
+    /// before the CAS, and the batch copies the `d` items above the key's
+    /// old one. A take at the chain head is two and writes nothing; the
+    /// chain keeps one item per key, and the header counts live keys.
+    #[test]
+    fn a_splice_at_depth_d_is_two_plus_d_far_accesses_and_copies_d_items() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let cfg = HtTreeConfig {
+            initial_buckets: 2,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let (_, mut h, shared) = reclaimed(&mut c, &a, cfg);
+        let entry = h.entry_for(&mut c, 0);
+        let bucket = HtTreeHandle::bucket_addr(&entry, 0);
+        let keys: Vec<u64> =
+            (0u64..).filter(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).take(4).collect();
+        for &k in &keys {
+            h.put(&mut c, k, k + 100).unwrap();
+        }
+        // The chain, head first, as the put order left it.
+        let chain = |c: &mut FabricClient| -> Vec<u64> {
+            let mut out = Vec::new();
+            let mut at = c.read_u64(bucket).unwrap();
+            while at != 0 {
+                let item = Item::decode(&c.read(FarAddr(at), ITEM_LEN).unwrap());
+                out.push(item.key);
+                at = item.next;
+            }
+            out
+        };
+        assert_eq!(chain(&mut c), [keys[3], keys[2], keys[1], keys[0]]);
+        let retired = || shared.lock().unwrap().stats().retired_entries;
+        let measure = |c: &mut FabricClient, h: &mut HtTreeHandle, put: bool, key: u64| {
+            let (before, r0) = (c.stats(), retired());
+            if put {
+                h.put(c, key, key + 200).unwrap();
+            } else {
+                assert_eq!(h.take(c, key).unwrap(), Some(key + 100));
+            }
+            let d = c.stats().since(&before);
+            (d.round_trips, d.bytes_written / ITEM_LEN, retired() - r0)
+        };
+        // An overwrite two hops down: the new item, two copies; the old
+        // item and the two originals retired.
+        assert_eq!(measure(&mut c, &mut h, true, keys[1]), (2 + 2, 3, 3));
+        assert_eq!(chain(&mut c), [keys[1], keys[3], keys[2], keys[0]]);
+        // A take three hops down: three copies, four items retired.
+        assert_eq!(measure(&mut c, &mut h, false, keys[0]), (2 + 3, 3, 4));
+        assert_eq!(chain(&mut c), [keys[1], keys[3], keys[2]]);
+        // A take at the head: the one CAS, nothing written.
+        let head = keys[1];
+        let (before, r0) = (c.stats(), retired());
+        assert_eq!(h.take(&mut c, head).unwrap(), Some(head + 200));
+        let d = c.stats().since(&before);
+        assert_eq!((d.round_trips, d.bytes_written, retired() - r0), (2, 0, 1));
+        assert_eq!(chain(&mut c), [keys[3], keys[2]]);
+        assert_eq!(h.len_estimate(&mut c).unwrap(), 2, "two live keys");
+        for (&k, want) in keys.iter().zip([None, None, Some(keys[2] + 100), Some(keys[3] + 100)]) {
+            assert_eq!(h.get(&mut c, k).unwrap(), want, "key {k}");
+        }
+    }
+
+    /// Fails `victim` right after the first access of `kind` at `addr`:
+    /// at the bucket CAS the store has landed, and everything after it
+    /// meets a dead node.
+    struct FailOnAccess {
         fabric: std::sync::Weak<farmem_fabric::Fabric>,
-        bucket: FarAddr,
+        addr: FarAddr,
+        kind: farmem_fabric::AccessKind,
         victim: farmem_fabric::NodeId,
     }
 
-    impl farmem_fabric::CheckObserver for FailOnceLanded {
+    impl FailOnAccess {
+        fn landed(f: &Arc<farmem_fabric::Fabric>, bucket: FarAddr, victim: farmem_fabric::NodeId) -> Arc<Self> {
+            let kind = farmem_fabric::AccessKind::AtomicRmw;
+            Arc::new(FailOnAccess { fabric: Arc::downgrade(f), addr: bucket, kind, victim })
+        }
+    }
+
+    impl farmem_fabric::CheckObserver for FailOnAccess {
         fn access(&self, access: &farmem_fabric::Access) {
-            if access.addr == self.bucket && access.kind == farmem_fabric::AccessKind::AtomicRmw {
+            if access.addr == self.addr && access.kind == self.kind {
                 self.fabric.upgrade().expect("fabric outlives its verbs").node(self.victim).fail();
             }
         }
@@ -1809,7 +2092,7 @@ mod tests {
         for fail_anchor in [true, false] {
             let (f, a) = two_nodes();
             let mut c = f.client();
-            // 8 buckets at 75 %: the seventh record overloads the table.
+            // 8 buckets at 75 %: the seventh key overloads the table.
             let cfg = HtTreeConfig { initial_buckets: 8, ..HtTreeConfig::default() };
             let (t, mut h, shared) = reclaimed(&mut c, &a, cfg);
             let mut recs = Vec::new();
@@ -1818,38 +2101,38 @@ mod tests {
                 assert_eq!(h.publish(&mut c, k, rec, &[k as u8; 16]).unwrap(), None);
                 recs.push(rec);
             }
-            // The overloading store overwrites the newest key (its old item
-            // is the chain head: no hop), and the node dies under its CAS,
-            // so the restructure it owes cannot even take the table.
+            // The overloading store inserts the seventh key, and the node
+            // dies under its CAS, so the restructure it owes cannot even
+            // take the table.
             let live = a.stats().live_bytes;
             let rec = a.alloc(16, AllocHint::Spread).unwrap();
-            let entry = h.entry_for(&mut c, 5);
+            let entry = h.entry_for(&mut c, 6);
             let victim = a.node_of(if fail_anchor { t.anchor } else { entry.table_hdr });
-            f.install_check_observer(Arc::new(FailOnceLanded {
-                fabric: Arc::downgrade(&f),
-                bucket: HtTreeHandle::bucket_addr(&entry, 5),
+            f.install_check_observer(FailOnAccess::landed(
+                &f,
+                HtTreeHandle::bucket_addr(&entry, 6),
                 victim,
-            }));
-            let old = h.publish(&mut c, 5, rec, b"linked, not lost").unwrap();
+            ));
+            let old = h.publish(&mut c, 6, rec, b"linked, not lost").unwrap();
             f.clear_check_observer();
             assert!(h.split(&mut c, 0).is_err(), "the node is down: that restructure did fail");
             f.node(victim).recover();
-            assert_eq!(old, Some(recs[5].0), "the caller is told what to retire");
+            assert_eq!(old, None, "a fresh key");
             assert_eq!(restructures(&h), 0);
             // Linked and whole: nothing freed the record under its readers.
-            assert_eq!(h.get(&mut c, 5).unwrap(), Some(rec.0));
+            assert_eq!(h.get(&mut c, 6).unwrap(), Some(rec.0));
             assert_eq!(c.read(rec, 16).unwrap(), b"linked, not lost");
             assert_eq!(a.stats().live_bytes, live + 16 + ITEM_LEN, "record + item, nothing else");
-            // The next put into the table gathers the same verdict and pays it.
-            let rec6 = a.alloc(16, AllocHint::Spread).unwrap();
-            assert_eq!(h.publish(&mut c, 6, rec6, &[6; 16]).unwrap(), None);
+            // The next insert into the table gathers the verdict again (a
+            // dead header node lost the count's bump: still one key over)
+            // and pays it.
+            let rec7 = a.alloc(16, AllocHint::Spread).unwrap();
+            assert_eq!(h.publish(&mut c, 7, rec7, &[7; 16]).unwrap(), None);
             assert_eq!(restructures(&h), 1, "anchor failed: {fail_anchor}");
-            recs[5] = rec;
-            recs.push(rec6);
+            recs.extend([rec, rec7]);
             for (k, rec) in recs.iter().enumerate() {
                 assert_eq!(h.get(&mut c, k as u64).unwrap(), Some(rec.0), "key {k}");
             }
-            assert_eq!(h.stats().superseded_lost, 0);
             drop(shared);
         }
     }
@@ -1869,11 +2152,11 @@ mod tests {
         // The table header's node dies right after the seventh put's CAS.
         let entry = h.entry_for(&mut c, 6);
         let victim = a.node_of(entry.table_hdr);
-        f.install_check_observer(Arc::new(FailOnceLanded {
-            fabric: Arc::downgrade(&f),
-            bucket: HtTreeHandle::bucket_addr(&entry, 6),
+        f.install_check_observer(FailOnAccess::landed(
+            &f,
+            HtTreeHandle::bucket_addr(&entry, 6),
             victim,
-        }));
+        ));
         let stored = h.put(&mut c, 6, 16);
         f.clear_check_observer();
         assert!(h.split(&mut c, 0).is_err(), "the node is down: that restructure did fail");
@@ -2012,8 +2295,12 @@ mod tests {
         }
     }
 
+    /// A reclaim-mode store walks to the key's old item before it links
+    /// anything, so a fault on a hop fails the store with nothing linked —
+    /// the record is the caller's to free — instead of leaving a landed
+    /// store that cannot say what it superseded.
     #[test]
-    fn a_superseded_walk_cut_by_a_fault_is_counted_not_misreported() {
+    fn a_walk_cut_by_a_fault_fails_the_store_with_nothing_linked() {
         let (f, a) = two_nodes();
         let mut c = f.client();
         let cfg = HtTreeConfig {
@@ -2028,33 +2315,37 @@ mod tests {
         let above = (1u64..).find(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).unwrap();
         let publish = |c: &mut FabricClient, h: &mut HtTreeHandle, key: u64, fill: u8| {
             let rec = a.alloc(16, AllocHint::Spread).unwrap();
-            (rec, h.publish(c, key, rec, &[fill; 16]).unwrap())
+            (rec, h.publish(c, key, rec, &[fill; 16]))
         };
         let (below_rec, _) = publish(&mut c, &mut h, 0, 1);
-        publish(&mut c, &mut h, above, 2);
+        publish(&mut c, &mut h, above, 2).1.unwrap();
         let head = FarAddr(c.read_u64(bucket).unwrap());
         let head = Item::decode(&c.read(head, ITEM_LEN).unwrap());
         assert_eq!((head.key, head.next != 0), (above, true));
-        // The hop's node dies under the CAS and stays down through every
-        // attempt at the walk: the store stands, the old value is unknown —
-        // and said to be, not passed off as a fresh key's `None`.
+        // The hop's node dies once access 1 has read the header.
         let victim = a.node_of(FarAddr(head.next));
-        f.install_check_observer(Arc::new(FailOnceLanded {
+        f.install_check_observer(Arc::new(FailOnAccess {
             fabric: Arc::downgrade(&f),
-            bucket,
+            addr: entry.table_hdr,
+            kind: farmem_fabric::AccessKind::Read,
             victim,
         }));
-        let (rec, old) = publish(&mut c, &mut h, 0, 3);
+        let (live, words) = (a.stats().live_bytes, c.read(entry.buckets, 2 * WORD).unwrap());
+        let (rec, stored) = publish(&mut c, &mut h, 0, 3);
         f.clear_check_observer();
         f.node(victim).recover();
-        assert_eq!((old, h.stats().superseded_lost), (None, 1));
+        assert!(matches!(stored, Err(CoreError::Fabric(_))), "{stored:?}");
+        a.free(rec, 16).unwrap();
+        // Nothing was linked or allocated: the buckets are as they were
+        // and the old record is still the key's.
+        assert_eq!(c.read(entry.buckets, 2 * WORD).unwrap(), words);
+        assert_eq!(a.stats().live_bytes, live);
+        assert_eq!(h.get(&mut c, 0).unwrap(), Some(below_rec.0));
+        // With the node back the same store walks the hop and lands.
+        let (rec, old) = publish(&mut c, &mut h, 0, 4);
+        assert_eq!(old.unwrap(), Some(below_rec.0));
         assert_eq!(h.get(&mut c, 0).unwrap(), Some(rec.0));
-        assert_eq!(c.read(rec, 16).unwrap(), [3; 16]);
-        // With the node back the same shape of store walks the hop again.
-        publish(&mut c, &mut h, above, 4);
-        let (_, old) = publish(&mut c, &mut h, 0, 5);
-        assert_eq!((old, h.stats().superseded_lost), (Some(rec.0), 1));
-        assert_ne!(old, Some(below_rec.0));
+        assert_eq!(c.read(rec, 16).unwrap(), [4; 16]);
     }
 
     #[test]
@@ -2069,6 +2360,9 @@ mod tests {
         assert!(!overloaded(huge / 2, huge, 75));
         assert!(mostly_superseded(1, huge, 75));
         assert!(!mostly_superseded(u64::MAX, huge, 75));
+        // A count that a take's decrement wrapped reads as empty.
+        assert_eq!(item_count(u64::MAX), 0);
+        assert_eq!(item_count(i64::MAX as u64), i64::MAX as u64);
         // The ordinary range is untouched: 75 % of 64 buckets is 48 records.
         assert!(!overloaded(48, 64, 75));
         assert!(overloaded(49, 64, 75));
@@ -2088,12 +2382,12 @@ mod tests {
         let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
         let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
         for k in 0..6u64 {
-            assert_eq!(h1.put_record(&mut c1, k, k, None).unwrap().0, None, "put {k}");
+            assert_eq!(h1.put_record(&mut c1, k, k, None, None).unwrap().0, None, "put {k}");
         }
         // Both clients land a record before either restructures: both are
         // told the table (start key 0, version 1) is overloaded.
-        assert_eq!(h1.put_record(&mut c1, 6, 6, None).unwrap().0, Some((0, 1)));
-        assert_eq!(h2.put_record(&mut c2, 7, 7, None).unwrap().0, Some((0, 1)));
+        assert_eq!(h1.put_record(&mut c1, 6, 6, None, None).unwrap().0, Some((0, 1)));
+        assert_eq!(h2.put_record(&mut c2, 7, 7, None, None).unwrap().0, Some((0, 1)));
         h1.split_if(&mut c1, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h1), 1);
         // The second's version CAS loses and it leaves: one atomic, and
@@ -2148,7 +2442,7 @@ mod tests {
     #[test]
     fn take_costs_two_far_accesses_plus_hops_and_one_when_the_key_is_absent() {
         use farmem_fabric::AccessStats;
-        for reclaim in [false, true] {
+        for reclaim_mode in [false, true] {
             let f = FabricConfig::count_only(64 << 20).build();
             let a = FarAlloc::new(f.clone());
             let mut c = f.client();
@@ -2157,7 +2451,7 @@ mod tests {
                 max_load_percent: u64::MAX,
                 ..HtTreeConfig::default()
             };
-            let (mut h, _shared) = if reclaim {
+            let (mut h, _shared) = if reclaim_mode {
                 let (_, h, shared) = reclaimed(&mut c, &a, cfg);
                 (h, Some(shared))
             } else {
@@ -2179,42 +2473,67 @@ mod tests {
                 h.put(&mut c, k, v).unwrap();
             }
             let mut take = |c: &mut FabricClient, key| {
-                let (live, linked) = (a.stats().live_bytes, h.len_estimate(c).unwrap());
+                let live = a.stats().live_bytes;
                 let before = c.stats();
                 let got = h.take(c, key).unwrap();
                 let d = c.stats().since(&before);
-                let linked = h.len_estimate(c).unwrap() - linked;
                 if got.is_none() {
                     assert_eq!(a.stats().live_bytes, live, "key {key}: nothing allocated");
                 }
                 // The cached tree's traversal is local and the same every time.
                 assert_eq!(d.near_accesses, 2);
-                (got, linked, AccessStats { near_accesses: 0, ..d })
+                (got, d.bytes_written / ITEM_LEN, AccessStats { near_accesses: 0, ..d })
             };
-            // Access 1 is three messages — bucket word, head item through
-            // it, version word; a hop is one item read; a landed tombstone
-            // is the item write, the CAS and the two posted counter bumps.
+            // Quarantine: access 1 is three messages — bucket word, head
+            // item through it, version word; a hop is one item read; a
+            // landed tombstone is the item write, the CAS and the two
+            // posted counter bumps. Reclaim: access 1 is the `load0` of
+            // the head item and the header; a landed take is the CAS, a
+            // copy per hop and the posted count decrement.
             let books = |hops: u64, landed: bool| {
-                let tombstone = u64::from(landed);
-                AccessStats {
-                    round_trips: 1 + hops + tombstone,
-                    messages: 3 + hops + 4 * tombstone,
-                    posted_messages: 2 * tombstone,
+                let landed = u64::from(landed);
+                let quarantine = AccessStats {
+                    round_trips: 1 + hops + landed,
+                    messages: 3 + hops + 4 * landed,
+                    posted_messages: 2 * landed,
                     bytes_read: WORD + ITEM_LEN + WORD + hops * ITEM_LEN,
-                    bytes_written: ITEM_LEN * tombstone,
-                    atomics: 3 * tombstone,
+                    bytes_written: ITEM_LEN * landed,
+                    atomics: 3 * landed,
                     ..AccessStats::default()
-                }
+                };
+                let copies = hops * landed;
+                let reclaim = AccessStats {
+                    round_trips: 1 + hops + landed,
+                    messages: 2 + hops + (2 + copies) * landed,
+                    posted_messages: landed,
+                    bytes_read: ITEM_LEN + HDR_LEN + hops * ITEM_LEN,
+                    bytes_written: ITEM_LEN * copies,
+                    atomics: 2 * landed,
+                    retired_bytes: ITEM_LEN * (1 + hops) * landed,
+                    ..AccessStats::default()
+                };
+                if reclaim_mode { reclaim } else { quarantine }
             };
+            let written = |n: u64| if reclaim_mode { n } else { 1 };
             assert_eq!(take(&mut c, foreign), (None, 0, books(1, false)), "absent under a chain");
-            assert_eq!(take(&mut c, head), (Some(20), 1, books(0, true)), "at the chain head");
-            assert_eq!(take(&mut c, head), (None, 0, books(0, false)), "its own tombstone");
-            assert_eq!(take(&mut c, under), (Some(30), 1, books(1, true)), "one hop down");
-            let nothing_there = AccessStats { bytes_read: 2 * WORD, ..books(0, false) };
+            assert_eq!(take(&mut c, head), (Some(20), written(0), books(0, true)), "at the chain head");
+            // Quarantine finds the key's own tombstone at the head; reclaim
+            // finds `below`, and nothing under it.
+            let gone = books(0, false);
+            assert_eq!(take(&mut c, head), (None, 0, gone), "a removed key");
+            assert_eq!(take(&mut c, under), (Some(30), written(1), books(1, true)), "one hop down");
+            let nothing_there = if reclaim_mode {
+                AccessStats { bytes_read: HDR_LEN, ..books(0, false) }
+            } else {
+                AccessStats { bytes_read: 2 * WORD, ..books(0, false) }
+            };
             assert_eq!(take(&mut c, empty), (None, 0, nothing_there), "an empty bucket");
-            assert_eq!(h.stats().removes, 2, "landed tombstones only");
+            assert_eq!(h.stats().removes, 2, "landed takes only");
             assert_eq!(h.get(&mut c, below).unwrap(), Some(10));
             assert_eq!(h.get(&mut c, over).unwrap(), Some(40));
+            // Reclaim mode counts live keys, quarantine mode records.
+            let count = h.len_estimate(&mut c).unwrap();
+            assert_eq!(count, if reclaim_mode { 2 } else { 6 });
         }
     }
 
@@ -2285,36 +2604,48 @@ mod tests {
 
     /// Two takes of one key both walk to the same item, and the bucket CAS
     /// hands its value to exactly one of them: the loser starts over and
-    /// finds the winner's tombstone. (What lets the record layer retire
-    /// what `take` returns without asking who else is removing the key.)
+    /// finds the winner's tombstone (quarantine) or no item (reclaim).
+    /// (What lets the record layer retire what `take` returns without
+    /// asking who else is removing the key.)
     #[test]
     fn racing_takes_of_one_key_hand_its_value_to_one_of_them() {
-        let f = FabricConfig::count_only(64 << 20).build();
-        let a = FarAlloc::new(f.clone());
-        let (mut ca, mut cb) = (f.client(), f.client());
-        let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
-        let t = HtTree::create(&mut ca, &a, cfg).unwrap();
-        let mut ha = t.attach(&mut ca, &a, cfg).unwrap();
-        let mut hb = t.attach(&mut cb, &a, cfg).unwrap();
-        ha.put(&mut ca, 7, 70).unwrap();
-        let hold = Arc::new(HoldAt {
-            client: ca.id(),
-            nth: 2,
-            seen: Default::default(),
-            gap: std::sync::Barrier::new(2),
-        });
-        f.install_check_observer(hold.clone());
-        let (first, second) = std::thread::scope(|s| {
-            let parked = s.spawn(|| ha.take(&mut ca, 7));
-            hold.gap.wait();
-            let second = hb.take(&mut cb, 7);
-            hold.gap.wait();
-            (parked.join().unwrap(), second)
-        });
-        f.clear_check_observer();
-        assert_eq!((first.unwrap(), second.unwrap()), (None, Some(70)));
-        assert_eq!((ha.stats().cas_retries, ha.stats().removes), (1, 0));
-        assert_eq!(hb.len_estimate(&mut cb).unwrap(), 2, "one item, one tombstone");
+        for reclaim_mode in [false, true] {
+            let f = FabricConfig::count_only(64 << 20).build();
+            let a = FarAlloc::new(f.clone());
+            let (mut ca, mut cb) = (f.client(), f.client());
+            let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
+            let t = HtTree::create(&mut ca, &a, cfg).unwrap();
+            let reg = farmem_reclaim::ReclaimRegistry::create(&mut ca, &a, 4).unwrap();
+            let attach = |c: &mut FabricClient| {
+                if reclaim_mode {
+                    let shared = reg.attach(c, &a).unwrap();
+                    t.attach_reclaimed(c, &a, cfg, shared).unwrap()
+                } else {
+                    t.attach(c, &a, cfg).unwrap()
+                }
+            };
+            let (mut ha, mut hb) = (attach(&mut ca), attach(&mut cb));
+            ha.put(&mut ca, 7, 70).unwrap();
+            let hold = Arc::new(HoldAt {
+                client: ca.id(),
+                nth: 2,
+                seen: Default::default(),
+                gap: std::sync::Barrier::new(2),
+            });
+            f.install_check_observer(hold.clone());
+            let (first, second) = std::thread::scope(|s| {
+                let parked = s.spawn(|| ha.take(&mut ca, 7));
+                hold.gap.wait();
+                let second = hb.take(&mut cb, 7);
+                hold.gap.wait();
+                (parked.join().unwrap(), second)
+            });
+            f.clear_check_observer();
+            assert_eq!((first.unwrap(), second.unwrap()), (None, Some(70)));
+            assert_eq!((ha.stats().cas_retries, ha.stats().removes), (1, 0));
+            let count = hb.len_estimate(&mut cb).unwrap();
+            assert_eq!(count, if reclaim_mode { 0 } else { 2 }, "reclaim: no key; else item + tombstone");
+        }
     }
 
     /// A fabric that refuses cross-node dereferences names the pointer it
@@ -2337,7 +2668,8 @@ mod tests {
             ..HtTreeConfig::default()
         };
         // Reclaim mode: item records come from the slab, spread over both nodes.
-        let (_, mut h, _shared) = reclaimed(&mut c, &a, cfg);
+        let (_, mut h, shared) = reclaimed(&mut c, &a, cfg);
+        let seals = || shared.lock().unwrap().stats().seals;
         let keys: Vec<u64> = (0..32u64).map(|k| k * 7919).collect();
         for &k in &keys {
             h.put(&mut c, k, k + 1).unwrap();
@@ -2347,13 +2679,17 @@ mod tests {
         for &k in &keys {
             for want in [Some(k + 1), None] {
                 let bucket = HtTreeHandle::bucket_addr(&entry, k);
+                // A take empties the bucket: nothing to dereference.
                 let head = FarAddr(c.read_u64(bucket).unwrap());
-                let remote = a.node_of(bucket) != a.node_of(head);
+                let remote = !head.is_null() && a.node_of(bucket) != a.node_of(head);
                 seen[usize::from(remote)] += 1;
-                let before = c.stats();
+                // The slot catches up with the last seal ahead of the take.
+                drop(pin(&shared, &mut c).unwrap());
+                let (before, sealed) = (c.stats(), seals());
                 assert_eq!(h.take(&mut c, k).unwrap(), want, "key {k}");
                 let landed = u64::from(want.is_some());
-                let rt = c.stats().since(&before).round_trips;
+                // A retire that fills the limbo batch seals it: one FAA.
+                let rt = c.stats().since(&before).round_trips - (seals() - sealed);
                 assert_eq!(rt, 1 + u64::from(remote) + landed, "key {k}, {want:?}");
             }
             assert_eq!(h.get(&mut c, k).unwrap(), None);
@@ -2722,6 +3058,137 @@ mod tests {
         }
         for k in 0..64u64 {
             assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k + 1), "key {k}");
+        }
+    }
+
+    /// The reclaim-mode chain property, apart: the property prelude's
+    /// names stay out of the other tests.
+    mod chain_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A reclaim-mode mutation, for the chain property below.
+        #[derive(Clone, Debug)]
+        enum Mutation {
+            /// `(client, key, value)`.
+            Put(usize, u64, u64),
+            /// `(client, key)`: a 16-byte record stored under the key.
+            Publish(usize, u64),
+            /// `(client, key)`.
+            Take(usize, u64),
+            /// `(client, key)`: restructure the table covering the key.
+            Split(usize, u64),
+            /// `(client)`: a grace round, so freed items come back as new ones.
+            Reclaim(usize),
+        }
+
+        /// Every chain of every table `h` caches, after a refresh: per table,
+        /// its header's item count and the items on each chain.
+        fn chains(h: &mut HtTreeHandle, c: &mut FabricClient) -> Vec<(u64, Vec<Vec<Item>>)> {
+            h.refresh_directory(c).unwrap();
+            h.entries
+                .clone()
+                .into_iter()
+                .map(|e| {
+                    let count = c.read_u64(e.table_hdr.offset(H_ITEMS)).unwrap();
+                    let heads = words(&c.read(e.buckets, e.n_buckets * WORD).unwrap());
+                    let walked = heads
+                        .into_iter()
+                        .map(|mut at| {
+                            let mut chain = Vec::new();
+                            while at != 0 {
+                                let item = Item::decode(&c.read(FarAddr(at), ITEM_LEN).unwrap());
+                                assert_eq!(item.version, e.version, "an item of another table");
+                                chain.push(item);
+                                at = item.next;
+                            }
+                            chain
+                        })
+                        .collect();
+                    (count, walked)
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// Two reclaim-mode handles put, publish and take across splits,
+            /// grows and grace rounds: every chain holds at most one item per
+            /// key and no tombstone, every value is the model's, and once the
+            /// posted counter updates have landed each table's header counts
+            /// exactly its live keys.
+            #[test]
+            fn reclaim_chains_hold_one_item_per_key_and_count_live_keys(
+                ops in prop::collection::vec(
+                    prop_oneof![
+                        (0..2usize, 0..40u64, 1..1000u64).prop_map(|(c, k, v)| Mutation::Put(c, k, v)),
+                        (0..2usize, 0..40u64).prop_map(|(c, k)| Mutation::Publish(c, k)),
+                        (0..2usize, 0..40u64).prop_map(|(c, k)| Mutation::Take(c, k)),
+                        (0..2usize, 0..40u64).prop_map(|(c, k)| Mutation::Take(c, k)),
+                        (0..2usize, 0..40u64).prop_map(|(c, k)| Mutation::Split(c, k)),
+                        (0..2usize).prop_map(Mutation::Reclaim),
+                    ],
+                    1..160,
+                )
+            ) {
+                let f = FabricConfig::count_only(64 << 20).build();
+                let a = FarAlloc::new(f.clone());
+                let mut c = [f.client(), f.client()];
+                let reg = farmem_reclaim::ReclaimRegistry::create(&mut c[0], &a, 4).unwrap();
+                // Four buckets at 100 %: the fifth live key of a table splits it.
+                let cfg = HtTreeConfig {
+                    initial_buckets: 4,
+                    max_load_percent: 100,
+                    ..HtTreeConfig::default()
+                };
+                let t = HtTree::create(&mut c[0], &a, cfg).unwrap();
+                let shared: Vec<SharedReclaim> =
+                    c.iter_mut().map(|c| reg.attach(c, &a).unwrap()).collect();
+                let mut h: Vec<HtTreeHandle> = c
+                    .iter_mut()
+                    .zip(&shared)
+                    .map(|(c, s)| t.attach_reclaimed(c, &a, cfg, s.clone()).unwrap())
+                    .collect();
+                let mut model = std::collections::HashMap::new();
+                for op in ops {
+                    match op {
+                        Mutation::Put(i, k, v) => {
+                            h[i].put(&mut c[i], k, v).unwrap();
+                            model.insert(k, v);
+                        }
+                        Mutation::Publish(i, k) => {
+                            let rec = a.alloc(16, AllocHint::Spread).unwrap();
+                            let old = h[i].publish(&mut c[i], k, rec, &[k as u8; 16]).unwrap();
+                            prop_assert_eq!(old, model.insert(k, rec.0));
+                        }
+                        Mutation::Take(i, k) => {
+                            prop_assert_eq!(h[i].take(&mut c[i], k).unwrap(), model.remove(&k));
+                        }
+                        Mutation::Split(i, k) => h[i].split(&mut c[i], k).unwrap(),
+                        Mutation::Reclaim(i) => {
+                            let mut r = shared[i].lock().unwrap();
+                            r.seal(&mut c[i]).unwrap();
+                            r.reclaim(&mut c[i]).unwrap();
+                        }
+                    }
+                }
+                let mut found = std::collections::HashMap::new();
+                for (count, buckets) in chains(&mut h[0], &mut c[0]) {
+                    let mut keys = 0u64;
+                    for chain in buckets {
+                        let mut seen = std::collections::HashSet::new();
+                        for item in chain {
+                            prop_assert!(!item.is_tombstone(), "a tombstone of key {}", item.key);
+                            prop_assert!(seen.insert(item.key), "two items of key {}", item.key);
+                            found.insert(item.key, item.value);
+                            keys += 1;
+                        }
+                    }
+                    prop_assert_eq!(count, keys, "the header counts live keys");
+                }
+                prop_assert_eq!(found, model);
+            }
         }
     }
 

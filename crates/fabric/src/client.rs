@@ -116,9 +116,11 @@ pub enum BatchOp<'a> {
         delta: u64,
     },
     /// `load0`: dereference the pointer at `ptr` and read `len` bytes at
-    /// its target ([`FabricClient::load0`]). A null pointer is an answer,
-    /// not a failure: the op completes with [`BatchOut::Null`] and the
-    /// rest of the batch still runs. A remote target the fabric refuses
+    /// its target ([`FabricClient::load0`]), answered with
+    /// [`BatchOut::Loaded`]: the bytes *and* the pointer they were read
+    /// through. A null pointer is an answer, not a failure: the op
+    /// completes with [`BatchOut::Null`] and the rest of the batch still
+    /// runs. A remote target the fabric refuses
     /// ([`FabricError::IndirectRemote`]) fails the batch.
     Load0 {
         /// Far address of the pointer word.
@@ -155,6 +157,16 @@ impl BatchOp<'_> {
 pub enum BatchOut {
     /// Bytes returned by a `Read`.
     Bytes(Vec<u8>),
+    /// What a `Load0` read: the pointer value it dereferenced and the
+    /// bytes at that target. The ops of a batch are not one atomic unit,
+    /// so only this pointer — not a `Read` of the same word elsewhere in
+    /// the batch — is known to name the bytes.
+    Loaded {
+        /// The pointer value the home node dereferenced.
+        ptr: u64,
+        /// The bytes read at the target.
+        bytes: Vec<u8>,
+    },
     /// Previous word value returned by `Cas` or `Faa`.
     Value(u64),
     /// A `Write` completed.
@@ -177,14 +189,14 @@ impl BatchOut {
         }
     }
 
-    /// The returned bytes, for `Read` outputs.
+    /// The returned bytes, for `Read` and `Load0` outputs.
     ///
     /// # Panics
     ///
     /// Panics if the output is not bytes.
     pub fn bytes(&self) -> &[u8] {
         match self {
-            BatchOut::Bytes(b) => b,
+            BatchOut::Bytes(b) | BatchOut::Loaded { bytes: b, .. } => b,
             other => panic!("batch output {other:?} is not bytes"),
         }
     }
@@ -986,7 +998,7 @@ impl FabricClient {
                     .map(|(prev, f)| (BatchOut::Value(prev), f))
                     .map_err(ErrorCompletion::from),
                 BatchOp::Load0 { ptr, len } => match self.exec_load0(*ptr, *len, arrival) {
-                    Ok((bytes, f)) => Ok((BatchOut::Bytes(bytes), f)),
+                    Ok(((ptr, bytes), f)) => Ok((BatchOut::Loaded { ptr, bytes }, f)),
                     Err(ErrorCompletion {
                         err: FabricError::NullDeref { .. },
                         answered_at: Some(at),
@@ -1273,7 +1285,8 @@ mod tests {
             BatchOp::Load0 { ptr: bucket, len: 32 },
             BatchOp::ReadSpeculative { addr: item, len: 16 },
         ];
-        for (pointer, answer) in [(0, BatchOut::Null), (item.0, BatchOut::Bytes(vec![5u8; 32]))] {
+        let loaded = BatchOut::Loaded { ptr: item.0, bytes: vec![5u8; 32] };
+        for (pointer, answer) in [(0, BatchOut::Null), (item.0, loaded)] {
             c.write_u64(bucket, pointer).unwrap();
             let before = c.stats();
             let out = c.batch(&ops).unwrap();
@@ -1334,7 +1347,7 @@ mod tests {
         c.write_u64(bucket, item.0).unwrap();
         c.write(item, &[9u8; 32]).unwrap();
         for _ in 0..100 {
-            assert_eq!(c.batch(&ops).unwrap()[0], BatchOut::Bytes(vec![9u8; 32]));
+            assert_eq!(c.batch(&ops).unwrap()[0], BatchOut::Loaded { ptr: item.0, bytes: vec![9u8; 32] });
         }
         assert!(c.stats().retries > 0 && c.stats().giveups == 0, "{:?}", c.stats());
     }

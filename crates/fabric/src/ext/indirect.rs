@@ -470,7 +470,7 @@ impl FabricClient {
     }
 
     /// `load0` as one op of a fenced batch ([`BatchOp::Load0`]): returns
-    /// `(bytes, node-side finish time)`. Its own out-of-line copy of
+    /// `((pointer, bytes), node-side finish time)`. Its own out-of-line copy of
     /// [`exec_deref`](Self::exec_deref), so `batch` — the store path's hot
     /// loop — does not grow by the executor's body.
     ///
@@ -481,10 +481,10 @@ impl FabricClient {
         ad: FarAddr,
         len: u64,
         arrival: u64,
-    ) -> std::result::Result<(Vec<u8>, u64), ErrorCompletion> {
-        let ((_, out), finish) =
+    ) -> std::result::Result<((u64, Vec<u8>), u64), ErrorCompletion> {
+        let ((ptr, out), finish) =
             self.exec_deref(ad, PtrRead::Plain, 0, TargetAccess::Read(len), arrival)?;
-        Ok((out.into_bytes(), finish))
+        Ok(((ptr, out.into_bytes()), finish))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes

@@ -991,7 +991,9 @@ mod tests {
         };
         const ITEM: u64 = 32;
         let hit = |v: &[u8]| (Response::Value(v.to_vec()), 1, 2, ITEM + RECORD_HEADER + v.len() as u64);
-        let miss = (Response::Miss, 1, 1, ITEM);
+        // The key's bucket holds no other key: once its item is unlinked
+        // the `load0` finds the bucket empty and reads nothing behind it.
+        let miss = (Response::Miss, 1, 1, 0);
 
         w.put(&mut c, t, k[0], &[1u8; 100], None).unwrap();
         assert_eq!(get(&mut c, &mut w, k[0]), hit(&[1u8; 100]));
@@ -999,7 +1001,7 @@ mod tests {
         w.put(&mut c, t, k[0], &[2u8; 90], None).unwrap();
         assert_eq!(get(&mut c, &mut w, k[0]), hit(&[2u8; 90]));
         assert_eq!(get(&mut c, &mut other, k[0]), hit(&[2u8; 90]), "the other shard");
-        // Delete: the tombstone heads the chain, nothing is speculated.
+        // Delete: the item leaves the chain, nothing is speculated.
         assert_eq!(w.delete(&mut c, t, k[0]).unwrap(), Response::Deleted(true));
         assert_eq!(get(&mut c, &mut w, k[0]), miss);
         assert_eq!(get(&mut c, &mut other, k[0]), miss, "the other shard");
@@ -1064,7 +1066,8 @@ mod tests {
         assert_eq!(get(&mut c), (value(&[3u8; 80]), 2, 3, stale), "stale");
         assert_eq!(get(&mut c), (value(&[3u8; 80]), 1, 2, hinted(80)), "learned");
         owner.delete(&mut c, t, key).unwrap();
-        assert_eq!(get(&mut c), (Response::Miss, 1, 1, ITEM), "deleted");
+        // The item left the chain, and with it the bucket's only key.
+        assert_eq!(get(&mut c), (Response::Miss, 1, 1, 0), "deleted");
     }
 
     /// The session path reads the same table, and the preload fills it:

@@ -415,10 +415,11 @@ mod tests {
         let hits = serial.iter().filter(|(o, _)| matches!(o, GetOutcome::Hit(_))).count();
         assert_eq!(hits, 6, "keys 5 (removed) and 8 (never stored) miss");
         // Doorbell 1: seven hinted lookups of two messages, one unhinted of
-        // one; seven items read (key 8's bucket is empty), seven hinted
+        // one; six items read (the buckets of key 8, never stored, and of
+        // key 5, whose item the remove unlinked, are empty), seven hinted
         // records. Doorbell 2: keys 2 and 4 (stale) and 3 (unhinted).
         let spec = RECORD_HEADER + LEN;
-        let bytes = 7 * ITEM + 7 * spec + 3 * RecordStore::PREFETCH;
+        let bytes = 6 * ITEM + 7 * spec + 3 * RecordStore::PREFETCH;
         assert_eq!(d, books(11, 15 + 3, bytes, 2), "mixed");
     }
 
@@ -453,19 +454,19 @@ mod tests {
         let mut c = f.client();
         let mut s = store(&f, &a, &mut c);
         s.put(&mut c, 5, b"survivor", 0).unwrap();
-        // An overwrite's accesses, in order: the gather's bucket word and
-        // header, then the batch's head-item read, record write, item
-        // write and bucket CAS. Spread placement alternates nodes, so the
-        // put's record and its tree item (consecutive allocations) sit on
-        // different nodes.
+        // An overwrite's accesses, in order: the first batch's bucket word
+        // and head item (its `load0`) and header, then the second batch's
+        // record write, item write and bucket CAS. Spread placement
+        // alternates nodes, so the put's record and its tree item
+        // (consecutive allocations) sit on different nodes.
         for torn in [false, true] {
             let live = a.stats().live_bytes;
             let next = a.alloc(8, AllocHint::Spread).unwrap();
             a.free(next, 8).unwrap();
             let record_node = NodeId(1 - a.node_of(next).0);
-            // Not torn: the record's node dies under the head read, so the
-            // record write fails before anything mutated. Torn: the item's
-            // node dies right after the record write.
+            // Not torn: the record's node dies under the header read, so
+            // the record write fails before anything mutated. Torn: the
+            // item's node dies right after the record write.
             let (after, victim) =
                 if torn { (4, NodeId(1 - record_node.0)) } else { (3, record_node) };
             f.install_check_observer(Arc::new(FailAfter {
@@ -483,7 +484,7 @@ mod tests {
                 crate::ServeError::Core(CoreError::Fabric(FabricError::BatchTorn {
                     node,
                     executed,
-                })) if torn => assert_eq!((node, executed), (victim, 2), "head read + record"),
+                })) if torn => assert_eq!((node, executed), (victim, 1), "the record"),
                 err => panic!("torn {torn}: unexpected {err:?}"),
             }
             // The CAS never ran: readers still reach the old record, and
