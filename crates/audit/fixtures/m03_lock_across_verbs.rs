@@ -1,4 +1,4 @@
-// fixture-path: crates/core/src/seeded_m03.rs
+// fixture-path: crates/baselines/src/seeded_m03.rs
 // fixture-expect: lock-across-rt
 // Seeded violation: a lease lock held across a verb-per-element drain.
 // Four dependent round trips inside the critical section is enough for

@@ -1,4 +1,4 @@
-// fixture-path: crates/core/src/seeded_m07.rs
+// fixture-path: crates/baselines/src/seeded_m07.rs
 // fixture-expect: verb-in-drop
 // Seeded violation: an RAII lock guard that releases the far lease in
 // Drop. The unlock is a fabric round trip; in a destructor its error

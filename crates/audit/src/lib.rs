@@ -17,7 +17,7 @@
 //!   batch adopter (`pipeline()`, `get_many`, `read_ranges`,
 //!   `dequeue_batch`, ...) in scope: loop-carried round-trip
 //!   amplification. The finding names the batched twin to adopt.
-//! * **lock-across-rt** — a `FarMutex`/`FarRwLock` held across ≥ N
+//! * **lock-across-rt** — a `FarMutex` held across ≥ N
 //!   fabric verbs (default 4) or across any `.await`: the 100 ms
 //!   virtual lease can expire under the holder and a contender will
 //!   fence it out mid-critical-section.

@@ -7,7 +7,7 @@
 //!   batch adopter in scope is loop-carried RT amplification: the
 //!   O(1)-RT structure the paper argues for silently becomes O(n)
 //!   serial verbs. The finding names the batched twin to migrate to.
-//! * **lock-across-rt** — a `FarMutex`/`FarRwLock` is *lease*-fenced
+//! * **lock-across-rt** — a `FarMutex` is *lease*-fenced
 //!   (100 ms virtual); holding one across many round trips, or across
 //!   any `.await` (unbounded suspension), is how a lease expires under
 //!   the holder and a steal fences it out mid-critical-section.
@@ -25,7 +25,7 @@
 //! (and window) the legacy `lint: <name>-ok` markers use.
 
 use crate::lex::{Kind, Lexed};
-use crate::sketch::{batched_twin, Ev, FnSketch, LockKind};
+use crate::sketch::{batched_twin, Ev, FnSketch};
 use crate::{AuditConfig, Finding};
 
 /// One `audit:`/`lint:` suppression marker: the pass it waives and the
@@ -178,7 +178,6 @@ fn rt_in_loop(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Finding>
 }
 
 struct LockRegion {
-    kind: LockKind,
     line: u32,
     verbs: u32,
     awaits: u32,
@@ -206,12 +205,11 @@ fn lock_across_rt(
                     r.awaits += 1;
                 }
             }
-            Ev::Acquire { line, kind } => {
-                open.push(LockRegion { kind: *kind, line: *line, verbs: 0, awaits: 0 });
+            Ev::Acquire { line } => {
+                open.push(LockRegion { line: *line, verbs: 0, awaits: 0 });
             }
-            Ev::Release { kind, .. } => {
-                let Some(pos) = open.iter().rposition(|r| r.kind == *kind) else { continue };
-                let r = open.remove(pos);
+            Ev::Release { .. } => {
+                let Some(r) = open.pop() else { continue };
                 let over = r.verbs >= cfg.lock_rt_threshold as u32 || r.awaits > 0;
                 if over && !suppressed(marks, "lock-across-rt", r.line) {
                     let what = if r.awaits > 0 {
@@ -341,8 +339,8 @@ fn verb_in_drop(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Findin
         let (line, what) = match ev {
             Ev::Verb { line, name, .. } => (*line, name.clone()),
             Ev::Adopter { line } => (*line, "batched verbs".to_string()),
-            Ev::Acquire { line, .. } => (*line, "lock acquisition".to_string()),
-            Ev::Release { line, .. } => (*line, "lock release".to_string()),
+            Ev::Acquire { line } => (*line, "lock acquisition".to_string()),
+            Ev::Release { line } => (*line, "lock release".to_string()),
             _ => continue,
         };
         if suppressed(marks, "verb-in-drop", line) {

@@ -85,17 +85,6 @@ pub fn batched_twin(verb: &str) -> &'static str {
     }
 }
 
-/// Lease-lock classes — acquire/release must match within a class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// `FarMutex::lock` / `unlock`.
-    Mutex,
-    /// `FarRwLock::read_lock` / `read_unlock`.
-    Read,
-    /// `FarRwLock::write_lock` / `write_unlock`.
-    Write,
-}
-
 /// One sketch event, in source order.
 #[derive(Debug, Clone)]
 pub enum Ev {
@@ -130,19 +119,15 @@ pub enum Ev {
         /// Line of the `await`.
         line: u32,
     },
-    /// A lease-lock acquisition with a client argument.
+    /// A lease-lock acquisition (`lock`) with a client argument.
     Acquire {
         /// Line of the call.
         line: u32,
-        /// Lock class.
-        kind: LockKind,
     },
-    /// The matching release verb.
+    /// A lease-lock release (`unlock`) with a client argument.
     Release {
         /// Line of the call.
         line: u32,
-        /// Lock class.
-        kind: LockKind,
     },
     /// A `let` binding.
     Let {
@@ -173,8 +158,8 @@ impl Ev {
             | Ev::Verb { line, .. }
             | Ev::Adopter { line }
             | Ev::Await { line }
-            | Ev::Acquire { line, .. }
-            | Ev::Release { line, .. }
+            | Ev::Acquire { line }
+            | Ev::Release { line }
             | Ev::Let { line, .. }
             | Ev::DropIdent { line, .. } => *line,
         }
@@ -478,23 +463,13 @@ fn walk_body<'a>(
                     && !client_ish(receiver);
                 if ADOPTERS.contains(&ident) {
                     events.push(Ev::Adopter { line });
-                } else if matches!(ident, "lock" | "read_lock" | "write_lock") {
+                } else if ident == "lock" {
                     if direct.iter().any(|a| client_ish(a)) {
-                        let kind = match ident {
-                            "read_lock" => LockKind::Read,
-                            "write_lock" => LockKind::Write,
-                            _ => LockKind::Mutex,
-                        };
-                        events.push(Ev::Acquire { line, kind });
+                        events.push(Ev::Acquire { line });
                     }
-                } else if matches!(ident, "unlock" | "read_unlock" | "write_unlock") {
+                } else if ident == "unlock" {
                     if direct.iter().any(|a| client_ish(a)) {
-                        let kind = match ident {
-                            "read_unlock" => LockKind::Read,
-                            "write_unlock" => LockKind::Write,
-                            _ => LockKind::Mutex,
-                        };
-                        events.push(Ev::Release { line, kind });
+                        events.push(Ev::Release { line });
                     }
                 } else if is_raw || is_struct {
                     let mut idents = args;

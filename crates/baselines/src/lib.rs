@@ -15,6 +15,7 @@
 //! | [`HopscotchHash`] | FaRM-style inlining \[11\] | 1, bandwidth-heavy |
 //! | [`RpcKv`] | two-sided RPC store \[24,25\] | 1 RPC (server CPU) |
 //! | [`LockQueue`] / [`CasQueue`] | §5.3 comparators | ≥5 / ≥3 |
+//! | [`FarMutex`] | §5.1 lease lock behind [`LockQueue`] | 1 uncontended |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +24,7 @@ pub mod btree;
 pub mod chained_hash;
 pub mod hopscotch;
 pub mod list;
+pub mod mutex;
 pub mod queues;
 pub mod rpc_kv;
 pub mod skiplist;
@@ -31,6 +33,7 @@ pub use btree::{OneSidedBTree, FANOUT};
 pub use chained_hash::{ChainedHash, ChainedStats};
 pub use hopscotch::{HopscotchHash, NEIGHBORHOOD};
 pub use list::OneSidedList;
+pub use mutex::FarMutex;
 pub use queues::{CasQueue, CasQueueCost, LockQueue};
 pub use rpc_kv::{KvService, RpcKv};
 pub use skiplist::OneSidedSkipList;
@@ -52,6 +55,11 @@ pub enum BaselineError {
     TableFull,
     /// Too many lost races; back off and retry.
     Contended,
+    /// The caller's lease on a [`FarMutex`] expired and another client
+    /// took it over; the caller must not touch the protected data.
+    /// Surfaced by unlock when the lock word no longer carries the
+    /// caller's fencing tag.
+    LeaseLost,
 }
 
 impl From<farmem_fabric::FabricError> for BaselineError {
@@ -76,6 +84,9 @@ impl core::fmt::Display for BaselineError {
             BaselineError::Empty => write!(f, "structure is empty"),
             BaselineError::TableFull => write!(f, "open addressing table is full"),
             BaselineError::Contended => write!(f, "lost too many races"),
+            BaselineError::LeaseLost => {
+                write!(f, "lock lease expired and was taken over by another client")
+            }
         }
     }
 }
@@ -92,7 +103,9 @@ impl From<BaselineError> for farmem_core::CoreError {
             BaselineError::Alloc(a) => farmem_core::CoreError::Alloc(a),
             BaselineError::Full => farmem_core::CoreError::QueueFull,
             BaselineError::Empty => farmem_core::CoreError::QueueEmpty,
-            BaselineError::Contended => farmem_core::CoreError::Contended,
+            BaselineError::Contended | BaselineError::LeaseLost => {
+                farmem_core::CoreError::Contended
+            }
             BaselineError::TableFull => farmem_core::CoreError::Corrupted("table full"),
             BaselineError::BadConfig(s) => farmem_core::CoreError::BadConfig(s),
         }

@@ -12,11 +12,10 @@
 //! behaviour under contention, reproduced by experiment E5.
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_core::FarMutex;
 use farmem_fabric::{BatchOp, FabricClient, FarAddr, WORD};
 use std::sync::Arc;
 
-use crate::{BaselineError, Result};
+use crate::{BaselineError, FarMutex, Result};
 
 /// Header: head index, tail index, lock.
 const Q_HEAD: u64 = 0;
@@ -56,7 +55,7 @@ impl LockQueue {
             return Err(BaselineError::BadConfig("u64::MAX is reserved"));
         }
         let lock = self.lock();
-        lock.lock(client, 1_000_000).map_err(|_| BaselineError::Contended)?;
+        lock.lock(client, 1_000_000)?;
         let out = (|| -> Result<()> {
             let head = client.read_u64(self.hdr.offset(Q_HEAD))?;
             let tail = client.read_u64(self.hdr.offset(Q_TAIL))?;
@@ -75,7 +74,7 @@ impl LockQueue {
             ])?;
             Ok(())
         })();
-        lock.unlock(client).map_err(|_| BaselineError::Contended)?;
+        lock.unlock(client)?;
         out
     }
 
@@ -84,7 +83,7 @@ impl LockQueue {
         let lock = self.lock();
         // audit: lock-across-rt-ok: deliberate strawman — the locked baseline
         // holds its lease across every verb by design; e5 measures the cost.
-        lock.lock(client, 1_000_000).map_err(|_| BaselineError::Contended)?;
+        lock.lock(client, 1_000_000)?;
         let out = (|| -> Result<u64> {
             let head = client.read_u64(self.hdr.offset(Q_HEAD))?;
             let tail = client.read_u64(self.hdr.offset(Q_TAIL))?;
@@ -102,7 +101,7 @@ impl LockQueue {
             ])?;
             Ok(raw - 1)
         })();
-        lock.unlock(client).map_err(|_| BaselineError::Contended)?;
+        lock.unlock(client)?;
         out
     }
 }

@@ -24,7 +24,8 @@
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_bench::{BenchArgs, Json, Table};
-use farmem_core::{FarMutex, FarQueue, HtTree, HtTreeConfig, QueueConfig};
+use farmem_baselines::FarMutex;
+use farmem_core::{FarQueue, HtTree, HtTreeConfig, QueueConfig};
 use farmem_fabric::{FabricConfig, FaultPlan, RetryPolicy, TraceConfig, TraceReport};
 
 /// Fault-stream seed (determinism over novelty).

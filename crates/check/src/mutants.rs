@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_core::FarRwLock;
+use farmem_baselines::FarMutex;
 use farmem_fabric::{
     BatchOp, BatchOut, DescList, FabricClient, FabricError, FarAddr, PipeOp, PipeOut,
 };
@@ -196,13 +196,13 @@ fn unsync_counter() -> Mutant {
     Mutant { program, expect: &[Expect::Races, Expect::Lin] }
 }
 
-/// M4 — a reader that skips `read_lock` and snapshots the pair with one
+/// M4 — a reader that skips the lock and snapshots the pair with one
 /// multi-word read while the writer (correctly locked) updates it word
 /// by word: a torn read, visible both to the race detector and as a
 /// register value that was never written.
-fn rwlock_skip_readlock() -> Mutant {
+fn reader_skips_lock() -> Mutant {
     let program = Program {
-        name: "m4_rwlock_skip_readlock",
+        name: "m4_reader_skips_lock",
         model: Some(Model::Register { init: 0 }),
         check_races: true,
         max_steps: 250,
@@ -210,7 +210,7 @@ fn rwlock_skip_readlock() -> Mutant {
             let f = plain_fabric();
             let alloc = FarAlloc::new(f.clone());
             let mut c0 = f.client();
-            let lk = FarRwLock::create(&mut c0, &alloc, AllocHint::Spread).unwrap();
+            let lk = FarMutex::create(&mut c0, &alloc, AllocHint::Spread).unwrap();
             let pair = alloc.alloc(16, AllocHint::Spread).unwrap();
             c0.write(pair, &[0u8; 16]).unwrap();
             let h = Arc::new(History::new());
@@ -220,17 +220,17 @@ fn rwlock_skip_readlock() -> Mutant {
             let rid = reader.id();
             let participants = vec![wid, rid];
             let hw = h.clone();
-            let lw = FarRwLock::attach(lk.addr());
+            let lw = FarMutex::attach(lk.addr());
             let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for i in 1..=2u64 {
                     let t = hw.invoke(wid, Op::RegWrite { part: 0, v: vec![i, i] });
-                    if lw.write_lock(&mut writer, 24).is_err() {
+                    if lw.lock(&mut writer, 24).is_err() {
                         hw.fail(t);
                         continue;
                     }
                     writer.write_u64(pair, i).unwrap();
                     writer.write_u64(pair.offset(8), i).unwrap();
-                    let _ = lw.write_unlock(&mut writer);
+                    let _ = lw.unlock(&mut writer);
                     hw.complete(t, Ret::Unit);
                 }
             });
@@ -238,7 +238,7 @@ fn rwlock_skip_readlock() -> Mutant {
             let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for _ in 0..2 {
                     let t = hr.invoke(rid, Op::RegRead { part: 0 });
-                    // MUTANT: no read_lock around the snapshot.
+                    // MUTANT: no lock around the snapshot.
                     let b = reader.read(pair, 16).unwrap();
                     let w0 = u64::from_le_bytes(b[0..8].try_into().unwrap());
                     let w1 = u64::from_le_bytes(b[8..16].try_into().unwrap());
@@ -1944,7 +1944,7 @@ pub fn all_mutants() -> Vec<Mutant> {
         mutex_unfenced_release(),
         mutex_immediate_steal(),
         unsync_counter(),
-        rwlock_skip_readlock(),
+        reader_skips_lock(),
         split_publish_order(),
         double_retire(),
         free_before_grace(),

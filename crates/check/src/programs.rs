@@ -59,9 +59,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use farmem_alloc::{AllocHint, FarAlloc};
+use farmem_baselines::FarMutex;
 use farmem_core::{
-    FarBlobMap, FarMutex, FarQueue, FarRwLock, HintTable, HtTree, HtTreeConfig, QueueConfig,
-    RecordHint,
+    FarBlobMap, FarQueue, HintTable, HtTree, HtTreeConfig, QueueConfig, RecordHint,
 };
 use farmem_fabric::{splitmix64, FabricClient, FabricConfig, FarAddr, FaultPlan};
 use farmem_reclaim::{pin, ReclaimRegistry, SharedReclaim};
@@ -128,70 +128,6 @@ pub fn mutex_counter(chaos: bool) -> Program {
                 }));
             }
             PreparedRun { fabric: f, participants, bodies, history: h, finale: None }
-        }),
-    }
-}
-
-/// One writer updating a two-word pair under [`FarRwLock`], one reader
-/// taking 16-byte snapshots under the read lock. Checked: race-freedom
-/// (including torn reads) and register linearizability.
-pub fn rwlock_pair(chaos: bool) -> Program {
-    Program {
-        name: if chaos { "rwlock_pair_chaos" } else { "rwlock_pair" },
-        model: Some(Model::Register { init: 0 }),
-        check_races: true,
-        max_steps: 170,
-        build: Box::new(move || {
-            let f = fabric(chaos);
-            let alloc = FarAlloc::new(f.clone());
-            let mut c0 = f.client();
-            let lk = FarRwLock::create(&mut c0, &alloc, AllocHint::Spread).unwrap();
-            let pair = alloc.alloc(16, AllocHint::Spread).unwrap();
-            c0.write(pair, &[0u8; 16]).unwrap();
-            let h = Arc::new(History::new());
-            let mut writer = f.client();
-            let wid = writer.id();
-            let mut reader = f.client();
-            let rid = reader.id();
-            let participants = vec![wid, rid];
-            let hw = h.clone();
-            let lw = FarRwLock::attach(lk.addr());
-            let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for i in 1..=2u64 {
-                    let t = hw.invoke(wid, Op::RegWrite { part: 0, v: vec![i, i] });
-                    if lw.write_lock(&mut writer, LOCK_ATTEMPTS).is_err() {
-                        hw.fail(t);
-                        continue;
-                    }
-                    writer.write_u64(pair, i).unwrap();
-                    writer.write_u64(pair.offset(8), i).unwrap();
-                    let _ = lw.write_unlock(&mut writer);
-                    hw.complete(t, Ret::Unit);
-                }
-            });
-            let hr = h.clone();
-            let lr = FarRwLock::attach(lk.addr());
-            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for _ in 0..2 {
-                    let t = hr.invoke(rid, Op::RegRead { part: 0 });
-                    if lr.read_lock(&mut reader, LOCK_ATTEMPTS).is_err() {
-                        hr.fail(t);
-                        continue;
-                    }
-                    let b = reader.read(pair, 16).unwrap();
-                    let _ = lr.read_unlock(&mut reader);
-                    let w0 = u64::from_le_bytes(b[0..8].try_into().unwrap());
-                    let w1 = u64::from_le_bytes(b[8..16].try_into().unwrap());
-                    hr.complete(t, Ret::Vals(vec![w0, w1]));
-                }
-            });
-            PreparedRun {
-                fabric: f,
-                participants,
-                bodies: vec![wbody, rbody],
-                history: h,
-                finale: None,
-            }
         }),
     }
 }
@@ -1582,7 +1518,6 @@ pub fn serve_ttl_evict() -> Program {
 pub fn main_programs() -> Vec<Program> {
     vec![
         mutex_counter(false),
-        rwlock_pair(false),
         queue_fifo(),
         httree_split(),
         httree_split_race(),
@@ -1598,7 +1533,6 @@ pub fn main_programs() -> Vec<Program> {
         replica_failover(),
         serve_ttl_evict(),
         mutex_counter(true),
-        rwlock_pair(true),
         queue_wrap(false),
         queue_wrap(true),
     ]

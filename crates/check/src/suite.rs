@@ -22,29 +22,54 @@ pub struct SuiteConfig {
     pub seed: u64,
 }
 
-/// DFS/random budgets per program, `(full, smoke)` pairs.
-fn bounds_for(name: &str, cfg: &SuiteConfig) -> ExploreBounds {
-    let (dfs, rand) = match name {
-        "mutex_counter" | "rwlock_pair" => ((150, 50), (24, 8)),
-        "queue_fifo" | "reclaim_publish" => ((120, 40), (24, 8)),
-        "httree_split" | "httree_split_race" | "httree_publish" | "reclaim_hinted_get"
-        | "reclaim_hinted_get_many" | "reclaim_hinted_table" | "reclaim_take" | "reclaim_split"
-        | "reclaim_trim" => {
-            ((60, 20), (12, 4))
-        }
-        "reclaim_evict" => ((80, 30), (12, 4)),
-        "replica_failover" => ((120, 40), (24, 8)),
-        "mutex_counter_chaos" | "rwlock_pair_chaos" => ((60, 20), (24, 8)),
-        "queue_wrap" | "queue_wrap_chaos" => ((60, 20), (24, 8)),
-        // Mutants: enough DFS to exhaust (or deeply cover) their small
-        // choice trees deterministically.
-        _ => ((160, 80), (24, 12)),
-    };
-    ExploreBounds {
-        max_schedules: if cfg.smoke { dfs.1 } else { dfs.0 },
-        random_schedules: if cfg.smoke { rand.1 } else { rand.0 },
-        seed: cfg.seed,
-    }
+/// One exploration's budget: `(DFS schedules, random schedules)`.
+type Budget = (usize, usize);
+
+/// Every main program's budget, one `(name, full, smoke)` row each, in
+/// report order. A main program without a row panics the suite, and a
+/// row that names no main program fails this module's tests.
+const PROGRAM_BUDGETS: &[(&str, Budget, Budget)] = &[
+    ("mutex_counter", (150, 24), (50, 8)),
+    ("queue_fifo", (120, 24), (40, 8)),
+    ("httree_split", (60, 12), (20, 4)),
+    ("httree_split_race", (60, 12), (20, 4)),
+    ("httree_publish", (60, 12), (20, 4)),
+    ("reclaim_hinted_get", (60, 12), (20, 4)),
+    ("reclaim_hinted_get_many", (60, 12), (20, 4)),
+    ("reclaim_hinted_table", (60, 12), (20, 4)),
+    ("reclaim_take", (60, 12), (20, 4)),
+    ("reclaim_split", (60, 12), (20, 4)),
+    ("reclaim_trim", (60, 12), (20, 4)),
+    ("reclaim_publish", (120, 24), (40, 8)),
+    ("reclaim_evict", (80, 12), (30, 4)),
+    ("replica_failover", (120, 24), (40, 8)),
+    ("serve_ttl_evict", (160, 24), (80, 12)),
+    ("mutex_counter_chaos", (60, 24), (20, 8)),
+    ("queue_wrap", (60, 24), (20, 8)),
+    ("queue_wrap_chaos", (60, 24), (20, 8)),
+];
+
+/// Every mutant's `(full, smoke)` budget: enough DFS to exhaust (or
+/// deeply cover) their small choice trees deterministically.
+const MUTANT_BUDGET: (Budget, Budget) = ((160, 24), (80, 12));
+
+/// The `(full, smoke)` budget of main program `name`.
+fn program_budget(name: &str) -> (Budget, Budget) {
+    PROGRAM_BUDGETS
+        .iter()
+        .find(|row| row.0 == name)
+        .map(|&(_, full, smoke)| (full, smoke))
+        .unwrap_or_else(|| panic!("main program {name} has no row in PROGRAM_BUDGETS"))
+}
+
+/// Explores `prog` under the full or smoke half of `budget`.
+fn explore_within(
+    prog: &Program,
+    (full, smoke): (Budget, Budget),
+    cfg: &SuiteConfig,
+) -> Exploration {
+    let (dfs, random) = if cfg.smoke { smoke } else { full };
+    explore(prog, &ExploreBounds { max_schedules: dfs, random_schedules: random, seed: cfg.seed })
 }
 
 /// One mutant's outcome.
@@ -156,11 +181,6 @@ pub fn json_str(s: &str) -> String {
     o
 }
 
-/// Explores one program under the suite's bounds for it.
-pub fn explore_with_suite_bounds(prog: &Program, cfg: &SuiteConfig) -> Exploration {
-    explore(prog, &bounds_for(prog.name, cfg))
-}
-
 fn judge(m: &Mutant, x: &Exploration) -> bool {
     m.expect.iter().all(|e| match e {
         Expect::Races => !x.races.is_empty(),
@@ -172,11 +192,11 @@ fn judge(m: &Mutant, x: &Exploration) -> bool {
 /// Runs the whole suite: every main program, then every mutant.
 pub fn run_suite(cfg: &SuiteConfig) -> SuiteResult {
     let programs: Vec<Exploration> =
-        main_programs().iter().map(|p| explore_with_suite_bounds(p, cfg)).collect();
+        main_programs().iter().map(|p| explore_within(p, program_budget(p.name), cfg)).collect();
     let mutants: Vec<MutantResult> = all_mutants()
         .iter()
         .map(|m| {
-            let x = explore_with_suite_bounds(&m.program, cfg);
+            let x = explore_within(&m.program, MUTANT_BUDGET, cfg);
             let caught = judge(m, &x);
             MutantResult {
                 expect: m.expect.iter().map(|e| e.label()).collect(),
@@ -186,4 +206,18 @@ pub fn run_suite(cfg: &SuiteConfig) -> SuiteResult {
         })
         .collect();
     SuiteResult { config: *cfg, programs, mutants }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The budget table and the main-program list name the same
+    /// programs, once each and in the same order.
+    #[test]
+    fn every_main_program_has_exactly_one_budget_row() {
+        let programs: Vec<&str> = main_programs().iter().map(|p| p.name).collect();
+        let rows: Vec<&str> = PROGRAM_BUDGETS.iter().map(|row| row.0).collect();
+        assert_eq!(rows, programs);
+    }
 }

@@ -67,7 +67,7 @@ impl FarBarrier {
     /// to learn completion (§5.1).
     ///
     /// In threaded use the wait blocks on the notification queue with
-    /// `timeout`; [`CoreError::LockTimeout`] is returned on expiry.
+    /// `timeout`; [`CoreError::BarrierTimeout`] is returned on expiry.
     pub fn arrive_and_wait(
         &self,
         client: &mut FabricClient,
@@ -97,7 +97,7 @@ impl FarBarrier {
                 return Ok(());
             }
             if std::time::Instant::now() >= deadline {
-                return Err(CoreError::LockTimeout);
+                return Err(CoreError::BarrierTimeout);
             }
             // Park until something arrives (threaded contexts) or retry.
             client
@@ -194,7 +194,7 @@ impl FarEpochBarrier {
                 return Ok(());
             }
             if std::time::Instant::now() >= deadline {
-                return Err(CoreError::LockTimeout);
+                return Err(CoreError::BarrierTimeout);
             }
             if client.take_events(|e| e.sub() == Some(sub)).is_empty() {
                 client.sink().wait_pending(std::time::Duration::from_millis(20));

@@ -26,13 +26,8 @@ pub enum CoreError {
     /// The far data is inconsistent with the structure's invariants —
     /// memory corruption or a foreign writer.
     Corrupted(&'static str),
-    /// A mutex acquisition timed out.
-    LockTimeout,
-    /// The caller's lease on a lock expired and another client took it
-    /// over; the caller must not touch the protected data. Surfaced by
-    /// unlock when the lock word no longer carries the caller's fencing
-    /// tag.
-    LeaseLost,
+    /// A barrier wait timed out before every party arrived.
+    BarrierTimeout,
     /// The epoch-based reclamation layer failed (registry full/corrupted,
     /// or a deferred free was rejected by the allocator).
     Reclaim(ReclaimError),
@@ -73,9 +68,8 @@ impl core::fmt::Display for CoreError {
             CoreError::BadConfig(s) => write!(f, "bad configuration: {s}"),
             CoreError::Contended => write!(f, "operation lost too many races; retry"),
             CoreError::Corrupted(s) => write!(f, "far data corrupted: {s}"),
-            CoreError::LockTimeout => write!(f, "far mutex acquisition timed out"),
-            CoreError::LeaseLost => {
-                write!(f, "lock lease expired and was taken over by another client")
+            CoreError::BarrierTimeout => {
+                write!(f, "barrier wait timed out before every party arrived")
             }
             CoreError::Reclaim(e) => write!(f, "reclamation error: {e}"),
         }

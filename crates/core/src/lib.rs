@@ -16,7 +16,6 @@
 //! |---|---|---|
 //! | [`FarCounter`] | §5.1 | 1 |
 //! | [`FarVec`] / [`CachedFarVec`] | §5.1 | 1 / 0 when clean |
-//! | [`FarMutex`] | §5.1 | 1 uncontended |
 //! | [`FarBarrier`] | §5.1 | 1 per arrival |
 //! | [`HtTree`] | §5.2 | 1 lookup, 2 store |
 //! | [`FarQueue`] | §5.3 | 1 enqueue, 1 dequeue |
@@ -30,10 +29,8 @@ pub mod blob;
 pub mod counter;
 pub mod error;
 pub mod httree;
-pub mod mutex;
 pub mod queue;
 pub mod refvec;
-pub mod rwlock;
 pub mod vector;
 pub mod wcbuf;
 
@@ -42,10 +39,8 @@ pub use blob::{FarBlobMap, HintTable, HintWord, RecordHint};
 pub use counter::FarCounter;
 pub use error::{CoreError, Result};
 pub use httree::{HtTree, HtTreeConfig, HtTreeHandle, HtTreeStats};
-pub use mutex::FarMutex;
 pub use queue::{FarQueue, QueueConfig, QueueHandle, QueueStats};
 pub use refvec::{ReaderStats, RefreshMode, RefreshPolicy, RefreshableVec, VecReader, VecWriter};
-pub use rwlock::FarRwLock;
 pub use vector::{CacheMode, CachedFarVec, FarVec};
 pub use wcbuf::{WcStats, WriteCombiner};
 

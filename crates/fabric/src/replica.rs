@@ -45,7 +45,7 @@ use std::sync::Mutex;
 use crate::addr::NodeId;
 use crate::error::{FabricError, Result};
 
-/// Default failover lease: matches `farmem_core::mutex::LEASE_NS`, so by
+/// Default failover lease: matches `farmem_baselines::mutex::LEASE_NS`, so by
 /// the time a replica is promoted, every lock lease a client of the dead
 /// primary could have held has expired (fencing + leases interaction,
 /// DESIGN.md §10).

@@ -9,8 +9,13 @@
 //!
 //! Differences from real proptest, by design:
 //!
-//! * **no shrinking** — a failing case reports the sampled inputs via the
-//!   panic message's case index; re-running reproduces it exactly;
+//! * **no shrinking** — a failing case, whether its body returned an
+//!   `Err` or a `prop_assert*` panicked, panics with
+//!   `property <name> failed at case <n> (seed=0x…): <why>`. Re-running
+//!   the test replays the same cases in the same order, so case `n`
+//!   fails again. To draw its inputs alone, seed
+//!   `TestRng::seeded(0x…)` with the printed seed and sample the
+//!   property's strategies in argument order;
 //! * strategies are samplers only ([`strategy::Strategy::sample`]),
 //!   covering the
 //!   combinators this repo uses: integer ranges, `any`, tuples, `Just`,
@@ -313,6 +318,22 @@ pub fn seed_for(name: &str) -> u64 {
     h
 }
 
+/// The seed of case `case` of the property whose stream starts at
+/// `base` ([`seed_for`] of its name).
+pub fn case_seed(base: u64, case: u64) -> u64 {
+    base ^ (case + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+#[doc(hidden)]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
+    }
+}
+
 /// Declares deterministic property tests (see the crate docs for the
 /// semantics relative to real proptest).
 #[macro_export]
@@ -343,22 +364,28 @@ macro_rules! __proptest_impl {
             let config = $cfg;
             let base = $crate::seed_for(stringify!($name));
             for case in 0..config.cases as u64 {
-                let mut rng = $crate::TestRng::seeded(
-                    base ^ (case + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
+                let mut rng = $crate::TestRng::seeded($crate::case_seed(base, case));
                 $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut rng);)*
                 // Like real proptest, the body may bail early with
                 // `return Err(TestCaseError::fail(..))`; a body that runs
-                // to completion falls through to the trailing Ok.
+                // to completion falls through to the trailing Ok. A
+                // `prop_assert*` panics instead; both name the case.
                 let run =
                     || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                         $body
                         Ok(())
                     };
-                if let Err(e) = run() {
+                let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(run));
+                let failure = match outcome {
+                    Ok(Ok(())) => None,
+                    Ok(Err(e)) => Some(e.to_string()),
+                    Err(payload) => Some($crate::panic_message(&*payload)),
+                };
+                if let Some(why) = failure {
                     panic!(
-                        "property {} failed at case {case}: {e}",
+                        "property {} failed at case {case} (seed={:#x}): {why}",
                         stringify!($name),
+                        $crate::case_seed(base, case),
                     );
                 }
             }
@@ -408,6 +435,41 @@ mod tests {
             assert!(!xs.is_empty() && xs.len() < 5);
             assert!(xs.iter().all(|x| *x < 10));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+        // No `#[test]`: called by the test below, which expects it to fail.
+        fn fails_from_case_three(x in 0u64..100) {
+            prop_assert!(next_case() < 3, "drew {}", x);
+        }
+    }
+
+    thread_local! {
+        static CASE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The number of earlier calls on this thread: the index of the case
+    /// whose body calls it.
+    fn next_case() -> u64 {
+        CASE.with(|c| {
+            let n = c.get();
+            c.set(n + 1);
+            n
+        })
+    }
+
+    #[test]
+    fn a_failing_assert_names_the_property_case_and_seed() {
+        let payload = std::panic::catch_unwind(fails_from_case_three).unwrap_err();
+        let msg = crate::panic_message(&*payload);
+        let seed = crate::case_seed(crate::seed_for("fails_from_case_three"), 3);
+        let expect =
+            format!("property fails_from_case_three failed at case 3 (seed={seed:#x}): drew ");
+        assert!(msg.starts_with(&expect), "{msg}");
+        // The printed seed re-draws the failing input.
+        let x = crate::strategy::Strategy::sample(&(0u64..100), &mut crate::TestRng::seeded(seed));
+        assert!(msg.ends_with(&format!("drew {x}")), "{msg}");
     }
 
     proptest! {

@@ -14,13 +14,14 @@
 //!   far-memory epoch registry, limbo lists, crash-evicting grace
 //!   detector, so deletes actually free far memory;
 //! * [`core`] — the far memory data structures themselves (§5): counters,
-//!   vectors, mutexes, barriers, the HT-tree map, the `saai`/`faai`
-//!   queue, and refreshable vectors;
+//!   vectors, barriers, the HT-tree map, the `saai`/`faai` queue, and
+//!   refreshable vectors — none of them takes a lock;
 //! * [`runtime`] — the futures-based executor: completion-driven
 //!   reactor over the pipeline's issue/completion queues, multiplexing
 //!   10k+ logical clients per OS thread (DESIGN.md §12);
 //! * [`rpc`] — the two-sided RPC substrate the paper compares against;
-//! * [`baselines`] — traditional one-sided and RPC-based comparators;
+//! * [`baselines`] — traditional one-sided and RPC-based comparators,
+//!   and the leased far mutex the locked queue comparator runs on;
 //! * [`monitor`] — the §6 monitoring case study;
 //! * [`check`] — farmem-check: race detection, bounded interleaving
 //!   exploration, and linearizability checking for every protocol above
@@ -81,14 +82,13 @@ pub use farmem_serve as serve;
 pub mod prelude {
     pub use farmem_alloc::{AllocHint, Arena, FarAlloc};
     pub use farmem_baselines::{
-        CasQueue, ChainedHash, HopscotchHash, LockQueue, OneSidedBTree, OneSidedList,
+        CasQueue, ChainedHash, FarMutex, HopscotchHash, LockQueue, OneSidedBTree, OneSidedList,
         OneSidedSkipList, RpcKv,
     };
     pub use farmem_core::{
         CacheMode, CachedFarVec, CoreError, FarBarrier, FarBlobMap, FarCounter,
-        FarEpochBarrier, FarMutex, FarQueue, FarRwLock, FarVec, HtTree, HtTreeConfig,
-        QueueConfig, RecordHint, RefreshMode, RefreshPolicy, RefreshableVec, VecReader,
-        VecWriter, WriteCombiner,
+        FarEpochBarrier, FarQueue, FarVec, HtTree, HtTreeConfig, QueueConfig, RecordHint,
+        RefreshMode, RefreshPolicy, RefreshableVec, VecReader, VecWriter, WriteCombiner,
     };
     pub use farmem_fabric::{
         AccessStats, BatchOp, CompletionQueue, CostModel, DeliveryPolicy, DescList, Event,

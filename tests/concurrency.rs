@@ -173,55 +173,6 @@ fn httree_blob_hammered_in_reclaim_mode_frees_each_retired_block_once() {
 }
 
 #[test]
-fn rwlock_protects_a_multiword_invariant() {
-    let f = FabricConfig::single_node(16 << 20).build();
-    let alloc = FarAlloc::new(f.clone());
-    let mut c0 = f.client();
-    let lock = FarRwLock::create(&mut c0, &alloc, AllocHint::Spread).unwrap();
-    // Invariant: the two far words always sum to 1000.
-    let a = alloc.alloc(8, AllocHint::Spread).unwrap();
-    let b = alloc.alloc(8, AllocHint::Spread).unwrap();
-    c0.write_u64(a, 400).unwrap();
-    c0.write_u64(b, 600).unwrap();
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let f = f.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut c = f.client();
-            let lock = FarRwLock::attach(lock.addr());
-            for step in 0..150u64 {
-                lock.write_lock(&mut c, 1_000_000).unwrap();
-                // Move value back and forth so neither word can underflow.
-                let delta = 1 + step % 7;
-                let (src, dst) = if step % 2 == 0 { (a, b) } else { (b, a) };
-                let vs = c.read_u64(src).unwrap();
-                c.write_u64(src, vs - delta).unwrap();
-                let vd = c.read_u64(dst).unwrap();
-                c.write_u64(dst, vd + delta).unwrap();
-                lock.write_unlock(&mut c).unwrap();
-            }
-        }));
-    }
-    for _ in 0..2 {
-        let f = f.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut c = f.client();
-            let lock = FarRwLock::attach(lock.addr());
-            for _ in 0..300u64 {
-                lock.read_lock(&mut c, 1_000_000).unwrap();
-                let sum = c.read_u64(a).unwrap() + c.read_u64(b).unwrap();
-                assert_eq!(sum, 1000, "invariant held under readers");
-                lock.read_unlock(&mut c).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(c0.read_u64(a).unwrap() + c0.read_u64(b).unwrap(), 1000);
-}
-
-#[test]
 fn epoch_barrier_orders_phases_across_structures() {
     // Phase 0: every thread enqueues; barrier; phase 1: every thread
     // dequeues. If the barrier leaked anyone early, a dequeue would hit

@@ -207,11 +207,11 @@ fn expired_lock_lease_is_stolen_and_late_unlock_fenced() {
     // timed-out waits against the unchanged lease until it can steal.
     m.lock(&mut b, 10_000).unwrap();
     assert!(
-        b.now_ns() >= farmem::core::mutex::LEASE_NS,
+        b.now_ns() >= farmem::baselines::mutex::LEASE_NS,
         "steal only after out-waiting the lease"
     );
     // A comes back from the dead and tries to unlock: fenced off.
-    assert!(matches!(m.unlock(&mut a), Err(CoreError::LeaseLost)));
+    assert!(matches!(m.unlock(&mut a), Err(farmem::baselines::BaselineError::LeaseLost)));
     // B still owns the lock and releases it cleanly.
     m.unlock(&mut b).unwrap();
     assert!(m.try_lock(&mut a).unwrap(), "lock usable again after the full cycle");
