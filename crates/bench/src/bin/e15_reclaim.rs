@@ -15,9 +15,7 @@
 //! * the **price** is quantified as extra round trips per operation
 //!   (the slot CAS each client pays after a sealed epoch and the
 //!   directory refresh it adds after a sealed *restructure*, seals and
-//!   grace-detection rounds) — against what reclaim mode saves: its
-//!   chains hold one item per key, while a quarantine chain keeps every
-//!   superseded record and tombstone for its walks and compactions;
+//!   grace-detection rounds);
 //! * the **tail** is the churn op's virtual-time p50 / p99 / p99.9 in
 //!   each mode, from a run of the same churn under the default cost
 //!   model (11 520 ops leave 11 samples beyond the p99.9).
@@ -408,27 +406,12 @@ fn main() {
     report.add(t);
 
     let seals = final_epoch - 1;
-    let price = if extra_rt >= 0.0 {
-        format!(
-            "The price is {extra_rt:.3} extra round trips per operation: the\n\
-             slot CAS each client pays at its next pin after a seal, a three-access\n\
-             directory refresh after a seal that retired a table, one FAA per seal\n\
-             and the grace-detection rounds."
-        )
-    } else {
-        format!(
-            "Reclamation costs no round trips: the reclaim-on run books {:.3}\n\
-             round trips per operation fewer than the leaking one. A reclaim-mode\n\
-             put or remove splices its bucket under its own CAS, so a chain holds\n\
-             one item per key and the header counts live keys; a quarantine chain\n\
-             keeps every superseded record and tombstone, which its walks pay for\n\
-             and its compactions drain. What reclamation adds is the slot CAS each\n\
-             client pays at its next pin after a seal, a three-access directory\n\
-             refresh after a seal that retired a table, one FAA per seal and the\n\
-             grace-detection rounds.",
-            -extra_rt
-        )
-    };
+    let price = format!(
+        "The price is {extra_rt:.3} extra round trips per operation: the\n\
+         slot CAS each client pays at its next pin after a seal, a three-access\n\
+         directory refresh after a seal that retired a table, one FAA per seal\n\
+         and the grace-detection rounds."
+    );
     let closing = format!(
         "\nBounded vs unbounded: with reclamation on, the footprint plateaus at\n\
          {:.1} KiB (peak, post-warmup) across {windows} windows and {} epochs; with it\n\

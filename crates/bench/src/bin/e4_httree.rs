@@ -86,8 +86,9 @@ fn main() {
     report.add(t);
     if args.verbose() {
         println!(
-            "paper: lookups 1 far access; stores 2 (version check gathers with the bucket\n\
-             read; the item write rides the fenced CAS batch); splits amortize away."
+            "paper: lookups 1 far access; stores 2 plus the hops a lookup of the same key\n\
+             pays, i.e. exactly 2 at the chain head (the version check rides the head read;\n\
+             the item write rides the fenced CAS batch); splits amortize away."
         );
     }
 

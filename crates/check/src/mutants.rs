@@ -997,16 +997,16 @@ fn mini_lookup(c: &mut FabricClient, mut at: u64, key: u64) -> Option<u64> {
     None
 }
 
-/// M16 — take relinks a stale head: the tree's removal protocol
+/// M16 — take relinks a stale head: the tree's removal splice
 /// (`programs::reclaim_take`) in miniature — a bucket word over a chain
-/// of `{key, value, next}` items, value 0 marking a tombstone — whose
-/// taker, after losing the bucket CAS to a neighbour's put, retries *only
-/// the CAS* against the new head. Its tombstone still points at the head
-/// it read in its first access, so when the retry lands the neighbour's
-/// item is no longer on the chain: a put that was acknowledged vanishes,
-/// and a get invoked after it completed finds nothing. Correct code
-/// starts over from the first access — the tombstone's `next` and the
-/// CAS's expected value must be the same read of the bucket word.
+/// of `{key, value, next}` items — whose taker, after losing the bucket
+/// CAS to a neighbour's put, retries *only the CAS* against the new head.
+/// The word it swings the bucket to is still the successor it read in
+/// its first access, so when the retry lands the neighbour's item is no
+/// longer on the chain: a put that was acknowledged vanishes, and a get
+/// invoked after it completed finds nothing. Correct code starts over
+/// from the first access — the chain a splice writes and the CAS's
+/// expected value must come from the same read of the bucket word.
 fn take_relinks_stale_head() -> Mutant {
     let program = Program {
         name: "m16_take_relinks_stale_head",
@@ -1026,28 +1026,23 @@ fn take_relinks_stale_head() -> Mutant {
             let mut ct = f.client();
             let tid = ct.id();
             // The take's first access, taken before the run starts (key 1
-            // heads the chain: no walk to do), so that every schedule is
-            // about what lands between it and the second.
+            // heads the chain: no walk to do, and no item above it to
+            // copy), so that every schedule is about what lands between
+            // it and the second: the head and its successor.
             let mut head = ct.read_u64(bucket).unwrap();
-            let (ht, alloc_t) = (h.clone(), alloc.clone());
+            let (_, value, successor) = read_mini_item(&mut ct, head);
+            let ht = h.clone();
             let taker: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let t = ht.invoke(tid, Op::Remove { k: 1 });
-                let tomb = alloc_t.alloc(MINI_ITEM, AllocHint::Spread).unwrap();
-                let out = ct
-                    .batch(&[
-                        BatchOp::Write { addr: tomb, data: &mini_item(1, 0, head) },
-                        BatchOp::Cas { addr: bucket, expected: head, new: tomb.0 },
-                    ])
-                    .unwrap();
-                let mut seen = out[1].value();
+                let mut seen = ct.cas(bucket, head, successor).unwrap();
                 // MUTANT: the lost CAS is retried on its own. Correct code
-                // re-reads the head, walks again and rewrites the
-                // tombstone's `next` before it tries the bucket again.
+                // re-reads the head, walks again and copies the items above
+                // the key's before it tries the bucket again.
                 while seen != head {
                     head = seen;
-                    seen = ct.cas(bucket, head, tomb.0).unwrap();
+                    seen = ct.cas(bucket, head, successor).unwrap();
                 }
-                ht.complete(t, Ret::Val(1));
+                ht.complete(t, Ret::Val(value));
             });
             let mut cp = f.client();
             let pid = cp.id();
@@ -1076,8 +1071,7 @@ fn take_relinks_stale_head() -> Mutant {
                 for _ in 0..2 {
                     let t = hr.invoke(rid, Op::Get { k: 2 });
                     let head = cr.read_u64(bucket).unwrap();
-                    let found = mini_lookup(&mut cr, head, 2);
-                    hr.complete(t, Ret::OptVal(found.filter(|&v| v != 0)));
+                    hr.complete(t, Ret::OptVal(mini_lookup(&mut cr, head, 2)));
                 }
             });
             PreparedRun {

@@ -17,9 +17,9 @@
 //! prefetch alone, without reading a payload it will not return.
 //!
 //! Costs: a store is the map's two far accesses — the record's bytes
-//! ride the put's own fenced batch ([`HtTreeHandle::publish`]), which in
-//! reclaim mode also returns the record the store superseded (one more
-//! access per chain hop down to it); a lookup is the map's one far access
+//! ride the put's own fenced batch ([`HtTreeHandle::publish`]), which also
+//! returns the record the store superseded (one more access per chain hop
+//! down to it); a lookup is the map's one far access
 //! plus one record read — the record read prefetches
 //! [`FarBlobMap::PREFETCH`] bytes, so payloads up to
 //! [`FarBlobMap::PREFETCHED`] bytes need no second read.
@@ -35,21 +35,23 @@
 //! — it never costs a round trip. Callers that share hints across
 //! handles keep them in one lock-free [`HintTable`].
 //!
-//! With [`FarBlobMap::attach_reclaimed`] the map participates in
-//! epoch-based reclamation: records are slab-allocated, lookups hold the
-//! tree lookup's epoch guard to the last record byte, and
-//! overwrites and removes retire the superseded record into the limbo
-//! list. An overwrite pays nothing for that — the superseded pointer
-//! comes back from the store and its length from the allocator's books; a
-//! remove is the tree's [`take`](HtTreeHandle::take), whose chain walk
+//! A remove is the tree's [`take`](HtTreeHandle::take), whose chain walk
 //! hands back the record its splice unlinks — two far accesses, one when
-//! the key is absent. Each unlinked record comes back from exactly one
+//! the key is absent. Where that record goes is the map's lifetime
+//! (the tree's module docs): a plain map strands it with its record
+//! arena. With [`FarBlobMap::attach_reclaimed`] the map participates in
+//! epoch-based reclamation: records are slab-allocated, lookups hold the
+//! tree lookup's epoch guard to the last record byte, and overwrites and
+//! removes retire the superseded record into the limbo list. An overwrite
+//! pays nothing for that — the superseded pointer comes back from the
+//! store and its length from the allocator's books. Each unlinked record
+//! comes back from exactly one
 //! mutation, the store or remove whose bucket CAS unlinked its item: two
 //! removes racing on one key can both walk to the same item, but the one
 //! that loses the bucket starts over and finds no item of the key — so
 //! keys need not be single-writer for a record to be retired once.
 
-use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
+use farmem_alloc::FarAlloc;
 use farmem_fabric::{splitmix64, DescList, FabricClient, FarAddr, WORD};
 use farmem_reclaim::SharedReclaim;
 use farmem_runtime::{Doorbell, Inline};
@@ -58,18 +60,11 @@ use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use crate::httree::{HtTree, HtTreeConfig, HtTreeHandle};
+use crate::records::Records;
 use crate::word_at;
 
 /// Bytes fetched with the first record read.
 const PREFETCH: u64 = 256;
-
-/// Where records come from and where superseded ones go.
-enum Records {
-    /// Bump-allocated; a superseded record is stranded with the arena.
-    Quarantine(Arena),
-    /// Slab-allocated; a superseded record is retired into the limbo list.
-    Reclaim(SharedReclaim),
-}
 
 /// Where a record sits and how long its payload is: what a later
 /// [`FarBlobMap::get_if`] of the same key needs to fetch the record in the
@@ -242,7 +237,6 @@ impl HintTable {
 /// ```
 pub struct FarBlobMap<const H: usize = 0> {
     inner: HtTreeHandle,
-    alloc: Arc<FarAlloc>,
     records: Records,
 }
 
@@ -277,8 +271,7 @@ impl<const H: usize> FarBlobMap<H> {
     ) -> Result<Self> {
         Ok(FarBlobMap {
             inner: tree.attach(client, alloc, cfg)?,
-            alloc: alloc.clone(),
-            records: Records::Quarantine(Arena::new(alloc.clone(), 16 * 4096, AllocHint::Spread)),
+            records: Records::quarantine(alloc, 16 * 4096),
         })
     }
 
@@ -306,8 +299,7 @@ impl<const H: usize> FarBlobMap<H> {
     ) -> Result<Self> {
         Ok(FarBlobMap {
             inner: tree.attach_reclaimed(client, alloc, cfg, reclaim.clone())?,
-            alloc: alloc.clone(),
-            records: Records::Reclaim(reclaim),
+            records: Records::Reclaim(alloc.clone(), reclaim),
         })
     }
 
@@ -323,13 +315,12 @@ impl<const H: usize> FarBlobMap<H> {
     }
 
     /// Stores `value` behind `header` under `key` in the map's two far
-    /// accesses: alloc, [`HtTreeHandle::publish`], retire what came back.
-    /// Reclaim mode adds the chain hops down to the key's previous item,
-    /// if it had one below the bucket head, and returns whether a record
-    /// was replaced (and retired); quarantine mode strands that record
-    /// with the arena, never looks for it and returns `false`. The
-    /// [`RecordHint`] makes a later [`get_if`](Self::get_if) of `key` one
-    /// far access for as long as this record is the key's.
+    /// accesses, plus the chain hops down to the key's previous item if
+    /// it had one below the bucket head: alloc,
+    /// [`HtTreeHandle::publish`], retire what came back (reclaim mode; a
+    /// plain map strands it with the arena). Returns whether a record was
+    /// replaced. The [`RecordHint`] makes a later [`get_if`](Self::get_if)
+    /// of `key` one far access for as long as this record is the key's.
     pub fn put(
         &mut self,
         client: &mut FabricClient,
@@ -341,10 +332,7 @@ impl<const H: usize> FarBlobMap<H> {
             return Err(CoreError::BadConfig("blob too large"));
         };
         let len = Self::HEADER + value.len() as u64;
-        let record = match &mut self.records {
-            Records::Quarantine(arena) => arena.alloc(len)?,
-            Records::Reclaim(_) => self.alloc.alloc(len, AllocHint::Spread)?,
-        };
+        let record = self.records.alloc(len)?;
         let mut bytes = Vec::with_capacity(len as usize);
         bytes.extend_from_slice(&(value.len() as u64).to_le_bytes());
         for word in header {
@@ -352,17 +340,16 @@ impl<const H: usize> FarBlobMap<H> {
         }
         bytes.extend_from_slice(value);
         let hint = RecordHint { record: record.0, payload_len };
-        match self.inner.publish(client, key, record, &bytes) {
-            Ok(None) => Ok((false, hint)),
+        match self.inner.publish_guarded(client, key, record, &bytes) {
+            Ok((None, _)) => Ok((false, hint)),
             // lint: retire-ok: the overwritten record was unlinked by the
-            // publish above; readers hold epoch guards until grace.
-            Ok(Some(old)) => self.retire(client, old).map(|()| (true, hint)),
+            // publish above, whose pin is still held.
+            Ok((Some(old), pin)) => {
+                self.records.retire(client, &pin, FarAddr(old), None).map(|()| (true, hint))
+            }
             Err(e) => {
-                // `publish` fails only ahead of its CAS: never linked, so
-                // nobody can reach the record and no grace period is due.
-                if let Records::Reclaim(_) = self.records {
-                    self.alloc.free(record, len)?;
-                }
+                // `publish` fails only ahead of its CAS: never linked.
+                self.records.discard(&[record], len)?;
                 Err(e)
             }
         }
@@ -558,27 +545,13 @@ impl<const H: usize> FarBlobMap<H> {
     /// The record taken is retired in reclaim mode and stranded with the
     /// arena in quarantine mode.
     pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<bool> {
-        let Some(old) = self.inner.take(client, key)? else {
+        let (Some(old), pin) = self.inner.take_guarded(client, key)? else {
             return Ok(false);
         };
         // lint: retire-ok: the splice `take` published unlinked the
-        // record; readers hold epoch guards until grace.
-        self.retire(client, old)?;
+        // record, and its pin is still held.
+        self.records.retire(client, &pin, FarAddr(old), None)?;
         Ok(true)
-    }
-
-    /// Retires the record a mutation just unlinked, at the length the
-    /// allocator booked for it (no far access). The record stays readable
-    /// by concurrent guards until its grace period elapses.
-    fn retire(&mut self, client: &mut FabricClient, old: u64) -> Result<()> {
-        let Records::Reclaim(shared) = &self.records else {
-            return Ok(());
-        };
-        let addr = FarAddr(old);
-        let len = self.alloc.size_of(addr).ok_or(AllocError::BadFree { addr })?;
-        let mut r = shared.lock().unwrap();
-        // lint: retire-ok: the record was unlinked by the map op; concurrent readers hold epoch guards until grace elapses.
-        r.retire(client, addr, len).map_err(CoreError::from)
     }
 }
 
@@ -650,7 +623,7 @@ mod tests {
         assert_eq!(c.stats().since(&before).round_trips, 3);
     }
 
-    /// The hinted lookup's price list, both modes: what one `get_if` books
+    /// The hinted lookup's price list, both lifetimes: what one `get_if` books
     /// with the key's own hint, with a stale one, and one chain hop down —
     /// whole `AccessStats` deltas, so the speculative message and its
     /// bytes are on the books beside the round trips.
@@ -727,8 +700,8 @@ mod tests {
             (Some(small.clone()), books(2, 3, 2 * ITEM + 8 + 64))
         );
         // An overwrite makes the old hint stale; a remove makes every hint
-        // of the key a miss found in the lookup's own access (a tombstone
-        // heads the chain, or the key's item left it).
+        // of the key a miss found in the lookup's own access (the key's
+        // item left the chain).
         let (_, newer) = m.put(&mut c, 1, [], &large).unwrap();
         assert_eq!(
             get(&mut c, &mut m, 1, Some(small_hint)),
@@ -864,15 +837,15 @@ mod tests {
                 rt(&mut c, &mut |c| drop(m.get_bytes(c, 1).unwrap())) == 3
             })
             .unwrap();
-        // Only a map that will retire the old record walks down to it.
+        // Every store walks down to the old item it replaces.
         assert_eq!(
             rt(&mut c, &mut |c| m.put_bytes(c, 1, b"under a neighbour").unwrap()),
-            if reclaimed { 3 } else { 2 },
+            3,
             "overwrite, old item one hop below key {above}"
         );
         assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"under a neighbour");
         assert_eq!(rt(&mut c, &mut |c| assert!(m.remove(c, 1).unwrap())), 2, "remove: the tree's take");
-        // A miss stops after one access: no tombstone joins the chain.
+        // A miss stops after one access and links nothing.
         let mut probe = m.tree().attach(&mut c, &a, cfg).unwrap();
         let (removes, items) = (m.stats().removes, probe.len_estimate(&mut c).unwrap());
         assert_eq!(rt(&mut c, &mut |c| assert!(!m.remove(c, 1).unwrap())), 1, "remove of a removed key");

@@ -12,37 +12,32 @@
 //!
 //! A lookup traverses the cached tree locally, hashes into the leaf's
 //! table, and follows the bucket pointer with indirect addressing —
-//! **one far access**. A store checks the table's version and CASes the
-//! bucket — **exactly two far accesses**: a gather of the bucket word and
-//! the first 32 header bytes (version through item count), then a fenced
-//! batch of item publish + bucket CAS. The gathered item count is also
-//! the split decision: the put that carries a table over
-//! `max_load_percent` *splits* (or grows) it, without touching the other
-//! tables and without a far access of its own to find out.
+//! **one far access**. A store is **two far accesses** plus the hops a
+//! lookup of the same key pays. The first is one fenced batch: a `load0`
+//! through the bucket word to the chain's head item, and a read of the
+//! table header (version and item count). The walk from that head finds
+//! the key's item. The second is a fenced batch that *splices* the chain:
+//! it writes the new item and fresh copies of the items above the key's
+//! old one (usually none), and CASes the bucket. A remove
+//! ([`HtTreeHandle::take`]) is the same splice without a new item; a key
+//! that is not there costs it the first access (plus hops) and links
+//! nothing. A chain therefore holds at most one item per key, and the
+//! header's item count is the table's live keys: the put that carries a
+//! table over `max_load_percent` *splits* (or grows) it, without touching
+//! the other tables and without a far access of its own to find out.
 //!
 //! A value that is itself a far record (a blob, a cache entry) is stored
 //! at the same price by [`HtTreeHandle::publish`]: the fenced batch leads
 //! with the record's bytes, so the CAS orders them before any reader can
-//! find the item. On a reclaim-mode handle every put and every remove is
-//! a *splice* of its bucket's chain: the first access reads the chain's
-//! head item through the bucket word (with the table header), the walk
-//! from it finds the key's item, and the fenced batch replaces or unlinks
-//! that item in the bucket CAS — copying the items above it, usually none.
-//! A chain therefore holds at most one item per key and no tombstone, the
-//! header's item count is the table's live keys, and the value a store
-//! superseded or a remove took comes back for the caller to retire.
-//! Quarantine-mode handles retire nothing: a store links on top without a
-//! walk, and a remove links a tombstone.
-//!
-//! A key that is not there costs a remove ([`HtTreeHandle::take`]) that
-//! one access (plus hops) and links nothing.
+//! find the item, and the value the store superseded comes back for the
+//! caller to retire.
 //!
 //! ## Staleness and versioning
 //!
 //! Client caches may go stale. Every hash table has a version, kept in the
 //! client's cached tree *and stamped into every item in far memory*; a
 //! client checks the stamp on each access. Retired tables are *poisoned*
-//! (every bucket is pointed at a version-`u64::MAX` tombstone record), so
+//! (every bucket is pointed at a version-`u64::MAX` poison record), so
 //! a stale client's very first far access tells it to refresh its tree.
 //!
 //! ## Restructures
@@ -58,40 +53,52 @@
 //! its tables into the newer directory and tries again; nobody else can
 //! have replaced a table at `SPLITTING`.
 //!
-//! ## Reclamation
+//! ## Two lifetimes, one protocol
 //!
-//! A handle attached with [`HtTree::attach_reclaimed`] participates in
-//! epoch-based grace-period reclamation (`farmem-reclaim`, DESIGN.md §8):
-//! every operation pins an epoch [`Guard`], refreshing the cached tree
-//! whenever the pin reports a new restructure
-//! [`generation`](Guard::generation); item records come from the shared
-//! slab allocator instead of a bump arena; and a split *retires* the
-//! replaced table — header, bucket array, bulk items block, every drained
-//! chain record, and the superseded directory blob — into the client's
-//! limbo list as a restructure, sealing an epoch *and* a generation so a
-//! grace period can return the bytes to [`FarAlloc::free`]. The items a
-//! splice unlinks are plain retires, sealed as records: no client caches
-//! a pointer to a chain item. Items of a table's bulk block are skipped
-//! and go with the block at the table's next restructure. Epochs that
-//! other clients seal over retired records alone cost a handle no
-//! refresh: the cached tree points into no record, and a record hint is
-//! validated against the tree before its bytes are served. Plain
-//! [`HtTree::attach`] handles keep the original quarantine behavior
-//! (retired tables leak; safe but unbounded under churn). **Do not mix**
-//! the two modes on one tree: quarantine-mode handles publish
-//! arena-carved records whose addresses a reclaim-mode splitter would
-//! retire individually, which the allocator's membership check rejects
-//! as [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
+//! A handle's memory lifetime decides only where an item comes from and
+//! where an unlinked one goes. A plain [`HtTree::attach`] handle
+//! *quarantines*: items come from a bump arena, and nothing it unlinks —
+//! an item a splice replaced, a fresh item whose CAS lost, a replaced
+//! table — is ever freed (safe, but unbounded under churn). A handle
+//! attached with [`HtTree::attach_reclaimed`] participates in epoch-based
+//! grace-period reclamation (`farmem-reclaim`, DESIGN.md §8). Every
+//! operation pins an epoch guard, refreshing the cached tree whenever the
+//! pin reports a new restructure
+//! [`generation`](farmem_reclaim::Guard::generation). Items come from the
+//! shared slab allocator, and a fresh item whose CAS lost is freed at
+//! once. The items a splice unlinks are plain retires, sealed as records:
+//! no client caches a pointer to a chain item. Items of a table's bulk
+//! block are skipped and go with the block at the table's next
+//! restructure. A split *retires* the replaced table — header, bucket
+//! array, bulk items block, every drained chain record, and the
+//! superseded directory blob — as a restructure, sealing an epoch *and* a
+//! generation so a grace period can return the bytes to
+//! [`FarAlloc::free`]. Epochs that other clients seal over retired records
+//! alone cost a handle no refresh: the cached tree points into no record,
+//! and a record hint is validated against the tree before its bytes are
+//! served.
+//!
+//! The splice is sound under both lifetimes for one reason. A bucket word
+//! names an immutable chain whose items cannot be freed and reused while
+//! the operation runs: under the guard in reclaim mode, and because
+//! nothing is ever freed in quarantine mode. So a CAS that lands on the
+//! word the walk started from proves the bucket held exactly the chain
+//! walked, even if the word left it and came back. **Do not mix** the two
+//! lifetimes on one tree: quarantine-mode handles link arena-carved items
+//! whose addresses a reclaim-mode splice or splitter would retire
+//! individually, which the allocator's membership check rejects as
+//! [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
 
-use farmem_alloc::{AllocHint, Arena, FarAlloc};
+use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_fabric::{
     splitmix64, BatchOp, BatchOut, DescList, FabricClient, FarAddr, FarIov, PipeOp, PipeOut, WORD,
 };
-use farmem_reclaim::{pin, Guard, SharedReclaim};
+use farmem_reclaim::SharedReclaim;
 use farmem_runtime::{Doorbell, Inline};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
+use crate::records::{Pinned, Records};
 use crate::word_at;
 
 /// Anchor layout (the only fixed far location of an HT-tree): the
@@ -117,8 +124,6 @@ const ITEM_LEN: u64 = 32;
 
 /// Version stamp of the poison record; never matches a cached version.
 const POISON_VERSION: u64 = u64::MAX;
-/// High bit of the version word marks a tombstone (deleted key).
-const TOMB_BIT: u64 = 1 << 63;
 /// Header version value while a split is in progress.
 const SPLITTING: u64 = 0;
 
@@ -170,14 +175,6 @@ impl Item {
         out[24..32].copy_from_slice(&self.next.to_le_bytes());
         out
     }
-
-    fn is_tombstone(&self) -> bool {
-        self.version & TOMB_BIT != 0
-    }
-
-    fn plain_version(&self) -> u64 {
-        self.version & !TOMB_BIT
-    }
 }
 
 /// Outcome of walking one bucket chain.
@@ -205,7 +202,7 @@ pub(crate) struct Guarded {
     /// The hinted bytes — only when `value` is the hinted address.
     pub(crate) hinted: Option<Vec<u8>>,
     /// Reclaim mode: keeps what `value` points at readable while it lives.
-    pub(crate) _guard: Option<Guard>,
+    pub(crate) _pin: Pinned,
 }
 
 /// What a batched lookup found for one key: its value and, when the tree
@@ -213,7 +210,7 @@ pub(crate) struct Guarded {
 pub(crate) type Found = (Option<u64>, Option<Vec<u8>>);
 
 /// `(start_key, version)` of the table a put landed in, when the item
-/// count gathered with the version check says the put overloaded it.
+/// count read with the version check says the put overloaded it.
 type Overloaded = Option<(u64, u64)>;
 
 /// Bound on an operation's retries after stale-cache refreshes or lost
@@ -227,14 +224,13 @@ fn overloaded(count: u64, n_buckets: u64, max_load_percent: u64) -> bool {
 }
 
 /// Whether a drained table's `live` keys fill it to at most half of
-/// `max_load_percent` — the rest of its records were superseded. A
-/// reclaim-mode put's count is of live keys already, so there only an
-/// explicit [`split`](HtTreeHandle::split) finds a table this sparse.
-fn mostly_superseded(live: u64, n_buckets: u64, max_load_percent: u64) -> bool {
+/// `max_load_percent`. A put's count is of live keys, so only an explicit
+/// [`split`](HtTreeHandle::split) finds a table this sparse.
+fn sparse(live: u64, n_buckets: u64, max_load_percent: u64) -> bool {
     live.saturating_mul(100) <= n_buckets.saturating_mul(max_load_percent) / 2
 }
 
-/// A header's item-count word as a count. Reclaim mode counts live keys
+/// A header's item-count word as a count. A table counts its live keys
 /// with posted adds of `+1` and `-1` (`u64::MAX`, which wraps), and a
 /// take's `-1` can land before the `+1` of the put that linked its key:
 /// a count that wrapped below zero reads as 0.
@@ -246,8 +242,8 @@ fn item_count(word: u64) -> u64 {
     }
 }
 
-/// A reclaim-mode put's or take's view of one bucket: its first far
-/// access and the walk from the head item down to the key.
+/// A put's or take's view of one bucket: its first far access and the
+/// walk from the head item down to the key.
 struct Chain {
     /// The bucket's address.
     bucket: FarAddr,
@@ -312,10 +308,10 @@ pub struct HtTreeStats {
     pub splits: u64,
     /// Grows (same range, more buckets) this handle performed.
     pub grows: u64,
-    /// Compactions (same range, same buckets — the drained table was
-    /// mostly superseded records, not live growth) this handle performed.
-    /// A reclaim-mode chain holds no superseded record, so there only an
-    /// explicit [`split`](HtTreeHandle::split) of a sparse table compacts.
+    /// Compactions (same range, same buckets — the drained table's live
+    /// keys fill at most half of `max_load_percent`) this handle
+    /// performed. A put counts live keys, so only an explicit
+    /// [`split`](HtTreeHandle::split) of a sparse table compacts.
     pub compactions: u64,
     /// Directory-change notifications consumed (`notify_dir` mode).
     pub dir_notifications: u64,
@@ -398,7 +394,7 @@ impl HtTree {
         alloc: &Arc<FarAlloc>,
         cfg: HtTreeConfig,
     ) -> Result<HtTreeHandle> {
-        self.attach_inner(client, alloc, cfg, None)
+        self.attach_inner(client, alloc, cfg, Records::quarantine(alloc, 4096))
     }
 
     /// Like [`attach`](Self::attach), but the handle participates in
@@ -413,7 +409,7 @@ impl HtTree {
         cfg: HtTreeConfig,
         reclaim: SharedReclaim,
     ) -> Result<HtTreeHandle> {
-        self.attach_inner(client, alloc, cfg, Some(reclaim))
+        self.attach_inner(client, alloc, cfg, Records::Reclaim(alloc.clone(), reclaim))
     }
 
     fn attach_inner(
@@ -421,7 +417,7 @@ impl HtTree {
         client: &mut FabricClient,
         alloc: &Arc<FarAlloc>,
         cfg: HtTreeConfig,
-        reclaim: Option<SharedReclaim>,
+        records: Records,
     ) -> Result<HtTreeHandle> {
         let dir_sub = if cfg.notify_dir {
             Some(client.notify0(self.anchor.offset(A_DIR_PTR), WORD)?)
@@ -432,21 +428,17 @@ impl HtTree {
             tree: *self,
             cfg,
             alloc: alloc.clone(),
-            arena: Arena::new(alloc.clone(), 4096, AllocHint::Spread),
             entries: Vec::new(),
             dir_ptr: FarAddr::NULL,
             poison: FarAddr::NULL,
             dir_sub,
-            reclaim,
-            seen_generation: 0,
-            stats: HtTreeStats::default(),
-        };
-        if let Some(r) = &h.reclaim {
             // Conservative: observed before the directory read, so a
             // restructure sealed in between just causes one redundant
             // refresh at the first pin.
-            h.seen_generation = r.lock().unwrap().generation();
-        }
+            seen_generation: records.generation().unwrap_or(0),
+            records,
+            stats: HtTreeStats::default(),
+        };
         h.refresh_directory(client)?;
         Ok(h)
     }
@@ -454,10 +446,10 @@ impl HtTree {
 
 /// Walks every chain hanging off a table's bucket words level by level:
 /// one `rgather` per chain *depth*, not per item, every bucket's chain
-/// gathered together. Chains link newest to oldest and keys never span
-/// buckets, so per key the first item `visit` sees is the authoritative
-/// one. `visit` gets each item with its address; returning `false` stops
-/// the walk, which then reports `false` itself.
+/// gathered together. A chain holds at most one item per key and keys
+/// never span buckets, so `visit` sees each key once. It gets each item
+/// with its address; returning `false` stops the walk, which then reports
+/// `false` itself.
 fn drain_chains(
     client: &mut FabricClient,
     bucket_words: &[u64],
@@ -543,13 +535,14 @@ fn encode_directory(entries: &[Entry]) -> Vec<u8> {
     bytes
 }
 
-/// A client's handle on an [`HtTree`]: the cached tree, an item arena, and
-/// per-client statistics.
+/// A client's handle on an [`HtTree`]: the cached tree, the lifetime of
+/// its items, and per-client statistics.
 pub struct HtTreeHandle {
     tree: HtTree,
     cfg: HtTreeConfig,
     alloc: Arc<FarAlloc>,
-    arena: Arena,
+    /// Where chain items come from and where unlinked ones go.
+    records: Records,
     entries: Vec<Entry>,
     /// The directory blob the cached entries were read from: what a
     /// restructure's publish CASes the anchor from, and retires (reclaim
@@ -558,8 +551,6 @@ pub struct HtTreeHandle {
     poison: FarAddr,
     /// Directory-change subscription (`notify_dir` mode).
     dir_sub: Option<farmem_fabric::SubId>,
-    /// Epoch-based reclamation: `Some` for `attach_reclaimed` handles.
-    reclaim: Option<SharedReclaim>,
     /// Restructure generation the cached directory was last validated at
     /// (reclaim mode): a pin reporting another generation forces a
     /// refresh, which is what makes freeing retired tables after a grace
@@ -621,21 +612,20 @@ impl HtTreeHandle {
         Ok(())
     }
 
-    /// Reclaim mode: pins an epoch guard for the duration of one
-    /// operation, refreshing the cached tree if the restructure
-    /// generation moved since it was last validated (a split or
-    /// compaction sealed in between, so cached table pointers may name
-    /// retired — soon freed — memory). An epoch advance that retired only
-    /// records costs no refresh: nothing cached points into them. Free
-    /// in the steady state; `None` for quarantine-mode handles.
-    fn pin_epoch(&mut self, client: &mut FabricClient) -> Result<Option<Guard>> {
-        let Some(shared) = &self.reclaim else { return Ok(None) };
-        let guard = pin(shared, client)?;
-        if guard.generation() != self.seen_generation {
+    /// Pins one operation. Reclaim mode pins an epoch guard for its
+    /// duration, refreshing the cached tree if the restructure generation
+    /// moved since it was last validated (a split or compaction sealed in
+    /// between, so cached table pointers may name retired — soon freed —
+    /// memory). An epoch advance that retired only records costs no
+    /// refresh: nothing cached points into them. Free in the steady state,
+    /// and always under quarantine.
+    fn pin_epoch(&mut self, client: &mut FabricClient) -> Result<Pinned> {
+        let pinned = self.records.pin(client)?;
+        if let Some(generation) = pinned.generation().filter(|&g| g != self.seen_generation) {
             self.refresh_directory(client)?;
-            self.seen_generation = guard.generation();
+            self.seen_generation = generation;
         }
-        Ok(Some(guard))
+        Ok(pinned)
     }
 
     /// In `notify_dir` mode: refreshes the directory if a change
@@ -679,8 +669,8 @@ impl HtTreeHandle {
         self.get_guarded(client, key, None).map(|found| found.value)
     }
 
-    /// [`get`](Self::get), handing back the epoch guard it pinned (`None`
-    /// on a quarantine-mode handle) to a caller that goes on to
+    /// [`get`](Self::get), handing back the operation's pin (the epoch
+    /// guard, on a reclaim-mode handle) to a caller that goes on to
     /// dereference the value: while the guard lives, a record another
     /// client retires meanwhile stays readable.
     ///
@@ -703,7 +693,7 @@ impl HtTreeHandle {
         hint: Option<(FarAddr, u64)>,
     ) -> Result<Guarded> {
         let _span = client.span("httree.get");
-        let guard = self.pin_epoch(client)?;
+        let pin = self.pin_epoch(client)?;
         self.stats.gets += 1;
         self.sync_directory(client)?;
         if let Some(hint) = hint {
@@ -713,14 +703,14 @@ impl HtTreeHandle {
                 Ok(outs) => {
                     let found = self.resolve_hinted(client, &entry, key, hint.0, outs)?;
                     if let Some((value, hinted)) = found {
-                        return Ok(Guarded { value, hinted, _guard: guard });
+                        return Ok(Guarded { value, hinted, _pin: pin });
                     }
                 }
                 Err(_) => self.stats.stale_hints += 1,
             }
             // A failed batch or a stale cache: the plain lookup, from the top.
         }
-        Ok(Guarded { value: self.get_inner(client, key)?, hinted: None, _guard: guard })
+        Ok(Guarded { value: self.get_inner(client, key)?, hinted: None, _pin: pin })
     }
 
     /// A hinted lookup's fenced batch: the bucket's head item, then the
@@ -809,15 +799,11 @@ impl HtTreeHandle {
     ) -> Result<Walk> {
         let mut item = first;
         loop {
-            if item.plain_version() != entry.version {
+            if item.version != entry.version {
                 return Ok(Walk::Stale);
             }
             if item.key == key {
-                return Ok(Walk::Done(if item.is_tombstone() {
-                    None
-                } else {
-                    Some(item.value)
-                }));
+                return Ok(Walk::Done(Some(item.value)));
             }
             if item.next == 0 {
                 return Ok(Walk::Done(None));
@@ -860,7 +846,7 @@ impl HtTreeHandle {
     /// take serial fallbacks — one body, so accounting cannot differ
     /// between the blocking and the suspending caller.
     ///
-    /// The epoch [`Guard`] is pinned *before* the doorbell and held
+    /// The epoch guard is pinned *before* the doorbell and held
     /// across the suspension: the runtime never moves a slot, and
     /// because the pin happened at post time, a restructure sealing
     /// while this task is parked cannot free the tables its descriptors
@@ -873,13 +859,13 @@ impl HtTreeHandle {
         ac: &D,
         keys: &[u64],
     ) -> Result<Vec<Option<u64>>> {
-        let (found, _guard) = self.get_many_async_guarded(ac, keys, &[]).await?;
+        let (found, _pin) = self.get_many_async_guarded(ac, keys, &[]).await?;
         Ok(found.into_iter().map(|(value, _)| value).collect())
     }
 
     /// [`get_many_async`](Self::get_many_async) with a hint per key
     /// (`hints[i]` for `keys[i]`; keys past the end of `hints` are
-    /// unhinted), handing back the guard it pinned and, per key, the
+    /// unhinted), handing back the pin it took and, per key, the
     /// value and the hinted bytes (see [`get_guarded`](Self::get_guarded)).
     /// A hinted key's lookup is one fenced descriptor in the doorbell —
     /// bucket head, then the speculative read — so a batch of fresh hints
@@ -890,12 +876,12 @@ impl HtTreeHandle {
         ac: &D,
         keys: &[u64],
         hints: &[Option<(FarAddr, u64)>],
-    ) -> Result<(Vec<Found>, Option<Guard>)> {
+    ) -> Result<(Vec<Found>, Pinned)> {
         let _span = ac.span("httree.get_many");
         // lint: block-ok — epoch pin is control-plane (local check; rare
         // resync on epoch advance).
-        let guard = ac.with(|client| self.pin_epoch(client))?;
-        Ok((self.lookup_many(ac, keys, hints).await?, guard))
+        let pin = ac.with(|client| self.pin_epoch(client))?;
+        Ok((self.lookup_many(ac, keys, hints).await?, pin))
     }
 
     /// The guarded many-key lookup: the caller has pinned and validated
@@ -966,27 +952,21 @@ impl HtTreeHandle {
     }
 
     /// Inserts or updates `key → value`. **Two far accesses** when the
-    /// cache is fresh: the read of the bucket and the table header, then
-    /// a fenced batch that links the item with the bucket CAS. The put
-    /// whose item carries the table over `max_load_percent` also
-    /// restructures it.
-    ///
-    /// A quarantine-mode put reads the bucket word and the header through
-    /// the item count, and links its item on top of the chain. A
-    /// reclaim-mode put is a *splice* ([`take`](Self::take)'s first
-    /// access, then a walk to the key's item): it replaces the key's old
-    /// item in the same CAS, so the chain keeps one item per key and the
-    /// header counts live keys. See [`publish`](Self::publish).
+    /// cache is fresh, plus the hops a lookup of `key` pays: the read of
+    /// the chain's head item and the table header, the walk to the key's
+    /// item, then a fenced batch that splices the new item in with the
+    /// bucket CAS (see [`publish`](Self::publish)). The put whose item
+    /// carries the table over `max_load_percent` also restructures it.
     ///
     /// `Err` means the value was not stored. A restructure that fails
     /// after the bucket CAS landed is no error of the put's: the next put
-    /// into the table gathers the same count and pays it (as for
+    /// into the table reads the same count and pays it (as for
     /// [`publish`](Self::publish)).
     pub fn put(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {
         let _span = client.span("httree.put");
-        let guard = self.pin_epoch(client)?;
+        let pin = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        let (overloaded, _) = self.put_record(client, key, value, None, guard.as_ref())?;
+        let (overloaded, _) = self.put_record(client, key, value, None, &pin)?;
         if let Some((start_key, version)) = overloaded {
             let _ = self.split_if(client, start_key, Some(version));
         }
@@ -995,30 +975,29 @@ impl HtTreeHandle {
 
     /// Stores `key → record` for a value that *is* a far record: `bytes`
     /// are written at `record` inside the put's own fenced batch, ahead of
-    /// the item and the bucket CAS — still **two far accesses**.
+    /// the item and the bucket CAS — still **two far accesses** — and
+    /// returns the value the key held before, for the caller to retire.
     ///
-    /// A reclaim-mode handle also returns the value the key held before,
-    /// so the caller can retire it. Its first access is a fenced batch of
-    /// a `load0` through the bucket word to the chain's head item and a
-    /// read of the table header; from that head it walks to the key's
-    /// item, one access per hop, *before* linking anything. The second
-    /// access writes the record, the new item and fresh copies of the
-    /// items above the key's old one, and CASes the bucket from the word
-    /// the head was read through to the new item: the old item and the
-    /// originals of the copies leave the chain in that CAS and are
-    /// retired. A key the chain lacks is linked on top. Under the epoch
-    /// guard a bucket word names an immutable chain whose items cannot be
-    /// freed and reused, so a CAS that lands on that word proves the
-    /// bucket held exactly the chain walked — even if the word left it
-    /// and came back. A quarantine-mode handle never reclaims: it skips
-    /// the walk, links on top and returns `None`.
+    /// The first access is a fenced batch of a `load0` through the bucket
+    /// word to the chain's head item and a read of the table header; from
+    /// that head the put walks to the key's item, one access per hop,
+    /// *before* linking anything. The second access writes the record,
+    /// the new item and fresh copies of the items above the key's old one,
+    /// and CASes the bucket from the word the head was read through to
+    /// the new item: the old item and the originals of the copies leave
+    /// the chain in that CAS, and go where the handle's lifetime sends
+    /// them (module docs). A key the chain lacks is linked on top. A bucket
+    /// word names an immutable chain whose items cannot be freed and
+    /// reused while the put runs, so a CAS that lands on that word proves
+    /// the bucket held exactly the chain walked — even if the word left
+    /// it and came back.
     ///
     /// `Err` means the record was **never linked** and is still the
     /// caller's to free — a fault on a hop of the walk included, since
     /// the walk runs before the CAS. Once the CAS has landed readers can
     /// reach the record, so nothing after it turns the store into an
     /// error: a failed restructure is left to the next put into the table
-    /// (it gathers the same count).
+    /// (it reads the same count).
     pub fn publish(
         &mut self,
         client: &mut FabricClient,
@@ -1026,16 +1005,27 @@ impl HtTreeHandle {
         record: FarAddr,
         bytes: &[u8],
     ) -> Result<Option<u64>> {
+        self.publish_guarded(client, key, record, bytes).map(|(old, _)| old)
+    }
+
+    /// [`publish`](Self::publish), handing back the operation's pin, under
+    /// which the caller retires the value it superseded.
+    pub(crate) fn publish_guarded(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+        record: FarAddr,
+        bytes: &[u8],
+    ) -> Result<(Option<u64>, Pinned)> {
         let _span = client.span("httree.put");
-        let guard = self.pin_epoch(client)?;
+        let pin = self.pin_epoch(client)?;
         self.stats.puts += 1;
-        let (overloaded, old) =
-            self.put_record(client, key, record.0, Some(bytes), guard.as_ref())?;
+        let (overloaded, old) = self.put_record(client, key, record.0, Some(bytes), &pin)?;
         if let Some((start_key, version)) = overloaded {
             // Linked: see above for why this error goes no further.
             let _ = self.split_if(client, start_key, Some(version));
         }
-        Ok(old)
+        Ok((old, pin))
     }
 
     /// Removes `key` ([`take`](Self::take), the value dropped).
@@ -1049,27 +1039,20 @@ impl HtTreeHandle {
     /// that is not there, which links nothing and leaves the table's
     /// counters alone. No remove restructures.
     ///
-    /// A reclaim-mode take unlinks the key's item. Far access 1 is one
-    /// fenced batch: a `load0` through the bucket word to the chain's
-    /// head item, which also names the word it read, and the table
-    /// header (a stale version refreshes and retries, as a put's does).
-    /// The walk from that head item finds the value. Far access 2 is the
-    /// splice: for an item at the head, one CAS of the bucket from that
-    /// word to the item's successor; for one `d` hops down, fresh copies
-    /// of the `d` items above it, chained onto its successor, and the CAS
-    /// to the first copy. The item and the originals of the copies are
-    /// retired; the header's live-key count drops by one. A lost CAS
-    /// starts over from access 1. The CAS landing proves the walk for the
-    /// reason [`publish`](Self::publish) gives: under the guard the word
-    /// names an immutable chain, however often it left and came back.
-    /// Until that CAS every other client still finds the key, so racing
-    /// takes of one key hand its value to exactly one of them.
-    ///
-    /// A quarantine-mode take links a *tombstone* instead: access 1 reads
-    /// the bucket word, the head item through it and the version word,
-    /// and access 2 publishes a tombstone whose `next` is that word. There
-    /// the word never returns to a value it has left (an item is linked
-    /// once and never freed), so the CAS landing proves the head read.
+    /// Far access 1 is [`publish`](Self::publish)'s: one fenced batch of a
+    /// `load0` through the bucket word to the chain's head item, which
+    /// also names the word it read, and the table header (a stale version
+    /// refreshes and retries, as a put's does). The walk from that head
+    /// item finds the value. Far access 2 is the splice: for an item at
+    /// the head, one CAS of the bucket from that word to the item's
+    /// successor; for one `d` hops down, fresh copies of the `d` items
+    /// above it, chained onto its successor, and the CAS to the first
+    /// copy. The item and the originals of the copies leave the chain, and
+    /// the header's live-key count drops by one. A lost CAS starts over
+    /// from access 1. The CAS landing proves the walk for the reason
+    /// `publish` gives. Until that CAS every other client still finds the
+    /// key, so racing takes of one key hand its value to exactly one of
+    /// them.
     ///
     /// On a fabric that refuses the batch's cross-node dereference
     /// ([`IndirectionMode::Error`](farmem_fabric::IndirectionMode)) the
@@ -1078,63 +1061,28 @@ impl HtTreeHandle {
     ///
     /// `Err` means nothing was unlinked.
     pub fn take(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
+        self.take_guarded(client, key).map(|(value, _)| value)
+    }
+
+    /// [`take`](Self::take), handing back the operation's pin, under which
+    /// the caller retires the value it took.
+    pub(crate) fn take_guarded(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+    ) -> Result<(Option<u64>, Pinned)> {
         let _span = client.span("httree.remove");
-        let guard = self.pin_epoch(client)?;
+        let pin = self.pin_epoch(client)?;
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
-            if let Some(guard) = &guard {
-                let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
-                    continue;
-                };
-                let Some((_, victim)) = chain.found else { return Ok(None) };
-                if self.splice(client, &entry, &chain, None, Vec::new(), guard)? {
-                    self.stats.removes += 1;
-                    return Ok(Some(victim.value));
-                }
+            let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
                 continue;
-            }
-            let bucket = Self::bucket_addr(&entry, key);
-            let version_at = entry.table_hdr.offset(H_VERSION);
-            let (old_head, first, far_version) = match client.batch(&[
-                BatchOp::Read { addr: bucket, len: WORD },
-                BatchOp::Load0 { ptr: bucket, len: ITEM_LEN },
-                BatchOp::Read { addr: version_at, len: WORD },
-            ]) {
-                Ok(out) => {
-                    let first = match &out[1] {
-                        BatchOut::Loaded { bytes, .. } => Some(Item::decode(bytes)),
-                        _ => None, // an empty bucket
-                    };
-                    (word_at(out[0].bytes(), 0), first, word_at(out[2].bytes(), 0))
-                }
-                Err(farmem_fabric::FabricError::IndirectRemote { target, .. }) => {
-                    let gathered = client.rgather(&[
-                        FarIov::new(target, ITEM_LEN),
-                        FarIov::new(version_at, WORD),
-                    ])?;
-                    (target.0, Some(Item::decode(&gathered)), word_at(&gathered, ITEM_LEN))
-                }
-                Err(e) => return Err(e.into()),
             };
-            if far_version != entry.version {
-                self.refresh_stale(client, far_version, attempt)?;
-                continue;
-            }
-            let Some(first) = first else { return Ok(None) };
-            let value = match self.walk_chain(client, &entry, key, first)? {
-                Walk::Done(Some(value)) => value,
-                Walk::Done(None) => return Ok(None),
-                Walk::Stale => {
-                    self.refresh_stale(client, far_version, attempt)?;
-                    continue;
-                }
-            };
-            let tombstone =
-                Item { key, value: 0, version: entry.version | TOMB_BIT, next: old_head };
-            if self.link(client, &entry, bucket, tombstone, Vec::with_capacity(2))? {
+            let Some((_, victim)) = chain.found else { return Ok((None, pin)) };
+            if self.splice(client, &entry, &chain, None, Vec::new(), &pin)? {
                 self.stats.removes += 1;
-                return Ok(Some(value));
+                return Ok((Some(victim.value), pin));
             }
         }
         Err(CoreError::Contended)
@@ -1159,45 +1107,7 @@ impl HtTreeHandle {
         Ok(())
     }
 
-    /// Quarantine mode's second far access: one fenced batch that runs
-    /// `ops`, writes `item` into a fresh arena record and swings `bucket`
-    /// from `item.next` to it (the fabric applies the ops in order, so
-    /// every write lands before the CAS). Returns whether the CAS landed
-    /// (`false`: it lost the bucket race); an `Err` also means the item
-    /// was not linked.
-    fn link(
-        &mut self,
-        client: &mut FabricClient,
-        entry: &Entry,
-        bucket: FarAddr,
-        item: Item,
-        ops: Vec<BatchOp<'_>>,
-    ) -> Result<bool> {
-        let old_head = item.next;
-        let item = item.encode();
-        // Rebound so the ops may borrow `item`, which the caller's cannot.
-        let mut ops: Vec<BatchOp<'_>> = ops;
-        let item_addr = self.arena.alloc(ITEM_LEN)?;
-        ops.push(BatchOp::Write { addr: item_addr, data: &item });
-        ops.push(BatchOp::Cas { addr: bucket, expected: old_head, new: item_addr.0 });
-        // A failed batch stops at the op that failed: the item was never
-        // published (the arena reclaims nothing, so there is nothing to free).
-        if client.batch(&ops)?[ops.len() - 1].value() != old_head {
-            self.stats.cas_retries += 1;
-            return Ok(false);
-        }
-        // Background bookkeeping, off the critical path. The counters are
-        // advisory (they only steer split heuristics), so a failed post
-        // after the committed CAS must not turn a landed mutation into an
-        // error.
-        let _ = client.post_faa_u64(entry.table_hdr.offset(H_ITEMS), 1);
-        if old_head != 0 {
-            let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
-        }
-        Ok(true)
-    }
-
-    /// Far access 1 of a reclaim-mode put or take, and the walk: one
+    /// Far access 1 of a put or take, and the walk: one
     /// fenced batch of a `load0` through the bucket word to the head item
     /// and a read of the table header, then one read per hop down to
     /// `key`'s item. `None` after a stale version, refreshed: the caller
@@ -1273,16 +1183,16 @@ impl HtTreeHandle {
         }))
     }
 
-    /// Far access 2 of a reclaim-mode put (`top`: the key's new item) or
-    /// take (`top: None`): one fenced batch that runs `ops`, writes `top`
-    /// and fresh copies of the items above the key's old one, and CASes
-    /// the bucket from `chain.head` to the new chain — `top`, the copies,
-    /// then the old item's successor; `top` on the old chain when the key
-    /// is new. Returns whether the CAS landed (`false`: it lost, nothing
-    /// was linked, and the caller starts over); an `Err` also means
-    /// nothing was linked. Landed, the old item and the originals of the
-    /// copies are retired under `_guard`, and the header's live-key count
-    /// moves by the key the splice added or removed.
+    /// Far access 2 of a put (`top`: the key's new item) or take (`top:
+    /// None`): one fenced batch that runs `ops`, writes `top` and fresh
+    /// copies of the items above the key's old one, and CASes the bucket
+    /// from `chain.head` to the new chain — `top`, the copies, then the
+    /// old item's successor; `top` on the old chain when the key is new.
+    /// Returns whether the CAS landed (`false`: it lost, nothing was
+    /// linked, and the caller starts over); an `Err` also means nothing
+    /// was linked. Landed, the old item and the originals of the copies
+    /// are retired under `pin`, and the header's live-key count moves by
+    /// the key the splice added or removed.
     fn splice(
         &mut self,
         client: &mut FabricClient,
@@ -1290,7 +1200,7 @@ impl HtTreeHandle {
         chain: &Chain,
         top: Option<Item>,
         ops: Vec<BatchOp<'_>>,
-        _guard: &Guard,
+        pin: &Pinned,
     ) -> Result<bool> {
         debug_assert!(top.is_some() || chain.found.is_some(), "a take of an absent key");
         let (copied, tail): (&[(u64, Item)], u64) = match chain.found {
@@ -1302,11 +1212,11 @@ impl HtTreeHandle {
         fresh.extend(copied.iter().map(|&(_, item)| item));
         let mut addrs = Vec::with_capacity(fresh.len());
         for _ in &fresh {
-            match self.alloc.alloc(ITEM_LEN, AllocHint::Spread) {
+            match self.records.alloc(ITEM_LEN) {
                 Ok(addr) => addrs.push(addr),
                 Err(e) => {
-                    self.free_unlinked(&addrs)?;
-                    return Err(e.into());
+                    self.records.discard(&addrs, ITEM_LEN)?;
+                    return Err(e);
                 }
             }
         }
@@ -1327,9 +1237,8 @@ impl HtTreeHandle {
             unlinked => {
                 // The CAS lost the bucket race, or never ran (a failed
                 // batch stops at the op that failed). Nobody can reach the
-                // fresh items, so they are freed eagerly — no grace period
-                // for memory nobody can reach.
-                self.free_unlinked(&addrs)?;
+                // fresh items: no grace period is due.
+                self.records.discard(&addrs, ITEM_LEN)?;
                 unlinked?;
                 self.stats.cas_retries += 1;
                 return Ok(false);
@@ -1358,37 +1267,26 @@ impl HtTreeHandle {
         let unlinked = std::iter::once(old)
             .chain(copied.iter().map(|&(addr, _)| addr))
             .filter(|&a| !(base <= a && a < base + len));
-        let shared = self.reclaim.clone().expect("a guard is pinned only in reclaim mode");
-        let mut r = shared.lock().unwrap();
         for addr in unlinked {
             // A retire that fails queues its entry all the same (only its
             // seal failed); the mutation has landed either way.
-            let _ = r.retire(client, FarAddr(addr), ITEM_LEN);
+            // lint: retire-ok: the bucket CAS above unlinked it; `pin` holds the operation's epoch guard.
+            let _ = self.records.retire(client, pin, FarAddr(addr), Some(ITEM_LEN));
         }
         Ok(true)
     }
 
-    /// Frees items a splice allocated and never linked.
-    fn free_unlinked(&self, addrs: &[FarAddr]) -> Result<()> {
-        for &addr in addrs {
-            self.alloc.free(addr, ITEM_LEN)?;
-        }
-        Ok(())
-    }
-
     /// Publishes one item; with `record`, also writes those bytes at
-    /// `FarAddr(value)` in the same fenced batch. `guard` is the epoch
-    /// guard a reclaim-mode handle pinned, and makes the put a splice
-    /// ([`publish`](Self::publish)). Returns the overload verdict and the
-    /// value a reclaim-mode put replaced. An `Err` always means the item
-    /// was not linked.
+    /// `FarAddr(value)` in the same fenced batch ([`publish`](Self::publish)).
+    /// Returns the overload verdict and the value the put replaced. An
+    /// `Err` always means the item was not linked.
     fn put_record(
         &mut self,
         client: &mut FabricClient,
         key: u64,
         value: u64,
         record: Option<&[u8]>,
-        guard: Option<&Guard>,
+        pin: &Pinned,
     ) -> Result<(Overloaded, Option<u64>)> {
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
@@ -1398,45 +1296,18 @@ impl HtTreeHandle {
                 ops.push(BatchOp::Write { addr: FarAddr(value), data });
             }
             let item = Item { key, value, version: entry.version, next: 0 };
-            // The table's item count once this item is in: live keys in
-            // reclaim mode, records in quarantine mode.
-            let (count, old) = if let Some(guard) = guard {
-                // audit: rt-in-loop-ok: retry loop — every pass is one whole
-                // put (the read and the splice), re-run only after a stale
-                // cache or a lost bucket CAS.
-                let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
-                    continue;
-                };
-                if !self.splice(client, &entry, &chain, Some(item), ops, guard)? {
-                    continue;
-                }
-                let old = chain.found.map(|(_, old)| old.value);
-                (chain.keys.saturating_add(u64::from(old.is_none())), old)
-            } else {
-                // Far access 1: gather the bucket pointer and the table
-                // header from the version through the item count, in one
-                // round trip (two messages).
-                let bucket = Self::bucket_addr(&entry, key);
-                // audit: rt-in-loop-ok: retry loop — every pass is one whole
-                // put (this gather, then `link`'s fenced batch), re-run only
-                // after a stale cache or a lost bucket CAS.
-                let gathered = client.rgather(&[
-                    FarIov::new(bucket, WORD),
-                    FarIov::new(entry.table_hdr.offset(H_VERSION), H_ITEMS + WORD),
-                ])?;
-                let old_head = word_at(&gathered, 0);
-                let far_version = word_at(&gathered, WORD + H_VERSION);
-                if far_version != entry.version {
-                    self.refresh_stale(client, far_version, attempt)?;
-                    continue;
-                }
-                // Far access 2: the record's bytes, the item, the CAS.
-                if !self.link(client, &entry, bucket, Item { next: old_head, ..item }, ops)? {
-                    continue;
-                }
-                // The count was gathered before this item joined the chain.
-                (item_count(word_at(&gathered, WORD + H_ITEMS)).saturating_add(1), None)
+            // audit: rt-in-loop-ok: retry loop — every pass is one whole
+            // put (the read and the splice), re-run only after a stale
+            // cache or a lost bucket CAS.
+            let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
+                continue;
             };
+            if !self.splice(client, &entry, &chain, Some(item), ops, pin)? {
+                continue;
+            }
+            // The table's live keys once this item is in.
+            let old = chain.found.map(|(_, old)| old.value);
+            let count = chain.keys.saturating_add(u64::from(old.is_none()));
             let overloaded = overloaded(count, entry.n_buckets, self.cfg.max_load_percent)
                 .then_some((entry.start_key, entry.version));
             return Ok((overloaded, old));
@@ -1444,14 +1315,13 @@ impl HtTreeHandle {
         Err(CoreError::Contended)
     }
 
-    /// Approximate number of items, from the far-side per-table counters
-    /// (one gather over all leaf headers): live keys on a reclaim-mode
-    /// tree, chain records (tombstones included) on a quarantine-mode
-    /// one. The counters are maintained with posted (unsignaled) atomics,
-    /// so the estimate can trail in-flight operations slightly.
+    /// Approximate number of live keys, from the far-side per-table
+    /// counters (one gather over all leaf headers). The counters are
+    /// maintained with posted (unsignaled) atomics, so the estimate can
+    /// trail in-flight operations slightly.
     pub fn len_estimate(&mut self, client: &mut FabricClient) -> Result<u64> {
         let _span = client.span("httree.len_estimate");
-        let _guard = self.pin_epoch(client)?;
+        let _pin = self.pin_epoch(client)?;
         let iov: Vec<FarIov> = self
             .entries
             .iter()
@@ -1475,7 +1345,7 @@ impl HtTreeHandle {
         hi: u64,
     ) -> Result<Vec<(u64, u64)>> {
         let _span = client.span("httree.scan");
-        let _guard = self.pin_epoch(client)?;
+        let _pin = self.pin_epoch(client)?;
         if lo > hi {
             return Ok(Vec::new());
         }
@@ -1507,16 +1377,11 @@ impl HtTreeHandle {
                     // path batched every bucket read through one doorbell.
                     _ => words(&client.read(entry.buckets, entry.n_buckets * WORD)?),
                 };
-                let mut seen = std::collections::HashSet::new();
                 let fresh = drain_chains(client, &bucket_words, |_, item| {
-                    if item.plain_version() != entry.version {
+                    if item.version != entry.version {
                         return false;
                     }
-                    if seen.insert(item.key)
-                        && !item.is_tombstone()
-                        && item.key >= lo
-                        && item.key <= hi
-                    {
+                    if item.key >= lo && item.key <= hi {
                         out.push((item.key, item.value));
                     }
                     true
@@ -1556,7 +1421,7 @@ impl HtTreeHandle {
         seen_version: Option<u64>,
     ) -> Result<()> {
         let _span = client.span("httree.split");
-        let _guard = self.pin_epoch(client)?;
+        let pin = self.pin_epoch(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entries[self.index_of(key)];
             if seen_version.is_some_and(|v| v != entry.version) {
@@ -1566,30 +1431,25 @@ impl HtTreeHandle {
             // table's puts and takes away. The batch also reads the
             // directory pointer the publish will CAS: the fabric refuses
             // the whole batch up front while the anchor's node is down, so
-            // no table is taken that could not be published. Reclaim mode
-            // reads the header behind it for what only the far side
-            // knows: the bulk items block a previous split laid the
-            // table's records out in.
-            let mut ops = vec![
+            // no table is taken that could not be published. It reads the
+            // header behind it for what only the far side knows: the bulk
+            // items block a previous split laid the table's records out in.
+            // audit: rt-in-loop-ok: retry loop — re-run only after another
+            // client took or replaced the cached table.
+            let out = client.batch(&[
                 BatchOp::Read { addr: self.tree.anchor.offset(A_DIR_PTR), len: WORD },
                 BatchOp::Cas {
                     addr: entry.table_hdr.offset(H_VERSION),
                     expected: entry.version,
                     new: SPLITTING,
                 },
-            ];
-            if self.reclaim.is_some() {
-                ops.push(BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN });
-            }
-            // audit: rt-in-loop-ok: retry loop — re-run only after another
-            // client took or replaced the cached table.
-            let out = client.batch(&ops)?;
+                BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN },
+            ])?;
             let far_version = out[1].value();
             if far_version == entry.version {
-                let bulk = out.get(2).map_or((0, 0), |hdr| {
-                    (word_at(hdr.bytes(), H_ITEMS_BASE), word_at(hdr.bytes(), H_ITEMS_LEN))
-                });
-                return self.restructure(client, entry, bulk);
+                let hdr = out[2].bytes();
+                let bulk = (word_at(hdr, H_ITEMS_BASE), word_at(hdr, H_ITEMS_LEN));
+                return self.restructure(client, entry, bulk, &pin);
             }
             if seen_version.is_some() {
                 return Ok(());
@@ -1600,14 +1460,16 @@ impl HtTreeHandle {
     }
 
     /// Restructures the table `entry`, which the caller has taken: drains
-    /// and poisons it, builds its replacements and publishes them. Reclaim
-    /// mode then retires the old table, with its bulk items block `(base,
-    /// len)`, and the directory blob the publish replaced.
+    /// and poisons it, builds its replacements and publishes them. Then
+    /// the old table, with its bulk items block `(base, len)`, and the
+    /// directory blob the publish replaced go where the handle's lifetime
+    /// sends them.
     fn restructure(
         &mut self,
         client: &mut FabricClient,
         entry: Entry,
         (old_items_base, old_items_len): (u64, u64),
+        pin: &Pinned,
     ) -> Result<()> {
         // Drain the table with batched transfers: read the bucket array
         // (one access), walk all chains level by level with gathers (one
@@ -1616,20 +1478,16 @@ impl HtTreeHandle {
         // racing put or take are harvested again, one by one — the
         // version marker makes such races rare.
         let bucket_words = words(&client.read(entry.buckets, entry.n_buckets * WORD)?);
-        // Newest value per key: `None` marks a tombstone. Chains link
-        // newest to oldest, so within one chain the *first* occurrence of
-        // a key is authoritative.
-        let mut live: std::collections::HashMap<u64, Option<u64>> =
-            std::collections::HashMap::new();
+        // Each live key's value: a chain holds one item per key.
+        let mut live: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         // Every chain record the drain visits, with its key (reclaim mode
         // frees each one not covered by the bulk items block after the
         // grace period).
         let mut drained: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         drain_chains(client, &bucket_words, |addr, item| {
             drained.insert(addr, item.key);
-            if item.plain_version() == entry.version {
-                live.entry(item.key)
-                    .or_insert_with(|| (!item.is_tombstone()).then_some(item.value));
+            if item.version == entry.version {
+                live.insert(item.key, item.value);
             }
             true
         })?;
@@ -1660,7 +1518,6 @@ impl HtTreeHandle {
             loop {
                 live.retain(|&key, _| !in_bucket(key));
                 drained.retain(|_, &mut key| !in_bucket(key));
-                let mut seen_chain = std::collections::HashSet::new();
                 let mut cur = head;
                 while cur != 0 {
                     // audit: rt-in-loop-ok: pointer chase over a racing
@@ -1669,8 +1526,8 @@ impl HtTreeHandle {
                     client.read_into(FarAddr(cur), &mut raw)?;
                     let item = Item::decode(&raw);
                     drained.insert(cur, item.key);
-                    if item.plain_version() == entry.version && seen_chain.insert(item.key) {
-                        live.insert(item.key, (!item.is_tombstone()).then_some(item.value));
+                    if item.version == entry.version {
+                        live.insert(item.key, item.value);
                     }
                     cur = item.next;
                 }
@@ -1683,25 +1540,17 @@ impl HtTreeHandle {
                 head = prev;
             }
         }
-        let mut live: Vec<(u64, u64)> =
-            live.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect();
+        let mut live: Vec<(u64, u64)> = live.into_iter().collect();
 
         // Decide: split by median key, or grow in place when the range
         // cannot be partitioned.
         live.sort_unstable_by_key(|&(k, _)| k);
         let can_split = live.len() >= 2 && live.first().unwrap().0 != live.last().unwrap().0;
-        // A quarantine-mode trigger counts *records* (every put appends
-        // one to a chain), not live keys. When the drain shows the table
-        // was mostly superseded records — overwrite/delete churn, not
-        // growth — compact it in place at the same size instead of
-        // splitting or growing. Without this, steady churn over a fixed
-        // working set multiplies tables without bound. A reclaim-mode
-        // chain holds one item per key, so its put's trigger counts live
-        // keys and never finds the table this sparse; only an explicit
-        // `split` of a sparse table compacts it, where growing would
-        // double an empty table's buckets on every call.
-        let compact =
-            mostly_superseded(live.len() as u64, entry.n_buckets, self.cfg.max_load_percent);
+        // A put's trigger counts live keys and never finds the table this
+        // sparse; an explicit `split` of a sparse table compacts it in
+        // place, where growing would double an empty table's buckets on
+        // every call.
+        let compact = sparse(live.len() as u64, entry.n_buckets, self.cfg.max_load_percent);
         // Each replacement table: its start key, items and bucket count.
         let init = self.cfg.initial_buckets;
         let tables = if compact {
@@ -1726,41 +1575,30 @@ impl HtTreeHandle {
             .map(|(start, items, n)| build_table(client, &self.alloc, start, items, version, n))
             .collect::<Result<Vec<Entry>>>()?;
         let (old_dir, old_dir_len) = self.publish_directory(client, &entry, &new_entries)?;
-        if let Some(shared) = self.reclaim.clone() {
-            // Retire everything the new directory just unlinked: the old
-            // table (header, buckets, bulk items block, every chain
-            // record outside that block) and the directory blob the
-            // publish replaced. Clients cache pointers into all of it, so
-            // these are restructure retires: the seal stamps them with a fresh
-            // epoch *and* generation; a grace period later they return
-            // to the allocator. Stale readers stay safe in between: their
-            // first far access hits poison, and their next epoch pin
-            // reports the new generation and refreshes past the retired
-            // blocks before those can be freed.
-            let mut r = shared.lock().unwrap();
-            // lint: retire-ok: everything below was unlinked by the directory CAS; readers run under epoch guards and poison + grace fences stragglers.
-            r.retire_restructure(client, entry.table_hdr, HDR_LEN)?;
-            r.retire_restructure(client, entry.buckets, entry.n_buckets * WORD)?;
-            if old_items_base != 0 {
-                r.retire_restructure(client, FarAddr(old_items_base), old_items_len)?;
-            }
-            let in_bulk = |a: u64| {
-                old_items_base != 0 && a >= old_items_base && a < old_items_base + old_items_len
-            };
-            // lint: retire-ok: same unlink as above — chain records and the old directory.
-            let mut chain_records: Vec<u64> = drained
-                .into_keys()
-                .filter(|&a| a != self.poison.0 && !in_bulk(a))
-                .collect();
-            chain_records.sort_unstable();
-            for a in chain_records {
-                r.retire_restructure(client, FarAddr(a), ITEM_LEN)?;
-            }
-            r.retire_restructure(client, old_dir, old_dir_len)?;
-            r.seal(client)?;
-        }
-        // Quarantine mode: the retired table leaks (see module docs).
-        Ok(())
+        // Everything the new directory just unlinked: the old table
+        // (header, buckets, bulk items block, every chain record outside
+        // that block) and the directory blob the publish replaced.
+        // Clients cache pointers into all of it, so reclaim mode retires
+        // it as a restructure: the seal stamps it with a fresh epoch *and*
+        // generation, and a grace period later it returns to the
+        // allocator. Stale readers stay safe in between: their first far
+        // access hits poison, and their next epoch pin reports the new
+        // generation and refreshes past the retired blocks before those
+        // can be freed. Quarantine mode leaks it.
+        let in_bulk =
+            |a: u64| old_items_base != 0 && a >= old_items_base && a < old_items_base + old_items_len;
+        let mut chain_records: Vec<u64> =
+            drained.into_keys().filter(|&a| a != self.poison.0 && !in_bulk(a)).collect();
+        chain_records.sort_unstable();
+        let table = [(entry.table_hdr, HDR_LEN), (entry.buckets, entry.n_buckets * WORD)];
+        let bulk = (old_items_base != 0).then_some((FarAddr(old_items_base), old_items_len));
+        let records = chain_records.into_iter().map(|a| (FarAddr(a), ITEM_LEN));
+        // lint: retire-ok: all of it was unlinked by the directory CAS; readers run under epoch guards and poison + grace fences stragglers.
+        self.records.retire_restructure(
+            client,
+            pin,
+            table.into_iter().chain(bulk).chain(records).chain([(old_dir, old_dir_len)]),
+        )
     }
 
     /// Publishes the cached directory with the taken table `taken`
@@ -1883,20 +1721,25 @@ mod tests {
         let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
         let t = HtTree::create(&mut c, &a, cfg).unwrap();
         let mut h = t.attach(&mut c, &a, cfg).unwrap();
-        let start = c.stats();
+        let entry = h.entry_for(&mut c, 0);
+        let mut used = std::collections::HashSet::new();
+        let (start, hops0) = (c.stats(), h.stats().chain_hops);
         for k in 0..1000u64 {
-            let before = c.stats();
+            let chained = !used.insert(HtTreeHandle::bucket_addr(&entry, k * 7919));
+            let (before, hops) = (c.stats(), h.stats().chain_hops);
             h.put(&mut c, k * 7919, k).unwrap();
-            let d = c.stats().since(&before);
-            // Posted bookkeeping: H_ITEMS, plus H_COLLISIONS on a chained insert.
-            let posted = d.posted_messages;
-            assert!(posted == 1 || posted == 2, "put {k}: {posted} posted");
+            let (d, hops) = (c.stats().since(&before), h.stats().chain_hops - hops);
+            // A new key's walk runs to the end of its chain: the hops a
+            // lookup of it pays. Posted bookkeeping: H_ITEMS, plus
+            // H_COLLISIONS on a chained insert.
+            let posted = 1 + u64::from(chained);
             let want = farmem_fabric::AccessStats {
-                round_trips: 2,
-                messages: 4 + posted,
+                round_trips: 2 + hops,
+                messages: 2 + hops + 2 + posted,
                 posted_messages: posted,
-                // The gather: the bucket word + the header through H_ITEMS.
-                bytes_read: WORD + H_ITEMS + WORD,
+                // The head item through the bucket word, the header, an
+                // item per hop.
+                bytes_read: u64::from(chained) * ITEM_LEN + HDR_LEN + hops * ITEM_LEN,
                 bytes_written: ITEM_LEN,
                 atomics: 1 + posted,
                 near_accesses: 2,
@@ -1904,7 +1747,8 @@ mod tests {
             };
             assert_eq!(d, want, "put {k}");
         }
-        assert_eq!(c.stats().since(&start).round_trips, 2000, "no amortised third access");
+        let hops = h.stats().chain_hops - hops0;
+        assert_eq!(c.stats().since(&start).round_trips, 2000 + hops, "no amortised third access");
         assert_eq!(restructures(&h), 0);
     }
 
@@ -1969,19 +1813,19 @@ mod tests {
         assert_eq!(old, None, "not {second}");
         assert_eq!(h.stats().chain_hops, 0, "every old item was the chain head");
 
-        // A quarantine-mode handle retires nothing, so it asks for nothing:
-        // a gather of the bucket word and the header through the count, no
-        // head read, no walk, however long the chain.
+        // A quarantine-mode handle splices at the same price and hands back
+        // what it superseded too; it only retires nothing.
         let t = HtTree::create(&mut c, &a, cfg).unwrap();
         let mut q = t.attach(&mut c, &a, cfg).unwrap();
-        let gathered = |posted: u64, written: u64| farmem_fabric::AccessStats {
-            bytes_read: WORD + H_ITEMS + WORD,
-            ..splice(0, posted, written)
+        let stranded = |head: u64, posted: u64, written: u64| farmem_fabric::AccessStats {
+            retired_bytes: 0,
+            ..splice(head, posted, written)
         };
-        let (_, old, d) = publish(&mut c, &mut q, b"sixteen bytes...");
-        assert_eq!((old, d), (None, gathered(1, 16)));
+        let (first, old, d) = publish(&mut c, &mut q, b"sixteen bytes...");
+        assert_eq!((old, d), (None, stranded(0, 1, 16)));
         let (_, old, d) = publish(&mut c, &mut q, b"twenty-four bytes.......");
-        assert_eq!((old, d), (None, gathered(2, 24)), "chained, nothing read");
+        assert_eq!((old, d), (Some(first), stranded(ITEM_LEN, 0, 24)), "replaced at the head");
+        assert_eq!(q.len_estimate(&mut c).unwrap(), 1, "one live key");
     }
 
     /// A splice at depth `d` is `2 + d` far accesses: the walk's hops come
@@ -2258,7 +2102,8 @@ mod tests {
     }
 
     /// What an uncontended restructure costs, whole: the version CAS with
-    /// its read of the directory pointer, the bucket array, one gather per chain level, the poison volley, one
+    /// its reads of the directory pointer and the table header, the bucket
+    /// array, one gather per chain level, the poison volley, one
     /// batch per table built and the publish batch — no lock, and no
     /// directory re-read ahead of the take.
     #[test]
@@ -2282,8 +2127,8 @@ mod tests {
         let built = 2 * (8 * WORD + HDR_LEN + 3 * ITEM_LEN);
         let want = farmem_fabric::AccessStats {
             round_trips: 1 + 1 + 2 + 1 + 2 + 1,
-            messages: 2 + 1 + 6 + 8 + 2 * 3 + 2,
-            bytes_read: WORD + 8 * WORD + 6 * ITEM_LEN,
+            messages: 3 + 1 + 6 + 8 + 2 * 3 + 2,
+            bytes_read: WORD + HDR_LEN + 8 * WORD + 6 * ITEM_LEN,
             bytes_written: built + WORD + 2 * ENTRY_LEN,
             atomics: 1 + 8 + 1,
             ..Default::default()
@@ -2353,21 +2198,21 @@ mod tests {
         // `max_load_percent: u64::MAX` is "never restructure on load".
         assert!(!overloaded(u64::MAX, 2, u64::MAX));
         assert!(!overloaded(1_000_000, 8, u64::MAX));
-        assert!(mostly_superseded(1_000_000, 8, u64::MAX));
+        assert!(sparse(1_000_000, 8, u64::MAX));
         // A bucket count whose product with the percentage leaves u64.
         let huge = u64::MAX / 64;
         assert!(!overloaded(1, huge, 75));
         assert!(!overloaded(huge / 2, huge, 75));
-        assert!(mostly_superseded(1, huge, 75));
-        assert!(!mostly_superseded(u64::MAX, huge, 75));
+        assert!(sparse(1, huge, 75));
+        assert!(!sparse(u64::MAX, huge, 75));
         // A count that a take's decrement wrapped reads as empty.
         assert_eq!(item_count(u64::MAX), 0);
         assert_eq!(item_count(i64::MAX as u64), i64::MAX as u64);
         // The ordinary range is untouched: 75 % of 64 buckets is 48 records.
         assert!(!overloaded(48, 64, 75));
         assert!(overloaded(49, 64, 75));
-        assert!(mostly_superseded(24, 64, 75));
-        assert!(!mostly_superseded(25, 64, 75));
+        assert!(sparse(24, 64, 75));
+        assert!(!sparse(25, 64, 75));
     }
 
     #[test]
@@ -2381,13 +2226,14 @@ mod tests {
         let t = HtTree::create(&mut c1, &a, cfg).unwrap();
         let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
         let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
+        let (pin1, pin2) = (h1.pin_epoch(&mut c1).unwrap(), h2.pin_epoch(&mut c2).unwrap());
         for k in 0..6u64 {
-            assert_eq!(h1.put_record(&mut c1, k, k, None, None).unwrap().0, None, "put {k}");
+            assert_eq!(h1.put_record(&mut c1, k, k, None, &pin1).unwrap().0, None, "put {k}");
         }
         // Both clients land a record before either restructures: both are
         // told the table (start key 0, version 1) is overloaded.
-        assert_eq!(h1.put_record(&mut c1, 6, 6, None, None).unwrap().0, Some((0, 1)));
-        assert_eq!(h2.put_record(&mut c2, 7, 7, None, None).unwrap().0, Some((0, 1)));
+        assert_eq!(h1.put_record(&mut c1, 6, 6, None, &pin1).unwrap().0, Some((0, 1)));
+        assert_eq!(h2.put_record(&mut c2, 7, 7, None, &pin2).unwrap().0, Some((0, 1)));
         h1.split_if(&mut c1, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h1), 1);
         // The second's version CAS loses and it leaves: one atomic, and
@@ -2417,26 +2263,26 @@ mod tests {
         for k in 0..6u64 {
             h.put(&mut c, k, k).unwrap();
         }
-        // Tombstones are records too: the six that land carry the table
-        // past its threshold, two far accesses (plus hops) each, and none
-        // restructures it; the other 34 removes find their key's own
-        // tombstone in one (plus hops) and link nothing.
+        // The six that land unlink their key's item, two far accesses
+        // (plus hops) each, and none restructures; the other 34 removes
+        // find no item of their key in one (plus hops) and link nothing.
         let (before, hops) = (c.stats(), h.stats().chain_hops);
         for k in 0..40u64 {
             h.remove(&mut c, k % 6).unwrap();
         }
         let hops = h.stats().chain_hops - hops;
         assert_eq!(c.stats().since(&before).round_trips, 6 * 2 + 34 + hops);
-        assert_eq!((h.stats().removes, h.len_estimate(&mut c).unwrap()), (6, 12));
+        assert_eq!((h.stats().removes, h.len_estimate(&mut c).unwrap()), (6, 0));
         assert_eq!(restructures(&h), 0);
-        // The next put sees the count and does.
+        // The header counts live keys: the next put sees one, and no
+        // restructure is owed.
         h.put(&mut c, 0, 1).unwrap();
-        assert_eq!(restructures(&h), 1);
+        assert_eq!(restructures(&h), 0);
         assert_eq!(h.get(&mut c, 0).unwrap(), Some(1));
         assert_eq!(h.get(&mut c, 1).unwrap(), None);
     }
 
-    /// `take`'s price list, both modes: what each shape of removal books —
+    /// `take`'s price list, both lifetimes: what each shape of removal books —
     /// whole `AccessStats` deltas, so messages and bytes are pinned beside
     /// the round trips — and what it links.
     #[test]
@@ -2484,56 +2330,36 @@ mod tests {
                 assert_eq!(d.near_accesses, 2);
                 (got, d.bytes_written / ITEM_LEN, AccessStats { near_accesses: 0, ..d })
             };
-            // Quarantine: access 1 is three messages — bucket word, head
-            // item through it, version word; a hop is one item read; a
-            // landed tombstone is the item write, the CAS and the two
-            // posted counter bumps. Reclaim: access 1 is the `load0` of
-            // the head item and the header; a landed take is the CAS, a
-            // copy per hop and the posted count decrement.
+            // Access 1 is the `load0` of the head item and the header; a
+            // hop is one item read; a landed take is the CAS, a copy per
+            // hop and the posted count decrement. Only a reclaim-mode take
+            // retires what it unlinked.
             let books = |hops: u64, landed: bool| {
                 let landed = u64::from(landed);
-                let quarantine = AccessStats {
-                    round_trips: 1 + hops + landed,
-                    messages: 3 + hops + 4 * landed,
-                    posted_messages: 2 * landed,
-                    bytes_read: WORD + ITEM_LEN + WORD + hops * ITEM_LEN,
-                    bytes_written: ITEM_LEN * landed,
-                    atomics: 3 * landed,
-                    ..AccessStats::default()
-                };
                 let copies = hops * landed;
-                let reclaim = AccessStats {
+                AccessStats {
                     round_trips: 1 + hops + landed,
                     messages: 2 + hops + (2 + copies) * landed,
                     posted_messages: landed,
                     bytes_read: ITEM_LEN + HDR_LEN + hops * ITEM_LEN,
                     bytes_written: ITEM_LEN * copies,
                     atomics: 2 * landed,
-                    retired_bytes: ITEM_LEN * (1 + hops) * landed,
+                    retired_bytes: ITEM_LEN * (1 + hops) * landed * u64::from(reclaim_mode),
                     ..AccessStats::default()
-                };
-                if reclaim_mode { reclaim } else { quarantine }
+                }
             };
-            let written = |n: u64| if reclaim_mode { n } else { 1 };
             assert_eq!(take(&mut c, foreign), (None, 0, books(1, false)), "absent under a chain");
-            assert_eq!(take(&mut c, head), (Some(20), written(0), books(0, true)), "at the chain head");
-            // Quarantine finds the key's own tombstone at the head; reclaim
-            // finds `below`, and nothing under it.
-            let gone = books(0, false);
-            assert_eq!(take(&mut c, head), (None, 0, gone), "a removed key");
-            assert_eq!(take(&mut c, under), (Some(30), written(1), books(1, true)), "one hop down");
-            let nothing_there = if reclaim_mode {
-                AccessStats { bytes_read: HDR_LEN, ..books(0, false) }
-            } else {
-                AccessStats { bytes_read: 2 * WORD, ..books(0, false) }
-            };
+            assert_eq!(take(&mut c, head), (Some(20), 0, books(0, true)), "at the chain head");
+            // The key's item left the chain: the take finds `below`, and
+            // nothing under it.
+            assert_eq!(take(&mut c, head), (None, 0, books(0, false)), "a removed key");
+            assert_eq!(take(&mut c, under), (Some(30), 1, books(1, true)), "one hop down");
+            let nothing_there = AccessStats { bytes_read: HDR_LEN, ..books(0, false) };
             assert_eq!(take(&mut c, empty), (None, 0, nothing_there), "an empty bucket");
             assert_eq!(h.stats().removes, 2, "landed takes only");
             assert_eq!(h.get(&mut c, below).unwrap(), Some(10));
             assert_eq!(h.get(&mut c, over).unwrap(), Some(40));
-            // Reclaim mode counts live keys, quarantine mode records.
-            let count = h.len_estimate(&mut c).unwrap();
-            assert_eq!(count, if reclaim_mode { 2 } else { 6 });
+            assert_eq!(h.len_estimate(&mut c).unwrap(), 2, "the live keys");
         }
     }
 
@@ -2575,8 +2401,8 @@ mod tests {
         let bucket = HtTreeHandle::bucket_addr(&entry, 0);
         let neighbour = (1u64..).find(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).unwrap();
         ha.put(&mut ca, 0, 70).unwrap();
-        // The taker has read the chain head and is about to publish its
-        // tombstone (its second verb) when the neighbour's put lands.
+        // The taker has read the chain head and is about to splice (its
+        // second verb) when the neighbour's put lands.
         let hold = Arc::new(HoldAt {
             client: ca.id(),
             nth: 2,
@@ -2604,7 +2430,7 @@ mod tests {
 
     /// Two takes of one key both walk to the same item, and the bucket CAS
     /// hands its value to exactly one of them: the loser starts over and
-    /// finds the winner's tombstone (quarantine) or no item (reclaim).
+    /// finds no item of the key, under either lifetime.
     /// (What lets the record layer retire what `take` returns without
     /// asking who else is removing the key.)
     #[test]
@@ -2643,8 +2469,7 @@ mod tests {
             f.clear_check_observer();
             assert_eq!((first.unwrap(), second.unwrap()), (None, Some(70)));
             assert_eq!((ha.stats().cas_retries, ha.stats().removes), (1, 0));
-            let count = hb.len_estimate(&mut cb).unwrap();
-            assert_eq!(count, if reclaim_mode { 0 } else { 2 }, "reclaim: no key; else item + tombstone");
+            assert_eq!(hb.len_estimate(&mut cb).unwrap(), 0, "no key left");
         }
     }
 
@@ -2684,7 +2509,7 @@ mod tests {
                 let remote = !head.is_null() && a.node_of(bucket) != a.node_of(head);
                 seen[usize::from(remote)] += 1;
                 // The slot catches up with the last seal ahead of the take.
-                drop(pin(&shared, &mut c).unwrap());
+                drop(farmem_reclaim::pin(&shared, &mut c).unwrap());
                 let (before, sealed) = (c.stats(), seals());
                 assert_eq!(h.take(&mut c, k).unwrap(), want, "key {k}");
                 let landed = u64::from(want.is_some());
@@ -2922,10 +2747,11 @@ mod tests {
             h.put(&mut c, k, k).unwrap();
         }
         assert_eq!(h.len_estimate(&mut c).unwrap(), 100);
-        // Removes publish tombstones; the estimate counts records, so it
-        // grows — it is an upper bound on distinct keys touched.
+        // A remove unlinks its key's item and counts it out; an overwrite
+        // replaces one and counts nothing.
         h.remove(&mut c, 5).unwrap();
-        assert!(h.len_estimate(&mut c).unwrap() >= 100);
+        h.put(&mut c, 6, 60).unwrap();
+        assert_eq!(h.len_estimate(&mut c).unwrap(), 99);
     }
 
     #[test]
@@ -3061,13 +2887,13 @@ mod tests {
         }
     }
 
-    /// The reclaim-mode chain property, apart: the property prelude's
-    /// names stay out of the other tests.
+    /// The chain property, apart: the property prelude's names stay out of
+    /// the other tests.
     mod chain_props {
         use super::*;
         use proptest::prelude::*;
 
-        /// A reclaim-mode mutation, for the chain property below.
+        /// A mutation, for the chain property below.
         #[derive(Clone, Debug)]
         enum Mutation {
             /// `(client, key, value)`.
@@ -3078,7 +2904,8 @@ mod tests {
             Take(usize, u64),
             /// `(client, key)`: restructure the table covering the key.
             Split(usize, u64),
-            /// `(client)`: a grace round, so freed items come back as new ones.
+            /// `(client)`: a grace round, so freed items come back as new ones
+            /// (nothing to free under quarantine).
             Reclaim(usize),
         }
 
@@ -3113,13 +2940,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-            /// Two reclaim-mode handles put, publish and take across splits,
-            /// grows and grace rounds: every chain holds at most one item per
-            /// key and no tombstone, every value is the model's, and once the
-            /// posted counter updates have landed each table's header counts
-            /// exactly its live keys.
+            /// Two handles of one lifetime put, publish and take across
+            /// splits, grows and grace rounds: under either lifetime every
+            /// chain holds at most one item per key, every value is the
+            /// model's, and once the posted counter updates have landed each
+            /// table's header counts exactly its live keys.
             #[test]
-            fn reclaim_chains_hold_one_item_per_key_and_count_live_keys(
+            fn chains_hold_one_item_per_key_and_count_live_keys(
                 ops in prop::collection::vec(
                     prop_oneof![
                         (0..2usize, 0..40u64, 1..1000u64).prop_map(|(c, k, v)| Mutation::Put(c, k, v)),
@@ -3130,7 +2957,8 @@ mod tests {
                         (0..2usize).prop_map(Mutation::Reclaim),
                     ],
                     1..160,
-                )
+                ),
+                reclaim in any::<bool>(),
             ) {
                 let f = FabricConfig::count_only(64 << 20).build();
                 let a = FarAlloc::new(f.clone());
@@ -3148,7 +2976,13 @@ mod tests {
                 let mut h: Vec<HtTreeHandle> = c
                     .iter_mut()
                     .zip(&shared)
-                    .map(|(c, s)| t.attach_reclaimed(c, &a, cfg, s.clone()).unwrap())
+                    .map(|(c, s)| {
+                        if reclaim {
+                            t.attach_reclaimed(c, &a, cfg, s.clone()).unwrap()
+                        } else {
+                            t.attach(c, &a, cfg).unwrap()
+                        }
+                    })
                     .collect();
                 let mut model = std::collections::HashMap::new();
                 for op in ops {
@@ -3179,7 +3013,6 @@ mod tests {
                     for chain in buckets {
                         let mut seen = std::collections::HashSet::new();
                         for item in chain {
-                            prop_assert!(!item.is_tombstone(), "a tombstone of key {}", item.key);
                             prop_assert!(seen.insert(item.key), "two items of key {}", item.key);
                             found.insert(item.key, item.value);
                             keys += 1;

@@ -30,6 +30,7 @@ pub mod counter;
 pub mod error;
 pub mod httree;
 pub mod queue;
+mod records;
 pub mod refvec;
 pub mod vector;
 pub mod wcbuf;

@@ -268,7 +268,7 @@ mod tests {
         );
         assert_eq!(s.get(&mut c, 1, 0).unwrap(), GetOutcome::Hit(b"under a neighbour".to_vec()));
         assert_eq!(rt(&mut c, &mut |c| assert!(s.remove(c, 1).unwrap())), 2, "the tree's take");
-        // A miss stops after one access: no tombstone joins the chain.
+        // A miss stops after one access and links nothing.
         let mut probe = tree.attach(&mut c, &a, cfg).unwrap();
         let (removes, items) = (s.tree_stats().removes, probe.len_estimate(&mut c).unwrap());
         assert_eq!(rt(&mut c, &mut |c| assert!(!s.remove(c, 1).unwrap())), 1, "removed key");

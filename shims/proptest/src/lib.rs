@@ -7,48 +7,90 @@
 //! (the seed mixes in the property's name, so every property sees a
 //! different but reproducible stream).
 //!
-//! Differences from real proptest, by design:
+//! A failing case, whether its body returned an `Err` or a `prop_assert*`
+//! panicked, panics with `property <name> failed at case <n> (seed=0x…):
+//! <why>`. Re-running the test replays the same cases in the same order,
+//! so case `n` fails again. To draw its inputs alone, seed
+//! `TestRng::seeded(0x…)` with the printed seed and sample the property's
+//! strategies in argument order.
 //!
-//! * **no shrinking** — a failing case, whether its body returned an
-//!   `Err` or a `prop_assert*` panicked, panics with
-//!   `property <name> failed at case <n> (seed=0x…): <why>`. Re-running
-//!   the test replays the same cases in the same order, so case `n`
-//!   fails again. To draw its inputs alone, seed
-//!   `TestRng::seeded(0x…)` with the printed seed and sample the
-//!   property's strategies in argument order;
-//! * strategies are samplers only ([`strategy::Strategy::sample`]),
-//!   covering the
-//!   combinators this repo uses: integer ranges, `any`, tuples, `Just`,
-//!   `prop_map`, `prop_oneof!` and `prop::collection::vec`.
+//! Before it panics the case is **shrunk**, on its *choices* rather than
+//! its values: every draw a case makes is recorded ([`TestRng::choices`]),
+//! and a candidate is the same choices with one of them lowered — to 0,
+//! halved, or less one — replayed through the same strategies
+//! ([`TestRng::replay`]). A lowered length draw halves a `Vec` (or trims
+//! it), a lowered range draw steps an integer toward its range's low
+//! end, and `prop_map` and `prop_oneof!` need no shrinker of their own.
+//! A candidate that still fails becomes the case, until none does or
+//! `max_shrink_iters` candidates have run ([`shrink`]). The panic message
+//! then carries a second line, `minimal failing input (<k> shrink tries):
+//! <inputs as a Debug tuple>`, and what that input failed with.
+//!
+//! Differences from real proptest, by design: strategies are samplers only
+//! ([`strategy::Strategy::sample`]), covering the combinators this repo
+//! uses: integer ranges, `any`, tuples, `Just`, `prop_map`, `prop_oneof!`
+//! and `prop::collection::vec`; and shrinking is the choice lowering above,
+//! with no per-type shrinkers.
 
 #![forbid(unsafe_code)]
 
-/// Deterministic generator feeding every strategy.
+/// Deterministic generator feeding every strategy, recording every draw.
 #[derive(Clone, Debug)]
 pub struct TestRng {
     state: u64,
+    /// Every draw so far, as the value it returned.
+    choices: Vec<u64>,
+    /// Choices to replay instead of the stream, while shrinking; a draw
+    /// past their end is 0.
+    replay: Option<std::vec::IntoIter<u64>>,
 }
 
 impl TestRng {
     /// Creates a stream from a seed (zero is remapped).
     pub fn seeded(seed: u64) -> TestRng {
-        TestRng { state: seed | 1 }
+        TestRng { state: seed | 1, choices: Vec::new(), replay: None }
+    }
+
+    /// Replays `choices` (another rng's [`choices`](Self::choices), some
+    /// lowered): each draw returns the next one, reduced into the draw's
+    /// range.
+    pub fn replay(choices: Vec<u64>) -> TestRng {
+        TestRng { state: 1, choices: Vec::new(), replay: Some(choices.into_iter()) }
+    }
+
+    /// The draws made so far.
+    pub fn choices(&self) -> &[u64] {
+        &self.choices
     }
 
     /// Next 64 raw bits.
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        self.draw(|raw| raw)
     }
 
     /// Uniform draw in `[0, n)`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0);
-        self.next_u64() % n
+        self.draw(|raw| raw % n)
+    }
+
+    /// One recorded draw: the stream's next word, or the next replayed
+    /// choice, through `reduce`.
+    fn draw(&mut self, reduce: impl FnOnce(u64) -> u64) -> u64 {
+        let raw = match &mut self.replay {
+            Some(rest) => rest.next().unwrap_or(0),
+            None => {
+                let mut x = self.state;
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                self.state = x;
+                x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+            }
+        };
+        let v = reduce(raw);
+        self.choices.push(v);
+        v
     }
 }
 
@@ -278,14 +320,13 @@ pub mod test_runner {
     pub struct ProptestConfig {
         /// Number of cases per property.
         pub cases: u32,
-        /// Accepted for source compatibility; shrinking is not implemented,
-        /// so this knob has no effect.
+        /// Most candidates a failing case's shrink runs ([`crate::shrink`]).
         pub max_shrink_iters: u32,
     }
 
     impl Default for ProptestConfig {
         fn default() -> Self {
-            ProptestConfig { cases: 64, max_shrink_iters: 0 }
+            ProptestConfig { cases: 64, max_shrink_iters: 256 }
         }
     }
 }
@@ -322,6 +363,69 @@ pub fn seed_for(name: &str) -> u64 {
 /// `base` ([`seed_for`] of its name).
 pub fn case_seed(base: u64, case: u64) -> u64 {
     base ^ (case + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Shrinks a failing case: `choices` are its draws. Each candidate lowers
+/// one choice of the smallest failing case so far — to 0, by half, by
+/// one — and `fails` replays it, returning the draws the replay made and
+/// its failure if it failed too; a failure becomes the case. Stops when no
+/// candidate fails or after `max_iters` candidates. Returns the smallest
+/// failing draws, what they failed with (`None` if no candidate failed)
+/// and the candidates run.
+pub fn shrink(
+    choices: Vec<u64>,
+    max_iters: u32,
+    mut fails: impl FnMut(Vec<u64>) -> Option<(Vec<u64>, String)>,
+) -> (Vec<u64>, Option<String>, u32) {
+    let (mut best, mut why, mut tries) = (choices, None, 0);
+    'smaller: loop {
+        for i in 0..best.len() {
+            let c = best[i];
+            let mut lowered = [0, c / 2, c.saturating_sub(1)];
+            lowered.sort_unstable();
+            for (j, &v) in lowered.iter().enumerate() {
+                if v >= c || (j > 0 && lowered[j - 1] == v) {
+                    continue;
+                }
+                if tries == max_iters {
+                    break 'smaller;
+                }
+                tries += 1;
+                let mut candidate = best.clone();
+                candidate[i] = v;
+                if let Some((drawn, failure)) = fails(candidate) {
+                    (best, why) = (drawn, Some(failure));
+                    continue 'smaller;
+                }
+            }
+        }
+        break;
+    }
+    (best, why, tries)
+}
+
+thread_local! {
+    /// Set while this thread shrinks: its panics are expected, not news.
+    static QUIET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with this thread's panic messages silenced (the shrink's
+/// candidates panic by design); other threads' messages still print.
+#[doc(hidden)]
+pub fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let loud = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(std::cell::Cell::get) {
+                loud(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(true));
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(false));
+    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// The text of a panic payload (`panic!` with a literal or a format).
@@ -363,9 +467,9 @@ macro_rules! __proptest_impl {
         fn $name() {
             let config = $cfg;
             let base = $crate::seed_for(stringify!($name));
-            for case in 0..config.cases as u64 {
-                let mut rng = $crate::TestRng::seeded($crate::case_seed(base, case));
-                $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut rng);)*
+            // One case, its inputs drawn from `rng`: how it failed, if it did.
+            let run_case = |rng: &mut $crate::TestRng| -> ::std::option::Option<String> {
+                $(let $pat = $crate::strategy::Strategy::sample(&($strat), rng);)*
                 // Like real proptest, the body may bail early with
                 // `return Err(TestCaseError::fail(..))`; a body that runs
                 // to completion falls through to the trailing Ok. A
@@ -375,19 +479,30 @@ macro_rules! __proptest_impl {
                         $body
                         Ok(())
                     };
-                let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(run));
-                let failure = match outcome {
+                match ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(run)) {
                     Ok(Ok(())) => None,
                     Ok(Err(e)) => Some(e.to_string()),
                     Err(payload) => Some($crate::panic_message(&*payload)),
-                };
-                if let Some(why) = failure {
-                    panic!(
-                        "property {} failed at case {case} (seed={:#x}): {why}",
-                        stringify!($name),
-                        $crate::case_seed(base, case),
-                    );
                 }
+            };
+            for case in 0..config.cases as u64 {
+                let seed = $crate::case_seed(base, case);
+                let mut rng = $crate::TestRng::seeded(seed);
+                let Some(why) = run_case(&mut rng) else { continue };
+                let (choices, shrunk, tries) = $crate::quietly(|| {
+                    $crate::shrink(rng.choices().to_vec(), config.max_shrink_iters, |choices| {
+                        let mut rng = $crate::TestRng::replay(choices);
+                        run_case(&mut rng).map(|why| (rng.choices().to_vec(), why))
+                    })
+                });
+                let rng = &mut $crate::TestRng::replay(choices);
+                let input = format!("{:?}", ($($crate::strategy::Strategy::sample(&($strat), rng),)*));
+                panic!(
+                    "property {} failed at case {case} (seed={seed:#x}): {why}\n\
+                     minimal failing input ({tries} shrink tries): {input}: {}",
+                    stringify!($name),
+                    shrunk.as_deref().unwrap_or("the case itself"),
+                );
             }
         }
         $crate::__proptest_impl! { cfg = $cfg; $($rest)* }
@@ -463,6 +578,7 @@ mod tests {
     fn a_failing_assert_names_the_property_case_and_seed() {
         let payload = std::panic::catch_unwind(fails_from_case_three).unwrap_err();
         let msg = crate::panic_message(&*payload);
+        let (msg, shrunk) = msg.split_once("\nminimal failing input").expect("a shrink report");
         let seed = crate::case_seed(crate::seed_for("fails_from_case_three"), 3);
         let expect =
             format!("property fails_from_case_three failed at case 3 (seed={seed:#x}): drew ");
@@ -470,6 +586,38 @@ mod tests {
         // The printed seed re-draws the failing input.
         let x = crate::strategy::Strategy::sample(&(0u64..100), &mut crate::TestRng::seeded(seed));
         assert!(msg.ends_with(&format!("drew {x}")), "{msg}");
+        // Every later call fails too, so the draw shrinks to the range's low end.
+        assert!(shrunk.ends_with(": (0,): drew 0"), "{shrunk}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        // No `#[test]`: called by the test below, which expects it to fail.
+        fn fails_from_three_elements(xs in prop::collection::vec(10u64..100, 0..20)) {
+            prop_assert!(xs.len() < 3, "{} elements", xs.len());
+        }
+    }
+
+    #[test]
+    fn a_failing_vec_shrinks_to_the_shortest_failing_length_of_lowest_values() {
+        let payload = std::panic::catch_unwind(fails_from_three_elements).unwrap_err();
+        let msg = crate::panic_message(&*payload);
+        let (_, shrunk) = msg.split_once("\nminimal failing input").expect("a shrink report");
+        assert!(shrunk.ends_with(": ([10, 10, 10],): 3 elements"), "{shrunk}");
+    }
+
+    #[test]
+    fn a_replay_of_the_recorded_choices_draws_the_same_values() {
+        use crate::strategy::Strategy;
+        let strategy = (prop::collection::vec(any::<u64>(), 0..9), 5u8..=9);
+        let mut rng = crate::TestRng::seeded(11);
+        let drawn = strategy.sample(&mut rng);
+        let replayed = strategy.sample(&mut crate::TestRng::replay(rng.choices().to_vec()));
+        assert_eq!(drawn, replayed);
+        // A choice past its draw's range wraps into it; missing ones read as 0.
+        let (xs, n) = strategy.sample(&mut crate::TestRng::replay(vec![9 + 2]));
+        assert_eq!((xs.len(), n), (2, 5));
+        assert!(xs.iter().all(|&x| x == 0));
     }
 
     proptest! {

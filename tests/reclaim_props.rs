@@ -6,8 +6,8 @@
 //!   identical structure contents — and the reclaim run's limbo always
 //!   drains to empty once every client pins past the last seal.
 //! * **Publish conservation**: every `HtTreeHandle::publish` returns
-//!   exactly the model's previous value for its key — across long chains,
-//!   tombstones and forced restructures — so each record is retired once
+//!   exactly the model's previous value for its key — across long chains
+//!   and forced restructures — so each record is retired once
 //!   and the allocator ends where the empty map began.
 //! * **Guard safety**: while any client holds an epoch guard pinned
 //!   before a restructure, no grace-detection round frees a single byte;
@@ -159,7 +159,7 @@ proptest! {
 enum RecordOp {
     /// `(key, record length)` — store a fresh far record under the key.
     Publish(u64, u64),
-    /// `(key)` — lookup, tombstone if found, retire what was found.
+    /// `(key)` — lookup, remove if found, retire what was found.
     Remove(u64),
     /// `(key)` — lookup, dereference, compare with the model.
     Get(u64),
@@ -171,7 +171,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// 64 keys in a 4-bucket table that only ever compacts: chains run
-    /// sixteen keys deep plus every superseded item and tombstone.
+    /// sixteen keys deep.
     #[test]
     fn publish_returns_the_model_value_and_every_record_retires_once(
         ops in prop::collection::vec(
@@ -191,7 +191,7 @@ proptest! {
         let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
         let shared = reg.attach(&mut c, &alloc).unwrap();
         // `u64::MAX`: no put restructures, and a forced split finds the
-        // table "mostly superseded" whatever it holds — it compacts at the
+        // table sparse whatever it holds — it compacts at the
         // same four buckets, so the tree's own footprint never grows.
         let cfg = HtTreeConfig {
             initial_buckets: 4,
