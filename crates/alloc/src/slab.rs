@@ -1,4 +1,15 @@
 //! The size-class slab allocator over the global far address space.
+//!
+//! One rounding rule, [`rounded_len`], turns every node-bound request
+//! into a size class: powers of two up to 32 B, then four classes per
+//! doubling (48, 64, 80, 96, 112, 128, 160 … 4096, 5120 …), each a
+//! multiple of 16 B, and whole pages past 16 KiB. Every class is carved
+//! by one path: a *slab*, the smallest run of whole pages on one node
+//! that wastes at most 1/8 of itself, cut into equal slots — one page
+//! for every class up to 1 KiB, four pages holding three 5,120-B slots,
+//! and exactly `class / PAGE` pages holding one slot for a page-multiple
+//! class. [`AllocHint::Striped`] requests, and classes longer than a
+//! striped map's stripe, take whole pages of the striped region instead.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -12,8 +23,9 @@ use crate::{AllocError, AllocHint, Result};
 
 /// Smallest size class in bytes (one word).
 const MIN_CLASS: u64 = 8;
-/// Largest slab size class; bigger requests take whole pages.
-const MAX_CLASS: u64 = 2048;
+/// Finest step between classes past 32 B: every class of 16 B or more
+/// is a multiple of it, so every slot of such a class is 16-B aligned.
+const MIN_STEP: u64 = 16;
 
 /// Counters describing allocator behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,16 +45,17 @@ pub struct AllocStats {
 /// Occupancy of one slab size class (see [`FarAlloc::class_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassStats {
-    /// Rounded allocation size in bytes: a power-of-two size class for
-    /// slab allocations, a page-rounded byte count for larger ones.
+    /// Rounded allocation size in bytes: the [`rounded_len`] class of a
+    /// node-bound allocation, whole pages for a block of the striped
+    /// region.
     pub class: u64,
     /// Outstanding allocations of this class.
     pub live: u64,
     /// Live bytes (`live * class`).
     pub live_bytes: u64,
-    /// Carved-but-free slots of this class across all node pools (slab
-    /// classes and node-bound page runs; blocks of the striped region
-    /// recycle through their own free list and are not counted here).
+    /// Carved-but-free slots of this class across all node pools (blocks
+    /// of the striped region recycle through their own free list and are
+    /// not counted here).
     pub free_slots: u64,
 }
 
@@ -53,7 +66,7 @@ pub struct ClassStats {
 /// that node's pool blocks for striped ones.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Region {
-    /// A node pool: slab slot or node-bound page run.
+    /// A node pool: a slot of a slab.
     Node,
     /// The globally contiguous striped reserve.
     Striped,
@@ -89,9 +102,7 @@ struct NodePool {
     /// Node-local page limit (pages beyond it belong to the striped
     /// region).
     page_limit: u64,
-    /// Free lists: rounded allocation size → addresses. Slab classes
-    /// (≤ `MAX_CLASS`) and node-bound page runs (whole pages, so always
-    /// larger) share the map without colliding.
+    /// Free lists: size class → carved slots not handed out.
     free: WordMap<Vec<FarAddr>>,
 }
 
@@ -104,11 +115,12 @@ struct State {
     striped_top: u64,
     striped_bottom: u64,
     /// Free list for blocks of the striped region: page count →
-    /// addresses. Node-bound page runs never land here — they go back to
-    /// their node's pool.
+    /// addresses. Slab slots never land here — they go back to their
+    /// node's pool.
     striped_free: WordMap<Vec<FarAddr>>,
     /// Membership map of outstanding allocations: base address → rounded
-    /// length (size class or whole pages) and the region that carved it.
+    /// length (size class, or whole pages in the striped region) and the
+    /// region that carved it.
     /// A `free` that misses this map
     /// — double free, never-allocated address, or wrong length — is
     /// rejected as [`AllocError::BadFree`] instead of silently corrupting
@@ -129,12 +141,12 @@ impl State {
 
 /// A far-memory allocator with locality hints (§7.1).
 ///
-/// Small requests (≤ 2 KiB) are rounded up to a power-of-two size class
-/// and carved from pages owned by a single node, chosen by the
-/// [`AllocHint`]. Larger requests take whole pages. [`AllocHint::Striped`]
-/// requests come from a globally contiguous region at the top of the
-/// address space, so under a striped [`farmem_fabric::Striping`] policy
-/// their bytes interleave across all nodes.
+/// Node-bound requests are rounded up to a size class ([`rounded_len`])
+/// and served from slabs: runs of pages owned by a single node, chosen
+/// by the [`AllocHint`]. [`AllocHint::Striped`] requests come from a
+/// globally contiguous region at the top of the address space, so under
+/// a striped [`farmem_fabric::Striping`] policy their bytes interleave
+/// across all nodes.
 ///
 /// # Examples
 ///
@@ -162,17 +174,32 @@ pub struct FarAlloc {
 }
 
 /// The bytes a node-bound allocation of `len` bytes occupies — the
-/// allocator's one rounding rule: a power-of-two size class (at least one
-/// word) up to the 2 KiB slab boundary, whole pages past it. It is what
-/// [`FarAlloc::alloc`] books, what [`FarAlloc::free`] matches a length
-/// against and what [`FarAlloc::size_of`] reports. ([`AllocHint::Striped`]
-/// requests always take whole pages.)
+/// allocator's one rounding rule. Up to 32 B it is the next power of two
+/// (at least one word). Past that, `len` rounds up to a multiple of an
+/// eighth of its next power of two, held between 16 B and a page: four
+/// classes per doubling (48, 64, 80, 96, 112, 128, 160 … 4096, 5120,
+/// 6144, 7168, 8192 …), each wasting under a quarter of itself (below
+/// 48 B the 16-B step bounds it), and whole pages past 16 KiB.
+///
+/// It is what [`FarAlloc::alloc`] books, what [`FarAlloc::free`] matches
+/// a length against and what [`FarAlloc::size_of`] reports.
+/// ([`AllocHint::Striped`] requests, and classes a striped map's stripe
+/// cannot hold, take whole pages of the striped region.)
 pub fn rounded_len(len: u64) -> u64 {
-    if len > MAX_CLASS {
-        len.div_ceil(PAGE) * PAGE
-    } else {
-        len.max(MIN_CLASS).next_power_of_two()
+    if len <= 2 * MIN_STEP {
+        return len.max(MIN_CLASS).next_power_of_two();
     }
+    let step = (len.next_power_of_two() / 8).clamp(MIN_STEP, PAGE);
+    len.div_ceil(step) * step
+}
+
+/// Pages in one slab of `class`: the smallest run of at least one slot
+/// that wastes at most 1/8 of itself, or `max_pages` (one stripe) when
+/// every run that short wastes more.
+fn slab_pages(class: u64, max_pages: u64) -> u64 {
+    (class.div_ceil(PAGE)..=max_pages)
+        .find(|&pages| (pages * PAGE) % class * 8 <= pages * PAGE)
+        .unwrap_or(max_pages)
 }
 
 impl FarAlloc {
@@ -293,102 +320,71 @@ impl FarAlloc {
 
     /// Allocates `len` bytes placed according to `hint`.
     ///
-    /// The returned address is aligned to the size class (at least word
-    /// alignment) and, for non-striped hints, lies entirely on one node.
+    /// The returned address is 16-B aligned for a class of 16 B or more
+    /// (word aligned below) and, for non-striped hints, lies entirely on
+    /// one node.
     pub fn alloc(&self, len: u64, hint: AllocHint) -> Result<FarAddr> {
         if len == 0 {
             return Err(AllocError::ZeroSize);
         }
         let mut state = self.state.lock().unwrap();
-        if matches!(hint, AllocHint::Striped) || len > MAX_CLASS {
-            return self.alloc_pages(&mut state, len, hint);
-        }
         let class = rounded_len(len);
+        // Blocks must be *globally* contiguous (callers index from the
+        // returned base). Under a striped address map a node-local run is
+        // globally contiguous only while it stays inside ONE stripe: a slab
+        // never crosses one, and a class longer than a stripe is served
+        // from the striped region — which also matches §7.1: bulk data
+        // stripes across nodes for bandwidth.
+        let stripe_pages = match self.fabric.map().striping() {
+            farmem_fabric::Striping::Striped { stripe } => stripe / PAGE,
+            farmem_fabric::Striping::Blocked => u64::MAX,
+        };
+        if matches!(hint, AllocHint::Striped) || class.div_ceil(PAGE) > stripe_pages {
+            return Self::alloc_striped(&mut state, len);
+        }
         let node = self.pick_node(&mut state, hint);
         if node.0 as usize >= state.pools.len() {
             return Err(AllocError::OutOfMemory { node: Some(node) });
         }
-        if let Some(addr) = state.pools[node.0 as usize]
-            .free
-            .get_mut(&class)
-            .and_then(|v| v.pop())
-        {
+        let pool = &mut state.pools[node.0 as usize];
+        if let Some(addr) = pool.free.get_mut(&class).and_then(|v| v.pop()) {
             state.stats.reused += 1;
             return Ok(state.book(addr, class, Region::Node));
         }
-        // Carve a fresh page on the chosen node into slots of this class.
-        let pool = &mut state.pools[node.0 as usize];
-        if pool.next_page >= pool.page_limit {
-            return Err(AllocError::OutOfMemory { node: Some(node) });
-        }
-        let page_offset = pool.next_page * PAGE;
-        pool.next_page += 1;
-        let base = self.fabric.map().global_of(node, page_offset);
-        let slots = PAGE / class;
-        let free = pool.free.entry(class).or_default();
-        // Hand out the first slot; stash the rest.
-        for s in (1..slots).rev() {
-            free.push(base.offset(s * class));
-        }
-        state.stats.pages_carved += 1;
-        Ok(state.book(base, class, Region::Node))
-    }
-
-    fn alloc_pages(&self, state: &mut State, len: u64, hint: AllocHint) -> Result<FarAddr> {
-        let pages = len.div_ceil(PAGE);
-        // Multi-page allocations must be *globally* contiguous (callers
-        // index from the returned base). Under a striped address map a
-        // node-local page run is globally contiguous only while it stays
-        // inside ONE stripe; node-bound requests that fit a stripe are
-        // aligned into one, and anything larger is served from the striped
-        // region — which also matches §7.1: bulk data stripes across nodes
-        // for bandwidth.
-        let stripe = match self.fabric.map().striping() {
-            farmem_fabric::Striping::Striped { stripe } => Some(stripe),
-            farmem_fabric::Striping::Blocked => None,
-        };
-        let too_big_for_node = stripe.is_some_and(|st| pages * PAGE > st);
-        if matches!(hint, AllocHint::Striped) || (stripe.is_some() && pages > 1 && too_big_for_node)
-        {
-            if let Some(addr) = state.striped_free.get_mut(&pages).and_then(|v| v.pop()) {
-                state.stats.reused += 1;
-                return Ok(state.book(addr, pages * PAGE, Region::Striped));
-            }
-            let need = pages * PAGE;
-            if state.striped_top - state.striped_bottom < need {
-                return Err(AllocError::OutOfMemory { node: None });
-            }
-            state.striped_top -= need;
-            return Ok(state.book(FarAddr(state.striped_top), need, Region::Striped));
-        }
-        // Node-bound multi-page allocation: consecutive node-local pages.
-        // Under a striped map the run must not cross a stripe boundary
-        // (global contiguity); round the cursor up to the next stripe
-        // when it would.
-        let node = self.pick_node(state, hint);
-        if node.0 as usize >= state.pools.len() {
-            return Err(AllocError::OutOfMemory { node: Some(node) });
-        }
-        let pool = &mut state.pools[node.0 as usize];
-        if let Some(addr) = pool.free.get_mut(&(pages * PAGE)).and_then(|v| v.pop()) {
-            state.stats.reused += 1;
-            return Ok(state.book(addr, pages * PAGE, Region::Node));
-        }
-        if let Some(st) = stripe {
-            let pages_per_stripe = st / PAGE;
-            let in_stripe = pool.next_page % pages_per_stripe;
-            if in_stripe + pages > pages_per_stripe {
-                pool.next_page += pages_per_stripe - in_stripe;
-            }
+        // Carve a fresh slab on the chosen node into slots of this class,
+        // starting it at the next stripe when it would cross one.
+        let pages = slab_pages(class, stripe_pages);
+        let in_stripe = pool.next_page % stripe_pages;
+        if in_stripe + pages > stripe_pages {
+            pool.next_page += stripe_pages - in_stripe;
         }
         if pool.next_page + pages > pool.page_limit {
             return Err(AllocError::OutOfMemory { node: Some(node) });
         }
-        let page_offset = pool.next_page * PAGE;
+        let base = self.fabric.map().global_of(node, pool.next_page * PAGE);
         pool.next_page += pages;
+        let free = pool.free.entry(class).or_default();
+        // Hand out the first slot; stash the rest.
+        for s in (1..pages * PAGE / class).rev() {
+            free.push(base.offset(s * class));
+        }
         state.stats.pages_carved += pages;
-        let base = self.fabric.map().global_of(node, page_offset);
-        Ok(state.book(base, pages * PAGE, Region::Node))
+        Ok(state.book(base, class, Region::Node))
+    }
+
+    /// Whole pages of the striped region, carved downward from its top.
+    fn alloc_striped(state: &mut State, len: u64) -> Result<FarAddr> {
+        let pages = len.div_ceil(PAGE);
+        if let Some(addr) = state.striped_free.get_mut(&pages).and_then(|v| v.pop()) {
+            state.stats.reused += 1;
+            return Ok(state.book(addr, pages * PAGE, Region::Striped));
+        }
+        let need = pages * PAGE;
+        if state.striped_top - state.striped_bottom < need {
+            return Err(AllocError::OutOfMemory { node: None });
+        }
+        state.striped_top -= need;
+        Ok(state.book(FarAddr(state.striped_top), need, Region::Striped))
     }
 
     /// Returns `len` bytes at `addr` (a pair previously returned by
@@ -396,24 +392,25 @@ impl FarAlloc {
     ///
     /// The `(addr, len)` pair is checked against the membership map of
     /// outstanding allocations: a double free, a never-allocated address,
-    /// or a length that rounds differently than the allocation's is
+    /// or a length that rounds differently than the allocation's (to its
+    /// class, or to whole pages for a block of the striped region) is
     /// rejected with [`AllocError::BadFree`] — before this check a double
     /// free silently pushed a duplicate onto the free list (handing the
     /// same address to two callers on reuse) while `saturating_sub` hid
     /// the `live_bytes` underflow.
     ///
     /// Frees are routed by region: a block of the striped reserve returns
-    /// to the striped free list, anything else — slab slot or node-bound
-    /// page run — to the pool of the node that owns it, so each is handed
-    /// out again only by the path that carved it.
+    /// to the striped free list, a slab slot to the pool of the node that
+    /// owns it, so each is handed out again only by the path that carved
+    /// it.
     pub fn free(&self, addr: FarAddr, len: u64) -> Result<()> {
         if len == 0 || addr.is_null() {
             return Err(AllocError::BadFree { addr });
         }
         let mut state = self.state.lock().unwrap();
-        let rounded = rounded_len(len);
-        let region = match state.live.remove(&addr.0) {
-            Some((r, region)) if r == rounded => region,
+        let (rounded, region) = match state.live.remove(&addr.0) {
+            Some(booked @ (r, Region::Node)) if r == rounded_len(len) => booked,
+            Some(booked @ (r, Region::Striped)) if r == len.div_ceil(PAGE) * PAGE => booked,
             Some(kept) => {
                 state.live.insert(addr.0, kept);
                 return Err(AllocError::BadFree { addr });
@@ -435,8 +432,9 @@ impl FarAlloc {
         Ok(())
     }
 
-    /// The [`rounded_len`] of the outstanding allocation based at `addr`,
-    /// from the membership map [`free`](Self::free) checks against; `None`
+    /// The booked length of the outstanding allocation based at `addr` —
+    /// its [`rounded_len`] class, or whole pages for a block of the
+    /// striped region — from the membership map [`free`](Self::free) checks against; `None`
     /// when no live allocation starts there. Client-side metadata: zero
     /// far accesses.
     pub fn size_of(&self, addr: FarAddr) -> Option<u64> {
@@ -537,11 +535,13 @@ mod tests {
         let addr = a.alloc(2 * PAGE - 100, AllocHint::Spread).unwrap();
         let carved = a.stats().pages_carved;
         a.free(addr, 2 * PAGE - 100).unwrap();
-        assert_eq!(a.alloc(PAGE + 1, AllocHint::Spread).unwrap(), addr, "two-page run reused");
+        // 7,169 B is the shortest length of the same 8,192-B class.
+        let same_class = 2 * PAGE - PAGE / 4 + 1;
+        assert_eq!(a.alloc(same_class, AllocHint::Spread).unwrap(), addr, "two-page slot reused");
         assert_eq!(a.stats().reused, 1);
         assert_eq!(a.stats().pages_carved, carved, "nothing new carved");
-        // A different page count does not match the freed run.
-        a.free(addr, PAGE + 1).unwrap();
+        // A different class does not match the freed slot.
+        a.free(addr, same_class).unwrap();
         assert_ne!(a.alloc(3 * PAGE, AllocHint::Spread).unwrap(), addr);
     }
 
@@ -676,7 +676,7 @@ mod tests {
         a.free(addr, 64).unwrap();
         // Lengths within the same size class are interchangeable.
         let b = a.alloc(100, AllocHint::Spread).unwrap();
-        a.free(b, 120).unwrap();
+        a.free(b, 112).unwrap();
     }
 
     #[test]
@@ -706,23 +706,118 @@ mod tests {
     #[test]
     fn class_stats_track_live_and_free_slots() {
         let a = alloc4();
-        let x = a.alloc(100, AllocHint::Spread).unwrap(); // class 128
-        let _y = a.alloc(128, AllocHint::Spread).unwrap(); // class 128
+        let x = a.alloc(100, AllocHint::Spread).unwrap(); // class 112
+        let _y = a.alloc(112, AllocHint::Spread).unwrap(); // class 112
         let _z = a.alloc(9, AllocHint::Spread).unwrap(); // class 16
         let by_class = a.class_stats();
-        let c128 = by_class.iter().find(|c| c.class == 128).unwrap();
-        assert_eq!(c128.live, 2);
-        assert_eq!(c128.live_bytes, 256);
+        let c112 = by_class.iter().find(|c| c.class == 112).unwrap();
+        assert_eq!(c112.live, 2);
+        assert_eq!(c112.live_bytes, 224);
         let c16 = by_class.iter().find(|c| c.class == 16).unwrap();
         assert_eq!(c16.live, 1);
         // Spread carved one page per node touched; unhanded slots sit on
         // the free lists.
-        assert_eq!(c128.free_slots, 2 * (PAGE / 128) - 2);
+        assert_eq!(c112.free_slots, 2 * (PAGE / 112) - 2);
         a.free(x, 100).unwrap();
         let by_class = a.class_stats();
-        let c128 = by_class.iter().find(|c| c.class == 128).unwrap();
-        assert_eq!(c128.live, 1);
-        assert_eq!(c128.free_slots, 2 * (PAGE / 128) - 1);
+        let c112 = by_class.iter().find(|c| c.class == 112).unwrap();
+        assert_eq!(c112.live, 1);
+        assert_eq!(c112.free_slots, 2 * (PAGE / 112) - 1);
+    }
+
+    #[test]
+    fn rounded_len_is_four_classes_per_doubling() {
+        let examples = [
+            (1, 8),
+            (24, 32),
+            (33, 48),
+            (80, 80),
+            (100, 112),
+            (136, 160),
+            (216, 224),
+            (2049, 2560),
+            (4112, 5120),
+            (16385, 20480),
+        ];
+        for (len, class) in examples {
+            assert_eq!(rounded_len(len), class, "len {len}");
+        }
+        let mut prev = 0;
+        for len in 1..=64 << 10 {
+            let r = rounded_len(len);
+            assert!(r >= len && r >= prev, "len {len}: {r} after {prev}");
+            assert_eq!(rounded_len(r), r, "len {len}: class {r} is not a class");
+            assert!(r < 16 || r.is_multiple_of(16), "len {len}: class {r} is not 16-B aligned");
+            if len >= 48 {
+                assert!(4 * (r - len) <= r, "len {len}: class {r} wastes over 25 %");
+            } else if len > 32 {
+                assert_eq!(r, 48, "len {len}: the 16-B floor");
+            }
+            if len > 16 << 10 {
+                assert_eq!(r, len.div_ceil(PAGE) * PAGE, "len {len}: page-rounded");
+            }
+            prev = r;
+        }
+    }
+
+    #[test]
+    fn a_slab_is_the_shortest_page_run_wasting_at_most_an_eighth() {
+        // (class, pages, slots)
+        let layouts = [
+            (80, 1, 51),
+            (1024, 1, 4),
+            (1536, 2, 5),
+            (5120, 4, 3),
+            (6144, 3, 2),
+            (7168, 2, 1),
+            (8192, 2, 1),
+            (20480, 5, 1),
+        ];
+        for (class, pages, slots) in layouts {
+            assert_eq!(slab_pages(class, u64::MAX), pages, "class {class}");
+            let f = FabricConfig::single_node(64 * PAGE).build();
+            let a = FarAlloc::new(f);
+            let first = a.alloc(class, AllocHint::Spread).unwrap();
+            assert_eq!(a.stats().pages_carved, pages, "class {class}");
+            for s in 1..slots {
+                let addr = a.alloc(class, AllocHint::Spread).unwrap();
+                assert_eq!(addr, first.offset(s * class), "class {class}: slot {s}");
+            }
+            assert_eq!(a.stats().pages_carved, pages, "class {class}: one slab");
+            a.alloc(class, AllocHint::Spread).unwrap();
+            assert_eq!(a.stats().pages_carved, 2 * pages, "class {class}: a second slab");
+        }
+    }
+
+    /// A slab never crosses a stripe of a striped map, and a class longer
+    /// than a stripe takes whole pages of the striped region, which
+    /// `free` and `size_of` take back by page count.
+    #[test]
+    fn slabs_stay_inside_one_stripe() {
+        let f = FabricConfig {
+            nodes: 2,
+            node_capacity: 1 << 20,
+            striping: Striping::Striped { stripe: 2 * PAGE },
+            ..FabricConfig::default()
+        }
+        .build();
+        let a = FarAlloc::new(f);
+        let stripe = 2 * PAGE;
+        // A one-page slab leaves node 0's cursor inside a stripe.
+        a.alloc(64, AllocHint::Localize(NodeId(0))).unwrap();
+        // 3,072 B would take a 3-page slab; one stripe holds two pages, two
+        // slots, and each slab starts a stripe of its own.
+        for _ in 0..64 {
+            let addr = a.alloc(3072, AllocHint::Localize(NodeId(0))).unwrap();
+            assert_eq!(addr.0 / stripe, (addr.0 + 3071) / stripe, "{addr:?} crosses a stripe");
+            assert_eq!(a.node_of(addr), NodeId(0));
+        }
+        assert_eq!(a.stats().pages_carved, 1 + 64);
+        // 8,208 B is a 10,240-B class, longer than a stripe: three striped pages.
+        let big = a.alloc(stripe + 16, AllocHint::Localize(NodeId(0))).unwrap();
+        assert_eq!(a.size_of(big), Some(3 * PAGE));
+        assert_eq!(a.free(big, stripe), Err(AllocError::BadFree { addr: big }));
+        a.free(big, stripe + 16).unwrap();
     }
 
     #[test]

@@ -35,7 +35,7 @@ use farmem_fabric::{
 };
 use farmem_rpc::ServerCpu;
 use farmem_serve::{
-    CacheServer, Request, Response, ServeConfig, ServeWorker, TenantId, TenantSpec,
+    charged_bytes, CacheServer, Request, Response, ServeConfig, ServeWorker, TenantId, TenantSpec,
 };
 
 /// Keys preloaded per phase-A deployment.
@@ -380,7 +380,7 @@ fn phase_c(args: &BenchArgs) -> (Table, Table, f64, f64, u64) {
          outlasts the TTL expires every record before the first get)"
     );
     assert!(
-        freed >= st.expired * 256,
+        freed >= st.expired * charged_bytes(120),
         "expired records not reclaimed: freed {freed} B for {} expiries",
         st.expired
     );

@@ -11,6 +11,10 @@
 //!   hash tables";
 //! * stale caches recover through the per-table versions.
 //!
+//! E4f prices a key in far bytes: what a serve record of each value size
+//! occupies once its size class, its tree item and its share of the
+//! tables and directory are paid.
+//!
 //! Run: `cargo run --release -p farmem-bench --bin e4_httree`
 
 use farmem_alloc::FarAlloc;
@@ -18,6 +22,7 @@ use farmem_bench::{BenchArgs, Table};
 use farmem_core::{FarBlobMap, HtTree, HtTreeConfig, RecordHint};
 use farmem_fabric::{CostModel, FabricClient, FabricConfig, Striping};
 use farmem_reclaim::ReclaimRegistry;
+use farmem_serve::{charged_bytes, GetOutcome, RecordStore, RECORD_HEADER};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -365,5 +370,78 @@ fn main() {
              found out in the first access (plus hops) and links nothing."
         );
     }
+
+    report.add(far_bytes_per_key());
+    if args.verbose() {
+        println!(
+            "Far B/key is everything the allocator holds for the loaded keys: the\n\
+             record's size class, its 32-B tree item and the key's share of the\n\
+             tables and directory. Not built: moving the 16-B header out of a\n\
+             page-sized value's way (the length from the allocator's booked size\n\
+             and the hint, the expiry beside the tree item), which would put a\n\
+             4,096-B value in a 4,096-B class."
+        );
+    }
     report.save();
+}
+
+/// E4f: far bytes per key through [`RecordStore`], one fresh deployment
+/// per value size on a blocked map (the serve workloads' layout).
+fn far_bytes_per_key() -> Table {
+    const KEYS: u64 = 8192;
+    let mut t = Table::new(
+        "E4f: far bytes per key (RecordStore, 8192 keys, reclaim mode)",
+        &[
+            "value B",
+            "record class",
+            "record waste %",
+            "far B/key",
+            "far B/user B",
+            "RT/get hinted",
+            "RT/get unhinted",
+        ],
+    );
+    for len in [64u64, 200, 1000, 4096] {
+        let fabric = FabricConfig {
+            nodes: 4,
+            node_capacity: 64 << 20,
+            cost: CostModel::COUNT_ONLY,
+            ..FabricConfig::default()
+        }
+        .build();
+        let alloc = FarAlloc::new(fabric.clone());
+        let mut c = fabric.client();
+        let reg = ReclaimRegistry::create(&mut c, &alloc, 4).unwrap();
+        let shared = reg.attach(&mut c, &alloc).unwrap();
+        let empty = alloc.stats().live_bytes;
+        let cfg = HtTreeConfig { initial_buckets: 1024, ..HtTreeConfig::default() };
+        let tree = HtTree::create(&mut c, &alloc, cfg).unwrap();
+        let mut store = RecordStore::attach(&mut c, &alloc, tree, cfg, shared).unwrap();
+        let value = vec![7u8; len as usize];
+        let hints: Vec<_> = (0..KEYS).map(|k| store.put(&mut c, k, &value, 0).unwrap().1).collect();
+        // Splits retire the tables they replace: hand them back first.
+        store.reclaim_pass(&mut c).unwrap();
+        let far = (alloc.stats().live_bytes - empty) as f64 / KEYS as f64;
+        let mut rt_per_get = |hinted: bool| {
+            let before = c.stats();
+            for (k, &hint) in hints.iter().enumerate() {
+                let mut hint = Some(hint).filter(|_| hinted);
+                let got = store.get_hinted(&mut c, k as u64, &mut hint, 0).unwrap();
+                assert_eq!(got, GetOutcome::Hit(value.clone()));
+            }
+            c.stats().since(&before).round_trips as f64 / KEYS as f64
+        };
+        let (hinted, unhinted) = (rt_per_get(true), rt_per_get(false));
+        let class = charged_bytes(len);
+        t.row(vec![
+            len.to_string(),
+            class.to_string(),
+            format!("{:.1}", 100.0 * (class - RECORD_HEADER - len) as f64 / class as f64),
+            format!("{far:.1}"),
+            format!("{:.3}", far / len as f64),
+            format!("{hinted:.3}"),
+            format!("{unhinted:.3}"),
+        ]);
+    }
+    t
 }

@@ -745,14 +745,14 @@ mod tests {
             assert_eq!(got.unwrap(), want);
             c.stats().since(&before).round_trips
         };
-        let (_, first) = m.put(&mut c, 1, [], &[1u8; 40]).unwrap();
-        let second = reincarnate(&mut c, &mut m, &[2u8; 50]);
+        let (_, first) = m.put(&mut c, 1, [], &[1u8; 44]).unwrap();
+        let second = reincarnate(&mut c, &mut m, &[2u8; 54]);
         assert_eq!({ second.record }, { first.record }, "the 64-byte class reused the block");
-        assert_eq!(rt(&mut c, &mut m, first, &[2u8; 50]), 2, "10 bytes short: plain record read");
-        let third = reincarnate(&mut c, &mut m, &[3u8; 30]);
+        assert_eq!(rt(&mut c, &mut m, first, &[2u8; 54]), 2, "10 bytes short: plain record read");
+        let third = reincarnate(&mut c, &mut m, &[3u8; 42]);
         assert_eq!({ third.record }, { first.record });
-        assert_eq!(rt(&mut c, &mut m, second, &[3u8; 30]), 1, "50 hinted bytes cover 30");
-        assert_eq!(rt(&mut c, &mut m, third, &[3u8; 30]), 1);
+        assert_eq!(rt(&mut c, &mut m, second, &[3u8; 42]), 1, "54 hinted bytes cover 42");
+        assert_eq!(rt(&mut c, &mut m, third, &[3u8; 42]), 1);
     }
 
     #[test]

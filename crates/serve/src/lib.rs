@@ -17,7 +17,7 @@
 //!   other's values. Byte and operation quotas are enforced *at
 //!   admission*, before any far access is issued.
 //! * **Slab-class values** — records live in [`FarAlloc`] size classes
-//!   (power-of-two rounding); quota accounting charges the rounded
+//!   (four classes per doubling); quota accounting charges the rounded
 //!   class, and [`FarAlloc::class_stats`] audits per-class occupancy.
 //! * **TTL + eviction through reclamation** — every record carries an
 //!   absolute virtual-time expiry; a get that finds an expired record

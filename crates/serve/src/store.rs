@@ -35,9 +35,10 @@ pub const RECORD_HEADER: u64 = FarBlobMap::<1>::HEADER;
 
 /// The far-memory bytes a stored value of `len` payload bytes is
 /// charged: header plus payload at the allocator's own rounding
-/// ([`rounded_len`]: a power-of-two size class, whole pages past the slab
-/// boundary). This is the quantity tenant byte quotas meter, so quota
-/// accounting and allocator occupancy reconcile exactly.
+/// ([`rounded_len`]: four size classes per doubling, so a 64-B value's
+/// 80-B record is charged 80 B and a 4-KiB value's 5,120 B). This is the
+/// quantity tenant byte quotas meter, so quota accounting and allocator
+/// occupancy reconcile exactly.
 pub fn charged_bytes(len: u64) -> u64 {
     rounded_len(RECORD_HEADER + len)
 }
@@ -216,8 +217,10 @@ mod tests {
         assert_eq!(charged_bytes(0), 16);
         assert_eq!(charged_bytes(1), 32);
         assert_eq!(charged_bytes(48), 64);
+        assert_eq!(charged_bytes(64), 80);
         assert_eq!(charged_bytes(2032), 2048);
-        assert_eq!(charged_bytes(2033), 4096); // past the slab boundary: pages
+        assert_eq!(charged_bytes(2033), 2560); // the next class, not the next page
+        assert_eq!(charged_bytes(4096), 5120); // past a page: a 5-KiB class, not two pages
     }
 
     #[test]
@@ -289,7 +292,7 @@ mod tests {
             max_load_percent: u64::MAX,
             ..HtTreeConfig::default()
         };
-        let (small, large) = ([7u8; 40], [9u8; 1000]);
+        let (small, large) = ([7u8; 44], [9u8; 1000]);
         // (step, op: 0 put / 1 get / 2 remove, value, expiry words written, read)
         let script: [(&str, u8, &[u8], u64, u64); 7] = [
             ("fresh put", 0, &small, 1, 0),

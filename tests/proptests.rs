@@ -168,25 +168,35 @@ proptest! {
 
     #[test]
     fn allocator_never_hands_out_overlaps(
-        sizes in prop::collection::vec(1u64..6000, 1..60),
+        sizes in prop::collection::vec(1u64..20 << 10, 1..60),
     ) {
-        let f = striped_fabric();
-        let alloc = FarAlloc::new(f.clone());
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for (i, len) in sizes.iter().enumerate() {
-            let hint = match i % 4 {
-                0 => AllocHint::Spread,
-                1 => AllocHint::Localize(NodeId((i % 3) as u32)),
-                2 => AllocHint::Striped,
-                _ => AllocHint::AntiLocal(NodeId(0)),
-            };
-            let addr = alloc.alloc(*len, hint).unwrap();
-            // Compare against every prior span.
-            for &(a, l) in &spans {
-                let overlap = addr.0 < a + l && a < addr.0 + *len;
-                prop_assert!(!overlap, "[{},{}) overlaps [{},{})", addr.0, addr.0 + len, a, a + l);
+        // Multi-page slabs must stay inside one stripe of a striped map,
+        // and must not run into the striped reserve of a blocked one.
+        let blocked = FabricConfig {
+            nodes: 3,
+            node_capacity: 16 << 20,
+            cost: CostModel::COUNT_ONLY,
+            ..FabricConfig::default()
+        }
+        .build();
+        for f in [striped_fabric(), blocked] {
+            let alloc = FarAlloc::new(f);
+            let mut spans: Vec<(u64, u64)> = Vec::new();
+            for (i, len) in sizes.iter().enumerate() {
+                let hint = match i % 4 {
+                    0 => AllocHint::Spread,
+                    1 => AllocHint::Localize(NodeId((i % 3) as u32)),
+                    2 => AllocHint::Striped,
+                    _ => AllocHint::AntiLocal(NodeId(0)),
+                };
+                let addr = alloc.alloc(*len, hint).unwrap();
+                // Compare against every prior span.
+                for &(a, l) in &spans {
+                    let overlap = addr.0 < a + l && a < addr.0 + *len;
+                    prop_assert!(!overlap, "[{},{}) overlaps [{},{})", addr.0, addr.0 + len, a, a + l);
+                }
+                spans.push((addr.0, *len));
             }
-            spans.push((addr.0, *len));
         }
     }
 
