@@ -206,15 +206,13 @@ impl FarAlloc {
     /// Creates an allocator owning the fabric's entire address space
     /// (minus the reserved null page).
     ///
-    /// The top `striped_fraction_percent`% of each node's capacity backs
-    /// the globally contiguous striped region; the rest forms per-node
-    /// pools. Use [`FarAlloc::new`] for the default 25% split.
-    pub fn with_striped_reserve(fabric: Arc<Fabric>, striped_fraction_percent: u64) -> Arc<FarAlloc> {
-        assert!(striped_fraction_percent <= 90, "leave room for node pools");
+    /// The top quarter of each node's capacity backs the globally
+    /// contiguous striped region; the rest forms per-node pools.
+    pub fn new(fabric: Arc<Fabric>) -> Arc<FarAlloc> {
         let map = fabric.map();
         let node_cap = map.node_capacity();
         let total = map.total_capacity();
-        let reserve_per_node = node_cap * striped_fraction_percent / 100 / PAGE * PAGE;
+        let reserve_per_node = node_cap / 4 / PAGE * PAGE;
         let page_limit = (node_cap - reserve_per_node) / PAGE;
         let pools = (0..map.node_count())
             .map(|i| NodePool {
@@ -246,11 +244,6 @@ impl FarAlloc {
                 stats: AllocStats::default(),
             }),
         })
-    }
-
-    /// Creates an allocator with the default striped reserve (25%).
-    pub fn new(fabric: Arc<Fabric>) -> Arc<FarAlloc> {
-        FarAlloc::with_striped_reserve(fabric, 25)
     }
 
     /// The fabric this allocator manages memory of.
@@ -618,13 +611,13 @@ mod tests {
     #[test]
     fn node_pool_exhaustion_is_reported() {
         let f = FabricConfig::single_node(16 * PAGE).build();
-        let a = FarAlloc::with_striped_reserve(f, 0);
+        let a = FarAlloc::new(f);
         let mut got = 0;
         while a.alloc(PAGE, AllocHint::Localize(NodeId(0))).is_ok() {
             got += 1;
             assert!(got < 100);
         }
-        assert_eq!(got, 15, "all pages but the null page were handed out");
+        assert_eq!(got, 11, "all pool pages but the null page (the top 4 are the striped reserve)");
         assert_eq!(
             a.alloc(PAGE, AllocHint::Localize(NodeId(0))),
             Err(AllocError::OutOfMemory { node: Some(NodeId(0)) })

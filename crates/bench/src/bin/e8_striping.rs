@@ -71,7 +71,7 @@ fn main() {
                 let before = c.stats();
                 for _ in 0..ops {
                     let p = ptrs[rng.gen_range(0..ptrs.len())];
-                    c.load0_auto(p, 64).unwrap();
+                    c.load0(p, 64).unwrap();
                 }
                 let d = c.stats().since(&before);
                 let remote = (d.forward_hops + d.reissues) as f64 / ops as f64;

@@ -764,7 +764,9 @@ impl HtTreeHandle {
             let bucket = Self::bucket_addr(&entry, key);
             // One far access: dereference the bucket pointer and read the
             // head item (indirect addressing, Fig. 1).
-            let first = match client.load0_auto(bucket, ITEM_LEN) {
+            // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
+            // after a stale cache.
+            let first = match client.load0(bucket, ITEM_LEN) {
                 Ok(bytes) => Item::decode(&bytes),
                 Err(farmem_fabric::FabricError::NullDeref { .. }) => {
                     // Empty bucket in a live table: the key is absent. A
@@ -1056,8 +1058,7 @@ impl HtTreeHandle {
     ///
     /// On a fabric that refuses the batch's cross-node dereference
     /// ([`IndirectionMode::Error`](farmem_fabric::IndirectionMode)) the
-    /// refusal names the pointer the home node dereferenced; the head item
-    /// and the header are then gathered at one access more.
+    /// `load0` reissues its target itself, at one access more.
     ///
     /// `Err` means nothing was unlinked.
     pub fn take(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
@@ -1135,14 +1136,6 @@ impl HtTreeHandle {
                     _ => (0, None), // an empty bucket
                 };
                 (head, first, hdr)
-            }
-            Err(farmem_fabric::FabricError::IndirectRemote { target, .. }) => {
-                let gathered = client.rgather(&[
-                    FarIov::new(target, ITEM_LEN),
-                    FarIov::new(entry.table_hdr, HDR_LEN),
-                ])?;
-                let hdr = gathered[ITEM_LEN as usize..].to_vec();
-                (target.0, Some(Item::decode(&gathered)), hdr)
             }
             Err(e) => return Err(e.into()),
         };
@@ -2473,10 +2466,10 @@ mod tests {
         }
     }
 
-    /// A fabric that refuses cross-node dereferences names the pointer it
-    /// read; `take` gathers the head item and the version itself — the
-    /// same answers at one access more, only where the chain head lives
-    /// off the bucket's node.
+    /// On a fabric that refuses cross-node dereferences the batch's
+    /// `load0` reissues the head item itself — the same answers at one
+    /// access more, only where the chain head lives off the bucket's
+    /// node.
     #[test]
     fn take_on_an_indirection_error_fabric_pays_one_access_for_a_remote_head() {
         let f = FabricConfig {

@@ -139,10 +139,11 @@ impl FarQueue {
         }
         let slack_slots = cfg.max_clients + 1;
         let hdr = alloc.alloc(HDR_LEN, AllocHint::Spread)?;
-        // The slots must share the header's node: the guarded saai/faai
-        // verbs are atomic only for node-local targets, and the whole
-        // slow-path correctness argument rests on that (also §7.1's advice:
-        // localized placement where indirect addressing is common).
+        // The slots must share the header's node: a guarded saai/faai is
+        // one atomic unit at its pointer's node and refuses any other
+        // target, and the whole slow-path correctness argument rests on
+        // that unit (also §7.1's advice: localized placement where
+        // indirect addressing is common).
         let slots_base =
             alloc.alloc((cfg.n_slots + slack_slots) * WORD, AllocHint::Colocate(hdr))?;
         let one_node = client
@@ -387,7 +388,7 @@ impl QueueHandle {
         }
         // One far access, guarded on the repair epoch: during a repair the
         // fabric rejects the op atomically instead of corrupting state.
-        let old_tail = match client.saai_guarded_auto(
+        let old_tail = match client.saai_guarded(
             self.q.hdr.offset(OFF_TAIL),
             WORD,
             &(value + 1).to_le_bytes(),
@@ -456,7 +457,7 @@ impl QueueHandle {
         // One far access: the swap variant consumes (zeroes) the slot in
         // the same verb, so the queue never holds a claimed-but-unzeroed
         // slot that a repair scan could mistake for a live item.
-        let (old_head, raw) = match client.faai_swap_guarded_auto(
+        let (old_head, raw) = match client.faai_swap_guarded(
             self.q.hdr.offset(OFF_HEAD),
             WORD,
             EMPTY,
@@ -1182,7 +1183,7 @@ mod tests {
             }
             let mut producer = self.producer.lock().unwrap();
             let (c, h) = producer.as_mut().expect("the producer");
-            let saai = c.saai_guarded_auto(
+            let saai = c.saai_guarded(
                 h.q.hdr.offset(OFF_TAIL),
                 WORD,
                 &4u64.to_le_bytes(),

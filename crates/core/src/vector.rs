@@ -90,26 +90,21 @@ impl FarVec {
     /// Reads element `i` through the base pointer. One far access.
     pub fn get(&self, client: &mut FabricClient, i: u64) -> Result<u64> {
         self.check_index(i)?;
-        let bytes = client.load2_auto(self.hdr, i * WORD, WORD)?;
+        let bytes = client.load2(self.hdr, i * WORD, WORD)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("word read")))
     }
 
     /// Writes element `i` through the base pointer. One far access.
     pub fn set(&self, client: &mut FabricClient, i: u64, value: u64) -> Result<()> {
         self.check_index(i)?;
-        match client.store2(self.hdr, i * WORD, &value.to_le_bytes()) {
-            Err(farmem_fabric::FabricError::IndirectRemote { target, .. }) => {
-                Ok(client.write_u64(target, value)?)
-            }
-            other => Ok(other?),
-        }
+        Ok(client.store2(self.hdr, i * WORD, &value.to_le_bytes())?)
     }
 
     /// Atomically adds `delta` to element `i` — the §6 producer's
     /// histogram increment. One far access.
     pub fn add(&self, client: &mut FabricClient, i: u64, delta: u64) -> Result<()> {
         self.check_index(i)?;
-        Ok(client.add2_auto(self.hdr, delta, i * WORD)?)
+        Ok(client.add2(self.hdr, delta, i * WORD)?)
     }
 
     /// Reads elements `[first, first+count)` in one far access.
@@ -117,7 +112,7 @@ impl FarVec {
         if count == 0 || first + count > self.len {
             return Err(CoreError::BadConfig("vector range out of bounds"));
         }
-        let bytes = client.load2_auto(self.hdr, first * WORD, count * WORD)?;
+        let bytes = client.load2(self.hdr, first * WORD, count * WORD)?;
         Ok(bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("chunk")))
@@ -139,12 +134,7 @@ impl FarVec {
             return Err(CoreError::BadConfig("vector range out of bounds"));
         }
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        match client.store2(self.hdr, first * WORD, &bytes) {
-            Err(farmem_fabric::FabricError::IndirectRemote { target, .. }) => {
-                Ok(client.write(target, &bytes)?)
-            }
-            other => Ok(other?),
-        }
+        Ok(client.store2(self.hdr, first * WORD, &bytes)?)
     }
 
     /// Reads several ranges through one pipeline doorbell: all `load2`
@@ -152,9 +142,8 @@ impl FarVec {
     /// the *slowest* range instead of the sum (far accesses and bytes are
     /// charged exactly as [`read_range`](Self::read_range) per range).
     ///
-    /// A range whose descriptor fails (e.g. `IndirectRemote` on an
-    /// [`Error`](farmem_fabric::IndirectionMode::Error)-mode fabric, or a
-    /// doorbell aborted mid-flight) is re-read serially.
+    /// A range whose descriptor fails (a fault that outlasts its retries,
+    /// or a doorbell aborted mid-flight) is re-read serially.
     ///
     /// The blocking form of [`read_ranges_async`](Self::read_ranges_async):
     /// the same body over an [`Inline`] doorbell, which never parks.

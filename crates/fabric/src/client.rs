@@ -56,9 +56,10 @@ pub struct FabricClient {
     /// Same cost discipline as the tracer: one `Option` branch per verb
     /// when absent, and never any fabric accesses (see [`crate::sample`]).
     sampler: Option<Arc<dyn MetricSampler>>,
-    /// Reentrancy depth of [`FabricClient::traced`]: composite verbs
-    /// (`load0_auto` → `load0`, retries) record only at the outermost
-    /// wrapper, so counter deltas are never attributed twice.
+    /// Reentrancy depth of [`FabricClient::traced`]: a verb that re-enters
+    /// the traced layer (a retry, a doorbell's descriptors) records only
+    /// at the outermost wrapper, so counter deltas are never attributed
+    /// twice.
     trace_depth: u32,
     /// Sink-side coalesced count already folded into
     /// `stats.notifications_coalesced` (the sink counts cumulatively).
@@ -121,7 +122,8 @@ pub enum BatchOp<'a> {
     /// through. A null pointer is an answer, not a failure: the op
     /// completes with [`BatchOut::Null`] and the rest of the batch still
     /// runs. A remote target the fabric refuses
-    /// ([`FabricError::IndirectRemote`]) fails the batch.
+    /// ([`IndirectionMode::Error`](crate::IndirectionMode::Error)) is
+    /// reissued as the blocking `load0` reissues it: one round trip more.
     Load0 {
         /// Far address of the pointer word.
         ptr: FarAddr,
@@ -376,8 +378,8 @@ impl FabricClient {
 
     /// Runs one public verb under the tracer: captures the exact counter
     /// delta and virtual start/end times of the *outermost* wrapper only
-    /// (composite verbs such as `load0_auto` re-enter for their inner
-    /// legs, which must not double-record).
+    /// (a doorbell's descriptors and a retry's attempts re-enter, and must
+    /// not double-record).
     #[inline]
     pub(crate) fn traced<T>(
         &mut self,
@@ -1332,15 +1334,18 @@ mod tests {
         assert!(matches!(c.batch(&ops), Err(FabricError::NodeFailed(NodeId(1)))));
         let d = c.stats().since(&before);
         assert_eq!((d.messages, d.bytes_read, d.round_trips), (0, 0, 0), "nothing executed");
-        // A refused cross-node dereference fails it too — after the home
-        // node's answer, which the client waited for.
+        // A refused cross-node dereference is no failure: the `Load0`
+        // reissues its target, one round trip after the home node's
+        // answer, and the rest of the batch runs.
         let f = two_nodes(IndirectionMode::Error, crate::fault::FaultPlan::NONE);
         let mut c = f.client();
         c.write_u64(bucket, item.0).unwrap();
+        c.write(item, &[4u8; 32]).unwrap();
         let before = c.stats();
-        assert!(matches!(c.batch(&ops), Err(FabricError::IndirectRemote { .. })));
+        let loaded = BatchOut::Loaded { ptr: item.0, bytes: vec![4u8; 32] };
+        assert_eq!(c.batch(&ops).unwrap()[0], loaded);
         let d = c.stats().since(&before);
-        assert_eq!((d.messages, d.round_trips), (1, 1), "the pointer's node answered");
+        assert_eq!((d.messages, d.round_trips, d.reissues), (3, 2, 1), "refused, then reissued");
         // Read-only, so a transient fault re-issues the whole batch.
         let f = two_nodes(IndirectionMode::Forward, crate::fault::FaultPlan::transient(300_000));
         let mut c = f.client();

@@ -28,17 +28,6 @@ pub enum FabricError {
         /// Location holding the null pointer.
         pointer_at: FarAddr,
     },
-    /// An indirect verb resolved to memory on a different node while the
-    /// fabric runs in [`IndirectionMode::Error`](crate::IndirectionMode::Error).
-    ///
-    /// The client must complete the indirection itself with a second
-    /// round trip to `target`.
-    IndirectRemote {
-        /// The dereferenced pointer value.
-        target: FarAddr,
-        /// Node that owns `target`.
-        target_node: NodeId,
-    },
     /// The addressed memory node has been failed by fault injection.
     NodeFailed(NodeId),
     /// The addressed memory node has crash-stopped permanently
@@ -161,12 +150,6 @@ impl core::fmt::Display for FabricError {
             }
             FabricError::NullDeref { pointer_at } => {
                 write!(f, "indirect verb dereferenced null pointer at {pointer_at:?}")
-            }
-            FabricError::IndirectRemote { target, target_node } => {
-                write!(
-                    f,
-                    "indirection target {target:?} lives on remote node {target_node:?}"
-                )
             }
             FabricError::NodeFailed(n) => write!(f, "memory node {n:?} has failed"),
             FabricError::NodeLost(n) => {

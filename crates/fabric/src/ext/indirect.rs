@@ -25,9 +25,14 @@
 //!
 //! When the dereferenced target lives on a *different* memory node, the
 //! behaviour follows the fabric's [`IndirectionMode`]
-//! (§7.1): `Forward` completes the access with a memory-side hop, `Error`
-//! returns [`FabricError::IndirectRemote`] and the client finishes the
-//! access itself — the `*_auto` wrappers do exactly that.
+//! (§7.1): `Forward` completes the access with a memory-side hop; under
+//! `Error` the home node refuses it, and the verb finishes the access
+//! with the client's own second round trip — a plain read, write or
+//! fetch-and-add at the target, booked as one reissue. Either way the
+//! verb returns what it would on one node, so every caller uses the
+//! Fig. 1 verb itself. A *guarded* verb is one atomic unit at its
+//! pointer's node or nothing: an off-node target is refused with
+//! [`FabricError::BadIovec`] in both modes, before the pointer moves.
 
 use crate::addr::{FarAddr, NodeId, WORD};
 use crate::check::AccessKind;
@@ -69,7 +74,7 @@ pub(crate) enum TargetAccess<'a> {
     /// Atomically add to the target word.
     Add(u64),
     /// Atomically swap the target word with a replacement (destructive
-    /// read), returning the old contents.
+    /// read), returning the old contents. Guarded verbs only.
     Swap(u64),
 }
 
@@ -105,7 +110,7 @@ impl TargetAccess<'_> {
 
 /// An indirect verb's error completion. `answered_at` is the node-side
 /// time at which the pointer's home node *answered* with the error (null
-/// pointer, guard mismatch, refused remote target): a blocking verb waited
+/// pointer, guard mismatch, off-node guarded target): a blocking verb waited
 /// for that answer and charges its round trip, a pipelined descriptor
 /// books only its message (DESIGN.md §7). `None` when nothing answered —
 /// a dead node, a bad address.
@@ -134,13 +139,12 @@ impl From<ErrorCompletion> for FabricError {
 
 impl FabricClient {
     /// The blocking form of every Fig. 1 indirect verb: one traced,
-    /// retried round trip of [`exec_deref`](Self::exec_deref).
+    /// retried round trip of [`exec_deref`](Self::exec_deref) (two when
+    /// the target is reissued).
     /// Returns `(pointer value, completion)`. The pointer value is exposed
     /// because fabric completions for atomic verbs carry the old value
     /// anyway (RDMA fetch-and-add does); the §5.3 queue's background slack
-    /// check depends on learning where its `faai`/`saai` landed. `*_auto`
-    /// completions re-enter via the traced `read`/`write`/`cas` verbs and
-    /// record their own events.
+    /// check depends on learning where its `faai`/`saai` landed.
     fn indirect(
         &mut self,
         ptr_addr: FarAddr,
@@ -156,15 +160,15 @@ impl FabricClient {
     /// The one executor of every indirect verb, blocking or posted as a
     /// descriptor: arriving at `arrival`, reads the pointer at `ptr_addr`,
     /// offsets it by `index`, and performs `access` at the target —
-    /// forwarding or erroring if the target is remote. Returns `((pointer
-    /// value, completion), node-side finish time)`; books messages, bytes
-    /// and atomics, never round trips or the clock.
+    /// forwarded, or reissued by the client ([`reissue`](Self::reissue)),
+    /// if the target is remote. Returns `((pointer value, completion),
+    /// node-side finish time)`; books messages, bytes and atomics, and no
+    /// round trip or clock movement but a reissue's refused round trip.
     ///
-    /// Guarded verbs with a node-local target execute as ONE atomic unit
-    /// at the memory node (guard check, pointer bump, target access);
-    /// with a remote target only the guard+bump is atomic and the target
-    /// access follows via forwarding — structures needing full atomicity
-    /// must colocate their pointer and data (§7.1 localized placement).
+    /// A guarded verb executes as ONE atomic unit at the memory node
+    /// (guard check, pointer bump, target access), so its target must
+    /// share the pointer's node (§7.1 localized placement); an off-node
+    /// target is refused before the pointer moves.
     ///
     /// Inlined into its five callers (the blocking wrapper, the three
     /// indirect descriptors and the batch's `exec_load0`), each of which
@@ -198,6 +202,7 @@ impl FabricClient {
         // so a crashed target fails the attempt with the pointer untouched
         // and a retry cannot bump it twice. (The peek is node-internal:
         // no message or round trip is charged.)
+        let mut peeked = None;
         if matches!(
             ptr_read,
             PtrRead::FetchAdd(_) | PtrRead::GuardedFetchAdd { .. }
@@ -209,12 +214,26 @@ impl FabricClient {
                         let phys = self.route(seg.node);
                         fabric.node(phys).check_alive_at(arrival)?;
                     }
+                    peeked = Some(FarAddr(peek + index));
                 }
             }
         }
 
         let mut home_finish = home.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
         self.stats_mut().messages += 1;
+        // A refused target's reissue arrives one client round trip after
+        // the home node's answer. The pre-flight covers it too: a bumped
+        // pointer whose reissue then failed would be bumped again by the
+        // retry.
+        let reissue_at = home_finish + 2 * cost.one_way_ns();
+        if let (Some(target), PtrRead::FetchAdd(_), IndirectionMode::Error) =
+            (peeked, ptr_read, mode)
+        {
+            for seg in fabric.segments(target, len)?.filter(|s| s.node != home_id) {
+                let phys = self.route(seg.node);
+                fabric.node(phys).check_alive_at(reissue_at)?;
+            }
+        }
 
         // The guarded flavour: one atomic unit at the home node.
         if let PtrRead::GuardedFetchAdd { delta, guard, expect } = ptr_read {
@@ -227,26 +246,24 @@ impl FabricClient {
             }
             // Outcome of the atomic unit.
             enum Unit {
-                Null,
-                Local { ptr: u64, out: PipeOut, fired: Option<(u64, u64)>, closed: bool },
-                Remote { ptr: u64, target: FarAddr, node: NodeId },
+                /// Answered without moving the pointer.
+                Refused(FabricError),
+                Done { ptr: u64, out: PipeOut, fired: Option<(u64, u64)>, closed: bool },
             }
             let fabric2 = fabric.clone();
             let unit = home.guarded_verb(guard_off, expect, |n| {
                 let ptr = n.words_raw(ptr_off)?.load(std::sync::atomic::Ordering::SeqCst);
                 if ptr == 0 {
-                    return Ok(Unit::Null);
+                    return Ok(Unit::Refused(FabricError::NullDeref { pointer_at: ptr_addr }));
                 }
                 let target = FarAddr(ptr + index);
                 let mut segs = fabric2.segments(target, len)?;
-                if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
-                    // Remote target: bump the pointer atomically; the
-                    // target access happens outside the unit.
-                    n.words_raw(ptr_off)?
-                        .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
-                    return Ok(Unit::Remote { ptr, target, node: remote.node });
+                if segs.clone().any(|s| s.node != home_id) {
+                    return Ok(Unit::Refused(FabricError::BadIovec {
+                        reason: "guarded target must live on the pointer's node",
+                    }));
                 }
-                // Local target: bump + access inside the unit.
+                // Bump + access inside the unit.
                 n.words_raw(ptr_off)?
                     .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
                 let seg = segs.next().expect("checked ranges are non-empty");
@@ -293,7 +310,7 @@ impl FabricClient {
                 if closed {
                     n.words_raw(guard_off)?.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 }
-                Ok(Unit::Local { ptr, out, fired, closed })
+                Ok(Unit::Done { ptr, out, fired, closed })
             });
             self.stats_mut().atomics += 1;
             let service = cost.node_ext_ns + cost.bytes_ns(len);
@@ -302,14 +319,11 @@ impl FabricClient {
             self.observe(AccessKind::AtomicRead, guard, WORD);
             match unit {
                 Err(e) => return Err(ErrorCompletion::answered(e, home_finish)),
-                Ok(Unit::Null) => {
+                Ok(Unit::Refused(e)) => {
                     self.observe(AccessKind::AtomicRead, ptr_addr, WORD);
-                    return Err(ErrorCompletion::answered(
-                        FabricError::NullDeref { pointer_at: ptr_addr },
-                        home_finish,
-                    ));
+                    return Err(ErrorCompletion::answered(e, home_finish));
                 }
-                Ok(Unit::Local { ptr, out, fired, closed }) => {
+                Ok(Unit::Done { ptr, out, fired, closed }) => {
                     self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
                     self.observe(access.kind(), FarAddr(ptr + index), len);
                     // Notifications and replica mirrors fire outside the
@@ -329,20 +343,6 @@ impl FabricClient {
                         mirrored
                     };
                     access.book_bytes(self.stats_mut());
-                    return Ok(((ptr, out), finish));
-                }
-                Ok(Unit::Remote { ptr, target, node }) => {
-                    self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
-                    let finish = fabric.fire(self.stats_mut(), home_id, ptr_off, WORD, finish);
-                    if mode == IndirectionMode::Error {
-                        return Err(ErrorCompletion::answered(
-                            FabricError::IndirectRemote { target, target_node: node },
-                            finish,
-                        ));
-                    }
-                    // Forwarded completion (weaker atomicity, documented).
-                    let (out, finish) =
-                        self.exec_at_target(target, access, home_id, arrival, finish)?;
                     return Ok(((ptr, out), finish));
                 }
             }
@@ -372,20 +372,52 @@ impl FabricClient {
         let target = FarAddr(ptr + index);
 
         // §7.1: a dereferenced pointer may refer to data on a remote node.
-        if mode == IndirectionMode::Error {
-            let remote = fabric
+        if mode == IndirectionMode::Error
+            && fabric
                 .segments(target, len)
                 .map_err(|e| ErrorCompletion::answered(e, home_finish))?
-                .find(|s| s.node != home_id);
-            if let Some(remote) = remote {
-                return Err(ErrorCompletion::answered(
-                    FabricError::IndirectRemote { target, target_node: remote.node },
-                    home_finish,
-                ));
-            }
+                .any(|s| s.node != home_id)
+        {
+            let (out, finish) = self.reissue(target, access, reissue_at, home_finish)?;
+            return Ok(((ptr, out), finish));
         }
         let (out, finish) = self.exec_at_target(target, access, home_id, arrival, home_finish)?;
         Ok(((ptr, out), finish))
+    }
+
+    /// Finishes a target the home node refused under
+    /// [`IndirectionMode::Error`] as the client would: with its own plain
+    /// read, write or fetch-and-add at `target`, arriving at `at`, one
+    /// round trip after the home node's answer at `answered`. Books one
+    /// reissue and, once the access completes, the refused round trip —
+    /// the one round trip an `exec_*` function books, so a blocking verb,
+    /// a fenced batch's `Load0` and a doorbell descriptor count alike —
+    /// and no forward hop. A failed access is an error the home node
+    /// answered with. Out of line and cold, so the inlined copies of
+    /// [`exec_deref`](Self::exec_deref) do not grow.
+    #[cold]
+    #[inline(never)]
+    fn reissue(
+        &mut self,
+        target: FarAddr,
+        access: TargetAccess<'_>,
+        at: u64,
+        answered: u64,
+    ) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
+        self.stats_mut().reissues += 1;
+        let done = match access {
+            TargetAccess::Read(len) => self
+                .exec_read(AccessKind::Read, target, len, at)
+                .map(|(buf, f)| (PipeOut::Bytes(buf), f)),
+            TargetAccess::Write(data) => {
+                self.exec_write(target, data, at).map(|f| (PipeOut::Done, f))
+            }
+            TargetAccess::Add(v) => self.exec_faa(target, v, at).map(|(_, f)| (PipeOut::Done, f)),
+            TargetAccess::Swap(_) => unreachable!("a guarded swap never leaves its unit"),
+        };
+        let (out, finish) = done.map_err(|e| ErrorCompletion::answered(e, answered))?;
+        self.stats_mut().round_trips += 1;
+        Ok((out, finish.max(answered)))
     }
 
     /// Executes an indirect verb's access at its (possibly remote) target
@@ -413,13 +445,12 @@ impl FabricClient {
         let segs = fabric
             .segments(target, len)
             .map_err(|e| ErrorCompletion::answered(e, home_finish))?;
-        let atomic = matches!(access, TargetAccess::Add(_) | TargetAccess::Swap(_));
+        let atomic = matches!(access, TargetAccess::Add(_));
         let mut finish = home_finish;
         let mut buf = match access {
             TargetAccess::Read(l) => vec![0u8; l as usize],
             _ => Vec::new(),
         };
-        let mut old = 0u64;
         let mut done = 0usize;
         for seg in segs {
             let phys = self.route(seg.node);
@@ -443,14 +474,11 @@ impl FabricClient {
             match &access {
                 TargetAccess::Read(_) => node.read_bytes(seg.offset, &mut buf[part])?,
                 TargetAccess::Write(data) => node.write_bytes(seg.offset, &data[part])?,
-                TargetAccess::Swap(replacement) => {
-                    self.stats_mut().atomics += 1;
-                    old = node.swap_u64(seg.offset, *replacement)?;
-                }
                 TargetAccess::Add(v) => {
                     self.stats_mut().atomics += 1;
                     node.faa_u64(seg.offset, *v)?;
                 }
+                TargetAccess::Swap(_) => unreachable!("a guarded swap never leaves its unit"),
             }
             // Every mutation fires (an atomic's segment is its one word).
             if !matches!(access, TargetAccess::Read(_)) {
@@ -463,8 +491,7 @@ impl FabricClient {
         self.observe(access.kind(), target, len);
         let out = match access {
             TargetAccess::Read(_) => PipeOut::Bytes(buf),
-            TargetAccess::Swap(_) => PipeOut::Value(old),
-            TargetAccess::Write(_) | TargetAccess::Add(_) => PipeOut::Done,
+            _ => PipeOut::Done,
         };
         Ok((out, finish))
     }
@@ -549,25 +576,18 @@ impl FabricClient {
         Ok(self.indirect(ad, PtrRead::FetchAdd(v), 0, TargetAccess::Write(data))?.0)
     }
 
-    /// `faai_swap(ad, v, r)`: like [`faai`](Self::faai), but the target
-    /// word is atomically *swapped* with `r` (a destructive read) — the
-    /// queue's dequeue consumes its slot in the same far access, leaving
-    /// no window where a claimed slot still holds its item. Swap-style
-    /// indirect atomics are among §4.1's "additional useful variants";
-    /// Gen-Z ships atomic swap. One far access.
-    pub fn faai_swap(&mut self, ad: FarAddr, v: u64, replacement: u64) -> Result<(u64, u64)> {
-        let (ptr, old) =
-            self.indirect(ad, PtrRead::FetchAdd(v), 0, TargetAccess::Swap(replacement))?;
-        Ok((ptr, old.value()))
-    }
-
-    /// Guarded [`faai_swap`](Self::faai_swap) (see
-    /// [`faai_guarded`](Self::faai_guarded) for the guard semantics). A
-    /// node-local swap that finds its target already holding
-    /// `replacement` took nothing; it also adds one to the guard word in
-    /// the same atomic unit, *closing* the guard to every op that expects
-    /// the old value. The §5.3 queue's claim of an empty slot thereby
-    /// takes the queue's repair before any enqueue can fill that slot.
+    /// `faai_swap(ad, v, r)`, guarded: like
+    /// [`faai_guarded`](Self::faai_guarded), but the target word is
+    /// atomically *swapped* with `r` (a destructive read) — the queue's
+    /// dequeue consumes its slot in the same far access, leaving no window
+    /// where a claimed slot still holds its item. Swap-style indirect
+    /// atomics are among §4.1's "additional useful variants"; Gen-Z ships
+    /// atomic swap. One far access. A swap that finds its target already
+    /// holding `replacement` took nothing; it also adds one to the guard
+    /// word in the same atomic unit, *closing* the guard to every op that
+    /// expects the old value. The §5.3 queue's claim of an empty slot
+    /// thereby takes the queue's repair before any enqueue can fill that
+    /// slot.
     pub fn faai_swap_guarded(
         &mut self,
         ad: FarAddr,
@@ -585,36 +605,13 @@ impl FabricClient {
         Ok((ptr, old.value()))
     }
 
-    /// [`faai_swap_guarded`](Self::faai_swap_guarded) with client-side
-    /// completion of remote indirections (a plain far swap would be needed;
-    /// our fabric exposes it via CAS loop — rare path).
-    pub fn faai_swap_guarded_auto(
-        &mut self,
-        ad: FarAddr,
-        v: u64,
-        replacement: u64,
-        guard: FarAddr,
-        expect: u64,
-    ) -> Result<(u64, u64)> {
-        match self.faai_swap_guarded(ad, v, replacement, guard, expect) {
-            Err(FabricError::IndirectRemote { target, .. }) => {
-                self.stats_mut().reissues += 1;
-                // Complete with a far CAS loop emulating the swap.
-                loop {
-                    let cur = self.read_u64(target)?;
-                    if self.cas(target, cur, replacement)? == cur {
-                        return Ok((target.0, cur));
-                    }
-                }
-            }
-            other => other,
-        }
-    }
-
     /// Guarded [`faai`](Self::faai): performed only if the word at `guard`
     /// (same node as `ad`) equals `expect`, atomically — otherwise
     /// [`FabricError::GuardMismatch`] and nothing happens. One far access
-    /// either way.
+    /// either way. The guard, the bump and the target access are one
+    /// atomic unit, so the target must live on `ad`'s node too: an
+    /// off-node target is refused with [`FabricError::BadIovec`] and the
+    /// pointer does not move.
     pub fn faai_guarded(
         &mut self,
         ad: FarAddr,
@@ -651,25 +648,6 @@ impl FabricClient {
             .0)
     }
 
-    /// [`saai_guarded`](Self::saai_guarded) with client-side completion of
-    /// remote indirections.
-    pub fn saai_guarded_auto(
-        &mut self,
-        ad: FarAddr,
-        v: u64,
-        data: &[u8],
-        guard: FarAddr,
-        expect: u64,
-    ) -> Result<u64> {
-        match self.saai_guarded(ad, v, data, guard, expect) {
-            Err(FabricError::IndirectRemote { target, .. }) => {
-                self.complete_write(target, data)?;
-                Ok(target.0)
-            }
-            other => other,
-        }
-    }
-
     /// `add0(ad, v)`: `**ad += v` — add through a pointer. One far access.
     pub fn add0(&mut self, ad: FarAddr, v: u64) -> Result<()> {
         self.indirect(ad, PtrRead::Plain, 0, TargetAccess::Add(v))?;
@@ -690,49 +668,6 @@ impl FabricClient {
         self.indirect(ad, PtrRead::Plain, i, TargetAccess::Add(v))?;
         Ok(())
     }
-
-    // ----- auto wrappers: complete remote indirections client-side -----
-
-    fn complete_read(&mut self, target: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.stats_mut().reissues += 1;
-        self.read(target, len)
-    }
-
-    fn complete_write(&mut self, target: FarAddr, data: &[u8]) -> Result<()> {
-        self.stats_mut().reissues += 1;
-        self.write(target, data)
-    }
-
-    /// [`load2`](Self::load2) that transparently completes a remote
-    /// indirection with a second round trip in
-    /// [`IndirectionMode::Error`] fabrics.
-    pub fn load2_auto(&mut self, ad: FarAddr, i: u64, len: u64) -> Result<Vec<u8>> {
-        match self.load2(ad, i, len) {
-            Err(FabricError::IndirectRemote { target, .. }) => self.complete_read(target, len),
-            other => other,
-        }
-    }
-
-    /// [`load0`](Self::load0) with client-side completion on remote targets.
-    pub fn load0_auto(&mut self, ad: FarAddr, len: u64) -> Result<Vec<u8>> {
-        match self.load0(ad, len) {
-            Err(FabricError::IndirectRemote { target, .. }) => self.complete_read(target, len),
-            other => other,
-        }
-    }
-
-    /// [`add2`](Self::add2) with client-side completion via a far
-    /// fetch-and-add at the resolved target.
-    pub fn add2_auto(&mut self, ad: FarAddr, v: u64, i: u64) -> Result<()> {
-        match self.add2(ad, v, i) {
-            Err(FabricError::IndirectRemote { target, .. }) => {
-                self.stats_mut().reissues += 1;
-                self.faa(target, v).map(|_| ())
-            }
-            other => other,
-        }
-    }
-
 }
 
 #[cfg(test)]
@@ -833,11 +768,11 @@ mod tests {
     #[test]
     fn faai_swap_consumes_the_slot_atomically() {
         let mut c = client();
-        let head = FarAddr(64);
+        let (head, guard) = (FarAddr(64), FarAddr(72));
         c.write_u64(head, 4096).unwrap();
         c.write_u64(FarAddr(4096), 41).unwrap();
         let before = c.stats();
-        let (old_ptr, item) = c.faai_swap(head, 8, 0).unwrap();
+        let (old_ptr, item) = c.faai_swap_guarded(head, 8, 0, guard, 0).unwrap();
         let d = c.stats().since(&before);
         assert_eq!((old_ptr, item), (4096, 41));
         assert_eq!(d.round_trips, 1);
@@ -912,7 +847,7 @@ mod tests {
         ));
     }
 
-    fn two_node_fabric(mode: IndirectionMode) -> std::sync::Arc<crate::fabric::Fabric> {
+    fn two_node_config(mode: IndirectionMode) -> FabricConfig {
         FabricConfig {
             nodes: 2,
             node_capacity: 1 << 20,
@@ -921,7 +856,10 @@ mod tests {
             cost: crate::cost::CostModel::COUNT_ONLY,
             ..FabricConfig::default()
         }
-        .build()
+    }
+
+    fn two_node_fabric(mode: IndirectionMode) -> std::sync::Arc<crate::fabric::Fabric> {
+        two_node_config(mode).build()
     }
 
     #[test]
@@ -940,23 +878,28 @@ mod tests {
         assert_eq!(c.read_u64(target).unwrap(), 9);
     }
 
+    /// The home node refuses a cross-node target, and `load0` itself
+    /// finishes it with the client's second round trip: the bytes, two
+    /// round trips of messages and clock, one reissue, no forward hop.
     #[test]
     fn remote_indirection_errors_and_auto_reissues() {
-        let f = two_node_fabric(IndirectionMode::Error);
+        let f = FabricConfig {
+            cost: crate::cost::CostModel::DEFAULT,
+            ..two_node_config(IndirectionMode::Error)
+        }
+        .build();
         let mut c = f.client();
         let ptr_at = FarAddr(64);
         let target = FarAddr((1 << 20) + 4096);
         c.write_u64(ptr_at, target.0).unwrap();
         c.write_u64(target, 33).unwrap();
-        assert!(matches!(
-            c.load0(ptr_at, 8),
-            Err(FabricError::IndirectRemote { .. })
-        ));
-        let before = c.stats();
-        assert_eq!(c.load0_auto(ptr_at, 8).unwrap(), 33u64.to_le_bytes());
+        let (before, t0) = (c.stats(), c.now_ns());
+        assert_eq!(c.load0(ptr_at, 8).unwrap(), 33u64.to_le_bytes());
         let d = c.stats().since(&before);
         assert_eq!(d.round_trips, 2, "error mode costs two client RTs");
-        assert_eq!(d.reissues, 1);
+        assert_eq!((d.reissues, d.forward_hops, d.messages, d.bytes_read), (1, 0, 2, 8));
+        let elapsed = c.now_ns() - t0;
+        assert!(elapsed > 2 * f.cost().far_rtt_ns, "{elapsed} ns");
     }
 
     #[test]
@@ -967,8 +910,78 @@ mod tests {
         c.write_u64(ptr_at, 4096).unwrap();
         c.write_u64(FarAddr(4096), 5).unwrap();
         let before = c.stats();
-        assert_eq!(c.load0_auto(ptr_at, 8).unwrap(), 5u64.to_le_bytes());
-        assert_eq!(c.stats().since(&before).round_trips, 1);
+        assert_eq!(c.load0(ptr_at, 8).unwrap(), 5u64.to_le_bytes());
+        let d = c.stats().since(&before);
+        assert_eq!((d.round_trips, d.reissues), (1, 0));
+    }
+
+    /// Unguarded `faai` / `saai` bump their pointer before the target is
+    /// known to be remote; under `Error` the verb still finishes at the
+    /// target, so the bump is never a side effect of a failed verb.
+    #[test]
+    fn refused_faai_and_saai_finish_at_the_target_and_bump_once() {
+        let f = two_node_fabric(IndirectionMode::Error);
+        let mut c = f.client();
+        let (ptr_at, target) = (FarAddr(64), FarAddr((1 << 20) + 4096));
+        c.write_u64(ptr_at, target.0).unwrap();
+        let before = c.stats();
+        assert_eq!(c.saai(ptr_at, 8, &77u64.to_le_bytes()).unwrap(), target.0);
+        assert_eq!(c.read_u64(target).unwrap(), 77, "saai left its bytes at the target");
+        assert_eq!(c.read_u64(ptr_at).unwrap(), target.0 + 8, "and moved the pointer once");
+        c.write_u64(ptr_at, target.0).unwrap();
+        assert_eq!(c.faai(ptr_at, 8, 8).unwrap(), (target.0, 77u64.to_le_bytes().to_vec()));
+        assert_eq!(c.read_u64(ptr_at).unwrap(), target.0 + 8, "faai moved it once");
+        assert_eq!(c.stats().since(&before).reissues, 2);
+    }
+
+    /// The pre-flight that keeps a retried `faai` from bumping twice
+    /// checks a refused target at the reissue's later arrival: a target
+    /// node that is down only then fails the attempts with the pointer
+    /// untouched, and the verb lands once after the node is back.
+    #[test]
+    fn a_refused_faai_preflights_its_target_at_the_reissue() {
+        let f = FabricConfig {
+            cost: crate::cost::CostModel::DEFAULT,
+            ..two_node_config(IndirectionMode::Error)
+        }
+        .build();
+        let mut c = f.client();
+        let (ptr_at, target) = (FarAddr(64), FarAddr((1 << 20) + 4096));
+        c.write_u64(ptr_at, target.0).unwrap();
+        c.write_u64(target, 5).unwrap();
+        // Down from just after this verb's arrival, for a few retries.
+        let arrival = c.now_ns() + f.cost().one_way_ns();
+        f.node(NodeId(1)).schedule_crash(arrival + 1, arrival + 20_000);
+        let before = c.stats();
+        assert_eq!(c.faai(ptr_at, 8, 8).unwrap(), (target.0, 5u64.to_le_bytes().to_vec()));
+        let d = c.stats().since(&before);
+        assert!(d.retries > 0, "{d:?}");
+        assert_eq!(d.reissues, 1, "the refused attempts never bumped");
+        assert_eq!(c.read_u64(ptr_at).unwrap(), target.0 + 8);
+    }
+
+    /// A guarded verb is one atomic unit at its pointer's node or an
+    /// error: an off-node target is refused in both modes with
+    /// `BadIovec`, answered after the guard probe, before the pointer
+    /// moves.
+    #[test]
+    fn a_guarded_verb_with_an_off_node_target_is_refused_in_both_modes() {
+        for mode in [IndirectionMode::Forward, IndirectionMode::Error] {
+            let f = two_node_fabric(mode);
+            let mut c = f.client();
+            let (ptr_at, guard, target) = (FarAddr(64), FarAddr(72), FarAddr((1 << 20) + 4096));
+            c.write_u64(ptr_at, target.0).unwrap();
+            c.write_u64(target, 9).unwrap();
+            let before = c.stats();
+            let refused = |r: Result<u64>| matches!(r, Err(FabricError::BadIovec { .. }));
+            assert!(refused(c.saai_guarded(ptr_at, 8, &1u64.to_le_bytes(), guard, 0)), "{mode:?}");
+            assert!(refused(c.faai_guarded(ptr_at, 8, 8, guard, 0).map(|r| r.0)), "{mode:?}");
+            assert!(refused(c.faai_swap_guarded(ptr_at, 8, 0, guard, 0).map(|r| r.0)), "{mode:?}");
+            let d = c.stats().since(&before);
+            assert_eq!((d.round_trips, d.messages, d.reissues, d.forward_hops), (3, 3, 0, 0));
+            assert_eq!(c.read_u64(ptr_at).unwrap(), target.0, "{mode:?}: pointer unchanged");
+            assert_eq!(c.read_u64(target).unwrap(), 9, "{mode:?}: target untouched");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! with [`Fabric::client`] and issue one-sided verbs; no application
 //! processor ever mediates access to far memory (§2).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use std::collections::HashMap;
@@ -27,8 +27,11 @@ pub enum IndirectionMode {
     /// The home node forwards the request to the owning node (memory-side
     /// hop, cheaper than a client round trip).
     Forward,
-    /// The home node returns [`FabricError::IndirectRemote`], leaving the
-    /// compute node to complete the indirection with a second round trip.
+    /// The home node refuses the access, and the compute node completes
+    /// it with a second round trip of its own: the indirect verb reissues
+    /// a plain read, write or fetch-and-add at the target, booked in
+    /// [`AccessStats::reissues`](crate::AccessStats). Guarded verbs never
+    /// leave their pointer's node, in either mode.
     Error,
 }
 
@@ -114,10 +117,6 @@ pub struct Fabric {
     next_client: AtomicU32,
     /// Subscription registry: id → owning node, for unsubscribe routing.
     subs: Mutex<HashMap<SubId, NodeId>>,
-    /// Monotone bump pointer used by the trivial built-in region allocator
-    /// ([`Fabric::alloc_region`]); the real allocator lives in
-    /// `farmem-alloc`.
-    region_cursor: AtomicU64,
     /// Verification observer (`farmem-check`); see [`crate::check`].
     hooks: RwLock<Option<Arc<dyn CheckObserver>>>,
     /// Fast-path flag: with no observer installed, every verb pays one
@@ -150,8 +149,6 @@ impl Fabric {
             groups,
             next_client: AtomicU32::new(0),
             subs: Mutex::new(HashMap::new()),
-            // Skip the reserved null word; start allocations page-aligned.
-            region_cursor: AtomicU64::new(crate::addr::PAGE),
             hooks: RwLock::new(None),
             hooked: AtomicBool::new(false),
         })
@@ -281,20 +278,6 @@ impl Fabric {
         }
     }
 
-    /// Reserves a page-aligned region of `len` bytes from the global
-    /// address space with a trivial bump allocator.
-    ///
-    /// This is the bootstrap allocator used to carve arenas for the real
-    /// allocator in `farmem-alloc`; it never frees.
-    pub fn alloc_region(&self, len: u64) -> Result<FarAddr> {
-        let len = len.div_ceil(crate::addr::PAGE) * crate::addr::PAGE;
-        let start = self.region_cursor.fetch_add(len, Ordering::Relaxed);
-        if start + len > self.map.total_capacity() {
-            return Err(FabricError::OutOfBounds { addr: FarAddr(start), len });
-        }
-        Ok(FarAddr(start))
-    }
-
     pub(crate) fn register_sub(&self, id: SubId, node: NodeId) {
         self.subs.lock().unwrap().insert(id, node);
     }
@@ -412,15 +395,6 @@ mod tests {
         let f = FabricConfig::default().build();
         assert_eq!(f.map().node_count(), 1);
         assert_eq!(f.map().total_capacity(), 64 << 20);
-    }
-
-    #[test]
-    fn region_allocator_bumps_and_bounds() {
-        let f = FabricConfig::single_node(1 << 20).build();
-        let a = f.alloc_region(100).unwrap();
-        let b = f.alloc_region(100).unwrap();
-        assert_eq!(b.0 - a.0, crate::addr::PAGE);
-        assert!(f.alloc_region(2 << 20).is_err());
     }
 
     #[test]

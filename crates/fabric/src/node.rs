@@ -332,34 +332,6 @@ impl MemoryNode {
         Ok(self.words[i].fetch_add(delta, Ordering::SeqCst))
     }
 
-    /// Atomic swap of the aligned word at `offset`; returns the previous
-    /// value.
-    pub fn swap_u64(&self, offset: u64, value: u64) -> Result<u64> {
-        let i = self.word_index(offset, WORD)?;
-        let _g = self.guard_lock.lock().unwrap();
-        Ok(self.words[i].swap(value, Ordering::SeqCst))
-    }
-
-    /// Guarded fetch-and-add: atomically checks that the word at
-    /// `guard_offset` equals `expect` and, only then, fetch-adds `delta`
-    /// to the word at `offset`. Returns the previous value, or
-    /// [`FabricError::GuardMismatch`] without performing the add.
-    ///
-    /// Serialized against all word mutations of this node, so no mutation
-    /// of the guard word can slip between the check and the add.
-    pub fn guarded_faa_u64(
-        &self,
-        offset: u64,
-        delta: u64,
-        guard_offset: u64,
-        expect: u64,
-    ) -> Result<u64> {
-        self.guarded_verb(guard_offset, expect, |n| {
-            let i = n.word_index(offset, WORD)?;
-            Ok(n.words[i].fetch_add(delta, Ordering::SeqCst))
-        })
-    }
-
     /// Runs `body` atomically with respect to every word mutation of this
     /// node, after checking that the guard word equals `expect`.
     ///
@@ -551,20 +523,6 @@ mod tests {
         // A late arrival after the queue drains starts immediately.
         let f3 = n.occupy(1000, 50);
         assert_eq!(f3, 1050);
-    }
-
-    #[test]
-    fn guarded_faa_checks_atomically() {
-        let n = node();
-        n.write_u64(64, 100).unwrap();
-        n.write_u64(72, 7).unwrap(); // guard word
-        assert_eq!(n.guarded_faa_u64(64, 1, 72, 7).unwrap(), 100);
-        assert_eq!(n.read_u64(64).unwrap(), 101);
-        assert_eq!(
-            n.guarded_faa_u64(64, 1, 72, 8),
-            Err(FabricError::GuardMismatch { observed: 7 })
-        );
-        assert_eq!(n.read_u64(64).unwrap(), 101, "mismatch performs nothing");
     }
 
     #[test]

@@ -57,8 +57,13 @@
 //! the tail still executes — an absent key in a batch of lookups must not
 //! serialise the lookups behind it.
 //!
+//! A cross-node target that an
+//! [`IndirectionMode::Error`](crate::fabric::IndirectionMode::Error)
+//! fabric refuses is no failure either: the descriptor reissues it, as
+//! the blocking verb does, and books the same two round trips.
+//!
 //! One booking differs from the blocking verb, deliberately: an error the
-//! node *answered* with (null pointer, guard mismatch, refused remote
+//! node *answered* with (null pointer, guard mismatch, off-node guarded
 //! target) costs the blocking verb its round trip, while a failed
 //! descriptor books its message but no round trip of its own — the
 //! doorbell's time is the max over *completed* descriptors (DESIGN.md §7).
@@ -143,9 +148,9 @@ pub enum PipeOp {
     /// [`FabricClient::load0`] with `index == 0`,
     /// [`FabricClient::load2`](FabricClient::load2) otherwise). A
     /// cross-node target is forwarded under
-    /// [`IndirectionMode::Forward`](crate::fabric::IndirectionMode::Forward);
-    /// under [`Error`](crate::fabric::IndirectionMode::Error) the
-    /// descriptor fails with [`FabricError::IndirectRemote`].
+    /// [`IndirectionMode::Forward`](crate::fabric::IndirectionMode::Forward)
+    /// and reissued under [`Error`](crate::fabric::IndirectionMode::Error),
+    /// as the serial verb does.
     Load2 {
         /// Far address of the pointer word.
         ptr: FarAddr,
@@ -172,7 +177,8 @@ pub enum PipeOp {
     /// `replacement`, provided `guard` (same node as `ptr`) holds
     /// `expect` — the §5.3 queue's dequeue verb; a swap that finds
     /// `replacement` already there closes the guard, as the serial verb
-    /// does. Completes with [`PipeOut::PtrWord`].
+    /// does, and an off-node target is refused. Completes with
+    /// [`PipeOut::PtrWord`].
     FaaiSwapGuarded {
         /// Far address of the pointer word.
         ptr: FarAddr,
@@ -1036,8 +1042,9 @@ mod tests {
     }
 
     /// Error completions of indirect descriptors against the serial verb,
-    /// field for field: a null pointer, a refused remote target
-    /// (`IndirectionMode::Error`) and a guard mismatch book the same
+    /// field for field: a null pointer, a guarded target off the pointer's
+    /// node (refused in either `IndirectionMode`) and a guard mismatch
+    /// book the same
     /// messages, bytes, atomics and observed accesses either way — the
     /// pointer read is `observe`d even when the verb then fails. The one
     /// asymmetry (DESIGN.md §7): the blocking verb waited for the node's
@@ -1064,17 +1071,17 @@ mod tests {
             |expect| PipeOp::FaaiSwapGuarded { ptr, delta: WORD, replacement: 0, guard, expect };
         type Expect = fn(&FabricError) -> bool;
         let cases: [(&str, IndirectionMode, u64, PipeOp, Expect); 5] = [
-            ("null/plain", IndirectionMode::Forward, 0, plain.clone(), |e| {
+            ("null/plain", IndirectionMode::Forward, 0, plain, |e| {
                 matches!(e, FabricError::NullDeref { .. })
             }),
             ("null/guarded", IndirectionMode::Forward, 0, claim(0), |e| {
                 matches!(e, FabricError::NullDeref { .. })
             }),
-            ("remote/plain", IndirectionMode::Error, PAGE, plain, |e| {
-                matches!(e, FabricError::IndirectRemote { .. })
+            ("off-node/guarded/forward", IndirectionMode::Forward, PAGE, claim(0), |e| {
+                matches!(e, FabricError::BadIovec { .. })
             }),
-            ("remote/guarded", IndirectionMode::Error, PAGE, claim(0), |e| {
-                matches!(e, FabricError::IndirectRemote { .. })
+            ("off-node/guarded/error", IndirectionMode::Error, PAGE, claim(0), |e| {
+                matches!(e, FabricError::BadIovec { .. })
             }),
             ("guard mismatch", IndirectionMode::Forward, 2 * PAGE, claim(7), |e| {
                 matches!(e, FabricError::GuardMismatch { observed: 0 })
@@ -1138,14 +1145,62 @@ mod tests {
         }
     }
 
+    /// One cross-node target on an `IndirectionMode::Error` fabric, read
+    /// three ways — the blocking `load0`, a blocking batch's `Load0` and a
+    /// doorbell's `Load2` — returns the same bytes and books the same
+    /// counts and clock (but for the doorbell's own two counters): the
+    /// refused round trip, the reissued read, one reissue, no hop.
+    #[test]
+    fn a_refused_target_books_alike_blocking_batched_and_posted() {
+        use crate::fabric::IndirectionMode;
+        let (ptr, target) = (FarAddr(WORD), FarAddr(PAGE));
+        let runs = ["blocking", "batched", "posted"].map(|how| {
+            let f = FabricConfig {
+                nodes: 2,
+                node_capacity: 1 << 20,
+                striping: Striping::Striped { stripe: PAGE },
+                indirection: IndirectionMode::Error,
+                ..FabricConfig::default()
+            }
+            .build();
+            let mut c = f.client();
+            c.write_u64(ptr, target.0).unwrap();
+            c.write(target, &[3u8; 48]).unwrap();
+            let (before, t0) = (c.stats(), c.now_ns());
+            let bytes = match how {
+                "blocking" => c.load0(ptr, 48).unwrap(),
+                "batched" => {
+                    let outs = c.batch(&[BatchOp::Load0 { ptr, len: 48 }]).unwrap();
+                    outs[0].bytes().to_vec()
+                }
+                _ => {
+                    let mut q = c.pipeline();
+                    q.load0(ptr, 48);
+                    q.commit().into_outputs().unwrap().remove(0).into_bytes()
+                }
+            };
+            (bytes, c.stats().since(&before), c.now_ns() - t0)
+        });
+        let (bytes, stats, ns) = &runs[0];
+        assert_eq!(bytes, &vec![3u8; 48]);
+        assert_eq!((stats.round_trips, stats.reissues, stats.forward_hops), (2, 1, 0));
+        assert_eq!((stats.messages, stats.bytes_read), (2, 48));
+        for (how, (b, s, t)) in ["batched", "posted"].iter().zip(&runs[1..]) {
+            assert_eq!((b, t), (bytes, ns), "{how}");
+            for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
+                if !matches!(*field, "doorbells" | "pipelined_ops") {
+                    assert_eq!(s.to_array()[i], stats.to_array()[i], "{how}: field `{field}`");
+                }
+            }
+        }
+    }
+
     /// A lone [`PipeOp::Fenced`] descriptor is [`FabricClient::batch`]:
     /// the same outputs, the same `AccessStats` but for the doorbell's own
     /// two counters, and the same clock — for a null `Load0` (an answer,
-    /// round trip charged) and under transient faults (one roll per
-    /// attempt, the whole batch retried). The one asymmetry is DESIGN.md
-    /// §7's: a remote target refused under `IndirectionMode::Error` fails
-    /// the descriptor, which books its message and no round trip, where
-    /// the blocking batch waited for the answer.
+    /// round trip charged), under transient faults (one roll per attempt,
+    /// the whole batch retried) and for a remote target refused under
+    /// `IndirectionMode::Error` (reissued, one round trip more).
     #[test]
     fn a_fenced_descriptor_books_what_the_blocking_batch_books() {
         use crate::fabric::IndirectionMode;
@@ -1160,7 +1215,7 @@ mod tests {
         let cases = [
             ("null load0", IndirectionMode::Forward, FaultPlan::NONE, 0),
             ("transient faults", IndirectionMode::Forward, FaultPlan::transient(400_000), item.0),
-            ("refused remote target", IndirectionMode::Error, FaultPlan::NONE, item.0),
+            ("reissued remote target", IndirectionMode::Error, FaultPlan::NONE, item.0),
         ];
         for (name, indirection, faults, pointer) in cases {
             let run = |fenced: bool| {
@@ -1196,13 +1251,10 @@ mod tests {
             let (souts, serial, serial_ns) = run(false);
             let (pouts, piped, piped_ns) = run(true);
             assert_eq!(pouts, souts, "{name}");
-            let refused = indirection == IndirectionMode::Error;
             for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
                 let (s, p) = (serial.to_array()[i], piped.to_array()[i]);
-                match *field {
-                    "doorbells" | "pipelined_ops" => {}
-                    "round_trips" if refused => assert_eq!((s, p), (16, 0), "{name}"),
-                    _ => assert_eq!(p, s, "{name}: field `{field}`"),
+                if !matches!(*field, "doorbells" | "pipelined_ops") {
+                    assert_eq!(p, s, "{name}: field `{field}`");
                 }
             }
             match name {
@@ -1210,15 +1262,13 @@ mod tests {
                     assert_eq!(souts[0], Ok(vec![BatchOut::Null, BatchOut::Bytes(vec![5; 16])]))
                 }
                 "transient faults" => assert!(serial.retries > 0, "{name}: {serial:?}"),
-                _ => assert!(souts
-                    .iter()
-                    .all(|o| matches!(o, Err(FabricError::IndirectRemote { .. })))),
+                _ => {
+                    let loaded = BatchOut::Loaded { ptr: item.0, bytes: vec![5; 32] };
+                    assert_eq!(souts[0], Ok(vec![loaded, BatchOut::Bytes(vec![5; 16])]));
+                    assert_eq!((serial.round_trips, serial.reissues), (32, 16), "{name}");
+                }
             }
-            if refused {
-                assert!(serial_ns > 0 && piped_ns == 0, "{name}: {serial_ns} / {piped_ns} ns");
-            } else {
-                assert_eq!(piped_ns, serial_ns, "{name}: clock");
-            }
+            assert_eq!(piped_ns, serial_ns, "{name}: clock");
         }
     }
 }

@@ -117,7 +117,8 @@ access_stats! {
     atomics,
     /// Memory-side forwarding hops for cross-node indirections (§7.1).
     forward_hops,
-    /// Client re-issues after `IndirectRemote` errors (§7.1 error mode).
+    /// Client re-issues of an indirect verb's target that the pointer's
+    /// node refused (§7.1 error mode): each adds one round trip.
     reissues,
     /// Notifications received (including coalesced representatives).
     notifications,

@@ -187,7 +187,7 @@ impl ProducerHandle {
     pub fn record(&mut self, client: &mut FabricClient, sample: u64) -> Result<()> {
         let _span = client.span("monitor.record");
         let bucket = self.m.bucket_of(sample);
-        client.add2_auto(self.m.anchor, 1, bucket * WORD)?;
+        client.add2(self.m.anchor, 1, bucket * WORD)?;
         Ok(())
     }
 

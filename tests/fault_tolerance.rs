@@ -273,33 +273,36 @@ fn pipeline_torn_reports_partial_completion() {
         nodes: 2,
         node_capacity: 16 << 20,
         striping: Striping::Striped { stripe: 4096 },
-        indirection: IndirectionMode::Error,
         cost: CostModel::COUNT_ONLY,
         ..FabricConfig::default()
     }
     .build();
     let mut c = f.client();
-    // A far pointer on node 0 aiming at a striped region that starts on
-    // node 0 too: index 0 stays on the pointer's node, index 4096 crosses
-    // to node 1, which Error-mode indirection refuses (non-transient).
-    let ptr = FarAddr(8);
+    // One far pointer aiming at a region, and one null pointer: a store
+    // through the null one is answered with `NullDeref`, which a
+    // side-effecting descriptor does not survive (non-transient).
+    let (ptr, null) = (FarAddr(8), FarAddr(16));
     let region = 8192u64;
     c.write_u64(ptr, region).unwrap();
     let mut q = c.pipeline();
     q.store2(ptr, 0, &7u64.to_le_bytes());
-    q.store2(ptr, 4096, &8u64.to_le_bytes());
+    q.store2(null, 0, &8u64.to_le_bytes());
     q.store2(ptr, 8, &9u64.to_le_bytes());
     let mut cq = q.commit();
     match cq.status() {
         Err(FabricError::PipelineTorn { completed, failed }) => {
-            assert_eq!((completed, failed), (1, 2), "one landed; the refusal and the aborted tail count as failed");
+            assert_eq!(
+                (completed, failed),
+                (1, 2),
+                "one landed; the null store and the aborted tail count as failed"
+            );
         }
         other => panic!("expected PipelineTorn, got {other:?}"),
     }
     assert!(matches!(cq.take(0), Some(Ok(_))), "head descriptor completed");
     assert!(matches!(
         cq.take(1),
-        Some(Err(FabricError::IndirectRemote { .. }))
+        Some(Err(FabricError::NullDeref { .. }))
     ));
     assert!(cq.take(2).is_none(), "tail aborted, never executed");
     // The completed write landed; the aborted one did not.
@@ -449,52 +452,49 @@ fn group_death_charges_one_giveup_per_verb() {
 }
 
 #[test]
-fn pipelined_guarded_claims_bump_the_pointer_once_across_a_target_crash() {
-    // A head pointer (and its guard) on node 0 claims slots that live on
-    // node 1, forwarded (§7.1). Node 1 is inside a timed crash window when
-    // the doorbell rings. Each claim must check its target *before* the
-    // guarded unit bumps the pointer: `NodeFailed` is transient, so a
-    // descriptor that bumped first and failed at the target afterwards
+fn faai_bumps_the_pointer_once_across_a_target_crash() {
+    // A head pointer on node 0 claims slots that live on node 1: forwarded
+    // under `Forward`, reissued by the client under `Error` (§7.1). Node 1
+    // is inside a timed crash window when the claims start. Each claim
+    // must check its target — under `Error`, at the reissue's later
+    // arrival — *before* it bumps the pointer: `NodeFailed` is transient,
+    // so a claim that bumped first and failed at the target afterwards
     // would bump again on every retry and skip slots.
-    let f = FabricConfig {
-        nodes: 2,
-        node_capacity: 16 << 20,
-        striping: Striping::Blocked,
-        indirection: IndirectionMode::Forward,
-        cost: CostModel::COUNT_ONLY,
-        ..FabricConfig::default()
-    }
-    .build();
-    let mut c = f.client();
-    let (head, guard) = (FarAddr(64), FarAddr(72));
-    let slots = FarAddr((16 << 20) + 4096);
-    c.write_u64(head, slots.0).unwrap();
-    for i in 0..8u64 {
-        c.write_u64(slots.offset(i * 8), 100 + i).unwrap();
-    }
-    let now = c.now_ns();
-    f.node(NodeId(1)).schedule_crash(now, now + 30_000);
-    let before = c.stats();
-    let mut q = c.pipeline();
-    for _ in 0..4 {
-        q.faai_swap_guarded(head, 8, 0, guard, 0);
-    }
-    let claimed: Vec<(u64, u64)> =
-        q.commit().into_outputs().unwrap().iter().map(|o| o.ptr_word()).collect();
-    assert!(c.stats().since(&before).retries > 0, "the crash window must have forced retries");
-    assert_eq!(
-        claimed,
-        (0..4u64).map(|i| (slots.0 + i * 8, 100 + i)).collect::<Vec<_>>(),
-        "one slot per claim, in order"
-    );
-    assert_eq!(
-        c.read_u64(head).unwrap(),
-        slots.0 + 4 * 8,
-        "pointer advanced exactly once per delivered value"
-    );
-    for i in 0..8u64 {
-        let want = if i < 4 { 0 } else { 100 + i };
-        assert_eq!(c.read_u64(slots.offset(i * 8)).unwrap(), want, "slot {i}");
+    for indirection in [IndirectionMode::Forward, IndirectionMode::Error] {
+        let f = FabricConfig {
+            nodes: 2,
+            node_capacity: 16 << 20,
+            striping: Striping::Blocked,
+            indirection,
+            cost: CostModel::COUNT_ONLY,
+            ..FabricConfig::default()
+        }
+        .build();
+        let mut c = f.client();
+        let head = FarAddr(64);
+        let slots = FarAddr((16 << 20) + 4096);
+        c.write_u64(head, slots.0).unwrap();
+        for i in 0..8u64 {
+            c.write_u64(slots.offset(i * 8), 100 + i).unwrap();
+        }
+        let now = c.now_ns();
+        f.node(NodeId(1)).schedule_crash(now, now + 30_000);
+        let before = c.stats();
+        let claimed: Vec<(u64, Vec<u8>)> = (0..4).map(|_| c.faai(head, 8, 8).unwrap()).collect();
+        let retries = c.stats().since(&before).retries;
+        assert!(retries > 0, "{indirection:?}: the crash window must have forced retries");
+        assert_eq!(
+            claimed,
+            (0..4u64)
+                .map(|i| (slots.0 + i * 8, (100 + i).to_le_bytes().to_vec()))
+                .collect::<Vec<_>>(),
+            "{indirection:?}: one slot per claim, in order"
+        );
+        assert_eq!(
+            c.read_u64(head).unwrap(),
+            slots.0 + 4 * 8,
+            "{indirection:?}: pointer advanced exactly once per delivered value"
+        );
     }
 }
 

@@ -17,25 +17,56 @@
 //! `farmem-check` applies to the dynamic checkers, pointed at the
 //! analyzer itself. See the `farmem_audit` crate docs for the full pass
 //! catalog.
+//!
+//! `cargo run -p xtask -- lines` prints the non-test lines of each crate
+//! under `crates/` and their total, by one rule: every `.rs` file under
+//! `crates/*/src` counts up to the `#[cfg(test)]` the audit lexer finds
+//! (all of it when there is none); `tests/` and `fixtures/` do not count.
 
 #![forbid(unsafe_code)]
 
 mod results;
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use farmem_audit::{workspace_root, AuditConfig};
+use farmem_audit::{rel, source_files, workspace_root, AuditConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("audit") => audit(),
         Some("results") => results::results(&args[1..], &workspace_root()),
+        Some("lines") => lines(),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <audit | results [--record]>");
+            eprintln!("usage: cargo run -p xtask -- <audit | results [--record] | lines>");
             ExitCode::from(2)
         }
     }
+}
+
+/// Non-test lines per crate under `crates/` and their total (module docs).
+fn lines() -> ExitCode {
+    let root = workspace_root();
+    let mut per_crate: BTreeMap<String, usize> = BTreeMap::new();
+    for path in source_files(&root) {
+        let rel = rel(&root, &path);
+        let Some((krate, _)) = rel.strip_prefix("crates/").and_then(|r| r.split_once("/src/"))
+        else {
+            continue;
+        };
+        let src = std::fs::read_to_string(&path).expect("read workspace sources");
+        let lines = match farmem_audit::lex::lex(&src).test_cutoff_line() {
+            Some(line) => line as usize - 1,
+            None => src.lines().count(),
+        };
+        *per_crate.entry(krate.to_string()).or_default() += lines;
+    }
+    for (krate, lines) in &per_crate {
+        println!("{krate:<10} {lines:>6}");
+    }
+    println!("{:<10} {:>6}", "total", per_crate.values().sum::<usize>());
+    ExitCode::SUCCESS
 }
 
 /// Full analyzer + fixture-corpus gate. Clean tree AND 100% mutant
