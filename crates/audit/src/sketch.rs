@@ -34,6 +34,7 @@ pub const RAW_VERBS: &[&str] = &[
     "post_write_u64",
     "post_faa_u64",
     "load0",
+    "load0_tagged",
     "load2",
     "store2",
     "rgather",
@@ -72,7 +73,7 @@ pub const ADOPTERS: &[&str] = &[
 /// `rt-in-loop` findings.
 pub fn batched_twin(verb: &str) -> &'static str {
     match verb {
-        "read" | "read_into" | "read_u64" | "load0" | "load2" => {
+        "read" | "read_into" | "read_u64" | "load0" | "load0_tagged" | "load2" => {
             "FarVec::read_ranges or pipeline().read"
         }
         "write" | "write_u64" | "post_write_u64" | "store2" => {

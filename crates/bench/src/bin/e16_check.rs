@@ -144,8 +144,9 @@ fn assert_gates(suite: &SuiteResult) {
     }
     // "Every mutant caught" is vacuous for a mutant that was dropped from
     // the suite: the failover, serving-TTL, record-publish, record-hint, take,
-    // split-retire, batched-hint, queue-repair, restructure and table-hint
-    // mutants, and the programs they break, are required by name.
+    // split-retire, batched-hint, queue-repair, restructure, table-hint,
+    // splice and block-version mutants, and the programs they break, are
+    // required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -164,6 +165,7 @@ fn assert_gates(suite: &SuiteResult) {
         "m23_table_hint_trusted_without_compare",
         "m24_trim_without_walk",
         "m25_poison_loss_keeps_stale_harvest",
+        "m26_get_trusts_block_without_version",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),

@@ -12,8 +12,8 @@
 //! * stale caches recover through the per-table versions.
 //!
 //! E4f prices a key in far bytes: what a serve record of each value size
-//! occupies once its size class, its tree item and its share of the
-//! tables and directory are paid.
+//! occupies once its size class, its entry in a bucket block and its
+//! share of the tables and directory are paid.
 //!
 //! Run: `cargo run --release -p farmem-bench --bin e4_httree`
 
@@ -89,11 +89,15 @@ fn main() {
     row("store (update)", stores, probes);
     row("store (amortized load, incl. splits)", load, n);
     report.add(t);
+    let per_op = |d: farmem_fabric::AccessStats| d.round_trips as f64 / probes as f64;
+    assert!(per_op(lookups) <= 1.02, "lookup: {} far accesses/op", per_op(lookups));
+    assert!(per_op(stores) <= 2.02, "store: {} far accesses/op", per_op(stores));
     if args.verbose() {
         println!(
-            "paper: lookups 1 far access; stores 2 plus the hops a lookup of the same key\n\
-             pays, i.e. exactly 2 at the chain head (the version check rides the head read;\n\
-             the item write rides the fenced CAS batch); splits amortize away."
+            "paper: lookups 1 far access; stores 2, at any position in the key's bucket:\n\
+             a bucket is one block, read whole through its tagged word (the version check\n\
+             rides that read; the new block rides the fenced CAS batch); splits amortize\n\
+             away. A block of more than 15 keys pays one more read."
         );
     }
 
@@ -191,11 +195,11 @@ fn main() {
     let (small, large) = (vec![5u8; 64], vec![6u8; 4096]);
     let (_, small_hint) = m.put(&mut c, 1, [], &small).unwrap();
     let (_, large_hint) = m.put(&mut c, 2, [], &large).unwrap();
-    // Key 3's item sits one hop down its chain, under a neighbour's.
+    // Key 3 shares its bucket's block with a neighbour.
     let bucket = |k| farmem_fabric::splitmix64(k) % cfg.initial_buckets;
     let neighbour = (4u64..).find(|&k| bucket(k) == bucket(3)).unwrap();
     assert!(bucket(3) != bucket(1) && bucket(3) != bucket(2));
-    let (_, below_hint) = m.put(&mut c, 3, [], &small).unwrap();
+    let (_, beside_hint) = m.put(&mut c, 3, [], &small).unwrap();
     m.put(&mut c, neighbour, [], b"neighbour").unwrap();
     let mut row = |name: &str, key, hint: Option<RecordHint>, want: &[u8]| {
         let before = c.stats();
@@ -215,7 +219,7 @@ fn main() {
     row("unhinted, 4 KiB", 2, None, &large);
     assert_eq!(row("hinted hit, 64 B", 1, Some(small_hint), &small), 1);
     assert_eq!(row("hinted hit, 4 KiB", 2, Some(large_hint), &large), 1);
-    assert_eq!(row("hinted hit, 64 B, one chain hop down", 3, Some(below_hint), &small), 2);
+    assert_eq!(row("hinted hit, 64 B, beside a neighbour", 3, Some(beside_hint), &small), 1);
     row("stale hint, 64 B", 1, Some(large_hint), &small);
     row("stale hint, 4 KiB", 2, Some(small_hint), &large);
     report.add(t);
@@ -277,7 +281,7 @@ fn main() {
     let last = *keys.last().unwrap();
     let above = (1u64..).find(|&k| bucket(k) == bucket(last) && !keys.contains(&k)).unwrap();
     m.put(&mut c, above, [], b"neighbour").unwrap();
-    assert_eq!(row("all hints fresh, one key one chain hop down", &mut m, &mut c, fresh), (9, 1));
+    assert_eq!(row("all hints fresh, one key beside a neighbour", &mut m, &mut c, fresh), (8, 1));
     report.add(t);
     if args.verbose() {
         println!(
@@ -285,13 +289,13 @@ fn main() {
              and record read ride one fenced descriptor — the blocking batch's price:\n\
              eight fresh hints are eight far accesses in one doorbell. A key unhinted\n\
              or stale adds its record prefetch to a second, shared doorbell; a stale\n\
-             hint's speculated bytes are read and dropped. A chain hop is a read of\n\
-             its own, outside the doorbells."
+             hint's speculated bytes are read and dropped. A neighbour in the key's\n\
+             bucket rides the same block read."
         );
     }
 
     // The mutation price list: the same record layer in reclaim mode (the
-    // mode every deployment runs), one clean chain per measurement.
+    // mode every deployment runs), one clean bucket per measurement.
     let mut t = Table::new(
         "E4e: record mutations (FarBlobMap::put / remove, reclaim mode), per op",
         &[
@@ -300,7 +304,7 @@ fn main() {
             "messages",
             "bytes read",
             "bytes written",
-            "items written",
+            "blocks written",
             "live keys",
         ],
     );
@@ -310,17 +314,15 @@ fn main() {
     let mut probe = m.tree().attach(&mut c, &alloc, cfg).unwrap();
     // Keys by bucket: `nth(b, i)` is the i-th key hashing to bucket `b`.
     let nth = |b: u64, i: usize| (1u64..).filter(|&k| bucket(k) == b).nth(i).unwrap();
-    let (x, x_above) = (nth(0, 0), nth(0, 1));
+    let (x, x_beside) = (nth(0, 0), nth(0, 1));
     let y = nth(1, 0);
-    let [z_below, z, z_above, z_absent] = [0, 1, 2, 3].map(|i| nth(2, i));
+    let [z_front, z, z_back, z_absent] = [0, 1, 2, 3].map(|i| nth(2, i));
     let w = nth(3, 0);
     let record = FarBlobMap::<0>::HEADER + small.len() as u64;
-    // A tree item: key, value, version, next.
-    const ITEM_LEN: u64 = 32;
     // One mutation — a store of `small` under `key`, or its removal —
     // booked as a table row when it has a name (setup stores have none).
-    // Returns its far accesses, the tree items it wrote (the key's new
-    // item and the copies of the items above its old one), and whether
+    // Returns its far accesses, the bucket blocks it wrote (the bucket's
+    // new block, or none when a take empties the bucket), and whether
     // the key held a record before.
     let mut op = |name: Option<&str>, key: u64, store: bool| {
         let keys = probe.len_estimate(&mut c).unwrap();
@@ -331,7 +333,7 @@ fn main() {
             m.remove(&mut c, key).unwrap()
         };
         let d = c.stats().since(&before);
-        let items = (d.bytes_written - if store { record } else { 0 }) / ITEM_LEN;
+        let blocks = u64::from(d.bytes_written > if store { record } else { 0 });
         let keys = probe.len_estimate(&mut c).unwrap() as i64 - keys as i64;
         if let Some(name) = name {
             t.row(vec![
@@ -340,34 +342,34 @@ fn main() {
                 d.messages.to_string(),
                 d.bytes_read.to_string(),
                 d.bytes_written.to_string(),
-                items.to_string(),
+                blocks.to_string(),
                 format!("{keys:+}"),
             ]);
         }
-        (d.round_trips, items, held)
+        (d.round_trips, blocks, held)
     };
     assert_eq!(op(Some("fresh store"), x, true), (2, 1, false));
-    assert_eq!(op(Some("overwrite, old item at the chain head"), x, true), (2, 1, true));
-    op(None, x_above, true);
-    assert_eq!(op(Some("overwrite, old item one hop down"), x, true), (3, 2, true));
-    for key in [y, z_below, z, z_above] {
+    assert_eq!(op(Some("overwrite, alone in its block"), x, true), (2, 1, true));
+    op(None, x_beside, true);
+    assert_eq!(op(Some("overwrite, beside a neighbour"), x, true), (2, 1, true));
+    for key in [y, z_front, z, z_back] {
         op(None, key, true);
     }
-    assert_eq!(op(Some("take, item at the chain head"), y, false), (2, 0, true));
-    assert_eq!(op(Some("take, item one hop down"), z, false), (3, 1, true));
+    assert_eq!(op(Some("take, a bucket's last key"), y, false), (2, 0, true));
+    assert_eq!(op(Some("take, mid-block of three"), z, false), (2, 1, true));
     assert_eq!(op(Some("take, absent: empty bucket"), w, false), (1, 0, false));
-    assert_eq!(op(Some("take, absent: under a chain of two"), z_absent, false), (2, 0, false));
+    assert_eq!(op(Some("take, absent: from a block of two"), z_absent, false), (1, 0, false));
     assert_eq!(op(Some("take, of a removed key"), y, false), (1, 0, false));
     report.add(t);
     if args.verbose() {
         println!(
-            "A mutation is a splice of its key's chain and costs what a store costs: its\n\
-             first access reads the chain head through the bucket word, with the table\n\
-             header; the walk from it finds the key's item; the second access replaces\n\
-             or unlinks that item in the bucket CAS, writing a copy of each item above\n\
-             it. A take at the head is the CAS alone, and no mutation links a\n\
-             tombstone, so the header counts live keys. A key that is not there is\n\
-             found out in the first access (plus hops) and links nothing."
+            "A mutation is a splice of its key's bucket and costs what a store costs:\n\
+             its first access reads the bucket's whole block through the tagged bucket\n\
+             word, with the table header; the second writes one new block, the old one\n\
+             with the key's entry replaced, added or dropped, and CASes the bucket to\n\
+             it. A take of a bucket's last key is the CAS alone, and no mutation links\n\
+             a tombstone, so the header counts live keys. A key that is not there is\n\
+             found out in the first access and links nothing."
         );
     }
 
@@ -375,10 +377,11 @@ fn main() {
     if args.verbose() {
         println!(
             "Far B/key is everything the allocator holds for the loaded keys: the\n\
-             record's size class, its 32-B tree item and the key's share of the\n\
+             record's size class, its 16-B entry in a bucket block (whose 16-B\n\
+             header the bucket's keys share) and the key's share of the\n\
              tables and directory. Not built: moving the 16-B header out of a\n\
              page-sized value's way (the length from the allocator's booked size\n\
-             and the hint, the expiry beside the tree item), which would put a\n\
+             and the hint, the expiry beside the key's entry), which would put a\n\
              4,096-B value in a 4,096-B class."
         );
     }

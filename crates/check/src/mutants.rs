@@ -1932,6 +1932,105 @@ fn poison_loss_keeps_stale_harvest() -> Mutant {
     Mutant { program, expect: &[Expect::Lin, Expect::Invariant] }
 }
 
+/// Writes a miniature bucket block `[version | n | n × {key, value}]`
+/// and returns the bucket word naming it: its address with `n` in the
+/// four low bits, as `load0_tagged` reads it (M26).
+fn mini_block(c: &mut FabricClient, alloc: &FarAlloc, version: u64, entries: &[(u64, u64)]) -> u64 {
+    let words = [version, entries.len() as u64].into_iter();
+    let words: Vec<u64> = words.chain(entries.iter().flat_map(|&(k, v)| [k, v])).collect();
+    let at = alloc.alloc(8 * words.len() as u64, AllocHint::Spread).unwrap();
+    c.write(at, &words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>()).unwrap();
+    at.0 | entries.len() as u64
+}
+
+/// A miniature table descriptor `{version, bucket}`, as a directory names
+/// it (M26).
+fn mini_table(c: &mut FabricClient, alloc: &FarAlloc, version: u64, bucket: FarAddr) -> FarAddr {
+    let at = alloc.alloc(16, AllocHint::Spread).unwrap();
+    c.write(at, &[version, bucket.0].map(u64::to_le_bytes).concat()).unwrap();
+    at
+}
+
+/// M26 — a get that trusts a bucket block without its version check
+/// while a split races it: the lookup of `programs::httree_split` in
+/// miniature — a bucket word naming an immutable block `[version | n |
+/// n × {key, value}]`, read whole by one `load0_tagged`, and a `dir`
+/// word naming the live table's `{version, bucket}`. Setup stores key 1
+/// in table 1, whose descriptor the reader caches. The splitter drains
+/// table 1's bucket, points it at the poison block (version `u64::MAX`,
+/// empty, tag 0), builds table 2 with key 1 in it and publishes it.
+/// MUTANT: the reader looks key 1 up in whatever block its cached
+/// bucket names, so a get that reads the poison block answers "absent"
+/// for a key nobody removed. Correct code compares the block's version
+/// with the cached table's and, on a mismatch, re-reads `dir` and looks
+/// again (here: gives up, with no answer, while the split is unpublished).
+fn get_trusts_block_without_version() -> Mutant {
+    let program = Program {
+        name: "m26_get_trusts_block_without_version",
+        model: Some(Model::Kv),
+        check_races: false,
+        max_steps: 250,
+        build: Box::new(|| {
+            let f = plain_fabric();
+            let alloc = FarAlloc::new(f.clone());
+            let mut c0 = f.client();
+            let bucket = word(&mut c0, &alloc);
+            let word1 = mini_block(&mut c0, &alloc, 1, &[(1, 10)]);
+            c0.write_u64(bucket, word1).unwrap();
+            let table1 = mini_table(&mut c0, &alloc, 1, bucket);
+            let dir = word(&mut c0, &alloc);
+            c0.write_u64(dir, table1.0).unwrap();
+            let poison = mini_block(&mut c0, &alloc, u64::MAX, &[]);
+            let h = Arc::new(History::new());
+            h.seed(c0.id(), Op::Put { k: 1, v: 10 }, Ret::Unit);
+            let mut cs = f.client();
+            let sid = cs.id();
+            let alloc_s = alloc.clone();
+            let splitter: Box<dyn FnOnce() + Send> = Box::new(move || {
+                // Drain, poison, build, publish.
+                let (head, drained) = cs.load0_tagged(bucket).unwrap();
+                let entries = read_mini_block(&drained);
+                if cs.cas(bucket, head, poison).unwrap() != head {
+                    return;
+                }
+                let bucket2 = alloc_s.alloc(8, AllocHint::Spread).unwrap();
+                let word2 = mini_block(&mut cs, &alloc_s, 2, &entries);
+                cs.write_u64(bucket2, word2).unwrap();
+                let table2 = mini_table(&mut cs, &alloc_s, 2, bucket2);
+                cs.cas(dir, table1.0, table2.0).unwrap();
+            });
+            let mut cr = f.client();
+            let rid = cr.id();
+            let hr = h.clone();
+            let reader: Box<dyn FnOnce() + Send> = Box::new(move || {
+                // The cached table: version 1, `bucket`.
+                for _ in 0..2 {
+                    let t = hr.invoke(rid, Op::Get { k: 1 });
+                    let (_, bytes) = cr.load0_tagged(bucket).unwrap();
+                    // MUTANT: no version check. Correct code compares
+                    // `u64::from_le_bytes(bytes[..8])` with version 1 first.
+                    let found = read_mini_block(&bytes).iter().find(|e| e.0 == 1).map(|e| e.1);
+                    hr.complete(t, Ret::OptVal(found));
+                }
+            });
+            PreparedRun {
+                fabric: f,
+                participants: vec![sid, rid],
+                bodies: vec![splitter, reader],
+                history: h,
+                finale: None,
+            }
+        }),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
+/// The entries of a miniature block's bytes (M26).
+fn read_mini_block(bytes: &[u8]) -> Vec<(u64, u64)> {
+    let w = |i: usize| u64::from_le_bytes(bytes[i * 8..][..8].try_into().unwrap());
+    (0..w(1) as usize).map(|i| (w(2 + 2 * i), w(3 + 2 * i))).collect()
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -1960,5 +2059,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         table_hint_trusted_without_compare(),
         trim_without_walk(),
         poison_loss_keeps_stale_harvest(),
+        get_trusts_block_without_version(),
     ]
 }

@@ -814,23 +814,23 @@ fn hinted_batch(
 
 /// The record layer's remove — [`HtTreeHandle::take`], then the retire —
 /// on a reclaim-mode [`FarBlobMap`] whose three keys share one bucket.
-/// Setup stores `k` and then `above`, so `k`'s item sits one hop below
-/// the chain head. Client A removes `k` and runs grace rounds; client B
-/// stores `neighbour` into the same bucket, so in some schedules its CAS
-/// lands between the take's two accesses and the take must start over;
-/// client C serves `k` through the hint of the record being unlinked,
-/// then looks `neighbour` up. Checked: race-freedom (the record A
-/// retires is freed, and its block reused by B's store, only after C's
-/// guard lets go of it), per-key map linearizability over record
-/// contents with the remove reporting whether the key was there, and
-/// two invariants over the final state: the take and the put both stand
-/// (a take that relinked a stale head would drop the neighbour after any
-/// get the reader made), and the remover retired `k`'s record, its item
-/// and the originals of the items above it that the landed splice copied
-/// — `above`, and `neighbour` too exactly when B's put landed first, as
-/// B's own walk shows — however often the take retried. Once every client
-/// has sealed and pinned past the seals, a reclaim round per client frees
-/// every retired block without a `BadFree`.
+/// Setup stores `k` and then `above`, so the bucket's block holds both.
+/// Client A removes `k` and runs grace rounds; client B stores
+/// `neighbour` into the same bucket, so in some schedules its CAS lands
+/// between the take's two accesses and the take must start over; client
+/// C serves `k` through the hint of the record being unlinked, then looks
+/// `neighbour` up. Checked: race-freedom (the record A retires is freed,
+/// and its bytes reused by B's store, only after C's guard lets go of
+/// it), per-key map linearizability over record contents with the remove
+/// reporting whether the key was there, and two invariants over the
+/// final state: the take and the put both stand (a take that relinked a
+/// stale block would drop the neighbour after any get the reader made),
+/// and the remover retired `k`'s record, the one block its landed
+/// splice replaced — two keys, or three exactly when B's put landed
+/// first, as the block B wrote shows — and the block of each attempt
+/// whose CAS lost.
+/// Once every client has sealed and pinned past the seals, a reclaim
+/// round per client frees every retired block without a `BadFree`.
 ///
 /// Values are padded to the record prefetch, as in
 /// [`reclaim_hinted_get`].
@@ -880,12 +880,15 @@ pub fn reclaim_take() -> Program {
             ma.put(&mut ca, above, [], &padded(2)).unwrap();
             h.seed(aid, Op::Put { k, v: 1 }, Ret::Unit);
             h.seed(aid, Op::Put { k: above, v: 2 }, Ret::Unit);
-            // Bytes the remover retired.
-            let retired = Arc::new(AtomicU64::new(0));
-            let (ha, ra) = (h.clone(), retired.clone());
+            // Bytes the remover retired in the run (setup's store of
+            // `above` retired the block of `k` alone), and its lost CASes.
+            let (retired, lost) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+            let setup_retired = sa.lock().unwrap().stats().retired_bytes;
+            let (ha, ra, la) = (h.clone(), retired.clone(), lost.clone());
             let abody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let t = ha.invoke(aid, Op::Remove { k });
                 let held = ma.remove(&mut ca, k).unwrap();
+                la.store(ma.stats().cas_retries, Ordering::SeqCst);
                 ha.complete(t, Ret::Val(u64::from(held)));
                 // Few rounds only (no lease eviction): the record is freed
                 // exactly when the other slots really advanced.
@@ -896,21 +899,21 @@ pub fn reclaim_take() -> Program {
                         break;
                     }
                 }
-                ra.store(r.stats().retired_bytes, Ordering::SeqCst);
+                ra.store(r.stats().retired_bytes - setup_retired, Ordering::SeqCst);
             });
-            // Whether B's put landed while `k` was still linked: its walk
-            // then passed `k`'s item (one hop), and a put that lost the
-            // bucket to the take walks again over the take's chain.
+            // Whether B's put landed while `k` was still linked: its one
+            // attempt then wrote its record and a block of three keys. A
+            // put that lost the bucket to the take reads it again.
             let landed_first = Arc::new(AtomicBool::new(false));
             let (hb, lb) = (h.clone(), landed_first.clone());
             let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let t = hb.invoke(bid, Op::Put { k: neighbour, v: 3 });
-                let before = mb.stats();
+                let (before, written) = (mb.stats(), cb.stats().bytes_written);
                 mb.put(&mut cb, neighbour, [], &padded(3)).unwrap();
-                let after = mb.stats();
+                let written = cb.stats().bytes_written - written;
                 lb.store(
-                    after.cas_retries == before.cas_retries
-                        && after.chain_hops - before.chain_hops == 1,
+                    mb.stats().cas_retries == before.cas_retries
+                        && written == FarBlobMap::<0>::PREFETCH + BLOCK_OF_THREE,
                     Ordering::SeqCst,
                 );
                 hb.complete(t, Ret::Unit);
@@ -925,7 +928,7 @@ pub fn reclaim_take() -> Program {
             });
             // After the run: the take and the put it raced both stand —
             // whenever the reader happened to look — and the record was
-            // retired once, with exactly the items the landed splice
+            // retired once, with exactly the block the landed splice
             // unlinked.
             let (mut cz, sz, mut mz) = attach();
             let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
@@ -933,16 +936,20 @@ pub fn reclaim_take() -> Program {
                     .iter()
                     .map(|&key| mz.get_bytes(&mut cz, key).unwrap().map(unpad))
                     .collect();
-                // The key's one record, its item and the originals of the
-                // items above it the take copied: `above`, and `neighbour`
-                // too when its put landed first.
+                // The key's one record and the block the take replaced:
+                // `k` and `above`, and `neighbour` too when its put landed
+                // first. A take whose CAS lost to that put retired the
+                // block it had written, `above` alone, too.
                 let retired = retired.load(Ordering::SeqCst);
-                let items = 2 + u64::from(landed_first.load(Ordering::SeqCst));
+                let keys = 2 + u64::from(landed_first.load(Ordering::SeqCst));
+                let lost = lost.load(Ordering::SeqCst);
+                let want = FarBlobMap::<0>::PREFETCH + 16 + keys * 16 + lost * (16 + 16);
                 if left != [None, Some(2), Some(3)] {
                     Some(format!("keys [k, above, neighbour] ended as {left:?}"))
-                } else if retired != FarBlobMap::<0>::PREFETCH + items * 32 {
+                } else if retired != want {
                     Some(format!(
-                        "the key's one record and {items} items: {retired} bytes retired"
+                        "the key's one record, a block of {keys} keys and {lost} lost: \
+                         {retired} bytes retired"
                     ))
                 } else {
                     let [sa, sb, sc] = &slots;
@@ -1196,6 +1203,10 @@ fn free_every_retired(slots: &[&SharedReclaim], client: &mut FabricClient) -> Op
     let left: u64 = slots.iter().map(|s| s.lock().unwrap().stats().limbo_entries()).sum();
     (left != 0).then(|| format!("{left} blocks still in limbo"))
 }
+
+/// Bytes of a bucket block of three keys: a `{version, n}` header and
+/// three `{key, value}` entries.
+const BLOCK_OF_THREE: u64 = 16 + 3 * 16;
 
 /// Poison value a reclaimer writes into memory it has freed, standing in
 /// for reuse by an unrelated allocation.

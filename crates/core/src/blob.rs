@@ -624,12 +624,14 @@ mod tests {
     }
 
     /// The hinted lookup's price list, both lifetimes: what one `get_if` books
-    /// with the key's own hint, with a stale one, and one chain hop down —
-    /// whole `AccessStats` deltas, so the speculative message and its
-    /// bytes are on the books beside the round trips.
+    /// with the key's own hint, with a stale one, and with a neighbour in
+    /// the key's bucket — whole `AccessStats` deltas, so the speculative
+    /// message and its bytes are on the books beside the round trips.
     fn hinted_costs(reclaimed: bool) {
         use farmem_fabric::AccessStats;
+        // A bucket's block of one key, and of two.
         const ITEM: u64 = 32;
+        const PAIR: u64 = 48;
         let (f, a) = setup();
         let mut c = f.client();
         let cfg = HtTreeConfig {
@@ -659,6 +661,8 @@ mod tests {
             ..AccessStats::default()
         };
         let (small, large) = (vec![3u8; 64], vec![4u8; 4096]);
+        let bucket = |k: u64| farmem_fabric::splitmix64(k) % cfg.initial_buckets;
+        assert_ne!(bucket(1), bucket(2), "one key a block");
         let (_, small_hint) = m.put(&mut c, 1, [], &small).unwrap();
         let (_, large_hint) = m.put(&mut c, 2, [], &large).unwrap();
 
@@ -690,24 +694,23 @@ mod tests {
         );
         // An absent key's empty bucket answers in the same one access.
         assert_eq!(get(&mut c, &mut m, 1 << 40, Some(small_hint)), (None, books(1, 2, 8 + 64)));
-        // One chain hop down: the hop is the only extra access.
-        (3u64..).find(|&k| {
-            m.put(&mut c, k, [], b"probe").unwrap();
-            get(&mut c, &mut m, 1, None).1.round_trips == 3
-        });
+        // A neighbour in the key's bucket: the block reads one entry
+        // more, in the same one access.
+        let neighbour = (3u64..).find(|&k| bucket(k) == bucket(1)).unwrap();
+        m.put(&mut c, neighbour, [], b"probe").unwrap();
         assert_eq!(
             get(&mut c, &mut m, 1, Some(small_hint)),
-            (Some(small.clone()), books(2, 3, 2 * ITEM + 8 + 64))
+            (Some(small.clone()), books(1, 2, PAIR + 8 + 64))
         );
         // An overwrite makes the old hint stale; a remove makes every hint
         // of the key a miss found in the lookup's own access (the key's
-        // item left the chain).
+        // entry left the block).
         let (_, newer) = m.put(&mut c, 1, [], &large).unwrap();
         assert_eq!(
             get(&mut c, &mut m, 1, Some(small_hint)),
-            (Some(large.clone()), books(3, 4, ITEM + (8 + 64) + 8 + 4096))
+            (Some(large.clone()), books(3, 4, PAIR + (8 + 64) + 8 + 4096))
         );
-        assert_eq!(get(&mut c, &mut m, 1, Some(newer)).1, books(1, 2, ITEM + 8 + 4096));
+        assert_eq!(get(&mut c, &mut m, 1, Some(newer)).1, books(1, 2, PAIR + 8 + 4096));
         assert!(m.remove(&mut c, 1).unwrap());
         assert_eq!(get(&mut c, &mut m, 1, Some(newer)), (None, books(1, 2, ITEM + 8 + 4096)));
     }
@@ -782,15 +785,15 @@ mod tests {
         m.put_bytes(&mut c, 1, &[7u8; 500]).unwrap();
         let retired_before = shared.lock().unwrap().stats().retired_bytes;
         // Overwrite: the 500-byte record is superseded and retired, with
-        // the tree item that named it (32 bytes).
+        // the bucket block that named it (32 bytes).
         m.put_bytes(&mut c, 1, b"short").unwrap();
         let retired_mid = shared.lock().unwrap().stats().retired_bytes;
         // The limbo list counts allocator bytes — the block's size class
         // (`FarAlloc::size_of`), which is what freeing it returns — not
         // the 8 + 500 the record's own length word would say.
-        assert_eq!(retired_mid - retired_before, 512 + 32, "old record and item retired");
+        assert_eq!(retired_mid - retired_before, 512 + 32, "old record and block retired");
         assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"short");
-        // Remove: the replacement record and its item are retired too.
+        // Remove: the replacement record and its block are retired too.
         m.remove(&mut c, 1).unwrap();
         let retired_after = shared.lock().unwrap().stats().retired_bytes;
         assert_eq!(retired_after - retired_mid, 16 + 32, "8 + 5 bytes live in the 16-byte class");
@@ -828,22 +831,20 @@ mod tests {
         assert_eq!(
             rt(&mut c, &mut |c| m.put_bytes(c, 1, b"over the head").unwrap()),
             2,
-            "overwrite, old item at the chain head"
+            "overwrite, key 1 alone in its block"
         );
-        // Chain another key on top of key 1: its lookup grows by one hop.
-        let above = (2u64..)
-            .find(|&k| {
-                m.put_bytes(&mut c, k, b"probe").unwrap();
-                rt(&mut c, &mut |c| drop(m.get_bytes(c, 1).unwrap())) == 3
-            })
-            .unwrap();
-        // Every store walks down to the old item it replaces.
+        // Another key in key 1's bucket: the block grows, and its lookup
+        // and stores stay at their price.
+        let bucket = |k: u64| farmem_fabric::splitmix64(k) % cfg.initial_buckets;
+        let beside = (2u64..).find(|&k| bucket(k) == bucket(1)).unwrap();
+        m.put_bytes(&mut c, beside, b"probe").unwrap();
+        assert_eq!(rt(&mut c, &mut |c| drop(m.get_bytes(c, 1).unwrap())), 2, "lookup + record");
         assert_eq!(
-            rt(&mut c, &mut |c| m.put_bytes(c, 1, b"under a neighbour").unwrap()),
-            3,
-            "overwrite, old item one hop below key {above}"
+            rt(&mut c, &mut |c| m.put_bytes(c, 1, b"beside a neighbour").unwrap()),
+            2,
+            "overwrite, key 1 beside key {beside}"
         );
-        assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"under a neighbour");
+        assert_eq!(m.get_bytes(&mut c, 1).unwrap().unwrap(), b"beside a neighbour");
         assert_eq!(rt(&mut c, &mut |c| assert!(m.remove(c, 1).unwrap())), 2, "remove: the tree's take");
         // A miss stops after one access and links nothing.
         let mut probe = m.tree().attach(&mut c, &a, cfg).unwrap();

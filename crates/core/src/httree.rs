@@ -10,35 +10,42 @@
 //!   it (10M nodes suffice for a trillion items);
 //! * one **hash table per leaf**, *not* cached at clients.
 //!
-//! A lookup traverses the cached tree locally, hashes into the leaf's
-//! table, and follows the bucket pointer with indirect addressing —
-//! **one far access**. A store is **two far accesses** plus the hops a
-//! lookup of the same key pays. The first is one fenced batch: a `load0`
-//! through the bucket word to the chain's head item, and a read of the
-//! table header (version and item count). The walk from that head finds
-//! the key's item. The second is a fenced batch that *splices* the chain:
-//! it writes the new item and fresh copies of the items above the key's
-//! old one (usually none), and CASes the bucket. A remove
-//! ([`HtTreeHandle::take`]) is the same splice without a new item; a key
-//! that is not there costs it the first access (plus hops) and links
-//! nothing. A chain therefore holds at most one item per key, and the
-//! header's item count is the table's live keys: the put that carries a
-//! table over `max_load_percent` *splits* (or grows) it, without touching
-//! the other tables and without a far access of its own to find out.
+//! A bucket is one immutable *block* `[version | n | n × {key, value}]`,
+//! every key of the bucket in one allocation, named by the bucket word.
+//! The word carries `min(n, 15)` in its four low bits (blocks are 16-B
+//! aligned), so a tagged `load0` through it reads the whole block: the
+//! memory node holds the word when it dereferences, and learns the length
+//! for free. A lookup traverses the cached tree locally, hashes into the
+//! leaf's table, and reads the bucket's block with that `load0` — **one
+//! far access**, wherever the key sits in the block. A store is **two far
+//! accesses**. The first is one fenced batch: the tagged `load0` of the
+//! block and a read of the table header (version and key count). The
+//! second is a fenced batch that *splices* the bucket: it writes a new
+//! block — the old one with the key's entry replaced or added — and
+//! CASes the bucket word from the one the first access read. A remove
+//! ([`HtTreeHandle::take`]) is the same splice with the entry dropped (an
+//! emptied bucket's word is null); a key that is not there costs it the
+//! first access and links nothing. A block of more than 15 keys pays one
+//! more read for the entries past its tag. A bucket therefore holds one
+//! entry per key, and the header's key count is the table's live keys:
+//! the put that carries a table over `max_load_percent` *splits* (or
+//! grows) it, without touching the other tables and without a far access
+//! of its own to find out.
 //!
 //! A value that is itself a far record (a blob, a cache entry) is stored
 //! at the same price by [`HtTreeHandle::publish`]: the fenced batch leads
 //! with the record's bytes, so the CAS orders them before any reader can
-//! find the item, and the value the store superseded comes back for the
+//! find the block, and the value the store superseded comes back for the
 //! caller to retire.
 //!
 //! ## Staleness and versioning
 //!
 //! Client caches may go stale. Every hash table has a version, kept in the
-//! client's cached tree *and stamped into every item in far memory*; a
+//! client's cached tree *and stamped into every block in far memory*; a
 //! client checks the stamp on each access. Retired tables are *poisoned*
-//! (every bucket is pointed at a version-`u64::MAX` poison record), so
-//! a stale client's very first far access tells it to refresh its tree.
+//! (every bucket is pointed at the version-`u64::MAX` poison block, empty
+//! and tagged 0), so a stale client's very first far access tells it to
+//! refresh its tree.
 //!
 //! ## Restructures
 //!
@@ -55,43 +62,44 @@
 //!
 //! ## Two lifetimes, one protocol
 //!
-//! A handle's memory lifetime decides only where an item comes from and
+//! A handle's memory lifetime decides only where a block comes from and
 //! where an unlinked one goes. A plain [`HtTree::attach`] handle
-//! *quarantines*: items come from a bump arena, and nothing it unlinks —
-//! an item a splice replaced, a fresh item whose CAS lost, a replaced
+//! *quarantines*: blocks come from a bump arena, and nothing it unlinks —
+//! a block a splice replaced, a fresh block whose CAS lost, a replaced
 //! table — is ever freed (safe, but unbounded under churn). A handle
 //! attached with [`HtTree::attach_reclaimed`] participates in epoch-based
 //! grace-period reclamation (`farmem-reclaim`, DESIGN.md §8). Every
 //! operation pins an epoch guard, refreshing the cached tree whenever the
 //! pin reports a new restructure
-//! [`generation`](farmem_reclaim::Guard::generation). Items come from the
-//! shared slab allocator, and a fresh item whose CAS lost is freed at
-//! once. The items a splice unlinks are plain retires, sealed as records:
-//! no client caches a pointer to a chain item. Items of a table's bulk
-//! block are skipped and go with the block at the table's next
-//! restructure. A split *retires* the replaced table — header, bucket
-//! array, bulk items block, every drained chain record, and the
-//! superseded directory blob — as a restructure, sealing an epoch *and* a
-//! generation so a grace period can return the bytes to
-//! [`FarAlloc::free`]. Epochs that other clients seal over retired records
-//! alone cost a handle no refresh: the cached tree points into no record,
-//! and a record hint is validated against the tree before its bytes are
-//! served.
+//! [`generation`](farmem_reclaim::Guard::generation). Blocks come from the
+//! shared slab allocator — a block of `n` keys is `16 + 16n` B, an exact
+//! size class — and a fresh block whose CAS lost is freed at once. The
+//! block a splice replaces is a plain retire, sealed as a record: no
+//! client caches a pointer to a block. The blocks of a table's bulk block
+//! are skipped and go with it at the table's next restructure. A split
+//! *retires* the replaced table — header, bucket array, bulk block, every
+//! drained block, and the superseded directory blob — as a restructure,
+//! sealing an epoch *and* a generation so a grace period can return the
+//! bytes to [`FarAlloc::free`]. Epochs that other clients seal over
+//! retired records alone cost a handle no refresh: the cached tree points
+//! into no record, and a record hint is validated against the tree before
+//! its bytes are served.
 //!
 //! The splice is sound under both lifetimes for one reason. A bucket word
-//! names an immutable chain whose items cannot be freed and reused while
-//! the operation runs: under the guard in reclaim mode, and because
-//! nothing is ever freed in quarantine mode. So a CAS that lands on the
-//! word the walk started from proves the bucket held exactly the chain
-//! walked, even if the word left it and came back. **Do not mix** the two
-//! lifetimes on one tree: quarantine-mode handles link arena-carved items
-//! whose addresses a reclaim-mode splice or splitter would retire
-//! individually, which the allocator's membership check rejects as
+//! names an immutable block that cannot be freed and reused while the
+//! operation runs: under the guard in reclaim mode, and because nothing
+//! is ever freed in quarantine mode. So a CAS that lands on the word the
+//! first access read proves the bucket held exactly the block read, even
+//! if the word left it and came back. **Do not mix** the two lifetimes on
+//! one tree: quarantine-mode handles link arena-carved blocks whose
+//! addresses a reclaim-mode splice or splitter would retire individually,
+//! which the allocator's membership check rejects as
 //! [`AllocError`](farmem_alloc::AllocError)`::BadFree`.
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_fabric::{
-    splitmix64, BatchOp, BatchOut, DescList, FabricClient, FarAddr, FarIov, PipeOp, PipeOut, WORD,
+    splitmix64, tagged_len, BatchOp, BatchOut, DescList, FabricClient, FarAddr, FarIov, PipeOp,
+    PipeOut, PAGE, TAG_MASK, WORD,
 };
 use farmem_reclaim::SharedReclaim;
 use farmem_runtime::{Doorbell, Inline};
@@ -102,16 +110,16 @@ use crate::records::{Pinned, Records};
 use crate::word_at;
 
 /// Anchor layout (the only fixed far location of an HT-tree): the
-/// directory pointer, two reserved words, the poison record.
+/// directory pointer, two reserved words, the poison block.
 const A_DIR_PTR: u64 = 0;
 const A_POISON: u64 = 24;
 const ANCHOR_LEN: u64 = 32;
 
 /// Table header layout: version, buckets base, bucket count, item count,
-/// collision count, bulk-items base, bulk-items length — each one word.
-/// The last two record the contiguous record block a split laid the
-/// table's items out in, so a *later* splitter (any client) can retire
-/// that block; zero for tables whose items were published individually.
+/// collision count, bulk block base, bulk block length — each one word.
+/// The last two record the contiguous bulk block a split laid the
+/// table's blocks out in, so a *later* splitter (any client) can retire
+/// it; zero for tables whose blocks were published individually.
 const H_VERSION: u64 = 0;
 const H_ITEMS: u64 = 24;
 const H_COLLISIONS: u64 = 32;
@@ -119,16 +127,17 @@ const H_ITEMS_BASE: u64 = 40;
 const H_ITEMS_LEN: u64 = 48;
 const HDR_LEN: u64 = 56;
 
-/// Item record layout: `{key, value, version, next}`.
-const ITEM_LEN: u64 = 32;
+/// Block layout: a `{version, n}` header, then `n` entries `{key, value}`.
+const BLOCK_HDR: u64 = 16;
+const ENTRY_LEN: u64 = 16;
 
-/// Version stamp of the poison record; never matches a cached version.
+/// Version stamp of the poison block; never matches a cached version.
 const POISON_VERSION: u64 = u64::MAX;
 /// Header version value while a split is in progress.
 const SPLITTING: u64 = 0;
 
 /// Directory entry encoding on the wire: 5 words.
-const ENTRY_LEN: u64 = 40;
+const DIR_ENTRY_LEN: u64 = 40;
 
 /// Host-side backoff for retry loops that wait on a concurrent
 /// restructure: yields first, then sleeps with linear growth. Virtual-time
@@ -148,36 +157,80 @@ fn words(bytes: &[u8]) -> Vec<u64> {
         .collect()
 }
 
-/// A decoded item record.
-#[derive(Clone, Copy, Debug)]
-struct Item {
-    key: u64,
-    value: u64,
+/// Appends `words` to `bytes`, little-endian.
+fn push_words(bytes: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+    for w in words {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Bytes of a block of `n` entries (saturating: `n` may come from
+/// memory that is no block).
+fn block_len(n: u64) -> u64 {
+    n.saturating_mul(ENTRY_LEN).saturating_add(BLOCK_HDR)
+}
+
+/// The bucket word naming a block of `n` entries at `addr`.
+fn bucket_word(addr: FarAddr, n: u64) -> u64 {
+    debug_assert!(addr.is_aligned(TAG_MASK + 1), "blocks are 16-B aligned");
+    addr.0 | n.min(TAG_MASK)
+}
+
+/// The entries past the tag's of the block a tagged read through `word`
+/// returned as `bytes`: one more read when the block is longer than its
+/// tag covers, `None` when it is not.
+fn read_rest(client: &mut FabricClient, word: u64, bytes: &[u8]) -> Result<Option<Vec<u8>>> {
+    let (have, len) = (bytes.len() as u64, block_len(word_at(bytes, 8)));
+    if word & TAG_MASK < TAG_MASK || len <= have {
+        return Ok(None);
+    }
+    Ok(Some(client.read(FarAddr(word & !TAG_MASK).offset(have), len - have)?))
+}
+
+/// A decoded bucket block.
+struct Block {
     version: u64,
-    next: u64,
+    entries: Vec<(u64, u64)>,
 }
 
-impl Item {
-    fn decode(bytes: &[u8]) -> Item {
-        Item {
-            key: word_at(bytes, 0),
-            value: word_at(bytes, 8),
-            version: word_at(bytes, 16),
-            next: word_at(bytes, 24),
-        }
-    }
-
-    fn encode(&self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        out[0..8].copy_from_slice(&self.key.to_le_bytes());
-        out[8..16].copy_from_slice(&self.value.to_le_bytes());
-        out[16..24].copy_from_slice(&self.version.to_le_bytes());
-        out[24..32].copy_from_slice(&self.next.to_le_bytes());
-        out
-    }
+/// The version and entries of the whole block read through `word`. A
+/// block whose length disagrees with the word's tag is not the block the
+/// word names — memory reused under a client its reclaim registry evicted
+/// — and reads as the poison block does.
+fn entries(word: u64, bytes: &[u8]) -> (u64, impl Iterator<Item = (u64, u64)> + '_) {
+    let n = word_at(bytes, 8);
+    let named = n.min(TAG_MASK) == word & TAG_MASK;
+    let version = if named { word_at(bytes, 0) } else { POISON_VERSION };
+    let all = bytes[BLOCK_HDR as usize..].chunks_exact(ENTRY_LEN as usize);
+    let n = if named { n as usize } else { 0 };
+    (version, all.take(n).map(|e| (word_at(e, 0), word_at(e, 8))))
 }
 
-/// Outcome of walking one bucket chain.
+/// Reads the blocks the bucket `words` name, in order, `None` for an
+/// empty bucket: one gather of what each word's tag covers, and one read
+/// more for each block longer than its tag.
+fn read_blocks(client: &mut FabricClient, words: &[u64]) -> Result<Vec<Option<Block>>> {
+    let named = words.iter().filter(|&&w| w != 0);
+    let iov: Vec<FarIov> =
+        named.map(|&w| FarIov::new(FarAddr(w & !TAG_MASK), tagged_len(w))).collect();
+    let gathered = if iov.is_empty() { Vec::new() } else { client.rgather(&iov)? };
+    let mut at = 0;
+    let decode = |w, bytes: &[u8]| {
+        let (version, entries) = entries(w, bytes);
+        Block { version, entries: entries.collect() }
+    };
+    let mut block = |w: u64| -> Result<Block> {
+        let bytes = &gathered[at..at + tagged_len(w) as usize];
+        at += bytes.len();
+        Ok(match read_rest(client, w, bytes)? {
+            Some(rest) => decode(w, &[bytes, &rest].concat()),
+            None => decode(w, bytes),
+        })
+    };
+    words.iter().map(|&w| (w != 0).then(|| block(w)).transpose()).collect()
+}
+
+/// Outcome of a lookup in one block.
 enum Walk {
     /// The lookup completed (`Some(value)` or absent).
     Done(Option<u64>),
@@ -242,24 +295,29 @@ fn item_count(word: u64) -> u64 {
     }
 }
 
-/// A put's or take's view of one bucket: its first far access and the
-/// walk from the head item down to the key.
-struct Chain {
+/// A put's or take's view of one bucket: its first far access.
+struct Bucket {
     /// The bucket's address.
-    bucket: FarAddr,
-    /// The bucket word the head item was read through: what the splice
-    /// CASes from.
-    head: u64,
-    /// `(address, item)` of every item above the key's, head first: what
-    /// a splice copies.
-    above: Vec<(u64, Item)>,
-    /// The key's item and its address; `None` when the chain lacks the key.
-    found: Option<(u64, Item)>,
+    addr: FarAddr,
+    /// The bucket word the block was read through, tag included (0: an
+    /// empty bucket): what the splice CASes from.
+    word: u64,
+    /// The whole block (empty for an empty bucket).
+    block: Vec<u8>,
+    /// The index of the key's entry; `None` when the block lacks the key.
+    found: Option<usize>,
     /// The table's live keys, from the header ([`item_count`]).
     keys: u64,
-    /// The table's bulk items block, `[base, base + len)`: its items are
+    /// The table's bulk block, `[base, base + len)`: its blocks are
     /// retired with the table, never one by one.
     bulk: (u64, u64),
+}
+
+impl Bucket {
+    /// The value the key held.
+    fn old(&self) -> Option<u64> {
+        self.found.map(|i| word_at(&self.block, block_len(i as u64) + WORD))
+    }
 }
 
 /// Construction parameters.
@@ -298,7 +356,8 @@ pub struct HtTreeStats {
     pub puts: u64,
     /// Remove operations.
     pub removes: u64,
-    /// Extra chain hops beyond the first item (collision cost).
+    /// Extra reads of a block longer than its tag: the entries past the
+    /// fifteenth of a bucket.
     pub chain_hops: u64,
     /// Directory refreshes forced by version mismatches.
     pub stale_refreshes: u64,
@@ -359,10 +418,10 @@ impl HtTree {
             return Err(CoreError::BadConfig("need at least two buckets"));
         }
         let anchor = alloc.alloc(ANCHOR_LEN, AllocHint::Spread)?;
-        // The global poison record: version = MAX, no successor.
-        let poison = alloc.alloc(ITEM_LEN, AllocHint::Colocate(anchor))?;
-        let poison_item =
-            Item { key: 0, value: 0, version: POISON_VERSION, next: 0 }.encode();
+        // The global poison block: version = MAX, no entries.
+        let poison = alloc.alloc(block_len(0), AllocHint::Colocate(anchor))?;
+        let mut poison_block = Vec::new();
+        push_words(&mut poison_block, [POISON_VERSION, 0]);
         // Initial table, version 1, covering [0, MAX], and a directory
         // blob with its one entry.
         let entry = build_table(client, alloc, 0, &[], 1, cfg.initial_buckets)?;
@@ -370,11 +429,11 @@ impl HtTree {
         let dir = alloc.alloc(dir_bytes.len() as u64, AllocHint::Spread)?;
         client.write(dir, &dir_bytes)?;
         let mut anchor_bytes = Vec::with_capacity(ANCHOR_LEN as usize);
-        for w in [dir.0, 0, 0, poison.0] {
+        for w in [dir.0, 0, 0, bucket_word(poison, 0)] {
             anchor_bytes.extend_from_slice(&w.to_le_bytes());
         }
         client.batch(&[
-            BatchOp::Write { addr: poison, data: &poison_item },
+            BatchOp::Write { addr: poison, data: &poison_block },
             BatchOp::Write { addr: anchor, data: &anchor_bytes },
         ])?;
         Ok(HtTree { anchor })
@@ -430,7 +489,7 @@ impl HtTree {
             alloc: alloc.clone(),
             entries: Vec::new(),
             dir_ptr: FarAddr::NULL,
-            poison: FarAddr::NULL,
+            poison: 0,
             dir_sub,
             // Conservative: observed before the directory read, so a
             // restructure sealed in between just causes one redundant
@@ -444,39 +503,10 @@ impl HtTree {
     }
 }
 
-/// Walks every chain hanging off a table's bucket words level by level:
-/// one `rgather` per chain *depth*, not per item, every bucket's chain
-/// gathered together. A chain holds at most one item per key and keys
-/// never span buckets, so `visit` sees each key once. It gets each item
-/// with its address; returning `false` stops the walk, which then reports
-/// `false` itself.
-fn drain_chains(
-    client: &mut FabricClient,
-    bucket_words: &[u64],
-    mut visit: impl FnMut(u64, &Item) -> bool,
-) -> Result<bool> {
-    let mut frontier: Vec<u64> = bucket_words.iter().copied().filter(|&p| p != 0).collect();
-    while !frontier.is_empty() {
-        let iov: Vec<FarIov> =
-            frontier.iter().map(|&p| FarIov::new(FarAddr(p), ITEM_LEN)).collect();
-        // audit: rt-in-loop-ok: level-order chain walk — one rgather per
-        // chain depth, every chain gathered at once.
-        let bytes = client.rgather(&iov)?;
-        let items: Vec<Item> = bytes.chunks_exact(ITEM_LEN as usize).map(Item::decode).collect();
-        for (&addr, item) in frontier.iter().zip(&items) {
-            if !visit(addr, item) {
-                return Ok(false);
-            }
-        }
-        frontier = items.iter().map(|it| it.next).filter(|&p| p != 0).collect();
-    }
-    Ok(true)
-}
-
-/// Builds a fully populated table in bulk: item records laid out
-/// contiguously, bucket words chained locally, all written in one fenced
-/// batch. Without items it is an empty table, the first one of
-/// [`HtTree::create`].
+/// Builds a fully populated table in bulk: every bucket's block laid out
+/// in one bulk block (none straddling a page, so none spans two nodes),
+/// bucket words tagged locally, all written in one fenced batch. Without
+/// items it is an empty table, the first one of [`HtTree::create`].
 fn build_table(
     client: &mut FabricClient,
     alloc: &FarAlloc,
@@ -487,37 +517,53 @@ fn build_table(
 ) -> Result<Entry> {
     let buckets_addr = alloc.alloc(n_buckets * WORD, AllocHint::Spread)?;
     let hdr = alloc.alloc(HDR_LEN, AllocHint::Colocate(buckets_addr))?;
-    let items_addr = if items.is_empty() {
+    // Keys per bucket, then each non-empty bucket's block in the bulk
+    // block: its offset, after the header its entries' next one.
+    let bucket_of = |k: u64| (splitmix64(k) % n_buckets) as usize;
+    let mut counts = vec![0u64; n_buckets as usize];
+    for &(k, _) in items {
+        counts[bucket_of(k)] += 1;
+    }
+    let (mut bulk_len, mut offsets) = (0u64, vec![0u64; n_buckets as usize]);
+    for (&n, at) in counts.iter().zip(&mut offsets).filter(|(&n, _)| n > 0) {
+        if bulk_len % PAGE + block_len(n) > PAGE && block_len(n) <= PAGE {
+            bulk_len = bulk_len.next_multiple_of(PAGE);
+        }
+        (*at, bulk_len) = (bulk_len, bulk_len + block_len(n));
+    }
+    let bulk = if items.is_empty() {
         FarAddr::NULL
     } else {
-        alloc.alloc(items.len() as u64 * ITEM_LEN, AllocHint::Spread)?
+        alloc.alloc(bulk_len, AllocHint::Spread)?
     };
     let mut bucket_words = vec![0u64; n_buckets as usize];
-    let mut item_bytes = Vec::with_capacity(items.len() * ITEM_LEN as usize);
-    let mut collisions = 0u64;
-    for (i, &(k, v)) in items.iter().enumerate() {
-        let addr = items_addr.0 + i as u64 * ITEM_LEN;
-        let b = (splitmix64(k) % n_buckets) as usize;
-        let next = bucket_words[b];
-        if next != 0 {
-            collisions += 1;
+    let mut bulk_bytes = vec![0u8; bulk_len as usize];
+    let mut put = |at: &mut u64, words: [u64; 2]| {
+        for w in words {
+            bulk_bytes[*at as usize..][..8].copy_from_slice(&w.to_le_bytes());
+            *at += WORD;
         }
-        bucket_words[b] = addr;
-        item_bytes.extend_from_slice(&Item { key: k, value: v, version, next }.encode());
+    };
+    let mut next = offsets.clone();
+    for (b, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
+        put(&mut next[b], [version, n]);
+        bucket_words[b] = bucket_word(bulk.offset(offsets[b]), n);
     }
+    for &(k, v) in items {
+        put(&mut next[bucket_of(k)], [k, v]);
+    }
+    let filled = bucket_words.iter().filter(|&&w| w != 0).count();
     let bucket_bytes: Vec<u8> = bucket_words.iter().flat_map(|w| w.to_le_bytes()).collect();
     let mut hdr_bytes = Vec::with_capacity(HDR_LEN as usize);
-    let items_len = items.len() as u64 * ITEM_LEN;
-    let n_items = items.len() as u64;
-    for w in [version, buckets_addr.0, n_buckets, n_items, collisions, items_addr.0, items_len] {
-        hdr_bytes.extend_from_slice(&w.to_le_bytes());
-    }
+    let (n_items, collisions) = (items.len() as u64, (items.len() - filled) as u64);
+    let hdr_words = [version, buckets_addr.0, n_buckets, n_items, collisions, bulk.0, bulk_len];
+    push_words(&mut hdr_bytes, hdr_words);
     let mut ops = vec![
         BatchOp::Write { addr: buckets_addr, data: &bucket_bytes },
         BatchOp::Write { addr: hdr, data: &hdr_bytes },
     ];
     if !items.is_empty() {
-        ops.push(BatchOp::Write { addr: items_addr, data: &item_bytes });
+        ops.push(BatchOp::Write { addr: bulk, data: &bulk_bytes });
     }
     client.batch(&ops)?;
     Ok(Entry { start_key, table_hdr: hdr, buckets: buckets_addr, n_buckets, version })
@@ -525,7 +571,7 @@ fn build_table(
 
 /// A directory blob's bytes: the entry count, then five words per entry.
 fn encode_directory(entries: &[Entry]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity((WORD + entries.len() as u64 * ENTRY_LEN) as usize);
+    let mut bytes = Vec::with_capacity((WORD + entries.len() as u64 * DIR_ENTRY_LEN) as usize);
     bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
         for w in [e.start_key, e.table_hdr.0, e.buckets.0, e.n_buckets, e.version] {
@@ -536,19 +582,20 @@ fn encode_directory(entries: &[Entry]) -> Vec<u8> {
 }
 
 /// A client's handle on an [`HtTree`]: the cached tree, the lifetime of
-/// its items, and per-client statistics.
+/// its blocks, and per-client statistics.
 pub struct HtTreeHandle {
     tree: HtTree,
     cfg: HtTreeConfig,
     alloc: Arc<FarAlloc>,
-    /// Where chain items come from and where unlinked ones go.
+    /// Where blocks come from and where unlinked ones go.
     records: Records,
     entries: Vec<Entry>,
     /// The directory blob the cached entries were read from: what a
     /// restructure's publish CASes the anchor from, and retires (reclaim
     /// mode) once that CAS has replaced it.
     dir_ptr: FarAddr,
-    poison: FarAddr,
+    /// The bucket word naming the poison block.
+    poison: u64,
     /// Directory-change subscription (`notify_dir` mode).
     dir_sub: Option<farmem_fabric::SubId>,
     /// Restructure generation the cached directory was last validated at
@@ -587,14 +634,14 @@ impl HtTreeHandle {
         let anchor = client.read(self.tree.anchor, ANCHOR_LEN)?;
         let w = words(&anchor);
         let dir_ptr = FarAddr(w[(A_DIR_PTR / 8) as usize]);
-        self.poison = FarAddr(w[(A_POISON / 8) as usize]);
+        self.poison = w[(A_POISON / 8) as usize];
         if dir_ptr.is_null() {
             return Err(CoreError::Corrupted("HT-tree anchor has no directory"));
         }
         let n = client.read_u64(dir_ptr)?;
-        let blob = client.read(dir_ptr.offset(WORD), n * ENTRY_LEN)?;
+        let blob = client.read(dir_ptr.offset(WORD), n * DIR_ENTRY_LEN)?;
         let mut entries = Vec::with_capacity(n as usize);
-        for chunk in blob.chunks_exact(ENTRY_LEN as usize) {
+        for chunk in blob.chunks_exact(DIR_ENTRY_LEN as usize) {
             let w = words(chunk);
             entries.push(Entry {
                 start_key: w[0],
@@ -662,9 +709,47 @@ impl HtTreeHandle {
         entry.buckets.offset((splitmix64(key) % entry.n_buckets) * WORD)
     }
 
-    /// Looks up `key`. **One far access** when the cache is fresh and the
-    /// bucket is collision-free; each chain hop adds one access; a stale
-    /// cache adds a directory refresh and a retry.
+    /// The whole block a tagged read through `word` returned, after one
+    /// more read for the rest of a block longer than its tag (a
+    /// [`chain_hops`](HtTreeStats::chain_hops)). `None` when the block is
+    /// not of `entry`'s version: the poison block, or a stale cache.
+    fn whole_block(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        word: u64,
+        mut bytes: Vec<u8>,
+    ) -> Result<Option<Vec<u8>>> {
+        if word_at(&bytes, 0) != entry.version {
+            return Ok(None);
+        }
+        if let Some(rest) = read_rest(client, word, &bytes)? {
+            self.stats.chain_hops += 1;
+            bytes.extend(rest);
+        }
+        let version = entries(word, &bytes).0;
+        Ok((version == entry.version).then_some(bytes))
+    }
+
+    /// Looks `key` up in the block a tagged read through `word` returned.
+    fn lookup_block(
+        &mut self,
+        client: &mut FabricClient,
+        entry: &Entry,
+        key: u64,
+        word: u64,
+        bytes: Vec<u8>,
+    ) -> Result<Walk> {
+        Ok(match self.whole_block(client, entry, word, bytes)? {
+            Some(block) => Walk::Done(entries(word, &block).1.find(|e| e.0 == key).map(|e| e.1)),
+            None => Walk::Stale,
+        })
+    }
+
+    /// Looks up `key`. **One far access** when the cache is fresh, at any
+    /// position in its bucket's block (one more for a key past the
+    /// fifteenth of its bucket); a stale cache adds a directory refresh
+    /// and a retry.
     pub fn get(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
         self.get_guarded(client, key, None).map(|found| found.value)
     }
@@ -678,14 +763,14 @@ impl HtTreeHandle {
     /// many bytes to fetch there — the lookup and a speculative read of
     /// those bytes are **one far access**: one fenced batch, lookup first.
     /// The tree stays the authority: the bytes come back only if the value
-    /// found (after the usual chain hops) *is* the hinted address, and are
-    /// dropped uninterpreted otherwise. They are then the record's own —
-    /// the batch ran the read after the lookup and under the guard, a
-    /// record named by a linked item at lookup time cannot be freed before
-    /// the guard drops, and records are immutable while linked. A wrong
-    /// hint costs its message and bytes, never a round trip; a batch that
-    /// fails (a fabric refusing the cross-node dereference, say) falls
-    /// back to the plain lookup.
+    /// found *is* the hinted address, and are dropped uninterpreted
+    /// otherwise. They are then the record's own — the batch ran the read
+    /// after the lookup and under the guard, a record named by a linked
+    /// block at lookup time cannot be freed before the guard drops, and
+    /// records are immutable while linked. A wrong hint costs its message
+    /// and bytes, never a round trip; a batch that fails (a fabric
+    /// refusing the cross-node dereference, say) falls back to the plain
+    /// lookup.
     pub(crate) fn get_guarded(
         &mut self,
         client: &mut FabricClient,
@@ -713,17 +798,17 @@ impl HtTreeHandle {
         Ok(Guarded { value: self.get_inner(client, key)?, hinted: None, _pin: pin })
     }
 
-    /// A hinted lookup's fenced batch: the bucket's head item, then the
+    /// A hinted lookup's fenced batch: the bucket's block, then the
     /// speculative read of `len` bytes at the hinted `addr`.
     fn hinted_ops(entry: &Entry, key: u64, (addr, len): (FarAddr, u64)) -> [BatchOp<'static>; 2] {
         [
-            BatchOp::Load0 { ptr: Self::bucket_addr(entry, key), len: ITEM_LEN },
+            BatchOp::Load0Tagged { ptr: Self::bucket_addr(entry, key) },
             BatchOp::ReadSpeculative { addr, len },
         ]
     }
 
-    /// Completes a hinted lookup from its batch's outputs: walks the chain
-    /// from the head item and keeps the speculated bytes only if the value
+    /// Completes a hinted lookup from its batch's outputs: finds the key
+    /// in the block and keeps the speculated bytes only if the value
     /// found is `addr`. `None` after a stale cache, refreshed: the caller
     /// looks the key up again, unhinted.
     fn resolve_hinted(
@@ -734,14 +819,14 @@ impl HtTreeHandle {
         addr: FarAddr,
         outs: Vec<BatchOut>,
     ) -> Result<Option<Found>> {
-        let [head, speculated] =
+        let [block, speculated] =
             <[BatchOut; 2]>::try_from(outs).expect("a hinted batch has two ops");
         // An empty bucket: the key is absent.
-        let BatchOut::Loaded { bytes: first, .. } = head else {
+        let BatchOut::Loaded { ptr, bytes } = block else {
             self.stats.stale_hints += 1;
             return Ok(Some((None, None)));
         };
-        let value = match self.walk_chain(client, entry, key, Item::decode(&first))? {
+        let value = match self.lookup_block(client, entry, key, ptr, bytes)? {
             Walk::Done(value) => value,
             Walk::Stale => {
                 self.stats.stale_refreshes += 1;
@@ -762,12 +847,12 @@ impl HtTreeHandle {
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
             let bucket = Self::bucket_addr(&entry, key);
-            // One far access: dereference the bucket pointer and read the
-            // head item (indirect addressing, Fig. 1).
+            // One far access: dereference the bucket word and read the
+            // block its tag names (indirect addressing, Fig. 1).
             // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
             // after a stale cache.
-            let first = match client.load0(bucket, ITEM_LEN) {
-                Ok(bytes) => Item::decode(&bytes),
+            let (word, bytes) = match client.load0_tagged(bucket) {
+                Ok(loaded) => loaded,
                 Err(farmem_fabric::FabricError::NullDeref { .. }) => {
                     // Empty bucket in a live table: the key is absent. A
                     // retired table can never show a null bucket (poison).
@@ -775,7 +860,7 @@ impl HtTreeHandle {
                 }
                 Err(e) => return Err(e.into()),
             };
-            match self.walk_chain(client, &entry, key, first)? {
+            match self.lookup_block(client, &entry, key, word, bytes)? {
                 Walk::Done(v) => return Ok(v),
                 Walk::Stale => {
                     // Stale cache (split/retire happened): refresh, retry.
@@ -790,40 +875,10 @@ impl HtTreeHandle {
         Err(CoreError::Contended)
     }
 
-    /// Follows a bucket chain starting from its (already fetched) head
-    /// item; one far access per hop.
-    fn walk_chain(
-        &mut self,
-        client: &mut FabricClient,
-        entry: &Entry,
-        key: u64,
-        first: Item,
-    ) -> Result<Walk> {
-        let mut item = first;
-        loop {
-            if item.version != entry.version {
-                return Ok(Walk::Stale);
-            }
-            if item.key == key {
-                return Ok(Walk::Done(Some(item.value)));
-            }
-            if item.next == 0 {
-                return Ok(Walk::Done(None));
-            }
-            // Collision: follow the chain, one far access per hop.
-            self.stats.chain_hops += 1;
-            // audit: rt-in-loop-ok: pointer chase — each hop's address comes
-            // from the item just read; inherently serial (§4 chain cost).
-            let mut raw = [0u8; ITEM_LEN as usize];
-            client.read_into(FarAddr(item.next), &mut raw)?;
-            item = Item::decode(&raw);
-        }
-    }
-
-    /// Looks up many keys at once, prefetching every bucket's head item
+    /// Looks up many keys at once, prefetching every bucket's block
     /// through **one pipeline doorbell** (structure-level prefetch: the
     /// cached tree knows each key's bucket address without any far
-    /// access, so all head loads can be in flight together). Chain hops
+    /// access, so all block loads can be in flight together). Long blocks
     /// and stale-cache retries then complete per key exactly as
     /// [`get`](Self::get) would; far accesses are identical to one `get`
     /// per key, only the round trips overlap.
@@ -840,13 +895,13 @@ impl HtTreeHandle {
     }
 
     /// [`get_many`](Self::get_many) over any [`Doorbell`]: given an
-    /// [`AsyncClient`](farmem_runtime::AsyncClient) the bucket-head
-    /// prefetch *suspends* at its doorbell, so an executor can interleave
+    /// [`AsyncClient`](farmem_runtime::AsyncClient) the block prefetch
+    /// *suspends* at its doorbell, so an executor can interleave
     /// thousands of concurrent lookups on one OS thread. The epoch pin,
     /// directory sync and cached-tree traversal run inline (control-plane,
-    /// no steady-state far traffic), and chain hops / stale-cache retries
-    /// take serial fallbacks — one body, so accounting cannot differ
-    /// between the blocking and the suspending caller.
+    /// no steady-state far traffic), and long blocks / stale-cache
+    /// retries take serial fallbacks — one body, so accounting cannot
+    /// differ between the blocking and the suspending caller.
     ///
     /// The epoch guard is pinned *before* the doorbell and held
     /// across the suspension: the runtime never moves a slot, and
@@ -870,9 +925,9 @@ impl HtTreeHandle {
     /// unhinted), handing back the pin it took and, per key, the
     /// value and the hinted bytes (see [`get_guarded`](Self::get_guarded)).
     /// A hinted key's lookup is one fenced descriptor in the doorbell —
-    /// bucket head, then the speculative read — so a batch of fresh hints
-    /// costs one round trip per key in one doorbell; an unhinted key's is
-    /// the plain `load0` descriptor.
+    /// bucket block, then the speculative read — so a batch of fresh
+    /// hints costs one round trip per key in one doorbell; an unhinted
+    /// key's is the tagged `load0` descriptor.
     pub(crate) async fn get_many_async_guarded<D: Doorbell>(
         &mut self,
         ac: &D,
@@ -900,29 +955,28 @@ impl HtTreeHandle {
         let entries: Vec<Entry> =
             ac.with(|client| keys.iter().map(|&k| self.entry_for(client, k)).collect());
         let hint = |i: usize| hints.get(i).copied().flatten();
-        let mut heads = DescList::new();
+        let mut blocks = DescList::new();
         for (i, &key) in keys.iter().enumerate() {
             match hint(i) {
                 Some(h) => {
                     self.stats.hinted_gets += 1;
-                    heads.post(PipeOp::Fenced(Self::hinted_ops(&entries[i], key, h).into()))
+                    blocks.post(PipeOp::Fenced(Self::hinted_ops(&entries[i], key, h).into()))
                 }
-                None => heads.load0(Self::bucket_addr(&entries[i], key), ITEM_LEN),
+                None => blocks.load0_tagged(Self::bucket_addr(&entries[i], key)),
             };
         }
-        let mut cq = ac.ring(heads).await;
+        let mut cq = ac.ring(blocks).await;
         let mut out = Vec::with_capacity(keys.len());
         for (i, &key) in keys.iter().enumerate() {
-            // lint: block-ok — per-key completion (chain hops, stale
-            // refresh) is the rare path and inherently serial.
+            // lint: block-ok — per-key completion (a long block's rest,
+            // a stale refresh) is the rare path and inherently serial.
             let prefetched = ac.with(|client| -> Result<Option<Found>> {
                 Ok(match (cq.take(i), hint(i)) {
                     (Some(Ok(PipeOut::Batch(outs))), Some((addr, _))) => {
                         self.resolve_hinted(client, &entries[i], key, addr, outs)?
                     }
-                    (Some(Ok(res)), None) => {
-                        let first = Item::decode(&res.into_bytes());
-                        match self.walk_chain(client, &entries[i], key, first)? {
+                    (Some(Ok(PipeOut::Loaded { ptr, bytes })), None) => {
+                        match self.lookup_block(client, &entries[i], key, ptr, bytes)? {
                             Walk::Done(v) => Some((v, None)),
                             Walk::Stale => {
                                 self.stats.stale_refreshes += 1;
@@ -954,11 +1008,11 @@ impl HtTreeHandle {
     }
 
     /// Inserts or updates `key → value`. **Two far accesses** when the
-    /// cache is fresh, plus the hops a lookup of `key` pays: the read of
-    /// the chain's head item and the table header, the walk to the key's
-    /// item, then a fenced batch that splices the new item in with the
-    /// bucket CAS (see [`publish`](Self::publish)). The put whose item
-    /// carries the table over `max_load_percent` also restructures it.
+    /// cache is fresh, at any position in the key's bucket: the read of
+    /// the bucket's block and the table header, then a fenced batch that
+    /// writes the new block with the bucket CAS (see
+    /// [`publish`](Self::publish)). The put whose key carries the table
+    /// over `max_load_percent` also restructures it.
     ///
     /// `Err` means the value was not stored. A restructure that fails
     /// after the bucket CAS landed is no error of the put's: the next put
@@ -977,29 +1031,27 @@ impl HtTreeHandle {
 
     /// Stores `key → record` for a value that *is* a far record: `bytes`
     /// are written at `record` inside the put's own fenced batch, ahead of
-    /// the item and the bucket CAS — still **two far accesses** — and
+    /// the block and the bucket CAS — still **two far accesses** — and
     /// returns the value the key held before, for the caller to retire.
     ///
-    /// The first access is a fenced batch of a `load0` through the bucket
-    /// word to the chain's head item and a read of the table header; from
-    /// that head the put walks to the key's item, one access per hop,
-    /// *before* linking anything. The second access writes the record,
-    /// the new item and fresh copies of the items above the key's old one,
-    /// and CASes the bucket from the word the head was read through to
-    /// the new item: the old item and the originals of the copies leave
-    /// the chain in that CAS, and go where the handle's lifetime sends
-    /// them (module docs). A key the chain lacks is linked on top. A bucket
-    /// word names an immutable chain whose items cannot be freed and
-    /// reused while the put runs, so a CAS that lands on that word proves
-    /// the bucket held exactly the chain walked — even if the word left
-    /// it and came back.
+    /// The first access is a fenced batch of a tagged `load0` through the
+    /// bucket word to the bucket's block and a read of the table header;
+    /// the block holds the key's entry, if any, *before* anything is
+    /// linked. The second access writes the record and a new block — the
+    /// old one with the key's entry replaced, or added — and CASes the
+    /// bucket from the word the first access read to the new block: the
+    /// old block leaves the bucket in that CAS, and goes where the
+    /// handle's lifetime sends it (module docs). A bucket word names an
+    /// immutable block that cannot be freed and reused while the put
+    /// runs, so a CAS that lands on that word proves the bucket held
+    /// exactly the block read — even if the word left it and came back.
     ///
     /// `Err` means the record was **never linked** and is still the
-    /// caller's to free — a fault on a hop of the walk included, since
-    /// the walk runs before the CAS. Once the CAS has landed readers can
-    /// reach the record, so nothing after it turns the store into an
-    /// error: a failed restructure is left to the next put into the table
-    /// (it reads the same count).
+    /// caller's to free — a fault on the read of a long block's rest
+    /// included, since that read runs before the CAS. Once the CAS has
+    /// landed readers can reach the record, so nothing after it turns the
+    /// store into an error: a failed restructure is left to the next put
+    /// into the table (it reads the same count).
     pub fn publish(
         &mut self,
         client: &mut FabricClient,
@@ -1036,25 +1088,23 @@ impl HtTreeHandle {
     }
 
     /// Removes `key` and returns the value it held — the tree's one
-    /// removal protocol. **Two far accesses** for a key at its chain's
-    /// head, one more per hop down to it; **one** (plus hops) for a key
-    /// that is not there, which links nothing and leaves the table's
-    /// counters alone. No remove restructures.
+    /// removal protocol. **Two far accesses** at any position in the
+    /// key's bucket; **one** for a key that is not there, which links
+    /// nothing and leaves the table's counters alone. No remove
+    /// restructures.
     ///
     /// Far access 1 is [`publish`](Self::publish)'s: one fenced batch of a
-    /// `load0` through the bucket word to the chain's head item, which
+    /// tagged `load0` through the bucket word to the bucket's block, which
     /// also names the word it read, and the table header (a stale version
-    /// refreshes and retries, as a put's does). The walk from that head
-    /// item finds the value. Far access 2 is the splice: for an item at
-    /// the head, one CAS of the bucket from that word to the item's
-    /// successor; for one `d` hops down, fresh copies of the `d` items
-    /// above it, chained onto its successor, and the CAS to the first
-    /// copy. The item and the originals of the copies leave the chain, and
-    /// the header's live-key count drops by one. A lost CAS starts over
-    /// from access 1. The CAS landing proves the walk for the reason
-    /// `publish` gives. Until that CAS every other client still finds the
-    /// key, so racing takes of one key hand its value to exactly one of
-    /// them.
+    /// refreshes and retries, as a put's does). The block holds the value.
+    /// Far access 2 is the splice: one fenced batch that writes the block
+    /// without the key's entry and CASes the bucket from that word to it
+    /// (to null, for the bucket's last key, with nothing written). The old
+    /// block leaves the bucket, and the header's live-key count drops by
+    /// one. A lost CAS starts over from access 1. The CAS landing proves
+    /// the read for the reason `publish` gives. Until that CAS every other
+    /// client still finds the key, so racing takes of one key hand its
+    /// value to exactly one of them.
     ///
     /// On a fabric that refuses the batch's cross-node dereference
     /// ([`IndirectionMode::Error`](farmem_fabric::IndirectionMode)) the
@@ -1077,13 +1127,13 @@ impl HtTreeHandle {
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
-            let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
+            let Some(bucket) = self.read_bucket(client, &entry, key, attempt)? else {
                 continue;
             };
-            let Some((_, victim)) = chain.found else { return Ok((None, pin)) };
-            if self.splice(client, &entry, &chain, None, Vec::new(), &pin)? {
+            let Some(victim) = bucket.old() else { return Ok((None, pin)) };
+            if self.splice(client, &entry, &bucket, None, Vec::new(), &pin)? {
                 self.stats.removes += 1;
-                return Ok((Some(victim.value), pin));
+                return Ok((Some(victim), pin));
             }
         }
         Err(CoreError::Contended)
@@ -1108,130 +1158,109 @@ impl HtTreeHandle {
         Ok(())
     }
 
-    /// Far access 1 of a put or take, and the walk: one
-    /// fenced batch of a `load0` through the bucket word to the head item
-    /// and a read of the table header, then one read per hop down to
-    /// `key`'s item. `None` after a stale version, refreshed: the caller
-    /// starts over.
-    fn read_chain(
+    /// Far access 1 of a put or take: one fenced batch of a tagged
+    /// `load0` through the bucket word to the bucket's block and a read
+    /// of the table header (and a read of the rest of a long block).
+    /// `None` after a stale version, refreshed: the caller starts over.
+    fn read_bucket(
         &mut self,
         client: &mut FabricClient,
         entry: &Entry,
         key: u64,
         attempt: u32,
-    ) -> Result<Option<Chain>> {
-        let bucket = Self::bucket_addr(entry, key);
+    ) -> Result<Option<Bucket>> {
+        let addr = Self::bucket_addr(entry, key);
         // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
         // after a stale cache or a lost bucket CAS.
-        let (head, first, hdr) = match client.batch(&[
-            BatchOp::Load0 { ptr: bucket, len: ITEM_LEN },
+        let mut out = client.batch(&[
+            BatchOp::Load0Tagged { ptr: addr },
             BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN },
-        ]) {
-            Ok(mut out) => {
-                let hdr = out.pop().expect("two ops").bytes().to_vec();
-                let (head, first) = match out.pop() {
-                    // The pointer the `load0` read, not a `Read` of the
-                    // word beside it: the ops of a batch are not atomic.
-                    Some(BatchOut::Loaded { ptr, bytes }) => (ptr, Some(Item::decode(&bytes))),
-                    _ => (0, None), // an empty bucket
-                };
-                (head, first, hdr)
-            }
-            Err(e) => return Err(e.into()),
-        };
+        ])?;
+        let hdr = out.pop().expect("two ops").bytes().to_vec();
         let far_version = word_at(&hdr, H_VERSION);
         if far_version != entry.version {
             self.refresh_stale(client, far_version, attempt)?;
             return Ok(None);
         }
-        let mut above = Vec::new();
-        let mut at = first.map(|item| (head, item));
-        let found = loop {
-            let Some((addr, item)) = at else { break None };
-            if item.version != entry.version {
-                self.refresh_stale(client, far_version, attempt)?;
-                return Ok(None);
+        let (word, block) = match out.pop() {
+            // The word the `load0` read, not a `Read` of it beside: the
+            // ops of a batch are not atomic.
+            Some(BatchOut::Loaded { ptr, bytes }) => {
+                match self.whole_block(client, entry, ptr, bytes)? {
+                    Some(block) => (ptr, block),
+                    None => {
+                        self.refresh_stale(client, far_version, attempt)?;
+                        return Ok(None);
+                    }
+                }
             }
-            if item.key == key {
-                break Some((addr, item));
-            }
-            above.push((addr, item));
-            if item.next == 0 {
-                break None;
-            }
-            self.stats.chain_hops += 1;
-            // audit: rt-in-loop-ok: pointer chase — each hop's address comes
-            // from the item just read; inherently serial (§4 chain cost).
-            let mut raw = [0u8; ITEM_LEN as usize];
-            client.read_into(FarAddr(item.next), &mut raw)?;
-            at = Some((item.next, Item::decode(&raw)));
+            _ => (0, Vec::new()), // an empty bucket
         };
-        Ok(Some(Chain {
-            bucket,
-            head,
-            above,
+        let found = if word == 0 { None } else { entries(word, &block).1.position(|e| e.0 == key) };
+        Ok(Some(Bucket {
+            addr,
+            word,
             found,
+            block,
             keys: item_count(word_at(&hdr, H_ITEMS)),
             bulk: (word_at(&hdr, H_ITEMS_BASE), word_at(&hdr, H_ITEMS_LEN)),
         }))
     }
 
-    /// Far access 2 of a put (`top`: the key's new item) or take (`top:
-    /// None`): one fenced batch that runs `ops`, writes `top` and fresh
-    /// copies of the items above the key's old one, and CASes the bucket
-    /// from `chain.head` to the new chain — `top`, the copies, then the
-    /// old item's successor; `top` on the old chain when the key is new.
-    /// Returns whether the CAS landed (`false`: it lost, nothing was
-    /// linked, and the caller starts over); an `Err` also means nothing
-    /// was linked. Landed, the old item and the originals of the copies
-    /// are retired under `pin`, and the header's live-key count moves by
-    /// the key the splice added or removed.
+    /// Far access 2 of a put (`put`: the key's new entry) or take (`put:
+    /// None`): one fenced batch that runs `ops`, writes the bucket's new
+    /// block — `bucket`'s entries with the key's replaced, added or
+    /// dropped — and CASes the bucket from `bucket.word` to it (to null
+    /// when a take empties the bucket, with no block written). Returns
+    /// whether the CAS landed (`false`: it lost, nothing was linked, and
+    /// the caller starts over); an `Err` also means nothing was linked.
+    /// Either way the fresh block is retired under `pin`. Landed, so is
+    /// the old block, and the header's live-key count moves by the key
+    /// the splice added or removed.
     fn splice(
         &mut self,
         client: &mut FabricClient,
         entry: &Entry,
-        chain: &Chain,
-        top: Option<Item>,
+        bucket: &Bucket,
+        put: Option<(u64, u64)>,
         ops: Vec<BatchOp<'_>>,
         pin: &Pinned,
     ) -> Result<bool> {
-        debug_assert!(top.is_some() || chain.found.is_some(), "a take of an absent key");
-        let (copied, tail): (&[(u64, Item)], u64) = match chain.found {
-            Some((_, old)) => (&chain.above, old.next),
-            None => (&[], chain.head),
+        debug_assert!(put.is_some() || bucket.found.is_some(), "a take of an absent key");
+        // The old block's entries, with the key's cut out; the new one
+        // goes where the old one was, or at the end.
+        let (body, e) = (bucket.block.get(BLOCK_HDR as usize..).unwrap_or_default(), ENTRY_LEN as usize);
+        let (head, tail) = match bucket.found {
+            Some(i) => (&body[..e * i], &body[e * i + e..]),
+            None => (body, &[][..]),
         };
-        // The new chain, top down: `top`, then the copies.
-        let mut fresh: Vec<Item> = top.into_iter().collect();
-        fresh.extend(copied.iter().map(|&(_, item)| item));
-        let mut addrs = Vec::with_capacity(fresh.len());
-        for _ in &fresh {
-            match self.records.alloc(ITEM_LEN) {
-                Ok(addr) => addrs.push(addr),
-                Err(e) => {
-                    self.records.discard(&addrs, ITEM_LEN)?;
-                    return Err(e);
-                }
-            }
-        }
-        let mut next = tail;
-        for (item, addr) in fresh.iter_mut().zip(&addrs).rev() {
-            item.next = next;
-            next = addr.0;
-        }
-        let encoded: Vec<[u8; ITEM_LEN as usize]> = fresh.iter().map(Item::encode).collect();
-        // Rebound so the ops may borrow `encoded`, which the caller's cannot.
+        let n = ((head.len() + tail.len()) / e + usize::from(put.is_some())) as u64;
+        let fresh = if n == 0 { None } else { Some(self.records.alloc(block_len(n))?) };
+        let mut block = Vec::with_capacity(block_len(n) as usize);
+        push_words(&mut block, [entry.version, n]);
+        block.extend_from_slice(head);
+        push_words(&mut block, put.into_iter().flat_map(|(k, v)| [k, v]));
+        block.extend_from_slice(tail);
+        // Rebound so the ops may borrow `block`, which the caller's cannot.
         let mut ops: Vec<BatchOp<'_>> = ops;
-        for (&addr, data) in addrs.iter().zip(&encoded) {
-            ops.push(BatchOp::Write { addr, data });
+        if let Some(addr) = fresh {
+            ops.push(BatchOp::Write { addr, data: &block });
         }
-        ops.push(BatchOp::Cas { addr: chain.bucket, expected: chain.head, new: next });
+        let new = fresh.map_or(0, |addr| bucket_word(addr, n));
+        ops.push(BatchOp::Cas { addr: bucket.addr, expected: bucket.word, new });
         match client.batch(&ops) {
-            Ok(out) if out[out.len() - 1].value() == chain.head => {}
+            Ok(out) if out[out.len() - 1].value() == bucket.word => {}
             unlinked => {
                 // The CAS lost the bucket race, or never ran (a failed
                 // batch stops at the op that failed). Nobody can reach the
-                // fresh items: no grace period is due.
-                self.records.discard(&addrs, ITEM_LEN)?;
+                // fresh block, but the batch may have written it: it waits
+                // out a grace period as an unlinked block does, so that
+                // whoever the allocator hands it to next is ordered after
+                // those writes by the seal.
+                if let Some(addr) = fresh {
+                    // lint: retire-ok: never linked; retired under the operation's pin only to order its reuse.
+                    let _ = self.records.retire(client, pin, addr, Some(block_len(n)));
+                }
                 unlinked?;
                 self.stats.cas_retries += 1;
                 return Ok(false);
@@ -1240,10 +1269,10 @@ impl HtTreeHandle {
         // Advisory counters, posted after the committed CAS: a failed post
         // must not turn a landed mutation into an error.
         let items = entry.table_hdr.offset(H_ITEMS);
-        match (top.is_some(), chain.found.is_some()) {
+        match (put.is_some(), bucket.found.is_some()) {
             (true, false) => {
                 let _ = client.post_faa_u64(items, 1);
-                if chain.head != 0 {
+                if bucket.word != 0 {
                     let _ = client.post_faa_u64(entry.table_hdr.offset(H_COLLISIONS), 1);
                 }
             }
@@ -1252,27 +1281,24 @@ impl HtTreeHandle {
             }
             (true, true) => {}
         }
-        let Some((old, _)) = chain.found else { return Ok(true) };
-        // The CAS unlinked the old item and the originals of the copies.
-        // An item of the table's bulk block is left to the restructure
-        // that retires the block whole.
-        let (base, len) = chain.bulk;
-        let unlinked = std::iter::once(old)
-            .chain(copied.iter().map(|&(addr, _)| addr))
-            .filter(|&a| !(base <= a && a < base + len));
-        for addr in unlinked {
+        // The CAS unlinked the old block. A block of the table's bulk
+        // block is left to the restructure that retires it whole.
+        let old = bucket.word & !TAG_MASK;
+        let (base, len) = bucket.bulk;
+        if old != 0 && !(base <= old && old < base + len) {
+            let len = bucket.block.len() as u64;
             // A retire that fails queues its entry all the same (only its
             // seal failed); the mutation has landed either way.
             // lint: retire-ok: the bucket CAS above unlinked it; `pin` holds the operation's epoch guard.
-            let _ = self.records.retire(client, pin, FarAddr(addr), Some(ITEM_LEN));
+            let _ = self.records.retire(client, pin, FarAddr(old), Some(len));
         }
         Ok(true)
     }
 
-    /// Publishes one item; with `record`, also writes those bytes at
+    /// Publishes one entry; with `record`, also writes those bytes at
     /// `FarAddr(value)` in the same fenced batch ([`publish`](Self::publish)).
     /// Returns the overload verdict and the value the put replaced. An
-    /// `Err` always means the item was not linked.
+    /// `Err` always means the entry was not linked.
     fn put_record(
         &mut self,
         client: &mut FabricClient,
@@ -1288,19 +1314,18 @@ impl HtTreeHandle {
             if let Some(data) = record {
                 ops.push(BatchOp::Write { addr: FarAddr(value), data });
             }
-            let item = Item { key, value, version: entry.version, next: 0 };
             // audit: rt-in-loop-ok: retry loop — every pass is one whole
             // put (the read and the splice), re-run only after a stale
             // cache or a lost bucket CAS.
-            let Some(chain) = self.read_chain(client, &entry, key, attempt)? else {
+            let Some(bucket) = self.read_bucket(client, &entry, key, attempt)? else {
                 continue;
             };
-            if !self.splice(client, &entry, &chain, Some(item), ops, pin)? {
+            if !self.splice(client, &entry, &bucket, Some((key, value)), ops, pin)? {
                 continue;
             }
-            // The table's live keys once this item is in.
-            let old = chain.found.map(|(_, old)| old.value);
-            let count = chain.keys.saturating_add(u64::from(old.is_none()));
+            // The table's live keys once this entry is in.
+            let old = bucket.old();
+            let count = bucket.keys.saturating_add(u64::from(old.is_none()));
             let overloaded = overloaded(count, entry.n_buckets, self.cfg.max_load_percent)
                 .then_some((entry.start_key, entry.version));
             return Ok((overloaded, old));
@@ -1327,7 +1352,7 @@ impl HtTreeHandle {
     ///
     /// The cached tree selects the leaf tables covering the range; each is
     /// drained with bulk transfers (the bucket array in one access, then
-    /// one gather per chain level), so the cost is O(tables covered), not
+    /// one gather of its blocks), so the cost is O(tables covered), not
     /// O(keys in the map). Results reflect a leaf-consistent snapshot:
     /// concurrent writers may or may not appear, but versions guarantee no
     /// torn or foreign data.
@@ -1359,9 +1384,6 @@ impl HtTreeHandle {
             }
             let mut bucket_cq = pq.commit();
             for (idx, entry) in covered.iter().enumerate() {
-                let entry = *entry;
-                // Drain the leaf with batched transfers, validating the
-                // table version along the way.
                 let bucket_words = match bucket_cq.take(idx) {
                     Some(Ok(res)) => words(&res.into_bytes()),
                     // Failed or aborted descriptor: fall back to the
@@ -1370,21 +1392,17 @@ impl HtTreeHandle {
                     // path batched every bucket read through one doorbell.
                     _ => words(&client.read(entry.buckets, entry.n_buckets * WORD)?),
                 };
-                let fresh = drain_chains(client, &bucket_words, |_, item| {
-                    if item.version != entry.version {
-                        return false;
+                // audit: rt-in-loop-ok: one gather per leaf, every block of
+                // the leaf at once.
+                for block in read_blocks(client, &bucket_words)?.into_iter().flatten() {
+                    if block.version != entry.version {
+                        // Stale leaf (split raced the scan): refresh the
+                        // tree and restart the whole scan.
+                        self.stats.stale_refreshes += 1;
+                        self.refresh_directory(client)?;
+                        continue 'retry;
                     }
-                    if item.key >= lo && item.key <= hi {
-                        out.push((item.key, item.value));
-                    }
-                    true
-                })?;
-                if !fresh {
-                    // Stale leaf (split raced the scan): refresh the tree
-                    // and restart the whole scan.
-                    self.stats.stale_refreshes += 1;
-                    self.refresh_directory(client)?;
-                    continue 'retry;
+                    out.extend(block.entries.into_iter().filter(|&(k, _)| lo <= k && k <= hi));
                 }
             }
             out.sort_unstable_by_key(|&(k, _)| k);
@@ -1426,7 +1444,7 @@ impl HtTreeHandle {
             // the whole batch up front while the anchor's node is down, so
             // no table is taken that could not be published. It reads the
             // header behind it for what only the far side knows: the bulk
-            // items block a previous split laid the table's records out in.
+            // block a previous split laid the table's blocks out in.
             // audit: rt-in-loop-ok: retry loop — re-run only after another
             // client took or replaced the cached table.
             let out = client.batch(&[
@@ -1454,86 +1472,66 @@ impl HtTreeHandle {
 
     /// Restructures the table `entry`, which the caller has taken: drains
     /// and poisons it, builds its replacements and publishes them. Then
-    /// the old table, with its bulk items block `(base, len)`, and the
+    /// the old table, with its bulk block `(base, len)`, and the
     /// directory blob the publish replaced go where the handle's lifetime
     /// sends them.
     fn restructure(
         &mut self,
         client: &mut FabricClient,
         entry: Entry,
-        (old_items_base, old_items_len): (u64, u64),
+        (bulk_base, bulk_len): (u64, u64),
         pin: &Pinned,
     ) -> Result<()> {
         // Drain the table with batched transfers: read the bucket array
-        // (one access), walk all chains level by level with gathers (one
-        // access per chain *depth*, not per item), then poison every
+        // (one access), gather every block (one access), then poison every
         // bucket in one fenced CAS volley. Buckets whose CAS loses to a
         // racing put or take are harvested again, one by one — the
         // version marker makes such races rare.
-        let bucket_words = words(&client.read(entry.buckets, entry.n_buckets * WORD)?);
-        // Each live key's value: a chain holds one item per key.
-        let mut live: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        // Every chain record the drain visits, with its key (reclaim mode
-        // frees each one not covered by the bulk items block after the
-        // grace period).
-        let mut drained: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        drain_chains(client, &bucket_words, |addr, item| {
-            drained.insert(addr, item.key);
-            if item.version == entry.version {
-                live.insert(item.key, item.value);
-            }
-            true
-        })?;
+        let mut heads = words(&client.read(entry.buckets, entry.n_buckets * WORD)?);
+        let mut blocks = read_blocks(client, &heads)?;
         // Poison volley: one fenced batch of CASes over all buckets.
-        let cas_ops: Vec<BatchOp<'_>> = bucket_words
+        let cas_ops: Vec<BatchOp<'_>> = heads
             .iter()
             .enumerate()
             .map(|(i, &head)| BatchOp::Cas {
                 addr: entry.buckets.offset(i as u64 * WORD),
                 expected: head,
-                new: self.poison.0,
+                new: self.poison,
             })
             .collect();
         let outs = client.batch(&cas_ops)?;
         for (i, out) in outs.iter().enumerate() {
             let mut head = out.value();
-            if head == bucket_words[i] {
+            if head == heads[i] {
                 continue; // poison landed
             }
-            // A racing put or take won the bucket, and the chain it left
-            // is the bucket's whole truth. A splice may have unlinked
-            // items harvested above — and their unlinker retired them —
-            // so this bucket's harvest is dropped, not merged: merged, a
-            // key a take removed would come back, and its item would be
-            // retired twice.
+            // A racing put or take won the bucket, and the block it left
+            // is the bucket's whole truth: the block harvested above was
+            // unlinked — and retired — by that splice, so this bucket's
+            // harvest is replaced, not merged: merged, a key a take
+            // removed would come back, and its block would be retired
+            // twice.
             let bucket_addr = entry.buckets.offset(i as u64 * WORD);
-            let in_bucket = |key: u64| Self::bucket_addr(&entry, key) == bucket_addr;
             loop {
-                live.retain(|&key, _| !in_bucket(key));
-                drained.retain(|_, &mut key| !in_bucket(key));
-                let mut cur = head;
-                while cur != 0 {
-                    // audit: rt-in-loop-ok: pointer chase over a racing
-                    // mutation's chain (rare; only after a lost poison CAS).
-                    let mut raw = [0u8; ITEM_LEN as usize];
-                    client.read_into(FarAddr(cur), &mut raw)?;
-                    let item = Item::decode(&raw);
-                    drained.insert(cur, item.key);
-                    if item.version == entry.version {
-                        live.insert(item.key, item.value);
-                    }
-                    cur = item.next;
-                }
+                // audit: rt-in-loop-ok: re-harvest of a racing mutation's
+                // block (rare; only after a lost poison CAS).
+                blocks[i] = read_blocks(client, &[head])?.pop().flatten();
                 // audit: rt-in-loop-ok: bounded re-poison CAS — loses only
-                // to a racing mutation, whose chain the loop then harvests.
-                let prev = client.cas(bucket_addr, head, self.poison.0)?;
+                // to a racing mutation, whose block the loop then harvests.
+                let prev = client.cas(bucket_addr, head, self.poison)?;
                 if prev == head {
                     break;
                 }
                 head = prev;
             }
+            heads[i] = head;
         }
-        let mut live: Vec<(u64, u64)> = live.into_iter().collect();
+        let mut live: Vec<(u64, u64)> = blocks
+            .iter()
+            .flatten()
+            .filter(|b| b.version == entry.version)
+            .flat_map(|b| b.entries.iter().copied())
+            .collect();
 
         // Decide: split by median key, or grow in place when the range
         // cannot be partitioned.
@@ -1569,28 +1567,29 @@ impl HtTreeHandle {
             .collect::<Result<Vec<Entry>>>()?;
         let (old_dir, old_dir_len) = self.publish_directory(client, &entry, &new_entries)?;
         // Everything the new directory just unlinked: the old table
-        // (header, buckets, bulk items block, every chain record outside
-        // that block) and the directory blob the publish replaced.
-        // Clients cache pointers into all of it, so reclaim mode retires
-        // it as a restructure: the seal stamps it with a fresh epoch *and*
+        // (header, buckets, bulk block, every drained block outside it)
+        // and the directory blob the publish replaced. Clients cache
+        // pointers into all of it, so reclaim mode retires it as a
+        // restructure: the seal stamps it with a fresh epoch *and*
         // generation, and a grace period later it returns to the
         // allocator. Stale readers stay safe in between: their first far
         // access hits poison, and their next epoch pin reports the new
         // generation and refreshes past the retired blocks before those
         // can be freed. Quarantine mode leaks it.
-        let in_bulk =
-            |a: u64| old_items_base != 0 && a >= old_items_base && a < old_items_base + old_items_len;
-        let mut chain_records: Vec<u64> =
-            drained.into_keys().filter(|&a| a != self.poison.0 && !in_bulk(a)).collect();
-        chain_records.sort_unstable();
+        let in_bulk = |a: u64| bulk_base <= a && a < bulk_base + bulk_len;
+        let drained = heads.iter().zip(&blocks).filter_map(|(&head, block)| {
+            let addr = head & !TAG_MASK;
+            let block = block.as_ref()?;
+            (head != self.poison && !in_bulk(addr))
+                .then(|| (FarAddr(addr), block_len(block.entries.len() as u64)))
+        });
         let table = [(entry.table_hdr, HDR_LEN), (entry.buckets, entry.n_buckets * WORD)];
-        let bulk = (old_items_base != 0).then_some((FarAddr(old_items_base), old_items_len));
-        let records = chain_records.into_iter().map(|a| (FarAddr(a), ITEM_LEN));
+        let bulk = (bulk_base != 0).then_some((FarAddr(bulk_base), bulk_len));
         // lint: retire-ok: all of it was unlinked by the directory CAS; readers run under epoch guards and poison + grace fences stragglers.
         self.records.retire_restructure(
             client,
             pin,
-            table.into_iter().chain(bulk).chain(records).chain([(old_dir, old_dir_len)]),
+            table.into_iter().chain(bulk).chain(drained).chain([(old_dir, old_dir_len)]),
         )
     }
 
@@ -1631,7 +1630,7 @@ impl HtTreeHandle {
                 },
             ]) {
                 Ok(out) if out[1].value() == old.0 => {
-                    let old_len = WORD + self.entries.len() as u64 * ENTRY_LEN;
+                    let old_len = WORD + self.entries.len() as u64 * DIR_ENTRY_LEN;
                     (self.entries, self.dir_ptr) = (entries, blob);
                     return Ok((old, old_len));
                 }
@@ -1715,34 +1714,33 @@ mod tests {
         let t = HtTree::create(&mut c, &a, cfg).unwrap();
         let mut h = t.attach(&mut c, &a, cfg).unwrap();
         let entry = h.entry_for(&mut c, 0);
-        let mut used = std::collections::HashSet::new();
-        let (start, hops0) = (c.stats(), h.stats().chain_hops);
+        let mut in_bucket = std::collections::HashMap::new();
+        let start = c.stats();
         for k in 0..1000u64 {
-            let chained = !used.insert(HtTreeHandle::bucket_addr(&entry, k * 7919));
-            let (before, hops) = (c.stats(), h.stats().chain_hops);
+            let n = in_bucket.entry(HtTreeHandle::bucket_addr(&entry, k * 7919)).or_insert(0);
+            let before = c.stats();
             h.put(&mut c, k * 7919, k).unwrap();
-            let (d, hops) = (c.stats().since(&before), h.stats().chain_hops - hops);
-            // A new key's walk runs to the end of its chain: the hops a
-            // lookup of it pays. Posted bookkeeping: H_ITEMS, plus
-            // H_COLLISIONS on a chained insert.
-            let posted = 1 + u64::from(chained);
+            let d = c.stats().since(&before);
+            // Posted bookkeeping: H_ITEMS, plus H_COLLISIONS on an insert
+            // into a non-empty bucket.
+            let posted = 1 + u64::from(*n > 0);
             let want = farmem_fabric::AccessStats {
-                round_trips: 2 + hops,
-                messages: 2 + hops + 2 + posted,
+                round_trips: 2,
+                messages: 2 + 2 + posted,
                 posted_messages: posted,
-                // The head item through the bucket word, the header, an
-                // item per hop.
-                bytes_read: u64::from(chained) * ITEM_LEN + HDR_LEN + hops * ITEM_LEN,
-                bytes_written: ITEM_LEN,
+                // The bucket's block through its word (nothing in an empty
+                // bucket) and the header; then the block one key longer.
+                bytes_read: if *n > 0 { block_len(*n) } else { 0 } + HDR_LEN,
+                bytes_written: block_len(*n + 1),
                 atomics: 1 + posted,
                 near_accesses: 2,
                 ..Default::default()
             };
             assert_eq!(d, want, "put {k}");
+            *n += 1;
         }
-        let hops = h.stats().chain_hops - hops0;
-        assert_eq!(c.stats().since(&start).round_trips, 2000 + hops, "no amortised third access");
-        assert_eq!(restructures(&h), 0);
+        assert_eq!(c.stats().since(&start).round_trips, 2000, "no amortised third access");
+        assert_eq!((h.stats().chain_hops, restructures(&h)), (0, 0));
     }
 
     /// A reclaim-mode handle (the mode in which `publish` reports what it
@@ -1775,36 +1773,36 @@ mod tests {
             assert_eq!(h.get(c, 7).unwrap(), Some(rec.0));
             (rec.0, old, d)
         };
-        // Access 1 is the `load0` of the head item (nothing to read in an
-        // empty bucket) and the header; access 2 the record, the item and
-        // the CAS. Only an insert bumps the count.
+        // Access 1 is the tagged `load0` of the bucket's block (nothing to
+        // read in an empty bucket) and the header; access 2 the record,
+        // the new block and the CAS. Only an insert bumps the count.
         let splice = |head: u64, posted: u64, written: u64| farmem_fabric::AccessStats {
             round_trips: 2,
             messages: 2 + 3 + posted,
             posted_messages: posted,
             bytes_read: head + HDR_LEN,
-            bytes_written: ITEM_LEN + written,
+            bytes_written: block_len(1) + written,
             atomics: 1 + posted,
             near_accesses: 2,
-            // The replaced item, retired.
+            // The replaced block, retired.
             retired_bytes: head,
             ..Default::default()
         };
         let retired = || shared.lock().unwrap().stats().retired_entries;
         let (first, old, d) = publish(&mut c, &mut h, b"sixteen bytes...");
         assert_eq!(old, None, "fresh key");
-        assert_eq!(d, splice(0, 1, 16), "empty bucket: record + item + CAS");
+        assert_eq!(d, splice(0, 1, 16), "empty bucket: record + block + CAS");
         let before = retired();
         let (second, old, d) = publish(&mut c, &mut h, b"twenty-four bytes.......");
         assert_eq!(old, Some(first), "the value this store replaced");
-        assert_eq!(d, splice(ITEM_LEN, 0, 24), "at the head: the item replaced in the CAS");
-        assert_eq!(retired() - before, 1, "the replaced item, retired");
+        assert_eq!(d, splice(block_len(1), 0, 24), "the block replaced in the CAS");
+        assert_eq!(retired() - before, 1, "the replaced block, retired");
         assert_eq!(h.len_estimate(&mut c).unwrap(), 1, "one live key");
-        // A removed key supersedes nothing: the take left no item of it.
+        // A removed key supersedes nothing: the take left no entry of it.
         assert_eq!(h.take(&mut c, 7).unwrap(), Some(second));
         let (_, old, _) = publish(&mut c, &mut h, b"after the delete");
         assert_eq!(old, None, "not {second}");
-        assert_eq!(h.stats().chain_hops, 0, "every old item was the chain head");
+        assert_eq!(h.stats().chain_hops, 0, "no block past its tag");
 
         // A quarantine-mode handle splices at the same price and hands back
         // what it superseded too; it only retires nothing.
@@ -1817,16 +1815,17 @@ mod tests {
         let (first, old, d) = publish(&mut c, &mut q, b"sixteen bytes...");
         assert_eq!((old, d), (None, stranded(0, 1, 16)));
         let (_, old, d) = publish(&mut c, &mut q, b"twenty-four bytes.......");
-        assert_eq!((old, d), (Some(first), stranded(ITEM_LEN, 0, 24)), "replaced at the head");
+        assert_eq!((old, d), (Some(first), stranded(block_len(1), 0, 24)), "block replaced");
         assert_eq!(q.len_estimate(&mut c).unwrap(), 1, "one live key");
     }
 
-    /// A splice at depth `d` is `2 + d` far accesses: the walk's hops come
-    /// before the CAS, and the batch copies the `d` items above the key's
-    /// old one. A take at the chain head is two and writes nothing; the
-    /// chain keeps one item per key, and the header counts live keys.
+    /// A store at any depth is two far accesses and writes one block: the
+    /// bucket's block with the key's entry replaced, added or dropped, in
+    /// place of the old block, which is the one retire. A take of a
+    /// bucket's last key writes nothing and leaves the word null. The
+    /// bucket keeps one entry per key, and the header counts live keys.
     #[test]
-    fn a_splice_at_depth_d_is_two_plus_d_far_accesses_and_copies_d_items() {
+    fn a_store_at_any_depth_is_two_far_accesses_and_writes_one_block() {
         let f = FabricConfig::count_only(64 << 20).build();
         let a = FarAlloc::new(f.clone());
         let mut c = f.client();
@@ -1843,47 +1842,47 @@ mod tests {
         for &k in &keys {
             h.put(&mut c, k, k + 100).unwrap();
         }
-        // The chain, head first, as the put order left it.
-        let chain = |c: &mut FabricClient| -> Vec<u64> {
-            let mut out = Vec::new();
-            let mut at = c.read_u64(bucket).unwrap();
-            while at != 0 {
-                let item = Item::decode(&c.read(FarAddr(at), ITEM_LEN).unwrap());
-                out.push(item.key);
-                at = item.next;
+        // The bucket's block, as the puts left it.
+        let block = |c: &mut FabricClient| -> Vec<u64> {
+            let word = c.read_u64(bucket).unwrap();
+            if word == 0 {
+                return Vec::new();
             }
-            out
+            let (read, bytes) = c.load0_tagged(bucket).unwrap();
+            let (version, entries) = entries(read, &bytes);
+            assert_eq!((read, version), (word, entry.version));
+            entries.map(|(k, _)| k).collect()
         };
-        assert_eq!(chain(&mut c), [keys[3], keys[2], keys[1], keys[0]]);
+        assert_eq!(block(&mut c), keys);
         let retired = || shared.lock().unwrap().stats().retired_entries;
-        let measure = |c: &mut FabricClient, h: &mut HtTreeHandle, put: bool, key: u64| {
+        let measure = |c: &mut FabricClient, h: &mut HtTreeHandle, op: &dyn Fn(&mut FabricClient, &mut HtTreeHandle)| {
             let (before, r0) = (c.stats(), retired());
-            if put {
-                h.put(c, key, key + 200).unwrap();
-            } else {
-                assert_eq!(h.take(c, key).unwrap(), Some(key + 100));
-            }
+            op(c, h);
             let d = c.stats().since(&before);
-            (d.round_trips, d.bytes_written / ITEM_LEN, retired() - r0)
+            (d.round_trips, d.bytes_written, retired() - r0)
         };
-        // An overwrite two hops down: the new item, two copies; the old
-        // item and the two originals retired.
-        assert_eq!(measure(&mut c, &mut h, true, keys[1]), (2 + 2, 3, 3));
-        assert_eq!(chain(&mut c), [keys[1], keys[3], keys[2], keys[0]]);
-        // A take three hops down: three copies, four items retired.
-        assert_eq!(measure(&mut c, &mut h, false, keys[0]), (2 + 3, 3, 4));
-        assert_eq!(chain(&mut c), [keys[1], keys[3], keys[2]]);
-        // A take at the head: the one CAS, nothing written.
-        let head = keys[1];
-        let (before, r0) = (c.stats(), retired());
-        assert_eq!(h.take(&mut c, head).unwrap(), Some(head + 200));
-        let d = c.stats().since(&before);
-        assert_eq!((d.round_trips, d.bytes_written, retired() - r0), (2, 0, 1));
-        assert_eq!(chain(&mut c), [keys[3], keys[2]]);
+        // An overwrite of the second key: one block of four, in place.
+        let overwrite = |c: &mut FabricClient, h: &mut HtTreeHandle| h.put(c, keys[1], 7).unwrap();
+        assert_eq!(measure(&mut c, &mut h, &overwrite), (2, block_len(4), 1));
+        assert_eq!(block(&mut c), keys);
+        // Takes at the front and at the back: one block a key shorter each.
+        for (key, left) in [(keys[0], 3), (keys[3], 2)] {
+            let take = |c: &mut FabricClient, h: &mut HtTreeHandle| {
+                assert_eq!(h.take(c, key).unwrap(), Some(key + 100));
+            };
+            assert_eq!(measure(&mut c, &mut h, &take), (2, block_len(left), 1));
+        }
+        assert_eq!(block(&mut c), [keys[1], keys[2]]);
         assert_eq!(h.len_estimate(&mut c).unwrap(), 2, "two live keys");
-        for (&k, want) in keys.iter().zip([None, None, Some(keys[2] + 100), Some(keys[3] + 100)]) {
+        for (&k, want) in keys.iter().zip([None, Some(7), Some(keys[2] + 100), None]) {
             assert_eq!(h.get(&mut c, k).unwrap(), want, "key {k}");
         }
+        // The bucket's last key: the CAS to null, nothing written.
+        h.remove(&mut c, keys[1]).unwrap();
+        let last = |c: &mut FabricClient, h: &mut HtTreeHandle| h.remove(c, keys[2]).unwrap();
+        assert_eq!(measure(&mut c, &mut h, &last), (2, 0, 1));
+        assert_eq!(c.read_u64(bucket).unwrap(), 0, "an empty bucket");
+        assert_eq!(h.len_estimate(&mut c).unwrap(), 0);
     }
 
     /// Fails `victim` right after the first access of `kind` at `addr`:
@@ -1959,7 +1958,12 @@ mod tests {
             // Linked and whole: nothing freed the record under its readers.
             assert_eq!(h.get(&mut c, 6).unwrap(), Some(rec.0));
             assert_eq!(c.read(rec, 16).unwrap(), b"linked, not lost");
-            assert_eq!(a.stats().live_bytes, live + 16 + ITEM_LEN, "record + item, nothing else");
+            // The record and the bucket's new block; the block it replaced
+            // is retired, not yet freed.
+            let bucket = HtTreeHandle::bucket_addr(&entry, 6);
+            let n = (0..6).filter(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).count();
+            let block = block_len(n as u64 + 1);
+            assert_eq!(a.stats().live_bytes, live + 16 + block, "record + block, nothing else");
             // The next insert into the table gathers the verdict again (a
             // dead header node lost the count's bump: still one key over)
             // and pays it.
@@ -2096,9 +2100,9 @@ mod tests {
 
     /// What an uncontended restructure costs, whole: the version CAS with
     /// its reads of the directory pointer and the table header, the bucket
-    /// array, one gather per chain level, the poison volley, one
-    /// batch per table built and the publish batch — no lock, and no
-    /// directory re-read ahead of the take.
+    /// array, one gather of the blocks, the poison volley, one batch per
+    /// table built and the publish batch — no lock, and no directory
+    /// re-read ahead of the take.
     #[test]
     fn an_uncontended_split_is_a_version_cas_the_drain_the_builds_and_one_publish() {
         let f = FabricConfig::count_only(64 << 20).build();
@@ -2115,14 +2119,20 @@ mod tests {
         let before = c.stats();
         h.split(&mut c, 0).unwrap();
         let d = c.stats().since(&before);
-        // Two levels of chains hold the six items; each new table is its
-        // bucket array, header and three items.
-        let built = 2 * (8 * WORD + HDR_LEN + 3 * ITEM_LEN);
+        // The blocks of `b` buckets hold the six keys, a header each; each
+        // new table is its bucket array, header and bulk block.
+        let buckets = |keys: &[u64]| {
+            let at = |&k: &u64| splitmix64(k) % 8;
+            keys.iter().map(at).collect::<std::collections::HashSet<_>>().len() as u64
+        };
+        let keys: Vec<u64> = (0..6u64).map(|k| k * 1000).collect();
+        let (b, built_b) = (buckets(&keys), buckets(&keys[..3]) + buckets(&keys[3..]));
+        let built = 2 * (8 * WORD + HDR_LEN) + 6 * ENTRY_LEN + built_b * BLOCK_HDR;
         let want = farmem_fabric::AccessStats {
-            round_trips: 1 + 1 + 2 + 1 + 2 + 1,
-            messages: 3 + 1 + 6 + 8 + 2 * 3 + 2,
-            bytes_read: WORD + HDR_LEN + 8 * WORD + 6 * ITEM_LEN,
-            bytes_written: built + WORD + 2 * ENTRY_LEN,
+            round_trips: 1 + 1 + 1 + 1 + 2 + 1,
+            messages: 3 + 1 + b + 8 + 2 * 3 + 2,
+            bytes_read: WORD + HDR_LEN + 8 * WORD + 6 * ENTRY_LEN + b * BLOCK_HDR,
+            bytes_written: built + WORD + 2 * DIR_ENTRY_LEN,
             atomics: 1 + 8 + 1,
             ..Default::default()
         };
@@ -2133,10 +2143,11 @@ mod tests {
         }
     }
 
-    /// A reclaim-mode store walks to the key's old item before it links
-    /// anything, so a fault on a hop fails the store with nothing linked —
-    /// the record is the caller's to free — instead of leaving a landed
-    /// store that cannot say what it superseded.
+    /// A reclaim-mode store reads its key's whole block before it links
+    /// anything — a block longer than its tag with one more read — so a
+    /// fault on that read fails the store with nothing linked (the record
+    /// is the caller's to free) instead of leaving a landed store that
+    /// cannot say what it superseded.
     #[test]
     fn a_walk_cut_by_a_fault_fails_the_store_with_nothing_linked() {
         let (f, a) = two_nodes();
@@ -2147,21 +2158,21 @@ mod tests {
             ..HtTreeConfig::default()
         };
         let (_, mut h, _shared) = reclaimed(&mut c, &a, cfg);
-        // Two keys of one bucket: `below`'s item ends up one hop down.
+        // Seventeen keys of one bucket: a block longer than its tag.
         let entry = h.entry_for(&mut c, 0);
         let bucket = HtTreeHandle::bucket_addr(&entry, 0);
-        let above = (1u64..).find(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).unwrap();
         let publish = |c: &mut FabricClient, h: &mut HtTreeHandle, key: u64, fill: u8| {
             let rec = a.alloc(16, AllocHint::Spread).unwrap();
             (rec, h.publish(c, key, rec, &[fill; 16]))
         };
         let (below_rec, _) = publish(&mut c, &mut h, 0, 1);
-        publish(&mut c, &mut h, above, 2).1.unwrap();
-        let head = FarAddr(c.read_u64(bucket).unwrap());
-        let head = Item::decode(&c.read(head, ITEM_LEN).unwrap());
-        assert_eq!((head.key, head.next != 0), (above, true));
-        // The hop's node dies once access 1 has read the header.
-        let victim = a.node_of(FarAddr(head.next));
+        for k in (1u64..).filter(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).take(16) {
+            h.put(&mut c, k, k).unwrap();
+        }
+        let word = c.read_u64(bucket).unwrap();
+        assert_eq!(word & TAG_MASK, TAG_MASK, "the tag covers fifteen keys of seventeen");
+        // The block's node dies once access 1 has read the header.
+        let victim = a.node_of(FarAddr(word & !TAG_MASK));
         f.install_check_observer(Arc::new(FailOnAccess {
             fabric: Arc::downgrade(&f),
             addr: entry.table_hdr,
@@ -2169,19 +2180,25 @@ mod tests {
             victim,
         }));
         let (live, words) = (a.stats().live_bytes, c.read(entry.buckets, 2 * WORD).unwrap());
+        let hops = h.stats().chain_hops;
         let (rec, stored) = publish(&mut c, &mut h, 0, 3);
         f.clear_check_observer();
         f.node(victim).recover();
-        assert!(matches!(stored, Err(CoreError::Fabric(_))), "{stored:?}");
+        // Access 1 ran whole before the node died: the read of the rest failed.
+        let failed = |e: &CoreError| {
+            matches!(e, CoreError::Fabric(farmem_fabric::FabricError::NodeFailed(n)) if *n == victim)
+        };
+        assert!(stored.as_ref().is_err_and(failed), "{stored:?}");
         a.free(rec, 16).unwrap();
         // Nothing was linked or allocated: the buckets are as they were
         // and the old record is still the key's.
         assert_eq!(c.read(entry.buckets, 2 * WORD).unwrap(), words);
         assert_eq!(a.stats().live_bytes, live);
         assert_eq!(h.get(&mut c, 0).unwrap(), Some(below_rec.0));
-        // With the node back the same store walks the hop and lands.
+        // With the node back the same store reads the rest and lands.
         let (rec, old) = publish(&mut c, &mut h, 0, 4);
         assert_eq!(old.unwrap(), Some(below_rec.0));
+        assert_eq!(h.stats().chain_hops - hops, 2, "the get's read of the rest, and the store's");
         assert_eq!(h.get(&mut c, 0).unwrap(), Some(rec.0));
         assert_eq!(c.read(rec, 16).unwrap(), [4; 16]);
     }
@@ -2256,15 +2273,14 @@ mod tests {
         for k in 0..6u64 {
             h.put(&mut c, k, k).unwrap();
         }
-        // The six that land unlink their key's item, two far accesses
-        // (plus hops) each, and none restructures; the other 34 removes
-        // find no item of their key in one (plus hops) and link nothing.
-        let (before, hops) = (c.stats(), h.stats().chain_hops);
+        // The six that land unlink their key's entry, two far accesses
+        // each, and none restructures; the other 34 removes find no entry
+        // of their key in one and link nothing.
+        let before = c.stats();
         for k in 0..40u64 {
             h.remove(&mut c, k % 6).unwrap();
         }
-        let hops = h.stats().chain_hops - hops;
-        assert_eq!(c.stats().since(&before).round_trips, 6 * 2 + 34 + hops);
+        assert_eq!(c.stats().since(&before).round_trips, 6 * 2 + 34);
         assert_eq!((h.stats().removes, h.len_estimate(&mut c).unwrap()), (6, 0));
         assert_eq!(restructures(&h), 0);
         // The header counts live keys: the next put sees one, and no
@@ -2279,7 +2295,7 @@ mod tests {
     /// whole `AccessStats` deltas, so messages and bytes are pinned beside
     /// the round trips — and what it links.
     #[test]
-    fn take_costs_two_far_accesses_plus_hops_and_one_when_the_key_is_absent() {
+    fn take_costs_two_far_accesses_and_one_when_the_key_is_absent() {
         use farmem_fabric::AccessStats;
         for reclaim_mode in [false, true] {
             let f = FabricConfig::count_only(64 << 20).build();
@@ -2302,13 +2318,13 @@ mod tests {
                 let bucket = HtTreeHandle::bucket_addr(&entry, with);
                 (with..).filter(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).take(n).collect()
             };
-            let [below, head, foreign] = sharing(0, 3)[..] else { unreachable!() };
+            let [first, second, foreign] = sharing(0, 3)[..] else { unreachable!() };
             let bucket = |k| HtTreeHandle::bucket_addr(&entry, k);
             let other = (1u64..).find(|&k| bucket(k) != bucket(0)).unwrap();
-            let [under, over] = sharing(other, 2)[..] else { unreachable!() };
+            let [front, back] = sharing(other, 2)[..] else { unreachable!() };
             let empty =
                 (1u64..).find(|&k| bucket(k) != bucket(0) && bucket(k) != bucket(other)).unwrap();
-            for (k, v) in [(below, 10), (head, 20), (under, 30), (over, 40)] {
+            for (k, v) in [(first, 10), (second, 20), (front, 30), (back, 40)] {
                 h.put(&mut c, k, v).unwrap();
             }
             let mut take = |c: &mut FabricClient, key| {
@@ -2321,38 +2337,37 @@ mod tests {
                 }
                 // The cached tree's traversal is local and the same every time.
                 assert_eq!(d.near_accesses, 2);
-                (got, d.bytes_written / ITEM_LEN, AccessStats { near_accesses: 0, ..d })
+                (got, AccessStats { near_accesses: 0, ..d })
             };
-            // Access 1 is the `load0` of the head item and the header; a
-            // hop is one item read; a landed take is the CAS, a copy per
-            // hop and the posted count decrement. Only a reclaim-mode take
-            // retires what it unlinked.
-            let books = |hops: u64, landed: bool| {
+            // Access 1 is the tagged `load0` of a block of `n` keys and the
+            // header; a landed take writes the block a key shorter (none
+            // for the bucket's last key), CASes the bucket and posts the
+            // count decrement. Only a reclaim-mode take retires the old
+            // block.
+            let books = |n: u64, landed: bool| {
                 let landed = u64::from(landed);
-                let copies = hops * landed;
+                let written = landed * u64::from(n > 1);
                 AccessStats {
-                    round_trips: 1 + hops + landed,
-                    messages: 2 + hops + (2 + copies) * landed,
+                    round_trips: 1 + landed,
+                    messages: 2 + (2 + written) * landed,
                     posted_messages: landed,
-                    bytes_read: ITEM_LEN + HDR_LEN + hops * ITEM_LEN,
-                    bytes_written: ITEM_LEN * copies,
+                    bytes_read: if n > 0 { block_len(n) } else { 0 } + HDR_LEN,
+                    bytes_written: block_len(n - landed) * written,
                     atomics: 2 * landed,
-                    retired_bytes: ITEM_LEN * (1 + hops) * landed * u64::from(reclaim_mode),
+                    retired_bytes: block_len(n) * landed * u64::from(reclaim_mode),
                     ..AccessStats::default()
                 }
             };
-            assert_eq!(take(&mut c, foreign), (None, 0, books(1, false)), "absent under a chain");
-            assert_eq!(take(&mut c, head), (Some(20), 0, books(0, true)), "at the chain head");
-            // The key's item left the chain: the take finds `below`, and
-            // nothing under it.
-            assert_eq!(take(&mut c, head), (None, 0, books(0, false)), "a removed key");
-            assert_eq!(take(&mut c, under), (Some(30), 1, books(1, true)), "one hop down");
-            let nothing_there = AccessStats { bytes_read: HDR_LEN, ..books(0, false) };
-            assert_eq!(take(&mut c, empty), (None, 0, nothing_there), "an empty bucket");
-            assert_eq!(h.stats().removes, 2, "landed takes only");
-            assert_eq!(h.get(&mut c, below).unwrap(), Some(10));
-            assert_eq!(h.get(&mut c, over).unwrap(), Some(40));
-            assert_eq!(h.len_estimate(&mut c).unwrap(), 2, "the live keys");
+            assert_eq!(take(&mut c, foreign), (None, books(2, false)), "absent from a block of two");
+            assert_eq!(take(&mut c, second), (Some(20), books(2, true)), "the back of a block");
+            assert_eq!(take(&mut c, second), (None, books(1, false)), "a removed key");
+            assert_eq!(take(&mut c, front), (Some(30), books(2, true)), "the front of a block");
+            assert_eq!(take(&mut c, empty), (None, books(0, false)), "an empty bucket");
+            assert_eq!(take(&mut c, first), (Some(10), books(1, true)), "the bucket's last key");
+            assert_eq!(take(&mut c, first), (None, books(0, false)), "the bucket it emptied");
+            assert_eq!(h.stats().removes, 3, "landed takes only");
+            assert_eq!(h.get(&mut c, back).unwrap(), Some(40));
+            assert_eq!(h.len_estimate(&mut c).unwrap(), 1, "the live key");
         }
     }
 
@@ -2394,7 +2409,7 @@ mod tests {
         let bucket = HtTreeHandle::bucket_addr(&entry, 0);
         let neighbour = (1u64..).find(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).unwrap();
         ha.put(&mut ca, 0, 70).unwrap();
-        // The taker has read the chain head and is about to splice (its
+        // The taker has read the bucket's block and is about to splice (its
         // second verb) when the neighbour's put lands.
         let hold = Arc::new(HoldAt {
             client: ca.id(),
@@ -2414,14 +2429,14 @@ mod tests {
         f.clear_check_observer();
         assert_eq!(taken.unwrap(), Some(70));
         assert_eq!((ha.stats().cas_retries, ha.stats().removes), (1, 1));
-        // Two accesses lost, then two more and the hop past the neighbour.
-        assert_eq!(ca.stats().since(&before).round_trips, 2 + 3);
+        // Two accesses lost, then two more.
+        assert_eq!(ca.stats().since(&before).round_trips, 2 + 2);
         assert_eq!(hb.get(&mut cb, neighbour).unwrap(), Some(71), "the put survived the retry");
         assert_eq!(hb.get(&mut cb, 0).unwrap(), None, "and so did the take");
         assert_eq!(hb.take(&mut cb, neighbour).unwrap(), Some(71));
     }
 
-    /// Two takes of one key both walk to the same item, and the bucket CAS
+    /// Two takes of one key both read the same block, and the bucket CAS
     /// hands its value to exactly one of them: the loser starts over and
     /// finds no item of the key, under either lifetime.
     /// (What lets the record layer retire what `take` returns without
@@ -2580,7 +2595,7 @@ mod tests {
         // The absent key's descriptor skips its item read; placed last,
         // nothing waits behind its pointer read either.
         let cost = farmem_fabric::CostModel::DEFAULT;
-        let item_read = cost.node_msg_ns + cost.bytes_ns(ITEM_LEN);
+        let item_read = cost.node_msg_ns + cost.bytes_ns(block_len(1));
         assert_eq!(all_present - first, item_read, "all present {all_present} ns");
         assert_eq!(first - last, cost.node_msg_ns + cost.node_ext_ns);
     }
@@ -2711,24 +2726,100 @@ mod tests {
         }
     }
 
+    /// A lookup in a block longer than its tag is one read more, counted
+    /// as a chain hop; one in a block the tag covers counts none.
     #[test]
     fn chain_hops_are_counted() {
-        let (f, a, t) = setup(64 << 20);
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
         let mut c = f.client();
-        // Two buckets: plenty of collisions.
+        // Two buckets: about twenty keys each.
         let cfg = HtTreeConfig {
             initial_buckets: 2,
             max_load_percent: u64::MAX,
             ..HtTreeConfig::default()
         };
-        let mut h = t.attach(&mut c, &a, cfg).unwrap();
-        for k in 0..16u64 {
+        let mut h = HtTree::create(&mut c, &a, cfg).unwrap().attach(&mut c, &a, cfg).unwrap();
+        for k in 0..40u64 {
             h.put(&mut c, k, k).unwrap();
         }
-        for k in 0..16u64 {
+        let entry = h.entry_for(&mut c, 0);
+        let bucket = |k| HtTreeHandle::bucket_addr(&entry, k);
+        let long = |&k: &u64| (0..40u64).filter(|&j| bucket(j) == bucket(k)).count() > 15;
+        let hops = h.stats().chain_hops;
+        for k in 0..40u64 {
             assert_eq!(h.get(&mut c, k).unwrap(), Some(k));
         }
-        assert!(h.stats().chain_hops > 0, "collisions cost extra hops");
+        let want = (0..40u64).filter(long).count() as u64;
+        assert!(want > 0, "a block past its tag");
+        assert_eq!(h.stats().chain_hops - hops, want, "one read past the tag per such get");
+    }
+
+    /// Forty keys in one bucket: every get, put and take stays correct, an
+    /// op on a block of more than fifteen keys pays exactly one read more
+    /// than the tag's, and one on a block of fifteen or fewer pays none,
+    /// at any position in the block.
+    #[test]
+    fn a_forty_key_bucket_pays_one_read_past_its_tag_and_none_below() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let cfg = HtTreeConfig {
+            initial_buckets: 2,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let mut h = HtTree::create(&mut c, &a, cfg).unwrap().attach(&mut c, &a, cfg).unwrap();
+        let entry = h.entry_for(&mut c, 0);
+        let bucket = HtTreeHandle::bucket_addr(&entry, 0);
+        let keys: Vec<u64> =
+            (0u64..).filter(|&k| HtTreeHandle::bucket_addr(&entry, k) == bucket).take(40).collect();
+        // Round trips and chain hops of one op on a block of `n` keys.
+        let costs = |n: usize, base: u64| (base + u64::from(n > 15), u64::from(n > 15));
+        let measure = |c: &mut FabricClient, h: &mut HtTreeHandle, op: &mut dyn FnMut(&mut FabricClient, &mut HtTreeHandle)| {
+            let (before, hops) = (c.stats(), h.stats().chain_hops);
+            op(c, h);
+            (c.stats().since(&before).round_trips, h.stats().chain_hops - hops)
+        };
+        for (n, &k) in keys.iter().enumerate() {
+            let mut put = |c: &mut FabricClient, h: &mut HtTreeHandle| h.put(c, k, k + 1).unwrap();
+            assert_eq!(measure(&mut c, &mut h, &mut put), costs(n, 2), "put {n}");
+        }
+        assert_eq!(c.read_u64(bucket).unwrap() & TAG_MASK, TAG_MASK);
+        for &k in &keys {
+            let mut get = |c: &mut FabricClient, h: &mut HtTreeHandle| {
+                assert_eq!(h.get(c, k).unwrap(), Some(k + 1));
+            };
+            assert_eq!(measure(&mut c, &mut h, &mut get), costs(40, 1), "get {k}");
+        }
+        // An overwrite of the last key, then takes from the back down to
+        // fifteen keys.
+        let last = keys[39];
+        let mut overwrite = |c: &mut FabricClient, h: &mut HtTreeHandle| h.put(c, last, 7).unwrap();
+        assert_eq!(measure(&mut c, &mut h, &mut overwrite), costs(40, 2));
+        for n in (16..=40).rev() {
+            let (k, want) = (keys[n - 1], if n == 40 { 7 } else { keys[n - 1] + 1 });
+            let mut take = |c: &mut FabricClient, h: &mut HtTreeHandle| {
+                assert_eq!(h.take(c, k).unwrap(), Some(want));
+            };
+            assert_eq!(measure(&mut c, &mut h, &mut take), costs(n, 2), "take at {n}");
+        }
+        // Fifteen keys: the tag covers the block, wherever the key sits.
+        for (i, &k) in keys.iter().enumerate() {
+            let want = (i < 15).then_some(k + 1);
+            let mut get = |c: &mut FabricClient, h: &mut HtTreeHandle| {
+                assert_eq!(h.get(c, k).unwrap(), want, "key {k}");
+            };
+            assert_eq!(measure(&mut c, &mut h, &mut get), (1, 0), "get {i}");
+        }
+        let mut take = |c: &mut FabricClient, h: &mut HtTreeHandle| {
+            assert_eq!(h.take(c, keys[7]).unwrap(), Some(keys[7] + 1));
+        };
+        assert_eq!(measure(&mut c, &mut h, &mut take), (2, 0));
+        let mut put = |c: &mut FabricClient, h: &mut HtTreeHandle| h.put(c, keys[0], 9).unwrap();
+        assert_eq!(measure(&mut c, &mut h, &mut put), (2, 0));
+        assert_eq!(h.get(&mut c, keys[0]).unwrap(), Some(9));
+        assert_eq!(h.len_estimate(&mut c).unwrap(), 14);
     }
 
     #[test]
@@ -2858,8 +2949,12 @@ mod tests {
         for k in 0..64u64 {
             h1.put(&mut c1, k, k + 1).unwrap();
         }
+        // The blocks the puts replaced: sealed now, and freed once h2 has
+        // pinned past them.
+        s1.lock().unwrap().seal(&mut c1).unwrap();
         // h2 reads once (pins, caches the pre-split tree).
         assert_eq!(h2.get(&mut c2, 3).unwrap(), Some(4));
+        assert!(s1.lock().unwrap().reclaim(&mut c1).unwrap() > 0, "the replaced blocks");
         // h1 splits (retires + seals) and reclaims. h2's slot still lags
         // at the pre-seal epoch, so nothing can be freed yet.
         h1.split(&mut c1, 0).unwrap();
@@ -2902,9 +2997,11 @@ mod tests {
             Reclaim(usize),
         }
 
-        /// Every chain of every table `h` caches, after a refresh: per table,
-        /// its header's item count and the items on each chain.
-        fn chains(h: &mut HtTreeHandle, c: &mut FabricClient) -> Vec<(u64, Vec<Vec<Item>>)> {
+        /// One table: its header's item count and each block's entries.
+        type Table = (u64, Vec<Vec<(u64, u64)>>);
+
+        /// Every bucket of every table `h` caches, after a refresh.
+        fn chains(h: &mut HtTreeHandle, c: &mut FabricClient) -> Vec<Table> {
             h.refresh_directory(c).unwrap();
             h.entries
                 .clone()
@@ -2912,20 +3009,14 @@ mod tests {
                 .map(|e| {
                     let count = c.read_u64(e.table_hdr.offset(H_ITEMS)).unwrap();
                     let heads = words(&c.read(e.buckets, e.n_buckets * WORD).unwrap());
-                    let walked = heads
-                        .into_iter()
-                        .map(|mut at| {
-                            let mut chain = Vec::new();
-                            while at != 0 {
-                                let item = Item::decode(&c.read(FarAddr(at), ITEM_LEN).unwrap());
-                                assert_eq!(item.version, e.version, "an item of another table");
-                                chain.push(item);
-                                at = item.next;
-                            }
-                            chain
+                    let blocks = read_blocks(c, &heads).unwrap().into_iter().flatten();
+                    let entries = blocks
+                        .map(|block| {
+                            assert_eq!(block.version, e.version, "a block of another table");
+                            block.entries
                         })
                         .collect();
-                    (count, walked)
+                    (count, entries)
                 })
                 .collect()
         }
@@ -3003,11 +3094,11 @@ mod tests {
                 let mut found = std::collections::HashMap::new();
                 for (count, buckets) in chains(&mut h[0], &mut c[0]) {
                     let mut keys = 0u64;
-                    for chain in buckets {
+                    for block in buckets {
                         let mut seen = std::collections::HashSet::new();
-                        for item in chain {
-                            prop_assert!(seen.insert(item.key), "two items of key {}", item.key);
-                            found.insert(item.key, item.value);
+                        for (key, value) in block {
+                            prop_assert!(seen.insert(key), "two entries of key {}", key);
+                            found.insert(key, value);
                             keys += 1;
                         }
                     }

@@ -130,6 +130,14 @@ pub enum BatchOp<'a> {
         /// Bytes to read at the target.
         len: u64,
     },
+    /// `load0_tagged`: dereference the tagged pointer at `ptr` and read
+    /// the block its tag names ([`FabricClient::load0_tagged`]), answered
+    /// as [`Load0`](BatchOp::Load0) is: [`BatchOut::Loaded`] with the
+    /// pointer word, tag included, or [`BatchOut::Null`].
+    Load0Tagged {
+        /// Far address of the tagged pointer word.
+        ptr: FarAddr,
+    },
     /// [`Read`](BatchOp::Read) at an address the caller only guesses is
     /// live. Booked like a read; reported to the verification observer as
     /// [`AccessKind::SpeculativeRead`], whose contract is the caller's:
@@ -149,7 +157,10 @@ impl BatchOp<'_> {
     pub(crate) fn is_read_only(&self) -> bool {
         matches!(
             self,
-            BatchOp::Read { .. } | BatchOp::Load0 { .. } | BatchOp::ReadSpeculative { .. }
+            BatchOp::Read { .. }
+                | BatchOp::Load0 { .. }
+                | BatchOp::Load0Tagged { .. }
+                | BatchOp::ReadSpeculative { .. }
         )
     }
 }
@@ -961,7 +972,8 @@ impl FabricClient {
                 // its pointer word is what can be checked up front.
                 BatchOp::Cas { addr, .. }
                 | BatchOp::Faa { addr, .. }
-                | BatchOp::Load0 { ptr: addr, .. } => (*addr, WORD),
+                | BatchOp::Load0 { ptr: addr, .. }
+                | BatchOp::Load0Tagged { ptr: addr } => (*addr, WORD),
             };
             for seg in self.fabric.segments(addr, len)? {
                 let phys = self.route(seg.node);
@@ -999,19 +1011,25 @@ impl FabricClient {
                     .exec_faa(*addr, *delta, arrival)
                     .map(|(prev, f)| (BatchOut::Value(prev), f))
                     .map_err(ErrorCompletion::from),
-                BatchOp::Load0 { ptr, len } => match self.exec_load0(*ptr, *len, arrival) {
-                    Ok(((ptr, bytes), f)) => Ok((BatchOut::Loaded { ptr, bytes }, f)),
-                    Err(ErrorCompletion {
-                        err: FabricError::NullDeref { .. },
-                        answered_at: Some(at),
-                    }) => Ok((BatchOut::Null, at)),
-                    // The client waited for whatever the home node
-                    // answered, as the blocking verb does.
-                    Err(e) => Err(ErrorCompletion {
-                        answered_at: e.answered_at.map(|at| finish.max(at)),
-                        ..e
-                    }),
-                },
+                BatchOp::Load0 { ptr, .. } | BatchOp::Load0Tagged { ptr } => {
+                    let len = match op {
+                        BatchOp::Load0 { len, .. } => Some(*len),
+                        _ => None,
+                    };
+                    match self.exec_load0(*ptr, len, arrival) {
+                        Ok(((ptr, bytes), f)) => Ok((BatchOut::Loaded { ptr, bytes }, f)),
+                        Err(ErrorCompletion {
+                            err: FabricError::NullDeref { .. },
+                            answered_at: Some(at),
+                        }) => Ok((BatchOut::Null, at)),
+                        // The client waited for whatever the home node
+                        // answered, as the blocking verb does.
+                        Err(e) => Err(ErrorCompletion {
+                            answered_at: e.answered_at.map(|at| finish.max(at)),
+                            ..e
+                        }),
+                    }
+                }
             };
             let f = match step {
                 Ok((o, f)) => {

@@ -8,6 +8,7 @@
 //! | verb | semantics |
 //! |------|-----------|
 //! | `load0(ad, ℓ)`        | `tmp = *ad; return *tmp` |
+//! | `load0_tagged(ad)`    | `tmp = *ad; return (tmp & ~15)[0 .. 16 (1 + (tmp & 15))]` |
 //! | `store0(ad, v, ℓ)`    | `tmp = *ad; *tmp = v` |
 //! | `load1(ad, i, ℓ)`     | `tmp = *(ad + i); return *tmp` |
 //! | `store1(ad, i, v, ℓ)` | `tmp = *(ad + i); *tmp = v` |
@@ -18,6 +19,13 @@
 //! | `add0(ad, v)`         | `**ad += v` |
 //! | `add1(ad, v, i)`      | `tmp = ad + i; **tmp += v` |
 //! | `add2(ad, v, i)`      | `tmp = *ad + i; *tmp += v` |
+//!
+//! `load0_tagged` is `load0` for a pointer that carries its target's
+//! length: a 16-B aligned block leaves the pointer's four low bits free,
+//! and they hold a tag `t`, the block's length in 16-B units less one
+//! (the HT-tree's bucket word, §5.2). The node holds the pointer word
+//! when it dereferences, so the length costs no round trip, and the
+//! read never leaves the block.
 //!
 //! (`faai`'s Fig. 1 pseudo-code returns the old pointer; the prose says it
 //! "returns the value pointed by its old value", which is what the queue of
@@ -43,11 +51,26 @@ use crate::pipeline::PipeOut;
 use crate::stats::AccessStats;
 use crate::trace::VerbKind;
 
+/// The length tag of a tagged pointer word
+/// ([`load0_tagged`](FabricClient::load0_tagged)): its four low bits,
+/// free in a pointer to a 16-B aligned block.
+pub const TAG_MASK: u64 = 15;
+
+/// Bytes a [`load0_tagged`](FabricClient::load0_tagged) reads through
+/// the pointer word `word`: `16 × (1 + tag)`.
+pub fn tagged_len(word: u64) -> u64 {
+    16 * (1 + (word & TAG_MASK))
+}
+
 /// How an indirect verb reads its pointer word.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum PtrRead {
     /// Plain load of the pointer.
     Plain,
+    /// Plain load of a tagged pointer: the target is the word with its
+    /// tag cleared, and the access a read of [`tagged_len`] bytes there
+    /// (the access passed in is ignored).
+    Tagged,
     /// Atomic fetch-and-add of `delta` (for `faai` / `saai`).
     FetchAdd(u64),
     /// Fetch-and-add performed only if a guard word (on the same node)
@@ -171,8 +194,8 @@ impl FabricClient {
     /// target is refused before the pointer moves.
     ///
     /// Inlined into its five callers (the blocking wrapper, the three
-    /// indirect descriptors and the batch's `exec_load0`), each of which
-    /// fixes `ptr_read` and the kind
+    /// indirect descriptors and the batch's `exec_load0`), four of which
+    /// fix `ptr_read` and the kind
     /// of `access`: the copies shed the flavours they cannot take. Left
     /// out of line, a `Load2` descriptor costs ~12 ns more on the host and
     /// `structures` loses 3.5 % `ops_per_s` (EXPERIMENTS.md, PR 14).
@@ -349,7 +372,7 @@ impl FabricClient {
         }
 
         let ptr = match ptr_read {
-            PtrRead::Plain => {
+            PtrRead::Plain | PtrRead::Tagged => {
                 let v = home.read_u64(ptr_off)?;
                 self.observe(AccessKind::Read, ptr_addr, WORD);
                 v
@@ -363,13 +386,24 @@ impl FabricClient {
             }
             PtrRead::GuardedFetchAdd { .. } => unreachable!("handled above"),
         };
-        if ptr == 0 {
+        // A tagged pointer is null by its address alone.
+        let null = match ptr_read {
+            PtrRead::Tagged => ptr & !TAG_MASK == 0,
+            _ => ptr == 0,
+        };
+        if null {
             return Err(ErrorCompletion::answered(
                 FabricError::NullDeref { pointer_at: ptr_addr },
                 home_finish,
             ));
         }
-        let target = FarAddr(ptr + index);
+        let (target, access) = match ptr_read {
+            PtrRead::Tagged => {
+                (FarAddr((ptr & !TAG_MASK) + index), TargetAccess::Read(tagged_len(ptr)))
+            }
+            _ => (FarAddr(ptr + index), access),
+        };
+        let len = access.len();
 
         // §7.1: a dereferenced pointer may refer to data on a remote node.
         if mode == IndirectionMode::Error
@@ -496,21 +530,27 @@ impl FabricClient {
         Ok((out, finish))
     }
 
-    /// `load0` as one op of a fenced batch ([`BatchOp::Load0`]): returns
-    /// `((pointer, bytes), node-side finish time)`. Its own out-of-line copy of
-    /// [`exec_deref`](Self::exec_deref), so `batch` — the store path's hot
-    /// loop — does not grow by the executor's body.
+    /// `load0` of `len` bytes, or `load0_tagged` when `len` is `None`, as
+    /// one op of a fenced batch ([`BatchOp::Load0`],
+    /// [`BatchOp::Load0Tagged`]) or a tagged descriptor: returns
+    /// `((pointer, bytes), node-side finish time)`. Its own out-of-line
+    /// copy of [`exec_deref`](Self::exec_deref), so `batch` — the store
+    /// path's hot loop — does not grow by the executor's body.
     ///
     /// [`BatchOp::Load0`]: crate::BatchOp::Load0
+    /// [`BatchOp::Load0Tagged`]: crate::BatchOp::Load0Tagged
     #[inline(never)]
     pub(crate) fn exec_load0(
         &mut self,
         ad: FarAddr,
-        len: u64,
+        len: Option<u64>,
         arrival: u64,
     ) -> std::result::Result<((u64, Vec<u8>), u64), ErrorCompletion> {
-        let ((ptr, out), finish) =
-            self.exec_deref(ad, PtrRead::Plain, 0, TargetAccess::Read(len), arrival)?;
+        let (read, access) = match len {
+            Some(len) => (PtrRead::Plain, TargetAccess::Read(len)),
+            None => (PtrRead::Tagged, TargetAccess::Read(0)),
+        };
+        let ((ptr, out), finish) = self.exec_deref(ad, read, 0, access, arrival)?;
         Ok(((ptr, out.into_bytes()), finish))
     }
 
@@ -518,6 +558,15 @@ impl FabricClient {
     /// at the target. One far access.
     pub fn load0(&mut self, ad: FarAddr, len: u64) -> Result<Vec<u8>> {
         Ok(self.indirect(ad, PtrRead::Plain, 0, TargetAccess::Read(len))?.1.into_bytes())
+    }
+
+    /// `load0_tagged(ad)`: dereference the tagged pointer at `ad` and read
+    /// the [`tagged_len`] bytes its tag names at the block it points to
+    /// (module docs). Returns the pointer word, tag included, and the
+    /// bytes. One far access.
+    pub fn load0_tagged(&mut self, ad: FarAddr) -> Result<(u64, Vec<u8>)> {
+        let (ptr, out) = self.indirect(ad, PtrRead::Tagged, 0, TargetAccess::Read(0))?;
+        Ok((ptr, out.into_bytes()))
     }
 
     /// `store0(ad, v, ℓ)`: dereference the pointer at `ad` and write `v`
@@ -845,6 +894,9 @@ mod tests {
             c.load0(FarAddr(64), 8),
             Err(FabricError::NullDeref { .. })
         ));
+        // A tagged pointer is null by its address: a tag alone names nothing.
+        c.write_u64(FarAddr(64), 3).unwrap();
+        assert!(matches!(c.load0_tagged(FarAddr(64)), Err(FabricError::NullDeref { .. })));
     }
 
     fn two_node_config(mode: IndirectionMode) -> FabricConfig {

@@ -70,6 +70,7 @@ pub use check::{Access, AccessKind, CheckObserver};
 pub use client::{BatchOp, BatchOut, FabricClient};
 pub use cost::{CostModel, SimClock};
 pub use error::{FabricError, Result};
+pub use ext::indirect::{tagged_len, TAG_MASK};
 pub use ext::sg::FarIov;
 pub use fabric::{Fabric, FabricConfig, IndirectionMode};
 pub use fault::{FaultPlan, RetryPolicy};

@@ -159,6 +159,14 @@ pub enum PipeOp {
         /// Bytes to read at the target.
         len: u64,
     },
+    /// Dereference the tagged pointer at `ptr` and read the block its tag
+    /// names (serial equivalent: [`FabricClient::load0_tagged`]);
+    /// completes with [`PipeOut::Loaded`]. Null-pointer and remote-target
+    /// handling as for [`PipeOp::Load2`].
+    Load0Tagged {
+        /// Far address of the tagged pointer word.
+        ptr: FarAddr,
+    },
     /// Dereference the pointer at `ptr`, offset the target by `index`
     /// bytes, and write `data` there (serial equivalents:
     /// [`FabricClient::store0`] / [`FabricClient::store2`]). Remote-target
@@ -210,7 +218,8 @@ impl PipeOp {
             PipeOp::Read { .. }
             | PipeOp::ReadU64 { .. }
             | PipeOp::Gather { .. }
-            | PipeOp::Load2 { .. } => false,
+            | PipeOp::Load2 { .. }
+            | PipeOp::Load0Tagged { .. } => false,
             PipeOp::Fenced(ops) => ops.iter().any(|op| !op.is_read_only()),
             _ => true,
         }
@@ -235,6 +244,13 @@ pub enum PipeOut {
     },
     /// The op outputs of a [`PipeOp::Fenced`] descriptor, in op order.
     Batch(Vec<BatchOut>),
+    /// Completion of a [`PipeOp::Load0Tagged`] descriptor.
+    Loaded {
+        /// The pointer word the home node dereferenced, tag included.
+        ptr: u64,
+        /// The bytes read at the block.
+        bytes: Vec<u8>,
+    },
 }
 
 impl PipeOut {
@@ -258,7 +274,7 @@ impl PipeOut {
     /// Panics if the completion carries no bytes.
     pub fn bytes(&self) -> &[u8] {
         match self {
-            PipeOut::Bytes(b) => b,
+            PipeOut::Bytes(b) | PipeOut::Loaded { bytes: b, .. } => b,
             other => panic!("pipeline completion {other:?} is not bytes"),
         }
     }
@@ -270,7 +286,7 @@ impl PipeOut {
     /// Panics if the completion carries no bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         match self {
-            PipeOut::Bytes(b) => b,
+            PipeOut::Bytes(b) | PipeOut::Loaded { bytes: b, .. } => b,
             other => panic!("pipeline completion {other:?} is not bytes"),
         }
     }
@@ -468,6 +484,11 @@ impl DescList {
         self.post(PipeOp::Load2 { ptr, index: 0, len })
     }
 
+    /// Posts a tagged pointer-dereferencing read (`load0_tagged`).
+    pub fn load0_tagged(&mut self, ptr: FarAddr) -> usize {
+        self.post(PipeOp::Load0Tagged { ptr })
+    }
+
     /// Posts an offset pointer-dereferencing read (`load2`).
     pub fn load2(&mut self, ptr: FarAddr, index: u64, len: u64) -> usize {
         self.post(PipeOp::Load2 { ptr, index, len })
@@ -621,6 +642,10 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             let access = TargetAccess::Read(*len);
             let ((_, out), f) = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival)?;
             Ok((out, f))
+        }
+        PipeOp::Load0Tagged { ptr } => {
+            let ((ptr, bytes), f) = c.exec_load0(*ptr, None, arrival)?;
+            Ok((PipeOut::Loaded { ptr, bytes }, f))
         }
         PipeOp::Store2 { ptr, index, data } => {
             let access = TargetAccess::Write(data);
@@ -1190,6 +1215,75 @@ mod tests {
             for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
                 if !matches!(*field, "doorbells" | "pipelined_ops") {
                     assert_eq!(s.to_array()[i], stats.to_array()[i], "{how}: field `{field}`");
+                }
+            }
+        }
+    }
+
+    /// A tagged `load0` read three ways — the blocking `load0_tagged`, a
+    /// blocking batch's `Load0Tagged` and a doorbell's `Load0Tagged` —
+    /// returns the same pointer word, tag included, and exactly the
+    /// `16 × (1 + tag)` bytes the tag names, and books the same counts
+    /// and clock (but for the doorbell's own two counters): for a block
+    /// on the pointer's node, one forwarded off it, and one refused under
+    /// `IndirectionMode::Error` and reissued.
+    #[test]
+    fn a_tagged_load0_books_alike_blocking_batched_and_posted() {
+        use crate::fabric::IndirectionMode;
+        use crate::{tagged_len, TAG_MASK};
+        let ptr = FarAddr(WORD);
+        let cases = [
+            ("local", IndirectionMode::Error, FarAddr(2 * PAGE + 64), (1, 0, 0)),
+            ("forwarded", IndirectionMode::Forward, FarAddr(PAGE + 64), (1, 0, 1)),
+            ("reissued", IndirectionMode::Error, FarAddr(PAGE + 64), (2, 1, 0)),
+        ];
+        for (name, indirection, block, (round_trips, reissues, forward_hops)) in cases {
+            // A block of two entries: tag 2, 48 bytes, then a neighbour's.
+            let word = block.0 | 2;
+            let runs = ["blocking", "batched", "posted"].map(|how| {
+                let f = FabricConfig {
+                    nodes: 2,
+                    node_capacity: 1 << 20,
+                    striping: Striping::Striped { stripe: PAGE },
+                    indirection,
+                    ..FabricConfig::default()
+                }
+                .build();
+                let mut c = f.client();
+                c.write_u64(ptr, word).unwrap();
+                c.write(block, &[3u8; 48]).unwrap();
+                c.write(block.offset(48), &[9u8; 16]).unwrap();
+                let (before, t0) = (c.stats(), c.now_ns());
+                let loaded = match how {
+                    "blocking" => c.load0_tagged(ptr).unwrap(),
+                    "batched" => match c.batch(&[BatchOp::Load0Tagged { ptr }]).unwrap().remove(0) {
+                        BatchOut::Loaded { ptr, bytes } => (ptr, bytes),
+                        other => panic!("{name}: {other:?}"),
+                    },
+                    _ => {
+                        let mut q = c.pipeline();
+                        q.load0_tagged(ptr);
+                        match q.commit().into_outputs().unwrap().remove(0) {
+                            PipeOut::Loaded { ptr, bytes } => (ptr, bytes),
+                            other => panic!("{name}: {other:?}"),
+                        }
+                    }
+                };
+                (loaded, c.stats().since(&before), c.now_ns() - t0)
+            });
+            let (loaded, stats, ns) = &runs[0];
+            assert_eq!(tagged_len(word), 48);
+            assert_eq!(loaded, &(word, vec![3u8; 48]), "{name}: the word, and its block only");
+            assert_eq!(word & TAG_MASK, 2);
+            let got = (stats.round_trips, stats.reissues, stats.forward_hops);
+            assert_eq!(got, (round_trips, reissues, forward_hops), "{name}");
+            assert_eq!(stats.bytes_read, 48, "{name}");
+            for (how, (l, s, t)) in ["batched", "posted"].iter().zip(&runs[1..]) {
+                assert_eq!((l, t), (loaded, ns), "{name}: {how}");
+                for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
+                    if !matches!(*field, "doorbells" | "pipelined_ops") {
+                        assert_eq!(s.to_array()[i], stats.to_array()[i], "{name}, {how}: `{field}`");
+                    }
                 }
             }
         }

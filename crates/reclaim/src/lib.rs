@@ -22,7 +22,9 @@
 //! * **crash eviction** borrowed from the PR-1 lease rule: a detector
 //!   that observes a *lagging* slot word stay bit-identical across
 //!   [`LEASE_NS`] of its **own accumulated waiting time** CAS-evicts the
-//!   slot, so a dead peer cannot stall reclamation forever. Clients
+//!   slot, so a dead peer cannot stall reclamation forever. Waiting
+//!   starts at the second round that sees the word unmoved: a slot first
+//!   seen lagging may only not have pinned since the latest seal. Clients
 //!   publish their slot with CAS (never blind writes), so an evicted
 //!   client discovers the eviction on its next pin and re-registers.
 //!
@@ -111,7 +113,8 @@ const GEN_PERIOD: u64 = 1 << (64 - TAG_SHIFT);
 pub const LEASE_NS: u64 = 100_000_000;
 
 /// First virtual wait slice a blocked detector charges itself per
-/// grace-detection round; doubles per consecutive blocked round.
+/// grace-detection round — from the second round it sees a blocker
+/// unmoved; doubles per consecutive charged round.
 const WAIT_BASE_NS: u64 = 1_000_000;
 /// Cap on the exponential wait slice (16 ms: out-waits a dead peer's
 /// lease in ~a dozen rounds without leaping past it in one step).
@@ -733,11 +736,17 @@ impl ReclaimHandle {
             self.backoff_ns = WAIT_BASE_NS;
         } else {
             // The detector is waiting out a lease: charge itself a wait
-            // slice of virtual time (its own time, never another clock).
-            let slice = self.backoff_ns;
-            client.advance_time(slice);
-            self.backoff_ns = (self.backoff_ns * 2).min(WAIT_CAP_NS);
+            // slice of virtual time (its own time, never another clock) —
+            // once a blocker it already watched is still unmoved. A slot
+            // first seen lagging may only not have pinned since the
+            // latest seal: it costs no wait yet.
             self.watch.retain(|i, _| blockers.iter().any(|&(b, _)| b == *i));
+            let still = blockers.iter().any(|(i, w)| self.watch.get(i).is_some_and(|e| e.0 == *w));
+            let slice = if still { self.backoff_ns } else { 0 };
+            if still {
+                client.advance_time(slice);
+                self.backoff_ns = (self.backoff_ns * 2).min(WAIT_CAP_NS);
+            }
             for (i, word) in blockers {
                 let entry = self.watch.entry(i).or_insert((word, 0));
                 if entry.0 == word {

@@ -255,21 +255,20 @@ mod tests {
         assert_eq!(
             rt(&mut c, &mut |c| assert!(s.put(c, 1, b"over the head", 0).unwrap().0)),
             2,
-            "overwrite, old item at the chain head"
+            "overwrite, key 1 alone in its block"
         );
-        // Chain another key on top of key 1: its lookup grows by one hop.
-        let above = (2u64..)
-            .find(|&k| {
-                s.put(&mut c, k, b"probe", 0).unwrap();
-                rt(&mut c, &mut |c| drop(s.get(c, 1, 0).unwrap())) == 3
-            })
-            .unwrap();
+        // Another key in key 1's bucket: the block grows, and its lookup
+        // and stores stay at their price.
+        let bucket = |k: u64| farmem_fabric::splitmix64(k) % cfg.initial_buckets;
+        let beside = (2u64..).find(|&k| bucket(k) == bucket(1)).unwrap();
+        s.put(&mut c, beside, b"probe", 0).unwrap();
+        assert_eq!(rt(&mut c, &mut |c| drop(s.get(c, 1, 0).unwrap())), 2, "lookup + record");
         assert_eq!(
-            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"under a neighbour", 0).unwrap().0)),
-            3,
-            "overwrite, old item one hop below key {above}"
+            rt(&mut c, &mut |c| assert!(s.put(c, 1, b"beside a neighbour", 0).unwrap().0)),
+            2,
+            "overwrite, key 1 beside key {beside}"
         );
-        assert_eq!(s.get(&mut c, 1, 0).unwrap(), GetOutcome::Hit(b"under a neighbour".to_vec()));
+        assert_eq!(s.get(&mut c, 1, 0).unwrap(), GetOutcome::Hit(b"beside a neighbour".to_vec()));
         assert_eq!(rt(&mut c, &mut |c| assert!(s.remove(c, 1).unwrap())), 2, "the tree's take");
         // A miss stops after one access and links nothing.
         let mut probe = tree.attach(&mut c, &a, cfg).unwrap();
@@ -458,9 +457,9 @@ mod tests {
         let mut s = store(&f, &a, &mut c);
         s.put(&mut c, 5, b"survivor", 0).unwrap();
         // An overwrite's accesses, in order: the first batch's bucket word
-        // and head item (its `load0`) and header, then the second batch's
-        // record write, item write and bucket CAS. Spread placement
-        // alternates nodes, so the put's record and its tree item
+        // and block (its tagged `load0`) and header, then the second
+        // batch's record write, block write and bucket CAS. Spread
+        // placement alternates nodes, so the put's record and its block
         // (consecutive allocations) sit on different nodes.
         for torn in [false, true] {
             let live = a.stats().live_bytes;
@@ -469,7 +468,7 @@ mod tests {
             let record_node = NodeId(1 - a.node_of(next).0);
             // Not torn: the record's node dies under the header read, so
             // the record write fails before anything mutated. Torn: the
-            // item's node dies right after the record write.
+            // block's node dies right after the record write.
             let (after, victim) =
                 if torn { (4, NodeId(1 - record_node.0)) } else { (3, record_node) };
             f.install_check_observer(Arc::new(FailAfter {
@@ -490,10 +489,12 @@ mod tests {
                 })) if torn => assert_eq!((node, executed), (victim, 1), "the record"),
                 err => panic!("torn {torn}: unexpected {err:?}"),
             }
-            // The CAS never ran: readers still reach the old record, and
-            // both unlinked blocks went straight back to the allocator.
+            // The CAS never ran: readers still reach the old record. The
+            // record went straight back to the allocator; the bucket's
+            // fresh block (key 5 alone: 32 B) waits out a grace period,
+            // as every block a splice wrote and did not link does.
             assert_eq!(s.get(&mut c, 5, 0).unwrap(), GetOutcome::Hit(b"survivor".to_vec()));
-            assert_eq!(a.stats().live_bytes, live, "torn {torn}: record and item freed");
+            assert_eq!(a.stats().live_bytes, live + 32, "torn {torn}: the record freed");
         }
     }
 

@@ -120,6 +120,70 @@ fn httree_blob_and_counters_hammered_together() {
     }
 }
 
+/// Four threads put, take and get on one tree of two buckets that never
+/// restructures: every splice rewrites a block the other threads rewrite
+/// too, and each block grows past the fifteen keys its bucket word's tag
+/// covers, so the reads of a block's rest race the splices as well. Each
+/// thread owns its keys and checks its own reads as it goes; the others'
+/// keys it reads must hold one of their own values or none. At the end
+/// every key holds what its owner last stored.
+#[test]
+fn httree_one_bucket_hammered() {
+    let f = FabricConfig::single_node(64 << 20).build();
+    let alloc = FarAlloc::new(f.clone());
+    let mut c0 = f.client();
+    let cfg = HtTreeConfig {
+        initial_buckets: 2,
+        max_load_percent: u64::MAX,
+        ..HtTreeConfig::default()
+    };
+    let tree = HtTree::create(&mut c0, &alloc, cfg).unwrap();
+    let (threads, per) = (4u64, 60u64);
+    // A value names its key: `key * 10 + version`.
+    let handles: Vec<_> = (0..threads)
+        .map(|tid| {
+            let (f, alloc) = (f.clone(), alloc.clone());
+            std::thread::spawn(move || {
+                let mut c = f.client();
+                let mut h = tree.attach(&mut c, &alloc, cfg).unwrap();
+                let mut mine = Vec::new();
+                for i in 0..per {
+                    let k = tid * 1000 + i;
+                    h.put(&mut c, k, k * 10 + 1).unwrap();
+                    assert_eq!(h.get(&mut c, k).unwrap(), Some(k * 10 + 1), "key {k}");
+                    let last = match i % 3 {
+                        0 => {
+                            assert_eq!(h.take(&mut c, k).unwrap(), Some(k * 10 + 1), "key {k}");
+                            None
+                        }
+                        1 => {
+                            h.put(&mut c, k, k * 10 + 2).unwrap();
+                            Some(k * 10 + 2)
+                        }
+                        _ => Some(k * 10 + 1),
+                    };
+                    assert_eq!(h.get(&mut c, k).unwrap(), last, "key {k}");
+                    mine.push((k, last));
+                    let other = ((tid + 1) % threads) * 1000 + i;
+                    if let Some(v) = h.get(&mut c, other).unwrap() {
+                        assert_eq!(v / 10, other, "key {other} holds {v}");
+                    }
+                }
+                mine
+            })
+        })
+        .collect();
+    let want: Vec<(u64, Option<u64>)> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    let mut h = tree.attach(&mut c0, &alloc, cfg).unwrap();
+    for &(k, v) in &want {
+        assert_eq!(h.get(&mut c0, k).unwrap(), v, "key {k}");
+    }
+    let live = want.iter().filter(|(_, v)| v.is_some()).count() as u64;
+    assert_eq!(h.len_estimate(&mut c0).unwrap(), live);
+    assert!(h.stats().chain_hops > 0, "the blocks outgrew their tags");
+    assert_eq!(h.leaves(), 1, "no restructure");
+}
+
 /// The reclaim-mode twin of the test above: each thread has its own epoch
 /// slot and runs grace rounds as it goes, so retired tables, chain items
 /// and directory blobs are freed while the other threads restructure. A

@@ -278,6 +278,11 @@ fn no_free_while_a_guard_can_still_reach_the_memory() {
     for k in 0..100u64 {
         h1.put(&mut c1, k, k * 3 + 1).unwrap();
     }
+    // The bucket blocks the puts replaced go first: sealed, and freed
+    // once c2 has pinned past them.
+    s1.lock().unwrap().seal(&mut c1).unwrap();
+    drop(pin(&s2, &mut c2).unwrap());
+    assert!(s1.lock().unwrap().reclaim(&mut c1).unwrap() > 0, "the replaced blocks");
     // c2 pins and HOLDS the guard: it may dereference its cached tree at
     // any time until the drop.
     let guard = pin(&s2, &mut c2).unwrap();
@@ -421,8 +426,12 @@ fn crashed_client_is_evicted_and_reclamation_resumes() {
         for k in 0..80u64 {
             h1.put(&mut c1, k, k + 9).unwrap();
         }
+        // The bucket blocks the puts replaced: sealed now, and freed below
+        // once c2's get has pinned past them.
+        s1.lock().unwrap().seal(&mut c1).unwrap();
         // c2 participates once, then "crashes" (never pins again).
         assert_eq!(h2.get(&mut c2, 5).unwrap(), Some(14), "seed {seed:#x}");
+        assert!(s1.lock().unwrap().reclaim(&mut c1).unwrap() > 0, "seed {seed:#x}");
         h1.split(&mut c1, 0).unwrap();
         // The grace detector waits out c2's lease, evicts it, and frees.
         let mut freed = 0u64;
