@@ -31,15 +31,26 @@ pub const RAW_VERBS: &[&str] = &[
     "write_u64",
     "cas",
     "faa",
-    "post_write_u64",
     "post_faa_u64",
     "load0",
     "load0_tagged",
+    "load1",
     "load2",
+    "store0",
+    "store1",
     "store2",
+    "faai",
+    "saai",
+    "faai_guarded",
+    "saai_guarded",
+    "faai_swap_guarded",
+    "add0",
+    "add1",
+    "add2",
+    "rscatter",
     "rgather",
     "wscatter",
-    "faai_swap_guarded",
+    "wgather",
     "notify0",
     "notifye",
     "notify0d",
@@ -73,15 +84,15 @@ pub const ADOPTERS: &[&str] = &[
 /// `rt-in-loop` findings.
 pub fn batched_twin(verb: &str) -> &'static str {
     match verb {
-        "read" | "read_into" | "read_u64" | "load0" | "load0_tagged" | "load2" => {
-            "FarVec::read_ranges or pipeline().read"
-        }
-        "write" | "write_u64" | "post_write_u64" | "store2" => {
+        "read" | "read_into" | "read_u64" | "load0" | "load0_tagged" | "load1" | "load2"
+        | "rscatter" | "rgather" => "FarVec::read_ranges or pipeline().read",
+        "write" | "write_u64" | "store0" | "store1" | "store2" | "wscatter" | "wgather" => {
             "write coalescing or pipeline().write"
         }
         "get" | "get_if" | "get_hinted" | "lookup" => "HtTree::get_many",
         "dequeue" | "pop" => "FarQueue::dequeue_batch",
-        "cas" | "faa" | "post_faa_u64" | "faai_swap_guarded" => "pipeline() descriptors",
+        "cas" | "faa" | "post_faa_u64" | "faai" | "saai" | "faai_guarded" | "saai_guarded"
+        | "faai_swap_guarded" | "add0" | "add1" | "add2" => "pipeline() descriptors",
         _ => "a pipeline() batch behind one doorbell",
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! Costs: a store is the map's two far accesses — the record's bytes
 //! ride the put's own fenced batch ([`HtTreeHandle::publish`]), which also
-//! returns the record the store superseded (one more access per chain hop
-//! down to it); a lookup is the map's one far access
+//! returns the record the store superseded; a lookup is the map's one far
+//! access
 //! plus one record read — the record read prefetches
 //! [`FarBlobMap::PREFETCH`] bytes, so payloads up to
 //! [`FarBlobMap::PREFETCHED`] bytes need no second read.
@@ -35,9 +35,9 @@
 //! — it never costs a round trip. Callers that share hints across
 //! handles keep them in one lock-free [`HintTable`].
 //!
-//! A remove is the tree's [`take`](HtTreeHandle::take), whose chain walk
-//! hands back the record its splice unlinks — two far accesses, one when
-//! the key is absent. Where that record goes is the map's lifetime
+//! A remove is the tree's [`take`](HtTreeHandle::take), whose splice
+//! hands back the record it unlinks — two far accesses, one when the key
+//! is absent. Where that record goes is the map's lifetime
 //! (the tree's module docs): a plain map strands it with its record
 //! arena. With [`FarBlobMap::attach_reclaimed`] the map participates in
 //! epoch-based reclamation: records are slab-allocated, lookups hold the
@@ -46,10 +46,10 @@
 //! pays nothing for that — the superseded pointer comes back from the
 //! store and its length from the allocator's books. Each unlinked record
 //! comes back from exactly one
-//! mutation, the store or remove whose bucket CAS unlinked its item: two
-//! removes racing on one key can both walk to the same item, but the one
-//! that loses the bucket starts over and finds no item of the key — so
-//! keys need not be single-writer for a record to be retired once.
+//! mutation, the store or remove whose bucket CAS unlinked its entry: two
+//! removes racing on one key can both read the same block, but the one
+//! that loses the bucket CAS starts over and finds no entry of the key —
+//! so keys need not be single-writer for a record to be retired once.
 
 use farmem_alloc::FarAlloc;
 use farmem_fabric::{splitmix64, DescList, FabricClient, FarAddr, WORD};
@@ -315,8 +315,7 @@ impl<const H: usize> FarBlobMap<H> {
     }
 
     /// Stores `value` behind `header` under `key` in the map's two far
-    /// accesses, plus the chain hops down to the key's previous item if
-    /// it had one below the bucket head: alloc,
+    /// accesses, wherever the key sits in its bucket: alloc,
     /// [`HtTreeHandle::publish`], retire what came back (reclaim mode; a
     /// plain map strands it with the arena). Returns whether a record was
     /// replaced. The [`RecordHint`] makes a later [`get_if`](Self::get_if)
@@ -540,8 +539,8 @@ impl<const H: usize> FarBlobMap<H> {
     }
 
     /// Removes `key` and returns whether it held a record — the tree's
-    /// [`take`](HtTreeHandle::take): two far accesses (plus chain hops)
-    /// when it did, one (plus hops) and nothing linked when it did not.
+    /// [`take`](HtTreeHandle::take): two far accesses when it did, one
+    /// and nothing linked when it did not.
     /// The record taken is retired in reclaim mode and stranded with the
     /// arena in quarantine mode.
     pub fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<bool> {

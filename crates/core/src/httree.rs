@@ -73,9 +73,11 @@
 //! pin reports a new restructure
 //! [`generation`](farmem_reclaim::Guard::generation). Blocks come from the
 //! shared slab allocator — a block of `n` keys is `16 + 16n` B, an exact
-//! size class — and a fresh block whose CAS lost is freed at once. The
-//! block a splice replaces is a plain retire, sealed as a record: no
-//! client caches a pointer to a block. The blocks of a table's bulk block
+//! size class. The block a splice replaces is a plain retire, sealed as
+//! a record: no client caches a pointer to a block. A fresh block whose
+//! CAS lost was never linked, but the batch may have written it, so it
+//! too is retired under the operation's pin: the seal orders its next
+//! owner after those writes. The blocks of a table's bulk block
 //! are skipped and go with it at the table's next restructure. A split
 //! *retires* the replaced table — header, bucket array, bulk block, every
 //! drained block, and the superseded directory blob — as a restructure,
@@ -985,11 +987,9 @@ impl HtTreeHandle {
                             }
                         }
                     }
-                    // An empty bucket answers its descriptor with
-                    // `NullDeref` (the tail still runs): the key is absent.
-                    (Some(Err(farmem_fabric::FabricError::NullDeref { .. })), None) => {
-                        Some((None, None))
-                    }
+                    // An empty bucket is its descriptor's answer: the key
+                    // is absent.
+                    (Some(Ok(PipeOut::Null)), None) => Some((None, None)),
                     // Failed or aborted descriptor: complete this key serially.
                     (_, h) => {
                         self.stats.stale_hints += u64::from(h.is_some());
@@ -2560,6 +2560,32 @@ mod tests {
         assert_eq!(h.get_many(&mut c, &[]).unwrap(), Vec::<Option<u64>>::new());
     }
 
+    /// An absent key in an empty bucket is one answered far access
+    /// whichever way it is looked up: `get` and `get_many` book the same
+    /// round trip, messages, bytes and clock for it.
+    #[test]
+    fn an_absent_key_costs_get_many_what_it_costs_get() {
+        let f = FabricConfig::single_node(64 << 20).build();
+        let a = FarAlloc::new(f.clone());
+        let mut c = f.client();
+        let cfg = HtTreeConfig { initial_buckets: 4096, ..HtTreeConfig::default() };
+        let mut h = HtTree::create(&mut c, &a, cfg).unwrap().attach(&mut c, &a, cfg).unwrap();
+        h.put(&mut c, 7, 70).unwrap();
+        let absent = (1u64..).find(|&k| h.get(&mut c, k).unwrap().is_none()).unwrap();
+        let (before, t0) = (c.stats(), c.now_ns());
+        assert_eq!(h.get(&mut c, absent).unwrap(), None);
+        let (get, get_ns) = (c.stats().since(&before), c.now_ns() - t0);
+        let (before, t0) = (c.stats(), c.now_ns());
+        assert_eq!(h.get_many(&mut c, &[absent]).unwrap(), [None]);
+        let (many, many_ns) = (c.stats().since(&before), c.now_ns() - t0);
+        let booked =
+            |d: &farmem_fabric::AccessStats| (d.round_trips, d.messages, d.bytes_read, d.bytes_written);
+        assert_eq!(booked(&get), (1, 1, 0, 0), "one answered pointer read");
+        assert_eq!(booked(&many), booked(&get));
+        assert_eq!(many_ns, get_ns, "the same clock");
+        assert_eq!((many.doorbells, many.pipelined_ops), (1, 1));
+    }
+
     /// An absent key is an answer, not a transport error: wherever it
     /// sits in the batch, the other lookups stay overlapped in the one
     /// doorbell (at the parent an absent *first* key aborted the 15 behind
@@ -2587,8 +2613,7 @@ mod tests {
                 assert_eq!(*v, (Some(i) != at).then_some(k + 1), "key {k}");
             }
             let d = c.stats().since(&before);
-            assert_eq!((d.doorbells, d.messages), (1, 16), "absent at {at:?}");
-            assert_eq!(d.pipelined_ops, if at.is_some() { 15 } else { 16 });
+            assert_eq!((d.doorbells, d.messages, d.pipelined_ops), (1, 16, 16), "absent at {at:?}");
             c.now_ns() - t0
         };
         let (all_present, first, last) = (run(None), run(Some(0)), run(Some(15)));

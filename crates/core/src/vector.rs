@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_fabric::{DescList, Event, FabricClient, FarAddr, SubId, PAGE, WORD};
+use farmem_fabric::{DescList, Event, FabricClient, FarAddr, PipeOut, SubId, PAGE, WORD};
 use farmem_runtime::{Doorbell, Inline};
 
 use crate::error::{CoreError, Result};
@@ -180,6 +180,9 @@ impl FarVec {
         let mut out = Vec::with_capacity(ranges.len());
         for (i, &(first, count)) in ranges.iter().enumerate() {
             match cq.take(i) {
+                Some(Ok(PipeOut::Null)) => {
+                    return Err(CoreError::Corrupted("vector base pointer is null"))
+                }
                 Some(Ok(res)) => out.push(
                     res.into_bytes()
                         .chunks_exact(8)
@@ -191,40 +194,6 @@ impl FarVec {
             }
         }
         Ok(out)
-    }
-
-    /// Writes several ranges through one pipeline doorbell (see
-    /// [`read_ranges`](Self::read_ranges) for the overlap accounting).
-    /// Ranges whose descriptors did not complete — a torn doorbell aborts
-    /// the tail — are re-written serially, which is safe because these
-    /// writes are idempotent.
-    pub fn write_ranges(
-        &self,
-        client: &mut FabricClient,
-        writes: &[(u64, Vec<u64>)],
-    ) -> Result<()> {
-        for (first, values) in writes {
-            let count = values.len() as u64;
-            if count == 0 || first + count > self.len {
-                return Err(CoreError::BadConfig("vector range out of bounds"));
-            }
-        }
-        let mut q = client.pipeline();
-        for (first, values) in writes {
-            let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-            q.store2(self.hdr, first * WORD, &bytes);
-        }
-        let mut cq = q.commit();
-        if cq.status().is_ok() {
-            return Ok(());
-        }
-        for (i, (first, values)) in writes.iter().enumerate() {
-            match cq.take(i) {
-                Some(Ok(_)) => {}
-                _ => self.write_range(client, *first, values)?,
-            }
-        }
-        Ok(())
     }
 
     /// Current base pointer (address of element 0). One far access.
@@ -495,30 +464,24 @@ mod tests {
         let (f, a) = setup();
         let mut c = f.client();
         let v = FarVec::create(&mut c, &a, 64, AllocHint::Spread).unwrap();
-        let before = c.stats();
-        v.write_ranges(
-            &mut c,
-            &[
-                (0, (0..16).collect()),
-                (16, (100..116).collect()),
-                (48, (200..216).collect()),
-            ],
-        )
-        .unwrap();
-        let d = c.stats().since(&before);
-        assert_eq!(d.round_trips, 3, "one far access per range");
-        assert_eq!(d.doorbells, 1, "but a single doorbell");
-        assert_eq!(d.pipelined_ops, 3);
+        v.write_range(&mut c, 0, &(0..16).collect::<Vec<u64>>()).unwrap();
+        v.write_range(&mut c, 16, &(100..116).collect::<Vec<u64>>()).unwrap();
+        v.write_range(&mut c, 48, &(200..216).collect::<Vec<u64>>()).unwrap();
 
         let before = c.stats();
         let r = v.read_ranges(&mut c, &[(0, 16), (16, 16), (48, 16)]).unwrap();
         let d = c.stats().since(&before);
-        assert_eq!(d.round_trips, 3);
-        assert_eq!(d.doorbells, 1);
+        assert_eq!(d.round_trips, 3, "one far access per range");
+        assert_eq!(d.doorbells, 1, "but a single doorbell");
+        assert_eq!(d.pipelined_ops, 3);
         assert_eq!(r[0], (0..16).collect::<Vec<u64>>());
         assert_eq!(r[1], (100..116).collect::<Vec<u64>>());
         assert_eq!(r[2], (200..216).collect::<Vec<u64>>());
         assert!(v.read_ranges(&mut c, &[(0, 16), (60, 16)]).is_err());
+
+        // A null base pointer is a corrupt vector, not a panic.
+        c.write_u64(v.hdr(), 0).unwrap();
+        assert!(matches!(v.read_ranges(&mut c, &[(0, 16)]), Err(CoreError::Corrupted(_))));
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::error::{FabricError, Result};
 use crate::ext::indirect::ErrorCompletion;
 use crate::fabric::Fabric;
 use crate::fault::{FaultPlan, FaultRng, RetryPolicy};
+use crate::node::MemoryNode;
 use crate::notify::{Event, EventSink, SubId, SubKind};
 use crate::replica::GroupView;
 use crate::sample::MetricSampler;
@@ -606,34 +607,33 @@ impl FabricClient {
 
     // ----- replication routing and fenced failover (crate::replica) -----
 
-    /// Physical node this client currently routes group `g`'s *mutations*
-    /// (and unspread reads) to: the primary recorded in its cached view.
-    /// A stale view keeps routing to a deposed primary until its fence
+    /// The one way a message enters a memory node: routes group `g` to
+    /// the physical node this client's cached view names, and refuses
+    /// that node if it is down at the message's `arrival`. Every executor
+    /// of the client and of [`crate::ext`] reaches memory through here;
+    /// occupancy stays with the caller, which knows the service time.
+    ///
+    /// A mutation (and an unspread `read`) goes to the view's primary. A
+    /// stale view keeps routing to a deposed primary until its fence
     /// error forces a refresh — exactly the partitioned-stale-client
-    /// scenario the fencing epoch protects against.
-    pub(crate) fn route(&mut self, g: NodeId) -> NodeId {
-        if !self.fabric.replicated() {
-            return g;
-        }
-        self.cached_view(g).primary
-    }
-
-    /// Like [`route`](Self::route), but for reads: with
-    /// [`spread_reads`](crate::replica::ReplicaConfig::spread_reads) on,
+    /// scenario the fencing epoch protects against. A `read` with
+    /// [`spread_reads`](crate::replica::ReplicaConfig::spread_reads) on
     /// round-robins over every cached member of the group.
-    pub(crate) fn route_read(&mut self, g: NodeId) -> NodeId {
-        if !self.fabric.replicated() {
-            return g;
-        }
-        let spread =
-            self.spread_override.unwrap_or(self.fabric.replication().spread_reads);
-        if !spread {
-            return self.cached_view(g).primary;
-        }
-        self.read_rr = self.read_rr.wrapping_add(1);
-        let rr = self.read_rr as usize;
-        let v = self.cached_view(g);
-        v.members[rr % v.members.len()]
+    #[inline]
+    pub(crate) fn enter(&mut self, g: NodeId, read: bool, arrival: u64) -> Result<&MemoryNode> {
+        let phys = if !self.fabric.replicated() {
+            g
+        } else if read && self.spread_override.unwrap_or(self.fabric.replication().spread_reads) {
+            self.read_rr = self.read_rr.wrapping_add(1);
+            let rr = self.read_rr as usize;
+            let v = self.cached_view(g);
+            v.members[rr % v.members.len()]
+        } else {
+            self.cached_view(g).primary
+        };
+        let node = self.fabric.node(phys);
+        node.check_alive_at(arrival)?;
+        Ok(node)
     }
 
     /// Overrides the fabric-wide
@@ -739,9 +739,7 @@ impl FabricClient {
         let mut done = 0usize;
         let mut messages = 0u64;
         for seg in self.fabric.segments(addr, len)? {
-            let phys = self.route_read(seg.node);
-            let node = self.fabric.node(phys);
-            node.check_alive_at(arrival)?;
+            let node = self.enter(seg.node, true, arrival)?;
             let service = cost.node_msg_ns + cost.bytes_ns(seg.len);
             let f = node.occupy(arrival, service);
             node.read_bytes(seg.offset, &mut buf[done..done + seg.len as usize])?;
@@ -780,9 +778,7 @@ impl FabricClient {
         let mut done = 0usize;
         let mut messages = 0u64;
         for seg in self.fabric.segments(addr, len)? {
-            let phys = self.route(seg.node);
-            let node = self.fabric.node(phys);
-            node.check_alive_at(arrival)?;
+            let node = self.enter(seg.node, false, arrival)?;
             let service = cost.node_msg_ns + cost.bytes_ns(seg.len);
             let f = node.occupy(arrival, service);
             node.write_bytes(seg.offset, &data[done..done + seg.len as usize])?;
@@ -811,9 +807,7 @@ impl FabricClient {
     pub(crate) fn exec_read_u64(&mut self, addr: FarAddr, arrival: u64) -> Result<(u64, u64)> {
         let cost = *self.fabric.cost();
         let (nid, off) = self.word_home(addr)?;
-        let phys = self.route_read(nid);
-        let node = self.fabric.node(phys);
-        node.check_alive_at(arrival)?;
+        let node = self.enter(nid, true, arrival)?;
         let f = node.occupy(arrival, cost.node_msg_ns + cost.bytes_ns(WORD));
         let v = node.read_u64(off)?;
         self.stats.messages += 1;
@@ -826,9 +820,7 @@ impl FabricClient {
     pub(crate) fn exec_write_u64(&mut self, addr: FarAddr, value: u64, arrival: u64) -> Result<u64> {
         let cost = *self.fabric.cost();
         let (nid, off) = self.word_home(addr)?;
-        let phys = self.route(nid);
-        let node = self.fabric.node(phys);
-        node.check_alive_at(arrival)?;
+        let node = self.enter(nid, false, arrival)?;
         let f = node.occupy(arrival, cost.node_msg_ns + cost.bytes_ns(WORD));
         node.write_u64(off, value)?;
         let f = self.fabric.fire(&mut self.stats, nid, off, WORD, f);
@@ -848,9 +840,7 @@ impl FabricClient {
     ) -> Result<(u64, u64)> {
         let cost = *self.fabric.cost();
         let (nid, off) = self.word_home(addr)?;
-        let phys = self.route(nid);
-        let node = self.fabric.node(phys);
-        node.check_alive_at(arrival)?;
+        let node = self.enter(nid, false, arrival)?;
         let mut f = node.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
         let prev = node.cas_u64(off, expected, new)?;
         if prev == expected {
@@ -880,9 +870,7 @@ impl FabricClient {
     ) -> Result<(u64, u64)> {
         let cost = *self.fabric.cost();
         let (nid, off) = self.word_home(addr)?;
-        let phys = self.route(nid);
-        let node = self.fabric.node(phys);
-        node.check_alive_at(arrival)?;
+        let node = self.enter(nid, false, arrival)?;
         let f = node.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
         let prev = node.faa_u64(off, delta)?;
         let f = self.fabric.fire(&mut self.stats, nid, off, WORD, f);
@@ -976,8 +964,7 @@ impl FabricClient {
                 | BatchOp::Load0Tagged { ptr: addr } => (*addr, WORD),
             };
             for seg in self.fabric.segments(addr, len)? {
-                let phys = self.route(seg.node);
-                self.fabric.node(phys).check_alive_at(arrival)?;
+                self.enter(seg.node, false, arrival)?;
             }
         }
         let mut out = Vec::with_capacity(ops.len());
@@ -1018,16 +1005,15 @@ impl FabricClient {
                     };
                     match self.exec_load0(*ptr, len, arrival) {
                         Ok(((ptr, bytes), f)) => Ok((BatchOut::Loaded { ptr, bytes }, f)),
-                        Err(ErrorCompletion {
-                            err: FabricError::NullDeref { .. },
-                            answered_at: Some(at),
-                        }) => Ok((BatchOut::Null, at)),
-                        // The client waited for whatever the home node
-                        // answered, as the blocking verb does.
-                        Err(e) => Err(ErrorCompletion {
-                            answered_at: e.answered_at.map(|at| finish.max(at)),
-                            ..e
-                        }),
+                        Err(e) => match e.null_answer() {
+                            Some(at) => Ok((BatchOut::Null, at)),
+                            // The client waited for whatever the home node
+                            // answered, as the blocking verb does.
+                            None => Err(ErrorCompletion {
+                                answered_at: e.answered_at.map(|at| finish.max(at)),
+                                ..e
+                            }),
+                        },
                     }
                 }
             };
@@ -1045,25 +1031,6 @@ impl FabricClient {
             finish = finish.max(f);
         }
         Ok((out, finish))
-    }
-
-    /// Posts an *unsignaled* word write: the message is issued and the
-    /// client continues without waiting for a completion, so no dependent
-    /// round trip is charged — only issue overhead. Real fabrics offer
-    /// exactly this (unsignaled RDMA writes); the §5.3 queue uses it to
-    /// zero consumed slots off the critical path.
-    ///
-    /// The write is applied (and notifications fire) before this call
-    /// returns, which over-approximates real visibility: a posted write is
-    /// visible no later than the client's next fenced operation.
-    pub fn post_write_u64(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.attempt(VerbKind::Posted, |c, arrival| {
-            // Unsignaled: the mirror fan-out happens, but nothing waits on
-            // its finish time (visible by the next fenced op, as posted).
-            c.exec_write_u64(addr, value, arrival)?;
-            c.posted();
-            Ok(())
-        })
     }
 
     /// Posts an *unsignaled* fetch-and-add (result discarded): used for
@@ -1087,31 +1054,21 @@ impl FabricClient {
     // ----- notification verbs (Fig. 1, §4.3) -----
 
     fn subscribe(&mut self, addr: FarAddr, len: u64, kind: SubKind) -> Result<SubId> {
-        self.traced(VerbKind::Notify, |c| c.subscribe_inner(addr, len, kind))
-    }
-
-    fn subscribe_inner(&mut self, addr: FarAddr, len: u64, kind: SubKind) -> Result<SubId> {
-        crate::notify::SubscriptionTable::validate_range(addr, len)?;
-        self.retrying(|c| {
-            c.begin_attempt()?;
+        self.round_trip(VerbKind::Notify, |c, arrival| {
+            crate::notify::SubscriptionTable::validate_range(addr, len)?;
             let mut segs = c.fabric.segments(addr, len)?;
             let seg = segs.next().expect("validated ranges are non-empty");
             debug_assert!(segs.next().is_none(), "a page never spans nodes");
             // Subscriptions live on the current primary only; they do not
             // survive failover (best-effort, DESIGN.md §10).
-            let phys = c.route(seg.node);
-            let node = c.fabric.node(phys);
-            let arrival = c.arrival();
-            node.check_alive_at(arrival)?;
-            let cost = *c.fabric.cost();
+            let (cost, sink) = (*c.fabric.cost(), c.sink.clone());
+            let node = c.enter(seg.node, false, arrival)?;
             let finish = node.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
-            let id = node
-                .subs
-                .register(addr, seg.offset, len, kind, c.sink.clone())?;
+            let id = node.subs.register(addr, seg.offset, len, kind, sink)?;
+            let phys = node.id();
             c.fabric.register_sub(id, phys);
             c.stats.messages += 1;
-            c.finish_rt(finish);
-            Ok(id)
+            Ok::<_, FabricError>((id, finish))
         })
     }
 
@@ -1423,6 +1380,57 @@ mod tests {
         ));
         f.node(crate::addr::NodeId(0)).recover();
         assert!(c.read_u64(FarAddr(8)).is_ok());
+    }
+
+    /// A node that is down by a message's arrival refuses every shape of
+    /// message at the one way in: nothing is written or registered, no
+    /// occupancy is booked, and the verb books no message of its own.
+    #[test]
+    fn a_node_down_at_arrival_refuses_every_message_before_touching_it() {
+        use crate::addr::NodeId;
+        const PTR: FarAddr = FarAddr(64);
+        const GUARD: FarAddr = FarAddr(72);
+        const TAGGED: FarAddr = FarAddr(80);
+        const DATA: FarAddr = FarAddr(4096);
+        type Verb = fn(&mut FabricClient) -> Result<()>;
+        let shapes: [(&str, Verb); 11] = [
+            ("word read", |c| c.read_u64(DATA).map(drop)),
+            ("word write", |c| c.write_u64(DATA, 1)),
+            ("word cas", |c| c.cas(DATA, 0, 1).map(drop)),
+            ("word faa", |c| c.faa(DATA, 1).map(drop)),
+            ("range read", |c| c.read(DATA, 64).map(drop)),
+            ("range write", |c| c.write(DATA, &[1; 64])),
+            ("fenced batch", |c| {
+                let ops = [BatchOp::Read { addr: DATA, len: 8 }, BatchOp::Faa { addr: DATA, delta: 1 }];
+                c.batch(&ops).map(drop)
+            }),
+            ("plain indirect", |c| c.store0(PTR, &[1; 8])),
+            ("tagged indirect", |c| c.load0_tagged(TAGGED).map(drop)),
+            ("guarded indirect", |c| c.saai_guarded(PTR, 8, &[1; 8], GUARD, 0).map(drop)),
+            ("subscription", |c| c.notify0(DATA, 64).map(drop)),
+        ];
+        for (name, verb) in shapes {
+            let f = FabricConfig::single_node(1 << 20).build();
+            let mut c = f.client();
+            c.write_u64(PTR, DATA.0).unwrap();
+            c.write_u64(TAGGED, DATA.0 | 1).unwrap();
+            let node = f.node(NodeId(0));
+            let memory = || {
+                let mut bytes = vec![0u8; 8192];
+                node.read_bytes(0, &mut bytes).unwrap();
+                bytes
+            };
+            let (before, occupancy, stats) = (memory(), node.occupancy(), c.stats());
+            node.schedule_crash_permanent(c.now_ns() + f.cost().one_way_ns());
+            assert!(matches!(verb(&mut c), Err(FabricError::NodeLost(NodeId(0)))), "{name}");
+            assert!(memory() == before, "{name}: memory untouched");
+            assert_eq!(node.occupancy(), occupancy, "{name}: no occupancy booked");
+            assert_eq!(node.subs.len(), 0, "{name}: nothing registered");
+            let d = c.stats().since(&stats);
+            let booked = (d.messages, d.round_trips, d.bytes_read, d.bytes_written, d.atomics);
+            assert_eq!(booked, (0, 0, 0, 0, 0), "{name}");
+            assert_eq!(d.giveups, 1, "{name}");
+        }
     }
 
     #[test]

@@ -134,9 +134,10 @@ impl TargetAccess<'_> {
 /// An indirect verb's error completion. `answered_at` is the node-side
 /// time at which the pointer's home node *answered* with the error (null
 /// pointer, guard mismatch, off-node guarded target): a blocking verb waited
-/// for that answer and charges its round trip, a pipelined descriptor
-/// books only its message (DESIGN.md §7). `None` when nothing answered —
-/// a dead node, a bad address.
+/// for that answer and charges its round trip, a failed pipelined
+/// descriptor books only its message (DESIGN.md §7) — a read-only load's
+/// null pointer is no failure ([`null_answer`](Self::null_answer)).
+/// `None` when nothing answered — a dead node, a bad address.
 pub(crate) struct ErrorCompletion {
     pub(crate) err: FabricError,
     pub(crate) answered_at: Option<u64>,
@@ -145,6 +146,19 @@ pub(crate) struct ErrorCompletion {
 impl ErrorCompletion {
     fn answered(err: FabricError, at: u64) -> ErrorCompletion {
         ErrorCompletion { err, answered_at: Some(at) }
+    }
+
+    /// When the home node answered a *read-only* load with a null
+    /// pointer, the time it answered at: the load's answer, not its
+    /// failure. A fenced batch's `Load0` completes it as
+    /// [`BatchOut::Null`](crate::BatchOut::Null) and a doorbell's load as
+    /// [`PipeOut::Null`], and both book the round trip the blocking
+    /// verb's `NullDeref` books.
+    pub(crate) fn null_answer(&self) -> Option<u64> {
+        match self.err {
+            FabricError::NullDeref { .. } => self.answered_at,
+            _ => None,
+        }
     }
 }
 
@@ -193,10 +207,10 @@ impl FabricClient {
     /// share the pointer's node (§7.1 localized placement); an off-node
     /// target is refused before the pointer moves.
     ///
-    /// Inlined into its five callers (the blocking wrapper, the three
-    /// indirect descriptors and the batch's `exec_load0`), four of which
-    /// fix `ptr_read` and the kind
-    /// of `access`: the copies shed the flavours they cannot take. Left
+    /// Inlined into its four callers (the blocking wrapper, the `Load2`
+    /// and `FaaiSwapGuarded` descriptors and `exec_load0`), three of
+    /// which fix `ptr_read` and the kind of `access`: the copies shed the
+    /// flavours they cannot take. Left
     /// out of line, a `Load2` descriptor costs ~12 ns more on the host and
     /// `structures` loses 3.5 % `ops_per_s` (EXPERIMENTS.md, PR 14).
     #[inline(always)]
@@ -211,12 +225,12 @@ impl FabricClient {
         let cost = *self.fabric().cost();
         let mode = self.fabric().config().indirection;
 
-        // Resolve the pointer at its home node.
+        // Resolve the pointer at its home node, held through the
+        // executor's own handle on the fabric so that it outlives the
+        // client borrow the entry took.
         let (home_id, ptr_off) = self.word_home(ptr_addr)?;
-        let home_phys = self.route(home_id);
         let fabric = self.fabric().clone();
-        let home = fabric.node(home_phys);
-        home.check_alive_at(arrival)?;
+        let home = fabric.node(self.enter(home_id, false, arrival)?.id());
 
         let len = access.len();
 
@@ -234,8 +248,7 @@ impl FabricClient {
             if peek != 0 {
                 if let Ok(segs) = fabric.segments(FarAddr(peek + index), len) {
                     for seg in segs {
-                        let phys = self.route(seg.node);
-                        fabric.node(phys).check_alive_at(arrival)?;
+                        self.enter(seg.node, false, arrival)?;
                     }
                     peeked = Some(FarAddr(peek + index));
                 }
@@ -253,8 +266,7 @@ impl FabricClient {
             (peeked, ptr_read, mode)
         {
             for seg in fabric.segments(target, len)?.filter(|s| s.node != home_id) {
-                let phys = self.route(seg.node);
-                fabric.node(phys).check_alive_at(reissue_at)?;
+                self.enter(seg.node, false, reissue_at)?;
             }
         }
 
@@ -487,9 +499,7 @@ impl FabricClient {
         };
         let mut done = 0usize;
         for seg in segs {
-            let phys = self.route(seg.node);
-            let node = fabric.node(phys);
-            node.check_alive_at(arrival)?;
+            let node = fabric.node(self.enter(seg.node, false, arrival)?.id());
             // Remote targets occupy their node's interface from the
             // arrival time (the interface is work-conserving); the
             // memory-side hop latency is added to the completion.

@@ -55,48 +55,7 @@ fn check_iov(iov: &[FarIov]) -> Result<u64> {
     Ok(total)
 }
 
-/// [`check_iov`] for a scatter: the iovec must cover `src` exactly.
-fn check_scatter(iov: &[FarIov], src: &[u8]) -> Result<()> {
-    if check_iov(iov)? != src.len() as u64 {
-        return Err(FabricError::BadIovec {
-            reason: "iovec total length must equal the source length",
-        });
-    }
-    Ok(())
-}
-
 impl FabricClient {
-    /// Reads the far buffers of `iov` back to back into one local buffer,
-    /// all arriving at `arrival`; returns `(bytes, latest node_finish)`.
-    /// The one gather of [`rgather`](Self::rgather) and the pipeline's
-    /// gather descriptor.
-    pub(crate) fn exec_gather(&mut self, iov: &[FarIov], arrival: u64) -> Result<(Vec<u8>, u64)> {
-        let mut out = vec![0u8; check_iov(iov)? as usize];
-        let mut finish = arrival;
-        let mut rest = out.as_mut_slice();
-        for e in iov {
-            let (part, tail) = rest.split_at_mut(e.len as usize);
-            finish = finish.max(self.exec_read_into(AccessKind::Read, e.addr, part, arrival)?);
-            rest = tail;
-        }
-        Ok((out, finish))
-    }
-
-    /// Writes `src` across the far buffers of `iov`, all arriving at
-    /// `arrival`; returns the latest node_finish. The one scatter of
-    /// [`wscatter`](Self::wscatter) and the pipeline's scatter descriptor.
-    pub(crate) fn exec_scatter(&mut self, iov: &[FarIov], src: &[u8], arrival: u64) -> Result<u64> {
-        check_scatter(iov, src)?;
-        let mut finish = arrival;
-        let mut rest = src;
-        for e in iov {
-            let (part, tail) = rest.split_at(e.len as usize);
-            finish = finish.max(self.exec_write(e.addr, part, arrival)?);
-            rest = tail;
-        }
-        Ok(finish)
-    }
-
     /// `rscatter(ad, ℓ, iovec)`: read the far range `[ad, ad+ℓ)` and
     /// scatter it into the local buffers `into` (whose total length must
     /// equal `ℓ`). One far access.
@@ -120,17 +79,36 @@ impl FabricClient {
     /// per-buffer messages are issued concurrently: one far access. A
     /// malformed iovec is rejected before any attempt is charged.
     pub fn rgather(&mut self, iov: &[FarIov]) -> Result<Vec<u8>> {
-        check_iov(iov)?;
-        self.round_trip(VerbKind::ScatterGather, |c, at| c.exec_gather(iov, at))
+        let total = check_iov(iov)?;
+        self.round_trip(VerbKind::ScatterGather, |c, at| {
+            let mut out = vec![0u8; total as usize];
+            let (mut finish, mut rest) = (at, out.as_mut_slice());
+            for e in iov {
+                let (part, tail) = rest.split_at_mut(e.len as usize);
+                finish = finish.max(c.exec_read_into(AccessKind::Read, e.addr, part, at)?);
+                rest = tail;
+            }
+            Ok::<_, FabricError>((out, finish))
+        })
     }
 
     /// `wscatter(ad, ℓ, iovec)`: scatter one local range `src` across the
     /// disjoint far buffers of `iov` (total iovec length must equal
     /// `src.len()`, checked before any attempt is charged). One far access.
     pub fn wscatter(&mut self, iov: &[FarIov], src: &[u8]) -> Result<()> {
-        check_scatter(iov, src)?;
+        if check_iov(iov)? != src.len() as u64 {
+            return Err(FabricError::BadIovec {
+                reason: "iovec total length must equal the source length",
+            });
+        }
         self.round_trip(VerbKind::ScatterGather, |c, at| {
-            c.exec_scatter(iov, src, at).map(|f| ((), f))
+            let (mut finish, mut rest) = (at, src);
+            for e in iov {
+                let (part, tail) = rest.split_at(e.len as usize);
+                finish = finish.max(c.exec_write(e.addr, part, at)?);
+                rest = tail;
+            }
+            Ok::<_, FabricError>(((), finish))
         })
     }
 

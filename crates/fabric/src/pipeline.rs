@@ -9,8 +9,8 @@
 //! never shows the bandwidth parallelism it exists to provide.
 //!
 //! Descriptors are posted onto a [`DescList`] with the same semantics as
-//! the serial verbs (reads, writes, CAS, FAA, gathers/scatters,
-//! `load0`-style indirection and whole fenced batches);
+//! the serial verbs (reads, writes, CAS, FAA, `load0`-style indirection,
+//! the guarded claim and whole fenced batches);
 //! [`FabricClient::ring`] rings the doorbell for a list and returns a
 //! [`CompletionQueue`] holding one result per descriptor, in issue order.
 //! [`FabricClient::pipeline`] is the borrowed form: an [`IssueQueue`] is a
@@ -51,25 +51,22 @@
 //! duplicate those effects. Completed results remain drainable from the
 //! [`CompletionQueue`].
 //!
-//! One failure is an *answer*, not a transport error: a null pointer under
-//! a read-only indirect descriptor ([`PipeOp::Load2`]). Its slot completes
-//! with [`FabricError::NullDeref`] and the commit's status reports it, but
-//! the tail still executes — an absent key in a batch of lookups must not
-//! serialise the lookups behind it.
-//!
-//! A cross-node target that an
+//! A null pointer under a read-only load ([`PipeOp::Load2`],
+//! [`PipeOp::Load0Tagged`]) is no failure but the load's *answer*: the
+//! descriptor completes as [`PipeOut::Null`] and books the round trip and
+//! the clock the blocking verb books for its `NullDeref`, as a fenced
+//! batch's `Load0` does when it answers [`BatchOut::Null`]. An absent key
+//! in a batch of lookups therefore serialises nothing behind it. A
+//! cross-node target that an
 //! [`IndirectionMode::Error`](crate::fabric::IndirectionMode::Error)
 //! fabric refuses is no failure either: the descriptor reissues it, as
 //! the blocking verb does, and books the same two round trips.
 //!
 //! One booking differs from the blocking verb, deliberately: an error the
-//! node *answered* with (null pointer, guard mismatch, off-node guarded
-//! target) costs the blocking verb its round trip, while a failed
+//! node *answered* a guarded claim with (guard mismatch, off-node target,
+//! null pointer) costs the blocking verb its round trip, while the failed
 //! descriptor books its message but no round trip of its own — the
 //! doorbell's time is the max over *completed* descriptors (DESIGN.md §7).
-//! That holds for a [`PipeOp::Fenced`] descriptor too; a null pointer
-//! under its `Load0` is not a failure but the op's
-//! [`BatchOut::Null`] answer, as in the blocking batch.
 //!
 //! [`MemoryNode::occupy`]: crate::node::MemoryNode::occupy
 //! [`AccessStats::overlap_saved_ns`]: crate::stats::AccessStats
@@ -78,8 +75,7 @@ use crate::addr::FarAddr;
 use crate::check::AccessKind;
 use crate::client::{BatchOp, BatchOut, FabricClient};
 use crate::error::{FabricError, Result};
-use crate::ext::indirect::{PtrRead, TargetAccess};
-use crate::ext::sg::FarIov;
+use crate::ext::indirect::{ErrorCompletion, PtrRead, TargetAccess};
 use crate::trace::VerbKind;
 
 /// One posted descriptor (owned, so a queue can outlive its sources).
@@ -129,20 +125,6 @@ pub enum PipeOp {
         /// Added value (wrapping).
         delta: u64,
     },
-    /// Gather disjoint far buffers into one completion buffer, in iovec
-    /// order (serial equivalent: [`FabricClient::rgather`]).
-    Gather {
-        /// The far iovec.
-        iov: Vec<FarIov>,
-    },
-    /// Scatter one buffer across disjoint far buffers (serial equivalent:
-    /// [`FabricClient::wscatter`]; iovec total must equal `data.len()`).
-    Scatter {
-        /// The far iovec.
-        iov: Vec<FarIov>,
-        /// Source bytes.
-        data: Vec<u8>,
-    },
     /// Dereference the pointer at `ptr`, offset the target by `index`
     /// bytes, and read `len` bytes there (serial equivalents:
     /// [`FabricClient::load0`] with `index == 0`,
@@ -150,7 +132,8 @@ pub enum PipeOp {
     /// cross-node target is forwarded under
     /// [`IndirectionMode::Forward`](crate::fabric::IndirectionMode::Forward)
     /// and reissued under [`Error`](crate::fabric::IndirectionMode::Error),
-    /// as the serial verb does.
+    /// as the serial verb does; a null pointer completes as
+    /// [`PipeOut::Null`].
     Load2 {
         /// Far address of the pointer word.
         ptr: FarAddr,
@@ -166,18 +149,6 @@ pub enum PipeOp {
     Load0Tagged {
         /// Far address of the tagged pointer word.
         ptr: FarAddr,
-    },
-    /// Dereference the pointer at `ptr`, offset the target by `index`
-    /// bytes, and write `data` there (serial equivalents:
-    /// [`FabricClient::store0`] / [`FabricClient::store2`]). Remote-target
-    /// handling as for [`PipeOp::Load2`].
-    Store2 {
-        /// Far address of the pointer word.
-        ptr: FarAddr,
-        /// Byte offset added to the dereferenced pointer.
-        index: u64,
-        /// Bytes to write at the target.
-        data: Vec<u8>,
     },
     /// Guarded fetch-add-and-indirect-swap (serial equivalent:
     /// [`FabricClient::faai_swap_guarded`]): atomically bump the pointer
@@ -217,7 +188,6 @@ impl PipeOp {
         match self {
             PipeOp::Read { .. }
             | PipeOp::ReadU64 { .. }
-            | PipeOp::Gather { .. }
             | PipeOp::Load2 { .. }
             | PipeOp::Load0Tagged { .. } => false,
             PipeOp::Fenced(ops) => ops.iter().any(|op| !op.is_read_only()),
@@ -229,7 +199,7 @@ impl PipeOp {
 /// Result payload of one completed descriptor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipeOut {
-    /// Bytes returned by `Read` / `Gather` / `Load0`.
+    /// Bytes returned by `Read` / `Load2`.
     Bytes(Vec<u8>),
     /// Word returned by `ReadU64`, or previous value from `Cas` / `Faa`.
     Value(u64),
@@ -251,6 +221,9 @@ pub enum PipeOut {
         /// The bytes read at the block.
         bytes: Vec<u8>,
     },
+    /// A [`PipeOp::Load2`] or [`PipeOp::Load0Tagged`] found a null
+    /// pointer.
+    Null,
 }
 
 impl PipeOut {
@@ -469,16 +442,6 @@ impl DescList {
         self.post(PipeOp::Faa { addr, delta })
     }
 
-    /// Posts a gather of disjoint far buffers.
-    pub fn gather(&mut self, iov: &[FarIov]) -> usize {
-        self.post(PipeOp::Gather { iov: iov.to_vec() })
-    }
-
-    /// Posts a scatter of `data` across disjoint far buffers.
-    pub fn scatter(&mut self, iov: &[FarIov], data: &[u8]) -> usize {
-        self.post(PipeOp::Scatter { iov: iov.to_vec(), data: data.to_vec() })
-    }
-
     /// Posts a pointer-dereferencing read (`load0`).
     pub fn load0(&mut self, ptr: FarAddr, len: u64) -> usize {
         self.post(PipeOp::Load2 { ptr, index: 0, len })
@@ -492,11 +455,6 @@ impl DescList {
     /// Posts an offset pointer-dereferencing read (`load2`).
     pub fn load2(&mut self, ptr: FarAddr, index: u64, len: u64) -> usize {
         self.post(PipeOp::Load2 { ptr, index, len })
-    }
-
-    /// Posts an offset pointer-dereferencing write (`store2`).
-    pub fn store2(&mut self, ptr: FarAddr, index: u64, data: &[u8]) -> usize {
-        self.post(PipeOp::Store2 { ptr, index, data: data.to_vec() })
     }
 
     /// Posts a guarded fetch-add-and-indirect-swap (`faai_swap_guarded`).
@@ -533,10 +491,9 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
     let mut completed = 0usize;
     let mut completed_effects = 0usize;
     let mut first_err: Option<FabricError> = None;
-    let mut aborted = false;
 
     for op in ops {
-        if aborted {
+        if first_err.is_some() {
             // The queue is in error state: the tail is never executed.
             results.push(None);
             continue;
@@ -571,11 +528,7 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
                 results.push(Some(Ok(out)));
             }
             Err(e) => {
-                // A null pointer answers a read-only descriptor (module
-                // docs); anything else puts the queue in its error state.
-                aborted =
-                    op.has_side_effect() || !matches!(e, FabricError::NullDeref { .. });
-                first_err.get_or_insert_with(|| e.clone());
+                first_err = Some(e.clone());
                 results.push(Some(Err(e)));
             }
         }
@@ -633,24 +586,14 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             let (prev, f) = c.exec_faa(*addr, *delta, arrival)?;
             Ok((PipeOut::Value(prev), f))
         }
-        PipeOp::Gather { iov } => {
-            let (out, f) = c.exec_gather(iov, arrival)?;
-            Ok((PipeOut::Bytes(out), f))
-        }
-        PipeOp::Scatter { iov, data } => Ok((PipeOut::Done, c.exec_scatter(iov, data, arrival)?)),
         PipeOp::Load2 { ptr, index, len } => {
             let access = TargetAccess::Read(*len);
-            let ((_, out), f) = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival)?;
-            Ok((out, f))
+            let loaded = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival);
+            null_answers(loaded.map(|((_, out), f)| (out, f)))
         }
         PipeOp::Load0Tagged { ptr } => {
-            let ((ptr, bytes), f) = c.exec_load0(*ptr, None, arrival)?;
-            Ok((PipeOut::Loaded { ptr, bytes }, f))
-        }
-        PipeOp::Store2 { ptr, index, data } => {
-            let access = TargetAccess::Write(data);
-            let ((_, out), f) = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival)?;
-            Ok((out, f))
+            let loaded = c.exec_load0(*ptr, None, arrival);
+            null_answers(loaded.map(|((ptr, bytes), f)| (PipeOut::Loaded { ptr, bytes }, f)))
         }
         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
             let read = PtrRead::GuardedFetchAdd { delta: *delta, guard: *guard, expect: *expect };
@@ -662,6 +605,18 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             let (outs, f) = c.exec_batch(ops, arrival)?;
             Ok((PipeOut::Batch(outs), f))
         }
+    }
+}
+
+/// A read-only load's completion: a null pointer the home node answered
+/// with is [`PipeOut::Null`], finished when the node answered.
+fn null_answers(loaded: std::result::Result<(PipeOut, u64), ErrorCompletion>) -> Result<(PipeOut, u64)> {
+    match loaded {
+        Err(e) => match e.null_answer() {
+            Some(at) => Ok((PipeOut::Null, at)),
+            None => Err(e.err),
+        },
+        Ok(done) => Ok(done),
     }
 }
 
@@ -791,19 +746,19 @@ mod tests {
         let i_faa = q.faa(FarAddr(PAGE), 5);
         let i_cas = q.cas(FarAddr(PAGE * 2), 4, 9);
         let i_w = q.write_u64(FarAddr(PAGE * 4), 77);
-        let i_g = q.gather(&[
-            FarIov::new(FarAddr(PAGE), 8),
-            FarIov::new(FarAddr(PAGE * 2), 8),
-        ]);
+        let i_g = q.post(PipeOp::Fenced(vec![
+            BatchOp::Read { addr: FarAddr(PAGE), len: 8 },
+            BatchOp::Read { addr: FarAddr(PAGE * 2), len: 8 },
+        ]));
         let i_l = q.load0(FarAddr(PAGE * 3), 8);
         let mut cq = q.commit();
         cq.status().unwrap();
         assert_eq!(cq.take(i_faa).unwrap().unwrap().value(), 10);
         assert_eq!(cq.take(i_cas).unwrap().unwrap().value(), 4);
         assert_eq!(cq.take(i_w).unwrap().unwrap(), PipeOut::Done);
-        let g = cq.take(i_g).unwrap().unwrap().into_bytes();
-        assert_eq!(u64::from_le_bytes(g[0..8].try_into().unwrap()), 15);
-        assert_eq!(u64::from_le_bytes(g[8..16].try_into().unwrap()), 9);
+        let Some(Ok(PipeOut::Batch(g))) = cq.take(i_g) else { panic!("a fenced completion") };
+        assert_eq!(g[0].bytes(), 15u64.to_le_bytes());
+        assert_eq!(g[1].bytes(), 9u64.to_le_bytes());
         // load0 sees the post-FAA value or the pre-FAA value depending on
         // descriptor order at the node; here FAA (descriptor 0) executes
         // first at the shared arrival, so the target holds 15.
@@ -811,7 +766,8 @@ mod tests {
         assert_eq!(u64::from_le_bytes(l.try_into().unwrap()), 15);
         assert_eq!(c.read_u64(FarAddr(PAGE * 4)).unwrap(), 77);
         let d = c.stats().since(&before);
-        // faa + cas + write + gather + load0, minus the verification read.
+        // faa + cas + write + fenced reads + load0, minus the verification
+        // read.
         assert_eq!(d.round_trips, 5 + 1);
         assert_eq!(d.atomics, 2);
         assert_eq!(d.pipelined_ops, 5);
@@ -868,16 +824,17 @@ mod tests {
         );
     }
 
-    /// A null pointer answers a read-only indirect descriptor: its slot
-    /// holds the error, the tail still executes, and the doorbell books
-    /// what DESIGN.md §7 says — the failed descriptor's message, no round
-    /// trip of its own. Under a store the same null pointer is a failure
-    /// like any other and aborts the tail.
+    /// A null pointer under a read-only load is the load's answer: its
+    /// slot completes as `PipeOut::Null`, the tail still executes, and it
+    /// books what the blocking verb books for its `NullDeref` — the round
+    /// trip and the clock of the home node's answer. Any failure aborts
+    /// the tail: a null pointer under the guarded claim, a side effect, is
+    /// one.
     #[test]
     fn a_null_pointer_under_a_read_aborts_nothing() {
         let f = striped(1, CostModel::DEFAULT);
         let mut c = f.client();
-        let (null_ptr, ptr) = (FarAddr(WORD), FarAddr(2 * WORD));
+        let (null_ptr, ptr, guard) = (FarAddr(WORD), FarAddr(2 * WORD), FarAddr(3 * WORD));
         c.write_u64(ptr, PAGE).unwrap();
         c.write_u64(FarAddr(PAGE), 7).unwrap();
         let seven = PipeOut::Bytes(7u64.to_le_bytes().to_vec());
@@ -890,11 +847,11 @@ mod tests {
             (q.commit(), c.stats().since(&before), c.now_ns() - t0)
         };
         let (mut cq, d, absent_ns) = elapsed(&mut c, null_ptr);
-        assert!(matches!(cq.status(), Err(FabricError::NullDeref { .. })));
-        assert!(matches!(cq.take(0), Some(Err(FabricError::NullDeref { .. }))));
+        cq.status().unwrap();
+        assert_eq!(cq.take(0), Some(Ok(PipeOut::Null)));
         assert_eq!(cq.take(1), Some(Ok(seven.clone())));
         assert_eq!(cq.take(2), Some(Ok(seven)));
-        assert_eq!((d.pipelined_ops, d.round_trips, d.messages, d.doorbells), (2, 2, 3, 1));
+        assert_eq!((d.pipelined_ops, d.round_trips, d.messages, d.doorbells), (3, 3, 3, 1));
         let (cq, d, present_ns) = elapsed(&mut c, ptr);
         cq.status().unwrap();
         assert_eq!((d.pipelined_ops, d.round_trips, d.messages), (3, 3, 3));
@@ -902,12 +859,40 @@ mod tests {
         let cost = CostModel::DEFAULT;
         assert_eq!(present_ns - absent_ns, cost.node_msg_ns + cost.bytes_ns(WORD));
 
+        // One null load alone, blocking and posted, in both flavours.
+        for tagged in [false, true] {
+            let (before, t0) = (c.stats(), c.now_ns());
+            let err = if tagged {
+                c.load0_tagged(null_ptr).map(drop)
+            } else {
+                c.load0(null_ptr, WORD).map(drop)
+            };
+            assert!(matches!(err, Err(FabricError::NullDeref { .. })), "tagged {tagged}");
+            let (serial, serial_ns) = (c.stats().since(&before), c.now_ns() - t0);
+            let (before, t0) = (c.stats(), c.now_ns());
+            let mut q = c.pipeline();
+            if tagged {
+                q.load0_tagged(null_ptr);
+            } else {
+                q.load0(null_ptr, WORD);
+            }
+            assert_eq!(q.commit().into_outputs().unwrap(), [PipeOut::Null], "tagged {tagged}");
+            let (posted, posted_ns) = (c.stats().since(&before), c.now_ns() - t0);
+            for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
+                if !matches!(*field, "doorbells" | "pipelined_ops") {
+                    let (s, p) = (serial.to_array()[i], posted.to_array()[i]);
+                    assert_eq!(p, s, "tagged {tagged}: field `{field}`");
+                }
+            }
+            assert_eq!((serial.round_trips, posted_ns), (1, serial_ns), "tagged {tagged}");
+        }
+
         let mut q = c.pipeline();
-        q.store2(null_ptr, 0, &[1u8; 8]);
+        q.faai_swap_guarded(null_ptr, WORD, 0, guard, 0);
         q.load0(ptr, WORD);
         let mut cq = q.commit();
         assert!(matches!(cq.take(0), Some(Err(FabricError::NullDeref { .. }))));
-        assert!(cq.take(1).is_none(), "a failed store aborts the tail");
+        assert!(cq.take(1).is_none(), "a failed claim aborts the tail");
     }
 
     #[test]
@@ -1014,66 +999,53 @@ mod tests {
         assert_eq!(c.now_ns(), t0);
     }
 
-    #[test]
-    fn bad_iovec_descriptors_fail_cleanly() {
-        let f = striped(2, CostModel::COUNT_ONLY);
-        let mut c = f.client();
-        let mut q = c.pipeline();
-        q.gather(&[]);
-        let cq = q.commit();
-        assert!(matches!(cq.status(), Err(FabricError::BadIovec { .. })));
-    }
-
-    /// Pipelined `load2`/`store2` descriptors book exactly the serial
-    /// indirect verb's round trips, messages and bytes — the property the
-    /// far-structure adopters (`FarVec::read_ranges` et al.) rely on.
+    /// Pipelined `load2` and `load0_tagged` descriptors book exactly the
+    /// serial indirect verbs' round trips, messages, bytes and hops — the
+    /// property the far-structure adopters (`FarVec::read_ranges`,
+    /// `HtTree::get_many`) rely on.
     #[test]
     fn pipelined_indirect_matches_serial_charges() {
         let serial_f = striped(2, CostModel::DEFAULT);
         let piped_f = striped(2, CostModel::DEFAULT);
-        // Same layout on both fabrics: a pointer word on node 0 whose
-        // target spans the second page (node 1 under PAGE striping).
+        // Same layout on both fabrics: a plain and a tagged pointer word on
+        // node 0 whose targets lie in the second page (node 1 under PAGE
+        // striping).
+        let (plain, tagged) = (FarAddr(WORD), FarAddr(2 * WORD));
         for f in [&serial_f, &piped_f] {
             let mut c = f.client();
-            c.write_u64(FarAddr(WORD), PAGE).unwrap();
+            c.write_u64(plain, PAGE).unwrap();
+            c.write_u64(tagged, PAGE | 3).unwrap();
             c.write(FarAddr(PAGE), &vec![7u8; 256]).unwrap();
         }
 
         let mut sc = serial_f.client();
-        let sv = sc.load2(FarAddr(WORD), 64, 128).unwrap();
-        sc.store2(FarAddr(WORD), 512, &[9u8; 64]).unwrap();
+        let sv = sc.load2(plain, 64, 128).unwrap();
+        let (sptr, sblock) = sc.load0_tagged(tagged).unwrap();
         let serial = sc.stats();
 
         let mut pc = piped_f.client();
         let mut q = pc.pipeline();
-        q.load2(FarAddr(WORD), 64, 128);
-        q.store2(FarAddr(WORD), 512, &[9u8; 64]);
-        let cq = q.commit();
-        let mut cq = cq;
-        assert!(cq.status().is_ok());
-        assert_eq!(cq.take(0).unwrap().unwrap().into_bytes(), sv);
+        q.load2(plain, 64, 128);
+        q.load0_tagged(tagged);
+        let outs = q.commit().into_outputs().unwrap();
+        assert_eq!(outs[0].bytes(), &sv[..]);
+        assert_eq!(outs[1], PipeOut::Loaded { ptr: sptr, bytes: sblock });
         let piped = pc.stats();
 
         assert_eq!(piped.round_trips, serial.round_trips);
         assert_eq!(piped.messages, serial.messages);
         assert_eq!(piped.bytes_read, serial.bytes_read);
-        assert_eq!(piped.bytes_written, serial.bytes_written);
         assert_eq!(piped.forward_hops, serial.forward_hops);
-        // Both stores landed: read the target back through either client.
-        let back = sc.read(FarAddr(PAGE + 512), 64).unwrap();
-        let pback = pc.read(FarAddr(PAGE + 512), 64).unwrap();
-        assert_eq!(back, vec![9u8; 64]);
-        assert_eq!(pback, back);
+        assert_eq!((serial.bytes_read, serial.forward_hops), (128 + 64, 2));
     }
 
-    /// Error completions of indirect descriptors against the serial verb,
-    /// field for field: a null pointer, a guarded target off the pointer's
-    /// node (refused in either `IndirectionMode`) and a guard mismatch
-    /// book the same
-    /// messages, bytes, atomics and observed accesses either way — the
-    /// pointer read is `observe`d even when the verb then fails. The one
-    /// asymmetry (DESIGN.md §7): the blocking verb waited for the node's
-    /// answer and charges that round trip on its clock; a failed
+    /// Error completions of the guarded claim against the serial verb,
+    /// field for field: a null pointer, a target off the pointer's node
+    /// (refused in either `IndirectionMode`) and a guard mismatch book
+    /// the same messages, bytes, atomics and observed accesses either way
+    /// — the pointer read is `observe`d even when the verb then fails. The
+    /// one asymmetry (DESIGN.md §7): the blocking verb waited for the
+    /// node's answer and charges that round trip on its clock; a failed
     /// descriptor books its message but no round trip of its own.
     #[test]
     fn pipelined_error_completions_match_serial_bookings() {
@@ -1091,14 +1063,10 @@ mod tests {
 
         // Pointer and guard words on node 0; PAGE is node 1's first stripe.
         let (ptr, guard) = (FarAddr(WORD), FarAddr(2 * WORD));
-        let plain = PipeOp::Load2 { ptr, index: 0, len: 64 };
         let claim =
             |expect| PipeOp::FaaiSwapGuarded { ptr, delta: WORD, replacement: 0, guard, expect };
         type Expect = fn(&FabricError) -> bool;
-        let cases: [(&str, IndirectionMode, u64, PipeOp, Expect); 5] = [
-            ("null/plain", IndirectionMode::Forward, 0, plain, |e| {
-                matches!(e, FabricError::NullDeref { .. })
-            }),
+        let cases: [(&str, IndirectionMode, u64, PipeOp, Expect); 4] = [
             ("null/guarded", IndirectionMode::Forward, 0, claim(0), |e| {
                 matches!(e, FabricError::NullDeref { .. })
             }),
@@ -1135,7 +1103,6 @@ mod tests {
                     cq.status().unwrap_err()
                 } else {
                     match op.clone() {
-                        PipeOp::Load2 { ptr, index, len } => c.load2(ptr, index, len).unwrap_err(),
                         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => c
                             .faai_swap_guarded(ptr, delta, replacement, guard, expect)
                             .unwrap_err(),

@@ -42,7 +42,7 @@ pub enum VerbKind {
     Atomic,
     /// Fenced batches (`batch`).
     Batch,
-    /// Unsignaled posted ops (`post_write_u64`, `post_faa_u64`).
+    /// Unsignaled posted ops (`post_faa_u64`).
     Posted,
     /// Indirect-addressing verbs (`load*`, `store*`, `faai*`, `saai*`,
     /// `add*`, §4.1).

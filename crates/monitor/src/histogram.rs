@@ -136,7 +136,7 @@ impl HistogramMonitor {
 
     /// Attaches the producer.
     pub fn producer(&self, _client: &mut FabricClient) -> ProducerHandle {
-        ProducerHandle { m: *self, seq: 0, pending: std::collections::BTreeMap::new() }
+        ProducerHandle { m: *self, seq: 0 }
     }
 
     /// Attaches a consumer interested in alarms at or above `min_sev`.
@@ -177,8 +177,6 @@ impl HistogramMonitor {
 pub struct ProducerHandle {
     m: HistogramMonitor,
     seq: u64,
-    /// Locally buffered bucket increments awaiting [`flush`](Self::flush).
-    pending: std::collections::BTreeMap<u64, u64>,
 }
 
 impl ProducerHandle {
@@ -191,63 +189,11 @@ impl ProducerHandle {
         Ok(())
     }
 
-    /// Buffers one sample locally: **zero far accesses**. Buffered
-    /// increments reach far memory on the next [`flush`](Self::flush) (or
-    /// [`end_window`](Self::end_window), which flushes first), coalesced
-    /// per bucket.
-    pub fn record_buffered(&mut self, sample: u64) {
-        let bucket = self.m.bucket_of(sample);
-        *self.pending.entry(bucket).or_insert(0) += 1;
-    }
-
-    /// Flushes buffered samples: one FAA per *touched bucket* — repeated
-    /// samples coalesce into a single atomic — all rung through **one
-    /// pipeline doorbell**, so the round trips overlap across the striped
-    /// window. Returns the number of bucket FAAs issued.
-    ///
-    /// The producer owns window switching, so the current window's layout
-    /// is known locally and no base-pointer dereference is needed. Buckets
-    /// whose descriptor failed or was aborted stay buffered and are
-    /// retried on the next flush.
-    pub fn flush(&mut self, client: &mut FabricClient) -> Result<u64> {
-        if self.pending.is_empty() {
-            return Ok(0);
-        }
-        let _span = client.span("monitor.flush");
-        let base = self.m.window_base(self.seq);
-        let pending: Vec<(u64, u64)> = std::mem::take(&mut self.pending).into_iter().collect();
-        let mut q = client.pipeline();
-        for &(bucket, count) in &pending {
-            q.faa(base.offset(bucket * WORD), count);
-        }
-        let mut cq = q.commit();
-        let mut issued = 0u64;
-        let mut first_err = None;
-        for (i, &(bucket, count)) in pending.iter().enumerate() {
-            match cq.take(i) {
-                Some(Ok(_)) => issued += 1,
-                Some(Err(e)) => {
-                    first_err.get_or_insert(e);
-                    *self.pending.entry(bucket).or_insert(0) += count;
-                }
-                None => {
-                    *self.pending.entry(bucket).or_insert(0) += count;
-                }
-            }
-        }
-        match first_err {
-            Some(e) if issued == 0 => Err(e.into()),
-            _ => Ok(issued),
-        }
-    }
-
     /// Ends the current window: zeroes the next window's histogram,
     /// switches the base pointer, and bumps the sequence word (which
-    /// notifies every consumer). One fenced batch — one far access (plus
-    /// a flush of any buffered samples, so they land in their window).
+    /// notifies every consumer). One fenced batch — one far access.
     pub fn end_window(&mut self, client: &mut FabricClient) -> Result<u64> {
         let _span = client.span("monitor.end_window");
-        self.flush(client)?;
         self.seq += 1;
         let next = self.m.window_base(self.seq);
         let zeros = vec![0u8; (self.m.n_buckets * WORD) as usize];
@@ -440,51 +386,6 @@ mod tests {
         p.record(&mut pc, 42).unwrap();
         let d = pc.stats().since(&before);
         assert_eq!(d.round_trips, 1, "indexed indirect add: one far access");
-    }
-
-    #[test]
-    fn buffered_records_flush_through_one_doorbell() {
-        let (f, _a, m) = setup();
-        let mut pc = f.client();
-        let mut cc = f.client();
-        let mut p = m.producer(&mut pc);
-        let cons = m.consumer(&mut cc, Severity::Warning).unwrap();
-        // Ten samples over three buckets: zero far accesses while buffering.
-        let before = pc.stats();
-        for s in [10u64, 10, 10, 10, 50, 50, 50, 90, 90, 90] {
-            p.record_buffered(s);
-        }
-        assert_eq!(pc.stats().since(&before).round_trips, 0);
-        let issued = p.flush(&mut pc).unwrap();
-        let d = pc.stats().since(&before);
-        assert_eq!(issued, 3, "repeated samples coalesce per bucket");
-        assert_eq!(d.round_trips, 3, "one FAA per touched bucket");
-        assert_eq!(d.atomics, 3);
-        assert_eq!(d.doorbells, 1, "all bucket FAAs share one doorbell");
-        let h = cons.read_window(&mut cc, 0).unwrap();
-        assert_eq!(h[m.bucket_of(10) as usize], 4);
-        assert_eq!(h[m.bucket_of(50) as usize], 3);
-        assert_eq!(h[m.bucket_of(90) as usize], 3);
-        assert_eq!(p.flush(&mut pc).unwrap(), 0, "nothing left to flush");
-    }
-
-    #[test]
-    fn end_window_flushes_buffered_samples_into_their_window() {
-        let (f, _a, m) = setup();
-        let mut pc = f.client();
-        let mut cc = f.client();
-        let mut p = m.producer(&mut pc);
-        let cons = m.consumer(&mut cc, Severity::Warning).unwrap();
-        p.record_buffered(90);
-        p.record_buffered(90);
-        p.end_window(&mut pc).unwrap();
-        p.record_buffered(90);
-        p.flush(&mut pc).unwrap();
-        let h0 = cons.read_window(&mut cc, 0).unwrap();
-        let h1 = cons.read_window(&mut cc, 1).unwrap();
-        let b = m.bucket_of(90) as usize;
-        assert_eq!(h0[b], 2, "buffered samples landed before the switch");
-        assert_eq!(h1[b], 1, "post-switch samples land in the new window");
     }
 
     #[test]

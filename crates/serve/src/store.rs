@@ -102,11 +102,11 @@ impl RecordStore {
     }
 
     /// Stores `value` under the namespaced key with an absolute expiry
-    /// instant (`0` = never) in the tree put's two far accesses (plus the
-    /// chain hops down to the key's previous item). Returns whether an
-    /// existing record was replaced (and retired), and where the record
-    /// went: the hint that makes [`get_hinted`](Self::get_hinted) of this
-    /// key one far access until the key's next mutation.
+    /// instant (`0` = never) in the tree put's two far accesses. Returns
+    /// whether an existing record was replaced (and retired), and where
+    /// the record went: the hint that makes
+    /// [`get_hinted`](Self::get_hinted) of this key one far access until
+    /// the key's next mutation.
     pub fn put(
         &mut self,
         client: &mut FabricClient,
@@ -164,8 +164,8 @@ impl RecordStore {
     }
 
     /// Unlinks the key and retires its record ([`FarBlobMap::remove`], the
-    /// tree's `take`): two far accesses plus chain hops — one, and nothing
-    /// linked, when there is no record. Returns whether a record existed.
+    /// tree's `take`): two far accesses — one, and nothing linked, when
+    /// there is no record. Returns whether a record existed.
     pub fn remove(&mut self, client: &mut FabricClient, nskey: u64) -> Result<bool> {
         Ok(self.records.remove(client, nskey)?)
     }

@@ -278,23 +278,22 @@ fn pipeline_torn_reports_partial_completion() {
     }
     .build();
     let mut c = f.client();
-    // One far pointer aiming at a region, and one null pointer: a store
-    // through the null one is answered with `NullDeref`, which a
-    // side-effecting descriptor does not survive (non-transient).
-    let (ptr, null) = (FarAddr(8), FarAddr(16));
+    // A write that lands, then a guarded claim through a null pointer:
+    // answered with `NullDeref`, which a side-effecting descriptor does
+    // not survive (non-transient).
+    let (null, guard) = (FarAddr(16), FarAddr(24));
     let region = 8192u64;
-    c.write_u64(ptr, region).unwrap();
     let mut q = c.pipeline();
-    q.store2(ptr, 0, &7u64.to_le_bytes());
-    q.store2(null, 0, &8u64.to_le_bytes());
-    q.store2(ptr, 8, &9u64.to_le_bytes());
+    q.write_u64(FarAddr(region), 7);
+    q.faai_swap_guarded(null, 8, 0, guard, 0);
+    q.write_u64(FarAddr(region + 8), 9);
     let mut cq = q.commit();
     match cq.status() {
         Err(FabricError::PipelineTorn { completed, failed }) => {
             assert_eq!(
                 (completed, failed),
                 (1, 2),
-                "one landed; the null store and the aborted tail count as failed"
+                "one landed; the null claim and the aborted tail count as failed"
             );
         }
         other => panic!("expected PipelineTorn, got {other:?}"),

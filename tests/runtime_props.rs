@@ -477,13 +477,13 @@ fn reclaimed_record_gets_match_blocking_twins_across_seals() {
     assert_eq!(seen, [(0, 0), (1, 0), (2, 1)], "(seals, restructures) seen by each batch's pin");
     let pins: Vec<_> = sync_rounds.iter().map(|(.., cost)| cost.atomics).collect();
     assert_eq!(pins, [0, 1, 1], "a pin past a seal is the batch's one atomic");
-    // 24 lookups each, one block read per stored key (the never-stored
-    // key's empty bucket answers its descriptor without a round trip);
+    // 25 lookups each, one far access per key (the never-stored key's
+    // empty bucket answers its descriptor, a round trip as for `get`);
     // batch 1 reads 24 records and 6 tails, batch 2 its 8 stale records
     // and 2 tails plus the CAS, batch 3 only the CAS and the directory
     // re-read (anchor, entry count, entries).
     let far: Vec<_> = sync_rounds.iter().map(|(.., cost)| cost.round_trips).collect();
-    assert_eq!(far, [24 + 24 + 6, 24 + 8 + 2 + 1, 24 + 1 + 3]);
+    assert_eq!(far, [25 + 24 + 6, 25 + 8 + 2 + 1, 25 + 1 + 3]);
     let freed: Vec<_> = sync_rounds.iter().map(|&(.., freed, _)| freed).collect();
     assert_eq!(freed[0], 0, "the reader's slot still covers the overwritten records");
     assert!(freed[1] > 0, "the reader's next pin let their grace complete");
