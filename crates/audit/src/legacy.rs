@@ -157,8 +157,8 @@ fn far_addr(path: &str, v: &LintView, out: &mut Vec<Finding>) {
 }
 
 /// Every `retire(x)` / `retire_restructure(x)` call sits in a guard
-/// scope: a `pin(`/`Guard` within the preceding 80 *code* lines, or an
-/// explicit `lint: retire-ok` justification within 10 lines.
+/// scope: a `pin(`/`pin_deferred(`/`Guard` within the preceding 80 *code*
+/// lines, or an explicit `lint: retire-ok` justification within 10 lines.
 fn retire_guard(path: &str, v: &LintView, out: &mut Vec<Finding>) {
     for i in 0..v.len() {
         let line = v.code(i);
@@ -175,7 +175,10 @@ fn retire_guard(path: &str, v: &LintView, out: &mut Vec<Finding>) {
         }
         let marker = (i.saturating_sub(10)..=i).any(|j| v.raw(j).contains("lint: retire-ok"));
         let guarded = (i.saturating_sub(80)..i)
-            .any(|j| v.code(j).contains("pin(") || v.code(j).contains("Guard"));
+            .any(|j| {
+                let code = v.code(j);
+                code.contains("pin(") || code.contains("pin_deferred(") || code.contains("Guard")
+            });
         if !marker && !guarded {
             out.push(Finding {
                 file: path.to_string(),

@@ -149,7 +149,7 @@ pub enum Ev {
         names: Vec<String>,
         /// Initializer contained a fabric verb.
         from_verb: bool,
-        /// Initializer contained an epoch `pin(…)`.
+        /// Initializer contained an epoch `pin(…)` or `pin_deferred(…)`.
         from_pin: bool,
     },
     /// An explicit `drop(x)`.
@@ -447,10 +447,12 @@ fn walk_body<'a>(
                 continue;
             }
 
-            // `pin(…)` call (epoch guard), bare or path-qualified
-            // (`farmem_reclaim::pin`), not `Box::pin` / `self.pin_epoch`.
+            // `pin(…)` / `pin_deferred(…)` call (epoch guard), bare or
+            // path-qualified (`farmem_reclaim::pin`), not `Box::pin` /
+            // `self.pin_epoch`.
             let path_pin = prev == ":" && prev2 == ":" && k >= 3 && text(k - 3) != "Box";
-            if ident == "pin" && next == "(" && prev != "." && (prev != ":" || path_pin) {
+            let pins = ident == "pin" || ident == "pin_deferred";
+            if pins && next == "(" && prev != "." && (prev != ":" || path_pin) {
                 if let Some(cap) = lets.last_mut() {
                     if cap.in_rhs || cap.depth < depth {
                         cap.from_pin = true;
@@ -677,13 +679,12 @@ fn f(client: &mut FabricClient, shared: &SharedReclaim) {
         let src = r#"
 fn f(client: &mut FabricClient, shared: &SharedReclaim) {
     let guard = farmem_reclaim::pin(shared, client).unwrap();
+    let deferred = pin_deferred(shared, client).unwrap();
 }
 "#;
         let fns = sketch(src);
-        assert!(fns[0].events.iter().any(|e| match e {
-            Ev::Let { from_pin, .. } => *from_pin,
-            _ => false,
-        }));
+        let pins = fns[0].events.iter().filter(|e| matches!(e, Ev::Let { from_pin: true, .. }));
+        assert_eq!(pins.count(), 2, "both pins, the deferred one too");
     }
 
     #[test]

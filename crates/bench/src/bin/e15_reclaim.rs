@@ -12,10 +12,11 @@
 //!   retired, sealed, and freed once every client's epoch passes;
 //! * **reclaim off** — `live_bytes` grows monotonically, window after
 //!   window, with no bound;
-//! * the **price** is quantified as extra round trips per operation
-//!   (the slot CAS each client pays after a sealed epoch and the
-//!   directory refresh it adds after a sealed *restructure*, seals and
-//!   grace-detection rounds);
+//! * the **price** is quantified as extra round trips per operation and
+//!   split by kind: slot publishes sent alone (an operation's carries its
+//!   slot CAS in its first fenced batch, at no round trip), seal FAAs,
+//!   grace-detection rounds, and the directory refresh a sealed
+//!   *restructure* costs each client;
 //! * the **tail** is the churn op's virtual-time p50 / p99 / p99.9 in
 //!   each mode, from a run of the same churn under the default cost
 //!   model (11 520 ops leave 11 samples beyond the p99.9).
@@ -78,6 +79,33 @@ struct ChurnRun {
     gets: (u64, u64),
     /// Virtual nanoseconds of each churn op, in the order they ran.
     op_ns: Vec<u64>,
+    /// Reclamation's own far accesses, by kind (zero with reclaim off).
+    price: Price,
+}
+
+/// Reclamation's own far accesses in one churn run, summed over clients.
+#[derive(Default)]
+struct Price {
+    /// Slot CASes sent alone, one round trip each (a grace pass's).
+    publishes_alone: u64,
+    /// Slot CASes an operation's first fenced batch carried: one message
+    /// and one atomic each, no round trip.
+    publishes_carried: u64,
+    /// Epoch-bump FAAs.
+    seals: u64,
+    /// Grace-detection rounds, one registry read each.
+    rounds: u64,
+    /// Directory refreshes a new restructure generation forced, three
+    /// accesses each.
+    refreshes: u64,
+}
+
+impl Price {
+    /// Round trips of each kind per op: publish, seal, pass, refresh.
+    fn per_op(&self, ops: u64) -> [f64; 4] {
+        [self.publishes_alone, self.seals, self.rounds, 3 * self.refreshes]
+            .map(|rt| rt as f64 / ops as f64)
+    }
 }
 
 /// Runs `windows × ops_per_window` churn operations per client under
@@ -167,13 +195,19 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64, cost: C
         stats.merge(&c[i].stats().since(&before[i]));
     }
     let (mut retired, mut reclaimed, mut restructures) = (0u64, 0u64, 0u64);
+    let mut price = Price::default();
     if let Some(s) = &shared {
         for sh in s {
             let st = sh.lock().unwrap().stats();
             retired += st.retired_bytes;
             reclaimed += st.reclaimed_bytes;
             restructures += st.restructures;
+            price.publishes_alone += st.publishes - st.carried;
+            price.publishes_carried += st.carried;
+            price.seals += st.seals;
+            price.rounds += st.rounds;
         }
+        price.refreshes = h.iter().map(|m| m.stats().generation_refreshes).sum();
     }
     ChurnRun {
         samples,
@@ -185,6 +219,7 @@ fn churn(reclaim_on: bool, windows: u64, ops_per_window: u64, seed: u64, cost: C
         removes,
         gets,
         op_ns,
+        price,
     }
 }
 
@@ -385,6 +420,27 @@ fn main() {
     t.row(vec!["RT/op, reclaim off".into(), format!("{:.3}", off.stats.round_trips as f64 / off.ops as f64)]);
     t.row(vec!["RT/op, reclaim on".into(), format!("{:.3}", on.stats.round_trips as f64 / on.ops as f64)]);
     t.row(vec!["extra RT/op (the price)".into(), format!("{extra_rt:.3}")]);
+    let split = on.price.per_op(on.ops);
+    for (name, rt) in [
+        "  of it: slot publishes sent alone",
+        "  of it: seal FAAs",
+        "  of it: grace-pass registry reads",
+        "  of it: directory refreshes",
+    ]
+    .into_iter()
+    .zip(split)
+    {
+        t.row(vec![name.into(), format!("{rt:.3}")]);
+    }
+    // Negative: reclaim off pays for stale-cache misses (a poisoned or
+    // stale-version access, then the refresh) that a pin's generation
+    // refresh spares reclaim on.
+    let rest = extra_rt - split.iter().sum::<f64>();
+    t.row(vec!["  of it: the rest (off's stale-cache misses)".into(), format!("{rest:.3}")]);
+    t.row(vec![
+        "slot publishes carried per op (no RT)".into(),
+        format!("{:.3}", on.price.publishes_carried as f64 / on.ops as f64),
+    ]);
     for (name, run) in [("on", &timed[0]), ("off", &timed[1])] {
         let [p50, p99, p999] = [0.5, 0.99, 0.999].map(|q| quantile_us(&run.op_ns, q));
         t.row(vec![
@@ -407,16 +463,17 @@ fn main() {
 
     let seals = final_epoch - 1;
     let price = format!(
-        "The price is {extra_rt:.3} extra round trips per operation: the\n\
-         slot CAS each client pays at its next pin after a seal, a three-access\n\
-         directory refresh after a seal that retired a table, one FAA per seal\n\
-         and the grace-detection rounds."
+        "The price is {extra_rt:.3} extra round trips per operation: one FAA per\n\
+         seal, the grace-detection rounds with the slot CAS each pass sends\n\
+         alone, and a three-access directory refresh after a seal that retired\n\
+         a table. The slot CAS a client owes its next operation after a seal\n\
+         rides that operation's first batch, at no round trip."
     );
     let closing = format!(
         "\nBounded vs unbounded: with reclamation on, the footprint plateaus at\n\
          {:.1} KiB (peak, post-warmup) across {windows} windows and {} epochs; with it\n\
          off, the same churn leaks to {:.1} KiB and every window grows.\n\
-         {price} {} of the {seals} seals retired a table (one per {:.0}\n\
+         {price}\n{} of the {seals} seals retired a table (one per {:.0}\n\
          operations); the other {} retired records and items alone.\n\
          A remove is two far accesses in both modes, one when its key is absent\n\
          ({} of {} removes and {} of {} gets found theirs). The churn op's\n\

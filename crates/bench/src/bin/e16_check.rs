@@ -145,8 +145,8 @@ fn assert_gates(suite: &SuiteResult) {
     // "Every mutant caught" is vacuous for a mutant that was dropped from
     // the suite: the failover, serving-TTL, record-publish, record-hint, take,
     // split-retire, batched-hint, queue-repair, restructure, table-hint,
-    // splice and block-version mutants, and the programs they break, are
-    // required by name.
+    // splice, block-version and carried-publish mutants, and the programs
+    // they break, are required by name.
     for required in [
         "m9_serve_read_after_fence",
         "m10_promote_without_epoch_bump",
@@ -166,6 +166,7 @@ fn assert_gates(suite: &SuiteResult) {
         "m24_trim_without_walk",
         "m25_poison_loss_keeps_stale_harvest",
         "m26_get_trusts_block_without_version",
+        "m27_batched_publish_trusted_after_lost_cas",
     ] {
         assert!(
             suite.mutants.iter().any(|m| m.exploration.name == required),
@@ -184,6 +185,7 @@ fn assert_gates(suite: &SuiteResult) {
         "queue_wrap",
         "queue_wrap_chaos",
         "httree_split_race",
+        "reclaim_evicted_publish",
     ] {
         assert!(
             suite.programs.iter().any(|p| p.name == required),

@@ -2031,6 +2031,24 @@ fn read_mini_block(bytes: &[u8]) -> Vec<(u64, u64)> {
     (0..w(1) as usize).map(|i| (w(2 + 2 * i), w(3 + 2 * i))).collect()
 }
 
+/// M27 — a batched publish trusted after its CAS lost: the reader of
+/// `programs::reclaim_evicted_publish` uses its fenced batch's read
+/// without settling the slot CAS that headed it. Its slot was evicted,
+/// so grace ran without it: the pointer it cached names memory the
+/// writer freed, and the read can return the poison the writer left
+/// there. Correct code settles first, and on a lost CAS re-registers,
+/// refreshes the pointer and reads again.
+fn batched_publish_trusted_after_lost_cas() -> Mutant {
+    let program = Program {
+        name: "m27_batched_publish_trusted_after_lost_cas",
+        model: Some(Model::Register { init: 1 }),
+        check_races: false,
+        max_steps: 300,
+        build: Box::new(|| crate::programs::evicted_publish_run(true)),
+    };
+    Mutant { program, expect: &[Expect::Lin] }
+}
+
 /// Every mutant, in stable report order.
 pub fn all_mutants() -> Vec<Mutant> {
     vec![
@@ -2060,5 +2078,6 @@ pub fn all_mutants() -> Vec<Mutant> {
         trim_without_walk(),
         poison_loss_keeps_stale_harvest(),
         get_trusts_block_without_version(),
+        batched_publish_trusted_after_lost_cas(),
     ]
 }

@@ -63,8 +63,8 @@ use farmem_baselines::FarMutex;
 use farmem_core::{
     FarBlobMap, FarQueue, HintTable, HtTree, HtTreeConfig, QueueConfig, RecordHint,
 };
-use farmem_fabric::{splitmix64, FabricClient, FabricConfig, FarAddr, FaultPlan};
-use farmem_reclaim::{pin, ReclaimRegistry, SharedReclaim};
+use farmem_fabric::{splitmix64, BatchOp, FabricClient, FabricConfig, FarAddr, FaultPlan};
+use farmem_reclaim::{pin, pin_deferred, Publish, ReclaimRegistry, SharedReclaim};
 
 use crate::explore::{PreparedRun, Program};
 use crate::history::{History, Op, Ret};
@@ -1366,6 +1366,109 @@ pub fn reclaim_evict() -> Program {
     }
 }
 
+/// Epoch-based reclamation, a publish carried past an eviction: reader A
+/// caches a pointer `x` (a table, in miniature) and never publishes
+/// while writer B seals past it and out-waits A's lease, so setup ends
+/// with A's slot evicted and an epoch event in A's queue. A's read pins
+/// with [`pin_deferred`] and carries the slot CAS at the head of its one
+/// fenced batch `[publish, read x]`. B republishes the register behind
+/// `dir` (`x` → `y`), retires and seals `x`, runs two grace rounds (too
+/// few to out-wait a lease) and poisons `x` once they free it. Checked:
+/// register linearizability — a read never returns the poison. Races
+/// off: the batch that finds the slot evicted has already read `x`,
+/// which grace no longer protected, and discards the answer; the detector
+/// cannot tell a discarded read from a used one.
+pub fn reclaim_evicted_publish() -> Program {
+    Program {
+        name: "reclaim_evicted_publish",
+        model: Some(Model::Register { init: 1 }),
+        check_races: false,
+        max_steps: 300,
+        build: Box::new(|| evicted_publish_run(false)),
+    }
+}
+
+/// The run of [`reclaim_evicted_publish`]; with `trust`, the reader uses
+/// its batch's answers without settling the carried CAS (mutant M27).
+pub(crate) fn evicted_publish_run(trust: bool) -> PreparedRun {
+    let f = fabric(false);
+    let alloc = FarAlloc::new(f.clone());
+    let mut c0 = f.client();
+    let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
+    let x = word(&mut c0, &alloc);
+    c0.write_u64(x, 1).unwrap();
+    let dir = word(&mut c0, &alloc);
+    c0.write_u64(dir, x.0).unwrap();
+    let h = Arc::new(History::new());
+    h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![1] }, Ret::Unit);
+    let mut ca = f.client();
+    let aid = ca.id();
+    let sa = reg.attach(&mut ca, &alloc).unwrap();
+    let mut cb = f.client();
+    let bid = cb.id();
+    let sb = reg.attach(&mut cb, &alloc).unwrap();
+    {
+        // A lags past B's seal until B's lease runs out on it.
+        let mut r = sb.lock().unwrap();
+        // lint: retire-ok: setup: a block nobody references, sealed so A lags.
+        r.retire(&mut cb, alloc.alloc(8, AllocHint::Spread).unwrap(), 8).unwrap();
+        r.seal(&mut cb).unwrap();
+        while r.stats().evictions == 0 {
+            r.reclaim(&mut cb).unwrap();
+        }
+    }
+    let ha = h.clone();
+    let abody: Box<dyn FnOnce() + Send> = Box::new(move || {
+        let t = ha.invoke(aid, Op::RegRead { part: 0 });
+        let mut g = pin_deferred(&sa, &mut ca).unwrap();
+        let mut cached = x;
+        let v = loop {
+            let publish = g.take_publish();
+            let mut ops: Vec<BatchOp> = publish.iter().map(Publish::op).collect();
+            ops.push(BatchOp::Read { addr: cached, len: 8 });
+            let out = ca.batch(&ops).unwrap();
+            // MUTANT (`trust`): no settle — the answers are used whatever
+            // the CAS answered.
+            if let Some(publish) = publish.filter(|_| !trust) {
+                if !g.settle(&mut ca, publish, Some(out[0].value())).unwrap() {
+                    // Evicted: re-registered; refresh the cache, start over.
+                    cached = FarAddr(ca.read_u64(dir).unwrap());
+                    continue;
+                }
+            }
+            break u64::from_le_bytes(out[ops.len() - 1].bytes().try_into().unwrap());
+        };
+        drop(g);
+        ha.complete(t, Ret::Vals(vec![v]));
+    });
+    let hb = h.clone();
+    let alloc_b = alloc.clone();
+    let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+        let t = hb.invoke(bid, Op::RegWrite { part: 0, v: vec![2] });
+        let y = alloc_b.alloc(8, AllocHint::Spread).unwrap();
+        cb.write_u64(y, 2).unwrap();
+        assert_eq!(cb.cas(dir, x.0, y.0).unwrap(), x.0);
+        hb.complete(t, Ret::Unit);
+        let mut r = sb.lock().unwrap();
+        // lint: retire-ok: the CAS on `dir` unlinked it; B reads nothing through it.
+        r.retire(&mut cb, x, 8).unwrap();
+        r.seal(&mut cb).unwrap();
+        for _ in 0..2 {
+            if r.reclaim(&mut cb).unwrap() > 0 {
+                cb.write_u64(x, POISON).unwrap();
+                break;
+            }
+        }
+    });
+    PreparedRun {
+        fabric: f,
+        participants: vec![aid, bid],
+        bodies: vec![abody, bbody],
+        history: h,
+        finale: None,
+    }
+}
+
 /// Miniature fenced-failover protocol over a replicated register
 /// (crate::replica's protocol, shrunk to three far words). The register
 /// lives on a "primary" word `d_a`, mirrored to a "replica" word `d_b`
@@ -1541,6 +1644,7 @@ pub fn main_programs() -> Vec<Program> {
         reclaim_trim(),
         reclaim_publish(),
         reclaim_evict(),
+        reclaim_evicted_publish(),
         replica_failover(),
         serve_ttl_evict(),
         mutex_counter(true),

@@ -103,7 +103,7 @@ use farmem_fabric::{
     splitmix64, tagged_len, BatchOp, BatchOut, DescList, FabricClient, FarAddr, FarIov, PipeOp,
     PipeOut, PAGE, TAG_MASK, WORD,
 };
-use farmem_reclaim::SharedReclaim;
+use farmem_reclaim::{Publish, SharedReclaim};
 use farmem_runtime::{Doorbell, Inline};
 use std::sync::Arc;
 
@@ -376,6 +376,10 @@ pub struct HtTreeStats {
     pub compactions: u64,
     /// Directory-change notifications consumed (`notify_dir` mode).
     pub dir_notifications: u64,
+    /// Directory refreshes forced by a pin that reported a new restructure
+    /// generation (reclaim mode): a restructure sealed, or the client
+    /// re-registered after an eviction.
+    pub generation_refreshes: u64,
     /// Lookups that carried a hint: a speculative read in the lookup's
     /// own fenced batch.
     pub hinted_gets: u64,
@@ -668,13 +672,68 @@ impl HtTreeHandle {
     /// memory). An epoch advance that retired only records costs no
     /// refresh: nothing cached points into them. Free in the steady state,
     /// and always under quarantine.
-    fn pin_epoch(&mut self, client: &mut FabricClient) -> Result<Pinned> {
-        let pinned = self.records.pin(client)?;
+    ///
+    /// The slot publish of an epoch advance is left pending when the
+    /// operation `carries` it in its first fenced batch
+    /// ([`first_batch`](Self::first_batch)); otherwise it goes alone, one
+    /// CAS.
+    fn pin_epoch(&mut self, client: &mut FabricClient, carries: bool) -> Result<Pinned> {
+        let mut pinned = self.records.pin(client)?;
+        if !carries {
+            pinned.publish_alone(client)?;
+        }
+        self.revalidate(client, &pinned)?;
+        Ok(pinned)
+    }
+
+    /// Refreshes the cached tree if `pinned` reports a restructure
+    /// generation it was not validated at.
+    fn revalidate(&mut self, client: &mut FabricClient, pinned: &Pinned) -> Result<()> {
         if let Some(generation) = pinned.generation().filter(|&g| g != self.seen_generation) {
+            self.stats.generation_refreshes += 1;
             self.refresh_directory(client)?;
             self.seen_generation = generation;
         }
-        Ok(pinned)
+        Ok(())
+    }
+
+    /// Runs `ops` as the operation's first fenced batch, headed by the
+    /// slot publish its pin left pending, if any: one more message and
+    /// atomic, no round trip of its own. The batch's answers are used
+    /// only after the CAS's. `None`: the CAS lost, so the slot had been
+    /// evicted — the handle re-registered and the tree was refreshed —
+    /// and the caller starts over from access 1, which wrote nothing.
+    fn first_batch(
+        &mut self,
+        client: &mut FabricClient,
+        pin: &mut Pinned,
+        ops: &[BatchOp<'_>],
+    ) -> Result<Option<Vec<BatchOut>>> {
+        match pin.take_publish() {
+            Some(publish) => self.carry(client, pin, publish, ops),
+            None => Ok(Some(client.batch(ops)?)),
+        }
+    }
+
+    /// [`first_batch`](Self::first_batch) with the publish taken.
+    fn carry(
+        &mut self,
+        client: &mut FabricClient,
+        pin: &mut Pinned,
+        publish: Publish,
+        ops: &[BatchOp<'_>],
+    ) -> Result<Option<Vec<BatchOut>>> {
+        let carried: Vec<BatchOp<'_>> =
+            std::iter::once(publish.op()).chain(ops.iter().cloned()).collect();
+        let out = client.batch(&carried);
+        let answer = out.as_ref().ok().map(|out| out[0].value());
+        if !pin.settle(client, publish, answer)? {
+            self.revalidate(client, pin)?;
+            return Ok(None);
+        }
+        let mut out = out?;
+        out.remove(0);
+        Ok(Some(out))
     }
 
     /// In `notify_dir` mode: refreshes the directory if a change
@@ -780,24 +839,26 @@ impl HtTreeHandle {
         hint: Option<(FarAddr, u64)>,
     ) -> Result<Guarded> {
         let _span = client.span("httree.get");
-        let pin = self.pin_epoch(client)?;
+        let mut pin = self.pin_epoch(client, true)?;
         self.stats.gets += 1;
         self.sync_directory(client)?;
         if let Some(hint) = hint {
             self.stats.hinted_gets += 1;
             let entry = self.entry_for(client, key);
-            match client.batch(&Self::hinted_ops(&entry, key, hint)) {
-                Ok(outs) => {
+            match self.first_batch(client, &mut pin, &Self::hinted_ops(&entry, key, hint)) {
+                Ok(Some(outs)) => {
                     let found = self.resolve_hinted(client, &entry, key, hint.0, outs)?;
                     if let Some((value, hinted)) = found {
                         return Ok(Guarded { value, hinted, _pin: pin });
                     }
                 }
-                Err(_) => self.stats.stale_hints += 1,
+                Ok(None) | Err(CoreError::Fabric(_)) => self.stats.stale_hints += 1,
+                Err(e) => return Err(e),
             }
-            // A failed batch or a stale cache: the plain lookup, from the top.
+            // A failed batch, an evicted slot or a stale cache: the plain
+            // lookup, from the top.
         }
-        Ok(Guarded { value: self.get_inner(client, key)?, hinted: None, _pin: pin })
+        Ok(Guarded { value: self.get_inner(client, key, &mut pin)?, hinted: None, _pin: pin })
     }
 
     /// A hinted lookup's fenced batch: the bucket's block, then the
@@ -845,15 +906,36 @@ impl HtTreeHandle {
         Ok(Some((value, hinted)))
     }
 
-    fn get_inner(&mut self, client: &mut FabricClient, key: u64) -> Result<Option<u64>> {
+    /// The unhinted lookup: the tagged `load0` of the key's bucket — as
+    /// the fenced batch `[publish, load0]` while `pin` holds a pending
+    /// publish.
+    fn get_inner(
+        &mut self,
+        client: &mut FabricClient,
+        key: u64,
+        pin: &mut Pinned,
+    ) -> Result<Option<u64>> {
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
             let bucket = Self::bucket_addr(&entry, key);
             // One far access: dereference the bucket word and read the
             // block its tag names (indirect addressing, Fig. 1).
             // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
-            // after a stale cache.
-            let (word, bytes) = match client.load0_tagged(bucket) {
+            // after a stale cache or an evicted slot.
+            let loaded = match pin.take_publish() {
+                None => client.load0_tagged(bucket),
+                Some(publish) => {
+                    let load = [BatchOp::Load0Tagged { ptr: bucket }];
+                    match self.carry(client, pin, publish, &load)? {
+                        Some(mut out) => match out.pop() {
+                            Some(BatchOut::Loaded { ptr, bytes }) => Ok((ptr, bytes)),
+                            _ => return Ok(None), // an empty bucket, as below
+                        },
+                        None => continue,
+                    }
+                }
+            };
+            let (word, bytes) = match loaded {
                 Ok(loaded) => loaded,
                 Err(farmem_fabric::FabricError::NullDeref { .. }) => {
                     // Empty bucket in a live table: the key is absent. A
@@ -939,72 +1021,106 @@ impl HtTreeHandle {
         let _span = ac.span("httree.get_many");
         // lint: block-ok — epoch pin is control-plane (local check; rare
         // resync on epoch advance).
-        let pin = ac.with(|client| self.pin_epoch(client))?;
-        Ok((self.lookup_many(ac, keys, hints).await?, pin))
+        let mut pin = ac.with(|client| self.pin_epoch(client, true))?;
+        Ok((self.lookup_many(ac, keys, hints, &mut pin).await?, pin))
     }
 
     /// The guarded many-key lookup: the caller has pinned and validated
-    /// the epoch.
+    /// the epoch. The first key's descriptor carries the pin's pending
+    /// publish, fenced ahead of its lookup; a publish that finds the slot
+    /// evicted discards the doorbell's answers and rings again.
     async fn lookup_many<D: Doorbell>(
         &mut self,
         ac: &D,
         keys: &[u64],
         hints: &[Option<(FarAddr, u64)>],
+        pin: &mut Pinned,
     ) -> Result<Vec<Found>> {
         self.stats.gets += keys.len() as u64;
-        // lint: block-ok — local event drain; refresh only on notification.
-        ac.with(|client| self.sync_directory(client))?;
-        let entries: Vec<Entry> =
-            ac.with(|client| keys.iter().map(|&k| self.entry_for(client, k)).collect());
         let hint = |i: usize| hints.get(i).copied().flatten();
-        let mut blocks = DescList::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match hint(i) {
-                Some(h) => {
-                    self.stats.hinted_gets += 1;
-                    blocks.post(PipeOp::Fenced(Self::hinted_ops(&entries[i], key, h).into()))
-                }
-                None => blocks.load0_tagged(Self::bucket_addr(&entries[i], key)),
-            };
-        }
-        let mut cq = ac.ring(blocks).await;
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, &key) in keys.iter().enumerate() {
-            // lint: block-ok — per-key completion (a long block's rest,
-            // a stale refresh) is the rare path and inherently serial.
-            let prefetched = ac.with(|client| -> Result<Option<Found>> {
-                Ok(match (cq.take(i), hint(i)) {
-                    (Some(Ok(PipeOut::Batch(outs))), Some((addr, _))) => {
-                        self.resolve_hinted(client, &entries[i], key, addr, outs)?
+        loop {
+            // lint: block-ok — local event drain; refresh only on notification.
+            ac.with(|client| self.sync_directory(client))?;
+            let entries: Vec<Entry> =
+                ac.with(|client| keys.iter().map(|&k| self.entry_for(client, k)).collect());
+            let publish = if keys.is_empty() { None } else { pin.take_publish() };
+            let mut blocks = DescList::new();
+            for (i, &key) in keys.iter().enumerate() {
+                let carried = publish.filter(|_| i == 0).map(|p| p.op());
+                match (hint(i), carried) {
+                    (Some(h), carried) => {
+                        self.stats.hinted_gets += 1;
+                        let ops = Self::hinted_ops(&entries[i], key, h);
+                        blocks.post(PipeOp::Fenced(carried.into_iter().chain(ops).collect()))
                     }
-                    (Some(Ok(PipeOut::Loaded { ptr, bytes })), None) => {
-                        match self.lookup_block(client, &entries[i], key, ptr, bytes)? {
-                            Walk::Done(v) => Some((v, None)),
-                            Walk::Stale => {
-                                self.stats.stale_refreshes += 1;
-                                self.refresh_directory(client)?;
-                                None
+                    (None, Some(op)) => {
+                        let ptr = Self::bucket_addr(&entries[i], key);
+                        blocks.post(PipeOp::Fenced(vec![op, BatchOp::Load0Tagged { ptr }]))
+                    }
+                    (None, None) => blocks.load0_tagged(Self::bucket_addr(&entries[i], key)),
+                };
+            }
+            let mut cq = ac.ring(blocks).await;
+            let mut first = cq.take(0);
+            if let Some(publish) = publish {
+                let answer = match &mut first {
+                    Some(Ok(PipeOut::Batch(outs))) => Some(outs.remove(0).value()),
+                    _ => None,
+                };
+                // lint: block-ok — local unless the slot was evicted: then
+                // the re-registration and the refresh, the rare path.
+                if !ac.with(|client| pin.settle(client, publish, answer))? {
+                    ac.with(|client| self.revalidate(client, pin))?;
+                    continue;
+                }
+                // The first key's answer as its descriptor would have been
+                // without the publish.
+                if let (Some(Ok(PipeOut::Batch(outs))), None) = (&mut first, hint(0)) {
+                    first = Some(Ok(match outs.pop() {
+                        Some(BatchOut::Loaded { ptr, bytes }) => PipeOut::Loaded { ptr, bytes },
+                        _ => PipeOut::Null,
+                    }));
+                }
+            }
+            let mut out = Vec::with_capacity(keys.len());
+            for (i, &key) in keys.iter().enumerate() {
+                let answer = if i == 0 { first.take() } else { cq.take(i) };
+                // lint: block-ok — per-key completion (a long block's rest,
+                // a stale refresh) is the rare path and inherently serial.
+                let prefetched = ac.with(|client| -> Result<Option<Found>> {
+                    Ok(match (answer, hint(i)) {
+                        (Some(Ok(PipeOut::Batch(outs))), Some((addr, _))) => {
+                            self.resolve_hinted(client, &entries[i], key, addr, outs)?
+                        }
+                        (Some(Ok(PipeOut::Loaded { ptr, bytes })), None) => {
+                            match self.lookup_block(client, &entries[i], key, ptr, bytes)? {
+                                Walk::Done(v) => Some((v, None)),
+                                Walk::Stale => {
+                                    self.stats.stale_refreshes += 1;
+                                    self.refresh_directory(client)?;
+                                    None
+                                }
                             }
                         }
-                    }
-                    // An empty bucket is its descriptor's answer: the key
-                    // is absent.
-                    (Some(Ok(PipeOut::Null)), None) => Some((None, None)),
-                    // Failed or aborted descriptor: complete this key serially.
-                    (_, h) => {
-                        self.stats.stale_hints += u64::from(h.is_some());
-                        None
-                    }
-                })
-            })?;
-            match prefetched {
-                Some(found) => out.push(found),
-                // lint: block-ok — serial fallback after a stale or missed
-                // prefetch.
-                None => out.push((ac.with(|client| self.get_inner(client, key))?, None)),
+                        // An empty bucket is its descriptor's answer: the key
+                        // is absent.
+                        (Some(Ok(PipeOut::Null)), None) => Some((None, None)),
+                        // Failed or aborted descriptor: complete this key serially.
+                        (_, h) => {
+                            self.stats.stale_hints += u64::from(h.is_some());
+                            None
+                        }
+                    })
+                })?;
+                match prefetched {
+                    Some(found) => out.push(found),
+                    // lint: block-ok — serial fallback after a stale or missed
+                    // prefetch.
+                    None => out.push((ac.with(|client| self.get_inner(client, key, pin))?, None)),
+                }
             }
+            return Ok(out);
         }
-        Ok(out)
     }
 
     /// Inserts or updates `key → value`. **Two far accesses** when the
@@ -1020,9 +1136,9 @@ impl HtTreeHandle {
     /// [`publish`](Self::publish)).
     pub fn put(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {
         let _span = client.span("httree.put");
-        let pin = self.pin_epoch(client)?;
+        let mut pin = self.pin_epoch(client, true)?;
         self.stats.puts += 1;
-        let (overloaded, _) = self.put_record(client, key, value, None, &pin)?;
+        let (overloaded, _) = self.put_record(client, key, value, None, &mut pin)?;
         if let Some((start_key, version)) = overloaded {
             let _ = self.split_if(client, start_key, Some(version));
         }
@@ -1072,9 +1188,9 @@ impl HtTreeHandle {
         bytes: &[u8],
     ) -> Result<(Option<u64>, Pinned)> {
         let _span = client.span("httree.put");
-        let pin = self.pin_epoch(client)?;
+        let mut pin = self.pin_epoch(client, true)?;
         self.stats.puts += 1;
-        let (overloaded, old) = self.put_record(client, key, record.0, Some(bytes), &pin)?;
+        let (overloaded, old) = self.put_record(client, key, record.0, Some(bytes), &mut pin)?;
         if let Some((start_key, version)) = overloaded {
             // Linked: see above for why this error goes no further.
             let _ = self.split_if(client, start_key, Some(version));
@@ -1123,11 +1239,11 @@ impl HtTreeHandle {
         key: u64,
     ) -> Result<(Option<u64>, Pinned)> {
         let _span = client.span("httree.remove");
-        let pin = self.pin_epoch(client)?;
+        let mut pin = self.pin_epoch(client, true)?;
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entry_for(client, key);
-            let Some(bucket) = self.read_bucket(client, &entry, key, attempt)? else {
+            let Some(bucket) = self.read_bucket(client, &entry, key, attempt, &mut pin)? else {
                 continue;
             };
             let Some(victim) = bucket.old() else { return Ok((None, pin)) };
@@ -1160,22 +1276,26 @@ impl HtTreeHandle {
 
     /// Far access 1 of a put or take: one fenced batch of a tagged
     /// `load0` through the bucket word to the bucket's block and a read
-    /// of the table header (and a read of the rest of a long block).
-    /// `None` after a stale version, refreshed: the caller starts over.
+    /// of the table header (and a read of the rest of a long block),
+    /// headed by the slot publish `pin` left pending. `None` after a
+    /// stale version or an evicted slot, refreshed: the caller starts
+    /// over.
     fn read_bucket(
         &mut self,
         client: &mut FabricClient,
         entry: &Entry,
         key: u64,
         attempt: u32,
+        pin: &mut Pinned,
     ) -> Result<Option<Bucket>> {
         let addr = Self::bucket_addr(entry, key);
         // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
-        // after a stale cache or a lost bucket CAS.
-        let mut out = client.batch(&[
+        // after a stale cache, an evicted slot or a lost bucket CAS.
+        let ops = [
             BatchOp::Load0Tagged { ptr: addr },
             BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN },
-        ])?;
+        ];
+        let Some(mut out) = self.first_batch(client, pin, &ops)? else { return Ok(None) };
         let hdr = out.pop().expect("two ops").bytes().to_vec();
         let far_version = word_at(&hdr, H_VERSION);
         if far_version != entry.version {
@@ -1305,7 +1425,7 @@ impl HtTreeHandle {
         key: u64,
         value: u64,
         record: Option<&[u8]>,
-        pin: &Pinned,
+        pin: &mut Pinned,
     ) -> Result<(Overloaded, Option<u64>)> {
         self.sync_directory(client)?;
         for attempt in 0..RETRY_BUDGET {
@@ -1317,7 +1437,7 @@ impl HtTreeHandle {
             // audit: rt-in-loop-ok: retry loop — every pass is one whole
             // put (the read and the splice), re-run only after a stale
             // cache or a lost bucket CAS.
-            let Some(bucket) = self.read_bucket(client, &entry, key, attempt)? else {
+            let Some(bucket) = self.read_bucket(client, &entry, key, attempt, pin)? else {
                 continue;
             };
             if !self.splice(client, &entry, &bucket, Some((key, value)), ops, pin)? {
@@ -1339,7 +1459,7 @@ impl HtTreeHandle {
     /// trail in-flight operations slightly.
     pub fn len_estimate(&mut self, client: &mut FabricClient) -> Result<u64> {
         let _span = client.span("httree.len_estimate");
-        let _pin = self.pin_epoch(client)?;
+        let _pin = self.pin_epoch(client, false)?;
         let iov: Vec<FarIov> = self
             .entries
             .iter()
@@ -1363,7 +1483,7 @@ impl HtTreeHandle {
         hi: u64,
     ) -> Result<Vec<(u64, u64)>> {
         let _span = client.span("httree.scan");
-        let _pin = self.pin_epoch(client)?;
+        let _pin = self.pin_epoch(client, false)?;
         if lo > hi {
             return Ok(Vec::new());
         }
@@ -1432,7 +1552,7 @@ impl HtTreeHandle {
         seen_version: Option<u64>,
     ) -> Result<()> {
         let _span = client.span("httree.split");
-        let pin = self.pin_epoch(client)?;
+        let pin = self.pin_epoch(client, false)?;
         for attempt in 0..RETRY_BUDGET {
             let entry = self.entries[self.index_of(key)];
             if seen_version.is_some_and(|v| v != entry.version) {
@@ -2236,14 +2356,15 @@ mod tests {
         let t = HtTree::create(&mut c1, &a, cfg).unwrap();
         let mut h1 = t.attach(&mut c1, &a, cfg).unwrap();
         let mut h2 = t.attach(&mut c2, &a, cfg).unwrap();
-        let (pin1, pin2) = (h1.pin_epoch(&mut c1).unwrap(), h2.pin_epoch(&mut c2).unwrap());
+        let mut pin1 = h1.pin_epoch(&mut c1, true).unwrap();
+        let mut pin2 = h2.pin_epoch(&mut c2, true).unwrap();
         for k in 0..6u64 {
-            assert_eq!(h1.put_record(&mut c1, k, k, None, &pin1).unwrap().0, None, "put {k}");
+            assert_eq!(h1.put_record(&mut c1, k, k, None, &mut pin1).unwrap().0, None, "put {k}");
         }
         // Both clients land a record before either restructures: both are
         // told the table (start key 0, version 1) is overloaded.
-        assert_eq!(h1.put_record(&mut c1, 6, 6, None, &pin1).unwrap().0, Some((0, 1)));
-        assert_eq!(h2.put_record(&mut c2, 7, 7, None, &pin2).unwrap().0, Some((0, 1)));
+        assert_eq!(h1.put_record(&mut c1, 6, 6, None, &mut pin1).unwrap().0, Some((0, 1)));
+        assert_eq!(h2.put_record(&mut c2, 7, 7, None, &mut pin2).unwrap().0, Some((0, 1)));
         h1.split_if(&mut c1, 0, Some(1)).unwrap();
         assert_eq!(restructures(&h1), 1);
         // The second's version CAS loses and it leaves: one atomic, and
@@ -2998,6 +3119,113 @@ mod tests {
         for k in 0..64u64 {
             assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k + 1), "key {k}");
         }
+    }
+
+    /// Two reclaim-mode handles of one tree on clients `c1` and `c2`,
+    /// each with its own slot, keys `0..16` stored as `k + 100`.
+    fn two_reclaimed_clients(
+        f: &Arc<farmem_fabric::Fabric>,
+    ) -> (FabricClient, FabricClient, [SharedReclaim; 2], [HtTreeHandle; 2], Arc<FarAlloc>) {
+        let a = FarAlloc::new(f.clone());
+        let (mut c1, mut c2) = (f.client(), f.client());
+        let reg = farmem_reclaim::ReclaimRegistry::create(&mut c1, &a, 4).unwrap();
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        let s2 = reg.attach(&mut c2, &a).unwrap();
+        let cfg = HtTreeConfig {
+            initial_buckets: 8,
+            max_load_percent: u64::MAX,
+            ..HtTreeConfig::default()
+        };
+        let t = HtTree::create(&mut c1, &a, cfg).unwrap();
+        let mut h1 = t.attach_reclaimed(&mut c1, &a, cfg, s1.clone()).unwrap();
+        let h2 = t.attach_reclaimed(&mut c2, &a, cfg, s2.clone()).unwrap();
+        for k in 0..16u64 {
+            h1.put(&mut c1, k, k + 100).unwrap();
+        }
+        (c1, c2, [s1, s2], [h1, h2], a)
+    }
+
+    /// Retires and seals one junk block through `s`: every other client
+    /// has an epoch to publish.
+    fn seal_junk(s: &SharedReclaim, c: &mut FabricClient, a: &FarAlloc) {
+        let junk = a.alloc(64, AllocHint::Spread).unwrap();
+        let mut r = s.lock().unwrap();
+        r.retire(c, junk, 64).unwrap();
+        r.seal(c).unwrap();
+    }
+
+    /// The words of the registry slots that hold a client.
+    fn live_slots(c: &mut FabricClient, s: &SharedReclaim) -> usize {
+        let reg = s.lock().unwrap().registry();
+        words(&c.read(reg.base(), reg.far_len()).unwrap())[2..].iter().filter(|&&w| w != 0).count()
+    }
+
+    /// An evictor takes a lagging client's slot after the client's last
+    /// publish: the client's next operation pins, its first batch carries
+    /// the slot CAS, and the CAS loses. The handle re-registers once, the
+    /// tree refreshes, and the operation starts over from access 1, which
+    /// wrote nothing — get, get_many, put and take each answer as for a
+    /// client that was never evicted. The get's price, whole: its first
+    /// batch, the registration scan (a read and a CAS), the refresh
+    /// (anchor, entry count, entries) and the lookup again.
+    #[test]
+    fn an_evicted_slot_restarts_each_operation_from_its_first_access() {
+        let f = FabricConfig::count_only(64 << 20).build();
+        let (mut c1, mut c2, [s1, s2], [mut h1, mut h2], a) = two_reclaimed_clients(&f);
+        // c2 lags past c1's seal; c1 out-waits its lease and evicts it.
+        let evict = |c1: &mut FabricClient| {
+            seal_junk(&s1, c1, &a);
+            let mut r = s1.lock().unwrap();
+            let evictions = r.stats().evictions;
+            while r.stats().evictions == evictions {
+                r.reclaim(c1).unwrap();
+            }
+        };
+        let refreshes = h2.stats().generation_refreshes;
+        evict(&mut c1);
+        let before = c2.stats();
+        assert_eq!(h2.get(&mut c2, 3).unwrap(), Some(103));
+        assert_eq!(c2.stats().since(&before).round_trips, 1 + 2 + 3 + 1, "the get, whole");
+        evict(&mut c1);
+        assert_eq!(h2.get_many(&mut c2, &[1, 2, 99]).unwrap(), [Some(101), Some(102), None]);
+        evict(&mut c1);
+        h2.put(&mut c2, 4, 7).unwrap();
+        assert_eq!(h1.get(&mut c1, 4).unwrap(), Some(7));
+        evict(&mut c1);
+        assert_eq!(h2.take(&mut c2, 5).unwrap(), Some(105));
+        assert_eq!(h1.get(&mut c1, 5).unwrap(), None);
+        let st = s2.lock().unwrap().stats();
+        assert_eq!((st.evicted, st.publishes, st.carried), (4, 4, 4), "one registration per loss");
+        assert_eq!(h2.stats().generation_refreshes - refreshes, 4);
+        assert_eq!(live_slots(&mut c1, &s1), 2, "one slot per client");
+    }
+
+    /// A first batch that fails leaves its publish's outcome unknown. The
+    /// next operation's pin reads the slot once, finds the CAS never ran,
+    /// and that operation's batch carries the publish again; no second
+    /// slot is claimed.
+    #[test]
+    fn a_failed_first_batch_costs_the_next_pin_one_slot_read() {
+        let f = FabricConfig {
+            retry: farmem_fabric::RetryPolicy::NONE,
+            ..FabricConfig::count_only(64 << 20)
+        }
+        .build();
+        let (mut c1, mut c2, [s1, s2], [_, mut h2], a) = two_reclaimed_clients(&f);
+        seal_junk(&s1, &mut c1, &a);
+        f.node(farmem_fabric::NodeId(0)).fail();
+        assert!(h2.get(&mut c2, 3).is_err(), "the batch carrying the CAS fails");
+        f.node(farmem_fabric::NodeId(0)).recover();
+        let before = c2.stats();
+        assert_eq!(h2.get(&mut c2, 3).unwrap(), Some(103));
+        let d = c2.stats().since(&before);
+        assert_eq!((d.round_trips, d.atomics), (2, 1), "the slot read, then the carrying get");
+        let before = c2.stats();
+        assert_eq!(h2.get(&mut c2, 3).unwrap(), Some(103));
+        assert_eq!(c2.stats().since(&before).round_trips, 1, "read once");
+        let st = s2.lock().unwrap().stats();
+        assert_eq!((st.evicted, st.publishes, st.carried), (0, 2, 2));
+        assert_eq!(live_slots(&mut c1, &s1), 2, "no second slot");
     }
 
     /// The chain property, apart: the property prelude's names stay out of

@@ -8,7 +8,7 @@
 
 use farmem_alloc::{AllocError, AllocHint, Arena, FarAlloc};
 use farmem_fabric::{FabricClient, FarAddr};
-use farmem_reclaim::{pin, Guard, SharedReclaim};
+use farmem_reclaim::{pin_deferred, Guard, Publish, SharedReclaim};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -37,6 +37,34 @@ impl Pinned {
     pub(crate) fn generation(&self) -> Option<u64> {
         self.0.as_ref().map(Guard::generation)
     }
+
+    /// Takes the slot publish the pin left pending, for the head of the
+    /// operation's first fenced batch ([`Guard::take_publish`]).
+    pub(crate) fn take_publish(&mut self) -> Option<Publish> {
+        self.0.as_mut().and_then(Guard::take_publish)
+    }
+
+    /// Settles a carried publish with the CAS's answer; `false` when the
+    /// slot had been evicted and the operation starts over
+    /// ([`Guard::settle`]).
+    pub(crate) fn settle(
+        &mut self,
+        client: &mut FabricClient,
+        publish: Publish,
+        answer: Option<u64>,
+    ) -> Result<bool> {
+        let guard = self.0.as_mut().expect("only a reclaim pin publishes");
+        Ok(guard.settle(client, publish, answer)?)
+    }
+
+    /// Issues a pending publish alone, for an operation with no fenced
+    /// batch to carry it ([`Guard::publish_alone`]).
+    pub(crate) fn publish_alone(&mut self, client: &mut FabricClient) -> Result<()> {
+        match &mut self.0 {
+            Some(guard) => Ok(guard.publish_alone(client)?),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Records {
@@ -56,12 +84,12 @@ impl Records {
         }
     }
 
-    /// Pins one operation (see [`farmem_reclaim::pin`]; free under
-    /// quarantine).
+    /// Pins one operation, its slot publish left pending (see
+    /// [`farmem_reclaim::pin_deferred`]; free under quarantine).
     pub(crate) fn pin(&self, client: &mut FabricClient) -> Result<Pinned> {
         match self {
             Records::Quarantine(_) => Ok(Pinned(None)),
-            Records::Reclaim(_, shared) => Ok(Pinned(Some(pin(shared, client)?))),
+            Records::Reclaim(_, shared) => Ok(Pinned(Some(pin_deferred(shared, client)?))),
         }
     }
 

@@ -26,18 +26,22 @@
 //!   starts at the second round that sees the word unmoved: a slot first
 //!   seen lagging may only not have pinned since the latest seal. Clients
 //!   publish their slot with CAS (never blind writes), so an evicted
-//!   client discovers the eviction on its next pin and re-registers.
+//!   client discovers the eviction at its next publish and re-registers.
 //!
 //! # The protocol
 //!
 //! Every structure operation pins a [`Guard`]. Pinning is **free** in the
 //! common case: the client subscribes `notify0d` on the global epoch
 //! word, so "has the epoch moved?" is a local event-queue check, and the
-//! event carries the word it moved to. An advance costs **one** far
-//! access — the CAS that moves the client's slot to the carried value;
-//! only a [`Lost`](farmem_fabric::Event::Lost) warning (or a resync that
-//! failed mid-way) makes the pin read the epoch word first. The guard
-//! reports the epoch the client now stands at and the restructure
+//! event carries the word it moved to. An advance costs **no round trip
+//! of its own**: [`pin_deferred`] adopts the carried word at once and
+//! hands the operation a [`Publish`] — the CAS that moves the client's
+//! slot to it — which rides at the head of the operation's first fenced
+//! batch, one more message and atomic in a round trip the operation pays
+//! anyway. The blocking [`pin`] issues it alone: one far access. Only a
+//! [`Lost`](farmem_fabric::Event::Lost) warning (or a resync that failed
+//! mid-way) makes the pin read the epoch word first. The guard reports
+//! the epoch the client now stands at and the restructure
 //! [`generation`](Guard::generation) it has seen; integrating structures
 //! compare the *generation* against the one they last validated their
 //! caches at and refresh cached far pointers only when it moved. That
@@ -51,9 +55,14 @@
 //! > still running.
 //!
 //! A slot may publish a seal count that *lags* the word (events can be
-//! coalesced, or dropped silently on a best-effort fabric): a lagging
-//! slot only holds grace back, because everything sealed after the value
-//! it publishes has a retire epoch at or above it.
+//! coalesced, or dropped silently on a best-effort fabric), or the epoch
+//! the client adopted (its publish has not landed yet): a lagging slot
+//! only holds grace back, because everything sealed after the value it
+//! publishes has a retire epoch at or above it. So a publish that lands
+//! one batch after the pin changes no safety argument. A publish whose
+//! CAS *loses* finds the slot evicted: the client re-registers, the
+//! generation moves, and the operation discards that batch's answers and
+//! starts over from its first access, which wrote nothing.
 //!
 //! # What the caller must uphold
 //!
@@ -69,8 +78,12 @@
 //!   into [`AllocError::BadFree`] instead of silent corruption).
 //! * A guard is not held across [`LEASE_NS`] of other clients' detector
 //!   waiting — the same liveness assumption the lease-fenced locks make.
-//!   A wrongly evicted (slow, not dead) client is *safe*: its next pin
-//!   CAS fails, it re-registers and refreshes every cache.
+//!   A wrongly evicted (slow, not dead) client is *safe* from its next
+//!   publish on: the CAS fails, it re-registers and refreshes every cache.
+//! * An operation pinned with [`pin_deferred`] carries the guard's
+//!   [`Publish`] in its first fenced batch and [settles](Guard::settle)
+//!   it with the CAS's answer before it uses any other answer of that
+//!   batch; an operation with no such batch pins with [`pin`].
 //! * A client that is done gives its slot back with
 //!   [`ReclaimHandle::release`]; a slot nobody releases blocks grace
 //!   until the lease evicts it.
@@ -82,7 +95,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use farmem_alloc::{AllocError, FarAlloc};
-use farmem_fabric::{Event, FabricClient, FabricError, FarAddr, SubId, WORD};
+use farmem_fabric::{BatchOp, Event, FabricClient, FabricError, FarAddr, SubId, WORD};
 
 /// Registry far layout: global epoch word, slot count, then the slots.
 const R_EPOCH: u64 = 0;
@@ -279,6 +292,7 @@ impl ReclaimRegistry {
             epoch_sub,
             slot_idx,
             slot_word,
+            unsure: None,
             observed: epoch_word & EPOCH_MASK,
             word_gen: epoch_word >> TAG_SHIFT,
             generation: 0,
@@ -367,6 +381,13 @@ pub struct ReclaimStats {
     pub evictions: u64,
     /// Times this handle found itself evicted and re-registered.
     pub evicted: u64,
+    /// Slot CASes this handle issued to publish its epoch, however they
+    /// were carried: alone (a blocking [`pin`], a grace pass) or at the
+    /// head of an operation's first fenced batch.
+    pub publishes: u64,
+    /// Of those, the ones an operation's batch carried, at no round trip
+    /// of their own.
+    pub carried: u64,
 }
 
 impl ReclaimStats {
@@ -391,7 +412,12 @@ pub struct ReclaimHandle {
     slot_idx: u64,
     /// The exact word we last installed in our slot (CAS expectation).
     slot_word: u64,
-    /// The epoch our slot publishes (low 48 bits of `slot_word`).
+    /// The word a publish tried to install when a failed batch left its
+    /// outcome unknown: the slot holds it or `slot_word`, unless an
+    /// evictor took it. Read once before the next publish.
+    unsure: Option<u64>,
+    /// The epoch this client stands at. Its slot publishes it, or lags
+    /// it until the publish lands (the low 48 bits of `slot_word`).
     observed: u64,
     /// Restructure-generation bits of the epoch word `observed` came from.
     word_gen: u64,
@@ -428,6 +454,25 @@ pub struct Guard {
     shared: SharedReclaim,
     epoch: u64,
     generation: u64,
+    publish: Option<Publish>,
+}
+
+/// The slot CAS a depth-0 [`pin_deferred`] left for the operation to
+/// carry: it moves the client's slot from the word it holds to the epoch
+/// the pin adopted. Put [`op`](Self::op) at the head of the operation's
+/// first fenced batch and hand the CAS's answer to [`Guard::settle`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Publish {
+    addr: FarAddr,
+    expected: u64,
+    new: u64,
+}
+
+impl Publish {
+    /// The CAS, as a fenced batch's op.
+    pub fn op(&self) -> BatchOp<'static> {
+        BatchOp::Cas { addr: self.addr, expected: self.expected, new: self.new }
+    }
 }
 
 impl Guard {
@@ -445,6 +490,47 @@ impl Guard {
     pub fn generation(&self) -> u64 {
         self.generation
     }
+
+    /// Takes the slot publish the pin left pending, for the head of the
+    /// operation's first fenced batch; `None` when the slot is current or
+    /// the publish was taken already. A publish taken and never settled
+    /// is harmless: the slot lags, and the next depth-0 pin hands it out
+    /// again.
+    pub fn take_publish(&mut self) -> Option<Publish> {
+        self.publish.take()
+    }
+
+    /// Settles a publish the operation carried, with the CAS's `answer`
+    /// (`None`: the batch failed, so whether the CAS ran is unknown — the
+    /// handle reads its slot once before its next publish). Returns
+    /// whether the batch's other answers stand. `false` means the slot
+    /// had been evicted: grace ran without this client, so the handle
+    /// re-registered and the guard reports a new
+    /// [`generation`](Self::generation); the operation discards the
+    /// batch's answers, refreshes its caches and starts over from its
+    /// first access.
+    pub fn settle(
+        &mut self,
+        client: &mut FabricClient,
+        publish: Publish,
+        answer: Option<u64>,
+    ) -> Result<bool> {
+        let mut h = self.shared.lock().unwrap();
+        h.stats.carried += 1;
+        let landed = h.settle(client, publish, answer);
+        (self.epoch, self.generation) = (h.observed, h.generation);
+        landed
+    }
+
+    /// Issues the pending publish alone, one CAS: what the blocking
+    /// [`pin`] does, for an operation with no fenced batch to carry it.
+    pub fn publish_alone(&mut self, client: &mut FabricClient) -> Result<()> {
+        let Some(publish) = self.take_publish() else { return Ok(()) };
+        let mut h = self.shared.lock().unwrap();
+        let landed = h.publish_alone(client, publish);
+        (self.epoch, self.generation) = (h.observed, h.generation);
+        landed.map(drop)
+    }
 }
 
 impl Drop for Guard {
@@ -456,18 +542,32 @@ impl Drop for Guard {
     }
 }
 
-/// Pins an epoch [`Guard`] for one structure operation. Zero far accesses
-/// while the global epoch is unchanged (the check drains the local
-/// `notify0d` event queue); an epoch advance costs one CAS to move the
-/// client's slot to the value the notification carried — two far
-/// accesses, the epoch word read first, after a
-/// [`Lost`](farmem_fabric::Event::Lost) warning. If the CAS reveals this
-/// client was evicted (a detector presumed it crashed), the client
-/// transparently re-registers; the returned guard's generation then
-/// forces every integrated structure to refresh its caches.
+/// Pins an epoch [`Guard`] for one structure operation and publishes its
+/// epoch on the spot: [`pin_deferred`] with the pending [`Publish`]
+/// issued alone ([`Guard::publish_alone`]). Zero far accesses while the
+/// global epoch is unchanged; an epoch advance costs the slot CAS — one
+/// far access, two after a [`Lost`](farmem_fabric::Event::Lost) warning,
+/// which reads the epoch word first. If the CAS reveals this client was
+/// evicted (a detector presumed it crashed), the client transparently
+/// re-registers; the returned guard's generation then forces every
+/// integrated structure to refresh its caches.
 pub fn pin(shared: &SharedReclaim, client: &mut FabricClient) -> Result<Guard> {
-    let (epoch, generation) = shared.lock().unwrap().pin_inner(client)?;
-    Ok(Guard { shared: shared.clone(), epoch, generation })
+    let mut guard = pin_deferred(shared, client)?;
+    guard.publish_alone(client)?;
+    Ok(guard)
+}
+
+/// Pins an epoch [`Guard`] for one structure operation, leaving the slot
+/// CAS of an epoch advance to the operation: the pin adopts the newest
+/// epoch and generation the events carried — reading the epoch word first
+/// only after a [`Lost`](farmem_fabric::Event::Lost) warning — and the
+/// guard holds the [`Publish`] that moves the slot there, for the head of
+/// the operation's first fenced batch ([`Guard::take_publish`],
+/// [`Guard::settle`]). Zero far accesses otherwise. Until the publish
+/// lands the slot lags the guard's epoch, which only holds grace back.
+pub fn pin_deferred(shared: &SharedReclaim, client: &mut FabricClient) -> Result<Guard> {
+    let (epoch, generation, publish) = shared.lock().unwrap().pin_inner(client)?;
+    Ok(Guard { shared: shared.clone(), epoch, generation, publish })
 }
 
 impl ReclaimHandle {
@@ -481,7 +581,8 @@ impl ReclaimHandle {
         self.registry
     }
 
-    /// The epoch this client currently publishes.
+    /// The epoch this client currently stands at (its slot publishes it,
+    /// or lags it until a pending publish lands).
     pub fn observed_epoch(&self) -> u64 {
         self.observed
     }
@@ -496,28 +597,28 @@ impl ReclaimHandle {
         self.seal_threshold = pending.max(1);
     }
 
-    fn pin_inner(&mut self, client: &mut FabricClient) -> Result<(u64, u64)> {
+    fn pin_inner(&mut self, client: &mut FabricClient) -> Result<(u64, u64, Option<Publish>)> {
         if self.released {
             return Err(ReclaimError::Released);
         }
-        if self.depth == 0 {
-            self.catch_up(client)?;
-        }
+        let publish = if self.depth == 0 { self.catch_up(client)? } else { None };
         self.depth += 1;
-        Ok((self.observed, self.generation))
+        Ok((self.observed, self.generation, publish))
     }
 
-    /// The depth-0 epoch observation of [`pin`]: drains the epoch
-    /// subscription and publishes the newest word its events carried —
-    /// one CAS. A `Lost` warning, or a resync that failed mid-way, means
-    /// the events may not carry the newest word, so it is read first.
+    /// The depth-0 epoch observation of [`pin_deferred`]: drains the
+    /// epoch subscription, adopts the newest word its events carried, and
+    /// returns the publish that moves the slot there, if it lags. A
+    /// `Lost` warning, or a resync that failed mid-way, means the events
+    /// may not carry the newest word, so it is read first; a publish
+    /// whose outcome a failed batch left unknown has the slot read first.
     /// Either way the published value may lag the word by the time the
-    /// CAS lands; a lagging slot only holds grace back. Besides a pin,
-    /// only the client's own non-empty [`reclaim`](Self::reclaim) moves
-    /// its slot: a client that stops pinning, blocked or parked at a
-    /// doorbell alike, lags until its next pin, its lease, or its
-    /// [`release`](Self::release).
-    fn catch_up(&mut self, client: &mut FabricClient) -> Result<()> {
+    /// CAS lands; a lagging slot only holds grace back. Besides an
+    /// operation's publish, only the client's own non-empty
+    /// [`reclaim`](Self::reclaim) moves its slot: a client that stops
+    /// pinning, blocked or parked at a doorbell alike, lags until its
+    /// next operation, its lease, or its [`release`](Self::release).
+    fn catch_up(&mut self, client: &mut FabricClient) -> Result<Option<Publish>> {
         let sub = self.epoch_sub;
         let mut lost = self.force_resync;
         let mut carried: Option<u64> = None;
@@ -532,37 +633,92 @@ impl ReclaimHandle {
                 _ => lost = true,
             }
         }
-        // Set until the slot is current: a failure below retries at the
+        // Set until the word is adopted: a failure below retries at the
         // next pin, with a read, even without a fresh event.
         self.force_resync = true;
         let newest = if lost { Some(client.read_u64(self.registry.epoch_addr())?) } else { carried };
         if let Some(word) = newest.filter(|w| w & EPOCH_MASK > self.observed) {
-            self.publish(client, word)?;
+            self.adopt(word);
         }
         self.force_resync = false;
-        Ok(())
+        if self.unsure.is_some() && !self.resolve(client)? {
+            self.reregister(client)?;
+        }
+        Ok(self.due(client))
     }
 
-    /// CASes our slot from its last known word to `tag | word`'s seal
-    /// count and adopts `word`, re-registering if the slot was stolen by
-    /// an eviction.
-    fn publish(&mut self, client: &mut FabricClient, word: u64) -> Result<()> {
+    /// The publish that moves our slot to `observed`, when it lags.
+    fn due(&self, client: &FabricClient) -> Option<Publish> {
         let tag = ((client.id() as u64 + 1) & 0xffff) << TAG_SHIFT;
-        let new_word = tag | (word & EPOCH_MASK);
-        let prev = client.cas(self.registry.slot_addr(self.slot_idx), self.slot_word, new_word)?;
-        if prev == self.slot_word {
-            self.slot_word = new_word;
-            self.adopt(word);
-        } else {
-            // Evicted (presumed crashed): grace ran without us, so every
-            // integrated structure refreshes its caches, restructure or not.
-            self.stats.evicted += 1;
-            let (idx, slot_word, word) = claim_slot(client, &self.registry)?;
-            self.slot_idx = idx;
-            self.slot_word = slot_word;
-            self.adopt(word);
-            self.generation += 1;
+        (self.slot_word & EPOCH_MASK < self.observed).then(|| Publish {
+            addr: self.registry.slot_addr(self.slot_idx),
+            expected: self.slot_word,
+            new: tag | self.observed,
+        })
+    }
+
+    /// Books a publish's outcome — the one place a slot CAS's answer is
+    /// judged, however it was carried. It landed when the slot held the
+    /// expected word — or already the new one, installed by an earlier
+    /// attempt whose answer went missing. Any other word means an evictor
+    /// took the slot: the handle re-registers and `false` comes back.
+    fn settle(
+        &mut self,
+        client: &mut FabricClient,
+        publish: Publish,
+        answer: Option<u64>,
+    ) -> Result<bool> {
+        debug_assert_eq!(publish.expected, self.slot_word, "a publish of another slot word");
+        self.stats.publishes += 1;
+        match answer {
+            None => {
+                self.unsure = Some(publish.new);
+                Ok(true)
+            }
+            Some(prev) if prev == publish.expected || prev == publish.new => {
+                self.slot_word = publish.new;
+                Ok(true)
+            }
+            Some(_) => {
+                self.reregister(client)?;
+                Ok(false)
+            }
         }
+    }
+
+    /// Issues `publish` alone — one CAS — and settles it.
+    fn publish_alone(&mut self, client: &mut FabricClient, publish: Publish) -> Result<bool> {
+        let answer = client.cas(publish.addr, publish.expected, publish.new);
+        let landed = self.settle(client, publish, answer.as_ref().ok().copied())?;
+        answer?;
+        Ok(landed)
+    }
+
+    /// Reads the slot once after a publish whose outcome is unknown: it
+    /// holds the word the CAS tried (adopted as the slot's word) or the
+    /// one before. Returns `false` when it holds neither — an evictor took
+    /// it — and the slot is no longer ours.
+    fn resolve(&mut self, client: &mut FabricClient) -> Result<bool> {
+        let Some(tried) = self.unsure else { return Ok(true) };
+        let word = client.read_u64(self.registry.slot_addr(self.slot_idx))?;
+        self.unsure = None;
+        if word == tried {
+            self.slot_word = tried;
+        }
+        Ok(word == self.slot_word)
+    }
+
+    /// Claims a fresh slot after an eviction (a detector presumed this
+    /// client crashed). Grace ran without us, so the generation moves and
+    /// every integrated structure refreshes its caches, restructure or
+    /// not.
+    fn reregister(&mut self, client: &mut FabricClient) -> Result<()> {
+        self.stats.evicted += 1;
+        let (idx, slot_word, word) = claim_slot(client, &self.registry)?;
+        self.slot_idx = idx;
+        self.slot_word = slot_word;
+        self.adopt(word);
+        self.generation += 1;
         Ok(())
     }
 
@@ -685,7 +841,11 @@ impl ReclaimHandle {
         if !self.pending.is_empty() || !self.limbo.is_empty() {
             return Err(ReclaimError::InUse("retires still await their free"));
         }
-        client.cas(self.registry.slot_addr(self.slot_idx), self.slot_word, 0)?;
+        // The slot's word is the one last known to have landed: a publish
+        // still pending never moved it.
+        if self.resolve(client)? {
+            client.cas(self.registry.slot_addr(self.slot_idx), self.slot_word, 0)?;
+        }
         self.released = true;
         client.unsubscribe(self.epoch_sub)?;
         Ok(())
@@ -713,9 +873,18 @@ impl ReclaimHandle {
         let global = w[0] & EPOCH_MASK;
         // Keep our own slot current: outside any guard we hold no far
         // references, so advancing our published epoch is exactly what a
-        // pin would do (and lets a sole client reclaim immediately).
-        if self.depth == 0 && global > self.observed {
-            self.publish(client, w[0])?;
+        // pin would do (and lets a sole client reclaim immediately). The
+        // CAS depends on this read, so it goes alone.
+        if self.depth == 0 {
+            if global > self.observed {
+                self.adopt(w[0]);
+            }
+            if !self.resolve(client)? {
+                self.reregister(client)?;
+            }
+            if let Some(publish) = self.due(client) {
+                self.publish_alone(client, publish)?;
+            }
         }
         let mut slot_epochs: Vec<(u64, u64, u64)> = Vec::new(); // (idx, word, epoch)
         for i in 0..self.registry.n_slots {
@@ -870,7 +1039,8 @@ mod tests {
 
         seal_one(&s1, &mut c1, &a, false);
         seal_one(&s1, &mut c1, &a, false);
-        let read = AccessStats { round_trips: 1, messages: 1, bytes_read: WORD, ..AccessStats::new() };
+        let read =
+            AccessStats { round_trips: 1, messages: 1, bytes_read: WORD, ..AccessStats::new() };
         let mut both = cas;
         both.merge(&read);
         let lost = AccessStats { notifications: 1, notifications_lost: 1, ..both };
@@ -964,6 +1134,135 @@ mod tests {
         let g = pin(&s2, &mut c2).unwrap();
         assert_eq!(s2.lock().unwrap().stats().evicted, 1);
         assert_ne!(g.generation(), g0);
+    }
+
+    /// The words of every registry slot.
+    fn slots(c: &mut FabricClient, reg: &ReclaimRegistry) -> Vec<u64> {
+        words(&c.read(reg.slot_addr(0), reg.n_slots * WORD).unwrap())
+    }
+
+    /// A deferred pin past a seal adopts the epoch at no far access and
+    /// leaves its slot CAS to the operation, whose batch carries it. The
+    /// publish landing books nothing beyond the batch's own message and
+    /// atomic.
+    #[test]
+    fn a_deferred_pin_hands_its_cas_to_the_operation() {
+        let (f, a, reg) = setup();
+        let (mut c1, mut c2) = (f.client(), f.client());
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        let s2 = reg.attach(&mut c2, &a).unwrap();
+        seal_one(&s1, &mut c1, &a, false);
+        let before = c2.stats();
+        let mut g = pin_deferred(&s2, &mut c2).unwrap();
+        let pinned = c2.stats().since(&before);
+        assert_eq!((pinned.round_trips, pinned.notifications), (0, 1), "the pin defers its CAS");
+        assert_eq!(g.epoch(), 2, "and adopts the epoch at once");
+        let publish = g.take_publish().expect("the slot lags the adopted epoch");
+        assert_eq!(g.take_publish(), None, "taken once");
+        let idx = s2.lock().unwrap().slot_idx;
+        let lag = slots(&mut c1, &reg)[idx as usize] & EPOCH_MASK;
+        assert_eq!(lag, 1, "the slot lags until it lands");
+        let block = a.alloc(64, AllocHint::Spread).unwrap();
+        let out = c2.batch(&[publish.op(), BatchOp::Read { addr: block, len: 64 }]).unwrap();
+        assert!(g.settle(&mut c2, publish, Some(out[0].value())).unwrap());
+        drop(g);
+        assert_eq!(slots(&mut c1, &reg)[idx as usize] & EPOCH_MASK, 2);
+        let st = s2.lock().unwrap().stats();
+        assert_eq!((st.publishes, st.carried, st.evicted), (1, 1, 0));
+        assert_eq!(pin_books(&s2, &mut c2), AccessStats::new(), "caught up");
+    }
+
+    /// An evictor that takes the slot between a deferred pin and the
+    /// operation's batch makes the carried CAS lose: the batch's answers
+    /// go, the handle re-registers once at the current epoch — so the
+    /// guard reports a new generation and no publish is due — and it
+    /// holds one slot.
+    #[test]
+    fn a_carried_publish_that_loses_re_registers_once() {
+        let (f, a, reg) = setup();
+        let (mut c1, mut c2) = (f.client(), f.client());
+        let s1 = reg.attach(&mut c1, &a).unwrap();
+        let s2 = reg.attach(&mut c2, &a).unwrap();
+        seal_one(&s1, &mut c1, &a, false);
+        let mut g = pin_deferred(&s2, &mut c2).unwrap();
+        let (g0, idx) = (g.generation(), s2.lock().unwrap().slot_idx);
+        let publish = g.take_publish().unwrap();
+        let word = slots(&mut c1, &reg)[idx as usize];
+        assert_eq!(c1.cas(reg.slot_addr(idx), word, 0).unwrap(), word, "the evictor's CAS");
+        let answer = c2.batch(&[publish.op()]).unwrap()[0].value();
+        assert!(!g.settle(&mut c2, publish, Some(answer)).unwrap(), "the batch's answers go");
+        assert_ne!(g.generation(), g0);
+        let h2 = s2.lock().unwrap();
+        assert_eq!((h2.stats().evicted, h2.stats().publishes), (1, 1));
+        assert_eq!(g.epoch(), h2.observed_epoch());
+        assert_ne!(h2.slot_word, word, "claimed afresh, here the slot the evictor freed");
+        drop(h2);
+        drop(g);
+        let live = slots(&mut c1, &reg).iter().filter(|&&w| w != 0).count();
+        assert_eq!(live, 2, "one slot per handle");
+        assert_eq!(pin_books(&s2, &mut c2), AccessStats::new(), "claimed current");
+        assert_eq!(s2.lock().unwrap().stats().evicted, 1, "re-registered once");
+    }
+
+    /// A batch that fails leaves its publish's outcome unknown. The next
+    /// pin reads the slot once, before any publish, and adopts what it
+    /// finds: the word the CAS tried if it ran — nothing left to publish —
+    /// or the old one, which it then publishes. No second slot is claimed.
+    #[test]
+    fn an_unknown_publish_is_read_back_once_and_claims_no_second_slot() {
+        let read =
+            AccessStats { round_trips: 1, messages: 1, bytes_read: WORD, ..AccessStats::new() };
+        let cas = AccessStats { round_trips: 1, messages: 1, atomics: 1, ..AccessStats::new() };
+        for ran in [true, false] {
+            let (f, a, reg) = setup();
+            let (mut c1, mut c2) = (f.client(), f.client());
+            let s1 = reg.attach(&mut c1, &a).unwrap();
+            let s2 = reg.attach(&mut c2, &a).unwrap();
+            seal_one(&s1, &mut c1, &a, false);
+            let mut g = pin_deferred(&s2, &mut c2).unwrap();
+            let publish = g.take_publish().unwrap();
+            if ran {
+                c2.batch(&[publish.op()]).unwrap();
+            }
+            assert!(g.settle(&mut c2, publish, None).unwrap(), "the failure is the caller's");
+            drop(g);
+            let mut want = read;
+            if !ran {
+                want.merge(&cas);
+            }
+            assert_eq!(pin_books(&s2, &mut c2), want, "ran: {ran}");
+            assert_eq!(pin_books(&s2, &mut c2), AccessStats::new(), "read once, ran: {ran}");
+            let idx = s2.lock().unwrap().slot_idx;
+            let w = slots(&mut c1, &reg);
+            assert_eq!(w.iter().filter(|&&w| w != 0).count(), 2, "no second slot, ran: {ran}");
+            assert_eq!(w[idx as usize] & EPOCH_MASK, 2);
+            assert_eq!(s2.lock().unwrap().stats().evicted, 0);
+        }
+    }
+
+    /// `release` gives back the slot the handle holds: with a publish
+    /// pending, the word that last landed — not the one the publish would
+    /// install; after a publish of unknown outcome, whichever the read
+    /// finds.
+    #[test]
+    fn release_with_a_publish_pending_frees_the_slot_it_holds() {
+        for unknown in [false, true] {
+            let (f, a, reg) = setup();
+            let (mut c1, mut c2) = (f.client(), f.client());
+            let s1 = reg.attach(&mut c1, &a).unwrap();
+            let s2 = reg.attach(&mut c2, &a).unwrap();
+            seal_one(&s1, &mut c1, &a, false);
+            let mut g = pin_deferred(&s2, &mut c2).unwrap();
+            let publish = g.take_publish().unwrap();
+            if unknown {
+                c2.batch(&[publish.op()]).unwrap();
+                g.settle(&mut c2, publish, None).unwrap();
+            }
+            drop(g);
+            let idx = s2.lock().unwrap().slot_idx;
+            s2.lock().unwrap().release(&mut c2).unwrap();
+            assert_eq!(slots(&mut c1, &reg)[idx as usize], 0, "unknown: {unknown}");
+        }
     }
 
     /// `release` gives the slot back — a later registrant reuses it — and

@@ -350,7 +350,9 @@ mod tests {
     /// eight fresh hints are eight round trips in one doorbell, each key
     /// found unhinted or through a stale hint adds one round trip to a
     /// second, shared doorbell, and no batch costs more than the unhinted
-    /// one's sixteen.
+    /// one's sixteen. After another client's seal, eight fresh hints still
+    /// cost eight round trips in one doorbell: the pin's slot CAS rides the
+    /// first descriptor, one more message and one atomic.
     #[test]
     fn a_batch_of_fresh_hints_is_one_doorbell_and_the_rest_share_a_second() {
         use farmem_fabric::{splitmix64, AccessStats};
@@ -397,6 +399,15 @@ mod tests {
         assert_eq!(d, books(8, 16, 8 * (ITEM + RECORD_HEADER + LEN), 1), "all fresh");
         let (_, _, d) = batch(&mut s, &mut c, &k[..8], &[None; 8]);
         assert_eq!(d, books(16, 16, 8 * (ITEM + RecordStore::PREFETCH), 2), "unhinted");
+        let mut sealer = f.client();
+        let sealed = reg.attach(&mut sealer, &a).unwrap();
+        let junk = a.alloc(64, AllocHint::Spread).unwrap();
+        sealed.lock().unwrap().retire(&mut sealer, junk, 64).unwrap();
+        sealed.lock().unwrap().seal(&mut sealer).unwrap();
+        let (_, _, d) = batch(&mut s, &mut c, &k[..8], &fresh);
+        let carried = books(8, 17, 8 * (ITEM + RECORD_HEADER + LEN), 1);
+        let carried = AccessStats { atomics: 1, notifications: 1, ..carried };
+        assert_eq!(d, carried, "all fresh, past a seal");
 
         // Key 2 overwritten (its first hint goes stale), key 5 removed.
         let stale = h[2];

@@ -326,8 +326,9 @@ fn no_free_while_a_guard_can_still_reach_the_memory() {
 /// already holds — `get`'s own pin, nested in the held one — sees that
 /// guard's restructure generation. An epoch advance
 /// that retired records only costs a lookup no refresh at all — just the
-/// next depth-0 pin's slot CAS — whether it lands before the guard is
-/// pinned or while it is held. Another client's split costs each handle
+/// next depth-0 pin's slot CAS, alone for a blocking `pin` and riding the
+/// lookup's own batch for the lookup's pin — whether it lands before the
+/// guard is pinned or while it is held. Another client's split costs each handle
 /// exactly one directory refresh, at its first lookup after the next
 /// depth-0 pin has observed the new generation.
 #[test]
@@ -380,19 +381,19 @@ fn lookups_under_a_held_guard_refresh_the_directory_once_per_observed_restructur
     assert_eq!(get7(&mut under, &mut c2), plain);
 
     // A seal while the guard is held: nothing moves until it drops, and
-    // then the next depth-0 pin pays the CAS alone.
+    // then the next depth-0 pin's CAS rides the lookup's own batch.
     seal(&mut c1);
     assert_eq!(get7(&mut nested, &mut c2), plain);
     assert_eq!(get7(&mut under, &mut c2), plain);
     drop(guard);
-    assert_eq!(get7(&mut nested, &mut c2), slot_cas + plain);
+    assert_eq!(get7(&mut nested, &mut c2), plain);
     assert_eq!(nested.stats().stale_refreshes + under.stats().stale_refreshes, 0);
 
     // Another client's split: one refresh per handle, at the first lookup
     // after a depth-0 pin saw the new generation — and only then.
     let before = s2.lock().unwrap().generation();
     h1.split(&mut c1, 0).unwrap();
-    assert_eq!(get7(&mut nested, &mut c2), slot_cas + refresh + plain);
+    assert_eq!(get7(&mut nested, &mut c2), refresh + plain);
     assert_ne!(s2.lock().unwrap().generation(), before);
     let _held = pin(&s2, &mut c2).unwrap();
     assert_eq!(get7(&mut under, &mut c2), refresh + plain);
@@ -448,9 +449,9 @@ fn crashed_client_is_evicted_and_reclamation_resumes() {
         for k in 0..80u64 {
             assert_eq!(h1.get(&mut c1, k).unwrap(), Some(k + 9), "seed {seed:#x} key {k}");
         }
-        // The "crashed" client comes back: its pin CAS fails against the
-        // evicted slot, it re-registers and refreshes, and reads exact
-        // data again.
+        // The "crashed" client comes back: the slot CAS its first get
+        // carries fails against the evicted slot, it re-registers,
+        // refreshes and starts the get over, and reads exact data again.
         for k in 0..80u64 {
             assert_eq!(h2.get(&mut c2, k).unwrap(), Some(k + 9), "seed {seed:#x} key {k}");
         }
