@@ -20,9 +20,7 @@ use std::sync::Arc;
 
 use farmem_alloc::{AllocHint, FarAlloc};
 use farmem_baselines::FarMutex;
-use farmem_fabric::{
-    BatchOp, BatchOut, DescList, FabricClient, FabricError, FarAddr, PipeOp, PipeOut,
-};
+use farmem_fabric::{BatchOp, DescList, FabricClient, FabricError, FarAddr, PipeOp, PipeOut};
 use farmem_reclaim::{pin, ReclaimRegistry};
 
 use crate::explore::{PreparedRun, Program};
@@ -1665,8 +1663,8 @@ fn table_hint_trusted_without_compare() -> Mutant {
             let rid = cr.id();
             let hr = h.clone();
             let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let named = |out: &BatchOut| match out {
-                    BatchOut::Loaded { bytes, .. } => u64::from_le_bytes(bytes[..].try_into().unwrap()),
+                let named = |out: &PipeOut| match out {
+                    PipeOut::Loaded { bytes, .. } => u64::from_le_bytes(bytes[..].try_into().unwrap()),
                     _ => 0,
                 };
                 for _ in 0..2 {

@@ -416,14 +416,15 @@ impl<const H: usize> FarBlobMap<H> {
         // Reclaim mode: the lookup's epoch guard is held to the record's
         // last byte, so a record another client is concurrently retiring
         // stays readable until grace elapses.
-        let found = self.inner.get_guarded(client, key, hint.map(Self::speculation))?;
-        let Some(ptr) = found.value else {
+        let ((value, hinted), _pin) =
+            self.inner.get_guarded(client, key, hint.map(Self::speculation))?;
+        let Some(ptr) = value else {
             *hint = None;
             return Ok(None);
         };
         // The tree named the hinted address, so these are the record's
         // bytes as of the lookup.
-        if let Some((len, payload)) = found.hinted.and_then(|b| Self::hinted_payload(b, &live)) {
+        if let Some((len, payload)) = hinted.and_then(|b| Self::hinted_payload(b, &live)) {
             *hint = Self::hint(ptr, len);
             return Ok(Some(payload));
         }

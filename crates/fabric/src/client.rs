@@ -26,6 +26,7 @@ use crate::fabric::Fabric;
 use crate::fault::{FaultPlan, FaultRng, RetryPolicy};
 use crate::node::MemoryNode;
 use crate::notify::{Event, EventSink, SubId, SubKind};
+use crate::pipeline::PipeOut;
 use crate::replica::GroupView;
 use crate::sample::MetricSampler;
 use crate::stats::AccessStats;
@@ -119,9 +120,9 @@ pub enum BatchOp<'a> {
     },
     /// `load0`: dereference the pointer at `ptr` and read `len` bytes at
     /// its target ([`FabricClient::load0`]), answered with
-    /// [`BatchOut::Loaded`]: the bytes *and* the pointer they were read
+    /// [`PipeOut::Loaded`]: the bytes *and* the pointer they were read
     /// through. A null pointer is an answer, not a failure: the op
-    /// completes with [`BatchOut::Null`] and the rest of the batch still
+    /// completes with [`PipeOut::Null`] and the rest of the batch still
     /// runs. A remote target the fabric refuses
     /// ([`IndirectionMode::Error`](crate::IndirectionMode::Error)) is
     /// reissued as the blocking `load0` reissues it: one round trip more.
@@ -133,8 +134,8 @@ pub enum BatchOp<'a> {
     },
     /// `load0_tagged`: dereference the tagged pointer at `ptr` and read
     /// the block its tag names ([`FabricClient::load0_tagged`]), answered
-    /// as [`Load0`](BatchOp::Load0) is: [`BatchOut::Loaded`] with the
-    /// pointer word, tag included, or [`BatchOut::Null`].
+    /// as [`Load0`](BatchOp::Load0) is: [`PipeOut::Loaded`] with the
+    /// pointer word, tag included, or [`PipeOut::Null`].
     Load0Tagged {
         /// Far address of the tagged pointer word.
         ptr: FarAddr,
@@ -163,56 +164,6 @@ impl BatchOp<'_> {
                 | BatchOp::Load0Tagged { .. }
                 | BatchOp::ReadSpeculative { .. }
         )
-    }
-}
-
-/// Result of one verb inside a fenced batch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchOut {
-    /// Bytes returned by a `Read`.
-    Bytes(Vec<u8>),
-    /// What a `Load0` read: the pointer value it dereferenced and the
-    /// bytes at that target. The ops of a batch are not one atomic unit,
-    /// so only this pointer — not a `Read` of the same word elsewhere in
-    /// the batch — is known to name the bytes.
-    Loaded {
-        /// The pointer value the home node dereferenced.
-        ptr: u64,
-        /// The bytes read at the target.
-        bytes: Vec<u8>,
-    },
-    /// Previous word value returned by `Cas` or `Faa`.
-    Value(u64),
-    /// A `Write` completed.
-    Done,
-    /// A `Load0` found a null pointer.
-    Null,
-}
-
-impl BatchOut {
-    /// The previous word value, for `Cas`/`Faa` outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output is not a value; batch authors know the shape of
-    /// their own batches.
-    pub fn value(&self) -> u64 {
-        match self {
-            BatchOut::Value(v) => *v,
-            other => panic!("batch output {other:?} is not a value"),
-        }
-    }
-
-    /// The returned bytes, for `Read` and `Load0` outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output is not bytes.
-    pub fn bytes(&self) -> &[u8] {
-        match self {
-            BatchOut::Bytes(b) | BatchOut::Loaded { bytes: b, .. } => b,
-            other => panic!("batch output {other:?} is not bytes"),
-        }
     }
 }
 
@@ -928,7 +879,7 @@ impl FabricClient {
     /// Issues a fenced batch: the verbs are applied in order (the fabric's
     /// completion queue enforces the barrier, §2) and the whole batch costs
     /// one dependent round trip.
-    pub fn batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOut>> {
+    pub fn batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<PipeOut>> {
         self.round_trip(VerbKind::Batch, |c, arrival| c.exec_batch(ops, arrival))
     }
 
@@ -942,7 +893,7 @@ impl FabricClient {
         &mut self,
         ops: &[BatchOp<'_>],
         arrival: u64,
-    ) -> std::result::Result<(Vec<BatchOut>, u64), ErrorCompletion> {
+    ) -> std::result::Result<(Vec<PipeOut>, u64), ErrorCompletion> {
         // Pre-flight every target node before executing any op: a batch
         // should fail atomically for blind retry to be safe. The timed
         // crash windows are evaluated against the same `arrival` here
@@ -983,38 +934,32 @@ impl FabricClient {
                         _ => AccessKind::SpeculativeRead,
                     };
                     self.exec_read(kind, *addr, *len, arrival)
-                        .map(|(buf, f)| (BatchOut::Bytes(buf), f))
+                        .map(|(buf, f)| (PipeOut::Bytes(buf), f))
                         .map_err(ErrorCompletion::from)
                 }
                 BatchOp::Write { addr, data } => self
                     .exec_write(*addr, data, arrival)
-                    .map(|f| (BatchOut::Done, f))
+                    .map(|f| (PipeOut::Done, f))
                     .map_err(ErrorCompletion::from),
                 BatchOp::Cas { addr, expected, new } => self
                     .exec_cas(*addr, *expected, *new, arrival)
-                    .map(|(prev, f)| (BatchOut::Value(prev), f))
+                    .map(|(prev, f)| (PipeOut::Value(prev), f))
                     .map_err(ErrorCompletion::from),
                 BatchOp::Faa { addr, delta } => self
                     .exec_faa(*addr, *delta, arrival)
-                    .map(|(prev, f)| (BatchOut::Value(prev), f))
+                    .map(|(prev, f)| (PipeOut::Value(prev), f))
                     .map_err(ErrorCompletion::from),
                 BatchOp::Load0 { ptr, .. } | BatchOp::Load0Tagged { ptr } => {
                     let len = match op {
                         BatchOp::Load0 { len, .. } => Some(*len),
                         _ => None,
                     };
-                    match self.exec_load0(*ptr, len, arrival) {
-                        Ok(((ptr, bytes), f)) => Ok((BatchOut::Loaded { ptr, bytes }, f)),
-                        Err(e) => match e.null_answer() {
-                            Some(at) => Ok((BatchOut::Null, at)),
-                            // The client waited for whatever the home node
-                            // answered, as the blocking verb does.
-                            None => Err(ErrorCompletion {
-                                answered_at: e.answered_at.map(|at| finish.max(at)),
-                                ..e
-                            }),
-                        },
-                    }
+                    // The client waited for whatever the home node
+                    // answered, as the blocking verb does.
+                    self.exec_load0(*ptr, len, arrival).map_err(|e| ErrorCompletion {
+                        answered_at: e.answered_at.map(|at| finish.max(at)),
+                        ..e
+                    })
                 }
             };
             let f = match step {
@@ -1262,12 +1207,12 @@ mod tests {
             BatchOp::Load0 { ptr: bucket, len: 32 },
             BatchOp::ReadSpeculative { addr: item, len: 16 },
         ];
-        let loaded = BatchOut::Loaded { ptr: item.0, bytes: vec![5u8; 32] };
-        for (pointer, answer) in [(0, BatchOut::Null), (item.0, loaded)] {
+        let loaded = PipeOut::Loaded { ptr: item.0, bytes: vec![5u8; 32] };
+        for (pointer, answer) in [(0, PipeOut::Null), (item.0, loaded)] {
             c.write_u64(bucket, pointer).unwrap();
             let before = c.stats();
             let out = c.batch(&ops).unwrap();
-            assert_eq!(out, [answer, BatchOut::Bytes(vec![5u8; 16])]);
+            assert_eq!(out, [answer, PipeOut::Bytes(vec![5u8; 16])]);
             let d = c.stats().since(&before);
             let target_bytes = if pointer == 0 { 0 } else { 32 };
             assert_eq!((d.round_trips, d.messages, d.bytes_read), (1, 2, target_bytes + 16));
@@ -1317,7 +1262,7 @@ mod tests {
         c.write_u64(bucket, item.0).unwrap();
         c.write(item, &[4u8; 32]).unwrap();
         let before = c.stats();
-        let loaded = BatchOut::Loaded { ptr: item.0, bytes: vec![4u8; 32] };
+        let loaded = PipeOut::Loaded { ptr: item.0, bytes: vec![4u8; 32] };
         assert_eq!(c.batch(&ops).unwrap()[0], loaded);
         let d = c.stats().since(&before);
         assert_eq!((d.messages, d.round_trips, d.reissues), (3, 2, 1), "refused, then reissued");
@@ -1327,7 +1272,7 @@ mod tests {
         c.write_u64(bucket, item.0).unwrap();
         c.write(item, &[9u8; 32]).unwrap();
         for _ in 0..100 {
-            assert_eq!(c.batch(&ops).unwrap()[0], BatchOut::Loaded { ptr: item.0, bytes: vec![9u8; 32] });
+            assert_eq!(c.batch(&ops).unwrap()[0], PipeOut::Loaded { ptr: item.0, bytes: vec![9u8; 32] });
         }
         assert!(c.stats().retries > 0 && c.stats().giveups == 0, "{:?}", c.stats());
     }

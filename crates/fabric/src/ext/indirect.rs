@@ -136,7 +136,7 @@ impl TargetAccess<'_> {
 /// pointer, guard mismatch, off-node guarded target): a blocking verb waited
 /// for that answer and charges its round trip, a failed pipelined
 /// descriptor books only its message (DESIGN.md §7) — a read-only load's
-/// null pointer is no failure ([`null_answer`](Self::null_answer)).
+/// null pointer is no failure ([`null_answers`]).
 /// `None` when nothing answered — a dead node, a bad address.
 pub(crate) struct ErrorCompletion {
     pub(crate) err: FabricError,
@@ -147,19 +147,20 @@ impl ErrorCompletion {
     fn answered(err: FabricError, at: u64) -> ErrorCompletion {
         ErrorCompletion { err, answered_at: Some(at) }
     }
+}
 
-    /// When the home node answered a *read-only* load with a null
-    /// pointer, the time it answered at: the load's answer, not its
-    /// failure. A fenced batch's `Load0` completes it as
-    /// [`BatchOut::Null`](crate::BatchOut::Null) and a doorbell's load as
-    /// [`PipeOut::Null`], and both book the round trip the blocking
-    /// verb's `NullDeref` books.
-    pub(crate) fn null_answer(&self) -> Option<u64> {
-        match self.err {
-            FabricError::NullDeref { .. } => self.answered_at,
-            _ => None,
-        }
-    }
+/// A *read-only* load's completion: a null pointer its home node answered
+/// with is the load's answer, not its failure — [`PipeOut::Null`],
+/// finished when the node answered. A fenced batch's `Load0` and a
+/// doorbell's load both complete through here, and both book the round
+/// trip the blocking verb's `NullDeref` books.
+pub(crate) fn null_answers(
+    loaded: std::result::Result<(PipeOut, u64), ErrorCompletion>,
+) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
+    loaded.or_else(|e| match (&e.err, e.answered_at) {
+        (FabricError::NullDeref { .. }, Some(at)) => Ok((PipeOut::Null, at)),
+        _ => Err(e),
+    })
 }
 
 impl From<FabricError> for ErrorCompletion {
@@ -543,9 +544,11 @@ impl FabricClient {
     /// `load0` of `len` bytes, or `load0_tagged` when `len` is `None`, as
     /// one op of a fenced batch ([`BatchOp::Load0`],
     /// [`BatchOp::Load0Tagged`]) or a tagged descriptor: returns
-    /// `((pointer, bytes), node-side finish time)`. Its own out-of-line
-    /// copy of [`exec_deref`](Self::exec_deref), so `batch` — the store
-    /// path's hot loop — does not grow by the executor's body.
+    /// [`PipeOut::Loaded`] (the pointer and the bytes) or, for a null
+    /// pointer, [`PipeOut::Null`] ([`null_answers`]), with the node-side
+    /// finish time. Its own out-of-line copy of
+    /// [`exec_deref`](Self::exec_deref), so `batch` — the store path's hot
+    /// loop — does not grow by the executor's body.
     ///
     /// [`BatchOp::Load0`]: crate::BatchOp::Load0
     /// [`BatchOp::Load0Tagged`]: crate::BatchOp::Load0Tagged
@@ -555,13 +558,15 @@ impl FabricClient {
         ad: FarAddr,
         len: Option<u64>,
         arrival: u64,
-    ) -> std::result::Result<((u64, Vec<u8>), u64), ErrorCompletion> {
+    ) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
         let (read, access) = match len {
             Some(len) => (PtrRead::Plain, TargetAccess::Read(len)),
             None => (PtrRead::Tagged, TargetAccess::Read(0)),
         };
-        let ((ptr, out), finish) = self.exec_deref(ad, read, 0, access, arrival)?;
-        Ok(((ptr, out.into_bytes()), finish))
+        let loaded = self.exec_deref(ad, read, 0, access, arrival);
+        null_answers(loaded.map(|((ptr, out), f)| {
+            (PipeOut::Loaded { ptr, bytes: out.into_bytes() }, f)
+        }))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes

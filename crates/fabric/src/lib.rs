@@ -67,7 +67,7 @@ pub mod trace;
 pub use addr::{AddressMap, FarAddr, NodeId, Segment, Segments, Striping, PAGE, WORD};
 pub use broker::{Broker, BrokerStats};
 pub use check::{Access, AccessKind, CheckObserver};
-pub use client::{BatchOp, BatchOut, FabricClient};
+pub use client::{BatchOp, FabricClient};
 pub use cost::{CostModel, SimClock};
 pub use error::{FabricError, Result};
 pub use ext::indirect::{tagged_len, TAG_MASK};

@@ -55,7 +55,7 @@
 //! [`PipeOp::Load0Tagged`]) is no failure but the load's *answer*: the
 //! descriptor completes as [`PipeOut::Null`] and books the round trip and
 //! the clock the blocking verb books for its `NullDeref`, as a fenced
-//! batch's `Load0` does when it answers [`BatchOut::Null`]. An absent key
+//! batch's `Load0` does when it answers the same [`PipeOut::Null`]. An absent key
 //! in a batch of lookups therefore serialises nothing behind it. A
 //! cross-node target that an
 //! [`IndirectionMode::Error`](crate::fabric::IndirectionMode::Error)
@@ -73,9 +73,9 @@
 
 use crate::addr::FarAddr;
 use crate::check::AccessKind;
-use crate::client::{BatchOp, BatchOut, FabricClient};
+use crate::client::{BatchOp, FabricClient};
 use crate::error::{FabricError, Result};
-use crate::ext::indirect::{ErrorCompletion, PtrRead, TargetAccess};
+use crate::ext::indirect::{null_answers, PtrRead, TargetAccess};
 use crate::trace::VerbKind;
 
 /// One posted descriptor (owned, so a queue can outlive its sources).
@@ -196,14 +196,16 @@ impl PipeOp {
     }
 }
 
-/// Result payload of one completed descriptor.
+/// The answer of one far op: a completed descriptor, or one op of a
+/// fenced batch ([`FabricClient::batch`], [`PipeOp::Fenced`]). A verb
+/// answers with the same variant however it was sent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipeOut {
-    /// Bytes returned by `Read` / `Load2`.
+    /// Bytes returned by a `Read` or a `Load2`.
     Bytes(Vec<u8>),
     /// Word returned by `ReadU64`, or previous value from `Cas` / `Faa`.
     Value(u64),
-    /// A write-style descriptor completed.
+    /// A write-style op completed.
     Done,
     /// Completion of a [`PipeOp::FaaiSwapGuarded`] descriptor.
     PtrWord {
@@ -212,16 +214,20 @@ pub enum PipeOut {
         /// The target word's value before the swap.
         word: u64,
     },
-    /// The op outputs of a [`PipeOp::Fenced`] descriptor, in op order.
-    Batch(Vec<BatchOut>),
-    /// Completion of a [`PipeOp::Load0Tagged`] descriptor.
+    /// The op answers of a fenced batch, in op order.
+    Batch(Vec<PipeOut>),
+    /// What a `Load0` or a `Load0Tagged` read: the pointer word it
+    /// dereferenced, tag included, and the bytes at its target. The ops
+    /// of a batch are not one atomic unit, so only this pointer — not a
+    /// `Read` of the same word elsewhere in the batch — is known to name
+    /// the bytes.
     Loaded {
-        /// The pointer word the home node dereferenced, tag included.
+        /// The pointer word the home node dereferenced.
         ptr: u64,
-        /// The bytes read at the block.
+        /// The bytes read at the target.
         bytes: Vec<u8>,
     },
-    /// A [`PipeOp::Load2`] or [`PipeOp::Load0Tagged`] found a null
+    /// A read-only load (`Load0`, `Load0Tagged`, `Load2`) found a null
     /// pointer.
     Null,
 }
@@ -231,36 +237,36 @@ impl PipeOut {
     ///
     /// # Panics
     ///
-    /// Panics if the completion is not a value; pipeline authors know the
-    /// shape of their own descriptors.
+    /// Panics if the answer is not a value; authors know the shape of
+    /// their own descriptors and batches.
     pub fn value(&self) -> u64 {
         match self {
             PipeOut::Value(v) => *v,
-            other => panic!("pipeline completion {other:?} is not a value"),
+            other => panic!("answer {other:?} is not a value"),
         }
     }
 
-    /// The returned bytes, for read-style completions.
+    /// The returned bytes, for read-style answers.
     ///
     /// # Panics
     ///
-    /// Panics if the completion carries no bytes.
+    /// Panics if the answer carries no bytes.
     pub fn bytes(&self) -> &[u8] {
         match self {
             PipeOut::Bytes(b) | PipeOut::Loaded { bytes: b, .. } => b,
-            other => panic!("pipeline completion {other:?} is not bytes"),
+            other => panic!("answer {other:?} is not bytes"),
         }
     }
 
-    /// Consumes the completion, returning its bytes.
+    /// Consumes the answer, returning its bytes.
     ///
     /// # Panics
     ///
-    /// Panics if the completion carries no bytes.
+    /// Panics if the answer carries no bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         match self {
             PipeOut::Bytes(b) | PipeOut::Loaded { bytes: b, .. } => b,
-            other => panic!("pipeline completion {other:?} is not bytes"),
+            other => panic!("answer {other:?} is not bytes"),
         }
     }
 
@@ -269,11 +275,11 @@ impl PipeOut {
     ///
     /// # Panics
     ///
-    /// Panics on any other completion shape.
+    /// Panics on any other answer shape.
     pub fn ptr_word(&self) -> (u64, u64) {
         match self {
             PipeOut::PtrWord { ptr, word } => (*ptr, *word),
-            other => panic!("pipeline completion {other:?} is not a pointer/word pair"),
+            other => panic!("answer {other:?} is not a pointer/word pair"),
         }
     }
 }
@@ -589,12 +595,9 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
         PipeOp::Load2 { ptr, index, len } => {
             let access = TargetAccess::Read(*len);
             let loaded = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival);
-            null_answers(loaded.map(|((_, out), f)| (out, f)))
+            Ok(null_answers(loaded.map(|((_, out), f)| (out, f)))?)
         }
-        PipeOp::Load0Tagged { ptr } => {
-            let loaded = c.exec_load0(*ptr, None, arrival);
-            null_answers(loaded.map(|((ptr, bytes), f)| (PipeOut::Loaded { ptr, bytes }, f)))
-        }
+        PipeOp::Load0Tagged { ptr } => Ok(c.exec_load0(*ptr, None, arrival)?),
         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
             let read = PtrRead::GuardedFetchAdd { delta: *delta, guard: *guard, expect: *expect };
             let ((old_ptr, old), f) =
@@ -605,18 +608,6 @@ fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, 
             let (outs, f) = c.exec_batch(ops, arrival)?;
             Ok((PipeOut::Batch(outs), f))
         }
-    }
-}
-
-/// A read-only load's completion: a null pointer the home node answered
-/// with is [`PipeOut::Null`], finished when the node answered.
-fn null_answers(loaded: std::result::Result<(PipeOut, u64), ErrorCompletion>) -> Result<(PipeOut, u64)> {
-    match loaded {
-        Err(e) => match e.null_answer() {
-            Some(at) => Ok((PipeOut::Null, at)),
-            None => Err(e.err),
-        },
-        Ok(done) => Ok(done),
     }
 }
 
@@ -1224,7 +1215,7 @@ mod tests {
                 let loaded = match how {
                     "blocking" => c.load0_tagged(ptr).unwrap(),
                     "batched" => match c.batch(&[BatchOp::Load0Tagged { ptr }]).unwrap().remove(0) {
-                        BatchOut::Loaded { ptr, bytes } => (ptr, bytes),
+                        PipeOut::Loaded { ptr, bytes } => (ptr, bytes),
                         other => panic!("{name}: {other:?}"),
                     },
                     _ => {
@@ -1260,25 +1251,43 @@ mod tests {
     /// the same outputs, the same `AccessStats` but for the doorbell's own
     /// two counters, and the same clock — for a null `Load0` (an answer,
     /// round trip charged), under transient faults (one roll per attempt,
-    /// the whole batch retried) and for a remote target refused under
-    /// `IndirectionMode::Error` (reissued, one round trip more).
+    /// the whole batch retried), for a remote target refused under
+    /// `IndirectionMode::Error` (reissued, one round trip more), and for
+    /// the shape of a carried slot publish, `[Cas, Load0Tagged]`, whose
+    /// CAS lands or loses.
     #[test]
     fn a_fenced_descriptor_books_what_the_blocking_batch_books() {
         use crate::fabric::IndirectionMode;
-        // The bucket word on node 0, the item it names on node 1.
-        let (bucket, item) = (FarAddr(WORD), FarAddr(PAGE));
-        let ops = || {
+        // The bucket word and a slot word on node 0, the item a bucket
+        // names on node 1: 32 bytes, so a tag of 1 names all of them.
+        const BUCKET: FarAddr = FarAddr(WORD);
+        const SLOT: FarAddr = FarAddr(2 * WORD);
+        const ITEM: FarAddr = FarAddr(PAGE);
+        type Ops = fn(u64) -> Vec<BatchOp<'static>>;
+        let lookup: Ops = |_| {
             vec![
-                BatchOp::Load0 { ptr: bucket, len: 32 },
-                BatchOp::ReadSpeculative { addr: item, len: 16 },
+                BatchOp::Load0 { ptr: BUCKET, len: 32 },
+                BatchOp::ReadSpeculative { addr: ITEM, len: 16 },
             ]
         };
+        // The i-th publish expects the word the (i − 1)-th installed.
+        let landing: Ops = |i| {
+            let cas = BatchOp::Cas { addr: SLOT, expected: i, new: i + 1 };
+            vec![cas, BatchOp::Load0Tagged { ptr: BUCKET }]
+        };
+        let losing: Ops = |_| {
+            let cas = BatchOp::Cas { addr: SLOT, expected: 7, new: 8 };
+            vec![cas, BatchOp::Load0Tagged { ptr: BUCKET }]
+        };
+        let (tagged, faulty) = (ITEM.0 | 1, FaultPlan::transient(400_000));
         let cases = [
-            ("null load0", IndirectionMode::Forward, FaultPlan::NONE, 0),
-            ("transient faults", IndirectionMode::Forward, FaultPlan::transient(400_000), item.0),
-            ("reissued remote target", IndirectionMode::Error, FaultPlan::NONE, item.0),
+            ("null load0", IndirectionMode::Forward, FaultPlan::NONE, 0, lookup),
+            ("transient faults", IndirectionMode::Forward, faulty, ITEM.0, lookup),
+            ("reissued remote target", IndirectionMode::Error, FaultPlan::NONE, ITEM.0, lookup),
+            ("carried publish lands", IndirectionMode::Forward, FaultPlan::NONE, tagged, landing),
+            ("carried publish loses", IndirectionMode::Forward, FaultPlan::NONE, tagged, losing),
         ];
-        for (name, indirection, faults, pointer) in cases {
+        for (name, indirection, faults, pointer, ops) in cases {
             let run = |fenced: bool| {
                 let f = FabricConfig {
                     nodes: 2,
@@ -1290,16 +1299,16 @@ mod tests {
                 }
                 .build();
                 let mut c = f.client();
-                c.write_u64(bucket, pointer).unwrap();
-                c.write(item, &[5u8; 32]).unwrap();
+                c.write_u64(BUCKET, pointer).unwrap();
+                c.write(ITEM, &[5u8; 32]).unwrap();
                 let (before, t0) = (c.stats(), c.now_ns());
-                let outs: Vec<Result<Vec<BatchOut>>> = (0..16)
-                    .map(|_| {
+                let outs: Vec<Result<Vec<PipeOut>>> = (0..16)
+                    .map(|i| {
                         if !fenced {
-                            return c.batch(&ops());
+                            return c.batch(&ops(i));
                         }
                         let mut q = c.pipeline();
-                        q.post(PipeOp::Fenced(ops()));
+                        q.post(PipeOp::Fenced(ops(i)));
                         match q.commit().take(0) {
                             Some(Ok(PipeOut::Batch(outs))) => Ok(outs),
                             Some(Err(e)) => Err(e),
@@ -1318,15 +1327,24 @@ mod tests {
                     assert_eq!(p, s, "{name}: field `{field}`");
                 }
             }
+            let loaded = |ptr| PipeOut::Loaded { ptr, bytes: vec![5; 32] };
             match name {
                 "null load0" => {
-                    assert_eq!(souts[0], Ok(vec![BatchOut::Null, BatchOut::Bytes(vec![5; 16])]))
+                    assert_eq!(souts[0], Ok(vec![PipeOut::Null, PipeOut::Bytes(vec![5; 16])]))
                 }
                 "transient faults" => assert!(serial.retries > 0, "{name}: {serial:?}"),
-                _ => {
-                    let loaded = BatchOut::Loaded { ptr: item.0, bytes: vec![5; 32] };
-                    assert_eq!(souts[0], Ok(vec![loaded, BatchOut::Bytes(vec![5; 16])]));
+                "reissued remote target" => {
+                    assert_eq!(souts[0], Ok(vec![loaded(ITEM.0), PipeOut::Bytes(vec![5; 16])]));
                     assert_eq!((serial.round_trips, serial.reissues), (32, 16), "{name}");
+                }
+                _ => {
+                    let lands = name.ends_with("lands");
+                    for (i, out) in souts.iter().enumerate() {
+                        let prev = if lands { i as u64 } else { 0 };
+                        assert_eq!(out, &Ok(vec![PipeOut::Value(prev), loaded(tagged)]), "{name}");
+                    }
+                    let got = (serial.round_trips, serial.atomics, serial.forward_hops);
+                    assert_eq!(got, (16, 16, 16), "{name}: one round trip, the CAS, the hop");
                 }
             }
             assert_eq!(piped_ns, serial_ns, "{name}: clock");
