@@ -4,17 +4,16 @@
 //! main protocol program explored under bounded DFS plus seeded random
 //! (chaos) schedules, with the happens-before race detector and the
 //! Wing–Gong linearizability checker applied to everything the explorer
-//! keeps; then every deliberately-broken mutant, which the expected
-//! analyses must flag.
+//! keeps. (The mutation self-test — every deliberately broken edit of
+//! the shipped code must be flagged — runs apart, one patched copy of the
+//! workspace per mutant: `cargo run -p xtask -- mutants`.)
 //!
 //! The driver is itself an assertion battery:
 //!
 //! * the suite runs **twice** and the two JSON renderings must be
 //!   byte-identical — determinism is a checked property, not a hope;
 //! * every main program must come back **clean** (0 races, 0
-//!   linearizability violations, 0 invariant failures, 0 panics);
-//! * every mutant must be **caught** by each analysis it was built to
-//!   trip (100% mutation score), with at least one mutant per analysis.
+//!   linearizability violations, 0 invariant failures, 0 panics).
 //!
 //! Output lands in `results/e16_check.json` (table document).
 //!
@@ -82,33 +81,10 @@ fn main() {
     }
     report.add(programs);
 
-    let mut mutants = Table::new(
-        "E16: mutation self-test — every broken variant must be flagged",
-        &["mutant", "expects", "caught", "races", "lin viol", "inv viol"],
-    );
-    for m in &suite.mutants {
-        mutants.row(vec![
-            m.exploration.name.to_string(),
-            m.expect.join("+"),
-            if m.caught { "yes".into() } else { "NO".into() },
-            m.exploration.races.len().to_string(),
-            m.exploration.lin_violations.to_string(),
-            m.exploration.invariant_violations.to_string(),
-        ]);
-    }
-    report.add(mutants);
-
-    let caught = suite.mutants.iter().filter(|m| m.caught).count();
-    let mut summary = Table::new(
-        "E16: summary",
-        &["programs", "clean", "mutants", "caught", "mutation score", "deterministic"],
-    );
+    let mut summary = Table::new("E16: summary", &["programs", "clean", "deterministic"]);
     summary.row(vec![
         suite.programs.len().to_string(),
         suite.programs.iter().filter(|p| p.clean()).count().to_string(),
-        suite.mutants.len().to_string(),
-        caught.to_string(),
-        format!("{}%", 100 * caught / suite.mutants.len().max(1)),
         "yes".into(),
     ]);
     report.add(summary);
@@ -131,48 +107,10 @@ fn assert_gates(suite: &SuiteResult) {
             p.panicked
         );
     }
-    for m in &suite.mutants {
-        assert!(
-            m.caught,
-            "mutant {} escaped (expected {:?}): races={:?} lin={} inv={}",
-            m.exploration.name,
-            m.expect,
-            m.exploration.races,
-            m.exploration.lin_violations,
-            m.exploration.invariant_violations
-        );
-    }
-    // "Every mutant caught" is vacuous for a mutant that was dropped from
-    // the suite: the failover, serving-TTL, record-publish, record-hint, take,
-    // split-retire, batched-hint, queue-repair, restructure, table-hint,
-    // splice, block-version and carried-publish mutants, and the programs
-    // they break, are required by name.
-    for required in [
-        "m9_serve_read_after_fence",
-        "m10_promote_without_epoch_bump",
-        "m11_ack_write_before_replica_durable",
-        "m12_serve_read_after_expiry",
-        "m13_evict_without_retire",
-        "m14_publish_record_after_cas",
-        "m15_hint_trusted_without_tree",
-        "m16_take_relinks_stale_head",
-        "m17_restructure_sealed_as_record",
-        "m18_batched_hint_trusted_without_compare",
-        "m19_empty_claim_leaves_guard_open",
-        "m20_attach_adopts_odd_epoch",
-        "m21_directory_published_by_blind_write",
-        "m22_table_taken_by_plain_write",
-        "m23_table_hint_trusted_without_compare",
-        "m24_trim_without_walk",
-        "m25_poison_loss_keeps_stale_harvest",
-        "m26_get_trusts_block_without_version",
-        "m27_batched_publish_trusted_after_lost_cas",
-    ] {
-        assert!(
-            suite.mutants.iter().any(|m| m.exploration.name == required),
-            "mutant {required} is missing from the suite"
-        );
-    }
+    // "Every program clean" is vacuous for a program dropped from the
+    // suite: the failover, serving-TTL, record-publish, record-hint, take,
+    // split-retire, batched-hint, queue-wrap, restructure, table-hint,
+    // splice and carried-publish programs are required by name.
     for required in [
         "serve_ttl_evict",
         "httree_publish",
@@ -190,12 +128,6 @@ fn assert_gates(suite: &SuiteResult) {
         assert!(
             suite.programs.iter().any(|p| p.name == required),
             "{required} is missing from the main suite"
-        );
-    }
-    for analysis in ["races", "linearizability", "invariant"] {
-        assert!(
-            suite.mutants.iter().any(|m| m.expect.contains(&analysis)),
-            "no mutant exercises the {analysis} analysis"
         );
     }
 }

@@ -20,9 +20,9 @@
 //!   the explored programs record.
 //!
 //! The checked programs live in [`programs`]; the mutation self-tests —
-//! deliberately broken protocol variants every analysis must flag — in
-//! [`mutants`]; and the deterministic suite the `e16_check` driver and
-//! CI consume in [`suite`].
+//! small edits of the shipped code that the analyses must flag, one file
+//! each — are described and parsed in [`mutants`]; and the deterministic
+//! suite the `e16_check` driver and CI consume is in [`suite`].
 //!
 //! Everything here is **dev tooling**: nothing in this crate runs in a
 //! measured benchmark path, and with no observer installed the fabric

@@ -1,16 +1,18 @@
 //! The deterministic check suite consumed by the `e16_check` driver and
 //! the crate's own tests.
 //!
-//! [`run_suite`] explores every main program and every mutant under
-//! seeded bounds and returns a [`SuiteResult`] whose JSON rendering is a
-//! pure function of `(smoke, seed)`: no timestamps, no wall-clock
-//! dependence, stable ordering everywhere. Smoke bounds are a strict
-//! prefix of the full bounds (smaller DFS budget, fewer random seeds of
-//! the same sequence), so everything the smoke run finds, the full run
-//! finds too.
+//! [`run_suite`] explores every main program under seeded bounds and
+//! returns a [`SuiteResult`] whose JSON rendering is a pure function of
+//! `(smoke, seed)`: no timestamps, no wall-clock dependence, stable
+//! ordering everywhere. Smoke bounds are a strict prefix of the full
+//! bounds (smaller DFS budget, fewer random seeds of the same sequence),
+//! so everything the smoke run finds, the full run finds too.
+//!
+//! The mutants (see [`crate::mutants`]) are not part of the suite: each
+//! is an edit of the shipped code, explored under [`MUTANT_BUDGET`] in a
+//! patched copy of the workspace by `cargo run -p xtask -- mutants`.
 
 use crate::explore::{explore, ExploreBounds, Exploration, Program};
-use crate::mutants::{all_mutants, Expect, Mutant};
 use crate::programs::main_programs;
 
 /// Suite configuration.
@@ -50,9 +52,10 @@ const PROGRAM_BUDGETS: &[(&str, Budget, Budget)] = &[
     ("queue_wrap_chaos", (60, 24), (20, 8)),
 ];
 
-/// Every mutant's `(full, smoke)` budget: enough DFS to exhaust (or
-/// deeply cover) their small choice trees deterministically.
-const MUTANT_BUDGET: (Budget, Budget) = ((160, 24), (80, 12));
+/// Every mutant's `(DFS schedules, random schedules)`, at or above every
+/// main program's full budget, so a mutant's program is explored at
+/// least as deeply as the suite explores it clean.
+pub const MUTANT_BUDGET: (usize, usize) = (160, 24);
 
 /// The `(full, smoke)` budget of main program `name`.
 fn program_budget(name: &str) -> (Budget, Budget) {
@@ -73,24 +76,12 @@ fn explore_within(
     explore(prog, &ExploreBounds { max_schedules: dfs, random_schedules: random, seed: cfg.seed })
 }
 
-/// One mutant's outcome.
-pub struct MutantResult {
-    /// The exploration outcome of the broken program.
-    pub exploration: Exploration,
-    /// Labels of the analyses that were required to fire.
-    pub expect: Vec<&'static str>,
-    /// Whether every expected analysis fired.
-    pub caught: bool,
-}
-
 /// The whole suite's outcome.
 pub struct SuiteResult {
     /// Configuration the suite ran under.
     pub config: SuiteConfig,
     /// Main-program outcomes, report order.
     pub programs: Vec<Exploration>,
-    /// Mutant outcomes, report order.
-    pub mutants: Vec<MutantResult>,
 }
 
 impl SuiteResult {
@@ -108,23 +99,8 @@ impl SuiteResult {
             o.push_str(&exploration_json(p, "    "));
             o.push_str(if i + 1 < self.programs.len() { ",\n" } else { "\n" });
         }
-        o.push_str("  ],\n  \"mutants\": [\n");
-        for (i, m) in self.mutants.iter().enumerate() {
-            o.push_str("    {\n");
-            o.push_str(&format!("      \"expect\": [{}],\n", m.expect.iter().map(|e| json_str(e)).collect::<Vec<_>>().join(", ")));
-            o.push_str(&format!("      \"caught\": {},\n", m.caught));
-            o.push_str("      \"exploration\":\n");
-            o.push_str(&exploration_json(&m.exploration, "      "));
-            o.push_str("\n    }");
-            o.push_str(if i + 1 < self.mutants.len() { ",\n" } else { "\n" });
-        }
         o.push_str("  ],\n  \"summary\": {\n");
-        o.push_str(&format!("    \"programs_clean\": {},\n", self.programs_clean()));
-        o.push_str(&format!("    \"mutants_total\": {},\n", self.mutants.len()));
-        o.push_str(&format!(
-            "    \"mutants_caught\": {}\n",
-            self.mutants.iter().filter(|m| m.caught).count()
-        ));
+        o.push_str(&format!("    \"programs_clean\": {}\n", self.programs_clean()));
         o.push_str("  }\n}\n");
         o
     }
@@ -182,31 +158,11 @@ pub fn json_str(s: &str) -> String {
     o
 }
 
-fn judge(m: &Mutant, x: &Exploration) -> bool {
-    m.expect.iter().all(|e| match e {
-        Expect::Races => !x.races.is_empty(),
-        Expect::Lin => x.lin_violations > 0,
-        Expect::Invariant => x.invariant_violations > 0,
-    })
-}
-
-/// Runs the whole suite: every main program, then every mutant.
+/// Runs the whole suite: every main program.
 pub fn run_suite(cfg: &SuiteConfig) -> SuiteResult {
     let programs: Vec<Exploration> =
         main_programs().iter().map(|p| explore_within(p, program_budget(p.name), cfg)).collect();
-    let mutants: Vec<MutantResult> = all_mutants()
-        .iter()
-        .map(|m| {
-            let x = explore_within(&m.program, MUTANT_BUDGET, cfg);
-            let caught = judge(m, &x);
-            MutantResult {
-                expect: m.expect.iter().map(|e| e.label()).collect(),
-                caught,
-                exploration: x,
-            }
-        })
-        .collect();
-    SuiteResult { config: *cfg, programs, mutants }
+    SuiteResult { config: *cfg, programs }
 }
 
 #[cfg(test)]
