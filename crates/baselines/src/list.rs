@@ -28,11 +28,6 @@ impl OneSidedList {
         Ok(OneSidedList { head, arena: Arena::new(alloc.clone(), 4096, AllocHint::Spread) })
     }
 
-    /// Address of the head word (for sharing).
-    pub fn head_addr(&self) -> FarAddr {
-        self.head
-    }
-
     /// Inserts at the head. Three far accesses (read head, publish node,
     /// CAS head), retried on races.
     pub fn insert(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {

@@ -62,11 +62,6 @@ impl OneSidedSkipList {
         Ok(OneSidedSkipList { head, arena: Arena::new(alloc.clone(), 4096, AllocHint::Spread) })
     }
 
-    /// Head tower address (for sharing).
-    pub fn head_addr(&self) -> FarAddr {
-        self.head
-    }
-
     /// Inserts `key → value` (single writer). Reads the search path (one
     /// far access per visited node) and splices the new tower.
     pub fn insert(&mut self, client: &mut FabricClient, key: u64, value: u64) -> Result<()> {

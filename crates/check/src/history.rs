@@ -142,6 +142,17 @@ impl History {
         v[t.0].failed = true;
     }
 
+    /// One operation of `client`, start to end: invokes `op`, runs it, and
+    /// completes it with `ret` of its answer — or, on an error, marks it
+    /// failed without effect.
+    pub fn run<T, E>(&self, client: u32, op: Op, run: impl FnOnce() -> Result<T, E>, ret: impl FnOnce(T) -> Ret) {
+        let t = self.invoke(client, op);
+        match run() {
+            Ok(answer) => self.complete(t, ret(answer)),
+            Err(_) => self.fail(t),
+        }
+    }
+
     /// Records an operation that is known to linearize before everything
     /// still to come (setup writes): invocation and response are stamped
     /// back to back.

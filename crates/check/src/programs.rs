@@ -9,51 +9,26 @@
 //! client *before* the observer is installed, so initialisation accesses
 //! are invisible to the detector by construction.
 //!
-//! Four programs run with the race detector off, deliberately:
+//! Six programs run with the race detector off, deliberately, each
+//! because its contract is its history (and finale), not its accesses:
 //!
 //! * `queue_fifo` and `queue_wrap` — the queue's `saai` slot publish is a
 //!   plain write the consumer's guarded `faai_swap` races by design (the
-//!   epoch guard and slot sentinel make it safe); the FIFO *history* is
-//!   the contract, and `queue_wrap`'s drain finale checks exactly-once.
+//!   epoch guard and slot sentinel make it safe); `queue_wrap`'s drain
+//!   finale checks exactly-once.
 //! * `httree_split` and `httree_split_race` — gets are optimistic
 //!   version-validated multi-word reads that intentionally race bucket
-//!   rewrites; the map history is the contract.
+//!   rewrites.
+//! * `reclaim_evicted_publish` — an evicted reader's batch has already
+//!   read memory grace no longer protects, and discards the answer.
+//! * `replica_failover` — a register of plain reads and writes.
 //!
-//! `httree_publish` keeps the detector *on* over the same tree: its
-//! readers run under epoch guards and nothing restructures, so every
-//! access it makes is ordered by a bucket CAS or the epoch registry.
-//!
-//! `reclaim_hinted_get` does the same over the record layer's hinted
-//! get, whose speculative reads overlap the writer's record writes on
-//! purpose ([`AccessKind::SpeculativeRead`] is not a conflict; serving
-//! the bytes it returned without asking the tree is a *history* bug).
+//! Every other program keeps the detector on: its clients run under
+//! epoch guards, so every access is ordered by a CAS or the registry
+//! (speculative reads, [`AccessKind::SpeculativeRead`], are no conflict;
+//! serving their bytes without asking the tree is a *history* bug).
 //!
 //! [`AccessKind::SpeculativeRead`]: farmem_fabric::AccessKind::SpeculativeRead
-//!
-//! `reclaim_hinted_get_many` is its batched twin: the same hints, the
-//! same racing stores, through the lookup doorbell's fenced descriptors.
-//! `reclaim_hinted_table` takes that reader's hints from a one-slot
-//! [`HintTable`] the writer's stores fill and the reader learns back into.
-//!
-//! [`HintTable`]: farmem_core::HintTable
-//!
-//! `reclaim_take` puts the tree's removal protocol in the same setting:
-//! a take whose bucket CAS races a neighbour's put, under a hinted reader
-//! of the record being unlinked.
-//!
-//! `reclaim_trim` races the reclaim-mode splices of a put and a take —
-//! each replaces or unlinks an item below its chain's head — against a
-//! restructure's drain and poison volley, beside gets.
-//!
-//! `reclaim_split` restructures a tree under a client that cached it
-//! before the split: the old table may be freed and reused only after
-//! that client's pin reported the split's restructure generation and it
-//! refreshed its directory.
-//!
-//! `reclaim_evict` covers the crashed-client path: a client pins an
-//! epoch and never resyncs again (a crash, as far as the registry can
-//! tell — guard drops are purely client-local), and the reclaimer must
-//! still make progress by evicting the stale slot after its lease.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -63,8 +38,11 @@ use farmem_baselines::FarMutex;
 use farmem_core::{
     FarBlobMap, FarQueue, HintTable, HtTree, HtTreeConfig, QueueConfig, RecordHint,
 };
-use farmem_fabric::{splitmix64, BatchOp, FabricClient, FabricConfig, FarAddr, FaultPlan};
+use farmem_fabric::{
+    splitmix64, BatchOp, FabricClient, FabricConfig, FarAddr, FaultPlan, NodeId, ReplicaConfig,
+};
 use farmem_reclaim::{pin, pin_deferred, Publish, ReclaimRegistry, SharedReclaim};
+use farmem_serve::{charged_bytes, CacheServer, Response, ServeConfig, TenantSpec};
 
 use crate::explore::{PreparedRun, Program};
 use crate::history::{History, Op, Ret};
@@ -163,11 +141,7 @@ pub fn queue_fifo() -> Program {
             let hp = h.clone();
             let pbody: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for v in [11u64, 22] {
-                    let t = hp.invoke(pid, Op::Enq { v });
-                    match qp.enqueue(&mut pc, v) {
-                        Ok(()) => hp.complete(t, Ret::Unit),
-                        Err(_) => hp.fail(t),
-                    }
+                    hp.run(pid, Op::Enq { v }, || qp.enqueue(&mut pc, v), |()| Ret::Unit);
                 }
             });
             let hc = h.clone();
@@ -341,11 +315,7 @@ pub fn httree_split() -> Program {
                 // Crosses the load threshold on the first insert: the
                 // split runs concurrently with the other client's ops.
                 for k in 3..6u64 {
-                    let t = h2.invoke(aid, Op::Put { k, v: k + 100 });
-                    match ha.put(&mut ca, k, k + 100) {
-                        Ok(()) => h2.complete(t, Ret::Unit),
-                        Err(_) => h2.fail(t),
-                    }
+                    h2.run(aid, Op::Put { k, v: k + 100 }, || ha.put(&mut ca, k, k + 100), |()| Ret::Unit);
                 }
             });
             let h3 = h.clone();
@@ -357,16 +327,12 @@ pub fn httree_split() -> Program {
                     Op::Get { k: 2 },
                 ];
                 for op in ops {
-                    let t = h3.invoke(bid, op.clone());
-                    let r = match op {
+                    let run = || match op {
                         Op::Get { k } => hb.get(&mut cb, k).map(Ret::OptVal),
                         Op::Put { k, v } => hb.put(&mut cb, k, v).map(|_| Ret::Unit),
                         _ => unreachable!(),
                     };
-                    match r {
-                        Ok(ret) => h3.complete(t, ret),
-                        Err(_) => h3.fail(t),
-                    }
+                    h3.run(bid, op.clone(), run, |ret| ret);
                 }
             });
             PreparedRun {
@@ -385,13 +351,13 @@ pub fn httree_split() -> Program {
 /// each client overloads its own table with three puts, and the third
 /// restructures it, taking no lock. The two publishes race for the
 /// directory pointer; the loser splices its tables into the winner's
-/// directory. Checked: per-key map linearizability, and a finale in which
-/// a fresh handle scans the whole key space and finds exactly the
-/// acknowledged keys — a publish that erased the other's tables would
-/// lose their keys or leave a retired table in the directory. (A client
-/// reading the *other* table would wait out its restructure one refresh
-/// per step under a schedule that never runs the splitter.) Race detection
-/// off, as for [`httree_split`].
+/// directory. A reader gets the key each third put stores, one of each
+/// table, waiting out a restructure in progress one refresh per step.
+/// Checked: per-key map linearizability, and a finale in which a fresh
+/// handle scans the whole key space and finds exactly the acknowledged
+/// keys — a publish that erased the other's tables would lose their keys
+/// or leave a retired table in the directory. Race detection off, as for
+/// [`httree_split`].
 pub fn httree_split_race() -> Program {
     Program {
         name: "httree_split_race",
@@ -440,6 +406,16 @@ pub fn httree_split_race() -> Program {
                     }
                 }));
             }
+            let mut cr = f.client();
+            let rid = cr.id();
+            participants.push(rid);
+            let mut hr = tree.attach(&mut cr, &alloc, cfg).unwrap();
+            let hc = h.clone();
+            bodies.push(Box::new(move || {
+                for k in [13u64, 23] {
+                    hc.run(rid, Op::Get { k }, || hr.get(&mut cr, k), Ret::OptVal);
+                }
+            }));
             let (f2, alloc2) = (f.clone(), alloc.clone());
             let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
                 let mut cz = f2.client();
@@ -1131,11 +1107,7 @@ pub fn reclaim_trim() -> Program {
             // (`Contended`: a table taken by a restructurer that is not
             // scheduled) ends with no effect.
             let get = |h: &History, id: u32, ht: &mut farmem_core::HtTreeHandle, c: &mut FabricClient, k| {
-                let t = h.invoke(id, Op::Get { k });
-                match ht.get(c, k) {
-                    Ok(v) => h.complete(t, Ret::OptVal(v)),
-                    Err(_) => h.fail(t),
-                }
+                h.run(id, Op::Get { k }, || ht.get(c, k), Ret::OptVal)
             };
             // Whether the put and the take landed.
             let (put, took) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
@@ -1377,7 +1349,7 @@ pub fn reclaim_evict() -> Program {
 }
 
 /// Epoch-based reclamation, a publish carried past an eviction: reader A
-/// caches a pointer `x` (a table, in miniature) and never publishes
+/// caches a pointer `x` (standing in for a table) and never publishes
 /// while writer B seals past it and out-waits A's lease, so setup ends
 /// with A's slot evicted and an epoch event in A's queue. A's read pins
 /// with [`pin_deferred`] and carries the slot CAS at the head of its one
@@ -1476,17 +1448,24 @@ fn evicted_publish_run() -> PreparedRun {
     }
 }
 
-/// Miniature fenced-failover protocol over a replicated register
-/// (crate::replica's protocol, shrunk to three far words). The register
-/// lives on a "primary" word `d_a`, mirrored to a "replica" word `d_b`
-/// (both seeded with the initial value); a configuration-epoch word `e`
-/// is the fencing token. The promoter *fences first* — CAS `e` 0→1 —
-/// and only then serves its write from the promoted replica; readers
-/// consult the epoch and read whichever copy it selects. Checked:
-/// register linearizability — real-time order across the promotion (a
-/// read invoked after the new primary's write completed must see it).
-/// Races off: the epoch word is the only synchronisation, and the
-/// mutants of this protocol are credited to the history checker.
+/// Virtual instant at which [`replica_failover`]'s primary crash-stops.
+const LOSS_NS: u64 = 1_000_000;
+
+/// The fenced failover of DESIGN §10 on the fabric's own groups: one
+/// register word on a [`ReplicaConfig::mirrored`]`(1)` fabric whose
+/// primary crash-stops at `LOSS_NS` ([`MemoryNode::schedule_crash_permanent`]).
+/// A writer whose clock is behind the loss stores 2, mirrored before its
+/// ack; a client whose clock is past it stores 3, so its verb waits out
+/// the failover lease, promotes the replica (a new epoch, the deposed
+/// node fenced) and re-issues there; a reader behind the loss, its view
+/// cached in setup, reads twice — after the promotion only the fence
+/// turns it from the deposed primary. Before each recorded read it looks
+/// once, unrecorded: a client runs only when granted a verb, so the look
+/// lets a read be invoked after another client's write completed.
+/// Checked: register linearizability across the promotion. Races off:
+/// plain reads and writes of a register race by design.
+///
+/// [`MemoryNode::schedule_crash_permanent`]: farmem_fabric::MemoryNode::schedule_crash_permanent
 pub fn replica_failover() -> Program {
     Program {
         name: "replica_failover",
@@ -1494,64 +1473,78 @@ pub fn replica_failover() -> Program {
         check_races: false,
         max_steps: 150,
         build: Box::new(|| {
-            let f = fabric(false);
-            let alloc = FarAlloc::new(f.clone());
+            let replication = ReplicaConfig::mirrored(1);
+            let f = FabricConfig { replication, ..FabricConfig::count_only(64 << 20) }.build();
             let mut c0 = f.client();
-            let e = word(&mut c0, &alloc);
-            let d_a = alloc.alloc(8, AllocHint::Spread).unwrap();
-            let d_b = alloc.alloc(8, AllocHint::Spread).unwrap();
-            c0.write_u64(d_a, 1).unwrap();
-            c0.write_u64(d_b, 1).unwrap();
+            let reg = FarAlloc::new(f.clone()).alloc(8, AllocHint::Spread).unwrap();
+            c0.write_u64(reg, 1).unwrap();
+            f.node(NodeId(0)).schedule_crash_permanent(LOSS_NS);
             let h = Arc::new(History::new());
             h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![1] }, Ret::Unit);
-            // Promoter: fence the deposed primary by bumping the epoch,
-            // then serve the new write from the promoted replica.
-            let mut cp = f.client();
-            let pid = cp.id();
-            let hp = h.clone();
-            let pbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let t = hp.invoke(pid, Op::RegWrite { part: 0, v: vec![2] });
-                assert_eq!(cp.cas(e, 0, 1).unwrap(), 0, "sole promoter");
-                cp.write_u64(d_b, 2).unwrap();
-                hp.complete(t, Ret::Unit);
-            });
-            // Reader: epoch first, then the copy the epoch selects.
-            let mut cr = f.client();
-            let rid = cr.id();
-            let hr = h.clone();
-            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for _ in 0..2 {
-                    let t = hr.invoke(rid, Op::RegRead { part: 0 });
-                    let epoch = cr.read_u64(e).unwrap();
-                    let v = if epoch == 0 {
-                        cr.read_u64(d_a).unwrap()
-                    } else {
-                        cr.read_u64(d_b).unwrap()
-                    };
-                    hr.complete(t, Ret::Vals(vec![v]));
+            // (clock, value stored, or `None` for the reader)
+            let roles = [(0, Some(2)), (LOSS_NS, Some(3)), (0, None)];
+            let (mut participants, mut bodies) = (Vec::new(), Vec::<Box<dyn FnOnce() + Send>>::new());
+            for (clock, store) in roles {
+                let mut c = f.client();
+                c.advance_time(clock);
+                if store.is_none() {
+                    c.read_u64(reg).unwrap();
                 }
-            });
-            PreparedRun {
-                fabric: f,
-                participants: vec![pid, rid],
-                bodies: vec![pbody, rbody],
-                history: h,
-                finale: None,
+                let id = c.id();
+                participants.push(id);
+                let h = h.clone();
+                bodies.push(Box::new(move || match store {
+                    Some(v) => h.run(id, Op::RegWrite { part: 0, v: vec![v] }, || c.write_u64(reg, v), |()| Ret::Unit),
+                    None => {
+                        for _ in 0..2 {
+                            let _ = c.read_u64(reg);
+                            h.run(id, Op::RegRead { part: 0 }, || c.read_u64(reg), |v| Ret::Vals(vec![v]));
+                        }
+                    }
+                }));
             }
+            PreparedRun { fabric: f, participants, bodies, history: h, finale: None }
         }),
     }
 }
 
-/// The serving layer's TTL protocol (`farmem-serve`), shrunk to two far
-/// words: an expiry flag (the record's TTL field, already past its
-/// deadline) and the value word. A reader pins, consults the flag, and
-/// serves the value only while the flag is clear — an expired record is
-/// a miss (tombstone value 0). The expirer raises the flag with a CAS
-/// (the unlink point), then retires the value word through the registry
-/// and reclaims. Checked: race-freedom, register linearizability (a get
-/// invoked after the expiry completed must miss — nothing is ever served
-/// past its TTL), and a per-run invariant that expiry actually frees the
-/// record's bytes.
+/// The TTL of [`serve_ttl_evict`]'s record: past its owner's clock,
+/// ahead of its reader's.
+const TTL_NS: u64 = 1_000_000;
+
+/// Payload bytes of [`serve_ttl_evict`]'s records: past the prefetch, so
+/// a get reads the payload's tail in a second access.
+const TTL_VALUE_LEN: u64 = FarBlobMap::<1>::PREFETCHED + 16;
+
+/// A record payload of [`TTL_VALUE_LEN`] bytes, every word `w`.
+fn ttl_value(w: u64) -> Vec<u8> {
+    w.to_le_bytes().repeat((TTL_VALUE_LEN / 8) as usize)
+}
+
+/// The word a [`ttl_value`] payload holds, or [`POISON`] for one whose
+/// head and tail were read from two records.
+fn ttl_word(payload: &[u8]) -> u64 {
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    let (head, tail) = (word(0), word(payload.len() - 8));
+    if head == tail { head } else { POISON }
+}
+
+/// The serving TTL of DESIGN §13 through [`ServeWorker`]'s synchronous
+/// API, one client and one worker shard per participant. Setup stores a
+/// record (payload words 7) with a `TTL_NS` TTL through its owning
+/// shard, then a key whose hint takes the record's slot of the server's
+/// hint table, so the reader's first get looks the key up before it
+/// reads the record — the window in which an unlinked record must stay
+/// intact. The owner, its clock past the TTL, gets the key (expired: a
+/// miss that unlinks and retires the record — a write of 0 in the
+/// history), then stores the colliding key again, now in the record's
+/// size class; the reader, on the other shard and ahead of the TTL, gets
+/// the key twice. Checked: race-freedom, register linearizability —
+/// nothing served past the expiry, no hit mixing two records — and a
+/// finale in which the owner's reclaim passes free the expired record's
+/// bytes.
+///
+/// [`ServeWorker`]: farmem_serve::ServeWorker
 pub fn serve_ttl_evict() -> Program {
     Program {
         name: "serve_ttl_evict",
@@ -1562,72 +1555,66 @@ pub fn serve_ttl_evict() -> Program {
             let f = fabric(false);
             let alloc = FarAlloc::new(f.clone());
             let mut c0 = f.client();
-            let reg = ReclaimRegistry::create(&mut c0, &alloc, 4).unwrap();
-            let exp = word(&mut c0, &alloc);
-            let val = alloc.alloc(8, AllocHint::Spread).unwrap();
-            c0.write_u64(val, 7).unwrap();
+            let cfg = ServeConfig {
+                ht: HtTreeConfig { initial_buckets: 4, ..HtTreeConfig::default() },
+                reclaim_slots: 4,
+                n_workers: 2,
+                reclaim_every: u64::MAX,
+                ..ServeConfig::default()
+            };
+            let server = CacheServer::create(&mut c0, &alloc, cfg).unwrap();
+            let tenant = server.add_tenant(TenantSpec::unlimited("ttl")).unwrap();
+            // Two keys of one shard and one slot of `HintTable::new`'s
+            // 2^18, the top bits of a key's mix. Were the table to change,
+            // the reader's first get would be hinted, and m13 would escape.
+            let (key, collider) = (1, 363_795);
+            let wid = server.owner_of(tenant.namespaced(key), 2);
+            let slot = |k| splitmix64(tenant.namespaced(k)) >> 46;
+            assert_eq!(server.owner_of(tenant.namespaced(collider), 2), wid);
+            assert_eq!(slot(collider), slot(key));
+            let mut co = f.client();
+            let oid = co.id();
+            let mut owner = server.worker(wid, 2, &mut co).unwrap();
+            owner.put(&mut co, tenant, key, &ttl_value(7), Some(TTL_NS)).unwrap();
+            owner.put(&mut co, tenant, collider, &[1], None).unwrap();
+            co.advance_time(TTL_NS);
+            let mut cr = f.client();
+            let rid = cr.id();
+            let mut reader = server.worker(1 - wid, 2, &mut cr).unwrap();
             let h = Arc::new(History::new());
             h.seed(c0.id(), Op::RegWrite { part: 0, v: vec![7] }, Ret::Unit);
-            let mut ca = f.client();
-            let aid = ca.id();
-            let sa = reg.attach(&mut ca, &alloc).unwrap();
-            let mut cb = f.client();
-            let bid = cb.id();
-            let sb = reg.attach(&mut cb, &alloc).unwrap();
-            let participants = vec![aid, bid];
-            let h2 = h.clone();
-            let abody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for _ in 0..2 {
-                    let t = h2.invoke(aid, Op::RegRead { part: 0 });
-                    match pin(&sa, &mut ca) {
-                        Ok(g) => {
-                            let expired = ca.read_u64(exp).unwrap() != 0;
-                            let v = if expired { 0 } else { ca.read_u64(val).unwrap() };
-                            drop(g);
-                            h2.complete(t, Ret::Vals(vec![v]));
-                        }
-                        Err(_) => h2.fail(t),
-                    }
-                }
+            let shard = Arc::new(Mutex::new((owner, co)));
+            let (ho, so) = (h.clone(), shard.clone());
+            let obody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let (owner, co) = &mut *so.lock().unwrap();
+                ho.run(oid, Op::RegWrite { part: 0, v: vec![0] }, || owner.get(co, tenant, key), |_| Ret::Unit);
+                owner.put(co, tenant, collider, &ttl_value(9), None).unwrap();
             });
-            let freed_flag = Arc::new(AtomicU64::new(0));
-            let ff = freed_flag.clone();
-            let h3 = h.clone();
-            let bbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let t = h3.invoke(bid, Op::RegWrite { part: 0, v: vec![0] });
-                // The unlink point: raising the flag is what turns the
-                // record into a miss; everything after is reclamation.
-                assert_eq!(cb.cas(exp, 0, 1).unwrap(), 0, "sole expirer");
-                h3.complete(t, Ret::Unit);
-                {
-                    let mut hh = sb.lock().unwrap();
-                    hh.retire(&mut cb, val, 8).unwrap();
-                    hh.seal(&mut cb).unwrap();
-                }
-                // Enough rounds that the backoff out-waits a reader whose
-                // published epoch lags (same lease path as reclaim_evict).
-                // The freed word is never poisoned here: a lease-evicted
-                // reader mid-read is legal fallout of the lease, and the
-                // allocator's free is metadata-only.
-                for _ in 0..400 {
-                    let freed = sb.lock().unwrap().reclaim(&mut cb).unwrap();
-                    if freed > 0 {
-                        ff.store(freed, Ordering::SeqCst);
-                        break;
-                    }
+            let hr = h.clone();
+            let rbody: Box<dyn FnOnce() + Send> = Box::new(move || {
+                for _ in 0..2 {
+                    let word = |got| Ret::Vals(vec![if let Response::Value(v) = got { ttl_word(&v) } else { 0 }]);
+                    hr.run(rid, Op::RegRead { part: 0 }, || reader.get(&mut cr, tenant, key), word);
                 }
             });
             let finale: Box<dyn FnOnce() -> Option<String>> = Box::new(move || {
-                if freed_flag.load(Ordering::SeqCst) == 8 {
-                    None
-                } else {
-                    Some("expired record was never freed: retire/reclaim lost the bytes".into())
+                let (owner, co) = &mut *shard.lock().unwrap();
+                let record = charged_bytes(TTL_VALUE_LEN);
+                // Enough passes that the backoff out-waits the reader's
+                // lagging slot (the lease path of reclaim_evict).
+                let mut freed = 0;
+                for _ in 0..400 {
+                    freed += owner.reclaim_pass(co).unwrap_or(0);
+                    if freed >= record {
+                        return None;
+                    }
                 }
+                Some(format!("the expired record was never freed: {freed} of {record} bytes"))
             });
             PreparedRun {
                 fabric: f,
-                participants,
-                bodies: vec![abody, bbody],
+                participants: vec![oid, rid],
+                bodies: vec![obody, rbody],
                 history: h,
                 finale: Some(finale),
             }

@@ -45,7 +45,7 @@ const PROGRAM_BUDGETS: &[(&str, Budget, Budget)] = &[
     ("reclaim_publish", (120, 24), (40, 8)),
     ("reclaim_evict", (80, 12), (30, 4)),
     ("reclaim_evicted_publish", (120, 24), (40, 8)),
-    ("replica_failover", (120, 24), (40, 8)),
+    ("replica_failover", (160, 24), (40, 8)),
     ("serve_ttl_evict", (160, 24), (80, 12)),
     ("mutex_counter_chaos", (60, 24), (20, 8)),
     ("queue_wrap", (60, 24), (20, 8)),
