@@ -35,7 +35,8 @@ use farmem_fabric::{
 };
 use farmem_rpc::ServerCpu;
 use farmem_serve::{
-    charged_bytes, CacheServer, Request, Response, ServeConfig, ServeWorker, TenantId, TenantSpec,
+    charged_bytes, CacheServer, Request, Response, ServeConfig, ServeWorker, SessionSummary,
+    TenantId, TenantSpec,
 };
 
 /// Keys preloaded per phase-A deployment.
@@ -49,6 +50,10 @@ const SKEWS: [f64; 3] = [0.5, 0.99, 1.2];
 const FLEET: [usize; 4] = [1, 4, 16, 64];
 /// Phase-D keyspace.
 const D_KEYS: u64 = 1024;
+/// Tenants and raw keys per tenant of phase D's session run: the shape
+/// of `perf/`'s serve-sessions.
+const MUX_TENANTS: [&str; 4] = ["mux0", "mux1", "mux2", "mux3"];
+const MUX_KEYS: u64 = 25_000;
 
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
@@ -402,9 +407,9 @@ fn phase_c(args: &BenchArgs) -> (Table, Table, f64, f64, u64) {
 
 /// Phase D: closed-loop fleet vs the two-sided RPC baseline, plus the
 /// session-multiplexing determinism check and the fleet extrapolation.
-/// Returns (crossover table, extrapolation table, serve/rpc Mops at the
-/// largest fleet, sessions deterministic).
-fn phase_d(args: &BenchArgs) -> (Table, Table, f64, f64, bool) {
+/// Returns (crossover table, extrapolation table, hint-source table,
+/// serve/rpc Mops at the largest fleet, sessions deterministic).
+fn phase_d(args: &BenchArgs) -> (Table, Table, Table, f64, f64, bool) {
     let ops = 1_500;
     let seed = args.seed_or(0x20_5e) + 7;
     let theta = 0.99;
@@ -525,8 +530,15 @@ fn phase_d(args: &BenchArgs) -> (Table, Table, f64, f64, bool) {
         FLEET.last().unwrap()
     );
 
-    // ---- session multiplexing determinism (runtime listener) ----
+    // ---- session multiplexing determinism (runtime listener), and where
+    // the sessions' gets found their hints ----
     let sessions: usize = 512;
+    let mut zipf = ZipfTable::new(MUX_KEYS, theta, seed);
+    let draws: Arc<Vec<Vec<(usize, u64)>>> = Arc::new(
+        (0..sessions)
+            .map(|s| (0..16).map(|i| ((s + i) % MUX_TENANTS.len(), zipf.next_key())).collect())
+            .collect(),
+    );
     let run = || {
         let fabric = FabricConfig::single_node(512 << 20).build();
         let alloc = FarAlloc::new(fabric.clone());
@@ -537,23 +549,42 @@ fn phase_d(args: &BenchArgs) -> (Table, Table, f64, f64, bool) {
             ..serve_cfg()
         };
         let server = Arc::new(CacheServer::create(&mut c, &alloc, cfg).unwrap());
-        let tenant = server.add_tenant(TenantSpec::unlimited("mux")).unwrap();
+        let tenants =
+            MUX_TENANTS.map(|name| server.add_tenant(TenantSpec::unlimited(name)).unwrap());
+        // Preloaded through a worker the sessions do not use, as
+        // `perf/`'s serve-sessions does: every get's hint comes from the
+        // server's table.
         let mut w = server.worker(0, 1, &mut c).unwrap();
-        for key in 0..256u64 {
-            w.put(&mut c, tenant, key, &[key as u8; 64], None).unwrap();
+        for t in tenants {
+            for key in 0..MUX_KEYS {
+                w.put(&mut c, t, key, &[key as u8; 64], None).unwrap();
+            }
         }
         drop(w);
+        let draws = draws.clone();
         let results = server.run_sessions(sessions, move |s| {
-            (0..16u64)
-                .map(|i| Request::Get { tenant, key: (s as u64 * 31 + i * 7) % 256 })
-                .collect()
+            draws[s].iter().map(|&(t, key)| Request::Get { tenant: tenants[t], key }).collect()
         });
-        let hits: u64 = results.iter().map(|r| r.output.hits).sum();
-        assert_eq!(hits, sessions as u64 * 16, "preloaded keys must all hit");
-        results.iter().map(|r| (r.index, r.output.hits, r.clock_ns)).collect::<Vec<_>>()
+        let sum = |f: fn(&SessionSummary) -> u64| results.iter().map(|r| f(&r.output)).sum::<u64>();
+        let gets = sessions as u64 * 16;
+        assert_eq!(sum(|o| o.hits), gets, "preloaded keys must all hit");
+        let (hinted, stale) = (sum(|o| o.hinted_gets), sum(|o| o.stale_hints));
+        let clocks: Vec<_> = results.iter().map(|r| (r.index, r.output.hits, r.clock_ns)).collect();
+        (clocks, [("fresh", hinted - stale), ("stale", stale), ("unhinted", gets - hinted)])
     };
-    let deterministic = run() == run();
+    let (clocks, sources) = run();
+    let deterministic = (clocks, sources) == run();
     assert!(deterministic, "session runs diverged between identical executions");
+    let mut t3 = Table::new(
+        "E20d3: session gets by hint source — one worker, 512 sessions × 16 gets, zipf s=0.99 \
+         over 4 × 25,000 keys preloaded through a dropped worker()",
+        &["source", "gets", "share"],
+    );
+    let gets: u64 = sources.iter().map(|&(_, n)| n).sum();
+    for (source, n) in sources {
+        let share = format!("{:.2}%", 100.0 * n as f64 / gets as f64);
+        t3.row(vec![source.into(), n.to_string(), share]);
+    }
 
     // ---- extrapolation (the E4/E8 discipline: measured per-op costs
     // scaled to fleet hardware, labelled as extrapolation) ----
@@ -583,7 +614,7 @@ fn phase_d(args: &BenchArgs) -> (Table, Table, f64, f64, bool) {
         format!("{:.1}M (per server)", rpc_mops_top),
         format!("{:.2}M (per server)", rpc_users / 1e6),
     ]);
-    (t, t2, serve_mops_top, rpc_mops_top, deterministic)
+    (t, t2, t3, serve_mops_top, rpc_mops_top, deterministic)
 }
 
 fn main() {
@@ -597,9 +628,10 @@ fn main() {
     let (tc1, tc2, bounded_ratio, growth_ratio, expired_served) = phase_c(&args);
     report.add(tc1);
     report.add(tc2);
-    let (td, td2, serve_mops, rpc_mops, deterministic) = phase_d(&args);
+    let (td, td2, td3, serve_mops, rpc_mops, deterministic) = phase_d(&args);
     report.add(td);
     report.add(td2);
+    report.add(td3);
 
     let mut v = Table::new("E20e: verdict", &["check", "value"]);
     v.row(vec![

@@ -653,11 +653,12 @@ pub fn reclaim_hinted_get_many() -> Program {
         max_steps: 900,
         build: Box::new(|| {
             hinted_batches(
+                [1, 2],
                 |_, _| {},
                 |mut cr, mut mr, h, [a, b, c, d]| {
                     Box::new(move || {
                         for mut hints in [[c, d], [b, a], [d, c]].map(|pair| pair.map(Some)) {
-                            hinted_batch(&mut cr, &mut mr, &h, &mut hints);
+                            hinted_batch(&mut cr, &mut mr, &h, [1, 2], &mut hints);
                         }
                     })
                 },
@@ -667,36 +668,44 @@ pub fn reclaim_hinted_get_many() -> Program {
 }
 
 /// [`reclaim_hinted_get_many`] with its hints from a shared table, as a
-/// serve deployment's gets take them: a [`HintTable`] of one slot, so
-/// keys 1 and 2 collide and a key's hint is often the other's or none.
-/// Setup leaves key 1's freed `a` in the slot, and the writer puts each
-/// new record's hint into it. The reader's three batches each read the
-/// slot for both keys, serve them and learn each handed-back hint with
-/// the table's CAS from the word read, so a batch that finishes late
-/// races the writer's puts for the slot. Checked: race-freedom and
-/// per-key map linearizability over record contents, as in the other
-/// hinted programs: whatever the slot held, the tree decided.
+/// serve deployment's gets take them: a [`HintTable`] of one set, and two
+/// keys of one tag, so the table keeps one word for both and hands each
+/// key its own hint or the other's — the tag false positive a serve get
+/// meets when two keys of one set share a tag. The keys are 1 and the
+/// next key of its tag; they share one of the map's two buckets. Setup
+/// leaves key 1's freed `a` in the word, and the writer puts each new
+/// record's hint into it. The reader's three batches each read the table
+/// for both keys, serve them and learn each handed-back hint with the
+/// table's CAS from the word read, so a batch that finishes late races
+/// the writer's puts for the word. Checked: race-freedom and per-key map
+/// linearizability over record contents, as in the other hinted
+/// programs: whatever the word held, the tree decided.
 ///
 /// [`HintTable`]: farmem_core::HintTable
 pub fn reclaim_hinted_table() -> Program {
+    let twin = (2u64..)
+        .find(|&k| HintTable::tag_of(k) == HintTable::tag_of(1))
+        .expect("a key of key 1's tag");
+    let keys = [1, twin];
     Program {
         name: "reclaim_hinted_table",
         model: Some(Model::Kv),
         check_races: true,
         max_steps: 900,
-        build: Box::new(|| {
-            let table = Arc::new(HintTable::with_slot_bits(0));
+        build: Box::new(move || {
+            let table = Arc::new(HintTable::with_set_bits(0));
             let tw = table.clone();
             hinted_batches(
+                keys,
                 move |k, hint| tw.put(k, hint),
                 |mut cr, mut mr, h, [a, ..]| {
-                    table.put(1, a);
+                    table.put(keys[0], a);
                     Box::new(move || {
                         for _ in 0..3 {
-                            let read = [1u64, 2].map(|k| table.get(k));
+                            let read = keys.map(|k| table.get(k));
                             let mut hints = read.map(|(hint, _)| hint);
-                            hinted_batch(&mut cr, &mut mr, &h, &mut hints);
-                            for ((k, (_, seen)), hint) in [1u64, 2].into_iter().zip(read).zip(hints) {
+                            hinted_batch(&mut cr, &mut mr, &h, keys, &mut hints);
+                            for ((k, (_, seen)), hint) in keys.into_iter().zip(read).zip(hints) {
                                 table.learn(k, seen, hint);
                             }
                         }
@@ -708,15 +717,16 @@ pub fn reclaim_hinted_table() -> Program {
 }
 
 /// The run [`reclaim_hinted_get_many`] and [`reclaim_hinted_table`]
-/// share: a reclaim-mode map of two buckets, never restructured. Setup
-/// stores key 1 three times (hints `a`, `b`, `c`) and key 2 once (`d`)
-/// and runs one grace period, which frees `a`'s and `b`'s blocks, `b`'s
-/// last. The writer overwrites key 1 (into `b`'s block), stores key 2
-/// (into `a`'s) and overwrites key 1 again, running a grace round after
-/// each store and handing each new record's hint to `stored`. `reader`
-/// takes the reader's client and map, the history and `[a, b, c, d]`,
-/// and returns the reader's body.
+/// share over `keys` `[k, l]`: a reclaim-mode map of two buckets, never
+/// restructured. Setup stores `k` three times (hints `a`, `b`, `c`) and
+/// `l` once (`d`) and runs one grace period, which frees `a`'s and `b`'s
+/// blocks, `b`'s last. The writer overwrites `k` (into `b`'s block),
+/// stores `l` (into `a`'s) and overwrites `k` again, running a grace
+/// round after each store and handing each new record's hint to
+/// `stored`. `reader` takes the reader's client and map, the history and
+/// `[a, b, c, d]`, and returns the reader's body.
 fn hinted_batches(
+    [k, l]: [u64; 2],
     stored: impl Fn(u64, RecordHint) + Send + 'static,
     reader: impl FnOnce(FabricClient, FarBlobMap, Arc<History>, [RecordHint; 4]) -> Box<dyn FnOnce() + Send>,
 ) -> PreparedRun {
@@ -746,18 +756,22 @@ fn hinted_batches(
     let (mut cw, sw, mut mw) = attach();
     let (mut cr, _sr, mut mr) = attach();
     let (wid, rid) = (cw.id(), cr.id());
-    let [a, b, c] = [1, 2, 3].map(|v| mw.put(&mut cw, 1, [], &padded(v)).unwrap().1);
-    let d = mw.put(&mut cw, 2, [], &padded(21)).unwrap().1;
-    h.seed(wid, Op::Put { k: 1, v: 3 }, Ret::Unit);
-    h.seed(wid, Op::Put { k: 2, v: 21 }, Ret::Unit);
+    let [a, b, c] = [1, 2, 3].map(|v| mw.put(&mut cw, k, [], &padded(v)).unwrap().1);
+    let d = mw.put(&mut cw, l, [], &padded(21)).unwrap().1;
+    h.seed(wid, Op::Put { k, v: 3 }, Ret::Unit);
+    h.seed(wid, Op::Put { k: l, v: 21 }, Ret::Unit);
     sw.lock().unwrap().seal(&mut cw).unwrap();
-    mr.get_if(&mut cr, 1, &mut None, |[]| true).unwrap();
+    mr.get_if(&mut cr, k, &mut None, |[]| true).unwrap();
     let freed = sw.lock().unwrap().reclaim(&mut cw).unwrap();
-    // Both superseded records and the two tree items that named them.
-    assert_eq!(freed, 2 * (FarBlobMap::<0>::PREFETCH + 32), "both superseded records");
+    // Both superseded records and the tree items that named them: a
+    // block of `k` per overwrite, and one more when `l`'s store replaced
+    // the block of a shared bucket.
+    let shared = splitmix64(k) % 2 == splitmix64(l) % 2;
+    let items = 32 * (2 + u64::from(shared));
+    assert_eq!(freed, 2 * FarBlobMap::<0>::PREFETCH + items, "both superseded records");
     let h2 = h.clone();
     let wbody: Box<dyn FnOnce() + Send> = Box::new(move || {
-        for (k, v) in [(1u64, 12u64), (2, 22), (1, 13)] {
+        for (k, v) in [(k, 12u64), (l, 22), (k, 13)] {
             let t = h2.invoke(wid, Op::Put { k, v });
             let (_, hint) = mw.put(&mut cw, k, [], &padded(v)).unwrap();
             stored(k, hint);
@@ -782,16 +796,17 @@ fn hinted_batches(
     }
 }
 
-/// One reader batch of keys 1 and 2 through [`FarBlobMap::get_many`],
-/// recorded in `h`; `hints` comes back as the lookups handed it back.
+/// One reader batch of `keys` through [`FarBlobMap::get_many`], recorded
+/// in `h`; `hints` comes back as the lookups handed it back.
 fn hinted_batch(
     cr: &mut FabricClient,
     mr: &mut FarBlobMap,
     h: &History,
+    keys: [u64; 2],
     hints: &mut [Option<RecordHint>; 2],
 ) {
-    let ts = [1u64, 2].map(|k| h.invoke(cr.id(), Op::Get { k }));
-    let got = mr.get_many(cr, &[1, 2], hints, |[]| true).unwrap();
+    let ts = keys.map(|k| h.invoke(cr.id(), Op::Get { k }));
+    let got = mr.get_many(cr, &keys, hints, |[]| true).unwrap();
     for (t, got) in ts.into_iter().zip(got) {
         let v = got.flatten().map(|b| u64::from_le_bytes(b[..8].try_into().expect("padded")));
         h.complete(t, Ret::OptVal(v));
@@ -1532,17 +1547,17 @@ fn ttl_word(payload: &[u8]) -> u64 {
 /// The serving TTL of DESIGN §13 through [`ServeWorker`]'s synchronous
 /// API, one client and one worker shard per participant. Setup stores a
 /// record (payload words 7) with a `TTL_NS` TTL through its owning
-/// shard, then a key whose hint takes the record's slot of the server's
-/// hint table, so the reader's first get looks the key up before it
-/// reads the record — the window in which an unlinked record must stay
-/// intact. The owner, its clock past the TTL, gets the key (expired: a
-/// miss that unlinks and retires the record — a write of 0 in the
-/// history), then stores the colliding key again, now in the record's
-/// size class; the reader, on the other shard and ahead of the TTL, gets
-/// the key twice. Checked: race-freedom, register linearizability —
-/// nothing served past the expiry, no hit mixing two records — and a
-/// finale in which the owner's reclaim passes free the expired record's
-/// bytes.
+/// shard, then keys of that shard and of the key's set of the server's
+/// hint table until one takes the record's way, so the reader's first
+/// get looks the key up before it reads the record — the window in
+/// which an unlinked record must stay intact. The owner, its clock past
+/// the TTL, gets the key (expired: a miss that unlinks and retires the
+/// record — a write of 0 in the history), then stores that last
+/// colliding key again, now in the record's size class; the reader, on
+/// the other shard and ahead of the TTL, gets the key twice. Checked:
+/// race-freedom, register linearizability — nothing served past the
+/// expiry, no hit mixing two records — and a finale in which the owner's
+/// reclaim passes free the expired record's bytes.
 ///
 /// [`ServeWorker`]: farmem_serve::ServeWorker
 pub fn serve_ttl_evict() -> Program {
@@ -1564,19 +1579,31 @@ pub fn serve_ttl_evict() -> Program {
             };
             let server = CacheServer::create(&mut c0, &alloc, cfg).unwrap();
             let tenant = server.add_tenant(TenantSpec::unlimited("ttl")).unwrap();
-            // Two keys of one shard and one slot of `HintTable::new`'s
-            // 2^18, the top bits of a key's mix. Were the table to change,
-            // the reader's first get would be hinted, and m13 would escape.
-            let (key, collider) = (1, 363_795);
-            let wid = server.owner_of(tenant.namespaced(key), 2);
-            let slot = |k| splitmix64(tenant.namespaced(k)) >> 46;
-            assert_eq!(server.owner_of(tenant.namespaced(collider), 2), wid);
-            assert_eq!(slot(collider), slot(key));
+            let key = 1;
+            let ns = |k| tenant.namespaced(k);
+            let wid = server.owner_of(ns(key), 2);
             let mut co = f.client();
             let oid = co.id();
             let mut owner = server.worker(wid, 2, &mut co).unwrap();
             owner.put(&mut co, tenant, key, &ttl_value(7), Some(TTL_NS)).unwrap();
-            owner.put(&mut co, tenant, collider, &[1], None).unwrap();
+            // Keys of the owner's shard and of `key`'s set, stored until
+            // one takes `key`'s way: the reader's first get is unhinted.
+            // Were it hinted, m13 would escape.
+            let table = server.hints();
+            let same_set = |k| {
+                server.owner_of(ns(k), 2) == wid && table.set_of(ns(k)) == table.set_of(ns(key))
+            };
+            let collider = (2..1 << 24)
+                .filter(|&k| same_set(k))
+                .find(|&k| {
+                    owner.put(&mut co, tenant, k, &[1], None).unwrap();
+                    table.get(ns(key)).0.is_none()
+                })
+                .expect("the key's hint left the table");
+            // Free the blocks setup's stores retired, so that the finale
+            // counts only what the bodies retire.
+            let setup_freed: u64 = (0..3).map(|_| owner.reclaim_pass(&mut co).unwrap()).sum();
+            assert!(setup_freed > 0, "setup's retired blocks freed");
             co.advance_time(TTL_NS);
             let mut cr = f.client();
             let rid = cr.id();
