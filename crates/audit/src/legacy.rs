@@ -1,19 +1,19 @@
 //! The five original `xtask` repo lints, migrated onto the lexer.
 //!
-//! Semantics are unchanged — same rules, same `lint: <name>-ok` marker
-//! grammar, same test-module and per-crate exemptions — but every
-//! pattern now matches against [`Lexed::masked`] text, where comments
+//! Semantics are unchanged — same rules, same test-module and per-crate
+//! exemptions — but every pattern now matches against
+//! [`Lexed::masked`] text, where comments
 //! and string/char *contents* are blanked before any pattern looks at
 //! a line. That retires the two `LineFilter` blind-spot classes:
 //!
 //! * multi-line `/* … */` block comments: code inside them was linted
 //!   (false positives on commented-out examples);
 //! * raw strings `r#"…"#`: their contents looked like code to a grep
-//!   (false positives on embedded source, e.g. this crate's own
-//!   fixtures).
+//!   (false positives on embedded source, e.g. this crate's own unit
+//!   tests).
 //!
-//! Markers stay matched against the *raw* line — they live in
-//! comments, which masking blanks.
+//! Like the dataflow passes, the lints report every violation; waivers
+//! are applied by [`crate::audit_source`].
 
 use crate::lex::Lexed;
 use crate::{AuditConfig, Finding};
@@ -71,19 +71,16 @@ pub fn is_assignment(rest: &str) -> bool {
 }
 
 /// Line-oriented view shared by the migrated lints: masked (code-only)
-/// lines for pattern matching, raw lines for marker lookup, and the
-/// test-module cutoff.
-struct LintView<'a> {
+/// lines for pattern matching and the test-module cutoff.
+struct LintView {
     masked_lines: Vec<String>,
-    raw_lines: Vec<&'a str>,
     cutoff: u32,
 }
 
-impl<'a> LintView<'a> {
-    fn new(lx: &'a Lexed) -> LintView<'a> {
+impl LintView {
+    fn new(lx: &Lexed) -> LintView {
         LintView {
             masked_lines: lx.masked().lines().map(str::to_string).collect(),
-            raw_lines: lx.src.lines().collect(),
             cutoff: lx.test_cutoff_line().unwrap_or(u32::MAX),
         }
     }
@@ -95,11 +92,6 @@ impl<'a> LintView<'a> {
         } else {
             self.masked_lines.get(i).map_or("", String::as_str)
         }
-    }
-
-    /// Raw text of 0-based line `i` (for marker lookup).
-    fn raw(&self, i: usize) -> &str {
-        self.raw_lines.get(i).copied().unwrap_or("")
     }
 
     fn len(&self) -> usize {
@@ -133,9 +125,6 @@ fn far_addr(path: &str, v: &LintView, out: &mut Vec<Finding>) {
     const OPS: [&str; 7] = [" + ", " - ", " * ", " / ", " % ", " << ", " >> "];
     for i in 0..v.len() {
         let line = v.code(i);
-        if v.raw(i).contains("lint: far-addr-ok") {
-            continue;
-        }
         let mut from = 0usize;
         while let Some(pos) = line[from..].find("FarAddr(") {
             let at = from + pos + "FarAddr".len();
@@ -158,7 +147,7 @@ fn far_addr(path: &str, v: &LintView, out: &mut Vec<Finding>) {
 
 /// Every `retire(x)` / `retire_restructure(x)` call sits in a guard
 /// scope: a `pin(`/`pin_deferred(`/`Guard` within the preceding 80 *code*
-/// lines, or an explicit `lint: retire-ok` justification within 10 lines.
+/// lines.
 fn retire_guard(path: &str, v: &LintView, out: &mut Vec<Finding>) {
     for i in 0..v.len() {
         let line = v.code(i);
@@ -173,13 +162,12 @@ fn retire_guard(path: &str, v: &LintView, out: &mut Vec<Finding>) {
         if args.starts_with(')') {
             continue;
         }
-        let marker = (i.saturating_sub(10)..=i).any(|j| v.raw(j).contains("lint: retire-ok"));
         let guarded = (i.saturating_sub(80)..i)
             .any(|j| {
                 let code = v.code(j);
                 code.contains("pin(") || code.contains("pin_deferred(") || code.contains("Guard")
             });
-        if !marker && !guarded {
+        if !guarded {
             out.push(Finding {
                 file: path.to_string(),
                 line: (i + 1) as u32,
@@ -199,13 +187,6 @@ fn retire_guard(path: &str, v: &LintView, out: &mut Vec<Finding>) {
 fn stats_mut(path: &str, v: &LintView, cfg: &AuditConfig, out: &mut Vec<Finding>) {
     for i in 0..v.len() {
         let line = v.code(i);
-        // The justification marker may sit on the line itself or the
-        // comment line directly above it.
-        let marked = v.raw(i).contains("lint: stats-ok")
-            || (i > 0 && v.raw(i - 1).contains("lint: stats-ok"));
-        if marked {
-            continue;
-        }
         for field in &cfg.stats_fields {
             let needle = format!(".{field}");
             let mut from = 0usize;
@@ -273,19 +254,16 @@ fn block_async(path: &str, v: &LintView, out: &mut Vec<Finding>) {
         if !line.contains(".with(") && !line.contains("client.") {
             continue;
         }
-        let marked = (i.saturating_sub(4)..=i).any(|j| v.raw(j).contains("lint: block-ok"));
-        if !marked {
-            out.push(Finding {
-                file: path.to_string(),
-                line: (i + 1) as u32,
-                function: String::new(),
-                pass: "block-async".to_string(),
-                message: "blocking fabric access inside an async fn".to_string(),
-                suggestion: "suspend at the doorbell instead, or annotate \
-                             `// lint: block-ok — <why>` within 4 lines above"
-                    .to_string(),
-            });
-        }
+        out.push(Finding {
+            file: path.to_string(),
+            line: (i + 1) as u32,
+            function: String::new(),
+            pass: "block-async".to_string(),
+            message: "blocking fabric access inside an async fn".to_string(),
+            suggestion: "suspend at the doorbell instead, or annotate \
+                         `// lint: block-ok — <why>` within 4 lines above"
+                .to_string(),
+        });
     }
 }
 
@@ -372,9 +350,6 @@ let ok = FarAddr(stored);
 
         let guarded = "let guard = pin(&shared, client)?;\nh.retire(client, addr, len)?;\n";
         assert!(run("crates/core/src/x.rs", guarded).is_empty());
-
-        let marked = "// lint: retire-ok: teardown after quiesce\nh.retire(client, addr, len)?;\n";
-        assert!(run("crates/core/src/x.rs", marked).is_empty());
 
         // The restructure retire is held to the same rule.
         let restructure = "h.retire_restructure(client, addr, len)?;\n";

@@ -89,7 +89,6 @@ impl Lexed {
                     // One space per byte (not per char): multi-byte
                     // chars in comments must not shift byte columns.
                     for b in text.bytes() {
-                        // audit: rt-in-loop-ok: String building — `b` is a byte, not a client
                         out.push(if b == b'\n' { '\n' } else { ' ' });
                     }
                 }
@@ -232,7 +231,11 @@ fn scan_str(b: &[u8], open: usize, line: &mut u32) -> usize {
     let mut i = open + 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // A `\` that ends the line continues the string on the next.
+                *line += u32::from(b.get(i + 1) == Some(&b'\n'));
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -450,12 +453,12 @@ mod tests {
 
     #[test]
     fn line_numbers_track_multiline_tokens() {
-        let src = "/* a\nb */ x\n\"s\ntr\" y";
+        let src = "/* a\nb */ x\n\"s\ntr\" y\n\"con\\\ntinued\" z";
         let lx = lex(src);
-        let x = lx.tokens.iter().find(|t| lx.text(t) == "x").unwrap();
-        let y = lx.tokens.iter().find(|t| lx.text(t) == "y").unwrap();
-        assert_eq!(x.line, 2);
-        assert_eq!(y.line, 4);
+        let line = |word: &str| lx.tokens.iter().find(|t| lx.text(t) == word).unwrap().line;
+        assert_eq!(line("x"), 2);
+        assert_eq!(line("y"), 4);
+        assert_eq!(line("z"), 6, "a `\\` at the end of a line continues the string");
     }
 
     #[test]

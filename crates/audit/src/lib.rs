@@ -35,36 +35,30 @@
 //! `LineFilter` blind spots (multi-line `/* */` comments, raw
 //! strings).
 //!
-//! ## Annotation grammar
+//! ## Waivers
 //!
-//! A deliberate exception carries a marker in a comment on the finding
-//! line or within the 4 lines above it:
+//! A deliberate exception carries a marker in a comment: `audit:` (or
+//! `lint:`, the migrated lints' historical spelling), the word of the
+//! pass it waives with `-ok` appended, then `: <why>`. The word is the
+//! pass's name, except `retire`, `stats` and `block` for
+//! `retire-guard`, `stats-mut` and `block-async`. A marker covers the
+//! findings of its pass on its own line and the [`WINDOW`] lines below,
+//! and never another pass's.
 //!
-//! ```text
-//! // audit: rt-in-loop-ok: pointer chase — each hop depends on the last
-//! ```
+//! A waiver must waive something. One that covers no finding is itself
+//! a finding of the `dead-waiver` pass: a marker that outlived its code,
+//! or one placed where its pass does not run. A finding two markers
+//! cover counts for the nearer one only, so the farther one is dead
+//! unless it covers a finding of its own.
 //!
-//! (`lint:` is accepted as a synonym for the migrated lints, which
-//! keep their historical `lint: far-addr-ok` spelling.) The marker
-//! names the pass it suppresses; a marker never suppresses another
-//! pass.
+//! ## Mutants
 //!
-//! ## Fixture corpus
-//!
-//! `fixtures/*.rs` are standalone seeded-violation files (never
-//! compiled) in the farmem-check mutation-score style: each declares
-//! the path it pretends to live at and the passes it must trip:
-//!
-//! ```text
-//! // fixture-path: crates/core/src/seeded.rs
-//! // fixture-expect: rt-in-loop
-//! ```
-//!
-//! `fixture-expect: clean` asserts zero findings. The audit gate
-//! (`cargo run -p xtask -- audit`, driver `e21_audit`) requires 100%
-//! of mutants caught and every clean fixture clean — an analyzer
-//! change that silently loses a detection class fails CI the same way
-//! a lost dynamic invariant fails `farmem-check`.
+//! The analyzer is checked against the code that ships:
+//! `crates/audit/mutants/*.mutant` are edits of shipped files in the
+//! format of `farmem-check`'s mutants, whose `expect` names audit
+//! passes. The `analyzer` integration test applies each one to its
+//! target's text in memory and audits the result; exactly the passes it
+//! expects must fire, and every entry of [`PASSES`] needs a mutant.
 
 pub mod legacy;
 pub mod lex;
@@ -113,9 +107,9 @@ impl Default for AuditConfig {
 }
 
 /// Every pass the analyzer runs: four dataflow passes, four migrated
-/// line lints, and the crate-root `forbid-unsafe` check. The fixture
-/// corpus gate requires at least one mutant per entry.
-pub const PASSES: [&str; 9] = [
+/// line lints, the crate-root `forbid-unsafe` check and the waiver rule
+/// `dead-waiver`. Each needs at least one mutant (crate docs).
+pub const PASSES: [&str; 10] = [
     "rt-in-loop",
     "lock-across-rt",
     "guard-escape",
@@ -125,7 +119,11 @@ pub const PASSES: [&str; 9] = [
     "stats-mut",
     "block-async",
     "forbid-unsafe",
+    "dead-waiver",
 ];
+
+/// How many lines below its marker a waiver reaches.
+pub const WINDOW: u32 = 4;
 
 /// Pass scoping by workspace-relative path (forward slashes). Mirrors
 /// the old linter's per-pass exclude lists and extends them to the
@@ -159,14 +157,57 @@ pub fn pass_enabled(pass: &str, path: &str) -> bool {
 }
 
 /// All per-file passes (dataflow + migrated lints) over one source
-/// file. `path` is the workspace-relative path used for scoping and
-/// reporting.
+/// file, with its waivers applied. `path` is the workspace-relative path
+/// used for scoping and reporting.
 pub fn audit_source(path: &str, src: &str, cfg: &AuditConfig) -> Vec<Finding> {
     let lx = lex::lex(src);
-    let sketches = sketch::extract(&lx);
-    let mut out = passes::dataflow_findings(path, &lx, &sketches, cfg);
-    out.extend(legacy::legacy_findings(path, &lx, cfg));
+    let mut found = passes::dataflow_findings(path, &sketch::extract(&lx), cfg);
+    found.extend(legacy::legacy_findings(path, &lx, cfg));
+    let mut out = waive(path, &passes::markers(&lx), found);
     out.sort();
+    out
+}
+
+/// The marker word that waives `pass` (crate docs).
+fn waiver_word(pass: &str) -> &str {
+    match pass {
+        "retire-guard" => "retire",
+        "stats-mut" => "stats",
+        "block-async" => "block",
+        pass => pass,
+    }
+}
+
+/// Drops each finding a marker covers, crediting the nearest marker
+/// above it, and reports each marker credited with none as a
+/// `dead-waiver` finding.
+fn waive(path: &str, marks: &[passes::Marker], found: Vec<Finding>) -> Vec<Finding> {
+    let mut live = vec![false; marks.len()];
+    let mut out: Vec<Finding> = found
+        .into_iter()
+        .filter(|f| {
+            let covers = |m: &passes::Marker| {
+                m.word == waiver_word(&f.pass) && (m.line..=m.line + WINDOW).contains(&f.line)
+            };
+            let nearest = (0..marks.len()).filter(|&i| covers(&marks[i])).max_by_key(|&i| marks[i].line);
+            nearest.inspect(|&i| live[i] = true).is_none()
+        })
+        .collect();
+    for (m, _) in marks.iter().zip(live).filter(|(_, live)| !live) {
+        out.push(Finding {
+            file: path.to_string(),
+            line: m.line,
+            function: String::new(),
+            pass: "dead-waiver".to_string(),
+            message: format!(
+                "`{}-ok` waives nothing: no finding of its pass on this line or the {WINDOW} below",
+                m.word
+            ),
+            suggestion: "delete the marker; a reason that still explains the code may stay \
+                         as a plain comment"
+                .to_string(),
+        });
+    }
     out
 }
 
@@ -290,8 +331,7 @@ pub fn crate_roots(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Files subject to per-file passes: `.rs` under `src/`, `crates/`,
-/// `shims/`, excluding integration `tests/`, `benches/`, and this
-/// crate's seeded-violation `fixtures/`.
+/// `shims/`, excluding integration `tests/` and `benches/`.
 pub fn source_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for group in ["src", "crates", "shims"] {
@@ -299,7 +339,7 @@ pub fn source_files(root: &Path) -> Vec<PathBuf> {
     }
     out.retain(|p| {
         let r = rel(root, p);
-        !r.contains("/tests/") && !r.contains("/benches/") && !r.contains("/fixtures/")
+        !r.contains("/tests/") && !r.contains("/benches/")
     });
     out.sort();
     out
@@ -367,92 +407,6 @@ pub fn audit_tree(root: &Path, cfg: &AuditConfig) -> io::Result<AuditReport> {
     Ok(AuditReport { findings, files_scanned: files.len() })
 }
 
-/// One fixture file's contract, parsed from its header directives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FixtureSpec {
-    /// The workspace-relative path the fixture pretends to live at
-    /// (so path-scoped passes apply as they would in the real tree).
-    pub pretend_path: String,
-    /// Passes the fixture must trip; empty means `clean` (zero
-    /// findings required).
-    pub expect: Vec<String>,
-}
-
-/// Parses `// fixture-path:` and `// fixture-expect:` directives.
-/// Returns `None` when either is missing (not a fixture file).
-pub fn fixture_spec(src: &str) -> Option<FixtureSpec> {
-    let mut path = None;
-    let mut expect: Vec<String> = Vec::new();
-    let mut saw_expect = false;
-    for line in src.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("// fixture-path:") {
-            path = Some(rest.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("// fixture-expect:") {
-            saw_expect = true;
-            for p in rest.split(',') {
-                let p = p.trim();
-                if !p.is_empty() && p != "clean" {
-                    expect.push(p.to_string());
-                }
-            }
-        }
-    }
-    expect.sort();
-    expect.dedup();
-    Some(FixtureSpec { pretend_path: path?, expect: if saw_expect { expect } else { return None } })
-}
-
-/// One fixture's outcome under the analyzer.
-#[derive(Debug, Clone)]
-pub struct FixtureResult {
-    /// Fixture file name (not the pretend path).
-    pub name: String,
-    pub spec: FixtureSpec,
-    /// Distinct passes that fired, sorted.
-    pub fired: Vec<String>,
-    /// Total findings.
-    pub findings: usize,
-    /// Mutants: every expected pass fired. Clean fixtures: zero
-    /// findings.
-    pub caught: bool,
-}
-
-/// Runs the analyzer over every `*.rs` fixture in `dir`, in file-name
-/// order (deterministic). Panics on a fixture missing its directives —
-/// a malformed corpus is a bug, not a soft failure.
-pub fn run_fixture_corpus(dir: &Path, cfg: &AuditConfig) -> io::Result<Vec<FixtureResult>> {
-    let mut files: Vec<PathBuf> = fs::read_dir(dir)?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .collect();
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let src = fs::read_to_string(&path)?;
-        let spec = fixture_spec(&src)
-            .unwrap_or_else(|| panic!("{name}: missing fixture-path/fixture-expect directives"));
-        let mut findings = audit_source(&spec.pretend_path, &src, cfg);
-        // A fixture pretending to be a crate root is also subject to
-        // the root-level forbid-unsafe pass.
-        if spec.pretend_path.ends_with("/lib.rs") || spec.pretend_path.ends_with("main.rs") {
-            findings.extend(forbid_unsafe_source(&spec.pretend_path, &src));
-        }
-        let mut fired: Vec<String> = findings.iter().map(|f| f.pass.clone()).collect();
-        fired.sort();
-        fired.dedup();
-        let caught = if spec.expect.is_empty() {
-            findings.is_empty()
-        } else {
-            spec.expect.iter().all(|p| fired.contains(p))
-        };
-        out.push(FixtureResult { name, spec, fired, findings: findings.len(), caught });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,18 +462,57 @@ mod tests {
         assert!(r.render_text().contains("crates/core/src/x.rs:3 [rt-in-loop] (fn get): m"));
     }
 
+    /// Which passes fire on `src` at `path`, waivers applied.
+    fn fired(path: &str, src: &str) -> Vec<String> {
+        let mut passes: Vec<String> =
+            audit_source(path, src, &AuditConfig::default()).into_iter().map(|f| f.pass).collect();
+        passes.sort_unstable();
+        passes.dedup();
+        passes
+    }
+
     #[test]
-    fn fixture_directive_parsing() {
-        let src = "// fixture-path: crates/core/src/x.rs\n// fixture-expect: rt-in-loop, lock-across-rt\nfn f() {}\n";
-        let spec = fixture_spec(src).unwrap();
-        assert_eq!(spec.pretend_path, "crates/core/src/x.rs");
-        assert_eq!(spec.expect, vec!["lock-across-rt".to_string(), "rt-in-loop".to_string()]);
+    fn a_waiver_covers_its_window_and_one_that_covers_nothing_is_a_finding() {
+        // A verb loop with `marks` above the verb, `gap` blank lines
+        // between them.
+        let serial = |marks: &str, gap: usize| {
+            format!(
+                "fn f(client: &mut FabricClient, n: u64) {{\n    for i in 0..n {{\n{marks}{}\
+                 \x20       client.read_u64(a).unwrap();\n    }}\n}}\n",
+                "\n".repeat(gap)
+            )
+        };
+        let ok = "        // audit: rt-in-loop-ok: why\n";
+        let core = "crates/core/src/x.rs";
+        for (case, path, src, want) in [
+            ("directly above", core, serial(ok, 0), vec![]),
+            ("at the window's edge", core, serial(ok, WINDOW as usize - 1), vec![]),
+            ("past the window", core, serial(ok, WINDOW as usize), vec!["dead-waiver", "rt-in-loop"]),
+            ("the legacy spelling", core, serial("// lint: rt-in-loop-ok: why\n", 0), vec![]),
+            ("another pass's", core, serial("// lint: far-addr-ok: why\n", 0), vec!["dead-waiver", "rt-in-loop"]),
+            ("a word of no pass", core, serial("// audit: rt-loop-ok: why\n", 0), vec!["dead-waiver", "rt-in-loop"]),
+            // Two markers over one finding: the nearer waives it, the
+            // farther waives nothing.
+            ("a second in one window", core, serial(&ok.repeat(2), 0), vec!["dead-waiver"]),
+            ("where the pass does not run", "crates/bench/src/x.rs", serial(ok, 0), vec!["dead-waiver"]),
+            ("with nothing to waive", core, format!("{ok}fn f() {{}}\n"), vec!["dead-waiver"]),
+        ] {
+            assert_eq!(fired(path, &src), want, "a waiver {case}");
+        }
+    }
 
-        let clean = "// fixture-path: crates/core/src/x.rs\n// fixture-expect: clean\n";
-        assert_eq!(fixture_spec(clean).unwrap().expect, Vec::<String>::new());
-
-        assert!(fixture_spec("fn f() {}\n").is_none());
-        assert!(fixture_spec("// fixture-path: a.rs\n").is_none());
+    #[test]
+    fn forbid_unsafe_needs_the_attribute_in_code() {
+        let root = "crates/x/src/lib.rs";
+        assert!(forbid_unsafe_source(root, "#![forbid(unsafe_code)]\npub fn f() {}\n").is_none());
+        for src in [
+            "//! The attribute `#![forbid(unsafe_code)]` is discussed, never declared.\n",
+            "/*\n#![forbid(unsafe_code)]\n*/\npub fn f() {}\n",
+            "pub fn attr() -> &'static str {\n    \"#![forbid(unsafe_code)]\"\n}\n",
+        ] {
+            let f = forbid_unsafe_source(root, src).map(|f| f.pass);
+            assert_eq!(f.as_deref(), Some("forbid-unsafe"), "{src}");
+        }
     }
 
     #[test]

@@ -20,28 +20,26 @@
 //!   mid-failover); both real `Drop` impls in the tree are purely
 //!   local by design, and this pass keeps it that way.
 //!
-//! Deliberate exceptions carry `// audit: <pass>-ok: <why>` markers on
-//! the finding line or within the four lines above — the same grammar
-//! (and window) the legacy `lint: <name>-ok` markers use.
+//! The passes report every violation they see; [`crate::audit_source`]
+//! then drops the ones a waiver marker covers (the grammar is in the
+//! crate docs).
 
 use crate::lex::{Kind, Lexed};
 use crate::sketch::{batched_twin, Ev, FnSketch};
 use crate::{AuditConfig, Finding};
 
-/// One `audit:`/`lint:` suppression marker: the pass it waives and the
-/// line it sits on.
+/// One `audit:`/`lint:` waiver marker: the word it names and the line it
+/// sits on.
 pub struct Marker {
-    /// Pass name (`rt-in-loop`, `far-addr`, …).
-    pub pass: String,
+    /// The word before `-ok` (`rt-in-loop`, `block`, …).
+    pub word: String,
     /// 1-based line of the marker text.
     pub line: u32,
 }
 
-/// Extracts every suppression marker from the comment tokens.
-/// Grammar: `audit: <pass>-ok[: <why>]` (new passes) and
-/// `lint: <name>-ok[: <why>]` (legacy lints) — found anywhere inside a
-/// line or block comment; a marker inside a string literal is data,
-/// not a waiver.
+/// Extracts every waiver marker from the comment tokens: `audit:` or
+/// `lint:`, a word, `-ok`, found anywhere inside a line or block
+/// comment. A marker inside a string literal is data, not a waiver.
 pub fn markers(lx: &Lexed) -> Vec<Marker> {
     let mut out = Vec::new();
     for t in &lx.tokens {
@@ -59,10 +57,10 @@ pub fn markers(lx: &Lexed) -> Vec<Marker> {
                     .chars()
                     .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
                     .collect();
-                if let Some(pass) = word.strip_suffix("-ok") {
-                    if !pass.is_empty() {
+                if let Some(word) = word.strip_suffix("-ok") {
+                    if !word.is_empty() {
                         let line = t.line + text[..at].matches('\n').count() as u32;
-                        out.push(Marker { pass: pass.to_string(), line });
+                        out.push(Marker { word: word.to_string(), line });
                     }
                 }
             }
@@ -71,35 +69,21 @@ pub fn markers(lx: &Lexed) -> Vec<Marker> {
     out
 }
 
-/// True when a finding of `pass` at `line` carries a marker on the
-/// line itself or within the four lines above.
-pub fn suppressed(marks: &[Marker], pass: &str, line: u32) -> bool {
-    marks
-        .iter()
-        .any(|m| m.pass == pass && m.line <= line && m.line + 4 >= line)
-}
-
 /// Runs all four dataflow passes over one file's sketches.
-pub fn dataflow_findings(
-    path: &str,
-    lx: &Lexed,
-    sketches: &[FnSketch],
-    cfg: &AuditConfig,
-) -> Vec<Finding> {
-    let marks = markers(lx);
+pub fn dataflow_findings(path: &str, sketches: &[FnSketch], cfg: &AuditConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in sketches {
         if crate::pass_enabled("rt-in-loop", path) {
-            rt_in_loop(path, f, &marks, &mut out);
+            rt_in_loop(path, f, &mut out);
         }
         if crate::pass_enabled("lock-across-rt", path) {
-            lock_across_rt(path, f, &marks, cfg, &mut out);
+            lock_across_rt(path, f, cfg, &mut out);
         }
         if crate::pass_enabled("guard-escape", path) {
-            guard_escape(path, f, &marks, &mut out);
+            guard_escape(path, f, &mut out);
         }
         if crate::pass_enabled("verb-in-drop", path) {
-            verb_in_drop(path, f, &marks, &mut out);
+            verb_in_drop(path, f, &mut out);
         }
     }
     out
@@ -113,7 +97,7 @@ struct LoopFrame {
 
 /// One finding per innermost loop that issues serial verbs without a
 /// batch adopter in scope.
-fn rt_in_loop(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Finding>) {
+fn rt_in_loop(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
     let mut scopes: Vec<bool> = Vec::new();
     let mut loops: Vec<LoopFrame> = Vec::new();
     let flush = |frame: LoopFrame, out: &mut Vec<Finding>| {
@@ -121,9 +105,6 @@ fn rt_in_loop(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Finding>
             return;
         }
         let (line, first) = frame.verbs[0].clone();
-        if suppressed(marks, "rt-in-loop", line) {
-            return;
-        }
         let names: Vec<&str> = frame.verbs.iter().map(|(_, n)| n.as_str()).collect();
         out.push(Finding {
             file: path.to_string(),
@@ -185,13 +166,7 @@ struct LockRegion {
 
 /// Flags lock-held regions spanning ≥ `lock_rt_threshold` fabric verbs
 /// or any `.await` — the lease-expiry hazard.
-fn lock_across_rt(
-    path: &str,
-    f: &FnSketch,
-    marks: &[Marker],
-    cfg: &AuditConfig,
-    out: &mut Vec<Finding>,
-) {
+fn lock_across_rt(path: &str, f: &FnSketch, cfg: &AuditConfig, out: &mut Vec<Finding>) {
     let mut open: Vec<LockRegion> = Vec::new();
     for ev in &f.events {
         match ev {
@@ -211,7 +186,7 @@ fn lock_across_rt(
             Ev::Release { .. } => {
                 let Some(r) = open.pop() else { continue };
                 let over = r.verbs >= cfg.lock_rt_threshold as u32 || r.awaits > 0;
-                if over && !suppressed(marks, "lock-across-rt", r.line) {
+                if over {
                     let what = if r.awaits > 0 {
                         format!("{} .await point(s)", r.awaits)
                     } else {
@@ -247,7 +222,7 @@ struct LiveGuard {
 
 /// Flags fabric verbs that dereference an identifier derived under an
 /// epoch guard after every guard it was derived under has died.
-fn guard_escape(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Finding>) {
+fn guard_escape(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
     let mut depth = 0usize;
     let mut guards: Vec<LiveGuard> = Vec::new();
     let mut next_id = 0usize;
@@ -304,7 +279,7 @@ fn guard_escape(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Findin
                 let dead = |id: &usize| guards.iter().any(|g| g.id == *id && !g.alive);
                 for ident in idents {
                     let Some(ids) = derived.get(ident) else { continue };
-                    if ids.iter().all(dead) && !suppressed(marks, "guard-escape", *line) {
+                    if ids.iter().all(dead) {
                         out.push(Finding {
                             file: path.to_string(),
                             line: *line,
@@ -331,7 +306,7 @@ fn guard_escape(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Findin
 
 /// Flags any fabric verb (including lock traffic) inside an
 /// `impl Drop` body.
-fn verb_in_drop(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Finding>) {
+fn verb_in_drop(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
     if !f.in_drop_impl {
         return;
     }
@@ -343,9 +318,6 @@ fn verb_in_drop(path: &str, f: &FnSketch, marks: &[Marker], out: &mut Vec<Findin
             Ev::Release { line } => (*line, "lock release".to_string()),
             _ => continue,
         };
-        if suppressed(marks, "verb-in-drop", line) {
-            continue;
-        }
         out.push(Finding {
             file: path.to_string(),
             line,
@@ -371,9 +343,7 @@ mod tests {
     use crate::sketch::extract;
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
-        let lx = lex(src);
-        let sketches = extract(&lx);
-        dataflow_findings(path, &lx, &sketches, &AuditConfig::default())
+        dataflow_findings(path, &extract(&lex(src)), &AuditConfig::default())
     }
 
     #[test]
@@ -388,6 +358,20 @@ fn chase(client: &mut FabricClient, ptrs: &[u64]) {
         let f = run("crates/core/src/x.rs", bad);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].pass, "rt-in-loop");
+
+        // A structure verb is a serial verb when it is handed a client.
+        let struct_verb = r#"
+fn get_all(map: &mut FarHashTree, client: &mut FabricClient, keys: &[u64]) -> Result<Vec<Option<u64>>> {
+    let mut out = Vec::with_capacity(keys.len());
+    for &key in keys {
+        out.push(map.get(client, key)?);
+    }
+    Ok(out)
+}
+"#;
+        let f = run("crates/core/src/x.rs", struct_verb);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("(get)") && f[0].suggestion.contains("get_many"), "{f:?}");
 
         let batched = r#"
 fn chase(client: &mut FabricClient, vec: &FarVec, ranges: &[(u64, u64)]) {
@@ -409,7 +393,8 @@ fn walk(client: &mut FabricClient, mut p: u64) {
     }
 }
 "#;
-        assert!(run("crates/core/src/x.rs", src).is_empty());
+        assert_eq!(run("crates/core/src/x.rs", src).len(), 1);
+        assert!(crate::audit_source("crates/core/src/x.rs", src, &AuditConfig::default()).is_empty());
     }
 
     #[test]
@@ -568,5 +553,19 @@ impl Lease {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].pass, "verb-in-drop");
         assert_eq!(f[0].function, "drop");
+
+        // Lock traffic is fabric access too: an RAII lease guard may not
+        // release the far lock in its destructor.
+        let unlock = r#"
+impl Drop for LeaseGuard<'_> {
+    fn drop(&mut self) {
+        let client = &mut *self.client;
+        let _ = self.lock.unlock(client);
+    }
+}
+"#;
+        let f = run("crates/baselines/src/x.rs", unlock);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].pass == "verb-in-drop" && f[0].message.contains("lock release"), "{f:?}");
     }
 }

@@ -1,13 +1,19 @@
 //! Whole-tree integration tests for the analyzer: the lexer must
 //! round-trip every real source file, the analyzer must be a
 //! deterministic pure function of the tree, the real tree must audit
-//! clean, and the fixture corpus must score 100%.
+//! clean, and every mutant under `crates/audit/mutants/` must be caught.
 
 #![forbid(unsafe_code)]
 
+#[allow(dead_code)] // `Mutant::is_applied` and `MUTANT_DIR` serve farmem-check.
+#[path = "../../check/src/mutants.rs"]
+mod spec;
+
 use farmem_audit::{
-    audit_tree, lex, run_fixture_corpus, source_files, workspace_root, AuditConfig, PASSES,
+    audit_source, audit_tree, crate_roots, forbid_unsafe_source, lex, source_files, workspace_root,
+    AuditConfig, PASSES,
 };
+use spec::{all_mutants, Expect, AUDIT_MUTANT_DIR, AUDIT_PASSES};
 
 /// Every token's span concatenates back to the original source, and
 /// the masked text preserves byte length and newline positions — the
@@ -55,33 +61,37 @@ fn real_tree_audits_clean() {
     );
 }
 
-/// Mutation score: every seeded-violation fixture is caught by every
-/// pass it seeds, every clean fixture stays clean, and each of the
-/// nine passes is exercised by at least one mutant.
+/// Mutation score: each mutant — one edit of a shipped file — is
+/// audited on its target's patched text, and exactly the passes it
+/// expects fire. Every pass, the waiver rule included, has a mutant.
 #[test]
-fn fixture_corpus_scores_100_percent() {
+fn every_mutant_is_caught_by_exactly_its_passes() {
     let root = workspace_root();
-    let results = run_fixture_corpus(&root.join("crates/audit/fixtures"), &AuditConfig::default())
-        .expect("read fixture corpus");
-    let mutants: Vec<_> = results.iter().filter(|r| !r.spec.expect.is_empty()).collect();
-    assert!(mutants.len() >= 8, "corpus too small: {} mutants", mutants.len());
-    assert!(
-        results.len() > mutants.len(),
-        "corpus needs at least one clean fixture as a false-positive control"
-    );
-    for r in &results {
-        assert!(
-            r.caught,
-            "fixture {} (as {}) missed: expected [{}], fired [{}]",
-            r.name,
-            r.spec.pretend_path,
-            r.spec.expect.join(", "),
-            r.fired.join(", ")
-        );
+    assert_eq!(AUDIT_PASSES, PASSES, "the mutant parser's pass names");
+    let cfg = AuditConfig::default();
+    let roots = crate_roots(&root);
+    let mutants = all_mutants(&root, AUDIT_MUTANT_DIR).unwrap_or_else(|e| panic!("{e}"));
+    for m in &mutants {
+        let shipped = m.read_target(&root).unwrap_or_else(|e| panic!("{e}"));
+        let sites = shipped.matches(&m.before).count();
+        assert_eq!(sites, 1, "mutant {}: its `before` occurs {sites} times in {}", m.name, m.target);
+        assert!(m.after.contains(&format!("MUTANT({})", m.name)), "mutant {}: `after` does not name it", m.name);
+        assert!(m.programs.is_empty(), "mutant {}: names a program", m.name);
+        let patched = m.apply(&shipped);
+        let mut found = audit_source(&m.target, &patched, &cfg);
+        if roots.contains(&root.join(&m.target)) {
+            found.extend(forbid_unsafe_source(&m.target, &patched));
+        }
+        let mut fired: Vec<&str> = found.iter().map(|f| f.pass.as_str()).collect();
+        fired.sort_unstable();
+        fired.dedup();
+        let mut want: Vec<&str> = m.expect.iter().map(|e| e.label()).collect();
+        want.sort_unstable();
+        assert_eq!(fired, want, "mutant {} of {}: the passes that fire", m.name, m.target);
     }
     for pass in PASSES {
         assert!(
-            mutants.iter().any(|r| r.spec.expect.iter().any(|e| e == pass)),
+            mutants.iter().any(|m| m.expect.contains(&Expect::Audit(pass))),
             "no mutant exercises pass {pass}"
         );
     }

@@ -191,7 +191,7 @@ impl FarMutex {
             }
             // A release may have raced the subscription; check once
             // immediately, then only on events or timeouts.
-            // audit: rt-in-loop-ok: lease acquire — one CAS per notification
+            // Lease acquire — one CAS per notification
             // wakeup or backoff slice, bounded by max_attempts.
             let my_word = Self::lease_word(client);
             let seen = client.cas(self.addr, FREE, my_word)?;

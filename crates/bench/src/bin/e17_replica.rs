@@ -29,7 +29,7 @@ use farmem_alloc::FarAlloc;
 use farmem_bench::{BenchArgs, Table};
 use farmem_core::{CoreError, FarQueue, QueueConfig, HtTree, HtTreeConfig};
 use farmem_fabric::{
-    FabricConfig, FarAddr, FaultPlan, NodeId, ReplicaConfig, TraceConfig, WORD,
+    FabricConfig, FarAddr, FaultPlan, NodeId, ReplicaConfig, TraceConfig, FAILOVER_LEASE_NS, WORD,
 };
 
 fn f2(x: f64) -> String {
@@ -223,7 +223,7 @@ fn main() {
             "unavail µs", "lease µs", "epoch",
         ],
     );
-    let lease = ReplicaConfig::mirrored(1).failover_lease_ns;
+    let lease = FAILOVER_LEASE_NS;
     let rtt = farmem_fabric::CostModel::DEFAULT.far_rtt_ns;
     let mut lost_by_k = [0u64; 3];
     let mut unavail_k1 = 0u64;

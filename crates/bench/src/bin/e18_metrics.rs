@@ -37,6 +37,7 @@ use farmem_bench::{BenchArgs, Json, Table};
 use farmem_core::{FarBlobMap, FarQueue, HtTree, HtTreeConfig, QueueConfig};
 use farmem_fabric::{
     AccessStats, CostModel, FabricConfig, FaultPlan, NodeId, ReplicaConfig, TraceConfig,
+    FAILOVER_LEASE_NS,
 };
 use farmem_metrics::{
     severity_from_name, AlarmSpec, MetricsConfig, MetricsHub, NodeSample, Sample, Scope,
@@ -447,7 +448,7 @@ fn main() {
     );
     assert_eq!(failover_alarm.scope, Scope::Client(client));
     assert_eq!(first_post_crash.delta.failovers, 1, "the sample carries the promotion");
-    let lease = ReplicaConfig::mirrored(1).failover_lease_ns;
+    let lease = FAILOVER_LEASE_NS;
     let rtt = CostModel::DEFAULT.far_rtt_ns;
     let detect_ns = first_post_crash.t_ns - run.crash_ns;
     assert!(

@@ -69,7 +69,7 @@ fn replicated_deploy(
     spread: bool,
 ) -> (Arc<Fabric>, Arc<FarAlloc>, CacheServer, ServeWorker, TenantId, FabricClient) {
     let fabric = FabricConfig {
-        replication: ReplicaConfig { spread_reads: false, ..ReplicaConfig::mirrored(MIRRORS) },
+        replication: ReplicaConfig::mirrored(MIRRORS),
         ..FabricConfig::single_node(256 << 20)
     }
     .build();

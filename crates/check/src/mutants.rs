@@ -1,5 +1,5 @@
 //! Mutation self-tests: deliberately broken variants of the shipped
-//! protocols, which the analyses must flag.
+//! code, which the analyses must flag.
 //!
 //! A mutant is a small edit of the code that ships, one file under
 //! [`MUTANT_DIR`] each — not a copy of the protocol. Its file names the
@@ -26,6 +26,12 @@
 //! `MUTANT(<name>)` comment, so no `after` occurs in the shipped tree
 //! and two mutants of one site never read the same.
 //!
+//! The static analyzer `farmem-audit` is judged by mutants of the same
+//! format under [`AUDIT_MUTANT_DIR`]: they name no `program`, and their
+//! `expect` lists the [`AUDIT_PASSES`] that must fire on the edited
+//! text. Its `analyzer` test audits each edit in memory; nothing is
+//! copied or built.
+//!
 //! `cargo run -p xtask -- mutants` applies each mutant, one at a time, to
 //! a copy of the workspace and runs the `farmem-check` test that finds
 //! the applied mutant there ([`Mutant::is_applied`]) and explores its
@@ -41,6 +47,25 @@ use std::path::Path;
 /// The mutant files, relative to the workspace root.
 pub const MUTANT_DIR: &str = "crates/check/mutants";
 
+/// The mutant files of the static analyzer, relative to the workspace
+/// root.
+pub const AUDIT_MUTANT_DIR: &str = "crates/audit/mutants";
+
+/// The static analyzer's passes, as `expect` labels: `farmem_audit::PASSES`,
+/// which the analyzer's test holds this list to.
+pub const AUDIT_PASSES: [&str; 10] = [
+    "rt-in-loop",
+    "lock-across-rt",
+    "guard-escape",
+    "verb-in-drop",
+    "far-addr",
+    "retire-guard",
+    "stats-mut",
+    "block-async",
+    "forbid-unsafe",
+    "dead-waiver",
+];
+
 /// Which analysis is expected to flag a mutant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Expect {
@@ -50,10 +75,12 @@ pub enum Expect {
     Lin,
     /// A program invariant (explorer finale) must fail.
     Invariant,
+    /// The static analyzer's pass of this name must report a finding.
+    Audit(&'static str),
 }
 
 impl Expect {
-    /// Every analysis, in report order.
+    /// Every dynamic analysis, in report order.
     pub const ALL: [Expect; 3] = [Expect::Races, Expect::Lin, Expect::Invariant];
 
     /// Stable label used in reports and mutant files.
@@ -62,6 +89,7 @@ impl Expect {
             Expect::Races => "races",
             Expect::Lin => "linearizability",
             Expect::Invariant => "invariant",
+            Expect::Audit(pass) => pass,
         }
     }
 }
@@ -73,7 +101,8 @@ pub struct Mutant {
     pub name: String,
     /// The edited source file, relative to the workspace root.
     pub target: String,
-    /// The main programs that must each catch the edit.
+    /// The main programs that must each catch the edit (none for the
+    /// analyzer's mutants).
     pub programs: Vec<String>,
     /// Every listed analysis must fire for the mutant to count as caught.
     pub expect: Vec<Expect>,
@@ -101,13 +130,14 @@ impl Mutant {
             *slot = Some(value.trim().to_string());
         }
         let programs: Vec<String> =
-            program.ok_or_else(|| err("no `program`"))?.split_whitespace().map(str::to_string).collect();
+            program.iter().flat_map(|p| p.split_whitespace()).map(str::to_string).collect();
         let expect = expect
             .ok_or_else(|| err("no `expect`"))?
             .split_whitespace()
             .map(|label| {
                 Expect::ALL
                     .into_iter()
+                    .chain(AUDIT_PASSES.map(Expect::Audit))
                     .find(|e| e.label() == label)
                     .ok_or_else(|| err(&format!("unknown analysis `{label}`")))
             })
@@ -149,14 +179,15 @@ impl Mutant {
 }
 
 /// The report order of the mutant `name`: the number after its leading
-/// `m`.
+/// letter (`m` for farmem-check's mutants, `a` for the analyzer's).
 pub fn number(name: &str) -> Option<u32> {
-    name.strip_prefix('m')?.split('_').next()?.parse().ok()
+    name.get(1..)?.split('_').next()?.parse().ok()
 }
 
-/// Every mutant under the workspace `root`, in report order ([`number`]).
-pub fn all_mutants(root: &Path) -> Result<Vec<Mutant>, String> {
-    let dir = root.join(MUTANT_DIR);
+/// Every mutant in `dir` ([`MUTANT_DIR`] or [`AUDIT_MUTANT_DIR`]) under the
+/// workspace `root`, in report order ([`number`]).
+pub fn all_mutants(root: &Path, dir: &str) -> Result<Vec<Mutant>, String> {
+    let dir = root.join(dir);
     let entries = std::fs::read_dir(&dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
     let mut mutants = Vec::new();
     for entry in entries {

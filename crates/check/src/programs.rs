@@ -1444,7 +1444,7 @@ fn evicted_publish_run() -> PreparedRun {
         assert_eq!(cb.cas(dir, x.0, y.0).unwrap(), x.0);
         hb.complete(t, Ret::Unit);
         let mut r = sb.lock().unwrap();
-        // lint: retire-ok: the CAS on `dir` unlinked it; B reads nothing through it.
+        // The CAS on `dir` unlinked it; B reads nothing through it.
         r.retire(&mut cb, x, 8).unwrap();
         r.seal(&mut cb).unwrap();
         for _ in 0..2 {

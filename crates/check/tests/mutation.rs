@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use farmem_check::explore::{explore, ExploreBounds, Exploration};
-use farmem_check::mutants::{all_mutants, number, Expect, Mutant};
+use farmem_check::mutants::{all_mutants, number, Expect, Mutant, MUTANT_DIR};
 use farmem_check::programs::main_programs;
 use farmem_check::suite::{run_suite, SuiteConfig, SuiteResult, MUTANT_BUDGET};
 
@@ -31,7 +31,7 @@ fn root() -> PathBuf {
 }
 
 fn mutants() -> Vec<Mutant> {
-    all_mutants(&root()).unwrap_or_else(|e| panic!("{e}"))
+    all_mutants(&root(), MUTANT_DIR).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
@@ -84,6 +84,7 @@ fn every_mutant_file_matches_the_shipped_tree() {
             assert!(programs.contains(&p.as_str()), "mutant {}: no main program {p}", m.name);
         }
         assert!(!m.expect.is_empty(), "mutant {}: expects no analysis", m.name);
+        assert!(m.expect.iter().all(|e| Expect::ALL.contains(e)), "mutant {}: expects an audit pass", m.name);
         let sites = m.sites(&root()).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(sites, 1, "mutant {}: its `before` occurs {sites} times in {}", m.name, m.target);
         assert!(m.after.contains(&format!("MUTANT({})", m.name)), "mutant {}: `after` does not name it", m.name);
@@ -125,6 +126,7 @@ fn caught(expect: &[Expect], x: &Exploration) -> bool {
         Expect::Races => !x.races.is_empty(),
         Expect::Lin => x.lin_violations > 0,
         Expect::Invariant => x.invariant_violations > 0,
+        Expect::Audit(_) => false,
     })
 }
 

@@ -864,7 +864,7 @@ impl HtTreeHandle {
             let entry = self.entry_for(client, key);
             let bucket = Self::bucket_addr(&entry, key);
             let speculate = hint.map(|(addr, len)| BatchOp::ReadSpeculative { addr, len });
-            // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
+            // One pass of a retry loop — re-run only
             // after a stale cache or an evicted slot.
             match self.first_access(client, pin, bucket, speculate) {
                 Ok(Some(out)) => {
@@ -1018,6 +1018,7 @@ impl HtTreeHandle {
     ) -> Result<Vec<Found>> {
         self.stats.gets += keys.len() as u64;
         let hint = |i: usize| hints.get(i).copied().flatten();
+        self.stats.hinted_gets += (0..keys.len()).filter(|&i| hint(i).is_some()).count() as u64;
         loop {
             // lint: block-ok — local event drain; refresh only on notification.
             ac.with(|client| self.sync_directory(client))?;
@@ -1029,7 +1030,6 @@ impl HtTreeHandle {
                 let bucket = Self::bucket_addr(&entries[i], key);
                 let carried = publish.as_ref().filter(|_| i == 0);
                 let speculate = hint(i).map(|(addr, len)| BatchOp::ReadSpeculative { addr, len });
-                self.stats.hinted_gets += u64::from(speculate.is_some());
                 if carried.is_none() && speculate.is_none() {
                     blocks.load0_tagged(bucket);
                 } else {
@@ -1240,7 +1240,7 @@ impl HtTreeHandle {
     ) -> Result<Option<Bucket>> {
         let addr = Self::bucket_addr(entry, key);
         let hdr = BatchOp::Read { addr: entry.table_hdr, len: HDR_LEN };
-        // audit: rt-in-loop-ok: one pass of a retry loop — re-run only
+        // One pass of a retry loop — re-run only
         // after a stale cache, an evicted slot or a lost bucket CAS.
         let Some(mut out) = self.first_access(client, pin, addr, Some(hdr))? else {
             return Ok(None);
@@ -1383,7 +1383,7 @@ impl HtTreeHandle {
             if let Some(data) = record {
                 ops.push(BatchOp::Write { addr: FarAddr(value), data });
             }
-            // audit: rt-in-loop-ok: retry loop — every pass is one whole
+            // Retry loop — every pass is one whole
             // put (the read and the splice), re-run only after a stale
             // cache or a lost bucket CAS.
             let Some(bucket) = self.read_bucket(client, &entry, key, attempt, pin)? else {
@@ -1461,7 +1461,7 @@ impl HtTreeHandle {
                     // path batched every bucket read through one doorbell.
                     _ => words(&client.read(entry.buckets, entry.n_buckets * WORD)?),
                 };
-                // audit: rt-in-loop-ok: one gather per leaf, every block of
+                // One gather per leaf, every block of
                 // the leaf at once.
                 for block in read_blocks(client, &bucket_words)?.into_iter().flatten() {
                     if block.version != entry.version {
@@ -1514,7 +1514,7 @@ impl HtTreeHandle {
             // no table is taken that could not be published. It reads the
             // header behind it for what only the far side knows: the bulk
             // block a previous split laid the table's blocks out in.
-            // audit: rt-in-loop-ok: retry loop — re-run only after another
+            // Retry loop — re-run only after another
             // client took or replaced the cached table.
             let out = client.batch(&[
                 BatchOp::Read { addr: self.tree.anchor.offset(A_DIR_PTR), len: WORD },
@@ -1582,7 +1582,7 @@ impl HtTreeHandle {
             // twice.
             let bucket_addr = entry.buckets.offset(i as u64 * WORD);
             loop {
-                // audit: rt-in-loop-ok: re-harvest of a racing mutation's
+                // Re-harvest of a racing mutation's
                 // block (rare; only after a lost poison CAS).
                 blocks[i] = read_blocks(client, &[head])?.pop().flatten();
                 // audit: rt-in-loop-ok: bounded re-poison CAS — loses only
@@ -1688,7 +1688,7 @@ impl HtTreeHandle {
             let bytes = encode_directory(&entries);
             let blob = self.alloc.alloc(bytes.len() as u64, AllocHint::Spread)?;
             let old = self.dir_ptr;
-            // audit: rt-in-loop-ok: retry loop — re-run only after another
+            // Retry loop — re-run only after another
             // table's restructure won the directory pointer.
             match client.batch(&[
                 BatchOp::Write { addr: blob, data: &bytes },
@@ -3175,8 +3175,8 @@ mod tests {
     /// publish: the client's next operation pins, its first batch carries
     /// the slot CAS, and the CAS loses. The handle re-registers once, the
     /// tree refreshes, and the operation starts over from access 1, which
-    /// wrote nothing — get, get_many, put and take each answer as for a
-    /// client that was never evicted. The get's price, whole: its first
+    /// wrote nothing — get, get_many (plain and hinted), put and take each
+    /// answer as for a client that was never evicted. The get's price, whole: its first
     /// batch, the registration scan (a read and a CAS), the refresh
     /// (anchor, entry count, entries) and the lookup again.
     #[test]
@@ -3199,6 +3199,14 @@ mod tests {
         assert_eq!(c2.stats().since(&before).round_trips, 1 + 2 + 3 + 1, "the get, whole");
         evict(&mut c1);
         assert_eq!(h2.get_many(&mut c2, &[1, 2, 99]).unwrap(), [Some(101), Some(102), None]);
+        // A hinted batch rings twice, and counts each hinted key once.
+        evict(&mut c1);
+        let (record, hinted) = (a.alloc(32, AllocHint::Spread).unwrap(), h2.stats().hinted_gets);
+        let bell = Inline::new(&mut c2);
+        let (keys, hints) = ([1, 2, 99], [Some((record, 32)), None, Some((record, 32))]);
+        let found = Inline::run(h2.get_many_async_guarded(&bell, &keys, &hints)).unwrap().0;
+        assert_eq!(found.iter().map(|f| f.0).collect::<Vec<_>>(), [Some(101), Some(102), None]);
+        assert_eq!(h2.stats().hinted_gets - hinted, 2, "one count per hinted key");
         evict(&mut c1);
         h2.put(&mut c2, 4, 7).unwrap();
         assert_eq!(h1.get(&mut c1, 4).unwrap(), Some(7));
@@ -3206,8 +3214,8 @@ mod tests {
         assert_eq!(h2.take(&mut c2, 5).unwrap(), Some(105));
         assert_eq!(h1.get(&mut c1, 5).unwrap(), None);
         let st = s2.lock().unwrap().stats();
-        assert_eq!((st.evicted, st.publishes, st.carried), (4, 4, 4), "one registration per loss");
-        assert_eq!(h2.stats().generation_refreshes - refreshes, 4);
+        assert_eq!((st.evicted, st.publishes, st.carried), (5, 5, 5), "one registration per loss");
+        assert_eq!(h2.stats().generation_refreshes - refreshes, 5);
         assert_eq!(live_slots(&mut c1, &s1), 2, "one slot per client");
     }
 

@@ -27,7 +27,7 @@ use crate::fault::{FaultPlan, FaultRng, RetryPolicy};
 use crate::node::MemoryNode;
 use crate::notify::{Event, EventSink, SubId, SubKind};
 use crate::pipeline::PipeOut;
-use crate::replica::GroupView;
+use crate::replica::{GroupView, FAILOVER_LEASE_NS};
 use crate::sample::MetricSampler;
 use crate::stats::AccessStats;
 use crate::trace::{SpanGuard, TraceConfig, TraceReport, Tracer, VerbKind};
@@ -77,12 +77,9 @@ pub struct FabricClient {
     views: Vec<Option<GroupView>>,
     /// Round-robin cursor for replica-read spreading.
     read_rr: u64,
-    /// Per-client override of the fabric-wide
-    /// [`spread_reads`](crate::replica::ReplicaConfig::spread_reads)
-    /// policy (`None` = follow the fabric). Lets a serving layer spread
-    /// only the reads it knows are safe to spread (e.g. hot keys) while
-    /// the rest keep primary-read semantics.
-    spread_override: Option<bool>,
+    /// Whether this client's reads round-robin over the replica group
+    /// ([`set_spread_reads`](Self::set_spread_reads)).
+    spread_reads: bool,
 }
 
 /// One verb inside a fenced batch.
@@ -196,7 +193,7 @@ impl FabricClient {
             seen_deliveries: 0,
             views,
             read_rr: 0,
-            spread_override: None,
+            spread_reads: false,
         }
     }
 
@@ -568,13 +565,13 @@ impl FabricClient {
     /// stale view keeps routing to a deposed primary until its fence
     /// error forces a refresh — exactly the partitioned-stale-client
     /// scenario the fencing epoch protects against. A `read` with
-    /// [`spread_reads`](crate::replica::ReplicaConfig::spread_reads) on
-    /// round-robins over every cached member of the group.
+    /// [`spread_reads`](Self::set_spread_reads) on round-robins over every
+    /// cached member of the group.
     #[inline]
     pub(crate) fn enter(&mut self, g: NodeId, read: bool, arrival: u64) -> Result<&MemoryNode> {
         let phys = if !self.fabric.replicated() {
             g
-        } else if read && self.spread_override.unwrap_or(self.fabric.replication().spread_reads) {
+        } else if read && self.spread_reads {
             self.read_rr = self.read_rr.wrapping_add(1);
             let rr = self.read_rr as usize;
             let v = self.cached_view(g);
@@ -587,17 +584,16 @@ impl FabricClient {
         Ok(node)
     }
 
-    /// Overrides the fabric-wide
-    /// [`spread_reads`](crate::replica::ReplicaConfig::spread_reads)
-    /// policy for *this client only*: `Some(true)` round-robins reads
-    /// over the cached replica group regardless of the fabric default,
-    /// `Some(false)` pins reads to the primary, and `None` (the initial
-    /// state) follows the fabric. Purely client-local routing state — no
-    /// far traffic. A serving layer toggles this around reads of keys it
-    /// has detected as hot, so cold reads keep primary locality while
-    /// hot-key load fans out over the replica group.
-    pub fn set_spread_reads(&mut self, override_: Option<bool>) {
-        self.spread_override = override_;
+    /// Round-robins this client's reads over its cached replica group
+    /// (`true`) or pins them to the primary (`false`, the initial state).
+    /// Spreading serves hot-key load from every member at the cost of
+    /// strict linearizability across concurrent readers (DESIGN.md §10).
+    /// Purely client-local routing state — no far traffic. A serving
+    /// layer turns this on around reads of keys it has detected as hot,
+    /// so cold reads keep primary locality while hot-key load fans out
+    /// over the replica group.
+    pub fn set_spread_reads(&mut self, spread: bool) {
+        self.spread_reads = spread;
     }
 
     /// The client's cached view of group `g`, fetched free of charge on
@@ -651,7 +647,7 @@ impl FabricClient {
         // every lock lease held through the dead primary has expired
         // before its successor starts serving (DESIGN.md §10), then
         // promote. The epoch condition makes racing promotions idempotent.
-        self.clock.advance(fabric.replication().failover_lease_ns);
+        self.clock.advance(FAILOVER_LEASE_NS);
         match fabric.promote(g, cached_epoch, self.clock.now()) {
             Ok(_) => {
                 self.stats.failovers += 1;

@@ -14,11 +14,12 @@
 //!   each mirror still counts as a fabric message
 //!   ([`AccessStats::replica_messages`](crate::stats::AccessStats)).
 //! * **Reads** are served by the primary, or round-robined over the whole
-//!   group when [`ReplicaConfig::spread_reads`] is on (hot-key spreading;
-//!   see DESIGN.md §10 for the consistency caveat).
+//!   group by a client that turned
+//!   [`spread_reads`](crate::client::FabricClient::set_spread_reads) on
+//!   (hot-key spreading; see DESIGN.md §10 for the consistency caveat).
 //! * **Fenced failover**: a verb hitting a crash-stopped primary surfaces
 //!   [`FabricError::NodeLost`]. The
-//!   client waits one [`ReplicaConfig::failover_lease_ns`] of virtual time
+//!   client waits one [`FAILOVER_LEASE_NS`] of virtual time
 //!   (so every lease the deposed primary's clients held has expired),
 //!   then promotes a live replica: promotion bumps the group's
 //!   *configuration epoch* — the fencing token — and fences the deposed
@@ -45,8 +46,11 @@ use std::sync::Mutex;
 use crate::addr::NodeId;
 use crate::error::{FabricError, Result};
 
-/// Default failover lease: matches `farmem_baselines::mutex::LEASE_NS`, so by
-/// the time a replica is promoted, every lock lease a client of the dead
+/// Virtual time a client waits between suspecting a primary (first
+/// [`NodeLost`](crate::error::FabricError::NodeLost)) and promoting a
+/// replica. Bounds unavailability: one failover costs at most this plus a
+/// view refresh. Matches `farmem_baselines::mutex::LEASE_NS`, so by the
+/// time a replica is promoted, every lock lease a client of the dead
 /// primary could have held has expired (fencing + leases interaction,
 /// DESIGN.md §10).
 pub const FAILOVER_LEASE_NS: u64 = 100_000_000;
@@ -58,28 +62,15 @@ pub struct ReplicaConfig {
     /// Replicas per logical node (`K`); 0 disables replication entirely
     /// (bit-identical to the unreplicated fabric).
     pub replicas: u32,
-    /// Round-robin reads over the whole group instead of always reading
-    /// the primary. Spreads hot-key load at the cost of strict
-    /// linearizability across concurrent readers (DESIGN.md §10).
-    pub spread_reads: bool,
-    /// Virtual time a client waits between suspecting a primary
-    /// (first [`NodeLost`](crate::error::FabricError::NodeLost)) and
-    /// promoting a replica. Bounds unavailability: one failover costs at
-    /// most this plus a view refresh.
-    pub failover_lease_ns: u64,
 }
 
 impl ReplicaConfig {
     /// Replication disabled — the default.
-    pub const NONE: ReplicaConfig = ReplicaConfig {
-        replicas: 0,
-        spread_reads: false,
-        failover_lease_ns: FAILOVER_LEASE_NS,
-    };
+    pub const NONE: ReplicaConfig = ReplicaConfig { replicas: 0 };
 
-    /// `k` replicas per logical node, primary reads, default lease.
+    /// `k` replicas per logical node.
     pub fn mirrored(k: u32) -> ReplicaConfig {
-        ReplicaConfig { replicas: k, ..ReplicaConfig::NONE }
+        ReplicaConfig { replicas: k }
     }
 
     /// Whether any replication state exists at all.

@@ -377,13 +377,13 @@ impl ServeWorker {
         };
         let _span = client.span(tenant.span_name());
         if spread {
-            client.set_spread_reads(Some(true));
+            client.set_spread_reads(true);
         }
         let now = client.now_ns();
         let (mut hint, seen) = self.hint_of(nskey);
         let out = self.store.get_hinted(client, nskey, &mut hint, now);
         if spread {
-            client.set_spread_reads(None);
+            client.set_spread_reads(false);
         }
         let out = out?;
         self.finish_gets(client, &[(tenant, nskey)], std::slice::from_ref(&out), &[hint], &[seen])?;
@@ -593,7 +593,7 @@ impl ServeWorker {
         self.stats.hits += hits;
         self.stats.misses += keys.len() as u64 - hits;
         for nskey in unlink {
-            // audit: rt-in-loop-ok: rare (a get that finds its record past
+            // Rare (a get that finds its record past
             // the TTL), and each unlink is a tree remove plus a retire — a
             // dependent chain per key, not one verb to batch.
             self.unlink(client, nskey)?;
@@ -686,12 +686,12 @@ async fn session_body(
     reqs: Vec<Request>,
 ) -> SessionSummary {
     let wid = index % server.shards.len();
-    // lint: block-ok — a shard's first session attaches it (control plane).
+    // A shard's first session attaches it (control plane).
     let attach = || ac.with(|c| server.worker(wid, server.shards.len(), c)).expect("worker attach");
     server.shards[wid].get_or_init(|| Mutex::new(attach()));
     // Per-session store handle: own reclaim slot (guard pins must not be
     // shared between interleaved sessions), own tree directory cache.
-    // lint: block-ok — one-time session attach (control plane).
+    // One-time session attach (control plane).
     let mut store = ac
         .with(|c| -> Result<RecordStore> {
             let shared = server.registry.attach(c, &server.alloc)?;
@@ -728,7 +728,7 @@ async fn session_body(
             }
             req => {
                 sum.ops += 1;
-                // lint: block-ok — mutations are worker-serialized sync
+                // Mutations are worker-serialized sync
                 // sections (single-writer-per-key).
                 let resp = ac.with(|c| server.with_shard(wid, |w| w.execute(c, req)));
                 match resp {
@@ -746,9 +746,9 @@ async fn session_body(
     // that to the lease.
     let tree = store.tree_stats();
     (sum.hinted_gets, sum.stale_hints) = (tree.hinted_gets, tree.stale_hints);
-    // lint: block-ok — one-time session detach (control plane).
+    // One-time session detach (control plane).
     let _ = ac.with(|c| store.release(c));
-    // lint: block-ok — the shard's seal + reclaim pass (control plane).
+    // The shard's seal + reclaim pass (control plane).
     let _ = ac.with(|c| server.with_shard(wid, |w| w.reclaim_pass(c)));
     sum.worker = server.with_shard(wid, |w| w.stats());
     sum
@@ -771,7 +771,7 @@ async fn serve_get_batch(
     let mut cold: Vec<(TenantId, u64)> = Vec::new();
     let mut hot: Vec<(TenantId, u64)> = Vec::new();
     let (mut cold_hints, mut hot_hints) = (Vec::new(), Vec::new());
-    // lint: block-ok — admission is pure compute.
+    // Admission is pure compute.
     ac.with(|c| server.with_shard(wid, |w| {
         for &(tenant, key) in batch {
             match w.admit_get(c, tenant, key).expect("admit") {
@@ -792,16 +792,16 @@ async fn serve_get_batch(
             continue;
         }
         if spread {
-            ac.with(|c| c.set_spread_reads(Some(true)));
+            ac.with(|c| c.set_spread_reads(true));
         }
         let nskeys: Vec<u64> = keys.iter().map(|&(_, k)| k).collect();
         let (mut hints, seen): (Vec<_>, Vec<_>) = hints.into_iter().unzip();
         let outcomes =
             store.get_many_async(ac, &nskeys, &mut hints, now).await.expect("get batch");
         if spread {
-            ac.with(|c| c.set_spread_reads(None));
+            ac.with(|c| c.set_spread_reads(false));
         }
-        // lint: block-ok — outcome booking is pure compute; an expiry
+        // Outcome booking is pure compute; an expiry
         // unlink is a worker-serialized sync mutation.
         let hits = ac
             .with(|c| server.with_shard(wid, |w| w.finish_gets(c, &keys, &outcomes, &hints, &seen)))

@@ -120,7 +120,7 @@ fn failover_unavailability_is_one_lease_plus_a_few_round_trips() {
     let addr = FarAddr(4096);
     c.write_u64(addr, 9).unwrap();
     f.node(NodeId(0)).crash_permanent();
-    let lease = f.replication().failover_lease_ns;
+    let lease = FAILOVER_LEASE_NS;
     let rtt = f.cost().far_rtt_ns;
     let t0 = c.now_ns();
     assert_eq!(c.read_u64(addr).unwrap(), 9);
@@ -134,15 +134,16 @@ fn failover_unavailability_is_one_lease_plus_a_few_round_trips() {
 
 #[test]
 fn spread_reads_round_robin_and_survive_replica_loss() {
-    // spread_reads serves reads from the whole group (members are
-    // byte-identical). Losing a *replica* mid-stream costs an eviction
-    // and a view refresh — no promotion, no epoch bump, no giveup.
+    // A client that spreads its reads serves them from the whole group
+    // (members are byte-identical). Losing a *replica* mid-stream costs an
+    // eviction and a view refresh — no promotion, no epoch bump, no giveup.
     let f = FabricConfig {
-        replication: ReplicaConfig { spread_reads: true, ..ReplicaConfig::mirrored(2) },
+        replication: ReplicaConfig::mirrored(2),
         ..FabricConfig::count_only(16 << 20)
     }
     .build();
     let mut c = f.client();
+    c.set_spread_reads(true);
     let base = 4096u64;
     for i in 0..32u64 {
         c.write_u64(FarAddr(base + i * 8), i + 1).unwrap();

@@ -24,11 +24,11 @@ use std::path::Path;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-#[allow(dead_code)] // `Mutant::is_applied` serves the check crate's test.
+#[allow(dead_code)] // `Mutant::is_applied` and the audit items serve the crates' tests.
 #[path = "../../crates/check/src/mutants.rs"]
 mod spec;
 
-use spec::{all_mutants, number, Expect};
+use spec::{all_mutants, number, Expect, MUTANT_DIR};
 
 /// What the copy holds: everything a build of `farmem-check` reads.
 const COPIED: [&str; 6] = ["Cargo.toml", "Cargo.lock", "src", "crates", "shims", "xtask"];
@@ -55,7 +55,7 @@ pub fn mutants(root: &Path) -> ExitCode {
 }
 
 fn run(root: &Path) -> Result<String, String> {
-    let mutants = all_mutants(root)?;
+    let mutants = all_mutants(root, MUTANT_DIR)?;
     for m in &mutants {
         let sites = m.sites(root)?;
         if sites != 1 {

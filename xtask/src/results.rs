@@ -275,10 +275,10 @@ mod tests {
     #[test]
     fn drivers_are_listed_from_the_tree_in_experiment_order() {
         let d = drivers(&farmem_audit::workspace_root()).unwrap();
-        assert!(d.len() >= 21, "{d:?}");
+        assert!(d.len() >= 20, "{d:?}");
         assert_eq!(d[0], "e1_primitives");
         assert_eq!(d[1], "e2_access_complexity");
-        assert_eq!(d[20], "e21_audit");
+        assert_eq!(d[19], "e20_serve");
         assert!(!d.iter().any(|n| n == "fsh"), "the shell is not an experiment");
     }
 }
