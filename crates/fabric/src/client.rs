@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use crate::addr::{FarAddr, NodeId, WORD};
+use crate::addr::{FarAddr, NodeId, PAGE, WORD};
 use crate::check::AccessKind;
 use crate::cost::SimClock;
 use crate::error::{FabricError, Result};
@@ -1007,7 +1007,7 @@ impl FabricClient {
             let finish = node.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
             let id = node.subs.register(addr, seg.offset, len, kind, sink)?;
             let phys = node.id();
-            c.fabric.register_sub(id, phys);
+            c.fabric.register_sub(id, phys, seg.offset / PAGE);
             c.stats.messages += 1;
             Ok::<_, FabricError>((id, finish))
         })

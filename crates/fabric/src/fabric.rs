@@ -115,8 +115,9 @@ pub struct Fabric {
     /// unreplicated fabric carries zero extra state on the verb path).
     groups: Option<GroupTable>,
     next_client: AtomicU32,
-    /// Subscription registry: id → owning node, for unsubscribe routing.
-    subs: Mutex<HashMap<SubId, NodeId>>,
+    /// Subscription registry: id → owning node and node-local page, for
+    /// unsubscribe routing.
+    subs: Mutex<HashMap<SubId, (NodeId, u64)>>,
     /// Verification observer (`farmem-check`); see [`crate::check`].
     hooks: RwLock<Option<Arc<dyn CheckObserver>>>,
     /// Fast-path flag: with no observer installed, every verb pays one
@@ -278,18 +279,18 @@ impl Fabric {
         }
     }
 
-    pub(crate) fn register_sub(&self, id: SubId, node: NodeId) {
-        self.subs.lock().unwrap().insert(id, node);
+    pub(crate) fn register_sub(&self, id: SubId, node: NodeId, page: u64) {
+        self.subs.lock().unwrap().insert(id, (node, page));
     }
 
     pub(crate) fn unregister_sub(&self, id: SubId) -> Result<()> {
-        let node = self
+        let (node, page) = self
             .subs
             .lock()
             .unwrap()
             .remove(&id)
             .ok_or(FabricError::NoSuchSubscription)?;
-        self.node(node).subs.unregister(id)
+        self.node(node).subs.unregister(id, page)
     }
 
     /// Splits a global range into per-node segments.
@@ -322,9 +323,6 @@ impl Fabric {
             finish = self.mirror(groups, stats, node, offset, len, fired_at_ns);
         }
         let n = self.primary(node);
-        if n.subs.is_empty() {
-            return finish;
-        }
         n.subs.fire(
             offset,
             len,

@@ -20,7 +20,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::addr::{FarAddr, PAGE, WORD};
 use crate::error::{FabricError, Result};
@@ -179,6 +179,10 @@ struct SinkInner {
     coalesced: u64,
     delivered: u64,
     rng: u64,
+    /// [`EventSink::wait_pending`] callers parked on the condvar: a
+    /// delivery signals only when one is, since a futex wake costs a
+    /// syscall whether or not a thread waits.
+    parked: usize,
 }
 
 impl SinkInner {
@@ -293,19 +297,27 @@ impl EventSink {
                     (slot, event) => *slot = event,
                 }
                 g.coalesced += 1;
-                self.cv.notify_all();
+                self.wake(&g);
                 return;
             }
         }
         if g.order.len() >= self.policy.max_queue {
             g.spike_dropped += 1;
-            self.cv.notify_all();
+            self.wake(&g);
             return;
         }
         g.order.push_back(key);
         g.map.insert(key, event);
         g.delivered += 1;
-        self.cv.notify_all();
+        self.wake(&g);
+    }
+
+    /// Wakes the parked [`wait_pending`](EventSink::wait_pending)
+    /// callers, if any; `g` is the held sink lock they count under.
+    fn wake(&self, g: &SinkInner) {
+        if g.parked > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Removes and returns the oldest pending event, if any.
@@ -348,8 +360,10 @@ impl EventSink {
             else {
                 return false;
             };
+            g.parked += 1;
             let (guard, timed_out) = self.cv.wait_timeout(g, remaining).unwrap();
             g = guard;
+            g.parked -= 1;
             if timed_out.timed_out() {
                 return !g.order.is_empty() || g.spike_dropped > 0;
             }
@@ -378,6 +392,9 @@ impl EventSink {
 #[derive(Clone)]
 pub(crate) struct Subscription {
     pub id: SubId,
+    /// Position in the node's registration order: orders the subscribers
+    /// of a write that covers several watched ranges.
+    seq: u64,
     /// Node-local offset of the watched range.
     pub offset: u64,
     pub len: u64,
@@ -387,18 +404,92 @@ pub(crate) struct Subscription {
     pub sink: Arc<EventSink>,
 }
 
+/// Words per page, and the `u64`s one page's word mask takes.
+const PAGE_WORDS: u64 = PAGE / WORD;
+const MASK_WORDS: u64 = PAGE_WORDS / 64;
+/// Pages per [`Region`]: one word of armed bits.
+const REGION_PAGES: u64 = 64;
+/// Mask words per [`Region`].
+const REGION_MASKS: usize = (REGION_PAGES * MASK_WORDS) as usize;
+
+/// The page-table entries of [`REGION_PAGES`] consecutive pages.
+#[derive(Default)]
+struct Region {
+    /// One bit per page: set while the page holds a subscription.
+    armed: AtomicU64,
+    /// [`MASK_WORDS`] per page, one bit per word: set while some
+    /// subscription watches the word. Allocated when the region's first
+    /// page is armed, so a node pays for masks only where it is watched.
+    watched: OnceLock<Box<[AtomicU64; REGION_MASKS]>>,
+}
+
+impl Region {
+    /// Whether `page` (of this region) holds a subscription.
+    fn is_armed(&self, page: u64) -> bool {
+        self.armed.load(Ordering::SeqCst) & (1 << (page % REGION_PAGES)) != 0
+    }
+
+    /// `page`'s word mask, if the region was ever armed.
+    fn mask(&self, page: u64) -> Option<&[AtomicU64]> {
+        let at = (page % REGION_PAGES * MASK_WORDS) as usize;
+        Some(&self.watched.get()?[at..at + MASK_WORDS as usize])
+    }
+}
+
+/// Subscribers in registration order. A fan-out delivers from a clone
+/// of the `Arc`, so it holds no lock while it delivers; a registration
+/// that finds a fan-out holding the list copies it.
+type Subs = Arc<Vec<Subscription>>;
+
+/// The subscriptions of one page that watch the same words.
+struct RangeSubs {
+    /// The watched words, as indices within the page.
+    words: std::ops::Range<u64>,
+    subs: Subs,
+}
+
+#[derive(Default)]
+struct Lists {
+    /// Registrations so far (the next [`Subscription::seq`]).
+    seq: u64,
+    /// Armed page → its subscriptions, one entry per watched range.
+    pages: HashMap<u64, Vec<RangeSubs>>,
+}
+
 /// Per-node registry of subscriptions, associated with pages (§4.3).
+///
+/// Each page has an armed bit, as the paper's page-table entry, and a
+/// word mask of the words its subscriptions watch. A write reads the
+/// bit of each page it touches and, on an armed page, the mask bits of
+/// its words; only a write that covers a watched word takes the lock,
+/// and only to clone the lists of the ranges it covers.
 pub struct SubscriptionTable {
-    pages: Mutex<HashMap<u64, Vec<Subscription>>>,
+    regions: Vec<Region>,
+    lists: Mutex<Lists>,
     count: AtomicUsize,
     /// Whether fired events carry the triggering write range (§7.2).
     carry_trigger: AtomicUsize,
 }
 
+/// Sets (`on`) or clears bit `bit % 64` of `word`. SeqCst, as the
+/// loads in [`SubscriptionTable::fire`]: a subscriber that arms a word
+/// and then reads it, and a writer that stores it and then reads the
+/// bit, cannot both miss the other (the node's word accesses are SeqCst).
+fn set_bit(word: &AtomicU64, bit: u64, on: bool) {
+    let mask = 1u64 << (bit % 64);
+    if on {
+        word.fetch_or(mask, Ordering::SeqCst);
+    } else {
+        word.fetch_and(!mask, Ordering::SeqCst);
+    }
+}
+
 impl SubscriptionTable {
-    pub(crate) fn new(_capacity: u64) -> SubscriptionTable {
+    pub(crate) fn new(capacity: u64) -> SubscriptionTable {
+        let regions = capacity.div_ceil(PAGE * REGION_PAGES);
         SubscriptionTable {
-            pages: Mutex::new(HashMap::new()),
+            regions: (0..regions).map(|_| Region::default()).collect(),
+            lists: Mutex::new(Lists::default()),
             count: AtomicUsize::new(0),
             carry_trigger: AtomicUsize::new(1),
         }
@@ -465,31 +556,66 @@ impl SubscriptionTable {
             }
         }
         let id = fresh_sub_id();
-        let sub = Subscription { id, offset, len, addr, kind, sink };
         let page = offset / PAGE;
-        self.pages.lock().unwrap().entry(page).or_default().push(sub);
+        let mut lists = self.lists.lock().unwrap();
+        let sub = Subscription { id, seq: lists.seq, offset, len, addr, kind, sink };
+        lists.seq += 1;
+        let region = self.region(page);
+        region.watched.get_or_init(|| Box::new([const { AtomicU64::new(0) }; REGION_MASKS]));
+        let mask = region.mask(page).expect("allocated above");
+        let words = (offset % PAGE) / WORD..(offset % PAGE + len) / WORD;
+        for w in words.clone() {
+            set_bit(&mask[(w / 64) as usize], w, true);
+        }
+        let ranges = lists.pages.entry(page).or_default();
+        match ranges.iter_mut().find(|r| r.words == words) {
+            Some(r) => Arc::make_mut(&mut r.subs).push(sub),
+            None => ranges.push(RangeSubs { words, subs: Arc::new(vec![sub]) }),
+        }
+        set_bit(&region.armed, page, true);
         self.count.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
-    /// Removes a subscription; returns an error if it does not exist.
-    pub(crate) fn unregister(&self, id: SubId) -> Result<()> {
-        let mut pages = self.pages.lock().unwrap();
-        for subs in pages.values_mut() {
-            if let Some(pos) = subs.iter().position(|s| s.id == id) {
-                subs.remove(pos);
-                self.count.fetch_sub(1, Ordering::Relaxed);
-                return Ok(());
+    /// Removes subscription `id` from node-local `page`; returns an error
+    /// if it is not registered there. Clears the mask bit of each word it
+    /// leaves unwatched, and the page's armed bit with its last one.
+    pub(crate) fn unregister(&self, id: SubId, page: u64) -> Result<()> {
+        let mut lists = self.lists.lock().unwrap();
+        let ranges = lists.pages.get_mut(&page).ok_or(FabricError::NoSuchSubscription)?;
+        let (at, pos) = ranges
+            .iter()
+            .enumerate()
+            .find_map(|(at, r)| Some((at, r.subs.iter().position(|s| s.id == id)?)))
+            .ok_or(FabricError::NoSuchSubscription)?;
+        Arc::make_mut(&mut ranges[at].subs).remove(pos);
+        if ranges[at].subs.is_empty() {
+            let words = ranges.swap_remove(at).words;
+            let region = self.region(page);
+            let mask = region.mask(page).expect("a page with subscriptions was armed");
+            for w in words.filter(|w| !ranges.iter().any(|r| r.words.contains(w))) {
+                set_bit(&mask[(w / 64) as usize], w, false);
+            }
+            if ranges.is_empty() {
+                lists.pages.remove(&page);
+                set_bit(&region.armed, page, false);
             }
         }
-        Err(FabricError::NoSuchSubscription)
+        self.count.fetch_sub(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Fires subscriptions overlapping the node-local write
     /// `[offset, offset+len)`.
     ///
+    /// On each page the write touches, an unarmed page or a covered word
+    /// range the mask leaves unwatched costs one or two loads and no lock.
+    /// Otherwise the subscribers of the covered words are delivered to in
+    /// registration order, each once, after the lock is released.
+    ///
     /// `read_word` and `read_range` let the table observe post-write memory
-    /// for `notifye` / `notify0d` without borrowing the node.
+    /// for `notifye` / `notify0d` without borrowing the node; each watched
+    /// range is read once per fan-out.
     pub(crate) fn fire(
         &self,
         offset: u64,
@@ -498,53 +624,103 @@ impl SubscriptionTable {
         read_word: &dyn Fn(u64) -> u64,
         read_range: &dyn Fn(u64, u64) -> Vec<u8>,
     ) {
-        if self.is_empty() || len == 0 {
+        if len == 0 {
             return;
         }
-        let carry = self.carry_trigger.load(Ordering::Relaxed) != 0;
-        let first_page = offset / PAGE;
-        let last_page = (offset + len - 1) / PAGE;
-        let pages = self.pages.lock().unwrap();
-        for page in first_page..=last_page {
-            let Some(subs) = pages.get(&page) else { continue };
-            for s in subs {
-                let overlap = offset < s.offset + s.len && s.offset < offset + len;
-                if !overlap {
-                    continue;
-                }
-                let event = match s.kind {
-                    SubKind::Changed => Event::Changed {
-                        sub: s.id,
-                        addr: s.addr,
-                        len: s.len,
-                        trigger: carry.then(|| {
-                            let t0 = offset.max(s.offset);
-                            let t1 = (offset + len).min(s.offset + s.len);
-                            (FarAddr(s.addr.0 + (t0 - s.offset)), t1 - t0)
-                        }),
-                        fired_at_ns,
-                    },
-                    SubKind::Equal { value } => {
-                        if read_word(s.offset) != value {
-                            continue;
-                        }
-                        Event::Equal {
-                            sub: s.id,
-                            addr: s.addr,
-                            value,
-                            fired_at_ns,
-                        }
-                    }
-                    SubKind::ChangedData => Event::ChangedData {
-                        sub: s.id,
-                        addr: s.addr,
-                        data: read_range(s.offset, s.len),
-                        fired_at_ns,
-                    },
-                };
-                s.sink.deliver(event);
+        for page in offset / PAGE..=(offset + len - 1) / PAGE {
+            if !self.region(page).is_armed(page) {
+                continue;
+            }
+            let base = page * PAGE;
+            let w0 = (offset.max(base) - base) / WORD;
+            let w1 = ((offset + len).min(base + PAGE) - base).div_ceil(WORD);
+            let subs = self.covered(page, w0, w1);
+            if !subs.is_empty() {
+                self.deliver(&subs, offset, len, fired_at_ns, read_word, read_range);
             }
         }
+    }
+
+    /// The region of node-local `page`.
+    fn region(&self, page: u64) -> &Region {
+        &self.regions[(page / REGION_PAGES) as usize]
+    }
+
+    /// The subscriber lists of the watched ranges that overlap `page`'s
+    /// words `w0..w1`, cloned under the lock (none taken when the mask
+    /// shows no watched word there).
+    fn covered(&self, page: u64, w0: u64, w1: u64) -> Vec<Subs> {
+        let Some(mask) = self.region(page).mask(page) else { return Vec::new() };
+        let watched = (w0 / 64..w1.div_ceil(64)).any(|m| {
+            let lo = (m * 64).max(w0) - m * 64;
+            let hi = ((m + 1) * 64).min(w1) - m * 64;
+            let range = (u64::MAX >> (64 - (hi - lo))) << lo;
+            mask[m as usize].load(Ordering::SeqCst) & range != 0
+        });
+        if !watched {
+            return Vec::new();
+        }
+        let lists = self.lists.lock().unwrap();
+        let Some(ranges) = lists.pages.get(&page) else { return Vec::new() };
+        ranges
+            .iter()
+            .filter(|r| r.words.start < w1 && w0 < r.words.end)
+            .map(|r| Arc::clone(&r.subs))
+            .collect()
+    }
+
+    /// Delivers the write `[offset, offset+len)` to each subscription in
+    /// `ranges` in registration order.
+    fn deliver(
+        &self,
+        ranges: &[Subs],
+        offset: u64,
+        len: u64,
+        fired_at_ns: u64,
+        read_word: &dyn Fn(u64) -> u64,
+        read_range: &dyn Fn(u64, u64) -> Vec<u8>,
+    ) {
+        let carry = self.carry_trigger.load(Ordering::Relaxed) != 0;
+        // Each range's word or bytes, read when a subscriber first needs
+        // them.
+        let mut reads: Vec<(Option<u64>, Option<Vec<u8>>)> = vec![(None, None); ranges.len()];
+        let mut one = |at: usize, s: &Subscription| {
+            let (word, data) = &mut reads[at];
+            let event = match s.kind {
+                SubKind::Changed => Event::Changed {
+                    sub: s.id,
+                    addr: s.addr,
+                    len: s.len,
+                    trigger: carry.then(|| {
+                        let t0 = offset.max(s.offset);
+                        let t1 = (offset + len).min(s.offset + s.len);
+                        (FarAddr(s.addr.0 + (t0 - s.offset)), t1 - t0)
+                    }),
+                    fired_at_ns,
+                },
+                SubKind::Equal { value } => {
+                    if *word.get_or_insert_with(|| read_word(s.offset)) != value {
+                        return;
+                    }
+                    Event::Equal { sub: s.id, addr: s.addr, value, fired_at_ns }
+                }
+                SubKind::ChangedData => Event::ChangedData {
+                    sub: s.id,
+                    addr: s.addr,
+                    data: data.get_or_insert_with(|| read_range(s.offset, s.len)).clone(),
+                    fired_at_ns,
+                },
+            };
+            s.sink.deliver(event);
+        };
+        if let [subs] = ranges {
+            subs.iter().for_each(|s| one(0, s));
+            return;
+        }
+        let mut all: Vec<(usize, &Subscription)> =
+            (0..).zip(ranges).flat_map(|(at, subs)| subs.iter().map(move |s| (at, s))).collect();
+        all.sort_unstable_by_key(|(_, s)| s.seq);
+        all.into_iter().for_each(|(at, s)| one(at, s));
     }
 }
 
@@ -665,10 +841,152 @@ mod tests {
         let t = SubscriptionTable::new(1 << 16);
         let s = sink();
         let id = t.register(FarAddr(8), 8, 8, SubKind::Changed, s.clone()).unwrap();
-        t.unregister(id).unwrap();
-        assert_eq!(t.unregister(id), Err(FabricError::NoSuchSubscription));
+        t.unregister(id, 0).unwrap();
+        assert_eq!(t.unregister(id, 0), Err(FabricError::NoSuchSubscription));
         t.fire(8, 8, 1, &|_| 0, &|_, _| vec![]);
         assert!(s.try_recv().is_none());
         assert!(t.is_empty());
+    }
+
+    /// `fire` with a write to `[off, off+len)` whose post-write words all
+    /// read `fill`.
+    fn write(t: &SubscriptionTable, off: u64, len: u64, at: u64, fill: u8) {
+        t.fire(off, len, at, &|_| u64::from_le_bytes([fill; 8]), &|_, l| vec![fill; l as usize]);
+    }
+
+    #[test]
+    fn an_unwatched_word_of_a_watched_page_delivers_nothing() {
+        let t = SubscriptionTable::new(1 << 16);
+        let s = sink();
+        t.register(FarAddr(64), 64, 8, SubKind::Changed, s.clone()).unwrap();
+        t.register(FarAddr(64), 64, 8, SubKind::ChangedData, s.clone()).unwrap();
+        assert!(t.region(0).is_armed(0));
+        for off in [0, 56, 72, 4088] {
+            write(&t, off, 8, 1, 1);
+        }
+        // Bytes next to the watched word, not in it.
+        write(&t, 60, 4, 1, 1);
+        write(&t, 72, 1, 1, 1);
+        assert_eq!(s.pending(), 0);
+        assert_eq!(s.stats(), SinkStats::default());
+    }
+
+    #[test]
+    fn a_watched_word_reaches_each_subscriber_once_in_registration_order() {
+        let t = SubscriptionTable::new(1 << 16);
+        let (s, other) = (sink(), sink());
+        // Four ranges over words 8..11, registered out of range order.
+        let ids = [
+            t.register(FarAddr(64), 64, 8, SubKind::ChangedData, s.clone()).unwrap(),
+            t.register(FarAddr(64), 64, 24, SubKind::Changed, s.clone()).unwrap(),
+            t.register(FarAddr(64), 64, 8, SubKind::ChangedData, s.clone()).unwrap(),
+            t.register(FarAddr(72), 72, 8, SubKind::Changed, other.clone()).unwrap(),
+            t.register(FarAddr(72), 72, 16, SubKind::ChangedData, s.clone()).unwrap(),
+        ];
+        write(&t, 64, 24, 7, 5);
+        let got = s.drain();
+        let subs: Vec<SubId> = got.iter().filter_map(Event::sub).collect();
+        assert_eq!(subs, [ids[0], ids[1], ids[2], ids[4]]);
+        let data: Vec<&[u8]> = got
+            .iter()
+            .filter_map(|e| match e {
+                Event::ChangedData { data, .. } => Some(&data[..]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(data, [&[5; 8][..], &[5; 8], &[5; 16]], "the data after the write");
+        assert_eq!(other.drain().iter().filter_map(Event::sub).collect::<Vec<_>>(), [ids[3]]);
+        // A one-word write reaches only that word's subscribers.
+        write(&t, 80, 8, 8, 6);
+        let subs: Vec<SubId> = s.drain().iter().filter_map(Event::sub).collect();
+        assert_eq!(subs, [ids[1], ids[4]]);
+        assert_eq!(other.pending(), 0);
+    }
+
+    #[test]
+    fn a_write_over_two_pages_fires_only_the_armed_one() {
+        let t = SubscriptionTable::new(1 << 16);
+        let s = sink();
+        let id = t.register(FarAddr(PAGE), PAGE, 8, SubKind::Changed, s.clone()).unwrap();
+        assert!(!t.region(0).is_armed(0) && t.region(1).is_armed(1));
+        write(&t, PAGE - 16, 32, 1, 1);
+        match s.drain().as_slice() {
+            [Event::Changed { sub, trigger, .. }] => {
+                assert_eq!(*sub, id);
+                assert_eq!(*trigger, Some((FarAddr(PAGE), 8)));
+            }
+            other => panic!("unexpected events {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_last_subscription_disarms_its_page_and_a_new_one_rearms_it() {
+        let t = SubscriptionTable::new(1 << 16);
+        let s = sink();
+        let a = t.register(FarAddr(8), 8, 8, SubKind::Changed, s.clone()).unwrap();
+        let b = t.register(FarAddr(8), 8, 16, SubKind::Changed, s.clone()).unwrap();
+        t.unregister(a, 0).unwrap();
+        assert!(t.region(0).is_armed(0), "b still watches the page");
+        write(&t, 8, 8, 1, 1);
+        assert_eq!(s.drain().len(), 1);
+        t.unregister(b, 0).unwrap();
+        assert!(!t.region(0).is_armed(0));
+        let mask = t.region(0).mask(0).unwrap();
+        assert!(mask.iter().all(|m| m.load(Ordering::SeqCst) == 0));
+        write(&t, 8, 16, 2, 1);
+        assert_eq!(s.pending(), 0);
+        let c = t.register(FarAddr(16), 16, 8, SubKind::Changed, s.clone()).unwrap();
+        assert!(t.region(0).is_armed(0));
+        write(&t, 8, 16, 3, 1);
+        assert_eq!(s.drain().iter().filter_map(Event::sub).collect::<Vec<_>>(), [c]);
+    }
+
+    #[test]
+    fn equal_subscribers_of_one_word_fire_only_on_their_value() {
+        let t = SubscriptionTable::new(1 << 16);
+        let s = sink();
+        let word = |v: u64| u64::from_le_bytes([v as u8; 8]);
+        let ids: Vec<SubId> = (1..=3)
+            .map(|v| t.register(FarAddr(8), 8, 8, SubKind::Equal { value: word(v) }, s.clone()))
+            .collect::<Result<_>>()
+            .unwrap();
+        write(&t, 8, 8, 1, 2);
+        assert_eq!(s.drain().iter().filter_map(Event::sub).collect::<Vec<_>>(), [ids[1]]);
+        write(&t, 8, 8, 2, 9);
+        assert_eq!(s.pending(), 0);
+    }
+
+    /// Parks a thread in `wait_pending(5 s)`, runs `wake` once it is
+    /// parked, and returns what the wait returned and how long it took.
+    fn parked_wait(s: &Arc<EventSink>, wake: impl FnOnce()) -> (bool, std::time::Duration) {
+        let waiter = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                let t0 = std::time::Instant::now();
+                (s.wait_pending(std::time::Duration::from_secs(5)), t0.elapsed())
+            })
+        };
+        while s.inner.lock().unwrap().parked == 0 {
+            std::thread::yield_now();
+        }
+        wake();
+        waiter.join().unwrap()
+    }
+
+    #[test]
+    fn a_parked_waiter_is_woken_by_a_delivery_and_by_a_loss() {
+        let t = SubscriptionTable::new(1 << 16);
+        let s = sink();
+        t.register(FarAddr(8), 8, 8, SubKind::Changed, s.clone()).unwrap();
+        let (woken, took) = parked_wait(&s, || write(&t, 8, 8, 1, 1));
+        assert!(woken && took < std::time::Duration::from_secs(2), "{woken} after {took:?}");
+        assert_eq!(s.drain().len(), 1);
+        // A queue of zero drops every event: the waiter wakes to `Lost`.
+        let lossy = EventSink::new(DeliveryPolicy { drop_ppm: 0, coalesce: false, max_queue: 0 }, 1);
+        t.register(FarAddr(16), 16, 8, SubKind::Changed, lossy.clone()).unwrap();
+        let (woken, took) = parked_wait(&lossy, || write(&t, 16, 8, 2, 1));
+        assert!(woken && took < std::time::Duration::from_secs(2), "{woken} after {took:?}");
+        assert_eq!(lossy.drain(), [Event::Lost { count: 1 }]);
+        assert_eq!(lossy.inner.lock().unwrap().parked, 0);
     }
 }

@@ -85,6 +85,8 @@ impl Wake for TaskWaker {
 struct Task {
     future: Pin<Box<dyn Future<Output = ()>>>,
     cell: Rc<RefCell<ClientCell>>,
+    /// Built once at spawn and lent to every poll.
+    waker: Waker,
 }
 
 /// Per-task scheduling diagnostics: proof that the executor is
@@ -211,7 +213,8 @@ impl Executor {
         let wrapped = async move {
             *sink.borrow_mut() = Some(fut.await);
         };
-        self.tasks.push(Some(Task { future: Box::pin(wrapped), cell: cell.clone() }));
+        let waker = Waker::from(Arc::new(TaskWaker { tid, ready: self.ready.clone() }));
+        self.tasks.push(Some(Task { future: Box::pin(wrapped), cell: cell.clone(), waker }));
         self.ready.push(tid);
         self.live += 1;
         TaskHandle { tid, out, cell }
@@ -244,8 +247,7 @@ impl Executor {
 
     fn poll_task(&mut self, tid: usize) {
         let Some(task) = self.tasks[tid].as_mut() else { return };
-        let waker = Waker::from(Arc::new(TaskWaker { tid, ready: self.ready.clone() }));
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(&task.waker);
         if task.future.as_mut().poll(&mut cx).is_ready() {
             self.tasks[tid] = None;
             self.live -= 1;

@@ -337,6 +337,16 @@ pub struct ServeWorker {
     stats: WorkerStats,
 }
 
+/// An admitted get: its namespaced key, whether its read spreads over
+/// the replica group, and where it speculates (see
+/// [`ServeWorker::hint_of`]).
+struct AdmittedGet {
+    nskey: u64,
+    spread: bool,
+    hint: Option<RecordHint>,
+    seen: Option<HintWord>,
+}
+
 impl ServeWorker {
     /// This worker's shard id.
     pub fn wid(&self) -> usize {
@@ -371,16 +381,18 @@ impl ServeWorker {
 
     /// Serves a get: admission, hot-key accounting, TTL enforcement.
     pub fn get(&mut self, client: &mut FabricClient, tenant: TenantId, key: u64) -> Result<Response> {
-        let (nskey, spread) = match self.admit_get(client, tenant, key)? {
-            Ok(admitted) => admitted,
-            Err(reject) => return Ok(Response::Rejected(reject)),
-        };
+        let mut admitted = None;
+        self.admit_gets(client, &[(tenant, key)], |_, a| admitted = Some(a))?;
+        let AdmittedGet { nskey, spread, mut hint, seen } =
+            match admitted.expect("a batch of one has one verdict") {
+                Ok(admitted) => admitted,
+                Err(reject) => return Ok(Response::Rejected(reject)),
+            };
         let _span = client.span(tenant.span_name());
         if spread {
             client.set_spread_reads(true);
         }
         let now = client.now_ns();
-        let (mut hint, seen) = self.hint_of(nskey);
         let out = self.store.get_hinted(client, nskey, &mut hint, now);
         if spread {
             client.set_spread_reads(false);
@@ -404,7 +416,9 @@ impl ServeWorker {
         ttl_ns: Option<u64>,
     ) -> Result<Response> {
         let charged = charged_bytes(value.len() as u64);
-        let nskey = match self.admit(client, tenant, key, value.len() as u64, Some(charged))? {
+        let mut verdict = [Ok(0)];
+        self.admit(client, &[(tenant, key)], value.len() as u64, Some(charged), &mut verdict)?;
+        let nskey = match verdict[0] {
             Ok(nskey) => nskey,
             Err(reject) => return Ok(Response::Rejected(reject)),
         };
@@ -430,7 +444,9 @@ impl ServeWorker {
 
     /// Serves a delete.
     pub fn delete(&mut self, client: &mut FabricClient, tenant: TenantId, key: u64) -> Result<Response> {
-        let nskey = match self.admit(client, tenant, key, 0, None)? {
+        let mut verdict = [Ok(0)];
+        self.admit(client, &[(tenant, key)], 0, None, &mut verdict)?;
+        let nskey = match verdict[0] {
             Ok(nskey) => nskey,
             Err(reject) => return Ok(Response::Rejected(reject)),
         };
@@ -462,57 +478,74 @@ impl ServeWorker {
 
     // ----- internals -----
 
-    /// Admission: counts the op, then checks tenant validity, key range,
-    /// value size, op quota, byte quota, in that order. Pure compute — no
-    /// far access is issued before all checks pass. Returns the namespaced
-    /// key, or the first check that failed — the one whose counter moved.
+    /// Admission of a batch of requests under one tenant-table lock: for
+    /// each in turn, counts the op, then checks tenant validity, key
+    /// range, value size, op quota, byte quota, in that order, and writes
+    /// to its slot of `verdicts` the namespaced key or the first check
+    /// that failed — the one whose counter moved. Pure compute — no far
+    /// access is issued before all checks pass. A put or a delete is a
+    /// batch of one.
     fn admit(
         &mut self,
-        client: &mut FabricClient,
-        tenant: TenantId,
-        key: u64,
+        client: &FabricClient,
+        reqs: &[(TenantId, u64)],
         value_len: u64,
         put_charged: Option<u64>,
-    ) -> Result<std::result::Result<u64, Reject>> {
-        self.stats.ops += 1;
+        verdicts: &mut [std::result::Result<u64, Reject>],
+    ) -> Result<()> {
+        let now = client.now_ns();
         let mut tt = self.tenants.lock().unwrap();
-        if !tt.contains(tenant) {
-            return Err(ServeError::UnknownTenant);
-        }
-        let verdict = if key > MAX_RAW_KEY {
-            Err(Reject::KeyTooLarge)
-        } else if value_len > MAX_VALUE_LEN {
-            Err(Reject::ValueTooLarge)
-        } else if !tt.admit_op(tenant, client.now_ns()) {
-            Err(Reject::OpQuota)
-        } else {
-            let nskey = tenant.namespaced(key);
-            let replaced = || self.index.get(nskey).map_or(0, |m| m.charged);
-            match put_charged {
-                Some(charged) if !tt.admit_bytes(tenant, charged, replaced()) => {
-                    Err(Reject::ByteQuota)
-                }
-                _ => Ok(nskey),
+        for (&(tenant, key), verdict) in reqs.iter().zip(verdicts) {
+            self.stats.ops += 1;
+            if !tt.contains(tenant) {
+                return Err(ServeError::UnknownTenant);
             }
-        };
-        self.stats.rejected += u64::from(verdict.is_err());
-        Ok(verdict)
+            *verdict = if key > MAX_RAW_KEY {
+                Err(Reject::KeyTooLarge)
+            } else if value_len > MAX_VALUE_LEN {
+                Err(Reject::ValueTooLarge)
+            } else if !tt.admit_op(tenant, now) {
+                Err(Reject::OpQuota)
+            } else {
+                let nskey = tenant.namespaced(key);
+                let replaced = || self.index.get(nskey).map_or(0, |m| m.charged);
+                match put_charged {
+                    Some(charged) if !tt.admit_bytes(tenant, charged, replaced()) => {
+                        Err(Reject::ByteQuota)
+                    }
+                    _ => Ok(nskey),
+                }
+            };
+            self.stats.rejected += u64::from(verdict.is_err());
+        }
+        Ok(())
     }
 
-    /// A get's admission, shared by the sync and the session path:
-    /// [`admit`](Self::admit), then the sketch. Returns the namespaced
-    /// key and whether its read spreads over the replica group.
-    fn admit_get(
+    /// A batch of at most [`GET_BATCH`] gets' admission, the one body of
+    /// the sync path (a batch of one) and the session path:
+    /// [`admit`](Self::admit), then each admitted key's sketch and hint.
+    /// Calls `each` with every request's tenant and verdict, in order.
+    fn admit_gets(
         &mut self,
-        client: &mut FabricClient,
-        tenant: TenantId,
-        key: u64,
-    ) -> Result<std::result::Result<(u64, bool), Reject>> {
-        Ok(self.admit(client, tenant, key, 0, None)?.map(|nskey| {
-            let spread = self.classify_hot(nskey);
-            self.stats.spread_gets += u64::from(spread);
-            (nskey, spread)
-        }))
+        client: &FabricClient,
+        batch: &[(TenantId, u64)],
+        mut each: impl FnMut(TenantId, std::result::Result<AdmittedGet, Reject>),
+    ) -> Result<()> {
+        let mut verdicts = [Ok(0); GET_BATCH];
+        let verdicts = &mut verdicts[..batch.len()];
+        self.admit(client, batch, 0, None, verdicts)?;
+        for (&(tenant, _), &verdict) in batch.iter().zip(&*verdicts) {
+            each(
+                tenant,
+                verdict.map(|nskey| {
+                    let spread = self.classify_hot(nskey);
+                    self.stats.spread_gets += u64::from(spread);
+                    let (hint, seen) = self.hint_of(nskey);
+                    AdmittedGet { nskey, spread, hint, seen }
+                }),
+            );
+        }
+        Ok(())
     }
 
     /// Where a get of `nskey` speculates: the index's hint of a key this
@@ -772,21 +805,20 @@ async fn serve_get_batch(
     let mut hot: Vec<(TenantId, u64)> = Vec::new();
     let (mut cold_hints, mut hot_hints) = (Vec::new(), Vec::new());
     // Admission is pure compute.
-    ac.with(|c| server.with_shard(wid, |w| {
-        for &(tenant, key) in batch {
-            match w.admit_get(c, tenant, key).expect("admit") {
-                Ok((nskey, true)) => {
-                    hot.push((tenant, nskey));
-                    hot_hints.push(w.hint_of(nskey));
-                }
-                Ok((nskey, false)) => {
-                    cold.push((tenant, nskey));
-                    cold_hints.push(w.hint_of(nskey));
+    ac.with(|c| {
+        server.with_shard(wid, |w| {
+            w.admit_gets(c, batch, |tenant, admitted| match admitted {
+                Ok(AdmittedGet { nskey, spread, hint, seen }) => {
+                    let (keys, hints) =
+                        if spread { (&mut hot, &mut hot_hints) } else { (&mut cold, &mut cold_hints) };
+                    keys.push((tenant, nskey));
+                    hints.push((hint, seen));
                 }
                 Err(_) => sum.rejected += 1,
-            }
-        }
-    }));
+            })
+        })
+    })
+    .expect("admit");
     for (keys, hints, spread) in [(cold, cold_hints, false), (hot, hot_hints, true)] {
         if keys.is_empty() {
             continue;
