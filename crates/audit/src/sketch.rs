@@ -32,6 +32,7 @@ pub const RAW_VERBS: &[&str] = &[
     "cas",
     "faa",
     "post_faa_u64",
+    "issue",
     "load0",
     "load0_tagged",
     "load1",

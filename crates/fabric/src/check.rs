@@ -38,12 +38,14 @@ pub enum AccessKind {
     /// Plain write; same granularity caveat as [`AccessKind::Read`].
     Write,
     /// Read at an address the issuer only *guesses* is live
-    /// ([`BatchOp::ReadSpeculative`](crate::BatchOp::ReadSpeculative)):
+    /// ([`PipeOp::ReadSpeculative`](crate::PipeOp::ReadSpeculative)):
     /// the bytes are dropped uninterpreted unless a pointer obtained
     /// through the ordinary, ordered path turns out to name the same
     /// address. It may overlap any concurrent write by design, so it
     /// neither races nor synchronizes; what the issuer does with a
-    /// validated answer is the history checker's business.
+    /// validated answer is the history checker's business. Sent alone or
+    /// as a bare descriptor, with no earlier op of a fenced batch to name
+    /// its address, it still books as a read and is reported as this kind.
     SpeculativeRead,
     /// Atomic observation that did not mutate: a CAS that lost, or a
     /// guard-word probe of a guarded indirect verb.

@@ -13,7 +13,10 @@
 //! independent verbs is issued back-to-back, the fabric applies them in
 //! order, and the client observes a single round trip of latency. Batches
 //! count one `round_trip` but one `message` per constituent verb, keeping
-//! the accounting auditable.
+//! the accounting auditable. A batch's ops are [`BatchOp`]s — the one op
+//! vocabulary, [`PipeOp`](crate::PipeOp), over borrowed bytes — which a
+//! descriptor and [`FabricClient::issue`] take too, and each runs the one
+//! executor, `exec_op`.
 
 use std::sync::Arc;
 
@@ -26,7 +29,7 @@ use crate::fabric::Fabric;
 use crate::fault::{FaultPlan, FaultRng, RetryPolicy};
 use crate::node::MemoryNode;
 use crate::notify::{Event, EventSink, SubId, SubKind};
-use crate::pipeline::PipeOut;
+use crate::pipeline::{BatchOp, PipeOut};
 use crate::replica::{GroupView, FAILOVER_LEASE_NS};
 use crate::sample::MetricSampler;
 use crate::stats::AccessStats;
@@ -80,88 +83,6 @@ pub struct FabricClient {
     /// Whether this client's reads round-robin over the replica group
     /// ([`set_spread_reads`](Self::set_spread_reads)).
     spread_reads: bool,
-}
-
-/// One verb inside a fenced batch.
-#[derive(Clone, Debug)]
-pub enum BatchOp<'a> {
-    /// Read `len` bytes at `addr`.
-    Read {
-        /// Source far address.
-        addr: FarAddr,
-        /// Bytes to read.
-        len: u64,
-    },
-    /// Write `data` at `addr`.
-    Write {
-        /// Destination far address.
-        addr: FarAddr,
-        /// Bytes to write.
-        data: &'a [u8],
-    },
-    /// Compare-and-swap the word at `addr`.
-    Cas {
-        /// Word address.
-        addr: FarAddr,
-        /// Expected value.
-        expected: u64,
-        /// Replacement value.
-        new: u64,
-    },
-    /// Fetch-and-add on the word at `addr`.
-    Faa {
-        /// Word address.
-        addr: FarAddr,
-        /// Added value (wrapping).
-        delta: u64,
-    },
-    /// `load0`: dereference the pointer at `ptr` and read `len` bytes at
-    /// its target ([`FabricClient::load0`]), answered with
-    /// [`PipeOut::Loaded`]: the bytes *and* the pointer they were read
-    /// through. A null pointer is an answer, not a failure: the op
-    /// completes with [`PipeOut::Null`] and the rest of the batch still
-    /// runs. A remote target the fabric refuses
-    /// ([`IndirectionMode::Error`](crate::IndirectionMode::Error)) is
-    /// reissued as the blocking `load0` reissues it: one round trip more.
-    Load0 {
-        /// Far address of the pointer word.
-        ptr: FarAddr,
-        /// Bytes to read at the target.
-        len: u64,
-    },
-    /// `load0_tagged`: dereference the tagged pointer at `ptr` and read
-    /// the block its tag names ([`FabricClient::load0_tagged`]), answered
-    /// as [`Load0`](BatchOp::Load0) is: [`PipeOut::Loaded`] with the
-    /// pointer word, tag included, or [`PipeOut::Null`].
-    Load0Tagged {
-        /// Far address of the tagged pointer word.
-        ptr: FarAddr,
-    },
-    /// [`Read`](BatchOp::Read) at an address the caller only guesses is
-    /// live. Booked like a read; reported to the verification observer as
-    /// [`AccessKind::SpeculativeRead`], whose contract is the caller's:
-    /// interpret the bytes only if an op *earlier in this batch* returned
-    /// a pointer naming `addr` (the batch applies its ops in order).
-    ReadSpeculative {
-        /// Guessed far address.
-        addr: FarAddr,
-        /// Bytes to read.
-        len: u64,
-    },
-}
-
-impl BatchOp<'_> {
-    /// Whether executing this op leaves far memory as it found it — a
-    /// batch of such ops can be blindly retried after a mid-batch failure.
-    pub(crate) fn is_read_only(&self) -> bool {
-        matches!(
-            self,
-            BatchOp::Read { .. }
-                | BatchOp::Load0 { .. }
-                | BatchOp::Load0Tagged { .. }
-                | BatchOp::ReadSpeculative { .. }
-        )
-    }
 }
 
 impl FabricClient {
@@ -880,11 +801,11 @@ impl FabricClient {
     }
 
     /// The one executor of a fenced batch, blocking ([`batch`](Self::batch))
-    /// or posted as one [`PipeOp::Fenced`](crate::PipeOp::Fenced)
-    /// descriptor: arriving at `arrival`, pre-flights every target, then
-    /// applies the ops in order. Returns the outputs and the node-side
-    /// finish time; books messages, bytes and atomics, never round trips
-    /// or the clock.
+    /// or as a [`PipeOp::Fenced`](crate::PipeOp::Fenced) op: arriving at
+    /// `arrival`, pre-flights every target, then runs the ops in order
+    /// through [`exec_op`](Self::exec_op). Returns the outputs and the
+    /// node-side finish time; books messages, bytes and atomics, never
+    /// round trips or the clock.
     pub(crate) fn exec_batch(
         &mut self,
         ops: &[BatchOp<'_>],
@@ -898,21 +819,12 @@ impl FabricClient {
         // and a later op can — that case is caught below and surfaced
         // as the non-retryable `BatchTorn`.
         for op in ops {
-            let (addr, len) = match op {
-                BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
-                    (*addr, *len)
+            op.preflight(&mut |addr, len| {
+                for seg in self.fabric.segments(addr, len)? {
+                    self.enter(seg.node, false, arrival)?;
                 }
-                BatchOp::Write { addr, data } => (*addr, data.len() as u64),
-                // A `Load0`'s target is known only once it executes;
-                // its pointer word is what can be checked up front.
-                BatchOp::Cas { addr, .. }
-                | BatchOp::Faa { addr, .. }
-                | BatchOp::Load0 { ptr: addr, .. }
-                | BatchOp::Load0Tagged { ptr: addr } => (*addr, WORD),
-            };
-            for seg in self.fabric.segments(addr, len)? {
-                self.enter(seg.node, false, arrival)?;
-            }
+                Ok(())
+            })?;
         }
         let mut out = Vec::with_capacity(ops.len());
         let mut finish = arrival;
@@ -923,53 +835,22 @@ impl FabricClient {
         // leave the batch safely retryable.
         let mut mutated = false;
         for op in ops {
-            let step = match op {
-                BatchOp::Read { addr, len } | BatchOp::ReadSpeculative { addr, len } => {
-                    let kind = match op {
-                        BatchOp::Read { .. } => AccessKind::Read,
-                        _ => AccessKind::SpeculativeRead,
-                    };
-                    self.exec_read(kind, *addr, *len, arrival)
-                        .map(|(buf, f)| (PipeOut::Bytes(buf), f))
-                        .map_err(ErrorCompletion::from)
-                }
-                BatchOp::Write { addr, data } => self
-                    .exec_write(*addr, data, arrival)
-                    .map(|f| (PipeOut::Done, f))
-                    .map_err(ErrorCompletion::from),
-                BatchOp::Cas { addr, expected, new } => self
-                    .exec_cas(*addr, *expected, *new, arrival)
-                    .map(|(prev, f)| (PipeOut::Value(prev), f))
-                    .map_err(ErrorCompletion::from),
-                BatchOp::Faa { addr, delta } => self
-                    .exec_faa(*addr, *delta, arrival)
-                    .map(|(prev, f)| (PipeOut::Value(prev), f))
-                    .map_err(ErrorCompletion::from),
-                BatchOp::Load0 { ptr, .. } | BatchOp::Load0Tagged { ptr } => {
-                    let len = match op {
-                        BatchOp::Load0 { len, .. } => Some(*len),
-                        _ => None,
-                    };
-                    // The client waited for whatever the home node
-                    // answered, as the blocking verb does.
-                    self.exec_load0(*ptr, len, arrival).map_err(|e| ErrorCompletion {
-                        answered_at: e.answered_at.map(|at| finish.max(at)),
-                        ..e
-                    })
-                }
-            };
-            let f = match step {
+            match self.exec_op(op, arrival) {
                 Ok((o, f)) => {
                     out.push(o);
-                    f
+                    finish = finish.max(f);
                 }
                 Err(ErrorCompletion { err: FabricError::NodeFailed(node), .. }) if mutated => {
                     return Err(FabricError::BatchTorn { node, executed: out.len() }.into());
                 }
-                Err(e) => return Err(e),
-            };
-            mutated |= !op.is_read_only();
-            finish = finish.max(f);
+                // The client waited for whatever a node answered, as the
+                // blocking verb does, and for every op before it.
+                Err(e) => {
+                    let answered_at = e.answered_at.map(|at| finish.max(at));
+                    return Err(ErrorCompletion { answered_at, ..e });
+                }
+            }
+            mutated |= op.has_side_effect();
         }
         Ok((out, finish))
     }
@@ -1190,7 +1071,7 @@ mod tests {
         assert_eq!(s.messages, 3);
     }
 
-    /// `[Load0, ReadSpeculative]`, the hinted lookup's batch: one round
+    /// `[Load2, ReadSpeculative]`, the hinted lookup's batch: one round
     /// trip, two messages, and a null pointer is the first op's *answer* —
     /// charged its round trip like the blocking verb's `NullDeref`, with
     /// the second op still executed.
@@ -1200,7 +1081,7 @@ mod tests {
         let (bucket, item) = (FarAddr(64), FarAddr(4096));
         c.write(item, &[5u8; 32]).unwrap();
         let ops = [
-            BatchOp::Load0 { ptr: bucket, len: 32 },
+            BatchOp::Load2 { ptr: bucket, index: 0, len: 32 },
             BatchOp::ReadSpeculative { addr: item, len: 16 },
         ];
         let loaded = PipeOut::Loaded { ptr: item.0, bytes: vec![5u8; 32] };
@@ -1238,7 +1119,7 @@ mod tests {
         };
         let (bucket, item) = (FarAddr(64), FarAddr(PAGE));
         let ops = [
-            BatchOp::Load0 { ptr: bucket, len: 32 },
+            BatchOp::Load2 { ptr: bucket, index: 0, len: 32 },
             BatchOp::ReadSpeculative { addr: item.offset(64), len: 16 },
         ];
         // A dead node under any op fails the batch before the first runs.
@@ -1250,7 +1131,7 @@ mod tests {
         assert!(matches!(c.batch(&ops), Err(FabricError::NodeFailed(NodeId(1)))));
         let d = c.stats().since(&before);
         assert_eq!((d.messages, d.bytes_read, d.round_trips), (0, 0, 0), "nothing executed");
-        // A refused cross-node dereference is no failure: the `Load0`
+        // A refused cross-node dereference is no failure: the `Load2`
         // reissues its target, one round trip after the home node's
         // answer, and the rest of the batch runs.
         let f = two_nodes(IndirectionMode::Error, crate::fault::FaultPlan::NONE);

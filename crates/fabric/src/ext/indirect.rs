@@ -136,7 +136,7 @@ impl TargetAccess<'_> {
 /// pointer, guard mismatch, off-node guarded target): a blocking verb waited
 /// for that answer and charges its round trip, a failed pipelined
 /// descriptor books only its message (DESIGN.md §7) — a read-only load's
-/// null pointer is no failure ([`null_answers`]).
+/// null pointer is no failure ([`loaded`]).
 /// `None` when nothing answered — a dead node, a bad address.
 pub(crate) struct ErrorCompletion {
     pub(crate) err: FabricError,
@@ -149,18 +149,21 @@ impl ErrorCompletion {
     }
 }
 
-/// A *read-only* load's completion: a null pointer its home node answered
-/// with is the load's answer, not its failure — [`PipeOut::Null`],
-/// finished when the node answered. A fenced batch's `Load0` and a
-/// doorbell's load both complete through here, and both book the round
-/// trip the blocking verb's `NullDeref` books.
-pub(crate) fn null_answers(
-    loaded: std::result::Result<(PipeOut, u64), ErrorCompletion>,
+/// A *read-only* pointer load's answer, however it was sent: the pointer
+/// it was read through and the bytes ([`PipeOut::Loaded`]), or — for a
+/// null pointer its home node answered with, the load's answer and not
+/// its failure — [`PipeOut::Null`], finished when the node answered. It
+/// books the round trip the blocking verb's `NullDeref` books.
+pub(crate) fn loaded(
+    deref: std::result::Result<((u64, PipeOut), u64), ErrorCompletion>,
 ) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
-    loaded.or_else(|e| match (&e.err, e.answered_at) {
-        (FabricError::NullDeref { .. }, Some(at)) => Ok((PipeOut::Null, at)),
-        _ => Err(e),
-    })
+    match deref {
+        Ok(((ptr, out), f)) => Ok((PipeOut::Loaded { ptr, bytes: out.into_bytes() }, f)),
+        Err(ErrorCompletion { err: FabricError::NullDeref { .. }, answered_at: Some(at) }) => {
+            Ok((PipeOut::Null, at))
+        }
+        Err(e) => Err(e),
+    }
 }
 
 impl From<FabricError> for ErrorCompletion {
@@ -209,7 +212,7 @@ impl FabricClient {
     /// target is refused before the pointer moves.
     ///
     /// Inlined into its four callers (the blocking wrapper, the `Load2`
-    /// and `FaaiSwapGuarded` descriptors and `exec_load0`), three of
+    /// and `FaaiSwapGuarded` arms of `exec_op` and `exec_load0`), three of
     /// which fix `ptr_read` and the kind of `access`: the copies shed the
     /// flavours they cannot take. Left
     /// out of line, a `Load2` descriptor costs ~12 ns more on the host and
@@ -437,8 +440,8 @@ impl FabricClient {
     /// read, write or fetch-and-add at `target`, arriving at `at`, one
     /// round trip after the home node's answer at `answered`. Books one
     /// reissue and, once the access completes, the refused round trip —
-    /// the one round trip an `exec_*` function books, so a blocking verb,
-    /// a fenced batch's `Load0` and a doorbell descriptor count alike —
+    /// the one round trip an `exec_*` function books, so a load sent
+    /// alone, in a fenced batch or as a descriptor counts alike —
     /// and no forward hop. A failed access is an error the home node
     /// answered with. Out of line and cold, so the inlined copies of
     /// [`exec_deref`](Self::exec_deref) do not grow.
@@ -541,32 +544,20 @@ impl FabricClient {
         Ok((out, finish))
     }
 
-    /// `load0` of `len` bytes, or `load0_tagged` when `len` is `None`, as
-    /// one op of a fenced batch ([`BatchOp::Load0`],
-    /// [`BatchOp::Load0Tagged`]) or a tagged descriptor: returns
-    /// [`PipeOut::Loaded`] (the pointer and the bytes) or, for a null
-    /// pointer, [`PipeOut::Null`] ([`null_answers`]), with the node-side
-    /// finish time. Its own out-of-line copy of
-    /// [`exec_deref`](Self::exec_deref), so `batch` — the store path's hot
-    /// loop — does not grow by the executor's body.
+    /// `load0_tagged` as one [`PipeOp::Load0Tagged`] op, however it is
+    /// sent: its [`loaded`] answer with the node-side finish time. Its own
+    /// out-of-line copy of [`exec_deref`](Self::exec_deref), so `exec_op`
+    /// — the loop body of every batch and doorbell — inlines two copies,
+    /// not three.
     ///
-    /// [`BatchOp::Load0`]: crate::BatchOp::Load0
-    /// [`BatchOp::Load0Tagged`]: crate::BatchOp::Load0Tagged
+    /// [`PipeOp::Load0Tagged`]: crate::PipeOp::Load0Tagged
     #[inline(never)]
     pub(crate) fn exec_load0(
         &mut self,
         ad: FarAddr,
-        len: Option<u64>,
         arrival: u64,
     ) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
-        let (read, access) = match len {
-            Some(len) => (PtrRead::Plain, TargetAccess::Read(len)),
-            None => (PtrRead::Tagged, TargetAccess::Read(0)),
-        };
-        let loaded = self.exec_deref(ad, read, 0, access, arrival);
-        null_answers(loaded.map(|((ptr, out), f)| {
-            (PipeOut::Loaded { ptr, bytes: out.into_bytes() }, f)
-        }))
+        loaded(self.exec_deref(ad, PtrRead::Tagged, 0, TargetAccess::Read(0), arrival))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes

@@ -67,7 +67,7 @@ pub mod trace;
 pub use addr::{AddressMap, FarAddr, NodeId, Segment, Segments, Striping, PAGE, WORD};
 pub use broker::{Broker, BrokerStats};
 pub use check::{Access, AccessKind, CheckObserver};
-pub use client::{BatchOp, FabricClient};
+pub use client::FabricClient;
 pub use cost::{CostModel, SimClock};
 pub use error::{FabricError, Result};
 pub use ext::indirect::{tagged_len, TAG_MASK};
@@ -76,7 +76,7 @@ pub use fabric::{Fabric, FabricConfig, IndirectionMode};
 pub use fault::{FaultPlan, RetryPolicy};
 pub use node::{MemoryNode, NodeOccupancy};
 pub use notify::{DeliveryPolicy, Event, EventSink, SinkStats, SubId, SubKind};
-pub use pipeline::{CompletionQueue, DescList, IssueQueue, PipeOp, PipeOut};
+pub use pipeline::{BatchOp, CompletionQueue, DescList, IssueQueue, PipeOp, PipeOut};
 pub use replica::{GroupView, ReplicaConfig, FAILOVER_LEASE_NS};
 pub use sample::MetricSampler;
 pub use stats::AccessStats;

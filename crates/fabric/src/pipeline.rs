@@ -8,16 +8,20 @@
 //! virtual time even when they target *different* memory nodes, so striping
 //! never shows the bandwidth parallelism it exists to provide.
 //!
-//! Descriptors are posted onto a [`DescList`] with the same semantics as
-//! the serial verbs (reads, writes, CAS, FAA, `load0`-style indirection,
+//! One op vocabulary, [`PipeOp`], serves every way of sending a verb:
+//! alone ([`FabricClient::issue`]), fenced in a batch
+//! ([`FabricClient::batch`], whose [`BatchOp`] is a `PipeOp` over
+//! borrowed bytes) or posted as a descriptor. Descriptors are posted onto
+//! a [`DescList`] (reads, writes, CAS, FAA, `load0`-style indirection,
 //! the guarded claim and whole fenced batches);
 //! [`FabricClient::ring`] rings the doorbell for a list and returns a
 //! [`CompletionQueue`] holding one result per descriptor, in issue order.
 //! [`FabricClient::pipeline`] is the borrowed form: an [`IssueQueue`] is a
 //! list plus the client it will ring, so `client.pipeline()…commit()`
-//! reads as one expression. Every descriptor runs the `exec_*` function
-//! its blocking verb runs — there is one implementation of each verb,
-//! blocking or posted, the fenced batch's `exec_batch` included.
+//! reads as one expression. Every op, however sent, runs the one
+//! executor, `exec_op`, which runs the `exec_*` function its blocking
+//! verb runs — there is one implementation of each verb, and an op
+//! answers with the same [`PipeOut`] variant whichever way it went.
 //!
 //! # Overlap-aware accounting
 //!
@@ -54,8 +58,8 @@
 //! A null pointer under a read-only load ([`PipeOp::Load2`],
 //! [`PipeOp::Load0Tagged`]) is no failure but the load's *answer*: the
 //! descriptor completes as [`PipeOut::Null`] and books the round trip and
-//! the clock the blocking verb books for its `NullDeref`, as a fenced
-//! batch's `Load0` does when it answers the same [`PipeOut::Null`]. An absent key
+//! the clock the blocking verb books for its `NullDeref`, as the same op
+//! does in a fenced batch. An absent key
 //! in a batch of lookups therefore serialises nothing behind it. A
 //! cross-node target that an
 //! [`IndirectionMode::Error`](crate::fabric::IndirectionMode::Error)
@@ -71,19 +75,37 @@
 //! [`MemoryNode::occupy`]: crate::node::MemoryNode::occupy
 //! [`AccessStats::overlap_saved_ns`]: crate::stats::AccessStats
 
-use crate::addr::FarAddr;
+use crate::addr::{FarAddr, WORD};
 use crate::check::AccessKind;
-use crate::client::{BatchOp, FabricClient};
+use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
-use crate::ext::indirect::{null_answers, PtrRead, TargetAccess};
+use crate::ext::indirect::{loaded, ErrorCompletion, PtrRead, TargetAccess};
 use crate::trace::VerbKind;
 
-/// One posted descriptor (owned, so a queue can outlive its sources).
+/// One far op, however it is sent: alone ([`FabricClient::issue`]), in a
+/// fenced batch ([`FabricClient::batch`], [`PipeOp::Fenced`]) or posted
+/// ahead of a doorbell ([`DescList::post`]). Generic over the bytes a
+/// write carries: a posted descriptor owns them (`Vec<u8>`, the
+/// default), so a queue can outlive its sources; a batch borrows them
+/// ([`BatchOp`]). Every op runs the one executor, `exec_op`, whichever
+/// way it is sent.
 #[derive(Clone, Debug)]
-pub enum PipeOp {
+pub enum PipeOp<B = Vec<u8>> {
     /// Read `len` bytes at `addr` (serial equivalent: [`FabricClient::read`]).
     Read {
         /// Source far address.
+        addr: FarAddr,
+        /// Bytes to read.
+        len: u64,
+    },
+    /// [`Read`](PipeOp::Read) at an address the caller only guesses is
+    /// live. Booked like a read; reported to the verification observer as
+    /// [`AccessKind::SpeculativeRead`], whose contract is the caller's:
+    /// interpret the bytes only if an op *earlier in the same fenced
+    /// batch* returned a pointer naming `addr` (the batch applies its ops
+    /// in order).
+    ReadSpeculative {
+        /// Guessed far address.
         addr: FarAddr,
         /// Bytes to read.
         len: u64,
@@ -93,7 +115,7 @@ pub enum PipeOp {
         /// Destination far address.
         addr: FarAddr,
         /// Bytes to write.
-        data: Vec<u8>,
+        data: B,
     },
     /// Read the aligned word at `addr`.
     ReadU64 {
@@ -128,8 +150,8 @@ pub enum PipeOp {
     /// Dereference the pointer at `ptr`, offset the target by `index`
     /// bytes, and read `len` bytes there (serial equivalents:
     /// [`FabricClient::load0`] with `index == 0`,
-    /// [`FabricClient::load2`](FabricClient::load2) otherwise). A
-    /// cross-node target is forwarded under
+    /// [`FabricClient::load2`](FabricClient::load2) otherwise); completes
+    /// with [`PipeOut::Loaded`]. A cross-node target is forwarded under
     /// [`IndirectionMode::Forward`](crate::fabric::IndirectionMode::Forward)
     /// and reissued under [`Error`](crate::fabric::IndirectionMode::Error),
     /// as the serial verb does; a null pointer completes as
@@ -144,8 +166,8 @@ pub enum PipeOp {
     },
     /// Dereference the tagged pointer at `ptr` and read the block its tag
     /// names (serial equivalent: [`FabricClient::load0_tagged`]);
-    /// completes with [`PipeOut::Loaded`]. Null-pointer and remote-target
-    /// handling as for [`PipeOp::Load2`].
+    /// completes with [`PipeOut::Loaded`], the pointer word tag included.
+    /// Null-pointer and remote-target handling as for [`PipeOp::Load2`].
     Load0Tagged {
         /// Far address of the tagged pointer word.
         ptr: FarAddr,
@@ -170,7 +192,7 @@ pub enum PipeOp {
         /// Required guard value.
         expect: u64,
     },
-    /// A fenced batch as one descriptor (serial equivalent:
+    /// A fenced batch as one op (serial equivalent:
     /// [`FabricClient::batch`]): its ops apply in order and it books what
     /// the blocking batch books — one round trip, each op's messages and
     /// bytes, one fault roll, a whole-batch retry. Completes with
@@ -178,30 +200,72 @@ pub enum PipeOp {
     Fenced(Vec<BatchOp<'static>>),
 }
 
-impl PipeOp {
-    /// Whether executing this descriptor mutates far memory (the batch
-    /// `mutated` notion: once a side effect has completed, a blind
-    /// re-commit would duplicate it — a FAA applied twice, a won CAS
-    /// re-reported as lost — so such failures surface as
-    /// [`FabricError::PipelineTorn`] instead of being retried).
-    fn has_side_effect(&self) -> bool {
+/// The borrowed form of [`PipeOp`]: one op of a fenced batch, whose
+/// write bytes stay with the caller.
+pub type BatchOp<'a> = PipeOp<&'a [u8]>;
+
+impl<B> PipeOp<B> {
+    /// Whether executing this op mutates far memory. Once a side effect
+    /// has completed, a blind re-issue would duplicate it — a FAA applied
+    /// twice, a won CAS re-reported as lost — so a later failure
+    /// surfaces as [`FabricError::BatchTorn`] inside a fenced batch and
+    /// as [`FabricError::PipelineTorn`] behind a doorbell.
+    pub(crate) fn has_side_effect(&self) -> bool {
         match self {
             PipeOp::Read { .. }
+            | PipeOp::ReadSpeculative { .. }
             | PipeOp::ReadU64 { .. }
             | PipeOp::Load2 { .. }
             | PipeOp::Load0Tagged { .. } => false,
-            PipeOp::Fenced(ops) => ops.iter().any(|op| !op.is_read_only()),
+            PipeOp::Fenced(ops) => ops.iter().any(PipeOp::has_side_effect),
             _ => true,
+        }
+    }
+
+    /// The verb this op books as when sent alone — the kind its blocking
+    /// verb books.
+    fn verb_kind(&self) -> VerbKind {
+        match self {
+            PipeOp::Read { .. } | PipeOp::ReadSpeculative { .. } | PipeOp::ReadU64 { .. } => {
+                VerbKind::Read
+            }
+            PipeOp::Write { .. } | PipeOp::WriteU64 { .. } => VerbKind::Write,
+            PipeOp::Cas { .. } | PipeOp::Faa { .. } => VerbKind::Atomic,
+            PipeOp::Load2 { .. } | PipeOp::Load0Tagged { .. } | PipeOp::FaaiSwapGuarded { .. } => {
+                VerbKind::Indirect
+            }
+            PipeOp::Fenced(_) => VerbKind::Batch,
         }
     }
 }
 
-/// The answer of one far op: a completed descriptor, or one op of a
-/// fenced batch ([`FabricClient::batch`], [`PipeOp::Fenced`]). A verb
-/// answers with the same variant however it was sent.
+impl<B: AsRef<[u8]>> PipeOp<B> {
+    /// Calls `f` with every far range this op addresses before it
+    /// executes: a fenced batch pre-flights them all. A pointer load's
+    /// target is known only once it executes, so its pointer word is
+    /// what can be checked up front.
+    pub(crate) fn preflight(&self, f: &mut impl FnMut(FarAddr, u64) -> Result<()>) -> Result<()> {
+        match self {
+            PipeOp::Read { addr, len } | PipeOp::ReadSpeculative { addr, len } => f(*addr, *len),
+            PipeOp::Write { addr, data } => f(*addr, data.as_ref().len() as u64),
+            PipeOp::ReadU64 { addr }
+            | PipeOp::WriteU64 { addr, .. }
+            | PipeOp::Cas { addr, .. }
+            | PipeOp::Faa { addr, .. }
+            | PipeOp::Load2 { ptr: addr, .. }
+            | PipeOp::Load0Tagged { ptr: addr }
+            | PipeOp::FaaiSwapGuarded { ptr: addr, .. } => f(*addr, WORD),
+            PipeOp::Fenced(ops) => ops.iter().try_for_each(|op| op.preflight(f)),
+        }
+    }
+}
+
+/// The answer of one far op ([`PipeOp`]). An op answers with the same
+/// variant however it was sent: alone, in a fenced batch or as a
+/// descriptor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipeOut {
-    /// Bytes returned by a `Read` or a `Load2`.
+    /// Bytes returned by a `Read` or a `ReadSpeculative`.
     Bytes(Vec<u8>),
     /// Word returned by `ReadU64`, or previous value from `Cas` / `Faa`.
     Value(u64),
@@ -216,7 +280,7 @@ pub enum PipeOut {
     },
     /// The op answers of a fenced batch, in op order.
     Batch(Vec<PipeOut>),
-    /// What a `Load0` or a `Load0Tagged` read: the pointer word it
+    /// What a `Load2` or a `Load0Tagged` read: the pointer word it
     /// dereferenced, tag included, and the bytes at its target. The ops
     /// of a batch are not one atomic unit, so only this pointer — not a
     /// `Read` of the same word elsewhere in the batch — is known to name
@@ -227,8 +291,7 @@ pub enum PipeOut {
         /// The bytes read at the target.
         bytes: Vec<u8>,
     },
-    /// A read-only load (`Load0`, `Load0Tagged`, `Load2`) found a null
-    /// pointer.
+    /// A read-only load (`Load2`, `Load0Tagged`) found a null pointer.
     Null,
 }
 
@@ -512,7 +575,7 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
         let res = c.retrying(|c| {
             c.begin_attempt()?;
             let arrival = c.arrival();
-            let (out, finish) = exec_op(c, op, arrival)?;
+            let (out, finish) = c.exec_op(op, arrival)?;
             Ok((out, finish, arrival))
         });
         match res {
@@ -562,52 +625,72 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
     CompletionQueue { results, status }
 }
 
-/// Executes one descriptor arriving at `arrival` through the `exec_*`
-/// function its blocking verb runs, so messages / bytes / atomics are
-/// the serial verb's by construction; returns the completion payload and
-/// the node-side finish time.
-fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, u64)> {
-    match op {
-        PipeOp::Read { addr, len } => {
-            let (buf, f) = c.exec_read(AccessKind::Read, *addr, *len, arrival)?;
-            Ok((PipeOut::Bytes(buf), f))
-        }
-        PipeOp::Write { addr, data } => {
-            let f = c.exec_write(*addr, data, arrival)?;
-            Ok((PipeOut::Done, f))
-        }
-        PipeOp::ReadU64 { addr } => {
-            let (v, f) = c.exec_read_u64(*addr, arrival)?;
-            Ok((PipeOut::Value(v), f))
-        }
-        PipeOp::WriteU64 { addr, value } => {
-            let f = c.exec_write_u64(*addr, *value, arrival)?;
-            Ok((PipeOut::Done, f))
-        }
-        PipeOp::Cas { addr, expected, new } => {
-            let (prev, f) = c.exec_cas(*addr, *expected, *new, arrival)?;
-            Ok((PipeOut::Value(prev), f))
-        }
-        PipeOp::Faa { addr, delta } => {
-            let (prev, f) = c.exec_faa(*addr, *delta, arrival)?;
-            Ok((PipeOut::Value(prev), f))
-        }
-        PipeOp::Load2 { ptr, index, len } => {
-            let access = TargetAccess::Read(*len);
-            let loaded = c.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival);
-            Ok(null_answers(loaded.map(|((_, out), f)| (out, f)))?)
-        }
-        PipeOp::Load0Tagged { ptr } => Ok(c.exec_load0(*ptr, None, arrival)?),
-        PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
-            let read = PtrRead::GuardedFetchAdd { delta: *delta, guard: *guard, expect: *expect };
-            let ((old_ptr, old), f) =
-                c.exec_deref(*ptr, read, 0, TargetAccess::Swap(*replacement), arrival)?;
-            Ok((PipeOut::PtrWord { ptr: old_ptr, word: old.value() }, f))
-        }
-        PipeOp::Fenced(ops) => {
-            let (outs, f) = c.exec_batch(ops, arrival)?;
-            Ok((PipeOut::Batch(outs), f))
-        }
+impl FabricClient {
+    /// The one executor of a far op, however it is sent — alone
+    /// ([`issue`](Self::issue)), in a fenced batch
+    /// ([`exec_batch`](Self::exec_batch)) or behind a doorbell: arriving
+    /// at `arrival`, runs the `exec_*` function its blocking verb runs, so
+    /// messages / bytes / atomics are the serial verb's by construction.
+    /// Returns the answer and the node-side finish time; an error the
+    /// node answered with carries its answer time ([`ErrorCompletion`]).
+    pub(crate) fn exec_op<B: AsRef<[u8]>>(
+        &mut self,
+        op: &PipeOp<B>,
+        arrival: u64,
+    ) -> std::result::Result<(PipeOut, u64), ErrorCompletion> {
+        Ok(match op {
+            PipeOp::Read { addr, len } => {
+                let (buf, f) = self.exec_read(AccessKind::Read, *addr, *len, arrival)?;
+                (PipeOut::Bytes(buf), f)
+            }
+            PipeOp::ReadSpeculative { addr, len } => {
+                let (buf, f) = self.exec_read(AccessKind::SpeculativeRead, *addr, *len, arrival)?;
+                (PipeOut::Bytes(buf), f)
+            }
+            PipeOp::Write { addr, data } => {
+                (PipeOut::Done, self.exec_write(*addr, data.as_ref(), arrival)?)
+            }
+            PipeOp::ReadU64 { addr } => {
+                let (v, f) = self.exec_read_u64(*addr, arrival)?;
+                (PipeOut::Value(v), f)
+            }
+            PipeOp::WriteU64 { addr, value } => {
+                (PipeOut::Done, self.exec_write_u64(*addr, *value, arrival)?)
+            }
+            PipeOp::Cas { addr, expected, new } => {
+                let (prev, f) = self.exec_cas(*addr, *expected, *new, arrival)?;
+                (PipeOut::Value(prev), f)
+            }
+            PipeOp::Faa { addr, delta } => {
+                let (prev, f) = self.exec_faa(*addr, *delta, arrival)?;
+                (PipeOut::Value(prev), f)
+            }
+            PipeOp::Load2 { ptr, index, len } => {
+                let access = TargetAccess::Read(*len);
+                loaded(self.exec_deref(*ptr, PtrRead::Plain, *index, access, arrival))?
+            }
+            PipeOp::Load0Tagged { ptr } => self.exec_load0(*ptr, arrival)?,
+            PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
+                let (delta, guard, expect) = (*delta, *guard, *expect);
+                let read = PtrRead::GuardedFetchAdd { delta, guard, expect };
+                let ((old_ptr, old), f) =
+                    self.exec_deref(*ptr, read, 0, TargetAccess::Swap(*replacement), arrival)?;
+                (PipeOut::PtrWord { ptr: old_ptr, word: old.value() }, f)
+            }
+            PipeOp::Fenced(ops) => {
+                let (outs, f) = self.exec_batch(ops, arrival)?;
+                (PipeOut::Batch(outs), f)
+            }
+        })
+    }
+
+    /// Sends one op alone and waits for its answer: booked exactly as its
+    /// blocking verb books it — the same [`VerbKind`], round trip, fault
+    /// roll and retries — and answered as a fenced batch or a descriptor
+    /// would answer it (a null pointer under a load is
+    /// [`PipeOut::Null`], not an error). The runtime's serial doorbell.
+    pub fn issue<B: AsRef<[u8]>>(&mut self, op: &PipeOp<B>) -> Result<PipeOut> {
+        self.round_trip(op.verb_kind(), |c, arrival| c.exec_op(op, arrival))
     }
 }
 
@@ -828,7 +911,7 @@ mod tests {
         let (null_ptr, ptr, guard) = (FarAddr(WORD), FarAddr(2 * WORD), FarAddr(3 * WORD));
         c.write_u64(ptr, PAGE).unwrap();
         c.write_u64(FarAddr(PAGE), 7).unwrap();
-        let seven = PipeOut::Bytes(7u64.to_le_bytes().to_vec());
+        let seven = PipeOut::Loaded { ptr: PAGE, bytes: 7u64.to_le_bytes().to_vec() };
         let elapsed = |c: &mut FabricClient, first: FarAddr| {
             let (before, t0) = (c.stats(), c.now_ns());
             let mut q = c.pipeline();
@@ -1129,7 +1212,7 @@ mod tests {
     }
 
     /// One cross-node target on an `IndirectionMode::Error` fabric, read
-    /// three ways — the blocking `load0`, a blocking batch's `Load0` and a
+    /// three ways — the blocking `load0`, a blocking batch's `Load2` and a
     /// doorbell's `Load2` — returns the same bytes and books the same
     /// counts and clock (but for the doorbell's own two counters): the
     /// refused round trip, the reissued read, one reissue, no hop.
@@ -1153,7 +1236,7 @@ mod tests {
             let bytes = match how {
                 "blocking" => c.load0(ptr, 48).unwrap(),
                 "batched" => {
-                    let outs = c.batch(&[BatchOp::Load0 { ptr, len: 48 }]).unwrap();
+                    let outs = c.batch(&[BatchOp::Load2 { ptr, index: 0, len: 48 }]).unwrap();
                     outs[0].bytes().to_vec()
                 }
                 _ => {
@@ -1249,12 +1332,16 @@ mod tests {
 
     /// A lone [`PipeOp::Fenced`] descriptor is [`FabricClient::batch`]:
     /// the same outputs, the same `AccessStats` but for the doorbell's own
-    /// two counters, and the same clock — for a null `Load0` (an answer,
+    /// two counters, and the same clock — for a null `Load2` (an answer,
     /// round trip charged), under transient faults (one roll per attempt,
     /// the whole batch retried), for a remote target refused under
     /// `IndirectionMode::Error` (reissued, one round trip more), and for
     /// the shape of a carried slot publish, `[Cas, Load0Tagged]`, whose
-    /// CAS lands or loses.
+    /// CAS lands or loses. Then one row per op kind, sent alone
+    /// ([`FabricClient::issue`]), as a batch of one and as a descriptor:
+    /// the same [`PipeOut`] — an op answers with the same variant however
+    /// it was sent — the same `AccessStats` but for the doorbell's two
+    /// counters, and the same clock.
     #[test]
     fn a_fenced_descriptor_books_what_the_blocking_batch_books() {
         use crate::fabric::IndirectionMode;
@@ -1266,7 +1353,7 @@ mod tests {
         type Ops = fn(u64) -> Vec<BatchOp<'static>>;
         let lookup: Ops = |_| {
             vec![
-                BatchOp::Load0 { ptr: BUCKET, len: 32 },
+                BatchOp::Load2 { ptr: BUCKET, index: 0, len: 32 },
                 BatchOp::ReadSpeculative { addr: ITEM, len: 16 },
             ]
         };
@@ -1348,6 +1435,81 @@ mod tests {
                 }
             }
             assert_eq!(piped_ns, serial_ns, "{name}: clock");
+        }
+
+        // A plain pointer to the item on node 0; a queue head, its guard
+        // and the slot the head names, all on node 0 (a guarded claim's
+        // unit stays on its pointer's node).
+        const PLAIN: FarAddr = FarAddr(3 * WORD);
+        const HEAD: FarAddr = FarAddr(4 * WORD);
+        const GUARD: FarAddr = FarAddr(5 * WORD);
+        const QSLOT: FarAddr = FarAddr(2 * PAGE);
+        fn row<B: From<&'static [u8]>>(kind: &str) -> PipeOp<B> {
+            match kind {
+                "Read" => PipeOp::Read { addr: ITEM, len: 32 },
+                "ReadSpeculative" => PipeOp::ReadSpeculative { addr: ITEM, len: 16 },
+                "Write" => PipeOp::Write { addr: ITEM, data: B::from(&[6u8; 24][..]) },
+                "ReadU64" => PipeOp::ReadU64 { addr: BUCKET },
+                "WriteU64" => PipeOp::WriteU64 { addr: SLOT, value: 9 },
+                "Cas" => PipeOp::Cas { addr: SLOT, expected: 0, new: 1 },
+                "Faa" => PipeOp::Faa { addr: SLOT, delta: 3 },
+                "Load2" => PipeOp::Load2 { ptr: PLAIN, index: 8, len: 16 },
+                "Load0Tagged" => PipeOp::Load0Tagged { ptr: BUCKET },
+                "FaaiSwapGuarded" => PipeOp::FaaiSwapGuarded {
+                    ptr: HEAD,
+                    delta: WORD,
+                    replacement: 0,
+                    guard: GUARD,
+                    expect: 0,
+                },
+                other => unreachable!("{other}"),
+            }
+        }
+        let tagged = ITEM.0 | 1;
+        let rows = [
+            ("Read", PipeOut::Bytes(vec![5; 32])),
+            ("ReadSpeculative", PipeOut::Bytes(vec![5; 16])),
+            ("Write", PipeOut::Done),
+            ("ReadU64", PipeOut::Value(tagged)),
+            ("WriteU64", PipeOut::Done),
+            ("Cas", PipeOut::Value(0)),
+            ("Faa", PipeOut::Value(0)),
+            ("Load2", PipeOut::Loaded { ptr: ITEM.0, bytes: vec![5; 16] }),
+            ("Load0Tagged", PipeOut::Loaded { ptr: tagged, bytes: vec![5; 32] }),
+            ("FaaiSwapGuarded", PipeOut::PtrWord { ptr: QSLOT.0, word: 11 }),
+        ];
+        for (kind, answer) in rows {
+            let runs = ["alone", "batched", "posted"].map(|how| {
+                let mut c = striped(2, CostModel::DEFAULT).client();
+                c.write_u64(BUCKET, tagged).unwrap();
+                c.write_u64(PLAIN, ITEM.0).unwrap();
+                c.write_u64(HEAD, QSLOT.0).unwrap();
+                c.write_u64(QSLOT, 11).unwrap();
+                c.write(ITEM, &[5u8; 32]).unwrap();
+                let (before, t0) = (c.stats(), c.now_ns());
+                let out = match how {
+                    "alone" => c.issue(&row::<&[u8]>(kind)).unwrap(),
+                    "batched" => c.batch(&[row(kind)]).unwrap().remove(0),
+                    _ => {
+                        let mut q = c.pipeline();
+                        q.post(row(kind));
+                        q.commit().into_outputs().unwrap().remove(0)
+                    }
+                };
+                (out, c.stats().since(&before), c.now_ns() - t0)
+            });
+            let (out, stats, ns) = &runs[0];
+            assert_eq!(out, &answer, "{kind}");
+            assert_eq!(stats.round_trips, 1, "{kind}");
+            for (how, (o, s, t)) in ["batched", "posted"].iter().zip(&runs[1..]) {
+                assert_eq!((o, t), (out, ns), "{kind}: {how}");
+                for (i, field) in AccessStats::FIELD_NAMES.iter().enumerate() {
+                    if !matches!(*field, "doorbells" | "pipelined_ops") {
+                        let (got, want) = (s.to_array()[i], stats.to_array()[i]);
+                        assert_eq!(got, want, "{kind}, {how}: `{field}`");
+                    }
+                }
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 //! Every async verb posts one descriptor (the same [`PipeOp`] vocabulary
 //! the pipeline takes), pushes the doorbell onto the owning executor's
 //! reactor queue, and suspends. The reactor later *fires* the doorbell —
-//! executing the descriptor through the identical synchronous verb
-//! implementation, so stats and clock movement are byte-identical to
+//! sending the op through [`FabricClient::issue`], which books it as its
+//! blocking verb, so stats and clock movement are byte-identical to
 //! blocking code — stores the completion, and wakes the task exactly
 //! once. See [`crate::exec`] for the firing order.
 
@@ -29,8 +29,8 @@ pub(crate) type ReactorQueue = Rc<RefCell<BinaryHeap<Reverse<(u64, usize)>>>>;
 
 /// What a parked task is waiting on.
 pub(crate) enum Bell {
-    /// One descriptor, executed through the equivalent *serial* verb:
-    /// accounting is byte-identical to calling the blocking verb.
+    /// One op sent alone through [`FabricClient::issue`]: accounting is
+    /// byte-identical to calling the blocking verb.
     Serial(PipeOp),
     /// A descriptor list, executed through [`FabricClient::ring`]:
     /// accounting is byte-identical to the synchronous pipelined path.

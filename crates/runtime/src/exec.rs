@@ -261,8 +261,9 @@ impl Executor {
     }
 
     /// Fires `tid`'s posted doorbell: executes the descriptors against
-    /// the task's own client (serial verb or `FabricClient::ring` —
-    /// identical accounting to the synchronous path) and wakes the task.
+    /// the task's own client (`FabricClient::issue` or
+    /// `FabricClient::ring` — identical accounting to the synchronous
+    /// path) and wakes the task.
     fn fire(&mut self, tid: usize) {
         let cell = self
             .tasks
@@ -276,7 +277,7 @@ impl Executor {
         };
         let done = match bell {
             Bell::Yield => Completion::Yield,
-            Bell::Serial(op) => Completion::Serial(serial_exec(&mut c.client, op)),
+            Bell::Serial(op) => Completion::Serial(c.client.issue(&op)),
             Bell::Batch(list) => Completion::Batch(c.client.ring(&list)),
         };
         c.state = Park::Complete(done);
@@ -290,21 +291,6 @@ impl Executor {
             // task posted and was then polled runnable). Mark it ready.
             self.ready.push(tid);
         }
-    }
-}
-
-/// Executes one serial descriptor through the equivalent blocking verb —
-/// the accounting identity the twin-run property test pins down.
-fn serial_exec(c: &mut FabricClient, op: farmem_fabric::PipeOp) -> farmem_fabric::Result<farmem_fabric::PipeOut> {
-    use farmem_fabric::{PipeOp, PipeOut};
-    match op {
-        PipeOp::Read { addr, len } => c.read(addr, len).map(PipeOut::Bytes),
-        PipeOp::Write { addr, data } => c.write(addr, &data).map(|_| PipeOut::Done),
-        PipeOp::ReadU64 { addr } => c.read_u64(addr).map(PipeOut::Value),
-        PipeOp::WriteU64 { addr, value } => c.write_u64(addr, value).map(|_| PipeOut::Done),
-        PipeOp::Cas { addr, expected, new } => c.cas(addr, expected, new).map(PipeOut::Value),
-        PipeOp::Faa { addr, delta } => c.faa(addr, delta).map(PipeOut::Value),
-        _ => unreachable!("AsyncClient posts only its word and byte verbs serially"),
     }
 }
 
