@@ -1,26 +1,25 @@
 //! A small Rust lexer — the foundation every pass sits on.
 //!
-//! The five original `xtask` lints were line-based greps with a
+//! The original `xtask` lints were line-based greps with a
 //! `LineFilter`-style comment heuristic, which had two known
 //! blind-spot classes: multi-line `/* */` block comments (code inside
 //! them was still linted) and raw strings `r#"…"#` (their *contents*
 //! look like code to a grep). This lexer tokenizes the real thing —
 //! line and nested block comments, plain and raw (and byte) string
 //! literals, char literals vs. lifetimes, numbers, identifiers — so
-//! both the migrated lints and the new dataflow passes see tokens, not
-//! bytes.
+//! every pass sees tokens, not bytes.
 //!
 //! The lexer is *lossless*: concatenating every token's text
 //! reconstructs the source byte-for-byte (a tested property, see
-//! `tests/lexer_roundtrip.rs`, which lexes every `.rs` file in the
+//! `tests/analyzer.rs`, which lexes every `.rs` file in the
 //! workspace). It does not need to be a full Rust grammar — it only
 //! has to classify code vs. non-code exactly, and keep enough shape
-//! (punctuation, identifiers) for the sketch extractor to build
-//! control-flow sketches on top.
+//! (punctuation, identifiers) for the token scans and the sketch
+//! extractor to work on.
 
 /// Token classes. `White`, `LineComment` and `BlockComment` are
-/// non-code trivia; `Str`/`RawStr`/`Char` are code but their *contents*
-/// are data, not code — [`Lexed::masked`] blanks all five classes.
+/// non-code trivia; `Str`/`RawStr`/`Char` are code, but one token each,
+/// so their *contents* never match a pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Whitespace run (spaces, tabs, newlines).
@@ -73,31 +72,6 @@ impl Lexed {
         &self.src[t.start..t.end]
     }
 
-    /// The source with every non-code byte blanked to a space:
-    /// comments, string/char contents (and their delimiters) become
-    /// spaces while newlines survive, so line numbers and column
-    /// positions are unchanged and a line-oriented lint sees *only*
-    /// code. This is the `LineFilter` replacement: a `FarAddr(p + 8)`
-    /// inside a block comment or a raw string vanishes before any
-    /// pattern looks at it.
-    pub fn masked(&self) -> String {
-        let mut out = String::with_capacity(self.src.len());
-        for t in &self.tokens {
-            let text = self.text(t);
-            match t.kind {
-                Kind::LineComment | Kind::BlockComment | Kind::Str | Kind::RawStr | Kind::Char => {
-                    // One space per byte (not per char): multi-byte
-                    // chars in comments must not shift byte columns.
-                    for b in text.bytes() {
-                        out.push(if b == b'\n' { '\n' } else { ' ' });
-                    }
-                }
-                _ => out.push_str(text),
-            }
-        }
-        out
-    }
-
     /// Indices of the significant (non-trivia) tokens, in order.
     pub fn significant(&self) -> Vec<usize> {
         (0..self.tokens.len())
@@ -110,23 +84,31 @@ impl Lexed {
             .collect()
     }
 
+    /// Indices of the significant tokens before the test cutoff: the
+    /// code every pass reads.
+    pub fn code(&self) -> Vec<usize> {
+        let cutoff = self.test_cutoff_line().unwrap_or(u32::MAX);
+        let mut sig = self.significant();
+        sig.retain(|&i| self.tokens[i].line < cutoff);
+        sig
+    }
+
+    /// The line of the first run of significant tokens whose texts are
+    /// `pat`, if any.
+    pub fn find_seq(&self, pat: &[&str]) -> Option<u32> {
+        let sig = self.significant();
+        sig.windows(pat.len())
+            .find(|w| w.iter().zip(pat).all(|(&i, &p)| self.text(&self.tokens[i]) == p))
+            .map(|w| self.tokens[w[0]].line)
+    }
+
     /// The line of the first `#[cfg(test)]` attribute, if any. By the
     /// repo-wide tests-module-last convention everything from that line
     /// on is test code and exempt from source lints (same rule the old
     /// `LineFilter` applied, now matched on real tokens so the pattern
     /// inside a string or comment no longer trips it).
     pub fn test_cutoff_line(&self) -> Option<u32> {
-        let sig = self.significant();
-        let pat = ["#", "[", "cfg", "(", "test", ")", "]"];
-        for w in sig.windows(pat.len()) {
-            if w.iter()
-                .zip(pat.iter())
-                .all(|(&i, &p)| self.text(&self.tokens[i]) == p)
-            {
-                return Some(self.tokens[w[0]].line);
-            }
-        }
-        None
+        self.find_seq(&["#", "[", "cfg", "(", "test", ")", "]"])
     }
 }
 
@@ -424,25 +406,6 @@ mod tests {
             .map(|t| lx.text(t))
             .collect();
         assert_eq!(chars, vec![r"'\n'", r"'\''", r"'\u{1F600}'"]);
-    }
-
-    #[test]
-    fn masked_blanks_comments_and_string_contents() {
-        let src = "client.read(a); // client.cas(b)\nlet s = \"client.faa(c)\";";
-        let m = lex(src).masked();
-        assert!(m.contains("client.read(a);"));
-        assert!(!m.contains("client.cas"));
-        assert!(!m.contains("client.faa"));
-        assert_eq!(m.lines().count(), src.lines().count());
-        assert_eq!(m.len(), src.len());
-    }
-
-    #[test]
-    fn masked_preserves_line_structure_of_multiline_trivia() {
-        let src = "a\n/* x\ny\nz */\nb r#\"p\nq\"# c";
-        let m = lex(src).masked();
-        assert_eq!(m.lines().count(), src.lines().count());
-        assert!(m.lines().nth(4).unwrap().starts_with('b'));
     }
 
     #[test]

@@ -6,19 +6,20 @@
 //! serial-verb loop and only a human reading e-driver tables would
 //! notice. This crate is the compile-time counterpart of `farmem-check`
 //! (which model-checks the protocols dynamically): a small Rust lexer,
-//! a per-function control-flow sketch extractor, and dataflow passes
-//! over the sketches.
+//! a per-function control-flow sketch extractor, and one engine of
+//! passes over the sketches and the token stream.
 //!
 //! ## Pass catalog
 //!
-//! Dataflow passes (new in this crate):
+//! Passes over function sketches ([`passes`]):
 //!
 //! * **rt-in-loop** — serial fabric verbs inside a loop body with no
 //!   batch adopter (`pipeline()`, `get_many`, `read_ranges`,
 //!   `dequeue_batch`, ...) in scope: loop-carried round-trip
 //!   amplification. The finding names the batched twin to adopt.
-//! * **lock-across-rt** — a `FarMutex` held across ≥ N
-//!   fabric verbs (default 4) or across any `.await`: the 100 ms
+//! * **lock-across-rt** — a `FarMutex` held across ≥
+//!   [`LOCK_RT_THRESHOLD`](passes::LOCK_RT_THRESHOLD) fabric verbs or
+//!   across any `.await`: the 100 ms
 //!   virtual lease can expire under the holder and a contender will
 //!   fence it out mid-critical-section.
 //! * **guard-escape** — a value derived from a fabric read under an
@@ -27,23 +28,35 @@
 //! * **verb-in-drop** — fabric verbs inside `Drop` impls, where
 //!   retry/backoff cannot surface errors and drops run at
 //!   unpredictable times (mid-panic, mid-failover).
+//! * **retire-guard** — a `.retire(…)` or `.retire_restructure(…)`
+//!   outside `crates/reclaim` whose own function holds no epoch guard:
+//!   no `Guard` or `Pinned` in its signature, and no `pin(…)`,
+//!   `pin_deferred(…)` or `*_guarded(…)` call before it in its body.
+//! * **block-async** — in `crates/core`, a blocking fabric access (the
+//!   `.with(…)` escape hatch, or a call on a `client` receiver) inside
+//!   an `async fn`.
 //!
-//! Migrated legacy lints ([`legacy`]): `far-addr`, `retire-guard`,
-//! `stats-mut`, `block-async` (per-file) and `forbid-unsafe` (per
-//! crate root). Same rules as the old `xtask` greps, but matched
-//! against [`lex::Lexed::masked`] text, which retires the
-//! `LineFilter` blind spots (multi-line `/* */` comments, raw
-//! strings).
+//! Scans of the significant tokens (the first two stop at the test
+//! cutoff, like the sketches):
+//!
+//! * **far-addr** — outside `crates/fabric`, a `FarAddr(…)` whose
+//!   argument does arithmetic (a spaced binary operator outside any
+//!   `[…]` index): addresses move by `FarAddr::offset`.
+//! * **stats-mut** — outside `crates/fabric`, an assignment to a field
+//!   named in `AccessStats::FIELD_NAMES`: counters move only through
+//!   fabric verbs.
+//! * **forbid-unsafe** — a crate root without the token sequence
+//!   `#![forbid(unsafe_code)]`.
+//!
+//! Tokens, not text lines: a pattern inside a comment, a multi-line
+//! `/* */` block or a raw string is never code.
 //!
 //! ## Waivers
 //!
-//! A deliberate exception carries a marker in a comment: `audit:` (or
-//! `lint:`, the migrated lints' historical spelling), the word of the
-//! pass it waives with `-ok` appended, then `: <why>`. The word is the
-//! pass's name, except `retire`, `stats` and `block` for
-//! `retire-guard`, `stats-mut` and `block-async`. A marker covers the
-//! findings of its pass on its own line and the [`WINDOW`] lines below,
-//! and never another pass's.
+//! A deliberate exception carries a marker in a comment: `audit:`, the
+//! name of the pass it waives with `-ok` appended, then `: <why>`. A
+//! marker covers the findings of its pass on its own line and the
+//! [`WINDOW`] lines below, and never another pass's.
 //!
 //! A waiver must waive something. One that covers no finding is itself
 //! a finding of the `dead-waiver` pass: a marker that outlived its code,
@@ -60,7 +73,6 @@
 //! target's text in memory and audits the result; exactly the passes it
 //! expects must fire, and every entry of [`PASSES`] needs a mutant.
 
-pub mod legacy;
 pub mod lex;
 pub mod passes;
 pub mod sketch;
@@ -70,10 +82,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use farmem_fabric::AccessStats;
-
-/// One analyzer finding. `function` is empty for line-oriented legacy
-/// lints, which do not track enclosing functions.
+/// One analyzer finding. `function` is empty for the findings that sit
+/// in no one function: the token scans (`far-addr`, `stats-mut`), the
+/// crate-root `forbid-unsafe` check and the waiver rule.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub file: String,
@@ -84,30 +95,8 @@ pub struct Finding {
     pub suggestion: String,
 }
 
-/// Analyzer knobs. The defaults are the repo gate's settings.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// `lock-across-rt` fires when a lease lock is held across at
-    /// least this many fabric verbs (any `.await` fires regardless).
-    /// Bounded CAS retries under a lock are normal; a verb-per-element
-    /// loop under a lock is not.
-    pub lock_rt_threshold: usize,
-    /// Field names `stats-mut` protects. Defaults to the real
-    /// [`AccessStats::FIELD_NAMES`], so the lint tracks the struct.
-    pub stats_fields: Vec<String>,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            lock_rt_threshold: 4,
-            stats_fields: AccessStats::FIELD_NAMES.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
-
-/// Every pass the analyzer runs: four dataflow passes, four migrated
-/// line lints, the crate-root `forbid-unsafe` check and the waiver rule
+/// Every pass the analyzer runs: six over function sketches, two token
+/// scans, the crate-root `forbid-unsafe` check and the waiver rule
 /// `dead-waiver`. Each needs at least one mutant (crate docs).
 pub const PASSES: [&str; 10] = [
     "rt-in-loop",
@@ -125,19 +114,18 @@ pub const PASSES: [&str; 10] = [
 /// How many lines below its marker a waiver reaches.
 pub const WINDOW: u32 = 4;
 
-/// Pass scoping by workspace-relative path (forward slashes). Mirrors
-/// the old linter's per-pass exclude lists and extends them to the
-/// dataflow passes:
+/// Pass scoping by workspace-relative path (forward slashes):
 ///
 /// * `rt-in-loop` skips `crates/fabric` (the verb and pipeline
 ///   implementations themselves), `crates/baselines` (deliberately
 ///   serial paper baselines), `crates/bench` and `crates/check`
 ///   (measurement drivers and protocol programs that exercise serial
 ///   paths on purpose), and `shims`.
-/// * the other dataflow passes skip only `shims` (no fabric there).
-/// * migrated lints keep their historical scopes: `far-addr` and
-///   `stats-mut` skip `crates/fabric`, `retire-guard` skips
-///   `crates/reclaim`, `block-async` applies only in `crates/core`.
+/// * `lock-across-rt`, `guard-escape` and `verb-in-drop` skip only
+///   `shims` (no fabric there).
+/// * `far-addr` and `stats-mut` skip `crates/fabric` (the type and the
+///   counters' owner), `retire-guard` skips `crates/reclaim` (the
+///   reclaimer itself), `block-async` applies only in `crates/core`.
 pub fn pass_enabled(pass: &str, path: &str) -> bool {
     let starts = |p: &str| path.starts_with(p);
     match pass {
@@ -156,26 +144,13 @@ pub fn pass_enabled(pass: &str, path: &str) -> bool {
     }
 }
 
-/// All per-file passes (dataflow + migrated lints) over one source
-/// file, with its waivers applied. `path` is the workspace-relative path
-/// used for scoping and reporting.
-pub fn audit_source(path: &str, src: &str, cfg: &AuditConfig) -> Vec<Finding> {
+/// All per-file passes over one source file, with its waivers applied.
+/// `path` is the workspace-relative path used for scoping and reporting.
+pub fn audit_source(path: &str, src: &str) -> Vec<Finding> {
     let lx = lex::lex(src);
-    let mut found = passes::dataflow_findings(path, &sketch::extract(&lx), cfg);
-    found.extend(legacy::legacy_findings(path, &lx, cfg));
-    let mut out = waive(path, &passes::markers(&lx), found);
+    let mut out = waive(path, &passes::markers(&lx), passes::findings(path, &lx));
     out.sort();
     out
-}
-
-/// The marker word that waives `pass` (crate docs).
-fn waiver_word(pass: &str) -> &str {
-    match pass {
-        "retire-guard" => "retire",
-        "stats-mut" => "stats",
-        "block-async" => "block",
-        pass => pass,
-    }
 }
 
 /// Drops each finding a marker covers, crediting the nearest marker
@@ -187,7 +162,7 @@ fn waive(path: &str, marks: &[passes::Marker], found: Vec<Finding>) -> Vec<Findi
         .into_iter()
         .filter(|f| {
             let covers = |m: &passes::Marker| {
-                m.word == waiver_word(&f.pass) && (m.line..=m.line + WINDOW).contains(&f.line)
+                m.word == f.pass && (m.line..=m.line + WINDOW).contains(&f.line)
             };
             let nearest = (0..marks.len()).filter(|&i| covers(&marks[i])).max_by_key(|&i| marks[i].line);
             nearest.inspect(|&i| live[i] = true).is_none()
@@ -212,7 +187,7 @@ fn waive(path: &str, marks: &[passes::Marker], found: Vec<Finding>) -> Vec<Findi
 }
 
 /// The result of running the analyzer over a tree: findings plus the
-/// coverage denominator, rendered as text or schema-versioned JSON.
+/// coverage denominator.
 #[derive(Debug, Clone)]
 pub struct AuditReport {
     pub findings: Vec<Finding>,
@@ -244,53 +219,6 @@ impl AuditReport {
         );
         out
     }
-
-    /// Machine-oriented rendering. Byte-identical across runs on the
-    /// same tree (findings are fully sorted, no timestamps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema_version\":1,");
-        let _ = write!(out, "\"files_scanned\":{},\"findings\":[", self.files_scanned);
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":{},\"line\":{},\"function\":{},\"pass\":{},\
-                 \"message\":{},\"suggestion\":{}}}",
-                json_str(&f.file),
-                f.line,
-                json_str(&f.function),
-                json_str(&f.pass),
-                json_str(&f.message),
-                json_str(&f.suggestion)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// JSON string literal with the escapes the findings can contain.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            // audit: rt-in-loop-ok: String building — `c` is a char, not a client
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The directory holding the workspace `Cargo.toml` (where
@@ -358,7 +286,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Workspace-relative path with forward slashes (stable across hosts,
-/// so findings JSON is portable).
+/// so findings read the same everywhere).
 pub fn rel(root: &Path, p: &Path) -> String {
     let r = p.strip_prefix(root).unwrap_or(p);
     r.components()
@@ -368,12 +296,11 @@ pub fn rel(root: &Path, p: &Path) -> String {
 }
 
 /// `forbid-unsafe` on one crate root's source: every crate opts out
-/// of `unsafe` at the root (matched on masked text, so a commented-out
-/// attribute no longer satisfies it — and a real one inside a block
-/// comment never did).
+/// of `unsafe` at the root (matched on significant tokens, so the
+/// attribute in a comment or a string does not satisfy it).
 pub fn forbid_unsafe_source(path: &str, src: &str) -> Option<Finding> {
-    let masked = lex::lex(src).masked();
-    if masked.contains("#![forbid(unsafe_code)]") {
+    let attr = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
+    if lex::lex(src).find_seq(&attr).is_some() {
         return None;
     }
     Some(Finding {
@@ -396,12 +323,12 @@ fn forbid_unsafe_findings(root: &Path) -> Vec<Finding> {
 }
 
 /// All passes over the workspace tree.
-pub fn audit_tree(root: &Path, cfg: &AuditConfig) -> io::Result<AuditReport> {
+pub fn audit_tree(root: &Path) -> io::Result<AuditReport> {
     let files = source_files(root);
     let mut findings = forbid_unsafe_findings(root);
     for path in &files {
         let src = fs::read_to_string(path)?;
-        findings.extend(audit_source(&rel(root, path), &src, cfg));
+        findings.extend(audit_source(&rel(root, path), &src));
     }
     findings.sort();
     Ok(AuditReport { findings, files_scanned: files.len() })
@@ -439,12 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("tab\there"), "\"tab\\there\"");
-    }
-
-    #[test]
     fn report_json_shape_and_determinism() {
         let f = Finding {
             file: "crates/core/src/x.rs".into(),
@@ -455,17 +376,13 @@ mod tests {
             suggestion: "s".into(),
         };
         let r = AuditReport { findings: vec![f], files_scanned: 1 };
-        let j = r.to_json();
-        assert!(j.starts_with("{\"schema_version\":1,"));
-        assert!(j.contains("\"pass\":\"rt-in-loop\""));
-        assert_eq!(j, r.to_json());
         assert!(r.render_text().contains("crates/core/src/x.rs:3 [rt-in-loop] (fn get): m"));
     }
 
     /// Which passes fire on `src` at `path`, waivers applied.
     fn fired(path: &str, src: &str) -> Vec<String> {
         let mut passes: Vec<String> =
-            audit_source(path, src, &AuditConfig::default()).into_iter().map(|f| f.pass).collect();
+            audit_source(path, src).into_iter().map(|f| f.pass).collect();
         passes.sort_unstable();
         passes.dedup();
         passes
@@ -488,8 +405,8 @@ mod tests {
             ("directly above", core, serial(ok, 0), vec![]),
             ("at the window's edge", core, serial(ok, WINDOW as usize - 1), vec![]),
             ("past the window", core, serial(ok, WINDOW as usize), vec!["dead-waiver", "rt-in-loop"]),
-            ("the legacy spelling", core, serial("// lint: rt-in-loop-ok: why\n", 0), vec![]),
-            ("another pass's", core, serial("// lint: far-addr-ok: why\n", 0), vec!["dead-waiver", "rt-in-loop"]),
+            ("the legacy spelling", core, serial("// lint: rt-in-loop-ok: why\n", 0), vec!["rt-in-loop"]),
+            ("another pass's", core, serial("// audit: far-addr-ok: why\n", 0), vec!["dead-waiver", "rt-in-loop"]),
             ("a word of no pass", core, serial("// audit: rt-loop-ok: why\n", 0), vec!["dead-waiver", "rt-in-loop"]),
             // Two markers over one finding: the nearer waives it, the
             // farther waives nothing.
@@ -523,7 +440,7 @@ mod tests {
                    \x20       client.read_u64(a).unwrap();\n\
                    \x20   }\n\
                    }\n";
-        let f = audit_source("crates/core/src/x.rs", src, &AuditConfig::default());
+        let f = audit_source("crates/core/src/x.rs", src);
         let passes: Vec<&str> = f.iter().map(|x| x.pass.as_str()).collect();
         assert!(passes.contains(&"far-addr"), "{passes:?}");
         assert!(passes.contains(&"rt-in-loop"), "{passes:?}");

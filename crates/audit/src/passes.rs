@@ -1,4 +1,5 @@
-//! The four dataflow passes over function sketches.
+//! The eight per-file passes: six over function sketches, two over the
+//! token stream.
 //!
 //! Each pass encodes one far-memory discipline the paper's round-trip
 //! arithmetic depends on (DESIGN.md §14 catalogs them):
@@ -19,27 +20,45 @@
 //!   `FabricError`s and run at unpredictable times (mid-panic,
 //!   mid-failover); both real `Drop` impls in the tree are purely
 //!   local by design, and this pass keeps it that way.
+//! * **retire-guard** — a block handed to the reclaimer is freed a
+//!   grace period later, which protects a reader only if the retirer
+//!   itself holds an epoch guard; the evidence must sit in the retiring
+//!   function.
+//! * **block-async** — a blocking fabric access inside an `async fn`
+//!   stalls every session its executor thread runs.
+//! * **far-addr** — addresses are computed by `FarAddr::offset`, never
+//!   by arithmetic inside `FarAddr(…)`.
+//! * **stats-mut** — `AccessStats` counters move only through fabric
+//!   verbs, never by assignment.
 //!
 //! The passes report every violation they see; [`crate::audit_source`]
 //! then drops the ones a waiver marker covers (the grammar is in the
 //! crate docs).
 
-use crate::lex::{Kind, Lexed};
-use crate::sketch::{batched_twin, Ev, FnSketch};
-use crate::{AuditConfig, Finding};
+use farmem_fabric::AccessStats;
 
-/// One `audit:`/`lint:` waiver marker: the word it names and the line it
-/// sits on.
+use crate::lex::{Kind, Lexed};
+use crate::sketch::{batched_twin, extract, Ev, FnSketch};
+use crate::Finding;
+
+/// `lock-across-rt` fires when a lease lock is held across at least
+/// this many fabric verbs (any `.await` fires regardless). Bounded CAS
+/// retries under a lock are normal; a verb-per-element loop under a
+/// lock is not.
+pub const LOCK_RT_THRESHOLD: u32 = 4;
+
+/// One `audit:` waiver marker: the pass it names and the line it sits
+/// on.
 pub struct Marker {
-    /// The word before `-ok` (`rt-in-loop`, `block`, …).
+    /// The pass name before `-ok` (`rt-in-loop`, `block-async`, …).
     pub word: String,
     /// 1-based line of the marker text.
     pub line: u32,
 }
 
-/// Extracts every waiver marker from the comment tokens: `audit:` or
-/// `lint:`, a word, `-ok`, found anywhere inside a line or block
-/// comment. A marker inside a string literal is data, not a waiver.
+/// Extracts every waiver marker from the comment tokens: `audit:`, a
+/// word, `-ok`, found anywhere inside a line or block comment. A marker
+/// inside a string literal is data, not a waiver.
 pub fn markers(lx: &Lexed) -> Vec<Marker> {
     let mut out = Vec::new();
     for t in &lx.tokens {
@@ -47,21 +66,19 @@ pub fn markers(lx: &Lexed) -> Vec<Marker> {
             continue;
         }
         let text = lx.text(t);
-        for key in ["audit:", "lint:"] {
-            let mut from = 0usize;
-            while let Some(pos) = text[from..].find(key) {
-                let at = from + pos + key.len();
-                from = at;
-                let rest = text[at..].trim_start();
-                let word: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                    .collect();
-                if let Some(word) = word.strip_suffix("-ok") {
-                    if !word.is_empty() {
-                        let line = t.line + text[..at].matches('\n').count() as u32;
-                        out.push(Marker { word: word.to_string(), line });
-                    }
+        let mut from = 0usize;
+        while let Some(pos) = text[from..].find("audit:") {
+            let at = from + pos + "audit:".len();
+            from = at;
+            let rest = text[at..].trim_start();
+            let word: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+                .collect();
+            if let Some(word) = word.strip_suffix("-ok") {
+                if !word.is_empty() {
+                    let line = t.line + text[..at].matches('\n').count() as u32;
+                    out.push(Marker { word: word.to_string(), line });
                 }
             }
         }
@@ -69,22 +86,36 @@ pub fn markers(lx: &Lexed) -> Vec<Marker> {
     out
 }
 
-/// Runs all four dataflow passes over one file's sketches.
-pub fn dataflow_findings(path: &str, sketches: &[FnSketch], cfg: &AuditConfig) -> Vec<Finding> {
+/// Runs every per-file pass enabled at `path` over one lexed file.
+pub fn findings(path: &str, lx: &Lexed) -> Vec<Finding> {
+    let on = |pass| crate::pass_enabled(pass, path);
     let mut out = Vec::new();
-    for f in sketches {
-        if crate::pass_enabled("rt-in-loop", path) {
+    for f in &extract(lx) {
+        if on("rt-in-loop") {
             rt_in_loop(path, f, &mut out);
         }
-        if crate::pass_enabled("lock-across-rt", path) {
-            lock_across_rt(path, f, cfg, &mut out);
+        if on("lock-across-rt") {
+            lock_across_rt(path, f, &mut out);
         }
-        if crate::pass_enabled("guard-escape", path) {
+        if on("guard-escape") {
             guard_escape(path, f, &mut out);
         }
-        if crate::pass_enabled("verb-in-drop", path) {
+        if on("verb-in-drop") {
             verb_in_drop(path, f, &mut out);
         }
+        if on("retire-guard") {
+            retire_guard(path, f, &mut out);
+        }
+        if on("block-async") {
+            block_async(path, f, &mut out);
+        }
+    }
+    let code = lx.code();
+    if on("far-addr") {
+        far_addr(path, lx, &code, &mut out);
+    }
+    if on("stats-mut") {
+        stats_mut(path, lx, &code, &mut out);
     }
     out
 }
@@ -164,9 +195,9 @@ struct LockRegion {
     awaits: u32,
 }
 
-/// Flags lock-held regions spanning ≥ `lock_rt_threshold` fabric verbs
+/// Flags lock-held regions spanning ≥ [`LOCK_RT_THRESHOLD`] fabric verbs
 /// or any `.await` — the lease-expiry hazard.
-fn lock_across_rt(path: &str, f: &FnSketch, cfg: &AuditConfig, out: &mut Vec<Finding>) {
+fn lock_across_rt(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
     let mut open: Vec<LockRegion> = Vec::new();
     for ev in &f.events {
         match ev {
@@ -185,12 +216,12 @@ fn lock_across_rt(path: &str, f: &FnSketch, cfg: &AuditConfig, out: &mut Vec<Fin
             }
             Ev::Release { .. } => {
                 let Some(r) = open.pop() else { continue };
-                let over = r.verbs >= cfg.lock_rt_threshold as u32 || r.awaits > 0;
+                let over = r.verbs >= LOCK_RT_THRESHOLD || r.awaits > 0;
                 if over {
                     let what = if r.awaits > 0 {
                         format!("{} .await point(s)", r.awaits)
                     } else {
-                        format!("{} fabric verbs (threshold {})", r.verbs, cfg.lock_rt_threshold)
+                        format!("{} fabric verbs (threshold {LOCK_RT_THRESHOLD})", r.verbs)
                     };
                     out.push(Finding {
                         file: path.to_string(),
@@ -336,14 +367,154 @@ fn verb_in_drop(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
     }
 }
 
+/// Flags every retire that no epoch guard of its own function covers:
+/// the signature names a `Guard` or `Pinned`, or a guard was taken
+/// earlier in the body.
+fn retire_guard(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
+    let mut guarded = f.guard_in_sig;
+    for ev in &f.events {
+        match ev {
+            Ev::Guard { .. } => guarded = true,
+            Ev::Retire { line } if !guarded => out.push(Finding {
+                file: path.to_string(),
+                line: *line,
+                function: f.name.clone(),
+                pass: "retire-guard".to_string(),
+                message: "retire outside a guard scope (no Guard or Pinned parameter, and no \
+                          pin, pin_deferred or *_guarded call before it in its function)"
+                    .to_string(),
+                suggestion: "retire under the operation's guard, or annotate \
+                             `// audit: retire-guard-ok: <why>` if the protocol justifies it"
+                    .to_string(),
+            }),
+            _ => {}
+        }
+    }
+}
+
+/// Flags every blocking fabric access (`client.<verb>(…)` or the
+/// `.with(…)` escape hatch) inside an `async fn` body.
+fn block_async(path: &str, f: &FnSketch, out: &mut Vec<Finding>) {
+    if !f.is_async {
+        return;
+    }
+    for ev in &f.events {
+        let Ev::Blocking { line } = ev else { continue };
+        out.push(Finding {
+            file: path.to_string(),
+            line: *line,
+            function: f.name.clone(),
+            pass: "block-async".to_string(),
+            message: "blocking fabric access inside an async fn".to_string(),
+            suggestion: "suspend at the doorbell instead, or annotate \
+                         `// audit: block-async-ok: <why>` within 4 lines above"
+                .to_string(),
+        });
+    }
+}
+
+/// Flags `FarAddr(…)` arguments that do arithmetic: a binary operator
+/// outside any `[…]` index expression (indexing arithmetic is not
+/// address arithmetic).
+fn far_addr(path: &str, lx: &Lexed, code: &[usize], out: &mut Vec<Finding>) {
+    let text = |j: usize| code.get(j).map_or("", |&i| lx.text(&lx.tokens[i]));
+    for k in 0..code.len() {
+        if text(k) != "FarAddr" || text(k + 1) != "(" {
+            continue;
+        }
+        let (mut depth, mut bracket, mut arith) = (0usize, 0usize, false);
+        let mut j = k + 1;
+        while j < code.len() {
+            match text(j) {
+                "[" => bracket += 1,
+                "]" => bracket = bracket.saturating_sub(1),
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => arith |= bracket == 0 && binary_op(lx, code[j]),
+            }
+            j += 1;
+        }
+        if !arith {
+            continue;
+        }
+        let from = lx.tokens[code[k + 1]].end;
+        let to = code.get(j).map_or(lx.src.len(), |&i| lx.tokens[i].start);
+        let arg = lx.src[from..to].split_whitespace().collect::<Vec<_>>().join(" ");
+        out.push(Finding {
+            file: path.to_string(),
+            line: lx.tokens[code[k]].line,
+            function: String::new(),
+            pass: "far-addr".to_string(),
+            message: format!("FarAddr arithmetic constructed by hand ({arg})"),
+            suggestion: "use FarAddr::offset, or annotate `// audit: far-addr-ok: <why>`"
+                .to_string(),
+        });
+    }
+}
+
+/// True when the token at `i` starts an arithmetic operator spaced the
+/// way rustfmt spaces a binary one (` + `, ` << `): the unary `*p` and
+/// `-1` carry no space after them.
+fn binary_op(lx: &Lexed, i: usize) -> bool {
+    let text = |i: usize| lx.tokens.get(i).map_or("", |t| lx.text(t));
+    let white = |i: usize| lx.tokens.get(i).is_some_and(|t| t.kind == Kind::White);
+    let len = match text(i) {
+        "+" | "-" | "*" | "/" | "%" => 1,
+        "<" | ">" if text(i + 1) == text(i) => 2,
+        _ => return false,
+    };
+    i > 0 && white(i - 1) && white(i + len)
+}
+
+/// Flags assignments to an [`AccessStats`] counter field (`.field = v`,
+/// `.field += v`, …); comparisons, reads and method calls pass.
+fn stats_mut(path: &str, lx: &Lexed, code: &[usize], out: &mut Vec<Finding>) {
+    for w in code.windows(2) {
+        let field = lx.text(&lx.tokens[w[1]]);
+        if lx.text(&lx.tokens[w[0]]) != "." || !AccessStats::FIELD_NAMES.contains(&field) {
+            continue;
+        }
+        if !is_assignment(&lx.src[lx.tokens[w[1]].end..]) {
+            continue;
+        }
+        out.push(Finding {
+            file: path.to_string(),
+            line: lx.tokens[w[1]].line,
+            function: String::new(),
+            pass: "stats-mut".to_string(),
+            message: format!(
+                "direct mutation of AccessStats field `{field}` outside crates/fabric; \
+                 counters move only through fabric verbs"
+            ),
+            suggestion: "annotate `// audit: stats-mut-ok: <why>` if this is a different \
+                         struct's field"
+                .to_string(),
+        });
+    }
+}
+
+/// True when the text immediately after a field reference is an
+/// assignment (`= v`, `+= v`, ...), as opposed to a comparison
+/// (`==`), a match arm (`=>`), a method call or a plain read.
+fn is_assignment(rest: &str) -> bool {
+    let rest = rest.trim_start();
+    let compound = ["+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="];
+    compound.iter().any(|op| rest.starts_with(op))
+        || rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lex::lex;
-    use crate::sketch::extract;
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
-        dataflow_findings(path, &extract(&lex(src)), &AuditConfig::default())
+        findings(path, &lex(src))
     }
 
     #[test]
@@ -394,7 +565,7 @@ fn walk(client: &mut FabricClient, mut p: u64) {
 }
 "#;
         assert_eq!(run("crates/core/src/x.rs", src).len(), 1);
-        assert!(crate::audit_source("crates/core/src/x.rs", src, &AuditConfig::default()).is_empty());
+        assert!(crate::audit_source("crates/core/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -567,5 +738,165 @@ impl Drop for LeaseGuard<'_> {
         let f = run("crates/baselines/src/x.rs", unlock);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].pass == "verb-in-drop" && f[0].message.contains("lock release"), "{f:?}");
+    }
+
+    #[test]
+    fn far_addr_arg_strips_index_expressions() {
+        assert!(run("crates/core/src/x.rs", "let a = FarAddr(w[(A_DIR / 8) as usize]);\n").is_empty());
+    }
+
+    #[test]
+    fn far_addr_arg_keeps_top_level_arithmetic() {
+        let f = run("crates/core/src/x.rs", "c.read(FarAddr(p + 16), 8)\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("(p + 16)"), "{f:?}");
+    }
+
+    #[test]
+    fn assignment_detection_separates_writes_from_reads() {
+        assert!(is_assignment(" = 3;"));
+        assert!(is_assignment(" += len;"));
+        assert!(is_assignment("<<= 1;"));
+        assert!(!is_assignment(" == other.retries"));
+        assert!(!is_assignment(" => {}"));
+        assert!(!is_assignment(".to_string()"));
+        assert!(!is_assignment(" > 0"));
+    }
+
+    #[test]
+    fn far_addr_flags_hand_arithmetic_in_code() {
+        let f = run("crates/core/src/x.rs", "let a = FarAddr(base + 8 * i);\n");
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "far-addr");
+    }
+
+    #[test]
+    fn far_addr_ignores_block_comments_and_raw_strings() {
+        // Both were LineFilter blind spots: the old linter flagged the
+        // second line of a block comment and the contents of r#"…"#.
+        let src = r##"
+/* example of what NOT to do:
+   let a = FarAddr(base + 8 * i);
+*/
+let doc = r#"FarAddr(base + 8 * i)"#;
+let ok = FarAddr(stored);
+"##;
+        assert!(run("crates/core/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn stats_mut_flags_assignment_not_comparison() {
+        let f = run("crates/core/src/x.rs", "s.retries += 1;\nif s.retries == 2 {}\n");
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
+    fn stats_mut_ignores_raw_string_contents() {
+        assert!(run("crates/core/src/x.rs", "let doc = r#\"s.retries = 1;\"#;\n").is_empty());
+    }
+
+    #[test]
+    fn retire_guard_needs_code_evidence_not_comment_mentions() {
+        // A `Guard` mention in a comment is no guard evidence.
+        let bare = "fn f() {\n// the Guard is elsewhere\nh.retire(client, addr, len)?;\n}\n";
+        let f = run("crates/core/src/x.rs", bare);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "retire-guard");
+
+        let guarded = "fn f() {\nlet guard = pin(&shared, client)?;\nh.retire(client, addr, len)?;\n}\n";
+        assert!(run("crates/core/src/x.rs", guarded).is_empty());
+
+        // The restructure retire is held to the same rule.
+        let restructure = "fn f() {\nh.retire_restructure(client, addr, len)?;\n}\n";
+        assert_eq!(run("crates/core/src/x.rs", restructure).len(), 1);
+        let guarded =
+            "fn f() {\nlet guard = pin(&shared, client)?;\nh.retire_restructure(client, a, n)?;\n}\n";
+        assert!(run("crates/core/src/x.rs", guarded).is_empty());
+    }
+
+    #[test]
+    fn retire_under_a_pinned_parameter_is_guarded() {
+        let src = r#"
+fn splice(&mut self, client: &mut FabricClient, pin: &Pinned, old: u64) -> Result<()> {
+    self.records.retire(client, pin, FarAddr(old), None)
+}
+"#;
+        assert!(run("crates/core/src/x.rs", src).is_empty());
+
+        // A `*_guarded` call hands back the guard it pinned; evidence
+        // counts only before the retire.
+        let src = r#"
+fn remove(&mut self, client: &mut FabricClient, key: u64) -> Result<bool> {
+    let (Some(old), pin) = self.inner.take_guarded(client, key)? else {
+        return Ok(false);
+    };
+    self.records.retire(client, &pin, FarAddr(old), None)?;
+    Ok(true)
+}
+fn early(r: &mut ReclaimHandle, shared: &SharedReclaim, client: &mut FabricClient) {
+    r.retire(client, a, 8).unwrap();
+    drop(pin(shared, client).unwrap());
+}
+"#;
+        let f = run("crates/core/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].pass.as_str(), f[0].function.as_str()), ("retire-guard", "early"));
+    }
+
+    #[test]
+    fn a_neighbours_pin_does_not_guard_a_retire() {
+        let src = r#"
+fn reader(shared: &SharedReclaim, client: &mut FabricClient) -> Result<()> {
+    let guard = pin(shared, client)?;
+    Ok(())
+}
+fn teardown(r: &mut ReclaimHandle, client: &mut FabricClient, addr: FarAddr) -> Result<()> {
+    r.retire(client, addr, 8)
+}
+"#;
+        let f = run("crates/core/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].pass.as_str(), f[0].line), ("retire-guard", 7));
+    }
+
+    #[test]
+    fn block_async_brace_depth_survives_braces_in_strings() {
+        // The old line-based depth tracker counted the `{` inside the
+        // string and never saw the async fn close, so a later sync fn
+        // was still "inside" it.
+        let src = r#"
+async fn a(x: u64) -> String {
+    format!("{{x}}")
+}
+fn b(client: &mut FabricClient) {
+    client.read_u64(addr).unwrap();
+}
+"#;
+        assert!(run("crates/core/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn block_async_still_flags_blocking_access() {
+        let src = "async fn a(client: &mut FabricClient) {\n    client.read_u64(addr).unwrap();\n}\n";
+        let f = run("crates/core/src/x.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].pass, "block-async");
+    }
+
+    #[test]
+    fn pass_scoping_matches_the_old_linter() {
+        let far = "let a = FarAddr(base + 8);\n";
+        assert!(run("crates/fabric/src/x.rs", far).is_empty());
+        assert!(!run("crates/core/src/x.rs", far).is_empty());
+        let block = "async fn a(client: &mut C) {\n    client.read(a, 8);\n}\n";
+        assert!(run("crates/serve/src/x.rs", block).is_empty());
+        assert!(!run("crates/core/src/x.rs", block).is_empty());
+    }
+
+    #[test]
+    fn test_modules_are_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn f() { let a = FarAddr(b + 8); }\n}\n";
+        assert!(run("crates/core/src/x.rs", src).is_empty());
     }
 }

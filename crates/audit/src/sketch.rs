@@ -6,12 +6,12 @@
 //! the identifiers they touch, batch adopters, `.await` suspension
 //! points, lease-lock acquire/release pairs, `let` bindings (tagged
 //! when their initializer issues a fabric verb or pins an epoch
-//! guard), and explicit `drop(x)` calls. The dataflow passes in
-//! [`crate::passes`] run over these events; they never look at raw
-//! source again.
+//! guard), explicit `drop(x)` calls, epoch-guard evidence, retires and
+//! blocking client calls. The sketch passes in [`crate::passes`] run
+//! over these events; they never look at raw source again.
 //!
 //! Verb recognition follows the repo-wide receiver convention that the
-//! `block-async` lint already enshrined: a blocking `&mut FabricClient`
+//! `block-async` pass enshrines: a blocking `&mut FabricClient`
 //! receiver is named `client` (or `c`/`cl` inside `.with(|c| …)`
 //! closures and helper bodies). Raw verbs (`read`, `write`, `cas`,
 //! `faa`, …) must sit on a client-ish receiver; structure-level verbs
@@ -160,6 +160,24 @@ pub enum Ev {
         /// The dropped identifier.
         name: String,
     },
+    /// Epoch-guard evidence: a `pin(…)` or `pin_deferred(…)` call, or a
+    /// `*_guarded(…)` method, which hands back the guard it pinned.
+    Guard {
+        /// Line of the call.
+        line: u32,
+    },
+    /// A `.retire(…)` or `.retire_restructure(…)` call with arguments
+    /// (`.retire()` is the arena's unrelated whole-arena teardown).
+    Retire {
+        /// Line of the call.
+        line: u32,
+    },
+    /// A blocking fabric access: the `.with(…)` escape hatch of
+    /// `AsyncClient`, or a method call on a `…client` receiver.
+    Blocking {
+        /// Line of the call.
+        line: u32,
+    },
 }
 
 impl Ev {
@@ -174,7 +192,10 @@ impl Ev {
             | Ev::Acquire { line }
             | Ev::Release { line }
             | Ev::Let { line, .. }
-            | Ev::DropIdent { line, .. } => *line,
+            | Ev::DropIdent { line, .. }
+            | Ev::Guard { line }
+            | Ev::Retire { line }
+            | Ev::Blocking { line } => *line,
         }
     }
 }
@@ -189,6 +210,9 @@ pub struct FnSketch {
     pub is_async: bool,
     /// Body sits inside an `impl Drop for …` block.
     pub in_drop_impl: bool,
+    /// The signature names a `Guard` or `Pinned`: the caller holds an
+    /// epoch guard for the whole body.
+    pub guard_in_sig: bool,
     /// Ordered events.
     pub events: Vec<Ev>,
 }
@@ -210,13 +234,7 @@ fn lower_binding(ident: &str) -> bool {
 /// `#[cfg(test)]` cutoff (tests exercise protocols; they do not define
 /// them).
 pub fn extract(lx: &Lexed) -> Vec<FnSketch> {
-    let cutoff = lx.test_cutoff_line().unwrap_or(u32::MAX);
-    let sig: Vec<usize> = lx
-        .significant()
-        .into_iter()
-        .filter(|&i| lx.tokens[i].line < cutoff)
-        .collect();
-    let toks: Vec<&Token> = sig.iter().map(|&i| &lx.tokens[i]).collect();
+    let toks: Vec<&Token> = lx.code().into_iter().map(|i| &lx.tokens[i]).collect();
     let text = |k: usize| -> &str { lx.text(toks[k]) };
 
     let mut out = Vec::new();
@@ -298,8 +316,16 @@ pub fn extract(lx: &Lexed) -> Vec<FnSketch> {
                     continue;
                 };
                 let in_drop_impl = impl_drop_stack.last().copied().unwrap_or(false);
+                let guard_in_sig = (k + 1..open).any(|j| matches!(text(j), "Guard" | "Pinned"));
                 let (events, after) = walk_body(&toks, open, |k| lx.text(toks[k]));
-                out.push(FnSketch { name, line: fn_line, is_async, in_drop_impl, events });
+                out.push(FnSketch {
+                    name,
+                    line: fn_line,
+                    is_async,
+                    in_drop_impl,
+                    guard_in_sig,
+                    events,
+                });
                 k = after;
             }
             _ => k += 1,
@@ -459,6 +485,7 @@ fn walk_body<'a>(
                         cap.from_pin = true;
                     }
                 }
+                events.push(Ev::Guard { line: toks[k].line });
                 k += 1;
                 continue;
             }
@@ -472,6 +499,16 @@ fn walk_body<'a>(
                     ""
                 };
                 let line = toks[k].line;
+                if ident.ends_with("_guarded") {
+                    events.push(Ev::Guard { line });
+                }
+                let has_args = k + 2 < toks.len() && text(k + 2) != ")";
+                if matches!(ident, "retire" | "retire_restructure") && has_args {
+                    events.push(Ev::Retire { line });
+                }
+                if ident == "with" || receiver.ends_with("client") {
+                    events.push(Ev::Blocking { line });
+                }
                 let is_raw = RAW_VERBS.contains(&ident) && client_ish(receiver);
                 let is_struct = STRUCT_VERBS.contains(&ident)
                     && direct.iter().any(|a| client_ish(a))

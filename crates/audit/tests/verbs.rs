@@ -38,14 +38,8 @@ fn client_methods() -> BTreeMap<String, Method> {
     let mut methods = BTreeMap::new();
     for path in files {
         let lx = lex(&std::fs::read_to_string(&path).expect("read source"));
-        let cutoff = lx.test_cutoff_line().unwrap_or(u32::MAX);
-        let toks: Vec<(&str, Kind)> = lx
-            .significant()
-            .into_iter()
-            .map(|i| &lx.tokens[i])
-            .take_while(|t| t.line < cutoff)
-            .map(|t| (lx.text(t), t.kind))
-            .collect();
+        let toks: Vec<(&str, Kind)> =
+            lx.code().into_iter().map(|i| (lx.text(&lx.tokens[i]), lx.tokens[i].kind)).collect();
         let text = |i: usize| toks.get(i).map_or("", |t| t.0);
         // The index one past the `}` matching the `{` at `open`.
         let close = |open: usize| {

@@ -290,7 +290,7 @@ fn queue_phase() -> u64 {
         h.enqueue(&mut c1, v).unwrap();
     }
     while h.dequeue(&mut c1).is_ok() {}
-    // lint: retire-ok: teardown after drain; both clients pin immediately below so grace can elapse.
+    // audit: retire-guard-ok: teardown after drain; both clients pin immediately below so grace can elapse.
     q.retire(&mut c1, &s1).unwrap();
     // Both registered clients pin past the seal; grace elapses.
     drop(pin(&s1, &mut c1).unwrap());

@@ -486,7 +486,7 @@ pub fn httree_publish() -> Program {
                         h2.complete(t, Ret::Unit);
                         let Some(old) = old.map(FarAddr) else { continue };
                         let mut r = shared.lock().unwrap();
-                        // lint: retire-ok: `publish` unlinked it (each superseded pointer comes back to exactly one store); the reader holds an epoch guard.
+                        // audit: retire-guard-ok: `publish` unlinked it (each superseded pointer comes back to exactly one store); the reader holds an epoch guard.
                         r.retire(&mut cl, old, alloc2.size_of(old).unwrap()).unwrap();
                         r.seal(&mut cl).unwrap();
                         // Few rounds only (no lease eviction): the word is
@@ -1406,7 +1406,7 @@ fn evicted_publish_run() -> PreparedRun {
     {
         // A lags past B's seal until B's lease runs out on it.
         let mut r = sb.lock().unwrap();
-        // lint: retire-ok: setup: a block nobody references, sealed so A lags.
+        // audit: retire-guard-ok: setup: a block nobody references, sealed so A lags.
         r.retire(&mut cb, alloc.alloc(8, AllocHint::Spread).unwrap(), 8).unwrap();
         r.seal(&mut cb).unwrap();
         while r.stats().evictions == 0 {

@@ -408,8 +408,8 @@ impl<const H: usize> FarBlobMap<H> {
         let hint = RecordHint { record: record.0, payload_len };
         match self.inner.publish_guarded(client, key, record, &bytes) {
             Ok((None, _)) => Ok((false, hint)),
-            // lint: retire-ok: the overwritten record was unlinked by the
-            // publish above, whose pin is still held.
+            // The overwritten record was unlinked by the publish above,
+            // whose pin is still held.
             Ok((Some(old), pin)) => {
                 self.records.retire(client, &pin, FarAddr(old), None).map(|()| (true, hint))
             }
@@ -576,7 +576,7 @@ impl<const H: usize> FarBlobMap<H> {
         for (i, record, slot) in posted {
             let first = match cq.take(slot) {
                 Some(Ok(res)) => res.into_bytes(),
-                // lint: block-ok — serial fallback after a failed
+                // audit: block-async-ok: serial fallback after a failed
                 // prefetch, identical to the sync path.
                 // audit: rt-in-loop-ok: rare per-key fallback — the hot path
                 // batched every prefetch through one doorbell above.
@@ -615,8 +615,8 @@ impl<const H: usize> FarBlobMap<H> {
         let (Some(old), pin) = self.inner.take_guarded(client, key)? else {
             return Ok(false);
         };
-        // lint: retire-ok: the splice `take` published unlinked the
-        // record, and its pin is still held.
+        // The splice `take` published unlinked the record, and its pin
+        // is still held.
         self.records.retire(client, &pin, FarAddr(old), None)?;
         Ok(true)
     }

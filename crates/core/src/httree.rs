@@ -995,7 +995,7 @@ impl HtTreeHandle {
         hints: &[Option<(FarAddr, u64)>],
     ) -> Result<(Vec<Found>, Pinned)> {
         let _span = ac.span("httree.get_many");
-        // lint: block-ok — epoch pin is control-plane (local check; rare
+        // audit: block-async-ok: epoch pin is control-plane (local check; rare
         // resync on epoch advance).
         let mut pin = ac.with(|client| self.pin_epoch(client, true))?;
         Ok((self.lookup_many(ac, keys, hints, &mut pin).await?, pin))
@@ -1020,7 +1020,7 @@ impl HtTreeHandle {
         let hint = |i: usize| hints.get(i).copied().flatten();
         self.stats.hinted_gets += (0..keys.len()).filter(|&i| hint(i).is_some()).count() as u64;
         loop {
-            // lint: block-ok — local event drain; refresh only on notification.
+            // audit: block-async-ok: local event drain; refresh only on notification.
             ac.with(|client| self.sync_directory(client))?;
             let entries: Vec<Entry> =
                 ac.with(|client| keys.iter().map(|&k| self.entry_for(client, k)).collect());
@@ -1043,7 +1043,7 @@ impl HtTreeHandle {
                 Some(Ok(PipeOut::Batch(out))) => Some(out),
                 _ => None,
             };
-            // lint: block-ok — local unless the slot was evicted: then the
+            // audit: block-async-ok: local unless the slot was evicted: then the
             // re-registration and the refresh, the rare path.
             if !ac.with(|client| self.settle(client, pin, publish, answers))? {
                 continue;
@@ -1052,7 +1052,7 @@ impl HtTreeHandle {
             for (i, &key) in keys.iter().enumerate() {
                 let answer = if i == 0 { first.take() } else { cq.take(i) };
                 let addr = hint(i).map(|h| h.0);
-                // lint: block-ok — per-key completion (a long block's rest,
+                // audit: block-async-ok: per-key completion (a long block's rest,
                 // a stale refresh) is the rare path and inherently serial.
                 let found = ac.with(|client| match answer {
                     Some(Ok(answer)) => self.complete(client, &entries[i], key, addr, answer),
@@ -1063,7 +1063,7 @@ impl HtTreeHandle {
                     Some(found) => found,
                     None => {
                         self.stats.stale_hints += u64::from(addr.is_some());
-                        // lint: block-ok — serial fallback after a stale or
+                        // audit: block-async-ok: serial fallback after a stale or
                         // missed prefetch.
                         ac.with(|client| self.get_inner(client, key, None, pin))?
                     }
@@ -1327,7 +1327,6 @@ impl HtTreeHandle {
                 // whoever the allocator hands it to next is ordered after
                 // those writes by the seal.
                 if let Some(addr) = fresh {
-                    // lint: retire-ok: never linked; retired under the operation's pin only to order its reuse.
                     let _ = self.records.retire(client, pin, addr, Some(block_len(n)));
                 }
                 unlinked?;
@@ -1358,7 +1357,6 @@ impl HtTreeHandle {
             let len = bucket.block.len() as u64;
             // A retire that fails queues its entry all the same (only its
             // seal failed); the mutation has landed either way.
-            // lint: retire-ok: the bucket CAS above unlinked it; `pin` holds the operation's epoch guard.
             let _ = self.records.retire(client, pin, FarAddr(old), Some(len));
         }
         Ok(true)
@@ -1654,7 +1652,6 @@ impl HtTreeHandle {
         });
         let table = [(entry.table_hdr, HDR_LEN), (entry.buckets, entry.n_buckets * WORD)];
         let bulk = (bulk_base != 0).then_some((FarAddr(bulk_base), bulk_len));
-        // lint: retire-ok: all of it was unlinked by the directory CAS; readers run under epoch guards and poison + grace fences stragglers.
         self.records.retire_restructure(
             client,
             pin,

@@ -213,7 +213,7 @@ impl FarQueue {
         reclaim: &farmem_reclaim::SharedReclaim,
     ) -> Result<()> {
         let mut r = reclaim.lock().unwrap();
-        // lint: retire-ok: structure teardown; the doc contract above requires concurrent clients to hold pin guards.
+        // audit: retire-guard-ok: structure teardown; the doc contract above requires concurrent clients to hold pin guards.
         r.retire_restructure(client, self.slots_base, (self.n_slots + self.slack_slots) * WORD)?;
         r.retire_restructure(client, self.hdr, HDR_LEN)?;
         r.seal(client)?;
@@ -494,10 +494,10 @@ impl QueueHandle {
     }
 
     async fn dequeue_batch_once<D: Doorbell>(&mut self, ac: &D, max: usize) -> Result<Vec<u64>> {
-        // lint: block-ok — local event drain (epoch notifications).
+        // audit: block-async-ok: local event drain (epoch notifications).
         ac.with(|client| self.sync(client))?;
         if self.head_est > self.tail_est {
-            // lint: block-ok — rare odd-epoch wait.
+            // audit: block-async-ok: rare odd-epoch wait.
             ac.with(|client| self.wait_epoch_even_and_refresh(client))?;
             return Err(CoreError::Contended);
         }
@@ -512,7 +512,7 @@ impl QueueHandle {
         }
         let avail = self.tail_est.saturating_sub(self.head_est) / WORD;
         if avail == 0 {
-            // lint: block-ok — local event drain: empty, unless a repair
+            // audit: block-async-ok: local event drain: empty, unless a repair
             // rebased the tail since `sync`.
             if ac.with(|client| self.epoch_moved(client)) {
                 return Err(CoreError::Contended);
@@ -575,7 +575,7 @@ impl QueueHandle {
             }
         }
         if closed || in_slack {
-            // lint: block-ok — rare slow-path repair.
+            // audit: block-async-ok: rare slow-path repair.
             let repaired =
                 ac.with(|client| if closed { self.rebuild(client) } else { self.repair(client) });
             // Claimed items are returned: a repair error in their place
@@ -587,7 +587,7 @@ impl QueueHandle {
             }
         }
         if guard_bounced {
-            // lint: block-ok — rare epoch bounce.
+            // audit: block-async-ok: rare epoch bounce.
             if let Err(e) = ac.with(|client| self.wait_epoch_even_and_refresh(client)) {
                 if values.is_empty() {
                     return Err(e);

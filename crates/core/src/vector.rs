@@ -162,8 +162,8 @@ impl FarVec {
     /// drive thousands of concurrent range readers. One body, so far
     /// accesses, bytes and clock movement cannot differ between the
     /// blocking and the suspending caller; a failed descriptor takes a
-    /// serial re-read (a rare, genuinely blocking step, marked `block-ok`
-    /// for the async lint).
+    /// serial re-read (a rare, genuinely blocking step, waived for the
+    /// `block-async` pass).
     pub async fn read_ranges_async<D: Doorbell>(
         &self,
         ac: &D,
@@ -189,7 +189,7 @@ impl FarVec {
                         .map(|c| u64::from_le_bytes(c.try_into().expect("chunk")))
                         .collect(),
                 ),
-                // lint: block-ok — rare serial fallback.
+                // audit: block-async-ok: rare serial fallback.
                 _ => out.push(ac.with(|client| self.read_range(client, first, count))?),
             }
         }

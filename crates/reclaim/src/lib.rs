@@ -788,7 +788,7 @@ impl ReclaimHandle {
         self.pending.push((addr, len));
         self.pending_restructure |= restructure;
         self.stats.retired_entries += 1;
-        // lint: stats-ok: ReclaimStats bookkeeping; AccessStats moves via book_reclaim below
+        // audit: stats-mut-ok: ReclaimStats bookkeeping; AccessStats moves via book_reclaim below
         self.stats.retired_bytes += len;
         client.book_reclaim(len, 0, 0);
         if self.pending.len() >= self.seal_threshold {
@@ -956,7 +956,7 @@ impl ReclaimHandle {
             self.alloc.free(e.addr, e.len)?;
             freed += e.len;
             self.stats.reclaimed_entries += 1;
-            // lint: stats-ok: ReclaimStats bookkeeping; AccessStats moves via book_reclaim below
+            // audit: stats-mut-ok: ReclaimStats bookkeeping; AccessStats moves via book_reclaim below
             self.stats.reclaimed_bytes += e.len;
         }
         if freed > 0 {

@@ -5,13 +5,13 @@
 //! the committed `results/` byte for byte — see [`results`].
 //!
 //! `cargo run -p xtask -- audit` runs the static analyzer
-//! (`farmem-audit`): five repo-level disciplines that rustc cannot
-//! enforce — `forbid-unsafe`, `far-addr`, `retire-guard`, `stats-mut`,
-//! `block-async`, matched against a lexed token stream so multi-line
-//! `/* */` comments and raw strings produce no false positives — *plus*
-//! the dataflow passes (`rt-in-loop`, `lock-across-rt`, `guard-escape`,
-//! `verb-in-drop`) over per-function control-flow sketches. It fails on
-//! any finding, a waiver that waives nothing (`dead-waiver`) included.
+//! (`farmem-audit`): disciplines that rustc cannot enforce, as passes
+//! over per-function control-flow sketches (`rt-in-loop`,
+//! `lock-across-rt`, `guard-escape`, `verb-in-drop`, `retire-guard`,
+//! `block-async`) and over the lexed token stream (`far-addr`,
+//! `stats-mut`, the crate-root `forbid-unsafe`), so comments and raw
+//! strings produce no false positives. It fails on any finding, a
+//! waiver that waives nothing (`dead-waiver`) included.
 //! See the `farmem_audit` crate docs for the full pass catalog; its
 //! `analyzer` test judges the passes against seeded edits of the shipped
 //! code.
@@ -35,7 +35,7 @@ mod results;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use farmem_audit::{rel, source_files, workspace_root, AuditConfig};
+use farmem_audit::{rel, source_files, workspace_root};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,7 +78,7 @@ fn lines() -> ExitCode {
 /// The analyzer over the tree: clean, and no dead waiver, or the
 /// command fails.
 fn audit() -> ExitCode {
-    let report = farmem_audit::audit_tree(&workspace_root(), &AuditConfig::default())
+    let report = farmem_audit::audit_tree(&workspace_root())
         .expect("read workspace sources");
     if report.clean() {
         println!("xtask audit: tree clean ({} files)", report.files_scanned);
