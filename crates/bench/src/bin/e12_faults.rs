@@ -10,6 +10,10 @@
 //!   relative to the fault-free run of the same workload;
 //! * **extra virtual time per op** — what backoff waits add.
 //!
+//! Each structure's table carries the absolute round trips and virtual
+//! time per op beside the extras; a first table records the retry
+//! policy under test.
+//!
 //! Deterministic: the fault stream is seeded, so every cell of the sweep
 //! reproduces exactly. Results also land in `results/e12_faults.json`.
 //!
@@ -45,12 +49,6 @@ struct Cell {
     ok: u64,
     stats: AccessStats,
     virtual_ns: u64,
-}
-
-impl Cell {
-    fn success_rate(&self) -> f64 {
-        self.ok as f64 / self.ops as f64
-    }
 }
 
 fn run_httree(ppm: u32, seed: u64) -> Cell {
@@ -135,12 +133,6 @@ fn run_refvec(ppm: u32, seed: u64) -> Cell {
     Cell { ops, ok, stats: after.since(&before), virtual_ns: w.now_ns() + r.now_ns() - t0 }
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // All strings we emit are identifier-like; assert instead of escaping.
-    assert!(s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'));
-    s
-}
-
 type StructureRunner = fn(u32, u64) -> Cell;
 
 fn main() {
@@ -148,8 +140,16 @@ fn main() {
     let seed = args.seed_or(SEED);
     let structures: [(&str, StructureRunner); 3] =
         [("httree", run_httree), ("queue", run_queue), ("refvec", run_refvec)];
+    let mut report = args.report("e12_faults");
 
-    let mut curves = Vec::new();
+    let retry = RetryPolicy::DEFAULT;
+    let mut t =
+        Table::new("E12: retry policy under test (RetryPolicy::DEFAULT)", &["parameter", "value"]);
+    t.row(vec!["max attempts".into(), retry.max_attempts.to_string()]);
+    t.row(vec!["base backoff ns".into(), retry.base_backoff_ns.to_string()]);
+    t.row(vec!["max backoff ns".into(), retry.max_backoff_ns.to_string()]);
+    report.add(t);
+
     for (name, run) in structures {
         let mut t = Table::new(
             &format!("E12: {name} under injected faults (count-only cost, seed {seed})"),
@@ -160,56 +160,33 @@ fn main() {
                 "faults/op",
                 "retries/op",
                 "give-ups",
+                "RT/op",
                 "extra RT/op",
-                "extra virt µs/op",
+                "virt ns/op",
+                "extra virt ns/op",
             ],
         );
-        let mut points = Vec::new();
-        let mut baseline: Option<Cell> = None;
+        let mut baseline: Option<(f64, f64)> = None;
         for &ppm in &PPM_SWEEP {
             let cell = run(ppm, seed);
-            let (base_rt, base_ns) = match &baseline {
-                Some(b) => (b.stats.round_trips as f64 / b.ops as f64, b.virtual_ns as f64 / b.ops as f64),
-                None => (0.0, 0.0),
-            };
-            let rt_per_op = cell.stats.round_trips as f64 / cell.ops as f64;
-            let ns_per_op = cell.virtual_ns as f64 / cell.ops as f64;
-            let extra_rt = if baseline.is_some() { rt_per_op - base_rt } else { 0.0 };
-            let extra_us = if baseline.is_some() { (ns_per_op - base_ns) / 1_000.0 } else { 0.0 };
+            let per_op = |n: u64| n as f64 / cell.ops as f64;
+            let rt_per_op = per_op(cell.stats.round_trips);
+            let ns_per_op = per_op(cell.virtual_ns);
+            let (base_rt, base_ns) = *baseline.get_or_insert((rt_per_op, ns_per_op));
             t.row(vec![
-                format!("{ppm}"),
-                format!("{}", cell.ops),
-                format!("{:.6}", cell.success_rate()),
-                format!("{:.4}", cell.stats.faults_injected as f64 / cell.ops as f64),
-                format!("{:.4}", cell.stats.retries as f64 / cell.ops as f64),
-                format!("{}", cell.stats.giveups),
-                format!("{extra_rt:.4}"),
-                format!("{extra_us:.3}"),
+                ppm.to_string(),
+                cell.ops.to_string(),
+                format!("{:.6}", per_op(cell.ok)),
+                format!("{:.6}", per_op(cell.stats.faults_injected)),
+                format!("{:.6}", per_op(cell.stats.retries)),
+                cell.stats.giveups.to_string(),
+                format!("{rt_per_op:.6}"),
+                format!("{:.6}", rt_per_op - base_rt),
+                format!("{ns_per_op:.3}"),
+                format!("{:.3}", ns_per_op - base_ns),
             ]);
-            points.push(format!(
-                "{{\"fault_ppm\":{ppm},\"ops\":{},\"success_rate\":{:.6},\
-                 \"faults_per_op\":{:.6},\"retries_per_op\":{:.6},\"giveups\":{},\
-                 \"rt_per_op\":{rt_per_op:.6},\"extra_rt_per_op\":{extra_rt:.6},\
-                 \"virtual_ns_per_op\":{ns_per_op:.3},\"extra_virtual_ns_per_op\":{:.3}}}",
-                cell.ops,
-                cell.success_rate(),
-                cell.stats.faults_injected as f64 / cell.ops as f64,
-                cell.stats.retries as f64 / cell.ops as f64,
-                cell.stats.giveups,
-                extra_us * 1_000.0,
-            ));
-            if ppm == 0 {
-                baseline = Some(cell);
-            }
         }
-        if args.verbose() {
-            t.print();
-        }
-        curves.push(format!(
-            "{{\"structure\":\"{}\",\"points\":[{}]}}",
-            json_escape_free(name),
-            points.join(",")
-        ));
+        report.add(t);
     }
     if args.verbose() {
         println!(
@@ -218,23 +195,5 @@ fn main() {
              trips grow roughly linearly with the injected fault rate."
         );
     }
-
-    let json = format!(
-        "{{\"schema_version\":1,\"experiment\":\"e12_faults\",\"cost_model\":\"count_only\",\"seed\":{seed},\
-         \"retry_policy\":{{\"max_attempts\":{},\"base_backoff_ns\":{},\"max_backoff_ns\":{}}},\
-         \"fault_ppm_sweep\":[{}],\"curves\":[{}]}}\n",
-        RetryPolicy::DEFAULT.max_attempts,
-        RetryPolicy::DEFAULT.base_backoff_ns,
-        RetryPolicy::DEFAULT.max_backoff_ns,
-        PPM_SWEEP.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(","),
-        curves.join(",")
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/e12_faults.json", &json).expect("write results/e12_faults.json");
-    if args.verbose() {
-        println!("\nwrote results/e12_faults.json");
-    } else {
-        print!("{json}");
-        eprintln!("wrote results/e12_faults.json");
-    }
+    report.save();
 }

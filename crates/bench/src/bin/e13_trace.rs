@@ -23,7 +23,7 @@
 //! Run: `cargo run --release -p farmem-bench --bin e13_trace`
 
 use farmem_alloc::{AllocHint, FarAlloc};
-use farmem_bench::{BenchArgs, Json, Table};
+use farmem_bench::{report::f2, BenchArgs, Json, Table};
 use farmem_baselines::FarMutex;
 use farmem_core::{FarQueue, HtTree, HtTreeConfig, QueueConfig};
 use farmem_fabric::{FabricConfig, FaultPlan, RetryPolicy, TraceConfig, TraceReport};
@@ -33,10 +33,6 @@ const SEED: u64 = 13;
 
 /// Injected per-verb transient failure probability: 2%.
 const FAULT_PPM: u32 = 20_000;
-
-fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
 
 fn us(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1_000.0)

@@ -10,8 +10,9 @@
 //!
 //! The driver is itself an assertion battery:
 //!
-//! * the suite runs **twice** and the two JSON renderings must be
-//!   byte-identical — determinism is a checked property, not a hope;
+//! * the suite runs **twice** and the two results must be equal, every
+//!   exploration field for field — determinism is a checked property,
+//!   not a hope;
 //! * every main program must come back **clean** (0 races, 0
 //!   linearizability violations, 0 invariant failures, 0 panics).
 //!
@@ -53,9 +54,8 @@ fn main() {
     eprintln!("re-running for the determinism assertion ...");
     let again = run_suite(&cfg);
     assert_eq!(
-        suite.to_json(),
-        again.to_json(),
-        "suite JSON differs between two identical runs: exploration is not deterministic"
+        suite, again,
+        "suite result differs between two identical runs: exploration is not deterministic"
     );
 
     let mut programs = Table::new(

@@ -26,15 +26,11 @@
 use std::collections::HashMap;
 
 use farmem_alloc::FarAlloc;
-use farmem_bench::{BenchArgs, Table};
+use farmem_bench::{report::f2, BenchArgs, Table};
 use farmem_core::{CoreError, FarQueue, QueueConfig, HtTree, HtTreeConfig};
 use farmem_fabric::{
     FabricConfig, FarAddr, FaultPlan, NodeId, ReplicaConfig, TraceConfig, FAILOVER_LEASE_NS, WORD,
 };
-
-fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
 
 fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1_000.0)

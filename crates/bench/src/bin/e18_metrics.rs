@@ -245,17 +245,6 @@ fn limbo_churn(overwrites: u64, seed: u64) -> LimboOutcome {
     LimboOutcome { hub, finals, peak_limbo, final_limbo }
 }
 
-/// Parses an `AccessStats` JSON object (field names from `FIELD_NAMES`).
-fn stats_from_json(j: &Json) -> AccessStats {
-    let mut arr = [0u64; AccessStats::COUNT];
-    for (i, name) in AccessStats::FIELD_NAMES.iter().enumerate() {
-        arr[i] = j.get(name).and_then(|v| v.as_u64()).unwrap_or_else(|| {
-            panic!("bundle sample is missing stats field `{name}`")
-        });
-    }
-    AccessStats::from_array(arr)
-}
-
 fn field_u64(j: &Json, key: &str) -> u64 {
     j.get(key)
         .and_then(|v| v.as_u64())
@@ -320,8 +309,8 @@ fn replay_bundle(jsonl: &str, rules: Vec<SloRule>) -> (Vec<String>, Vec<String>)
                         p50_verb_ns: field_u64(&j, "p50_verb_ns"),
                         p99_verb_ns: field_u64(&j, "p99_verb_ns"),
                         max_verb_ns: field_u64(&j, "max_verb_ns"),
-                        delta: stats_from_json(j.get("delta").unwrap()),
-                        total: stats_from_json(j.get("total").unwrap()),
+                        delta: j.get("delta").unwrap().access_stats().unwrap(),
+                        total: j.get("total").unwrap().access_stats().unwrap(),
                     });
             }
             "node_sample" => {

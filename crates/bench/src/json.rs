@@ -6,6 +6,8 @@
 
 use std::collections::BTreeMap;
 
+use farmem_fabric::AccessStats;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -75,6 +77,21 @@ impl Json {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
+    }
+
+    /// The value as [`AccessStats`]: an object holding every counter of
+    /// [`AccessStats::FIELD_NAMES`] as a whole number, the shape
+    /// [`AccessStats::to_json`] writes. The error names the first field
+    /// that is missing or not a whole number.
+    pub fn access_stats(&self) -> Result<AccessStats, String> {
+        let mut values = [0u64; AccessStats::COUNT];
+        for (v, name) in values.iter_mut().zip(AccessStats::FIELD_NAMES) {
+            *v = self
+                .get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("stats field `{name}` is missing or not a whole number"))?;
+        }
+        Ok(AccessStats::from_array(values))
     }
 }
 
@@ -276,6 +293,18 @@ mod tests {
         let v = Json::parse("[0, 9007199254740992, 42]").unwrap();
         assert_eq!(v.as_arr().unwrap()[2].as_u64(), Some(42));
         assert_eq!(v.as_arr().unwrap()[0].as_u64(), Some(0));
+    }
+
+    #[test]
+    fn access_stats_round_trip_through_their_json() {
+        let mut values = [0u64; AccessStats::COUNT];
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = 1 + 7 * i as u64;
+        }
+        let stats = AccessStats::from_array(values);
+        assert_eq!(Json::parse(&stats.to_json()).unwrap().access_stats(), Ok(stats));
+        let err = Json::parse(r#"{"round_trips": 1}"#).unwrap().access_stats().unwrap_err();
+        assert!(err.contains("`messages`"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,14 @@
-//! Plain-text table reporting for the experiment drivers.
+//! Table reporting for the experiment drivers: the one writer of
+//! `results/<driver>.json`.
 //!
-//! Every `e*` binary prints its results through [`Table`], so the rows in
-//! EXPERIMENTS.md can be regenerated verbatim with
-//! `cargo run --release -p farmem-bench --bin <driver>`.
+//! Every `e*` binary prints its results through [`Table`] and saves them
+//! through [`Report`], so the rows in EXPERIMENTS.md can be regenerated
+//! verbatim with `cargo run --release -p farmem-bench --bin <driver>`, and
+//! every committed results file is one schema: `{"schema_version": 1,
+//! "experiment", "tables": [{"schema_version": 1, "title", "headers",
+//! "rows"}]}`, every cell a string quoted by [`json_quote`].
+
+use farmem_fabric::json_quote;
 
 /// A simple aligned text table.
 pub struct Table {
@@ -93,13 +99,13 @@ impl Table {
     /// `{"schema_version": 1, "title", "headers", "rows"}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"title\": {},\n", json_quote(&self.title)));
         out.push_str("  \"headers\": [");
         for (i, h) in self.headers.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_str(h));
+            out.push_str(&json_quote(h));
         }
         out.push_str("],\n  \"rows\": [\n");
         for (r, row) in self.rows.iter().enumerate() {
@@ -108,7 +114,7 @@ impl Table {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&json_str(c));
+                out.push_str(&json_quote(c));
             }
             out.push(']');
             if r + 1 < self.rows.len() {
@@ -156,7 +162,7 @@ impl Report {
     /// The JSON document: `{"schema_version", "experiment", "tables"}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n\"schema_version\": 1,\n");
-        out.push_str(&format!("\"experiment\": {},\n\"tables\": [\n", json_str(&self.experiment)));
+        out.push_str(&format!("\"experiment\": {},\n\"tables\": [\n", json_quote(&self.experiment)));
         for (i, t) in self.tables.iter().enumerate() {
             out.push_str(&t.to_json());
             if i + 1 < self.tables.len() {
@@ -184,37 +190,9 @@ impl Report {
     }
 }
 
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
-}
-
-/// Formats a ratio as `×N.N`.
-pub fn ratio(a: f64, b: f64) -> String {
-    if b == 0.0 {
-        "∞".to_string()
-    } else {
-        format!("×{:.1}", a / b)
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +250,5 @@ mod tests {
     #[test]
     fn helpers_format() {
         assert_eq!(f2(1.005), "1.00");
-        assert_eq!(ratio(10.0, 2.0), "×5.0");
-        assert_eq!(ratio(1.0, 0.0), "∞");
     }
 }

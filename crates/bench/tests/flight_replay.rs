@@ -4,13 +4,14 @@
 //! the same rules reproduce exactly the alarms that fired live. This is
 //! the integration seam the `e18_metrics` driver asserts at scale; here
 //! it is pinned as a test so a schema drift in either the bundle writer
-//! or the parser fails CI directly.
+//! or the parser fails CI directly. A bundle also stays one JSON object
+//! per line whatever a caller's reason or a rule's name holds.
 
 use farmem_bench::Json;
 use farmem_fabric::{CostModel, FabricConfig, FarAddr, FaultPlan};
 use farmem_metrics::{
-    severity_from_name, AccessStats, AlarmSpec, MetricsConfig, MetricsHub, NodeSample,
-    Sample, Scope, SloEngine, SloRule, Signal,
+    severity_from_name, AlarmSpec, MetricsConfig, MetricsHub, NodeSample, Sample, Scope,
+    SloEngine, SloRule, Signal,
 };
 
 fn rules() -> Vec<SloRule> {
@@ -28,14 +29,6 @@ fn rules() -> Vec<SloRule> {
             window: 8,
         },
     ]
-}
-
-fn stats_from(j: &Json) -> AccessStats {
-    let mut arr = [0u64; AccessStats::COUNT];
-    for (i, name) in AccessStats::FIELD_NAMES.iter().enumerate() {
-        arr[i] = j.get(name).and_then(|v| v.as_u64()).expect("stats field present");
-    }
-    AccessStats::from_array(arr)
 }
 
 fn u(j: &Json, k: &str) -> u64 {
@@ -127,8 +120,8 @@ fn bundle_replays_to_the_recorded_alarms_through_the_public_schema() {
                     p50_verb_ns: u(&j, "p50_verb_ns"),
                     p99_verb_ns: u(&j, "p99_verb_ns"),
                     max_verb_ns: u(&j, "max_verb_ns"),
-                    delta: stats_from(j.get("delta").unwrap()),
-                    total: stats_from(j.get("total").unwrap()),
+                    delta: j.get("delta").unwrap().access_stats().unwrap(),
+                    total: j.get("total").unwrap().access_stats().unwrap(),
                 },
             )),
             "node_sample" => node_samples.push((
@@ -186,4 +179,48 @@ fn bundle_replays_to_the_recorded_alarms_through_the_public_schema() {
     }
     replayed.sort();
     assert_eq!(replayed, live_sorted, "replay through the schema == live verdicts");
+}
+
+/// A caller's reason and a rule's name are written as JSON strings: a
+/// newline, quote, backslash or control character in them still leaves
+/// one JSON object per line, and both read back verbatim.
+#[test]
+fn bundle_stays_one_json_object_per_line_whatever_the_names_hold() {
+    let fabric =
+        FabricConfig { cost: CostModel::DEFAULT, ..FabricConfig::single_node(1 << 20) }.build();
+    let rule = SloRule {
+        name: "rt \"rate\"",
+        signal: Signal::RoundTripsPerMs,
+        spec: AlarmSpec { warning: 1, critical: 40, failure: 100_000, duration: 1 },
+        window: 4,
+    };
+    let hub = MetricsHub::new(
+        fabric.clone(),
+        MetricsConfig { interval_ns: 10_000, ring_capacity: 64, flight_trace_events: 0 },
+        vec![rule],
+    );
+    let mut c = fabric.client();
+    hub.attach(&mut c);
+    for i in 0..200u64 {
+        c.write_u64(FarAddr(64 + (i % 32) * 8), i).unwrap();
+    }
+    assert!(!hub.alarms().is_empty(), "the rule must fire for its name to reach the bundle");
+
+    let reason = "first line\nsecond \"quoted\" \\ \u{1}";
+    let bundle = hub.dump_flight(reason);
+    let lines: Vec<Json> = bundle
+        .lines()
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bundle line {l:?} is not JSON: {e}")))
+        .collect();
+    let of_kind = |kind: &str| -> Vec<&Json> {
+        lines.iter().filter(|j| j.get("kind").and_then(Json::as_str) == Some(kind)).collect()
+    };
+    let meta = of_kind("meta");
+    assert_eq!(meta.len(), 1);
+    assert_eq!(meta[0].get("reason").and_then(Json::as_str), Some(reason));
+    let alarms = of_kind("alarm");
+    assert!(!alarms.is_empty());
+    for a in alarms {
+        assert_eq!(a.get("rule").and_then(Json::as_str), Some("rt \"rate\""));
+    }
 }

@@ -122,7 +122,7 @@ struct RunRecord {
 }
 
 /// Aggregated result of exploring one program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Exploration {
     /// Program name.
     pub name: &'static str,

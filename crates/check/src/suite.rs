@@ -2,9 +2,9 @@
 //! the crate's own tests.
 //!
 //! [`run_suite`] explores every main program under seeded bounds and
-//! returns a [`SuiteResult`] whose JSON rendering is a pure function of
-//! `(smoke, seed)`: no timestamps, no wall-clock dependence, stable
-//! ordering everywhere. Smoke bounds are a strict prefix of the full
+//! returns a [`SuiteResult`] that is a pure function of `(smoke, seed)`:
+//! no timestamps, no wall-clock dependence, stable ordering everywhere,
+//! so two runs compare equal (`==`) field for field. Smoke bounds are a strict prefix of the full
 //! bounds (smaller DFS budget, fewer random seeds of the same sequence),
 //! so everything the smoke run finds, the full run finds too.
 //!
@@ -16,7 +16,7 @@ use crate::explore::{explore, ExploreBounds, Exploration, Program};
 use crate::programs::main_programs;
 
 /// Suite configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SuiteConfig {
     /// Shrinks every bound (CI-sized); still asserts every invariant.
     pub smoke: bool,
@@ -77,6 +77,7 @@ fn explore_within(
 }
 
 /// The whole suite's outcome.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SuiteResult {
     /// Configuration the suite ran under.
     pub config: SuiteConfig,
@@ -89,73 +90,6 @@ impl SuiteResult {
     pub fn programs_clean(&self) -> bool {
         self.programs.iter().all(|p| p.clean())
     }
-
-    /// Deterministic JSON rendering (see module docs).
-    pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n  \"schema_version\": 1,\n  \"suite\": \"e16_check\",\n");
-        o.push_str(&format!("  \"smoke\": {},\n  \"seed\": {},\n", self.config.smoke, self.config.seed));
-        o.push_str("  \"programs\": [\n");
-        for (i, p) in self.programs.iter().enumerate() {
-            o.push_str(&exploration_json(p, "    "));
-            o.push_str(if i + 1 < self.programs.len() { ",\n" } else { "\n" });
-        }
-        o.push_str("  ],\n  \"summary\": {\n");
-        o.push_str(&format!("    \"programs_clean\": {}\n", self.programs_clean()));
-        o.push_str("  }\n}\n");
-        o
-    }
-}
-
-/// Renders one exploration as a JSON object (deterministic).
-pub fn exploration_json(p: &Exploration, indent: &str) -> String {
-    let mut o = format!("{indent}{{\n");
-    let kv = |o: &mut String, k: &str, v: String, comma: bool| {
-        o.push_str(&format!("{indent}  \"{k}\": {v}{}\n", if comma { "," } else { "" }));
-    };
-    kv(&mut o, "name", json_str(p.name), true);
-    kv(&mut o, "schedules", p.schedules.to_string(), true);
-    kv(&mut o, "random_schedules", p.random_schedules.to_string(), true);
-    kv(&mut o, "exhausted", p.exhausted.to_string(), true);
-    kv(&mut o, "truncated", p.truncated.to_string(), true);
-    kv(&mut o, "panicked", p.panicked.to_string(), true);
-    kv(&mut o, "steps", p.steps.to_string(), true);
-    let races = p.races.iter().map(|r| json_str(&r.render())).collect::<Vec<_>>().join(", ");
-    kv(&mut o, "races", format!("[{races}]"), true);
-    kv(&mut o, "lin_checked", p.lin_checked.to_string(), true);
-    kv(&mut o, "lin_violations", p.lin_violations.to_string(), true);
-    kv(
-        &mut o,
-        "first_lin",
-        p.first_lin.as_deref().map(json_str).unwrap_or_else(|| "null".into()),
-        true,
-    );
-    kv(&mut o, "invariant_violations", p.invariant_violations.to_string(), true);
-    kv(
-        &mut o,
-        "first_invariant",
-        p.first_invariant.as_deref().map(json_str).unwrap_or_else(|| "null".into()),
-        false,
-    );
-    o.push_str(&format!("{indent}}}"));
-    o
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    o.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\t' => o.push_str("\\t"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
-        }
-    }
-    o.push('"');
-    o
 }
 
 /// Runs the whole suite: every main program.

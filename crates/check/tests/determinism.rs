@@ -1,4 +1,4 @@
-//! Determinism guarantees: the suite's JSON is a pure function of
+//! Determinism guarantees: the suite's result is a pure function of
 //! `(smoke, seed)`, and smoke bounds are a strict prefix of the full
 //! bounds — everything smoke finds, the full run finds too.
 
@@ -11,11 +11,9 @@ use farmem_check::suite::{run_suite, SuiteConfig};
 use farmem_fabric::FabricConfig;
 
 #[test]
-fn suite_json_is_byte_identical_across_runs() {
+fn suite_result_is_identical_across_runs() {
     let cfg = SuiteConfig { smoke: true, seed: 0xE16 };
-    let a = run_suite(&cfg).to_json();
-    let b = run_suite(&cfg).to_json();
-    assert_eq!(a, b, "suite JSON differs between identical runs");
+    assert_eq!(run_suite(&cfg), run_suite(&cfg), "suite result differs between identical runs");
 }
 
 /// Two clients, two increments each, of one shared word by a plain read

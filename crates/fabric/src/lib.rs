@@ -81,8 +81,8 @@ pub use replica::{GroupView, ReplicaConfig, FAILOVER_LEASE_NS};
 pub use sample::MetricSampler;
 pub use stats::AccessStats;
 pub use trace::{
-    LatencyHistogram, SpanAgg, SpanGuard, SpanSummary, TraceConfig, TraceEvent, TraceReport,
-    Tracer, VerbKind, VerbSummary,
+    json_quote, LatencyHistogram, SpanAgg, SpanGuard, SpanSummary, TraceConfig, TraceEvent,
+    TraceReport, Tracer, VerbKind, VerbSummary,
 };
 
 /// The SplitMix64 finalizer: the one integer mix of the workspace. Every

@@ -6,9 +6,9 @@
 //! counts instead of noisy timings.
 
 /// Defines [`AccessStats`] plus every piece of code that must enumerate
-/// its fields (`since`, `merge`, `to_array`, `from_array`, `FIELD_NAMES`)
-/// from a single field list, so a newly added counter can never be
-/// silently skipped in delta or aggregation code.
+/// its fields (`since`, `merge`, `to_array`, `from_array`, `to_json`,
+/// `FIELD_NAMES`) from a single field list, so a newly added counter can
+/// never be silently skipped in delta, aggregation or export code.
 macro_rules! access_stats {
     ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
         /// Counters accumulated by one client.
@@ -84,17 +84,13 @@ macro_rules! access_stats {
                 }
             }
 
-            /// `(name, value)` pairs in declaration order, for generic
-            /// serialization (JSON emitters, trace exports).
-            pub fn fields(&self) -> [(&'static str, u64); Self::COUNT] {
-                let mut out = [("", 0u64); Self::COUNT];
-                let values = self.to_array();
-                let mut i = 0;
-                while i < Self::COUNT {
-                    out[i] = (Self::FIELD_NAMES[i], values[i]);
-                    i += 1;
-                }
-                out
+            /// The counters as one JSON object, `{"round_trips":…,…}` in
+            /// declaration order: what the trace and flight exporters
+            /// write for a stats delta.
+            pub fn to_json(&self) -> String {
+                let members =
+                    [$(format!(concat!("\"", stringify!($field), "\":{}"), self.$field)),+];
+                format!("{{{}}}", members.join(","))
             }
         }
     };
@@ -224,10 +220,11 @@ mod tests {
         assert_eq!(sum, b, "merge must restore every field");
         // The name list stays in sync with the struct.
         assert_eq!(AccessStats::FIELD_NAMES.len(), AccessStats::COUNT);
-        let fields = AccessStats::new().fields();
-        assert_eq!(fields.len(), AccessStats::COUNT);
-        for (i, (name, _)) in fields.iter().enumerate() {
-            assert_eq!(*name, AccessStats::FIELD_NAMES[i]);
-        }
+        let members: Vec<String> = AccessStats::FIELD_NAMES
+            .iter()
+            .zip(hi)
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        assert_eq!(b.to_json(), format!("{{{}}}", members.join(",")));
     }
 }

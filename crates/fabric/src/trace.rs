@@ -452,28 +452,28 @@ impl Tracer {
         let mut out = String::new();
         for s in &g.closed {
             out.push_str(&format!(
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\
-                 \"start_ns\":{},\"end_ns\":{},\"events\":{},\"stats\":{{{}}}}}\n",
+                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":{},\
+                 \"start_ns\":{},\"end_ns\":{},\"events\":{},\"stats\":{}}}\n",
                 s.id,
                 s.parent,
-                json_escape(s.name),
+                json_quote(s.name),
                 s.start_ns,
                 s.end_ns,
                 s.events,
-                stats_json(&s.stats),
+                s.stats.to_json(),
             ));
         }
         for e in &g.events {
             out.push_str(&format!(
                 "{{\"type\":\"verb\",\"seq\":{},\"kind\":\"{}\",\"span\":{},\
-                 \"start_ns\":{},\"end_ns\":{},\"ok\":{},\"stats\":{{{}}}}}\n",
+                 \"start_ns\":{},\"end_ns\":{},\"ok\":{},\"stats\":{}}}\n",
                 e.seq,
                 e.kind.name(),
                 e.span,
                 e.start_ns,
                 e.end_ns,
                 e.ok,
-                stats_json(&e.delta),
+                e.delta.to_json(),
             ));
         }
         out
@@ -487,24 +487,26 @@ impl Tracer {
         let g = self.inner.lock().unwrap();
         let pid = g.client_id;
         let mut parts: Vec<String> = Vec::with_capacity(g.closed.len() + g.events.len());
+        // Each stats object's members join `args`: its opening brace is
+        // dropped and its closing brace closes `args`.
         for s in &g.closed {
             parts.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},{}}}}}",
-                json_escape(s.name),
+                "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                 \"pid\":{},\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},{}}}",
+                json_quote(s.name),
                 micros(s.start_ns),
                 micros(s.end_ns - s.start_ns),
                 pid,
                 pid,
                 s.id,
                 s.parent,
-                stats_json(&s.stats),
+                &s.stats.to_json()[1..],
             ));
         }
         for e in &g.events {
             parts.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"verb\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\"span\":{},\"ok\":{},{}}}}}",
+                 \"pid\":{},\"tid\":{},\"args\":{{\"span\":{},\"ok\":{},{}}}",
                 e.kind.name(),
                 micros(e.start_ns),
                 micros(e.end_ns.saturating_sub(e.start_ns)),
@@ -512,7 +514,7 @@ impl Tracer {
                 pid,
                 e.span,
                 e.ok,
-                stats_json(&e.delta),
+                &e.delta.to_json()[1..],
             ));
         }
         format!(
@@ -527,26 +529,26 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// `"name":value` pairs for every counter, generated from the field list.
-fn stats_json(s: &AccessStats) -> String {
-    s.fields()
-        .iter()
-        .map(|(name, v)| format!("\"{name}\":{v}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
+/// `\n`, `\t`, `\r` by name and every other control character as
+/// `\u00XX`. The one JSON string writer of the workspace: the trace
+/// exporters, the flight recorder and the experiment tables all quote
+/// through it.
+pub fn json_quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -779,6 +781,15 @@ mod tests {
         assert_eq!(r.spans_dropped, 8);
         let agg = r.spans.iter().find(|s| s.name == "s").unwrap();
         assert_eq!(agg.count, 10, "aggregation is unaffected by ring eviction");
+    }
+
+    #[test]
+    fn json_quote_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_quote("plain × ∞"), "\"plain × ∞\"");
+        assert_eq!(
+            json_quote("q\"b\\n\nt\tr\r\u{1}\u{1f}"),
+            "\"q\\\"b\\\\n\\nt\\tr\\r\\u0001\\u001f\""
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! | `node_sample` | one per retained node sample, oldest first         |
 //! | `trace`       | one per retained trace event (tracer tail)         |
 
-use farmem_fabric::AccessStats;
+use farmem_fabric::{json_quote, AccessStats};
 
 use crate::hub::{MetricsConfig, NodeSample, Sample};
 use crate::slo::{severity_name, SloAlarm};
@@ -54,9 +54,9 @@ impl FlightBundle {
     ) -> FlightBundle {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"kind\":\"meta\",\"schema_version\":1,\"reason\":\"{}\",\
+            "{{\"kind\":\"meta\",\"schema_version\":1,\"reason\":{},\
              \"interval_ns\":{},\"ring_capacity\":{},\"clients\":{},\"nodes\":{}}}\n",
-            escape(reason),
+            json_quote(reason),
             cfg.interval_ns,
             cfg.ring_capacity,
             clients.len(),
@@ -72,7 +72,7 @@ impl FlightBundle {
             out.push_str(&format!(
                 "{{\"kind\":\"client\",\"client\":{client},\
                  \"evicted_samples\":{evicted_samples},\"evicted\":{}}}\n",
-                stats_json(evicted),
+                evicted.to_json(),
             ));
             for s in ring {
                 out.push_str(&sample_json(*client, s));
@@ -94,30 +94,12 @@ impl FlightBundle {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// `AccessStats` as a JSON object, field names from the single source of
-/// truth (`FIELD_NAMES`).
-fn stats_json(stats: &AccessStats) -> String {
-    let mut out = String::from("{");
-    for (i, (name, value)) in stats.fields().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-    out.push('}');
-    out
-}
-
 fn alarm_json(kind: &str, a: &SloAlarm) -> String {
     format!(
-        "{{\"kind\":\"{kind}\",\"rule\":\"{}\",\"signal\":\"{}\",\
+        "{{\"kind\":\"{kind}\",\"rule\":{},\"signal\":\"{}\",\
          \"scope_kind\":\"{}\",\"scope_index\":{},\"value\":{},\
          \"severity\":\"{}\",\"window_seq\":{},\"count\":{}}}\n",
-        escape(a.rule),
+        json_quote(a.rule),
         a.signal.name(),
         a.scope.kind(),
         a.scope.index(),
@@ -140,8 +122,8 @@ fn sample_json(client: u32, s: &Sample) -> String {
         s.p50_verb_ns,
         s.p99_verb_ns,
         s.max_verb_ns,
-        stats_json(&s.delta),
-        stats_json(&s.total),
+        s.delta.to_json(),
+        s.total.to_json(),
     )
 }
 
